@@ -574,7 +574,7 @@ type qops = {
 let heap_ops () =
   let h : int Bfc_util.Heap.t = Bfc_util.Heap.create () in
   {
-    q_push = (fun ~priority v -> Bfc_util.Heap.push h ~priority v);
+    q_push = (fun ~priority v -> Bfc_util.Heap.push h ~rank:0 ~priority v);
     q_pop = (fun () -> Bfc_util.Heap.pop_min_exn h);
     q_clear = (fun () -> Bfc_util.Heap.clear h);
   }
@@ -582,7 +582,7 @@ let heap_ops () =
 let wheel_ops () =
   let w : int Bfc_util.Wheel.t = Bfc_util.Wheel.create () in
   {
-    q_push = (fun ~priority v -> Bfc_util.Wheel.push w ~priority v);
+    q_push = (fun ~priority v -> Bfc_util.Wheel.push w ~rank:0 ~priority v);
     q_pop = (fun () -> Bfc_util.Wheel.pop_min_exn w);
     q_clear = (fun () -> Bfc_util.Wheel.clear w);
   }

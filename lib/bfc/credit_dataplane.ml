@@ -107,8 +107,8 @@ let grant_back t ~in_port ~upstream_q ~bytes =
     let pkt =
       match Switch.pool t.sw with
       | Some p ->
-        Packet.Pool.acquire p Packet.Hop_credit ~src:(Switch.node_id t.sw) ~dst:(-1)
-          ~size:Packet.ctrl_bytes ()
+        Packet.Pool.acquire p Packet.Hop_credit ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
+          ~size:Packet.ctrl_bytes ~seq:0
       | None ->
         Packet.make ~sim:(Switch.sim t.sw) Packet.Hop_credit ~src:(Switch.node_id t.sw) ~dst:(-1)
           ~size:Packet.ctrl_bytes ()

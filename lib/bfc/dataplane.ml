@@ -135,7 +135,9 @@ let classify t _sw ~in_port:_ ~egress pkt =
 
 let make_ctrl t kind =
   match Switch.pool t.sw with
-  | Some p -> Packet.Pool.acquire p kind ~src:(Switch.node_id t.sw) ~dst:(-1) ~size:Packet.ctrl_bytes ()
+  | Some p ->
+    Packet.Pool.acquire p kind ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
+      ~size:Packet.ctrl_bytes ~seq:0
   | None ->
     Packet.make ~sim:(Switch.sim t.sw) kind ~src:(Switch.node_id t.sw) ~dst:(-1)
       ~size:Packet.ctrl_bytes ()
@@ -224,21 +226,27 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
 (* --------------------------------------------------------------- *)
 (* Reacting side                                                     *)
 
-let apply_ctrl ~set_paused ~n_queues pkt =
+let apply_ctrl ~set_paused st ~port ~n_queues pkt =
   match pkt.Packet.kind with
   | Packet.Pause ->
     if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
-      set_paused ~queue:pkt.Packet.ctrl_a true
+      set_paused st ~port ~queue:pkt.Packet.ctrl_a true
   | Packet.Resume ->
     if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
-      set_paused ~queue:pkt.Packet.ctrl_a false
+      set_paused st ~port ~queue:pkt.Packet.ctrl_a false
   | Packet.Pause_bitmap ->
-    let want = Array.make n_queues false in
-    Array.iter (fun q -> if q >= 0 && q < n_queues then want.(q) <- true) pkt.Packet.ints;
+    let ints = pkt.Packet.ints in
     for q = 0 to n_queues - 1 do
-      set_paused ~queue:q want.(q)
+      let want = ref false in
+      for i = 0 to Array.length ints - 1 do
+        if ints.(i) = q then want := true
+      done;
+      set_paused st ~port ~queue:q !want
     done
   | _ -> ()
+
+let set_switch_queue_paused sw ~port ~queue paused =
+  Switch.set_queue_paused sw ~egress:port ~queue paused
 
 (* Wipe the dataplane program's state alongside a switch reboot: the flow
    table, pause counters, DQA bitmaps and occupancy diagnostics all restart
@@ -258,9 +266,7 @@ let on_ctrl t _sw ~in_port pkt =
   match pkt.Packet.kind with
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
     let n_queues = Switch.(config t.sw).queues_per_port in
-    apply_ctrl
-      ~set_paused:(fun ~queue paused -> Switch.set_queue_paused t.sw ~egress:in_port ~queue paused)
-      ~n_queues pkt;
+    apply_ctrl ~set_paused:set_switch_queue_paused t.sw ~port:in_port ~n_queues pkt;
     true
   | _ -> false
 

@@ -75,11 +75,22 @@ val flow_table : t -> Flow_table.t
     traffic class). *)
 val data_queues : t -> int
 
-(** The reacting side used by host NICs as well: given a control packet and
-    the local queue-pause setter, apply it. Exposed for the NIC
-    implementation. *)
+(** The reacting side used by host NICs as well: given a control packet
+    that arrived on [port], apply it through the queue-pause setter
+    [set_paused st ~port ~queue paused]. The setter takes its device as an
+    argument, so a caller passes a closed function and no closure is built
+    per frame. Exposed for the NIC implementation. *)
 val apply_ctrl :
-  set_paused:(queue:int -> bool -> unit) -> n_queues:int -> Bfc_net.Packet.t -> unit
+  set_paused:('a -> port:int -> queue:int -> bool -> unit) ->
+  'a ->
+  port:int ->
+  n_queues:int ->
+  Bfc_net.Packet.t ->
+  unit
+
+(** The switch's setter for {!apply_ctrl}: [port] is the egress whose
+    queue is paused or resumed. *)
+val set_switch_queue_paused : Bfc_switch.Switch.t -> port:int -> queue:int -> bool -> unit
 
 (** Wipe flow table, pause counters, DQA bitmaps and occupancy diagnostics;
     call together with {!Bfc_switch.Switch.reboot} so the dataplane state

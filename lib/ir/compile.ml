@@ -124,7 +124,8 @@ let threshold t ~egress =
 let make_ctrl t kind =
   match Switch.pool t.sw with
   | Some p ->
-    Packet.Pool.acquire p kind ~src:(Switch.node_id t.sw) ~dst:(-1) ~size:Packet.ctrl_bytes ()
+    Packet.Pool.acquire p kind ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
+      ~size:Packet.ctrl_bytes ~seq:0
   | None ->
     Packet.make ~sim:(Switch.sim t.sw) kind ~src:(Switch.node_id t.sw) ~dst:(-1)
       ~size:Packet.ctrl_bytes ()
@@ -351,9 +352,7 @@ let run_ctrl t _sw ~in_port pkt =
       match pkt.Packet.kind with
       | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
         let n_queues = Switch.(config t.sw).Switch.queues_per_port in
-        Dataplane.apply_ctrl
-          ~set_paused:(fun ~queue paused ->
-            Switch.set_queue_paused t.sw ~egress:in_port ~queue paused)
+        Dataplane.apply_ctrl ~set_paused:Dataplane.set_switch_queue_paused t.sw ~port:in_port
           ~n_queues pkt;
         t.pmd_handled <- true
       | _ -> ())

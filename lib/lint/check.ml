@@ -69,6 +69,9 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
         (Printf.sprintf "%s.%s on a per-packet path" (List.hd (path_of_lid lid)) fn)
     | [ fn ] when dataplane_here () && List.mem fn io_fns ->
       report Rule.df_io loc (Printf.sprintf "%s on a per-packet path" fn)
+    | (("Queue" | "Stack") as m) :: fn :: _ when perf_here () ->
+      report Rule.pf_stdlib_queue loc
+        (Printf.sprintf "%s.%s on a hot path; use an array ring" m fn)
     | [ op ] when dataplane_here () && List.mem op float_ops ->
       report Rule.df_float loc (Printf.sprintf "float operation (%s) on a per-packet path" op)
     | "Float" :: fn :: _ when dataplane_here () ->

@@ -18,11 +18,14 @@ let dataplane_files =
   ]
 
 (* Hot scheduling paths that get the perf family (PF rules) on top of the
-   dataplane set: the modules that arm per-packet/per-pause timers. These
-   went closure-free with the typed event table (PR 10) and must stay so. *)
+   dataplane set: the modules that arm per-packet/per-pause timers (closure-
+   free since the typed event table) and the per-hop queues and scheduler
+   (array rings, no Stdlib Queue cells). *)
 let perf_files =
   [
     "lib/net/port.ml";
+    "lib/switch/fifo.ml";
+    "lib/switch/sched.ml";
     "lib/switch/switch.ml";
     "lib/transport/nic.ml";
     "lib/transport/host.ml";

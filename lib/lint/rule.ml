@@ -151,6 +151,18 @@ let pf_closure_timer =
        with Sim.make_handle";
   }
 
+let pf_stdlib_queue =
+  {
+    id = "PF002";
+    name = "pf-stdlib-queue";
+    family = Perf;
+    severity = Error;
+    doc =
+      "Stdlib Queue/Stack on a hot path: every push allocates a list cell (3 words) that a \
+       backlogged queue promotes to the major heap; use a growable array ring (like \
+       Bfc_switch.Fifo) that allocates only when it grows";
+  }
+
 let all =
   [
     df_list;
@@ -165,6 +177,7 @@ let all =
     rob_catchall;
     rob_assert_false;
     pf_closure_timer;
+    pf_stdlib_queue;
   ]
 
 let find key =

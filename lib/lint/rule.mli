@@ -53,6 +53,8 @@ val rob_assert_false : t
 
 val pf_closure_timer : t
 
+val pf_stdlib_queue : t
+
 (** Every rule, in id order. *)
 val all : t list
 

@@ -63,12 +63,7 @@ let ctrl_bytes = 64
    race-free across domains. *)
 let fallback_uid = Atomic.make 0
 
-let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
-  let uid =
-    match sim with
-    | Some s -> Bfc_engine.Sim.fresh_uid s
-    | None -> Atomic.fetch_and_add fallback_uid 1
-  in
+let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
   {
     uid;
     kind;
@@ -99,6 +94,16 @@ let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) (
     path_hint = -1;
     pooled = false;
   }
+
+let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
+  let uid =
+    match sim with
+    | Some s -> Bfc_engine.Sim.fresh_uid s
+    | None -> Atomic.fetch_and_add fallback_uid 1
+  in
+  build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio
+
+let placeholder = build ~uid:(-1) Data None ~src:(-1) ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
 
 let data ?sim ~flow ~seq ~payload ?(extra_header = 0) () =
   make ?sim Data ~flow ~src:flow.Flow.src ~dst:flow.Flow.dst
@@ -271,10 +276,10 @@ module Pool = struct
     t.free.(t.n_free) <- p;
     t.n_free <- t.n_free + 1
 
-  let acquire t kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
+  let acquire t kind ~flow ~src ~dst ~size ~seq =
     if t.n_free = 0 then begin
       t.allocated <- t.allocated + 1;
-      make ~sim:t.sim kind ?flow ~src ~dst ~size ~payload ~seq ~prio ()
+      build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~src ~dst ~size ~payload:0 ~seq ~prio:0
     end
     else begin
       t.n_free <- t.n_free - 1;
@@ -287,14 +292,18 @@ module Pool = struct
       p.src <- src;
       p.dst <- dst;
       p.size <- size;
-      p.payload <- payload;
       p.seq <- seq;
-      p.prio <- prio;
       p
     end
 
-  let data t ~flow ~seq ~payload ?(extra_header = 0) () =
-    acquire t Data ~flow ~src:flow.Flow.src ~dst:flow.Flow.dst
-      ~size:(payload + header_bytes + extra_header)
-      ~payload ~seq ~prio:flow.prio_class ()
+  let data t ~flow ~seq ~payload ~extra_header =
+    let f = match flow with Some f -> f | None -> invalid_arg "Packet.Pool.data: no flow" in
+    let p =
+      acquire t Data ~flow ~src:f.Flow.src ~dst:f.Flow.dst
+        ~size:(payload + header_bytes + extra_header)
+        ~seq
+    in
+    p.payload <- payload;
+    p.prio <- f.Flow.prio_class;
+    p
 end

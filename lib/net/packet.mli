@@ -93,6 +93,11 @@ val make :
 val data :
   ?sim:Bfc_engine.Sim.t -> flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> t
 
+(** An inert packet (uid [-1]) for initialising packet-typed registers
+    before any packet exists. It is never sent, queued or pooled, and must
+    not be mutated. *)
+val placeholder : t
+
 (** [add_int_hop t ~ts ~tx_bytes ~qlen ~gbps ~link] appends an INT record,
     reusing the packet's preallocated hop storage (no allocation once the
     array has grown to the path length). *)
@@ -150,21 +155,18 @@ module Pool : sig
 
   val create : sim:Bfc_engine.Sim.t -> t
 
+  (** [acquire pool kind ~flow ~src ~dst ~size ~seq] — a recycled (or, when
+      the free list is empty, fresh) packet with [make]'s defaults in every
+      other field. It takes no optional argument, since a call site boxes
+      every optional argument it passes. [~flow] is stored as given, so a
+      sender passes an option it built once per flow. *)
   val acquire :
-    t ->
-    kind ->
-    ?flow:Flow.t ->
-    src:int ->
-    dst:int ->
-    size:int ->
-    ?payload:int ->
-    ?seq:int ->
-    ?prio:int ->
-    unit ->
-    packet
+    t -> kind -> flow:Flow.t option -> src:int -> dst:int -> size:int -> seq:int -> packet
 
-  (** Mirrors {!val:Packet.data} but draws from the pool. *)
-  val data : t -> flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> packet
+  (** Mirrors {!val:Packet.data} but draws from the pool; [~flow] must be
+      [Some] (raises [Invalid_argument] otherwise). *)
+  val data :
+    t -> flow:Flow.t option -> seq:int -> payload:int -> extra_header:int -> packet
 
   val release : t -> packet -> unit
 

@@ -21,6 +21,7 @@ type t = {
   sim : Bfc_engine.Sim.t;
   idx : int; (* index into the per-sim port registry, the [a0] of events *)
   gid : int;
+  key : int option; (* [Some gid], built once: the canonical key of every delivery post *)
   gbps : float;
   prop : Bfc_engine.Time.t;
   peer : Node.t;
@@ -95,6 +96,7 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
       sim;
       idx = r.pn;
       gid;
+      key = Some gid;
       gbps;
       prop;
       peer;
@@ -196,7 +198,7 @@ let send t pkt =
     match t.remote with
     | None ->
       ring_push t pkt;
-      Bfc_engine.Sim.post ~key:t.gid t.sim (now + ser + t.prop)
+      Bfc_engine.Sim.post ?key:t.key t.sim (now + ser + t.prop)
         ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx ~a1:0
     | Some f -> f pkt ~at:(now + ser + t.prop)
   end
@@ -216,7 +218,7 @@ let send_ctrl t pkt =
     match t.remote with
     | None ->
       cring_push t pkt;
-      Bfc_engine.Sim.post ~key:t.gid t.sim
+      Bfc_engine.Sim.post ?key:t.key t.sim
         (Bfc_engine.Sim.now t.sim + t.prop)
         ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx ~a1:1
     | Some f -> f pkt ~at:(Bfc_engine.Sim.now t.sim + t.prop)

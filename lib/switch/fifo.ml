@@ -1,7 +1,9 @@
 type t = {
   idx : int;
   cls : int;
-  q : Bfc_net.Packet.t Queue.t;
+  mutable ring : Bfc_net.Packet.t array;
+  mutable head : int;
+  mutable len : int;
   mutable bytes : int;
   mutable paused : bool;
   mutable deficit : int;
@@ -9,28 +11,52 @@ type t = {
 }
 
 let create ~idx ~cls =
-  { idx; cls; q = Queue.create (); bytes = 0; paused = false; deficit = 0; in_ring = false }
+  {
+    idx;
+    cls;
+    ring = [||];
+    head = 0;
+    len = 0;
+    bytes = 0;
+    paused = false;
+    deficit = 0;
+    in_ring = false;
+  }
 
-let is_empty t = Queue.is_empty t.q
+let is_empty t = t.len = 0
 
-let length t = Queue.length t.q
+let length t = t.len
+
+(* Double the ring, unrolling it to start at slot 0. [pkt] seeds the new
+   slots; stale slots are overwritten before they are read. *)
+let grow t pkt =
+  let cap = Array.length t.ring in
+  let nr = Array.make (if cap = 0 then 8 else 2 * cap) pkt in
+  for i = 0 to t.len - 1 do
+    Array.unsafe_set nr i (Array.unsafe_get t.ring ((t.head + i) land (cap - 1)))
+  done;
+  t.ring <- nr;
+  t.head <- 0
 
 let push t pkt =
-  Queue.add pkt t.q;
+  if t.len = Array.length t.ring then grow t pkt;
+  Array.unsafe_set t.ring ((t.head + t.len) land (Array.length t.ring - 1)) pkt;
+  t.len <- t.len + 1;
   t.bytes <- t.bytes + pkt.Bfc_net.Packet.size
 
 let pop t =
-  let pkt = Queue.pop t.q in
+  if t.len = 0 then invalid_arg "Fifo.pop: empty queue";
+  let pkt = Array.unsafe_get t.ring t.head in
+  t.head <- (t.head + 1) land (Array.length t.ring - 1);
+  t.len <- t.len - 1;
   t.bytes <- t.bytes - pkt.Bfc_net.Packet.size;
   pkt
 
-let peek t = Queue.peek_opt t.q
+let peek_exn t =
+  if t.len = 0 then invalid_arg "Fifo.peek_exn: empty queue";
+  Array.unsafe_get t.ring t.head
 
-(* Allocation-free head accessors for the scheduling hot path (peek returns
-   an option, i.e. one [Some] block per call). *)
-let peek_exn t = Queue.peek t.q
-
-let head_size t = if Queue.is_empty t.q then 0 else (Queue.peek t.q).Bfc_net.Packet.size
+let head_size t = if t.len = 0 then 0 else (Array.unsafe_get t.ring t.head).Bfc_net.Packet.size
 
 let head_remaining t =
-  if Queue.is_empty t.q then max_int else (Queue.peek t.q).Bfc_net.Packet.remaining
+  if t.len = 0 then max_int else (Array.unsafe_get t.ring t.head).Bfc_net.Packet.remaining

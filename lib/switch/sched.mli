@@ -15,7 +15,11 @@
 
     A queue is *eligible* when it has packets, is not BFC-paused, and its
     egress is not PFC-paused. The scheduler is notified of state changes via
-    [activate] (queue may have become servable). *)
+    [activate] (queue may have become servable).
+
+    Each class keeps a ring of candidate queues in a fixed array sized by
+    the class's queue count, so only queues passed to {!create} may be
+    pushed or activated. *)
 
 type policy = Drr | Srf | Prio_strict
 
@@ -35,9 +39,17 @@ val push : t -> Fifo.t -> Bfc_net.Packet.t -> unit
 (** Pause or resume a queue (BFC's per-queue pause). *)
 val set_paused : t -> Fifo.t -> bool -> unit
 
-(** Pick and pop the next packet to transmit, honouring pauses; [None] when
-    no queue is eligible. Updates DRR deficits. Returns the queue served. *)
-val next : t -> (Fifo.t * Bfc_net.Packet.t) option
+(** Pick and pop the next packet to transmit, honouring pauses; [false]
+    when no queue is eligible. Updates DRR deficits. On [true], {!served}
+    and {!taken} name the queue served and the packet popped. Allocates
+    nothing. *)
+val take : t -> bool
+
+(** The queue of the last successful {!take}. *)
+val served : t -> Fifo.t
+
+(** The packet of the last successful {!take}. *)
+val taken : t -> Bfc_net.Packet.t
 
 (** [flush t f] empties every queue, calling [f] on each resident packet
     (oldest first per queue), and resets all scheduler state: pauses,

@@ -122,7 +122,8 @@ let recycle t pkt = match t.pool with Some p -> Packet.Pool.release p pkt | None
 let make_pfc t =
   match t.pool with
   | Some p ->
-    Packet.Pool.acquire p Packet.Pfc ~src:t.node.Node.id ~dst:(-1) ~size:Packet.ctrl_bytes ()
+    Packet.Pool.acquire p Packet.Pfc ~flow:None ~src:t.node.Node.id ~dst:(-1)
+      ~size:Packet.ctrl_bytes ~seq:0
   | None ->
     Packet.make ~sim:t.sim Packet.Pfc ~src:t.node.Node.id ~dst:(-1) ~size:Packet.ctrl_bytes ()
 
@@ -193,28 +194,26 @@ let pfc_check_resume t in_port =
 let try_send t e =
   if not e.epfc_paused then begin
     if Port.busy e.eport then Port.ensure_wakeup e.eport
-    else begin
-      match Sched.next e.esched with
-      | None -> ()
-      | Some (q, pkt) ->
-        e.ebytes <- e.ebytes - pkt.Packet.size;
-        let delay = Sim.now t.sim - pkt.Packet.enq_at in
-        pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
-        pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
-        Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
-        if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
-        if t.cfg.track_active_flows then flow_track_remove e pkt;
-        t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
-        t.hk.on_pkt_departed t ~egress:e.eidx pkt ~delay;
-        if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
-          Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
-            ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
-            ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
-        t.tx_packets <- t.tx_packets + 1;
-        Port.send e.eport pkt;
-        (* serialization takes >= 1 ns, so the port is busy now; if more
-           traffic is queued, the idle wakeup pulls the next packet *)
-        if Sched.n_active e.esched > 0 then Port.ensure_wakeup e.eport
+    else if Sched.take e.esched then begin
+      let q = Sched.served e.esched and pkt = Sched.taken e.esched in
+      e.ebytes <- e.ebytes - pkt.Packet.size;
+      let delay = Sim.now t.sim - pkt.Packet.enq_at in
+      pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
+      pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
+      Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
+      if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
+      if t.cfg.track_active_flows then flow_track_remove e pkt;
+      t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
+      t.hk.on_pkt_departed t ~egress:e.eidx pkt ~delay;
+      if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
+        Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
+          ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
+          ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
+      t.tx_packets <- t.tx_packets + 1;
+      Port.send e.eport pkt;
+      (* serialization takes >= 1 ns, so the port is busy now; if more
+         traffic is queued, the idle wakeup pulls the next packet *)
+      if Sched.n_active e.esched > 0 then Port.ensure_wakeup e.eport
     end
   end
 

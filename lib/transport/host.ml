@@ -64,6 +64,7 @@ type cc =
 
 type tx = {
   flow : Flow.t;
+  fopt : Flow.t option; (* [Some flow], built once for every packet's flow field *)
   mutable snd_nxt : int;
   mutable snd_una : int;
   mutable cc : cc;
@@ -76,11 +77,13 @@ type tx = {
   mutable unsched : int; (* homa unscheduled limit *)
   mutable fin_sent : bool;
   mutable retransmitted : int;
+  mutable chunk_seq : int; (* first byte of the chunk [next_chunk] last sized *)
 }
 
 (* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
 type rx = {
   rflow : Flow.t;
+  rfopt : Flow.t option; (* [Some rflow], built once *)
   mutable expected : int; (* contiguous prefix received *)
   mutable ranges : (int * int) list; (* beyond the prefix *)
   mutable last_nack : Bfc_engine.Time.t;
@@ -188,7 +191,7 @@ let rate_of tx =
 let make_data t tx ~seq ~len =
   let pkt =
     match t.pool with
-    | Some p -> Packet.Pool.data p ~flow:tx.flow ~seq ~payload:len ~extra_header:t.cfg.extra_header ()
+    | Some p -> Packet.Pool.data p ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
     | None ->
       Packet.data ~sim:t.sim ~flow:tx.flow ~seq ~payload:len ~extra_header:t.cfg.extra_header ()
   in
@@ -224,6 +227,8 @@ let send_limit tx =
     let w = window tx in
     if w = max_int then tx.flow.Flow.size else min tx.flow.Flow.size (tx.snd_una + w)
 
+(* Length of the next chunk to send, with its first byte left in
+   [tx.chunk_seq]; negative when nothing may be sent now. *)
 let next_chunk t tx =
   (* retransmissions take precedence *)
   match tx.rtx with
@@ -232,16 +237,23 @@ let next_chunk t tx =
     let rest = if s + len >= e then rest else (s + len, e) :: rest in
     tx.rtx <- rest;
     tx.retransmitted <- tx.retransmitted + len;
-    Some (s, len)
+    tx.chunk_seq <- s;
+    len
   | [] ->
     let limit = send_limit tx in
     if tx.snd_nxt < limit then begin
       let len = min t.cfg.mtu (limit - tx.snd_nxt) in
-      let s = tx.snd_nxt in
+      tx.chunk_seq <- tx.snd_nxt;
       tx.snd_nxt <- tx.snd_nxt + len;
-      Some (s, len)
+      len
     end
-    else None
+    else -1
+
+let send_chunk t tx ~len =
+  let seq = tx.chunk_seq in
+  let pkt = make_data t tx ~seq ~len in
+  pkt.Packet.prio <- homa_data_prio t tx ~seq;
+  submit_data t tx pkt
 
 let rec pump t tx =
   if not tx.finished then begin
@@ -249,29 +261,23 @@ let rec pump t tx =
       is_window_based tx && Nic.queue_bytes t.nic ~queue:tx.nic_q >= depth_cap t.cfg
     in
     if not gated_by_depth then begin
-      match next_chunk t tx with
-      | None -> ()
-      | Some (seq, len) ->
-        let pkt = make_data t tx ~seq ~len in
-        pkt.Packet.prio <- homa_data_prio t tx ~seq;
-        submit_data t tx pkt;
+      let len = next_chunk t tx in
+      if len >= 0 then begin
+        send_chunk t tx ~len;
         pump t tx
+      end
     end
   end
 
-(* Homa: unscheduled bytes go out at line rate immediately; the NIC queue
-   absorbs them (that's Homa's behaviour: first RTT is blind). *)
-let homa_start t tx =
-  let rec blast () =
-    match next_chunk t tx with
-    | None -> ()
-    | Some (seq, len) ->
-      let pkt = make_data t tx ~seq ~len in
-      pkt.Packet.prio <- homa_data_prio t tx ~seq;
-      submit_data t tx pkt;
-      blast ()
-  in
-  blast ()
+(* Send every chunk [next_chunk] allows, ungated. Homa: unscheduled bytes
+   go out at line rate immediately; the NIC queue absorbs them (that's
+   Homa's behaviour: first RTT is blind). Grants reuse it. *)
+let rec blast t tx =
+  let len = next_chunk t tx in
+  if len >= 0 then begin
+    send_chunk t tx ~len;
+    blast t tx
+  end
 
 (* Flow timers are typed [cls_flow_timeout] events: [a1] packs
    (flow_id << 2) | kind, kind 0 = RTO, 1 = xpass credit pacer,
@@ -287,13 +293,12 @@ let xpass_stop_kind = 2
 
 let rate_pace_kind = 3
 
+let rate_on_sent tx bytes = match tx.cc with Cc_dcqcn d -> Dcqcn.on_sent d ~bytes | _ -> ()
+
 (* Pacing loop for rate-based senders (DCQCN, Timely). *)
 let rate_pace t tx =
   if (not tx.finished) && (tx.snd_nxt < tx.flow.Flow.size || tx.rtx <> []) then begin
     if is_rate_based tx then begin
-      let on_sent bytes =
-        match tx.cc with Cc_dcqcn d -> Dcqcn.on_sent d ~bytes | _ -> ()
-      in
       (* hold off while the NIC is badly backlogged (PFC pause) *)
       if Nic.queue_bytes t.nic ~queue:tx.nic_q < 8 * mtu_wire t.cfg then begin
         (match tx.rtx with
@@ -304,14 +309,14 @@ let rate_pace t tx =
           t.bytes_retransmitted <- t.bytes_retransmitted + len;
           let pkt = make_data t tx ~seq:s ~len in
           submit_data t tx pkt;
-          on_sent len
+          rate_on_sent tx len
         | [] ->
           if tx.snd_nxt < tx.flow.Flow.size then begin
             let len = min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
             let pkt = make_data t tx ~seq:tx.snd_nxt ~len in
             tx.snd_nxt <- tx.snd_nxt + len;
             submit_data t tx pkt;
-            on_sent len
+            rate_on_sent tx len
           end)
       end;
       let gap =
@@ -424,16 +429,7 @@ let on_grant t pkt =
     if pkt.Packet.ctrl_a > tx.granted then begin
       tx.granted <- pkt.Packet.ctrl_a;
       tx.grant_prio <- pkt.Packet.ctrl_b;
-      let rec blast () =
-        match next_chunk t tx with
-        | None -> ()
-        | Some (seq, len) ->
-          let p = make_data t tx ~seq ~len in
-          p.Packet.prio <- homa_data_prio t tx ~seq;
-          submit_data t tx p;
-          blast ()
-      in
-      blast ()
+      blast t tx
     end
 
 let on_credit t pkt =
@@ -497,6 +493,7 @@ let get_rx t flow =
     let rx =
       {
         rflow = flow;
+        rfopt = Some flow;
         expected = 0;
         ranges = [];
         last_nack = min_int / 2;
@@ -514,11 +511,13 @@ let get_rx t flow =
     Bfc_util.Int_table.set t.rxs flow.Flow.id rx;
     rx
 
+(* [flow] is the packet's flow field as stored: pass a per-flow option
+   built once (or a received packet's own field), not a fresh [Some]. *)
 let send_ctrl_pkt t kind ~flow ~dst ~size ~seq =
   let pkt =
     match t.pool with
-    | Some p -> Packet.Pool.acquire p kind ~flow ~src:t.node.Node.id ~dst ~size ~seq ()
-    | None -> Packet.make ~sim:t.sim kind ~flow ~src:t.node.Node.id ~dst ~size ~seq ()
+    | Some p -> Packet.Pool.acquire p kind ~flow ~src:t.node.Node.id ~dst ~size ~seq
+    | None -> Packet.make ~sim:t.sim kind ?flow ~src:t.node.Node.id ~dst ~size ~seq ()
   in
   Nic.submit_ctrl t.nic pkt;
   pkt
@@ -542,8 +541,8 @@ let xpass_pace t rx =
     let credit =
       match t.pool with
       | Some p ->
-        Packet.Pool.acquire p Packet.Credit ~flow:rx.rflow ~src:t.node.Node.id
-          ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes ()
+        Packet.Pool.acquire p Packet.Credit ~flow:rx.rfopt ~src:t.node.Node.id
+          ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes ~seq:0
       | None ->
         Packet.make ~sim:t.sim Packet.Credit ~flow:rx.rflow ~src:t.node.Node.id
           ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes ()
@@ -599,8 +598,8 @@ let on_data t pkt =
       if Sim.now t.sim - rx.last_nack > t.cfg.base_rtt then begin
         rx.last_nack <- Sim.now t.sim;
         ignore
-          (send_ctrl_pkt t Packet.Nack ~flow ~dst:flow.Flow.src ~size:Packet.ack_bytes
-             ~seq:rx.expected)
+          (send_ctrl_pkt t Packet.Nack ~flow:pkt.Packet.flow ~dst:flow.Flow.src
+             ~size:Packet.ack_bytes ~seq:rx.expected)
       end
     end
   end
@@ -615,7 +614,9 @@ let on_data t pkt =
   | Dcqcn p ->
     if pkt.Packet.ecn && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
       rx.last_cnp <- Sim.now t.sim;
-      ignore (send_ctrl_pkt t Packet.Cnp ~flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes ~seq:0)
+      ignore
+        (send_ctrl_pkt t Packet.Cnp ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
+           ~seq:0)
     end
   | Homa _ -> (
     match t.homa_recv with
@@ -624,7 +625,7 @@ let on_data t pkt =
       List.iter
         (fun g ->
           let gp =
-            send_ctrl_pkt t Packet.Grant ~flow:g.Homa.g_flow ~dst:g.Homa.g_flow.Flow.src
+            send_ctrl_pkt t Packet.Grant ~flow:(Some g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
               ~size:Packet.ctrl_bytes ~seq:0
           in
           gp.Packet.ctrl_a <- g.Homa.g_offset;
@@ -650,8 +651,8 @@ let on_data t pkt =
     let ack =
       match t.pool with
       | Some p ->
-        Packet.Pool.acquire p Packet.Ack ~flow ~src:t.node.Node.id ~dst:flow.Flow.src
-          ~size:Packet.ack_bytes ~seq:now_cov ()
+        Packet.Pool.acquire p Packet.Ack ~flow:pkt.Packet.flow ~src:t.node.Node.id
+          ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq:now_cov
       | None ->
         Packet.make ~sim:t.sim Packet.Ack ~flow ~src:t.node.Node.id ~dst:flow.Flow.src
           ~size:Packet.ack_bytes ~seq:now_cov ()
@@ -724,6 +725,7 @@ let start_flow t flow =
   let tx =
     {
       flow;
+      fopt = Some flow;
       snd_nxt = 0;
       snd_una = 0;
       cc;
@@ -736,6 +738,7 @@ let start_flow t flow =
       unsched = (match t.cfg.scheme with Homa p -> min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
       fin_sent = false;
       retransmitted = 0;
+      chunk_seq = 0;
     }
   in
   Bfc_util.Int_table.set t.txs flow.Flow.id tx;
@@ -744,13 +747,22 @@ let start_flow t flow =
   (match t.cfg.scheme with
   | Xpass _ ->
     ignore
-      (send_ctrl_pkt t Packet.Credit_req ~flow ~dst:flow.Flow.dst ~size:Packet.ctrl_bytes ~seq:0)
+      (send_ctrl_pkt t Packet.Credit_req ~flow:tx.fopt ~dst:flow.Flow.dst ~size:Packet.ctrl_bytes
+         ~seq:0)
   | Dcqcn _ | Timely -> rate_pace t tx
-  | Homa _ -> homa_start t tx
+  | Homa _ -> blast t tx
   | Bfc _ | Dctcp _ | Hpcc _ | Swift _ -> pump t tx)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
+
+(* The NIC refill hook: pump each window-based owner of the dequeued queue
+   (a loop, not [List.iter], which would build a closure per dequeue). *)
+let rec refill t = function
+  | [] -> ()
+  | tx :: rest ->
+    pump t tx;
+    refill t rest
 
 let receive t ~in_port:_ pkt =
   (* Every branch consumes the packet synchronously (handlers copy what
@@ -840,6 +852,6 @@ let create ~sim ~node ~port ~config:cfg ?pool () =
   r.harr.(r.hn) <- t;
   r.hn <- r.hn + 1;
   Nic.set_on_dequeue nic (fun q ->
-      if q >= 0 && q < Array.length t.owners then List.iter (fun tx -> pump t tx) !(t.owners.(q)));
+      if q >= 0 && q < Array.length t.owners then refill t !(t.owners.(q)));
   node.Node.handler <- (fun ~in_port pkt -> receive t ~in_port pkt);
   t

@@ -29,24 +29,22 @@ type t = {
 let try_send t =
   if not t.pfc_paused then begin
     if Port.busy t.port then Port.ensure_wakeup t.port
-    else begin
-      match Sched.next t.sched with
-      | None -> ()
-      | Some (q, pkt) ->
-        t.backlog <- t.backlog - pkt.Packet.size;
-        if pkt.Packet.kind = Packet.Data then begin
-          pkt.Packet.upstream_q <- q.Fifo.idx;
-          match t.credit with
-          | Some b when q.Fifo.idx > 0 ->
-            let next = Fifo.head_size q in
-            if Balance.consume b ~queue:q.Fifo.idx ~bytes:pkt.Packet.size ~next then
-              Sched.set_paused t.sched q true
-          | _ -> ()
-        end;
-        pkt.Packet.sent_at <- Bfc_engine.Sim.now t.sim;
-        Port.send t.port pkt;
-        if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
-        t.on_dequeue q.Fifo.idx
+    else if Sched.take t.sched then begin
+      let q = Sched.served t.sched and pkt = Sched.taken t.sched in
+      t.backlog <- t.backlog - pkt.Packet.size;
+      if pkt.Packet.kind = Packet.Data then begin
+        pkt.Packet.upstream_q <- q.Fifo.idx;
+        match t.credit with
+        | Some b when q.Fifo.idx > 0 ->
+          let next = Fifo.head_size q in
+          if Balance.consume b ~queue:q.Fifo.idx ~bytes:pkt.Packet.size ~next then
+            Sched.set_paused t.sched q true
+        | _ -> ()
+      end;
+      pkt.Packet.sent_at <- Bfc_engine.Sim.now t.sim;
+      Port.send t.port pkt;
+      if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
+      t.on_dequeue q.Fifo.idx
     end
   end
 
@@ -58,10 +56,9 @@ let try_send t =
 
 let credit_starved t queue =
   match t.credit with
-  | Some b when queue > 0 -> (
-    match Fifo.peek t.queues.(queue) with
-    | Some p -> Balance.get b ~queue < p.Packet.size
-    | None -> false)
+  | Some b when queue > 0 ->
+    let q = t.queues.(queue) in
+    (not (Fifo.is_empty q)) && Balance.get b ~queue < Fifo.head_size q
   | _ -> false
 
 let wd_fallback t queue epoch () =
@@ -163,8 +160,9 @@ let arm_queue_watchdog t queue =
     else ignore (Bfc_engine.Sim.after t.sim timeout (wd_fallback t queue epoch))
 
 (* Apply a ctrl-frame pause/resume; every pause assertion (including bitmap
-   refreshes) re-arms the watchdog deadline. *)
-let set_ctrl_paused t ~queue paused =
+   refreshes) re-arms the watchdog deadline. The setter for
+   [Dataplane.apply_ctrl]: a NIC has one port. *)
+let set_ctrl_paused t ~port:_ ~queue paused =
   t.wd_epoch.(queue) <- t.wd_epoch.(queue) + 1;
   if t.ctrl_paused.(queue) <> paused then t.on_pause ~queue ~paused;
   t.ctrl_paused.(queue) <- paused;
@@ -258,8 +256,7 @@ let on_ctrl t pkt =
     end
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
     if t.respect_pause then
-      Bfc_core.Dataplane.apply_ctrl
-        ~set_paused:(fun ~queue paused -> set_ctrl_paused t ~queue paused)
+      Bfc_core.Dataplane.apply_ctrl ~set_paused:set_ctrl_paused t ~port:0
         ~n_queues:(Array.length t.queues) pkt
   | Packet.Hop_credit -> (
     match t.credit with

@@ -5,7 +5,7 @@
    matters because the simulator pops one event per packet per hop.
 
    Ordering is (priority, rank, seq). The rank is a caller-supplied
-   secondary key (default 0); the simulator passes its clock at insertion
+   secondary key; the simulator passes its clock at insertion
    time so that entries inserted later than a sequential run would have —
    cross-shard deliveries placed at a PDES window barrier — can take the
    position the sequential run would have given them. When every push
@@ -66,7 +66,7 @@ let grow t v =
     t.vals <- nv
   end
 
-let push t ?(rank = 0) ~priority value =
+let push t ~rank ~priority value =
   grow t value;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;

@@ -1,8 +1,8 @@
 (** Binary min-heap with integer priorities and stable ordering.
 
     The event queue of the simulator sits on top of this heap; entries
-    pop in (priority, rank, insertion order), where the rank is an
-    optional caller-supplied secondary key (default 0) — the simulator
+    pop in (priority, rank, insertion order), where the rank is a
+    caller-supplied secondary key — the simulator
     passes its clock at insertion so a PDES barrier can place a
     cross-shard delivery at the position a sequential run would have
     given it. With equal or monotone ranks the order reduces to
@@ -24,9 +24,10 @@ val is_empty : 'a t -> bool
 (** Current backing-array capacity (grows geometrically, kept by {!clear}). *)
 val capacity : 'a t -> int
 
-(** [push t ?rank ~priority v] inserts [v]; [rank] (default 0) breaks
-    priority ties ahead of insertion order. Amortized O(log n). *)
-val push : 'a t -> ?rank:int -> priority:int -> 'a -> unit
+(** [push t ~rank ~priority v] inserts [v]; [rank] breaks priority ties
+    ahead of insertion order (pass 0 for plain FIFO ties). Amortized
+    O(log n). *)
+val push : 'a t -> rank:int -> priority:int -> 'a -> unit
 
 (** [pop t] removes and returns the minimum-priority element (FIFO among
     equal priorities). Allocates the result tuple; the hot path should use

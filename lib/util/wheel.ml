@@ -14,7 +14,7 @@
 
    Ordering contract (what makes a wheel run byte-identical to the heap):
    pops come out in strict (time, rank, insertion-seq) order, where the
-   rank is a caller-supplied secondary key (default 0). [push] requires
+   rank is a caller-supplied secondary key. [push] requires
    ranks to be non-decreasing among same-time entries — free for the
    simulator, whose rank is its monotone clock — so no sorting is needed
    to maintain the order: same-time entries share every digit, so they
@@ -205,7 +205,7 @@ let bucket_insert_sorted t b ~from time rank seq v =
   Array.unsafe_set b.bs !i seq;
   Array.unsafe_set b.bv !i v
 
-let push t ?(rank = 0) ~priority:time value =
+let push t ~rank ~priority:time value =
   if time < 0 then invalid_arg "Wheel.push: negative priority";
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -294,21 +294,27 @@ let push_late t ~priority:time ~rank value =
       Array.unsafe_set b.bv p value
   end
 
-(* A bucket that grew past this many slots has its arrays released after
-   it cascades instead of being kept for reuse: high-level buckets are
-   revisited only after a full wrap of their level (65 ms at level 2), so
-   a burst-grown array would otherwise sit idle — with stale value refs
-   in its tail — for the rest of the run. Hot low-level buckets stay far
-   below the threshold and keep their arrays. *)
+(* Release policy for a bucket that grew past [shrink_threshold] slots,
+   applied after it cascades. Buckets at level 2 and above are revisited
+   only after a full wrap of their level (16.8 ms at level 2), so a
+   burst-grown array would sit idle — with stale value refs in its tail —
+   for the rest of the run: always released. A level-1 bucket is revisited
+   every 65.5 us; it keeps its arrays unless they are more than
+   [shrink_ratio] times the live entries it just re-dealt, so a bucket
+   that refills to a similar size on every visit is not regrown from 8
+   slots each time, while a burst leftover is still dropped. *)
 let shrink_threshold = 1024
+
+let shrink_ratio = 4
 
 (* Re-deal a cascading bucket into the levels below; dead entries are
    purged here instead of travelling further down the hierarchy. Source
    order is preserved, which keeps same-deadline runs in (rank, seq)
    order. *)
-let redistribute t src =
+let redistribute t ~level src =
   let n = src.blen in
   src.blen <- 0;
+  let live = ref 0 in
   for k = 0 to n - 1 do
     let v = Array.unsafe_get src.bv k in
     if t.garbage v then begin
@@ -316,14 +322,16 @@ let redistribute t src =
       t.release v
     end
     else begin
+      incr live;
       let time = Array.unsafe_get src.bt k in
       let l = level_for t time in
       let b = Array.unsafe_get (Array.unsafe_get t.lv l) ((time lsr (l * bits)) land bmask) in
       bucket_put_pressure t b time (Array.unsafe_get src.br k) (Array.unsafe_get src.bs k) v
     end
   done;
-  if Array.length src.bv > shrink_threshold then begin
-    t.cap <- t.cap - Array.length src.bv;
+  let cap = Array.length src.bv in
+  if cap > shrink_threshold && (level >= 2 || cap > shrink_ratio * !live) then begin
+    t.cap <- t.cap - cap;
     src.bt <- [||];
     src.br <- [||];
     src.bs <- [||];
@@ -375,7 +383,7 @@ and cascade t l =
       let keep = if span >= 62 then 0 else t.wnow land lnot ((1 lsl span) - 1) in
       t.wnow <- keep lor (!i lsl (l * bits));
       t.ci <- 0;
-      redistribute t (Array.unsafe_get lvl !i);
+      redistribute t ~level:l (Array.unsafe_get lvl !i);
       reposition t
     end
   end

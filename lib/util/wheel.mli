@@ -6,7 +6,7 @@
     and pop in strict (deadline, rank, insertion order) sequence — the
     same total order {!Heap} produces — so a simulator can switch
     between the two backends and replay byte-identical schedules. The
-    rank is an optional secondary key (default 0); {!push} requires it
+    rank is a caller-supplied secondary key; {!push} requires it
     to be non-decreasing among same-deadline entries (free when the
     rank is the simulator's monotone clock), while {!push_late} accepts
     arbitrary ranks at a per-push scan cost.
@@ -50,9 +50,11 @@ val is_empty : 'a t -> bool
 val capacity : 'a t -> int
 (** Total allocated bucket slots across all levels (profiling). *)
 
-val push : 'a t -> ?rank:int -> priority:int -> 'a -> unit
-(** [push t ?rank ~priority v] inserts [v] with deadline [priority];
-    [rank] (default 0) breaks deadline ties ahead of insertion order.
+val push : 'a t -> rank:int -> priority:int -> 'a -> unit
+(** [push t ~rank ~priority v] inserts [v] with deadline [priority];
+    [rank] breaks deadline ties ahead of insertion order (pass 0 for
+    plain FIFO ties). It is a required argument because a call site
+    boxes every optional argument it passes, once per event.
     [priority] must be [>= 0] and at or after the last popped deadline.
     Ranks must be pushed in non-decreasing order except within a
     trailing burst (the simulator: insertions at one clock instant,

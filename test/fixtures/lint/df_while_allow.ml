@@ -1,6 +1,6 @@
 (* Fixture: DF002 suppressed. *)
 let drain q =
   (* bounded by queue depth in practice; bfc-lint: allow df-while *)
-  while not (Queue.is_empty q) do
-    ignore (Queue.pop q)
+  while not (Fifo.is_empty q) do
+    ignore (Fifo.pop q)
   done

@@ -1,5 +1,5 @@
 (* Fixture: DF002 df-while must fire — unbounded loop in a packet path. *)
 let drain q =
-  while not (Queue.is_empty q) do
-    ignore (Queue.pop q)
+  while not (Fifo.is_empty q) do
+    ignore (Fifo.pop q)
   done

@@ -59,6 +59,7 @@ let cases =
     ("rob_catchall", "RB001", lib_path);
     ("rob_assert_false", "RB002", lib_path);
     ("pf_closure_timer", "PF001", perf_path);
+    ("pf_stdlib_queue", "PF002", perf_path);
   ]
 
 let test_rule_fires () =
@@ -139,7 +140,14 @@ let test_pf_scoped_and_named_handles_pass () =
     lint_inline ~virtual_path:dataplane_path
       "let arm t timeout = ignore (Sim.after t.sim timeout (fun () -> ignore t))\n"
   in
-  Alcotest.(check bool) "dataplane closure timer violates" true (fires "PF001" seeded)
+  Alcotest.(check bool) "dataplane closure timer violates" true (fires "PF001" seeded);
+  (* PF002 is scoped the same way, and the per-hop queues are in scope. *)
+  let queue_outside = lint_fixture ~virtual_path:lib_path "pf_stdlib_queue_pos.ml" in
+  Alcotest.(check bool) "PF002 silent outside the perf set" false (fires "PF002" queue_outside);
+  let seeded_fifo =
+    lint_inline ~virtual_path:"lib/switch/fifo.ml" "let push t pkt = Queue.add pkt t.q\n"
+  in
+  Alcotest.(check bool) "Queue in fifo.ml violates" true (fires "PF002" seeded_fifo)
 
 let test_seeded_random_fails () =
   let seeded = "let jitter () = Random.float 1.0\n" in
@@ -203,8 +211,11 @@ let test_rule_lookup () =
   (match Rule.find "pf-closure-timer" with
   | Some r -> Alcotest.(check string) "pf by name" "PF001" r.Rule.id
   | None -> Alcotest.fail "pf-closure-timer not found");
+  (match Rule.find "pf-stdlib-queue" with
+  | Some r -> Alcotest.(check string) "pf002 by name" "PF002" r.Rule.id
+  | None -> Alcotest.fail "pf-stdlib-queue not found");
   Alcotest.(check bool) "unknown" true (Rule.find "nope" = None);
-  Alcotest.(check int) "twelve rules" 12 (List.length Rule.all)
+  Alcotest.(check int) "thirteen rules" 13 (List.length Rule.all)
 
 let suite =
   [

@@ -24,10 +24,10 @@ let test_heap_pop_min_exn_empty () =
 
 let test_heap_duplicate_priorities_fifo () =
   let h = Heap.create () in
-  Heap.push h ~priority:5 "a";
-  Heap.push h ~priority:5 "b";
-  Heap.push h ~priority:1 "first";
-  Heap.push h ~priority:5 "c";
+  Heap.push h ~rank:0 ~priority:5 "a";
+  Heap.push h ~rank:0 ~priority:5 "b";
+  Heap.push h ~rank:0 ~priority:1 "first";
+  Heap.push h ~rank:0 ~priority:5 "c";
   check string "lowest prio first" "first" (Heap.pop_min_exn h);
   check int "peek ties" 5 (Heap.peek_priority h);
   check string "tie 1 in push order" "a" (Heap.pop_min_exn h);
@@ -38,7 +38,7 @@ let test_heap_duplicate_priorities_fifo () =
 let test_heap_clear_reuses_capacity () =
   let h = Heap.create () in
   for i = 0 to 999 do
-    Heap.push h ~priority:i i
+    Heap.push h ~rank:0 ~priority:i i
   done;
   let cap = Heap.capacity h in
   check bool "grew past initial" true (cap >= 1000);
@@ -46,7 +46,7 @@ let test_heap_clear_reuses_capacity () =
   check int "empty after clear" 0 (Heap.length h);
   check int "backing array kept" cap (Heap.capacity h);
   for i = 0 to 999 do
-    Heap.push h ~priority:(1000 - i) i
+    Heap.push h ~rank:0 ~priority:(1000 - i) i
   done;
   check int "no regrowth after clear" cap (Heap.capacity h);
   check int "order still correct" 999 (Heap.pop_min_exn h)
@@ -86,10 +86,9 @@ let test_ticker_no_event_leak () =
 let test_pool_reset_all_fields () =
   let sim = Sim.create () in
   let pool = Packet.Pool.create ~sim in
-  let p =
-    Packet.Pool.acquire pool Packet.Data ~src:3 ~dst:4 ~size:1500 ~payload:1400 ~seq:7
-      ~prio:2 ()
-  in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:3 ~dst:4 ~size:1500 ~seq:7 in
+  p.Packet.payload <- 1400;
+  p.Packet.prio <- 2;
   (* dirty every mutable field a switch/host can touch *)
   p.Packet.ecn <- true;
   p.Packet.ecn_echo <- true;
@@ -103,7 +102,7 @@ let test_pool_reset_all_fields () =
   Packet.add_int_hop p ~ts:20 ~tx_bytes:300 ~qlen:400 ~gbps:100.0 ~link:2;
   check int "hops recorded" 2 (Packet.int_hop_count p);
   Packet.Pool.release pool p;
-  let q = Packet.Pool.acquire pool Packet.Ack ~src:1 ~dst:0 ~size:64 () in
+  let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~src:1 ~dst:0 ~size:64 ~seq:0 in
   check bool "recycled the same record" true (p == q);
   check bool "ecn reset" false q.Packet.ecn;
   check bool "ecn_echo reset" false q.Packet.ecn_echo;
@@ -122,7 +121,7 @@ let test_pool_reset_all_fields () =
 let test_pool_double_release_rejected () =
   let sim = Sim.create () in
   let pool = Packet.Pool.create ~sim in
-  let p = Packet.Pool.acquire pool Packet.Data ~src:0 ~dst:1 ~size:100 () in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
   Packet.Pool.release pool p;
   check_raises "double release"
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
@@ -251,6 +250,48 @@ let test_experiments_identical_across_scheds () =
         (rows Sim.Heap) (rows Sim.Wheel))
     [ "fig7"; "sticky" ]
 
+(* -------------------------- allocation guard ----------------------- *)
+
+(* The packet hop (NIC -> port -> switch -> host) allocates nothing once
+   warm, so a fixed BFC Clos run allocates well under one minor word per
+   executed event. Only the run phase after a 200 us warm-up is measured:
+   set-up allocates the topology and flow records, and the warm-up grows
+   the packet pool, queue rings and wheel buckets to their high-water
+   marks. Counts are deterministic, so the bound is exact, not a timing
+   gate. *)
+let test_bfc_clos_minor_words () =
+  let sim = Sim.create () in
+  let cl =
+    Bfc_net.Topology.clos sim ~spines:2 ~tors:2 ~hosts_per_tor:4 ~gbps:100.0 ~prop:(Time.us 1.0)
+  in
+  let env =
+    Bfc_sim.Runner.setup ~topo:cl.Bfc_net.Topology.t ~scheme:Bfc_sim.Scheme.bfc
+      ~params:Bfc_sim.Runner.default_params
+  in
+  let hosts = cl.Bfc_net.Topology.cl_hosts in
+  let n = Array.length hosts in
+  (* 3-to-1 incasts across the spines plus same-rack pairs: BFC pauses,
+     DRR over several active queues, and multi-hop paths *)
+  let flows =
+    List.init 24 (fun i ->
+        Bfc_net.Flow.make ~id:i ~src:hosts.(i mod n) ~dst:hosts.((i / 3 * 5 + 4) mod n)
+          ~size:(1_000_000 + (i * 20_000))
+          ~arrival:(i * Time.us 2.0) ())
+    |> List.filter (fun f -> f.Bfc_net.Flow.src <> f.Bfc_net.Flow.dst)
+  in
+  Bfc_sim.Runner.inject env flows;
+  Bfc_sim.Runner.run env ~until:(Time.us 200.0);
+  let e0 = Bfc_sim.Runner.events_executed env in
+  let w0 = Gc.minor_words () in
+  Bfc_sim.Runner.drain env ~budget:(Time.us 20_000.0);
+  let words = Gc.minor_words () -. w0 in
+  let events = Bfc_sim.Runner.events_executed env - e0 in
+  check int "every flow completed" (List.length flows) (Bfc_sim.Runner.completed env);
+  check bool "a real run" true (events > 50_000);
+  let per_event = words /. float_of_int events in
+  if per_event > 1.0 then
+    failf "%.3f minor words per event (%d events), bound 1.0" per_event events
+
 let suite =
   [
     test_case "heap pop_min_exn empty" `Quick test_heap_pop_min_exn_empty;
@@ -265,4 +306,5 @@ let suite =
     test_case "run_parallel byte-identical rows" `Slow test_run_parallel_rows_identical;
     test_case "sim differential: random schedule" `Quick test_sim_differential_random_schedule;
     test_case "sim differential: experiment rows" `Slow test_experiments_identical_across_scheds;
+    test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
   ]

@@ -42,11 +42,49 @@ let test_fifo_head_remaining () =
   Fifo.push q (data ~remaining:99 ());
   check Alcotest.int "head's remaining" 500 (Fifo.head_remaining q)
 
+let test_fifo_ring_wrap_and_growth () =
+  let q = Fifo.create ~idx:0 ~cls:0 in
+  let next_in = ref 0 and next_out = ref 0 in
+  let push_n n =
+    for _ = 1 to n do
+      Fifo.push q (data ~remaining:!next_in ());
+      incr next_in
+    done
+  in
+  let pop_n n =
+    for _ = 1 to n do
+      check Alcotest.int "fifo order" !next_out (Fifo.pop q).Packet.remaining;
+      incr next_out
+    done
+  in
+  (* wrap the head around the initial 8 slots, then grow while wrapped *)
+  push_n 6;
+  pop_n 5;
+  push_n 6;
+  check Alcotest.int "wrapped, no growth" 8 (Array.length q.Fifo.ring);
+  push_n 30;
+  check Alcotest.int "len" 37 (Fifo.length q);
+  check Alcotest.int "head after growth" !next_out (Fifo.head_remaining q);
+  pop_n 37;
+  Alcotest.(check bool) "empty" true (Fifo.is_empty q);
+  check Alcotest.int "bytes zero" 0 q.Fifo.bytes;
+  check Alcotest.int "empty head size" 0 (Fifo.head_size q)
+
 (* ------------------------------ Sched ------------------------------ *)
 
 let mk_sched ?(n = 4) ?(policy = Sched.Drr) ?(classes = 1) () =
   let queues = Array.init n (fun idx -> Fifo.create ~idx ~cls:(idx * classes / n)) in
   (Sched.create policy ~queues ~classes ~quantum:1100, queues)
+
+(* One dequeue through [Sched.take], as (queue served, packet taken). *)
+let next s = if Sched.take s then Some (Sched.served s, Sched.taken s) else None
+
+(* Served queue indices until nothing is eligible. *)
+let drain_order s =
+  let rec go acc =
+    match next s with Some (fifo, _) -> go (fifo.Fifo.idx :: acc) | None -> List.rev acc
+  in
+  go []
 
 let test_sched_drr_round_robin () =
   let s, q = mk_sched () in
@@ -54,16 +92,7 @@ let test_sched_drr_round_robin () =
     Sched.push s q.(0) (data ());
     Sched.push s q.(2) (data ())
   done;
-  let order = ref [] in
-  let rec drain () =
-    match Sched.next s with
-    | Some (fifo, _) ->
-      order := fifo.Fifo.idx :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "alternates" [ 0; 2; 0; 2; 0; 2 ] (List.rev !order)
+  check Alcotest.(list int) "alternates" [ 0; 2; 0; 2; 0; 2 ] (drain_order s)
 
 let test_sched_drr_byte_fairness () =
   (* queue 0 has big packets, queue 1 small ones: over time bytes served
@@ -77,7 +106,7 @@ let test_sched_drr_byte_fairness () =
   done;
   let served = [| 0; 0 |] in
   for _ = 1 to 200 do
-    match Sched.next s with
+    match next s with
     | Some (fifo, pkt) -> served.(fifo.Fifo.idx) <- served.(fifo.Fifo.idx) + pkt.Packet.size
     | None -> ()
   done;
@@ -92,13 +121,12 @@ let test_sched_pause_eligibility () =
   Sched.push s q.(0) (data ());
   Sched.push s q.(1) (data ());
   Sched.set_paused s q.(0) true;
-  (match Sched.next s with
+  (match next s with
   | Some (fifo, _) -> check Alcotest.int "skips paused" 1 fifo.Fifo.idx
   | None -> Alcotest.fail "expected a packet");
-  check Alcotest.(option (pair int int)) "nothing else eligible" None
-    (Option.map (fun (f, (p : Packet.t)) -> (f.Fifo.idx, p.Packet.payload)) (Sched.next s));
+  Alcotest.(check bool) "nothing else eligible" false (Sched.take s);
   Sched.set_paused s q.(0) false;
-  match Sched.next s with
+  match next s with
   | Some (fifo, _) -> check Alcotest.int "resumed queue serves" 0 fifo.Fifo.idx
   | None -> Alcotest.fail "expected resumed packet"
 
@@ -111,7 +139,7 @@ let test_sched_n_active () =
   Sched.set_paused s q.(1) true;
   check Alcotest.int "paused not active" 1 (Sched.n_active s);
   check Alcotest.int "still backlogged" 2 (Sched.n_backlogged s);
-  ignore (Sched.next s);
+  ignore (Sched.take s);
   check Alcotest.int "drained one" 0 (Sched.n_active s)
 
 let test_sched_srf_order () =
@@ -119,44 +147,282 @@ let test_sched_srf_order () =
   Sched.push s q.(0) (data ~remaining:5000 ());
   Sched.push s q.(1) (data ~remaining:100 ());
   Sched.push s q.(2) (data ~remaining:900 ());
-  let order = ref [] in
-  let rec drain () =
-    match Sched.next s with
-    | Some (fifo, _) ->
-      order := fifo.Fifo.idx :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "shortest remaining first" [ 1; 2; 0 ] (List.rev !order)
+  check Alcotest.(list int) "shortest remaining first" [ 1; 2; 0 ] (drain_order s)
 
 let test_sched_prio_strict () =
   let s, q = mk_sched ~policy:Sched.Prio_strict () in
   Sched.push s q.(3) (data ());
   Sched.push s q.(1) (data ());
   Sched.push s q.(3) (data ());
-  let order = ref [] in
-  let rec drain () =
-    match Sched.next s with
-    | Some (fifo, _) ->
-      order := fifo.Fifo.idx :: !order;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check Alcotest.(list int) "lowest index first" [ 1; 3; 3 ] (List.rev !order)
+  check Alcotest.(list int) "lowest index first" [ 1; 3; 3 ] (drain_order s)
 
 let test_sched_classes () =
   (* 4 queues, 2 classes; class 0 (queues 0-1) strictly beats class 1 *)
   let s, q = mk_sched ~classes:2 () in
   Sched.push s q.(3) (data ());
   Sched.push s q.(0) (data ());
-  (match Sched.next s with
+  (match next s with
   | Some (fifo, _) -> check Alcotest.int "high class first" 0 fifo.Fifo.idx
   | None -> Alcotest.fail "no packet");
-  match Sched.next s with
+  match next s with
   | Some (fifo, _) -> check Alcotest.int "then low class" 3 fifo.Fifo.idx
   | None -> Alcotest.fail "no packet"
+
+let test_sched_take_allocates_nothing () =
+  let s, q = mk_sched () in
+  (* warm up: grow every ring to its high-water mark *)
+  for i = 0 to 63 do
+    Sched.push s q.(i land 3) (data ())
+  done;
+  ignore (drain_order s);
+  let pkts = Array.init 64 (fun _ -> data ()) in
+  let w0 = Gc.minor_words () in
+  for round = 1 to 100 do
+    for i = 0 to Array.length pkts - 1 do
+      Sched.push s q.((i + round) land 3) pkts.(i)
+    done;
+    while Sched.take s do
+      ()
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "push/take minor words" 0.0 words
+
+(* Differential check against a reference model: the Stdlib.Queue-based
+   FIFO and candidate rings the array rings replaced, transcribed
+   operation for operation. Random push / take / pause / resume / flush
+   sequences must serve the same (queue, packet uid) sequence and keep
+   the same N_active and backlog counts. *)
+module Model = struct
+  type q = {
+    idx : int;
+    cls : int;
+    pkts : Packet.t Queue.t;
+    mutable paused : bool;
+    mutable deficit : int;
+    mutable in_ring : bool;
+  }
+
+  type t = {
+    policy : Sched.policy;
+    queues : q array;
+    quantum : int;
+    rings : q Queue.t array;
+    mutable nonempty : int;
+    mutable nonempty_paused : int;
+  }
+
+  let create policy ~n ~classes ~quantum =
+    {
+      policy;
+      queues =
+        Array.init n (fun idx ->
+            { idx; cls = idx * classes / n; pkts = Queue.create (); paused = false; deficit = 0;
+              in_ring = false });
+      quantum;
+      rings = Array.init classes (fun _ -> Queue.create ());
+      nonempty = 0;
+      nonempty_paused = 0;
+    }
+
+  let eligible q = (not (Queue.is_empty q.pkts)) && not q.paused
+
+  let activate t q =
+    if (not q.in_ring) && eligible q then begin
+      q.in_ring <- true;
+      Queue.add q t.rings.(q.cls)
+    end
+
+  let push t q pkt =
+    let was_empty = Queue.is_empty q.pkts in
+    Queue.add pkt q.pkts;
+    if was_empty then begin
+      t.nonempty <- t.nonempty + 1;
+      if q.paused then t.nonempty_paused <- t.nonempty_paused + 1
+    end;
+    activate t q
+
+  let note_popped t q =
+    if Queue.is_empty q.pkts then begin
+      t.nonempty <- t.nonempty - 1;
+      if q.paused then t.nonempty_paused <- t.nonempty_paused - 1;
+      q.deficit <- 0
+    end
+
+  let set_paused t q paused =
+    if q.paused <> paused then begin
+      q.paused <- paused;
+      if not (Queue.is_empty q.pkts) then
+        t.nonempty_paused <- (t.nonempty_paused + if paused then 1 else -1);
+      if not paused then activate t q
+    end
+
+  let evict_front ring =
+    let q = Queue.pop ring in
+    q.in_ring <- false;
+    q
+
+  let next_drr t ring =
+    let budget = ref ((2 * Queue.length ring) + 2) in
+    let result = ref None in
+    while !result = None && (not (Queue.is_empty ring)) && !budget > 0 do
+      decr budget;
+      let q = Queue.peek ring in
+      if not (eligible q) then ignore (evict_front ring)
+      else begin
+        let pkt = Queue.peek q.pkts in
+        if q.deficit >= pkt.Packet.size then begin
+          ignore (Queue.pop q.pkts);
+          q.deficit <- q.deficit - pkt.Packet.size;
+          note_popped t q;
+          if Queue.is_empty q.pkts then ignore (evict_front ring);
+          result := Some (q.idx, pkt.Packet.uid)
+        end
+        else begin
+          q.deficit <- q.deficit + t.quantum;
+          let q = evict_front ring in
+          q.in_ring <- true;
+          Queue.add q ring
+        end
+      end
+    done;
+    !result
+
+  let next_scan t ring ~better =
+    let best = ref None in
+    for _ = 1 to Queue.length ring do
+      let q = Queue.pop ring in
+      if eligible q then begin
+        Queue.add q ring;
+        match !best with
+        | None -> best := Some q
+        | Some b -> if better q b then best := Some q
+      end
+      else q.in_ring <- false
+    done;
+    match !best with
+    | None -> None
+    | Some q ->
+      let pkt = Queue.pop q.pkts in
+      note_popped t q;
+      Some (q.idx, pkt.Packet.uid)
+
+  let remaining q = if Queue.is_empty q.pkts then max_int else (Queue.peek q.pkts).Packet.remaining
+
+  let next t =
+    let rec by_class c =
+      if c >= Array.length t.rings then None
+      else begin
+        let ring = t.rings.(c) in
+        let r =
+          if Queue.is_empty ring then None
+          else begin
+            match t.policy with
+            | Sched.Drr -> next_drr t ring
+            | Sched.Srf -> next_scan t ring ~better:(fun a b -> remaining a < remaining b)
+            | Sched.Prio_strict -> next_scan t ring ~better:(fun a b -> a.idx < b.idx)
+          end
+        in
+        match r with None -> by_class (c + 1) | Some _ -> r
+      end
+    in
+    by_class 0
+
+  let flush t =
+    let out = ref [] in
+    Array.iter
+      (fun q ->
+        while not (Queue.is_empty q.pkts) do
+          out := (Queue.pop q.pkts).Packet.uid :: !out
+        done;
+        q.paused <- false;
+        q.deficit <- 0;
+        q.in_ring <- false)
+      t.queues;
+    Array.iter Queue.clear t.rings;
+    t.nonempty <- 0;
+    t.nonempty_paused <- 0;
+    List.rev !out
+end
+
+type sched_op = Push of int * int * int | Take | Pause of int | Resume of int | Flush
+
+let n_model_queues = 8
+
+let gen_sched_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        ( 10,
+          map3
+            (fun q payload remaining -> Push (q, payload, remaining))
+            (int_bound (n_model_queues - 1)) (int_range 1 1000) (int_bound 5000) );
+        (7, return Take);
+        (2, map (fun q -> Pause q) (int_bound (n_model_queues - 1)));
+        (2, map (fun q -> Resume q) (int_bound (n_model_queues - 1)));
+        (1, return Flush);
+      ]
+  in
+  triple
+    (oneofl [ Sched.Drr; Sched.Srf; Sched.Prio_strict ])
+    (oneofl [ 1; 2; 4 ])
+    (list_size (int_range 1 400) op)
+
+let print_sched_case (policy, classes, ops) =
+  Printf.sprintf "%s classes=%d [%s]"
+    (match policy with Sched.Drr -> "Drr" | Sched.Srf -> "Srf" | Sched.Prio_strict -> "Prio_strict")
+    classes
+    (String.concat "; "
+       (List.map
+          (function
+            | Push (q, p, r) -> Printf.sprintf "push %d %d %d" q p r
+            | Take -> "take"
+            | Pause q -> Printf.sprintf "pause %d" q
+            | Resume q -> Printf.sprintf "resume %d" q
+            | Flush -> "flush")
+          ops))
+
+let prop_sched_matches_queue_model =
+  QCheck.Test.make ~name:"array-ring sched matches the Stdlib.Queue model" ~count:300
+    (QCheck.make ~print:print_sched_case gen_sched_case)
+    (fun (policy, classes, ops) ->
+      let s, qs = mk_sched ~n:n_model_queues ~policy ~classes () in
+      let m = Model.create policy ~n:n_model_queues ~classes ~quantum:1100 in
+      let counts () = (Sched.n_active s, Sched.n_backlogged s) in
+      let model_counts () = (m.Model.nonempty - m.Model.nonempty_paused, m.Model.nonempty) in
+      List.for_all
+        (fun op ->
+          let same_step =
+            match op with
+            | Push (q, payload, remaining) ->
+              let p = data ~payload ~remaining () in
+              Sched.push s qs.(q) p;
+              Model.push m m.Model.queues.(q) p;
+              true
+            | Take ->
+              let got = Option.map (fun (f, p) -> (f.Fifo.idx, p.Packet.uid)) (next s) in
+              got = Model.next m
+            | Pause q ->
+              Sched.set_paused s qs.(q) true;
+              Model.set_paused m m.Model.queues.(q) true;
+              true
+            | Resume q ->
+              Sched.set_paused s qs.(q) false;
+              Model.set_paused m m.Model.queues.(q) false;
+              true
+            | Flush ->
+              let out = ref [] in
+              Sched.flush s (fun p -> out := p.Packet.uid :: !out);
+              List.rev !out = Model.flush m
+          in
+          same_step
+          && counts () = model_counts ()
+          && Array.for_all2
+               (fun q mq ->
+                 Fifo.length q = Queue.length mq.Model.pkts && q.Fifo.paused = mq.Model.paused)
+               qs m.Model.queues)
+        ops)
 
 (* ------------------------------ Buffer ----------------------------- *)
 
@@ -393,6 +659,7 @@ let suite =
   [
     ("fifo accounting", `Quick, test_fifo_accounting);
     ("fifo head remaining", `Quick, test_fifo_head_remaining);
+    ("fifo ring wrap and growth", `Quick, test_fifo_ring_wrap_and_growth);
     ("sched drr round robin", `Quick, test_sched_drr_round_robin);
     ("sched drr byte fairness", `Quick, test_sched_drr_byte_fairness);
     ("sched pause eligibility", `Quick, test_sched_pause_eligibility);
@@ -400,6 +667,8 @@ let suite =
     ("sched srf order", `Quick, test_sched_srf_order);
     ("sched strict priority", `Quick, test_sched_prio_strict);
     ("sched classes", `Quick, test_sched_classes);
+    ("sched take allocates nothing", `Quick, test_sched_take_allocates_nothing);
+    QCheck_alcotest.to_alcotest prop_sched_matches_queue_model;
     ("buffer admission", `Quick, test_buffer_admission);
     ("buffer dynamic threshold", `Quick, test_buffer_dynamic_threshold);
     ("buffer infinite", `Quick, test_buffer_infinite);

@@ -164,7 +164,7 @@ let test_rng_shuffle_permutation () =
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
+  List.iter (fun p -> Heap.push h ~rank:0 ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   let rec go () =
     match Heap.pop h with
@@ -178,7 +178,7 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~priority:7 v) [ "a"; "b"; "c" ];
+  List.iter (fun v -> Heap.push h ~rank:0 ~priority:7 v) [ "a"; "b"; "c" ];
   let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
   check Alcotest.string "fifo a" "a" (pop ());
   check Alcotest.string "fifo b" "b" (pop ());
@@ -187,7 +187,7 @@ let test_heap_fifo_ties () =
 let test_heap_peek () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty peek" true (Heap.peek h = None);
-  Heap.push h ~priority:4 "x";
+  Heap.push h ~rank:0 ~priority:4 "x";
   (match Heap.peek h with
   | Some (4, "x") -> ()
   | _ -> Alcotest.fail "peek mismatch");
@@ -198,7 +198,7 @@ let prop_heap_sorts =
     QCheck.(list (int_range (-1000) 1000))
     (fun xs ->
       let h = Heap.create () in
-      List.iter (fun x -> Heap.push h ~priority:x x) xs;
+      List.iter (fun x -> Heap.push h ~rank:0 ~priority:x x) xs;
       let rec drain acc =
         match Heap.pop h with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
       in
@@ -208,7 +208,7 @@ let prop_heap_sorts =
 
 let test_wheel_order () =
   let w = Wheel.create () in
-  List.iter (fun p -> Wheel.push w ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
+  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
   let out = ref [] in
   while not (Wheel.is_empty w) do
     out := Wheel.pop_min_exn w :: !out
@@ -217,7 +217,7 @@ let test_wheel_order () =
 
 let test_wheel_fifo_ties () =
   let w = Wheel.create () in
-  List.iter (fun v -> Wheel.push w ~priority:7 v) [ "a"; "b"; "c" ];
+  List.iter (fun v -> Wheel.push w ~rank:0 ~priority:7 v) [ "a"; "b"; "c" ];
   check Alcotest.string "fifo a" "a" (Wheel.pop_min_exn w);
   check Alcotest.string "fifo b" "b" (Wheel.pop_min_exn w);
   check Alcotest.string "fifo c" "c" (Wheel.pop_min_exn w)
@@ -225,7 +225,7 @@ let test_wheel_fifo_ties () =
 let test_wheel_head_time () =
   let w = Wheel.create () in
   check Alcotest.int "empty head" (-1) (Wheel.head_time w);
-  Wheel.push w ~priority:42 "x";
+  Wheel.push w ~rank:0 ~priority:42 "x";
   check Alcotest.int "head" 42 (Wheel.head_time w);
   check Alcotest.int "head does not pop" 1 (Wheel.length w);
   ignore (Wheel.pop_min_exn w);
@@ -236,7 +236,7 @@ let test_wheel_cascade_far_future () =
   (* deadlines spanning several digit levels, far beyond level 0 *)
   let w = Wheel.create () in
   let times = [ 0; 255; 256; 65_535; 65_536; 16_777_216; 1 lsl 40; (1 lsl 40) + 1 ] in
-  List.iter (fun p -> Wheel.push w ~priority:p p) (List.rev times);
+  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) (List.rev times);
   let out = ref [] in
   while not (Wheel.is_empty w) do
     out := Wheel.pop_min_exn w :: !out
@@ -247,10 +247,10 @@ let test_wheel_push_below_cursor () =
   (* peek far ahead (advancing the cursor), then push nearer-term work:
      the Sim.run pattern where flows are injected between run windows *)
   let w = Wheel.create () in
-  Wheel.push w ~priority:10_000 10_000;
+  Wheel.push w ~rank:0 ~priority:10_000 10_000;
   check Alcotest.int "cursor ahead" 10_000 (Wheel.head_time w);
-  Wheel.push w ~priority:10_000 10_000;
-  Wheel.push w ~priority:9_999 9_999;
+  Wheel.push w ~rank:0 ~priority:10_000 10_000;
+  Wheel.push w ~rank:0 ~priority:9_999 9_999;
   check Alcotest.int "staged below cursor" 9_999 (Wheel.pop_min_exn w);
   check Alcotest.int "then first 10k" 10_000 (Wheel.pop_min_exn w);
   check Alcotest.int "then second 10k" 10_000 (Wheel.pop_min_exn w);
@@ -261,24 +261,24 @@ let test_wheel_garbage_purge () =
      never popped; live ones survive *)
   let dead = Hashtbl.create 8 in
   let w = Wheel.create ~garbage:(Hashtbl.mem dead) () in
-  List.iter (fun p -> Wheel.push w ~priority:p p) [ 70_000; 70_001; 70_002 ];
+  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) [ 70_000; 70_001; 70_002 ];
   Hashtbl.add dead 70_001 ();
   check Alcotest.int "first live" 70_000 (Wheel.pop_min_exn w);
   check Alcotest.int "dead one purged" 70_002 (Wheel.pop_min_exn w);
   check Alcotest.bool "purge fixed the size" true (Wheel.is_empty w);
   (* purge-to-empty: head_time must report the drain *)
-  Wheel.push w ~priority:200_000 200_000;
+  Wheel.push w ~rank:0 ~priority:200_000 200_000;
   Hashtbl.add dead 200_000 ();
   check Alcotest.int "all-garbage wheel drains" (-1) (Wheel.head_time w)
 
 let test_wheel_clear () =
   let w = Wheel.create () in
   for i = 0 to 999 do
-    Wheel.push w ~priority:(i * 97) i
+    Wheel.push w ~rank:0 ~priority:(i * 97) i
   done;
   Wheel.clear w;
   check Alcotest.bool "cleared" true (Wheel.is_empty w);
-  Wheel.push w ~priority:3 33;
+  Wheel.push w ~rank:0 ~priority:3 33;
   check Alcotest.int "usable after clear" 33 (Wheel.pop_min_exn w)
 
 (* The differential property: any monotone-nondecreasing push/pop trace
@@ -307,8 +307,8 @@ let prop_wheel_matches_heap =
             incr uid;
             let p = !floor + dt in
             let v = (p lsl 16) lor (!uid land 0xFFFF) in
-            Heap.push h ~priority:p v;
-            Wheel.push w ~priority:p v
+            Heap.push h ~rank:0 ~priority:p v;
+            Wheel.push w ~rank:0 ~priority:p v
           end)
         ops;
       while Heap.length h > 0 do
