@@ -9,11 +9,12 @@
      dune exec bench/main.exe -- --jobs 8 fig12   -- sweeps on 8 domains
      dune exec bench/main.exe -- --micro      -- only the microbenchmarks
      dune exec bench/main.exe -- --macro      -- engine macro benchmark:
-                                                 heap-vs-wheel A/B on the
-                                                 same workload (writes
+                                                 events/sec and minor words
+                                                 per event on the reference
+                                                 workload (writes
                                                  BENCH_engine.json)
      dune exec bench/main.exe -- --sched      -- scheduler microbenchmark:
-                                                 Heap vs Wheel push/pop and
+                                                 timing-wheel push/pop and
                                                  rearm throughput at 1k/32k/
                                                  256k pending events (adds a
                                                  "sched" block to
@@ -139,9 +140,8 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 (* Macro benchmark: end-to-end event throughput of the engine on a
-   quick-profile clos run, A/B'd across the Heap and Wheel scheduler
-   backends, plus the domain-pool sweep speedup. Results go to
-   BENCH_engine.json so CI can archive them across commits. *)
+   quick-profile clos run, plus the domain-pool sweep speedup. Results go
+   to BENCH_engine.json so CI can archive them across commits. *)
 
 let quick_setup seed =
   { (Exp_common.std Exp_common.Quick Scheme.bfc) with Exp_common.sp_seed = seed }
@@ -151,47 +151,21 @@ let time_run f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let with_sched sched f =
-  let saved = Sim.default_sched () in
-  Sim.set_default_sched sched;
-  Fun.protect ~finally:(fun () -> Sim.set_default_sched saved) f
-
-let sched_name = function Sim.Heap -> "heap" | Sim.Wheel -> "wheel"
-
-(* One timed run of the reference workload under [sched]; returns
-   (json fragment, events, seconds, result). Minor-heap allocation is
-   measured around the whole run ([Gc.quick_stat] deltas) and reported
-   per executed event — the figure the typed closure-free dispatch is
-   meant to drive toward zero on the steady-state path (setup and flow
-   records keep it above zero). *)
-let macro_leg sched =
+let run_macro ~jobs () =
+  Printf.printf "\n################ macro benchmark: event engine (jobs=%d)\n%!" jobs;
+  (* 1. single-domain event throughput. Minor-heap allocation is measured
+     around the whole run ([Gc.quick_stat] deltas) and reported per
+     executed event — the figure the typed closure-free dispatch is meant
+     to drive toward zero on the steady-state path (setup and flow
+     records keep it above zero). *)
   let g0 = Gc.quick_stat () in
-  let r, secs = time_run (fun () -> with_sched sched (fun () -> Exp_common.run_std (quick_setup 1))) in
+  let r, secs = time_run (fun () -> Exp_common.run_std (quick_setup 1)) in
   let g1 = Gc.quick_stat () in
   let events = Runner.events_executed r.Exp_common.env in
   let eps = float_of_int events /. secs in
   let mwpe = (g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int (max 1 events) in
-  Printf.printf "  [%-5s] events %d, wall %.2f s, %.0f events/sec, %.1f minor words/event\n%!"
-    (sched_name sched) events secs eps mwpe;
-  let json =
-    Printf.sprintf
-      {|{ "events": %d, "seconds": %.3f, "events_per_sec": %.0f, "minor_words_per_event": %.2f }|}
-      events secs eps mwpe
-  in
-  (json, events, secs, r)
-
-let run_macro ~jobs () =
-  Printf.printf "\n################ macro benchmark: event engine (jobs=%d)\n%!" jobs;
-  (* 1. single-domain event throughput, heap vs wheel on the identical
-     workload (same seed, same flow schedule) *)
-  let heap_json, heap_events, heap_secs, _ = macro_leg Sim.Heap in
-  let wheel_json, wheel_events, wheel_secs, r = macro_leg Sim.Wheel in
-  if heap_events <> wheel_events then
-    failwith
-      (Printf.sprintf "macro A/B diverged: heap executed %d events, wheel %d" heap_events
-         wheel_events);
-  let wheel_speedup_pct = 100.0 *. ((heap_secs /. wheel_secs) -. 1.0) in
-  Printf.printf "  wheel vs heap         %+.1f%% events/sec\n%!" wheel_speedup_pct;
+  Printf.printf "  events %d, wall %.2f s, %.0f events/sec, %.1f minor words/event\n%!" events
+    secs eps mwpe;
   let pool = Runner.pool r.Exp_common.env in
   let allocated = Bfc_net.Packet.Pool.allocated pool in
   let recycled = Bfc_net.Packet.Pool.recycled pool in
@@ -199,8 +173,7 @@ let run_macro ~jobs () =
   Printf.printf "  packets allocated     %d\n" allocated;
   Printf.printf "  packets recycled      %d (%.1f%% of acquires)\n%!" recycled
     (100.0 *. recycle_ratio);
-  (* engine self-profile of the wheel run: event-class mix, queue
-     pressure, handle reuse *)
+  (* engine self-profile: event-class mix, queue pressure, handle reuse *)
   let prof = Sim.profile (Runner.sim r.Exp_common.env) in
   Printf.printf "  event classes         typed %d, one-shot %d, reusable %d, ticker %d\n"
     prof.Sim.p_typed prof.Sim.p_one_shot prof.Sim.p_reusable prof.Sim.p_ticker;
@@ -251,15 +224,16 @@ let run_macro ~jobs () =
     "seconds": %.3f,
     "improvement_pct": %.1f
   }|}
-          baseline_s wheel_secs
-          (100.0 *. ((baseline_s /. wheel_secs) -. 1.0)))
+          baseline_s secs
+          (100.0 *. ((baseline_s /. secs) -. 1.0)))
   in
   Printf.sprintf
     {|"engine": {
     "workload": "run_std quick bfc seed=1",
-    "heap": %s,
-    "wheel": %s,
-    "wheel_speedup_pct": %.1f
+    "events": %d,
+    "seconds": %.3f,
+    "events_per_sec": %.0f,
+    "minor_words_per_event": %.2f
   },
   "packet_pool": {
     "allocated": %d,
@@ -276,7 +250,7 @@ let run_macro ~jobs () =
     %s
   },
   "profile": %s%s|}
-    heap_json wheel_json wheel_speedup_pct allocated recycled recycle_ratio tasks jobs cores
+    events secs eps mwpe allocated recycled recycle_ratio tasks jobs cores
     (Pdes.default_shards ()) seq_secs par_secs speedup_json profile_json comparison
 
 (* ------------------------------------------------------------------ *)
@@ -542,7 +516,7 @@ let run_streaming () =
     full_json growth sublinear gain
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler microbenchmark: raw Heap vs Wheel throughput, isolated from
+(* Scheduler microbenchmark: raw timing-wheel throughput, isolated from
    the rest of the engine. Two steady states per pending-set size:
      - push/pop: fill with n deadlines, then drain, repeatedly;
      - rearm: hold n pending and do pop-one/push-one at a short random
@@ -563,35 +537,15 @@ let mk_rand () =
     s := x;
     x land 0x3FFF
 
-(* The per-backend primitive set, monomorphized by hand: both queues
-   store the deadline as the payload so pop returns the popped time. *)
-type qops = {
-  q_push : priority:int -> int -> unit;
-  q_pop : unit -> int;
-  q_clear : unit -> unit;
-}
+(* The wheel stores the deadline as the payload so pop returns the
+   popped time. *)
+module W = Bfc_util.Wheel
 
-let heap_ops () =
-  let h : int Bfc_util.Heap.t = Bfc_util.Heap.create () in
-  {
-    q_push = (fun ~priority v -> Bfc_util.Heap.push h ~rank:0 ~priority v);
-    q_pop = (fun () -> Bfc_util.Heap.pop_min_exn h);
-    q_clear = (fun () -> Bfc_util.Heap.clear h);
-  }
-
-let wheel_ops () =
-  let w : int Bfc_util.Wheel.t = Bfc_util.Wheel.create () in
-  {
-    q_push = (fun ~priority v -> Bfc_util.Wheel.push w ~rank:0 ~priority v);
-    q_pop = (fun () -> Bfc_util.Wheel.pop_min_exn w);
-    q_clear = (fun () -> Bfc_util.Wheel.clear w);
-  }
-
-let sched_leg mk n =
+let sched_leg n =
   (* push/pop: fill-and-drain rounds, >= 2M single ops total *)
   let rounds = max 1 (2_000_000 / (2 * n)) in
   let pp_mops =
-    let q = mk () in
+    let q : int W.t = W.create () in
     let rand = mk_rand () in
     let sink = ref 0 in
     let _, secs =
@@ -599,12 +553,12 @@ let sched_leg mk n =
           for _ = 1 to rounds do
             for _ = 1 to n do
               let t = rand () in
-              q.q_push ~priority:t t
+              W.push q ~rank:0 ~priority:t t
             done;
             for _ = 1 to n do
-              sink := !sink + q.q_pop ()
+              sink := !sink + W.pop_min_exn q
             done;
-            q.q_clear ()
+            W.clear q
           done;
           ignore (Sys.opaque_identity !sink))
     in
@@ -613,19 +567,19 @@ let sched_leg mk n =
   (* rearm: hold n pending, pop-one/push-one 2M times *)
   let iters = 2_000_000 in
   let rearm_mops =
-    let q = mk () in
+    let q : int W.t = W.create () in
     let rand = mk_rand () in
     for _ = 1 to n do
       let t = rand () in
-      q.q_push ~priority:t t
+      W.push q ~rank:0 ~priority:t t
     done;
     let sink = ref 0 in
     let _, secs =
       time_run (fun () ->
           for _ = 1 to iters do
-            let t = q.q_pop () in
+            let t = W.pop_min_exn q in
             sink := !sink + t;
-            q.q_push ~priority:(t + 1 + rand ()) t
+            W.push q ~rank:0 ~priority:(t + 1 + rand ()) t
           done;
           ignore (Sys.opaque_identity !sink))
     in
@@ -634,22 +588,14 @@ let sched_leg mk n =
   (pp_mops, rearm_mops)
 
 let run_sched () =
-  print_endline "\n################ scheduler microbenchmark: Heap vs Wheel";
+  print_endline "\n################ scheduler microbenchmark: timing wheel";
   let legs =
     List.map
       (fun n ->
-        let hp, hr = sched_leg heap_ops n in
-        let wp, wr = sched_leg wheel_ops n in
-        Printf.printf
-          "  pending %7d   push/pop  heap %6.1f  wheel %6.1f Mops   rearm  heap %6.1f  wheel \
-           %6.1f Mops\n\
-           %!"
-          n hp wp hr wr;
-        Printf.sprintf
-          {|{ "pending": %d,
-      "heap": { "push_pop_mops": %.1f, "rearm_mops": %.1f },
-      "wheel": { "push_pop_mops": %.1f, "rearm_mops": %.1f } }|}
-          n hp hr wp wr)
+        let pp, rearm = sched_leg n in
+        Printf.printf "  pending %7d   push/pop %6.1f Mops   rearm %6.1f Mops\n%!" n pp rearm;
+        Printf.sprintf {|{ "pending": %d, "push_pop_mops": %.1f, "rearm_mops": %.1f }|} n pp
+          rearm)
       sched_sizes
   in
   Printf.sprintf {|"sched": [

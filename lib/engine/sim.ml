@@ -1,11 +1,7 @@
-(* The pending-event queue is backend-selectable: the 4-ary heap
-   ([Bfc_util.Heap], O(log n)) or the hierarchical timing wheel
-   ([Bfc_util.Wheel], amortized O(1)). Both order entries by strict
-   (time, rank, insertion-seq) — so the two backends replay
-   byte-identical schedules; the wheel is the default because the
-   engine's event mix is
-   dominated by short-horizon reusable rearms (see bench --macro /
-   --sched A/B in BENCH_engine.json).
+(* The pending-event queue is the hierarchical timing wheel
+   ([Bfc_util.Wheel], amortized O(1) on the engine's event mix, which is
+   dominated by short-horizon rearms). It orders entries by strict
+   (time, rank, insertion-seq).
 
    The rank packs two components: the clock at the moment of insertion
    (high bits) and a caller-supplied canonical key (low [key_bits] bits,
@@ -49,14 +45,14 @@
    Pooled-handle lifecycle: a slot is on the free list iff no queue
    entry references it. Cancellation ([cancel_token]) only tombstones —
    it bumps the handle's generation so the token dies, but the slot is
-   reclaimed at the point the queue disposes of the entry: a pop (heap
-   tombstones, wheel tombstones that reach level 0) or the wheel's
-   garbage purge (the [release] hook). Reclaiming any earlier would
-   let the slot be re-armed while the stale entry is still queued, and
-   the stale entry would then fire the new event at the old deadline.
-   Generations start at 1 and only grow, so a token is never 0 and —
-   with the [safety_cap] bounding lifetime executions at 2^30 — never
-   collides with a previous incarnation of its slot.
+   reclaimed at the point the queue disposes of the entry: a pop (a
+   tombstone that reaches level 0) or the wheel's garbage purge (the
+   [release] hook). Reclaiming any earlier would let the slot be
+   re-armed while the stale entry is still queued, and the stale entry
+   would then fire the new event at the old deadline. Generations start
+   at 1 and only grow, so a token is never 0 and — with the
+   [safety_cap] bounding lifetime executions at 2^30 — never collides
+   with a previous incarnation of its slot.
 
    Same-instant batch execution: the run loop drains the maximal run of
    head entries sharing the head deadline whose rank is below
@@ -68,21 +64,14 @@
    at the same instant with a smaller canonical key may still belong
    before them. That is the whole ordering argument: the (time, rank,
    seq) contract is untouched, batching only amortizes the per-event
-   head probe and cursor repositioning (3 wheel repositions per event
-   before, 1 per batch + 1 per pop now). The one scheduling form that
+   head probe and cursor repositioning. The one scheduling form that
    could violate the bound — [at ~sent], whose rank is below the
-   current clock — is only ever used between [run] calls (the PDES
-   window coordinator), never from inside an executing event; see
-   DESIGN.md §16 for the proof obligation.
+   current clock — is only legal between [run] calls (the PDES window
+   coordinator): the run loop raises an [in_run] flag, and a [~sent]
+   insertion made while it is up raises [Invalid_argument]. See
+   DESIGN.md §16 for the proof obligation. *)
 
-   The only observable divergence between backends is tombstone
-   handling: the heap pops every cancelled entry (a no-op step that
-   still advances the clock), while the wheel purges tombstones that
-   cascade before reaching level 0. Purged tombstones can only affect
-   where the clock coasts to after the last live event — never the
-   order or timing of executed events. *)
-
-type sched = Heap | Wheel
+module Wheel = Bfc_util.Wheel
 
 (* Per-class executor state: each subsystem extends this with its own
    constructor (a registry of ports, switches, flows...) so executors
@@ -94,7 +83,8 @@ type user += No_state
 
 type t = {
   mutable clock : Time.t;
-  q : queue;
+  q : handle Wheel.t;
+  mutable in_run : bool; (* inside the run loop: [~sent] is refused *)
   mutable live : int; (* scheduled, not yet fired, not cancelled *)
   mutable executed : int;
   mutable next_uid : int;
@@ -117,10 +107,6 @@ type t = {
      preallocated so the drain itself allocates and stores nothing. *)
   mutable fire_cb : handle -> unit;
 }
-
-and queue =
-  | Q_heap of handle Bfc_util.Heap.t
-  | Q_wheel of handle Bfc_util.Wheel.t
 
 and handle = {
   owner : t;
@@ -174,55 +160,6 @@ type profile = {
   p_live : int;
 }
 
-(* Process-wide default backend, same pattern as [Pool.set_default_jobs]:
-   harnesses (bench A/B, differential tests) flip it around experiment
-   code that calls [create ()] deep inside. *)
-let default_sched_ref = ref Wheel
-
-let set_default_sched s = default_sched_ref := s
-
-let default_sched () = !default_sched_ref
-
-(* --- the single dispatch point between the two backends --- *)
-
-let q_push q ~priority ~rank h =
-  match q with
-  | Q_heap hp -> Bfc_util.Heap.push hp ~rank ~priority h
-  | Q_wheel w -> Bfc_util.Wheel.push w ~rank ~priority h
-
-(* Insertion with a rank below the clock (the PDES barrier): the heap
-   compares ranks anyway; the wheel needs its scan-insert entry point. *)
-let q_push_late q ~priority ~rank h =
-  match q with
-  | Q_heap hp -> Bfc_util.Heap.push hp ~rank ~priority h
-  | Q_wheel w -> Bfc_util.Wheel.push_late w ~priority ~rank h
-
-(* Deadline of the head entry, or -1 when the queue is empty (event
-   times are non-negative). *)
-let q_head_time q =
-  match q with
-  | Q_heap hp -> if Bfc_util.Heap.is_empty hp then -1 else Bfc_util.Heap.peek_priority hp
-  | Q_wheel w -> Bfc_util.Wheel.head_time w
-
-let q_pop q =
-  match q with
-  | Q_heap hp -> Bfc_util.Heap.pop_min_exn hp
-  | Q_wheel w -> Bfc_util.Wheel.pop_min_exn w
-
-let q_drain_run q ~time ~rank_bound f =
-  match q with
-  | Q_heap hp -> Bfc_util.Heap.drain_run hp ~time ~rank_bound f
-  | Q_wheel w -> Bfc_util.Wheel.drain_run w ~time ~rank_bound f
-
-let q_length q =
-  match q with Q_heap hp -> Bfc_util.Heap.length hp | Q_wheel w -> Bfc_util.Wheel.length w
-
-let q_is_empty q =
-  match q with Q_heap hp -> Bfc_util.Heap.is_empty hp | Q_wheel w -> Bfc_util.Wheel.is_empty w
-
-let q_capacity q =
-  match q with Q_heap hp -> Bfc_util.Heap.capacity hp | Q_wheel w -> Bfc_util.Wheel.capacity w
-
 let noop_fn () = ()
 
 let unregistered_exec (_ : user) (_ : int) (_ : int) =
@@ -269,24 +206,19 @@ let fire t h =
     free_slot t h
   end
 
-let create ?sched () =
-  let q =
-    match match sched with Some s -> s | None -> !default_sched_ref with
-    | Heap -> Q_heap (Bfc_util.Heap.create ())
-    | Wheel ->
-      (* the release hook reclaims purged pooled tombstones — without
-         it a cancelled typed event whose entry cascades to its death
-         would leak its pool slot forever *)
-      Q_wheel
-        (Bfc_util.Wheel.create
-           ~garbage:(fun h -> not h.alive)
-           ~release:(fun h -> recycle_dead h.owner h)
-           ())
-  in
+let create () =
   let t =
     {
       clock = 0;
-      q;
+      (* the release hook reclaims purged pooled tombstones — without it
+         a cancelled typed event whose entry cascades to its death would
+         leak its pool slot forever *)
+      q =
+        Wheel.create
+          ~garbage:(fun h -> not h.alive)
+          ~release:(fun h -> recycle_dead h.owner h)
+          ();
+      in_run = false;
       live = 0;
       executed = 0;
       next_uid = 0;
@@ -312,8 +244,6 @@ let create ?sched () =
     (fun h -> if h.alive && not h.fired then fire t h else recycle_dead t h);
   t
 
-let sched t = match t.q with Q_heap _ -> Heap | Q_wheel _ -> Wheel
-
 let now t = t.clock
 
 let fresh_uid t =
@@ -323,31 +253,57 @@ let fresh_uid t =
 
 (* Queue-depth high-water mark, maintained at every push point. *)
 let note_depth t =
-  let d = q_length t.q in
+  let d = Wheel.length t.q in
   if d > t.heap_hwm then t.heap_hwm <- d
 
-(* Rank packing: (insertion clock | canonical key). 43 clock bits cover
-   ~2.4 hours of virtual nanoseconds before the shift overflows —
-   far beyond any experiment horizon. *)
+(* Rank packing: (insertion clock | canonical key). The clock gets the
+   63 - 1 - [key_bits] = 42 bits below the sign bit, so [horizon] =
+   2^42 ns (about 73 minutes of virtual time): at the horizon the shift
+   reaches the sign bit and ranks, and the run loop's rank bound, would
+   go negative and mis-order events. Every push point and [run ~until]
+   refuse times at or beyond it. *)
 let key_bits = 20
 
 let key_mask = (1 lsl key_bits) - 1
 
+let horizon = 1 lsl (Sys.int_size - 1 - key_bits)
+
 let rank_of ~clock ~key = (clock lsl key_bits) lor (key land key_mask)
 
-let at ?sent ?(key = key_mask) t time fn =
+(* [time] is schedulable iff clock <= time < horizon. Both differences
+   are non-negative exactly then, so one sign test of their [lor] makes
+   the whole check a single branch on the hot path; [bad_time] sorts
+   out which bound failed. (Overflow cannot flip a failing case into a
+   passing one: a [time] negative enough to wrap [time - clock] wraps
+   [horizon - 1 - time] negative.) *)
+let[@inline] unschedulable t time = (time - t.clock) lor (horizon - 1 - time) < 0
+
+let bad_time who t time =
   if time < t.clock then
-    invalid_arg (Printf.sprintf "Sim.at: scheduling in the past (%d < %d)" time t.clock);
+    invalid_arg (Printf.sprintf "Sim.%s: scheduling in the past (%d < %d)" who time t.clock)
+  else
+    invalid_arg
+      (Printf.sprintf "Sim.%s: time %d at or beyond the rank-clock horizon %d" who time horizon)
+
+(* Rank of a [~sent] insertion, validated before anything is queued:
+   legal only between [run] calls (see the header comment), and only for
+   a send time in [0, clock]. *)
+let sent_rank who t ~sent ~key =
+  if t.in_run then
+    invalid_arg (Printf.sprintf "Sim.%s: ~sent from inside an executing event" who);
+  if sent < 0 || sent > t.clock then
+    invalid_arg (Printf.sprintf "Sim.%s: ~sent out of range (%d, clock %d)" who sent t.clock);
+  rank_of ~clock:sent ~key
+
+let at ?sent ?(key = key_mask) t time fn =
+  if unschedulable t time then bad_time "at" t time;
   let h =
     { owner = t; cls = cls_one_shot; alive = true; fired = false; fn;
       a0 = 0; a1 = 0; gen = 0; slot = -1 }
   in
   (match sent with
-  | None -> q_push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h
-  | Some s ->
-    if s < 0 || s > t.clock then
-      invalid_arg (Printf.sprintf "Sim.at: ~sent out of range (%d, clock %d)" s t.clock);
-    q_push_late t.q ~priority:time ~rank:(rank_of ~clock:s ~key) h);
+  | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h
+  | Some s -> Wheel.push_late t.q ~priority:time ~rank:(sent_rank "at" t ~sent:s ~key) h);
   note_depth t;
   t.live <- t.live + 1;
   h
@@ -401,23 +357,32 @@ let alloc_pooled t =
     h
   end
 
-let post_handle ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
-  if time < t.clock then
-    invalid_arg (Printf.sprintf "Sim.post: scheduling in the past (%d < %d)" time t.clock);
-  if cls <= cls_ticker || cls >= n_classes then
-    invalid_arg (Printf.sprintf "Sim.post: class %d out of range" cls);
-  let h = alloc_pooled t in
+let arm_typed h ~cls ~a0 ~a1 =
   h.cls <- cls;
   h.a0 <- a0;
   h.a1 <- a1;
   h.alive <- true;
   h.fired <- false;
-  (match sent with
-  | None -> q_push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h
-  | Some s ->
-    if s < 0 || s > t.clock then
-      invalid_arg (Printf.sprintf "Sim.post: ~sent out of range (%d, clock %d)" s t.clock);
-    q_push_late t.q ~priority:time ~rank:(rank_of ~clock:s ~key) h);
+  h
+
+(* The [~sent] rank is computed before the handle leaves the free list,
+   so a refused insertion leaks no pool slot. *)
+let post_handle ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
+  if unschedulable t time then bad_time "post" t time;
+  if cls <= cls_ticker || cls >= n_classes then
+    invalid_arg (Printf.sprintf "Sim.post: class %d out of range" cls);
+  let h =
+    match sent with
+    | None ->
+      let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
+      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h;
+      h
+    | Some s ->
+      let rank = sent_rank "post" t ~sent:s ~key in
+      let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
+      Wheel.push_late t.q ~priority:time ~rank h;
+      h
+  in
   note_depth t;
   t.live <- t.live + 1;
   h
@@ -466,20 +431,20 @@ let make_handle t fn =
 let rearm ?(key = key_mask) h ~at:time =
   let t = h.owner in
   if h.alive && not h.fired then invalid_arg "Sim.rearm: handle is already armed";
-  if time < t.clock then
-    invalid_arg (Printf.sprintf "Sim.rearm: scheduling in the past (%d < %d)" time t.clock);
+  if unschedulable t time then bad_time "rearm" t time;
   h.alive <- true;
   h.fired <- false;
-  q_push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h;
+  Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h;
   note_depth t;
   t.live <- t.live + 1;
   t.rearms <- t.rearms + 1
 
-(* Cancellation only tombstones the queue entry (neither backend supports
-   removal from the middle), but the closure is dropped eagerly: a cancelled
-   RTO's closure is often the only thing keeping a finished flow's transport
-   state alive, and the stale entry can outlive the whole run. Reusable
-   handles keep their [fn] — [rearm] exists to reuse it. *)
+(* Cancellation only tombstones the queue entry (the wheel does not
+   support removal from the middle), but the closure is dropped eagerly:
+   a cancelled RTO's closure is often the only thing keeping a finished
+   flow's transport state alive, and the stale entry can outlive the
+   whole run. Reusable handles keep their [fn] — [rearm] exists to reuse
+   it. *)
 let cancel h =
   if h.alive && not h.fired then begin
     h.alive <- false;
@@ -496,6 +461,13 @@ let pending h = h.alive && not h.fired
    handle outright instead of leaving a live closure in the queue until its
    deadline. *)
 let every t ~period fn =
+  let arm h =
+    let time = t.clock + period in
+    if unschedulable t time then bad_time "every" t time;
+    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) h;
+    note_depth t;
+    t.live <- t.live + 1
+  in
   let rec tick = { running = true; tick_handle = h }
   and h =
     {
@@ -509,9 +481,7 @@ let every t ~period fn =
             fn ();
             if tick.running then begin
               h.fired <- false;
-              q_push t.q ~priority:(t.clock + period) ~rank:(rank_of ~clock:t.clock ~key:key_mask) h;
-              note_depth t;
-              t.live <- t.live + 1
+              arm h
             end
           end);
       a0 = 0;
@@ -520,9 +490,7 @@ let every t ~period fn =
       slot = -1;
     }
   in
-  q_push t.q ~priority:(t.clock + period) ~rank:(rank_of ~clock:t.clock ~key:key_mask) h;
-  note_depth t;
-  t.live <- t.live + 1;
+  arm h;
   tick
 
 let stop_ticker tick =
@@ -530,93 +498,6 @@ let stop_ticker tick =
     tick.running <- false;
     cancel tick.tick_handle
   end
-
-let step t =
-  let time = q_head_time t.q in
-  if time < 0 then false
-  else begin
-    let h = q_pop t.q in
-    t.clock <- time;
-    if h.alive && not h.fired then begin
-      fire t h;
-      true
-    end
-    else begin
-      recycle_dead t h;
-      false
-    end
-  end
-
-(* Execute the same-instant batch at head deadline [time]; returns how
-   many live events ran. [q_drain_run]'s rank bound admits only entries
-   inserted at strictly earlier clocks (see the header comment for why
-   that makes the drain order-exact), and the drain is guaranteed
-   non-empty when the head deadline is [time], so the clock can advance
-   before the first callback. The n = 0 fallback covers the one odd
-   case — a garbage purge emptied the queue between the head probe and
-   the drain — by deferring to the single-pop path. *)
-let exec_batch t time =
-  t.clock <- time;
-  let before = t.executed in
-  let n = q_drain_run t.q ~time ~rank_bound:(time lsl key_bits) t.fire_cb in
-  if n = 0 then (if step t then 1 else 0) else t.executed - before
-
-(* The run loops are specialized per backend. The wheel profits from
-   batch draining — one cursor reposition covers a whole same-instant
-   run instead of three probes per event — while the heap has no cursor
-   to amortize and pays a sift per pop regardless, so the batch
-   plumbing is pure overhead there; it keeps the tight peek/pop loop.
-   Both execute through [fire], so the ordering and the executed
-   accounting are identical; the A/B equal-event-count assertion in
-   bench --macro and the dispatch differential suite hold the two
-   shapes to the same schedule. *)
-let run_heap t hp ~until =
-  let executed = ref 0 in
-  let continue = ref true in
-  while !continue do
-    if Bfc_util.Heap.is_empty hp then continue := false
-    else begin
-      let head = Bfc_util.Heap.peek_priority hp in
-      if head > until then continue := false
-      else begin
-        let h = Bfc_util.Heap.pop_min_exn hp in
-        t.clock <- head;
-        if h.alive && not h.fired then begin
-          fire t h;
-          incr executed
-        end
-        else recycle_dead t h
-      end
-    end
-  done;
-  !executed
-
-let run_wheel t w ~until =
-  let executed = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let head = Bfc_util.Wheel.head_time w in
-    if head < 0 || head > until then continue := false
-    else begin
-      t.clock <- head;
-      let before = t.executed in
-      let n = Bfc_util.Wheel.drain_run w ~time:head ~rank_bound:(head lsl key_bits) t.fire_cb in
-      if n = 0 then begin
-        if step t then incr executed
-      end
-      else executed := !executed + (t.executed - before)
-    end
-  done;
-  !executed
-
-let run t ~until =
-  let executed =
-    match t.q with
-    | Q_heap hp -> run_heap t hp ~until
-    | Q_wheel w -> run_wheel t w ~until
-  in
-  if t.clock < until then t.clock <- until;
-  executed
 
 let safety_cap = 1 lsl 30
 
@@ -630,22 +511,61 @@ let () =
            pending_events)
     | _ -> None)
 
-let run_until_idle ?(cap = safety_cap) t =
-  let executed = ref 0 in
-  (* the head probe can report empty after a wheel cascade purges the
-     last tombstones, so re-check emptiness each iteration *)
-  while not (q_is_empty t.q) do
-    let head = q_head_time t.q in
-    if head >= 0 then executed := !executed + exec_batch t head;
-    if !executed > cap then raise (Runaway { now = t.clock; pending_events = t.live })
-  done;
-  !executed
+(* Pop and fire the single head entry, if any. *)
+let step t =
+  let time = Wheel.head_time t.q in
+  if time >= 0 then begin
+    let h = Wheel.pop_min_exn t.q in
+    t.clock <- time;
+    if h.alive && not h.fired then fire t h else recycle_dead t h
+  end
+
+(* The one run loop behind [run] and [run_until_idle]: execute the
+   same-instant batch at each head deadline up to [until], raising
+   [Runaway] once more than [cap] events have run. [Wheel.drain_run]'s
+   rank bound admits only entries inserted at strictly earlier clocks
+   (see the header comment for why that makes the drain order-exact),
+   and the drain is non-empty whenever the head deadline is [time], so
+   the clock advances before the first callback; the n = 0 fallback to
+   a single pop only guards that invariant. [in_run] is up for the
+   duration (and cleared on exceptions too) so [~sent] insertions from
+   inside an event are refused. *)
+let drain t ~until ~cap =
+  let start = t.executed in
+  t.in_run <- true;
+  match
+    let continue = ref true in
+    while !continue do
+      let time = Wheel.head_time t.q in
+      if time < 0 || time > until then continue := false
+      else begin
+        t.clock <- time;
+        if Wheel.drain_run t.q ~time ~rank_bound:(time lsl key_bits) t.fire_cb = 0 then
+          step t;
+        if t.executed - start > cap then raise (Runaway { now = t.clock; pending_events = t.live })
+      end
+    done
+  with
+  | () ->
+    t.in_run <- false;
+    t.executed - start
+  | exception e ->
+    t.in_run <- false;
+    raise e
+
+let run t ~until =
+  if until >= horizon then bad_time "run" t until;
+  let executed = drain t ~until ~cap:max_int in
+  if t.clock < until then t.clock <- until;
+  executed
+
+let run_until_idle ?(cap = safety_cap) t = drain t ~until:max_int ~cap
 
 (* Head-entry deadline, tombstones included: a cancelled head reports its
    stale time, which is <= the first live deadline — callers using this as
    a horizon bound (the PDES window coordinator) only get a conservative
    (smaller) window out of that, never a wrong one. *)
-let next_time t = q_head_time t.q
+let next_time t = Wheel.head_time t.q
 
 let pending_events t = t.live
 
@@ -662,7 +582,7 @@ let profile t =
     p_ticker = t.exec_by_class.(cls_ticker);
     p_typed = !typed;
     p_heap_hwm = t.heap_hwm;
-    p_heap_capacity = q_capacity t.q;
+    p_heap_capacity = Wheel.capacity t.q;
     p_rearms = t.rearms;
     p_cancels = t.cancels;
     p_executed = t.executed;

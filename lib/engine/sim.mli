@@ -37,32 +37,19 @@ type user = ..
 
 type user += No_state
 
-(** The pending-event queue backend: the 4-ary min-heap
-    ({!Bfc_util.Heap}, O(log n)) or the hierarchical timing wheel
-    ({!Bfc_util.Wheel}, amortized O(1)). Both pop in strict
-    (time, insertion order), so event execution is byte-identical across
-    backends; [Wheel] is the default and the faster one on the engine's
-    rearm-dominated event mix (see BENCH_engine.json). *)
-type sched = Heap | Wheel
-
-val create : ?sched:sched -> unit -> t
-(** [create ()] uses the process-wide default backend
-    ({!default_sched}); pass [~sched] to pin one explicitly. *)
-
-val set_default_sched : sched -> unit
-(** Set the backend used by [create ()] calls that don't pass [~sched]
-    — the hook bench A/B runs and differential tests use to drive
-    experiment code that creates its own sims. Not domain-safe: set it
-    before spawning worker domains (same contract as
-    [Pool.set_default_jobs]). *)
-
-val default_sched : unit -> sched
-
-val sched : t -> sched
-(** The backend this sim was created with. *)
+val create : unit -> t
+(** A fresh simulation at time 0. The pending-event queue is the
+    hierarchical timing wheel ({!Bfc_util.Wheel}, amortized O(1)). *)
 
 (** Current virtual time. *)
 val now : t -> Time.t
+
+val horizon : Time.t
+(** Exclusive bound on event times: 2^42 ns, about 73 minutes of
+    virtual time. The (time, rank, seq) order packs the insertion clock
+    into the rank's high bits, which overflow at the horizon, so every
+    scheduling call and {!run} raise [Invalid_argument] for a time at
+    or beyond it. *)
 
 (** [fresh_uid t] draws from a per-simulation counter (packet uids and the
     like). Keeping the counter inside [Sim.t] makes uid sequences
@@ -79,7 +66,13 @@ val fresh_uid : t -> int
     scheduled when the clock read [sent] (which must be in
     [0, now]): among same-[time] events it sorts before everything
     inserted at a later clock — the position a sequential run gives a
-    cross-shard delivery scheduled at its send time.
+    cross-shard delivery scheduled at its send time. It is legal only
+    between {!run} calls: from inside an executing event it raises
+    [Invalid_argument], since the run loop's same-instant batching
+    relies on no insertion ranking below the current clock.
+
+    Raises [Invalid_argument] when [time] is in the past or at or
+    beyond {!horizon}.
 
     [~key] is a canonical tie-break below the insertion instant — a
     globally-known physical identity (ports pass their gid when
@@ -148,8 +141,8 @@ val class_state : t -> cls:int -> user option
 (** [post t time ~cls ~a0 ~a1] schedules a typed fire-and-forget event:
     [exec state a0 a1] runs at absolute [time]. No allocation in steady
     state — the engine recycles a pooled handle. [?sent] and [?key]
-    exactly as in {!at}. Raises [Invalid_argument] on a past [time] or
-    a class outside the typed range ({!register_class} may happen
+    exactly as in {!at}. Raises [Invalid_argument] on a past [time], a
+    [time] at or beyond {!horizon}, or a class outside the typed range ({!register_class} may happen
     later, but must happen before the event fires). *)
 val post : ?sent:Time.t -> ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> unit
 
@@ -183,15 +176,16 @@ val make_handle : t -> (unit -> unit) -> handle
 
 (** [rearm h ~at] schedules an unarmed reusable handle at absolute time
     [at]. Raises [Invalid_argument] if [h] is still armed or [at] is in the
-    past. A handle [cancel]led while armed leaves a stale queue entry behind
-    and must not be rearmed until that deadline has passed. [~key] as in
-    {!at}. *)
+    past or at or beyond {!horizon}. A handle [cancel]led while armed
+    leaves a stale queue entry behind and must not be rearmed until that
+    deadline has passed. [~key] as in {!at}. *)
 val rearm : ?key:int -> handle -> at:Time.t -> unit
 
 (** [every t ~period f] runs [f] every [period] starting at [now + period],
     until [stop_ticker] is called on the returned controller. The ticker
     reuses one handle for its whole life, so steady-state ticking allocates
-    nothing per period. *)
+    nothing per period. A tick that would land at or beyond {!horizon}
+    raises [Invalid_argument]. *)
 type ticker
 
 val every : t -> period:Time.t -> (unit -> unit) -> ticker
@@ -203,7 +197,8 @@ val stop_ticker : ticker -> unit
 
 (** [run t ~until] processes events until the clock passes [until] or the
     queue drains. Returns the number of events executed. The clock is left at
-    [until] (or at the last event time if the queue drained first). *)
+    [until]. Raises [Invalid_argument] if [until] is at or beyond
+    {!horizon}. *)
 val run : t -> until:Time.t -> int
 
 (** Raised by [run_until_idle] when the event count exceeds the safety cap:
@@ -242,9 +237,8 @@ val executed_events : t -> int
       over all registered classes. A healthy hot path executes mostly
       typed and reusable events.
     - [p_heap_hwm]: deepest the pending-event queue ever got (backlog
-      high-water mark, whichever backend); [p_heap_capacity] is the
-      backing storage it grew to (heap array slots, or total wheel
-      bucket slots).
+      high-water mark); [p_heap_capacity] is the backing storage it grew
+      to (total wheel bucket slots).
     - [p_rearms]: handle re-armings — every one is an allocation avoided.
     - [p_cancels]: cancellations (each leaves a tombstone until its
       deadline). *)

@@ -48,8 +48,8 @@ module Partition = Bfc_net.Partition
 module Topology = Bfc_net.Topology
 module Int_table = Bfc_util.Int_table
 
-(* Ambient default, set by the CLI (--shards) exactly like the scheduler
-   backend and the pool job count; [Exp_common.run_std] consults it so
+(* Ambient default, set by the CLI (--shards) exactly like the pool job
+   count; [Exp_common.run_std] consults it so
    sharding composes with every experiment and with [Pool] sweeps. *)
 let default = Atomic.make 1
 

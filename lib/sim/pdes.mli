@@ -86,7 +86,7 @@ val events_executed : t -> int
 
     Set from the CLI ([--shards]); consulted by [Exp_common.run_std] so
     sharding composes with every experiment and with [Pool] sweeps, the
-    same pattern as [Sim.set_default_sched] / [Pool.set_default_jobs]. *)
+    same pattern as [Pool.set_default_jobs]. *)
 
 val set_default_shards : int -> unit
 

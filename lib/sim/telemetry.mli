@@ -66,6 +66,6 @@ val progress_reporter :
   ?period:Bfc_engine.Time.t -> ?sketch_buckets:(unit -> int) -> Runner.env -> out_channel -> unit
 
 (** Event-engine self-profile of the environment's simulator as JSON
-    (execution counts per handle class, heap high-water mark, handle reuse
+    (execution counts per handle class, queue high-water mark, handle reuse
     stats). Usable without {!attach}. *)
 val engine_profile_json : Runner.env -> string

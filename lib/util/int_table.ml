@@ -15,8 +15,8 @@
    the empty-slot marker — flow and packet ids are small non-negative
    ints, far from it.
 
-   The value array is seeded lazily by the first stored value (the Heap
-   / Wheel idiom for ['a] arrays without a dummy), and slots freed by
+   The value array is seeded lazily by the first stored value (the
+   Wheel idiom for ['a] arrays without a dummy), and slots freed by
    [remove]/[reset] are not scrubbed: stale values are unreachable
    (their key slot is [empty]) and are overwritten before any read. *)
 

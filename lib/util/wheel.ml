@@ -1,8 +1,7 @@
-(* Hierarchical timing wheel (Varghese & Lauck), the O(1) alternative to
-   the binary/4-ary heap for the simulator's event mix: almost every event
-   is a short-horizon rearm (port wakeups, in-flight deliveries), which a
-   heap pays O(log n) to push and pop while a wheel pays a digit split and
-   an array append.
+(* Hierarchical timing wheel (Varghese & Lauck), the simulator's event
+   queue: almost every event is a short-horizon rearm (port wakeups,
+   in-flight deliveries), which a binary heap pays O(log n) to push and
+   pop while a wheel pays a digit split and an array append.
 
    Layout: [levels] wheels of [bsize] buckets each; level [l]'s buckets
    span [bsize^l] ticks, so the hierarchy covers the whole non-negative
@@ -12,7 +11,7 @@
    entries are re-dealt into the levels below. A level-0 bucket therefore
    holds entries of exactly one deadline.
 
-   Ordering contract (what makes a wheel run byte-identical to the heap):
+   Ordering contract (what makes wheel runs byte-identical):
    pops come out in strict (time, rank, insertion-seq) order, where the
    rank is a caller-supplied secondary key. [push] requires
    ranks to be non-decreasing among same-time entries — free for the
@@ -37,7 +36,7 @@
    Buckets are parallel int arrays (time, rank, seq) plus a value array,
    grown geometrically and reused forever — steady-state push/pop
    allocates nothing. Index arithmetic inside the scan loops is derived
-   from [bsize]-bounded cursors, so it uses unsafe accessors like Heap. *)
+   from [bsize]-bounded cursors, so it uses unsafe accessors. *)
 
 let bits = 8
 

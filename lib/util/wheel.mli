@@ -1,12 +1,10 @@
 (** Hierarchical timing wheel: an O(1)-amortized event queue for
-    monotone discrete-event workloads, drop-in ordering-compatible with
-    {!Heap}.
+    monotone discrete-event workloads.
 
     Entries are keyed by a non-negative integer deadline ([priority])
-    and pop in strict (deadline, rank, insertion order) sequence — the
-    same total order {!Heap} produces — so a simulator can switch
-    between the two backends and replay byte-identical schedules. The
-    rank is a caller-supplied secondary key; {!push} requires it
+    and pop in strict (deadline, rank, insertion order) sequence, so a
+    simulator replays byte-identical schedules. The rank is a
+    caller-supplied secondary key; {!push} requires it
     to be non-decreasing among same-deadline entries (free when the
     rank is the simulator's monotone clock), while {!push_late} accepts
     arbitrary ranks at a per-push scan cost.
@@ -26,8 +24,7 @@
     Cancellation is lazy: callers mark values dead and supply a
     [garbage] predicate at {!create}; cascades purge dead entries
     instead of re-dealing them. Dead entries that reach level 0 before
-    a cascade sweeps them still pop normally (the caller skips them),
-    exactly like heap tombstones. *)
+    a cascade sweeps them still pop normally (the caller skips them). *)
 
 type 'a t
 

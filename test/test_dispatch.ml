@@ -3,15 +3,13 @@
    The golden fixtures under fixtures/dispatch/ were generated from the
    PR-9 closure-based engine (set BFC_DISPATCH_FIXGEN=1 and
    BFC_DISPATCH_FIXDIR=<abs path> to regenerate).  Every run of the
-   typed-dispatch engine — wheel and heap backends, sequential and
-   [--shards 2] — must reproduce them byte for byte: FCT rows, per-flow
-   records, injected/completed counters, and buffer p99.  This is the
-   same proof shape PR 5 (wheel vs heap) and PR 8 (sharded vs
-   sequential) used, anchored against the previous engine generation
-   instead of a sibling configuration. *)
+   typed-dispatch engine — sequential and [--shards 2] — must reproduce
+   them byte for byte: FCT rows, per-flow records, injected/completed
+   counters, and buffer p99.  When they were recorded the engine also
+   had a 4-ary heap queue backend, and both backends reproduced them;
+   the fixtures now stand in for that second backend as the oracle. *)
 
 open Alcotest
-module Sim = Bfc_engine.Sim
 module Flow = Bfc_net.Flow
 module Exp_common = Bfc_sim.Exp_common
 module Scheme = Bfc_sim.Scheme
@@ -67,23 +65,11 @@ let workloads =
         } );
   ]
 
-let with_sched sched f =
-  let prev = Sim.default_sched () in
-  Sim.set_default_sched sched;
-  Fun.protect ~finally:(fun () -> Sim.set_default_sched prev) f
+let run_leg shards setup =
+  if shards = 1 then Exp_common.run_std_seq setup
+  else Exp_common.run_std_sharded setup ~shards
 
-let run_leg sched shards setup =
-  with_sched sched (fun () ->
-      if shards = 1 then Exp_common.run_std_seq setup
-      else Exp_common.run_std_sharded setup ~shards)
-
-let legs =
-  [
-    ("wheel", Sim.Wheel, 1);
-    ("heap", Sim.Heap, 1);
-    ("wheel-shards2", Sim.Wheel, 2);
-    ("heap-shards2", Sim.Heap, 2);
-  ]
+let legs = [ ("wheel", 1); ("wheel-shards2", 2) ]
 
 (* --------------------------- fixture plumbing ---------------------- *)
 
@@ -105,14 +91,14 @@ let fixgen_dir () =
   | None -> fixture_dir
 
 (* In generation mode the wheel leg is the canonical source, but we
-   still require all four legs to agree before writing anything — a
+   still require every leg to agree before writing anything — a
    fixture the current engine cannot reproduce on every leg would gate
    the refactor on a pre-existing divergence, not a dispatch bug. *)
 let generate name setup =
-  let expected = render (run_leg Sim.Wheel 1 (setup ())) in
+  let expected = render (run_leg 1 (setup ())) in
   List.iter
-    (fun (leg, sched, shards) ->
-      let got = render (run_leg sched shards (setup ())) in
+    (fun (leg, shards) ->
+      let got = render (run_leg shards (setup ())) in
       if got <> expected then
         failf "%s: leg %s disagrees with the wheel leg at generation time" name
           leg)
@@ -133,14 +119,14 @@ let first_diff_line a b =
   in
   go 1 (la, lb)
 
-let check_leg name setup (leg, sched, shards) () =
+let check_leg name setup (leg, shards) () =
   if fixgen then (
     (* generation runs once per workload, on the first leg *)
     if leg = "wheel" then generate name setup)
   else
     let path = Filename.concat fixture_dir (name ^ ".expected") in
     let expected = read_file path in
-    let got = render (run_leg sched shards (setup ())) in
+    let got = render (run_leg shards (setup ())) in
     if not (String.equal got expected) then
       failf "%s/%s diverged from the PR-9 fixture (%s)" name leg
         (first_diff_line expected got)
@@ -149,7 +135,7 @@ let suite =
   List.concat_map
     (fun (name, setup) ->
       List.map
-        (fun ((leg, _, _) as l) ->
+        (fun ((leg, _) as l) ->
           test_case
             (Printf.sprintf "%s byte-identical (%s)" name leg)
             `Slow

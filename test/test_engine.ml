@@ -103,6 +103,33 @@ let test_sim_nested_events () =
   ignore (Sim.run_until_idle sim);
   check Alcotest.(list string) "ordering" [ "outer"; "second"; "inner" ] (List.rev !log)
 
+(* The rank packs the insertion clock above 20 key bits, so event times
+   stop at 2^42 ns: the last representable instant is accepted (and still
+   ordered), the horizon itself is refused by every scheduling entry
+   point and by [run ~until]. *)
+let test_sim_rank_clock_horizon () =
+  let refused msg f =
+    Alcotest.(check bool) msg true (try f (); false with Invalid_argument _ -> true)
+  in
+  check Alcotest.int "horizon is 2^42 ns" (1 lsl 42) Sim.horizon;
+  let last = Sim.horizon - 1 in
+  let sim = Sim.create () in
+  let cls = Sim.cls_port_tx in
+  let log = ref [] in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ a0 _ -> log := a0 :: !log);
+  refused "at" (fun () -> ignore (Sim.at sim Sim.horizon ignore));
+  refused "post" (fun () -> Sim.post sim Sim.horizon ~cls ~a0:0 ~a1:0);
+  refused "post_token" (fun () -> ignore (Sim.post_token sim Sim.horizon ~cls ~a0:0 ~a1:0));
+  refused "rearm" (fun () -> Sim.rearm (Sim.make_handle sim ignore) ~at:Sim.horizon);
+  refused "every" (fun () -> ignore (Sim.every sim ~period:Sim.horizon ignore));
+  refused "run ~until" (fun () -> ignore (Sim.run sim ~until:Sim.horizon));
+  refused "min_int (past and wrapping)" (fun () -> Sim.post sim min_int ~cls ~a0:0 ~a1:0);
+  Sim.post sim last ~cls ~a0:1 ~a1:0;
+  ignore (Sim.after sim 10 (fun () -> Sim.post sim last ~cls ~a0:2 ~a1:0));
+  ignore (Sim.run sim ~until:last);
+  check Alcotest.(list int) "events at horizon - 1 fire in order" [ 1; 2 ] (List.rev !log);
+  check Alcotest.int "clock at the last instant" last (Sim.now sim)
+
 let prop_sim_executes_in_order =
   QCheck.Test.make ~name:"random schedules execute in nondecreasing time" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 10_000))
@@ -126,5 +153,6 @@ let suite =
     ("sim rejects past", `Quick, test_sim_past_scheduling_rejected);
     ("sim ticker", `Quick, test_sim_ticker);
     ("sim nested events", `Quick, test_sim_nested_events);
+    ("sim rank-clock horizon", `Quick, test_sim_rank_clock_horizon);
     QCheck_alcotest.to_alcotest prop_sim_executes_in_order;
   ]

@@ -1,12 +1,11 @@
-(* PDES layer tests (PR 8): the partition map invariants (qcheck), the
-   SPSC inter-shard channel, the late-rank queue insertion both backends
-   must agree on, and the headline property of the whole subsystem — a
-   sharded run is byte-identical to the sequential run of the same
-   experiment. *)
+(* PDES layer tests: the partition map invariants (qcheck), the SPSC
+   inter-shard channel, the barrier's [~sent] proof obligation, and the
+   headline property of the whole subsystem — a sharded run is
+   byte-identical to the sequential run of the same experiment. (The
+   wheel's late-rank insertion is covered by the reference-model
+   property in test_util.) *)
 
 open Alcotest
-module Heap = Bfc_util.Heap
-module Wheel = Bfc_util.Wheel
 module Sim = Bfc_engine.Sim
 module Time = Bfc_engine.Time
 module Channel = Bfc_engine.Channel
@@ -50,44 +49,36 @@ let test_channel_wraparound () =
   check int "pushed counter" !next_in (Channel.pushed c);
   check int "popped counter" !next_out (Channel.popped c)
 
-(* ------------------------- late-rank insertion --------------------- *)
+(* ----------------------- barrier proof obligation ------------------ *)
 
-(* The wheel's [push_late] and the heap's ranked push must produce the
-   same (priority, rank, seq) pop order; drive both with an identical
-   interleaving of monotone pushes and out-of-order late inserts. *)
-let test_push_late_matches_heap () =
-  let rng = Bfc_util.Rng.create 11 in
-  for _round = 1 to 20 do
-    let h = Heap.create () and w = Wheel.create () in
-    let n = 60 in
-    let tagged = ref [] in
-    let tag = ref 0 in
-    for _ = 1 to n do
-      let time = 1 + Bfc_util.Rng.int rng 40 in
-      let late = Bfc_util.Rng.int rng 3 = 0 in
-      let id = !tag in
-      incr tag;
-      if late then begin
-        let rank = Bfc_util.Rng.int rng 40 in
-        Heap.push h ~rank ~priority:time id;
-        Wheel.push_late w ~priority:time ~rank id
-      end
-      else begin
-        (* monotone path: rank grows with every push, like a sim clock *)
-        let rank = 100 + id in
-        Heap.push h ~rank ~priority:time id;
-        Wheel.push w ~rank ~priority:time id
-      end;
-      tagged := id :: !tagged
-    done;
-    let drain_h = ref [] and drain_w = ref [] in
-    for _ = 1 to n do
-      drain_h := Heap.pop_min_exn h :: !drain_h;
-      drain_w := Wheel.pop_min_exn w :: !drain_w
-    done;
-    check (list int) "heap and wheel agree on late-rank order" (List.rev !drain_h)
-      (List.rev !drain_w)
-  done
+(* [~sent] ranks an insertion below the current clock, which the run
+   loop's same-instant batching only tolerates between runs (the PDES
+   barrier): from inside an executing event it must raise, and the flag
+   must not outlive a run that raised. *)
+let test_sent_inside_run_raises () =
+  let sim = Sim.create () in
+  let cls = Sim.cls_pdes_barrier in
+  let fired = ref [] in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ a0 _ -> fired := a0 :: !fired);
+  let refused = ref 0 in
+  let refuse f = try f () with Invalid_argument _ -> incr refused in
+  ignore
+    (Sim.at sim 10 (fun () ->
+         refuse (fun () -> Sim.post ~sent:5 sim 20 ~cls ~a0:1 ~a1:0);
+         refuse (fun () -> ignore (Sim.post_token ~sent:5 sim 20 ~cls ~a0:1 ~a1:0));
+         refuse (fun () -> ignore (Sim.at ~sent:5 sim 20 ignore))));
+  ignore (Sim.run sim ~until:15);
+  check int "every ~sent insertion from an event refused" 3 !refused;
+  (* between runs the barrier form is legal *)
+  Sim.post ~sent:5 sim 20 ~cls ~a0:2 ~a1:0;
+  ignore (Sim.at sim 30 (fun () -> failwith "boom"));
+  (match Sim.run sim ~until:40 with
+  | _ -> fail "event exception swallowed"
+  | exception Failure _ -> ());
+  (* the run stopped at the failing event's instant *)
+  Sim.post ~sent:25 sim 50 ~cls ~a0:3 ~a1:0;
+  ignore (Sim.run_until_idle sim);
+  check (list int) "barrier posts fire, refused ones never queued" [ 2; 3 ] (List.rev !fired)
 
 (* --------------------------- partition maps ------------------------ *)
 
@@ -199,26 +190,14 @@ let test_differential_incast () =
   run_differential "incast"
     { base with Exp_common.sp_incast = Some Exp_common.default_incast; sp_seed = 3 }
 
-let test_differential_heap_backend () =
-  (* the barrier's late-rank insert has a separate code path per backend;
-     hold the heap to the same byte-identity *)
-  let prev = Sim.default_sched () in
-  Sim.set_default_sched Sim.Heap;
-  Fun.protect
-    ~finally:(fun () -> Sim.set_default_sched prev)
-    (fun () ->
-      let base = Exp_common.std Exp_common.Smoke (Scheme.Bfc Scheme.bfc_default) in
-      run_differential "heap backend" { base with Exp_common.sp_seed = 5 })
-
 let suite =
   [
     test_case "channel FIFO + bounded" `Quick test_channel_fifo;
     test_case "channel wraparound" `Quick test_channel_wraparound;
-    test_case "push_late matches heap order" `Quick test_push_late_matches_heap;
+    test_case "~sent from inside an event raises" `Quick test_sent_inside_run_raises;
     QCheck_alcotest.to_alcotest prop_partition_sound;
     QCheck_alcotest.to_alcotest prop_partition_cut_symmetric;
     test_case "partition rejects bad maps" `Quick test_partition_rejects_bad_map;
     test_case "sharded = sequential (fig7-style)" `Slow test_differential_fig7_style;
     test_case "sharded = sequential (incast)" `Slow test_differential_incast;
-    test_case "sharded = sequential (heap backend)" `Slow test_differential_heap_backend;
   ]

@@ -1,12 +1,10 @@
-(* Regression tests for the performance-engineering layer (PRs 3 and 5):
-   the non-allocating heap API, per-sim packet uids, the reusable ticker
-   handle, the packet pool's full-field reset, determinism of the
-   domain-parallel sweep runner, and the heap-vs-timing-wheel scheduler
-   differential (identical event order and experiment metrics). *)
+(* Regression tests for the performance-engineering layer: per-sim
+   packet uids, the reusable ticker handle, the packet pool's full-field
+   reset, determinism of the domain-parallel sweep runner, the engine's
+   fire order against a recorded trace, and the packet hop's allocation
+   bound. *)
 
 open Alcotest
-module Heap = Bfc_util.Heap
-module Wheel = Bfc_util.Wheel
 module Rng = Bfc_util.Rng
 module Sim = Bfc_engine.Sim
 module Time = Bfc_engine.Time
@@ -14,42 +12,6 @@ module Packet = Bfc_net.Packet
 module Exp_common = Bfc_sim.Exp_common
 module Experiments = Bfc_sim.Experiments
 module Pool = Bfc_sim.Pool
-
-(* ------------------------------- heap ------------------------------ *)
-
-let test_heap_pop_min_exn_empty () =
-  let h = Heap.create () in
-  check_raises "pop on empty" Heap.Empty (fun () -> ignore (Heap.pop_min_exn h));
-  check_raises "peek on empty" Heap.Empty (fun () -> ignore (Heap.peek_priority h))
-
-let test_heap_duplicate_priorities_fifo () =
-  let h = Heap.create () in
-  Heap.push h ~rank:0 ~priority:5 "a";
-  Heap.push h ~rank:0 ~priority:5 "b";
-  Heap.push h ~rank:0 ~priority:1 "first";
-  Heap.push h ~rank:0 ~priority:5 "c";
-  check string "lowest prio first" "first" (Heap.pop_min_exn h);
-  check int "peek ties" 5 (Heap.peek_priority h);
-  check string "tie 1 in push order" "a" (Heap.pop_min_exn h);
-  check string "tie 2 in push order" "b" (Heap.pop_min_exn h);
-  check string "tie 3 in push order" "c" (Heap.pop_min_exn h);
-  check bool "drained" true (Heap.is_empty h)
-
-let test_heap_clear_reuses_capacity () =
-  let h = Heap.create () in
-  for i = 0 to 999 do
-    Heap.push h ~rank:0 ~priority:i i
-  done;
-  let cap = Heap.capacity h in
-  check bool "grew past initial" true (cap >= 1000);
-  Heap.clear h;
-  check int "empty after clear" 0 (Heap.length h);
-  check int "backing array kept" cap (Heap.capacity h);
-  for i = 0 to 999 do
-    Heap.push h ~rank:0 ~priority:(1000 - i) i
-  done;
-  check int "no regrowth after clear" cap (Heap.capacity h);
-  check int "order still correct" 999 (Heap.pop_min_exn h)
 
 (* --------------------------- per-sim uids -------------------------- *)
 
@@ -72,7 +34,7 @@ let test_ticker_no_event_leak () =
   let sim = Sim.create () in
   let fired = ref 0 in
   let tk = Sim.every sim ~period:(Time.us 1.0) (fun () -> incr fired) in
-  (* a running ticker keeps exactly one armed handle in the heap *)
+  (* a running ticker keeps exactly one armed handle in the queue *)
   ignore (Sim.run sim ~until:(Time.us 10.5));
   check int "fired each period" 10 !fired;
   check int "one pending event while running" 1 (Sim.pending_events sim);
@@ -171,84 +133,68 @@ let test_run_parallel_rows_identical () =
   let par = flat (tables 4) in
   check (list (list string)) "rows byte-identical at jobs=4" seq par
 
-(* ---------------------- scheduler differential --------------------- *)
-
-let with_sched sched f =
-  let prev = Sim.default_sched () in
-  Sim.set_default_sched sched;
-  Fun.protect ~finally:(fun () -> Sim.set_default_sched prev) f
+(* ------------------------ recorded fire order ---------------------- *)
 
 (* A random Sim-level schedule with one-shots, cancels, reusable-handle
-   rearm chains and tickers must fire in the same order under both
-   backends. This drives the wheel through the Sim dispatch (tombstone
-   pops, garbage purge, every-tick re-push), not just the raw structure. *)
-let sim_fire_trace sched seed =
-  with_sched sched (fun () ->
-      let sim = Sim.create () in
-      check bool "backend selected" true (Sim.sched sim = sched);
-      let rng = Rng.create seed in
-      let trace = ref [] in
-      let record tag id = trace := ((tag : int), (id : int), Sim.now sim) :: !trace in
-      let cancellable = ref [] in
-      for i = 0 to 399 do
-        let t = Rng.int rng 100_000 in
-        let h = Sim.at sim t (fun () -> record 0 i) in
-        if Rng.bernoulli rng 0.3 then cancellable := h :: !cancellable
-      done;
-      (* rearm chains: one reusable handle per chain, re-armed at a
-         random horizon from inside its own callback (the Port pattern) *)
-      for i = 0 to 9 do
-        let hops = ref 0 in
-        let href = ref None in
-        let h =
-          Sim.make_handle sim (fun () ->
-              record 1 i;
-              incr hops;
-              if !hops < 50 then
-                match !href with
-                | Some h -> Sim.rearm h ~at:(Sim.now sim + 1 + Rng.int rng 5_000)
-                | None -> ())
-        in
-        href := Some h;
-        Sim.rearm h ~at:(1 + Rng.int rng 1_000)
-      done;
-      let tks = List.init 5 (fun i -> Sim.every sim ~period:(7_001 + i) (fun () -> record 2 i)) in
-      (* cancel a random subset mid-run to leave tombstones behind *)
-      ignore
-        (Sim.at sim 50_000 (fun () ->
-             List.iter Sim.cancel !cancellable;
-             List.iter Sim.stop_ticker tks));
-      ignore (Sim.run_until_idle sim);
-      List.rev !trace)
+   rearm chains and tickers, driven through the Sim dispatch (tombstone
+   pops, garbage purge, every-tick re-push), not just the raw queue. The
+   fixture fixtures/sim/fire_order.expected holds the traces of seeds
+   1-5, recorded when the engine still had a second (4-ary heap) queue
+   backend and both backends were asserted to produce them. *)
+let sim_fire_trace seed =
+  let sim = Sim.create () in
+  let rng = Rng.create seed in
+  let trace = ref [] in
+  let record tag id = trace := ((tag : int), (id : int), Sim.now sim) :: !trace in
+  let cancellable = ref [] in
+  for i = 0 to 399 do
+    let t = Rng.int rng 100_000 in
+    let h = Sim.at sim t (fun () -> record 0 i) in
+    if Rng.bernoulli rng 0.3 then cancellable := h :: !cancellable
+  done;
+  (* rearm chains: one reusable handle per chain, re-armed at a random
+     horizon from inside its own callback (the Port pattern) *)
+  for i = 0 to 9 do
+    let hops = ref 0 in
+    let href = ref None in
+    let h =
+      Sim.make_handle sim (fun () ->
+          record 1 i;
+          incr hops;
+          if !hops < 50 then
+            match !href with
+            | Some h -> Sim.rearm h ~at:(Sim.now sim + 1 + Rng.int rng 5_000)
+            | None -> ())
+    in
+    href := Some h;
+    Sim.rearm h ~at:(1 + Rng.int rng 1_000)
+  done;
+  let tks = List.init 5 (fun i -> Sim.every sim ~period:(7_001 + i) (fun () -> record 2 i)) in
+  (* cancel a random subset mid-run to leave tombstones behind *)
+  ignore
+    (Sim.at sim 50_000 (fun () ->
+         List.iter Sim.cancel !cancellable;
+         List.iter Sim.stop_ticker tks));
+  ignore (Sim.run_until_idle sim);
+  List.rev !trace
+
+let fire_order_fixture =
+  if Sys.file_exists "fixtures/sim" then "fixtures/sim/fire_order.expected"
+  else "test/fixtures/sim/fire_order.expected"
 
 let test_sim_differential_random_schedule () =
+  let b = Buffer.create 65536 in
   for seed = 1 to 5 do
-    let heap = sim_fire_trace Sim.Heap seed in
-    let wheel = sim_fire_trace Sim.Wheel seed in
-    check int (Printf.sprintf "trace length (seed %d)" seed) (List.length heap)
-      (List.length wheel);
-    check bool (Printf.sprintf "identical fire order (seed %d)" seed) true (heap = wheel)
-  done
-
-(* End-to-end: the quick experiment suite produces byte-identical metric
-   rows whichever scheduler backend runs it. *)
-let test_experiments_identical_across_scheds () =
-  let flat ts =
-    List.concat_map
-      (fun t -> (t.Exp_common.title :: t.Exp_common.header) :: t.Exp_common.rows)
-      ts
+    let trace = sim_fire_trace seed in
+    Printf.bprintf b "seed %d %d\n" seed (List.length trace);
+    List.iter (fun (tag, id, t) -> Printf.bprintf b "%d %d %d\n" tag id t) trace
+  done;
+  let ic = open_in_bin fire_order_fixture in
+  let expected =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
   in
-  List.iter
-    (fun name ->
-      let target =
-        match Experiments.find name with Some t -> t | None -> fail (name ^ " missing")
-      in
-      let rows sched = flat (with_sched sched (fun () -> target.Experiments.t_run Exp_common.Smoke)) in
-      check
-        (list (list string))
-        (name ^ " rows byte-identical across backends")
-        (rows Sim.Heap) (rows Sim.Wheel))
-    [ "fig7"; "sticky" ]
+  check string "fire order matches the recorded trace" expected (Buffer.contents b)
 
 (* -------------------------- allocation guard ----------------------- *)
 
@@ -294,9 +240,6 @@ let test_bfc_clos_minor_words () =
 
 let suite =
   [
-    test_case "heap pop_min_exn empty" `Quick test_heap_pop_min_exn_empty;
-    test_case "heap duplicate priorities fifo" `Quick test_heap_duplicate_priorities_fifo;
-    test_case "heap clear reuses capacity" `Quick test_heap_clear_reuses_capacity;
     test_case "per-sim uid determinism" `Quick test_uid_sequences_identical_across_sims;
     test_case "ticker no event leak" `Quick test_ticker_no_event_leak;
     test_case "packet pool resets all fields" `Quick test_pool_reset_all_fields;
@@ -305,6 +248,5 @@ let suite =
     test_case "domain pool error in task order" `Quick test_pool_run_error_in_task_order;
     test_case "run_parallel byte-identical rows" `Slow test_run_parallel_rows_identical;
     test_case "sim differential: random schedule" `Quick test_sim_differential_random_schedule;
-    test_case "sim differential: experiment rows" `Slow test_experiments_identical_across_scheds;
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
   ]

@@ -1,7 +1,6 @@
 (* Unit and property tests for Bfc_util. *)
 
 module Rng = Bfc_util.Rng
-module Heap = Bfc_util.Heap
 module Wheel = Bfc_util.Wheel
 module Int_table = Bfc_util.Int_table
 module Bitset = Bfc_util.Bitset
@@ -160,50 +159,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "permutation" (Array.init 50 (fun i -> i)) sorted
 
-(* ------------------------------- Heap ------------------------------ *)
-
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~rank:0 ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
-  let out = ref [] in
-  let rec go () =
-    match Heap.pop h with
-    | Some (_, v) ->
-      out := v :: !out;
-      go ()
-    | None -> ()
-  in
-  go ();
-  check Alcotest.(list int) "sorted ascending" [ 1; 2; 3; 5; 8; 9 ] (List.rev !out)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~rank:0 ~priority:7 v) [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  check Alcotest.string "fifo a" "a" (pop ());
-  check Alcotest.string "fifo b" "b" (pop ());
-  check Alcotest.string "fifo c" "c" (pop ())
-
-let test_heap_peek () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty peek" true (Heap.peek h = None);
-  Heap.push h ~rank:0 ~priority:4 "x";
-  (match Heap.peek h with
-  | Some (4, "x") -> ()
-  | _ -> Alcotest.fail "peek mismatch");
-  check Alcotest.int "length unchanged by peek" 1 (Heap.length h)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list (int_range (-1000) 1000))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (fun x -> Heap.push h ~rank:0 ~priority:x x) xs;
-      let rec drain acc =
-        match Heap.pop h with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
 (* ------------------------------ Wheel ------------------------------ *)
 
 let test_wheel_order () =
@@ -281,40 +236,94 @@ let test_wheel_clear () =
   Wheel.push w ~rank:0 ~priority:3 33;
   check Alcotest.int "usable after clear" 33 (Wheel.pop_min_exn w)
 
-(* The differential property: any monotone-nondecreasing push/pop trace
-   pops identically from Heap and Wheel (values are distinct, so this
-   checks the FIFO tie-break too). *)
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pops in heap order" ~count:300
-    QCheck.(list (pair (int_range 0 5000) (int_range 0 3)))
+(* Reference model of the wheel: the resident entries as a list of
+   (time, rank, seq) kept sorted, which is the whole ordering contract.
+   Ops (op, a, b), with the Sim's legal rank shapes: a monotone [push]
+   ranks (instant, key b), bursts of keys within an instant included; a
+   [push_late] ranks an earlier instant and then advances the instant,
+   as the PDES barrier does between runs. Values are their seq numbers.
+   [release] removes purged tombstones from the model as they happen, so
+   every pop, drain callback and head probe must match the model's head
+   exactly, and the wheel's length must match the model's size. *)
+let prop_wheel_matches_model =
+  QCheck.Test.make ~name:"wheel matches sorted-list model" ~count:300
+    QCheck.(list_of_size Gen.(int_range 0 400)
+              (triple (int_range 0 9) (int_range 0 5000) (int_range 0 15)))
     (fun ops ->
-      let h = Heap.create () and w = Wheel.create () in
-      let ok = ref true in
-      let uid = ref 0 in
-      let floor = ref 0 in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let model = ref [] and dead = Hashtbl.create 16 in
+      let release v =
+        if not (Hashtbl.mem dead v && List.exists (fun (_, _, s) -> s = v) !model) then
+          fail "released %d: live, unknown or released twice" v;
+        model := List.filter (fun (_, _, s) -> s <> v) !model
+      in
+      let w = Wheel.create ~garbage:(Hashtbl.mem dead) ~release () in
+      let seq = ref 0 and floor = ref 0 and instant = ref 1 in
+      let push ~late time rank =
+        if late then Wheel.push_late w ~priority:time ~rank !seq
+        else Wheel.push w ~rank ~priority:time !seq;
+        model := List.sort compare ((time, rank, !seq) :: !model);
+        incr seq
+      in
+      let take v =
+        match !model with
+        | (t, _, s) :: rest when s = v -> model := rest; floor := t
+        | _ -> fail "popped %d out of model order" v
+      in
+      let model_head () = match !model with (t, _, _) :: _ -> t | [] -> -1 in
       List.iter
-        (fun (dt, act) ->
-          if act = 0 && Heap.length h > 0 then begin
-            (* pop from both; the popped time raises the monotone floor *)
-            let hv = Heap.pop_min_exn h in
-            let wv = Wheel.pop_min_exn w in
-            if hv <> wv then ok := false;
-            floor := max !floor (hv lsr 16)
-          end
-          else begin
-            (* push the same (priority, value) into both; encode the
-               uid in the low bits so every value is unique *)
-            incr uid;
-            let p = !floor + dt in
-            let v = (p lsl 16) lor (!uid land 0xFFFF) in
-            Heap.push h ~rank:0 ~priority:p v;
-            Wheel.push w ~rank:0 ~priority:p v
-          end)
+        (fun (op, a, b) ->
+          (match op with
+          | 0 -> push ~late:false (!floor + (a land 7)) ((!instant lsl 4) lor b)
+          | 1 -> push ~late:false (!floor + a) ((!instant lsl 4) lor b)
+          | 2 -> push ~late:false (!floor + (a lsl 12)) ((!instant lsl 4) lor b)
+          | 3 ->
+            push ~late:true (!floor + a) (((a mod !instant) lsl 4) lor b);
+            incr instant
+          | 4 -> incr instant
+          | 5 ->
+            let h = Wheel.head_time w in
+            if h <> model_head () then fail "head_time %d, model %d" h (model_head ())
+          | 6 -> (
+            match Wheel.pop_min_exn w with
+            | v -> take v
+            | exception Wheel.Empty -> if !model <> [] then fail "Empty with model entries")
+          | 7 ->
+            let time = Wheel.head_time w in
+            (* bounds equal to a resident rank half the time *)
+            let bound =
+              match !model with
+              | _ :: _ when b land 1 = 0 ->
+                let _, r, _ = List.nth !model (a mod List.length !model) in
+                r
+              | _ -> ((a mod (!instant + 1)) lsl 4) lor b
+            in
+            let calls = ref 0 in
+            let n =
+              Wheel.drain_run w ~time ~rank_bound:bound (fun v ->
+                  (match !model with
+                  | (t, r, _) :: _ when t = time && (!calls = 0 || r < bound) -> ()
+                  | _ -> fail "drained %d outside the batch" v);
+                  incr calls;
+                  take v)
+            in
+            if n <> !calls then fail "drain_run returned %d after %d callbacks" n !calls;
+            (match !model with
+            | (t, r, _) :: _ when time >= 0 && t = time && r < bound -> fail "batch not maximal"
+            | _ -> ())
+          | _ -> (
+            match List.filter (fun (_, _, s) -> not (Hashtbl.mem dead s)) !model with
+            | [] -> ()
+            | live ->
+              let _, _, s = List.nth live (a mod List.length live) in
+              Hashtbl.replace dead s ()));
+          if Wheel.length w <> List.length !model then
+            fail "length %d, model %d" (Wheel.length w) (List.length !model))
         ops;
-      while Heap.length h > 0 do
-        if Heap.pop_min_exn h <> Wheel.pop_min_exn w then ok := false
+      while not (Wheel.is_empty w) do
+        match Wheel.pop_min_exn w with v -> take v | exception Wheel.Empty -> ()
       done;
-      Wheel.is_empty w && !ok)
+      !model = [])
 
 (* ---------------------------- Int_table ---------------------------- *)
 
@@ -559,9 +568,6 @@ let suite =
     ("rng split deterministic", `Quick, test_rng_split_deterministic);
     ("rng split isolated", `Quick, test_rng_split_isolated);
     ("rng shuffle", `Quick, test_rng_shuffle_permutation);
-    ("heap order", `Quick, test_heap_order);
-    ("heap fifo ties", `Quick, test_heap_fifo_ties);
-    ("heap peek", `Quick, test_heap_peek);
     ("wheel order", `Quick, test_wheel_order);
     ("wheel fifo ties", `Quick, test_wheel_fifo_ties);
     ("wheel head_time", `Quick, test_wheel_head_time);
@@ -586,8 +592,7 @@ let suite =
     ("histogram invalid", `Quick, test_histogram_invalid);
     ("ascii table", `Quick, test_ascii_table);
     ("float cell", `Quick, test_float_cell);
-    QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
+    QCheck_alcotest.to_alcotest prop_wheel_matches_model;
     QCheck_alcotest.to_alcotest prop_int_table_model;
     QCheck_alcotest.to_alcotest prop_bitset_model;
     QCheck_alcotest.to_alcotest prop_percentile_bounds;
