@@ -1,11 +1,11 @@
 (* PDES layer tests: the partition map invariants (qcheck), the SPSC
-   inter-shard channel, the barrier's [~sent] proof obligation, and the
-   headline property of the whole subsystem — a sharded run is
-   byte-identical to the sequential run of the same experiment. (The
-   wheel's late-rank insertion is covered by the reference-model
-   property in test_util.) *)
+   inter-shard channel, the late-rank queue insertion the barrier relies
+   on, the barrier's [~sent] proof obligation, and the headline property
+   of the whole subsystem — a sharded run is byte-identical to the
+   sequential run of the same experiment. *)
 
 open Alcotest
+module Wheel = Bfc_util.Wheel
 module Sim = Bfc_engine.Sim
 module Time = Bfc_engine.Time
 module Channel = Bfc_engine.Channel
@@ -48,6 +48,45 @@ let test_channel_wraparound () =
   done;
   check int "pushed counter" !next_in (Channel.pushed c);
   check int "popped counter" !next_out (Channel.popped c)
+
+(* ------------------------- late-rank insertion --------------------- *)
+
+(* [push_late] must pop in the (priority, rank, seq) order a heap keyed
+   on that triple gives, which is the sorted order of the triples. Drive
+   it with an interleaving of monotone pushes and out-of-order late
+   inserts. *)
+let test_push_late_matches_heap () =
+  let rng = Bfc_util.Rng.create 11 in
+  for _round = 1 to 20 do
+    let w = Wheel.create () in
+    let n = 60 in
+    let entries = ref [] in
+    for id = 0 to n - 1 do
+      let time = 1 + Bfc_util.Rng.int rng 40 in
+      let late = Bfc_util.Rng.int rng 3 = 0 in
+      let rank =
+        if late then begin
+          let rank = Bfc_util.Rng.int rng 40 in
+          Wheel.push_late w ~priority:time ~rank id;
+          rank
+        end
+        else begin
+          (* monotone path: rank grows with every push, like a sim clock *)
+          let rank = 100 + id in
+          Wheel.push w ~rank ~priority:time id;
+          rank
+        end
+      in
+      entries := (time, rank, id) :: !entries
+    done;
+    let drained = ref [] in
+    for _ = 1 to n do
+      drained := Wheel.pop_min_exn w :: !drained
+    done;
+    check (list int) "wheel pops late ranks in heap order"
+      (List.map (fun (_, _, id) -> id) (List.sort compare !entries))
+      (List.rev !drained)
+  done
 
 (* ----------------------- barrier proof obligation ------------------ *)
 
@@ -194,6 +233,7 @@ let suite =
   [
     test_case "channel FIFO + bounded" `Quick test_channel_fifo;
     test_case "channel wraparound" `Quick test_channel_wraparound;
+    test_case "push_late matches heap order" `Quick test_push_late_matches_heap;
     test_case "~sent from inside an event raises" `Quick test_sent_inside_run_raises;
     QCheck_alcotest.to_alcotest prop_partition_sound;
     QCheck_alcotest.to_alcotest prop_partition_cut_symmetric;

@@ -236,6 +236,41 @@ let test_wheel_clear () =
   Wheel.push w ~rank:0 ~priority:3 33;
   check Alcotest.int "usable after clear" 33 (Wheel.pop_min_exn w)
 
+(* Any monotone-nondecreasing push/pop trace pops in priority-queue
+   (heap) order: smallest deadline first, FIFO among equal deadlines.
+   Values encode (deadline, uid), so the sorted resident list is the
+   oracle and its head is the next pop. *)
+let prop_wheel_heap_order =
+  QCheck.Test.make ~name:"wheel pops in heap order" ~count:300
+    QCheck.(list (pair (int_range 0 5000) (int_range 0 3)))
+    (fun ops ->
+      let w = Wheel.create () in
+      let model = ref [] and ok = ref true in
+      let uid = ref 0 and floor = ref 0 in
+      let pop () =
+        match !model with
+        | v :: rest ->
+          if Wheel.pop_min_exn w <> v then ok := false;
+          model := rest;
+          floor := max !floor (v lsr 16)
+        | [] -> ()
+      in
+      List.iter
+        (fun (dt, act) ->
+          if act = 0 && !model <> [] then pop ()
+          else begin
+            incr uid;
+            let p = !floor + dt in
+            let v = (p lsl 16) lor (!uid land 0xFFFF) in
+            Wheel.push w ~rank:0 ~priority:p v;
+            model := List.merge compare [ v ] !model
+          end)
+        ops;
+      while !model <> [] do
+        pop ()
+      done;
+      Wheel.is_empty w && !ok)
+
 (* Reference model of the wheel: the resident entries as a list of
    (time, rank, seq) kept sorted, which is the whole ordering contract.
    Ops (op, a, b), with the Sim's legal rank shapes: a monotone [push]
@@ -592,6 +627,7 @@ let suite =
     ("histogram invalid", `Quick, test_histogram_invalid);
     ("ascii table", `Quick, test_ascii_table);
     ("float cell", `Quick, test_float_cell);
+    QCheck_alcotest.to_alcotest prop_wheel_heap_order;
     QCheck_alcotest.to_alcotest prop_wheel_matches_model;
     QCheck_alcotest.to_alcotest prop_int_table_model;
     QCheck_alcotest.to_alcotest prop_bitset_model;
