@@ -26,13 +26,6 @@
                                                  vs the clean run (adds a
                                                  "stress" block; combines
                                                  with --macro/--sched)
-     dune exec bench/main.exe -- --ir         -- hand-written dataplane vs
-                                                 compiled pipeline IR on the
-                                                 same workload: equal event
-                                                 counts asserted, events/sec
-                                                 ratio recorded (adds an "ir"
-                                                 block; combines with the
-                                                 flags above)
      dune exec bench/main.exe -- --pdes       -- sequential vs 2-shard PDES
                                                  on the same workload: output
                                                  equality asserted, wall-clock
@@ -326,45 +319,6 @@ let run_pdes () =
     shards cores shards ratio events seq_secs seq_eps sh_secs sh_eps sync_json speedup_json
 
 (* ------------------------------------------------------------------ *)
-(* IR benchmark: the same quick reference workload through the hand-written
-   dataplane hooks vs the compiled pipeline IR (Runner.use_ir). The two
-   runs must execute the identical event count — the IR lowering is
-   byte-identical by construction — so the only question is throughput:
-   what the op-array dispatch costs relative to the fused hand-written
-   closures. CI gates on the ratio. *)
-
-let run_ir () =
-  Printf.printf "\n################ ir benchmark: hand-written vs compiled pipeline\n%!";
-  let leg name use_ir =
-    let setup =
-      {
-        (quick_setup 1) with
-        Exp_common.sp_params = (fun p -> { p with Runner.use_ir });
-      }
-    in
-    let r, secs = time_run (fun () -> Exp_common.run_std setup) in
-    let events = Runner.events_executed r.Exp_common.env in
-    let eps = float_of_int events /. secs in
-    Printf.printf "  [%-5s] events %d, wall %.2f s, %.0f events/sec\n%!" name events secs eps;
-    (events, secs, eps)
-  in
-  let hand_e, hand_s, hand_eps = leg "hand" false in
-  let ir_e, ir_s, ir_eps = leg "ir" true in
-  if hand_e <> ir_e then
-    failwith
-      (Printf.sprintf "ir differential diverged: hand executed %d events, ir %d" hand_e ir_e);
-  let ratio = ir_eps /. hand_eps in
-  Printf.printf "  ir vs hand            %.2fx events/sec\n%!" ratio;
-  Printf.sprintf
-    {|"ir": {
-    "workload": "run_std quick bfc seed=1, hand hooks vs compiled pipeline IR",
-    "hand": { "events": %d, "seconds": %.3f, "events_per_sec": %.0f },
-    "ir": { "events": %d, "seconds": %.3f, "events_per_sec": %.0f },
-    "ratio": %.3f
-  }|}
-    hand_e hand_s hand_eps ir_e ir_s ir_eps ratio
-
-(* ------------------------------------------------------------------ *)
 (* Stress benchmark: the same quick reference workload, clean vs with the
    fault injector, a flap-storm scenario and the stress detectors all
    attached — what the adversity machinery costs in engine throughput. *)
@@ -623,7 +577,6 @@ let () =
   let macro = ref false in
   let sched = ref false in
   let stress = ref false in
-  let ir = ref false in
   let pdes = ref false in
   let streaming = ref false in
   let csv_dir = ref None in
@@ -652,9 +605,6 @@ let () =
     | "--stress" :: rest ->
       stress := true;
       parse rest
-    | "--ir" :: rest ->
-      ir := true;
-      parse rest
     | "--pdes" :: rest ->
       pdes := true;
       parse rest
@@ -678,12 +628,11 @@ let () =
       parse rest
   in
   parse args;
-  if !macro || !sched || !stress || !ir || !pdes || !streaming then begin
+  if !macro || !sched || !stress || !pdes || !streaming then begin
     let blocks =
       (if !macro then [ run_macro ~jobs:!jobs () ] else [])
       @ (if !sched then [ run_sched () ] else [])
       @ (if !stress then [ run_stress () ] else [])
-      @ (if !ir then [ run_ir () ] else [])
       @ (if !pdes then [ run_pdes () ] else [])
       @ if !streaming then [ run_streaming () ] else []
     in

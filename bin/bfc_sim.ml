@@ -541,87 +541,6 @@ let flowlog_cmd =
           summarise it; exits 3 if the file ends mid-chunk")
     Term.(const run $ path)
 
-let ir_cmd =
-  let validate =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Check every builtin pipeline against the hardware budget and require each \
-             committed infeasible fixture to be rejected with at least one error; exit 1 on \
-             any failure.")
-  in
-  let dump =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "dump" ] ~docv:"NAME" ~doc:"Print the named pipeline's stages, tables and actions.")
-  in
-  let diags =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "diags" ] ~docv:"NAME"
-          ~doc:"Print the named pipeline's validator diagnostics (golden-fixture format).")
-  in
-  let run validate dump diags =
-    let builtins = Bfc_ir.Bfc_pipeline.builtins () in
-    let infeasible = Bfc_ir.Bfc_pipeline.infeasible () in
-    let find name =
-      match List.assoc_opt name builtins with
-      | Some p -> Some p
-      | None -> List.assoc_opt name infeasible
-    in
-    let unknown name =
-      Printf.eprintf "unknown pipeline %s (try: %s)\n" name
-        (String.concat ", " (List.map fst (builtins @ infeasible)));
-      Stdlib.exit 2
-    in
-    match (dump, diags) with
-    | Some name, _ -> (
-      match find name with Some p -> print_string (Bfc_ir.Ir.dump p) | None -> unknown name)
-    | None, Some name -> (
-      match find name with
-      | Some p ->
-        List.iter (fun d -> print_endline (Bfc_ir.Validate.to_human d)) (Bfc_ir.Validate.check p)
-      | None -> unknown name)
-    | None, None ->
-      if validate then begin
-        let failed = ref false in
-        List.iter
-          (fun (name, p) ->
-            let ds = Bfc_ir.Validate.check p in
-            if Bfc_ir.Validate.has_errors ds then begin
-              failed := true;
-              Printf.printf "FAIL %-14s feasible pipeline rejected:\n" name;
-              List.iter
-                (fun d -> print_endline ("  " ^ Bfc_ir.Validate.to_human d))
-                (Bfc_ir.Validate.errors ds)
-            end
-            else Printf.printf "ok   %-14s valid (%d stages)\n" name (List.length p.Bfc_ir.Ir.p_stages))
-          builtins;
-        List.iter
-          (fun (name, p) ->
-            match Bfc_ir.Validate.check p with
-            | d :: _ ->
-              Printf.printf "ok   %-14s rejected as expected (%s)\n" name d.Bfc_ir.Validate.code
-            | [] ->
-              failed := true;
-              Printf.printf "FAIL %-14s infeasible fixture passed validation\n" name)
-          infeasible;
-        if !failed then Stdlib.exit 1
-      end
-      else
-        List.iter (fun (_, p) -> print_string (Bfc_ir.Validate.report p ^ "\n")) builtins
-  in
-  Cmd.v
-    (Cmd.info "ir"
-       ~doc:
-         "Match-action pipeline IR: list the builtin dataplane programs with their stage/SRAM \
-          budgets, validate them (and the committed infeasible fixtures) against the hardware \
-          model, or dump one as text")
-    Term.(const run $ validate $ dump $ diags)
-
 let lint_cmd =
   let paths =
     Arg.(value & pos_all string [] & info [] ~docv:"PATH" ~doc:"Files or directories to lint.")
@@ -656,4 +575,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; sweep_cmd; trace_cmd; faults_cmd; stress_cmd; stream_cmd;
-            flowlog_cmd; ir_cmd; lint_cmd ]))
+            flowlog_cmd; lint_cmd ]))

@@ -99,10 +99,6 @@ let on_enqueue t _sw ~in_port:_ ~egress ~queue pkt =
 
 let grant_back t ~in_port ~upstream_q ~bytes =
   if in_port >= 0 && upstream_q >= 0 then begin
-    let peer_is_host =
-      (Port.peer (Switch.port t.sw in_port)).Node.kind = Node.Host
-    in
-    ignore peer_is_host;
     (* hosts also run credit-gated NICs, so grant regardless *)
     let pkt =
       match Switch.pool t.sw with

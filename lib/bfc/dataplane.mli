@@ -88,10 +88,6 @@ val apply_ctrl :
   Bfc_net.Packet.t ->
   unit
 
-(** The switch's setter for {!apply_ctrl}: [port] is the egress whose
-    queue is paused or resumed. *)
-val set_switch_queue_paused : Bfc_switch.Switch.t -> port:int -> queue:int -> bool -> unit
-
 (** Wipe flow table, pause counters, DQA bitmaps and occupancy diagnostics;
     call together with {!Bfc_switch.Switch.reboot} so the dataplane state
     matches the flushed switch. *)

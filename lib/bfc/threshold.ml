@@ -18,9 +18,9 @@ let lookup t ~n_active =
   t.values.(n)
 
 (* ------------------------------------------------------------------ *)
-(* Shared control-plane derivations: Dataplane, Credit_dataplane and the
-   IR compiler all populate their threshold/sticky state through these
-   instead of keeping parallel copies. *)
+(* Shared control-plane derivations: Dataplane and Credit_dataplane both
+   populate their threshold/sticky state through these instead of keeping
+   parallel copies. *)
 
 module Switch = Bfc_switch.Switch
 

@@ -19,9 +19,9 @@ val table : hrtt:Bfc_engine.Time.t -> gbps:float -> max_active:int -> factor:flo
 val lookup : table -> n_active:int -> int
 
 (** Where a dataplane reads Th from: a fixed byte override (Fig. 7 sweeps)
-    or the per-egress precomputed tables. One accessor shared by the
-    hand-written dataplanes and the IR compiler, so the hot-path lookup
-    logic exists exactly once. *)
+    or the per-egress precomputed tables. One accessor shared by
+    [Dataplane] and [Credit_dataplane], so the hot-path lookup logic
+    exists exactly once. *)
 type source = Fixed of int | Per_egress of table array
 
 (** Integer-only; safe on the per-packet path. *)

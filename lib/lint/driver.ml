@@ -1,15 +1,13 @@
 (* File discovery, parsing and report rendering. *)
 
-(* Per-packet / per-event hot-path modules that get the feasibility family.
-   The two BFC dataplane programs are the original set (PR 2); the IR
-   compiler's execution engine, the stress/obs hot paths (detectors and
+(* Per-packet / per-event hot-path modules that get the feasibility family:
+   the two BFC dataplane programs, the stress/obs hot paths (detectors and
    counters that run on every packet or pause transition) and the PDES
-   inter-shard ring (crossed by every cut packet) joined later. *)
+   inter-shard ring (crossed by every cut packet). *)
 let dataplane_files =
   [
     "lib/bfc/dataplane.ml";
     "lib/bfc/credit_dataplane.ml";
-    "lib/ir/compile.ml";
     "lib/stress/detect.ml";
     "lib/obs/registry.ml";
     "lib/obs/trace.ml";

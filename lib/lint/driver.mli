@@ -1,7 +1,16 @@
 (** File discovery, parsing, and report rendering for bfc-lint. *)
 
-(** Path → which rule families apply. Dataplane scope is the per-packet BFC
-    modules ([lib/bfc/dataplane.ml], [lib/bfc/credit_dataplane.ml]); lib
+(** Repo-relative paths of the per-packet / per-event hot-path modules
+    that get the feasibility (DF) family: the two BFC dataplanes, the
+    stress/obs per-packet counters and the PDES inter-shard channel. *)
+val dataplane_files : string list
+
+(** Repo-relative paths of the hot scheduling modules that get the perf
+    (PF) family on top of {!dataplane_files}. *)
+val perf_files : string list
+
+(** Path → which rule families apply. Dataplane scope is any file ending in
+    an entry of {!dataplane_files}; perf scope adds {!perf_files}; lib
     scope is any file under a [lib/] directory segment. *)
 val scope_of_path : string -> Check.scope
 

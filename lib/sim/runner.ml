@@ -23,7 +23,6 @@ type params = {
   pause_watchdog : Time.t option;
   seed : int;
   homa_dist : Bfc_workload.Dist.t;
-  use_ir : bool;
   streaming : bool;
 }
 
@@ -41,7 +40,6 @@ let default_params =
     pause_watchdog = None;
     seed = 42;
     homa_dist = Bfc_workload.Dist.google;
-    use_ir = false;
     streaming = false;
   }
 
@@ -54,7 +52,6 @@ type env = {
   hosts : Host.t option array;
   switches : Switch.t array;
   dataplanes : Dataplane.t array;
-  ir_programs : Bfc_ir.Compile.t array;
   base_rtt : Time.t;
   bdp : int;
   extra_header : int;
@@ -77,8 +74,6 @@ let bdp env = env.bdp
 let switches env = env.switches
 
 let dataplanes env = env.dataplanes
-
-let ir_programs env = env.ir_programs
 
 let host env i =
   match env.hosts.(i) with
@@ -353,7 +348,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
   let hosts = Array.make (Array.length nodes) None in
   let switches = ref [] in
   let dataplanes = ref [] in
-  let ir_programs = ref [] in
   let nic_queues = nic_queues_of scheme in
   let dpcfg = dataplane_config scheme p ~nic_queues in
   (* Homa parameters depend on the workload distribution *)
@@ -392,15 +386,7 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
             ()
         in
         (match dpcfg with
-        | Some c ->
-          if p.use_ir then
-            (* same config, but routed through the IR: build the pipeline
-               for this switch's dimensions, validate, compile *)
-            ir_programs := Bfc_ir.Compile.attach_bfc sw c :: !ir_programs
-          else begin
-            let dp = Dataplane.attach sw c in
-            dataplanes := dp :: !dataplanes
-          end
+        | Some c -> dataplanes := Dataplane.attach sw c :: !dataplanes
         | None -> ());
         (match scheme with
         | Scheme.Bfc_credit { credit_bytes; _ } ->
@@ -411,9 +397,7 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
               max_upstream_q = max (nic_queues + 1) 130;
             }
           in
-          if p.use_ir then
-            ir_programs := Bfc_ir.Compile.attach_credit sw ccfg :: !ir_programs
-          else ignore (Bfc_core.Credit_dataplane.attach sw ccfg)
+          ignore (Bfc_core.Credit_dataplane.attach sw ccfg)
         | _ -> ());
         (match scheme with
         | Scheme.Expresspass _ ->
@@ -456,7 +440,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
       hosts;
       switches = Array.of_list (List.rev !switches);
       dataplanes = Array.of_list (List.rev !dataplanes);
-      ir_programs = Array.of_list (List.rev !ir_programs);
       base_rtt;
       bdp;
       extra_header = extra_header_of scheme;
@@ -473,13 +456,7 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
         let sw = Dataplane.switch dp in
         let f = Bfc_core.Deadlock.make_filter topo g ~sw:(Switch.node_id sw) in
         Dataplane.allow_backpressure dp f)
-      env.dataplanes;
-    Array.iter
-      (fun prog ->
-        let sw = Bfc_ir.Compile.switch prog in
-        let f = Bfc_core.Deadlock.make_filter topo g ~sw:(Switch.node_id sw) in
-        Bfc_ir.Compile.allow_backpressure prog f)
-      env.ir_programs
+      env.dataplanes
   end;
   (* completion counting *)
   Array.iter
@@ -573,13 +550,6 @@ let merged envs =
   Array.sort
     (fun a b -> Int.compare (Switch.node_id (Dataplane.switch a)) (Switch.node_id (Dataplane.switch b)))
     dataplanes;
-  let ir_programs = Array.concat (Array.to_list (Array.map (fun e -> e.ir_programs) envs)) in
-  Array.sort
-    (fun a b ->
-      Int.compare
-        (Switch.node_id (Bfc_ir.Compile.switch a))
-        (Switch.node_id (Bfc_ir.Compile.switch b)))
-    ir_programs;
   {
     sim = e0.sim;
     topo = e0.topo;
@@ -589,7 +559,6 @@ let merged envs =
     hosts;
     switches;
     dataplanes;
-    ir_programs;
     base_rtt = e0.base_rtt;
     bdp = e0.bdp;
     extra_header = e0.extra_header;

@@ -23,11 +23,6 @@ type params = {
       (** workload distribution used to derive Homa's priority cutoffs; a
           [params] field (not a global) so concurrent sweeps on separate
           domains cannot race on it *)
-  use_ir : bool;
-      (** route the scheme's dataplane program through the pipeline IR:
-          build, validate and compile it per switch (Bfc_ir.Compile)
-          instead of installing the hand-written hooks. Behavior is
-          byte-identical (held to that by the differential test). *)
   streaming : bool;
       (** bounded-memory observability: FCT statistics go through mergeable
           quantile sketches instead of exact per-flow samples, hosts
@@ -77,9 +72,6 @@ val switches : env -> Bfc_switch.Switch.t array
 
 (** BFC dataplanes (same order as [switches]) when the scheme has one. *)
 val dataplanes : env -> Bfc_core.Dataplane.t array
-
-(** Compiled IR programs (same order as [switches]) when [use_ir] is set. *)
-val ir_programs : env -> Bfc_ir.Compile.t array
 
 val host : env -> int -> Bfc_transport.Host.t
 

@@ -1,13 +1,18 @@
-(* Typed-dispatch differential suite (PR 10).
+(* Typed-dispatch differential suite.
 
-   The golden fixtures under fixtures/dispatch/ were generated from the
-   PR-9 closure-based engine (set BFC_DISPATCH_FIXGEN=1 and
+   The fig7, incast and credit fixtures under fixtures/dispatch/ were
+   generated from the closure-based engine that preceded typed dispatch
+   (set BFC_DISPATCH_FIXGEN=1 and
    BFC_DISPATCH_FIXDIR=<abs path> to regenerate).  Every run of the
    typed-dispatch engine — sequential and [--shards 2] — must reproduce
    them byte for byte: FCT rows, per-flow records, injected/completed
    counters, and buffer p99.  When they were recorded the engine also
    had a 4-ary heap queue backend, and both backends reproduced them;
-   the fixtures now stand in for that second backend as the oracle. *)
+   the fixtures now stand in for that second backend as the oracle.
+
+   bfc-sampled-incast and bfc-credit pin BFC sampling/incast labelling
+   and [Credit_dataplane] end to end; they were recorded while a second,
+   IR-compiled dataplane still reproduced both byte for byte. *)
 
 open Alcotest
 module Flow = Bfc_net.Flow
@@ -61,6 +66,22 @@ let workloads =
       fun () ->
         {
           (Exp_common.std Exp_common.Smoke Scheme.expresspass) with
+          Exp_common.sp_seed = 5;
+        } );
+    ( "bfc-sampled-incast",
+      fun () ->
+        {
+          (Exp_common.std Exp_common.Smoke
+             (Scheme.Bfc
+                { Scheme.bfc_default with Scheme.sampling = 0.25; incast_label = true }))
+          with
+          Exp_common.sp_incast = Some Exp_common.default_incast;
+          sp_seed = 3;
+        } );
+    ( "bfc-credit",
+      fun () ->
+        {
+          (Exp_common.std Exp_common.Smoke Scheme.bfc_credit) with
           Exp_common.sp_seed = 5;
         } );
   ]
@@ -128,7 +149,7 @@ let check_leg name setup (leg, shards) () =
     let expected = read_file path in
     let got = render (run_leg shards (setup ())) in
     if not (String.equal got expected) then
-      failf "%s/%s diverged from the PR-9 fixture (%s)" name leg
+      failf "%s/%s diverged from its recorded fixture (%s)" name leg
         (first_diff_line expected got)
 
 let suite =

@@ -162,6 +162,14 @@ let test_repo_is_clean () =
     (List.map Diagnostic.to_human (Driver.violations report));
   Alcotest.(check int) "exit 0" 0 (Driver.exit_code report)
 
+(* A stale scan-set entry would silently lint nothing. *)
+let test_scan_sets_exist () =
+  let root = Filename.dirname lib_dir in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " exists") true (Sys.file_exists (Filename.concat root path)))
+    (Driver.dataplane_files @ Driver.perf_files)
+
 let test_exit_codes () =
   let finding =
     match lint_inline ~virtual_path:lib_path "let r () = Random.int 3\n" with
@@ -229,6 +237,7 @@ let suite =
     ("seeded list iter violates", `Quick, test_seeded_list_iter_fails);
     ("seeded random violates", `Quick, test_seeded_random_fails);
     ("repo tree is lint-clean", `Quick, test_repo_is_clean);
+    ("scan sets name existing files", `Quick, test_scan_sets_exist);
     ("exit codes", `Quick, test_exit_codes);
     ("parse failure reported", `Quick, test_parse_failure);
     ("json rendering", `Quick, test_json_render);

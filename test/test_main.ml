@@ -16,7 +16,6 @@ let () =
       ("fault", Test_fault.suite);
       ("stress", Test_stress.suite);
       ("lint", Test_lint.suite);
-      ("ir", Test_ir.suite);
       ("perf", Test_perf.suite);
       ("obs", Test_obs.suite);
       ("pdes", Test_pdes.suite);
