@@ -499,7 +499,7 @@ let sched_leg n =
   (* push/pop: fill-and-drain rounds, >= 2M single ops total *)
   let rounds = max 1 (2_000_000 / (2 * n)) in
   let pp_mops =
-    let q : int W.t = W.create () in
+    let q = W.create () in
     let rand = mk_rand () in
     let sink = ref 0 in
     let _, secs =
@@ -521,7 +521,7 @@ let sched_leg n =
   (* rearm: hold n pending, pop-one/push-one 2M times *)
   let iters = 2_000_000 in
   let rearm_mops =
-    let q : int W.t = W.create () in
+    let q = W.create () in
     let rand = mk_rand () in
     for _ = 1 to n do
       let t = rand () in

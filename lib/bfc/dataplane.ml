@@ -134,13 +134,8 @@ let classify t _sw ~in_port:_ ~egress pkt =
     ctrl_queue t ~cls:0
 
 let make_ctrl t kind =
-  match Switch.pool t.sw with
-  | Some p ->
-    Packet.Pool.acquire p kind ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
-      ~size:Packet.ctrl_bytes ~seq:0
-  | None ->
-    Packet.make ~sim:(Switch.sim t.sw) kind ~src:(Switch.node_id t.sw) ~dst:(-1)
-      ~size:Packet.ctrl_bytes ()
+  Packet.Pool.acquire (Switch.pool t.sw) kind ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
+    ~size:Packet.ctrl_bytes ~seq:0
 
 let send_pause t ~egress ~upstream_q kind =
   let pkt = make_ctrl t kind in

@@ -25,7 +25,7 @@
      events with no physical meaning, applied identically everywhere
      so sharded and sequential schedules agree byte-for-byte.
 
-   Event representation (the typed event table). A queue entry is a
+   Event representation (the typed event table). A queued event is a
    [handle]; its [cls] field selects how it fires:
 
    - classes 0–2 (closure one-shot / reusable / ticker) carry a
@@ -41,6 +41,15 @@
      one direct [match] + array-indexed call to a single shared
      executor per class, instead of an indirect call to one of
      thousands of short-lived closures.
+
+   Queue ids. The wheel holds ints, not handles, so no store into it
+   takes the write barrier: a typed handle is queued as its pool slot
+   ([>= 0]); a closure handle borrows a negative id from a second table
+   ([cq]) for as long as it is queued, and the id goes back to its free
+   list when the entry pops or is purged. The handle record a caller
+   holds is never reused, so a stale handle cannot reach whichever event
+   later borrows its id: [pending] and [cancel] read the record, never
+   the id.
 
    Pooled-handle lifecycle: a slot is on the free list iff no queue
    entry references it. Cancellation ([cancel_token]) only tombstones —
@@ -83,7 +92,7 @@ type user += No_state
 
 type t = {
   mutable clock : Time.t;
-  q : handle Wheel.t;
+  q : Wheel.t; (* queue ids: see [queued] *)
   mutable in_run : bool; (* inside the run loop: [~sent] is refused *)
   mutable live : int; (* scheduled, not yet fired, not cancelled *)
   mutable executed : int;
@@ -103,9 +112,15 @@ type t = {
   mutable pool_len : int;
   mutable free : int array;
   mutable free_len : int;
+  (* ...the ids closure handles borrow while queued (id [c] is queued as
+     [lnot c]; LIFO free list)... *)
+  mutable cq : handle array;
+  mutable cq_len : int;
+  mutable cfree : int array;
+  mutable cfree_len : int;
   (* ...and the one callback the batched drain fires entries through,
      preallocated so the drain itself allocates and stores nothing. *)
-  mutable fire_cb : handle -> unit;
+  mutable fire_cb : int -> unit;
 }
 
 and handle = {
@@ -165,21 +180,56 @@ let noop_fn () = ()
 let unregistered_exec (_ : user) (_ : int) (_ : int) =
   invalid_arg "Sim: event posted to an unregistered class"
 
+let grow_ints a len =
+  let na = Array.make (Int.max 16 (2 * len)) 0 in
+  Array.blit a 0 na 0 len;
+  na
+
 (* Return a fired or purged pooled handle's slot to the free list. Only
    called at queue-disposal points (see the lifecycle comment up top). *)
 let free_slot t h =
-  if t.free_len = Array.length t.free then begin
-    let ncap = max 16 (2 * t.free_len) in
-    let nf = Array.make ncap 0 in
-    Array.blit t.free 0 nf 0 t.free_len;
-    t.free <- nf
-  end;
+  if t.free_len = Array.length t.free then t.free <- grow_ints t.free t.free_len;
   Array.unsafe_set t.free t.free_len h.slot;
   t.free_len <- t.free_len + 1
 
-(* Disposal of a popped dead entry: pooled handles go back to the free
-   list ([gen] was already bumped when the token was cancelled). *)
-let recycle_dead t h = if h.slot >= 0 then free_slot t h
+(* Lend closure handle [h] a queue id. *)
+let borrow_id t h =
+  let c =
+    if t.cfree_len > 0 then begin
+      t.cfree_len <- t.cfree_len - 1;
+      Array.unsafe_get t.cfree t.cfree_len
+    end
+    else begin
+      let c = t.cq_len in
+      if c = Array.length t.cq then begin
+        let ncq = Array.make (Int.max 16 (2 * c)) h in
+        Array.blit t.cq 0 ncq 0 c;
+        t.cq <- ncq
+      end;
+      t.cq_len <- c + 1;
+      c
+    end
+  in
+  Array.unsafe_set t.cq c h;
+  lnot c
+
+(* The handle behind a queue id. *)
+let queued t id = if id >= 0 then Array.unsafe_get t.pool id else Array.unsafe_get t.cq (lnot id)
+
+(* The queue is done with entry [id] (popped or purged): a closure id goes
+   back to its free list. The [cq] slot keeps its handle until the id is
+   lent again. *)
+let return_id t id =
+  if id < 0 then begin
+    if t.cfree_len = Array.length t.cfree then t.cfree <- grow_ints t.cfree t.cfree_len;
+    Array.unsafe_set t.cfree t.cfree_len (lnot id);
+    t.cfree_len <- t.cfree_len + 1
+  end
+
+(* Disposal of a dead entry (popped tombstone or purge): pooled handles go
+   back to the free list ([gen] was already bumped when the token was
+   cancelled), closure ids to theirs. *)
+let dispose t id = if id >= 0 then free_slot t (Array.unsafe_get t.pool id) else return_id t id
 
 (* Fire one live handle: the direct-match dispatch point. Closure
    classes call through [fn]; typed classes index the executor table
@@ -206,17 +256,28 @@ let fire t h =
     free_slot t h
   end
 
+(* Pop-side handling of queue entry [id]: fire it if live, dispose of it
+   otherwise. A closure id is returned before its handle fires, so the
+   handle may re-queue itself (a ticker) under a fresh id. *)
+let fire_id t id =
+  let h = queued t id in
+  if id < 0 then return_id t id;
+  if h.alive && not h.fired then fire t h else if id >= 0 then free_slot t h
+
 let create () =
+  (* the wheel's purge hooks read the sim's id tables; [hooks] ties the knot *)
+  let hooks = ref None in
+  let with_sim f id = match !hooks with Some t -> f t id | None -> invalid_arg "Sim.create" in
   let t =
     {
       clock = 0;
-      (* the release hook reclaims purged pooled tombstones — without it
-         a cancelled typed event whose entry cascades to its death would
-         leak its pool slot forever *)
+      (* the release hook reclaims purged tombstones' ids — without it a
+         cancelled event whose entry cascades to its death would leak its
+         pool slot or closure id forever *)
       q =
         Wheel.create
-          ~garbage:(fun h -> not h.alive)
-          ~release:(fun h -> recycle_dead h.owner h)
+          ~garbage:(with_sim (fun t id -> not (queued t id).alive))
+          ~release:(with_sim dispose)
           ();
       in_run = false;
       live = 0;
@@ -232,6 +293,10 @@ let create () =
       pool_len = 0;
       free = [||];
       free_len = 0;
+      cq = [||];
+      cq_len = 0;
+      cfree = [||];
+      cfree_len = 0;
       fire_cb = ignore;
     }
   in
@@ -240,8 +305,8 @@ let create () =
       a0 = 0; a1 = 0; gen = 0; slot = -1 }
   in
   t.pool <- Array.make 16 sentinel;
-  t.fire_cb <-
-    (fun h -> if h.alive && not h.fired then fire t h else recycle_dead t h);
+  t.fire_cb <- fire_id t;
+  hooks := Some t;
   t
 
 let now t = t.clock
@@ -302,13 +367,15 @@ let at ?sent ?(key = key_mask) t time fn =
       a0 = 0; a1 = 0; gen = 0; slot = -1 }
   in
   (match sent with
-  | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h
-  | Some s -> Wheel.push_late t.q ~priority:time ~rank:(sent_rank "at" t ~sent:s ~key) h);
+  | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h)
+  | Some s ->
+    let rank = sent_rank "at" t ~sent:s ~key in
+    Wheel.push_late t.q ~priority:time ~rank (borrow_id t h));
   note_depth t;
   t.live <- t.live + 1;
   h
 
-let after ?key t delay fn = at ?key t (t.clock + max 0 delay) fn
+let after ?key t delay fn = at ?key t (t.clock + Int.max 0 delay) fn
 
 (* ------------------------- typed event posts ------------------------ *)
 
@@ -375,12 +442,12 @@ let post_handle ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
     match sent with
     | None ->
       let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h;
+      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h.slot;
       h
     | Some s ->
       let rank = sent_rank "post" t ~sent:s ~key in
       let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      Wheel.push_late t.q ~priority:time ~rank h;
+      Wheel.push_late t.q ~priority:time ~rank h.slot;
       h
   in
   note_depth t;
@@ -434,7 +501,7 @@ let rearm ?(key = key_mask) h ~at:time =
   if unschedulable t time then bad_time "rearm" t time;
   h.alive <- true;
   h.fired <- false;
-  Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h;
+  Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h);
   note_depth t;
   t.live <- t.live + 1;
   t.rearms <- t.rearms + 1
@@ -464,7 +531,7 @@ let every t ~period fn =
   let arm h =
     let time = t.clock + period in
     if unschedulable t time then bad_time "every" t time;
-    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) h;
+    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) (borrow_id t h);
     note_depth t;
     t.live <- t.live + 1
   in
@@ -515,9 +582,9 @@ let () =
 let step t =
   let time = Wheel.head_time t.q in
   if time >= 0 then begin
-    let h = Wheel.pop_min_exn t.q in
+    let id = Wheel.pop_min_exn t.q in
     t.clock <- time;
-    if h.alive && not h.fired then fire t h else recycle_dead t h
+    fire_id t id
   end
 
 (* The one run loop behind [run] and [run_until_idle]: execute the

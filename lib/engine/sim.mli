@@ -27,7 +27,11 @@ type t
 
 type handle
 (** A scheduled event that can be cancelled. Cancellation is O(1): the event
-    stays in the queue but becomes a no-op. *)
+    stays in the queue but becomes a no-op. The queue holds int ids, not
+    handles: a closure handle borrows an id while it is queued and gives
+    it back when its entry pops or is purged. The handle record itself is
+    never reused, so {!pending} and {!cancel} on a stale handle never
+    reach the event that later borrows its id. *)
 
 (** Per-class executor state. Each subsystem extends this variant with a
     constructor carrying its own registry (ports, switches, flow tables...)
@@ -97,7 +101,8 @@ val cls_port_tx : int
 
 val cls_delivery : int
 (** In-flight packet delivery at a port — [a0] = port registry index,
-    [a1] = ring selector (0 data, 1 control). *)
+    [a1] = the packet's index in the sim's packet table. The event is the
+    only thing holding an in-flight packet, data or control. *)
 
 val cls_switch_ctrl : int
 (** Switch watchdog (egress-queue or PFC unpause) — [a0] = switch
@@ -114,7 +119,8 @@ val cls_flow_timeout : int
 
 val cls_pdes_barrier : int
 (** Cross-shard delivery admitted at a conservative-window barrier —
-    [a0] = parcel-table slot, [a1] unused. *)
+    [a0] = destination node id and ingress port, packed, [a1] = the
+    packet's index in the destination sim's packet table. *)
 
 val cls_xpass_resume : int
 (** ExpressPass credit-queue resume probe — [a0] = attach registry

@@ -49,6 +49,7 @@ type t = {
   mutable ints : int array;
   mutable path_hint : int;
   mutable pooled : bool;
+  mutable idx : int;
 }
 
 let header_bytes = 48
@@ -93,6 +94,7 @@ let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
     ints = [||];
     path_hint = -1;
     pooled = false;
+    idx = -1;
   }
 
 let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
@@ -161,16 +163,15 @@ let copy_int_hops ~src ~dst =
   done;
   dst.int_cnt <- src.int_cnt
 
-(* Deep field copy for handing a packet to another shard: the original
-   stays behind (its sender may still read it, and it belongs to the
-   source pool's lifecycle), while the clone carries every behavioral
-   field across the channel. [flow] is deliberately dropped — flow
-   records are mutated by the receiving host, so a pointer must never
-   cross a domain; the PDES runtime re-binds the destination shard's
-   replica by flow id at delivery. The uid is fresh (uids are per-sim
-   diagnostics, not protocol state). *)
-let clone ?sim p =
-  let c = make ?sim p.kind ~src:p.src ~dst:p.dst ~size:p.size ~payload:p.payload ~seq:p.seq ~prio:p.prio () in
+(* Every behavioral field but [flow], uid and table bookkeeping. *)
+let copy_fields ~src:p ~dst:c =
+  c.kind <- p.kind;
+  c.src <- p.src;
+  c.dst <- p.dst;
+  c.size <- p.size;
+  c.payload <- p.payload;
+  c.seq <- p.seq;
+  c.prio <- p.prio;
   c.remaining <- p.remaining;
   c.upstream_q <- p.upstream_q;
   c.ecn <- p.ecn;
@@ -187,7 +188,19 @@ let clone ?sim p =
   c.ctrl_a <- p.ctrl_a;
   c.ctrl_b <- p.ctrl_b;
   if Array.length p.ints > 0 then c.ints <- Array.copy p.ints;
-  c.path_hint <- p.path_hint;
+  c.path_hint <- p.path_hint
+
+(* Deep field copy for handing a packet to another shard: the clone
+   carries every behavioral field across the channel, with no table
+   index, and the destination imports it into its own table
+   ([Pool.import]). [flow] is deliberately dropped — flow records are
+   mutated by the receiving host, so a pointer must never cross a
+   domain; the PDES runtime re-binds the destination shard's replica by
+   flow id at delivery. The uid is fresh (uids are per-sim diagnostics,
+   not protocol state). *)
+let clone ?sim p =
+  let c = make ?sim p.kind ~src:p.src ~dst:p.dst ~size:p.size () in
+  copy_fields ~src:p ~dst:c;
   c
 
 (* ------------------------------ Exceptions ----------------------------- *)
@@ -216,21 +229,50 @@ let flow_id t = match t.flow with Some f -> f.Flow.id | None -> -1
 module Pool = struct
   type packet = t
 
+  (* The per-sim packet table: [pkts] maps an index to its packet, for
+     every packet this table has seen (live or parked); [free] holds the
+     indices of parked packets. A packet keeps its index for life, so
+     queues and events can name it by an int. *)
   type nonrec t = {
     sim : Bfc_engine.Sim.t;
-    mutable free : packet array;
+    mutable pkts : packet array;
+    mutable n : int;
+    mutable free : int array;
     mutable n_free : int;
     mutable allocated : int;
     mutable recycled : int;
   }
 
-  let create ~sim = { sim; free = [||]; n_free = 0; allocated = 0; recycled = 0 }
+  let create ~sim =
+    { sim; pkts = [||]; n = 0; free = [||]; n_free = 0; allocated = 0; recycled = 0 }
 
   let free_count t = t.n_free
 
   let allocated t = t.allocated
 
   let recycled t = t.recycled
+
+  let size t = t.n
+
+  let get t i = t.pkts.(i)
+
+  (* Give [p] the next index (one pointer store per packet, ever). *)
+  let register t p =
+    if t.n = Array.length t.pkts then begin
+      let np = Array.make (Int.max 64 (2 * t.n)) p in
+      Array.blit t.pkts 0 np 0 t.n;
+      t.pkts <- np
+    end;
+    t.pkts.(t.n) <- p;
+    p.idx <- t.n;
+    t.n <- t.n + 1;
+    p.idx
+
+  let index t p =
+    let i = p.idx in
+    if i >= 0 && i < t.n && Array.unsafe_get t.pkts i == p then i
+    else if i >= 0 then invalid_arg "Packet.Pool.index: packet of another simulation"
+    else register t p
 
   (* Full reset to [make]'s defaults: an acquired packet must be
      indistinguishable from a fresh one, or a stale [ecn_echo] / [bp_*] /
@@ -264,26 +306,30 @@ module Pool = struct
 
   let release t (p : packet) =
     if p.pooled then invalid_arg "Packet.Pool.release: double release";
+    let i = index t p in
     reset p;
     p.pooled <- true;
-    let cap = Array.length t.free in
-    if t.n_free = cap then begin
-      let ncap = if cap = 0 then 64 else cap * 2 in
-      let nf = Array.make ncap p in
+    if t.n_free = Array.length t.free then begin
+      let nf = Array.make (Int.max 64 (2 * t.n_free)) 0 in
       Array.blit t.free 0 nf 0 t.n_free;
       t.free <- nf
     end;
-    t.free.(t.n_free) <- p;
+    t.free.(t.n_free) <- i;
     t.n_free <- t.n_free + 1
 
   let acquire t kind ~flow ~src ~dst ~size ~seq =
     if t.n_free = 0 then begin
       t.allocated <- t.allocated + 1;
-      build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~src ~dst ~size ~payload:0 ~seq ~prio:0
+      let p =
+        build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~src ~dst ~size ~payload:0 ~seq
+          ~prio:0
+      in
+      ignore (register t p);
+      p
     end
     else begin
       t.n_free <- t.n_free - 1;
-      let p = t.free.(t.n_free) in
+      let p = t.pkts.(t.free.(t.n_free)) in
       t.recycled <- t.recycled + 1;
       p.pooled <- false;
       p.uid <- Bfc_engine.Sim.fresh_uid t.sim;
@@ -305,5 +351,10 @@ module Pool = struct
     in
     p.payload <- payload;
     p.prio <- f.Flow.prio_class;
+    p
+
+  let import t c =
+    let p = acquire t c.kind ~flow:None ~src:c.src ~dst:c.dst ~size:c.size ~seq:c.seq in
+    copy_fields ~src:c ~dst:p;
     p
 end

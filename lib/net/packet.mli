@@ -63,6 +63,9 @@ type t = {
   mutable ints : int array; (** bitmap payloads etc. *)
   mutable path_hint : int; (** pinned spine for spraying; -1 = ECMP *)
   mutable pooled : bool; (** currently parked in a {!Pool} free list *)
+  mutable idx : int;
+      (** index in its simulation's packet table ({!Pool}), fixed once the
+          table first sees the packet; [-1] before that *)
 }
 
 val header_bytes : int
@@ -93,9 +96,9 @@ val make :
 val data :
   ?sim:Bfc_engine.Sim.t -> flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> t
 
-(** An inert packet (uid [-1]) for initialising packet-typed registers
-    before any packet exists. It is never sent, queued or pooled, and must
-    not be mutated. *)
+(** An inert packet (uid [-1]): what a dequeue returns when nothing is
+    eligible. It is never sent, queued or pooled, and must not be
+    mutated. *)
 val placeholder : t
 
 (** [add_int_hop t ~ts ~tx_bytes ~qlen ~gbps ~link] appends an INT record,
@@ -122,11 +125,12 @@ val clear_int_hops : t -> unit
 val copy_int_hops : src:t -> dst:t -> unit
 
 (** [clone ?sim p] — a fresh packet carrying every behavioral field of
-    [p] (header, scratch, INT stack, bitmap payload), with [flow = None]
-    and a fresh uid. This is the cross-shard transfer copy: the clone is
-    safe to hand to another domain (no structure shared with [p] and no
-    flow pointer; the receiving shard re-binds its own flow replica by
-    id), while [p] remains the sender's to keep, drop or recycle. *)
+    [p] (header, scratch, INT stack, bitmap payload), with [flow = None],
+    a fresh uid and no table index. This is the cross-shard transfer
+    copy: the clone is safe to hand to another domain (no structure
+    shared with [p] and no flow pointer; the receiving shard imports it
+    into its own table with {!Pool.import} and re-binds its own flow
+    replica by id), while [p] stays in the sender's table. *)
 val clone : ?sim:Bfc_engine.Sim.t -> t -> t
 
 (** Raised by [flow_exn] when a packet that must belong to a flow (a
@@ -143,17 +147,34 @@ val is_control : t -> bool
 (** Flow id or -1. *)
 val flow_id : t -> int
 
-(** Per-simulation free-list pool. [release] resets every mutable field to
-    the [make] defaults (keeping the INT-hop backing array) and parks the
-    packet; [acquire] hands it back with a fresh per-sim uid. Double
-    release raises [Invalid_argument]. One pool per simulation — packets
-    never migrate between domains. *)
+(** The per-simulation packet table and its free list. Every packet a
+    simulation queues or has in flight has an index in its table
+    ({!index}), stable for the packet's life, so queues, rings and events
+    name packets by int — stores that take no GC write barrier. [release]
+    resets every mutable field to the [make] defaults (keeping the
+    INT-hop backing array and the index) and parks the packet; [acquire]
+    hands a parked packet back with a fresh per-sim uid. Double release
+    raises [Invalid_argument]. One table per simulation, reached with
+    {!Port.pool} — packets never migrate between domains. *)
 module Pool : sig
   type packet = t
 
   type t
 
+  (** A fresh, empty table. A simulation's devices share the one
+      {!Port.pool} returns. *)
   val create : sim:Bfc_engine.Sim.t -> t
+
+  (** [index pool p] is [p]'s index in [pool], assigning the next one if
+      [p] has none yet (a packet built with {!make}). Raises
+      [Invalid_argument] if [p] is indexed by another table. *)
+  val index : t -> packet -> int
+
+  (** [get pool i] is the packet at index [i]. *)
+  val get : t -> int -> packet
+
+  (** Packets indexed so far, live or parked. *)
+  val size : t -> int
 
   (** [acquire pool kind ~flow ~src ~dst ~size ~seq] — a recycled (or, when
       the free list is empty, fresh) packet with [make]'s defaults in every
@@ -168,7 +189,14 @@ module Pool : sig
   val data :
     t -> flow:Flow.t option -> seq:int -> payload:int -> extra_header:int -> packet
 
+  (** [release pool p] parks [p] for reuse; its index stays [p]'s. [p]
+      is indexed first if it has no index yet. *)
   val release : t -> packet -> unit
+
+  (** [import pool c] — a packet of [pool] (recycled when one is parked)
+      carrying every behavioral field of [c], with [flow = None]: how a
+      shard takes in a {!clone} made by another. *)
+  val import : t -> packet -> packet
 
   (** Packets currently parked in the free list. *)
   val free_count : t -> int

@@ -6,16 +6,18 @@
    zero events, and a backlogged egress costs one (allocation-free) wakeup
    per transmission instead of one fresh closure + handle per packet.
 
-   Deliveries are typed events over FIFO rings: in-flight packets sit in
-   a per-port ring (delivery times are monotone per port — sends are
-   serialized and [prop] is constant), and a [cls_delivery] event pops the
-   ring head when it fires. Control packets get a second ring: their
-   delivery times are monotone among themselves (now + prop) but
-   interleave arbitrarily with data deliveries, so the two streams cannot
-   share one FIFO; the event's [a1] selects the ring. Every port of a sim
-   registers in one per-sim registry ([Sim.user] state), and the shared
-   executors reach the port by its registry index in [a0] — no per-event
-   closure anywhere on the wire path. *)
+   Deliveries are typed [cls_delivery] events that carry the port's
+   registry index in [a0] and the packet's index in the sim's packet
+   table in [a1], so an in-flight packet is held by nothing but its
+   event — data and control deliveries alike, in whatever order their
+   times interleave. Every port of a sim registers in one per-sim
+   registry ([Sim.user] state), which also holds the sim's packet table
+   ([pool]); the shared executors reach the port and the packet by
+   index — no per-event closure, and no pointer store, anywhere on the
+   wire path.
+
+   A packet's life on this sim ends at a fault drop or a cross-shard
+   hand-off: the port returns it to the table. *)
 
 type t = {
   sim : Bfc_engine.Sim.t;
@@ -26,6 +28,7 @@ type t = {
   prop : Bfc_engine.Time.t;
   peer : Node.t;
   peer_port : int;
+  pool : Packet.Pool.t; (* the sim's packet table *)
   mutable busy_until : Bfc_engine.Time.t;
   mutable tx_bytes : int;
   mutable tx_packets : int;
@@ -34,12 +37,6 @@ type t = {
   mutable fault : Packet.t -> bool; (* fault injection: drop on the wire? *)
   mutable dropped : int;
   mutable wake_t : Bfc_engine.Sim.token; (* lazy idle wakeup, 0 = none *)
-  mutable ring : Packet.t array; (* in-flight data deliveries, circular FIFO *)
-  mutable head : int;
-  mutable count : int;
-  mutable cring : Packet.t array; (* in-flight control deliveries *)
-  mutable chead : int;
-  mutable ccount : int;
   mutable remote : (Packet.t -> at:Bfc_engine.Time.t -> unit) option;
       (* cross-shard egress (PDES): when set, deliveries are handed to this
          capture hook instead of being scheduled on the local sim *)
@@ -47,21 +44,9 @@ type t = {
 
 (* ------------------------ per-sim registry ------------------------- *)
 
-type reg = { mutable parr : t array; mutable pn : int }
+type reg = { mutable parr : t array; mutable pn : int; packets : Packet.Pool.t }
 
 type Bfc_engine.Sim.user += Port_reg of reg
-
-let ring_pop t =
-  let pkt = t.ring.(t.head) in
-  t.head <- (t.head + 1) mod Array.length t.ring;
-  t.count <- t.count - 1;
-  pkt
-
-let cring_pop t =
-  let pkt = t.cring.(t.chead) in
-  t.chead <- (t.chead + 1) mod Array.length t.cring;
-  t.ccount <- t.ccount - 1;
-  pkt
 
 (* The two shared executors: every delivery and every transmit wakeup in
    a simulation dispatches to these two code paths, keyed by registry
@@ -70,7 +55,7 @@ let deliver_exec st a0 a1 =
   match st with
   | Port_reg r ->
     let p = Array.unsafe_get r.parr a0 in
-    Node.deliver p.peer ~in_port:p.peer_port (if a1 = 0 then ring_pop p else cring_pop p)
+    Node.deliver p.peer ~in_port:p.peer_port (Packet.Pool.get r.packets a1)
   | _ -> invalid_arg "Port.deliver_exec: foreign class state"
 
 let tx_exec st a0 _a1 =
@@ -82,12 +67,14 @@ let registry sim =
   match Bfc_engine.Sim.class_state sim ~cls:Bfc_engine.Sim.cls_delivery with
   | Some (Port_reg r) -> r
   | _ ->
-    let r = { parr = [||]; pn = 0 } in
+    let r = { parr = [||]; pn = 0; packets = Packet.Pool.create ~sim } in
     let state = Port_reg r in
     Bfc_engine.Sim.register_class sim ~cls:Bfc_engine.Sim.cls_delivery ~state
       ~exec:deliver_exec;
     Bfc_engine.Sim.register_class sim ~cls:Bfc_engine.Sim.cls_port_tx ~state ~exec:tx_exec;
     r
+
+let pool sim = (registry sim).packets
 
 let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
   let r = registry sim in
@@ -101,6 +88,7 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
       prop;
       peer;
       peer_port;
+      pool = r.packets;
       busy_until = 0;
       tx_bytes = 0;
       tx_packets = 0;
@@ -109,12 +97,6 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
       fault = (fun _ -> false);
       dropped = 0;
       wake_t = 0;
-      ring = [||];
-      head = 0;
-      count = 0;
-      cring = [||];
-      chead = 0;
-      ccount = 0;
       remote = None;
     }
   in
@@ -156,34 +138,20 @@ let () =
       Some (Printf.sprintf "Port.Busy (send on busy transmitter, port gid=%d, t=%dns)" gid now)
     | _ -> None)
 
-let ring_push t pkt =
-  let cap = Array.length t.ring in
-  if t.count = cap then begin
-    (* seed new slots with [pkt]; stale slots are overwritten before use *)
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let nr = Array.make ncap pkt in
-    for i = 0 to t.count - 1 do
-      nr.(i) <- t.ring.((t.head + i) mod cap)
-    done;
-    t.ring <- nr;
-    t.head <- 0
-  end;
-  t.ring.((t.head + t.count) mod Array.length t.ring) <- pkt;
-  t.count <- t.count + 1
+(* The end of [pkt]'s life on this sim: lost on the wire, or handed to
+   another shard (whose capture hook copied it). *)
+let drop t pkt =
+  t.dropped <- t.dropped + 1;
+  Packet.Pool.release t.pool pkt
 
-let cring_push t pkt =
-  let cap = Array.length t.cring in
-  if t.ccount = cap then begin
-    let ncap = if cap = 0 then 8 else cap * 2 in
-    let nr = Array.make ncap pkt in
-    for i = 0 to t.ccount - 1 do
-      nr.(i) <- t.cring.((t.chead + i) mod cap)
-    done;
-    t.cring <- nr;
-    t.chead <- 0
-  end;
-  t.cring.((t.chead + t.ccount) mod Array.length t.cring) <- pkt;
-  t.ccount <- t.ccount + 1
+let deliver t pkt ~at =
+  match t.remote with
+  | None ->
+    Bfc_engine.Sim.post ?key:t.key t.sim at ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx
+      ~a1:(Packet.Pool.index t.pool pkt)
+  | Some f ->
+    f pkt ~at;
+    Packet.Pool.release t.pool pkt
 
 let send t pkt =
   let now = Bfc_engine.Sim.now t.sim in
@@ -193,15 +161,7 @@ let send t pkt =
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   t.tx_packets <- t.tx_packets + 1;
   (match t.on_tx with None -> () | Some f -> f pkt);
-  if t.fault pkt then t.dropped <- t.dropped + 1
-  else begin
-    match t.remote with
-    | None ->
-      ring_push t pkt;
-      Bfc_engine.Sim.post ?key:t.key t.sim (now + ser + t.prop)
-        ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx ~a1:0
-    | Some f -> f pkt ~at:(now + ser + t.prop)
-  end
+  if t.fault pkt then drop t pkt else deliver t pkt ~at:(now + ser + t.prop)
 
 let ensure_wakeup t =
   if
@@ -213,16 +173,7 @@ let ensure_wakeup t =
         ~a1:0
 
 let send_ctrl t pkt =
-  if t.fault pkt then t.dropped <- t.dropped + 1
-  else begin
-    match t.remote with
-    | None ->
-      cring_push t pkt;
-      Bfc_engine.Sim.post ?key:t.key t.sim
-        (Bfc_engine.Sim.now t.sim + t.prop)
-        ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx ~a1:1
-    | Some f -> f pkt ~at:(Bfc_engine.Sim.now t.sim + t.prop)
-  end
+  if t.fault pkt then drop t pkt else deliver t pkt ~at:(Bfc_engine.Sim.now t.sim + t.prop)
 
 let set_remote t f = t.remote <- Some f
 

@@ -12,9 +12,18 @@
     Control packets ([send_ctrl]) model the dedicated high-priority control
     queue of the paper: they are delivered after the propagation delay
     without occupying the data transmitter (their bandwidth is negligible:
-    64 B at 100 Gbps is 5 ns). *)
+    64 B at 100 Gbps is 5 ns).
+
+    A packet in flight is named by its index in the sim's packet table
+    ({!pool}), which its delivery event carries. Sending hands the packet
+    over: the sender must not touch it afterwards, since a fault drop or a
+    cross-shard hand-off returns it to the table at once. *)
 
 type t
+
+(** The simulation's packet table: one per sim, shared by every port,
+    switch and host on it (created on first use). *)
+val pool : Bfc_engine.Sim.t -> Packet.Pool.t
 
 val create :
   sim:Bfc_engine.Sim.t ->
@@ -78,6 +87,8 @@ val ensure_wakeup : t -> unit
     the busy check, the telemetry tap and fault injection are unchanged;
     only the last step (the delivery event) is redirected, so a port with
     no remote hook behaves byte-identically to before the hook existed.
+    [f] must copy what it keeps: the port releases [pkt] to the table
+    when [f] returns.
     The PDES runtime installs this on ports whose peer lives in another
     shard and forwards the capture over a bounded {!Bfc_engine.Channel}. *)
 val set_remote : t -> (Packet.t -> at:Bfc_engine.Time.t -> unit) -> unit
@@ -87,7 +98,8 @@ val is_remote : t -> bool
 
 (** Fault injection: packets for which the predicate returns true are
     silently lost on the wire (fiber corruption, §3.3 "Idempotent state";
-    the periodic pause bitmap exists to survive exactly this). *)
+    the periodic pause bitmap exists to survive exactly this) and go back
+    to the packet table. *)
 val set_fault : t -> (Packet.t -> bool) -> unit
 
 (** Packets lost to injected faults so far. *)

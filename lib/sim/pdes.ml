@@ -72,7 +72,7 @@ type msg = {
   m_dst_node : int;
   m_in_port : int;
   m_flow_id : int; (* -1 for flow-less control packets *)
-  m_pkt : Packet.t; (* a clone owned by the destination shard *)
+  m_pkt : Packet.t; (* a clone, imported by the destination shard *)
 }
 
 type cmd = Run of Time.t | Quit
@@ -205,7 +205,8 @@ let create ~shards ~lookahead =
 
 (* Producer side: runs on the source shard's domain, inside Sim.run.
    The clone (made here, in the producing domain) is the only part of
-   the packet that crosses; the original stays in its shard's lifecycle.
+   the packet that crosses; the port returns the original to its
+   shard's packet table once this returns.
    No [~sim] on the clone: uids would otherwise perturb the per-sim uid
    stream relative to a sequential run (uids are diagnostics, but the
    differential is easier to trust when streams match). *)
@@ -305,75 +306,36 @@ let cmp_msg a b =
       let c = Int.compare a.m_src_gid b.m_src_gid in
       if c <> 0 then c else Int.compare a.m_seq b.m_seq
 
-(* Typed barrier delivery ([cls_pdes_barrier]): the payload of a
-   cross-shard delivery — destination node, ingress port, packet — lives
-   in a per-sim parcel table, and the event carries only the parcel slot
-   in [a0]. Slots are allocated at the barrier (coordinator thread,
-   every shard parked) and released by the executor (the owning worker's
-   domain, inside its window); each side's writes are published to the
-   other by the barrier protocol itself (the [w_busy] atomics and the
-   command mutex handoff), so the table needs no locking of its own. *)
+(* Typed barrier delivery ([cls_pdes_barrier]): the clone is imported
+   into the destination's packet table at the barrier (coordinator
+   thread, every shard parked) and released there by whichever device
+   consumes it (the owning worker's domain, inside its window); each
+   side's writes are published to the other by the barrier protocol
+   itself (the [w_busy] atomics and the command mutex handoff). The event
+   carries the destination node and ingress port packed in [a0] and the
+   packet's table index in [a1]. *)
 
-type parcel = {
-  mutable pc_node : Node.t;
-  mutable pc_in_port : int;
-  mutable pc_pkt : Packet.t;
-}
+type Bfc_engine.Sim.user += Pdes_reg of { nodes : Node.t array; packets : Packet.Pool.t }
 
-type preg = {
-  mutable pslots : parcel array; (* [0, pn) are allocated-or-free parcels *)
-  mutable pn : int;
-  mutable pfree : int array; (* LIFO free list of slot indices *)
-  mutable pfree_n : int;
-}
+let port_bits = 20
 
-type Bfc_engine.Sim.user += Pdes_reg of preg
-
-let parcel_exec st a0 _a1 =
+let barrier_exec st a0 a1 =
   match st with
   | Pdes_reg r ->
-    let p = Array.unsafe_get r.pslots a0 in
-    if r.pfree_n = Array.length r.pfree then begin
-      let ncap = max 64 (2 * r.pfree_n) in
-      let nf = Array.make ncap 0 in
-      Array.blit r.pfree 0 nf 0 r.pfree_n;
-      r.pfree <- nf
-    end;
-    r.pfree.(r.pfree_n) <- a0;
-    r.pfree_n <- r.pfree_n + 1;
-    Node.deliver p.pc_node ~in_port:p.pc_in_port p.pc_pkt
-  | _ -> invalid_arg "Pdes.parcel_exec: foreign class state"
+    Node.deliver r.nodes.(a0 lsr port_bits)
+      ~in_port:(a0 land ((1 lsl port_bits) - 1))
+      (Packet.Pool.get r.packets a1)
+  | _ -> invalid_arg "Pdes.barrier_exec: foreign class state"
 
-let preg_of sim =
-  match Sim.class_state sim ~cls:Sim.cls_pdes_barrier with
-  | Some (Pdes_reg r) -> r
+let barrier_packets sx =
+  match Sim.class_state sx.sx_sim ~cls:Sim.cls_pdes_barrier with
+  | Some (Pdes_reg r) -> r.packets
   | _ ->
-    let r = { pslots = [||]; pn = 0; pfree = [||]; pfree_n = 0 } in
-    Sim.register_class sim ~cls:Sim.cls_pdes_barrier ~state:(Pdes_reg r) ~exec:parcel_exec;
-    r
-
-let parcel_alloc r node ~in_port pkt =
-  if r.pfree_n > 0 then begin
-    r.pfree_n <- r.pfree_n - 1;
-    let i = r.pfree.(r.pfree_n) in
-    let p = r.pslots.(i) in
-    p.pc_node <- node;
-    p.pc_in_port <- in_port;
-    p.pc_pkt <- pkt;
-    i
-  end
-  else begin
-    let p = { pc_node = node; pc_in_port = in_port; pc_pkt = pkt } in
-    if r.pn = Array.length r.pslots then begin
-      let ncap = max 64 (2 * r.pn) in
-      let ns = Array.make ncap p in
-      Array.blit r.pslots 0 ns 0 r.pn;
-      r.pslots <- ns
-    end;
-    r.pslots.(r.pn) <- p;
-    r.pn <- r.pn + 1;
-    r.pn - 1
-  end
+    let packets = Port.pool sx.sx_sim in
+    Sim.register_class sx.sx_sim ~cls:Sim.cls_pdes_barrier
+      ~state:(Pdes_reg { nodes = sx.sx_nodes; packets })
+      ~exec:barrier_exec;
+    packets
 
 (* Barrier insertion: all shards are parked, so their queues are safe to
    touch from here (the next command's mutex handoff publishes the
@@ -390,13 +352,13 @@ let flush_pending t =
     List.iter
       (fun m ->
         let sx = t.shards.(m.m_dst_shard) in
+        let pkt = Packet.Pool.import (barrier_packets sx) m.m_pkt in
         (match Int_table.find_exn sx.sx_replicas m.m_flow_id with
         | exception Not_found -> ()
-        | f -> m.m_pkt.Packet.flow <- Some f);
-        let r = preg_of sx.sx_sim in
-        let slot = parcel_alloc r sx.sx_nodes.(m.m_dst_node) ~in_port:m.m_in_port m.m_pkt in
+        | f -> pkt.Packet.flow <- Some f);
         Sim.post ~sent:m.m_sent ~key:m.m_src_gid sx.sx_sim m.m_at ~cls:Sim.cls_pdes_barrier
-          ~a0:slot ~a1:0)
+          ~a0:((m.m_dst_node lsl port_bits) lor m.m_in_port)
+          ~a1:pkt.Packet.idx)
       (List.sort cmp_msg ms)
 
 let run t ~until =

@@ -324,10 +324,10 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
   | _ -> ());
   let own = match owned with None -> fun _ -> true | Some f -> f in
   let sim = Topology.sim topo in
-  (* One free-list pool per environment: every switch and host draws from
-     (and recycles into) it, so the steady-state hot path allocates no
-     packets. Pools never cross environments, hence never cross domains. *)
-  let pool = Packet.Pool.create ~sim in
+  (* The sim's packet table: every switch and host draws from (and
+     recycles into) it, so the steady-state hot path allocates no packets.
+     Tables never cross environments, hence never cross domains. *)
+  let pool = Port.pool sim in
   let nodes = Topology.nodes topo in
   let base_rtt = compute_base_rtt topo in
   (* line rate of host uplinks *)
@@ -381,7 +381,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
       | Node.Switch ->
         let sw =
           Switch.create ~sim ~node:nd ~ports:(Topology.ports topo nd.Node.id) ~config:swcfg
-            ~pool
             ~route:(fun sw ~in_port pkt -> route sw ~in_port pkt)
             ()
         in
@@ -427,7 +426,7 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
         switches := sw :: !switches
       | Node.Host ->
         let port = (Topology.ports topo nd.Node.id).(0) in
-        let h = Host.create ~sim ~node:nd ~port ~config:hostcfg ~pool () in
+        let h = Host.create ~sim ~node:nd ~port ~config:hostcfg () in
         hosts.(nd.Node.id) <- Some h)
     nodes;
   let env =

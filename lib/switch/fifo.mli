@@ -4,14 +4,17 @@
     builds on). Pausing affects scheduling eligibility only; enqueues are
     still accepted (admission is the buffer model's job).
 
-    Storage is a power-of-two array ring that doubles when full and is
+    Storage is a power-of-two ring of packet indices into the sim's
+    packet table ({!Bfc_net.Packet.Pool}): it doubles when full and is
     never shrunk, so a queue costs no allocation once it has reached its
-    high-water mark. *)
+    high-water mark, and an enqueue stores an int — no GC write
+    barrier. *)
 
 type t = {
   idx : int; (** queue index within its egress port *)
   cls : int; (** traffic class this queue belongs to *)
-  mutable ring : Bfc_net.Packet.t array; (** storage; use the functions below *)
+  pool : Bfc_net.Packet.Pool.t; (** the packet table [ring] indexes *)
+  mutable ring : int array; (** packet indices; use the functions below *)
   mutable head : int; (** slot of the oldest packet *)
   mutable len : int; (** resident packets *)
   mutable bytes : int;
@@ -20,12 +23,16 @@ type t = {
   mutable in_ring : bool; (** scheduler bookkeeping *)
 }
 
-val create : idx:int -> cls:int -> t
+(** [create ~pool ~idx ~cls] — an empty queue over packet table [pool]
+    (the sim's, {!Bfc_net.Port.pool}). *)
+val create : pool:Bfc_net.Packet.Pool.t -> idx:int -> cls:int -> t
 
 val is_empty : t -> bool
 
 val length : t -> int
 
+(** Enqueue at the tail, indexing the packet in the queue's table if it
+    has no index yet. *)
 val push : t -> Bfc_net.Packet.t -> unit
 
 (** Remove and return the oldest packet. Raises [Invalid_argument] when

@@ -1,25 +1,28 @@
 type policy = Drr | Srf | Prio_strict
 
-(* One class's candidate ring: a FIFO of queues that may be servable.
-   [in_ring] keeps every queue in at most one slot, so a fixed capacity of
-   the class's queue count never overflows. *)
-type ring = { slots : Fifo.t array; mutable rh : int; mutable rn : int }
+module Packet = Bfc_net.Packet
+
+(* One class's candidate ring: a FIFO of queues that may be servable, by
+   index into [queues]. [in_ring] keeps every queue in at most one slot,
+   so a fixed capacity of the class's queue count never overflows. *)
+type ring = { slots : int array; mutable rh : int; mutable rn : int }
 
 type t = {
   policy : policy;
-  queues : Fifo.t array;
+  queues : Fifo.t array; (* queue [i] has [Fifo.idx = i] *)
   classes : int;
   quantum : int;
   rings : ring array; (* one candidate ring per class *)
   mutable nonempty : int;
   mutable nonempty_paused : int;
-  mutable served : Fifo.t; (* result registers of the last successful [take] *)
-  mutable taken : Bfc_net.Packet.t;
+  mutable served : int; (* queue of the last successful [take] *)
 }
 
 let create policy ~queues ~classes ~quantum =
   if classes <= 0 then invalid_arg "Sched.create: classes";
-  let placeholder = Fifo.create ~idx:(-1) ~cls:(-1) in
+  Array.iteri
+    (fun i q -> if q.Fifo.idx <> i then invalid_arg "Sched.create: queue idx <> position")
+    queues;
   let per_class = Array.make classes 0 in
   Array.iter (fun q -> per_class.(q.Fifo.cls) <- per_class.(q.Fifo.cls) + 1) queues;
   {
@@ -27,35 +30,33 @@ let create policy ~queues ~classes ~quantum =
     queues;
     classes;
     quantum;
-    rings =
-      Array.map (fun n -> { slots = Array.make n placeholder; rh = 0; rn = 0 }) per_class;
+    rings = Array.map (fun n -> { slots = Array.make n 0; rh = 0; rn = 0 }) per_class;
     nonempty = 0;
     nonempty_paused = 0;
-    served = placeholder;
-    taken = Bfc_net.Packet.placeholder;
+    served = 0;
   }
 
 let policy t = t.policy
 
-let ring_add r q =
+let ring_add r qi =
   let cap = Array.length r.slots in
   if r.rn = cap then invalid_arg "Sched: queue not created with this scheduler";
   let i = r.rh + r.rn in
-  Array.unsafe_set r.slots (if i >= cap then i - cap else i) q;
+  Array.unsafe_set r.slots (if i >= cap then i - cap else i) qi;
   r.rn <- r.rn + 1
 
 let ring_pop r =
-  let q = Array.unsafe_get r.slots r.rh in
+  let qi = Array.unsafe_get r.slots r.rh in
   r.rh <- (if r.rh + 1 = Array.length r.slots then 0 else r.rh + 1);
   r.rn <- r.rn - 1;
-  q
+  qi
 
 let eligible q = (not (Fifo.is_empty q)) && not q.Fifo.paused
 
 let activate t q =
   if (not q.Fifo.in_ring) && eligible q then begin
     q.Fifo.in_ring <- true;
-    ring_add t.rings.(q.Fifo.cls) q
+    ring_add t.rings.(q.Fifo.cls) q.Fifo.idx
   end
 
 let push t q pkt =
@@ -83,32 +84,31 @@ let set_paused t q paused =
   end
 
 (* Evict the ring front (lazily removing stale candidates). *)
-let evict_front r = (ring_pop r).Fifo.in_ring <- false
+let evict_front t r = (Array.unsafe_get t.queues (ring_pop r)).Fifo.in_ring <- false
 
 let serve t q =
   let pkt = Fifo.pop q in
   note_popped t q;
-  t.served <- q;
-  t.taken <- pkt
+  t.served <- q.Fifo.idx;
+  pkt
 
 let take_drr t r =
   (* Serve the front queue if its deficit covers the head packet, otherwise
      top up its deficit and rotate. Bounded: each queue is visited at most
      twice per call because the quantum covers a full-size packet. *)
   let budget = ref ((2 * r.rn) + 2) in
-  let found = ref false in
-  while (not !found) && r.rn > 0 && !budget > 0 do
+  let got = ref Packet.placeholder in
+  while !got == Packet.placeholder && r.rn > 0 && !budget > 0 do
     decr budget;
-    let q = Array.unsafe_get r.slots r.rh in
-    (* eligible implies non-empty, so the head peek cannot raise *)
-    if not (eligible q) then evict_front r
+    let q = Array.unsafe_get t.queues (Array.unsafe_get r.slots r.rh) in
+    (* eligible implies non-empty, so the head size is the packet's *)
+    if not (eligible q) then evict_front t r
     else begin
-      let size = (Fifo.peek_exn q).Bfc_net.Packet.size in
+      let size = Fifo.head_size q in
       if q.Fifo.deficit >= size then begin
         q.Fifo.deficit <- q.Fifo.deficit - size;
-        serve t q;
-        if Fifo.is_empty q then evict_front r;
-        found := true
+        got := serve t q;
+        if Fifo.is_empty q then evict_front t r
       end
       else begin
         q.Fifo.deficit <- q.Fifo.deficit + t.quantum;
@@ -116,47 +116,45 @@ let take_drr t r =
       end
     end
   done;
-  !found
+  !got
 
 let take_scan t r ~better =
   (* Scan the whole ring, evicting stale entries, keeping the best eligible
      queue per [better]; used for SRF and strict priority. *)
-  let best = ref t.served and found = ref false in
+  let best = ref (-1) in
   for _ = 1 to r.rn do
-    let q = ring_pop r in
+    let qi = ring_pop r in
+    let q = Array.unsafe_get t.queues qi in
     if eligible q then begin
-      ring_add r q;
-      if (not !found) || better q !best then begin
-        best := q;
-        found := true
-      end
+      ring_add r qi;
+      if !best < 0 || better q (Array.unsafe_get t.queues !best) then best := qi
     end
     else q.Fifo.in_ring <- false
   done;
-  if !found then serve t !best;
-  !found
+  if !best < 0 then Packet.placeholder else serve t (Array.unsafe_get t.queues !best)
 
 let shorter_remaining a b = Fifo.head_remaining a < Fifo.head_remaining b
 
 let lower_index a b = a.Fifo.idx < b.Fifo.idx
 
 let rec take_from t c =
-  c < t.classes
-  &&
-  let r = Array.unsafe_get t.rings c in
-  (r.rn > 0
-  &&
-  match t.policy with
-  | Drr -> take_drr t r
-  | Srf -> take_scan t r ~better:shorter_remaining
-  | Prio_strict -> take_scan t r ~better:lower_index)
-  || take_from t (c + 1)
+  if c >= t.classes then Packet.placeholder
+  else begin
+    let r = Array.unsafe_get t.rings c in
+    let pkt =
+      if r.rn = 0 then Packet.placeholder
+      else
+        match t.policy with
+        | Drr -> take_drr t r
+        | Srf -> take_scan t r ~better:shorter_remaining
+        | Prio_strict -> take_scan t r ~better:lower_index
+    in
+    if pkt == Packet.placeholder then take_from t (c + 1) else pkt
+  end
 
 let take t = take_from t 0
 
-let served t = t.served
-
-let taken t = t.taken
+let served t = t.queues.(t.served)
 
 let flush t f =
   Array.iter

@@ -17,14 +17,16 @@
     egress is not PFC-paused. The scheduler is notified of state changes via
     [activate] (queue may have become servable).
 
-    Each class keeps a ring of candidate queues in a fixed array sized by
-    the class's queue count, so only queues passed to {!create} may be
-    pushed or activated. *)
+    Each class keeps a ring of candidate queue indices in a fixed int
+    array sized by the class's queue count, so only queues passed to
+    {!create} may be pushed or activated. *)
 
 type policy = Drr | Srf | Prio_strict
 
 type t
 
+(** [create policy ~queues ~classes ~quantum]: queue [i] of [queues]
+    must have [Fifo.idx = i] (raises [Invalid_argument] otherwise). *)
 val create : policy -> queues:Fifo.t array -> classes:int -> quantum:int -> t
 
 val policy : t -> policy
@@ -39,17 +41,14 @@ val push : t -> Fifo.t -> Bfc_net.Packet.t -> unit
 (** Pause or resume a queue (BFC's per-queue pause). *)
 val set_paused : t -> Fifo.t -> bool -> unit
 
-(** Pick and pop the next packet to transmit, honouring pauses; [false]
-    when no queue is eligible. Updates DRR deficits. On [true], {!served}
-    and {!taken} name the queue served and the packet popped. Allocates
-    nothing. *)
-val take : t -> bool
+(** Pick and pop the next packet to transmit, honouring pauses; it is
+    {!Bfc_net.Packet.placeholder} (compare with [==]) when no queue is
+    eligible. Updates DRR deficits. Allocates nothing and stores no
+    pointer. *)
+val take : t -> Bfc_net.Packet.t
 
 (** The queue of the last successful {!take}. *)
 val served : t -> Fifo.t
-
-(** The packet of the last successful {!take}. *)
-val taken : t -> Bfc_net.Packet.t
 
 (** [flush t f] empties every queue, calling [f] on each resident packet
     (oldest first per queue), and resets all scheduler state: pauses,

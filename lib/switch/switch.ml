@@ -56,7 +56,7 @@ type t = {
   node : Node.t;
   idx : int; (* index into the per-sim switch registry, the [a0] of events *)
   cfg : config;
-  pool : Packet.Pool.t option;
+  pool : Packet.Pool.t; (* the sim's packet table *)
   route : route_fn;
   egresses : egress array;
   buffer : Buffer.t;
@@ -115,17 +115,12 @@ let sim t = t.sim
 
 let pool t = t.pool
 
-(* Return a consumed packet to the environment's pool, if one is attached.
-   Standalone switches (unit tests) run pool-less and let the GC collect. *)
-let recycle t pkt = match t.pool with Some p -> Packet.Pool.release p pkt | None -> ()
+(* Return a consumed packet to the sim's packet table. *)
+let recycle t pkt = Packet.Pool.release t.pool pkt
 
 let make_pfc t =
-  match t.pool with
-  | Some p ->
-    Packet.Pool.acquire p Packet.Pfc ~flow:None ~src:t.node.Node.id ~dst:(-1)
-      ~size:Packet.ctrl_bytes ~seq:0
-  | None ->
-    Packet.make ~sim:t.sim Packet.Pfc ~src:t.node.Node.id ~dst:(-1) ~size:Packet.ctrl_bytes ()
+  Packet.Pool.acquire t.pool Packet.Pfc ~flow:None ~src:t.node.Node.id ~dst:(-1)
+    ~size:Packet.ctrl_bytes ~seq:0
 
 let n_ports t = Array.length t.egresses
 
@@ -194,8 +189,10 @@ let pfc_check_resume t in_port =
 let try_send t e =
   if not e.epfc_paused then begin
     if Port.busy e.eport then Port.ensure_wakeup e.eport
-    else if Sched.take e.esched then begin
-      let q = Sched.served e.esched and pkt = Sched.taken e.esched in
+    else begin
+      let pkt = Sched.take e.esched in
+      if pkt != Packet.placeholder then begin
+      let q = Sched.served e.esched in
       e.ebytes <- e.ebytes - pkt.Packet.size;
       let delay = Sim.now t.sim - pkt.Packet.enq_at in
       pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
@@ -214,6 +211,7 @@ let try_send t e =
       (* serialization takes >= 1 ns, so the port is busy now; if more
          traffic is queued, the idle wakeup pulls the next packet *)
       if Sched.n_active e.esched > 0 then Port.ensure_wakeup e.eport
+      end
     end
   end
 
@@ -464,8 +462,9 @@ let receive t ~in_port pkt =
   | Packet.Cnp ->
     forward t ~in_port pkt
 
-let create ~sim ~node ~ports ~config:cfg ?pool ~route () =
+let create ~sim ~node ~ports ~config:cfg ~route () =
   let r = registry sim in
+  let pool = Port.pool sim in
   let n_ingress = Array.length ports in
   let quantum = cfg.mtu + Packet.header_bytes in
   let egresses =
@@ -473,7 +472,7 @@ let create ~sim ~node ~ports ~config:cfg ?pool ~route () =
       (fun i p ->
         let equeues =
           Array.init cfg.queues_per_port (fun qi ->
-              Fifo.create ~idx:qi ~cls:(qi * cfg.classes / cfg.queues_per_port))
+              Fifo.create ~pool ~idx:qi ~cls:(qi * cfg.classes / cfg.queues_per_port))
         in
         {
           eidx = i;
@@ -491,7 +490,7 @@ let create ~sim ~node ~ports ~config:cfg ?pool ~route () =
         })
       ports
   in
-  let max_hrtt = Array.fold_left (fun acc p -> max acc (Port.hop_rtt p)) 0 ports in
+  let max_hrtt = Array.fold_left (fun acc p -> Int.max acc (Port.hop_rtt p)) 0 ports in
   let t =
     {
       sim;

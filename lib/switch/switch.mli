@@ -66,15 +66,15 @@ type hooks = {
 }
 
 (** [create ~sim ~node ~config ~route] attaches a switch device to [node].
-    [route] typically wraps {!Bfc_net.Topology.ecmp_port}. With [?pool],
-    control packets are drawn from (and consumed packets returned to) the
-    environment's packet pool; without it the switch allocates normally. *)
+    [route] typically wraps {!Bfc_net.Topology.ecmp_port}. Its queues
+    hold indices into the sim's packet table ({!Bfc_net.Port.pool}),
+    control packets are drawn from it, and consumed or dropped packets go
+    back to it. *)
 val create :
   sim:Bfc_engine.Sim.t ->
   node:Bfc_net.Node.t ->
   ports:Bfc_net.Port.t array ->
   config:config ->
-  ?pool:Bfc_net.Packet.Pool.t ->
   route:route_fn ->
   unit ->
   t
@@ -87,9 +87,9 @@ val node_id : t -> int
 
 val sim : t -> Bfc_engine.Sim.t
 
-(** The attached packet pool, if the switch was created with one. Dataplane
-    programs use it to mint pause/credit frames without allocating. *)
-val pool : t -> Bfc_net.Packet.Pool.t option
+(** The sim's packet table. Dataplane programs use it to mint
+    pause/credit frames without allocating. *)
+val pool : t -> Bfc_net.Packet.Pool.t
 
 val n_ports : t -> int
 

@@ -1,6 +1,7 @@
 module Packet = Bfc_net.Packet
 module Flow = Bfc_net.Flow
 module Node = Bfc_net.Node
+module Port = Bfc_net.Port
 module Sim = Bfc_engine.Sim
 module Rng = Bfc_util.Rng
 
@@ -104,7 +105,7 @@ type t = {
   node : Node.t;
   idx : int; (* index into the per-sim host registry, the [a0] of events *)
   cfg : config;
-  pool : Packet.Pool.t option;
+  pool : Packet.Pool.t; (* the sim's packet table *)
   nic : Nic.t;
   txs : tx Bfc_util.Int_table.t; (* flow id -> sender state, flat probe per packet *)
   rxs : rx Bfc_util.Int_table.t;
@@ -150,9 +151,8 @@ let watchdog_fires t = Nic.watchdog_fires t.nic
 
 let mtu_wire cfg = cfg.mtu + Packet.header_bytes + cfg.extra_header
 
-(* Return a fully-consumed packet to the environment's pool (no-op for
-   pool-less hosts, e.g. unit tests). *)
-let recycle t pkt = match t.pool with Some p -> Packet.Pool.release p pkt | None -> ()
+(* Return a fully-consumed packet to the sim's packet table. *)
+let recycle t pkt = Packet.Pool.release t.pool pkt
 
 (* NIC queue depth kept per window-based flow; the refill pump tops it up on
    every dequeue, so the flow still sends at line rate when permitted. *)
@@ -190,12 +190,9 @@ let rate_of tx =
 
 let make_data t tx ~seq ~len =
   let pkt =
-    match t.pool with
-    | Some p -> Packet.Pool.data p ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
-    | None ->
-      Packet.data ~sim:t.sim ~flow:tx.flow ~seq ~payload:len ~extra_header:t.cfg.extra_header ()
+    Packet.Pool.data t.pool ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
   in
-  if t.cfg.srf then pkt.Packet.remaining <- max 0 (tx.flow.Flow.size - tx.snd_una);
+  if t.cfg.srf then pkt.Packet.remaining <- Int.max 0 (tx.flow.Flow.size - tx.snd_una);
   t.bytes_sent <- t.bytes_sent + len;
   pkt
 
@@ -204,18 +201,20 @@ let homa_data_prio t tx ~seq =
   | Homa p -> if seq < tx.unsched then Homa.unsched_prio p ~size:tx.flow.Flow.size else tx.grant_prio
   | _ -> tx.flow.Flow.prio_class
 
+(* The FIN flag is set before the NIC takes the packet: once submitted,
+   it may already be on the wire and no longer ours to touch. *)
 let submit_data t tx pkt =
-  (match t.cfg.scheme with
-  | Homa _ ->
-    (* priority-mapped NIC queue: ctrl is queue 0, data prio p -> queue p+1 *)
-    let q = min (t.cfg.nic_queues - 1) (pkt.Packet.prio + 1) in
-    Nic.submit t.nic ~queue:q pkt
-  | _ -> Nic.submit t.nic ~queue:tx.nic_q pkt);
   if tx.flow.Flow.size - pkt.Packet.seq <= pkt.Packet.payload && not tx.fin_sent then begin
     pkt.Packet.ctrl_b <- 1;
     (* FIN flag *)
     tx.fin_sent <- true
-  end
+  end;
+  match t.cfg.scheme with
+  | Homa _ ->
+    (* priority-mapped NIC queue: ctrl is queue 0, data prio p -> queue p+1 *)
+    let q = Int.min (t.cfg.nic_queues - 1) (pkt.Packet.prio + 1) in
+    Nic.submit t.nic ~queue:q pkt
+  | _ -> Nic.submit t.nic ~queue:tx.nic_q pkt
 
 (* Send limit as an absolute byte offset. *)
 let send_limit tx =
@@ -513,14 +512,11 @@ let get_rx t flow =
 
 (* [flow] is the packet's flow field as stored: pass a per-flow option
    built once (or a received packet's own field), not a fresh [Some]. *)
+let ctrl_pkt t kind ~flow ~dst ~size ~seq =
+  Packet.Pool.acquire t.pool kind ~flow ~src:t.node.Node.id ~dst ~size ~seq
+
 let send_ctrl_pkt t kind ~flow ~dst ~size ~seq =
-  let pkt =
-    match t.pool with
-    | Some p -> Packet.Pool.acquire p kind ~flow ~src:t.node.Node.id ~dst ~size ~seq
-    | None -> Packet.make ~sim:t.sim kind ?flow ~src:t.node.Node.id ~dst ~size ~seq ()
-  in
-  Nic.submit_ctrl t.nic pkt;
-  pkt
+  Nic.submit_ctrl t.nic (ctrl_pkt t kind ~flow ~dst ~size ~seq)
 
 let gbn_mode t =
   match t.cfg.scheme with
@@ -539,13 +535,8 @@ let xpass_stop_credits t rx =
 let xpass_pace t rx =
   if not rx.cr_stop then begin
     let credit =
-      match t.pool with
-      | Some p ->
-        Packet.Pool.acquire p Packet.Credit ~flow:rx.rfopt ~src:t.node.Node.id
-          ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes ~seq:0
-      | None ->
-        Packet.make ~sim:t.sim Packet.Credit ~flow:rx.rflow ~src:t.node.Node.id
-          ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes ()
+      ctrl_pkt t Packet.Credit ~flow:rx.rfopt ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes
+        ~seq:0
     in
     rx.cr_sent <- rx.cr_sent + 1;
     credit.Packet.ctrl_a <- rx.cr_sent;
@@ -597,9 +588,8 @@ let on_data t pkt =
       (* gap: Go-Back-N NACK, at most one per RTT *)
       if Sim.now t.sim - rx.last_nack > t.cfg.base_rtt then begin
         rx.last_nack <- Sim.now t.sim;
-        ignore
-          (send_ctrl_pkt t Packet.Nack ~flow:pkt.Packet.flow ~dst:flow.Flow.src
-             ~size:Packet.ack_bytes ~seq:rx.expected)
+        send_ctrl_pkt t Packet.Nack ~flow:pkt.Packet.flow ~dst:flow.Flow.src
+          ~size:Packet.ack_bytes ~seq:rx.expected
       end
     end
   end
@@ -614,9 +604,8 @@ let on_data t pkt =
   | Dcqcn p ->
     if pkt.Packet.ecn && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
       rx.last_cnp <- Sim.now t.sim;
-      ignore
-        (send_ctrl_pkt t Packet.Cnp ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
-           ~seq:0)
+      send_ctrl_pkt t Packet.Cnp ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
+        ~seq:0
     end
   | Homa _ -> (
     match t.homa_recv with
@@ -625,11 +614,12 @@ let on_data t pkt =
       List.iter
         (fun g ->
           let gp =
-            send_ctrl_pkt t Packet.Grant ~flow:(Some g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
+            ctrl_pkt t Packet.Grant ~flow:(Some g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
               ~size:Packet.ctrl_bytes ~seq:0
           in
           gp.Packet.ctrl_a <- g.Homa.g_offset;
-          gp.Packet.ctrl_b <- g.Homa.g_prio)
+          gp.Packet.ctrl_b <- g.Homa.g_prio;
+          Nic.submit_ctrl t.nic gp)
         grants
     | None -> ())
   | Xpass _ ->
@@ -649,13 +639,8 @@ let on_data t pkt =
   in
   if ack_now then begin
     let ack =
-      match t.pool with
-      | Some p ->
-        Packet.Pool.acquire p Packet.Ack ~flow:pkt.Packet.flow ~src:t.node.Node.id
-          ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq:now_cov
-      | None ->
-        Packet.make ~sim:t.sim Packet.Ack ~flow ~src:t.node.Node.id ~dst:flow.Flow.src
-          ~size:Packet.ack_bytes ~seq:now_cov ()
+      ctrl_pkt t Packet.Ack ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ack_bytes
+        ~seq:now_cov
     in
     ack.Packet.ecn_echo <- pkt.Packet.ecn;
     (* Copy (never alias) the INT stack: [pkt] may be recycled the moment
@@ -746,9 +731,8 @@ let start_flow t flow =
   arm_rto t tx;
   (match t.cfg.scheme with
   | Xpass _ ->
-    ignore
-      (send_ctrl_pkt t Packet.Credit_req ~flow:tx.fopt ~dst:flow.Flow.dst ~size:Packet.ctrl_bytes
-         ~seq:0)
+    send_ctrl_pkt t Packet.Credit_req ~flow:tx.fopt ~dst:flow.Flow.dst ~size:Packet.ctrl_bytes
+      ~seq:0
   | Dcqcn _ | Timely -> rate_pace t tx
   | Homa _ -> blast t tx
   | Bfc _ | Dctcp _ | Hpcc _ | Swift _ -> pump t tx)
@@ -817,7 +801,7 @@ let registry sim =
     Sim.register_class sim ~cls:Sim.cls_flow_timeout ~state:(Host_reg r) ~exec:timeout_exec;
     r
 
-let create ~sim ~node ~port ~config:cfg ?pool () =
+let create ~sim ~node ~port ~config:cfg () =
   let r = registry sim in
   let nic =
     Nic.create ~sim ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
@@ -831,7 +815,7 @@ let create ~sim ~node ~port ~config:cfg ?pool () =
       node;
       idx = r.hn;
       cfg;
-      pool;
+      pool = Port.pool sim;
       nic;
       txs = Bfc_util.Int_table.create ~size:64 ();
       rxs = Bfc_util.Int_table.create ~size:64 ();

@@ -47,15 +47,14 @@ val default_config : config
 type t
 
 (** [create ~sim ~node ~port ~config] attaches a host device to [node]
-    ([port] is its uplink). With [?pool], data/ack/ctrl packets are drawn
-    from (and consumed packets returned to) the environment's packet
-    pool. *)
+    ([port] is its uplink). Data, ack and control packets are drawn from
+    (and consumed packets returned to) the sim's packet table
+    ({!Bfc_net.Port.pool}). *)
 val create :
   sim:Bfc_engine.Sim.t ->
   node:Bfc_net.Node.t ->
   port:Bfc_net.Port.t ->
   config:config ->
-  ?pool:Bfc_net.Packet.Pool.t ->
   unit ->
   t
 

@@ -29,8 +29,10 @@ type t = {
 let try_send t =
   if not t.pfc_paused then begin
     if Port.busy t.port then Port.ensure_wakeup t.port
-    else if Sched.take t.sched then begin
-      let q = Sched.served t.sched and pkt = Sched.taken t.sched in
+    else begin
+      let pkt = Sched.take t.sched in
+      if pkt != Packet.placeholder then begin
+      let q = Sched.served t.sched in
       t.backlog <- t.backlog - pkt.Packet.size;
       if pkt.Packet.kind = Packet.Data then begin
         pkt.Packet.upstream_q <- q.Fifo.idx;
@@ -45,6 +47,7 @@ let try_send t =
       Port.send t.port pkt;
       if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
       t.on_dequeue q.Fifo.idx
+      end
     end
   end
 
@@ -112,7 +115,8 @@ let registry sim =
 let create ~sim ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit () =
   if n_queues < 2 then invalid_arg "Nic.create: need >= 2 queues";
   let r = registry sim in
-  let queues = Array.init n_queues (fun idx -> Fifo.create ~idx ~cls:0) in
+  let pool = Port.pool sim in
+  let queues = Array.init n_queues (fun idx -> Fifo.create ~pool ~idx ~cls:0) in
   let quantum = 1100 + Packet.header_bytes in
   let t =
     {
@@ -203,7 +207,8 @@ let alloc_queue t =
   t.occupants.(q) <- t.occupants.(q) + 1;
   q
 
-let release_queue t q = if q >= 1 && q < Array.length t.queues then t.occupants.(q) <- max 0 (t.occupants.(q) - 1)
+let release_queue t q =
+  if q >= 1 && q < Array.length t.queues then t.occupants.(q) <- Int.max 0 (t.occupants.(q) - 1)
 
 let submit t ~queue pkt =
   let q = t.queues.(queue) in

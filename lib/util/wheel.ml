@@ -33,9 +33,11 @@
    instead of re-dealing them, so tombstones cost one bucket slot until
    the next cascade sweeps them, never a re-insertion.
 
-   Buckets are parallel int arrays (time, rank, seq) plus a value array,
-   grown geometrically and reused forever — steady-state push/pop
-   allocates nothing. Index arithmetic inside the scan loops is derived
+   Payloads are ints (the owner's id for the entry: Sim queues pool
+   slots), so a bucket is four parallel int arrays (time, rank, seq,
+   value), grown geometrically and reused forever — steady-state
+   push/pop allocates nothing, and no store into a bucket takes the
+   GC's write barrier. Index arithmetic inside the scan loops is derived
    from [bsize]-bounded cursors, so it uses unsafe accessors. *)
 
 let bits = 8
@@ -48,19 +50,19 @@ let bmask = bsize - 1
    (digits above the top level are always zero for OCaml's 63-bit ints). *)
 let levels = 8
 
-type 'a bucket = {
+type bucket = {
   mutable bt : int array; (* absolute deadlines *)
   mutable br : int array; (* secondary ranks *)
   mutable bs : int array; (* global insertion sequence numbers *)
-  mutable bv : 'a array;
+  mutable bv : int array; (* payloads *)
   mutable blen : int;
 }
 
-type 'a t = {
-  lv : 'a bucket array array; (* lv.(level).(slot) *)
-  l0 : 'a bucket array; (* alias of lv.(0), the hot level *)
-  garbage : 'a -> bool;
-  release : 'a -> unit; (* called on every purged garbage entry *)
+type t = {
+  lv : bucket array array; (* lv.(level).(slot) *)
+  l0 : bucket array; (* alias of lv.(0), the hot level *)
+  garbage : int -> bool;
+  release : int -> unit; (* called on every purged garbage entry *)
   mutable wnow : int; (* deadline of the bucket under the cursor *)
   mutable ci : int; (* pop cursor inside the current level-0 bucket *)
   mutable size : int; (* resident entries, including unpurged garbage *)
@@ -99,16 +101,14 @@ let level_for t time =
   done;
   !l
 
-(* [v] seeds the value array on first growth, after which slots are
-   recycled (stale values are overwritten before use). *)
-let bucket_grow t b v =
+let bucket_grow t b =
   let cap = Array.length b.bv in
   let ncap = if cap = 0 then 8 else cap * 2 in
   t.cap <- t.cap + (ncap - cap);
   let nt = Array.make ncap 0
   and nr = Array.make ncap 0
   and ns = Array.make ncap 0
-  and nv = Array.make ncap v in
+  and nv = Array.make ncap 0 in
   Array.blit b.bt 0 nt 0 b.blen;
   Array.blit b.br 0 nr 0 b.blen;
   Array.blit b.bs 0 ns 0 b.blen;
@@ -120,7 +120,7 @@ let bucket_grow t b v =
 
 (* Append one entry. *)
 let bucket_put t b time rank seq v =
-  if b.blen = Array.length b.bv then bucket_grow t b v;
+  if b.blen = Array.length b.bv then bucket_grow t b;
   Array.unsafe_set b.bt b.blen time;
   Array.unsafe_set b.br b.blen rank;
   Array.unsafe_set b.bs b.blen seq;
@@ -128,9 +128,7 @@ let bucket_put t b time rank seq v =
   b.blen <- b.blen + 1
 
 (* Drop dead entries from a bucket in place, preserving relative order —
-   the same purge a cascade performs, applied early. Freed tail slots
-   keep duplicate value refs (the owner scrubs payloads it cares about:
-   Sim drops a handle's closure on cancel and after firing). *)
+   the same purge a cascade performs, applied early. *)
 let bucket_compact t b =
   let w = ref 0 in
   for k = 0 to b.blen - 1 do
@@ -164,7 +162,7 @@ let bucket_put_pressure t b time rank seq v =
   let cap = Array.length b.bv in
   if b.blen = cap && cap > 0 then begin
     bucket_compact t b;
-    if b.blen >= cap - (cap / 4) then bucket_grow t b v
+    if b.blen >= cap - (cap / 4) then bucket_grow t b
   end;
   bucket_put t b time rank seq v
 
@@ -296,8 +294,8 @@ let push_late t ~priority:time ~rank value =
 (* Release policy for a bucket that grew past [shrink_threshold] slots,
    applied after it cascades. Buckets at level 2 and above are revisited
    only after a full wrap of their level (16.8 ms at level 2), so a
-   burst-grown array would sit idle — with stale value refs in its tail —
-   for the rest of the run: always released. A level-1 bucket is revisited
+   burst-grown array would sit idle for the rest of the run: always
+   released. A level-1 bucket is revisited
    every 65.5 us; it keeps its arrays unless they are more than
    [shrink_ratio] times the live entries it just re-dealt, so a bucket
    that refills to a similar size on every visit is not regrown from 8
@@ -415,9 +413,8 @@ let pop_min_exn t =
    prefix. [f] may push (the bucket arrays and [blen] are re-read every
    iteration, and a same-instant push carries rank >= the bound, which
    ends the run) but must not pop. The callback is the same value every
-   call (Sim preallocates it), so the indirect call predicts perfectly —
-   and nothing is copied out, so the drain itself performs no writes to
-   the heap. Returns the number of entries drained (0 only when the
+   call (Sim preallocates it), so the indirect call predicts perfectly,
+   and the drain itself writes only the cursor. Returns the number of entries drained (0 only when the
    wheel is empty or the head moved off [time]). *)
 let drain_run t ~time ~rank_bound f =
   if not (reposition t) then 0
@@ -441,8 +438,7 @@ let drain_run t ~time ~rank_bound f =
     end
   end
 
-(* Keep the bucket arrays: cleared wheels refill without re-growing.
-   Popped value slots are not scrubbed (overwritten by later pushes). *)
+(* Keep the bucket arrays: cleared wheels refill without re-growing. *)
 let clear t =
   Array.iter (fun lvl -> Array.iter (fun b -> b.blen <- 0) lvl) t.lv;
   t.wnow <- 0;

@@ -21,33 +21,39 @@
     not consumed — and is handled by a sorted insert into the cursor
     bucket.
 
-    Cancellation is lazy: callers mark values dead and supply a
+    Payloads are ints: the owner keeps its entries in a table of its
+    own and queues their ids (the simulator queues event-pool slots).
+    Every bucket is then a set of int arrays, so no store into the
+    wheel takes the GC's write barrier.
+
+    Cancellation is lazy: callers mark ids dead and supply a
     [garbage] predicate at {!create}; cascades purge dead entries
     instead of re-dealing them. Dead entries that reach level 0 before
     a cascade sweeps them still pop normally (the caller skips them). *)
 
-type 'a t
+type t
 
 exception Empty
 
-val create : ?garbage:('a -> bool) -> ?release:('a -> unit) -> unit -> 'a t
+val create : ?garbage:(int -> bool) -> ?release:(int -> unit) -> unit -> t
 (** [create ?garbage ?release ()] makes an empty wheel. [garbage v]
     should return [true] when [v] is a dead (cancelled) entry safe to
     drop during a cascade; it defaults to [fun _ -> false] (never
     purge). [release v] is invoked on every entry the wheel purges as
-    garbage — an owner that pools its entries (Sim's typed event table)
-    uses it to reclaim the slot, since a purged entry never reaches
+    garbage, exactly once per purged entry — an owner that pools its
+    ids (Sim's event table) uses it to reclaim the id, since a purged
+    entry never reaches
     {!pop_min_exn}. Defaults to a no-op. *)
 
-val length : 'a t -> int
+val length : t -> int
 (** Resident entries, including dead ones not yet purged or popped. *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val capacity : 'a t -> int
+val capacity : t -> int
 (** Total allocated bucket slots across all levels (profiling). *)
 
-val push : 'a t -> rank:int -> priority:int -> 'a -> unit
+val push : t -> rank:int -> priority:int -> int -> unit
 (** [push t ~rank ~priority v] inserts [v] with deadline [priority];
     [rank] breaks deadline ties ahead of insertion order (pass 0 for
     plain FIFO ties). It is a required argument because a call site
@@ -61,23 +67,23 @@ val push : 'a t -> rank:int -> priority:int -> 'a -> unit
     mis-orders (use {!push_late} for that). Amortized O(1); allocates
     only when a bucket grows. *)
 
-val push_late : 'a t -> priority:int -> rank:int -> 'a -> unit
+val push_late : t -> priority:int -> rank:int -> int -> unit
 (** Like {!push} but accepts a [rank] below ranks already resident at
     the same deadline, placing the entry at its (deadline, rank,
     insertion order) position — how a PDES barrier inserts a
     cross-shard delivery at the rank of its virtual send time. Costs a
     scan of the target bucket. *)
 
-val head_time : 'a t -> int
+val head_time : t -> int
 (** Deadline of the next entry to pop, or [-1] when the wheel is empty
     (deadlines are non-negative, so [-1] is unambiguous). May advance
     the internal cursor and purge garbage; amortized O(1). *)
 
-val pop_min_exn : 'a t -> 'a
+val pop_min_exn : t -> int
 (** Remove and return the entry with the smallest (deadline, insertion
     order). Never allocates. @raise Empty when the wheel is empty. *)
 
-val drain_run : 'a t -> time:int -> rank_bound:int -> ('a -> unit) -> int
+val drain_run : t -> time:int -> rank_bound:int -> (int -> unit) -> int
 (** [drain_run t ~time ~rank_bound f] pops a same-instant batch,
     calling [f] on each entry in pop order, and returns the batch
     length: the maximal leading run of entries at deadline [time] whose
@@ -91,6 +97,6 @@ val drain_run : 'a t -> time:int -> rank_bound:int -> ('a -> unit) -> int
     draining order-safe (see the simulator's run loop). Returns 0 when
     the wheel is empty or the head deadline is not [time]. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit
 (** Empty the wheel and rewind the cursor to time 0, keeping bucket
     arrays for reuse. *)

@@ -130,6 +130,66 @@ let test_sim_rank_clock_horizon () =
   check Alcotest.(list int) "events at horizon - 1 fire in order" [ 1; 2 ] (List.rev !log);
   check Alcotest.int "clock at the last instant" last (Sim.now sim)
 
+(* Closure handles borrow a queue id only while queued; once an entry
+   fires or its tombstone pops, the id goes to the next event scheduled.
+   The old handle must keep answering for itself: not pending, and a
+   [cancel] through it must not reach the newcomer that took its id. *)
+let test_sim_queue_id_reuse () =
+  let sim = Sim.create () in
+  let cls = Sim.cls_port_tx in
+  let typed = ref 0 in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ _ _ -> incr typed);
+  (* schedule a closure and a typed newcomer after [old] has left the
+     queue, poke [old], and check both newcomers still fire *)
+  let newcomers what ~poke =
+    let fired = ref false in
+    let n = Sim.at sim (Sim.now sim + 5) (fun () -> fired := true) in
+    Sim.post sim (Sim.now sim + 5) ~cls ~a0:0 ~a1:0;
+    let typed0 = !typed in
+    poke ();
+    Alcotest.(check bool) (what ^ ": newcomer pending") true (Sim.pending n);
+    ignore (Sim.run sim ~until:(Sim.now sim + 5));
+    Alcotest.(check bool) (what ^ ": closure newcomer fired") true !fired;
+    check Alcotest.int (what ^ ": typed newcomer fired") (typed0 + 1) !typed
+  in
+  let runs = ref 0 in
+  let h = Sim.at sim 10 (fun () -> incr runs) in
+  ignore (Sim.run sim ~until:10);
+  newcomers "fired at" ~poke:(fun () ->
+      Alcotest.(check bool) "fired at: not pending" false (Sim.pending h);
+      Sim.cancel h);
+  let h = Sim.at sim 30 (fun () -> incr runs) in
+  Sim.cancel h;
+  ignore (Sim.run sim ~until:30);
+  newcomers "cancelled at" ~poke:(fun () ->
+      Alcotest.(check bool) "cancelled at: not pending" false (Sim.pending h);
+      Sim.cancel h);
+  check Alcotest.int "only the first at ran" 1 !runs;
+  let ticks = ref 0 in
+  let tk = Sim.every sim ~period:10 (fun () -> incr ticks) in
+  ignore (Sim.run sim ~until:(Sim.now sim + 25));
+  Sim.stop_ticker tk;
+  ignore (Sim.run sim ~until:(Sim.now sim + 10));
+  newcomers "stopped ticker" ~poke:(fun () -> Sim.stop_ticker tk);
+  check Alcotest.int "ticker stopped after two ticks" 2 !ticks;
+  let rearms = ref 0 in
+  let r = Sim.make_handle sim (fun () -> incr rearms) in
+  Sim.rearm r ~at:(Sim.now sim + 1);
+  ignore (Sim.run sim ~until:(Sim.now sim + 1));
+  newcomers "fired rearm" ~poke:(fun () ->
+      Alcotest.(check bool) "fired rearm: not pending" false (Sim.pending r);
+      Sim.cancel r);
+  Sim.rearm r ~at:(Sim.now sim + 1);
+  Sim.cancel r;
+  ignore (Sim.run sim ~until:(Sim.now sim + 1));
+  newcomers "cancelled rearm" ~poke:(fun () ->
+      Alcotest.(check bool) "cancelled rearm: not pending" false (Sim.pending r);
+      Sim.cancel r);
+  Sim.rearm r ~at:(Sim.now sim + 1);
+  ignore (Sim.run_until_idle sim);
+  check Alcotest.int "rearm handle still reusable" 2 !rearms;
+  check Alcotest.int "nothing left pending" 0 (Sim.pending_events sim)
+
 let prop_sim_executes_in_order =
   QCheck.Test.make ~name:"random schedules execute in nondecreasing time" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 10_000))
@@ -154,5 +214,6 @@ let suite =
     ("sim ticker", `Quick, test_sim_ticker);
     ("sim nested events", `Quick, test_sim_nested_events);
     ("sim rank-clock horizon", `Quick, test_sim_rank_clock_horizon);
+    ("sim queue id reuse", `Quick, test_sim_queue_id_reuse);
     QCheck_alcotest.to_alcotest prop_sim_executes_in_order;
   ]

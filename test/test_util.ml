@@ -172,15 +172,15 @@ let test_wheel_order () =
 
 let test_wheel_fifo_ties () =
   let w = Wheel.create () in
-  List.iter (fun v -> Wheel.push w ~rank:0 ~priority:7 v) [ "a"; "b"; "c" ];
-  check Alcotest.string "fifo a" "a" (Wheel.pop_min_exn w);
-  check Alcotest.string "fifo b" "b" (Wheel.pop_min_exn w);
-  check Alcotest.string "fifo c" "c" (Wheel.pop_min_exn w)
+  List.iter (fun v -> Wheel.push w ~rank:0 ~priority:7 v) [ 11; 12; 13 ];
+  check Alcotest.int "fifo a" 11 (Wheel.pop_min_exn w);
+  check Alcotest.int "fifo b" 12 (Wheel.pop_min_exn w);
+  check Alcotest.int "fifo c" 13 (Wheel.pop_min_exn w)
 
 let test_wheel_head_time () =
   let w = Wheel.create () in
   check Alcotest.int "empty head" (-1) (Wheel.head_time w);
-  Wheel.push w ~rank:0 ~priority:42 "x";
+  Wheel.push w ~rank:0 ~priority:42 0;
   check Alcotest.int "head" 42 (Wheel.head_time w);
   check Alcotest.int "head does not pop" 1 (Wheel.length w);
   ignore (Wheel.pop_min_exn w);
@@ -279,17 +279,24 @@ let prop_wheel_heap_order =
    as the PDES barrier does between runs. Values are their seq numbers.
    [release] removes purged tombstones from the model as they happen, so
    every pop, drain callback and head probe must match the model's head
-   exactly, and the wheel's length must match the model's size. *)
+   exactly, and the wheel's length must match the model's size. Every
+   pushed id leaves exactly once, by a pop or by [release]: an owner
+   that recycles ids (Sim) relies on that. *)
 let prop_wheel_matches_model =
   QCheck.Test.make ~name:"wheel matches sorted-list model" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400)
               (triple (int_range 0 9) (int_range 0 5000) (int_range 0 15)))
     (fun ops ->
       let fail fmt = QCheck.Test.fail_reportf fmt in
-      let model = ref [] and dead = Hashtbl.create 16 in
+      let model = ref [] and dead = Hashtbl.create 16 and left = Hashtbl.create 16 in
+      let leave v =
+        if Hashtbl.mem left v then fail "id %d left the wheel twice" v;
+        Hashtbl.add left v ()
+      in
       let release v =
         if not (Hashtbl.mem dead v && List.exists (fun (_, _, s) -> s = v) !model) then
           fail "released %d: live, unknown or released twice" v;
+        leave v;
         model := List.filter (fun (_, _, s) -> s <> v) !model
       in
       let w = Wheel.create ~garbage:(Hashtbl.mem dead) ~release () in
@@ -302,7 +309,7 @@ let prop_wheel_matches_model =
       in
       let take v =
         match !model with
-        | (t, _, s) :: rest when s = v -> model := rest; floor := t
+        | (t, _, s) :: rest when s = v -> leave v; model := rest; floor := t
         | _ -> fail "popped %d out of model order" v
       in
       let model_head () = match !model with (t, _, _) :: _ -> t | [] -> -1 in
@@ -358,6 +365,8 @@ let prop_wheel_matches_model =
       while not (Wheel.is_empty w) do
         match Wheel.pop_min_exn w with v -> take v | exception Wheel.Empty -> ()
       done;
+      if Hashtbl.length left <> !seq then
+        fail "%d of %d ids left the wheel" (Hashtbl.length left) !seq;
       !model = [])
 
 (* ---------------------------- Int_table ---------------------------- *)
