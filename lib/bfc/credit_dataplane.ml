@@ -126,7 +126,7 @@ let on_dequeue t _sw ~egress ~queue pkt =
     (* bookkeeping identical to BFC *)
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-    e.Flow_table.size <- max 0 (e.Flow_table.size - 1);
+    e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1);
     e.Flow_table.last <- now t;
     if queue < data_queues t then begin
       let q = Switch.queue t.sw ~egress ~queue in

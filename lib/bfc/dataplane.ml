@@ -77,9 +77,9 @@ let allow_backpressure t f = t.allow_bp := f
 
 let now t = Sim.now (Switch.sim t.sw)
 
-let cls_of_flow t flow = min (t.classes - 1) (max 0 flow.Flow.prio_class)
+let cls_of_flow t flow = Int.min (t.classes - 1) (Int.max 0 flow.Flow.prio_class)
 
-let cls_of_pkt t pkt = min (t.classes - 1) (max 0 pkt.Packet.prio)
+let cls_of_pkt t pkt = Int.min (t.classes - 1) (Int.max 0 pkt.Packet.prio)
 
 (* Reserved control queue of a class (ACKs and friends). *)
 let ctrl_queue t ~cls = (cls * t.qpc) + t.qpc - 1
@@ -191,11 +191,11 @@ let on_dequeue t _sw ~egress ~queue pkt =
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if pkt.Packet.bp_sampled && not incast_bypass then begin
       let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- max 0 (e.Flow_table.size - 1);
+      e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1);
       e.Flow_table.last <- now t
     end;
     if is_data_queue t ~queue then begin
-      t.occupancy.(egress).(queue) <- max 0 (t.occupancy.(egress).(queue) - 1);
+      t.occupancy.(egress).(queue) <- Int.max 0 (t.occupancy.(egress).(queue) - 1);
       let q = Switch.queue t.sw ~egress ~queue in
       let incast_queue = t.cfg.incast_label && local_of_queue t ~queue = 0 in
       if Bfc_switch.Fifo.is_empty q && not incast_queue then
@@ -214,7 +214,7 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if pkt.Packet.bp_sampled && not incast_bypass then begin
       let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- max 0 (e.Flow_table.size - 1)
+      e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1)
     end
   end
 

@@ -19,7 +19,7 @@ let to_s t = float_of_int t /. 1e9
 let tx_time ~gbps ~bytes =
   (* gbps Gbit/s = gbps bits/ns; time = bytes*8 / gbps ns, rounded up. *)
   let bits = float_of_int (bytes * 8) in
-  max 1 (int_of_float (Float.ceil (bits /. gbps)))
+  Int.max 1 (int_of_float (Float.ceil (bits /. gbps)))
 
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%dns" t

@@ -72,6 +72,10 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
     | (("Queue" | "Stack") as m) :: fn :: _ when perf_here () ->
       report Rule.pf_stdlib_queue loc
         (Printf.sprintf "%s.%s on a hot path; use an array ring" m fn)
+    | ([ (("compare" | "max" | "min") as fn) ] | [ "Stdlib"; (("compare" | "max" | "min") as fn) ])
+      when perf_here () ->
+      report Rule.pf_poly_compare loc
+        (Printf.sprintf "polymorphic %s on a hot path; use Int.%s (or Float.%s)" fn fn fn)
     | [ op ] when dataplane_here () && List.mem op float_ops ->
       report Rule.df_float loc (Printf.sprintf "float operation (%s) on a per-packet path" op)
     | "Float" :: fn :: _ when dataplane_here () ->

@@ -16,11 +16,15 @@ let dataplane_files =
   ]
 
 (* Hot scheduling paths that get the perf family (PF rules) on top of the
-   dataplane set: the modules that arm per-packet/per-pause timers (closure-
-   free since the typed event table) and the per-hop queues and scheduler
-   (array rings, no Stdlib Queue cells). *)
+   dataplane set: the engine's clock, event loop and queue, the modules
+   that arm per-packet/per-pause timers (closure-free since the typed
+   event table) and the per-hop queues and scheduler (array rings, no
+   Stdlib Queue cells). *)
 let perf_files =
   [
+    "lib/engine/time.ml";
+    "lib/engine/sim.ml";
+    "lib/util/wheel.ml";
     "lib/net/port.ml";
     "lib/switch/fifo.ml";
     "lib/switch/sched.ml";

@@ -163,6 +163,18 @@ let pf_stdlib_queue =
        Bfc_switch.Fifo) that allocates only when it grows";
   }
 
+let pf_poly_compare =
+  {
+    id = "PF003";
+    name = "pf-poly-compare";
+    family = Perf;
+    severity = Error;
+    doc =
+      "polymorphic compare/max/min on a hot path: without flambda they are calls into the \
+       runtime's generic comparison (caml_compare, caml_greaterequal) even on ints; use the \
+       monomorphic Int.compare/Int.max/Int.min (or Float.*)";
+  }
+
 let all =
   [
     df_list;
@@ -178,6 +190,7 @@ let all =
     rob_assert_false;
     pf_closure_timer;
     pf_stdlib_queue;
+    pf_poly_compare;
   ]
 
 let find key =

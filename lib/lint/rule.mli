@@ -55,6 +55,8 @@ val pf_closure_timer : t
 
 val pf_stdlib_queue : t
 
+val pf_poly_compare : t
+
 (** Every rule, in id order. *)
 val all : t list
 

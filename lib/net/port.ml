@@ -101,7 +101,7 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
     }
   in
   if r.pn = Array.length r.parr then begin
-    let ncap = max 64 (2 * r.pn) in
+    let ncap = Int.max 64 (2 * r.pn) in
     let np = Array.make ncap t in
     Array.blit r.parr 0 np 0 r.pn;
     r.parr <- np

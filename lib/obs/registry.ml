@@ -48,7 +48,7 @@ let find names n name =
   let rec scan i = if i >= n then -1 else if names.(i) = name then i else scan (i + 1) in
   scan 0
 
-let grow_str a n = if n < Array.length a then a else Array.append a (Array.make (max 8 n) "")
+let grow_str a n = if n < Array.length a then a else Array.append a (Array.make (Int.max 8 n) "")
 
 let counter t name =
   match find t.c_names t.c_n name with
@@ -57,7 +57,7 @@ let counter t name =
     let i = t.c_n in
     t.c_names <- grow_str t.c_names (i + 1);
     if i >= Array.length t.c_cells then
-      t.c_cells <- Array.append t.c_cells (Array.make (max 8 (i + 1)) 0);
+      t.c_cells <- Array.append t.c_cells (Array.make (Int.max 8 (i + 1)) 0);
     t.c_names.(i) <- name;
     t.c_cells.(i) <- 0;
     t.c_n <- i + 1;
@@ -79,7 +79,7 @@ let gauge t name fn =
     let i = t.g_n in
     t.g_names <- grow_str t.g_names (i + 1);
     if i >= Array.length t.g_fns then
-      t.g_fns <- Array.append t.g_fns (Array.make (max 8 (i + 1)) (fun () -> 0.0));
+      t.g_fns <- Array.append t.g_fns (Array.make (Int.max 8 (i + 1)) (fun () -> 0.0));
     t.g_names.(i) <- name;
     t.g_fns.(i) <- fn;
     t.g_n <- i + 1

@@ -150,7 +150,7 @@ let instant t ~ts ~name ~pid ~tid ?(a = absent) ?(b = absent) () =
   record t ~ts ~dur:(-1) ~name ~pid ~tid ~a ~b
 
 let complete t ~ts ~dur ~name ~pid ~tid ?(a = absent) ?(b = absent) () =
-  record t ~ts ~dur:(max 0 dur) ~name ~pid ~tid ~a ~b
+  record t ~ts ~dur:(Int.max 0 dur) ~name ~pid ~tid ~a ~b
 
 let length t = t.count
 
@@ -179,7 +179,7 @@ let sorted_indices t =
   let cap = Array.length t.ts in
   let start = if t.capacity > 0 && t.recorded > t.count then t.next else 0 in
   let idx = Array.init t.count (fun k -> (start + k) mod cap) in
-  Array.stable_sort (fun i j -> compare t.ts.(i) t.ts.(j)) idx;
+  Array.stable_sort (fun i j -> Int.compare t.ts.(i) t.ts.(j)) idx;
   idx
 
 (* bfc-lint: control-plane *)

@@ -177,7 +177,7 @@ let on_deq t gid ~queue pkt =
       | None -> ()
       | Some f ->
         let now = Sim.now (Runner.sim t.env) in
-        f.fq_out <- max 0 (f.fq_out - pkt.Packet.size);
+        f.fq_out <- Int.max 0 (f.fq_out - pkt.Packet.size);
         f.fq_last <- exposure t gid queue ~now)
 
 (* ------------------------------------------------------------------ *)

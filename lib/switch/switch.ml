@@ -192,25 +192,25 @@ let try_send t e =
     else begin
       let pkt = Sched.take e.esched in
       if pkt != Packet.placeholder then begin
-      let q = Sched.served e.esched in
-      e.ebytes <- e.ebytes - pkt.Packet.size;
-      let delay = Sim.now t.sim - pkt.Packet.enq_at in
-      pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
-      pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
-      Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
-      if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
-      if t.cfg.track_active_flows then flow_track_remove e pkt;
-      t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
-      t.hk.on_pkt_departed t ~egress:e.eidx pkt ~delay;
-      if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
-        Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
-          ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
-          ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
-      t.tx_packets <- t.tx_packets + 1;
-      Port.send e.eport pkt;
-      (* serialization takes >= 1 ns, so the port is busy now; if more
-         traffic is queued, the idle wakeup pulls the next packet *)
-      if Sched.n_active e.esched > 0 then Port.ensure_wakeup e.eport
+        let q = Sched.served e.esched in
+        e.ebytes <- e.ebytes - pkt.Packet.size;
+        let delay = Sim.now t.sim - pkt.Packet.enq_at in
+        pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
+        pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
+        Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
+        if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
+        if t.cfg.track_active_flows then flow_track_remove e pkt;
+        t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
+        t.hk.on_pkt_departed t ~egress:e.eidx pkt ~delay;
+        if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
+          Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
+            ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
+            ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
+        t.tx_packets <- t.tx_packets + 1;
+        Port.send e.eport pkt;
+        (* serialization takes >= 1 ns, so the port is busy now; if more
+           traffic is queued, the idle wakeup pulls the next packet *)
+        if Sched.n_active e.esched > 0 then Port.ensure_wakeup e.eport
       end
     end
   end
@@ -514,7 +514,7 @@ let create ~sim ~node ~ports ~config:cfg ~route () =
     }
   in
   if r.sn = Array.length r.sarr then begin
-    let ncap = max 16 (2 * r.sn) in
+    let ncap = Int.max 16 (2 * r.sn) in
     let ns = Array.make ncap t in
     Array.blit r.sarr 0 ns 0 r.sn;
     r.sarr <- ns

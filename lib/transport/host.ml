@@ -219,12 +219,12 @@ let submit_data t tx pkt =
 (* Send limit as an absolute byte offset. *)
 let send_limit tx =
   match tx.cc with
-  | Cc_homa -> min tx.flow.Flow.size (max tx.unsched tx.granted)
+  | Cc_homa -> Int.min tx.flow.Flow.size (Int.max tx.unsched tx.granted)
   | Cc_xpass -> tx.snd_nxt (* xpass sends only on credit arrival *)
   | Cc_dcqcn _ | Cc_timely _ -> tx.snd_nxt (* paced separately *)
   | _ ->
     let w = window tx in
-    if w = max_int then tx.flow.Flow.size else min tx.flow.Flow.size (tx.snd_una + w)
+    if w = max_int then tx.flow.Flow.size else Int.min tx.flow.Flow.size (tx.snd_una + w)
 
 (* Length of the next chunk to send, with its first byte left in
    [tx.chunk_seq]; negative when nothing may be sent now. *)
@@ -232,7 +232,7 @@ let next_chunk t tx =
   (* retransmissions take precedence *)
   match tx.rtx with
   | (s, e) :: rest ->
-    let len = min t.cfg.mtu (e - s) in
+    let len = Int.min t.cfg.mtu (e - s) in
     let rest = if s + len >= e then rest else (s + len, e) :: rest in
     tx.rtx <- rest;
     tx.retransmitted <- tx.retransmitted + len;
@@ -241,7 +241,7 @@ let next_chunk t tx =
   | [] ->
     let limit = send_limit tx in
     if tx.snd_nxt < limit then begin
-      let len = min t.cfg.mtu (limit - tx.snd_nxt) in
+      let len = Int.min t.cfg.mtu (limit - tx.snd_nxt) in
       tx.chunk_seq <- tx.snd_nxt;
       tx.snd_nxt <- tx.snd_nxt + len;
       len
@@ -302,7 +302,7 @@ let rate_pace t tx =
       if Nic.queue_bytes t.nic ~queue:tx.nic_q < 8 * mtu_wire t.cfg then begin
         (match tx.rtx with
         | (s, e) :: rest ->
-          let len = min t.cfg.mtu (e - s) in
+          let len = Int.min t.cfg.mtu (e - s) in
           tx.rtx <- (if s + len >= e then rest else (s + len, e) :: rest);
           tx.retransmitted <- tx.retransmitted + len;
           t.bytes_retransmitted <- t.bytes_retransmitted + len;
@@ -311,7 +311,7 @@ let rate_pace t tx =
           rate_on_sent tx len
         | [] ->
           if tx.snd_nxt < tx.flow.Flow.size then begin
-            let len = min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
+            let len = Int.min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
             let pkt = make_data t tx ~seq:tx.snd_nxt ~len in
             tx.snd_nxt <- tx.snd_nxt + len;
             submit_data t tx pkt;
@@ -321,7 +321,7 @@ let rate_pace t tx =
       let gap =
         let r = rate_of tx in
         if r <= 0.0 then Bfc_engine.Time.us 10.0
-        else max 1 (int_of_float (float_of_int (mtu_wire t.cfg) /. r))
+        else Int.max 1 (int_of_float (float_of_int (mtu_wire t.cfg) /. r))
       in
       Sim.post t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
         ~a1:((tx.flow.Flow.id lsl 2) lor rate_pace_kind)
@@ -436,7 +436,7 @@ let on_credit t pkt =
   | exception Not_found -> ()
   | tx ->
     if (not tx.finished) && tx.snd_nxt < tx.flow.Flow.size then begin
-      let len = min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
+      let len = Int.min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
       let p = make_data t tx ~seq:tx.snd_nxt ~len in
       (* echo the credit sequence so the receiver can measure credit waste *)
       p.Packet.ctrl_a <- pkt.Packet.ctrl_a;
@@ -449,12 +449,18 @@ let on_cnp t pkt =
   | exception Not_found -> ()
   | tx -> ( match tx.cc with Cc_dcqcn d -> Dcqcn.on_cnp d | _ -> ())
 
+(* Byte ranges [(start, stop)] in lexicographic order, without the
+   polymorphic compare. *)
+let compare_range (a, b) (c, d) =
+  let o = Int.compare a c in
+  if o <> 0 then o else Int.compare b d
+
 let on_drop_notice t ~flow_id ~seq ~len =
   match Bfc_util.Int_table.find_exn t.txs flow_id with
   | exception Not_found -> ()
   | tx ->
     if not tx.finished then begin
-      tx.rtx <- List.merge compare [ (seq, seq + len) ] tx.rtx;
+      tx.rtx <- List.merge compare_range [ (seq, seq + len) ] tx.rtx;
       t.bytes_retransmitted <- t.bytes_retransmitted + len;
       pump t tx
     end
@@ -465,17 +471,17 @@ let on_drop_notice t ~flow_id ~seq ~len =
 let insert_range rx ~start ~stop =
   (* merge [start, stop) into the prefix + ranges *)
   if stop > rx.expected then begin
-    let ranges = List.merge compare [ (max start rx.expected, stop) ] rx.ranges in
+    let ranges = List.merge compare_range [ (Int.max start rx.expected, stop) ] rx.ranges in
     (* coalesce *)
     let rec coalesce = function
-      | (a, b) :: (c, d) :: rest when c <= b -> coalesce ((a, max b d) :: rest)
+      | (a, b) :: (c, d) :: rest when c <= b -> coalesce ((a, Int.max b d) :: rest)
       | r :: rest -> r :: coalesce rest
       | [] -> []
     in
     let ranges = coalesce ranges in
     (* absorb into the contiguous prefix *)
     let rec absorb exp = function
-      | (a, b) :: rest when a <= exp -> absorb (max exp b) rest
+      | (a, b) :: rest when a <= exp -> absorb (Int.max exp b) rest
       | rest -> (exp, rest)
     in
     let exp, ranges = absorb rx.expected ranges in
@@ -545,7 +551,7 @@ let xpass_pace t rx =
        bursts colliding at the rate limiter) *)
     let base = float_of_int (mtu_wire t.cfg) /. rx.cr_rate in
     let jitter = 0.8 +. (0.4 *. Bfc_util.Rng.float t.rng) in
-    let gap = max 1 (int_of_float (base *. jitter)) in
+    let gap = Int.max 1 (int_of_float (base *. jitter)) in
     rx.cr_pacer <-
       Sim.post_token t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
         ~a1:((rx.rflow.Flow.id lsl 2) lor xpass_pace_kind)
@@ -685,7 +691,7 @@ let make_cc t flow =
           if t.cfg.bdp = 0 then cap_bytes
           else int_of_float (float_of_int cap_bytes *. float_of_int bdp /. float_of_int t.cfg.bdp)
         in
-        Cap (max t.cfg.mtu scaled)
+        Cap (Int.max t.cfg.mtu scaled)
     end
   | Dctcp { slow_start } -> Cc_dctcp (Dctcp.create ~mtu:t.cfg.mtu ~bdp ~slow_start ~g:(1.0 /. 16.0))
   | Dcqcn params ->
@@ -720,7 +726,7 @@ let start_flow t flow =
       finished = false;
       granted = 0;
       grant_prio = 0;
-      unsched = (match t.cfg.scheme with Homa p -> min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
+      unsched = (match t.cfg.scheme with Homa p -> Int.min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
       fin_sent = false;
       retransmitted = 0;
       chunk_seq = 0;
@@ -828,7 +834,7 @@ let create ~sim ~node ~port ~config:cfg () =
     }
   in
   if r.hn = Array.length r.harr then begin
-    let ncap = max 16 (2 * r.hn) in
+    let ncap = Int.max 16 (2 * r.hn) in
     let na = Array.make ncap t in
     Array.blit r.harr 0 na 0 r.hn;
     r.harr <- na

@@ -32,21 +32,21 @@ let try_send t =
     else begin
       let pkt = Sched.take t.sched in
       if pkt != Packet.placeholder then begin
-      let q = Sched.served t.sched in
-      t.backlog <- t.backlog - pkt.Packet.size;
-      if pkt.Packet.kind = Packet.Data then begin
-        pkt.Packet.upstream_q <- q.Fifo.idx;
-        match t.credit with
-        | Some b when q.Fifo.idx > 0 ->
-          let next = Fifo.head_size q in
-          if Balance.consume b ~queue:q.Fifo.idx ~bytes:pkt.Packet.size ~next then
-            Sched.set_paused t.sched q true
-        | _ -> ()
-      end;
-      pkt.Packet.sent_at <- Bfc_engine.Sim.now t.sim;
-      Port.send t.port pkt;
-      if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
-      t.on_dequeue q.Fifo.idx
+        let q = Sched.served t.sched in
+        t.backlog <- t.backlog - pkt.Packet.size;
+        if pkt.Packet.kind = Packet.Data then begin
+          pkt.Packet.upstream_q <- q.Fifo.idx;
+          match t.credit with
+          | Some b when q.Fifo.idx > 0 ->
+            let next = Fifo.head_size q in
+            if Balance.consume b ~queue:q.Fifo.idx ~bytes:pkt.Packet.size ~next then
+              Sched.set_paused t.sched q true
+          | _ -> ()
+        end;
+        pkt.Packet.sent_at <- Bfc_engine.Sim.now t.sim;
+        Port.send t.port pkt;
+        if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
+        t.on_dequeue q.Fifo.idx
       end
     end
   end
@@ -141,7 +141,7 @@ let create ~sim ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit (
     }
   in
   if r.nn = Array.length r.narr then begin
-    let ncap = max 16 (2 * r.nn) in
+    let ncap = Int.max 16 (2 * r.nn) in
     let na = Array.make ncap t in
     Array.blit r.narr 0 na 0 r.nn;
     r.narr <- na

@@ -41,7 +41,7 @@ let attach sw ~mtu_wire =
   let aidx = r.an in
   let a = { xsw = sw; xnext_ok = next_ok; xcredit_q = credit_q } in
   if r.an = Array.length r.aarr then begin
-    let ncap = max 8 (2 * r.an) in
+    let ncap = Int.max 8 (2 * r.an) in
     let na = Array.make ncap a in
     Array.blit r.aarr 0 na 0 r.an;
     r.aarr <- na
@@ -53,7 +53,7 @@ let attach sw ~mtu_wire =
     (fun _ ~in_port:_ ~egress:_ pkt ->
       match pkt.Packet.kind with
       | Packet.Credit -> credit_q
-      | _ -> min pkt.Packet.prio (credit_q - 1));
+      | _ -> Int.min pkt.Packet.prio (credit_q - 1));
   hk.Switch.admit <-
     (fun sw ~egress ~queue pkt ->
       match pkt.Packet.kind with

@@ -60,6 +60,7 @@ let cases =
     ("rob_assert_false", "RB002", lib_path);
     ("pf_closure_timer", "PF001", perf_path);
     ("pf_stdlib_queue", "PF002", perf_path);
+    ("pf_poly_compare", "PF003", perf_path);
   ]
 
 let test_rule_fires () =
@@ -147,7 +148,20 @@ let test_pf_scoped_and_named_handles_pass () =
   let seeded_fifo =
     lint_inline ~virtual_path:"lib/switch/fifo.ml" "let push t pkt = Queue.add pkt t.q\n"
   in
-  Alcotest.(check bool) "Queue in fifo.ml violates" true (fires "PF002" seeded_fifo)
+  Alcotest.(check bool) "Queue in fifo.ml violates" true (fires "PF002" seeded_fifo);
+  (* PF003 too: polymorphic compares are fine off the hot path, and the
+     engine's own modules are in scope; monomorphic ones always pass. *)
+  let poly_outside = lint_fixture ~virtual_path:lib_path "pf_poly_compare_pos.ml" in
+  Alcotest.(check bool) "PF003 silent outside the perf set" false (fires "PF003" poly_outside);
+  let seeded_time =
+    lint_inline ~virtual_path:"lib/engine/time.ml" "let tx_time ns = max 1 ns\n"
+  in
+  Alcotest.(check bool) "max in time.ml violates" true (fires "PF003" seeded_time);
+  let mono =
+    lint_inline ~virtual_path:"lib/util/wheel.ml"
+      "let f a b = Int.max a (Int.min b (Int.compare a b))\n"
+  in
+  Alcotest.(check bool) "Int.max/min/compare pass" false (fires "PF003" mono)
 
 let test_seeded_random_fails () =
   let seeded = "let jitter () = Random.float 1.0\n" in
@@ -222,8 +236,11 @@ let test_rule_lookup () =
   (match Rule.find "pf-stdlib-queue" with
   | Some r -> Alcotest.(check string) "pf002 by name" "PF002" r.Rule.id
   | None -> Alcotest.fail "pf-stdlib-queue not found");
+  (match Rule.find "pf-poly-compare" with
+  | Some r -> Alcotest.(check string) "pf003 by name" "PF003" r.Rule.id
+  | None -> Alcotest.fail "pf-poly-compare not found");
   Alcotest.(check bool) "unknown" true (Rule.find "nope" = None);
-  Alcotest.(check int) "thirteen rules" 13 (List.length Rule.all)
+  Alcotest.(check int) "fourteen rules" 14 (List.length Rule.all)
 
 let suite =
   [

@@ -213,6 +213,43 @@ let test_port_ctrl_bypass () =
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "ctrl arrives after exactly prop" (Time.us 1.0) !at
 
+(* Data and control deliveries on one port interleave in time; each
+   delivery event names its packet by table index, so every arrival must
+   hand over exactly the packet its send posted, at its own time. *)
+let test_port_interleaved_deliveries () =
+  let sim = Sim.create () in
+  let b = Topology.Builder.create sim in
+  let a = Topology.Builder.add_host b ~name:"a" in
+  let z = Topology.Builder.add_host b ~name:"z" in
+  Topology.Builder.link b a z ~gbps:100.0 ~prop:(Time.us 1.0);
+  let t = Topology.Builder.finish b in
+  let port = (Topology.ports t a).(0) in
+  let got = ref [] and posted = ref [] in
+  (Topology.node t z).Node.handler <- (fun ~in_port:_ pkt -> got := (Sim.now sim, pkt) :: !got);
+  for k = 0 to 4 do
+    (* 1000 B serializes in 80 ns, so the data stream arrives 50 ns after
+       each control frame sent 30 ns into the same 100 ns slot *)
+    ignore
+      (Sim.at sim (k * 100) (fun () ->
+           let d = Packet.make Packet.Data ~src:a ~dst:z ~size:1000 () in
+           Port.send port d;
+           posted := (Sim.now sim + 80 + Time.us 1.0, d) :: !posted));
+    ignore
+      (Sim.at sim ((k * 100) + 30) (fun () ->
+           let c = Packet.make Packet.Pause ~src:a ~dst:z ~size:64 () in
+           Port.send_ctrl port c;
+           posted := (Sim.now sim + Time.us 1.0, c) :: !posted))
+  done;
+  ignore (Sim.run_until_idle sim);
+  let expected = List.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) !posted in
+  let got = List.rev !got in
+  check Alcotest.int "every packet delivered" 10 (List.length got);
+  List.iter2
+    (fun (te, pe) (tg, pg) ->
+      check Alcotest.int "arrival time" te tg;
+      Alcotest.(check bool) "the packet it was posted with" true (pe == pg))
+    expected got
+
 let prop_routing_reaches_any_pair =
   QCheck.Test.make ~name:"clos paths always reach the destination" ~count:60
     QCheck.(triple (int_range 2 4) (int_range 2 4) (int_range 2 5))
@@ -255,5 +292,6 @@ let suite =
     ("cross-dc shape", `Quick, test_cross_dc_shape);
     ("port transmission", `Quick, test_port_transmission);
     ("port ctrl bypass", `Quick, test_port_ctrl_bypass);
+    ("port interleaved deliveries", `Quick, test_port_interleaved_deliveries);
     QCheck_alcotest.to_alcotest prop_routing_reaches_any_pair;
   ]

@@ -1,6 +1,7 @@
 (* Regression tests for the performance-engineering layer: per-sim
    packet uids, the reusable ticker handle, the packet pool's full-field
-   reset, determinism of the domain-parallel sweep runner, the engine's
+   reset, the packet table's index lifecycle, determinism of the
+   domain-parallel sweep runner, the engine's
    fire order against a recorded trace, and the packet hop's allocation
    bound. *)
 
@@ -88,6 +89,47 @@ let test_pool_double_release_rejected () =
   check_raises "double release"
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
       Packet.Pool.release pool p)
+
+(* A packet's index in its sim's table is its name in every queue and
+   delivery event: fixed for life, never shared by two live packets. *)
+let test_packet_index_lifecycle () =
+  let sim = Sim.create () in
+  let pool = Bfc_net.Port.pool sim in
+  check bool "one table per sim" true (pool == Bfc_net.Port.pool sim);
+  let acquire () =
+    Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0
+  in
+  let live = List.init 8 (fun _ -> acquire ()) in
+  let idxs = List.map (fun p -> p.Packet.idx) live in
+  check int "live packets have distinct indices" 8
+    (List.length (List.sort_uniq Int.compare idxs));
+  List.iter
+    (fun p -> check bool "get finds the packet" true (Packet.Pool.get pool p.Packet.idx == p))
+    live;
+  let p = List.hd live in
+  let i = p.Packet.idx in
+  Packet.Pool.release pool p;
+  check int "index kept while parked" i p.Packet.idx;
+  let q = acquire () in
+  check bool "recycled the parked packet" true (q == p);
+  check int "same index after reacquire" i q.Packet.idx;
+  let m = Packet.make Packet.Ack ~src:0 ~dst:1 ~size:64 () in
+  check int "no index before the table sees it" (-1) m.Packet.idx;
+  let j = Packet.Pool.index pool m in
+  check bool "a fresh index, no live packet's" false (List.mem j idxs);
+  check int "indexing is idempotent" j (Packet.Pool.index pool m);
+  Packet.Pool.release pool m;
+  check int "released with its index" j m.Packet.idx;
+  check_raises "double release"
+    (Invalid_argument "Packet.Pool.release: double release") (fun () ->
+      Packet.Pool.release pool m);
+  let foreign =
+    Packet.Pool.acquire (Bfc_net.Port.pool (Sim.create ())) Packet.Data ~flow:None ~src:0
+      ~dst:1 ~size:100 ~seq:0
+  in
+  check_raises "packet of another sim"
+    (Invalid_argument "Packet.Pool.index: packet of another simulation") (fun () ->
+      ignore (Packet.Pool.index pool foreign))
 
 (* -------------------------- parallel sweeps ------------------------ *)
 
@@ -244,6 +286,7 @@ let suite =
     test_case "ticker no event leak" `Quick test_ticker_no_event_leak;
     test_case "packet pool resets all fields" `Quick test_pool_reset_all_fields;
     test_case "packet pool double release" `Quick test_pool_double_release_rejected;
+    test_case "packet index lifecycle" `Quick test_packet_index_lifecycle;
     test_case "domain pool preserves order" `Quick test_pool_run_preserves_order;
     test_case "domain pool error in task order" `Quick test_pool_run_error_in_task_order;
     test_case "run_parallel byte-identical rows" `Slow test_run_parallel_rows_identical;
