@@ -115,6 +115,7 @@ type t = {
   (* ...the ids closure handles borrow while queued (id [c] is queued as
      [lnot c]; LIFO free list)... *)
   mutable cq : handle array;
+  vacant : handle; (* an inert handle: fills unused [pool] and [cq] slots *)
   mutable cq_len : int;
   mutable cfree : int array;
   mutable cfree_len : int;
@@ -217,10 +218,11 @@ let borrow_id t h =
 let queued t id = if id >= 0 then Array.unsafe_get t.pool id else Array.unsafe_get t.cq (lnot id)
 
 (* The queue is done with entry [id] (popped or purged): a closure id goes
-   back to its free list. The [cq] slot keeps its handle until the id is
-   lent again. *)
+   back to its free list, and its slot lets go of the handle, so a fired
+   or cancelled closure is not kept alive until the id is lent again. *)
 let return_id t id =
   if id < 0 then begin
+    Array.unsafe_set t.cq (lnot id) t.vacant;
     if t.cfree_len = Array.length t.cfree then t.cfree <- grow_ints t.cfree t.cfree_len;
     Array.unsafe_set t.cfree t.cfree_len (lnot id);
     t.cfree_len <- t.cfree_len + 1
@@ -268,17 +270,16 @@ let create () =
   (* the wheel's purge hooks read the sim's id tables; [hooks] ties the knot *)
   let hooks = ref None in
   let with_sim f id = match !hooks with Some t -> f t id | None -> invalid_arg "Sim.create" in
-  let t =
+  (* the release hook reclaims purged tombstones' ids — without it a
+     cancelled event whose entry cascades to its death would leak its
+     pool slot or closure id forever *)
+  let q =
+    Wheel.create ~garbage:(with_sim (fun t id -> not (queued t id).alive)) ~release:(with_sim dispose) ()
+  in
+  let rec t =
     {
       clock = 0;
-      (* the release hook reclaims purged tombstones' ids — without it a
-         cancelled event whose entry cascades to its death would leak its
-         pool slot or closure id forever *)
-      q =
-        Wheel.create
-          ~garbage:(with_sim (fun t id -> not (queued t id).alive))
-          ~release:(with_sim dispose)
-          ();
+      q;
       in_run = false;
       live = 0;
       executed = 0;
@@ -294,13 +295,13 @@ let create () =
       free = [||];
       free_len = 0;
       cq = [||];
+      vacant = sentinel;
       cq_len = 0;
       cfree = [||];
       cfree_len = 0;
       fire_cb = ignore;
     }
-  in
-  let sentinel =
+  and sentinel =
     { owner = t; cls = cls_one_shot; alive = false; fired = true; fn = noop_fn;
       a0 = 0; a1 = 0; gen = 0; slot = -1 }
   in

@@ -50,6 +50,7 @@ type t = {
   mutable path_hint : int;
   mutable pooled : bool;
   mutable idx : int;
+  mutable next_free : int;
 }
 
 let header_bytes = 48
@@ -95,6 +96,7 @@ let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
     path_hint = -1;
     pooled = false;
     idx = -1;
+    next_free = -1;
   }
 
 let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
@@ -230,29 +232,28 @@ module Pool = struct
   type packet = t
 
   (* The per-sim packet table: [pkts] maps an index to its packet, for
-     every packet this table has seen (live or parked); [free] holds the
-     indices of parked packets. A packet keeps its index for life, so
-     queues and events can name it by an int. *)
+     every packet this table has seen (live or parked). Parked packets
+     form a LIFO list threaded through [next_free], headed by [free]. A
+     packet keeps its index for life, so queues and events can name it
+     by an int. *)
   type nonrec t = {
     sim : Bfc_engine.Sim.t;
     mutable pkts : packet array;
     mutable n : int;
-    mutable free : int array;
+    mutable free : int; (* index of the last parked packet, -1 = none *)
     mutable n_free : int;
     mutable allocated : int;
     mutable recycled : int;
   }
 
   let create ~sim =
-    { sim; pkts = [||]; n = 0; free = [||]; n_free = 0; allocated = 0; recycled = 0 }
+    { sim; pkts = [||]; n = 0; free = -1; n_free = 0; allocated = 0; recycled = 0 }
 
   let free_count t = t.n_free
 
   let allocated t = t.allocated
 
   let recycled t = t.recycled
-
-  let size t = t.n
 
   let get t i = t.pkts.(i)
 
@@ -309,12 +310,8 @@ module Pool = struct
     let i = index t p in
     reset p;
     p.pooled <- true;
-    if t.n_free = Array.length t.free then begin
-      let nf = Array.make (Int.max 64 (2 * t.n_free)) 0 in
-      Array.blit t.free 0 nf 0 t.n_free;
-      t.free <- nf
-    end;
-    t.free.(t.n_free) <- i;
+    p.next_free <- t.free;
+    t.free <- i;
     t.n_free <- t.n_free + 1
 
   let acquire t kind ~flow ~src ~dst ~size ~seq =
@@ -329,7 +326,8 @@ module Pool = struct
     end
     else begin
       t.n_free <- t.n_free - 1;
-      let p = t.pkts.(t.free.(t.n_free)) in
+      let p = t.pkts.(t.free) in
+      t.free <- p.next_free;
       t.recycled <- t.recycled + 1;
       p.pooled <- false;
       p.uid <- Bfc_engine.Sim.fresh_uid t.sim;

@@ -66,6 +66,9 @@ type t = {
   mutable idx : int;
       (** index in its simulation's packet table ({!Pool}), fixed once the
           table first sees the packet; [-1] before that *)
+  mutable next_free : int;
+      (** while parked: the index of the packet parked before it, [-1] at
+          the end of the free list *)
 }
 
 val header_bytes : int
@@ -172,9 +175,6 @@ module Pool : sig
 
   (** [get pool i] is the packet at index [i]. *)
   val get : t -> int -> packet
-
-  (** Packets indexed so far, live or parked. *)
-  val size : t -> int
 
   (** [acquire pool kind ~flow ~src ~dst ~size ~seq] — a recycled (or, when
       the free list is empty, fresh) packet with [make]'s defaults in every

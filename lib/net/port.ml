@@ -138,12 +138,13 @@ let () =
       Some (Printf.sprintf "Port.Busy (send on busy transmitter, port gid=%d, t=%dns)" gid now)
     | _ -> None)
 
-(* The end of [pkt]'s life on this sim: lost on the wire, or handed to
-   another shard (whose capture hook copied it). *)
+(* A packet lost on the wire ends its life on this sim. *)
 let drop t pkt =
   t.dropped <- t.dropped + 1;
   Packet.Pool.release t.pool pkt
 
+(* Post the delivery, or hand the packet to another shard: the capture
+   hook copies it, so the original ends its life here. *)
 let deliver t pkt ~at =
   match t.remote with
   | None ->
