@@ -115,7 +115,6 @@ type t = {
   (* ...the ids closure handles borrow while queued (id [c] is queued as
      [lnot c]; LIFO free list)... *)
   mutable cq : handle array;
-  vacant : handle; (* an inert handle: fills unused [pool] and [cq] slots *)
   mutable cq_len : int;
   mutable cfree : int array;
   mutable cfree_len : int;
@@ -218,11 +217,10 @@ let borrow_id t h =
 let queued t id = if id >= 0 then Array.unsafe_get t.pool id else Array.unsafe_get t.cq (lnot id)
 
 (* The queue is done with entry [id] (popped or purged): a closure id goes
-   back to its free list, and its slot lets go of the handle, so a fired
-   or cancelled closure is not kept alive until the id is lent again. *)
+   back to its free list. Its [cq] slot keeps the handle until the id is
+   lent again (a fired one-shot has already dropped its closure). *)
 let return_id t id =
   if id < 0 then begin
-    Array.unsafe_set t.cq (lnot id) t.vacant;
     if t.cfree_len = Array.length t.cfree then t.cfree <- grow_ints t.cfree t.cfree_len;
     Array.unsafe_set t.cfree t.cfree_len (lnot id);
     t.cfree_len <- t.cfree_len + 1
@@ -267,16 +265,18 @@ let fire_id t id =
   if h.alive && not h.fired then fire t h else if id >= 0 then free_slot t h
 
 let create () =
-  (* the wheel's purge hooks read the sim's id tables; [hooks] ties the knot *)
-  let hooks = ref None in
-  let with_sim f id = match !hooks with Some t -> f t id | None -> invalid_arg "Sim.create" in
-  (* the release hook reclaims purged tombstones' ids — without it a
-     cancelled event whose entry cascades to its death would leak its
-     pool slot or closure id forever *)
+  (* the wheel's purge hooks read the sim's id tables; [self] ties the
+     knot. The release hook reclaims purged tombstones' ids — without it
+     a cancelled event whose entry cascades to its death would leak its
+     pool slot or closure id forever. *)
+  let self = ref None in
   let q =
-    Wheel.create ~garbage:(with_sim (fun t id -> not (queued t id).alive)) ~release:(with_sim dispose) ()
+    Wheel.create
+      ~garbage:(fun id -> match !self with Some t -> not (queued t id).alive | None -> false)
+      ~release:(fun id -> match !self with Some t -> dispose t id | None -> ())
+      ()
   in
-  let rec t =
+  let t =
     {
       clock = 0;
       q;
@@ -295,19 +295,19 @@ let create () =
       free = [||];
       free_len = 0;
       cq = [||];
-      vacant = sentinel;
       cq_len = 0;
       cfree = [||];
       cfree_len = 0;
       fire_cb = ignore;
     }
-  and sentinel =
+  in
+  let sentinel =
     { owner = t; cls = cls_one_shot; alive = false; fired = true; fn = noop_fn;
       a0 = 0; a1 = 0; gen = 0; slot = -1 }
   in
   t.pool <- Array.make 16 sentinel;
-  t.fire_cb <- fire_id t;
-  hooks := Some t;
+  t.fire_cb <- (fun id -> fire_id t id);
+  self := Some t;
   t
 
 let now t = t.clock

@@ -48,7 +48,6 @@ type t = {
   mutable ctrl_b : int;
   mutable ints : int array;
   mutable path_hint : int;
-  mutable pooled : bool;
   mutable idx : int;
   mutable next_free : int;
 }
@@ -94,9 +93,8 @@ let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
     ctrl_b = 0;
     ints = [||];
     path_hint = -1;
-    pooled = false;
     idx = -1;
-    next_free = -1;
+    next_free = -2;
   }
 
 let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
@@ -233,9 +231,9 @@ module Pool = struct
 
   (* The per-sim packet table: [pkts] maps an index to its packet, for
      every packet this table has seen (live or parked). Parked packets
-     form a LIFO list threaded through [next_free], headed by [free]. A
-     packet keeps its index for life, so queues and events can name it
-     by an int. *)
+     form a LIFO list threaded through [next_free], headed by [free]; a
+     live packet's [next_free] is [in_use]. A packet keeps its index for
+     life, so queues and events can name it by an int. *)
   type nonrec t = {
     sim : Bfc_engine.Sim.t;
     mutable pkts : packet array;
@@ -256,6 +254,8 @@ module Pool = struct
   let recycled t = t.recycled
 
   let get t i = t.pkts.(i)
+
+  let in_use = -2
 
   (* Give [p] the next index (one pointer store per packet, ever). *)
   let register t p =
@@ -306,10 +306,9 @@ module Pool = struct
     p.path_hint <- -1
 
   let release t (p : packet) =
-    if p.pooled then invalid_arg "Packet.Pool.release: double release";
+    if p.next_free <> in_use then invalid_arg "Packet.Pool.release: double release";
     let i = index t p in
     reset p;
-    p.pooled <- true;
     p.next_free <- t.free;
     t.free <- i;
     t.n_free <- t.n_free + 1
@@ -328,8 +327,8 @@ module Pool = struct
       t.n_free <- t.n_free - 1;
       let p = t.pkts.(t.free) in
       t.free <- p.next_free;
+      p.next_free <- in_use;
       t.recycled <- t.recycled + 1;
-      p.pooled <- false;
       p.uid <- Bfc_engine.Sim.fresh_uid t.sim;
       p.kind <- kind;
       p.flow <- flow;

@@ -62,13 +62,13 @@ type t = {
   mutable ctrl_b : int;
   mutable ints : int array; (** bitmap payloads etc. *)
   mutable path_hint : int; (** pinned spine for spraying; -1 = ECMP *)
-  mutable pooled : bool; (** currently parked in a {!Pool} free list *)
   mutable idx : int;
       (** index in its simulation's packet table ({!Pool}), fixed once the
           table first sees the packet; [-1] before that *)
   mutable next_free : int;
-      (** while parked: the index of the packet parked before it, [-1] at
-          the end of the free list *)
+      (** {!Pool} bookkeeping: [-2] while the packet is in use; while it
+          is parked, the index of the packet parked before it ([-1] at the
+          end of the free list) *)
 }
 
 val header_bytes : int

@@ -59,10 +59,6 @@ let pop t =
   t.bytes <- t.bytes - pkt.Bfc_net.Packet.size;
   pkt
 
-let peek_exn t =
-  if t.len = 0 then invalid_arg "Fifo.peek_exn: empty queue";
-  head t
-
 let head_size t = if t.len = 0 then 0 else (head t).Bfc_net.Packet.size
 
 let head_remaining t = if t.len = 0 then max_int else (head t).Bfc_net.Packet.remaining

@@ -39,10 +39,6 @@ val push : t -> Bfc_net.Packet.t -> unit
     empty. *)
 val pop : t -> Bfc_net.Packet.t
 
-(** The oldest packet, left in place. Raises [Invalid_argument] when
-    empty. *)
-val peek_exn : t -> Bfc_net.Packet.t
-
 (** Head packet's size in bytes; [0] when empty (used by credit gating). *)
 val head_size : t -> int
 
