@@ -160,7 +160,14 @@ let test_sim_queue_id_reuse () =
       Sim.cancel h);
   let h = Sim.at sim 30 (fun () -> incr runs) in
   Sim.cancel h;
+  (* the tombstone still holds its id: an event scheduled now must not
+     take it, or it would fire at the tombstone's deadline *)
+  let early = ref [] in
+  ignore (Sim.at sim 35 (fun () -> early := Sim.now sim :: !early));
   ignore (Sim.run sim ~until:30);
+  check Alcotest.(list int) "no event fired at the tombstone's deadline" [] !early;
+  ignore (Sim.run sim ~until:35);
+  check Alcotest.(list int) "the later event fired once, on time" [ 35 ] !early;
   newcomers "cancelled at" ~poke:(fun () ->
       Alcotest.(check bool) "cancelled at: not pending" false (Sim.pending h);
       Sim.cancel h);
