@@ -1,7 +1,7 @@
 (* Command-line front end for the BFC reproduction.
 
    bfc_sim list                         -- list experiment targets
-   bfc_sim run fig9 fig13 --profile quick
+   bfc_sim run fig9 fig13 --profile quick --jobs 2 --csv-dir results
    bfc_sim sweep --scheme bfc --load 0.6 --dist fb_hadoop
                                         -- one ad-hoc Clos run *)
 
@@ -32,6 +32,23 @@ let shards_arg =
             "Partition each simulation across $(docv) domains (conservative PDES, pod-wise \
              Clos partition). Results are byte-identical to $(docv)=1; composes with --jobs \
              (each sweep point gets its own shard set).")
+
+let jobs_arg =
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some n when n >= 1 -> Ok n
+          | _ -> Error (Printf.sprintf "expected an integer >= 1, got %s" s)),
+        Format.pp_print_int )
+  in
+  Arg.(value & opt positive 1
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:"Run sweep points over $(docv) domains; tables are byte-identical for any value.")
+
+let csv_dir_arg =
+  Arg.(value & opt (some string) None
+      & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Write each table as CSV into $(docv).")
 
 let set_shards n =
   if n < 1 then begin
@@ -83,26 +100,20 @@ let list_cmd =
 
 let run_cmd =
   let targets = Arg.(value & pos_all string [] & info [] ~docv:"TARGET") in
-  let run profile shards streaming flowlog alpha progress targets =
-    set_shards shards;
-    set_streaming_cli streaming flowlog alpha progress;
-    let chosen =
-      match targets with
-      | [] -> Experiments.all
-      | names ->
-        List.map
-          (fun n ->
-            match Experiments.find n with
-            | Some t -> t
-            | None -> failwith (Printf.sprintf "unknown target %s (see `bfc_sim list`)" n))
-          names
-    in
-    List.iter (Experiments.run_and_print profile) chosen
+  let run profile jobs csv_dir shards streaming flowlog alpha progress targets =
+    match Experiments.resolve targets with
+    | Error m -> Error (`Msg m)
+    | Ok chosen ->
+      set_shards shards;
+      set_streaming_cli streaming flowlog alpha progress;
+      List.iter (fun t -> ignore (Experiments.run ?csv_dir ~jobs profile t)) chosen;
+      Ok ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiment targets (all if none given)")
-    Term.(const run $ profile_arg $ shards_arg $ streaming_flag $ flowlog_arg $ alpha_arg
-          $ progress_flag $ targets)
+    Term.(term_result ~usage:true
+            (const run $ profile_arg $ jobs_arg $ csv_dir_arg $ shards_arg $ streaming_flag
+             $ flowlog_arg $ alpha_arg $ progress_flag $ targets))
 
 let scheme_conv =
   let parse = function
@@ -237,7 +248,11 @@ let trace_cmd =
     in
     let r = Exp_common.run_std s in
     let env = r.Exp_common.env in
-    let tel = match !tel with Some t -> t | None -> assert false (* sp_obs always runs *) in
+    let tel =
+      match !tel with
+      | Some t -> t
+      | None -> failwith "bfc_sim trace: the run never attached telemetry"
+    in
     let with_out path f =
       let oc = open_out path in
       f oc;
@@ -388,11 +403,6 @@ let stress_cmd =
   let module Time = Bfc_engine.Time in
   let module Stress_exp = Bfc_stress.Stress_exp in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
-  let jobs =
-    Arg.(value & opt int 1
-        & info [ "jobs" ] ~docv:"N"
-            ~doc:"Sweep cells over $(docv) domains; the table is byte-identical for any value.")
-  in
   let watchdog =
     Arg.(value & opt float 50.0
         & info [ "watchdog" ] ~docv:"US"
@@ -408,24 +418,9 @@ let stress_cmd =
               "Also write the matrix in canonical pipe-separated form to $(docv) — the replay \
                fixture format: same seed, same file bytes.")
   in
-  let csv_dir =
-    Arg.(value & opt (some string) None
-        & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Write each table as CSV into $(docv).")
-  in
   let run profile seed jobs watchdog summary_out csv_dir =
-    let tables = ref [] in
     let target = Stress_exp.target ~seed ~watchdog:(Time.us watchdog) () in
-    let target =
-      {
-        target with
-        Experiments.t_run =
-          (fun p ->
-            let ts = target.Experiments.t_run p in
-            tables := ts;
-            ts);
-      }
-    in
-    Experiments.run_parallel ?csv_dir ~jobs profile target;
+    let tables = Experiments.run ?csv_dir ~jobs profile target in
     match summary_out with
     | None -> ()
     | Some path ->
@@ -436,7 +431,7 @@ let stress_cmd =
           List.iter
             (fun row -> output_string oc (String.concat "|" row ^ "\n"))
             (t.Exp_common.header :: t.Exp_common.rows))
-        !tables;
+        tables;
       close_out oc;
       Printf.printf "wrote %s\n" path
   in
@@ -446,7 +441,7 @@ let stress_cmd =
          "Adversity matrix: scheme x fault scenario on the Clos fabric plus the crafted \
           cyclic-buffer-dependency ring, with pause-storm / runtime-deadlock / victim-flow \
           detectors attached")
-    Term.(const run $ profile_arg $ seed $ jobs $ watchdog $ summary_out $ csv_dir)
+    Term.(const run $ profile_arg $ seed $ jobs_arg $ watchdog $ summary_out $ csv_dir_arg)
 
 let stream_cmd =
   let flows =
@@ -458,7 +453,7 @@ let stream_cmd =
         & info [ "exact" ]
             ~doc:
               "Retain every flow record and exact slowdown sample instead of streaming \
-               (the memory baseline the BENCH gate compares against).")
+               (the memory baseline CI's streaming gate compares against).")
   in
   let scheme = Arg.(value & opt scheme_conv Scheme.bfc & info [ "scheme" ] ~docv:"SCHEME") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ]) in

@@ -99,7 +99,7 @@ type t = {
   mutable next_uid : int;
   (* self-profiling: per-event-class execution counts, queue-depth
      high-water mark and handle-reuse stats. Plain int stores, cheap
-     enough to keep on unconditionally (see bench --macro). *)
+     enough to keep on unconditionally. *)
   exec_by_class : int array; (* indexed by handle class *)
   mutable heap_hwm : int;
   mutable rearms : int;

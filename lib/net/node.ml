@@ -7,8 +7,17 @@ type t = {
   mutable handler : in_port:int -> Packet.t -> unit;
 }
 
-let unattached name ~in_port:_ _ =
-  failwith (Printf.sprintf "Node %s: packet delivered before a device was attached" name)
+exception Unattached of { node : string }
+
+let () =
+  Printexc.register_printer (function
+    | Unattached { node } ->
+      Some
+        (Printf.sprintf "Node.Unattached (packet delivered to %s before a device was attached)"
+           node)
+    | _ -> None)
+
+let unattached node ~in_port:_ _ = raise (Unattached { node })
 
 let make ~id ~kind ~name = { id; kind; name; handler = unattached name }
 

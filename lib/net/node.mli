@@ -15,5 +15,10 @@ type t = {
 
 val make : id:int -> kind:kind -> name:string -> t
 
-(** [deliver t ~in_port pkt] invokes the attached handler. *)
+(** Raised by {!deliver} on a node whose device was never attached — a
+    topology-wiring bug. Carries the node's name. *)
+exception Unattached of { node : string }
+
+(** [deliver t ~in_port pkt] invokes the attached handler; {!Unattached}
+    if there is none. *)
 val deliver : t -> in_port:int -> Packet.t -> unit

@@ -470,9 +470,6 @@ let pt pt_key pt_run = { pt_key; pt_run }
 
 let sweep points = Pool.run (List.map (fun p -> p.pt_run) points)
 
-let sweep_tagged points =
-  List.combine (List.map (fun p -> p.pt_key) points) (sweep points)
-
 let fct_rows r =
   (* streaming runs report from the sketches (counts exact, percentiles
      within the configured relative-error bound); exact runs from the

@@ -114,9 +114,6 @@ val pt : string -> (unit -> 'a) -> 'a sweep_point
     count, so downstream tables are byte-identical. *)
 val sweep : 'a sweep_point list -> 'a list
 
-(** Like {!sweep}, pairing each result with its point's key. *)
-val sweep_tagged : 'a sweep_point list -> (string * 'a) list
-
 (** Rows of per-bucket slowdown stats for one run, prefixed by the scheme
     name: bucket, n, avg, p50, p95, p99. *)
 val fct_rows : std_result -> string list list

@@ -48,29 +48,30 @@ let all =
     { t_name = "strawman"; t_what = "PFC + deployed e2e schemes vs BFC (Sec 2.2)"; t_run = Exp_ablation.strawman };
   ]
 
-let find name = List.find_opt (fun t -> t.t_name = name) all
+let resolve names =
+  let find n = List.find_opt (fun t -> t.t_name = n) all in
+  match List.find_opt (fun n -> Option.is_none (find n)) names with
+  | Some n -> Error (Printf.sprintf "unknown target %s (see `bfc_sim list`)" n)
+  | None -> Ok (if names = [] then all else List.filter_map find names)
 
-let names () = List.map (fun t -> t.t_name) all
-
-let run_and_print ?csv_dir profile t =
-  let t0 = Bfc_util.Clock.now_s () in
-  Printf.printf "\n################ %s — %s\n%!" t.t_name t.t_what;
-  let tables = t.t_run profile in
-  List.iter Exp_common.print_table tables;
-  (match csv_dir with
-  | Some dir ->
-    Bfc_util.Fs.ensure_dir dir;
-    List.iteri
-      (fun i table ->
-        let path = Filename.concat dir (Printf.sprintf "%s_%d.csv" t.t_name i) in
-        Exp_common.write_csv table ~path)
-      tables
-  | None -> ());
-  Printf.printf "[%s done in %.1fs]\n%!" t.t_name (Bfc_util.Clock.elapsed_s ~since:t0)
-
-let run_parallel ?csv_dir ~jobs profile t =
+let run ?csv_dir ~jobs profile t =
   let prev = Pool.default_jobs () in
   Pool.set_default_jobs jobs;
   Fun.protect
     ~finally:(fun () -> Pool.set_default_jobs prev)
-    (fun () -> run_and_print ?csv_dir profile t)
+    (fun () ->
+      let t0 = Bfc_util.Clock.now_s () in
+      Printf.printf "\n################ %s — %s\n%!" t.t_name t.t_what;
+      let tables = t.t_run profile in
+      List.iter Exp_common.print_table tables;
+      (match csv_dir with
+      | Some dir ->
+        Bfc_util.Fs.ensure_dir dir;
+        List.iteri
+          (fun i table ->
+            let path = Filename.concat dir (Printf.sprintf "%s_%d.csv" t.t_name i) in
+            Exp_common.write_csv table ~path)
+          tables
+      | None -> ());
+      Printf.printf "[%s done in %.1fs]\n%!" t.t_name (Bfc_util.Clock.elapsed_s ~since:t0);
+      tables)

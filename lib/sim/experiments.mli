@@ -10,16 +10,16 @@ type target = {
 
 val all : target list
 
-val find : string -> target option
-
-val names : unit -> string list
+(** [resolve names] looks each name up in {!all}, keeping the order
+    given; no names means every target. [Error] names the first unknown
+    target. *)
+val resolve : string list -> (target list, string) result
 
 (** Run one target and print its tables, with wall-clock timing; also
-    write each table as CSV into [csv_dir] when given. *)
-val run_and_print : ?csv_dir:string -> Exp_common.profile -> target -> unit
-
-(** Like {!run_and_print} but with the ambient {!Pool} job count set to
-    [jobs] for the duration of the run: every sweep inside the target fans
-    out over that many domains. Tables (and CSVs) are byte-identical to a
-    sequential run — only wall-clock time changes. *)
-val run_parallel : ?csv_dir:string -> jobs:int -> Exp_common.profile -> target -> unit
+    write each table as CSV into [csv_dir] when given. The ambient
+    {!Pool} job count is [jobs] for the duration of the run, so every
+    sweep inside the target fans out over that many domains. Tables (and
+    CSVs) are byte-identical at any [jobs]: only wall-clock time changes.
+    Returns the tables. *)
+val run :
+  ?csv_dir:string -> jobs:int -> Exp_common.profile -> target -> Exp_common.table list

@@ -9,12 +9,10 @@
    takes it. Results are merged by task index and errors re-raised in task
    order, which keeps output deterministic at any job count. *)
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
-(* Ambient job count used by [run] when no [?jobs] is given. Set once at
-   startup (bench CLI --jobs / Experiments.run_parallel); sweeps deep
-   inside experiment code pick it up without threading a parameter through
-   every figure. *)
+(* Ambient job count used by [run] when no [?jobs] is given. Set for the
+   duration of one target by [Experiments.run] (`bfc_sim run/stress
+   --jobs`); sweeps deep inside experiment code pick it up without
+   threading a parameter through every figure. *)
 let ambient = Atomic.make 1
 
 let set_default_jobs j =
@@ -33,7 +31,8 @@ let () =
            backtrace)
     | _ -> None)
 
-let run_list ?jobs tasks =
+let run ?jobs tasks =
+  let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   let jobs = max 1 (min n (match jobs with Some j -> j | None -> default_jobs ())) in
   let results = Array.make n None in
@@ -75,7 +74,3 @@ let run_list ?jobs tasks =
      failure was re-raised above *)
   (* bfc-lint: allow rob-assert-false *)
   Array.to_list (Array.map (function Some r -> r | None -> assert false) results)
-
-let run ?jobs tasks = run_list ?jobs (Array.of_list tasks)
-
-let run_array ?jobs tasks = Array.of_list (run_list ?jobs tasks)

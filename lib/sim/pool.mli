@@ -4,9 +4,6 @@
     mutable state); the pool runs them on OCaml 5 domains and merges
     results in task order, so output is deterministic at any job count. *)
 
-(** [Domain.recommended_domain_count ()] — the default for [--jobs]. *)
-val recommended_jobs : unit -> int
-
 (** Set the ambient job count used when {!run} gets no [?jobs]. 1 (the
     initial value) means run inline on the calling domain. *)
 val set_default_jobs : int -> unit
@@ -23,5 +20,3 @@ exception Task_error of { index : int; exn : exn; backtrace : string }
     to the task count, and [jobs <= 1] runs inline (no domains spawned).
     Raises {!Task_error} if any task raised. *)
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
-
-val run_array : ?jobs:int -> (unit -> 'a) array -> 'a array

@@ -18,7 +18,7 @@
       filter completes silently.
 
     The resulting table is the EXPERIMENTS.md "BFC vs PFC under adversity"
-    section; {!target} packages it for {!Bfc_sim.Experiments.run_parallel}
+    section; {!target} packages it for {!Bfc_sim.Experiments.run}
     (the stress library sits above [bfc_fault], so the target is driven
     from the CLI rather than registered in [Experiments.all]). *)
 
@@ -60,5 +60,5 @@ val ring_cell : Bfc_sim.Exp_common.profile -> ring_variant -> cell
 val matrix_table : cell list -> Bfc_sim.Exp_common.table
 
 (** The full matrix as an {!Bfc_sim.Experiments.target} named "stress",
-    runnable via [Experiments.run_parallel]. *)
+    runnable via [Experiments.run]. *)
 val target : ?seed:int -> ?watchdog:Bfc_engine.Time.t -> unit -> Bfc_sim.Experiments.target

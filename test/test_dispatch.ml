@@ -28,8 +28,7 @@ let fixture_dir =
 
 (* Everything the acceptance criteria name, as one stable text blob.
    Executed-event counts are deliberately absent: sequential and sharded
-   runs agree on outputs, not on per-shard bookkeeping events (the
-   equal-event-count assertion lives in [bench --macro]). *)
+   runs agree on outputs, not on per-shard bookkeeping events. *)
 let render (r : Exp_common.std_result) =
   let b = Buffer.create 4096 in
   Printf.bprintf b "injected %d\n" (Runner.injected r.Exp_common.env);

@@ -210,12 +210,25 @@ let test_scheme_names () =
 let test_experiments_registry () =
   let module E = Bfc_sim.Experiments in
   Alcotest.(check bool) "30+ targets" true (List.length E.all >= 30);
-  Alcotest.(check bool) "fig9 exists" true (E.find "fig9" <> None);
-  Alcotest.(check bool) "unknown absent" true (E.find "fig99" = None);
   (* names unique *)
-  let names = E.names () in
+  let names = List.map (fun t -> t.E.t_name) E.all in
   check Alcotest.int "unique names" (List.length names)
     (List.length (List.sort_uniq compare names))
+
+let test_experiments_resolve () =
+  let module E = Bfc_sim.Experiments in
+  let names = function
+    | Ok ts -> List.map (fun t -> t.E.t_name) ts
+    | Error m -> Alcotest.fail m
+  in
+  check Alcotest.(list string) "given order" [ "fig9"; "fig7" ]
+    (names (E.resolve [ "fig9"; "fig7" ]));
+  check Alcotest.int "no names: every target" (List.length E.all)
+    (List.length (names (E.resolve [])));
+  match E.resolve [ "fig7"; "fig99" ] with
+  | Ok _ -> Alcotest.fail "unknown target resolved"
+  | Error m ->
+    check Alcotest.string "names the unknown target" "unknown target fig99 (see `bfc_sim list`)" m
 
 let test_profile_of_string () =
   Alcotest.(check bool) "quick" true (Exp_common.profile_of_string "quick" = Exp_common.Quick);
@@ -375,6 +388,7 @@ let suite =
     ("bitmap refresh repauses", `Quick, test_bitmap_refresh_repauses);
     ("scheme names", `Quick, test_scheme_names);
     ("experiments registry", `Quick, test_experiments_registry);
+    ("experiments resolve", `Quick, test_experiments_resolve);
     ("profile parsing", `Quick, test_profile_of_string);
     ("metrics incast separation", `Quick, test_metrics_incast_separation);
     ("metrics since filter", `Quick, test_metrics_since_filter);

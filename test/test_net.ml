@@ -213,6 +213,19 @@ let test_port_ctrl_bypass () =
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "ctrl arrives after exactly prop" (Time.us 1.0) !at
 
+(* A link into a node nobody attached a device to is a wiring bug: the
+   delivery raises a structured error naming the node. *)
+let test_node_unattached () =
+  let sim = Sim.create () in
+  let b = Topology.Builder.create sim in
+  let a = Topology.Builder.add_host b ~name:"a" in
+  let z = Topology.Builder.add_host b ~name:"z" in
+  Topology.Builder.link b a z ~gbps:100.0 ~prop:(Time.us 1.0);
+  let t = Topology.Builder.finish b in
+  Port.send_ctrl (Topology.ports t a).(0) (Packet.make Packet.Pause ~src:a ~dst:z ~size:64 ());
+  Alcotest.check_raises "names the node" (Node.Unattached { node = "z" }) (fun () ->
+      ignore (Sim.run_until_idle sim))
+
 (* Data and control deliveries on one port interleave in time; each
    delivery event names its packet by table index, so every arrival must
    hand over exactly the packet its send posted, at its own time. *)
@@ -292,6 +305,7 @@ let suite =
     ("cross-dc shape", `Quick, test_cross_dc_shape);
     ("port transmission", `Quick, test_port_transmission);
     ("port ctrl bypass", `Quick, test_port_ctrl_bypass);
+    ("node unattached", `Quick, test_node_unattached);
     ("port interleaved deliveries", `Quick, test_port_interleaved_deliveries);
     QCheck_alcotest.to_alcotest prop_routing_reaches_any_pair;
   ]

@@ -154,26 +154,43 @@ let test_pool_run_error_in_task_order () =
   check int "parallel reports the same task" 5 (got 4)
 
 let test_run_parallel_rows_identical () =
-  (* a smoke-profile multi-point experiment, sequential vs 4 domains: the
-     table rows must be byte-identical *)
+  (* a smoke-profile multi-point experiment through the figure runner,
+     sequential vs 2 and 4 domains: the table rows and the CSV files must
+     be byte-identical *)
   let target =
-    match Experiments.find "fig12" with Some t -> t | None -> fail "fig12 missing"
-  in
-  let tables jobs =
-    let prev = Pool.default_jobs () in
-    Pool.set_default_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Pool.set_default_jobs prev)
-      (fun () -> target.Experiments.t_run Exp_common.Smoke)
+    match Experiments.resolve [ "fig12" ] with Ok [ t ] -> t | _ -> fail "fig12 missing"
   in
   let flat ts =
     List.concat_map
       (fun t -> (t.Exp_common.title :: t.Exp_common.header) :: t.Exp_common.rows)
       ts
   in
-  let seq = flat (tables 1) in
-  let par = flat (tables 4) in
-  check (list (list string)) "rows byte-identical at jobs=4" seq par
+  let run jobs =
+    let dir = Filename.temp_dir "bfc_csv" "" in
+    let rows = flat (Experiments.run ~csv_dir:dir ~jobs Exp_common.Smoke target) in
+    let csvs =
+      List.map
+        (fun name ->
+          let path = Filename.concat dir name in
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Sys.remove path;
+          (name, bytes))
+        (List.sort String.compare (Array.to_list (Sys.readdir dir)))
+    in
+    Sys.rmdir dir;
+    (rows, csvs)
+  in
+  let seq_rows, seq_csvs = run 1 in
+  check bool "writes CSVs" true (seq_csvs <> []);
+  List.iter
+    (fun jobs ->
+      let rows, csvs = run jobs in
+      check (list (list string)) (Printf.sprintf "rows byte-identical at jobs=%d" jobs) seq_rows
+        rows;
+      check (list (pair string string))
+        (Printf.sprintf "CSVs byte-identical at jobs=%d" jobs)
+        seq_csvs csvs)
+    [ 2; 4 ]
 
 (* ------------------------ recorded fire order ---------------------- *)
 
