@@ -5,10 +5,9 @@ Run from anywhere, with perfbench/run.py's arguments:
 
     python3 bench/history.py --workload bfc_quick --seed 1 --seconds 36 --trace 0
 
-Every argument except --history FILE goes to perfbench/run.py unchanged,
-and its output is echoed line by line. When it finishes, one JSON row is
-appended to the history (BENCH_history.jsonl at the repository root
-unless --history names another file):
+Every argument goes to perfbench/run.py unchanged, and its output is
+echoed line by line. When it finishes, one JSON row is appended to
+BENCH_history.jsonl at the repository root:
 
     {"commit", "workload", "seed", "trace", "correct", "metrics": {name: value}}
 
@@ -18,7 +17,6 @@ it. The workload, seed and trace mode come from run.py's own header line,
 run.py's; a run that prints no final JSON line appends nothing.
 """
 
-import argparse
 import json
 import os
 import re
@@ -26,6 +24,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 
 
 def git(*args):
@@ -34,11 +33,8 @@ def git(*args):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0], allow_abbrev=False)
-    ap.add_argument("--history", default=os.path.join(ROOT, "BENCH_history.jsonl"),
-                    help="JSON-lines file to append the row to")
-    args, rest = ap.parse_known_args()
-    proc = subprocess.Popen([sys.executable, os.path.join(ROOT, "perfbench", "run.py")] + rest,
+    proc = subprocess.Popen([sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
+                            + sys.argv[1:],
                             cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = []
     for line in proc.stdout:
@@ -64,9 +60,9 @@ def main():
         "correct": result["correct"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
-    with open(args.history, "a") as f:
+    with open(HISTORY, "a") as f:
         f.write(json.dumps(row) + "\n")
-    print("history: appended a %s row to %s" % (workload, args.history), file=sys.stderr)
+    print("history: appended a %s row to %s" % (workload, HISTORY), file=sys.stderr)
     return code
 
 

@@ -13,8 +13,8 @@
    streaming memory by `bfc_sim stream`.
 
    Usage:
-     dune exec bench/main.exe -- --pdes   -- progress on stderr, one JSON
-                                             object {"pdes": {...}} on stdout *)
+     dune exec bench/main.exe   -- progress on stderr, one JSON object
+                                   {"pdes": {...}} on stdout; takes no options *)
 
 module Exp_common = Bfc_sim.Exp_common
 module Runner = Bfc_sim.Runner
@@ -93,9 +93,4 @@ let run_pdes () =
 |}
     shards cores shards ratio events seq_secs seq_eps sh_secs sh_eps sync_json speedup_json
 
-let () =
-  match Array.to_list Sys.argv |> List.tl with
-  | [ "--pdes" ] -> run_pdes ()
-  | _ ->
-    prerr_endline "usage: main.exe --pdes";
-    exit 2
+let () = run_pdes ()

@@ -25,8 +25,17 @@ let profile_arg =
       & opt profile_conv Exp_common.Quick
       & info [ "profile" ] ~docv:"PROFILE" ~doc:"Scale: smoke, quick or paper.")
 
+(* Counts that must be at least 1: a smaller value is a usage error. *)
+let positive =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (Printf.sprintf "expected an integer >= 1, got %s" s)),
+      Format.pp_print_int )
+
 let shards_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition each simulation across $(docv) domains (conservative PDES, pod-wise \
@@ -34,28 +43,13 @@ let shards_arg =
              (each sweep point gets its own shard set).")
 
 let jobs_arg =
-  let positive =
-    Arg.conv'
-      ( (fun s ->
-          match int_of_string_opt s with
-          | Some n when n >= 1 -> Ok n
-          | _ -> Error (Printf.sprintf "expected an integer >= 1, got %s" s)),
-        Format.pp_print_int )
-  in
-  Arg.(value & opt positive 1
-      & info [ "jobs" ] ~docv:"N"
+  Arg.(value & opt positive (Domain.recommended_domain_count ())
+      & info [ "jobs" ] ~docv:"N" ~absent:"the number of cores"
           ~doc:"Run sweep points over $(docv) domains; tables are byte-identical for any value.")
 
 let csv_dir_arg =
   Arg.(value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Write each table as CSV into $(docv).")
-
-let set_shards n =
-  if n < 1 then begin
-    Printf.eprintf "bfc_sim: --shards must be >= 1 (got %d)\n" n;
-    exit 2
-  end;
-  Bfc_sim.Pdes.set_default_shards n
 
 (* Streaming-observability flags, shared by run and sweep. *)
 let streaming_flag =
@@ -104,7 +98,7 @@ let run_cmd =
     match Experiments.resolve targets with
     | Error m -> Error (`Msg m)
     | Ok chosen ->
-      set_shards shards;
+      Bfc_sim.Pdes.set_default_shards shards;
       set_streaming_cli streaming flowlog alpha progress;
       List.iter (fun t -> ignore (Experiments.run ?csv_dir ~jobs profile t)) chosen;
       Ok ()
@@ -157,7 +151,7 @@ let sweep_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
   let run profile scheme dist load incast watchdog seed shards streaming flowlog alpha progress =
-    set_shards shards;
+    Bfc_sim.Pdes.set_default_shards shards;
     set_streaming_cli streaming flowlog alpha progress;
     let s =
       {
