@@ -25,12 +25,12 @@ let assign t ~egress ~fid_hash =
   | Single -> 0
   | Stochastic -> fid_hash mod t.queues
   | Dynamic -> (
-    let b = t.empty.(egress) in
-    match Bfc_util.Bitset.first_set b ~from:t.rot.(egress) with
-    | Some q ->
+    let q = Bfc_util.Bitset.first_set t.empty.(egress) ~from:t.rot.(egress) in
+    if q >= 0 then begin
       t.rot.(egress) <- q + 1;
       q
-    | None -> Bfc_util.Rng.int t.rng t.queues)
+    end
+    else Bfc_util.Rng.int t.rng t.queues)
 
 let mark_empty t ~egress ~queue = Bfc_util.Bitset.set t.empty.(egress) queue
 

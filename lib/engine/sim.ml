@@ -30,8 +30,8 @@
 
    - classes 0–2 (closure one-shot / reusable / ticker) carry a
      [unit -> unit] closure — the original representation, kept for the
-     control plane and as the source-compatible fallback behind
-     [at]/[after]/[make_handle]/[every];
+     control plane behind [at]/[after]/[every] (nothing schedules the
+     reusable class any more; its profile count reads 0);
    - classes 3+ are typed: the handle carries two immediate int args
      ([a0], [a1]) and fires through a per-class executor registered
      once per (sim, class) with [register_class]. Typed handles are
@@ -40,7 +40,8 @@
      RTOs, pacers) allocates nothing per event and dispatches through
      one direct [match] + array-indexed call to a single shared
      executor per class, instead of an indirect call to one of
-     thousands of short-lived closures.
+     thousands of short-lived closures. Per-flow work (flow start,
+     state reclaim, transport timers) is typed too.
 
    Queue ids. The wheel holds ints, not handles, so no store into it
    takes the write barrier: a typed handle is queued as its pool slot
@@ -102,7 +103,6 @@ type t = {
      enough to keep on unconditionally. *)
   exec_by_class : int array; (* indexed by handle class *)
   mutable heap_hwm : int;
-  mutable rearms : int;
   mutable cancels : int;
   (* typed event table: per-class executors and their state... *)
   exec_fn : (user -> int -> int -> unit) array;
@@ -160,6 +160,10 @@ let cls_pdes_barrier = 8
 
 let cls_xpass_resume = 9
 
+let cls_flow_start = 10
+
+let cls_flow_reclaim = 11
+
 let n_classes = 16
 
 type profile = {
@@ -169,7 +173,6 @@ type profile = {
   p_typed : int;
   p_heap_hwm : int;
   p_heap_capacity : int;
-  p_rearms : int;
   p_cancels : int;
   p_executed : int;
   p_live : int;
@@ -286,7 +289,6 @@ let create () =
       next_uid = 0;
       exec_by_class = Array.make n_classes 0;
       heap_hwm = 0;
-      rearms = 0;
       cancels = 0;
       exec_fn = Array.make n_classes unregistered_exec;
       exec_st = Array.make n_classes No_state;
@@ -486,37 +488,14 @@ let cancel_token t token =
     end
   end
 
-(* Reusable handles: [make_handle] builds an unarmed handle once; [rearm]
-   puts it back in the queue. Steady-state periodic or chained events (port
-   wakeups, in-flight deliveries) allocate nothing per occurrence. A handle
-   that was [cancel]led while armed still has a stale queue entry and must
-   not be rearmed before its original deadline passes — the engine's own
-   users (Port) never cancel reusable handles. *)
-let make_handle t fn =
-  { owner = t; cls = cls_reusable; alive = false; fired = false; fn;
-    a0 = 0; a1 = 0; gen = 0; slot = -1 }
-
-let rearm ?(key = key_mask) h ~at:time =
-  let t = h.owner in
-  if h.alive && not h.fired then invalid_arg "Sim.rearm: handle is already armed";
-  if unschedulable t time then bad_time "rearm" t time;
-  h.alive <- true;
-  h.fired <- false;
-  Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h);
-  note_depth t;
-  t.live <- t.live + 1;
-  t.rearms <- t.rearms + 1
-
 (* Cancellation only tombstones the queue entry (the wheel does not
    support removal from the middle), but the closure is dropped eagerly:
-   a cancelled RTO's closure is often the only thing keeping a finished
-   flow's transport state alive, and the stale entry can outlive the
-   whole run. Reusable handles keep their [fn] — [rearm] exists to reuse
-   it. *)
+   it may be the only thing keeping whatever it captured alive, and the
+   stale entry can outlive the whole run. *)
 let cancel h =
   if h.alive && not h.fired then begin
     h.alive <- false;
-    if h.cls <> cls_reusable then h.fn <- noop_fn;
+    h.fn <- noop_fn;
     h.owner.live <- h.owner.live - 1;
     h.owner.cancels <- h.owner.cancels + 1
   end
@@ -651,7 +630,6 @@ let profile t =
     p_typed = !typed;
     p_heap_hwm = t.heap_hwm;
     p_heap_capacity = Wheel.capacity t.q;
-    p_rearms = t.rearms;
     p_cancels = t.cancels;
     p_executed = t.executed;
     p_live = t.live;

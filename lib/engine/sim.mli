@@ -7,9 +7,9 @@
 
     Events come in two representations:
 
-    - {b closures} ([at]/[after]/[make_handle]/[every]) — fully general,
-      one heap allocation and an indirect call per occurrence. The control
-      plane and out-of-tree callers use these.
+    - {b closures} ([at]/[after]/[every]) — fully general, one heap
+      allocation and an indirect call per occurrence. The control plane
+      and out-of-tree callers use these.
     - {b typed posts} ([post]/[post_token]) — a class id from the small
       fixed enum below plus two immediate int args, fired through a
       per-class executor registered once per sim with [register_class].
@@ -126,6 +126,15 @@ val cls_xpass_resume : int
 (** ExpressPass credit-queue resume probe — [a0] = attach registry
     index, [a1] = egress. *)
 
+val cls_flow_start : int
+(** Flow arrival — [a0] = the flow's slot in the runner's pending-start
+    table, [a1] unused. *)
+
+val cls_flow_reclaim : int
+(** Streaming reclaim of a finished flow's transport state — [a0] =
+    source host registry index, [a1] = packed (flow id, destination host
+    registry index). *)
+
 val n_classes : int
 (** Exclusive upper bound on class ids (16). Ids in
     [[cls_port_tx, n_classes)] not claimed above are free for
@@ -173,19 +182,6 @@ val cancel : handle -> unit
 
 (** Is the event still pending (not run, not cancelled)? *)
 val pending : handle -> bool
-
-(** [make_handle t f] builds an unarmed, reusable handle for [f]. Arm it
-    with {!rearm}; once fired it can be rearmed again, so a steady-state
-    chained event (a port's idle wakeup, an in-flight delivery slot)
-    allocates nothing per occurrence. *)
-val make_handle : t -> (unit -> unit) -> handle
-
-(** [rearm h ~at] schedules an unarmed reusable handle at absolute time
-    [at]. Raises [Invalid_argument] if [h] is still armed or [at] is in the
-    past or at or beyond {!horizon}. A handle [cancel]led while armed
-    leaves a stale queue entry behind and must not be rearmed until that
-    deadline has passed. [~key] as in {!at}. *)
-val rearm : ?key:int -> handle -> at:Time.t -> unit
 
 (** [every t ~period f] runs [f] every [period] starting at [now + period],
     until [stop_ticker] is called on the returned controller. The ticker
@@ -237,15 +233,14 @@ val executed_events : t -> int
     unconditionally (plain int stores per event); read it at any point.
 
     - [p_one_shot] / [p_reusable] / [p_ticker]: closure events executed
-      per class — fresh [at]/[after] closures, reusable handles
-      ([make_handle] + {!rearm}: port wakeups), and {!every} ticks.
+      per class — fresh [at]/[after] closures, the retired reusable-handle
+      class (always 0), and {!every} ticks.
     - [p_typed]: typed events executed ({!post}/{!post_token}), summed
       over all registered classes. A healthy hot path executes mostly
-      typed and reusable events.
+      typed events.
     - [p_heap_hwm]: deepest the pending-event queue ever got (backlog
       high-water mark); [p_heap_capacity] is the backing storage it grew
       to (total wheel bucket slots).
-    - [p_rearms]: handle re-armings — every one is an allocation avoided.
     - [p_cancels]: cancellations (each leaves a tombstone until its
       deadline). *)
 type profile = {
@@ -255,7 +250,6 @@ type profile = {
   p_typed : int;
   p_heap_hwm : int;
   p_heap_capacity : int;
-  p_rearms : int;
   p_cancels : int;
   p_executed : int;
   p_live : int;

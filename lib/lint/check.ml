@@ -139,8 +139,8 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
         "assert false aborts without context; raise a structured exception"
     | Pexp_apply (fn, args) -> (
       (* PF001: arming a timer with a closure literal allocates on every
-         arm; hot paths must post typed events or pre-build the handle.
-         Named partial applications (rare fallbacks) pass. *)
+         arm; hot paths must post typed events. Named partial applications
+         pass. *)
       (if perf_here () then
          match fn.pexp_desc with
          | Pexp_ident { txt; _ } -> (
@@ -155,8 +155,7 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
              report Rule.pf_closure_timer fn.pexp_loc
                (Printf.sprintf
                   "Sim.%s with a closure literal on a hot scheduling path; post a typed event \
-                   (Sim.post) or pre-build the handle with Sim.make_handle"
-                  tfn)
+                   (Sim.post)" tfn)
            | _ -> ())
          | _ -> ());
       match (fn.pexp_desc, args) with

@@ -147,8 +147,7 @@ let pf_closure_timer =
     severity = Error;
     doc =
       "Sim.at/Sim.after with a closure literal on a hot scheduling path: each arm allocates a \
-       fresh closure; post a typed event (Sim.post with a class id) or pre-build the handle once \
-       with Sim.make_handle";
+       fresh closure; post a typed event (Sim.post with a class id)";
   }
 
 let pf_stdlib_queue =

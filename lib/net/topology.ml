@@ -8,6 +8,7 @@ type t = {
   host_index : int array; (* node id -> dense host index, -1 for non-hosts *)
   routes : int array array array; (* routes.(node).(host_index) = local egress port candidates *)
   all_ports : Port.t array; (* by gid *)
+  paths : Port.t array array array; (* [src][dst] by host index, rows filled on first use *)
 }
 
 module Builder = struct
@@ -129,7 +130,8 @@ module Builder = struct
           end
         done)
       hosts;
-    { sim = b.bsim; nodes; ports; hosts; host_index; routes; all_ports }
+    let paths = Array.make (Array.length hosts) [||] in
+    { sim = b.bsim; nodes; ports; hosts; host_index; routes; all_ports; paths }
 end
 
 let sim t = t.sim
@@ -139,6 +141,8 @@ let nodes t = t.nodes
 let node t i = t.nodes.(i)
 
 let hosts t = t.hosts
+
+let host_index t i = t.host_index.(i)
 
 let ports t i = t.ports.(i)
 
@@ -174,49 +178,59 @@ let spray_port t ~node ~rng ~dst =
   | 1 -> cands.(0)
   | n -> cands.(Bfc_util.Rng.int rng n)
 
-let path t ~src ~dst =
-  let rec walk node acc =
-    if node = dst then List.rev acc
+let walk t ~src ~dst =
+  let rec go node acc =
+    if node = dst then Array.of_list (List.rev acc)
     else begin
       let cands = candidates t ~node ~dst in
       let p = t.ports.(node).(cands.(0)) in
-      walk (Port.peer p).Node.id (p :: acc)
+      go (Port.peer p).Node.id (p :: acc)
     end
   in
-  walk src []
+  go src []
+
+(* The first-candidate path, walked once per host pair. *)
+let path_ports t ~src ~dst =
+  let hs = t.host_index.(src) and hd = t.host_index.(dst) in
+  if hs < 0 || hd < 0 then walk t ~src ~dst
+  else begin
+    if Array.length t.paths.(hs) = 0 then t.paths.(hs) <- Array.make (Array.length t.hosts) [||];
+    if Array.length t.paths.(hs).(hd) = 0 then t.paths.(hs).(hd) <- walk t ~src ~dst;
+    t.paths.(hs).(hd)
+  end
+
+let path t ~src ~dst = Array.to_list (path_ports t ~src ~dst)
 
 let ideal_fct t ~src ~dst ~size ~mtu ?(extra_header = 0) () =
-  let ports_on_path = path t ~src ~dst in
+  let ports_on_path = path_ports t ~src ~dst in
   let hdr = Packet.header_bytes + extra_header in
   let n_full = size / mtu in
   let rem = size mod mtu in
   let wire = (n_full * (mtu + hdr)) + (if rem > 0 then rem + hdr else 0) in
   let mtu_wire = mtu + hdr in
-  let min_gbps =
-    List.fold_left (fun acc p -> Float.min acc (Port.gbps p)) infinity ports_on_path
-  in
-  let props = List.fold_left (fun acc p -> acc + Port.prop p) 0 ports_on_path in
   (* Pipeline fill: one MTU serialized per hop, then the rest drains at the
      bottleneck rate. *)
-  let fill =
-    List.fold_left
-      (fun acc p -> acc + Bfc_engine.Time.tx_time ~gbps:(Port.gbps p) ~bytes:(min wire mtu_wire))
-      0 ports_on_path
-  in
+  let min_gbps = ref infinity and props = ref 0 and fill = ref 0 in
+  for i = 0 to Array.length ports_on_path - 1 do
+    let p = ports_on_path.(i) in
+    min_gbps := Float.min !min_gbps (Port.gbps p);
+    props := !props + Port.prop p;
+    fill := !fill + Bfc_engine.Time.tx_time ~gbps:(Port.gbps p) ~bytes:(Int.min wire mtu_wire)
+  done;
   let drain =
     if wire <= mtu_wire then 0
-    else Bfc_engine.Time.tx_time ~gbps:min_gbps ~bytes:(wire - mtu_wire)
+    else Bfc_engine.Time.tx_time ~gbps:!min_gbps ~bytes:(wire - mtu_wire)
   in
-  props + fill + drain
+  !props + !fill + drain
 
 let base_rtt t ~src ~dst =
-  let fwd = path t ~src ~dst and back = path t ~src:dst ~dst:src in
   let leg pl bytes =
-    List.fold_left
+    Array.fold_left
       (fun acc p -> acc + Port.prop p + Bfc_engine.Time.tx_time ~gbps:(Port.gbps p) ~bytes)
       0 pl
   in
-  leg fwd Packet.header_bytes + leg back Packet.ack_bytes
+  leg (path_ports t ~src ~dst) Packet.header_bytes
+  + leg (path_ports t ~src:dst ~dst:src) Packet.ack_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Canned topologies                                                    *)

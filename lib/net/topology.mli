@@ -34,6 +34,9 @@ val node : t -> int -> Node.t
 (** Node ids of all hosts, in creation order. *)
 val hosts : t -> int array
 
+(** A node's position in {!hosts}, or [-1] for a switch. *)
+val host_index : t -> int -> int
+
 (** Ports of a node (local index order). *)
 val ports : t -> int -> Port.t array
 
@@ -57,7 +60,7 @@ val ecmp_port : t -> node:int -> flow:Flow.t -> dst:int -> int
 val spray_port : t -> node:int -> rng:Bfc_util.Rng.t -> dst:int -> int
 
 (** The deterministic first-candidate path from [src] to [dst], as the list
-    of ports traversed. *)
+    of ports traversed. Host-to-host paths are walked once and cached. *)
 val path : t -> src:int -> dst:int -> Port.t list
 
 (** Best-possible FCT of a [size]-byte flow from [src] to [dst] running

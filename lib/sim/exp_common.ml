@@ -576,13 +576,10 @@ let run_stream ?(scheme = Scheme.Bfc Scheme.bfc_default) ?(seed = 7) ?(alpha = 0
           (match flog with
           | Some (_, w) -> Bfc_obs.Flowlog.Writer.append w (flow_record env f)
           | None -> ());
-          if streaming then begin
-            let fid = f.Bfc_net.Flow.id and src = f.Bfc_net.Flow.src and dst = f.Bfc_net.Flow.dst in
-            ignore
-              (Sim.after sim grace (fun () ->
-                   Bfc_transport.Host.reclaim_flow_state (Runner.host env src) ~flow_id:fid;
-                   Bfc_transport.Host.reclaim_flow_state (Runner.host env dst) ~flow_id:fid))
-          end));
+          if streaming then
+            Bfc_transport.Host.reclaim_after
+              (Runner.host env f.Bfc_net.Flow.src)
+              ~peer:(Runner.host env f.Bfc_net.Flow.dst) ~flow_id:f.Bfc_net.Flow.id ~delay:grace));
   let peak = ref (Gc.quick_stat ()).Gc.heap_words in
   ignore
     (Sim.every sim ~period:(Time.us 20.0) (fun () ->

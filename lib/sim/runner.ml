@@ -313,6 +313,31 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
     in
     { base with scheme = Host.Homa prms; nic_policy = Sched.Prio_strict }
 
+(* Flow arrivals are typed [cls_flow_start] events whose [a0] is the
+   flow's slot in a per-sim pending-start table. The hosts are the latest
+   environment's, which own the nodes' handlers. *)
+type starts = { pending : Flow.t Bfc_util.Slot_table.t; mutable live_hosts : Host.t option array }
+
+type Sim.user += Starts of starts
+
+let start_exec st a0 _ =
+  match st with
+  | Starts s -> (
+    let f = Bfc_util.Slot_table.get s.pending a0 in
+    Bfc_util.Slot_table.release s.pending a0;
+    match s.live_hosts.(f.Flow.src) with
+    | Some h -> Host.start_flow h f
+    | None -> invalid_arg "Runner.inject: src is not a host")
+  | _ -> invalid_arg "Runner.start_exec: foreign class state"
+
+let starts sim =
+  match Sim.class_state sim ~cls:Sim.cls_flow_start with
+  | Some (Starts s) -> s
+  | _ ->
+    let s = { pending = Bfc_util.Slot_table.create (); live_hosts = [||] } in
+    Sim.register_class sim ~cls:Sim.cls_flow_start ~state:(Starts s) ~exec:start_exec;
+    s
+
 let setup_gen ~owned ~topo ~scheme ~params:p =
   (* Hpcc_pfc's perfect-retransmission notice reaches across devices
      (switch drop -> source host), which in a sharded run would mean a
@@ -350,18 +375,20 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
   let dataplanes = ref [] in
   let nic_queues = nic_queues_of scheme in
   let dpcfg = dataplane_config scheme p ~nic_queues in
-  (* Homa parameters depend on the workload distribution *)
-  let pair_bdp_cache : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  (* [src][dst] by host index, 0 until asked for; no n^2-word array at set-up *)
+  let n_hosts = Array.length (Topology.hosts topo) in
+  let pair_bdp = Array.make n_hosts [||] in
   let flow_bdp f =
-    let key = (f.Flow.src, f.Flow.dst) in
-    match Hashtbl.find_opt pair_bdp_cache key with
-    | Some b -> b
-    | None ->
+    let hs = Topology.host_index topo f.Flow.src and hd = Topology.host_index topo f.Flow.dst in
+    if Array.length pair_bdp.(hs) = 0 then pair_bdp.(hs) <- Array.make n_hosts 0;
+    let row = pair_bdp.(hs) in
+    if row.(hd) = 0 then begin
       let rtt = Topology.base_rtt topo ~src:f.Flow.src ~dst:f.Flow.dst in
-      let b = max 1 (int_of_float (float_of_int rtt *. line_gbps /. 8.0)) in
-      Hashtbl.add pair_bdp_cache key b;
-      b
+      row.(hd) <- Int.max 1 (int_of_float (float_of_int rtt *. line_gbps /. 8.0))
+    end;
+    row.(hd)
   in
+  (* Homa parameters depend on the workload distribution *)
   let hostcfg =
     let c = { (host_config scheme p ~base_rtt ~bdp ~line_gbps) with Host.flow_bdp = Some flow_bdp } in
     match (scheme, c.Host.scheme) with
@@ -447,6 +474,7 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
     }
   in
   env_ref := Some env;
+  (starts sim).live_hosts <- hosts;
   (* deadlock-prevention filter (App. B) *)
   if p.deadlock_filter then begin
     let g = Bfc_core.Deadlock.build topo in
@@ -471,14 +499,12 @@ let setup ~topo ~scheme ~params = setup_gen ~owned:None ~topo ~scheme ~params
 let setup_shard ~owned ~topo ~scheme ~params = setup_gen ~owned:(Some owned) ~topo ~scheme ~params
 
 let inject env flows =
+  let s = starts env.sim in
   List.iter
     (fun f ->
       env.injected <- env.injected + 1;
-      ignore
-        (Sim.at env.sim f.Flow.arrival (fun () ->
-             match env.hosts.(f.Flow.src) with
-             | Some h -> Host.start_flow h f
-             | None -> invalid_arg "Runner.inject: src is not a host")))
+      Sim.post env.sim f.Flow.arrival ~cls:Sim.cls_flow_start
+        ~a0:(Bfc_util.Slot_table.put s.pending f) ~a1:0)
     flows
 
 let run env ~until = ignore (Sim.run env.sim ~until)

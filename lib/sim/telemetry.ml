@@ -281,6 +281,6 @@ let counters_json t = Registry.to_json t.reg
 let engine_profile_json env =
   let p = Sim.profile (Runner.sim env) in
   Printf.sprintf
-    "{\"executed\":%d,\"typed\":%d,\"one_shot\":%d,\"reusable\":%d,\"ticker\":%d,\"heap_hwm\":%d,\"heap_capacity\":%d,\"rearms\":%d,\"cancels\":%d,\"live\":%d}"
+    "{\"executed\":%d,\"typed\":%d,\"one_shot\":%d,\"reusable\":%d,\"ticker\":%d,\"heap_hwm\":%d,\"heap_capacity\":%d,\"cancels\":%d,\"live\":%d}"
     p.Sim.p_executed p.Sim.p_typed p.Sim.p_one_shot p.Sim.p_reusable p.Sim.p_ticker p.Sim.p_heap_hwm
-    p.Sim.p_heap_capacity p.Sim.p_rearms p.Sim.p_cancels p.Sim.p_live
+    p.Sim.p_heap_capacity p.Sim.p_cancels p.Sim.p_live

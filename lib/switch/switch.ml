@@ -239,25 +239,20 @@ let rec set_queue_paused t ~egress ~queue paused =
 
 (* Watchdog checks are typed [cls_switch_ctrl] events: [a1] packs
    (epoch << 24) | (egress << 12) | (queue + 1), with queue slot 0
-   reserved for the per-port PFC watchdog. The packing fits whenever the
-   switch has < 4096 ports and < 4095 queues per port (the epoch is
-   bounded by the event budget, far below the remaining 39 bits); a
-   switch outsized for the packing falls back to the closure path, which
-   is identical in schedule order — same deadline, same default key,
-   one push either way. *)
+   reserved for the per-port PFC watchdog. [create] refuses switches the
+   packing cannot hold (more than 4096 ports or 4095 queues per port);
+   the epoch is bounded by the event budget, far below the remaining 39
+   bits. *)
 and arm_queue_watchdog t e ~queue =
   match t.cfg.pause_watchdog with
   | None -> ()
   | Some timeout ->
-    let epoch = e.ewd_epoch.(queue) in
-    if e.eidx < 4096 && queue < 4095 then
-      Sim.post t.sim
-        (Sim.now t.sim + timeout)
-        ~cls:Sim.cls_switch_ctrl ~a0:t.idx
-        ~a1:((epoch lsl 24) lor (e.eidx lsl 12) lor (queue + 1))
-    else ignore (Sim.after t.sim timeout (wd_fallback t e ~queue epoch))
+    Sim.post t.sim
+      (Sim.now t.sim + timeout)
+      ~cls:Sim.cls_switch_ctrl ~a0:t.idx
+      ~a1:((e.ewd_epoch.(queue) lsl 24) lor (e.eidx lsl 12) lor (queue + 1))
 
-and wd_fallback t e ~queue epoch () =
+and wd_fire t e ~queue epoch =
   if e.ewd_epoch.(queue) = epoch && e.equeues.(queue).Fifo.paused then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.hk.on_watchdog t ~egress:e.eidx ~queue;
@@ -301,7 +296,7 @@ let pfc_unpause t e =
   t.hk.on_queue_pause t ~egress:e.eidx ~queue:(-1) ~paused:false;
   try_send t e
 
-let pfc_wd_fallback t e epoch () =
+let pfc_wd_fire t e epoch =
   if e.epfc_epoch = epoch && e.epfc_paused then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.hk.on_watchdog t ~egress:e.eidx ~queue:(-1);
@@ -312,12 +307,10 @@ let arm_pfc_watchdog t e =
   match t.cfg.pause_watchdog with
   | None -> ()
   | Some timeout ->
-    if e.eidx < 4096 then
-      Sim.post t.sim
-        (Sim.now t.sim + timeout)
-        ~cls:Sim.cls_switch_ctrl ~a0:t.idx
-        ~a1:((e.epfc_epoch lsl 24) lor (e.eidx lsl 12))
-    else ignore (Sim.after t.sim timeout (pfc_wd_fallback t e e.epfc_epoch))
+    Sim.post t.sim
+      (Sim.now t.sim + timeout)
+      ~cls:Sim.cls_switch_ctrl ~a0:t.idx
+      ~a1:((e.epfc_epoch lsl 24) lor (e.eidx lsl 12))
 
 (* ------------------------------------------------------------------ *)
 (* Typed watchdog dispatch: one per-sim registry of switches, one shared
@@ -336,8 +329,7 @@ let watchdog_exec st a0 a1 =
     let epoch = a1 lsr 24 in
     let e = t.egresses.((a1 lsr 12) land 0xfff) in
     let q1 = a1 land 0xfff in
-    if q1 = 0 then pfc_wd_fallback t e epoch ()
-    else wd_fallback t e ~queue:(q1 - 1) epoch ()
+    if q1 = 0 then pfc_wd_fire t e epoch else wd_fire t e ~queue:(q1 - 1) epoch
   | _ -> invalid_arg "Switch.watchdog_exec: foreign class state"
 
 let registry sim =
@@ -463,6 +455,8 @@ let receive t ~in_port pkt =
     forward t ~in_port pkt
 
 let create ~sim ~node ~ports ~config:cfg ~route () =
+  if Array.length ports > 4096 then invalid_arg "Switch.create: more than 4096 ports";
+  if cfg.queues_per_port > 4095 then invalid_arg "Switch.create: more than 4095 queues per port";
   let r = registry sim in
   let pool = Port.pool sim in
   let n_ingress = Array.length ports in

@@ -69,7 +69,8 @@ type hooks = {
     [route] typically wraps {!Bfc_net.Topology.ecmp_port}. Its queues
     hold indices into the sim's packet table ({!Bfc_net.Port.pool}),
     control packets are drawn from it, and consumed or dropped packets go
-    back to it. *)
+    back to it. Raises [Invalid_argument] for more than 4096 ports or
+    4095 queues per port (the watchdog event packs both into 12 bits). *)
 val create :
   sim:Bfc_engine.Sim.t ->
   node:Bfc_net.Node.t ->

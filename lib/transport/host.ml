@@ -4,6 +4,7 @@ module Node = Bfc_net.Node
 module Port = Bfc_net.Port
 module Sim = Bfc_engine.Sim
 module Rng = Bfc_util.Rng
+module Slot_table = Bfc_util.Slot_table
 
 type scheme =
   | Bfc of { window_cap : int option; delay_cc : bool }
@@ -64,8 +65,8 @@ type cc =
   | Cc_homa
 
 type tx = {
-  flow : Flow.t;
-  fopt : Flow.t option; (* [Some flow], built once for every packet's flow field *)
+  mutable flow : Flow.t;
+  mutable fopt : Flow.t option; (* [Some flow], built once for every packet's flow field *)
   mutable snd_nxt : int;
   mutable snd_una : int;
   mutable cc : cc;
@@ -83,8 +84,8 @@ type tx = {
 
 (* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
 type rx = {
-  rflow : Flow.t;
-  rfopt : Flow.t option; (* [Some rflow], built once *)
+  mutable rflow : Flow.t;
+  mutable rfopt : Flow.t option; (* the sender's [Some rflow], from its first packet *)
   mutable expected : int; (* contiguous prefix received *)
   mutable ranges : (int * int) list; (* beyond the prefix *)
   mutable last_nack : Bfc_engine.Time.t;
@@ -107,8 +108,8 @@ type t = {
   cfg : config;
   pool : Packet.Pool.t; (* the sim's packet table *)
   nic : Nic.t;
-  txs : tx Bfc_util.Int_table.t; (* flow id -> sender state, flat probe per packet *)
-  rxs : rx Bfc_util.Int_table.t;
+  txs : tx Slot_table.t; (* flow id -> sender state *)
+  rxs : rx Slot_table.t;
   homa_recv : Homa.Receiver.t option;
   mutable complete_cb : Flow.t -> unit;
   owners : tx list ref array; (* per NIC queue: window-based flows to pump *)
@@ -134,14 +135,40 @@ let add_on_complete t f =
       prev flow;
       f flow)
 
+(* Per-flow records live in slot tables. A fresh slot gets a blank
+   record; [start_flow] and [get_rx] reinitialise every field. *)
+let no_flow = Flow.make ~id:(-1) ~src:(-1) ~dst:(-1) ~size:1 ~arrival:0 ()
+
+let cap_unlimited = Cap max_int
+
+let blank_tx () =
+  { flow = no_flow; fopt = None; snd_nxt = 0; snd_una = 0; cc = cap_unlimited; nic_q = -1;
+    rtx = []; rto_t = 0; finished = true; granted = 0; grant_prio = 0; unsched = 0;
+    fin_sent = false; retransmitted = 0; chunk_seq = 0 }
+
+let blank_rx () =
+  { rflow = no_flow; rfopt = None; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
+    complete = false; cr_rate = 0.0; cr_w = 0.0; cr_sent = 0; cr_used = 0; cr_pacer = 0;
+    cr_feedback = None; cr_stop = false }
+
+(* A slot's record may be reused only when nothing outside the table can
+   still reach it: an unfinished sender is still on its NIC queue's owner
+   list, and a credit ticker's closure holds its receiver. Typed timers
+   find their flow by id, so they cannot reach a reused record. *)
+let tx_reusable tx = tx.finished
+
+let rx_reusable rx = match rx.cr_feedback with None -> rx.complete | Some _ -> false
+
 (* Drop per-flow sender/receiver state once a flow is fully done with it
    (streaming runs reclaim after a grace period, so per-flow memory stays
    bounded by the number of in-flight flows instead of growing with every
    flow ever started). Packets for an unknown flow id are already ignored
    on every lookup path, so late stragglers are harmless. *)
 let reclaim_flow_state t ~flow_id =
-  Bfc_util.Int_table.remove t.txs flow_id;
-  Bfc_util.Int_table.remove t.rxs flow_id
+  Slot_table.reclaim t.txs ~id:flow_id ~reusable:tx_reusable ~blank:blank_tx;
+  Slot_table.reclaim t.rxs ~id:flow_id ~reusable:rx_reusable ~blank:blank_rx
+
+let flow_records t = (Slot_table.blanks t.txs, Slot_table.blanks t.rxs)
 
 let bytes_sent t = t.bytes_sent
 
@@ -365,6 +392,10 @@ let rto_fire t tx =
     arm_rto t tx
   end
 
+let rec remove_owner tx = function
+  | [] -> []
+  | o :: rest -> if o == tx then remove_owner tx rest else o :: remove_owner tx rest
+
 let finish_tx t tx =
   if not tx.finished then begin
     tx.finished <- true;
@@ -372,7 +403,7 @@ let finish_tx t tx =
     (match tx.cc with Cc_dcqcn d -> Dcqcn.stop d | _ -> ());
     if tx.nic_q >= 1 then begin
       Nic.release_queue t.nic tx.nic_q;
-      t.owners.(tx.nic_q) := List.filter (fun o -> o != tx) !(t.owners.(tx.nic_q))
+      t.owners.(tx.nic_q) := remove_owner tx !(t.owners.(tx.nic_q))
     end
   end
 
@@ -380,7 +411,7 @@ let finish_tx t tx =
 (* ACK / NACK / grant / credit handling (sender side)                   *)
 
 let on_ack t pkt =
-  match Bfc_util.Int_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
     if not tx.finished then begin
@@ -411,7 +442,7 @@ let on_ack t pkt =
     end
 
 let on_nack t pkt =
-  match Bfc_util.Int_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
     if (not tx.finished) && pkt.Packet.seq >= tx.snd_una && pkt.Packet.seq < tx.snd_nxt then begin
@@ -422,7 +453,7 @@ let on_nack t pkt =
     end
 
 let on_grant t pkt =
-  match Bfc_util.Int_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
     if pkt.Packet.ctrl_a > tx.granted then begin
@@ -432,7 +463,7 @@ let on_grant t pkt =
     end
 
 let on_credit t pkt =
-  match Bfc_util.Int_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
     if (not tx.finished) && tx.snd_nxt < tx.flow.Flow.size then begin
@@ -445,7 +476,7 @@ let on_credit t pkt =
     end
 
 let on_cnp t pkt =
-  match Bfc_util.Int_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx -> ( match tx.cc with Cc_dcqcn d -> Dcqcn.on_cnp d | _ -> ())
 
@@ -456,7 +487,7 @@ let compare_range (a, b) (c, d) =
   if o <> 0 then o else Int.compare b d
 
 let on_drop_notice t ~flow_id ~seq ~len =
-  match Bfc_util.Int_table.find_exn t.txs flow_id with
+  match Slot_table.find_exn t.txs flow_id with
   | exception Not_found -> ()
   | tx ->
     if not tx.finished then begin
@@ -491,29 +522,26 @@ let insert_range rx ~start ~stop =
 
 let covered rx = rx.expected
 
-let get_rx t flow =
-  match Bfc_util.Int_table.find_exn t.rxs flow.Flow.id with
+(* The receiver record for [pkt]'s flow, set up on its first packet. *)
+let get_rx t pkt flow =
+  match Slot_table.find_exn t.rxs flow.Flow.id with
   | rx -> rx
   | exception Not_found ->
-    let rx =
-      {
-        rflow = flow;
-        rfopt = Some flow;
-        expected = 0;
-        ranges = [];
-        last_nack = min_int / 2;
-        last_cnp = min_int / 2;
-        complete = false;
-        cr_rate = 0.0;
-        cr_w = 0.0;
-        cr_sent = 0;
-        cr_used = 0;
-        cr_pacer = 0;
-        cr_feedback = None;
-        cr_stop = false;
-      }
-    in
-    Bfc_util.Int_table.set t.rxs flow.Flow.id rx;
+    let rx = Slot_table.acquire t.rxs ~id:flow.Flow.id ~blank:blank_rx in
+    rx.rflow <- flow;
+    rx.rfopt <- pkt.Packet.flow;
+    rx.expected <- 0;
+    rx.ranges <- [];
+    rx.last_nack <- min_int / 2;
+    rx.last_cnp <- min_int / 2;
+    rx.complete <- false;
+    rx.cr_rate <- 0.0;
+    rx.cr_w <- 0.0;
+    rx.cr_sent <- 0;
+    rx.cr_used <- 0;
+    rx.cr_pacer <- 0;
+    rx.cr_feedback <- None;
+    rx.cr_stop <- false;
     rx
 
 (* [flow] is the packet's flow field as stored: pass a per-flow option
@@ -586,7 +614,7 @@ let xpass_start_credits t rx ~target_loss ~w_init ~w_max =
 
 let on_data t pkt =
   let flow = Packet.flow_exn pkt ~at:(Sim.now t.sim) in
-  let rx = get_rx t flow in
+  let rx = get_rx t pkt flow in
   let was = covered rx in
   if gbn_mode t then begin
     if pkt.Packet.seq = rx.expected then rx.expected <- rx.expected + pkt.Packet.payload
@@ -666,7 +694,7 @@ let on_credit_req t pkt =
   match t.cfg.scheme with
   | Xpass { target_loss; w_init; w_max } ->
     let flow = Packet.flow_exn pkt ~at:(Sim.now t.sim) in
-    let rx = get_rx t flow in
+    let rx = get_rx t pkt flow in
     xpass_start_credits t rx ~target_loss ~w_init ~w_max
   | _ -> ()
 
@@ -685,7 +713,7 @@ let make_cc t flow =
     else begin
       (* a per-BDP cap scales with the flow's own path *)
       match window_cap with
-      | None -> Cap max_int
+      | None -> cap_unlimited
       | Some cap_bytes ->
         let scaled =
           if t.cfg.bdp = 0 then cap_bytes
@@ -713,26 +741,22 @@ let start_flow t flow =
   let cc = make_cc t flow in
   let needs_queue = match t.cfg.scheme with Homa _ -> false | _ -> true in
   let nic_q = if needs_queue then Nic.alloc_queue t.nic else -1 in
-  let tx =
-    {
-      flow;
-      fopt = Some flow;
-      snd_nxt = 0;
-      snd_una = 0;
-      cc;
-      nic_q;
-      rtx = [];
-      rto_t = 0;
-      finished = false;
-      granted = 0;
-      grant_prio = 0;
-      unsched = (match t.cfg.scheme with Homa p -> Int.min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
-      fin_sent = false;
-      retransmitted = 0;
-      chunk_seq = 0;
-    }
-  in
-  Bfc_util.Int_table.set t.txs flow.Flow.id tx;
+  let tx = Slot_table.acquire t.txs ~id:flow.Flow.id ~blank:blank_tx in
+  tx.flow <- flow;
+  tx.fopt <- Some flow;
+  tx.snd_nxt <- 0;
+  tx.snd_una <- 0;
+  tx.cc <- cc;
+  tx.nic_q <- nic_q;
+  tx.rtx <- [];
+  tx.rto_t <- 0;
+  tx.finished <- false;
+  tx.granted <- 0;
+  tx.grant_prio <- 0;
+  tx.unsched <- (match t.cfg.scheme with Homa p -> Int.min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
+  tx.fin_sent <- false;
+  tx.retransmitted <- 0;
+  tx.chunk_seq <- 0;
   if nic_q >= 1 && is_window_based tx then t.owners.(nic_q) := tx :: !(t.owners.(nic_q));
   arm_rto t tx;
   (match t.cfg.scheme with
@@ -769,8 +793,9 @@ let receive t ~in_port:_ pkt =
     Nic.on_ctrl t.nic pkt);
   recycle t pkt
 
-(* Typed flow-timer dispatch: one per-sim registry of hosts, one shared
-   executor keyed by the packed (flow_id, kind) in [a1]. *)
+(* Typed flow-timer and reclaim dispatch: one per-sim registry of hosts,
+   one shared executor per class. A timer's [a1] packs (flow_id, kind); a
+   reclaim's packs (flow_id, peer host index). *)
 
 type reg = { mutable harr : t array; mutable hn : int }
 
@@ -783,21 +808,37 @@ let timeout_exec st a0 a1 =
     let fid = a1 lsr 2 in
     let kind = a1 land 3 in
     if kind = rto_kind then begin
-      match Bfc_util.Int_table.find_exn t.txs fid with
+      match Slot_table.find_exn t.txs fid with
       | exception Not_found -> ()
       | tx -> rto_fire t tx
     end
     else if kind = rate_pace_kind then begin
-      match Bfc_util.Int_table.find_exn t.txs fid with
+      match Slot_table.find_exn t.txs fid with
       | exception Not_found -> ()
       | tx -> rate_pace t tx
     end
     else begin
-      match Bfc_util.Int_table.find_exn t.rxs fid with
+      match Slot_table.find_exn t.rxs fid with
       | exception Not_found -> ()
       | rx -> if kind = xpass_pace_kind then xpass_pace t rx else xpass_stop_credits t rx
     end
   | _ -> invalid_arg "Host.timeout_exec: foreign class state"
+
+let peer_bits = 20
+
+let peer_mask = (1 lsl peer_bits) - 1
+
+let reclaim_exec st a0 a1 =
+  match st with
+  | Host_reg r ->
+    let flow_id = a1 lsr peer_bits in
+    reclaim_flow_state (Array.unsafe_get r.harr a0) ~flow_id;
+    reclaim_flow_state (Array.unsafe_get r.harr (a1 land peer_mask)) ~flow_id
+  | _ -> invalid_arg "Host.reclaim_exec: foreign class state"
+
+let reclaim_after t ~peer ~flow_id ~delay =
+  Sim.post t.sim (Sim.now t.sim + Int.max 0 delay) ~cls:Sim.cls_flow_reclaim ~a0:t.idx
+    ~a1:((flow_id lsl peer_bits) lor peer.idx)
 
 let registry sim =
   match Sim.class_state sim ~cls:Sim.cls_flow_timeout with
@@ -805,10 +846,12 @@ let registry sim =
   | _ ->
     let r = { harr = [||]; hn = 0 } in
     Sim.register_class sim ~cls:Sim.cls_flow_timeout ~state:(Host_reg r) ~exec:timeout_exec;
+    Sim.register_class sim ~cls:Sim.cls_flow_reclaim ~state:(Host_reg r) ~exec:reclaim_exec;
     r
 
 let create ~sim ~node ~port ~config:cfg () =
   let r = registry sim in
+  if r.hn > peer_mask then invalid_arg "Host.create: too many hosts on one sim";
   let nic =
     Nic.create ~sim ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
       ~respect_pause:cfg.respect_pause ?pause_watchdog:cfg.pause_watchdog ?credit:cfg.nic_credit
@@ -823,8 +866,8 @@ let create ~sim ~node ~port ~config:cfg () =
       cfg;
       pool = Port.pool sim;
       nic;
-      txs = Bfc_util.Int_table.create ~size:64 ();
-      rxs = Bfc_util.Int_table.create ~size:64 ();
+      txs = Slot_table.create ();
+      rxs = Slot_table.create ();
       homa_recv;
       complete_cb = ignore;
       owners = Array.init cfg.nic_queues (fun _ -> ref []);

@@ -79,6 +79,16 @@ val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
     runs keep per-flow memory proportional to in-flight flows only. *)
 val reclaim_flow_state : t -> flow_id:int -> unit
 
+(** [reclaim_after t ~peer ~flow_id ~delay] reclaims [flow_id]'s state on
+    [t] and then on [peer] [delay] from now, as one typed event
+    ({!Bfc_engine.Sim.cls_flow_reclaim}). Both hosts must be on one sim. *)
+val reclaim_after : t -> peer:t -> flow_id:int -> delay:Bfc_engine.Time.t -> unit
+
+(** Per-flow records built so far, (sender, receiver): reclaimed flows'
+    records are reused unless still reachable (an unfinished sender, a
+    receiver with a live credit ticker). *)
+val flow_records : t -> int * int
+
 (** Begin transmitting a flow whose [src] is this host. *)
 val start_flow : t -> Bfc_net.Flow.t -> unit
 

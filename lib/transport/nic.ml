@@ -64,7 +64,7 @@ let credit_starved t queue =
     (not (Fifo.is_empty q)) && Balance.get b ~queue < Fifo.head_size q
   | _ -> false
 
-let wd_fallback t queue epoch () =
+let wd_fire t queue epoch =
   if t.wd_epoch.(queue) = epoch && t.ctrl_paused.(queue) then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.wd_epoch.(queue) <- t.wd_epoch.(queue) + 1;
@@ -76,7 +76,7 @@ let wd_fallback t queue epoch () =
     end
   end
 
-let pfc_wd_fallback t epoch () =
+let pfc_wd_fire t epoch =
   if t.pfc_epoch = epoch && t.pfc_paused then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.pfc_epoch <- t.pfc_epoch + 1;
@@ -86,9 +86,9 @@ let pfc_wd_fallback t epoch () =
   end
 
 (* Typed watchdog dispatch ([cls_nic_ctrl]): [a1] packs
-   (epoch << 12) | (queue + 1), queue slot 0 = the uplink PFC watchdog.
-   One per-sim registry of NICs, one shared executor; a NIC with >= 4095
-   queues falls back to the closure path (schedule-identical). *)
+   (epoch << 12) | (queue + 1), queue slot 0 = the uplink PFC watchdog,
+   so a NIC has at most 4095 queues. One per-sim registry of NICs, one
+   shared executor. *)
 
 type reg = { mutable narr : t array; mutable nn : int }
 
@@ -100,7 +100,7 @@ let watchdog_exec st a0 a1 =
     let t = Array.unsafe_get r.narr a0 in
     let epoch = a1 lsr 12 in
     let q1 = a1 land 0xfff in
-    if q1 = 0 then pfc_wd_fallback t epoch () else wd_fallback t (q1 - 1) epoch ()
+    if q1 = 0 then pfc_wd_fire t epoch else wd_fire t (q1 - 1) epoch
   | _ -> invalid_arg "Nic.watchdog_exec: foreign class state"
 
 let registry sim =
@@ -114,6 +114,7 @@ let registry sim =
 
 let create ~sim ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit () =
   if n_queues < 2 then invalid_arg "Nic.create: need >= 2 queues";
+  if n_queues > 4095 then invalid_arg "Nic.create: more than 4095 queues";
   let r = registry sim in
   let pool = Port.pool sim in
   let queues = Array.init n_queues (fun idx -> Fifo.create ~pool ~idx ~cls:0) in
@@ -155,13 +156,10 @@ let arm_queue_watchdog t queue =
   match t.pause_watchdog with
   | None -> ()
   | Some timeout ->
-    let epoch = t.wd_epoch.(queue) in
-    if queue < 4095 then
-      Bfc_engine.Sim.post t.sim
-        (Bfc_engine.Sim.now t.sim + timeout)
-        ~cls:Bfc_engine.Sim.cls_nic_ctrl ~a0:t.idx
-        ~a1:((epoch lsl 12) lor (queue + 1))
-    else ignore (Bfc_engine.Sim.after t.sim timeout (wd_fallback t queue epoch))
+    Bfc_engine.Sim.post t.sim
+      (Bfc_engine.Sim.now t.sim + timeout)
+      ~cls:Bfc_engine.Sim.cls_nic_ctrl ~a0:t.idx
+      ~a1:((t.wd_epoch.(queue) lsl 12) lor (queue + 1))
 
 (* Apply a ctrl-frame pause/resume; every pause assertion (including bitmap
    refreshes) re-arms the watchdog deadline. The setter for
@@ -185,24 +183,19 @@ let watchdog_fires t = t.watchdog_fires
 
 let n_queues t = Array.length t.queues
 
+(* First unoccupied data queue from [i] on, wrapping past queue 0, or -1. *)
+let rec scan_free occupants i remaining =
+  if remaining = 0 then -1
+  else begin
+    let i = if i >= Array.length occupants then 1 else i in
+    if occupants.(i) = 0 then i else scan_free occupants (i + 1) (remaining - 1)
+  end
+
 let alloc_queue t =
   let n = Array.length t.queues in
-  (* first unoccupied data queue starting from the rotation point *)
-  let rec scan i remaining =
-    if remaining = 0 then None
-    else begin
-      let i = if i >= n then 1 else i in
-      if t.occupants.(i) = 0 then Some i else scan (i + 1) (remaining - 1)
-    end
-  in
-  let q =
-    match scan t.rr (n - 1) with
-    | Some q -> q
-    | None ->
-      (* all occupied: share round-robin *)
-      let q = 1 + ((t.rr - 1) mod (n - 1)) in
-      q
-  in
+  let q = scan_free t.occupants t.rr (n - 1) in
+  (* all occupied: share round-robin *)
+  let q = if q >= 0 then q else 1 + ((t.rr - 1) mod (n - 1)) in
   t.rr <- (if q + 1 >= n then 1 else q + 1);
   t.occupants.(q) <- t.occupants.(q) + 1;
   q

@@ -20,7 +20,10 @@ type t
     paused by a ctrl frame for longer than the timeout, on the assumption
     that the Resume was lost; every pause assertion re-arms the deadline.
     Credit-gated pauses are exempt (they open on [Hop_credit] arrival, no
-    Resume is expected). *)
+    Resume is expected).
+
+    Raises [Invalid_argument] for fewer than 2 or more than 4095 queues
+    (the watchdog event packs the queue into 12 bits). *)
 val create :
   sim:Bfc_engine.Sim.t ->
   port:Bfc_net.Port.t ->

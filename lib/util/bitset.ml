@@ -30,19 +30,18 @@ let clear t i =
 
 let cardinal t = t.count
 
+let rec scan t i remaining =
+  if remaining = 0 then -1
+  else begin
+    let i = if i >= t.n then 0 else i in
+    if mem t i then i else scan t (i + 1) (remaining - 1)
+  end
+
 let first_set t ~from =
-  if t.count = 0 then None
+  if t.count = 0 then -1
   else begin
     let n = t.n in
-    let from = if n = 0 then 0 else ((from mod n) + n) mod n in
-    let rec loop i remaining =
-      if remaining = 0 then None
-      else begin
-        let i = if i >= n then 0 else i in
-        if mem t i then Some i else loop (i + 1) (remaining - 1)
-      end
-    in
-    loop from n
+    scan t (((from mod n) + n) mod n) n
   end
 
 let to_list t =

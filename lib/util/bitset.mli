@@ -20,10 +20,10 @@ val mem : t -> int -> bool
 val cardinal : t -> int
 
 (** [first_set t ~from] is the index of the first set bit at or after
-    [from], wrapping around; [None] if the set is empty. The rotating
+    [from], wrapping around; [-1] if the set is empty. The rotating
     starting point mirrors Tofino2's per-pipeline rotation that avoids all
     pipelines picking the same empty queue. *)
-val first_set : t -> from:int -> int option
+val first_set : t -> from:int -> int
 
 (** All set indices, ascending. *)
 val to_list : t -> int list

@@ -57,9 +57,9 @@ let find_opt t k = match find_exn t k with exception Not_found -> None | v -> So
 
 let mem t k = match find_exn t k with exception Not_found -> false | _ -> true
 
-let grow t v =
+(* Rehash into [ncap] slots, the new value array seeded with [v]. *)
+let resize t ncap v =
   let ocap = t.mask + 1 in
-  let ncap = ocap * 2 in
   let okeys = t.keys and ovals = t.vals in
   t.keys <- Array.make ncap empty_key;
   t.vals <- Array.make ncap v;
@@ -76,33 +76,22 @@ let grow t v =
     end
   done
 
+let grow t v = resize t (2 * (t.mask + 1)) v
+
 (* Pre-size for [n] entries: one allocation (and at most one rehash of
    whatever is already stored) instead of log(n) doubling rehashes while
    filling. Capacity lands at the next power of two >= 2n, honouring the
    1/2 load-factor bound, so [n] subsequent [set]s trigger no [grow].
    Used when the final population is known up front, e.g. the per-shard
-   flow-replica tables built at PDES setup. *)
+   flow-replica tables built at PDES setup. Before the first [set] there
+   are no entries and no value to seed an array with. *)
 let reserve t n =
   let need = next_pow2 (max 8 (2 * n)) 8 in
   if need > t.mask + 1 then begin
-    let okeys = t.keys and ovals = t.vals in
-    let ocap = t.mask + 1 in
-    t.keys <- Array.make need empty_key;
-    t.mask <- need - 1;
-    if Array.length ovals > 0 then begin
-      (* any existing value works as the array seed *)
-      t.vals <- Array.make need ovals.(0);
-      for j = 0 to ocap - 1 do
-        let k = Array.unsafe_get okeys j in
-        if k <> empty_key then begin
-          let i = ref (slot t k) in
-          while Array.unsafe_get t.keys !i <> empty_key do
-            i := (!i + 1) land t.mask
-          done;
-          Array.unsafe_set t.keys !i k;
-          Array.unsafe_set t.vals !i (Array.unsafe_get ovals j)
-        end
-      done
+    if Array.length t.vals > 0 then resize t need t.vals.(0)
+    else begin
+      t.keys <- Array.make need empty_key;
+      t.mask <- need - 1
     end
   end
 
@@ -218,17 +207,6 @@ module Counter = struct
       end
     done
 
-  let incr t k =
-    if 2 * (t.count + 1) > t.mask + 1 then grow t;
-    let i = probe t k in
-    if Array.unsafe_get t.keys i = k then
-      Array.unsafe_set t.vals i (Array.unsafe_get t.vals i + 1)
-    else begin
-      Array.unsafe_set t.keys i k;
-      Array.unsafe_set t.vals i 1;
-      t.count <- t.count + 1
-    end
-
   let delete_at t i =
     let keys = t.keys and mask = t.mask in
     let i = ref i in
@@ -252,12 +230,24 @@ module Counter = struct
     done;
     t.count <- t.count - 1
 
-  let decr t k =
+  let set t k v =
+    if 2 * (t.count + 1) > t.mask + 1 then grow t;
     let i = probe t k in
-    if Array.unsafe_get t.keys i = k then begin
-      let n = Array.unsafe_get t.vals i - 1 in
-      if n <= 0 then delete_at t i else Array.unsafe_set t.vals i n
-    end
+    if Array.unsafe_get t.keys i <> k then begin
+      Array.unsafe_set t.keys i k;
+      t.count <- t.count + 1
+    end;
+    Array.unsafe_set t.vals i v
+
+  let remove t k =
+    let i = probe t k in
+    if Array.unsafe_get t.keys i = k then delete_at t i
+
+  let incr t k = set t k (get t k + 1)
+
+  let decr t k =
+    let n = get t k in
+    if n > 1 then set t k (n - 1) else if n = 1 then remove t k
 
   let reset t =
     Array.fill t.keys 0 (Array.length t.keys) empty_key;

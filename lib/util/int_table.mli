@@ -45,9 +45,9 @@ val remove : 'a t -> int -> unit
 val reset : 'a t -> unit
 (** Drop all entries, keeping the allocated arrays. *)
 
-(** Monomorphic [int -> int] multiset counter (values in a flat
-    [int array]: no write barrier, no per-key ref cells). Absent keys
-    count as 0; {!Counter.decr} removes a key when its count reaches 0
+(** Monomorphic [int -> int] table (values in a flat [int array]: no
+    write barrier), a multiset counter and an id -> slot map. Absent keys
+    read as 0; {!Counter.decr} removes a key when its count reaches 0
     and ignores absent keys. *)
 module Counter : sig
   type t
@@ -62,6 +62,11 @@ module Counter : sig
   val incr : t -> int -> unit
 
   val decr : t -> int -> unit
+
+  val set : t -> int -> int -> unit
+
+  val remove : t -> int -> unit
+  (** No-op when the key is absent. *)
 
   val reset : t -> unit
 end

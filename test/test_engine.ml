@@ -120,7 +120,6 @@ let test_sim_rank_clock_horizon () =
   refused "at" (fun () -> ignore (Sim.at sim Sim.horizon ignore));
   refused "post" (fun () -> Sim.post sim Sim.horizon ~cls ~a0:0 ~a1:0);
   refused "post_token" (fun () -> ignore (Sim.post_token sim Sim.horizon ~cls ~a0:0 ~a1:0));
-  refused "rearm" (fun () -> Sim.rearm (Sim.make_handle sim ignore) ~at:Sim.horizon);
   refused "every" (fun () -> ignore (Sim.every sim ~period:Sim.horizon ignore));
   refused "run ~until" (fun () -> ignore (Sim.run sim ~until:Sim.horizon));
   refused "min_int (past and wrapping)" (fun () -> Sim.post sim min_int ~cls ~a0:0 ~a1:0);
@@ -179,22 +178,7 @@ let test_sim_queue_id_reuse () =
   ignore (Sim.run sim ~until:(Sim.now sim + 10));
   newcomers "stopped ticker" ~poke:(fun () -> Sim.stop_ticker tk);
   check Alcotest.int "ticker stopped after two ticks" 2 !ticks;
-  let rearms = ref 0 in
-  let r = Sim.make_handle sim (fun () -> incr rearms) in
-  Sim.rearm r ~at:(Sim.now sim + 1);
-  ignore (Sim.run sim ~until:(Sim.now sim + 1));
-  newcomers "fired rearm" ~poke:(fun () ->
-      Alcotest.(check bool) "fired rearm: not pending" false (Sim.pending r);
-      Sim.cancel r);
-  Sim.rearm r ~at:(Sim.now sim + 1);
-  Sim.cancel r;
-  ignore (Sim.run sim ~until:(Sim.now sim + 1));
-  newcomers "cancelled rearm" ~poke:(fun () ->
-      Alcotest.(check bool) "cancelled rearm: not pending" false (Sim.pending r);
-      Sim.cancel r);
-  Sim.rearm r ~at:(Sim.now sim + 1);
   ignore (Sim.run_until_idle sim);
-  check Alcotest.int "rearm handle still reusable" 2 !rearms;
   check Alcotest.int "nothing left pending" 0 (Sim.pending_events sim)
 
 let prop_sim_executes_in_order =

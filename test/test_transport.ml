@@ -360,6 +360,107 @@ let test_host_flow_completes () =
   Alcotest.(check bool) "fct recorded" true (Flow.fct f > 0);
   check Alcotest.int "sender accounted payload" 50_000 (Host.bytes_sent h0)
 
+(* -------------------------- flow-state slots ----------------------- *)
+
+(* Two hosts on one direct link. The sender is created first, so its
+   index in the sim's host registry (the [a0] of its timers) is 0. *)
+let mk_pair () =
+  let sim = Sim.create () in
+  let b = Topology.Builder.create sim in
+  let s = Topology.Builder.add_host b ~name:"s" in
+  let r = Topology.Builder.add_host b ~name:"r" in
+  Topology.Builder.link b s r ~gbps:100.0 ~prop:(Time.us 1.0);
+  let t = Topology.Builder.finish b in
+  let mk i =
+    Host.create ~sim ~node:(Topology.node t i) ~port:(Topology.ports t i).(0)
+      ~config:Host.default_config ()
+  in
+  let hs = mk s in
+  (sim, t, s, r, hs, mk r)
+
+(* A control packet for [flow] handed straight to [node]'s handler. *)
+let deliver sim t node kind flow ~seq =
+  let pkt =
+    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Some flow) ~src:flow.Flow.dst
+      ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq
+  in
+  (Topology.node t node).Bfc_net.Node.handler ~in_port:0 pkt
+
+(* The second of two single-MTU flows takes the first one's reclaimed
+   slots and records. A late NACK, an ACK and every flow timer kind for
+   the reclaimed id arrive as it starts; none may reach its records. *)
+let test_host_slot_reuse () =
+  let sim, t, s, r, hs, hr = mk_pair () in
+  let start id =
+    let f = Flow.make ~id ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
+    Host.start_flow hs f;
+    ignore (Sim.run sim ~until:(Sim.now sim + Time.us 1.0));
+    f
+  in
+  let a = start 1 in
+  ignore (Sim.run sim ~until:(Time.us 50.0));
+  Alcotest.(check bool) "first flow complete" true (Flow.complete a);
+  Host.reclaim_after hs ~peer:hr ~flow_id:1 ~delay:(Time.us 10.0);
+  ignore (Sim.run sim ~until:(Time.us 70.0));
+  let b = Flow.make ~id:2 ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
+  Host.start_flow hs b;
+  deliver sim t s Packet.Nack a ~seq:0;
+  deliver sim t s Packet.Ack a ~seq:1000;
+  for host = 0 to 1 do
+    for kind = 0 to 3 do
+      Sim.post sim (Sim.now sim) ~cls:Sim.cls_flow_timeout ~a0:host ~a1:((1 lsl 2) lor kind)
+    done
+  done;
+  ignore (Sim.run sim ~until:(Time.us 150.0));
+  Alcotest.(check bool) "second flow complete" true (Flow.complete b);
+  check Alcotest.int "same fct as the first" (Flow.fct a) (Flow.fct b);
+  check Alcotest.int "no retransmission" 0 (Host.bytes_retransmitted hs);
+  check Alcotest.int "one MTU per flow" 2000 (Host.bytes_sent hs);
+  check Alcotest.(pair int int) "sender records reused" (1, 0) (Host.flow_records hs);
+  check Alcotest.(pair int int) "receiver records reused" (0, 1) (Host.flow_records hr)
+
+(* A sender reclaimed before it finished is still on its NIC queue's
+   owner list, so its record must not go to the next flow: it keeps
+   sending, and the next flow gets a fresh record. *)
+let test_host_unfinished_tx_not_reused () =
+  let sim, _, s, r, hs, _ = mk_pair () in
+  let c = Flow.make ~id:1 ~src:s ~dst:r ~size:1_000_000 ~arrival:0 () in
+  Host.start_flow hs c;
+  ignore (Sim.run sim ~until:(Time.us 5.0));
+  Host.reclaim_flow_state hs ~flow_id:1;
+  let d = Flow.make ~id:2 ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
+  Host.start_flow hs d;
+  ignore (Sim.run sim ~until:(Time.ms 1.0));
+  check Alcotest.(pair int int) "a fresh record for the next flow" (2, 0) (Host.flow_records hs);
+  Alcotest.(check bool) "next flow complete" true (Flow.complete d);
+  check Alcotest.int "the reclaimed sender sent every byte" 1_001_000 (Host.bytes_sent hs);
+  Alcotest.(check bool) "and its flow completed" true (Flow.complete c)
+
+(* The NIC and switch watchdog events pack a queue (and an egress) into
+   12 bits, so larger devices are refused. *)
+let test_watchdog_packing_bounds () =
+  let sim = Sim.create () in
+  let b = Topology.Builder.create sim in
+  let h = Topology.Builder.add_host b ~name:"h" in
+  let sw = Topology.Builder.add_switch b ~name:"sw" in
+  Topology.Builder.link b h sw ~gbps:100.0 ~prop:(Time.us 1.0);
+  let t = Topology.Builder.finish b in
+  let refused what f =
+    Alcotest.(check bool) what true (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  refused "nic with 4096 queues" (fun () ->
+      Nic.create ~sim ~port:(Topology.ports t h).(0) ~n_queues:4096 ~policy:Sched.Drr
+        ~respect_pause:true ());
+  let switch ports queues_per_port =
+    Bfc_switch.Switch.create ~sim ~node:(Topology.node t sw) ~ports
+      ~config:{ Bfc_switch.Switch.default_config with queues_per_port }
+      ~route:(fun _ ~in_port:_ _ -> 0)
+      ()
+  in
+  let ports = Topology.ports t sw in
+  refused "switch with 4097 ports" (fun () -> switch (Array.make 4097 ports.(0)) 1);
+  refused "switch with 4096 queues per port" (fun () -> switch ports 4096)
+
 let suite =
   [
     ("dctcp line-rate start", `Quick, test_dctcp_starts_at_line_rate);
@@ -389,4 +490,7 @@ let suite =
     ("nic pfc", `Quick, test_nic_pfc_pauses_everything);
     ("nic strict ctrl priority", `Quick, test_nic_ctrl_queue_priority_under_strict);
     ("host flow completes", `Quick, test_host_flow_completes);
+    ("host flow slots reused after reclaim", `Quick, test_host_slot_reuse);
+    ("host unfinished sender not reused", `Quick, test_host_unfinished_tx_not_reused);
+    ("nic and switch watchdog packing bounds", `Quick, test_watchdog_packing_bounds);
   ]

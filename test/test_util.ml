@@ -3,6 +3,7 @@
 module Rng = Bfc_util.Rng
 module Wheel = Bfc_util.Wheel
 module Int_table = Bfc_util.Int_table
+module Slot_table = Bfc_util.Slot_table
 module Bitset = Bfc_util.Bitset
 module Stats = Bfc_util.Stats
 module Histogram = Bfc_util.Histogram
@@ -448,6 +449,32 @@ let test_counter_semantics () =
   Int_table.Counter.reset c;
   check Alcotest.int "reset" 0 (Int_table.Counter.length c)
 
+(* --------------------------- Slot_table ---------------------------- *)
+
+(* A released or reclaimed slot is handed out again with its value, and
+   a value [reusable] refuses is swapped for a blank instead. *)
+let test_slot_table_reuse () =
+  let t = Slot_table.create () in
+  let blank () = ref 0 in
+  let a = Slot_table.acquire t ~id:7 ~blank in
+  a := 70;
+  check Alcotest.int "bound" 70 !(Slot_table.find_exn t 7);
+  Slot_table.reclaim t ~id:7 ~reusable:(fun _ -> true) ~blank;
+  Alcotest.check_raises "unbound" Not_found (fun () -> ignore (Slot_table.find_exn t 7));
+  let b = Slot_table.acquire t ~id:8 ~blank in
+  Alcotest.(check bool) "reused value" true (a == b);
+  Slot_table.reclaim t ~id:8 ~reusable:(fun _ -> false) ~blank;
+  let c = Slot_table.acquire t ~id:9 ~blank in
+  Alcotest.(check bool) "refused value not reused" false (b == c);
+  check Alcotest.int "blanks built" 2 (Slot_table.blanks t);
+  Slot_table.reclaim t ~id:99 ~reusable:(fun _ -> true) ~blank (* unbound: no-op *);
+  let p = Slot_table.create () in
+  let s = Slot_table.put p "x" in
+  check Alcotest.int "slots start at 1" 1 s;
+  Slot_table.release p s;
+  check Alcotest.int "released slot reused" s (Slot_table.put p "y");
+  check Alcotest.string "put overwrites" "y" (Slot_table.get p s)
+
 (* ------------------------------ Bitset ----------------------------- *)
 
 let test_bitset_basic () =
@@ -466,11 +493,11 @@ let test_bitset_first_set_rotation () =
   let b = Bitset.create 8 in
   Bitset.set b 2;
   Bitset.set b 6;
-  check Alcotest.(option int) "from 0" (Some 2) (Bitset.first_set b ~from:0);
-  check Alcotest.(option int) "from 3" (Some 6) (Bitset.first_set b ~from:3);
-  check Alcotest.(option int) "wraps" (Some 2) (Bitset.first_set b ~from:7);
+  check Alcotest.int "from 0" 2 (Bitset.first_set b ~from:0);
+  check Alcotest.int "from 3" 6 (Bitset.first_set b ~from:3);
+  check Alcotest.int "wraps" 2 (Bitset.first_set b ~from:7);
   Bitset.reset b;
-  check Alcotest.(option int) "empty" None (Bitset.first_set b ~from:0)
+  check Alcotest.int "empty" (-1) (Bitset.first_set b ~from:0)
 
 let test_bitset_bounds () =
   let b = Bitset.create 10 in
@@ -623,6 +650,7 @@ let suite =
     ("int_table find_exn", `Quick, test_int_table_find_exn);
     ("int_table growth", `Quick, test_int_table_growth);
     ("int_table counter", `Quick, test_counter_semantics);
+    ("slot_table reuse", `Quick, test_slot_table_reuse);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset rotation", `Quick, test_bitset_first_set_rotation);
     ("bitset bounds", `Quick, test_bitset_bounds);
