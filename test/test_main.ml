@@ -21,4 +21,5 @@ let () =
       ("pdes", Test_pdes.suite);
       ("stream", Test_stream.suite);
       ("dispatch", Test_dispatch.suite);
+      ("observers", Test_observers.suite);
     ]
