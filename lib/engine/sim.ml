@@ -121,6 +121,7 @@ type t = {
   (* ...and the one callback the batched drain fires entries through,
      preallocated so the drain itself allocates and stores nothing. *)
   mutable fire_cb : int -> unit;
+  tap : Tap.t; (* the sim's observation tap *)
 }
 
 and handle = {
@@ -301,6 +302,7 @@ let create () =
       cfree = [||];
       cfree_len = 0;
       fire_cb = ignore;
+      tap = Tap.create ();
     }
   in
   let sentinel =
@@ -313,6 +315,8 @@ let create () =
   t
 
 let now t = t.clock
+
+let tap t = t.tap
 
 let fresh_uid t =
   let u = t.next_uid in

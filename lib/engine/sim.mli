@@ -48,6 +48,10 @@ val create : unit -> t
 (** Current virtual time. *)
 val now : t -> Time.t
 
+(** The sim's observation tap: every device on this sim reports to it,
+    every observer of this sim registers on it. *)
+val tap : t -> Tap.t
+
 val horizon : Time.t
 (** Exclusive bound on event times: 2^42 ns, about 73 minutes of
     virtual time. The (time, rank, seq) order packs the insertion clock

@@ -1,4 +1,5 @@
 module Sim = Bfc_engine.Sim
+module Tap = Bfc_engine.Tap
 module Time = Bfc_engine.Time
 module Topology = Bfc_net.Topology
 module Node = Bfc_net.Node
@@ -38,18 +39,17 @@ type config = {
 let default_config =
   { period = Time.us 5.0; max_paused = Time.ms 2.0; check_pairing = true; fail_fast = true }
 
-(* Per-switch bookkeeping fed by hook wraps. The conservation identity is
+(* Per-switch counts fed by the tap. The conservation identity is
    enq = deq + flushed + resident, where flushed (reboot losses) is exactly
-   the switch's drop counter growth that did NOT pass through the on_drop
-   hook — so the identity needs no resync across reboots. *)
+   the switch's drop counter growth that was NOT reported as a [Drop] — so
+   the identity needs no resync across reboots. *)
 type sw_state = {
   asw : Switch.t;
   adp : Dataplane.t option;
   drops_base : int;
   mutable enq : int;
   mutable deq : int;
-  mutable hook_drops : int;
-  mutable marked : int; (* resident packets counted into pause counters *)
+  mutable tap_drops : int;
 }
 
 type t = {
@@ -79,12 +79,13 @@ let check_switch t st =
   let sw = st.asw in
   let node = Switch.node_id sw in
   let now = Sim.now (Runner.sim t.env) in
-  let total_bytes = ref 0 and total_pkts = ref 0 in
+  let total_bytes = ref 0 and total_pkts = ref 0 and marked = ref 0 in
   for e = 0 to Switch.n_ports sw - 1 do
     let qs = Switch.queues sw ~egress:e in
     let eb = Array.fold_left (fun a q -> a + q.Fifo.bytes) 0 qs in
     total_bytes := !total_bytes + eb;
     total_pkts := !total_pkts + Array.fold_left (fun a q -> a + Fifo.length q) 0 qs;
+    Array.iter (Fifo.iter (fun pkt -> if pkt.Packet.bp_counted then incr marked)) qs;
     if eb <> Switch.egress_bytes sw ~egress:e then
       violate t ~node ~invariant:"egress-bytes"
         ~detail:
@@ -97,7 +98,7 @@ let check_switch t st =
       ~detail:
         (Printf.sprintf "shared buffer accounts %d B but queues hold %d B" (Switch.buffer_used sw)
            !total_bytes);
-  let flushed = Switch.drops sw - st.drops_base - st.hook_drops in
+  let flushed = Switch.drops sw - st.drops_base - st.tap_drops in
   if st.enq - st.deq - flushed <> !total_pkts then
     violate t ~node ~invariant:"packet-conservation"
       ~detail:
@@ -107,11 +108,11 @@ let check_switch t st =
   | None -> ()
   | Some dp ->
     let pc_total = Pause_counter.total (Dataplane.pause_counters dp) in
-    if pc_total <> st.marked then
+    if pc_total <> !marked then
       violate t ~node ~invariant:"pause-balance"
         ~detail:
           (Printf.sprintf "pause counters sum to %d but %d marked packets resident" pc_total
-             st.marked);
+             !marked);
     let ft = Dataplane.flow_table dp in
     let slots = Flow_table.slots_per_port ft in
     for e = 0 to Switch.n_ports sw - 1 do
@@ -210,15 +211,7 @@ let attach ?(config = default_config) env =
             (fun dp -> Switch.node_id (Dataplane.switch dp) = Switch.node_id sw)
             (Runner.dataplanes env)
         in
-        {
-          asw = sw;
-          adp;
-          drops_base = Switch.drops sw;
-          enq = 0;
-          deq = 0;
-          hook_drops = 0;
-          marked = 0;
-        })
+        { asw = sw; adp; drops_base = Switch.drops sw; enq = 0; deq = 0; tap_drops = 0 })
       (Runner.switches env)
   in
   let t =
@@ -232,51 +225,25 @@ let attach ?(config = default_config) env =
       checks = 0;
     }
   in
-  Array.iter
-    (fun st ->
-      let hk = Switch.hooks st.asw in
-      let prev_enq = hk.Switch.on_enqueue in
-      hk.Switch.on_enqueue <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev_enq sw ~in_port ~egress ~queue pkt;
-          st.enq <- st.enq + 1;
-          (* the dataplane (prev hook) marks the packet if it counted it *)
-          if pkt.Packet.bp_counted then st.marked <- st.marked + 1);
-      let prev_deq = hk.Switch.on_dequeue in
-      hk.Switch.on_dequeue <-
-        (fun sw ~egress ~queue pkt ->
-          (* capture before the dataplane clears the mark *)
-          let was_marked = pkt.Packet.bp_counted in
-          prev_deq sw ~egress ~queue pkt;
-          st.deq <- st.deq + 1;
-          if was_marked then st.marked <- st.marked - 1);
-      let prev_drop = hk.Switch.on_drop in
-      hk.Switch.on_drop <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev_drop sw ~in_port ~egress ~queue pkt;
-          st.hook_drops <- st.hook_drops + 1);
-      let prev_rb = hk.Switch.on_reboot in
-      hk.Switch.on_reboot <-
-        (fun sw ~flushed ->
-          prev_rb sw ~flushed;
-          (* resident marked packets were flushed; Dataplane.reset (run by
-             the injector right after) zeroes the counters to match *)
-          st.marked <- 0))
-    sws;
-  if config.check_pairing then
-    Array.iter
-      (fun nd ->
-        let node = nd.Node.id in
-        let prev = nd.Node.handler in
-        nd.Node.handler <-
-          (fun ~in_port pkt ->
-            (match pkt.Packet.kind with
-            | Packet.Pause -> on_pause t ~node ~in_port ~queue:pkt.Packet.ctrl_a
-            | Packet.Resume -> on_resume t ~node ~in_port ~queue:pkt.Packet.ctrl_a
-            | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port pkt.Packet.ints
-            | _ -> ());
-            prev ~in_port pkt))
-      (Topology.nodes (Runner.topo env));
+  let topo = Runner.topo env in
+  let tap = Sim.tap (Runner.sim env) in
+  (* by node id: the switch's state *)
+  let st_of = Array.make (Array.length (Topology.nodes topo)) None in
+  Array.iter (fun st -> st_of.(Switch.node_id st.asw) <- Some st) sws;
+  let count f ~node _ _ = match st_of.(node) with Some st -> f st | None -> () in
+  Tap.on tap Tap.Enqueue (count (fun st -> st.enq <- st.enq + 1));
+  Tap.on tap Tap.Dequeue (count (fun st -> st.deq <- st.deq + 1));
+  Tap.on tap Tap.Drop (count (fun st -> st.tap_drops <- st.tap_drops + 1));
+  if config.check_pairing then begin
+    let pool = Runner.pool env in
+    Tap.on tap Tap.Ctrl_rx (fun ~node in_port p ->
+        let pkt = Packet.Pool.get pool p in
+        match pkt.Packet.kind with
+        | Packet.Pause -> on_pause t ~node ~in_port ~queue:pkt.Packet.ctrl_a
+        | Packet.Resume -> on_resume t ~node ~in_port ~queue:pkt.Packet.ctrl_a
+        | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port pkt.Packet.ints
+        | _ -> ())
+  end;
   ignore (Sim.every (Runner.sim env) ~period:config.period (fun () -> check t));
   t
 

@@ -1,18 +1,19 @@
 (** Runtime invariant auditor for the BFC dataplane.
 
-    Attaches to a {!Bfc_sim.Runner.env} like a tracer — wrapping switch
-    hooks and node handlers — and re-checks conservation invariants every
+    Attaches to a {!Bfc_sim.Runner.env} as a consumer of the sim's
+    {!Bfc_engine.Tap} and re-checks conservation invariants every
     [period] of simulated time:
 
     - {b buffer-bytes} / {b egress-bytes}: the shared-buffer byte account
       and each per-egress byte count equal the sum of actual queue
       occupancies;
     - {b packet-conservation}: per switch, packets enqueued = dequeued +
-      flushed (reboots) + resident — drops observed via hooks are excluded
-      on both sides, so the identity holds across switch reboots without
-      resynchronisation;
+      flushed (reboots) + resident — drops reported on the tap are
+      excluded on both sides, so the identity holds across switch reboots
+      without resynchronisation;
     - {b pause-balance}: the sum of all BFC pause counters equals the
-      number of resident packets that were counted into them;
+      number of resident packets that were counted into them (found by
+      walking the switch's queues);
     - {b flow-occupancy}: no flow-table egress holds more entries than it
       has slots;
     - {b orphaned-pause}: no queue stays paused longer than [max_paused]
@@ -52,8 +53,8 @@ val default_config : config
 type t
 
 val attach : ?config:config -> Bfc_sim.Runner.env -> t
-(** Install hook wraps and schedule the periodic sweep. Attach {e after}
-    {!Bfc_sim.Runner.setup} and after any tracer (hook wraps stack). *)
+(** Register on the tap and schedule the periodic sweep. Attach after
+    {!Bfc_sim.Runner.setup}. *)
 
 val check : t -> unit
 (** Run one audit sweep immediately (also called by the periodic timer). *)

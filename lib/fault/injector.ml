@@ -6,7 +6,7 @@ module Port = Bfc_net.Port
 module Switch = Bfc_switch.Switch
 module Dataplane = Bfc_core.Dataplane
 module Runner = Bfc_sim.Runner
-module Tracer = Bfc_sim.Tracer
+module Tap = Bfc_engine.Tap
 module Registry = Bfc_obs.Registry
 
 (* Per directed port: the injector owns the port's fault predicate and
@@ -32,14 +32,13 @@ type probes = {
 
 type t = {
   env : Runner.env;
-  tracer : Tracer.t option;
   links : (int, link_state) Hashtbl.t; (* gid -> state *)
   probes : probes option;
 }
 
 let bump t f = match t.probes with None -> () | Some p -> Registry.incr p.reg (f p)
 
-let attach ?tracer ?registry env =
+let attach ?registry env =
   let probes =
     Option.map
       (fun reg ->
@@ -52,7 +51,7 @@ let attach ?tracer ?registry env =
         })
       registry
   in
-  let t = { env; tracer; links = Hashtbl.create 64; probes } in
+  let t = { env; links = Hashtbl.create 64; probes } in
   (match registry with
   | None -> ()
   | Some reg ->
@@ -63,9 +62,6 @@ let attach ?tracer ?registry env =
         (* commutative sum; bfc-lint: allow det-hashtbl-order *)
         float_of_int (Hashtbl.fold (fun _ s acc -> acc + Port.faults_injected s.lport) t.links 0)));
   t
-
-let note t ~node ev =
-  match t.tracer with None -> () | Some tr -> Tracer.note tr t.env ~node ev
 
 let state t ~gid =
   match Hashtbl.find_opt t.links gid with
@@ -86,6 +82,10 @@ let reverse_port t p =
 
 (* The node that owns (transmits on) a directed port. *)
 let owner t p = (Port.peer (reverse_port t p)).Node.id
+
+(* Report a link state change on the sim's tap. *)
+let emit t kind ~gid port =
+  Tap.emit (Sim.tap (Runner.sim t.env)) kind ~node:(owner t port) gid 0
 
 let set_loss t ~gid loss = (state t ~gid).loss <- Some loss
 
@@ -121,7 +121,7 @@ let link_down t ~gid =
     mark_down s;
     mark_down (state t ~gid:(Port.gid (reverse_port t s.lport)));
     bump t (fun p -> p.c_down);
-    note t ~node:(owner t s.lport) (Tracer.Link_down { gid })
+    emit t Tap.Link_down ~gid s.lport
   end
 
 let link_up t ~gid =
@@ -130,7 +130,7 @@ let link_up t ~gid =
     s.down <- false;
     (state t ~gid:(Port.gid (reverse_port t s.lport))).down <- false;
     bump t (fun p -> p.c_up);
-    note t ~node:(owner t s.lport) (Tracer.Link_up { gid })
+    emit t Tap.Link_up ~gid s.lport
   end
 
 let flap t ~gid ~start ~down_for ~period ~count =
@@ -161,8 +161,8 @@ let find_dataplane t ~node =
 let reboot_switch t ~node ?down_for () =
   let sw = find_switch t ~node in
   (* Take the switch's links down first so in-flight deliveries during the
-     outage are lost too, then flush. The tracer logs the reboot through
-     the switch's [on_reboot] hook. *)
+     outage are lost too, then flush; the switch reports the reboot on
+     the tap. *)
   (match down_for with
   | None -> ()
   | Some d ->

@@ -1,8 +1,10 @@
 (** Fault injection over a running experiment.
 
-    Attach after {!Bfc_sim.Runner.setup} (and after {!Bfc_sim.Tracer.attach}
-    if you want fault events in the trace). The injector owns the fault
-    predicate of every port it touches and composes two fault sources:
+    Attach after {!Bfc_sim.Runner.setup}. Link state changes are reported
+    on the sim's {!Bfc_engine.Tap} ([Link_down] / [Link_up]), so a
+    {!Bfc_sim.Tracer} on the same environment records them. The injector
+    owns the fault predicate of every port it touches and composes two
+    fault sources:
 
     - a per-directed-link {!Loss} model (probabilistic or deterministic
       packet loss / corruption), and
@@ -23,7 +25,7 @@ type t
     [fault_link_downs] / [fault_link_ups] / [fault_reboots] /
     [fault_packets_flushed] and gauges [fault_links_down] /
     [fault_packets_lost] (cumulative over managed ports). *)
-val attach : ?tracer:Bfc_sim.Tracer.t -> ?registry:Bfc_obs.Registry.t -> Bfc_sim.Runner.env -> t
+val attach : ?registry:Bfc_obs.Registry.t -> Bfc_sim.Runner.env -> t
 
 (** {2 Packet loss} *)
 

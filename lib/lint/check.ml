@@ -6,7 +6,11 @@
    - [dataplane] files (the per-packet BFC dataplane modules) additionally
      get the feasibility family, except inside top-level bindings marked
      [(* bfc-lint: control-plane *)] (setup code that corresponds to the
-     switch control plane loading the P4 program).
+     switch control plane loading the P4 program);
+   - [program] files (the switch programs) may write Switch.hooks fields,
+     and [device] files may set Node.handler inside their [create]
+     (RB003). A hook field is recognised by a [Switch.] qualifier, or
+     unqualified inside a device file.
 
    Known limitations (documented in DESIGN.md): the pass sees one parsetree
    at a time, so it cannot follow calls across modules, and [let open]-style
@@ -14,7 +18,9 @@
 
 open Parsetree
 
-type scope = { dataplane : bool; lib : bool; perf : bool }
+type scope = { dataplane : bool; lib : bool; perf : bool; program : bool; device : bool }
+
+let hook_fields = [ "classify"; "admit"; "on_enqueue"; "on_dequeue"; "on_drop"; "on_ctrl" ]
 
 (* Longident path as a string list, with any [Stdlib.] prefix dropped. *)
 let path_of_lid lid =
@@ -49,6 +55,7 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
   let sorted_depth = ref 0 in
   let binding_allows = ref [] in
   let control_plane = ref false in
+  let binding_names = ref [] in
   let dataplane_here () = scope.dataplane && not !control_plane in
   let perf_here () = scope.perf && not !control_plane in
   let report rule (loc : Location.t) message =
@@ -133,6 +140,20 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
             | _ -> ())
           cases;
       Ast_iterator.default_iterator.expr self e
+    | Pexp_setfield (_, { txt; loc }, _) when scope.lib ->
+      (match List.rev (path_of_lid txt) with
+      | f :: rest
+        when List.mem f hook_fields
+             && (not scope.program)
+             && (match rest with "Switch" :: _ -> true | [] -> scope.device | _ -> false) ->
+        report Rule.rob_hook_write loc
+          (Printf.sprintf
+             "write to Switch.hooks field %s outside the program modules; register on the tap" f)
+      | "handler" :: _ when not (scope.device && List.mem "create" !binding_names) ->
+        report Rule.rob_hook_write loc
+          "write to Node.handler outside device creation; register on the tap"
+      | _ -> ());
+      Ast_iterator.default_iterator.expr self e
     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
       when scope.lib ->
       report Rule.rob_assert_false e.pexp_loc
@@ -178,9 +199,13 @@ let run ~path ~(scope : scope) suppress (structure : structure) =
   in
   let structure_item (self : Ast_iterator.iterator) si =
     match si.pstr_desc with
-    | Pstr_value (rec_flag, _) ->
+    | Pstr_value (rec_flag, vbs) ->
       let line = si.pstr_loc.Location.loc_start.Lexing.pos_lnum in
       let saved_allows = !binding_allows and saved_cp = !control_plane in
+      binding_names :=
+        List.filter_map
+          (fun vb -> match vb.pvb_pat.ppat_desc with Ppat_var { txt; _ } -> Some txt | _ -> None)
+          vbs;
       binding_allows := Suppress.allows_near suppress ~line @ saved_allows;
       control_plane := saved_cp || Suppress.control_plane_near suppress ~line;
       if rec_flag = Recursive && dataplane_here () then

@@ -34,6 +34,15 @@ let perf_files =
     "lib/transport/xpass_switch.ml";
   ]
 
+(* The switch program modules: the only writers of Switch.hooks fields
+   (RB003). *)
+let program_files =
+  [ "lib/bfc/dataplane.ml"; "lib/bfc/credit_dataplane.ml"; "lib/transport/xpass_switch.ml" ]
+
+(* Device modules whose [create] attaches a node's receive handler; the
+   switch also owns the hooks record and may name its fields unqualified. *)
+let device_files = [ "lib/switch/switch.ml"; "lib/transport/host.ml" ]
+
 let normalize path =
   let path = String.map (fun c -> if c = '\\' then '/' else c) path in
   let rec strip p = if String.length p > 2 && String.sub p 0 2 = "./" then strip (String.sub p 2 (String.length p - 2)) else p in
@@ -54,6 +63,8 @@ let scope_of_path path =
     Check.dataplane;
     lib = List.mem "lib" dir_segments;
     perf = dataplane || List.exists (has_suffix p) perf_files;
+    program = List.exists (has_suffix p) program_files;
+    device = List.exists (has_suffix p) device_files;
   }
 
 let read_file path =

@@ -139,6 +139,18 @@ let rob_assert_false =
        sim time (e.g. Packet.Missing_flow) so failures are diagnosable";
   }
 
+let rob_hook_write =
+  {
+    id = "RB003";
+    name = "rob-hook-write";
+    family = Robustness;
+    severity = Error;
+    doc =
+      "write to a Switch.hooks field outside the switch program modules (Dataplane, \
+       Credit_dataplane, Xpass_switch), or to Node.handler outside Switch.create/Host.create: \
+       observers register on the sim's Bfc_engine.Tap instead of chaining closures";
+  }
+
 let pf_closure_timer =
   {
     id = "PF001";
@@ -187,6 +199,7 @@ let all =
     det_hashtbl_order;
     rob_catchall;
     rob_assert_false;
+    rob_hook_write;
     pf_closure_timer;
     pf_stdlib_queue;
     pf_poly_compare;

@@ -51,6 +51,8 @@ val rob_catchall : t
 
 val rob_assert_false : t
 
+val rob_hook_write : t
+
 val pf_closure_timer : t
 
 val pf_stdlib_queue : t

@@ -29,11 +29,12 @@ type t = {
   peer : Node.t;
   peer_port : int;
   pool : Packet.Pool.t; (* the sim's packet table *)
+  tap : Bfc_engine.Tap.t; (* the sim's observation tap *)
   mutable busy_until : Bfc_engine.Time.t;
   mutable tx_bytes : int;
   mutable tx_packets : int;
   mutable on_idle : unit -> unit;
-  mutable on_tx : (Packet.t -> unit) option; (* telemetry tap *)
+  mutable on_tx : (Packet.t -> unit) option; (* a second tx tap, see [set_on_tx] *)
   mutable fault : Packet.t -> bool; (* fault injection: drop on the wire? *)
   mutable dropped : int;
   mutable wake_t : Bfc_engine.Sim.token; (* lazy idle wakeup, 0 = none *)
@@ -89,6 +90,7 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
       peer;
       peer_port;
       pool = r.packets;
+      tap = Bfc_engine.Sim.tap sim;
       busy_until = 0;
       tx_bytes = 0;
       tx_packets = 0;
@@ -162,6 +164,8 @@ let send t pkt =
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   t.tx_packets <- t.tx_packets + 1;
   (match t.on_tx with None -> () | Some f -> f pkt);
+  Bfc_engine.Tap.emit t.tap Bfc_engine.Tap.Port_tx ~node:t.peer.Node.id t.gid
+    (Packet.Pool.index t.pool pkt);
   if t.fault pkt then drop t pkt else deliver t pkt ~at:(now + ser + t.prop)
 
 let ensure_wakeup t =

@@ -53,9 +53,10 @@ val tx_bytes : t -> int
 (** Cumulative packets serialized on this port (data path only). *)
 val tx_packets : t -> int
 
-(** Telemetry tap: [f pkt] runs at the start of every data-path
-    serialization (after the busy check, before fault injection). Default
-    is [ignore]; the observability layer uses this to record wire spans. *)
+(** [f pkt] runs at the start of every data-path serialization (after
+    the busy check, before fault injection), just before the sim's tap
+    reports [Port_tx]. Observers use the tap; this second tap is kept
+    only for the benchmark harness's traced run. *)
 val set_on_tx : t -> (Packet.t -> unit) -> unit
 
 (** Raised by [send] when the transmitter is already serializing a packet —

@@ -75,24 +75,16 @@ let table2_point profile scheme () =
   let spine_set = Array.to_list cl.Topology.spines in
   let tor_set = Array.to_list cl.Topology.tors in
   let is_spine n = List.mem n spine_set and is_tor n = List.mem n tor_set in
-  (* taps for the two directions, scheduled packets only *)
-  let agg_tor = Sample.create () and tor_agg = Sample.create () in
-  Array.iter
-    (fun sw ->
-      let hk = Switch.hooks sw in
-      let prev = hk.Switch.on_pkt_departed in
-      hk.Switch.on_pkt_departed <-
-        (fun sw ~egress pkt ~delay ->
-          prev sw ~egress pkt ~delay;
-          if pkt.Packet.kind = Packet.Data && pkt.Packet.prio >= unsched then begin
-            let me = Switch.node_id sw in
-            let peer = (Bfc_net.Port.peer (Switch.port sw egress)).Bfc_net.Node.id in
-            if is_spine me && is_tor peer then
-              Sample.add agg_tor (float_of_int delay /. 1000.0)
-            else if is_tor me && is_spine peer then
-              Sample.add tor_agg (float_of_int delay /. 1000.0)
-          end))
-    (Runner.switches env);
+  (* one watcher per direction, scheduled packets only *)
+  let topo = cl.Topology.t in
+  let watch ~from ~towards =
+    Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress pkt ->
+        pkt.Packet.prio >= unsched
+        && from sw
+        && towards (Bfc_net.Port.peer (Topology.port topo sw egress)).Bfc_net.Node.id)
+  in
+  let agg_tor = watch ~from:is_spine ~towards:is_tor in
+  let tor_agg = watch ~from:is_tor ~towards:is_spine in
   let dur = duration profile ~dist:Dist.fb_hadoop in
   let spec =
     {

@@ -360,19 +360,10 @@ let table1 profile =
         let lf = List.hd long in
         (* the paper's metric: per-packet queuing delay of the *long flow*
            at the bottleneck *)
-        let delays = Sample.create () in
-        Array.iter
-          (fun sw ->
-            if Switch.node_id sw = st.Topology.st_switch then begin
-              let hk = Switch.hooks sw in
-              let prev = hk.Switch.on_pkt_departed in
-              hk.Switch.on_pkt_departed <-
-                (fun sw ~egress:e pkt ~delay ->
-                  prev sw ~egress:e pkt ~delay;
-                  if e = egress && Bfc_net.Packet.flow_id pkt = lf.Flow.id then
-                    Sample.add delays (float_of_int delay /. 1000.0))
-            end)
-          (Runner.switches env);
+        let delays =
+          Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress:e pkt ->
+              sw = st.Topology.st_switch && e = egress && Bfc_net.Packet.flow_id pkt = lf.Flow.id)
+        in
         Runner.inject env (Traffic.merge [ long; cross ]);
         Runner.run env ~until:duration;
         let tput =

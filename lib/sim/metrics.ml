@@ -217,16 +217,13 @@ let utilization probe =
 
 let watch_queue_delay env ~filter =
   let s = Sample.create () in
-  Array.iter
-    (fun sw ->
-      let hk = Switch.hooks sw in
-      let prev = hk.Switch.on_pkt_departed in
-      hk.Switch.on_pkt_departed <-
-        (fun sw ~egress pkt ~delay ->
-          prev sw ~egress pkt ~delay;
-          if pkt.Bfc_net.Packet.kind = Bfc_net.Packet.Data && filter ~sw:(Switch.node_id sw) ~egress
-          then Sample.add s (float_of_int delay /. 1000.0)))
-    (Runner.switches env);
+  let sim = Runner.sim env and pool = Runner.pool env in
+  Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Dequeue (fun ~node key p ->
+      let pkt = Bfc_net.Packet.Pool.get pool p in
+      if
+        pkt.Bfc_net.Packet.kind = Bfc_net.Packet.Data
+        && filter ~sw:node ~egress:(Bfc_engine.Tap.egress key) pkt
+      then Sample.add s (float_of_int (Sim.now sim - pkt.Bfc_net.Packet.enq_at) /. 1000.0));
   s
 
 let watchdog_fires env =

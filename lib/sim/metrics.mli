@@ -96,10 +96,13 @@ val utilization_probe : Runner.env -> gid:int -> util_probe
 
 val utilization : util_probe -> float
 
-(** Install a queuing-delay tap on all switches; [filter] selects which
-    (switch node id, egress) pairs to record. Returns the sample (us). *)
+(** Record the queuing delay (us) of every data packet leaving a switch
+    queue for which [filter ~sw ~egress pkt] holds ([sw] = the switch's
+    node id). Returns the sample. *)
 val watch_queue_delay :
-  Runner.env -> filter:(sw:int -> egress:int -> bool) -> Bfc_util.Stats.Sample.t
+  Runner.env ->
+  filter:(sw:int -> egress:int -> Bfc_net.Packet.t -> bool) ->
+  Bfc_util.Stats.Sample.t
 
 (** Total pause-watchdog force-resumes across every switch and host NIC. *)
 val watchdog_fires : Runner.env -> int

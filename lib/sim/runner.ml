@@ -399,7 +399,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
       { c with Host.scheme = Host.Homa prms }
     | _ -> c
   in
-  let env_ref = ref None in
   Array.iter
     (fun nd ->
       if not (own nd.Node.id) then ()
@@ -429,27 +428,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
         | Scheme.Expresspass _ ->
           Bfc_transport.Xpass_switch.attach sw ~mtu_wire:(p.mtu + Packet.header_bytes)
         | _ -> ());
-        (* perfect retransmission notice (HPCC-PFC) *)
-        (match scheme with
-        | Scheme.Hpcc_pfc _ ->
-          let hk = Switch.hooks sw in
-          let prev = hk.Switch.on_drop in
-          hk.Switch.on_drop <-
-            (fun sw ~in_port ~egress ~queue pkt ->
-              prev sw ~in_port ~egress ~queue pkt;
-              match (pkt.Packet.kind, pkt.Packet.flow) with
-              | Packet.Data, Some f ->
-                let fid = f.Flow.id and seq = pkt.Packet.seq and len = pkt.Packet.payload in
-                ignore
-                  (Sim.after sim (Time.us 1.0) (fun () ->
-                       match !env_ref with
-                       | Some env -> (
-                         match env.hosts.(f.Flow.src) with
-                         | Some h -> Host.on_drop_notice h ~flow_id:fid ~seq ~len
-                         | None -> ())
-                       | None -> ()))
-              | _ -> ())
-        | _ -> ());
         switches := sw :: !switches
       | Node.Host ->
         let port = (Topology.ports topo nd.Node.id).(0) in
@@ -473,7 +451,22 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
       completed = 0;
     }
   in
-  env_ref := Some env;
+  (* perfect retransmission notice (HPCC-PFC): a dropped data packet is
+     reported to its source 1 us later *)
+  (match scheme with
+  | Scheme.Hpcc_pfc _ ->
+    Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Drop (fun ~node:_ _ p ->
+        let pkt = Packet.Pool.get pool p in
+        match (pkt.Packet.kind, pkt.Packet.flow) with
+        | Packet.Data, Some f ->
+          let fid = f.Flow.id and seq = pkt.Packet.seq and len = pkt.Packet.payload in
+          ignore
+            (Sim.after sim (Time.us 1.0) (fun () ->
+                 match hosts.(f.Flow.src) with
+                 | Some h -> Host.on_drop_notice h ~flow_id:fid ~seq ~len
+                 | None -> ()))
+        | _ -> ())
+  | _ -> ());
   (starts sim).live_hosts <- hosts;
   (* deadlock-prevention filter (App. B) *)
   if p.deadlock_filter then begin

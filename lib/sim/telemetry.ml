@@ -1,5 +1,6 @@
 module Time = Bfc_engine.Time
 module Sim = Bfc_engine.Sim
+module Tap = Bfc_engine.Tap
 module Packet = Bfc_net.Packet
 module Port = Bfc_net.Port
 module Topology = Bfc_net.Topology
@@ -45,6 +46,9 @@ let series t = t.ser
 
 let wire_switches t env trace_ids =
   let sim = Runner.sim env in
+  let pool = Runner.pool env in
+  let topo = Runner.topo env in
+  let tap = Sim.tap sim in
   let c_enq = Registry.counter t.reg "sw_enqueues" in
   let c_deq = Registry.counter t.reg "sw_dequeues" in
   let c_drop = Registry.counter t.reg "sw_drops" in
@@ -52,86 +56,78 @@ let wire_switches t env trace_ids =
   let c_pause = Registry.counter t.reg "queue_pauses" in
   let c_resume = Registry.counter t.reg "queue_resumes" in
   let c_tx = Registry.counter t.reg "port_tx_packets" in
-  (* open pause spans, keyed by (pid, tid); find_opt/replace/remove only *)
-  let pause_start = Hashtbl.create 64 in
+  (* by node id: queues per port of each switch; by gid: switch ports *)
+  let qpp = Array.make (Array.length (Topology.nodes topo)) 0 in
+  let sw_port = Array.make (Topology.total_ports topo) false in
   Array.iter
     (fun sw ->
       let pid = Switch.node_id sw in
-      let qpp = (Switch.config sw).Switch.queues_per_port in
-      Hashtbl.replace t.sw_qpp pid qpp;
+      qpp.(pid) <- (Switch.config sw).Switch.queues_per_port;
+      Hashtbl.replace t.sw_qpp pid qpp.(pid);
       for p = 0 to Switch.n_ports sw - 1 do
-        Port.set_on_tx (Switch.port sw p) (fun _pkt -> Registry.incr t.reg c_tx)
-      done;
-      let hk = Switch.hooks sw in
-      let prev_enq = hk.Switch.on_enqueue in
-      hk.Switch.on_enqueue <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev_enq sw ~in_port ~egress ~queue pkt;
-          Registry.incr t.reg c_enq);
-      let prev_deq = hk.Switch.on_dequeue in
-      hk.Switch.on_dequeue <-
-        (fun sw ~egress ~queue pkt ->
-          prev_deq sw ~egress ~queue pkt;
-          Registry.incr t.reg c_deq;
-          if pkt.Packet.ecn then Registry.incr t.reg c_ecn;
-          match (t.tr, trace_ids) with
-          | Some b, Some (id_queued, _, _, _, _) ->
-            let ts = pkt.Packet.enq_at in
-            Trace.complete b ~ts
-              ~dur:(Sim.now sim - ts)
-              ~name:id_queued ~pid ~tid:(sw_tid ~qpp ~egress ~queue) ~a:(Packet.flow_id pkt)
-              ~b:pkt.Packet.size ()
-          | _ -> ());
-      let prev_drop = hk.Switch.on_drop in
-      hk.Switch.on_drop <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev_drop sw ~in_port ~egress ~queue pkt;
-          Registry.incr t.reg c_drop;
-          match (t.tr, trace_ids) with
-          | Some b, Some (_, id_drop, _, _, _) ->
-            Trace.instant b ~ts:(Sim.now sim) ~name:id_drop ~pid ~tid:(sw_tid ~qpp ~egress ~queue)
-              ~a:(Packet.flow_id pkt) ~b:pkt.Packet.size ()
-          | _ -> ());
-      let prev_qp = hk.Switch.on_queue_pause in
-      hk.Switch.on_queue_pause <-
-        (fun sw ~egress ~queue ~paused ->
-          prev_qp sw ~egress ~queue ~paused;
-          Registry.incr t.reg (if paused then c_pause else c_resume);
-          match (t.tr, trace_ids) with
-          | Some b, Some (_, _, id_pause, id_paused, _) ->
-            let tid = sw_tid ~qpp ~egress ~queue in
-            let now = Sim.now sim in
-            if paused then begin
-              Trace.instant b ~ts:now ~name:id_pause ~pid ~tid ~a:queue ();
-              Hashtbl.replace pause_start (pid, tid) now
-            end
-            else begin
-              match Hashtbl.find_opt pause_start (pid, tid) with
-              | Some start ->
-                Hashtbl.remove pause_start (pid, tid);
-                Trace.complete b ~ts:start ~dur:(now - start) ~name:id_paused ~pid ~tid ~a:queue
-                  ()
-              | None -> ()
-            end
-          | _ -> ()))
-    (Runner.switches env)
+        sw_port.(Port.gid (Switch.port sw p)) <- true
+      done)
+    (Runner.switches env);
+  let tid ~node key =
+    sw_tid ~qpp:qpp.(node) ~egress:(Tap.egress key) ~queue:(Tap.queue key)
+  in
+  (* open pause spans, keyed by (pid, tid); find_opt/replace/remove only *)
+  let pause_start = Hashtbl.create 64 in
+  Tap.on tap Tap.Port_tx (fun ~node:_ gid _ -> if sw_port.(gid) then Registry.incr t.reg c_tx);
+  Tap.on tap Tap.Enqueue (fun ~node:_ _ _ -> Registry.incr t.reg c_enq);
+  Tap.on tap Tap.Dequeue (fun ~node key p ->
+      let pkt = Packet.Pool.get pool p in
+      Registry.incr t.reg c_deq;
+      if pkt.Packet.ecn then Registry.incr t.reg c_ecn;
+      match (t.tr, trace_ids) with
+      | Some b, Some (id_queued, _, _, _, _) ->
+        let ts = pkt.Packet.enq_at in
+        Trace.complete b ~ts
+          ~dur:(Sim.now sim - ts)
+          ~name:id_queued ~pid:node ~tid:(tid ~node key) ~a:(Packet.flow_id pkt)
+          ~b:pkt.Packet.size ()
+      | _ -> ());
+  Tap.on tap Tap.Drop (fun ~node key p ->
+      Registry.incr t.reg c_drop;
+      match (t.tr, trace_ids) with
+      | Some b, Some (_, id_drop, _, _, _) ->
+        let pkt = Packet.Pool.get pool p in
+        Trace.instant b ~ts:(Sim.now sim) ~name:id_drop ~pid:node ~tid:(tid ~node key)
+          ~a:(Packet.flow_id pkt) ~b:pkt.Packet.size ()
+      | _ -> ());
+  Tap.on tap Tap.Queue_pause (fun ~node key paused ->
+      let paused = paused = 1 in
+      Registry.incr t.reg (if paused then c_pause else c_resume);
+      match (t.tr, trace_ids) with
+      | Some b, Some (_, _, id_pause, id_paused, _) ->
+        let tid = tid ~node key and queue = Tap.queue key in
+        let now = Sim.now sim in
+        if paused then begin
+          Trace.instant b ~ts:now ~name:id_pause ~pid:node ~tid ~a:queue ();
+          Hashtbl.replace pause_start (node, tid) now
+        end
+        else begin
+          match Hashtbl.find_opt pause_start (node, tid) with
+          | Some start ->
+            Hashtbl.remove pause_start (node, tid);
+            Trace.complete b ~ts:start ~dur:(now - start) ~name:id_paused ~pid:node ~tid ~a:queue
+              ()
+          | None -> ()
+        end
+      | _ -> ())
 
 let wire_nics t env trace_ids =
   let sim = Runner.sim env in
   let c_pause = Registry.counter t.reg "nic_pauses" in
   let c_resume = Registry.counter t.reg "nic_resumes" in
-  Array.iter
-    (fun hid ->
-      Hashtbl.replace t.host_ids hid ();
-      let nic = Host.nic (Runner.host env hid) in
-      Nic.set_on_pause nic (fun ~queue ~paused ->
-          Registry.incr t.reg (if paused then c_pause else c_resume);
-          match (t.tr, trace_ids) with
-          | Some b, Some (_, _, _, _, id_nic) ->
-            Trace.instant b ~ts:(Sim.now sim) ~name:id_nic ~pid:hid ~tid:(nic_tid ~queue) ~a:queue
-              ~b:(if paused then 1 else 0) ()
-          | _ -> ()))
-    (Topology.hosts (Runner.topo env))
+  Array.iter (fun hid -> Hashtbl.replace t.host_ids hid ()) (Topology.hosts (Runner.topo env));
+  Tap.on (Sim.tap sim) Tap.Nic_pause (fun ~node queue paused ->
+      Registry.incr t.reg (if paused = 1 then c_pause else c_resume);
+      match (t.tr, trace_ids) with
+      | Some b, Some (_, _, _, _, id_nic) ->
+        Trace.instant b ~ts:(Sim.now sim) ~name:id_nic ~pid:node ~tid:(nic_tid ~queue) ~a:queue
+          ~b:paused ()
+      | _ -> ())
 
 let wire_gauges t env =
   let g name f = Registry.gauge t.reg name f in

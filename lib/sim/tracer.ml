@@ -1,12 +1,11 @@
-(* The control-plane tracer, rebased onto the Bfc_obs.Trace ring: events
-   are stored as interned instants (pid = node id), so the same buffer that
-   feeds [events]/[render] exports to Perfetto via {!trace}. The public API
-   is unchanged from the pre-obs ring implementation. *)
+(* The control-plane tracer: a consumer of the sim's tap whose events are
+   stored as interned instants (pid = node id) in a Bfc_obs.Trace ring, so
+   the same buffer that feeds [events]/[render] exports to Perfetto via
+   {!trace}. *)
 
 module Packet = Bfc_net.Packet
-module Node = Bfc_net.Node
-module Topology = Bfc_net.Topology
-module Switch = Bfc_switch.Switch
+module Sim = Bfc_engine.Sim
+module Tap = Bfc_engine.Tap
 module Trace = Bfc_obs.Trace
 
 type kind =
@@ -85,54 +84,27 @@ let make ~capacity =
 let attach env ~capacity =
   if capacity <= 0 then invalid_arg "Tracer.attach: capacity";
   let t = make ~capacity in
-  let topo = Runner.topo env in
-  let sim = Runner.sim env in
-  Array.iter
-    (fun nd ->
-      let prev = nd.Node.handler in
-      nd.Node.handler <-
-        (fun ~in_port pkt ->
-          (match pkt.Packet.kind with
-          | Packet.Pause ->
-            record t (Bfc_engine.Sim.now sim) nd.Node.id (Pause_rx { queue = pkt.Packet.ctrl_a })
-          | Packet.Resume ->
-            record t (Bfc_engine.Sim.now sim) nd.Node.id (Resume_rx { queue = pkt.Packet.ctrl_a })
-          | Packet.Pause_bitmap ->
-            record t (Bfc_engine.Sim.now sim) nd.Node.id
-              (Bitmap_rx { paused = Array.length pkt.Packet.ints })
-          | Packet.Pfc ->
-            record t (Bfc_engine.Sim.now sim) nd.Node.id (Pfc_rx { pause = pkt.Packet.ctrl_b = 1 })
-          | Packet.Hop_credit ->
-            record t (Bfc_engine.Sim.now sim) nd.Node.id
-              (Hop_credit_rx { queue = pkt.Packet.ctrl_a; bytes = pkt.Packet.ctrl_b })
-          | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req
-          | Packet.Grant | Packet.Cnp ->
-            ());
-          prev ~in_port pkt))
-    (Topology.nodes topo);
-  Array.iter
-    (fun sw ->
-      let hk = Switch.hooks sw in
-      let prev = hk.Switch.on_drop in
-      hk.Switch.on_drop <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev sw ~in_port ~egress ~queue pkt;
-          record t (Bfc_engine.Sim.now sim) (Switch.node_id sw)
-            (Dropped { flow = Packet.flow_id pkt }));
-      let prev_wd = hk.Switch.on_watchdog in
-      hk.Switch.on_watchdog <-
-        (fun sw ~egress ~queue ->
-          prev_wd sw ~egress ~queue;
-          record t (Bfc_engine.Sim.now sim) (Switch.node_id sw) (Watchdog_fire { egress; queue }));
-      let prev_rb = hk.Switch.on_reboot in
-      hk.Switch.on_reboot <-
-        (fun sw ~flushed ->
-          prev_rb sw ~flushed;
-          record t (Bfc_engine.Sim.now sim) (Switch.node_id sw) (Rebooted { flushed })))
-    (Runner.switches env);
+  let sim = Runner.sim env and pool = Runner.pool env in
+  let on kind ev = Tap.on (Sim.tap sim) kind (fun ~node a0 a1 -> record t (Sim.now sim) node (ev a0 a1)) in
+  Tap.on (Sim.tap sim) Tap.Ctrl_rx (fun ~node _ p ->
+      let pkt = Packet.Pool.get pool p in
+      let record = record t (Sim.now sim) node in
+      match pkt.Packet.kind with
+      | Packet.Pause -> record (Pause_rx { queue = pkt.Packet.ctrl_a })
+      | Packet.Resume -> record (Resume_rx { queue = pkt.Packet.ctrl_a })
+      | Packet.Pause_bitmap -> record (Bitmap_rx { paused = Array.length pkt.Packet.ints })
+      | Packet.Pfc -> record (Pfc_rx { pause = pkt.Packet.ctrl_b = 1 })
+      | Packet.Hop_credit ->
+        record (Hop_credit_rx { queue = pkt.Packet.ctrl_a; bytes = pkt.Packet.ctrl_b })
+      | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req | Packet.Grant
+      | Packet.Cnp ->
+        ());
+  on Tap.Drop (fun _ p -> Dropped { flow = Packet.flow_id (Packet.Pool.get pool p) });
+  on Tap.Watchdog (fun key _ -> Watchdog_fire { egress = Tap.egress key; queue = Tap.queue key });
+  on Tap.Reboot (fun flushed _ -> Rebooted { flushed });
+  on Tap.Link_down (fun gid _ -> Link_down { gid });
+  on Tap.Link_up (fun gid _ -> Link_up { gid });
   t
-
-let note t env ~node ev = record t (Bfc_engine.Sim.now (Runner.sim env)) node ev
 
 let trace t = t.tr
 

@@ -1,10 +1,12 @@
 (** Network-wide control-plane tracing.
 
-    Wraps every node's receive handler (after {!Runner.setup}) to record
-    Pause / Resume / pause-bitmap / PFC / hop-credit control packets with
-    timestamps, plus packet drops — the observable control actions of the
-    backpressure machinery. Useful for debugging pause storms, verifying
-    pause/resume pairing, and producing timelines. *)
+    Records, from the sim's {!Bfc_engine.Tap}, every Pause / Resume /
+    pause-bitmap / PFC / hop-credit control frame arriving at a switch or
+    host, switch drops, watchdog fires and reboots, and the fault
+    injector's link state changes, with timestamps — the observable
+    control actions of the backpressure machinery. Useful for debugging
+    pause storms, verifying pause/resume pairing, and producing
+    timelines. *)
 
 type kind =
   | Pause_rx of { queue : int }
@@ -27,10 +29,6 @@ type t
     events; oldest dropped first). Call after [Runner.setup], before
     running. *)
 val attach : Runner.env -> capacity:int -> t
-
-(** Record an out-of-band event (the fault injector announces link state
-    changes and reboots through this). *)
-val note : t -> Runner.env -> node:int -> kind -> unit
 
 (** Events in chronological order (oldest first). *)
 val events : t -> event list

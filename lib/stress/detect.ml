@@ -7,8 +7,7 @@ module Flow = Bfc_net.Flow
 module Switch = Bfc_switch.Switch
 module Deadlock = Bfc_core.Deadlock
 module Runner = Bfc_sim.Runner
-module Nic = Bfc_transport.Nic
-module Host = Bfc_transport.Host
+module Tap = Bfc_engine.Tap
 
 type config = {
   d_period : Time.t;
@@ -300,7 +299,7 @@ let tick t () =
 
 (* ------------------------------------------------------------------ *)
 
-(* one-time hook installation; bfc-lint: control-plane *)
+(* one-time tap registration; bfc-lint: control-plane *)
 let attach ?(config = default_config) env =
   let topo = Runner.topo env in
   let n = Topology.total_ports topo in
@@ -340,7 +339,10 @@ let attach ?(config = default_config) env =
     }
   in
   let sim = Runner.sim env in
-  (* Switch egresses: chain onto the hooks record. *)
+  let tap = Sim.tap sim in
+  let pool = Runner.pool env in
+  (* by switch node id: the gid of each egress *)
+  let gids_of = Array.make (Array.length (Topology.nodes topo)) [||] in
   Array.iter
     (fun sw ->
       let gids = Array.init (Switch.n_ports sw) (fun e -> Port.gid (Switch.port sw e)) in
@@ -350,54 +352,38 @@ let attach ?(config = default_config) env =
           t.q_cum.(gid) <- Array.make qpp 0;
           t.q_open.(gid) <- Array.make qpp (-1))
         gids;
-      let hk = Switch.hooks sw in
-      let prev_pause = hk.Switch.on_queue_pause in
-      hk.Switch.on_queue_pause <-
-        (fun sw ~egress ~queue ~paused ->
-          prev_pause sw ~egress ~queue ~paused;
-          let now = Sim.now sim in
-          if queue < 0 then port_transition t gids.(egress) ~now ~paused
-          else queue_transition t gids.(egress) queue ~now ~paused);
-      let prev_enq = hk.Switch.on_enqueue in
-      hk.Switch.on_enqueue <-
-        (fun sw ~in_port ~egress ~queue pkt ->
-          prev_enq sw ~in_port ~egress ~queue pkt;
-          on_enq t gids.(egress) ~queue pkt);
-      let prev_deq = hk.Switch.on_dequeue in
-      hk.Switch.on_dequeue <-
-        (fun sw ~egress ~queue pkt ->
-          prev_deq sw ~egress ~queue pkt;
-          on_deq t gids.(egress) ~queue pkt);
-      let prev_reboot = hk.Switch.on_reboot in
-      hk.Switch.on_reboot <-
-        (fun sw ~flushed ->
-          prev_reboot sw ~flushed;
-          (* A reboot clears pause state without resume transitions: close
-             every open span on this switch as if resumed now, and forget
-             the flushed queue contents in the flow footprints. *)
-          let now = Sim.now sim in
-          Array.iter
-            (fun gid ->
-              port_transition t gid ~now ~paused:false;
-              Array.iteri (fun q _ -> queue_transition t gid q ~now ~paused:false) t.q_cum.(gid);
-              t.dl_mem.(gid) <- true)
-            gids;
-          (* commutative per-record reset; bfc-lint: allow det-hashtbl-order *)
-          Hashtbl.iter
-            (fun _ r -> List.iter (fun f -> if t.dl_mem.(f.fq_gid) then f.fq_out <- 0) !r)
-            t.frecs;
-          Array.iter (fun gid -> t.dl_mem.(gid) <- false) gids))
+      gids_of.(Switch.node_id sw) <- gids)
     (Runner.switches env);
+  let gid ~node key = gids_of.(node).(Tap.egress key) in
+  Tap.on tap Tap.Queue_pause (fun ~node key paused ->
+      let now = Sim.now sim and paused = paused = 1 and queue = Tap.queue key in
+      if queue < 0 then port_transition t (gid ~node key) ~now ~paused
+      else queue_transition t (gid ~node key) queue ~now ~paused);
+  Tap.on tap Tap.Enqueue (fun ~node key p ->
+      on_enq t (gid ~node key) ~queue:(Tap.queue key) (Packet.Pool.get pool p));
+  Tap.on tap Tap.Dequeue (fun ~node key p ->
+      on_deq t (gid ~node key) ~queue:(Tap.queue key) (Packet.Pool.get pool p));
+  Tap.on tap Tap.Reboot (fun ~node _ _ ->
+      (* A reboot clears pause state without resume transitions: close
+         every open span on this switch as if resumed now, and forget
+         the flushed queue contents in the flow footprints. *)
+      let now = Sim.now sim in
+      let gids = gids_of.(node) in
+      Array.iter
+        (fun gid ->
+          port_transition t gid ~now ~paused:false;
+          Array.iteri (fun q _ -> queue_transition t gid q ~now ~paused:false) t.q_cum.(gid);
+          t.dl_mem.(gid) <- true)
+        gids;
+      (* commutative per-record reset; bfc-lint: allow det-hashtbl-order *)
+      Hashtbl.iter
+        (fun _ r -> List.iter (fun f -> if t.dl_mem.(f.fq_gid) then f.fq_out <- 0) !r)
+        t.frecs;
+      Array.iter (fun gid -> t.dl_mem.(gid) <- false) gids);
   (* NIC uplinks: PFC pause of the whole uplink is a port-level span. *)
-  Array.iter
-    (fun hid ->
-      let nic = Host.nic (Runner.host env hid) in
-      let gid = Port.gid (Topology.port topo hid 0) in
-      let prev = Nic.on_pause nic in
-      Nic.set_on_pause nic (fun ~queue ~paused ->
-          prev ~queue ~paused;
-          if queue < 0 then port_transition t gid ~now:(Sim.now sim) ~paused))
-    (Topology.hosts topo);
+  Tap.on tap Tap.Nic_pause (fun ~node queue paused ->
+      if queue < 0 then
+        port_transition t (Port.gid (Topology.port topo node 0)) ~now:(Sim.now sim) ~paused:(paused = 1));
   ignore (Sim.every sim ~period:config.d_period (tick t));
   t
 

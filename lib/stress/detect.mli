@@ -2,8 +2,8 @@
 
     Attach to a {!Bfc_sim.Runner.env} after setup and before flows are
     injected (the [sp_obs] slot of {!Bfc_sim.Exp_common.std_setup}). The
-    monitor chains onto the switch hook record and the NIC pause taps —
-    existing telemetry keeps firing — and samples pause state on a periodic
+    monitor follows switch queues and pause transitions and NIC pauses on
+    the sim's {!Bfc_engine.Tap}, and samples pause state on a periodic
     tick. Three detectors run:
 
     - {b Pause storms}: the fraction of time each port spent {e port-level}
@@ -78,8 +78,8 @@ type report = {
 
 type t
 
-(** Install the monitor: chains switch hooks / NIC pause taps and starts
-    the sample ticker. Call once per environment, before injecting. *)
+(** Install the monitor: registers on the tap and starts the sample
+    ticker. Call once per environment, before injecting. *)
 val attach : ?config:config -> Bfc_sim.Runner.env -> t
 
 (** Finalize and collect. Open pause spans and storms are closed at the

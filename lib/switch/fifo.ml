@@ -62,3 +62,9 @@ let pop t =
 let head_size t = if t.len = 0 then 0 else (head t).Bfc_net.Packet.size
 
 let head_remaining t = if t.len = 0 then max_int else (head t).Bfc_net.Packet.remaining
+
+let iter f t =
+  let mask = Array.length t.ring - 1 in
+  for i = 0 to t.len - 1 do
+    f (Pool.get t.pool (Array.unsafe_get t.ring ((t.head + i) land mask)))
+  done

@@ -45,3 +45,6 @@ val head_size : t -> int
 (** Head packet's [remaining] header field; [max_int] when empty (used by
     SRF scheduling). *)
 val head_remaining : t -> int
+
+(** [iter f t] applies [f] to the resident packets, oldest first. *)
+val iter : (Bfc_net.Packet.t -> unit) -> t -> unit

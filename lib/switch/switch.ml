@@ -2,6 +2,7 @@ module Packet = Bfc_net.Packet
 module Port = Bfc_net.Port
 module Node = Bfc_net.Node
 module Sim = Bfc_engine.Sim
+module Tap = Bfc_engine.Tap
 
 type ecn_config = { kmin : int; kmax : int; pmax : float }
 
@@ -57,6 +58,7 @@ type t = {
   idx : int; (* index into the per-sim switch registry, the [a0] of events *)
   cfg : config;
   pool : Packet.Pool.t; (* the sim's packet table *)
+  tap : Tap.t; (* the sim's observation tap *)
   route : route_fn;
   egresses : egress array;
   buffer : Buffer.t;
@@ -80,11 +82,7 @@ and hooks = {
   mutable on_dequeue : t -> egress:int -> queue:int -> Packet.t -> unit;
   mutable on_drop : t -> in_port:int -> egress:int -> queue:int -> Packet.t -> unit;
   mutable on_ctrl : t -> in_port:int -> Packet.t -> bool;
-  mutable on_pkt_departed : t -> egress:int -> Packet.t -> delay:int -> unit;
   mutable admit : t -> egress:int -> queue:int -> Packet.t -> bool;
-  mutable on_watchdog : t -> egress:int -> queue:int -> unit;
-  mutable on_reboot : t -> flushed:int -> unit;
-  mutable on_queue_pause : t -> egress:int -> queue:int -> paused:bool -> unit;
 }
 
 let nop_classify _ ~in_port:_ ~egress:_ pkt =
@@ -98,11 +96,7 @@ let default_hooks () =
     on_dequeue = (fun _ ~egress:_ ~queue:_ _ -> ());
     on_drop = (fun _ ~in_port:_ ~egress:_ ~queue:_ _ -> ());
     on_ctrl = (fun _ ~in_port:_ _ -> false);
-    on_pkt_departed = (fun _ ~egress:_ _ ~delay:_ -> ());
     admit = (fun _ ~egress:_ ~queue:_ _ -> true);
-    on_watchdog = (fun _ ~egress:_ ~queue:_ -> ());
-    on_reboot = (fun _ ~flushed:_ -> ());
-    on_queue_pause = (fun _ ~egress:_ ~queue:_ ~paused:_ -> ());
   }
 
 let hooks t = t.hk
@@ -110,6 +104,14 @@ let hooks t = t.hk
 let config t = t.cfg
 
 let node_id t = t.node.Node.id
+
+(* Report a packet event about queue [queue] of egress [egress]. *)
+let emit_pkt t kind ~egress ~queue pkt =
+  Tap.emit t.tap kind ~node:t.node.Node.id (Tap.queue_key ~egress ~queue)
+    (Packet.Pool.index t.pool pkt)
+
+let emit_queue t kind ~egress ~queue a1 =
+  Tap.emit t.tap kind ~node:t.node.Node.id (Tap.queue_key ~egress ~queue) a1
 
 let sim t = t.sim
 
@@ -194,14 +196,13 @@ let try_send t e =
       if pkt != Packet.placeholder then begin
         let q = Sched.served e.esched in
         e.ebytes <- e.ebytes - pkt.Packet.size;
-        let delay = Sim.now t.sim - pkt.Packet.enq_at in
-        pkt.Packet.q_delay <- pkt.Packet.q_delay + delay;
+        pkt.Packet.q_delay <- pkt.Packet.q_delay + (Sim.now t.sim - pkt.Packet.enq_at);
         pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
         Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
         if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
         if t.cfg.track_active_flows then flow_track_remove e pkt;
         t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
-        t.hk.on_pkt_departed t ~egress:e.eidx pkt ~delay;
+        emit_pkt t Tap.Dequeue ~egress:e.eidx ~queue:q.Fifo.idx pkt;
         if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
           Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
             ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
@@ -225,7 +226,7 @@ let kick t ~egress = try_send t t.egresses.(egress)
 let rec set_queue_paused t ~egress ~queue paused =
   let e = t.egresses.(egress) in
   if e.equeues.(queue).Fifo.paused <> paused then
-    t.hk.on_queue_pause t ~egress ~queue ~paused;
+    emit_queue t Tap.Queue_pause ~egress ~queue (Bool.to_int paused);
   Sched.set_paused e.esched e.equeues.(queue) paused;
   e.ewd_epoch.(queue) <- e.ewd_epoch.(queue) + 1;
   if paused then begin
@@ -255,7 +256,7 @@ and arm_queue_watchdog t e ~queue =
 and wd_fire t e ~queue epoch =
   if e.ewd_epoch.(queue) = epoch && e.equeues.(queue).Fifo.paused then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
-    t.hk.on_watchdog t ~egress:e.eidx ~queue;
+    emit_queue t Tap.Watchdog ~egress:e.eidx ~queue 0;
     set_queue_paused t ~egress:e.eidx ~queue false
   end
 
@@ -293,13 +294,13 @@ let pfc_unpause t e =
   e.epfc_paused <- false;
   e.epfc_total <- e.epfc_total + (Sim.now t.sim - e.epfc_since);
   e.epfc_epoch <- e.epfc_epoch + 1;
-  t.hk.on_queue_pause t ~egress:e.eidx ~queue:(-1) ~paused:false;
+  emit_queue t Tap.Queue_pause ~egress:e.eidx ~queue:(-1) 0;
   try_send t e
 
 let pfc_wd_fire t e epoch =
   if e.epfc_epoch = epoch && e.epfc_paused then begin
     t.watchdog_fires <- t.watchdog_fires + 1;
-    t.hk.on_watchdog t ~egress:e.eidx ~queue:(-1);
+    emit_queue t Tap.Watchdog ~egress:e.eidx ~queue:(-1) 0;
     pfc_unpause t e
   end
 
@@ -347,7 +348,7 @@ let handle_pfc t ~in_port pkt =
     e.epfc_paused <- true;
     e.epfc_since <- Sim.now t.sim;
     e.epfc_epoch <- e.epfc_epoch + 1;
-    t.hk.on_queue_pause t ~egress:e.eidx ~queue:(-1) ~paused:true;
+    emit_queue t Tap.Queue_pause ~egress:e.eidx ~queue:(-1) 1;
     arm_pfc_watchdog t e
   end
   else if (not pause) && e.epfc_paused then pfc_unpause t e
@@ -364,8 +365,9 @@ let forward t ~in_port pkt =
     t.drops <- t.drops + 1;
     if pkt.Packet.kind = Packet.Data then t.data_drops <- t.data_drops + 1;
     t.hk.on_drop t ~in_port ~egress ~queue:qidx pkt;
-    (* Drop hooks only read the packet synchronously; the drop is its end
-       of life, so it goes back to the pool here. *)
+    emit_pkt t Tap.Drop ~egress ~queue:qidx pkt;
+    (* Drop hooks and consumers only read the packet synchronously; the
+       drop is its end of life, so it goes back to the pool here. *)
     recycle t pkt
   end
   else begin
@@ -377,6 +379,7 @@ let forward t ~in_port pkt =
     if t.cfg.track_active_flows then flow_track_add e pkt;
     Sched.push e.esched q pkt;
     t.hk.on_enqueue t ~in_port ~egress ~queue:qidx pkt;
+    emit_pkt t Tap.Enqueue ~egress ~queue:qidx pkt;
     pfc_check_pause t in_port;
     try_send t e
   end
@@ -414,7 +417,7 @@ let reboot t =
   Buffer.reset t.buffer;
   Array.fill t.pfc_sent 0 (Array.length t.pfc_sent) false;
   t.reboot_count <- t.reboot_count + 1;
-  t.hk.on_reboot t ~flushed:!flushed;
+  Tap.emit t.tap Tap.Reboot ~node:t.node.Node.id !flushed 0;
   !flushed
 
 let reboots t = t.reboot_count
@@ -442,13 +445,12 @@ let queue_paused_since t ~egress ~queue =
 let receive t ~in_port pkt =
   t.rx_packets <- t.rx_packets + 1;
   match pkt.Packet.kind with
-  | Packet.Pfc ->
-    handle_pfc t ~in_port pkt;
-    recycle t pkt
-  | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit ->
+  | Packet.Pfc | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit ->
+    Tap.emit t.tap Tap.Ctrl_rx ~node:t.node.Node.id in_port (Packet.Pool.index t.pool pkt);
     (* Control handlers consume the packet synchronously (handled or not,
        a control frame terminates here). *)
-    ignore (t.hk.on_ctrl t ~in_port pkt);
+    if pkt.Packet.kind = Packet.Pfc then handle_pfc t ~in_port pkt
+    else ignore (t.hk.on_ctrl t ~in_port pkt);
     recycle t pkt
   | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req | Packet.Grant
   | Packet.Cnp ->
@@ -492,6 +494,7 @@ let create ~sim ~node ~ports ~config:cfg ~route () =
       idx = r.sn;
       cfg;
       pool;
+      tap = Sim.tap sim;
       route;
       egresses;
       buffer = Buffer.create ~total:cfg.buffer_bytes ~alpha:cfg.dt_alpha ~n_ingress;

@@ -1,10 +1,13 @@
 (** The switch: routing, shared buffer, per-port queue arrays, scheduler,
-    ECN, PFC, INT, and dataplane hooks.
+    ECN, PFC, INT, and the dataplane program's hooks.
 
     The switch is deliberately "programmable": protocol-specific dataplane
     behaviour (BFC's flow table and pause counters, Ideal-FQ's per-flow
     queues, Homa's priority mapping) attaches through [hooks], mirroring how
-    BFC is a P4 program over a fixed switch architecture (§3.1). *)
+    BFC is a P4 program over a fixed switch architecture (§3.1). Observers
+    do not use the hooks: the switch reports enqueues, dequeues, drops,
+    pause transitions, watchdog fires, reboots and control-frame arrivals
+    on the sim's {!Bfc_engine.Tap}. *)
 
 type ecn_config = { kmin : int; kmax : int; pmax : float }
 
@@ -39,6 +42,10 @@ type t
 (** Routing decision: local egress port for a packet. *)
 type route_fn = t -> in_port:int -> Bfc_net.Packet.t -> int
 
+(** The dataplane program: one closed callback set per switch, written
+    only by the program modules ([Dataplane], [Credit_dataplane],
+    [Xpass_switch]) when they attach. Each tap event of the same name
+    fires after its hook. *)
 type hooks = {
   mutable classify : t -> in_port:int -> egress:int -> Bfc_net.Packet.t -> int;
       (** queue index at the egress; may update dataplane state *)
@@ -47,22 +54,9 @@ type hooks = {
   mutable on_drop : t -> in_port:int -> egress:int -> queue:int -> Bfc_net.Packet.t -> unit;
   mutable on_ctrl : t -> in_port:int -> Bfc_net.Packet.t -> bool;
       (** BFC pause/resume/bitmap handler; return [true] if consumed *)
-  mutable on_pkt_departed : t -> egress:int -> Bfc_net.Packet.t -> delay:int -> unit;
-      (** metrics tap: queuing delay of each departing packet at this hop *)
   mutable admit : t -> egress:int -> queue:int -> Bfc_net.Packet.t -> bool;
       (** extra admission check ANDed with the buffer model (e.g.
           ExpressPass's 16-credit queue cap) *)
-  mutable on_watchdog : t -> egress:int -> queue:int -> unit;
-      (** pause watchdog force-resumed a queue ([queue = -1] for a PFC
-          port-level unpause); fires before the resume takes effect *)
-  mutable on_reboot : t -> flushed:int -> unit;
-      (** fires at the end of {!reboot}, after all state is flushed (the
-          attached dataplane program and auditors resync here) *)
-  mutable on_queue_pause : t -> egress:int -> queue:int -> paused:bool -> unit;
-      (** fires on every pause-state {e transition} of an egress queue
-          ([queue = -1] for a PFC port-level pause); repeated assertions
-          (bitmap refreshes) do not re-fire. The observability layer turns
-          these into pause/resume spans *)
 }
 
 (** [create ~sim ~node ~config ~route] attaches a switch device to [node].

@@ -778,7 +778,7 @@ let rec refill t = function
     pump t tx;
     refill t rest
 
-let receive t ~in_port:_ pkt =
+let receive t ~in_port pkt =
   (* Every branch consumes the packet synchronously (handlers copy what
      they keep), so the host is the end of its life: recycle afterwards. *)
   (match pkt.Packet.kind with
@@ -790,6 +790,8 @@ let receive t ~in_port:_ pkt =
   | Packet.Credit_req -> on_credit_req t pkt
   | Packet.Cnp -> on_cnp t pkt
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit | Packet.Pfc ->
+    Bfc_engine.Tap.emit (Sim.tap t.sim) Bfc_engine.Tap.Ctrl_rx ~node:t.node.Node.id in_port
+      (Packet.Pool.index t.pool pkt);
     Nic.on_ctrl t.nic pkt);
   recycle t pkt
 
@@ -853,7 +855,7 @@ let create ~sim ~node ~port ~config:cfg () =
   let r = registry sim in
   if r.hn > peer_mask then invalid_arg "Host.create: too many hosts on one sim";
   let nic =
-    Nic.create ~sim ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
+    Nic.create ~sim ~node:node.Node.id ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
       ~respect_pause:cfg.respect_pause ?pause_watchdog:cfg.pause_watchdog ?credit:cfg.nic_credit
       ()
   in

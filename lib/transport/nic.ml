@@ -7,6 +7,7 @@ module Balance = Bfc_core.Credit_dataplane.Balance
 
 type t = {
   sim : Bfc_engine.Sim.t;
+  node : int; (* the host's node id, the [node] of its tap events *)
   idx : int; (* index into the per-sim NIC registry, the [a0] of events *)
   port : Port.t;
   queues : Fifo.t array;
@@ -23,8 +24,14 @@ type t = {
   wd_epoch : int array; (* invalidates scheduled per-queue watchdog checks *)
   mutable pfc_epoch : int;
   mutable watchdog_fires : int;
-  mutable on_pause : queue:int -> paused:bool -> unit; (* telemetry tap *)
+  mutable on_pause : queue:int -> paused:bool -> unit; (* a second pause tap, see [set_on_pause] *)
 }
+
+(* A ctrl-frame pause transition: the second tap, then the sim's. *)
+let pause_changed t ~queue paused =
+  t.on_pause ~queue ~paused;
+  Bfc_engine.Tap.emit (Bfc_engine.Sim.tap t.sim) Bfc_engine.Tap.Nic_pause ~node:t.node queue
+    (Bool.to_int paused)
 
 let try_send t =
   if not t.pfc_paused then begin
@@ -69,7 +76,7 @@ let wd_fire t queue epoch =
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.wd_epoch.(queue) <- t.wd_epoch.(queue) + 1;
     t.ctrl_paused.(queue) <- false;
-    t.on_pause ~queue ~paused:false;
+    pause_changed t ~queue false;
     if not (credit_starved t queue) then begin
       Sched.set_paused t.sched t.queues.(queue) false;
       try_send t
@@ -81,7 +88,7 @@ let pfc_wd_fire t epoch =
     t.watchdog_fires <- t.watchdog_fires + 1;
     t.pfc_epoch <- t.pfc_epoch + 1;
     t.pfc_paused <- false;
-    t.on_pause ~queue:(-1) ~paused:false;
+    pause_changed t ~queue:(-1) false;
     try_send t
   end
 
@@ -112,7 +119,7 @@ let registry sim =
       ~exec:watchdog_exec;
     r
 
-let create ~sim ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit () =
+let create ~sim ~node ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit () =
   if n_queues < 2 then invalid_arg "Nic.create: need >= 2 queues";
   if n_queues > 4095 then invalid_arg "Nic.create: more than 4095 queues";
   let r = registry sim in
@@ -122,6 +129,7 @@ let create ~sim ~port ~n_queues ~policy ~respect_pause ?pause_watchdog ?credit (
   let t =
     {
       sim;
+      node;
       idx = r.nn;
       port;
       queues;
@@ -166,7 +174,7 @@ let arm_queue_watchdog t queue =
    [Dataplane.apply_ctrl]: a NIC has one port. *)
 let set_ctrl_paused t ~port:_ ~queue paused =
   t.wd_epoch.(queue) <- t.wd_epoch.(queue) + 1;
-  if t.ctrl_paused.(queue) <> paused then t.on_pause ~queue ~paused;
+  if t.ctrl_paused.(queue) <> paused then pause_changed t ~queue paused;
   t.ctrl_paused.(queue) <- paused;
   Sched.set_paused t.sched t.queues.(queue) paused;
   if paused then arm_queue_watchdog t queue else try_send t
@@ -243,12 +251,12 @@ let on_ctrl t pkt =
     if t.pfc_paused && not pause then begin
       t.pfc_epoch <- t.pfc_epoch + 1;
       t.pfc_paused <- false;
-      t.on_pause ~queue:(-1) ~paused:false;
+      pause_changed t ~queue:(-1) false;
       try_send t
     end
     else if pause then begin
       t.pfc_epoch <- t.pfc_epoch + 1;
-      if not t.pfc_paused then t.on_pause ~queue:(-1) ~paused:true;
+      if not t.pfc_paused then pause_changed t ~queue:(-1) true;
       t.pfc_paused <- true;
       arm_pfc_watchdog t
     end

@@ -12,7 +12,9 @@
 
 type t
 
-(** [credit] enables the lossless-BFC variant: data queues are gated by
+(** [node] is the host's node id, the [node] of the NIC's tap events.
+
+    [credit] enables the lossless-BFC variant: data queues are gated by
     hop credits returned by the ToR ([Hop_credit] packets), starting from
     the given per-queue byte balance.
 
@@ -26,6 +28,7 @@ type t
     (the watchdog event packs the queue into 12 bits). *)
 val create :
   sim:Bfc_engine.Sim.t ->
+  node:int ->
   port:Bfc_net.Port.t ->
   n_queues:int ->
   policy:Bfc_switch.Sched.policy ->
@@ -63,16 +66,16 @@ val on_ctrl : t -> Bfc_net.Packet.t -> unit
     (drives window/line-rate refill). *)
 val set_on_dequeue : t -> (int -> unit) -> unit
 
-(** Telemetry tap: fires on every {e ctrl-frame} pause-state transition of
-    a data queue ([queue = -1] for PFC pause of the whole uplink),
-    including watchdog force-resumes. Credit-gate openings/closings (the
+(** [f ~queue ~paused] runs on every {e ctrl-frame} pause-state
+    transition of a data queue ([queue = -1] for PFC pause of the whole
+    uplink), including watchdog force-resumes, just before the sim's tap
+    reports [Nic_pause] for it. Credit-gate openings/closings (the
     lossless variant) are not reported — no Pause/Resume is exchanged for
-    them. *)
+    them. Observers use the tap; this second tap is kept only for the
+    benchmark harness's traced run. *)
 val set_on_pause : t -> (queue:int -> paused:bool -> unit) -> unit
 
-(** The currently installed pause tap (a no-op if none was set). Monitors
-    that want to observe pauses without stealing them from the telemetry
-    layer read the old tap, then install a closure that calls it first. *)
+(** The currently installed second pause tap (a no-op if none was set). *)
 val on_pause : t -> (queue:int -> paused:bool -> unit)
 
 (** Currently paused queues (credit-gated included; a PFC-paused uplink

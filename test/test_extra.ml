@@ -93,7 +93,7 @@ let test_watch_queue_delay () =
   let st = Topology.star sim ~senders:2 ~gbps:100.0 ~prop:(Time.us 1.0) in
   let env = Runner.setup ~topo:st.Topology.s ~scheme:Scheme.bfc ~params:Runner.default_params in
   let delays =
-    Metrics.watch_queue_delay env ~filter:(fun ~sw:_ ~egress:_ -> true)
+    Metrics.watch_queue_delay env ~filter:(fun ~sw:_ ~egress:_ _ -> true)
   in
   let ids = ref 0 in
   let flows =

@@ -200,6 +200,37 @@ let test_link_flap_bfc () =
   check Alcotest.int "BFC finishes through the flaps" (Runner.injected env) (Runner.completed env);
   check Alcotest.int "zero auditor violations" 0 (Auditor.violation_count aud)
 
+(* The injector reports link state on the sim's tap, so a tracer on the
+   same environment records every flap without being handed to it. *)
+let test_link_flap_traced () =
+  let st, env, flows = star_incast ~watchdog:(Some 50.0) () in
+  let tracer = Bfc_sim.Tracer.attach env ~capacity:4096 in
+  let inj = Injector.attach env in
+  let gid = st.Topology.st_bottleneck_gid in
+  Injector.flap inj ~gid ~start:(Time.us 30.0) ~down_for:(Time.us 10.0) ~period:(Time.us 100.0)
+    ~count:3;
+  Runner.inject env flows;
+  Runner.run env ~until:(Time.ms 1.0);
+  let links =
+    List.filter_map
+      (fun e ->
+        match e.Bfc_sim.Tracer.ev with
+        | Bfc_sim.Tracer.Link_down { gid } -> Some (e.Bfc_sim.Tracer.at, "down", gid)
+        | Bfc_sim.Tracer.Link_up { gid } -> Some (e.Bfc_sim.Tracer.at, "up", gid)
+        | _ -> None)
+      (Bfc_sim.Tracer.events tracer)
+  in
+  let expected =
+    List.concat_map
+      (fun i ->
+        let at = Time.us 30.0 + (i * Time.us 100.0) in
+        [ (at, "down", gid); (at + Time.us 10.0, "up", gid) ])
+      [ 0; 1; 2 ]
+  in
+  check
+    Alcotest.(list (triple int string int))
+    "three flaps, in order, on the bottleneck" expected links
+
 let test_link_flap_pfc () =
   let sim = Sim.create () in
   let st = Topology.star sim ~senders:16 ~gbps:100.0 ~prop:(Time.us 1.0) in
@@ -310,6 +341,7 @@ let suite =
     Alcotest.test_case "auditor clean run" `Quick test_auditor_clean_run;
     Alcotest.test_case "auditor trips on corruption" `Quick test_auditor_trips_on_corruption;
     Alcotest.test_case "link flap bfc" `Quick test_link_flap_bfc;
+    Alcotest.test_case "link flap traced" `Quick test_link_flap_traced;
     Alcotest.test_case "link flap pfc" `Quick test_link_flap_pfc;
     Alcotest.test_case "reboot conservation" `Quick test_reboot_conservation;
     Alcotest.test_case "reboot respects prior outage" `Quick test_reboot_respects_prior_outage;

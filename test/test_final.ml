@@ -78,7 +78,7 @@ let mk_nic_credit () =
   (Topology.node t z).Bfc_net.Node.handler <- (fun ~in_port:_ pkt -> received := pkt :: !received);
   (Topology.node t h).Bfc_net.Node.handler <- (fun ~in_port:_ _ -> ());
   let nic =
-    Nic.create ~sim ~port:(Topology.ports t h).(0) ~n_queues:8 ~policy:Bfc_switch.Sched.Drr
+    Nic.create ~sim ~node:h ~port:(Topology.ports t h).(0) ~n_queues:8 ~policy:Bfc_switch.Sched.Drr
       ~respect_pause:true ~credit:2_200 ()
   in
   (sim, nic, received)

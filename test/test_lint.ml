@@ -58,6 +58,7 @@ let cases =
     ("det_hashtbl", "DT004", lib_path);
     ("rob_catchall", "RB001", lib_path);
     ("rob_assert_false", "RB002", lib_path);
+    ("rob_hook_write", "RB003", lib_path);
     ("pf_closure_timer", "PF001", perf_path);
     ("pf_stdlib_queue", "PF002", perf_path);
     ("pf_poly_compare", "PF003", perf_path);
@@ -163,6 +164,34 @@ let test_pf_scoped_and_named_handles_pass () =
   in
   Alcotest.(check bool) "Int.max/min/compare pass" false (fires "PF003" mono)
 
+let test_hook_writes_scoped () =
+  (* The switch programs write hook fields; device modules attach the
+     node handler in [create] and nowhere else. *)
+  let program =
+    lint_inline ~virtual_path:"lib/transport/xpass_switch.ml"
+      "let attach sw f = (Switch.hooks sw).Switch.admit <- f\n"
+  in
+  Alcotest.(check bool) "program module may write hooks" false (fires "RB003" program);
+  let create =
+    lint_inline ~virtual_path:"lib/transport/host.ml"
+      "let create node f = node.Node.handler <- f\n"
+  in
+  Alcotest.(check bool) "device create may set the handler" false (fires "RB003" create);
+  let elsewhere =
+    lint_inline ~virtual_path:"lib/transport/host.ml"
+      "let rewire node f = node.Node.handler <- f\n"
+  in
+  Alcotest.(check bool) "handler outside create violates" true (fires "RB003" elsewhere);
+  let unqualified =
+    lint_inline ~virtual_path:"lib/switch/switch.ml" "let wire t f = t.hk.on_enqueue <- f\n"
+  in
+  Alcotest.(check bool) "switch.ml's own hook write violates" true (fires "RB003" unqualified);
+  let other_record =
+    lint_inline ~virtual_path:"lib/transport/nic.ml" "let set_on_dequeue t f = t.on_dequeue <- f\n"
+  in
+  Alcotest.(check bool) "same-named field of another record passes" false
+    (fires "RB003" other_record)
+
 let test_seeded_random_fails () =
   let seeded = "let jitter () = Random.float 1.0\n" in
   let findings = lint_inline ~virtual_path:"lib/sim/runner.ml" seeded in
@@ -182,7 +211,7 @@ let test_scan_sets_exist () =
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " exists") true (Sys.file_exists (Filename.concat root path)))
-    (Driver.dataplane_files @ Driver.perf_files)
+    (Driver.dataplane_files @ Driver.perf_files @ Driver.program_files @ Driver.device_files)
 
 let test_exit_codes () =
   let finding =
@@ -240,7 +269,7 @@ let test_rule_lookup () =
   | Some r -> Alcotest.(check string) "pf003 by name" "PF003" r.Rule.id
   | None -> Alcotest.fail "pf-poly-compare not found");
   Alcotest.(check bool) "unknown" true (Rule.find "nope" = None);
-  Alcotest.(check int) "fourteen rules" 14 (List.length Rule.all)
+  Alcotest.(check int) "fifteen rules" 15 (List.length Rule.all)
 
 let suite =
   [
@@ -253,6 +282,7 @@ let suite =
     ("pf scope and named handles", `Quick, test_pf_scoped_and_named_handles_pass);
     ("seeded list iter violates", `Quick, test_seeded_list_iter_fails);
     ("seeded random violates", `Quick, test_seeded_random_fails);
+    ("hook writes scoped to programs and creation", `Quick, test_hook_writes_scoped);
     ("repo tree is lint-clean", `Quick, test_repo_is_clean);
     ("scan sets name existing files", `Quick, test_scan_sets_exist);
     ("exit codes", `Quick, test_exit_codes);

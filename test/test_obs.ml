@@ -365,7 +365,7 @@ let test_tracer_wrap () =
   for i = 0 to cap + extra - 1 do
     ignore
       (Sim.at sim (Time.ns ((i + 1) * 100)) (fun () ->
-           Tracer.note tr env ~node:0 (Tracer.Dropped { flow = i })))
+           Bfc_engine.Tap.emit (Sim.tap sim) Bfc_engine.Tap.Link_down ~node:0 i 0))
   done;
   ignore (Sim.run sim ~until:(Time.us 10.0));
   checki "observed counts beyond the ring" (cap + extra) (Tracer.observed tr);
@@ -373,11 +373,11 @@ let test_tracer_wrap () =
   checki "ring keeps capacity" cap (List.length evs);
   let ats = List.map (fun e -> e.Tracer.at) evs in
   checkb "chronological" true (List.sort compare ats = ats);
-  (* the survivors are exactly the newest [cap] notes *)
-  let flows =
-    List.map (function { Tracer.ev = Tracer.Dropped { flow }; _ } -> flow | _ -> -1) evs
+  (* the survivors are exactly the newest [cap] events *)
+  let gids =
+    List.map (function { Tracer.ev = Tracer.Link_down { gid }; _ } -> gid | _ -> -1) evs
   in
-  check (Alcotest.list Alcotest.int) "oldest fell off" (List.init cap (fun i -> extra + i)) flows
+  check (Alcotest.list Alcotest.int) "oldest fell off" (List.init cap (fun i -> extra + i)) gids
 
 (* ------------------------------------------------------------------ *)
 (* Engine self-profile *)

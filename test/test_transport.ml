@@ -238,7 +238,7 @@ let mk_nic ?(policy = Sched.Drr) ?(respect_pause = true) () =
   (Topology.node t z).Bfc_net.Node.handler <- (fun ~in_port:_ pkt -> received := pkt :: !received);
   (Topology.node t h).Bfc_net.Node.handler <- (fun ~in_port:_ _ -> ());
   let nic =
-    Nic.create ~sim ~port:(Topology.ports t h).(0) ~n_queues:8 ~policy ~respect_pause ()
+    Nic.create ~sim ~node:h ~port:(Topology.ports t h).(0) ~n_queues:8 ~policy ~respect_pause ()
   in
   (sim, nic, received)
 
@@ -449,7 +449,7 @@ let test_watchdog_packing_bounds () =
     Alcotest.(check bool) what true (match f () with _ -> false | exception Invalid_argument _ -> true)
   in
   refused "nic with 4096 queues" (fun () ->
-      Nic.create ~sim ~port:(Topology.ports t h).(0) ~n_queues:4096 ~policy:Sched.Drr
+      Nic.create ~sim ~node:h ~port:(Topology.ports t h).(0) ~n_queues:4096 ~policy:Sched.Drr
         ~respect_pause:true ());
   let switch ports queues_per_port =
     Bfc_switch.Switch.create ~sim ~node:(Topology.node t sw) ~ports
