@@ -1,46 +1,29 @@
 (** The per-sim observation tap: how devices report what they did to
-    observers, kept apart from the switch program ({!Bfc_switch.Switch.hooks}).
+    observers, kept apart from the switch program ([Switch.hooks]).
 
-    A device calls {!emit} with a kind from the fixed enum below, the
-    node it concerns and two ints; every consumer registered for that
-    kind with {!on} runs, in registration order. A kind nobody listens to
-    costs one branch and allocates nothing. Payloads are ints only: a
-    packet travels as its index in the sim's packet table
-    ([Bfc_net.Packet.Pool.get] recovers it, valid only while the
-    consumer runs), and a switch queue as {!queue_key}.
-
-    Kinds and payloads ([node] is a topology node id):
-    - [Enqueue], [Dequeue], [Drop]: at a switch, after the program's
-      hook of the same name; [a0] = queue key, [a1] = packet. A dequeued
-      packet still carries its [enq_at] (queuing delay = now - enq_at).
-    - [Queue_pause]: a switch egress queue changed pause state
-      (queue [-1] = PFC pause of the whole port); [a1] = 1 paused, 0
-      resumed. Repeated assertions do not re-fire.
-    - [Watchdog]: the pause watchdog force-resumes a queue, before the
-      resume takes effect; [a1] = 0.
-    - [Reboot]: a switch finished flushing; [a0] = packets lost.
-    - [Nic_pause]: a host NIC's ctrl-frame pause state changed; [a0] =
-      queue ([-1] = PFC pause of the uplink), [a1] = 1 paused, 0 resumed.
-    - [Port_tx]: a port starts serializing a data-path packet; [node] =
-      the receiving peer, [a0] = port gid, [a1] = packet.
-    - [Ctrl_rx]: a control frame (pause, resume, bitmap, PFC, hop credit)
-      arrives at a switch or host, before it is handled; [a0] = ingress
-      port, [a1] = packet.
-    - [Link_down], [Link_up]: the fault injector changed a link's state;
-      [node] = the node transmitting on the port, [a0] = port gid. *)
+    A device calls {!emit} with a kind, the node it concerns and two ints;
+    the consumers registered for that kind with {!on} run in registration
+    order. A kind nobody listens to costs one branch and allocates
+    nothing. A packet travels as its index in the sim's packet table
+    ([Bfc_net.Packet.Pool.get] recovers it while the consumer runs), a
+    switch queue as {!queue_key}, a pause state as 1 (paused) or 0. *)
 
 type kind =
-  | Enqueue
+  | Enqueue  (** switch, after the program's hook: queue key, packet *)
   | Dequeue
-  | Drop
-  | Queue_pause
-  | Watchdog
-  | Reboot
-  | Nic_pause
-  | Port_tx
+      (** switch, after the program's hook: queue key, packet (still
+          carrying [enq_at], so its queuing delay is now - enq_at) *)
+  | Drop  (** switch, after the program's hook: queue key, packet *)
+  | Queue_pause  (** switch queue pause transition: queue key, state *)
+  | Watchdog  (** switch watchdog force-resume, before it applies: queue key, 0 *)
+  | Reboot  (** switch reboot, after the flush: packets lost, 0 *)
+  | Nic_pause  (** host NIC ctrl-frame pause transition: queue (-1 = uplink PFC), state *)
+  | Port_tx  (** data-path serialization starts; [node] = the receiving peer: gid, packet *)
   | Ctrl_rx
-  | Link_down
-  | Link_up
+      (** control frame (pause, resume, bitmap, PFC, hop credit) arriving at
+          a switch or host, before it is handled: ingress port, packet *)
+  | Link_down  (** fault injector; [node] = the port's transmitter: gid, 0 *)
+  | Link_up  (** as [Link_down] *)
 
 type t
 
@@ -48,7 +31,7 @@ type consumer = node:int -> int -> int -> unit
 
 val create : unit -> t
 
-(** [on t kind f] registers [f] for [kind], after every consumer already
+(** [on t kind f] registers [f] for [kind], after the consumers already
     registered for it. *)
 val on : t -> kind -> consumer -> unit
 

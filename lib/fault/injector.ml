@@ -83,10 +83,6 @@ let reverse_port t p =
 (* The node that owns (transmits on) a directed port. *)
 let owner t p = (Port.peer (reverse_port t p)).Node.id
 
-(* Report a link state change on the sim's tap. *)
-let emit t kind ~gid port =
-  Tap.emit (Sim.tap (Runner.sim t.env)) kind ~node:(owner t port) gid 0
-
 let set_loss t ~gid loss = (state t ~gid).loss <- Some loss
 
 let clear_loss t ~gid = (state t ~gid).loss <- None
@@ -109,10 +105,6 @@ let mark_down s =
     s.down_epoch <- s.down_epoch + 1
   end
 
-let set_directed_down t ~gid down =
-  let s = state t ~gid in
-  if down then mark_down s else s.down <- false
-
 let is_down t ~gid = (state t ~gid).down
 
 let link_down t ~gid =
@@ -121,7 +113,7 @@ let link_down t ~gid =
     mark_down s;
     mark_down (state t ~gid:(Port.gid (reverse_port t s.lport)));
     bump t (fun p -> p.c_down);
-    emit t Tap.Link_down ~gid s.lport
+    Tap.emit (Sim.tap (Runner.sim t.env)) Tap.Link_down ~node:(owner t s.lport) gid 0
   end
 
 let link_up t ~gid =
@@ -130,7 +122,7 @@ let link_up t ~gid =
     s.down <- false;
     (state t ~gid:(Port.gid (reverse_port t s.lport))).down <- false;
     bump t (fun p -> p.c_up);
-    emit t Tap.Link_up ~gid s.lport
+    Tap.emit (Sim.tap (Runner.sim t.env)) Tap.Link_up ~node:(owner t s.lport) gid 0
   end
 
 let flap t ~gid ~start ~down_for ~period ~count =

@@ -49,9 +49,6 @@ val link_down : t -> gid:int -> unit
 
 val link_up : t -> gid:int -> unit
 
-(** Lower-level: set only the given direction (asymmetric faults). *)
-val set_directed_down : t -> gid:int -> bool -> unit
-
 (** Is the directed port currently down? *)
 val is_down : t -> gid:int -> bool
 

@@ -34,13 +34,11 @@ let perf_files =
     "lib/transport/xpass_switch.ml";
   ]
 
-(* The switch program modules: the only writers of Switch.hooks fields
-   (RB003). *)
+(* RB003: the switch programs, the only writers of Switch.hooks fields,
+   and the devices, whose [create] attaches a node's receive handler. *)
 let program_files =
   [ "lib/bfc/dataplane.ml"; "lib/bfc/credit_dataplane.ml"; "lib/transport/xpass_switch.ml" ]
 
-(* Device modules whose [create] attaches a node's receive handler; the
-   switch also owns the hooks record and may name its fields unqualified. *)
 let device_files = [ "lib/switch/switch.ml"; "lib/transport/host.ml" ]
 
 let normalize path =

@@ -9,19 +9,15 @@ val dataplane_files : string list
     (PF) family on top of {!dataplane_files}. *)
 val perf_files : string list
 
-(** Repo-relative paths of the switch program modules, the only writers
-    of [Switch.hooks] fields (RB003). *)
+(** The switch program modules and the device modules (RB003 scope). *)
 val program_files : string list
 
-(** Repo-relative paths of the device modules whose [create] attaches a
-    node's receive handler (RB003). *)
 val device_files : string list
 
 (** Path → which rule families apply. Dataplane scope is any file ending in
     an entry of {!dataplane_files}; perf scope adds {!perf_files}; lib
     scope is any file under a [lib/] directory segment; program and
-    device scope are files ending in an entry of {!program_files} and
-    {!device_files}. *)
+    device scope likewise follow {!program_files} and {!device_files}. *)
 val scope_of_path : string -> Check.scope
 
 (** Lint one source text. [virtual_path] overrides [path] for scope

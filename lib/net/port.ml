@@ -182,8 +182,6 @@ let send_ctrl t pkt =
 
 let set_remote t f = t.remote <- Some f
 
-let is_remote t = t.remote <> None
-
 let set_fault t f = t.fault <- f
 
 let faults_injected t = t.dropped

@@ -94,9 +94,6 @@ val ensure_wakeup : t -> unit
     shard and forwards the capture over a bounded {!Bfc_engine.Channel}. *)
 val set_remote : t -> (Packet.t -> at:Bfc_engine.Time.t -> unit) -> unit
 
-(** Does this port deliver to another shard? *)
-val is_remote : t -> bool
-
 (** Fault injection: packets for which the predicate returns true are
     silently lost on the wire (fiber corruption, §3.3 "Idempotent state";
     the periodic pause bitmap exists to survive exactly this) and go back

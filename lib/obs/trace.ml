@@ -18,7 +18,6 @@ type t = {
   mutable next : int; (* ring cursor (bounded) / append cursor (unbounded) *)
   mutable count : int; (* buffered records *)
   mutable recorded : int; (* total ever *)
-  mutable sink : out_channel option; (* streaming export: flush-and-reset target *)
   (* interned names with their two arg keys *)
   mutable names : string array;
   mutable akeys : string array;
@@ -40,7 +39,6 @@ let create ?(capacity = 0) () =
     next = 0;
     count = 0;
     recorded = 0;
-    sink = None;
     names = [||];
     akeys = [||];
     bkeys = [||];
@@ -104,35 +102,8 @@ let args_json t ~name ~a ~b =
   | Some a, Some b ->
     Printf.sprintf ",\"args\":{\"%s\":%d,\"%s\":%d}" t.akeys.(name) a t.bkeys.(name) b
 
-(* bfc-lint: control-plane *)
-let jsonl_row t oc ~ts ~dur ~name ~pid ~tid ~a ~b =
-  let args = args_json t ~name ~a ~b in
-  output_string oc
-    (Printf.sprintf "{\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"pid\":%d,\"tid\":%d%s}\n" ts dur
-       t.names.(name) pid tid args)
-
-(* Drain buffered records to the sink as JSONL oldest-first and reset the
-   buffer (interned names survive), then flush the channel so a live run
-   can be tailed. No-op without a sink. bfc-lint: control-plane *)
-let flush t =
-  match t.sink with
-  | None -> ()
-  | Some oc ->
-    if t.count > 0 then begin
-      iter t (fun ~ts ~dur ~name ~pid ~tid ~a ~b -> jsonl_row t oc ~ts ~dur ~name ~pid ~tid ~a ~b);
-      t.next <- 0;
-      t.count <- 0;
-      Stdlib.flush oc
-    end
-
-let set_sink t oc = t.sink <- Some oc
-
 let record t ~ts ~dur ~name ~pid ~tid ~a ~b =
-  (* With a sink, a full buffer drains to it (the capacity acts as the
-     chunk size) instead of growing or overwriting ring-style. *)
-  (match t.sink with
-  | Some _ -> if t.count = Array.length t.ts then flush t
-  | None -> if t.capacity <= 0 && t.next = Array.length t.ts then grow t);
+  if t.capacity <= 0 && t.next = Array.length t.ts then grow t;
   let cap = Array.length t.ts in
   let i = t.next in
   t.ts.(i) <- ts;
@@ -243,4 +214,7 @@ let to_chrome ?process_name ?track_name t oc =
 
 (* bfc-lint: control-plane *)
 let to_jsonl t oc =
-  iter t (fun ~ts ~dur ~name ~pid ~tid ~a ~b -> jsonl_row t oc ~ts ~dur ~name ~pid ~tid ~a ~b)
+  iter t (fun ~ts ~dur ~name ~pid ~tid ~a ~b ->
+      output_string oc
+        (Printf.sprintf "{\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"pid\":%d,\"tid\":%d%s}\n" ts
+           dur t.names.(name) pid tid (args_json t ~name ~a ~b)))

@@ -65,15 +65,3 @@ val to_jsonl : t -> out_channel -> unit
 (** One JSON object per record per line (stable keys: ts, dur, name, pid,
     tid, then the per-name argument keys). *)
 
-val set_sink : t -> out_channel -> unit
-(** Switch the trace to streaming export: whenever the buffer fills, its
-    records are drained to the channel as JSONL (oldest-first) and the
-    buffer resets, so the buffer capacity becomes the flush chunk size and
-    memory stays O(capacity) for arbitrarily long runs. With a sink set, a
-    bounded trace never overwrites records ring-style — the stream is
-    lossless. The caller owns the channel; call {!flush} at end of run to
-    drain the final partial chunk. *)
-
-val flush : t -> unit
-(** Drain buffered records to the sink (and flush the channel, so live runs
-    can be tailed) and reset the buffer. No-op when no sink is set. *)

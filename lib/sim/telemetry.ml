@@ -44,90 +44,84 @@ let series t = t.ser
 
 (* ------------------------------------------------------------------ *)
 
-let wire_switches t env trace_ids =
-  let sim = Runner.sim env in
-  let pool = Runner.pool env in
+let wire_counters t env =
+  let tap = Sim.tap (Runner.sim env) and pool = Runner.pool env in
   let topo = Runner.topo env in
-  let tap = Sim.tap sim in
-  let c_enq = Registry.counter t.reg "sw_enqueues" in
-  let c_deq = Registry.counter t.reg "sw_dequeues" in
-  let c_drop = Registry.counter t.reg "sw_drops" in
-  let c_ecn = Registry.counter t.reg "ecn_marks" in
-  let c_pause = Registry.counter t.reg "queue_pauses" in
-  let c_resume = Registry.counter t.reg "queue_resumes" in
-  let c_tx = Registry.counter t.reg "port_tx_packets" in
-  (* by node id: queues per port of each switch; by gid: switch ports *)
-  let qpp = Array.make (Array.length (Topology.nodes topo)) 0 in
+  let counter name =
+    let c = Registry.counter t.reg name in
+    fun () -> Registry.incr t.reg c
+  in
+  (* registration order is the export order *)
+  let enq = counter "sw_enqueues" in
+  let deq = counter "sw_dequeues" in
+  let drop = counter "sw_drops" in
+  let ecn = counter "ecn_marks" in
+  let pause = counter "queue_pauses" in
+  let resume = counter "queue_resumes" in
+  let tx = counter "port_tx_packets" in
+  let nic_pause = counter "nic_pauses" in
+  let nic_resume = counter "nic_resumes" in
   let sw_port = Array.make (Topology.total_ports topo) false in
   Array.iter
     (fun sw ->
-      let pid = Switch.node_id sw in
-      qpp.(pid) <- (Switch.config sw).Switch.queues_per_port;
-      Hashtbl.replace t.sw_qpp pid qpp.(pid);
       for p = 0 to Switch.n_ports sw - 1 do
         sw_port.(Port.gid (Switch.port sw p)) <- true
       done)
     (Runner.switches env);
+  Tap.on tap Tap.Port_tx (fun ~node:_ gid _ -> if sw_port.(gid) then tx ());
+  Tap.on tap Tap.Enqueue (fun ~node:_ _ _ -> enq ());
+  Tap.on tap Tap.Dequeue (fun ~node:_ _ p ->
+      deq ();
+      if (Packet.Pool.get pool p).Packet.ecn then ecn ());
+  Tap.on tap Tap.Drop (fun ~node:_ _ _ -> drop ());
+  Tap.on tap Tap.Queue_pause (fun ~node:_ _ paused -> if paused = 1 then pause () else resume ());
+  Tap.on tap Tap.Nic_pause (fun ~node:_ _ paused ->
+      if paused = 1 then nic_pause () else nic_resume ())
+
+let wire_trace t env b =
+  let sim = Runner.sim env and pool = Runner.pool env in
+  let tap = Sim.tap sim in
+  let id_queued = Trace.intern b ~akey:"flow" ~bkey:"bytes" "queued" in
+  let id_drop = Trace.intern b ~akey:"flow" ~bkey:"bytes" "drop" in
+  let id_pause = Trace.intern b ~akey:"queue" "pause" in
+  let id_paused = Trace.intern b ~akey:"queue" "paused" in
+  let id_nic = Trace.intern b ~akey:"queue" ~bkey:"paused" "nic_pause" in
+  Array.iter
+    (fun sw -> Hashtbl.replace t.sw_qpp (Switch.node_id sw) (Switch.config sw).Switch.queues_per_port)
+    (Runner.switches env);
+  Array.iter (fun hid -> Hashtbl.replace t.host_ids hid ()) (Topology.hosts (Runner.topo env));
   let tid ~node key =
-    sw_tid ~qpp:qpp.(node) ~egress:(Tap.egress key) ~queue:(Tap.queue key)
+    sw_tid ~qpp:(Hashtbl.find t.sw_qpp node) ~egress:(Tap.egress key) ~queue:(Tap.queue key)
   in
-  (* open pause spans, keyed by (pid, tid); find_opt/replace/remove only *)
-  let pause_start = Hashtbl.create 64 in
-  Tap.on tap Tap.Port_tx (fun ~node:_ gid _ -> if sw_port.(gid) then Registry.incr t.reg c_tx);
-  Tap.on tap Tap.Enqueue (fun ~node:_ _ _ -> Registry.incr t.reg c_enq);
   Tap.on tap Tap.Dequeue (fun ~node key p ->
       let pkt = Packet.Pool.get pool p in
-      Registry.incr t.reg c_deq;
-      if pkt.Packet.ecn then Registry.incr t.reg c_ecn;
-      match (t.tr, trace_ids) with
-      | Some b, Some (id_queued, _, _, _, _) ->
-        let ts = pkt.Packet.enq_at in
-        Trace.complete b ~ts
-          ~dur:(Sim.now sim - ts)
-          ~name:id_queued ~pid:node ~tid:(tid ~node key) ~a:(Packet.flow_id pkt)
-          ~b:pkt.Packet.size ()
-      | _ -> ());
+      let ts = pkt.Packet.enq_at in
+      Trace.complete b ~ts
+        ~dur:(Sim.now sim - ts)
+        ~name:id_queued ~pid:node ~tid:(tid ~node key) ~a:(Packet.flow_id pkt) ~b:pkt.Packet.size
+        ());
   Tap.on tap Tap.Drop (fun ~node key p ->
-      Registry.incr t.reg c_drop;
-      match (t.tr, trace_ids) with
-      | Some b, Some (_, id_drop, _, _, _) ->
-        let pkt = Packet.Pool.get pool p in
-        Trace.instant b ~ts:(Sim.now sim) ~name:id_drop ~pid:node ~tid:(tid ~node key)
-          ~a:(Packet.flow_id pkt) ~b:pkt.Packet.size ()
-      | _ -> ());
+      let pkt = Packet.Pool.get pool p in
+      Trace.instant b ~ts:(Sim.now sim) ~name:id_drop ~pid:node ~tid:(tid ~node key)
+        ~a:(Packet.flow_id pkt) ~b:pkt.Packet.size ());
+  (* open pause spans, keyed by (pid, tid); find_opt/replace/remove only *)
+  let pause_start = Hashtbl.create 64 in
   Tap.on tap Tap.Queue_pause (fun ~node key paused ->
-      let paused = paused = 1 in
-      Registry.incr t.reg (if paused then c_pause else c_resume);
-      match (t.tr, trace_ids) with
-      | Some b, Some (_, _, id_pause, id_paused, _) ->
-        let tid = tid ~node key and queue = Tap.queue key in
-        let now = Sim.now sim in
-        if paused then begin
-          Trace.instant b ~ts:now ~name:id_pause ~pid:node ~tid ~a:queue ();
-          Hashtbl.replace pause_start (node, tid) now
-        end
-        else begin
-          match Hashtbl.find_opt pause_start (node, tid) with
-          | Some start ->
-            Hashtbl.remove pause_start (node, tid);
-            Trace.complete b ~ts:start ~dur:(now - start) ~name:id_paused ~pid:node ~tid ~a:queue
-              ()
-          | None -> ()
-        end
-      | _ -> ())
-
-let wire_nics t env trace_ids =
-  let sim = Runner.sim env in
-  let c_pause = Registry.counter t.reg "nic_pauses" in
-  let c_resume = Registry.counter t.reg "nic_resumes" in
-  Array.iter (fun hid -> Hashtbl.replace t.host_ids hid ()) (Topology.hosts (Runner.topo env));
-  Tap.on (Sim.tap sim) Tap.Nic_pause (fun ~node queue paused ->
-      Registry.incr t.reg (if paused = 1 then c_pause else c_resume);
-      match (t.tr, trace_ids) with
-      | Some b, Some (_, _, _, _, id_nic) ->
-        Trace.instant b ~ts:(Sim.now sim) ~name:id_nic ~pid:node ~tid:(nic_tid ~queue) ~a:queue
-          ~b:paused ()
-      | _ -> ())
+      let tid = tid ~node key and queue = Tap.queue key in
+      let now = Sim.now sim in
+      if paused = 1 then begin
+        Trace.instant b ~ts:now ~name:id_pause ~pid:node ~tid ~a:queue ();
+        Hashtbl.replace pause_start (node, tid) now
+      end
+      else
+        match Hashtbl.find_opt pause_start (node, tid) with
+        | Some start ->
+          Hashtbl.remove pause_start (node, tid);
+          Trace.complete b ~ts:start ~dur:(now - start) ~name:id_paused ~pid:node ~tid ~a:queue ()
+        | None -> ());
+  Tap.on tap Tap.Nic_pause (fun ~node queue paused ->
+      Trace.instant b ~ts:(Sim.now sim) ~name:id_nic ~pid:node ~tid:(nic_tid ~queue) ~a:queue
+        ~b:paused ())
 
 let wire_gauges t env =
   let g name f = Registry.gauge t.reg name f in
@@ -178,18 +172,8 @@ let attach ?(config = default_config) env =
   let t = { reg; tr; ser = None; sw_qpp = Hashtbl.create 16; host_ids = Hashtbl.create 64 } in
   if not config.t_enabled then t
   else begin
-    let trace_ids =
-      Option.map
-        (fun b ->
-          ( ( Trace.intern b ~akey:"flow" ~bkey:"bytes" "queued",
-              Trace.intern b ~akey:"flow" ~bkey:"bytes" "drop",
-              Trace.intern b ~akey:"queue" "pause",
-              Trace.intern b ~akey:"queue" "paused",
-              Trace.intern b ~akey:"queue" ~bkey:"paused" "nic_pause" ) ))
-        tr
-    in
-    wire_switches t env trace_ids;
-    wire_nics t env trace_ids;
+    wire_counters t env;
+    Option.iter (wire_trace t env) tr;
     wire_gauges t env;
     let ser =
       match config.t_series_period with

@@ -2,9 +2,9 @@
 
     [attach] wires a {!Bfc_obs.Registry} (counters + gauges), an optional
     packet-lifecycle {!Bfc_obs.Trace} and an optional gauge time series
-    onto a {!Runner.env}:
+    onto a {!Runner.env}, as consumers of the sim's {!Bfc_engine.Tap}:
 
-    - switch hooks record enqueue/dequeue/drop/ECN-mark counters, a
+    - switch events feed enqueue/dequeue/drop/ECN-mark counters, a
       ["queued"] span per dequeued packet (residency from enqueue to
       dequeue, one Perfetto track per (egress, queue)), a ["paused"] span
       per queue pause/resume transition, and drop instants;
@@ -31,8 +31,7 @@ val default_config : config
 
 type t
 
-(** Call after {!Runner.setup} (and after any {!Tracer}/fault wiring whose
-    hooks should run first), before injecting flows. *)
+(** Call after {!Runner.setup}, before injecting flows. *)
 val attach : ?config:config -> Runner.env -> t
 
 val registry : t -> Bfc_obs.Registry.t

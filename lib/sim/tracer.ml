@@ -22,68 +22,58 @@ type kind =
 
 type event = { at : Bfc_engine.Time.t; node : int; ev : kind }
 
-type t = {
-  tr : Trace.t;
-  id_pause : int;
-  id_resume : int;
-  id_bitmap : int;
-  id_pfc : int;
-  id_credit : int;
-  id_drop : int;
-  id_wdog : int;
-  id_linkdown : int;
-  id_linkup : int;
-  id_reboot : int;
-}
+type t = Trace.t
 
-let encode t = function
-  | Pause_rx { queue } -> (t.id_pause, queue, Trace.absent_arg)
-  | Resume_rx { queue } -> (t.id_resume, queue, Trace.absent_arg)
-  | Bitmap_rx { paused } -> (t.id_bitmap, paused, Trace.absent_arg)
-  | Pfc_rx { pause } -> (t.id_pfc, (if pause then 1 else 0), Trace.absent_arg)
-  | Hop_credit_rx { queue; bytes } -> (t.id_credit, queue, bytes)
-  | Dropped { flow } -> (t.id_drop, flow, Trace.absent_arg)
-  | Watchdog_fire { egress; queue } -> (t.id_wdog, egress, queue)
-  | Link_down { gid } -> (t.id_linkdown, gid, Trace.absent_arg)
-  | Link_up { gid } -> (t.id_linkup, gid, Trace.absent_arg)
-  | Rebooted { flushed } -> (t.id_reboot, flushed, Trace.absent_arg)
+(* Each kind's interned name and argument keys, in constructor order.
+   They are the trace's first names, so a kind's name id is its tag. *)
+let names =
+  [|
+    ("pause_rx", "queue", "b");
+    ("resume_rx", "queue", "b");
+    ("bitmap_rx", "paused", "b");
+    ("pfc_rx", "pause", "b");
+    ("hop_credit_rx", "queue", "bytes");
+    ("drop", "flow", "b");
+    ("watchdog", "egress", "queue");
+    ("link_down", "gid", "b");
+    ("link_up", "gid", "b");
+    ("reboot", "flushed", "b");
+  |]
 
-let decode t ~name ~a ~b =
-  let arg = function Some v -> v | None -> 0 in
-  if name = t.id_pause then Pause_rx { queue = arg a }
-  else if name = t.id_resume then Resume_rx { queue = arg a }
-  else if name = t.id_bitmap then Bitmap_rx { paused = arg a }
-  else if name = t.id_pfc then Pfc_rx { pause = arg a = 1 }
-  else if name = t.id_credit then Hop_credit_rx { queue = arg a; bytes = arg b }
-  else if name = t.id_drop then Dropped { flow = arg a }
-  else if name = t.id_wdog then Watchdog_fire { egress = arg a; queue = arg b }
-  else if name = t.id_linkdown then Link_down { gid = arg a }
-  else if name = t.id_linkup then Link_up { gid = arg a }
-  else Rebooted { flushed = arg a }
+let encode = function
+  | Pause_rx { queue } -> (0, queue, Trace.absent_arg)
+  | Resume_rx { queue } -> (1, queue, Trace.absent_arg)
+  | Bitmap_rx { paused } -> (2, paused, Trace.absent_arg)
+  | Pfc_rx { pause } -> (3, Bool.to_int pause, Trace.absent_arg)
+  | Hop_credit_rx { queue; bytes } -> (4, queue, bytes)
+  | Dropped { flow } -> (5, flow, Trace.absent_arg)
+  | Watchdog_fire { egress; queue } -> (6, egress, queue)
+  | Link_down { gid } -> (7, gid, Trace.absent_arg)
+  | Link_up { gid } -> (8, gid, Trace.absent_arg)
+  | Rebooted { flushed } -> (9, flushed, Trace.absent_arg)
+
+let decode ~name ~a ~b =
+  let a = Option.value a ~default:0 and b = Option.value b ~default:0 in
+  match name with
+  | 0 -> Pause_rx { queue = a }
+  | 1 -> Resume_rx { queue = a }
+  | 2 -> Bitmap_rx { paused = a }
+  | 3 -> Pfc_rx { pause = a = 1 }
+  | 4 -> Hop_credit_rx { queue = a; bytes = b }
+  | 5 -> Dropped { flow = a }
+  | 6 -> Watchdog_fire { egress = a; queue = b }
+  | 7 -> Link_down { gid = a }
+  | 8 -> Link_up { gid = a }
+  | _ -> Rebooted { flushed = a }
 
 let record t at node ev =
-  let name, a, b = encode t ev in
-  Trace.instant t.tr ~ts:at ~name ~pid:node ~tid:0 ~a ~b ()
-
-let make ~capacity =
-  let tr = Trace.create ~capacity () in
-  {
-    tr;
-    id_pause = Trace.intern tr ~akey:"queue" "pause_rx";
-    id_resume = Trace.intern tr ~akey:"queue" "resume_rx";
-    id_bitmap = Trace.intern tr ~akey:"paused" "bitmap_rx";
-    id_pfc = Trace.intern tr ~akey:"pause" "pfc_rx";
-    id_credit = Trace.intern tr ~akey:"queue" ~bkey:"bytes" "hop_credit_rx";
-    id_drop = Trace.intern tr ~akey:"flow" "drop";
-    id_wdog = Trace.intern tr ~akey:"egress" ~bkey:"queue" "watchdog";
-    id_linkdown = Trace.intern tr ~akey:"gid" "link_down";
-    id_linkup = Trace.intern tr ~akey:"gid" "link_up";
-    id_reboot = Trace.intern tr ~akey:"flushed" "reboot";
-  }
+  let name, a, b = encode ev in
+  Trace.instant t ~ts:at ~name ~pid:node ~tid:0 ~a ~b ()
 
 let attach env ~capacity =
   if capacity <= 0 then invalid_arg "Tracer.attach: capacity";
-  let t = make ~capacity in
+  let t = Trace.create ~capacity () in
+  Array.iter (fun (name, akey, bkey) -> ignore (Trace.intern t ~akey ~bkey name)) names;
   let sim = Runner.sim env and pool = Runner.pool env in
   let on kind ev = Tap.on (Sim.tap sim) kind (fun ~node a0 a1 -> record t (Sim.now sim) node (ev a0 a1)) in
   Tap.on (Sim.tap sim) Tap.Ctrl_rx (fun ~node _ p ->
@@ -106,15 +96,15 @@ let attach env ~capacity =
   on Tap.Link_up (fun gid _ -> Link_up { gid });
   t
 
-let trace t = t.tr
+let trace t = t
 
 let events t =
   let out = ref [] in
-  Trace.iter t.tr (fun ~ts ~dur:_ ~name ~pid ~tid:_ ~a ~b ->
-      out := { at = ts; node = pid; ev = decode t ~name ~a ~b } :: !out);
+  Trace.iter t (fun ~ts ~dur:_ ~name ~pid ~tid:_ ~a ~b ->
+      out := { at = ts; node = pid; ev = decode ~name ~a ~b } :: !out);
   List.rev !out
 
-let observed t = Trace.recorded t.tr
+let observed t = Trace.recorded t
 
 let count t ~pred = List.length (List.filter pred (events t))
 

@@ -105,13 +105,11 @@ let config t = t.cfg
 
 let node_id t = t.node.Node.id
 
-(* Report a packet event about queue [queue] of egress [egress]. *)
-let emit_pkt t kind ~egress ~queue pkt =
-  Tap.emit t.tap kind ~node:t.node.Node.id (Tap.queue_key ~egress ~queue)
-    (Packet.Pool.index t.pool pkt)
-
 let emit_queue t kind ~egress ~queue a1 =
   Tap.emit t.tap kind ~node:t.node.Node.id (Tap.queue_key ~egress ~queue) a1
+
+let emit_pkt t kind ~egress ~queue pkt =
+  emit_queue t kind ~egress ~queue (Packet.Pool.index t.pool pkt)
 
 let sim t = t.sim
 
@@ -215,8 +213,6 @@ let try_send t e =
       end
     end
   end
-
-let kick t ~egress = try_send t t.egresses.(egress)
 
 (* The pause watchdog (the standard PFC-watchdog defense, applied to BFC's
    per-queue pauses): a queue paused longer than the configured timeout is

@@ -140,10 +140,6 @@ val pfc_paused : t -> egress:int -> bool
     (requires [track_active_flows]). *)
 val active_flows : t -> egress:int -> int
 
-(** Force the transmit loop of an egress to re-examine its queues (used
-    after resume events originating outside the switch). *)
-val kick : t -> egress:int -> unit
-
 (** {2 Fault injection} *)
 
 (** Crash-and-restart: every queue is flushed (resident packets are lost
@@ -153,8 +149,7 @@ val kick : t -> egress:int -> unit
     Returns the number of packets lost. *)
 val reboot : t -> int
 
-(** Number of {!reboot}s so far (auditors use this as a generation
-    counter to resynchronise conservation baselines). *)
+(** Number of {!reboot}s so far. *)
 val reboots : t -> int
 
 (** Times the pause watchdog force-resumed a queue or egress. *)

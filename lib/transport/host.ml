@@ -118,8 +118,6 @@ type t = {
   mutable bytes_retransmitted : int;
 }
 
-let node_id t = t.node.Node.id
-
 let nic t = t.nic
 
 let config t = t.cfg

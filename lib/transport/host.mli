@@ -58,8 +58,6 @@ val create :
   unit ->
   t
 
-val node_id : t -> int
-
 val nic : t -> Nic.t
 
 val config : t -> config
