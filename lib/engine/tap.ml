@@ -11,11 +11,9 @@ type kind =
   | Link_down
   | Link_up
 
-type consumer = node:int -> int -> int -> unit
-
 (* Per kind, its consumers in registration order; an empty array is the
    untapped case [emit] tests for. *)
-type t = consumer array array
+type t = (node:int -> int -> int -> unit) array array
 
 let index = function
   | Enqueue -> 0
@@ -40,6 +38,8 @@ let fire fs ~node a0 a1 =
   for i = 0 to Array.length fs - 1 do
     (Array.unsafe_get fs i) ~node a0 a1
   done
+
+let[@inline] listened t kind = Array.length (Array.unsafe_get t (index kind)) > 0
 
 let[@inline] emit t kind ~node a0 a1 =
   let fs = Array.unsafe_get t (index kind) in

@@ -27,16 +27,17 @@ type kind =
 
 type t
 
-type consumer = node:int -> int -> int -> unit
-
 val create : unit -> t
 
 (** [on t kind f] registers [f] for [kind], after the consumers already
     registered for it. *)
-val on : t -> kind -> consumer -> unit
+val on : t -> kind -> (node:int -> int -> int -> unit) -> unit
 
-(** [emit t kind ~node a0 a1] runs [kind]'s consumers. *)
+(** [emit t kind ~node a0 a1] runs [kind]'s consumers. A hot site whose
+    arguments cost something to compute tests {!listened} first. *)
 val emit : t -> kind -> node:int -> int -> int -> unit
+
+val listened : t -> kind -> bool
 
 (** [(egress lsl 12) lor (queue + 1)], the switch watchdog's packing:
     slot 0 is the port-level PFC queue [-1]. *)

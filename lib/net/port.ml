@@ -164,8 +164,9 @@ let send t pkt =
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   t.tx_packets <- t.tx_packets + 1;
   (match t.on_tx with None -> () | Some f -> f pkt);
-  Bfc_engine.Tap.emit t.tap Bfc_engine.Tap.Port_tx ~node:t.peer.Node.id t.gid
-    (Packet.Pool.index t.pool pkt);
+  if Bfc_engine.Tap.listened t.tap Bfc_engine.Tap.Port_tx then
+    Bfc_engine.Tap.emit t.tap Bfc_engine.Tap.Port_tx ~node:t.peer.Node.id t.gid
+      (Packet.Pool.index t.pool pkt);
   if t.fault pkt then drop t pkt else deliver t pkt ~at:(now + ser + t.prop)
 
 let ensure_wakeup t =

@@ -87,7 +87,8 @@ let wire_trace t env b =
   let id_paused = Trace.intern b ~akey:"queue" "paused" in
   let id_nic = Trace.intern b ~akey:"queue" ~bkey:"paused" "nic_pause" in
   Array.iter
-    (fun sw -> Hashtbl.replace t.sw_qpp (Switch.node_id sw) (Switch.config sw).Switch.queues_per_port)
+    (fun sw ->
+      Hashtbl.replace t.sw_qpp (Switch.node_id sw) (Switch.config sw).Switch.queues_per_port)
     (Runner.switches env);
   Array.iter (fun hid -> Hashtbl.replace t.host_ids hid ()) (Topology.hosts (Runner.topo env));
   let tid ~node key =

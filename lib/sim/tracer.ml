@@ -75,7 +75,9 @@ let attach env ~capacity =
   let t = Trace.create ~capacity () in
   Array.iter (fun (name, akey, bkey) -> ignore (Trace.intern t ~akey ~bkey name)) names;
   let sim = Runner.sim env and pool = Runner.pool env in
-  let on kind ev = Tap.on (Sim.tap sim) kind (fun ~node a0 a1 -> record t (Sim.now sim) node (ev a0 a1)) in
+  let on kind ev =
+    Tap.on (Sim.tap sim) kind (fun ~node a0 a1 -> record t (Sim.now sim) node (ev a0 a1))
+  in
   Tap.on (Sim.tap sim) Tap.Ctrl_rx (fun ~node _ p ->
       let pkt = Packet.Pool.get pool p in
       let record = record t (Sim.now sim) node in

@@ -383,7 +383,8 @@ let attach ?(config = default_config) env =
   (* NIC uplinks: PFC pause of the whole uplink is a port-level span. *)
   Tap.on tap Tap.Nic_pause (fun ~node queue paused ->
       if queue < 0 then
-        port_transition t (Port.gid (Topology.port topo node 0)) ~now:(Sim.now sim) ~paused:(paused = 1));
+        port_transition t (Port.gid (Topology.port topo node 0)) ~now:(Sim.now sim)
+          ~paused:(paused = 1));
   ignore (Sim.every sim ~period:config.d_period (tick t));
   t
 

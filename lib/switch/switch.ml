@@ -108,8 +108,8 @@ let node_id t = t.node.Node.id
 let emit_queue t kind ~egress ~queue a1 =
   Tap.emit t.tap kind ~node:t.node.Node.id (Tap.queue_key ~egress ~queue) a1
 
-let emit_pkt t kind ~egress ~queue pkt =
-  emit_queue t kind ~egress ~queue (Packet.Pool.index t.pool pkt)
+let[@inline] emit_pkt t kind ~egress ~queue pkt =
+  if Tap.listened t.tap kind then emit_queue t kind ~egress ~queue (Packet.Pool.index t.pool pkt)
 
 let sim t = t.sim
 
