@@ -15,7 +15,7 @@ type kind =
    untapped case [emit] tests for. *)
 type t = (node:int -> int -> int -> unit) array array
 
-let index = function
+let[@inline] index = function
   | Enqueue -> 0
   | Dequeue -> 1
   | Drop -> 2
