@@ -225,10 +225,9 @@ let attach ?(config = default_config) env =
       checks = 0;
     }
   in
-  let topo = Runner.topo env in
   let tap = Sim.tap (Runner.sim env) in
   (* by node id: the switch's state *)
-  let st_of = Array.make (Array.length (Topology.nodes topo)) None in
+  let st_of = Array.make (Array.length (Topology.nodes (Runner.topo env))) None in
   Array.iter (fun st -> st_of.(Switch.node_id st.asw) <- Some st) sws;
   let count f ~node _ _ = match st_of.(node) with Some st -> f st | None -> () in
   Tap.on tap Tap.Enqueue (count (fun st -> st.enq <- st.enq + 1));

@@ -76,12 +76,11 @@ let table2_point profile scheme () =
   let tor_set = Array.to_list cl.Topology.tors in
   let is_spine n = List.mem n spine_set and is_tor n = List.mem n tor_set in
   (* one watcher per direction, scheduled packets only *)
-  let topo = cl.Topology.t in
   let watch ~from ~towards =
     Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress pkt ->
         pkt.Packet.prio >= unsched
         && from sw
-        && towards (Bfc_net.Port.peer (Topology.port topo sw egress)).Bfc_net.Node.id)
+        && towards (Bfc_net.Port.peer (Topology.port cl.Topology.t sw egress)).Bfc_net.Node.id)
   in
   let agg_tor = watch ~from:is_spine ~towards:is_tor in
   let tor_agg = watch ~from:is_tor ~towards:is_spine in

@@ -442,7 +442,8 @@ let receive t ~in_port pkt =
   t.rx_packets <- t.rx_packets + 1;
   match pkt.Packet.kind with
   | Packet.Pfc | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit ->
-    Tap.emit t.tap Tap.Ctrl_rx ~node:t.node.Node.id in_port (Packet.Pool.index t.pool pkt);
+    if Tap.listened t.tap Tap.Ctrl_rx then
+      Tap.emit t.tap Tap.Ctrl_rx ~node:t.node.Node.id in_port (Packet.Pool.index t.pool pkt);
     (* Control handlers consume the packet synchronously (handled or not,
        a control frame terminates here). *)
     if pkt.Packet.kind = Packet.Pfc then handle_pfc t ~in_port pkt

@@ -788,8 +788,10 @@ let receive t ~in_port pkt =
   | Packet.Credit_req -> on_credit_req t pkt
   | Packet.Cnp -> on_cnp t pkt
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit | Packet.Pfc ->
-    Bfc_engine.Tap.emit (Sim.tap t.sim) Bfc_engine.Tap.Ctrl_rx ~node:t.node.Node.id in_port
-      (Packet.Pool.index t.pool pkt);
+    let tap = Sim.tap t.sim in
+    if Bfc_engine.Tap.listened tap Bfc_engine.Tap.Ctrl_rx then
+      Bfc_engine.Tap.emit tap Bfc_engine.Tap.Ctrl_rx ~node:t.node.Node.id in_port
+        (Packet.Pool.index t.pool pkt);
     Nic.on_ctrl t.nic pkt);
   recycle t pkt
 
