@@ -111,7 +111,7 @@ type t = {
   txs : tx Slot_table.t; (* flow id -> sender state *)
   rxs : rx Slot_table.t;
   homa_recv : Homa.Receiver.t option;
-  mutable complete_cb : Flow.t -> unit;
+  mutable complete_cbs : (Flow.t -> unit) array; (* in registration order *)
   owners : tx list ref array; (* per NIC queue: window-based flows to pump *)
   rng : Rng.t;
   mutable bytes_sent : int;
@@ -122,16 +122,11 @@ let nic t = t.nic
 
 let config t = t.cfg
 
-let on_complete t f = t.complete_cb <- f
+let on_complete t f = t.complete_cbs <- [| f |]
 
-(* Chain instead of replace, so several observers (run driver, sketches,
-   flowlog writer) can all see completions. bfc-lint: control-plane *)
-let add_on_complete t f =
-  let prev = t.complete_cb in
-  t.complete_cb <-
-    (fun flow ->
-      prev flow;
-      f flow)
+(* Several observers (run driver, sketches, flowlog writer) can all see
+   completions. bfc-lint: control-plane *)
+let add_on_complete t f = t.complete_cbs <- Array.append t.complete_cbs [| f |]
 
 (* Per-flow records live in slot tables. A fresh slot gets a blank
    record; [start_flow] and [get_rx] reinitialise every field. *)
@@ -685,7 +680,9 @@ let on_data t pkt =
     rx.complete <- true;
     if flow.Flow.finish < 0 then flow.Flow.finish <- Sim.now t.sim;
     (match t.cfg.scheme with Xpass _ -> xpass_stop_credits t rx | _ -> ());
-    t.complete_cb flow
+    for i = 0 to Array.length t.complete_cbs - 1 do
+      t.complete_cbs.(i) flow
+    done
   end
 
 let on_credit_req t pkt =
@@ -871,7 +868,7 @@ let create ~sim ~node ~port ~config:cfg () =
       txs = Slot_table.create ();
       rxs = Slot_table.create ();
       homa_recv;
-      complete_cb = ignore;
+      complete_cbs = [||];
       owners = Array.init cfg.nic_queues (fun _ -> ref []);
       rng = Rng.create (cfg.seed + (node.Node.id * 65_537));
       bytes_sent = 0;

@@ -66,9 +66,9 @@ val config : t -> config
     flow's last byte arrives). Replaces any previous callback. *)
 val on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
 
-(** Add a completion observer without displacing the existing one (the new
-    observer runs after it). Streaming runs chain sketch updates and
-    flow-trace writes onto the driver's completion counter this way. *)
+(** Add a completion observer without displacing the existing ones (the
+    new observer runs after them). Streaming runs add sketch updates and
+    flow-trace writes after the driver's completion counter this way. *)
 val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
 
 (** Forget all per-flow sender/receiver state for [flow_id] on this host.
