@@ -35,7 +35,7 @@
    - classes 3+ are typed: the handle carries two immediate int args
      ([a0], [a1]) and fires through a per-class executor registered
      once per (sim, class) with [register_class]. Typed handles are
-     pooled — [post] pulls one from a free list, firing or purging
+     pooled — [post] pulls one from a free list, firing or cancelling
      returns it — so the steady-state hot path (deliveries, watchdogs,
      RTOs, pacers) allocates nothing per event and dispatches through
      one direct [match] + array-indexed call to a single shared
@@ -47,22 +47,20 @@
    takes the write barrier: a typed handle is queued as its pool slot
    ([>= 0]); a closure handle borrows a negative id from a second table
    ([cq]) for as long as it is queued, and the id goes back to its free
-   list when the entry pops or is purged. The handle record a caller
+   list when the entry pops or is removed. The handle record a caller
    holds is never reused, so a stale handle cannot reach whichever event
    later borrows its id: [pending] and [cancel] read the record, never
    the id.
 
-   Pooled-handle lifecycle: a slot is on the free list iff no queue
-   entry references it. Cancellation ([cancel_token]) only tombstones —
-   it bumps the handle's generation so the token dies, but the slot is
-   reclaimed at the point the queue disposes of the entry: a pop (a
-   tombstone that reaches level 0) or the wheel's garbage purge (the
-   [release] hook). Reclaiming any earlier would let the slot be
-   re-armed while the stale entry is still queued, and the stale entry
-   would then fire the new event at the old deadline. Generations start
-   at 1 and only grow, so a token is never 0 and — with the
-   [safety_cap] bounding lifetime executions at 2^30 — never collides
-   with a previous incarnation of its slot.
+   Lifecycle: every queued handle records its wheel entry ([entry]), and
+   every queue entry is a live event. Firing pops the entry; cancelling
+   ([cancel], [cancel_token]) removes it from the wheel in O(1). Either
+   way the pool slot or closure id is free again at once, since no
+   queue entry references it any more. Cancellation bumps a typed
+   handle's generation so its token dies. Generations start at 1 and
+   only grow, so a token is never 0 and — with the [safety_cap]
+   bounding lifetime executions at 2^30 — never collides with a
+   previous incarnation of its slot.
 
    Same-instant batch execution: the run loop drains the maximal run of
    head entries sharing the head deadline whose rank is below
@@ -134,6 +132,7 @@ and handle = {
   mutable a1 : int;
   mutable gen : int; (* typed classes: token generation, >= 1 *)
   slot : int; (* pool slot, or -1 for closure handles *)
+  mutable entry : int; (* wheel entry while queued *)
 }
 
 type ticker = { mutable running : bool; tick_handle : handle }
@@ -189,8 +188,7 @@ let grow_ints a len =
   Array.blit a 0 na 0 len;
   na
 
-(* Return a fired or purged pooled handle's slot to the free list. Only
-   called at queue-disposal points (see the lifecycle comment up top). *)
+(* Return a fired or cancelled pooled handle's slot to the free list. *)
 let free_slot t h =
   if t.free_len = Array.length t.free then t.free <- grow_ints t.free t.free_len;
   Array.unsafe_set t.free t.free_len h.slot;
@@ -220,7 +218,7 @@ let borrow_id t h =
 (* The handle behind a queue id. *)
 let queued t id = if id >= 0 then Array.unsafe_get t.pool id else Array.unsafe_get t.cq (lnot id)
 
-(* The queue is done with entry [id] (popped or purged): a closure id goes
+(* The queue is done with entry [id] (popped or removed): a closure id goes
    back to its free list. Its [cq] slot keeps the handle until the id is
    lent again (a fired one-shot has already dropped its closure). *)
 let return_id t id =
@@ -229,11 +227,6 @@ let return_id t id =
     Array.unsafe_set t.cfree t.cfree_len (lnot id);
     t.cfree_len <- t.cfree_len + 1
   end
-
-(* Disposal of a dead entry (popped tombstone or purge): pooled handles go
-   back to the free list ([gen] was already bumped when the token was
-   cancelled), closure ids to theirs. *)
-let dispose t id = if id >= 0 then free_slot t (Array.unsafe_get t.pool id) else return_id t id
 
 (* Fire one live handle: the direct-match dispatch point. Closure
    classes call through [fn]; typed classes index the executor table
@@ -260,30 +253,19 @@ let fire t h =
     free_slot t h
   end
 
-(* Pop-side handling of queue entry [id]: fire it if live, dispose of it
-   otherwise. A closure id is returned before its handle fires, so the
-   handle may re-queue itself (a ticker) under a fresh id. *)
+(* Fire popped queue entry [id]; every queued entry is a live event. A
+   closure id is returned before its handle fires, so the handle may
+   re-queue itself (a ticker) under a fresh id. *)
 let fire_id t id =
   let h = queued t id in
   if id < 0 then return_id t id;
-  if h.alive && not h.fired then fire t h else if id >= 0 then free_slot t h
+  fire t h
 
 let create () =
-  (* the wheel's purge hooks read the sim's id tables; [self] ties the
-     knot. The release hook reclaims purged tombstones' ids — without it
-     a cancelled event whose entry cascades to its death would leak its
-     pool slot or closure id forever. *)
-  let self = ref None in
-  let q =
-    Wheel.create
-      ~garbage:(fun id -> match !self with Some t -> not (queued t id).alive | None -> false)
-      ~release:(fun id -> match !self with Some t -> dispose t id | None -> ())
-      ()
-  in
   let t =
     {
       clock = 0;
-      q;
+      q = Wheel.create ();
       in_run = false;
       live = 0;
       executed = 0;
@@ -307,11 +289,10 @@ let create () =
   in
   let sentinel =
     { owner = t; cls = cls_one_shot; alive = false; fired = true; fn = noop_fn;
-      a0 = 0; a1 = 0; gen = 0; slot = -1 }
+      a0 = 0; a1 = 0; gen = 0; slot = -1; entry = -1 }
   in
   t.pool <- Array.make 16 sentinel;
   t.fire_cb <- (fun id -> fire_id t id);
-  self := Some t;
   t
 
 let now t = t.clock
@@ -371,13 +352,14 @@ let at ?sent ?(key = key_mask) t time fn =
   if unschedulable t time then bad_time "at" t time;
   let h =
     { owner = t; cls = cls_one_shot; alive = true; fired = false; fn;
-      a0 = 0; a1 = 0; gen = 0; slot = -1 }
+      a0 = 0; a1 = 0; gen = 0; slot = -1; entry = -1 }
   in
-  (match sent with
-  | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h)
-  | Some s ->
-    let rank = sent_rank "at" t ~sent:s ~key in
-    Wheel.push_late t.q ~priority:time ~rank (borrow_id t h));
+  h.entry <-
+    (match sent with
+    | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h)
+    | Some s ->
+      let rank = sent_rank "at" t ~sent:s ~key in
+      Wheel.push_late t.q ~priority:time ~rank (borrow_id t h));
   note_depth t;
   t.live <- t.live + 1;
   h
@@ -424,7 +406,7 @@ let alloc_pooled t =
     end;
     let h =
       { owner = t; cls = cls_one_shot; alive = false; fired = false; fn = noop_fn;
-        a0 = 0; a1 = 0; gen = 1; slot }
+        a0 = 0; a1 = 0; gen = 1; slot; entry = -1 }
     in
     t.pool.(slot) <- h;
     t.pool_len <- slot + 1;
@@ -449,12 +431,12 @@ let post_handle ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
     match sent with
     | None ->
       let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h.slot;
+      h.entry <- Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h.slot;
       h
     | Some s ->
       let rank = sent_rank "post" t ~sent:s ~key in
       let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      Wheel.push_late t.q ~priority:time ~rank h.slot;
+      h.entry <- Wheel.push_late t.q ~priority:time ~rank h.slot;
       h
   in
   note_depth t;
@@ -482,26 +464,27 @@ let cancel_token t token =
     if slot < t.pool_len then begin
       let h = Array.unsafe_get t.pool slot in
       if h.gen land gen_mask = token land gen_mask && h.alive && not h.fired then begin
-        (* tombstone only: the queue entry still references the slot,
-           so it is reclaimed when the entry pops or is purged *)
+        ignore (Wheel.remove t.q h.entry : int);
         h.alive <- false;
         h.gen <- h.gen + 1;
         t.live <- t.live - 1;
-        t.cancels <- t.cancels + 1
+        t.cancels <- t.cancels + 1;
+        free_slot t h
       end
     end
   end
 
-(* Cancellation only tombstones the queue entry (the wheel does not
-   support removal from the middle), but the closure is dropped eagerly:
-   it may be the only thing keeping whatever it captured alive, and the
-   stale entry can outlive the whole run. *)
+(* The closure is dropped as well: the caller may keep the handle, and
+   the closure may be the only thing keeping whatever it captured
+   alive. *)
 let cancel h =
   if h.alive && not h.fired then begin
+    let t = h.owner in
+    return_id t (Wheel.remove t.q h.entry);
     h.alive <- false;
     h.fn <- noop_fn;
-    h.owner.live <- h.owner.live - 1;
-    h.owner.cancels <- h.owner.cancels + 1
+    t.live <- t.live - 1;
+    t.cancels <- t.cancels + 1
   end
 
 let pending h = h.alive && not h.fired
@@ -515,7 +498,8 @@ let every t ~period fn =
   let arm h =
     let time = t.clock + period in
     if unschedulable t time then bad_time "every" t time;
-    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) (borrow_id t h);
+    h.entry <-
+      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) (borrow_id t h);
     note_depth t;
     t.live <- t.live + 1
   in
@@ -539,6 +523,7 @@ let every t ~period fn =
       a1 = 0;
       gen = 0;
       slot = -1;
+      entry = -1;
     }
   in
   arm h;
@@ -612,10 +597,6 @@ let run t ~until =
 
 let run_until_idle ?(cap = safety_cap) t = drain t ~until:max_int ~cap
 
-(* Head-entry deadline, tombstones included: a cancelled head reports its
-   stale time, which is <= the first live deadline — callers using this as
-   a horizon bound (the PDES window coordinator) only get a conservative
-   (smaller) window out of that, never a wrong one. *)
 let next_time t = Wheel.head_time t.q
 
 let pending_events t = t.live

@@ -26,11 +26,11 @@
 type t
 
 type handle
-(** A scheduled event that can be cancelled. Cancellation is O(1): the event
-    stays in the queue but becomes a no-op. The queue holds int ids, not
+(** A scheduled event that can be cancelled. Cancellation is O(1): the
+    event leaves the queue at once. The queue holds int ids, not
     handles: a closure handle borrows an id while it is queued and gives
-    it back when its entry pops or is purged. The handle record itself is
-    never reused, so {!pending} and {!cancel} on a stale handle never
+    it back when its entry pops or is cancelled. The handle record itself
+    is never reused, so {!pending} and {!cancel} on a stale handle never
     reach the event that later borrows its id. *)
 
 (** Per-class executor state. Each subsystem extends this variant with a
@@ -176,7 +176,8 @@ type token = int
 val post_token : ?sent:Time.t -> ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> token
 
 (** [cancel_token t tok] cancels the typed event named by [tok] if it is
-    still pending; O(1), no-op on 0, stale, fired or cancelled tokens. *)
+    still pending, removing it from the queue; O(1), no-op on 0, stale,
+    fired or cancelled tokens. *)
 val cancel_token : t -> token -> unit
 
 (** Is the typed event named by this token still pending? *)
@@ -218,14 +219,13 @@ exception Runaway of { now : Time.t; pending_events : int }
     Raises {!Runaway} after [cap] events (default 2^30). *)
 val run_until_idle : ?cap:int -> t -> int
 
-(** Deadline of the earliest queued entry, or [-1] when the queue is
-    empty. Cancelled tombstones are included, so the value is a lower
-    bound on the next event that will actually execute — exactly what a
-    conservative synchronization window needs (a too-early bound shrinks
-    the window; it can never overshoot). *)
+(** Deadline of the next event to execute, or [-1] when none is
+    pending. Cancelled events have already left the queue, so this is
+    always a live event's deadline — the bound a conservative
+    synchronization window needs. *)
 val next_time : t -> Time.t
 
-(** Number of live scheduled events (cancelled tombstones excluded). *)
+(** Number of scheduled events not yet fired or cancelled. *)
 val pending_events : t -> int
 
 (** Total events executed over the simulation's lifetime; the denominator
@@ -242,11 +242,13 @@ val executed_events : t -> int
     - [p_typed]: typed events executed ({!post}/{!post_token}), summed
       over all registered classes. A healthy hot path executes mostly
       typed events.
-    - [p_heap_hwm]: deepest the pending-event queue ever got (backlog
-      high-water mark); [p_heap_capacity] is the backing storage it grew
-      to (total wheel bucket slots).
-    - [p_cancels]: cancellations (each leaves a tombstone until its
-      deadline). *)
+    - [p_heap_hwm]: the most events ever pending at once (backlog
+      high-water mark; cancelled events leave the queue, so only live
+      events count); [p_heap_capacity] is the entry records the wheel's
+      slab grew to ({!Bfc_util.Wheel.capacity}), at most
+      [max 64 (2 * p_heap_hwm)].
+    - [p_cancels]: cancellations, each of which removed its event from
+      the queue. *)
 type profile = {
   p_one_shot : int;
   p_reusable : int;

@@ -23,38 +23,36 @@
 
     Payloads are ints: the owner keeps its entries in a table of its
     own and queues their ids (the simulator queues event-pool slots).
-    Every bucket is then a set of int arrays, so no store into the
-    wheel takes the GC's write barrier.
+    All entries live in one slab, a single int array of fixed-size
+    records with a free list, and each bucket is a doubly-linked list
+    through it. Storage is therefore sized by the peak number of
+    resident entries, and no store into the wheel takes the GC's write
+    barrier.
 
-    Cancellation is lazy: callers mark ids dead and supply a
-    [garbage] predicate at {!create}; cascades purge dead entries
-    instead of re-dealing them. Dead entries that reach level 0 before
-    a cascade sweeps them still pop normally (the caller skips them). *)
+    {!push} and {!push_late} return the new entry's id, which {!remove}
+    takes to unlink the entry in O(1): a cancelled entry leaves the
+    wheel at once. An id is valid from its push until the entry pops or
+    is removed; the wheel then reuses it for a later entry. *)
 
 type t
 
 exception Empty
 
-val create : ?garbage:(int -> bool) -> ?release:(int -> unit) -> unit -> t
-(** [create ?garbage ?release ()] makes an empty wheel. [garbage v]
-    should return [true] when [v] is a dead (cancelled) entry safe to
-    drop during a cascade; it defaults to [fun _ -> false] (never
-    purge). [release v] is invoked on every entry the wheel purges as
-    garbage, exactly once per purged entry — an owner that pools its
-    ids (Sim's event table) uses it to reclaim the id, since a purged
-    entry never reaches
-    {!pop_min_exn}. Defaults to a no-op. *)
+val create : unit -> t
+(** An empty wheel with its cursor at time 0. *)
 
 val length : t -> int
-(** Resident entries, including dead ones not yet purged or popped. *)
+(** Resident entries: pushed and not yet popped or removed. *)
 
 val is_empty : t -> bool
 
 val capacity : t -> int
-(** Total allocated bucket slots across all levels (profiling). *)
+(** Entry records the slab holds (profiling): [64 * 2^k] for the
+    smallest [k] that covers the peak {!length} so far. *)
 
-val push : t -> rank:int -> priority:int -> int -> unit
-(** [push t ~rank ~priority v] inserts [v] with deadline [priority];
+val push : t -> rank:int -> priority:int -> int -> int
+(** [push t ~rank ~priority v] inserts [v] with deadline [priority] and
+    returns the entry's id;
     [rank] breaks deadline ties ahead of insertion order (pass 0 for
     plain FIFO ties). It is a required argument because a call site
     boxes every optional argument it passes, once per event.
@@ -65,19 +63,27 @@ val push : t -> rank:int -> priority:int -> int -> unit
     insertion-sorted on arrival, zero-cost when ranks arrive monotone.
     A rank below ranks pushed before the current burst silently
     mis-orders (use {!push_late} for that). Amortized O(1); allocates
-    only when a bucket grows. *)
+    only when the slab doubles. *)
 
-val push_late : t -> priority:int -> rank:int -> int -> unit
+val push_late : t -> priority:int -> rank:int -> int -> int
 (** Like {!push} but accepts a [rank] below ranks already resident at
     the same deadline, placing the entry at its (deadline, rank,
     insertion order) position — how a PDES barrier inserts a
     cross-shard delivery at the rank of its virtual send time. Costs a
-    scan of the target bucket. *)
+    scan of the target bucket. Returns the entry's id. *)
+
+val remove : t -> int -> int
+(** [remove t e] unlinks resident entry [e] and returns its payload;
+    O(1). The entries around it keep their order.
+    @raise Invalid_argument when [e] is not a resident entry's id (a
+    popped or removed entry whose id has not been reused yet is
+    caught; a reused one is another entry, so the caller must not keep
+    ids past their entry's lifetime). *)
 
 val head_time : t -> int
 (** Deadline of the next entry to pop, or [-1] when the wheel is empty
     (deadlines are non-negative, so [-1] is unambiguous). May advance
-    the internal cursor and purge garbage; amortized O(1). *)
+    the internal cursor; amortized O(1). *)
 
 val pop_min_exn : t -> int
 (** Remove and return the entry with the smallest (deadline, insertion
@@ -91,12 +97,9 @@ val drain_run : t -> time:int -> rank_bound:int -> (int -> unit) -> int
     head is at or above the bound. One cursor reposition covers the
     whole batch (against one per {!head_time}/{!pop_min_exn} pair),
     which is the wheel's share of the simulator's same-instant batch
-    execution. [f] may push into the wheel but must not pop. Ordering
+    execution. Each entry leaves the wheel before [f] runs on it. [f]
+    may push into the wheel or remove entries but must not pop. Ordering
     caveat: entries at or above [rank_bound] may still be overtaken by
     pushes [f] makes, so only the caller's bound choice makes batch
     draining order-safe (see the simulator's run loop). Returns 0 when
     the wheel is empty or the head deadline is not [time]. *)
-
-val clear : t -> unit
-(** Empty the wheel and rewind the cursor to time 0, keeping bucket
-    arrays for reuse. *)

@@ -130,7 +130,7 @@ let test_sim_rank_clock_horizon () =
   check Alcotest.int "clock at the last instant" last (Sim.now sim)
 
 (* Closure handles borrow a queue id only while queued; once an entry
-   fires or its tombstone pops, the id goes to the next event scheduled.
+   fires or is cancelled, the id goes to the next event scheduled.
    The old handle must keep answering for itself: not pending, and a
    [cancel] through it must not reach the newcomer that took its id. *)
 let test_sim_queue_id_reuse () =
@@ -159,12 +159,13 @@ let test_sim_queue_id_reuse () =
       Sim.cancel h);
   let h = Sim.at sim 30 (fun () -> incr runs) in
   Sim.cancel h;
-  (* the tombstone still holds its id: an event scheduled now must not
-     take it, or it would fire at the tombstone's deadline *)
+  (* the cancelled entry left the queue with its id: an event scheduled
+     now takes the id and must fire at its own deadline, not at the
+     cancelled one's *)
   let early = ref [] in
   ignore (Sim.at sim 35 (fun () -> early := Sim.now sim :: !early));
   ignore (Sim.run sim ~until:30);
-  check Alcotest.(list int) "no event fired at the tombstone's deadline" [] !early;
+  check Alcotest.(list int) "no event fired at the cancelled deadline" [] !early;
   ignore (Sim.run sim ~until:35);
   check Alcotest.(list int) "the later event fired once, on time" [ 35 ] !early;
   newcomers "cancelled at" ~poke:(fun () ->
@@ -180,6 +181,22 @@ let test_sim_queue_id_reuse () =
   check Alcotest.int "ticker stopped after two ticks" 2 !ticks;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "nothing left pending" 0 (Sim.pending_events sim)
+
+(* A cancelled event leaves the queue at once, so the next deadline the
+   sim reports is the next live event's, never the cancelled one's. *)
+let test_sim_cancelled_head_leaves () =
+  let sim = Sim.create () in
+  let cls = Sim.cls_port_tx in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ _ _ -> ());
+  let tok = Sim.post_token sim 10 ~cls ~a0:0 ~a1:0 in
+  ignore (Sim.at sim 20 ignore);
+  Sim.cancel_token sim tok;
+  check Alcotest.int "next event at 20" 20 (Sim.next_time sim);
+  let h = Sim.at sim 15 ignore in
+  check Alcotest.int "closure head at 15" 15 (Sim.next_time sim);
+  Sim.cancel h;
+  check Alcotest.int "back to 20" 20 (Sim.next_time sim);
+  check Alcotest.int "one pending" 1 (Sim.pending_events sim)
 
 let prop_sim_executes_in_order =
   QCheck.Test.make ~name:"random schedules execute in nondecreasing time" ~count:100
@@ -206,5 +223,6 @@ let suite =
     ("sim nested events", `Quick, test_sim_nested_events);
     ("sim rank-clock horizon", `Quick, test_sim_rank_clock_horizon);
     ("sim queue id reuse", `Quick, test_sim_queue_id_reuse);
+    ("sim cancelled head leaves at once", `Quick, test_sim_cancelled_head_leaves);
     QCheck_alcotest.to_alcotest prop_sim_executes_in_order;
   ]

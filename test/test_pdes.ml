@@ -67,13 +67,13 @@ let test_push_late_matches_heap () =
       let rank =
         if late then begin
           let rank = Bfc_util.Rng.int rng 40 in
-          Wheel.push_late w ~priority:time ~rank id;
+          ignore (Wheel.push_late w ~priority:time ~rank id : int);
           rank
         end
         else begin
           (* monotone path: rank grows with every push, like a sim clock *)
           let rank = 100 + id in
-          Wheel.push w ~rank ~priority:time id;
+          ignore (Wheel.push w ~rank ~priority:time id : int);
           rank
         end
       in

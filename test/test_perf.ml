@@ -195,8 +195,8 @@ let test_run_parallel_rows_identical () =
 (* ------------------------ recorded fire order ---------------------- *)
 
 (* A random Sim-level schedule with one-shots, cancels, self-rescheduling
-   chains and tickers, driven through the Sim dispatch (tombstone pops,
-   garbage purge, every-tick re-push), not just the raw queue. The
+   chains and tickers, driven through the Sim dispatch (removal of
+   cancelled entries, every-tick re-push), not just the raw queue. The
    fixture fixtures/sim/fire_order.expected holds the traces of seeds
    1-5, recorded when the engine still had a second (4-ary heap) queue
    backend and both backends were asserted to produce them; the chains
@@ -227,7 +227,7 @@ let sim_fire_trace seed =
     hop (1 + Rng.int rng 1_000)
   done;
   let tks = List.init 5 (fun i -> Sim.every sim ~period:(7_001 + i) (fun () -> record 2 i)) in
-  (* cancel a random subset mid-run to leave tombstones behind *)
+  (* cancel a random subset mid-run, removing their queue entries *)
   ignore
     (Sim.at sim 50_000 (fun () ->
          List.iter Sim.cancel !cancellable;
@@ -255,14 +255,10 @@ let test_sim_differential_random_schedule () =
 
 (* -------------------------- allocation guard ----------------------- *)
 
-(* The packet hop (NIC -> port -> switch -> host) allocates nothing once
-   warm, so a fixed BFC Clos run allocates well under one minor word per
-   executed event. Only the run phase after a 200 us warm-up is measured:
-   set-up allocates the topology and flow records, and the warm-up grows
-   the packet pool, queue rings and wheel buckets to their high-water
-   marks. Counts are deterministic, so the bound is exact, not a timing
-   gate. *)
-let test_bfc_clos_minor_words () =
+(* A fixed BFC Clos run, shared by the two guards below: minor words and
+   executed events of the run phase after a 200 us warm-up, and the
+   engine profile at the end. *)
+let run_bfc_clos () =
   let sim = Sim.create () in
   let cl =
     Bfc_net.Topology.clos sim ~spines:2 ~tors:2 ~hosts_per_tor:4 ~gbps:100.0 ~prop:(Time.us 1.0)
@@ -291,9 +287,30 @@ let test_bfc_clos_minor_words () =
   let events = Bfc_sim.Runner.events_executed env - e0 in
   check int "every flow completed" (List.length flows) (Bfc_sim.Runner.completed env);
   check bool "a real run" true (events > 50_000);
+  (words, events, Sim.profile sim)
+
+let bfc_clos_run = lazy (run_bfc_clos ())
+
+(* The packet hop (NIC -> port -> switch -> host) allocates nothing once
+   warm, so the Clos run allocates well under one minor word per executed
+   event. Only the run phase is measured: set-up allocates the topology
+   and flow records, and the warm-up grows the packet pool, queue rings
+   and the wheel's slab to their high-water marks. Counts are
+   deterministic, so the bound is exact, not a timing gate. *)
+let test_bfc_clos_minor_words () =
+  let words, events, _ = Lazy.force bfc_clos_run in
   let per_event = words /. float_of_int events in
   if per_event > 1.0 then
     failf "%.3f minor words per event (%d events), bound 1.0" per_event events
+
+(* The event queue's storage follows the live events: a cancelled event
+   leaves the wheel at once, and the slab only doubles, so its capacity
+   stays within a small factor of the deepest the queue got. *)
+let test_wheel_storage_tracks_live () =
+  let _, _, p = Lazy.force bfc_clos_run in
+  if p.Sim.p_heap_capacity > 8 * p.Sim.p_heap_hwm then
+    failf "wheel capacity %d for a queue high-water mark of %d" p.Sim.p_heap_capacity
+      p.Sim.p_heap_hwm
 
 (* Per-flow work allocates a bounded number of words: flow start and
    reclaim are typed events, and per-flow transport records are reused
@@ -323,5 +340,6 @@ let suite =
     test_case "run_parallel byte-identical rows" `Slow test_run_parallel_rows_identical;
     test_case "sim differential: random schedule" `Quick test_sim_differential_random_schedule;
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
+    test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
   ]

@@ -162,18 +162,24 @@ let test_rng_shuffle_permutation () =
 
 (* ------------------------------ Wheel ------------------------------ *)
 
-let test_wheel_order () =
-  let w = Wheel.create () in
-  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) [ 5; 3; 8; 1; 9; 2 ];
+(* FIFO-rank push for the tests that do not remove entries *)
+let wpush w p v = ignore (Wheel.push w ~rank:0 ~priority:p v : int)
+
+let drain_all w =
   let out = ref [] in
   while not (Wheel.is_empty w) do
     out := Wheel.pop_min_exn w :: !out
   done;
-  check Alcotest.(list int) "sorted ascending" [ 1; 2; 3; 5; 8; 9 ] (List.rev !out)
+  List.rev !out
+
+let test_wheel_order () =
+  let w = Wheel.create () in
+  List.iter (fun p -> wpush w p p) [ 5; 3; 8; 1; 9; 2 ];
+  check Alcotest.(list int) "sorted ascending" [ 1; 2; 3; 5; 8; 9 ] (drain_all w)
 
 let test_wheel_fifo_ties () =
   let w = Wheel.create () in
-  List.iter (fun v -> Wheel.push w ~rank:0 ~priority:7 v) [ 11; 12; 13 ];
+  List.iter (fun v -> wpush w 7 v) [ 11; 12; 13 ];
   check Alcotest.int "fifo a" 11 (Wheel.pop_min_exn w);
   check Alcotest.int "fifo b" 12 (Wheel.pop_min_exn w);
   check Alcotest.int "fifo c" 13 (Wheel.pop_min_exn w)
@@ -181,7 +187,7 @@ let test_wheel_fifo_ties () =
 let test_wheel_head_time () =
   let w = Wheel.create () in
   check Alcotest.int "empty head" (-1) (Wheel.head_time w);
-  Wheel.push w ~rank:0 ~priority:42 0;
+  wpush w 42 0;
   check Alcotest.int "head" 42 (Wheel.head_time w);
   check Alcotest.int "head does not pop" 1 (Wheel.length w);
   ignore (Wheel.pop_min_exn w);
@@ -192,50 +198,64 @@ let test_wheel_cascade_far_future () =
   (* deadlines spanning several digit levels, far beyond level 0 *)
   let w = Wheel.create () in
   let times = [ 0; 255; 256; 65_535; 65_536; 16_777_216; 1 lsl 40; (1 lsl 40) + 1 ] in
-  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) (List.rev times);
-  let out = ref [] in
-  while not (Wheel.is_empty w) do
-    out := Wheel.pop_min_exn w :: !out
-  done;
-  check Alcotest.(list int) "cascades in order" times (List.rev !out)
+  List.iter (fun p -> wpush w p p) (List.rev times);
+  check Alcotest.(list int) "cascades in order" times (drain_all w)
 
 let test_wheel_push_below_cursor () =
   (* peek far ahead (advancing the cursor), then push nearer-term work:
      the Sim.run pattern where flows are injected between run windows *)
   let w = Wheel.create () in
-  Wheel.push w ~rank:0 ~priority:10_000 10_000;
+  wpush w 10_000 10_000;
   check Alcotest.int "cursor ahead" 10_000 (Wheel.head_time w);
-  Wheel.push w ~rank:0 ~priority:10_000 10_000;
-  Wheel.push w ~rank:0 ~priority:9_999 9_999;
+  wpush w 10_000 10_000;
+  wpush w 9_999 9_999;
   check Alcotest.int "staged below cursor" 9_999 (Wheel.pop_min_exn w);
   check Alcotest.int "then first 10k" 10_000 (Wheel.pop_min_exn w);
   check Alcotest.int "then second 10k" 10_000 (Wheel.pop_min_exn w);
   check Alcotest.bool "empty" true (Wheel.is_empty w)
 
-let test_wheel_garbage_purge () =
-  (* dead entries parked in upper levels are purged by the cascade and
-     never popped; live ones survive *)
-  let dead = Hashtbl.create 8 in
-  let w = Wheel.create ~garbage:(Hashtbl.mem dead) () in
-  List.iter (fun p -> Wheel.push w ~rank:0 ~priority:p p) [ 70_000; 70_001; 70_002 ];
-  Hashtbl.add dead 70_001 ();
-  check Alcotest.int "first live" 70_000 (Wheel.pop_min_exn w);
-  check Alcotest.int "dead one purged" 70_002 (Wheel.pop_min_exn w);
-  check Alcotest.bool "purge fixed the size" true (Wheel.is_empty w);
-  (* purge-to-empty: head_time must report the drain *)
-  Wheel.push w ~rank:0 ~priority:200_000 200_000;
-  Hashtbl.add dead 200_000 ();
-  check Alcotest.int "all-garbage wheel drains" (-1) (Wheel.head_time w)
-
-let test_wheel_clear () =
+(* Remove the head, the tail and a middle entry of one bucket, then push
+   into the same bucket again: the survivors and the newcomer pop in
+   order, [length] follows, and a removed id is refused. Done on the
+   cursor bucket and on an upper-level bucket before it cascades (its
+   same-deadline entries must keep their order through the cascade). *)
+let test_wheel_remove () =
+  let case what ~cursor times =
+    let w = Wheel.create () in
+    let ids = List.mapi (fun v p -> Wheel.push w ~rank:0 ~priority:p v) times in
+    if cursor then
+      check Alcotest.int (what ^ ": cursor on the bucket") (List.hd times) (Wheel.head_time w);
+    let id = Array.of_list ids and last = List.length times - 1 in
+    List.iter
+      (fun v -> check Alcotest.int (what ^ ": remove returns the payload") v (Wheel.remove w id.(v)))
+      [ 0; last; last / 2 ];
+    check Alcotest.int (what ^ ": length") (last - 2) (Wheel.length w);
+    Alcotest.check_raises (what ^ ": removed id refused")
+      (Invalid_argument "Wheel.remove: not a resident entry") (fun () ->
+        ignore (Wheel.remove w id.(0)));
+    let p = List.hd times in
+    wpush w p 99;
+    (* survivors by deadline, push order among equal deadlines, and the
+       newcomer last among its deadline *)
+    let expected =
+      List.mapi (fun v p -> (p, v)) times
+      |> List.filteri (fun v _ -> v <> 0 && v <> last && v <> last / 2)
+      |> (fun l -> l @ [ (p, 99) ])
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+    in
+    check Alcotest.(list int) (what ^ ": pop order") expected (drain_all w)
+  in
+  case "cursor bucket" ~cursor:true [ 500; 500; 500; 500; 500; 500; 500 ];
+  case "upper bucket" ~cursor:false [ 70_000; 70_001; 70_000; 70_002; 70_000; 70_001; 70_000 ];
+  (* removing the whole cursor bucket moves the head on *)
   let w = Wheel.create () in
-  for i = 0 to 999 do
-    Wheel.push w ~rank:0 ~priority:(i * 97) i
-  done;
-  Wheel.clear w;
-  check Alcotest.bool "cleared" true (Wheel.is_empty w);
-  Wheel.push w ~rank:0 ~priority:3 33;
-  check Alcotest.int "usable after clear" 33 (Wheel.pop_min_exn w)
+  let a = Wheel.push w ~rank:0 ~priority:10 1 in
+  wpush w 20 2;
+  check Alcotest.int "head at 10" 10 (Wheel.head_time w);
+  ignore (Wheel.remove w a);
+  check Alcotest.int "head moves to 20" 20 (Wheel.head_time w);
+  check Alcotest.(list int) "only the survivor pops" [ 2 ] (drain_all w)
 
 (* Any monotone-nondecreasing push/pop trace pops in priority-queue
    (heap) order: smallest deadline first, FIFO among equal deadlines.
@@ -263,7 +283,7 @@ let prop_wheel_heap_order =
             incr uid;
             let p = !floor + dt in
             let v = (p lsl 16) lor (!uid land 0xFFFF) in
-            Wheel.push w ~rank:0 ~priority:p v;
+            wpush w p v;
             model := List.merge compare [ v ] !model
           end)
         ops;
@@ -278,40 +298,51 @@ let prop_wheel_heap_order =
    ranks (instant, key b), bursts of keys within an instant included; a
    [push_late] ranks an earlier instant and then advances the instant,
    as the PDES barrier does between runs. Values are their seq numbers.
-   [release] removes purged tombstones from the model as they happen, so
-   every pop, drain callback and head probe must match the model's head
-   exactly, and the wheel's length must match the model's size. Every
-   pushed id leaves exactly once, by a pop or by [release]: an owner
-   that recycles ids (Sim) relies on that. *)
+   Ops 8 and 9 [remove] a random resident entry, which the model deletes;
+   a drain callback may remove one too, as a Sim executor cancelling
+   another event does. Every pop, drain callback and head probe must
+   match the model's head exactly, the wheel's length must match the
+   model's size, and the slab must stay within twice the peak length.
+   Every pushed entry leaves exactly once, by a pop or by a [remove]: an
+   owner that recycles ids (Sim) relies on that. *)
 let prop_wheel_matches_model =
   QCheck.Test.make ~name:"wheel matches sorted-list model" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400)
               (triple (int_range 0 9) (int_range 0 5000) (int_range 0 15)))
     (fun ops ->
       let fail fmt = QCheck.Test.fail_reportf fmt in
-      let model = ref [] and dead = Hashtbl.create 16 and left = Hashtbl.create 16 in
+      let model = ref [] and entry = Hashtbl.create 16 and left = Hashtbl.create 16 in
       let leave v =
         if Hashtbl.mem left v then fail "id %d left the wheel twice" v;
-        Hashtbl.add left v ()
+        Hashtbl.add left v ();
+        Hashtbl.remove entry v
       in
-      let release v =
-        if not (Hashtbl.mem dead v && List.exists (fun (_, _, s) -> s = v) !model) then
-          fail "released %d: live, unknown or released twice" v;
-        leave v;
-        model := List.filter (fun (_, _, s) -> s <> v) !model
-      in
-      let w = Wheel.create ~garbage:(Hashtbl.mem dead) ~release () in
-      let seq = ref 0 and floor = ref 0 and instant = ref 1 in
+      let w = Wheel.create () in
+      let seq = ref 0 and floor = ref 0 and instant = ref 1 and peak = ref 0 in
       let push ~late time rank =
-        if late then Wheel.push_late w ~priority:time ~rank !seq
-        else Wheel.push w ~rank ~priority:time !seq;
+        let e =
+          if late then Wheel.push_late w ~priority:time ~rank !seq
+          else Wheel.push w ~rank ~priority:time !seq
+        in
+        Hashtbl.replace entry !seq e;
         model := List.sort compare ((time, rank, !seq) :: !model);
+        peak := Int.max !peak (List.length !model);
         incr seq
       in
       let take v =
         match !model with
         | (t, _, s) :: rest when s = v -> leave v; model := rest; floor := t
         | _ -> fail "popped %d out of model order" v
+      in
+      let remove_nth i =
+        match !model with
+        | [] -> ()
+        | m ->
+          let _, _, s = List.nth m (i mod List.length m) in
+          let v = Wheel.remove w (Hashtbl.find entry s) in
+          if v <> s then fail "removed entry of %d returned %d" s v;
+          leave s;
+          model := List.filter (fun (_, _, s') -> s' <> s) !model
       in
       let model_head () = match !model with (t, _, _) :: _ -> t | [] -> -1 in
       List.iter
@@ -348,20 +379,18 @@ let prop_wheel_matches_model =
                   | (t, r, _) :: _ when t = time && (!calls = 0 || r < bound) -> ()
                   | _ -> fail "drained %d outside the batch" v);
                   incr calls;
-                  take v)
+                  take v;
+                  if b land 2 = 2 then remove_nth (a + !calls))
             in
             if n <> !calls then fail "drain_run returned %d after %d callbacks" n !calls;
             (match !model with
             | (t, r, _) :: _ when time >= 0 && t = time && r < bound -> fail "batch not maximal"
             | _ -> ())
-          | _ -> (
-            match List.filter (fun (_, _, s) -> not (Hashtbl.mem dead s)) !model with
-            | [] -> ()
-            | live ->
-              let _, _, s = List.nth live (a mod List.length live) in
-              Hashtbl.replace dead s ()));
+          | _ -> remove_nth a);
           if Wheel.length w <> List.length !model then
-            fail "length %d, model %d" (Wheel.length w) (List.length !model))
+            fail "length %d, model %d" (Wheel.length w) (List.length !model);
+          if Wheel.capacity w > Int.max 64 (2 * !peak) then
+            fail "capacity %d for a peak of %d" (Wheel.capacity w) !peak)
         ops;
       while not (Wheel.is_empty w) do
         match Wheel.pop_min_exn w with v -> take v | exception Wheel.Empty -> ()
@@ -644,8 +673,7 @@ let suite =
     ("wheel head_time", `Quick, test_wheel_head_time);
     ("wheel cascade far future", `Quick, test_wheel_cascade_far_future);
     ("wheel push below cursor", `Quick, test_wheel_push_below_cursor);
-    ("wheel garbage purge", `Quick, test_wheel_garbage_purge);
-    ("wheel clear", `Quick, test_wheel_clear);
+    ("wheel remove head, tail and middle", `Quick, test_wheel_remove);
     ("int_table basic", `Quick, test_int_table_basic);
     ("int_table find_exn", `Quick, test_int_table_find_exn);
     ("int_table growth", `Quick, test_int_table_growth);
