@@ -80,13 +80,14 @@ let classify t _sw ~in_port:_ ~egress pkt =
   match pkt.Packet.kind with
   | Packet.Data ->
     let flow = Packet.flow_exn pkt ~at:(now t) in
-    let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-    let stale = now t - e.Flow_table.last > t.sticky in
-    if e.Flow_table.size = 0 && (e.Flow_table.q < 0 || stale) then
-      e.Flow_table.q <- Dqa.assign t.dqa ~egress ~fid_hash:(Flow.hash flow);
-    e.Flow_table.size <- e.Flow_table.size + 1;
-    e.Flow_table.last <- now t;
-    e.Flow_table.q
+    let ft = t.ft in
+    let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) in
+    let stale = now t - Flow_table.last ft e > t.sticky in
+    if Flow_table.size ft e = 0 && (Flow_table.q ft e < 0 || stale) then
+      Flow_table.set_q ft e (Dqa.assign t.dqa ~egress ~fid_hash:(Flow.hash flow));
+    Flow_table.set_size ft e (Flow_table.size ft e + 1);
+    Flow_table.set_last ft e (now t);
+    Flow_table.q ft e
   | _ -> ctrl_queue t
 
 let on_enqueue t _sw ~in_port:_ ~egress ~queue pkt =
@@ -125,9 +126,9 @@ let on_dequeue t _sw ~egress ~queue pkt =
     end;
     (* bookkeeping identical to BFC *)
     let flow = Packet.flow_exn pkt ~at:(now t) in
-    let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-    e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1);
-    e.Flow_table.last <- now t;
+    let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+    Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
+    Flow_table.set_last t.ft e (now t);
     if queue < data_queues t then begin
       let q = Switch.queue t.sw ~egress ~queue in
       if Fifo.is_empty q then Dqa.mark_empty t.dqa ~egress ~queue

@@ -108,24 +108,25 @@ let classify t _sw ~in_port:_ ~egress pkt =
     else begin
       let sampled = t.cfg.sampling >= 1.0 || Bfc_util.Rng.bernoulli t.rng t.cfg.sampling in
       pkt.Packet.bp_sampled <- sampled;
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      let stale = now t - e.Flow_table.last > t.sticky in
-      if e.Flow_table.size = 0 && (e.Flow_table.q < 0 || stale) then begin
+      let ft = t.ft in
+      let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) in
+      let stale = now t - Flow_table.last ft e > t.sticky in
+      if Flow_table.size ft e = 0 && (Flow_table.q ft e < 0 || stale) then begin
         let local = Dqa.assign t.dqa ~egress:(domain t ~egress ~cls) ~fid_hash:(Flow.hash flow) in
         t.st.assignments <- t.st.assignments + 1;
         if
           t.cfg.assignment = Dqa.Dynamic
           && not (Dqa.is_empty_queue t.dqa ~egress:(domain t ~egress ~cls) ~queue:local)
         then t.st.random_assignments <- t.st.random_assignments + 1;
-        e.Flow_table.q <- (cls * t.qpc) + local
+        Flow_table.set_q ft e ((cls * t.qpc) + local)
       end;
       if sampled then begin
-        e.Flow_table.size <- e.Flow_table.size + 1;
-        e.Flow_table.last <- now t
+        Flow_table.set_size ft e (Flow_table.size ft e + 1);
+        Flow_table.set_last ft e (now t)
       end;
-      if t.occupancy.(egress).(e.Flow_table.q) > 0 && e.Flow_table.size <= 1 then
+      if t.occupancy.(egress).(Flow_table.q ft e) > 0 && Flow_table.size ft e <= 1 then
         t.st.queue_collisions <- t.st.queue_collisions + 1;
-      e.Flow_table.q
+      Flow_table.q ft e
     end)
   | Packet.Ack | Packet.Nack | Packet.Grant | Packet.Cnp | Packet.Credit | Packet.Credit_req ->
     ctrl_queue t ~cls:(cls_of_pkt t pkt)
@@ -190,9 +191,9 @@ let on_dequeue t _sw ~egress ~queue pkt =
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if pkt.Packet.bp_sampled && not incast_bypass then begin
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1);
-      e.Flow_table.last <- now t
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+      Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
+      Flow_table.set_last t.ft e (now t)
     end;
     if is_data_queue t ~queue then begin
       t.occupancy.(egress).(queue) <- Int.max 0 (t.occupancy.(egress).(queue) - 1);
@@ -213,8 +214,8 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if pkt.Packet.bp_sampled && not incast_bypass then begin
-      let e = Flow_table.entry t.ft ~egress ~fid_hash:(Flow.hash flow) in
-      e.Flow_table.size <- Int.max 0 (e.Flow_table.size - 1)
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+      Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1))
     end
   end
 

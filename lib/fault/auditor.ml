@@ -5,6 +5,7 @@ module Topology = Bfc_net.Topology
 module Node = Bfc_net.Node
 module Port = Bfc_net.Port
 module Packet = Bfc_net.Packet
+module Flow = Bfc_net.Flow
 module Fifo = Bfc_switch.Fifo
 module Switch = Bfc_switch.Switch
 module Dataplane = Bfc_core.Dataplane
@@ -113,13 +114,29 @@ let check_switch t st =
         ~detail:
           (Printf.sprintf "pause counters sum to %d but %d marked packets resident" pc_total
              !marked);
+    (* The flow table's sizes count exactly the resident data packets its
+       enqueue side counted in: sampled, and not bypassed to the incast
+       queue. Dequeues and drops must each take their packet back out. *)
     let ft = Dataplane.flow_table dp in
-    let slots = Flow_table.slots_per_port ft in
+    let incast_label = (Dataplane.config dp).Dataplane.incast_label in
+    let counted pkt =
+      pkt.Packet.kind = Packet.Data
+      && pkt.Packet.bp_sampled
+      && not
+           (incast_label
+           && match pkt.Packet.flow with Some f -> f.Flow.is_incast | None -> false)
+    in
     for e = 0 to Switch.n_ports sw - 1 do
-      let occ = Flow_table.occupied ft ~egress:e in
-      if occ > slots then
-        violate t ~node ~invariant:"flow-occupancy"
-          ~detail:(Printf.sprintf "egress %d holds %d entries of %d slots" e occ slots)
+      let sampled = ref 0 in
+      Array.iter
+        (Fifo.iter (fun pkt -> if counted pkt then incr sampled))
+        (Switch.queues sw ~egress:e);
+      let held = Flow_table.resident ft ~egress:e in
+      if held <> !sampled then
+        violate t ~node ~invariant:"flow-ledger"
+          ~detail:
+            (Printf.sprintf "egress %d flow table holds %d packets but %d sampled resident" e
+               held !sampled)
     done;
     (* A queue held paused for a long time whose downstream pause counter
        is zero received a Pause whose matching Resume is gone (lost frame

@@ -14,8 +14,9 @@
     - {b pause-balance}: the sum of all BFC pause counters equals the
       number of resident packets that were counted into them (found by
       walking the switch's queues);
-    - {b flow-occupancy}: no flow-table egress holds more entries than it
-      has slots;
+    - {b flow-ledger}: per egress, the flow table's sizes sum to the
+      number of resident data packets its enqueue side counted (sampled
+      and not bypassed to the incast queue);
     - {b orphaned-pause}: no queue stays paused longer than [max_paused]
       while its downstream pause counter is zero (a lost Resume — what the
       pause watchdog repairs);

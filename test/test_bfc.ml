@@ -31,20 +31,92 @@ let test_flow_table_sizing () =
 
 let test_flow_table_same_slot_same_entry () =
   let ft = Flow_table.create ~egresses:2 ~queues_per_port:8 ~mult:10 in
-  let e1 = Flow_table.entry ft ~egress:0 ~fid_hash:5 in
-  let e2 = Flow_table.entry ft ~egress:0 ~fid_hash:5 in
-  let e3 = Flow_table.entry ft ~egress:0 ~fid_hash:(5 + 128) (* wraps to same slot *) in
-  let e4 = Flow_table.entry ft ~egress:1 ~fid_hash:5 in
-  Alcotest.(check bool) "same hash same entry" true (e1 == e2);
-  Alcotest.(check bool) "index collision shares entry" true (e1 == e3);
-  Alcotest.(check bool) "different egress different entry" true (e1 != e4)
+  let s1 = Flow_table.slot ft ~egress:0 ~fid_hash:5 in
+  let s2 = Flow_table.slot ft ~egress:0 ~fid_hash:5 in
+  let s3 = Flow_table.slot ft ~egress:0 ~fid_hash:(5 + 128) (* wraps to same slot *) in
+  let s4 = Flow_table.slot ft ~egress:1 ~fid_hash:5 in
+  Alcotest.(check bool) "same hash same slot" true (s1 = s2);
+  Alcotest.(check bool) "index collision shares slot" true (s1 = s3);
+  Alcotest.(check bool) "different egress different slot" true (s1 <> s4)
 
 let test_flow_table_occupied () =
   let ft = Flow_table.create ~egresses:1 ~queues_per_port:4 ~mult:4 in
   check Alcotest.int "none" 0 (Flow_table.occupied ft ~egress:0);
-  (Flow_table.entry ft ~egress:0 ~fid_hash:1).Flow_table.size <- 2;
-  (Flow_table.entry ft ~egress:0 ~fid_hash:2).Flow_table.size <- 1;
-  check Alcotest.int "two occupied" 2 (Flow_table.occupied ft ~egress:0)
+  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:1) 2;
+  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:2) 1;
+  check Alcotest.int "two occupied" 2 (Flow_table.occupied ft ~egress:0);
+  check Alcotest.int "three resident" 3 (Flow_table.resident ft ~egress:0)
+
+(* The flat table against a per-slot record model: random writes to
+   random (egress, hash) pairs read back exactly as the model says, and
+   [reset] restores every slot to its initial state. *)
+type model_slot = { mutable m_q : int; mutable m_size : int; mutable m_last : int }
+
+let ft_egresses = 3
+
+let ft_slots = 16 (* 4 queues x 4, already a power of two *)
+
+let prop_flow_table_matches_model =
+  QCheck.Test.make ~name:"flow table matches per-slot record model" ~count:200
+    QCheck.(
+      list
+        (quad (int_range 0 (ft_egresses - 1)) (int_range (-1000) 1000) (int_range 0 2)
+           (int_range (-5) 50)))
+    (fun ops ->
+      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      let fresh _ = { m_q = -1; m_size = 0; m_last = min_int } in
+      let model = Array.init ft_egresses (fun _ -> Array.init ft_slots fresh) in
+      let model_slot egress h = model.(egress).(((h mod ft_slots) + ft_slots) mod ft_slots) in
+      let agrees egress h =
+        let m = model_slot egress h and i = Flow_table.slot ft ~egress ~fid_hash:h in
+        Flow_table.q ft i = m.m_q && Flow_table.size ft i = m.m_size
+        && Flow_table.last ft i = m.m_last
+      in
+      let all_agree () =
+        List.for_all
+          (fun egress ->
+            List.for_all (agrees egress) (List.init ft_slots Fun.id)
+            && Flow_table.occupied ft ~egress
+               = Array.fold_left (fun a m -> if m.m_size > 0 then a + 1 else a) 0 model.(egress)
+            && Flow_table.resident ft ~egress
+               = Array.fold_left (fun a m -> a + m.m_size) 0 model.(egress))
+          (List.init ft_egresses Fun.id)
+      in
+      let step_ok (egress, h, field, v) =
+        let m = model_slot egress h and i = Flow_table.slot ft ~egress ~fid_hash:h in
+        (match field with
+        | 0 ->
+          Flow_table.set_q ft i v;
+          m.m_q <- v
+        | 1 ->
+          Flow_table.set_size ft i v;
+          m.m_size <- v
+        | _ ->
+          Flow_table.set_last ft i v;
+          m.m_last <- v);
+        agrees egress h
+      in
+      let ops_ok = List.for_all step_ok ops && all_agree () in
+      Flow_table.reset ft;
+      Array.iteri (fun e _ -> model.(e) <- Array.init ft_slots fresh) model;
+      ops_ok && all_agree ())
+
+let prop_flow_table_aliasing =
+  QCheck.Test.make ~name:"flow table hashes congruent mod slots share a slot" ~count:300
+    QCheck.(triple (int_range 0 (ft_egresses - 1)) int (int_range (-1000) 1000))
+    (fun (egress, h, k) ->
+      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      Flow_table.slot ft ~egress ~fid_hash:h
+      = Flow_table.slot ft ~egress ~fid_hash:(h + (k * Flow_table.slots_per_port ft)))
+
+let prop_flow_table_egresses_disjoint =
+  QCheck.Test.make ~name:"flow table egresses never share a slot" ~count:300
+    QCheck.(
+      quad (int_range 0 (ft_egresses - 1)) (int_range 0 (ft_egresses - 1)) int int)
+    (fun (e1, e2, h1, h2) ->
+      QCheck.assume (e1 <> e2);
+      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      Flow_table.slot ft ~egress:e1 ~fid_hash:h1 <> Flow_table.slot ft ~egress:e2 ~fid_hash:h2)
 
 (* -------------------------- Pause counter -------------------------- *)
 
@@ -470,6 +542,9 @@ let suite =
     ("model monotone", `Quick, test_model_monotone_in_th);
     ("model phases", `Quick, test_model_phases);
     ("active flows theory", `Quick, test_active_flows_theory);
+    QCheck_alcotest.to_alcotest prop_flow_table_matches_model;
+    QCheck_alcotest.to_alcotest prop_flow_table_aliasing;
+    QCheck_alcotest.to_alcotest prop_flow_table_egresses_disjoint;
     QCheck_alcotest.to_alcotest prop_pause_counter_invariant;
     QCheck_alcotest.to_alcotest prop_dqa_no_sharing_when_flows_fit;
     QCheck_alcotest.to_alcotest prop_deadlock_random_dag_acyclic;

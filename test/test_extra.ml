@@ -232,12 +232,11 @@ let test_flow_table_mult_controls_collisions () =
   (* smaller tables produce more index collisions for the same flow set *)
   let collisions mult =
     let ft = Bfc_core.Flow_table.create ~egresses:1 ~queues_per_port:32 ~mult in
-    let slots = Bfc_core.Flow_table.slots_per_port ft in
     let seen = Hashtbl.create 64 in
     let coll = ref 0 in
     for id = 0 to 499 do
       let f = Flow.make ~id ~src:0 ~dst:1 ~size:1 ~arrival:0 () in
-      let slot = Flow.hash f mod slots in
+      let slot = Bfc_core.Flow_table.slot ft ~egress:0 ~fid_hash:(Flow.hash f) in
       if Hashtbl.mem seen slot then incr coll else Hashtbl.add seen slot ()
     done;
     !coll

@@ -94,13 +94,15 @@ let test_loss_model () =
 (* ------------------------------------------------------------------ *)
 (* Incast under faults                                                 *)
 
-let star_incast ?(senders = 16) ?(size = 32_000) ~watchdog () =
+let star_incast ?(senders = 16) ?(size = 32_000)
+    ?(buffer = Runner.default_params.Runner.buffer_bytes) ~watchdog () =
   let sim = Sim.create () in
   let st = Topology.star sim ~senders ~gbps:100.0 ~prop:(Time.us 1.0) in
   let params =
     {
       Runner.default_params with
       Runner.pause_watchdog = Option.map Time.us watchdog;
+      buffer_bytes = buffer;
     }
   in
   let env = Runner.setup ~topo:st.Topology.s ~scheme:Scheme.bfc ~params in
@@ -185,6 +187,39 @@ let test_auditor_trips_on_corruption () =
       (List.mem v.Auditor.v_invariant
          [ "egress-bytes"; "buffer-bytes"; "packet-conservation" ]));
   Alcotest.(check bool) "violation recorded" true (Auditor.violation_count aud >= 1)
+
+(* The flow-table ledger: every dropped data packet must give its flow
+   table count back, so an incast into a buffer too small for it (sampled
+   data packets dropped at admission) keeps the ledger balanced under the
+   strictest auditor. *)
+let test_auditor_flow_ledger_under_drops () =
+  let _, env, flows = star_incast ~buffer:60_000 ~watchdog:None () in
+  let aud = Auditor.attach env in
+  Runner.inject env flows;
+  Runner.run env ~until:(Time.ms 1.0);
+  Runner.drain env ~budget:(Time.ms 10.0);
+  Auditor.check aud;
+  let data_drops =
+    Array.fold_left (fun a sw -> a + Switch.data_drops sw) 0 (Runner.switches env)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "data packets dropped (%d)" data_drops)
+    true (data_drops > 0);
+  check Alcotest.bool "flow ledger balanced through drops" true (Auditor.ok aud)
+
+let test_auditor_trips_on_flow_leak () =
+  let _, env, flows = star_incast ~senders:4 ~watchdog:None () in
+  let aud = Auditor.attach env in
+  Runner.inject env flows;
+  Runner.run env ~until:(Time.us 5.0);
+  (* a count the switch never takes back, as a lost decrement would leave *)
+  let ft = Bfc_core.Dataplane.flow_table (Runner.dataplanes env).(0) in
+  let slot = Bfc_core.Flow_table.slot ft ~egress:0 ~fid_hash:0 in
+  Bfc_core.Flow_table.set_size ft slot (Bfc_core.Flow_table.size ft slot + 1);
+  match Auditor.check aud with
+  | () -> Alcotest.fail "expected Audit_violation"
+  | exception Auditor.Audit_violation v ->
+    check Alcotest.string "flow-table ledger trips" "flow-ledger" v.Auditor.v_invariant
 
 let test_link_flap_bfc () =
   let st, env, flows = star_incast ~watchdog:(Some 50.0) () in
@@ -340,6 +375,9 @@ let suite =
     Alcotest.test_case "no watchdog stalls" `Quick test_no_watchdog_stalls;
     Alcotest.test_case "auditor clean run" `Quick test_auditor_clean_run;
     Alcotest.test_case "auditor trips on corruption" `Quick test_auditor_trips_on_corruption;
+    Alcotest.test_case "auditor flow ledger under drops" `Quick
+      test_auditor_flow_ledger_under_drops;
+    Alcotest.test_case "auditor trips on flow-table leak" `Quick test_auditor_trips_on_flow_leak;
     Alcotest.test_case "link flap bfc" `Quick test_link_flap_bfc;
     Alcotest.test_case "link flap traced" `Quick test_link_flap_traced;
     Alcotest.test_case "link flap pfc" `Quick test_link_flap_pfc;

@@ -12,6 +12,7 @@ module Port = Bfc_net.Port
 module Topology = Bfc_net.Topology
 module Switch = Bfc_switch.Switch
 module Dataplane = Bfc_core.Dataplane
+module Flow_table = Bfc_core.Flow_table
 module Threshold = Bfc_core.Threshold
 module Scheme = Bfc_sim.Scheme
 module Runner = Bfc_sim.Runner
@@ -57,28 +58,28 @@ let test_sticky_assignment_retained () =
   let f = Flow.make ~id:900 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1_000_000 ~arrival:0 () in
   inject t st (mk_data f 0);
   let ft = Dataplane.flow_table dp in
-  (* the receiver-facing egress index: probe via the entry the packet hit *)
-  let find_entry () =
+  (* the receiver-facing egress index: probe via the slot the packet hit *)
+  let find_slot () =
     let found = ref None in
     for e = 0 to 2 do
-      let entry = Bfc_core.Flow_table.entry ft ~egress:e ~fid_hash:(Flow.hash f) in
-      if entry.Bfc_core.Flow_table.q >= 0 then found := Some (e, entry)
+      let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) in
+      if Flow_table.q ft slot >= 0 then found := Some (e, slot)
     done;
     !found
   in
-  (match find_entry () with
+  (match find_slot () with
   | None -> Alcotest.fail "no assignment recorded"
-  | Some (_, entry) ->
-    let q0 = entry.Bfc_core.Flow_table.q in
+  | Some (_, slot) ->
+    let q0 = Flow_table.q ft slot in
     (* drain, then send again shortly after (within 2 HRTT = 4 us) *)
     ignore (Sim.run sim ~until:(Time.us 3.0));
-    check Alcotest.int "entry drained" 0 entry.Bfc_core.Flow_table.size;
+    check Alcotest.int "entry drained" 0 (Flow_table.size ft slot);
     inject t st (mk_data f 1000);
-    check Alcotest.int "sticky: same queue reused" q0 entry.Bfc_core.Flow_table.q;
+    check Alcotest.int "sticky: same queue reused" q0 (Flow_table.q ft slot);
     (* now wait well beyond the sticky threshold; a new packet may reassign *)
     ignore (Sim.run sim ~until:(Time.ms 1.0));
     inject t st (mk_data f 2000);
-    Alcotest.(check bool) "assignment still valid" true (entry.Bfc_core.Flow_table.q >= 0))
+    Alcotest.(check bool) "assignment still valid" true (Flow_table.q ft slot >= 0))
 
 let test_incast_label_queue_zero () =
   let sim, st, t, sw, _dp =
@@ -112,8 +113,8 @@ let test_sampling_keeps_tables_sane () =
   (* all packets forwarded; the flow table must have drained to zero *)
   let ft = Dataplane.flow_table dp in
   for e = 0 to 2 do
-    let entry = Bfc_core.Flow_table.entry ft ~egress:e ~fid_hash:(Flow.hash f) in
-    check Alcotest.int "ft size drained" 0 entry.Bfc_core.Flow_table.size
+    let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) in
+    check Alcotest.int "ft size drained" 0 (Flow_table.size ft slot)
   done;
   check Alcotest.int "pause counters drained" 0
     (Bfc_core.Pause_counter.total (Dataplane.pause_counters dp))

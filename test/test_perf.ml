@@ -2,8 +2,8 @@
    packet uids, the reusable ticker handle, the packet pool's full-field
    reset, the packet table's index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
-   fire order against a recorded trace, and the allocation bounds of the
-   packet hop and of per-flow work. *)
+   fire order against a recorded trace, the allocation bounds of the
+   packet hop and of per-flow work, and the flow table's footprint. *)
 
 open Alcotest
 module Rng = Bfc_util.Rng
@@ -312,6 +312,17 @@ let test_wheel_storage_tracks_live () =
     failf "wheel capacity %d for a queue high-water mark of %d" p.Sim.p_heap_capacity
       p.Sim.p_heap_hwm
 
+(* BFC's flow table is one flat int array of three words per slot, with
+   no per-slot record or pointer: 4 egresses x 4,096 slots must fit in
+   3 x 16,384 words plus a few words of header. A boxed 3-field record per
+   slot behind an array of pointers costs about 5 words per slot. *)
+let test_flow_table_footprint () =
+  let ft = Bfc_core.Flow_table.create ~egresses:4 ~queues_per_port:32 ~mult:100 in
+  let slots = Bfc_core.Flow_table.total_slots ft in
+  let words = Obj.reachable_words (Obj.repr ft) in
+  if words > (3 * slots) + 16 then
+    failf "flow table of %d slots is %d words, bound %d" slots words ((3 * slots) + 16)
+
 (* Per-flow work allocates a bounded number of words: flow start and
    reclaim are typed events, and per-flow transport records are reused
    from slot tables. The count covers the whole streaming run, set-up
@@ -342,4 +353,5 @@ let suite =
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
     test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
+    test_case "flow table footprint" `Quick test_flow_table_footprint;
   ]
