@@ -47,7 +47,79 @@ let test_flow_table_occupied () =
   check Alcotest.int "two occupied" 2 (Flow_table.occupied ft ~egress:0);
   check Alcotest.int "three resident" 3 (Flow_table.resident ft ~egress:0)
 
-(* The flat table against a per-slot record model: random writes to
+let test_flow_table_egress_out_of_range () =
+  let ft = Flow_table.create ~egresses:2 ~queues_per_port:4 ~mult:4 in
+  let err = Invalid_argument "Flow_table.slot: egress out of range" in
+  Alcotest.check_raises "egress -1" err (fun () ->
+      ignore (Flow_table.slot ft ~egress:(-1) ~fid_hash:3));
+  Alcotest.check_raises "egress = egresses" err (fun () ->
+      ignore (Flow_table.slot ft ~egress:2 ~fid_hash:3));
+  let err = Invalid_argument "Flow_table: egress out of range" in
+  Alcotest.check_raises "resident" err (fun () -> ignore (Flow_table.resident ft ~egress:(-1)));
+  Alcotest.check_raises "occupied" err (fun () -> ignore (Flow_table.occupied ft ~egress:2))
+
+(* Pages are made on first touch: the egress sweeps read an untouched
+   table as empty without making one, and a slot's first lookup reads the
+   initial state. *)
+let test_flow_table_untouched_reads_empty () =
+  let ft = Flow_table.create ~egresses:4 ~queues_per_port:32 ~mult:100 in
+  let words () = Obj.reachable_words (Obj.repr ft) in
+  let fresh = words () in
+  for egress = 0 to 3 do
+    check Alcotest.int "occupied" 0 (Flow_table.occupied ft ~egress);
+    check Alcotest.int "resident" 0 (Flow_table.resident ft ~egress)
+  done;
+  check Alcotest.int "no page made by the sweeps" fresh (words ());
+  for egress = 0 to 3 do
+    List.iter
+      (fun h ->
+        let i = Flow_table.slot ft ~egress ~fid_hash:h in
+        check Alcotest.int "q" (-1) (Flow_table.q ft i);
+        check Alcotest.int "size" 0 (Flow_table.size ft i);
+        check Alcotest.int "last" min_int (Flow_table.last ft i))
+      [ 0; 1; 7; 8; 4095; -1; 123_456_789 ]
+  done
+
+(* [reset] re-initialises the pages in place: an index taken before it
+   still names the same slot and reads the initial state. *)
+let test_flow_table_reset_keeps_indices () =
+  let ft = Flow_table.create ~egresses:3 ~queues_per_port:4 ~mult:4 in
+  let held = List.init 3 (fun e -> (e, Flow_table.slot ft ~egress:e ~fid_hash:(5 * e))) in
+  List.iter
+    (fun (_, i) ->
+      Flow_table.set_q ft i 2;
+      Flow_table.set_size ft i 4;
+      Flow_table.set_last ft i 99)
+    held;
+  Flow_table.reset ft;
+  List.iter
+    (fun (e, i) ->
+      check Alcotest.int "q" (-1) (Flow_table.q ft i);
+      check Alcotest.int "size" 0 (Flow_table.size ft i);
+      check Alcotest.int "last" min_int (Flow_table.last ft i);
+      check Alcotest.int "same slot" i (Flow_table.slot ft ~egress:e ~fid_hash:(5 * e));
+      check Alcotest.int "resident" 0 (Flow_table.resident ft ~egress:e))
+    held;
+  let e, i = List.nth held 1 in
+  Flow_table.set_size ft i 3;
+  check Alcotest.int "written through the old index" 3 (Flow_table.resident ft ~egress:e)
+
+(* Fewer slots per egress than a page holds: a page then covers slots of
+   several egresses, and each egress still reads only its own. *)
+let test_flow_table_small_egresses () =
+  let ft = Flow_table.create ~egresses:5 ~queues_per_port:1 ~mult:3 in
+  check Alcotest.int "slots per port" 4 (Flow_table.slots_per_port ft);
+  for e = 0 to 4 do
+    for h = 0 to 3 do
+      Flow_table.set_size ft (Flow_table.slot ft ~egress:e ~fid_hash:h) (e + 1)
+    done
+  done;
+  for e = 0 to 4 do
+    check Alcotest.int "occupied" 4 (Flow_table.occupied ft ~egress:e);
+    check Alcotest.int "resident" (4 * (e + 1)) (Flow_table.resident ft ~egress:e)
+  done
+
+(* The table against a per-slot record model: random writes to
    random (egress, hash) pairs read back exactly as the model says, and
    [reset] restores every slot to its initial state. *)
 type model_slot = { mutable m_q : int; mutable m_size : int; mutable m_last : int }
@@ -522,6 +594,10 @@ let suite =
     ("flow table sizing", `Quick, test_flow_table_sizing);
     ("flow table slots", `Quick, test_flow_table_same_slot_same_entry);
     ("flow table occupied", `Quick, test_flow_table_occupied);
+    ("flow table egress out of range", `Quick, test_flow_table_egress_out_of_range);
+    ("flow table untouched slots read empty", `Quick, test_flow_table_untouched_reads_empty);
+    ("flow table reset keeps indices", `Quick, test_flow_table_reset_keeps_indices);
+    ("flow table pages span small egresses", `Quick, test_flow_table_small_egresses);
     ("pause counter edges", `Quick, test_pause_counter_edges);
     ("pause counter underflow", `Quick, test_pause_counter_underflow);
     ("pause counter bitmap", `Quick, test_pause_counter_bitmap);

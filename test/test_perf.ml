@@ -3,7 +3,8 @@
    reset, the packet table's index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
    fire order against a recorded trace, the allocation bounds of the
-   packet hop and of per-flow work, and the flow table's footprint. *)
+   packet hop and of per-flow work, and the flow table's footprint and
+   first-touch pages. *)
 
 open Alcotest
 module Rng = Bfc_util.Rng
@@ -312,8 +313,8 @@ let test_wheel_storage_tracks_live () =
     failf "wheel capacity %d for a queue high-water mark of %d" p.Sim.p_heap_capacity
       p.Sim.p_heap_hwm
 
-(* BFC's flow table is one flat int array of three words per slot, with
-   no per-slot record or pointer: 4 egresses x 4,096 slots must fit in
+(* BFC's flow table is int arrays of three words per slot, with no
+   per-slot record or pointer: 4 egresses x 4,096 slots must fit in
    3 x 16,384 words plus a few words of header. A boxed 3-field record per
    slot behind an array of pointers costs about 5 words per slot. *)
 let test_flow_table_footprint () =
@@ -322,6 +323,33 @@ let test_flow_table_footprint () =
   let words = Obj.reachable_words (Obj.repr ft) in
   if words > (3 * slots) + 16 then
     failf "flow table of %d slots is %d words, bound %d" slots words ((3 * slots) + 16)
+
+(* The table's pages are made on first touch. A fresh 64-egress x 4,096
+   slot table (the reference run's) is its page directory, one word per
+   8-slot page, and a few words of header. *)
+let test_flow_table_fresh_is_directory () =
+  let ft = Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 in
+  let dir = Bfc_core.Flow_table.total_slots ft / 8 in
+  let words = Obj.reachable_words (Obj.repr ft) in
+  if words > dir + 16 then failf "fresh flow table is %d words, bound %d" words (dir + 16)
+
+(* Touching k distinct slots, each on its own page and each looked up
+   twice, makes at most one 24-word page per slot. Pages come from
+   4,096-word chunks, so the bound allows one partly used chunk and the
+   vector of chunk pointers. *)
+let test_flow_table_page_per_touch () =
+  let ft = Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 in
+  let fresh = Obj.reachable_words (Obj.repr ft) in
+  let k = 3_000 in
+  for pass = 1 to 2 do
+    for j = 0 to k - 1 do
+      let i = Bfc_core.Flow_table.slot ft ~egress:(j mod 64) ~fid_hash:(8 * (j / 64)) in
+      Bfc_core.Flow_table.set_size ft i pass
+    done
+  done;
+  let added = Obj.reachable_words (Obj.repr ft) - fresh in
+  let bound = (24 * k) + 4_097 + 64 in
+  if added > bound then failf "%d slots touched added %d words, bound %d" k added bound
 
 (* Per-flow work allocates a bounded number of words: flow start and
    reclaim are typed events, and per-flow transport records are reused
@@ -354,4 +382,6 @@ let suite =
     test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;
+    test_case "flow table fresh is its directory" `Quick test_flow_table_fresh_is_directory;
+    test_case "flow table page per touched slot" `Quick test_flow_table_page_per_touch;
   ]
