@@ -102,12 +102,12 @@ let classify t _sw ~in_port:_ ~egress pkt =
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let cls = cls_of_flow t flow in
     if t.cfg.incast_label && flow.Flow.is_incast then begin
-      pkt.Packet.bp_sampled <- true;
+      Packet.set_bp_sampled pkt true;
       cls * t.qpc (* dedicated incast queue: local 0 of the class *)
     end
     else begin
       let sampled = t.cfg.sampling >= 1.0 || Bfc_util.Rng.bernoulli t.rng t.cfg.sampling in
-      pkt.Packet.bp_sampled <- sampled;
+      Packet.set_bp_sampled pkt sampled;
       let ft = t.ft in
       let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) in
       let stale = now t - Flow_table.last ft e > t.sticky in
@@ -156,14 +156,14 @@ let on_enqueue t _sw ~in_port ~egress ~queue pkt =
       t.occupancy.(egress).(queue) <- t.occupancy.(egress).(queue) + 1
     end;
     if
-      pkt.Packet.bp_sampled
+      Packet.bp_sampled pkt
       && in_port >= 0
       && pkt.Packet.upstream_q >= 0
       && !(t.allow_bp) ~in_port ~egress
     then begin
       let q = Switch.queue t.sw ~egress ~queue in
       if q.Bfc_switch.Fifo.bytes > threshold t ~egress then begin
-        pkt.Packet.bp_counted <- true;
+        Packet.set_bp_counted pkt true;
         pkt.Packet.bp_upq <- pkt.Packet.upstream_q;
         t.st.packets_counted <- t.st.packets_counted + 1;
         match Pause_counter.incr t.pc ~ingress:in_port ~upstream_q:pkt.Packet.upstream_q with
@@ -179,18 +179,18 @@ let on_enqueue t _sw ~in_port ~egress ~queue pkt =
 
 let on_dequeue t _sw ~egress ~queue pkt =
   if pkt.Packet.kind = Packet.Data then begin
-    if pkt.Packet.bp_counted then begin
+    if Packet.bp_counted pkt then begin
       (match
          Pause_counter.decr t.pc ~ingress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq
        with
       | Pause_counter.Went_down ->
         send_pause t ~egress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq Packet.Resume
       | Pause_counter.Went_up | Pause_counter.No_change -> ());
-      pkt.Packet.bp_counted <- false
+      Packet.set_bp_counted pkt false
     end;
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
-    if pkt.Packet.bp_sampled && not incast_bypass then begin
+    if Packet.bp_sampled pkt && not incast_bypass then begin
       let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
       Flow_table.set_last t.ft e (now t)
@@ -213,7 +213,7 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
   if pkt.Packet.kind = Packet.Data then begin
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
-    if pkt.Packet.bp_sampled && not incast_bypass then begin
+    if Packet.bp_sampled pkt && not incast_bypass then begin
       let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1))
     end
@@ -222,7 +222,7 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
 (* --------------------------------------------------------------- *)
 (* Reacting side                                                     *)
 
-let apply_ctrl ~set_paused st ~port ~n_queues pkt =
+let apply_ctrl ~set_paused st ~pool ~port ~n_queues pkt =
   match pkt.Packet.kind with
   | Packet.Pause ->
     if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
@@ -231,7 +231,7 @@ let apply_ctrl ~set_paused st ~port ~n_queues pkt =
     if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
       set_paused st ~port ~queue:pkt.Packet.ctrl_a false
   | Packet.Pause_bitmap ->
-    let ints = pkt.Packet.ints in
+    let ints = Packet.Pool.bitmap pool pkt in
     for q = 0 to n_queues - 1 do
       let want = ref false in
       for i = 0 to Array.length ints - 1 do
@@ -262,7 +262,8 @@ let on_ctrl t _sw ~in_port pkt =
   match pkt.Packet.kind with
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
     let n_queues = Switch.(config t.sw).queues_per_port in
-    apply_ctrl ~set_paused:set_switch_queue_paused t.sw ~port:in_port ~n_queues pkt;
+    apply_ctrl ~set_paused:set_switch_queue_paused t.sw ~pool:(Switch.pool t.sw) ~port:in_port
+      ~n_queues pkt;
     true
   | _ -> false
 
@@ -274,7 +275,7 @@ let start_bitmap_refresh t period =
          for ingress = 0 to Switch.n_ports t.sw - 1 do
            let paused = Pause_counter.paused_queues t.pc ~ingress in
            let pkt = make_ctrl t Packet.Pause_bitmap in
-           pkt.Packet.ints <- Array.of_list paused;
+           Packet.Pool.set_bitmap (Switch.pool t.sw) pkt (Array.of_list paused);
            Switch.send_ctrl t.sw ~egress:ingress pkt
          done))
 

@@ -77,12 +77,14 @@ val data_queues : t -> int
 
 (** The reacting side used by host NICs as well: given a control packet
     that arrived on [port], apply it through the queue-pause setter
-    [set_paused st ~port ~queue paused]. The setter takes its device as an
-    argument, so a caller passes a closed function and no closure is built
-    per frame. Exposed for the NIC implementation. *)
+    [set_paused st ~port ~queue paused]; a bitmap's payload is read from
+    [pool]. The setter takes its device as an argument, so a caller passes
+    a closed function and no closure is built per frame. Exposed for the
+    NIC implementation. *)
 val apply_ctrl :
   set_paused:('a -> port:int -> queue:int -> bool -> unit) ->
   'a ->
+  pool:Bfc_net.Packet.Pool.t ->
   port:int ->
   n_queues:int ->
   Bfc_net.Packet.t ->

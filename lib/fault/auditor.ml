@@ -86,7 +86,7 @@ let check_switch t st =
     let eb = Array.fold_left (fun a q -> a + q.Fifo.bytes) 0 qs in
     total_bytes := !total_bytes + eb;
     total_pkts := !total_pkts + Array.fold_left (fun a q -> a + Fifo.length q) 0 qs;
-    Array.iter (Fifo.iter (fun pkt -> if pkt.Packet.bp_counted then incr marked)) qs;
+    Array.iter (Fifo.iter (fun pkt -> if Packet.bp_counted pkt then incr marked)) qs;
     if eb <> Switch.egress_bytes sw ~egress:e then
       violate t ~node ~invariant:"egress-bytes"
         ~detail:
@@ -121,7 +121,7 @@ let check_switch t st =
     let incast_label = (Dataplane.config dp).Dataplane.incast_label in
     let counted pkt =
       pkt.Packet.kind = Packet.Data
-      && pkt.Packet.bp_sampled
+      && Packet.bp_sampled pkt
       && not
            (incast_label
            && match pkt.Packet.flow with Some f -> f.Flow.is_incast | None -> false)
@@ -257,7 +257,7 @@ let attach ?(config = default_config) env =
         match pkt.Packet.kind with
         | Packet.Pause -> on_pause t ~node ~in_port ~queue:pkt.Packet.ctrl_a
         | Packet.Resume -> on_resume t ~node ~in_port ~queue:pkt.Packet.ctrl_a
-        | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port pkt.Packet.ints
+        | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port (Packet.Pool.bitmap pool pkt)
         | _ -> ())
   end;
   ignore (Sim.every (Runner.sim env) ~period:config.period (fun () -> check t));

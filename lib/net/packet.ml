@@ -29,25 +29,16 @@ type t = {
   mutable size : int;
   mutable payload : int;
   mutable seq : int;
-  mutable ecn : bool;
-  mutable ecn_echo : bool;
+  mutable flags : int;
   mutable prio : int;
   mutable remaining : int;
   mutable upstream_q : int;
   mutable bp_in_port : int;
   mutable bp_upq : int;
-  mutable bp_counted : bool;
-  mutable bp_sampled : bool;
-  mutable int_hops : int_hop array;
-  mutable int_cnt : int;
   mutable sent_at : Bfc_engine.Time.t;
   mutable enq_at : Bfc_engine.Time.t;
-  mutable q_delay : int;
-  mutable hop_cnt : int;
   mutable ctrl_a : int;
   mutable ctrl_b : int;
-  mutable ints : int array;
-  mutable path_hint : int;
   mutable idx : int;
   mutable next_free : int;
 }
@@ -57,6 +48,37 @@ let header_bytes = 48
 let ack_bytes = 64
 
 let ctrl_bytes = 64
+
+(* ------------------------------- Flags --------------------------------- *)
+
+let flag_ecn = 1
+
+let flag_ecn_echo = 2
+
+let flag_bp_counted = 4
+
+let flag_bp_sampled = 8
+
+(* [make]'s flags: only [bp_sampled] is set. *)
+let default_flags = flag_bp_sampled
+
+let[@inline] set_flag p m b = p.flags <- (if b then p.flags lor m else p.flags land lnot m)
+
+let[@inline] ecn p = p.flags land flag_ecn <> 0
+
+let[@inline] set_ecn p b = set_flag p flag_ecn b
+
+let[@inline] ecn_echo p = p.flags land flag_ecn_echo <> 0
+
+let[@inline] set_ecn_echo p b = set_flag p flag_ecn_echo b
+
+let[@inline] bp_counted p = p.flags land flag_bp_counted <> 0
+
+let[@inline] set_bp_counted p b = set_flag p flag_bp_counted b
+
+let[@inline] bp_sampled p = p.flags land flag_bp_sampled <> 0
+
+let[@inline] set_bp_sampled p b = set_flag p flag_bp_sampled b
 
 (* Fallback uid source for packets made outside any simulation (unit tests,
    standalone tools). Pools and [~sim] callers draw from the per-sim counter
@@ -74,25 +96,16 @@ let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
     size;
     payload;
     seq;
-    ecn = false;
-    ecn_echo = false;
+    flags = default_flags;
     prio;
     remaining = 0;
     upstream_q = 0;
     bp_in_port = -1;
     bp_upq = -1;
-    bp_counted = false;
-    bp_sampled = true;
-    int_hops = [||];
-    int_cnt = 0;
     sent_at = 0;
     enq_at = 0;
-    q_delay = 0;
-    hop_cnt = 0;
     ctrl_a = 0;
     ctrl_b = 0;
-    ints = [||];
-    path_hint = -1;
     idx = -1;
     next_free = -2;
   }
@@ -112,58 +125,7 @@ let data ?sim ~flow ~seq ~payload ?(extra_header = 0) () =
     ~size:(payload + header_bytes + extra_header)
     ~payload ~seq ~prio:flow.prio_class ()
 
-(* ------------------------------ INT stack ------------------------------ *)
-
-let fresh_hop () = { h_ts = 0; h_tx_bytes = 0; h_qlen = 0; h_gbps = 0.0; h_link = -1 }
-
-let grow_hops t needed =
-  let cap = Array.length t.int_hops in
-  if needed > cap then begin
-    let ncap = max needed (max 4 (cap * 2)) in
-    let nh = Array.init ncap (fun i -> if i < cap then t.int_hops.(i) else fresh_hop ()) in
-    t.int_hops <- nh
-  end
-
-let add_int_hop t ~ts ~tx_bytes ~qlen ~gbps ~link =
-  grow_hops t (t.int_cnt + 1);
-  let h = t.int_hops.(t.int_cnt) in
-  h.h_ts <- ts;
-  h.h_tx_bytes <- tx_bytes;
-  h.h_qlen <- qlen;
-  h.h_gbps <- gbps;
-  h.h_link <- link;
-  t.int_cnt <- t.int_cnt + 1
-
-let int_hop_count t = t.int_cnt
-
-let get_int_hop t i =
-  if i < 0 || i >= t.int_cnt then invalid_arg "Packet.get_int_hop: index out of bounds";
-  t.int_hops.(i)
-
-let iter_int_hops f t =
-  for i = 0 to t.int_cnt - 1 do
-    f t.int_hops.(i)
-  done
-
-let clear_int_hops t = t.int_cnt <- 0
-
-(* Field-by-field copy into [dst]'s own (reused) hop records. Sharing the
-   array between packets would alias hop records across a recycled packet
-   and a live ack — the classic use-after-release bug a pool invites. *)
-let copy_int_hops ~src ~dst =
-  grow_hops dst src.int_cnt;
-  for i = 0 to src.int_cnt - 1 do
-    let s = src.int_hops.(i) in
-    let d = dst.int_hops.(i) in
-    d.h_ts <- s.h_ts;
-    d.h_tx_bytes <- s.h_tx_bytes;
-    d.h_qlen <- s.h_qlen;
-    d.h_gbps <- s.h_gbps;
-    d.h_link <- s.h_link
-  done;
-  dst.int_cnt <- src.int_cnt
-
-(* Every behavioral field but [flow], uid and table bookkeeping. *)
+(* Every record field but [flow], uid and table bookkeeping. *)
 let copy_fields ~src:p ~dst:c =
   c.kind <- p.kind;
   c.src <- p.src;
@@ -171,37 +133,16 @@ let copy_fields ~src:p ~dst:c =
   c.size <- p.size;
   c.payload <- p.payload;
   c.seq <- p.seq;
+  c.flags <- p.flags;
   c.prio <- p.prio;
   c.remaining <- p.remaining;
   c.upstream_q <- p.upstream_q;
-  c.ecn <- p.ecn;
-  c.ecn_echo <- p.ecn_echo;
   c.bp_in_port <- p.bp_in_port;
   c.bp_upq <- p.bp_upq;
-  c.bp_counted <- p.bp_counted;
-  c.bp_sampled <- p.bp_sampled;
-  copy_int_hops ~src:p ~dst:c;
   c.sent_at <- p.sent_at;
   c.enq_at <- p.enq_at;
-  c.q_delay <- p.q_delay;
-  c.hop_cnt <- p.hop_cnt;
   c.ctrl_a <- p.ctrl_a;
-  c.ctrl_b <- p.ctrl_b;
-  if Array.length p.ints > 0 then c.ints <- Array.copy p.ints;
-  c.path_hint <- p.path_hint
-
-(* Deep field copy for handing a packet to another shard: the clone
-   carries every behavioral field across the channel, with no table
-   index, and the destination imports it into its own table
-   ([Pool.import]). [flow] is deliberately dropped — flow records are
-   mutated by the receiving host, so a pointer must never cross a
-   domain; the PDES runtime re-binds the destination shard's replica by
-   flow id at delivery. The uid is fresh (uids are per-sim diagnostics,
-   not protocol state). *)
-let clone ?sim p =
-  let c = make ?sim p.kind ~src:p.src ~dst:p.dst ~size:p.size () in
-  copy_fields ~src:p ~dst:c;
-  c
+  c.ctrl_b <- p.ctrl_b
 
 (* ------------------------------ Exceptions ----------------------------- *)
 
@@ -233,7 +174,13 @@ module Pool = struct
      every packet this table has seen (live or parked). Parked packets
      form a LIFO list threaded through [next_free], headed by [free]; a
      live packet's [next_free] is [in_use]. A packet keeps its index for
-     life, so queues and events can name it by an int. *)
+     life, so queues and events can name it by an int.
+
+     The side tables hold what only one scheme reads, by packet index:
+     HPCC's INT stack ([int_hops], of which the first [int_cnt] records
+     are valid) and a BFC pause bitmap's payload ([bitmaps]). Each stays
+     [[||]] until its first use, so a run without INT stamping or bitmaps
+     pays nothing for them, and grows to the capacity of [pkts]. *)
   type nonrec t = {
     sim : Bfc_engine.Sim.t;
     mutable pkts : packet array;
@@ -242,16 +189,32 @@ module Pool = struct
     mutable n_free : int;
     mutable allocated : int;
     mutable recycled : int;
+    mutable int_hops : int_hop array array;
+    mutable int_cnt : int array;
+    mutable bitmaps : int array array;
   }
 
   let create ~sim =
-    { sim; pkts = [||]; n = 0; free = -1; n_free = 0; allocated = 0; recycled = 0 }
+    {
+      sim;
+      pkts = [||];
+      n = 0;
+      free = -1;
+      n_free = 0;
+      allocated = 0;
+      recycled = 0;
+      int_hops = [||];
+      int_cnt = [||];
+      bitmaps = [||];
+    }
 
   let free_count t = t.n_free
 
   let allocated t = t.allocated
 
   let recycled t = t.recycled
+
+  let side_slots t = Array.length t.int_cnt + Array.length t.bitmaps
 
   let get t i = t.pkts.(i)
 
@@ -275,40 +238,121 @@ module Pool = struct
     else if i >= 0 then invalid_arg "Packet.Pool.index: packet of another simulation"
     else register t p
 
+  (* [a] extended with [fill] to the capacity of [t.pkts]. *)
+  let widen t a fill =
+    let na = Array.make (Array.length t.pkts) fill in
+    Array.blit a 0 na 0 (Array.length a);
+    na
+
+  (* ----------------------------- INT stack ----------------------------- *)
+
+  let int_hop_count t p =
+    let i = index t p in
+    if i < Array.length t.int_cnt then t.int_cnt.(i) else 0
+
+  let int_hops t p =
+    let i = index t p in
+    if i < Array.length t.int_hops then t.int_hops.(i) else [||]
+
+  let fresh_hop () = { h_ts = 0; h_tx_bytes = 0; h_qlen = 0; h_gbps = 0.0; h_link = -1 }
+
+  (* [i]'s hop storage with room for [needed] records; existing records
+     are kept, so they are reused in place. *)
+  let hop_storage t i needed =
+    if i >= Array.length t.int_cnt then begin
+      t.int_cnt <- widen t t.int_cnt 0;
+      t.int_hops <- widen t t.int_hops [||]
+    end;
+    let hops = t.int_hops.(i) in
+    let cap = Array.length hops in
+    if needed <= cap then hops
+    else begin
+      let ncap = Int.max needed (Int.max 4 (cap * 2)) in
+      let nh = Array.init ncap (fun k -> if k < cap then hops.(k) else fresh_hop ()) in
+      t.int_hops.(i) <- nh;
+      nh
+    end
+
+  let add_int_hop t p ~ts ~tx_bytes ~qlen ~gbps ~link =
+    let i = index t p in
+    let n = if i < Array.length t.int_cnt then t.int_cnt.(i) else 0 in
+    let h = (hop_storage t i (n + 1)).(n) in
+    h.h_ts <- ts;
+    h.h_tx_bytes <- tx_bytes;
+    h.h_qlen <- qlen;
+    h.h_gbps <- gbps;
+    h.h_link <- link;
+    t.int_cnt.(i) <- n + 1
+
+  let copy_hop ~src:s ~dst:d =
+    d.h_ts <- s.h_ts;
+    d.h_tx_bytes <- s.h_tx_bytes;
+    d.h_qlen <- s.h_qlen;
+    d.h_gbps <- s.h_gbps;
+    d.h_link <- s.h_link
+
+  (* [dst]'s stack becomes a record-by-record copy of [hops.(0 .. n-1)],
+     in [dst]'s own (reused) records: sharing records between packets
+     would alias them across a recycled packet and a live ack — the
+     classic use-after-release bug a pool invites. *)
+  let set_int_hops t dst hops n =
+    let j = index t dst in
+    if n > 0 then begin
+      let d = hop_storage t j n in
+      for k = 0 to n - 1 do
+        copy_hop ~src:hops.(k) ~dst:d.(k)
+      done;
+      t.int_cnt.(j) <- n
+    end
+    else if j < Array.length t.int_cnt then t.int_cnt.(j) <- 0
+
+  let copy_int_hops t ~src ~dst = set_int_hops t dst (int_hops t src) (int_hop_count t src)
+
+  (* ---------------------------- Pause bitmap --------------------------- *)
+
+  let bitmap t p =
+    let i = index t p in
+    if i < Array.length t.bitmaps then t.bitmaps.(i) else [||]
+
+  let set_bitmap t p ints =
+    let i = index t p in
+    if i < Array.length t.bitmaps then t.bitmaps.(i) <- ints
+    else if Array.length ints > 0 then begin
+      t.bitmaps <- widen t t.bitmaps [||];
+      t.bitmaps.(i) <- ints
+    end
+
+  (* ------------------------------ Life cycle --------------------------- *)
+
   (* Full reset to [make]'s defaults: an acquired packet must be
      indistinguishable from a fresh one, or a stale [ecn_echo] / [bp_*] /
-     cursor silently corrupts the next flow that reuses it. The INT-hop
-     backing array is kept (records are reused via the cursor). *)
-  let reset (p : packet) =
+     INT cursor / bitmap silently corrupts the next flow that reuses it.
+     The INT-hop records are kept (they are reused via the cursor). *)
+  let reset t (p : packet) =
     p.flow <- None;
     p.src <- -1;
     p.dst <- -1;
     p.size <- 0;
     p.payload <- 0;
     p.seq <- 0;
-    p.ecn <- false;
-    p.ecn_echo <- false;
+    p.flags <- default_flags;
     p.prio <- 0;
     p.remaining <- 0;
     p.upstream_q <- 0;
     p.bp_in_port <- -1;
     p.bp_upq <- -1;
-    p.bp_counted <- false;
-    p.bp_sampled <- true;
-    p.int_cnt <- 0;
     p.sent_at <- 0;
     p.enq_at <- 0;
-    p.q_delay <- 0;
-    p.hop_cnt <- 0;
     p.ctrl_a <- 0;
     p.ctrl_b <- 0;
-    p.ints <- [||];
-    p.path_hint <- -1
+    let i = p.idx in
+    if i < Array.length t.int_cnt then t.int_cnt.(i) <- 0;
+    if i < Array.length t.bitmaps then t.bitmaps.(i) <- [||]
 
   let release t (p : packet) =
     if p.next_free <> in_use then invalid_arg "Packet.Pool.release: double release";
     let i = index t p in
-    reset p;
+    reset t p;
     p.next_free <- t.free;
     t.free <- i;
     t.n_free <- t.n_free + 1
@@ -350,8 +394,34 @@ module Pool = struct
     p.prio <- f.Flow.prio_class;
     p
 
-  let import t c =
+  (* ---------------------------- Cross-shard ---------------------------- *)
+
+  type clone = { c_pkt : packet; c_hops : int_hop array; c_bitmap : int array }
+
+  (* Deep copy for handing a packet to another shard: no table index, no
+     record shared with [t], and [flow] deliberately dropped — flow
+     records are mutated by the receiving host, so a pointer must never
+     cross a domain; the PDES runtime re-binds the destination shard's
+     replica by flow id at delivery. The uid comes from the process-wide
+     fallback (uids are per-sim diagnostics, not protocol state). *)
+  let clone t p =
+    let c = make p.kind ~src:p.src ~dst:p.dst ~size:p.size () in
+    copy_fields ~src:p ~dst:c;
+    let hops = int_hops t p in
+    {
+      c_pkt = c;
+      c_hops =
+        Array.init (int_hop_count t p) (fun k ->
+            let h = fresh_hop () in
+            copy_hop ~src:hops.(k) ~dst:h;
+            h);
+      c_bitmap = Array.copy (bitmap t p);
+    }
+
+  let import t { c_pkt = c; c_hops; c_bitmap } =
     let p = acquire t c.kind ~flow:None ~src:c.src ~dst:c.dst ~size:c.size ~seq:c.seq in
     copy_fields ~src:c ~dst:p;
+    set_int_hops t p c_hops (Array.length c_hops);
+    set_bitmap t p c_bitmap;
     p
 end

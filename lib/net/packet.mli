@@ -5,7 +5,9 @@
     stack optional fields). Per-hop BFC scratch fields ([bp_*]) are
     overwritten at every switch, exactly like metadata in a switch
     pipeline. All fields are mutable so packets can be recycled through
-    {!Pool} without allocation on the hot path. *)
+    {!Pool} without allocation on the hot path. The record carries only
+    what every scheme needs: HPCC's INT stack and a pause bitmap's payload
+    live in side tables of the packet's {!Pool}. *)
 
 type kind =
   | Data
@@ -16,7 +18,7 @@ type kind =
   | Grant  (** Homa grant; [ctrl_a] = grant offset, [ctrl_b] = priority *)
   | Pause  (** BFC pause; [ctrl_a] = upstream queue id *)
   | Resume  (** BFC resume; [ctrl_a] = upstream queue id *)
-  | Pause_bitmap  (** BFC periodic refresh; [ints] = paused queue ids *)
+  | Pause_bitmap  (** BFC periodic refresh; {!Pool.bitmap} = paused queue ids *)
   | Hop_credit
       (** hop-by-hop credit return (lossless BFC variant, §5):
           [ctrl_a] = upstream queue id, [ctrl_b] = bytes returned *)
@@ -40,28 +42,18 @@ type t = {
   mutable size : int; (** bytes on the wire *)
   mutable payload : int; (** data bytes carried (<= size) *)
   mutable seq : int;
-  mutable ecn : bool;
-  mutable ecn_echo : bool;
+  mutable flags : int;
+      (** [ecn], [ecn_echo], [bp_counted] and [bp_sampled], one bit each;
+          read and write them with the accessors below *)
   mutable prio : int; (** scheduling priority class; 0 = highest *)
   mutable remaining : int; (** sender's remaining bytes (SRF header field) *)
   mutable upstream_q : int; (** BFC: sender-side queue at the upstream device *)
   mutable bp_in_port : int;
   mutable bp_upq : int;
-  mutable bp_counted : bool;
-  mutable bp_sampled : bool; (** recirculation-sampling variant: bookkept? *)
-  mutable int_hops : int_hop array;
-      (** HPCC INT stack storage; only the first [int_cnt] records are
-          valid. Use {!add_int_hop} / {!iter_int_hops} — records are reused
-          in place, never consed. *)
-  mutable int_cnt : int; (** INT stack cursor *)
   mutable sent_at : Bfc_engine.Time.t;
   mutable enq_at : Bfc_engine.Time.t;
-  mutable q_delay : int; (** accumulated queuing delay over all hops (ns) *)
-  mutable hop_cnt : int;
   mutable ctrl_a : int;
   mutable ctrl_b : int;
-  mutable ints : int array; (** bitmap payloads etc. *)
-  mutable path_hint : int; (** pinned spine for spraying; -1 = ECMP *)
   mutable idx : int;
       (** index in its simulation's packet table ({!Pool}), fixed once the
           table first sees the packet; [-1] before that *)
@@ -70,6 +62,28 @@ type t = {
           is parked, the index of the packet parked before it ([-1] at the
           end of the free list) *)
 }
+
+(** Congestion experienced: set by a switch's ECN marking. *)
+val ecn : t -> bool
+
+val set_ecn : t -> bool -> unit
+
+(** An ack's echo of the acknowledged data packet's [ecn] (DCTCP). *)
+val ecn_echo : t -> bool
+
+val set_ecn_echo : t -> bool -> unit
+
+(** BFC: this packet holds a count in the pause counter of
+    ([bp_in_port], [bp_upq]), to be released at dequeue. *)
+val bp_counted : t -> bool
+
+val set_bp_counted : t -> bool -> unit
+
+(** BFC recirculation-sampling variant: is the packet bookkept in the flow
+    table? [true] in a fresh packet. *)
+val bp_sampled : t -> bool
+
+val set_bp_sampled : t -> bool -> unit
 
 val header_bytes : int
 
@@ -104,38 +118,6 @@ val data :
     mutated. *)
 val placeholder : t
 
-(** [add_int_hop t ~ts ~tx_bytes ~qlen ~gbps ~link] appends an INT record,
-    reusing the packet's preallocated hop storage (no allocation once the
-    array has grown to the path length). *)
-val add_int_hop :
-  t -> ts:Bfc_engine.Time.t -> tx_bytes:int -> qlen:int -> gbps:float -> link:int -> unit
-
-val int_hop_count : t -> int
-
-(** [get_int_hop t i] is the [i]-th stamped hop (0 = first hop on the
-    path). Raises [Invalid_argument] outside [0, int_hop_count)]. *)
-val get_int_hop : t -> int -> int_hop
-
-(** [iter_int_hops f t] applies [f] to each valid hop record in path
-    order, allocation-free. *)
-val iter_int_hops : (int_hop -> unit) -> t -> unit
-
-val clear_int_hops : t -> unit
-
-(** [copy_int_hops ~src ~dst] copies the INT stack field-by-field into
-    [dst]'s own records — no structure sharing, so recycling [src] cannot
-    corrupt [dst]. *)
-val copy_int_hops : src:t -> dst:t -> unit
-
-(** [clone ?sim p] — a fresh packet carrying every behavioral field of
-    [p] (header, scratch, INT stack, bitmap payload), with [flow = None],
-    a fresh uid and no table index. This is the cross-shard transfer
-    copy: the clone is safe to hand to another domain (no structure
-    shared with [p] and no flow pointer; the receiving shard imports it
-    into its own table with {!Pool.import} and re-binds its own flow
-    replica by id), while [p] stays in the sender's table. *)
-val clone : ?sim:Bfc_engine.Sim.t -> t -> t
-
 (** Raised by [flow_exn] when a packet that must belong to a flow (a
     data-path packet inside a dataplane hook or a host receive path) carries
     none — a malformed injection or a corrupted header. Carries the packet
@@ -154,11 +136,18 @@ val flow_id : t -> int
     simulation queues or has in flight has an index in its table
     ({!index}), stable for the packet's life, so queues, rings and events
     name packets by int — stores that take no GC write barrier. [release]
-    resets every mutable field to the [make] defaults (keeping the
-    INT-hop backing array and the index) and parks the packet; [acquire]
-    hands a parked packet back with a fresh per-sim uid. Double release
-    raises [Invalid_argument]. One table per simulation, reached with
-    {!Port.pool} — packets never migrate between domains. *)
+    resets every mutable field to the [make] defaults, empties the packet's
+    INT stack and bitmap (keeping its INT-hop records and its index) and
+    parks the packet; [acquire] hands a parked packet back with a fresh
+    per-sim uid. Double release raises [Invalid_argument]. One table per
+    simulation, reached with {!Port.pool} — packets never migrate between
+    domains.
+
+    The table also keeps, by packet index, the fields only one scheme
+    reads: HPCC's INT stack and a BFC pause bitmap's payload. Each side
+    table is created on its first use, so a run without INT stamping or
+    pause bitmaps allocates nothing for them. The functions that read or
+    write them index an unindexed packet first, like {!index}. *)
 module Pool : sig
   type packet = t
 
@@ -193,10 +182,66 @@ module Pool : sig
       is indexed first if it has no index yet. *)
   val release : t -> packet -> unit
 
+  (** {2 INT stack (HPCC)} *)
+
+  (** [add_int_hop pool p ~ts ~tx_bytes ~qlen ~gbps ~link] appends an INT
+      record to [p]'s stack, reusing [p]'s hop records (no allocation once
+      its storage has grown to the path length). *)
+  val add_int_hop :
+    t ->
+    packet ->
+    ts:Bfc_engine.Time.t ->
+    tx_bytes:int ->
+    qlen:int ->
+    gbps:float ->
+    link:int ->
+    unit
+
+  (** Records on [p]'s INT stack; 0 when it has none. *)
+  val int_hop_count : t -> packet -> int
+
+  (** [p]'s INT storage: its first {!int_hop_count} records are the hops
+      stamped so far, in path order. The records are reused once [p] is
+      released, so read them before. *)
+  val int_hops : t -> packet -> int_hop array
+
+  (** [copy_int_hops pool ~src ~dst] copies [src]'s INT stack field by
+      field into [dst]'s own records — no structure sharing, so recycling
+      [src] cannot corrupt [dst]. *)
+  val copy_int_hops : t -> src:packet -> dst:packet -> unit
+
+  (** {2 Pause bitmap (BFC)} *)
+
+  (** The queue ids a [Pause_bitmap] packet lists as paused; [[||]] when
+      none were set. *)
+  val bitmap : t -> packet -> int array
+
+  (** [set_bitmap pool p ids] makes [ids] [p]'s bitmap payload. The array
+      is kept, not copied. *)
+  val set_bitmap : t -> packet -> int array -> unit
+
+  (** Index slots the side tables hold: 0 until some packet gets an INT
+      stack or a non-empty bitmap. *)
+  val side_slots : t -> int
+
+  (** {2 Cross-shard transfer} *)
+
+  (** A packet detached from its table, with copies of its side-table
+      state. *)
+  type clone
+
+  (** [clone pool p] — every behavioral field of [p] (header, scratch, INT
+      stack, bitmap payload), with no flow, a fresh uid and no table
+      index. This is the cross-shard transfer copy: it shares no
+      structure with [p] and holds no flow pointer, so it is safe to hand
+      to another domain, which takes it in with {!import} and re-binds
+      its own flow replica by id; [p] stays in [pool]. *)
+  val clone : t -> packet -> clone
+
   (** [import pool c] — a packet of [pool] (recycled when one is parked)
       carrying every behavioral field of [c], with [flow = None]: how a
       shard takes in a {!clone} made by another. *)
-  val import : t -> packet -> packet
+  val import : t -> clone -> packet
 
   (** Packets currently parked in the free list. *)
   val free_count : t -> int

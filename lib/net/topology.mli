@@ -55,8 +55,7 @@ val candidates : t -> node:int -> dst:int -> int array
 (** Consistent ECMP choice: hash of (flow id, node). *)
 val ecmp_port : t -> node:int -> flow:Flow.t -> dst:int -> int
 
-(** Per-packet choice for spraying: if [pkt.path_hint >= 0] uses it to pick
-    among candidates, else uses uniform [rng]. *)
+(** Per-packet choice for spraying: uniform [rng] among the candidates. *)
 val spray_port : t -> node:int -> rng:Bfc_util.Rng.t -> dst:int -> int
 
 (** The deterministic first-candidate path from [src] to [dst], as the list

@@ -72,7 +72,7 @@ type msg = {
   m_dst_node : int;
   m_in_port : int;
   m_flow_id : int; (* -1 for flow-less control packets *)
-  m_pkt : Packet.t; (* a clone, imported by the destination shard *)
+  m_pkt : Packet.Pool.clone; (* imported by the destination shard *)
 }
 
 type cmd = Run of Time.t | Quit
@@ -222,7 +222,7 @@ let emit t ~src_shard ~src_gid ~dst_shard ~dst_node ~in_port pkt ~at =
       m_dst_node = dst_node;
       m_in_port = in_port;
       m_flow_id = Packet.flow_id pkt;
-      m_pkt = Packet.clone pkt;
+      m_pkt = Packet.Pool.clone (Port.pool t.shards.(src_shard).sx_sim) pkt;
     }
   in
   w.w_seq <- w.w_seq + 1;

@@ -72,7 +72,7 @@ let wire_counters t env =
   Tap.on tap Tap.Enqueue (fun ~node:_ _ _ -> enq ());
   Tap.on tap Tap.Dequeue (fun ~node:_ _ p ->
       deq ();
-      if (Packet.Pool.get pool p).Packet.ecn then ecn ());
+      if Packet.ecn (Packet.Pool.get pool p) then ecn ());
   Tap.on tap Tap.Drop (fun ~node:_ _ _ -> drop ());
   Tap.on tap Tap.Queue_pause (fun ~node:_ _ paused -> if paused = 1 then pause () else resume ());
   Tap.on tap Tap.Nic_pause (fun ~node:_ _ paused ->

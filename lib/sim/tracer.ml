@@ -84,7 +84,8 @@ let attach env ~capacity =
       match pkt.Packet.kind with
       | Packet.Pause -> record (Pause_rx { queue = pkt.Packet.ctrl_a })
       | Packet.Resume -> record (Resume_rx { queue = pkt.Packet.ctrl_a })
-      | Packet.Pause_bitmap -> record (Bitmap_rx { paused = Array.length pkt.Packet.ints })
+      | Packet.Pause_bitmap ->
+        record (Bitmap_rx { paused = Array.length (Packet.Pool.bitmap pool pkt) })
       | Packet.Pfc -> record (Pfc_rx { pause = pkt.Packet.ctrl_b = 1 })
       | Packet.Hop_credit ->
         record (Hop_credit_rx { queue = pkt.Packet.ctrl_a; bytes = pkt.Packet.ctrl_b })

@@ -194,15 +194,13 @@ let try_send t e =
       if pkt != Packet.placeholder then begin
         let q = Sched.served e.esched in
         e.ebytes <- e.ebytes - pkt.Packet.size;
-        pkt.Packet.q_delay <- pkt.Packet.q_delay + (Sim.now t.sim - pkt.Packet.enq_at);
-        pkt.Packet.hop_cnt <- pkt.Packet.hop_cnt + 1;
         Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
         if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
         if t.cfg.track_active_flows then flow_track_remove e pkt;
         t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
         emit_pkt t Tap.Dequeue ~egress:e.eidx ~queue:q.Fifo.idx pkt;
         if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
-          Packet.add_int_hop pkt ~ts:(Sim.now t.sim)
+          Packet.Pool.add_int_hop t.pool pkt ~ts:(Sim.now t.sim)
             ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
             ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
         t.tx_packets <- t.tx_packets + 1;
@@ -265,10 +263,10 @@ let ecn_mark t q pkt =
   | Some { kmin; kmax; pmax } ->
     if pkt.Packet.kind = Packet.Data then begin
       let b = q.Fifo.bytes in
-      if b > kmax then pkt.Packet.ecn <- true
+      if b > kmax then Packet.set_ecn pkt true
       else if b > kmin then begin
         let p = pmax *. float_of_int (b - kmin) /. float_of_int (kmax - kmin) in
-        if Bfc_util.Rng.bernoulli t.rng p then pkt.Packet.ecn <- true
+        if Bfc_util.Rng.bernoulli t.rng p then Packet.set_ecn pkt true
       end
     end
 

@@ -393,7 +393,14 @@ let finish_tx t tx =
   if not tx.finished then begin
     tx.finished <- true;
     cancel_rto t tx;
-    (match tx.cc with Cc_dcqcn d -> Dcqcn.stop d | _ -> ());
+    (* a stopped Dcqcn.t keeps its tickers and their closures reachable
+       from [tx] until the slot is reused; nothing reads a finished
+       sender's rate state *)
+    (match tx.cc with
+    | Cc_dcqcn d ->
+      Dcqcn.stop d;
+      tx.cc <- cap_unlimited
+    | _ -> ());
     if tx.nic_q >= 1 then begin
       Nic.release_queue t.nic tx.nic_q;
       t.owners.(tx.nic_q) := remove_owner tx !(t.owners.(tx.nic_q))
@@ -417,10 +424,10 @@ let on_ack t pkt =
       let acked = tx.snd_una - prev in
       (match tx.cc with
       | Cc_dctcp d ->
-        Dctcp.on_ack d ~acked ~marked:pkt.Packet.ecn_echo ~snd_una:tx.snd_una ~snd_nxt:tx.snd_nxt
+        Dctcp.on_ack d ~acked ~marked:(Packet.ecn_echo pkt) ~snd_una:tx.snd_una ~snd_nxt:tx.snd_nxt
       | Cc_hpcc h ->
-        Hpcc.on_ack h ~hops:pkt.Packet.int_hops ~nhops:pkt.Packet.int_cnt ~ack_seq:pkt.Packet.seq
-          ~snd_nxt:tx.snd_nxt
+        Hpcc.on_ack h ~hops:(Packet.Pool.int_hops t.pool pkt)
+          ~nhops:(Packet.Pool.int_hop_count t.pool pkt) ~ack_seq:pkt.Packet.seq ~snd_nxt:tx.snd_nxt
       | Cc_delay d ->
         let rtt = Sim.now t.sim - pkt.Packet.sent_at in
         if pkt.Packet.sent_at > 0 then Delay_cc.on_ack d ~rtt
@@ -629,7 +636,7 @@ let on_data t pkt =
   (* per-scheme receiver reactions *)
   (match t.cfg.scheme with
   | Dcqcn p ->
-    if pkt.Packet.ecn && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
+    if Packet.ecn pkt && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
       rx.last_cnp <- Sim.now t.sim;
       send_ctrl_pkt t Packet.Cnp ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
         ~seq:0
@@ -669,10 +676,10 @@ let on_data t pkt =
       ctrl_pkt t Packet.Ack ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ack_bytes
         ~seq:now_cov
     in
-    ack.Packet.ecn_echo <- pkt.Packet.ecn;
+    Packet.set_ecn_echo ack (Packet.ecn pkt);
     (* Copy (never alias) the INT stack: [pkt] may be recycled the moment
        this handler returns, while the ack is still in flight. *)
-    Packet.copy_int_hops ~src:pkt ~dst:ack;
+    Packet.Pool.copy_int_hops t.pool ~src:pkt ~dst:ack;
     ack.Packet.sent_at <- pkt.Packet.sent_at;
     Nic.submit_ctrl t.nic ack
   end;

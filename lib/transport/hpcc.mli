@@ -18,7 +18,7 @@ val create :
 
 (** [on_ack t ~hops ~nhops ~ack_seq ~snd_nxt] — [hops] is the INT stack
     echoed in the ACK; only the first [nhops] records are valid (the
-    packet's cursor, see {!Bfc_net.Packet.int_cnt}). *)
+    packet's count, see {!Bfc_net.Packet.Pool.int_hop_count}). *)
 val on_ack :
   t -> hops:Bfc_net.Packet.int_hop array -> nhops:int -> ack_seq:int -> snd_nxt:int -> unit
 

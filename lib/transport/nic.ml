@@ -262,7 +262,7 @@ let on_ctrl t pkt =
     end
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
     if t.respect_pause then
-      Bfc_core.Dataplane.apply_ctrl ~set_paused:set_ctrl_paused t ~port:0
+      Bfc_core.Dataplane.apply_ctrl ~set_paused:set_ctrl_paused t ~pool:(Port.pool t.sim) ~port:0
         ~n_queues:(Array.length t.queues) pkt
   | Packet.Hop_credit -> (
     match t.credit with

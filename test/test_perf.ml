@@ -1,6 +1,7 @@
 (* Regression tests for the performance-engineering layer: per-sim
    packet uids, the reusable ticker handle, the packet pool's full-field
-   reset, the packet table's index lifecycle, determinism of the
+   reset, the packet's size, flags and side tables, the packet table's
+   index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
    fire order against a recorded trace, the allocation bounds of the
    packet hop and of per-flow work, and the flow table's footprint and
@@ -54,33 +55,138 @@ let test_pool_reset_all_fields () =
   p.Packet.payload <- 1400;
   p.Packet.prio <- 2;
   (* dirty every mutable field a switch/host can touch *)
-  p.Packet.ecn <- true;
-  p.Packet.ecn_echo <- true;
+  Packet.set_ecn p true;
+  Packet.set_ecn_echo p true;
   p.Packet.bp_in_port <- 9;
   p.Packet.bp_upq <- 11;
-  p.Packet.bp_counted <- true;
-  p.Packet.bp_sampled <- false;
-  p.Packet.path_hint <- 5;
-  p.Packet.ints <- [| 1; 2; 3 |];
-  Packet.add_int_hop p ~ts:10 ~tx_bytes:100 ~qlen:200 ~gbps:100.0 ~link:1;
-  Packet.add_int_hop p ~ts:20 ~tx_bytes:300 ~qlen:400 ~gbps:100.0 ~link:2;
-  check int "hops recorded" 2 (Packet.int_hop_count p);
+  Packet.set_bp_counted p true;
+  Packet.set_bp_sampled p false;
+  Packet.Pool.set_bitmap pool p [| 1; 2; 3 |];
+  Packet.Pool.add_int_hop pool p ~ts:10 ~tx_bytes:100 ~qlen:200 ~gbps:100.0 ~link:1;
+  Packet.Pool.add_int_hop pool p ~ts:20 ~tx_bytes:300 ~qlen:400 ~gbps:100.0 ~link:2;
+  check int "hops recorded" 2 (Packet.Pool.int_hop_count pool p);
   Packet.Pool.release pool p;
   let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~src:1 ~dst:0 ~size:64 ~seq:0 in
   check bool "recycled the same record" true (p == q);
-  check bool "ecn reset" false q.Packet.ecn;
-  check bool "ecn_echo reset" false q.Packet.ecn_echo;
+  check bool "ecn reset" false (Packet.ecn q);
+  check bool "ecn_echo reset" false (Packet.ecn_echo q);
   check int "bp_in_port reset" (-1) q.Packet.bp_in_port;
   check int "bp_upq reset" (-1) q.Packet.bp_upq;
-  check bool "bp_counted reset" false q.Packet.bp_counted;
-  check bool "bp_sampled reset" true q.Packet.bp_sampled;
-  check int "path_hint reset" (-1) q.Packet.path_hint;
-  check int "ints cleared" 0 (Array.length q.Packet.ints);
-  check int "int_hops cursor reset" 0 (Packet.int_hop_count q);
+  check bool "bp_counted reset" false (Packet.bp_counted q);
+  check bool "bp_sampled reset" true (Packet.bp_sampled q);
+  check int "bitmap cleared" 0 (Array.length (Packet.Pool.bitmap pool q));
+  check int "int_hops cursor reset" 0 (Packet.Pool.int_hop_count pool q);
   check int "payload reset" 0 q.Packet.payload;
   check int "seq reset" 0 q.Packet.seq;
   check int "prio reset" 0 q.Packet.prio;
   check bool "fresh uid on reuse" true (q.Packet.uid <> p.Packet.uid || q.Packet.uid >= 0)
+
+(* Every packet carries only what every scheme needs: 20 fields, so a
+   packet is 21 words with its header. Each word per packet costs about
+   a quarter of a MB of peak heap on the DCQCN Clos run, whose switch
+   buffers hold tens of thousands of packets at the peak. *)
+let test_packet_footprint () =
+  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let fields = Obj.size (Obj.repr p) in
+  if fields > 20 then failf "a packet has %d fields, bound 20" fields
+
+let flag_accessors =
+  [
+    ("ecn", Packet.ecn, Packet.set_ecn);
+    ("ecn_echo", Packet.ecn_echo, Packet.set_ecn_echo);
+    ("bp_counted", Packet.bp_counted, Packet.set_bp_counted);
+    ("bp_sampled", Packet.bp_sampled, Packet.set_bp_sampled);
+  ]
+
+let flag_values p = List.map (fun (_, get, _) -> get p) flag_accessors
+
+(* The four flags share one int: setting or clearing one leaves the
+   others as they were, a recycled packet gets [make]'s flags back, and
+   a transferred packet keeps them. *)
+let test_packet_flags () =
+  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let fresh = flag_values (Packet.make Packet.Data ~src:0 ~dst:1 ~size:100 ()) in
+  check (list bool) "fresh flags" [ false; false; false; true ] fresh;
+  check (list bool) "acquired flags" fresh (flag_values p);
+  List.iteri
+    (fun k (name, get, set) ->
+      List.iter
+        (fun base ->
+          (* every other flag at [base], this one flipped both ways *)
+          List.iter (fun (_, _, set') -> set' p base) flag_accessors;
+          List.iter
+            (fun v ->
+              set p v;
+              check bool (name ^ " reads back") v (get p);
+              check (list bool) (name ^ " leaves the others")
+                (List.mapi (fun j _ -> if j = k then v else base) flag_accessors)
+                (flag_values p))
+            [ not base; base ])
+        [ false; true ])
+    flag_accessors;
+  let set_all v = List.iter (fun (_, _, set) -> set p v) flag_accessors in
+  set_all true;
+  Packet.set_bp_sampled p false;
+  let other = Packet.Pool.create ~sim:(Sim.create ()) in
+  let c = Packet.Pool.import other (Packet.Pool.clone pool p) in
+  check (list bool) "clone and import carry the flags" [ true; true; true; false ]
+    (flag_values c);
+  Packet.Pool.release pool p;
+  let q = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  check bool "recycled" true (p == q);
+  check (list bool) "release resets the flags" fresh (flag_values q)
+
+let hop_links pool p =
+  Array.to_list
+    (Array.map
+       (fun h -> h.Packet.h_link)
+       (Array.sub (Packet.Pool.int_hops pool p) 0 (Packet.Pool.int_hop_count pool p)))
+
+(* A packet's INT stack and bitmap live in its table's side tables, by
+   index: they must die with the packet's incarnation, and follow it
+   into an ack ([copy_int_hops]) or another table ([clone], [import])
+   as copies that share no record with the original. *)
+let test_packet_side_tables () =
+  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  check int "a fresh table has no side tables" 0 (Packet.Pool.side_slots pool);
+  let p = acquire Packet.Data in
+  Packet.Pool.set_bitmap pool p [||];
+  check int "an empty bitmap makes no side table" 0 (Packet.Pool.side_slots pool);
+  let ack = acquire Packet.Ack in
+  Packet.Pool.copy_int_hops pool ~src:p ~dst:ack;
+  check int "copying no INT stack makes no side table" 0 (Packet.Pool.side_slots pool);
+  let stamp q link =
+    Packet.Pool.add_int_hop pool q ~ts:link ~tx_bytes:(10 * link) ~qlen:0 ~gbps:100.0 ~link
+  in
+  List.iter (stamp p) [ 1; 2; 3; 4; 5 ];
+  Packet.Pool.set_bitmap pool p [| 7; 9 |];
+  check (list int) "stack in path order" [ 1; 2; 3; 4; 5 ] (hop_links pool p);
+  Packet.Pool.copy_int_hops pool ~src:p ~dst:ack;
+  check (list int) "the ack carries the stack" [ 1; 2; 3; 4; 5 ] (hop_links pool ack);
+  check bool "in its own records" true
+    ((Packet.Pool.int_hops pool ack).(0) != (Packet.Pool.int_hops pool p).(0));
+  check int "the ack has no bitmap" 0 (Array.length (Packet.Pool.bitmap pool ack));
+  let other = Packet.Pool.create ~sim:(Sim.create ()) in
+  let c = Packet.Pool.clone pool p in
+  let moved = Packet.Pool.import other c in
+  check (list int) "import carries the stack" [ 1; 2; 3; 4; 5 ] (hop_links other moved);
+  check (list int) "import carries the bitmap" [ 7; 9 ]
+    (Array.to_list (Packet.Pool.bitmap other moved));
+  Packet.Pool.release pool p;
+  check (list int) "the ack's copy outlives the data packet" [ 1; 2; 3; 4; 5 ]
+    (hop_links pool ack);
+  check (list int) "the import outlives the original" [ 1; 2; 3; 4; 5 ]
+    (hop_links other moved);
+  let q = acquire Packet.Data in
+  check bool "recycled" true (p == q);
+  check int "no INT stack in the next incarnation" 0 (Packet.Pool.int_hop_count pool q);
+  check int "no bitmap in the next incarnation" 0 (Array.length (Packet.Pool.bitmap pool q));
+  stamp q 8;
+  check (list int) "a new stack starts empty" [ 8 ] (hop_links pool q);
+  check (list int) "and leaves the ack's alone" [ 1; 2; 3; 4; 5 ] (hop_links pool ack)
 
 let test_pool_double_release_rejected () =
   let sim = Sim.create () in
@@ -288,7 +394,7 @@ let run_bfc_clos () =
   let events = Bfc_sim.Runner.events_executed env - e0 in
   check int "every flow completed" (List.length flows) (Bfc_sim.Runner.completed env);
   check bool "a real run" true (events > 50_000);
-  (words, events, Sim.profile sim)
+  (words, events, Sim.profile sim, Packet.Pool.side_slots (Bfc_net.Port.pool sim))
 
 let bfc_clos_run = lazy (run_bfc_clos ())
 
@@ -299,7 +405,7 @@ let bfc_clos_run = lazy (run_bfc_clos ())
    and the wheel's slab to their high-water marks. Counts are
    deterministic, so the bound is exact, not a timing gate. *)
 let test_bfc_clos_minor_words () =
-  let words, events, _ = Lazy.force bfc_clos_run in
+  let words, events, _, _ = Lazy.force bfc_clos_run in
   let per_event = words /. float_of_int events in
   if per_event > 1.0 then
     failf "%.3f minor words per event (%d events), bound 1.0" per_event events
@@ -308,10 +414,16 @@ let test_bfc_clos_minor_words () =
    leaves the wheel at once, and the slab only doubles, so its capacity
    stays within a small factor of the deepest the queue got. *)
 let test_wheel_storage_tracks_live () =
-  let _, _, p = Lazy.force bfc_clos_run in
+  let _, _, p, _ = Lazy.force bfc_clos_run in
   if p.Sim.p_heap_capacity > 8 * p.Sim.p_heap_hwm then
     failf "wheel capacity %d for a queue high-water mark of %d" p.Sim.p_heap_capacity
       p.Sim.p_heap_hwm
+
+(* BFC without pause bitmaps stamps no INT and sends no bitmap, so its
+   packet table makes no side table. *)
+let test_bfc_clos_no_side_tables () =
+  let _, _, _, side = Lazy.force bfc_clos_run in
+  check int "side-table slots" 0 side
 
 (* BFC's flow table is int arrays of three words per slot, with no
    per-slot record or pointer: 4 egresses x 4,096 slots must fit in
@@ -373,6 +485,9 @@ let suite =
     test_case "ticker no event leak" `Quick test_ticker_no_event_leak;
     test_case "packet pool resets all fields" `Quick test_pool_reset_all_fields;
     test_case "packet pool double release" `Quick test_pool_double_release_rejected;
+    test_case "packet footprint" `Quick test_packet_footprint;
+    test_case "packet flags" `Quick test_packet_flags;
+    test_case "packet side tables" `Quick test_packet_side_tables;
     test_case "packet index lifecycle" `Quick test_packet_index_lifecycle;
     test_case "domain pool preserves order" `Quick test_pool_run_preserves_order;
     test_case "domain pool error in task order" `Quick test_pool_run_error_in_task_order;
@@ -380,6 +495,7 @@ let suite =
     test_case "sim differential: random schedule" `Quick test_sim_differential_random_schedule;
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
     test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
+    test_case "bfc clos run makes no side tables" `Quick test_bfc_clos_no_side_tables;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;
     test_case "flow table fresh is its directory" `Quick test_flow_table_fresh_is_directory;
