@@ -46,7 +46,6 @@ type t = {
   cfg : config;
   ft : Flow_table.t;
   dqa : Dqa.t;
-  sticky : Bfc_engine.Time.t;
   balances : Balance.b array; (* per egress *)
   uncredited : bool array; (* host-facing egress: downstream always drains *)
   mutable credits_sent : int;
@@ -81,12 +80,12 @@ let classify t _sw ~in_port:_ ~egress pkt =
   | Packet.Data ->
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let ft = t.ft in
-    let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) in
-    let stale = now t - Flow_table.last ft e > t.sticky in
-    if Flow_table.size ft e = 0 && (Flow_table.q ft e < 0 || stale) then
+    let now = now t in
+    let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) ~now in
+    if Flow_table.vacant ft e ~now then
       Flow_table.set_q ft e (Dqa.assign t.dqa ~egress ~fid_hash:(Flow.hash flow));
     Flow_table.set_size ft e (Flow_table.size ft e + 1);
-    Flow_table.set_last ft e (now t);
+    Flow_table.set_last ft e now;
     Flow_table.q ft e
   | _ -> ctrl_queue t
 
@@ -126,9 +125,10 @@ let on_dequeue t _sw ~egress ~queue pkt =
     end;
     (* bookkeeping identical to BFC *)
     let flow = Packet.flow_exn pkt ~at:(now t) in
-    let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+    let now = now t in
+    let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now in
     Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
-    Flow_table.set_last t.ft e (now t);
+    Flow_table.set_last t.ft e now;
     if queue < data_queues t then begin
       let q = Switch.queue t.sw ~egress ~queue in
       if Fifo.is_empty q then Dqa.mark_empty t.dqa ~egress ~queue
@@ -161,9 +161,10 @@ let attach sw cfg =
     {
       sw;
       cfg;
-      ft = Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult;
+      ft =
+        Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
+          ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult);
       dqa = Dqa.create ~egresses:n_ports ~queues:(nq - 1) ~policy:cfg.assignment ~rng;
-      sticky = Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult;
       balances = Array.init n_ports (fun _ -> Balance.create ~queues:nq ~initial:cfg.credit_bytes);
       uncredited =
         Array.init n_ports (fun e ->

@@ -47,7 +47,6 @@ type t = {
   ft : Flow_table.t;
   pc : Pause_counter.t;
   dqa : Dqa.t; (* domains: egress * classes + class *)
-  sticky : Bfc_engine.Time.t;
   allow_bp : (in_port:int -> egress:int -> bool) ref;
   th : Threshold.source;
       (* per egress: Th over N_active, precomputed at attach time like the
@@ -109,9 +108,9 @@ let classify t _sw ~in_port:_ ~egress pkt =
       let sampled = t.cfg.sampling >= 1.0 || Bfc_util.Rng.bernoulli t.rng t.cfg.sampling in
       Packet.set_bp_sampled pkt sampled;
       let ft = t.ft in
-      let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) in
-      let stale = now t - Flow_table.last ft e > t.sticky in
-      if Flow_table.size ft e = 0 && (Flow_table.q ft e < 0 || stale) then begin
+      let now = now t in
+      let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) ~now in
+      if Flow_table.vacant ft e ~now then begin
         let local = Dqa.assign t.dqa ~egress:(domain t ~egress ~cls) ~fid_hash:(Flow.hash flow) in
         t.st.assignments <- t.st.assignments + 1;
         if
@@ -122,7 +121,7 @@ let classify t _sw ~in_port:_ ~egress pkt =
       end;
       if sampled then begin
         Flow_table.set_size ft e (Flow_table.size ft e + 1);
-        Flow_table.set_last ft e (now t)
+        Flow_table.set_last ft e now
       end;
       if t.occupancy.(egress).(Flow_table.q ft e) > 0 && Flow_table.size ft e <= 1 then
         t.st.queue_collisions <- t.st.queue_collisions + 1;
@@ -191,9 +190,10 @@ let on_dequeue t _sw ~egress ~queue pkt =
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if Packet.bp_sampled pkt && not incast_bypass then begin
-      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+      let now = now t in
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
-      Flow_table.set_last t.ft e (now t)
+      Flow_table.set_last t.ft e now
     end;
     if is_data_queue t ~queue then begin
       t.occupancy.(egress).(queue) <- Int.max 0 (t.occupancy.(egress).(queue) - 1);
@@ -214,7 +214,7 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if Packet.bp_sampled pkt && not incast_bypass then begin
-      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) in
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now:(now t) in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1))
     end
   end
@@ -295,11 +295,12 @@ let attach sw cfg =
       cfg;
       classes;
       qpc;
-      ft = Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult;
+      ft =
+        Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
+          ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult);
       pc = Pause_counter.create ~ingresses:n_ports ~max_upstream_q:cfg.max_upstream_q;
       dqa =
         Dqa.create ~egresses:(n_ports * classes) ~queues:(qpc - 1) ~policy:cfg.assignment ~rng;
-      sticky = Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult;
       allow_bp = ref (fun ~in_port:_ ~egress:_ -> true);
       th = Threshold.source_for_switch sw ~fixed_th:cfg.fixed_th ~factor:cfg.th_factor;
       rng;

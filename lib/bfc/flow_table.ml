@@ -1,124 +1,183 @@
-(* A sparse register array. The paper sizes the table at a large multiple
-   of the queue count so that it stays mostly empty, so slots are stored
-   in pages allocated on first touch.
+(* A register array that holds its live slots only. The paper sizes the
+   table at a large multiple of the queue count so that it stays mostly
+   empty, and a slot whose state classify would treat as fresh carries no
+   information, so only the other slots are stored.
 
-   Global slot [g = e * slots + s] lies on page [g lsr page_bits]. [dir]
-   holds one int per page: [-1] for a page never touched, else the index
-   of the page's first slot. A page is [page_slots] stride-3 records
-   [q; size; last], bump-allocated from int-array chunks of
-   [chunk_pages] pages; the index of a word is
-   [(chunk lsl chunk_bits) lor offset]. An [int array] holds immediates
-   only, so writes need no barrier. Chunks are never copied or freed, so
-   an index stays valid for the table's life, across [reset] too.
+   Slot [g = e * slots + s] is a key in an open-addressing table with
+   linear probing. [tbl] holds [stride]-word entries [key; q; size; last];
+   [key = -1] marks an empty entry. An [int array] holds immediates only,
+   so writes need no barrier. An index is the position of an entry's key
+   word.
 
-   Every chunk is [1 lsl chunk_bits] words long (the words after its last
-   page are never used), so any offset is inside it: an accessor checks
-   only the chunk number, against a chunk vector that holds exactly the
-   chunks made so far. *)
+   At most half the entries are in use. The insert that would pass that
+   load rebuilds the table into [spare] without its vacant entries, and
+   doubles the capacity only if what is left still fills more than a
+   quarter of it. Entries move then, which is why an index names its slot
+   only until the next [slot] call. *)
 
-let stride = 3
+let stride = 4
 
-let page_bits = 3
-
-let page_slots = 1 lsl page_bits
-
-let page_mask = page_slots - 1
-
-let page_words = stride * page_slots
-
-let chunk_bits = 12
-
-let chunk_words = 1 lsl chunk_bits
-
-let chunk_mask = chunk_words - 1
-
-let chunk_pages = chunk_words / page_words
+let initial_capacity = 64
 
 type t = {
   slots : int;
   fmask : int;
   egresses : int;
-  dir : int array;
-  mutable chunks : int array array;
-  mutable pages : int;  (* pages made so far *)
+  sticky : Bfc_engine.Time.t;
+  mutable shift : int;  (* 63 - log2 capacity: [home] keeps a product's top bits *)
+  mutable mask : int;  (* capacity - 1 *)
+  mutable tbl : int array;
+  mutable spare : int array;  (* same length as [tbl]; every key -1 between rebuilds *)
+  mutable used : int;  (* entries whose key is set, vacant ones included *)
+  mutable purges : int;
 }
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
-let clear chunk =
-  for i = 0 to (Array.length chunk / stride) - 1 do
-    chunk.(stride * i) <- -1;
-    chunk.((stride * i) + 1) <- 0;
-    chunk.((stride * i) + 2) <- min_int
-  done
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let empty_array cap = Array.make (stride * cap) (-1)
+
+let set_capacity t cap =
+  t.shift <- 63 - log2 cap;
+  t.mask <- cap - 1;
+  t.tbl <- empty_array cap;
+  t.spare <- empty_array cap;
+  t.used <- 0
 
 (* Slot count is rounded up to a power of two so the per-packet [slot]
    lookup is a mask instead of a hardware division ([Flow.hash] already
    mixes the id through a splitmix64 finalizer, so the low bits are as
    good as a modulus). The paper only requires "a large multiple of the
    queue count"; rounding up strictly lowers the collision rate. *)
-let create ~egresses ~queues_per_port ~mult =
+let create ~egresses ~queues_per_port ~mult ~sticky =
   if egresses < 0 || queues_per_port <= 0 || mult <= 0 then invalid_arg "Flow_table.create";
   let slots = next_pow2 (queues_per_port * mult) 1 in
-  let n_pages = ((egresses * slots) + page_mask) lsr page_bits in
-  { slots; fmask = slots - 1; egresses; dir = Array.make n_pages (-1); chunks = [||]; pages = 0 }
+  let t =
+    {
+      slots;
+      fmask = slots - 1;
+      egresses;
+      sticky;
+      shift = 0;
+      mask = 0;
+      tbl = [||];
+      spare = [||];
+      used = 0;
+      purges = 0;
+    }
+  in
+  set_capacity t initial_capacity;
+  t
 
 let slots_per_port t = t.slots
 
 let total_slots t = t.egresses * t.slots
 
-(* First touch of page [p]: take the next page of the current chunk, or
-   start a chunk when it is full. A chunk is initialised whole when it is
-   made, and the chunk vector (one pointer per chunk) is copied then. *)
-let[@inline never] touch t p g =
-  let c = t.pages / chunk_pages in
-  if c = Array.length t.chunks then begin
-    let chunk = Array.make chunk_words 0 in
-    clear chunk;
-    t.chunks <- Array.append t.chunks [| chunk |]
-  end;
-  let base = (c lsl chunk_bits) lor ((t.pages mod chunk_pages) * page_words) in
-  t.pages <- t.pages + 1;
-  t.dir.(p) <- base;
-  base + (stride * (g land page_mask))
+let capacity t = t.mask + 1
 
-let[@inline] slot t ~egress ~fid_hash =
+let purges t = t.purges
+
+(* Fibonacci hashing: the top bits of the key times an odd constant, so
+   keys that differ only in their egress bits still spread. *)
+let[@inline] home t g = ((g * 0x2545F4914F6CDD1D) lsr t.shift) * stride
+
+(* The one vacancy rule: no packets resident, and either never assigned
+   or untouched for longer than the sticky window. *)
+let[@inline] vacant_at tbl i sticky now =
+  tbl.(i + 2) = 0 && (tbl.(i + 1) < 0 || now - tbl.(i + 3) > sticky)
+
+let[@inline] fresh tbl i g =
+  Array.unsafe_set tbl i g;
+  Array.unsafe_set tbl (i + 1) (-1);
+  Array.unsafe_set tbl (i + 2) 0;
+  Array.unsafe_set tbl (i + 3) min_int
+
+(* The entry of [g], or the empty entry where [g] would go. *)
+let[@inline] probe t tbl g =
+  let i = ref (home t g) in
+  let wrap = (stride * t.mask) + (stride - 1) in
+  while
+    let k = Array.unsafe_get tbl !i in
+    k <> g && k >= 0
+  do
+    i := (!i + stride) land wrap
+  done;
+  !i
+
+(* Rebuild without the vacant entries, into [spare] at the same capacity
+   or into fresh arrays at twice it, then place [g]. *)
+let[@inline never] make_room t g ~now =
+  t.purges <- t.purges + 1;
+  let old = t.tbl in
+  let live = ref 0 in
+  for j = 0 to t.mask do
+    let i = stride * j in
+    if Array.unsafe_get old i >= 0 && not (vacant_at old i t.sticky now) then incr live
+  done;
+  if 4 * (!live + 1) > t.mask + 1 then set_capacity t (2 * (t.mask + 1))
+  else begin
+    t.tbl <- t.spare;
+    t.spare <- old;
+    t.used <- 0
+  end;
+  let tbl = t.tbl in
+  for j = 0 to Array.length old / stride - 1 do
+    let i = stride * j in
+    let k = Array.unsafe_get old i in
+    if k >= 0 then begin
+      if not (vacant_at old i t.sticky now) then begin
+        let d = probe t tbl k in
+        Array.blit old i tbl d stride;
+        t.used <- t.used + 1
+      end;
+      Array.unsafe_set old i (-1)
+    end
+  done;
+  let i = probe t tbl g in
+  fresh tbl i g;
+  t.used <- t.used + 1;
+  i
+
+let slot t ~egress ~fid_hash ~now =
   if egress < 0 || egress >= t.egresses then invalid_arg "Flow_table.slot: egress out of range";
   let g = (egress * t.slots) + (fid_hash land t.fmask) in
-  let base = Array.unsafe_get t.dir (g lsr page_bits) in
-  if base >= 0 then base + (stride * (g land page_mask)) else touch t (g lsr page_bits) g
+  let tbl = t.tbl in
+  let i = probe t tbl g in
+  if Array.unsafe_get tbl i = g then begin
+    if vacant_at tbl i t.sticky now then fresh tbl i g;
+    i
+  end
+  else if 2 * (t.used + 1) > t.mask + 1 then make_room t g ~now
+  else begin
+    fresh tbl i g;
+    t.used <- t.used + 1;
+    i
+  end
 
-let[@inline] get t i = Array.unsafe_get t.chunks.(i lsr chunk_bits) (i land chunk_mask)
+let vacant t i ~now = vacant_at t.tbl i t.sticky now
 
-let[@inline] set t i v = Array.unsafe_set t.chunks.(i lsr chunk_bits) (i land chunk_mask) v
+let[@inline] q t i = t.tbl.(i + 1)
 
-let[@inline] q t i = get t i
+let[@inline] size t i = t.tbl.(i + 2)
 
-let[@inline] size t i = get t (i + 1)
+let[@inline] last t i = t.tbl.(i + 3)
 
-let[@inline] last t i = get t (i + 2)
+let[@inline] set_q t i v = t.tbl.(i + 1) <- v
 
-let[@inline] set_q t i v = set t i v
+let[@inline] set_size t i v = t.tbl.(i + 2) <- v
 
-let[@inline] set_size t i v = set t (i + 1) v
+let[@inline] set_last t i v = t.tbl.(i + 3) <- v
 
-let[@inline] set_last t i v = set t (i + 2) v
-
-(* Walks the egress's directory entries and reads only the pages that
-   were touched; an absent page holds sizes of 0. With fewer than
-   [page_slots] slots per egress a page spans egresses, so only its
-   slots inside the egress are read. *)
+(* Reads every entry once: the sizes of the entries keyed to [egress].
+   An absent slot holds a size of 0. *)
 let fold_sizes f acc t ~egress =
   if egress < 0 || egress >= t.egresses then invalid_arg "Flow_table: egress out of range";
-  let lo = egress * t.slots in
-  let hi = lo + t.slots in
   let acc = ref acc in
-  for p = lo lsr page_bits to (hi - 1) lsr page_bits do
-    let base = t.dir.(p) in
-    if base >= 0 then
-      for g = Int.max lo (p lsl page_bits) to Int.min hi ((p + 1) lsl page_bits) - 1 do
-        acc := f !acc (size t (base + (stride * (g land page_mask))))
-      done
+  for j = 0 to t.mask do
+    let i = stride * j in
+    let k = t.tbl.(i) in
+    if k >= 0 && k / t.slots = egress then acc := f !acc t.tbl.(i + 2)
   done;
   !acc
 
@@ -126,4 +185,6 @@ let occupied t ~egress = fold_sizes (fun acc n -> if n > 0 then acc + 1 else acc
 
 let resident t ~egress = fold_sizes ( + ) 0 t ~egress
 
-let reset t = Array.iter clear t.chunks
+let reset t =
+  set_capacity t initial_capacity;
+  t.purges <- 0

@@ -6,37 +6,57 @@
     used for sticky reassignment. Sized as a multiple of the number of
     queues (100x in the paper: < 1% index collisions when flows <= queues).
 
-    The table is sized to stay mostly empty, so its storage is made on
-    first touch, all of it [int array]s in the OCaml heap. Slots are
-    grouped in pages of 8 consecutive slots; a page directory holds one
-    word per page, and a page, three words per slot ([q], [size],
-    [last]), is made from a fixed-size chunk the first time {!slot}
-    lands on it. A fresh table is its directory; a run pays three words
-    for each slot of the pages it touched. A slot is named by the index
-    {!slot} returns and read or written through the accessors below;
-    there is no per-slot record. Pages are never moved or freed, so an
-    index stays valid for the table's life, {!reset} included. *)
+    The table is sized to stay mostly empty, and only its live slots are
+    stored. A slot is {e vacant} when it holds no packets and was either
+    never assigned or not touched within the sticky window ({!vacant}):
+    classify treats it exactly like a fresh slot, so the table may forget
+    it. The other slots sit in a small open-addressing table of four-word
+    entries, all of it [int array]s in the OCaml heap, that grows by
+    doubling; its size follows the live slots, not [mult].
+
+    {b Index contract.} {!slot} returns an index that names its slot only
+    until the next {!slot} call on the same table: a lookup that adds a
+    slot may drop the vacant ones and move the rest. Read and write a slot
+    through the accessors below between one {!slot} call and the next, and
+    take the index again after any other lookup, a simulation step or
+    {!reset}. A {!slot} lookup that finds a vacant slot resets it to the
+    initial state first, so what a caller reads never depends on when the
+    table last dropped vacant slots.
+
+    {b The [last = min_int] wrap.} A slot assigned by an unsampled packet
+    keeps [last = min_int]. Then [now - last] wraps negative, so the slot
+    never goes stale: it is never vacant, never forgotten, and keeps its
+    queue until a sampled packet touches it. This is the behaviour the
+    dataplane has always had, kept as it is. *)
 
 type t
 
-(** [create ~egresses ~queues_per_port ~mult] — [mult x queues_per_port]
-    slots per egress, rounded up to the next power of two so the
-    per-packet {!slot} lookup is a bit-mask rather than a division. Every
-    slot starts as [q = -1] (never assigned), [size = 0],
-    [last = min_int]. *)
-val create : egresses:int -> queues_per_port:int -> mult:int -> t
+(** [create ~egresses ~queues_per_port ~mult ~sticky] — [mult x
+    queues_per_port] slots per egress, rounded up to the next power of two
+    so the per-packet {!slot} lookup is a bit-mask rather than a division.
+    Every slot starts as [q = -1] (never assigned), [size = 0],
+    [last = min_int]. [sticky] is the window after which an empty slot's
+    assignment may be replaced (§3.3.2). *)
+val create :
+  egresses:int -> queues_per_port:int -> mult:int -> sticky:Bfc_engine.Time.t -> t
 
 val slots_per_port : t -> int
 
 (** Total slots (all egresses). *)
 val total_slots : t -> int
 
-(** [slot t ~egress ~fid_hash] — the index of the slot this flow maps to:
-    slot [fid_hash land (slots_per_port t - 1)] of [egress]. Flows whose
-    hashes agree in those bits share a slot; different egresses never do.
-    The first lookup on a page makes the page.
+(** [slot t ~egress ~fid_hash ~now] — the index of the slot this flow maps
+    to: slot [fid_hash land (slots_per_port t - 1)] of [egress]. Flows
+    whose hashes agree in those bits share a slot; different egresses never
+    do. A vacant slot reads the initial state. The index is valid until the
+    next [slot] call on [t] (see the index contract above).
     @raise Invalid_argument if [egress] is outside [\[0, egresses)]. *)
-val slot : t -> egress:int -> fid_hash:int -> int
+val slot : t -> egress:int -> fid_hash:int -> now:Bfc_engine.Time.t -> int
+
+(** [vacant t i ~now] — [size = 0] and either [q < 0] or
+    [now - last > sticky]: the slot carries no state classify would use,
+    so a flow landing on it gets a fresh queue assignment. *)
+val vacant : t -> int -> now:Bfc_engine.Time.t -> bool
 
 (** Physical queue assignment; -1 = never assigned. *)
 val q : t -> int -> int
@@ -54,8 +74,7 @@ val set_size : t -> int -> int -> unit
 val set_last : t -> int -> Bfc_engine.Time.t -> unit
 
 (** Slots with [size > 0] at an egress (diagnostics). This and
-    {!resident} read the egress's directory words and only the pages that
-    were made; they make none.
+    {!resident} read every stored entry once, so they cost O({!capacity}).
     @raise Invalid_argument if [egress] is out of range. *)
 val occupied : t -> egress:int -> int
 
@@ -63,6 +82,12 @@ val occupied : t -> egress:int -> int
     are resident at that egress (checked by the fault auditor). *)
 val resident : t -> egress:int -> int
 
-(** Wipe every slot back to its initial state (switch reboot). The pages
-    stay, so indices taken before the reset name the same slots. *)
+(** Entries the table has room for (diagnostics). *)
+val capacity : t -> int
+
+(** Times a lookup dropped the vacant slots to make room (diagnostics). *)
+val purges : t -> int
+
+(** Wipe every slot back to its initial state (switch reboot); the table
+    returns to its fresh size. *)
 val reset : t -> unit

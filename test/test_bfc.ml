@@ -23,95 +23,102 @@ let check = Alcotest.check
 
 (* ---------------------------- Flow table --------------------------- *)
 
+(* Tables in these tests use a sticky window of [ft_sticky] ns. *)
+let ft_sticky = 10
+
+let ft_create = Flow_table.create ~sticky:ft_sticky
+
 let test_flow_table_sizing () =
-  let ft = Flow_table.create ~egresses:4 ~queues_per_port:32 ~mult:100 in
+  let ft = ft_create ~egresses:4 ~queues_per_port:32 ~mult:100 in
   (* 32 * 100 = 3200, rounded up to the next power of two for mask lookup *)
   check Alcotest.int "slots per port" 4096 (Flow_table.slots_per_port ft);
   check Alcotest.int "total" 16_384 (Flow_table.total_slots ft)
 
+(* Same slot: a write through one lookup reads back through another. *)
 let test_flow_table_same_slot_same_entry () =
-  let ft = Flow_table.create ~egresses:2 ~queues_per_port:8 ~mult:10 in
-  let s1 = Flow_table.slot ft ~egress:0 ~fid_hash:5 in
-  let s2 = Flow_table.slot ft ~egress:0 ~fid_hash:5 in
-  let s3 = Flow_table.slot ft ~egress:0 ~fid_hash:(5 + 128) (* wraps to same slot *) in
-  let s4 = Flow_table.slot ft ~egress:1 ~fid_hash:5 in
-  Alcotest.(check bool) "same hash same slot" true (s1 = s2);
-  Alcotest.(check bool) "index collision shares slot" true (s1 = s3);
-  Alcotest.(check bool) "different egress different slot" true (s1 <> s4)
+  let ft = ft_create ~egresses:2 ~queues_per_port:8 ~mult:10 in
+  let q ~egress h = Flow_table.q ft (Flow_table.slot ft ~egress ~fid_hash:h ~now:0) in
+  Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:5 ~now:0) 3;
+  check Alcotest.int "same hash same slot" 3 (q ~egress:0 5);
+  check Alcotest.int "index collision shares slot" 3 (q ~egress:0 (5 + 128));
+  check Alcotest.int "different egress different slot" (-1) (q ~egress:1 5)
 
 let test_flow_table_occupied () =
-  let ft = Flow_table.create ~egresses:1 ~queues_per_port:4 ~mult:4 in
+  let ft = ft_create ~egresses:1 ~queues_per_port:4 ~mult:4 in
   check Alcotest.int "none" 0 (Flow_table.occupied ft ~egress:0);
-  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:1) 2;
-  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:2) 1;
+  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:1 ~now:0) 2;
+  Flow_table.set_size ft (Flow_table.slot ft ~egress:0 ~fid_hash:2 ~now:0) 1;
   check Alcotest.int "two occupied" 2 (Flow_table.occupied ft ~egress:0);
   check Alcotest.int "three resident" 3 (Flow_table.resident ft ~egress:0)
 
 let test_flow_table_egress_out_of_range () =
-  let ft = Flow_table.create ~egresses:2 ~queues_per_port:4 ~mult:4 in
+  let ft = ft_create ~egresses:2 ~queues_per_port:4 ~mult:4 in
   let err = Invalid_argument "Flow_table.slot: egress out of range" in
   Alcotest.check_raises "egress -1" err (fun () ->
-      ignore (Flow_table.slot ft ~egress:(-1) ~fid_hash:3));
+      ignore (Flow_table.slot ft ~egress:(-1) ~fid_hash:3 ~now:0));
   Alcotest.check_raises "egress = egresses" err (fun () ->
-      ignore (Flow_table.slot ft ~egress:2 ~fid_hash:3));
+      ignore (Flow_table.slot ft ~egress:2 ~fid_hash:3 ~now:0));
   let err = Invalid_argument "Flow_table: egress out of range" in
   Alcotest.check_raises "resident" err (fun () -> ignore (Flow_table.resident ft ~egress:(-1)));
   Alcotest.check_raises "occupied" err (fun () -> ignore (Flow_table.occupied ft ~egress:2))
 
-(* Pages are made on first touch: the egress sweeps read an untouched
-   table as empty without making one, and a slot's first lookup reads the
-   initial state. *)
+(* The egress sweeps read an untouched table as empty without adding to
+   it, and a slot's first lookup reads the initial state. *)
 let test_flow_table_untouched_reads_empty () =
-  let ft = Flow_table.create ~egresses:4 ~queues_per_port:32 ~mult:100 in
+  let ft = ft_create ~egresses:4 ~queues_per_port:32 ~mult:100 in
   let words () = Obj.reachable_words (Obj.repr ft) in
   let fresh = words () in
   for egress = 0 to 3 do
     check Alcotest.int "occupied" 0 (Flow_table.occupied ft ~egress);
     check Alcotest.int "resident" 0 (Flow_table.resident ft ~egress)
   done;
-  check Alcotest.int "no page made by the sweeps" fresh (words ());
+  check Alcotest.int "nothing made by the sweeps" fresh (words ());
   for egress = 0 to 3 do
     List.iter
       (fun h ->
-        let i = Flow_table.slot ft ~egress ~fid_hash:h in
+        let i = Flow_table.slot ft ~egress ~fid_hash:h ~now:0 in
         check Alcotest.int "q" (-1) (Flow_table.q ft i);
         check Alcotest.int "size" 0 (Flow_table.size ft i);
         check Alcotest.int "last" min_int (Flow_table.last ft i))
       [ 0; 1; 7; 8; 4095; -1; 123_456_789 ]
   done
 
-(* [reset] re-initialises the pages in place: an index taken before it
-   still names the same slot and reads the initial state. *)
-let test_flow_table_reset_keeps_indices () =
-  let ft = Flow_table.create ~egresses:3 ~queues_per_port:4 ~mult:4 in
-  let held = List.init 3 (fun e -> (e, Flow_table.slot ft ~egress:e ~fid_hash:(5 * e))) in
-  List.iter
-    (fun (_, i) ->
+(* [reset] after the table has grown: every slot reads the initial state,
+   every egress reads empty, and the table is back to its fresh size. *)
+let test_flow_table_reset_restores_fresh () =
+  let ft = ft_create ~egresses:3 ~queues_per_port:4 ~mult:64 in
+  let fresh = Obj.reachable_words (Obj.repr ft) in
+  for e = 0 to 2 do
+    for h = 0 to 99 do
+      let i = Flow_table.slot ft ~egress:e ~fid_hash:h ~now:0 in
       Flow_table.set_q ft i 2;
       Flow_table.set_size ft i 4;
-      Flow_table.set_last ft i 99)
-    held;
+      Flow_table.set_last ft i 99
+    done
+  done;
+  if Flow_table.capacity ft <= 64 then Alcotest.fail "300 live slots did not grow the table";
   Flow_table.reset ft;
-  List.iter
-    (fun (e, i) ->
+  check Alcotest.int "fresh footprint" fresh (Obj.reachable_words (Obj.repr ft));
+  for e = 0 to 2 do
+    check Alcotest.int "resident" 0 (Flow_table.resident ft ~egress:e);
+    check Alcotest.int "occupied" 0 (Flow_table.occupied ft ~egress:e);
+    for h = 0 to 99 do
+      let i = Flow_table.slot ft ~egress:e ~fid_hash:h ~now:0 in
       check Alcotest.int "q" (-1) (Flow_table.q ft i);
       check Alcotest.int "size" 0 (Flow_table.size ft i);
-      check Alcotest.int "last" min_int (Flow_table.last ft i);
-      check Alcotest.int "same slot" i (Flow_table.slot ft ~egress:e ~fid_hash:(5 * e));
-      check Alcotest.int "resident" 0 (Flow_table.resident ft ~egress:e))
-    held;
-  let e, i = List.nth held 1 in
-  Flow_table.set_size ft i 3;
-  check Alcotest.int "written through the old index" 3 (Flow_table.resident ft ~egress:e)
+      check Alcotest.int "last" min_int (Flow_table.last ft i)
+    done
+  done
 
-(* Fewer slots per egress than a page holds: a page then covers slots of
-   several egresses, and each egress still reads only its own. *)
+(* Fewer slots per egress than a page held in the paged table: the keys of
+   several egresses then sit side by side, and each egress still reads
+   only its own. *)
 let test_flow_table_small_egresses () =
-  let ft = Flow_table.create ~egresses:5 ~queues_per_port:1 ~mult:3 in
+  let ft = ft_create ~egresses:5 ~queues_per_port:1 ~mult:3 in
   check Alcotest.int "slots per port" 4 (Flow_table.slots_per_port ft);
   for e = 0 to 4 do
     for h = 0 to 3 do
-      Flow_table.set_size ft (Flow_table.slot ft ~egress:e ~fid_hash:h) (e + 1)
+      Flow_table.set_size ft (Flow_table.slot ft ~egress:e ~fid_hash:h ~now:0) (e + 1)
     done
   done;
   for e = 0 to 4 do
@@ -119,9 +126,64 @@ let test_flow_table_small_egresses () =
     check Alcotest.int "resident" (4 * (e + 1)) (Flow_table.resident ft ~egress:e)
   done
 
-(* The table against a per-slot record model: random writes to
-   random (egress, hash) pairs read back exactly as the model says, and
-   [reset] restores every slot to its initial state. *)
+(* A slot assigned by an unsampled packet keeps [last = min_int]; then
+   [now - last] wraps negative, so the slot never goes stale and a purge
+   never drops it. A sampled touch makes it age like any other. *)
+let test_flow_table_min_int_wrap () =
+  let ft = ft_create ~egresses:1 ~queues_per_port:4 ~mult:64 in
+  Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:0) 3;
+  let late = 1_000_000_000 in
+  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:late in
+  check Alcotest.bool "never stale" false (Flow_table.vacant ft i ~now:late);
+  (* enough vacant inserts to purge the table several times over *)
+  for h = 100 to 299 do
+    ignore (Flow_table.slot ft ~egress:0 ~fid_hash:h ~now:late)
+  done;
+  if Flow_table.purges ft = 0 then Alcotest.fail "no purge ran";
+  check Alcotest.int "kept through purges" 3
+    (Flow_table.q ft (Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:(2 * late)));
+  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:late in
+  Flow_table.set_last ft i late;
+  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:(late + ft_sticky + 1) in
+  check Alcotest.int "a touched slot goes stale and reads fresh" (-1) (Flow_table.q ft i)
+
+(* A purge or a growth while packets are resident keeps every non-vacant
+   slot: [resident] and each slot's fields are unchanged on every egress. *)
+let test_flow_table_rebuild_keeps_resident () =
+  let ft = ft_create ~egresses:4 ~queues_per_port:4 ~mult:64 in
+  let live = List.init 40 (fun k -> (k mod 4, 1000 + (7 * k))) in
+  List.iteri
+    (fun k (egress, h) ->
+      let i = Flow_table.slot ft ~egress ~fid_hash:h ~now:0 in
+      Flow_table.set_q ft i (k mod 3);
+      Flow_table.set_size ft i (k + 1);
+      Flow_table.set_last ft i 0)
+    live;
+  let before = List.init 4 (fun egress -> Flow_table.resident ft ~egress) in
+  let cap = Flow_table.capacity ft and purges = Flow_table.purges ft in
+  (* vacant lookups at a time past the window: purges first, then growth
+     once the live slots fill more than a quarter *)
+  for h = 0 to 499 do
+    ignore (Flow_table.slot ft ~egress:(h mod 4) ~fid_hash:h ~now:(ft_sticky + 1))
+  done;
+  if Flow_table.purges ft = purges then Alcotest.fail "no purge ran";
+  if Flow_table.capacity ft = cap then Alcotest.fail "the table did not grow";
+  check Alcotest.(list int) "resident" before
+    (List.init 4 (fun egress -> Flow_table.resident ft ~egress));
+  List.iteri
+    (fun k (egress, h) ->
+      let i = Flow_table.slot ft ~egress ~fid_hash:h ~now:(ft_sticky + 1) in
+      check Alcotest.int "q" (k mod 3) (Flow_table.q ft i);
+      check Alcotest.int "size" (k + 1) (Flow_table.size ft i);
+      check Alcotest.int "last" 0 (Flow_table.last ft i))
+    live
+
+(* The table against a per-slot record model. Each step writes one field
+   of a random (egress, hash) slot or moves the clock forward, taking the
+   index afresh for every access. The model forgets a slot as soon as it
+   turns vacant; after every step every slot reads back all three fields
+   as the model says, and so do the egress sweeps. [reset] restores every
+   slot to its initial state. *)
 type model_slot = { mutable m_q : int; mutable m_size : int; mutable m_last : int }
 
 let ft_egresses = 3
@@ -132,17 +194,29 @@ let prop_flow_table_matches_model =
   QCheck.Test.make ~name:"flow table matches per-slot record model" ~count:200
     QCheck.(
       list
-        (quad (int_range 0 (ft_egresses - 1)) (int_range (-1000) 1000) (int_range 0 2)
+        (quad (int_range 0 (ft_egresses - 1)) (int_range (-1000) 1000) (int_range 0 3)
            (int_range (-5) 50)))
     (fun ops ->
-      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      let ft = ft_create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      let now = ref 0 in
       let fresh _ = { m_q = -1; m_size = 0; m_last = min_int } in
       let model = Array.init ft_egresses (fun _ -> Array.init ft_slots fresh) in
       let model_slot egress h = model.(egress).(((h mod ft_slots) + ft_slots) mod ft_slots) in
+      let forget_vacant () =
+        Array.iter
+          (Array.iter (fun m ->
+               if m.m_size = 0 && (m.m_q < 0 || !now - m.m_last > ft_sticky) then begin
+                 m.m_q <- -1;
+                 m.m_last <- min_int
+               end))
+          model
+      in
+      let slot egress h = Flow_table.slot ft ~egress ~fid_hash:h ~now:!now in
       let agrees egress h =
-        let m = model_slot egress h and i = Flow_table.slot ft ~egress ~fid_hash:h in
-        Flow_table.q ft i = m.m_q && Flow_table.size ft i = m.m_size
-        && Flow_table.last ft i = m.m_last
+        let m = model_slot egress h in
+        Flow_table.q ft (slot egress h) = m.m_q
+        && Flow_table.size ft (slot egress h) = m.m_size
+        && Flow_table.last ft (slot egress h) = m.m_last
       in
       let all_agree () =
         List.for_all
@@ -155,20 +229,22 @@ let prop_flow_table_matches_model =
           (List.init ft_egresses Fun.id)
       in
       let step_ok (egress, h, field, v) =
-        let m = model_slot egress h and i = Flow_table.slot ft ~egress ~fid_hash:h in
+        let m = model_slot egress h in
         (match field with
         | 0 ->
-          Flow_table.set_q ft i v;
+          Flow_table.set_q ft (slot egress h) v;
           m.m_q <- v
         | 1 ->
-          Flow_table.set_size ft i v;
+          Flow_table.set_size ft (slot egress h) v;
           m.m_size <- v
-        | _ ->
-          Flow_table.set_last ft i v;
-          m.m_last <- v);
-        agrees egress h
+        | 2 ->
+          Flow_table.set_last ft (slot egress h) v;
+          m.m_last <- v
+        | _ -> now := !now + abs v);
+        forget_vacant ();
+        all_agree ()
       in
-      let ops_ok = List.for_all step_ok ops && all_agree () in
+      let ops_ok = List.for_all step_ok ops in
       Flow_table.reset ft;
       Array.iteri (fun e _ -> model.(e) <- Array.init ft_slots fresh) model;
       ops_ok && all_agree ())
@@ -177,9 +253,10 @@ let prop_flow_table_aliasing =
   QCheck.Test.make ~name:"flow table hashes congruent mod slots share a slot" ~count:300
     QCheck.(triple (int_range 0 (ft_egresses - 1)) int (int_range (-1000) 1000))
     (fun (egress, h, k) ->
-      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
-      Flow_table.slot ft ~egress ~fid_hash:h
-      = Flow_table.slot ft ~egress ~fid_hash:(h + (k * Flow_table.slots_per_port ft)))
+      let ft = ft_create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      Flow_table.set_size ft (Flow_table.slot ft ~egress ~fid_hash:h ~now:0) 1;
+      let h' = h + (k * Flow_table.slots_per_port ft) in
+      Flow_table.size ft (Flow_table.slot ft ~egress ~fid_hash:h' ~now:0) = 1)
 
 let prop_flow_table_egresses_disjoint =
   QCheck.Test.make ~name:"flow table egresses never share a slot" ~count:300
@@ -187,8 +264,9 @@ let prop_flow_table_egresses_disjoint =
       quad (int_range 0 (ft_egresses - 1)) (int_range 0 (ft_egresses - 1)) int int)
     (fun (e1, e2, h1, h2) ->
       QCheck.assume (e1 <> e2);
-      let ft = Flow_table.create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
-      Flow_table.slot ft ~egress:e1 ~fid_hash:h1 <> Flow_table.slot ft ~egress:e2 ~fid_hash:h2)
+      let ft = ft_create ~egresses:ft_egresses ~queues_per_port:4 ~mult:4 in
+      Flow_table.set_size ft (Flow_table.slot ft ~egress:e1 ~fid_hash:h1 ~now:0) 1;
+      Flow_table.size ft (Flow_table.slot ft ~egress:e2 ~fid_hash:h2 ~now:0) = 0)
 
 (* -------------------------- Pause counter -------------------------- *)
 
@@ -596,8 +674,10 @@ let suite =
     ("flow table occupied", `Quick, test_flow_table_occupied);
     ("flow table egress out of range", `Quick, test_flow_table_egress_out_of_range);
     ("flow table untouched slots read empty", `Quick, test_flow_table_untouched_reads_empty);
-    ("flow table reset keeps indices", `Quick, test_flow_table_reset_keeps_indices);
+    ("flow table reset restores fresh state", `Quick, test_flow_table_reset_restores_fresh);
     ("flow table pages span small egresses", `Quick, test_flow_table_small_egresses);
+    ("flow table min_int last never goes stale", `Quick, test_flow_table_min_int_wrap);
+    ("flow table rebuild keeps resident slots", `Quick, test_flow_table_rebuild_keeps_resident);
     ("pause counter edges", `Quick, test_pause_counter_edges);
     ("pause counter underflow", `Quick, test_pause_counter_underflow);
     ("pause counter bitmap", `Quick, test_pause_counter_bitmap);

@@ -229,15 +229,17 @@ let test_homa_unsched_prio_boundaries () =
     (unsched_prio p ~size:max_int)
 
 let test_flow_table_mult_controls_collisions () =
-  (* smaller tables produce more index collisions for the same flow set *)
+  (* smaller tables produce more index collisions for the same flow set:
+     a flow collides when its slot already holds an earlier flow's packet *)
   let collisions mult =
-    let ft = Bfc_core.Flow_table.create ~egresses:1 ~queues_per_port:32 ~mult in
-    let seen = Hashtbl.create 64 in
+    let module Ft = Bfc_core.Flow_table in
+    let ft = Ft.create ~egresses:1 ~queues_per_port:32 ~mult ~sticky:0 in
     let coll = ref 0 in
     for id = 0 to 499 do
       let f = Flow.make ~id ~src:0 ~dst:1 ~size:1 ~arrival:0 () in
-      let slot = Bfc_core.Flow_table.slot ft ~egress:0 ~fid_hash:(Flow.hash f) in
-      if Hashtbl.mem seen slot then incr coll else Hashtbl.add seen slot ()
+      let slot = Ft.slot ft ~egress:0 ~fid_hash:(Flow.hash f) ~now:0 in
+      if Ft.size ft slot > 0 then incr coll;
+      Ft.set_size ft slot (Ft.size ft slot + 1)
     done;
     !coll
   in

@@ -214,7 +214,7 @@ let test_auditor_trips_on_flow_leak () =
   Runner.run env ~until:(Time.us 5.0);
   (* a count the switch never takes back, as a lost decrement would leave *)
   let ft = Bfc_core.Dataplane.flow_table (Runner.dataplanes env).(0) in
-  let slot = Bfc_core.Flow_table.slot ft ~egress:0 ~fid_hash:0 in
+  let slot = Bfc_core.Flow_table.slot ft ~egress:0 ~fid_hash:0 ~now:(Sim.now (Runner.sim env)) in
   Bfc_core.Flow_table.set_size ft slot (Bfc_core.Flow_table.size ft slot + 1);
   match Auditor.check aud with
   | () -> Alcotest.fail "expected Audit_violation"

@@ -58,28 +58,22 @@ let test_sticky_assignment_retained () =
   let f = Flow.make ~id:900 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1_000_000 ~arrival:0 () in
   inject t st (mk_data f 0);
   let ft = Dataplane.flow_table dp in
-  (* the receiver-facing egress index: probe via the slot the packet hit *)
-  let find_slot () =
-    let found = ref None in
-    for e = 0 to 2 do
-      let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) in
-      if Flow_table.q ft slot >= 0 then found := Some (e, slot)
-    done;
-    !found
-  in
-  (match find_slot () with
+  (* an index names its slot until the next lookup, so take it afresh *)
+  let slot e = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) ~now:(Sim.now sim) in
+  (* the receiver-facing egress: the one whose slot the packet assigned *)
+  match List.find_opt (fun e -> Flow_table.q ft (slot e) >= 0) [ 0; 1; 2 ] with
   | None -> Alcotest.fail "no assignment recorded"
-  | Some (_, slot) ->
-    let q0 = Flow_table.q ft slot in
+  | Some e ->
+    let q0 = Flow_table.q ft (slot e) in
     (* drain, then send again shortly after (within 2 HRTT = 4 us) *)
     ignore (Sim.run sim ~until:(Time.us 3.0));
-    check Alcotest.int "entry drained" 0 (Flow_table.size ft slot);
+    check Alcotest.int "entry drained" 0 (Flow_table.size ft (slot e));
     inject t st (mk_data f 1000);
-    check Alcotest.int "sticky: same queue reused" q0 (Flow_table.q ft slot);
+    check Alcotest.int "sticky: same queue reused" q0 (Flow_table.q ft (slot e));
     (* now wait well beyond the sticky threshold; a new packet may reassign *)
     ignore (Sim.run sim ~until:(Time.ms 1.0));
     inject t st (mk_data f 2000);
-    Alcotest.(check bool) "assignment still valid" true (Flow_table.q ft slot >= 0))
+    Alcotest.(check bool) "assignment still valid" true (Flow_table.q ft (slot e) >= 0)
 
 let test_incast_label_queue_zero () =
   let sim, st, t, sw, _dp =
@@ -113,7 +107,7 @@ let test_sampling_keeps_tables_sane () =
   (* all packets forwarded; the flow table must have drained to zero *)
   let ft = Dataplane.flow_table dp in
   for e = 0 to 2 do
-    let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) in
+    let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) ~now:(Sim.now sim) in
     check Alcotest.int "ft size drained" 0 (Flow_table.size ft slot)
   done;
   check Alcotest.int "pause counters drained" 0

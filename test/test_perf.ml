@@ -4,8 +4,8 @@
    index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
    fire order against a recorded trace, the allocation bounds of the
-   packet hop and of per-flow work, and the flow table's footprint and
-   first-touch pages. *)
+   packet hop and of per-flow work, and the flow table's footprint, which
+   follows its live slots. *)
 
 open Alcotest
 module Rng = Bfc_util.Rng
@@ -425,43 +425,52 @@ let test_bfc_clos_no_side_tables () =
   let _, _, _, side = Lazy.force bfc_clos_run in
   check int "side-table slots" 0 side
 
-(* BFC's flow table is int arrays of three words per slot, with no
-   per-slot record or pointer: 4 egresses x 4,096 slots must fit in
-   3 x 16,384 words plus a few words of header. A boxed 3-field record per
-   slot behind an array of pointers costs about 5 words per slot. *)
+(* BFC's flow table stores its live slots only, in two int arrays of
+   four-word entries (the table and the spare a purge rebuilds into). It
+   grows only when the live slots fill more than a quarter of it, so L
+   live slots cost at most 2 x 4 x 8 (L + 1) words, or the fresh 64-entry
+   table, plus a few words of header. The 64-egress x 4,096-slot table of
+   the reference run is used; a page directory alone would be 32,768
+   words. *)
 let test_flow_table_footprint () =
-  let ft = Bfc_core.Flow_table.create ~egresses:4 ~queues_per_port:32 ~mult:100 in
-  let slots = Bfc_core.Flow_table.total_slots ft in
-  let words = Obj.reachable_words (Obj.repr ft) in
-  if words > (3 * slots) + 16 then
-    failf "flow table of %d slots is %d words, bound %d" slots words ((3 * slots) + 16)
+  List.iter
+    (fun l ->
+      let ft =
+        Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 ~sticky:10
+      in
+      for j = 0 to l - 1 do
+        let i = Bfc_core.Flow_table.slot ft ~egress:(j mod 64) ~fid_hash:(8 * (j / 64)) ~now:0 in
+        Bfc_core.Flow_table.set_size ft i 1
+      done;
+      let words = Obj.reachable_words (Obj.repr ft) in
+      let bound = (64 * l) + 1_024 in
+      if words > bound then failf "%d live slots take %d words, bound %d" l words bound)
+    [ 0; 1; 10; 100; 1_000; 10_000 ]
 
-(* The table's pages are made on first touch. A fresh 64-egress x 4,096
-   slot table (the reference run's) is its page directory, one word per
-   8-slot page, and a few words of header. *)
-let test_flow_table_fresh_is_directory () =
-  let ft = Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 in
-  let dir = Bfc_core.Flow_table.total_slots ft / 8 in
-  let words = Obj.reachable_words (Obj.repr ft) in
-  if words > dir + 16 then failf "fresh flow table is %d words, bound %d" words (dir + 16)
+(* The table's size does not follow [mult]: a fresh table is the same at
+   100x and at 400x the queue count. *)
+let test_flow_table_fresh_ignores_mult () =
+  let words mult =
+    Obj.reachable_words
+      (Obj.repr
+         (Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult ~sticky:10))
+  in
+  check int "fresh words at 400x" (words 100) (words 400)
 
-(* Touching k distinct slots, each on its own page and each looked up
-   twice, makes at most one 24-word page per slot. Pages come from
-   4,096-word chunks, so the bound allows one partly used chunk and the
-   vector of chunk pointers. *)
-let test_flow_table_page_per_touch () =
-  let ft = Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 in
-  let fresh = Obj.reachable_words (Obj.repr ft) in
-  let k = 3_000 in
-  for pass = 1 to 2 do
-    for j = 0 to k - 1 do
-      let i = Bfc_core.Flow_table.slot ft ~egress:(j mod 64) ~fid_hash:(8 * (j / 64)) in
-      Bfc_core.Flow_table.set_size ft i pass
-    done
+(* 100,000 distinct slots, each assigned, touched and emptied at the
+   current time while the clock moves 1 ns per slot: with a 10 ns sticky
+   window at most 11 are live at once, and the table stays within the
+   footprint bound for them however many slots went by. *)
+let test_flow_table_forgets_vacant () =
+  let ft = Bfc_core.Flow_table.create ~egresses:64 ~queues_per_port:32 ~mult:100 ~sticky:10 in
+  for j = 0 to 99_999 do
+    let i = Bfc_core.Flow_table.slot ft ~egress:(j mod 64) ~fid_hash:(j / 64) ~now:j in
+    Bfc_core.Flow_table.set_q ft i 0;
+    Bfc_core.Flow_table.set_last ft i j
   done;
-  let added = Obj.reachable_words (Obj.repr ft) - fresh in
-  let bound = (24 * k) + 4_097 + 64 in
-  if added > bound then failf "%d slots touched added %d words, bound %d" k added bound
+  let words = Obj.reachable_words (Obj.repr ft) in
+  let bound = (64 * 11) + 1_024 in
+  if words > bound then failf "100,000 slots went by: %d words, bound %d" words bound
 
 (* Per-flow work allocates a bounded number of words: flow start and
    reclaim are typed events, and per-flow transport records are reused
@@ -498,6 +507,6 @@ let suite =
     test_case "bfc clos run makes no side tables" `Quick test_bfc_clos_no_side_tables;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;
-    test_case "flow table fresh is its directory" `Quick test_flow_table_fresh_is_directory;
-    test_case "flow table page per touched slot" `Quick test_flow_table_page_per_touch;
+    test_case "flow table fresh size ignores mult" `Quick test_flow_table_fresh_ignores_mult;
+    test_case "flow table forgets vacant slots" `Quick test_flow_table_forgets_vacant;
   ]
