@@ -53,6 +53,9 @@ type t = {
          control-plane-populated match-action table on the hardware — the
          per-packet path does integer lookups only *)
   rng : Bfc_util.Rng.t;
+  touched : Bfc_util.Bitset.t;
+      (* with sampling, the flow-table slots a sampled packet has touched
+         since the last reset (see [classify]); empty without sampling *)
   st : stats;
   occupancy : int array array; (* packets per (egress, queue), collision diag *)
 }
@@ -109,9 +112,11 @@ let classify t _sw ~in_port:_ ~egress pkt =
       Packet.set_bp_sampled pkt sampled;
       let ft = t.ft in
       let now = now t in
-      let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) ~now in
-      if Flow_table.vacant ft e ~now then begin
-        let local = Dqa.assign t.dqa ~egress:(domain t ~egress ~cls) ~fid_hash:(Flow.hash flow) in
+      let fid_hash = Flow.hash flow in
+      let e = Flow_table.slot ft ~egress ~fid_hash ~now in
+      let vacant = Flow_table.vacant ft e ~now in
+      if vacant then begin
+        let local = Dqa.assign t.dqa ~egress:(domain t ~egress ~cls) ~fid_hash in
         t.st.assignments <- t.st.assignments + 1;
         if
           t.cfg.assignment = Dqa.Dynamic
@@ -121,8 +126,17 @@ let classify t _sw ~in_port:_ ~egress pkt =
       end;
       if sampled then begin
         Flow_table.set_size ft e (Flow_table.size ft e + 1);
-        Flow_table.set_last ft e now
-      end;
+        Flow_table.set_last ft e now;
+        if Bfc_util.Bitset.length t.touched > 0 then
+          Bfc_util.Bitset.set t.touched (Flow_table.key ft ~egress ~fid_hash)
+      end
+      else if vacant && Bfc_util.Bitset.mem t.touched (Flow_table.key ft ~egress ~fid_hash) then
+        (* A slot a sampled packet touched is vacant here because its last
+           touch is stale, and an unsampled assignment leaves that touch
+           as it was, so the slot stays vacant. The table may have
+           forgotten it and reads [last = min_int], which never goes
+           stale; put the stale touch back. *)
+        Flow_table.expire ft e ~now;
       if t.occupancy.(egress).(Flow_table.q ft e) > 0 && Flow_table.size ft e <= 1 then
         t.st.queue_collisions <- t.st.queue_collisions + 1;
       Flow_table.q ft e
@@ -250,6 +264,7 @@ let set_switch_queue_paused sw ~port ~queue paused =
 (* bfc-lint: control-plane *)
 let reset t =
   Flow_table.reset t.ft;
+  Bfc_util.Bitset.reset t.touched;
   Pause_counter.reset t.pc;
   Dqa.reset t.dqa;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.occupancy;
@@ -289,21 +304,25 @@ let attach sw cfg =
   if qpc < 2 then invalid_arg "Dataplane.attach: need at least 2 queues per class";
   let n_ports = Switch.n_ports sw in
   let rng = Bfc_util.Rng.create (cfg.seed + (Switch.node_id sw * 7919)) in
+  let ft =
+    Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
+      ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult)
+  in
   let t =
     {
       sw;
       cfg;
       classes;
       qpc;
-      ft =
-        Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
-          ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult);
+      ft;
       pc = Pause_counter.create ~ingresses:n_ports ~max_upstream_q:cfg.max_upstream_q;
       dqa =
         Dqa.create ~egresses:(n_ports * classes) ~queues:(qpc - 1) ~policy:cfg.assignment ~rng;
       allow_bp = ref (fun ~in_port:_ ~egress:_ -> true);
       th = Threshold.source_for_switch sw ~fixed_th:cfg.fixed_th ~factor:cfg.th_factor;
       rng;
+      touched =
+        Bfc_util.Bitset.create (if cfg.sampling < 1.0 then Flow_table.total_slots ft else 0);
       st =
         {
           pauses_sent = 0;

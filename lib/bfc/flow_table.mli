@@ -27,7 +27,12 @@
     keeps [last = min_int]. Then [now - last] wraps negative, so the slot
     never goes stale: it is never vacant, never forgotten, and keeps its
     queue until a sampled packet touches it. This is the behaviour the
-    dataplane has always had, kept as it is. *)
+    dataplane has always had, kept as it is. It is also the one place where
+    forgetting a vacant slot shows: in a table that keeps every slot, a
+    stale slot that an unsampled packet reassigns keeps its old [last] and
+    stays vacant, but a forgotten slot reads [last = min_int]. The BFC
+    dataplane, which knows which slots a sampled packet has touched, puts
+    such a slot back with {!expire}. *)
 
 type t
 
@@ -53,6 +58,12 @@ val total_slots : t -> int
     @raise Invalid_argument if [egress] is outside [\[0, egresses)]. *)
 val slot : t -> egress:int -> fid_hash:int -> now:Bfc_engine.Time.t -> int
 
+(** [key t ~egress ~fid_hash] — the slot's number,
+    [egress * slots_per_port t + (fid_hash land (slots_per_port t - 1))],
+    in [\[0, total_slots t)]. Unlike an index it never changes.
+    @raise Invalid_argument if [egress] is outside [\[0, egresses)]. *)
+val key : t -> egress:int -> fid_hash:int -> int
+
 (** [vacant t i ~now] — [size = 0] and either [q < 0] or
     [now - last > sticky]: the slot carries no state classify would use,
     so a flow landing on it gets a fresh queue assignment. *)
@@ -72,6 +83,10 @@ val set_q : t -> int -> int -> unit
 val set_size : t -> int -> int -> unit
 
 val set_last : t -> int -> Bfc_engine.Time.t -> unit
+
+(** [expire t i ~now] — set [last] to just outside the sticky window at
+    [now], so the slot is vacant from [now] on while its [size] is 0. *)
+val expire : t -> int -> now:Bfc_engine.Time.t -> unit
 
 (** Slots with [size > 0] at an egress (diagnostics). This and
     {!resident} read every stored entry once, so they cost O({!capacity}).

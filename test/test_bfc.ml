@@ -128,7 +128,8 @@ let test_flow_table_small_egresses () =
 
 (* A slot assigned by an unsampled packet keeps [last = min_int]; then
    [now - last] wraps negative, so the slot never goes stale and a purge
-   never drops it. A sampled touch makes it age like any other. *)
+   never drops it. A sampled touch, or [expire], makes it age like any
+   other. *)
 let test_flow_table_min_int_wrap () =
   let ft = ft_create ~egresses:1 ~queues_per_port:4 ~mult:64 in
   Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:0) 3;
@@ -145,7 +146,12 @@ let test_flow_table_min_int_wrap () =
   let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:late in
   Flow_table.set_last ft i late;
   let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:(late + ft_sticky + 1) in
-  check Alcotest.int "a touched slot goes stale and reads fresh" (-1) (Flow_table.q ft i)
+  check Alcotest.int "a touched slot goes stale and reads fresh" (-1) (Flow_table.q ft i);
+  (* [expire] back-dates the touch instead *)
+  Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:9 ~now:late) 2;
+  let i = Flow_table.slot ft ~egress:0 ~fid_hash:9 ~now:late in
+  Flow_table.expire ft i ~now:late;
+  check Alcotest.bool "expired at once" true (Flow_table.vacant ft i ~now:late)
 
 (* A purge or a growth while packets are resident keeps every non-vacant
    slot: [resident] and each slot's fields are unchanged on every egress. *)

@@ -12,7 +12,13 @@
 
    bfc-sampled-incast and bfc-credit pin BFC sampling/incast labelling
    and [Credit_dataplane] end to end; they were recorded while a second,
-   IR-compiled dataplane still reproduced both byte for byte. *)
+   IR-compiled dataplane still reproduced both byte for byte.
+
+   bfc-sampled is Fig. 25's sampled BFC (half the packets sampled, no
+   incast label). There an unsampled packet often lands on a slot that
+   went stale, and whether its queue assignment sticks depends on whether
+   a sampled packet ever touched the slot. It was recorded from a flow
+   table that kept every slot it had touched. *)
 
 open Alcotest
 module Flow = Bfc_net.Flow
@@ -76,6 +82,15 @@ let workloads =
           with
           Exp_common.sp_incast = Some Exp_common.default_incast;
           sp_seed = 3;
+        } );
+    ( "bfc-sampled",
+      fun () ->
+        {
+          (Exp_common.std Exp_common.Smoke
+             (Scheme.Bfc { Scheme.bfc_default with Scheme.sampling = 0.5 }))
+          with
+          Exp_common.sp_incast = Some Exp_common.default_incast;
+          sp_seed = 1;
         } );
     ( "bfc-credit",
       fun () ->
