@@ -1,7 +1,7 @@
 (* A register array that holds its live slots only. The paper sizes the
    table at a large multiple of the queue count so that it stays mostly
-   empty, and a slot whose state classify would treat as fresh carries no
-   information, so only the other slots are stored.
+   empty, and classify treats a vacant slot like a fresh one, so only the
+   other slots are stored.
 
    Slot [g = e * slots + s] is a key in an open-addressing table with
    linear probing. [tbl] holds [stride]-word entries [key; q; size; last];
