@@ -100,7 +100,8 @@ val resident : t -> egress:int -> int
 (** Entries the table has room for (diagnostics). *)
 val capacity : t -> int
 
-(** Times a lookup dropped the vacant slots to make room (diagnostics). *)
+(** Times a lookup dropped the vacant slots to make room since {!create}
+    or the last {!reset} (diagnostics). *)
 val purges : t -> int
 
 (** Wipe every slot back to its initial state (switch reboot); the table
