@@ -110,9 +110,8 @@ let test_flow_table_reset_restores_fresh () =
     done
   done
 
-(* Fewer slots per egress than a page held in the paged table: the keys of
-   several egresses then sit side by side, and each egress still reads
-   only its own. *)
+(* Four slots per egress: the keys of five egresses sit side by side in
+   the table, and each egress still reads only its own. *)
 let test_flow_table_small_egresses () =
   let ft = ft_create ~egresses:5 ~queues_per_port:1 ~mult:3 in
   check Alcotest.int "slots per port" 4 (Flow_table.slots_per_port ft);

@@ -429,9 +429,9 @@ let test_bfc_clos_no_side_tables () =
    four-word entries (the table and the spare a purge rebuilds into). It
    grows only when the live slots fill more than a quarter of it, so L
    live slots cost at most 2 x 4 x 8 (L + 1) words, or the fresh 64-entry
-   table, plus a few words of header. The 64-egress x 4,096-slot table of
-   the reference run is used; a page directory alone would be 32,768
-   words. *)
+   table, plus a few words of header. The table has the reference run's
+   64 egresses x 4,096 slots, so a structure with even one word per
+   8 slots fails the bound. *)
 let test_flow_table_footprint () =
   List.iter
     (fun l ->
