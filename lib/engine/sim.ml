@@ -25,42 +25,43 @@
      events with no physical meaning, applied identically everywhere
      so sharded and sequential schedules agree byte-for-byte.
 
-   Event representation (the typed event table). A queued event is a
-   [handle]; its [cls] field selects how it fires:
+   Event representation. An event is its wheel record: the wheel
+   stores a class id and two int args ([cls], [a0], [a1]) in every
+   entry, and the run loop fires straight from the record it just
+   unlinked. The class selects how the event fires:
 
-   - classes 0–2 (closure one-shot / reusable / ticker) carry a
+   - classes 0–2 (closure one-shot / reusable / ticker) run a
      [unit -> unit] closure — the original representation, kept for the
      control plane behind [at]/[after]/[every] (nothing schedules the
      reusable class any more; its profile count reads 0);
-   - classes 3+ are typed: the handle carries two immediate int args
-     ([a0], [a1]) and fires through a per-class executor registered
-     once per (sim, class) with [register_class]. Typed handles are
-     pooled — [post] pulls one from a free list, firing or cancelling
-     returns it — so the steady-state hot path (deliveries, watchdogs,
-     RTOs, pacers) allocates nothing per event and dispatches through
-     one direct [match] + array-indexed call to a single shared
-     executor per class, instead of an indirect call to one of
-     thousands of short-lived closures. Per-flow work (flow start,
-     state reclaim, transport timers) is typed too.
+   - classes 3+ are typed: [a0] and [a1] are immediate args for a
+     per-class executor registered once per (sim, class) with
+     [register_class]. [post] writes them into the record it pushes, so
+     the steady-state hot path (deliveries, watchdogs, RTOs, pacers)
+     allocates nothing per event and dispatches through one
+     array-indexed call to a single shared executor per class, instead
+     of an indirect call to one of thousands of short-lived closures.
+     Per-flow work (flow start, state reclaim, transport timers) is
+     typed too.
 
-   Queue ids. The wheel holds ints, not handles, so no store into it
-   takes the write barrier: a typed handle is queued as its pool slot
-   ([>= 0]); a closure handle borrows a negative id from a second table
-   ([cq]) for as long as it is queued, and the id goes back to its free
-   list when the entry pops or is removed. The handle record a caller
-   holds is never reused, so a stale handle cannot reach whichever event
-   later borrows its id: [pending] and [cancel] read the record, never
-   the id.
+   Closure ids. The wheel holds ints, not closures, so no store into it
+   takes the write barrier: a closure event's [handle] borrows an id
+   from a table ([cq]) for as long as it is queued, stored in the
+   record's [a0], and the id goes back to its free list when the entry
+   pops or is removed. The handle record a caller holds is never
+   reused, so a stale handle cannot reach whichever event later borrows
+   its id: [pending] and [cancel] read the handle, never the id.
 
-   Lifecycle: every queued handle records its wheel entry ([entry]), and
-   every queue entry is a live event. Firing pops the entry; cancelling
-   ([cancel], [cancel_token]) removes it from the wheel in O(1). Either
-   way the pool slot or closure id is free again at once, since no
-   queue entry references it any more. Cancellation bumps a typed
-   handle's generation so its token dies. Generations start at 1 and
-   only grow, so a token is never 0 and — with the [safety_cap]
-   bounding lifetime executions at 2^30 — never collides with a
-   previous incarnation of its slot.
+   Lifecycle: every queue entry is a live event. Firing pops the entry;
+   cancelling ([cancel], [cancel_token]) removes it from the wheel in
+   O(1). Either way the record and any closure id are free again at
+   once. A typed event's token is its record's offset and the record's
+   generation, which the wheel bumps whenever the record leaves the
+   wheel, so a token dies when its event fires or is cancelled. Offsets
+   lie past the wheel's sentinels, so a token is never 0. A stale token
+   could only match again after its record left the wheel a multiple of
+   2^31 times, which the [safety_cap] of 2^30 events per run rules out
+   within one run.
 
    Same-instant batch execution: the run loop drains the maximal run of
    head entries sharing the head deadline whose rank is below
@@ -91,27 +92,21 @@ type user += No_state
 
 type t = {
   mutable clock : Time.t;
-  q : Wheel.t; (* queue ids: see [queued] *)
+  q : Wheel.t; (* the events themselves: see the header comment *)
   mutable in_run : bool; (* inside the run loop: [~sent] is refused *)
   mutable live : int; (* scheduled, not yet fired, not cancelled *)
   mutable executed : int;
   mutable next_uid : int;
   (* self-profiling: per-event-class execution counts, queue-depth
-     high-water mark and handle-reuse stats. Plain int stores, cheap
-     enough to keep on unconditionally. *)
-  exec_by_class : int array; (* indexed by handle class *)
+     high-water mark and cancellations. Plain int stores, cheap enough
+     to keep on unconditionally. *)
+  exec_by_class : int array; (* indexed by event class *)
   mutable heap_hwm : int;
   mutable cancels : int;
   (* typed event table: per-class executors and their state... *)
   exec_fn : (user -> int -> int -> unit) array;
   exec_st : user array;
-  (* ...the handle pool behind [post] (slot-indexed, LIFO free list)... *)
-  mutable pool : handle array;
-  mutable pool_len : int;
-  mutable free : int array;
-  mutable free_len : int;
-  (* ...the ids closure handles borrow while queued (id [c] is queued as
-     [lnot c]; LIFO free list)... *)
+  (* ...the ids closure handles borrow while queued (LIFO free list)... *)
   mutable cq : handle array;
   mutable cq_len : int;
   mutable cfree : int array;
@@ -124,14 +119,9 @@ type t = {
 
 and handle = {
   owner : t;
-  mutable cls : int; (* 0 one-shot, 1 reusable, 2 ticker, 3+ typed *)
   mutable alive : bool;
   mutable fired : bool;
   mutable fn : unit -> unit;
-  mutable a0 : int; (* typed classes: immediate args *)
-  mutable a1 : int;
-  mutable gen : int; (* typed classes: token generation, >= 1 *)
-  slot : int; (* pool slot, or -1 for closure handles *)
   mutable entry : int; (* wheel entry while queued *)
 }
 
@@ -188,12 +178,6 @@ let grow_ints a len =
   Array.blit a 0 na 0 len;
   na
 
-(* Return a fired or cancelled pooled handle's slot to the free list. *)
-let free_slot t h =
-  if t.free_len = Array.length t.free then t.free <- grow_ints t.free t.free_len;
-  Array.unsafe_set t.free t.free_len h.slot;
-  t.free_len <- t.free_len + 1
-
 (* Lend closure handle [h] a queue id. *)
 let borrow_id t h =
   let c =
@@ -213,53 +197,42 @@ let borrow_id t h =
     end
   in
   Array.unsafe_set t.cq c h;
-  lnot c
+  c
 
-(* The handle behind a queue id. *)
-let queued t id = if id >= 0 then Array.unsafe_get t.pool id else Array.unsafe_get t.cq (lnot id)
-
-(* The queue is done with entry [id] (popped or removed): a closure id goes
+(* The queue is done with closure id [c] (popped or removed): it goes
    back to its free list. Its [cq] slot keeps the handle until the id is
    lent again (a fired one-shot has already dropped its closure). *)
-let return_id t id =
-  if id < 0 then begin
-    if t.cfree_len = Array.length t.cfree then t.cfree <- grow_ints t.cfree t.cfree_len;
-    Array.unsafe_set t.cfree t.cfree_len (lnot id);
-    t.cfree_len <- t.cfree_len + 1
-  end
+let return_id t c =
+  if t.cfree_len = Array.length t.cfree then t.cfree <- grow_ints t.cfree t.cfree_len;
+  Array.unsafe_set t.cfree t.cfree_len c;
+  t.cfree_len <- t.cfree_len + 1
 
-(* Fire one live handle: the direct-match dispatch point. Closure
-   classes call through [fn]; typed classes index the executor table
-   and then return their pooled handle. The generation bump comes after
-   the executor runs, so [token_pending] on the firing event's own
-   token already answers false (fired is set) without the executor
-   observing a recycled slot. *)
-let fire t h =
-  h.fired <- true;
+(* Fire record [e], which the wheel has just unlinked: the dispatch
+   point. The payload is read before anything runs, since whatever runs
+   may push into the freed record. Typed classes index the executor
+   table; closure classes look up their handle by the id in [a0] and
+   return the id before the closure runs, so a ticker can re-queue
+   itself under a fresh one. The record left the wheel with its
+   generation bumped, so [token_pending] on the firing event's own
+   token already answers false. *)
+let fire t e =
+  let q = t.q in
+  let c = Wheel.cls q e and a0 = Wheel.a0 q e in
   t.live <- t.live - 1;
   t.executed <- t.executed + 1;
-  let c = h.cls in
-  t.exec_by_class.(c) <- t.exec_by_class.(c) + 1;
-  if c <= cls_ticker then begin
+  Array.unsafe_set t.exec_by_class c (Array.unsafe_get t.exec_by_class c + 1);
+  if c > cls_ticker then
+    (Array.unsafe_get t.exec_fn c) (Array.unsafe_get t.exec_st c) a0 (Wheel.a1 q e)
+  else begin
+    let h = Array.unsafe_get t.cq a0 in
+    return_id t a0;
+    h.fired <- true;
     h.fn ();
     (* A fired one-shot never runs again; drop the closure so recycled
        queue slots that still point at the handle can't keep whatever
        it captured (often a flow's transport state) alive. *)
     if c = cls_one_shot then h.fn <- noop_fn
   end
-  else begin
-    (Array.unsafe_get t.exec_fn c) (Array.unsafe_get t.exec_st c) h.a0 h.a1;
-    h.gen <- h.gen + 1;
-    free_slot t h
-  end
-
-(* Fire popped queue entry [id]; every queued entry is a live event. A
-   closure id is returned before its handle fires, so the handle may
-   re-queue itself (a ticker) under a fresh id. *)
-let fire_id t id =
-  let h = queued t id in
-  if id < 0 then return_id t id;
-  fire t h
 
 let create () =
   let t =
@@ -275,10 +248,6 @@ let create () =
       cancels = 0;
       exec_fn = Array.make n_classes unregistered_exec;
       exec_st = Array.make n_classes No_state;
-      pool = [||];
-      pool_len = 0;
-      free = [||];
-      free_len = 0;
       cq = [||];
       cq_len = 0;
       cfree = [||];
@@ -287,12 +256,7 @@ let create () =
       tap = Tap.create ();
     }
   in
-  let sentinel =
-    { owner = t; cls = cls_one_shot; alive = false; fired = true; fn = noop_fn;
-      a0 = 0; a1 = 0; gen = 0; slot = -1; entry = -1 }
-  in
-  t.pool <- Array.make 16 sentinel;
-  t.fire_cb <- (fun id -> fire_id t id);
+  t.fire_cb <- (fun e -> fire t e);
   t
 
 let now t = t.clock
@@ -350,16 +314,15 @@ let sent_rank who t ~sent ~key =
 
 let at ?sent ?(key = key_mask) t time fn =
   if unschedulable t time then bad_time "at" t time;
-  let h =
-    { owner = t; cls = cls_one_shot; alive = true; fired = false; fn;
-      a0 = 0; a1 = 0; gen = 0; slot = -1; entry = -1 }
-  in
+  let h = { owner = t; alive = true; fired = false; fn; entry = -1 } in
   h.entry <-
     (match sent with
-    | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) (borrow_id t h)
+    | None ->
+      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls:cls_one_shot
+        ~a0:(borrow_id t h) ~a1:0
     | Some s ->
       let rank = sent_rank "at" t ~sent:s ~key in
-      Wheel.push_late t.q ~priority:time ~rank (borrow_id t h));
+      Wheel.push_late t.q ~priority:time ~rank ~cls:cls_one_shot ~a0:(borrow_id t h) ~a1:0);
   note_depth t;
   t.live <- t.live + 1;
   h
@@ -379,99 +342,49 @@ let class_state t ~cls =
     Some t.exec_st.(cls)
   else None
 
-(* Token packing: slot in the high bits, generation (always >= 1, and
-   bounded by slot executions + cancellations <= safety_cap < 2^31) in
-   the low 31 — so 0 never names a live event and callers can use it as
-   "none" in a bare mutable int field. *)
+(* Token packing: the event's record offset in the high bits, its
+   generation's low 31 bits in the low ones. Offsets start past the
+   wheel's sentinels, so 0 never names an event and callers can use it
+   as "none" in a bare mutable int field. *)
 type token = int
 
 let gen_bits = 31
 
 let gen_mask = (1 lsl gen_bits) - 1
 
-let token_of h = (h.slot lsl gen_bits) lor (h.gen land gen_mask)
-
-let alloc_pooled t =
-  if t.free_len > 0 then begin
-    t.free_len <- t.free_len - 1;
-    Array.unsafe_get t.pool (Array.unsafe_get t.free t.free_len)
-  end
-  else begin
-    let slot = t.pool_len in
-    if slot = Array.length t.pool then begin
-      let ncap = 2 * slot in
-      let np = Array.make ncap (Array.unsafe_get t.pool 0) in
-      Array.blit t.pool 0 np 0 slot;
-      t.pool <- np
-    end;
-    let h =
-      { owner = t; cls = cls_one_shot; alive = false; fired = false; fn = noop_fn;
-        a0 = 0; a1 = 0; gen = 1; slot; entry = -1 }
-    in
-    t.pool.(slot) <- h;
-    t.pool_len <- slot + 1;
-    h
-  end
-
-let arm_typed h ~cls ~a0 ~a1 =
-  h.cls <- cls;
-  h.a0 <- a0;
-  h.a1 <- a1;
-  h.alive <- true;
-  h.fired <- false;
-  h
-
-(* The [~sent] rank is computed before the handle leaves the free list,
-   so a refused insertion leaks no pool slot. *)
-let post_handle ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
+let post_token ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
   if unschedulable t time then bad_time "post" t time;
   if cls <= cls_ticker || cls >= n_classes then
     invalid_arg (Printf.sprintf "Sim.post: class %d out of range" cls);
-  let h =
+  let e =
     match sent with
-    | None ->
-      let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      h.entry <- Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) h.slot;
-      h
+    | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls ~a0 ~a1
     | Some s ->
       let rank = sent_rank "post" t ~sent:s ~key in
-      let h = arm_typed (alloc_pooled t) ~cls ~a0 ~a1 in
-      h.entry <- Wheel.push_late t.q ~priority:time ~rank h.slot;
-      h
+      Wheel.push_late t.q ~priority:time ~rank ~cls ~a0 ~a1
   in
   note_depth t;
   t.live <- t.live + 1;
-  h
+  (e lsl gen_bits) lor (Wheel.gen t.q e land gen_mask)
 
-let post ?sent ?key t time ~cls ~a0 ~a1 =
-  ignore (post_handle ?sent ?key t time ~cls ~a0 ~a1)
+let post ?sent ?key t time ~cls ~a0 ~a1 = ignore (post_token ?sent ?key t time ~cls ~a0 ~a1 : token)
 
-let post_token ?sent ?key t time ~cls ~a0 ~a1 =
-  token_of (post_handle ?sent ?key t time ~cls ~a0 ~a1)
-
+(* The wheel vets the token's offset before reading anything (range,
+   sentinel region, alignment, residency), so a garbage token reads
+   nothing out of bounds; the generation then tells the token's event
+   from a later one in the same record, and the class keeps a foreign
+   token off closure events. *)
 let token_pending t token =
-  token <> 0
-  &&
-  let slot = token lsr gen_bits in
-  slot < t.pool_len
-  &&
-  let h = Array.unsafe_get t.pool slot in
-  h.gen land gen_mask = token land gen_mask && h.alive && not h.fired
+  let e = token lsr gen_bits in
+  Wheel.resident t.q e
+  && Wheel.gen t.q e land gen_mask = token land gen_mask
+  && Wheel.cls t.q e > cls_ticker
 
 let cancel_token t token =
-  if token <> 0 then begin
-    let slot = token lsr gen_bits in
-    if slot < t.pool_len then begin
-      let h = Array.unsafe_get t.pool slot in
-      if h.gen land gen_mask = token land gen_mask && h.alive && not h.fired then begin
-        ignore (Wheel.remove t.q h.entry : int);
-        h.alive <- false;
-        h.gen <- h.gen + 1;
-        t.live <- t.live - 1;
-        t.cancels <- t.cancels + 1;
-        free_slot t h
-      end
-    end
+  if token_pending t token then begin
+    Wheel.remove t.q (token lsr gen_bits);
+    t.live <- t.live - 1;
+    t.cancels <- t.cancels + 1
   end
 
 (* The closure is dropped as well: the caller may keep the handle, and
@@ -480,7 +393,8 @@ let cancel_token t token =
 let cancel h =
   if h.alive && not h.fired then begin
     let t = h.owner in
-    return_id t (Wheel.remove t.q h.entry);
+    return_id t (Wheel.a0 t.q h.entry);
+    Wheel.remove t.q h.entry;
     h.alive <- false;
     h.fn <- noop_fn;
     t.live <- t.live - 1;
@@ -499,7 +413,8 @@ let every t ~period fn =
     let time = t.clock + period in
     if unschedulable t time then bad_time "every" t time;
     h.entry <-
-      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) (borrow_id t h);
+      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) ~cls:cls_ticker
+        ~a0:(borrow_id t h) ~a1:0;
     note_depth t;
     t.live <- t.live + 1
   in
@@ -507,7 +422,6 @@ let every t ~period fn =
   and h =
     {
       owner = t;
-      cls = cls_ticker;
       alive = true;
       fired = false;
       fn =
@@ -519,10 +433,6 @@ let every t ~period fn =
               arm h
             end
           end);
-      a0 = 0;
-      a1 = 0;
-      gen = 0;
-      slot = -1;
       entry = -1;
     }
   in
@@ -551,9 +461,9 @@ let () =
 let step t =
   let time = Wheel.head_time t.q in
   if time >= 0 then begin
-    let id = Wheel.pop_min_exn t.q in
+    let e = Wheel.pop_min_exn t.q in
     t.clock <- time;
-    fire_id t id
+    fire t e
   end
 
 (* The one run loop behind [run] and [run_until_idle]: execute the

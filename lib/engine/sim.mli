@@ -13,11 +13,12 @@
     - {b typed posts} ([post]/[post_token]) — a class id from the small
       fixed enum below plus two immediate int args, fired through a
       per-class executor registered once per sim with [register_class].
-      Typed events are pooled inside the engine, so the steady-state hot
-      path (deliveries, watchdogs, retransmit timers, pacers) allocates
-      nothing and dispatches through a direct match instead of a closure
-      call. Cancellation uses int tokens ([cancel_token]), so callers need
-      no handle field either.
+      A typed event is one record in the event queue's slab, holding its
+      class and args next to its deadline, so the steady-state hot path
+      (deliveries, watchdogs, retransmit timers, pacers) allocates
+      nothing and fires straight from the record it pops, through an
+      executor table instead of a closure call. Cancellation uses int
+      tokens ([cancel_token]), so callers need no handle field either.
 
     Both representations share one queue and one (time, rank, seq)
     ordering contract; which one an event uses is invisible to the
@@ -26,12 +27,13 @@
 type t
 
 type handle
-(** A scheduled event that can be cancelled. Cancellation is O(1): the
-    event leaves the queue at once. The queue holds int ids, not
-    handles: a closure handle borrows an id while it is queued and gives
-    it back when its entry pops or is cancelled. The handle record itself
-    is never reused, so {!pending} and {!cancel} on a stale handle never
-    reach the event that later borrows its id. *)
+(** A scheduled closure event that can be cancelled. Cancellation is
+    O(1): the event leaves the queue at once. The queue holds ints, not
+    handles: a handle borrows an id while it is queued, which its queue
+    record carries, and gives it back when the record pops or is
+    cancelled. The handle itself is never reused, so {!pending} and
+    {!cancel} on a stale handle never reach the event that later
+    borrows its id. *)
 
 (** Per-class executor state. Each subsystem extends this variant with a
     constructor carrying its own registry (ports, switches, flow tables...)
@@ -159,7 +161,8 @@ val class_state : t -> cls:int -> user option
 
 (** [post t time ~cls ~a0 ~a1] schedules a typed fire-and-forget event:
     [exec state a0 a1] runs at absolute [time]. No allocation in steady
-    state — the engine recycles a pooled handle. [?sent] and [?key]
+    state: the class and args go into the queue record itself, which the
+    queue recycles. [?sent] and [?key]
     exactly as in {!at}. Raises [Invalid_argument] on a past [time], a
     [time] at or beyond {!horizon}, or a class outside the typed range ({!register_class} may happen
     later, but must happen before the event fires). *)
@@ -170,7 +173,8 @@ type token = int
     so callers can keep one in a bare mutable field with 0 as "none".
     Tokens are generation-checked — a token outlives its event safely,
     [cancel_token]/[token_pending] on a fired or already-cancelled
-    event's token are no-ops. *)
+    event's token are no-ops, and so are they on any int that is not a
+    pending typed event's token. *)
 
 (** Like {!post} but returns a {!token} for cancellation. *)
 val post_token : ?sent:Time.t -> ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> token
@@ -233,7 +237,7 @@ val pending_events : t -> int
 val executed_events : t -> int
 
 (** Engine self-profile: how the event load decomposes and how hard the
-    event queue and the handle-reuse machinery are working. Maintained
+    event queue is working. Maintained
     unconditionally (plain int stores per event); read it at any point.
 
     - [p_one_shot] / [p_reusable] / [p_ticker]: closure events executed

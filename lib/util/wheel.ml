@@ -28,18 +28,25 @@
    find the (time, rank, seq) position.
 
    Storage is one slab: a single int array of [stride]-word records
-   (time, rank, payload, next, prev) with a free list threaded through
-   [next]. An entry's id is its record's offset in the slab. The
-   first [levels * bsize] records are the buckets' sentinels, and each
-   bucket is a circular doubly-linked list through its sentinel, so an
-   empty bucket is a sentinel linked to itself. The slab is sized by the
-   peak number of resident entries and only ever doubles; a cascade
-   relinks records instead of copying them, and [remove] unlinks any
-   entry in O(1), so a cancelled event leaves nothing behind. Payloads
-   are ints (the owner's id for the entry: Sim queues pool slots), so no
-   store into the slab takes the GC's write barrier. Offsets inside the
-   walks come from links the wheel wrote itself, so they use unsafe
-   accessors. *)
+   (next, prev, time, rank, cls, a0, a1, gen) with a free list threaded
+   through [next]. An entry's id is its record's offset in the slab. The
+   slab opens with the buckets' sentinels, 2-word (next, prev) records:
+   the links come first in every record, so the list code treats a
+   sentinel and an entry alike. Each bucket is a circular doubly-linked
+   list through its sentinel, so an empty bucket is a sentinel linked to
+   itself. The slab is sized by the peak number of resident entries and
+   only ever doubles; a cascade relinks records instead of copying them,
+   and [remove] unlinks any entry in O(1), so a cancelled event leaves
+   nothing behind.
+
+   The record is the owner's event, not a pointer to one: [cls], [a0]
+   and [a1] are its payload (Sim stores a typed event's class and
+   arguments there), read straight from the record a pop or drain just
+   unlinked. [gen] counts the times the record has left the wheel, so an
+   owner can tell a record's current entry from an earlier one (Sim's
+   tokens). Every field is an int, so no store into the slab takes the
+   GC's write barrier. Offsets inside the walks come from links the
+   wheel wrote itself, so they use unsafe accessors. *)
 
 let bits = 8
 
@@ -54,20 +61,30 @@ let levels = 8
 (* Record layout: field offsets inside a [stride]-word record. An entry
    needs no insertion sequence number: list position is insertion order
    among equal (time, rank), and a new entry is always the latest. *)
-let stride = 5
+let stride = 8
 
-let f_time = 0
+let f_next = 0
 
-let f_rank = 1
+let f_prev = 1 (* -1 marks a record on the free list *)
 
-let f_val = 2
+let f_time = 2
 
-let f_next = 3
+let f_rank = 3
 
-let f_prev = 4 (* -1 marks a record on the free list *)
+let f_cls = 4
 
-(* Offset of the first entry record: the sentinels come first. *)
-let entries_base = levels * bsize * stride
+let f_a0 = 5
+
+let f_a1 = 6
+
+let f_gen = 7
+
+(* A sentinel is only the (next, prev) pair. *)
+let sen_stride = 2
+
+(* Offset of the first entry record: the sentinels come first. A
+   multiple of [stride], so an entry's offset is too. *)
+let entries_base = levels * bsize * sen_stride
 
 type t = {
   mutable s : int array; (* the slab *)
@@ -98,7 +115,7 @@ let thread_free s ~from =
 let create () =
   let s = Array.make (entries_base + (64 * stride)) 0 in
   for b = 0 to (levels * bsize) - 1 do
-    let o = b * stride in
+    let o = b * sen_stride in
     s.(o + f_next) <- o;
     s.(o + f_prev) <- o
   done;
@@ -120,14 +137,16 @@ let grow t =
 
 (* Take a free record for a new resident entry and fill in its key and
    payload; the caller links it into a bucket. *)
-let alloc t time rank v =
+let alloc t time rank cls a0 a1 =
   if t.free < 0 then grow t;
   let s = t.s in
   let e = t.free in
   t.free <- Array.unsafe_get s (e + f_next);
   Array.unsafe_set s (e + f_time) time;
   Array.unsafe_set s (e + f_rank) rank;
-  Array.unsafe_set s (e + f_val) v;
+  Array.unsafe_set s (e + f_cls) cls;
+  Array.unsafe_set s (e + f_a0) a0;
+  Array.unsafe_set s (e + f_a1) a1;
   t.size <- t.size + 1;
   e
 
@@ -144,16 +163,17 @@ let unlink s e =
   Array.unsafe_set s (p + f_next) n;
   Array.unsafe_set s (n + f_prev) p
 
-(* Unlink resident entry [e], return its record to the free list and its
-   payload to the caller. *)
+(* Unlink resident entry [e] and return its record to the free list,
+   bumping its generation. The payload stays readable until a push
+   reuses the record. *)
 let take t e =
   let s = t.s in
   unlink s e;
   t.size <- t.size - 1;
   Array.unsafe_set s (e + f_next) t.free;
   Array.unsafe_set s (e + f_prev) (-1);
-  t.free <- e;
-  Array.unsafe_get s (e + f_val)
+  Array.unsafe_set s (e + f_gen) (Array.unsafe_get s (e + f_gen) + 1);
+  t.free <- e
 
 (* The level of the most-significant base-[bsize] digit in which [time]
    and the cursor differ; 0 when they agree everywhere (time = wnow). *)
@@ -166,14 +186,14 @@ let level_for t time =
   done;
   !l
 
-let sentinel l i = ((l lsl bits) lor i) * stride
+let sentinel l i = ((l lsl bits) lor i) * sen_stride
 
 (* The sentinel of the bucket a deadline above the cursor belongs in. *)
 let bucket_for t time =
   let l = level_for t time in
   sentinel l ((time lsr (l * bits)) land bmask)
 
-let cursor_bucket t = (t.wnow land bmask) * stride
+let cursor_bucket t = (t.wnow land bmask) * sen_stride
 
 (* Sorted insert for pushes at or below the cursor: walk back from the
    tail of the cursor bucket past every entry that sorts after (time,
@@ -197,9 +217,9 @@ let insert_sorted t e time rank =
   done;
   link_after s !p e
 
-let push t ~rank ~priority:time value =
+let push t ~rank ~priority:time ~cls ~a0 ~a1 =
   if time < 0 then invalid_arg "Wheel.push: negative priority";
-  let e = alloc t time rank value in
+  let e = alloc t time rank cls a0 a1 in
   if time <= t.wnow then
     (* cursor bucket: either exactly the cursor deadline, or the
        below-cursor staging case described in the header comment *)
@@ -231,9 +251,9 @@ let push t ~rank ~priority:time value =
    O(bucket) scan, fine for the handful of cross-shard messages a
    barrier carries. At or below the cursor the sorted insert already
    handles arbitrary ranks. *)
-let push_late t ~priority:time ~rank value =
+let push_late t ~priority:time ~rank ~cls ~a0 ~a1 =
   if time < 0 then invalid_arg "Wheel.push_late: negative priority";
-  let e = alloc t time rank value in
+  let e = alloc t time rank cls a0 a1 in
   if time <= t.wnow then insert_sorted t e time rank
   else begin
     let s = t.s in
@@ -250,11 +270,25 @@ let push_late t ~priority:time ~rank value =
   end;
   e
 
+(* Any int may be asked about: the range and alignment tests come
+   before the one read, so a garbage id never reads out of bounds. *)
+let resident t e =
+  e >= entries_base
+  && e < Array.length t.s
+  && e land (stride - 1) = 0
+  && Array.unsafe_get t.s (e + f_prev) >= 0
+
 let remove t e =
-  let s = t.s in
-  if e < entries_base || e >= Array.length s || e mod stride <> 0 || s.(e + f_prev) < 0 then
-    invalid_arg "Wheel.remove: not a resident entry";
+  if not (resident t e) then invalid_arg "Wheel.remove: not a resident entry";
   take t e
+
+let cls t e = Array.unsafe_get t.s (e + f_cls)
+
+let a0 t e = Array.unsafe_get t.s (e + f_a0)
+
+let a1 t e = Array.unsafe_get t.s (e + f_a1)
+
+let gen t e = Array.unsafe_get t.s (e + f_gen)
 
 (* Re-deal a cascading bucket into the levels below, head first, so each
    target bucket receives the source's entries in source order, which
@@ -280,11 +314,11 @@ let rec reposition t =
   else begin
     let s = t.s in
     let c = t.wnow land bmask in
-    if Array.unsafe_get s ((c * stride) + f_next) <> c * stride then true
+    if Array.unsafe_get s (sentinel 0 c + f_next) <> sentinel 0 c then true
     else begin
       (* scan the rest of the level-0 window *)
       let i = ref (c + 1) in
-      while !i < bsize && Array.unsafe_get s ((!i * stride) + f_next) = !i * stride do
+      while !i < bsize && Array.unsafe_get s (sentinel 0 !i + f_next) = sentinel 0 !i do
         incr i
       done;
       if !i < bsize then begin
@@ -324,7 +358,11 @@ let head_time t =
 
 let pop_min_exn t =
   if not (reposition t) then raise Empty
-  else take t (Array.unsafe_get t.s (cursor_bucket t + f_next))
+  else begin
+    let e = Array.unsafe_get t.s (cursor_bucket t + f_next) in
+    take t e;
+    e
+  end
 
 (* Batched pop: one reposition, then a straight walk of the (sorted)
    cursor bucket, calling [f] on each drained entry. Drains the maximal
@@ -338,7 +376,8 @@ let pop_min_exn t =
    prefix. [f] may push or remove (the slab and the bucket head are
    re-read every iteration, and a same-instant push carries rank >= the
    bound, which ends the run) but must not pop. Each entry is unlinked
-   and freed before [f] runs on it. The callback is the same value every
+   and freed before [f] runs on it, and [f] gets the freed record, whose
+   payload it must read before it pushes. The callback is the same value every
    call (Sim preallocates it), so the indirect call predicts perfectly.
    Returns the number of entries drained (0 only when the wheel is empty
    or the head moved off [time]). *)
@@ -357,7 +396,8 @@ let drain_run t ~time ~rank_bound f =
         && (!n = 0 || Array.unsafe_get s (e + f_rank) < rank_bound)
       then begin
         incr n;
-        f (take t e)
+        take t e;
+        f e
       end
       else continue := false
     done;

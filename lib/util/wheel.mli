@@ -21,18 +21,20 @@
     not consumed — and is handled by a sorted insert into the cursor
     bucket.
 
-    Payloads are ints: the owner keeps its entries in a table of its
-    own and queues their ids (the simulator queues event-pool slots).
-    All entries live in one slab, a single int array of fixed-size
-    records with a free list, and each bucket is a doubly-linked list
-    through it. Storage is therefore sized by the peak number of
-    resident entries, and no store into the wheel takes the GC's write
-    barrier.
+    An entry is a record of ints in one slab: its key, a three-int
+    payload ([cls], [a0], [a1]) and a generation. The owner keeps its
+    events in the records themselves (the simulator stores a typed
+    event's class and arguments), so a pop hands back the event, not a
+    pointer to it. The slab is a single int array of fixed-size records
+    with a free list, and each bucket is a doubly-linked list through
+    it. Storage is therefore sized by the peak number of resident
+    entries, and no store into the wheel takes the GC's write barrier.
 
-    {!push} and {!push_late} return the new entry's id, which {!remove}
-    takes to unlink the entry in O(1): a cancelled entry leaves the
-    wheel at once. An id is valid from its push until the entry pops or
-    is removed; the wheel then reuses it for a later entry. *)
+    {!push} and {!push_late} return the new entry's id, its record's
+    offset, which {!remove} takes to unlink the entry in O(1): a
+    cancelled entry leaves the wheel at once. An id is valid from its
+    push until the entry pops or is removed; the wheel then reuses the
+    record for a later entry, after bumping its {!gen}. *)
 
 type t
 
@@ -50,9 +52,9 @@ val capacity : t -> int
 (** Entry records the slab holds (profiling): [64 * 2^k] for the
     smallest [k] that covers the peak {!length} so far. *)
 
-val push : t -> rank:int -> priority:int -> int -> int
-(** [push t ~rank ~priority v] inserts [v] with deadline [priority] and
-    returns the entry's id;
+val push : t -> rank:int -> priority:int -> cls:int -> a0:int -> a1:int -> int
+(** [push t ~rank ~priority ~cls ~a0 ~a1] inserts an entry with
+    deadline [priority] and payload [(cls, a0, a1)] and returns its id;
     [rank] breaks deadline ties ahead of insertion order (pass 0 for
     plain FIFO ties). It is a required argument because a call site
     boxes every optional argument it passes, once per event.
@@ -65,20 +67,40 @@ val push : t -> rank:int -> priority:int -> int -> int
     mis-orders (use {!push_late} for that). Amortized O(1); allocates
     only when the slab doubles. *)
 
-val push_late : t -> priority:int -> rank:int -> int -> int
+val push_late : t -> priority:int -> rank:int -> cls:int -> a0:int -> a1:int -> int
 (** Like {!push} but accepts a [rank] below ranks already resident at
     the same deadline, placing the entry at its (deadline, rank,
     insertion order) position — how a PDES barrier inserts a
     cross-shard delivery at the rank of its virtual send time. Costs a
     scan of the target bucket. Returns the entry's id. *)
 
-val remove : t -> int -> int
-(** [remove t e] unlinks resident entry [e] and returns its payload;
-    O(1). The entries around it keep their order.
+val remove : t -> int -> unit
+(** [remove t e] unlinks resident entry [e]; O(1). The entries around
+    it keep their order, and [e]'s payload stays readable until a push
+    reuses the record.
     @raise Invalid_argument when [e] is not a resident entry's id (a
     popped or removed entry whose id has not been reused yet is
     caught; a reused one is another entry, so the caller must not keep
-    ids past their entry's lifetime). *)
+    ids past their entry's lifetime, or must check {!gen}). *)
+
+val resident : t -> int -> bool
+(** Is [e] a resident entry's id? Safe on any int: an id outside the
+    slab, inside the sentinel region or off a record boundary answers
+    [false] without reading out of bounds. *)
+
+val cls : t -> int -> int
+val a0 : t -> int -> int
+val a1 : t -> int -> int
+(** The payload of record [e]. [e] must be an id the wheel handed out
+    (by a push, pop or drain) or one {!resident} accepted: these read
+    without a bounds check. A popped or removed record keeps its payload
+    until a push reuses it. *)
+
+val gen : t -> int -> int
+(** How many times record [e] has left the wheel (popped or removed),
+    so a resident record's [gen] names its current entry: an owner that
+    remembers [(e, gen)] can tell its entry from a later one in the
+    same record. Same precondition on [e] as {!cls}. *)
 
 val head_time : t -> int
 (** Deadline of the next entry to pop, or [-1] when the wheel is empty
@@ -86,8 +108,10 @@ val head_time : t -> int
     the internal cursor; amortized O(1). *)
 
 val pop_min_exn : t -> int
-(** Remove and return the entry with the smallest (deadline, insertion
-    order). Never allocates. @raise Empty when the wheel is empty. *)
+(** Remove the entry with the smallest (deadline, rank, insertion
+    order) and return its id, whose payload the caller reads before it
+    pushes again. Never allocates. @raise Empty when the wheel is
+    empty. *)
 
 val drain_run : t -> time:int -> rank_bound:int -> (int -> unit) -> int
 (** [drain_run t ~time ~rank_bound f] pops a same-instant batch,
@@ -97,8 +121,9 @@ val drain_run : t -> time:int -> rank_bound:int -> (int -> unit) -> int
     head is at or above the bound. One cursor reposition covers the
     whole batch (against one per {!head_time}/{!pop_min_exn} pair),
     which is the wheel's share of the simulator's same-instant batch
-    execution. Each entry leaves the wheel before [f] runs on it. [f]
-    may push into the wheel or remove entries but must not pop. Ordering
+    execution. Each entry leaves the wheel before [f] runs on it, and
+    [f] gets its id: the payload is intact until [f] pushes. [f] may
+    push into the wheel or remove entries but must not pop. Ordering
     caveat: entries at or above [rank_bound] may still be overtaken by
     pushes [f] makes, so only the caller's bound choice makes batch
     draining order-safe (see the simulator's run loop). Returns 0 when

@@ -198,6 +198,72 @@ let test_sim_cancelled_head_leaves () =
   check Alcotest.int "back to 20" 20 (Sim.next_time sim);
   check Alcotest.int "one pending" 1 (Sim.pending_events sim)
 
+(* A token is its event's wheel record offset (above bit 31) and that
+   record's generation (below). Any token that does not name a pending
+   typed event must be a no-op for [cancel_token] and answer false from
+   [token_pending]: a stale token whose record a later post reused, the
+   firing event's own token, and garbage. Garbage must not read outside
+   the wheel's slab either, which a crash would show. *)
+let test_sim_token_safety () =
+  let sim = Sim.create () in
+  let cls = Sim.cls_port_tx in
+  let fired = ref [] and self = ref 0 and inside = ref [] in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ a0 a1 ->
+      fired := a0 :: !fired;
+      if a1 = 1 then begin
+        (* the firing event's own token, then after a post reuses its record *)
+        inside := Sim.token_pending sim !self :: !inside;
+        Sim.cancel_token sim !self;
+        Sim.post sim (Sim.now sim + 5) ~cls ~a0:(a0 + 1) ~a1:0;
+        Sim.cancel_token sim !self;
+        inside := Sim.token_pending sim !self :: !inside
+      end);
+  let record tok = tok lsr 31 in
+  (* a stale token whose record a later post reused *)
+  let old = Sim.post_token sim 10 ~cls ~a0:1 ~a1:0 in
+  ignore (Sim.run sim ~until:10);
+  let fresh = Sim.post_token sim 20 ~cls ~a0:2 ~a1:0 in
+  check Alcotest.int "the later post reuses the record" (record old) (record fresh);
+  Sim.cancel_token sim old;
+  check Alcotest.bool "stale token: not pending" false (Sim.token_pending sim old);
+  check Alcotest.bool "the newcomer is pending" true (Sim.token_pending sim fresh);
+  ignore (Sim.run sim ~until:20);
+  check Alcotest.(list int) "the newcomer fired" [ 2; 1 ] !fired;
+  check Alcotest.bool "fired token: not pending" false (Sim.token_pending sim fresh);
+  (* an event's own token, read inside its executor *)
+  self := Sim.post_token sim 30 ~cls ~a0:3 ~a1:1;
+  ignore (Sim.run sim ~until:40);
+  check Alcotest.(list bool) "own token: not pending, before and after a post" [ false; false ]
+    !inside;
+  check Alcotest.(list int) "the post made inside fired" [ 4; 3; 2; 1 ] !fired;
+  check Alcotest.int "no cancellation happened" 0 (Sim.profile sim).Sim.p_cancels;
+  (* garbage: every record offset other than the live one's, below the
+     slab's end and beyond it, with generations around the offset as
+     well as the live one's *)
+  let live = Sim.post_token sim 50 ~cls ~a0:5 ~a1:0 in
+  let off = record live and g = live land ((1 lsl 31) - 1) in
+  let noop what tok =
+    if Sim.token_pending sim tok then Alcotest.failf "%s token %d is pending" what tok;
+    Sim.cancel_token sim tok;
+    if Sim.pending_events sim <> 1 then Alcotest.failf "%s token %d cancelled an event" what tok
+  in
+  List.iter (noop "constant") [ 0; -1; 1; max_int; min_int; g ];
+  for o = 0 to off + 1024 do
+    if o <> off then begin
+      for d = -16 to 16 do
+        noop "offset" ((o lsl 31) lor ((o + d) land ((1 lsl 31) - 1)))
+      done;
+      noop "offset" ((o lsl 31) lor g)
+    end
+  done;
+  List.iter
+    (fun o -> noop "far offset" ((o lsl 31) lor g))
+    [ off + (1 lsl 20); 1 lsl 31; (1 lsl 32) - 1 ];
+  check Alcotest.bool "the live token survives" true (Sim.token_pending sim live);
+  ignore (Sim.run_until_idle sim);
+  check Alcotest.(list int) "the live event fired" [ 5; 4; 3; 2; 1 ] !fired;
+  check Alcotest.int "still no cancellation" 0 (Sim.profile sim).Sim.p_cancels
+
 let prop_sim_executes_in_order =
   QCheck.Test.make ~name:"random schedules execute in nondecreasing time" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 10_000))
@@ -224,5 +290,6 @@ let suite =
     ("sim rank-clock horizon", `Quick, test_sim_rank_clock_horizon);
     ("sim queue id reuse", `Quick, test_sim_queue_id_reuse);
     ("sim cancelled head leaves at once", `Quick, test_sim_cancelled_head_leaves);
+    ("sim token safety", `Quick, test_sim_token_safety);
     QCheck_alcotest.to_alcotest prop_sim_executes_in_order;
   ]

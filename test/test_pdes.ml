@@ -67,13 +67,13 @@ let test_push_late_matches_heap () =
       let rank =
         if late then begin
           let rank = Bfc_util.Rng.int rng 40 in
-          ignore (Wheel.push_late w ~priority:time ~rank id : int);
+          ignore (Wheel.push_late w ~priority:time ~rank ~cls:0 ~a0:id ~a1:0 : int);
           rank
         end
         else begin
           (* monotone path: rank grows with every push, like a sim clock *)
           let rank = 100 + id in
-          ignore (Wheel.push w ~rank ~priority:time id : int);
+          ignore (Wheel.push w ~rank ~priority:time ~cls:0 ~a0:id ~a1:0 : int);
           rank
         end
       in
@@ -81,7 +81,7 @@ let test_push_late_matches_heap () =
     done;
     let drained = ref [] in
     for _ = 1 to n do
-      drained := Wheel.pop_min_exn w :: !drained
+      drained := Wheel.a0 w (Wheel.pop_min_exn w) :: !drained
     done;
     check (list int) "wheel pops late ranks in heap order"
       (List.map (fun (_, _, id) -> id) (List.sort compare !entries))

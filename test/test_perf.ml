@@ -4,8 +4,8 @@
    index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
    fire order against a recorded trace, the allocation bounds of the
-   packet hop and of per-flow work, and the flow table's footprint, which
-   follows its live slots. *)
+   packet hop and of per-flow work, the footprint of a pending typed
+   event, and the flow table's footprint, which follows its live slots. *)
 
 open Alcotest
 module Rng = Bfc_util.Rng
@@ -419,6 +419,24 @@ let test_wheel_storage_tracks_live () =
     failf "wheel capacity %d for a queue high-water mark of %d" p.Sim.p_heap_capacity
       p.Sim.p_heap_hwm
 
+(* A pending typed event is one wheel record, held nowhere else: 8,192
+   pending posts grow the sim by about 8 words each (the slab grows to
+   exactly 8,192 records), so a second per-event record or table slot
+   would break the bound of 10. *)
+let test_typed_event_footprint () =
+  let sim = Sim.create () in
+  let cls = Sim.cls_port_tx in
+  Sim.register_class sim ~cls ~state:Sim.No_state ~exec:(fun _ _ _ -> ());
+  let words () = Obj.reachable_words (Obj.repr sim) in
+  let w0 = words () and n = 8_192 in
+  for i = 1 to n do
+    Sim.post sim i ~cls ~a0:i ~a1:0
+  done;
+  let per_event = float_of_int (words () - w0) /. float_of_int n in
+  check int "all pending" n (Sim.pending_events sim);
+  if per_event > 10.0 then failf "%.2f words per pending typed event, bound 10" per_event;
+  check int "all fire" n (Sim.run_until_idle sim)
+
 (* BFC without pause bitmaps stamps no INT and sends no bitmap, so its
    packet table makes no side table. *)
 let test_bfc_clos_no_side_tables () =
@@ -504,6 +522,7 @@ let suite =
     test_case "sim differential: random schedule" `Quick test_sim_differential_random_schedule;
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
     test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
+    test_case "typed event footprint" `Quick test_typed_event_footprint;
     test_case "bfc clos run makes no side tables" `Quick test_bfc_clos_no_side_tables;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;

@@ -162,13 +162,16 @@ let test_rng_shuffle_permutation () =
 
 (* ------------------------------ Wheel ------------------------------ *)
 
-(* FIFO-rank push for the tests that do not remove entries *)
-let wpush w p v = ignore (Wheel.push w ~rank:0 ~priority:p v : int)
+(* Entries carry their value in [a0]. FIFO-rank push for the tests that
+   do not remove entries, and a pop that reads the popped record. *)
+let wpush w p v = ignore (Wheel.push w ~rank:0 ~priority:p ~cls:0 ~a0:v ~a1:0 : int)
+
+let wpop w = Wheel.a0 w (Wheel.pop_min_exn w)
 
 let drain_all w =
   let out = ref [] in
   while not (Wheel.is_empty w) do
-    out := Wheel.pop_min_exn w :: !out
+    out := wpop w :: !out
   done;
   List.rev !out
 
@@ -180,9 +183,9 @@ let test_wheel_order () =
 let test_wheel_fifo_ties () =
   let w = Wheel.create () in
   List.iter (fun v -> wpush w 7 v) [ 11; 12; 13 ];
-  check Alcotest.int "fifo a" 11 (Wheel.pop_min_exn w);
-  check Alcotest.int "fifo b" 12 (Wheel.pop_min_exn w);
-  check Alcotest.int "fifo c" 13 (Wheel.pop_min_exn w)
+  check Alcotest.int "fifo a" 11 (wpop w);
+  check Alcotest.int "fifo b" 12 (wpop w);
+  check Alcotest.int "fifo c" 13 (wpop w)
 
 let test_wheel_head_time () =
   let w = Wheel.create () in
@@ -190,7 +193,7 @@ let test_wheel_head_time () =
   wpush w 42 0;
   check Alcotest.int "head" 42 (Wheel.head_time w);
   check Alcotest.int "head does not pop" 1 (Wheel.length w);
-  ignore (Wheel.pop_min_exn w);
+  ignore (wpop w);
   check Alcotest.int "drained" (-1) (Wheel.head_time w);
   Alcotest.check_raises "pop on empty" Wheel.Empty (fun () -> ignore (Wheel.pop_min_exn w))
 
@@ -209,9 +212,9 @@ let test_wheel_push_below_cursor () =
   check Alcotest.int "cursor ahead" 10_000 (Wheel.head_time w);
   wpush w 10_000 10_000;
   wpush w 9_999 9_999;
-  check Alcotest.int "staged below cursor" 9_999 (Wheel.pop_min_exn w);
-  check Alcotest.int "then first 10k" 10_000 (Wheel.pop_min_exn w);
-  check Alcotest.int "then second 10k" 10_000 (Wheel.pop_min_exn w);
+  check Alcotest.int "staged below cursor" 9_999 (wpop w);
+  check Alcotest.int "then first 10k" 10_000 (wpop w);
+  check Alcotest.int "then second 10k" 10_000 (wpop w);
   check Alcotest.bool "empty" true (Wheel.is_empty w)
 
 (* Remove the head, the tail and a middle entry of one bucket, then push
@@ -222,17 +225,20 @@ let test_wheel_push_below_cursor () =
 let test_wheel_remove () =
   let case what ~cursor times =
     let w = Wheel.create () in
-    let ids = List.mapi (fun v p -> Wheel.push w ~rank:0 ~priority:p v) times in
+    let ids = List.mapi (fun v p -> Wheel.push w ~rank:0 ~priority:p ~cls:0 ~a0:v ~a1:0) times in
     if cursor then
       check Alcotest.int (what ^ ": cursor on the bucket") (List.hd times) (Wheel.head_time w);
     let id = Array.of_list ids and last = List.length times - 1 in
     List.iter
-      (fun v -> check Alcotest.int (what ^ ": remove returns the payload") v (Wheel.remove w id.(v)))
+      (fun v ->
+        check Alcotest.int (what ^ ": the entry holds its payload") v (Wheel.a0 w id.(v));
+        Wheel.remove w id.(v);
+        check Alcotest.int (what ^ ": a removed entry keeps its payload") v (Wheel.a0 w id.(v)))
       [ 0; last; last / 2 ];
     check Alcotest.int (what ^ ": length") (last - 2) (Wheel.length w);
     Alcotest.check_raises (what ^ ": removed id refused")
       (Invalid_argument "Wheel.remove: not a resident entry") (fun () ->
-        ignore (Wheel.remove w id.(0)));
+        Wheel.remove w id.(0));
     let p = List.hd times in
     wpush w p 99;
     (* survivors by deadline, push order among equal deadlines, and the
@@ -250,10 +256,10 @@ let test_wheel_remove () =
   case "upper bucket" ~cursor:false [ 70_000; 70_001; 70_000; 70_002; 70_000; 70_001; 70_000 ];
   (* removing the whole cursor bucket moves the head on *)
   let w = Wheel.create () in
-  let a = Wheel.push w ~rank:0 ~priority:10 1 in
+  let a = Wheel.push w ~rank:0 ~priority:10 ~cls:0 ~a0:1 ~a1:0 in
   wpush w 20 2;
   check Alcotest.int "head at 10" 10 (Wheel.head_time w);
-  ignore (Wheel.remove w a);
+  Wheel.remove w a;
   check Alcotest.int "head moves to 20" 20 (Wheel.head_time w);
   check Alcotest.(list int) "only the survivor pops" [ 2 ] (drain_all w)
 
@@ -271,7 +277,7 @@ let prop_wheel_heap_order =
       let pop () =
         match !model with
         | v :: rest ->
-          if Wheel.pop_min_exn w <> v then ok := false;
+          if wpop w <> v then ok := false;
           model := rest;
           floor := max !floor (v lsr 16)
         | [] -> ()
@@ -321,8 +327,8 @@ let prop_wheel_matches_model =
       let seq = ref 0 and floor = ref 0 and instant = ref 1 and peak = ref 0 in
       let push ~late time rank =
         let e =
-          if late then Wheel.push_late w ~priority:time ~rank !seq
-          else Wheel.push w ~rank ~priority:time !seq
+          if late then Wheel.push_late w ~priority:time ~rank ~cls:0 ~a0:!seq ~a1:0
+          else Wheel.push w ~rank ~priority:time ~cls:0 ~a0:!seq ~a1:0
         in
         Hashtbl.replace entry !seq e;
         model := List.sort compare ((time, rank, !seq) :: !model);
@@ -339,8 +345,10 @@ let prop_wheel_matches_model =
         | [] -> ()
         | m ->
           let _, _, s = List.nth m (i mod List.length m) in
-          let v = Wheel.remove w (Hashtbl.find entry s) in
-          if v <> s then fail "removed entry of %d returned %d" s v;
+          let e = Hashtbl.find entry s in
+          let v = Wheel.a0 w e in
+          if v <> s then fail "entry of %d holds %d" s v;
+          Wheel.remove w e;
           leave s;
           model := List.filter (fun (_, _, s') -> s' <> s) !model
       in
@@ -359,7 +367,7 @@ let prop_wheel_matches_model =
             let h = Wheel.head_time w in
             if h <> model_head () then fail "head_time %d, model %d" h (model_head ())
           | 6 -> (
-            match Wheel.pop_min_exn w with
+            match wpop w with
             | v -> take v
             | exception Wheel.Empty -> if !model <> [] then fail "Empty with model entries")
           | 7 ->
@@ -374,7 +382,8 @@ let prop_wheel_matches_model =
             in
             let calls = ref 0 in
             let n =
-              Wheel.drain_run w ~time ~rank_bound:bound (fun v ->
+              Wheel.drain_run w ~time ~rank_bound:bound (fun e ->
+                  let v = Wheel.a0 w e in
                   (match !model with
                   | (t, r, _) :: _ when t = time && (!calls = 0 || r < bound) -> ()
                   | _ -> fail "drained %d outside the batch" v);
@@ -393,7 +402,7 @@ let prop_wheel_matches_model =
             fail "capacity %d for a peak of %d" (Wheel.capacity w) !peak)
         ops;
       while not (Wheel.is_empty w) do
-        match Wheel.pop_min_exn w with v -> take v | exception Wheel.Empty -> ()
+        match wpop w with v -> take v | exception Wheel.Empty -> ()
       done;
       if Hashtbl.length left <> !seq then
         fail "%d of %d ids left the wheel" (Hashtbl.length left) !seq;
