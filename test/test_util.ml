@@ -310,7 +310,10 @@ let prop_wheel_heap_order =
    match the model's head exactly, the wheel's length must match the
    model's size, and the slab must stay within twice the peak length.
    Every pushed entry leaves exactly once, by a pop or by a [remove]: an
-   owner that recycles ids (Sim) relies on that. *)
+   owner that recycles ids (Sim) relies on that. It leaves from the
+   record it was pushed into, with its whole payload (cls = seq land 15,
+   a0 = seq, a1 = lnot seq) and the record's generation one past its
+   value at the push. *)
 let prop_wheel_matches_model =
   QCheck.Test.make ~name:"wheel matches sorted-list model" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400)
@@ -318,26 +321,38 @@ let prop_wheel_matches_model =
     (fun ops ->
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let model = ref [] and entry = Hashtbl.create 16 and left = Hashtbl.create 16 in
-      let leave v =
-        if Hashtbl.mem left v then fail "id %d left the wheel twice" v;
-        Hashtbl.add left v ();
-        Hashtbl.remove entry v
-      in
       let w = Wheel.create () in
+      let leave e =
+        let v = Wheel.a0 w e in
+        if Hashtbl.mem left v then fail "id %d left the wheel twice" v;
+        (match Hashtbl.find_opt entry v with
+        | Some (e', g) ->
+          if e' <> e then fail "id %d left from record %d, pushed into %d" v e e';
+          if Wheel.cls w e <> v land 15 || Wheel.a1 w e <> lnot v then
+            fail "record of %d lost its payload" v;
+          if Wheel.gen w e <> g + 1 then
+            fail "record of %d left at generation %d, pushed at %d" v (Wheel.gen w e) g
+        | None -> fail "id %d was never pushed" v);
+        Hashtbl.add left v ();
+        Hashtbl.remove entry v;
+        v
+      in
       let seq = ref 0 and floor = ref 0 and instant = ref 1 and peak = ref 0 in
       let push ~late time rank =
+        let cls = !seq land 15 and a0 = !seq and a1 = lnot !seq in
         let e =
-          if late then Wheel.push_late w ~priority:time ~rank ~cls:0 ~a0:!seq ~a1:0
-          else Wheel.push w ~rank ~priority:time ~cls:0 ~a0:!seq ~a1:0
+          if late then Wheel.push_late w ~priority:time ~rank ~cls ~a0 ~a1
+          else Wheel.push w ~rank ~priority:time ~cls ~a0 ~a1
         in
-        Hashtbl.replace entry !seq e;
+        Hashtbl.replace entry !seq (e, Wheel.gen w e);
         model := List.sort compare ((time, rank, !seq) :: !model);
         peak := Int.max !peak (List.length !model);
         incr seq
       in
-      let take v =
+      let take e =
+        let v = leave e in
         match !model with
-        | (t, _, s) :: rest when s = v -> leave v; model := rest; floor := t
+        | (t, _, s) :: rest when s = v -> model := rest; floor := t
         | _ -> fail "popped %d out of model order" v
       in
       let remove_nth i =
@@ -345,11 +360,9 @@ let prop_wheel_matches_model =
         | [] -> ()
         | m ->
           let _, _, s = List.nth m (i mod List.length m) in
-          let e = Hashtbl.find entry s in
-          let v = Wheel.a0 w e in
-          if v <> s then fail "entry of %d holds %d" s v;
+          let e, _ = Hashtbl.find entry s in
           Wheel.remove w e;
-          leave s;
+          if leave e <> s then fail "entry of %d removed another" s;
           model := List.filter (fun (_, _, s') -> s' <> s) !model
       in
       let model_head () = match !model with (t, _, _) :: _ -> t | [] -> -1 in
@@ -367,8 +380,8 @@ let prop_wheel_matches_model =
             let h = Wheel.head_time w in
             if h <> model_head () then fail "head_time %d, model %d" h (model_head ())
           | 6 -> (
-            match wpop w with
-            | v -> take v
+            match Wheel.pop_min_exn w with
+            | e -> take e
             | exception Wheel.Empty -> if !model <> [] then fail "Empty with model entries")
           | 7 ->
             let time = Wheel.head_time w in
@@ -388,7 +401,7 @@ let prop_wheel_matches_model =
                   | (t, r, _) :: _ when t = time && (!calls = 0 || r < bound) -> ()
                   | _ -> fail "drained %d outside the batch" v);
                   incr calls;
-                  take v;
+                  take e;
                   if b land 2 = 2 then remove_nth (a + !calls))
             in
             if n <> !calls then fail "drain_run returned %d after %d callbacks" n !calls;
@@ -402,7 +415,7 @@ let prop_wheel_matches_model =
             fail "capacity %d for a peak of %d" (Wheel.capacity w) !peak)
         ops;
       while not (Wheel.is_empty w) do
-        match wpop w with v -> take v | exception Wheel.Empty -> ()
+        match Wheel.pop_min_exn w with e -> take e | exception Wheel.Empty -> ()
       done;
       if Hashtbl.length left <> !seq then
         fail "%d of %d ids left the wheel" (Hashtbl.length left) !seq;
