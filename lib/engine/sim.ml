@@ -393,8 +393,8 @@ let cancel_token t token =
 let cancel h =
   if h.alive && not h.fired then begin
     let t = h.owner in
-    return_id t (Wheel.a0 t.q h.entry);
     Wheel.remove t.q h.entry;
+    return_id t (Wheel.a0 t.q h.entry);
     h.alive <- false;
     h.fn <- noop_fn;
     t.live <- t.live - 1;
