@@ -377,10 +377,10 @@ let pop_min_exn t =
    re-read every iteration, and a same-instant push carries rank >= the
    bound, which ends the run) but must not pop. Each entry is unlinked
    and freed before [f] runs on it, and [f] gets the freed record, whose
-   payload it must read before it pushes. The callback is the same value every
-   call (Sim preallocates it), so the indirect call predicts perfectly.
-   Returns the number of entries drained (0 only when the wheel is empty
-   or the head moved off [time]). *)
+   payload it must read before it pushes. The callback is the same value
+   every call (Sim preallocates it), so the indirect call predicts
+   perfectly. Returns the number of entries drained (0 only when the
+   wheel is empty or the head moved off [time]). *)
 let drain_run t ~time ~rank_bound f =
   if not (reposition t) then 0
   else begin
