@@ -11,10 +11,12 @@ BENCH_history.jsonl at the repository root:
 
     {"commit", "workload", "seed", "trace", "correct", "metrics": {name: value}}
 
-"commit" is HEAD, with "-dirty" appended when tracked files differ from
-it. The workload, seed and trace mode come from run.py's own header line,
-"correct" and the metrics from its final JSON line. The exit status is
-run.py's; a run that prints no final JSON line appends nothing.
+"commit" is HEAD, with "-dirty" appended when tracked files other than
+BENCH_history.jsonl differ from it, so rows appended one after another
+from one checkout name the same commit. The workload, seed and trace
+mode come from run.py's own header line, "correct" and the metrics from
+its final JSON line. The exit status is run.py's; a run that prints no
+final JSON line appends nothing.
 """
 
 import json
@@ -50,7 +52,8 @@ def main():
         m.groups() for m in (re.fullmatch(r"workload (\S+) +seed (\d+) +trace (\d)", l)
                              for l in lines) if m)
     commit = git("rev-parse", "HEAD")
-    if git("status", "--porcelain", "--untracked-files=no"):
+    if git("status", "--porcelain", "--untracked-files=no", "--",
+           ".", ":(exclude)" + os.path.basename(HISTORY)):
         commit += "-dirty"
     row = {
         "commit": commit,
