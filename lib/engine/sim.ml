@@ -511,6 +511,8 @@ let next_time t = Wheel.head_time t.q
 
 let pending_events t = t.live
 
+let reserve t n = Wheel.reserve t.q n
+
 let executed_events t = t.executed
 
 let profile t =

@@ -493,6 +493,7 @@ let setup_shard ~owned ~topo ~scheme ~params = setup_gen ~owned:(Some owned) ~to
 
 let inject env flows =
   let s = starts env.sim in
+  Sim.reserve env.sim (List.length flows);
   List.iter
     (fun f ->
       env.injected <- env.injected + 1;

@@ -37,7 +37,13 @@ let take t =
 
 let add t v =
   let s = t.len in
-  if s >= Array.length t.vals then t.vals <- Array.append t.vals (Array.make (Int.max 16 s) v);
+  if s >= Array.length t.vals then begin
+    (* one new array: [Array.append] would build a second, as garbage *)
+    let old = Array.length t.vals in
+    let vals = Array.make (old + Int.max 16 s) v in
+    Array.blit t.vals 0 vals 0 old;
+    t.vals <- vals
+  end;
   t.vals.(s) <- v;
   t.len <- s + 1;
   s

@@ -127,13 +127,28 @@ let is_empty t = t.size = 0
 
 let capacity t = (Array.length t.s - entries_base) / stride
 
-(* Double the entry records; only called with the free list empty. *)
-let grow t =
+(* Double the entry records [k] times in one copy; the new records go
+   on the front of the free list. *)
+let grow_by t k =
   let len = Array.length t.s in
-  let s = Array.make (len + len - entries_base) 0 in
+  let s = Array.make (entries_base + ((len - entries_base) lsl k)) 0 in
   Array.blit t.s 0 s 0 len;
-  t.free <- thread_free s ~from:len;
+  let head = thread_free s ~from:len in
+  s.(Array.length s - stride + f_next) <- t.free;
+  t.free <- head;
   t.s <- s
+
+let grow t = grow_by t 1
+
+(* The doublings that make room for [n] more resident entries, taken in
+   one copy: a batch of [n] pushes then leaves one old slab behind
+   instead of log n of them, and the capacity is the same as pushing
+   one at a time would reach. *)
+let reserve t n =
+  let cap = capacity t in
+  let rec doublings c k = if c >= t.size + n then k else doublings (c * 2) (k + 1) in
+  let k = doublings cap 0 in
+  if k > 0 then grow_by t k
 
 (* Take a free record for a new resident entry and fill in its key and
    payload; the caller links it into a bucket. *)

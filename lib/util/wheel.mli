@@ -52,6 +52,11 @@ val capacity : t -> int
 (** Entry records the slab holds (profiling): [64 * 2^k] for the
     smallest [k] that covers the peak {!length} so far. *)
 
+val reserve : t -> int -> unit
+(** [reserve t n] grows the slab at once to the capacity that [n] more
+    pushes would grow it to, so a batch of pushes copies it once. Ids and
+    the pop order are unaffected. *)
+
 val push : t -> rank:int -> priority:int -> cls:int -> a0:int -> a1:int -> int
 (** [push t ~rank ~priority ~cls ~a0 ~a1] inserts an entry with
     deadline [priority] and payload [(cls, a0, a1)] and returns its id;

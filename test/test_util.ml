@@ -197,6 +197,36 @@ let test_wheel_head_time () =
   check Alcotest.int "drained" (-1) (Wheel.head_time w);
   Alcotest.check_raises "pop on empty" Wheel.Empty (fun () -> ignore (Wheel.pop_min_exn w))
 
+(* A reserve grows the slab once, to the capacity the pushes alone would
+   reach, and changes nothing about what pops: twin wheels, one reserving
+   before each batch, must agree on capacity and pop order, with records
+   already on the free list (from earlier pops) still handed out. *)
+let test_wheel_reserve () =
+  let plain = Wheel.create () and reserved = Wheel.create () in
+  let batch n p0 =
+    Wheel.reserve reserved n;
+    let cap = Wheel.capacity reserved in
+    for i = 0 to n - 1 do
+      let p = p0 + ((i * 7919) mod 1000) in
+      wpush plain p (p0 + i);
+      wpush reserved p (p0 + i)
+    done;
+    check Alcotest.int "no growth after the reserve" cap (Wheel.capacity reserved);
+    check Alcotest.int "capacity" (Wheel.capacity plain) (Wheel.capacity reserved)
+  in
+  let pop_both k =
+    for _ = 1 to k do
+      check Alcotest.int "pop order" (wpop plain) (wpop reserved)
+    done
+  in
+  batch 300 0;
+  pop_both 250;
+  batch 40 1000;
+  batch 900 2000;
+  Wheel.reserve reserved 0;
+  check Alcotest.int "reserve 0" (Wheel.capacity plain) (Wheel.capacity reserved);
+  check Alcotest.(list int) "drain" (drain_all plain) (drain_all reserved)
+
 let test_wheel_cascade_far_future () =
   (* deadlines spanning several digit levels, far beyond level 0 *)
   let w = Wheel.create () in
@@ -524,7 +554,11 @@ let test_slot_table_reuse () =
   check Alcotest.int "slots start at 1" 1 s;
   Slot_table.release p s;
   check Alcotest.int "released slot reused" s (Slot_table.put p "y");
-  check Alcotest.string "put overwrites" "y" (Slot_table.get p s)
+  check Alcotest.string "put overwrites" "y" (Slot_table.get p s);
+  (* growth across several doublings keeps every value in its slot *)
+  let g = Slot_table.create () in
+  let slots = Array.init 1000 (fun i -> Slot_table.put g i) in
+  Array.iteri (fun i s -> check Alcotest.int "value after growth" i (Slot_table.get g s)) slots
 
 (* ------------------------------ Bitset ----------------------------- *)
 
@@ -693,6 +727,7 @@ let suite =
     ("wheel order", `Quick, test_wheel_order);
     ("wheel fifo ties", `Quick, test_wheel_fifo_ties);
     ("wheel head_time", `Quick, test_wheel_head_time);
+    ("wheel reserve", `Quick, test_wheel_reserve);
     ("wheel cascade far future", `Quick, test_wheel_cascade_far_future);
     ("wheel push below cursor", `Quick, test_wheel_push_below_cursor);
     ("wheel remove head, tail and middle", `Quick, test_wheel_remove);
