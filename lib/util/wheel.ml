@@ -129,7 +129,7 @@ let capacity t = (Array.length t.s - entries_base) / stride
 
 (* Double the entry records [k] times in one copy; the new records go
    on the front of the free list. *)
-let grow_by t k =
+let grow t k =
   let len = Array.length t.s in
   let s = Array.make (entries_base + ((len - entries_base) lsl k)) 0 in
   Array.blit t.s 0 s 0 len;
@@ -137,8 +137,6 @@ let grow_by t k =
   s.(Array.length s - stride + f_next) <- t.free;
   t.free <- head;
   t.s <- s
-
-let grow t = grow_by t 1
 
 (* The doublings that make room for [n] more resident entries, taken in
    one copy: a batch of [n] pushes then leaves one old slab behind
@@ -148,12 +146,12 @@ let reserve t n =
   let cap = capacity t in
   let rec doublings c k = if c >= t.size + n then k else doublings (c * 2) (k + 1) in
   let k = doublings cap 0 in
-  if k > 0 then grow_by t k
+  if k > 0 then grow t k
 
 (* Take a free record for a new resident entry and fill in its key and
    payload; the caller links it into a bucket. *)
 let alloc t time rank cls a0 a1 =
-  if t.free < 0 then grow t;
+  if t.free < 0 then grow t 1;
   let s = t.s in
   let e = t.free in
   t.free <- Array.unsafe_get s (e + f_next);

@@ -50,7 +50,8 @@ val is_empty : t -> bool
 
 val capacity : t -> int
 (** Entry records the slab holds (profiling): [64 * 2^k] for the
-    smallest [k] that covers the peak {!length} so far. *)
+    smallest [k] that covers the peak {!length} so far, or the largest
+    {!reserve}d length if that is more. *)
 
 val reserve : t -> int -> unit
 (** [reserve t n] grows the slab at once to the capacity that [n] more
