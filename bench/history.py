@@ -9,11 +9,14 @@ Every argument goes to perfbench/run.py unchanged, and its output is
 echoed line by line. When it finishes, one JSON row is appended to
 BENCH_history.jsonl at the repository root:
 
-    {"commit", "workload", "seed", "trace", "correct", "metrics": {name: value}}
+    {"commit", "workload", "seed", "trace", "correct", "lib_lines",
+     "metrics": {name: value}}
 
 "commit" is HEAD, with "-dirty" appended when tracked files other than
 BENCH_history.jsonl differ from it, so rows appended one after another
-from one checkout name the same commit. The workload, seed and trace
+from one checkout name the same commit. "lib_lines" is the size of the
+simulator at HEAD: the lines of every lib/**/*.ml and lib/**/*.mli file,
+so code size is recorded next to speed. The workload, seed and trace
 mode come from run.py's own header line, "correct" and the metrics from
 its final JSON line. The exit status is run.py's; a run that prints no
 final JSON line appends nothing.
@@ -32,6 +35,11 @@ HISTORY = os.path.join(ROOT, "BENCH_history.jsonl")
 def git(*args):
     return subprocess.run(["git"] + list(args), cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
+
+
+def lib_lines():
+    counts = git("grep", "-c", "", "HEAD", "--", "lib/*.ml", "lib/*.mli")
+    return sum(int(line.rsplit(":", 1)[1]) for line in counts.splitlines())
 
 
 def main():
@@ -61,6 +69,7 @@ def main():
         "seed": int(seed),
         "trace": int(trace),
         "correct": result["correct"],
+        "lib_lines": lib_lines(),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
     with open(HISTORY, "a") as f:

@@ -34,14 +34,6 @@ let positive =
         | _ -> Error (Printf.sprintf "expected an integer >= 1, got %s" s)),
       Format.pp_print_int )
 
-let shards_arg =
-  Arg.(value & opt positive 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition each simulation across $(docv) domains (conservative PDES, pod-wise \
-             Clos partition). Results are byte-identical to $(docv)=1; composes with --jobs \
-             (each sweep point gets its own shard set).")
-
 let jobs_arg =
   Arg.(value & opt positive (Domain.recommended_domain_count ())
       & info [ "jobs" ] ~docv:"N" ~absent:"the number of cores"
@@ -57,7 +49,7 @@ let streaming_flag =
       & info [ "streaming" ]
           ~doc:
             "Bounded-memory observability: FCT stats go through mergeable quantile sketches \
-             instead of exact per-flow samples (results identical at --shards N for any N).")
+             instead of exact per-flow samples.")
 
 let flowlog_arg =
   Arg.(value & opt (some string) None
@@ -94,11 +86,10 @@ let list_cmd =
 
 let run_cmd =
   let targets = Arg.(value & pos_all string [] & info [] ~docv:"TARGET") in
-  let run profile jobs csv_dir shards streaming flowlog alpha progress targets =
+  let run profile jobs csv_dir streaming flowlog alpha progress targets =
     match Experiments.resolve targets with
     | Error m -> Error (`Msg m)
     | Ok chosen ->
-      Bfc_sim.Pdes.set_default_shards shards;
       set_streaming_cli streaming flowlog alpha progress;
       List.iter (fun t -> ignore (Experiments.run ?csv_dir ~jobs profile t)) chosen;
       Ok ()
@@ -106,7 +97,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiment targets (all if none given)")
     Term.(term_result ~usage:true
-            (const run $ profile_arg $ jobs_arg $ csv_dir_arg $ shards_arg $ streaming_flag
+            (const run $ profile_arg $ jobs_arg $ csv_dir_arg $ streaming_flag
              $ flowlog_arg $ alpha_arg $ progress_flag $ targets))
 
 let scheme_conv =
@@ -150,8 +141,7 @@ let sweep_cmd =
             ~doc:"Pause-watchdog timeout in microseconds on every device; 0 disables it.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
-  let run profile scheme dist load incast watchdog seed shards streaming flowlog alpha progress =
-    Bfc_sim.Pdes.set_default_shards shards;
+  let run profile scheme dist load incast watchdog seed streaming flowlog alpha progress =
     set_streaming_cli streaming flowlog alpha progress;
     let s =
       {
@@ -185,7 +175,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"One ad-hoc Clos run with chosen scheme/workload/load")
-    Term.(const run $ profile_arg $ scheme $ dist $ load $ incast $ watchdog $ seed $ shards_arg
+    Term.(const run $ profile_arg $ scheme $ dist $ load $ incast $ watchdog $ seed
           $ streaming_flag $ flowlog_arg $ alpha_arg $ progress_flag)
 
 let trace_cmd =

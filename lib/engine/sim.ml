@@ -5,25 +5,15 @@
 
    The rank packs two components: the clock at the moment of insertion
    (high bits) and a caller-supplied canonical key (low [key_bits] bits,
-   default [key_mask]). Within one simulation the clock is monotone, so
-   for events inserted at different instants the order is exactly the
-   classic (time, insertion order). The two refinements exist for the
-   PDES barrier ([Bfc_sim.Pdes]), which must insert a cross-shard
-   delivery at the end of the window that produced it — later than the
-   sequential run would have inserted it — yet have it execute in
-   exactly the sequential position:
-
-   - [at ~sent] stamps the event with its virtual send time, so it
-     sorts among same-time events as if inserted back then;
-   - [~key] (ports pass their gid when scheduling deliveries) breaks
-     the remaining tie — several insertions at the same (time, clock)
-     on different shards — by a globally-known physical identity
-     instead of the insertion interleaving, which no shard can observe.
-     The cost is that same-(time, clock) ties in a sequential run are
-     canonicalized too (port deliveries sort by source gid, ahead of
-     same-instant non-port events): a reordering of simultaneous
-     events with no physical meaning, applied identically everywhere
-     so sharded and sequential schedules agree byte-for-byte.
+   default [key_mask]). The clock is monotone, so for events inserted at
+   different instants the order is exactly the classic (time, insertion
+   order). [~key] (ports pass their gid when scheduling deliveries)
+   breaks ties between insertions at the same (time, clock) by a
+   physical identity instead of the insertion interleaving: port
+   deliveries sort by source gid, ahead of same-instant unkeyed events.
+   The reordering has no physical meaning; it stays because every
+   recorded fixture and benchmark digest was produced under it, and
+   dropping it would reorder same-instant events and rewrite them all.
 
    Event representation. An event is its wheel record: the wheel
    stores a class id and two int args ([cls], [a0], [a1]) in every
@@ -73,12 +63,9 @@
    at the same instant with a smaller canonical key may still belong
    before them. That is the whole ordering argument: the (time, rank,
    seq) contract is untouched, batching only amortizes the per-event
-   head probe and cursor repositioning. The one scheduling form that
-   could violate the bound — [at ~sent], whose rank is below the
-   current clock — is only legal between [run] calls (the PDES window
-   coordinator): the run loop raises an [in_run] flag, and a [~sent]
-   insertion made while it is up raises [Invalid_argument]. See
-   DESIGN.md §16 for the proof obligation. *)
+   head probe and cursor repositioning. Every push ranks at the current
+   clock, so no insertion can fall below the bound. See DESIGN.md §16
+   for the proof obligation. *)
 
 module Wheel = Bfc_util.Wheel
 
@@ -93,7 +80,6 @@ type user += No_state
 type t = {
   mutable clock : Time.t;
   q : Wheel.t; (* the events themselves: see the header comment *)
-  mutable in_run : bool; (* inside the run loop: [~sent] is refused *)
   mutable live : int; (* scheduled, not yet fired, not cancelled *)
   mutable executed : int;
   mutable next_uid : int;
@@ -145,8 +131,6 @@ let cls_switch_ctrl = 5
 let cls_nic_ctrl = 6
 
 let cls_flow_timeout = 7
-
-let cls_pdes_barrier = 8
 
 let cls_xpass_resume = 9
 
@@ -239,7 +223,6 @@ let create () =
     {
       clock = 0;
       q = Wheel.create ();
-      in_run = false;
       live = 0;
       executed = 0;
       next_uid = 0;
@@ -302,27 +285,12 @@ let bad_time who t time =
     invalid_arg
       (Printf.sprintf "Sim.%s: time %d at or beyond the rank-clock horizon %d" who time horizon)
 
-(* Rank of a [~sent] insertion, validated before anything is queued:
-   legal only between [run] calls (see the header comment), and only for
-   a send time in [0, clock]. *)
-let sent_rank who t ~sent ~key =
-  if t.in_run then
-    invalid_arg (Printf.sprintf "Sim.%s: ~sent from inside an executing event" who);
-  if sent < 0 || sent > t.clock then
-    invalid_arg (Printf.sprintf "Sim.%s: ~sent out of range (%d, clock %d)" who sent t.clock);
-  rank_of ~clock:sent ~key
-
-let at ?sent ?(key = key_mask) t time fn =
+let at ?(key = key_mask) t time fn =
   if unschedulable t time then bad_time "at" t time;
   let h = { owner = t; alive = true; fired = false; fn; entry = -1 } in
   h.entry <-
-    (match sent with
-    | None ->
-      Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls:cls_one_shot
-        ~a0:(borrow_id t h) ~a1:0
-    | Some s ->
-      let rank = sent_rank "at" t ~sent:s ~key in
-      Wheel.push_late t.q ~priority:time ~rank ~cls:cls_one_shot ~a0:(borrow_id t h) ~a1:0);
+    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls:cls_one_shot
+      ~a0:(borrow_id t h) ~a1:0;
   note_depth t;
   t.live <- t.live + 1;
   h
@@ -352,22 +320,16 @@ let gen_bits = 31
 
 let gen_mask = (1 lsl gen_bits) - 1
 
-let post_token ?sent ?(key = key_mask) t time ~cls ~a0 ~a1 =
+let post_token ?(key = key_mask) t time ~cls ~a0 ~a1 =
   if unschedulable t time then bad_time "post" t time;
   if cls <= cls_ticker || cls >= n_classes then
     invalid_arg (Printf.sprintf "Sim.post: class %d out of range" cls);
-  let e =
-    match sent with
-    | None -> Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls ~a0 ~a1
-    | Some s ->
-      let rank = sent_rank "post" t ~sent:s ~key in
-      Wheel.push_late t.q ~priority:time ~rank ~cls ~a0 ~a1
-  in
+  let e = Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls ~a0 ~a1 in
   note_depth t;
   t.live <- t.live + 1;
   (e lsl gen_bits) lor (Wheel.gen t.q e land gen_mask)
 
-let post ?sent ?key t time ~cls ~a0 ~a1 = ignore (post_token ?sent ?key t time ~cls ~a0 ~a1 : token)
+let post ?key t time ~cls ~a0 ~a1 = ignore (post_token ?key t time ~cls ~a0 ~a1 : token)
 
 (* The wheel vets the token's offset before reading anything (range,
    sentinel region, alignment, residency), so a garbage token reads
@@ -473,31 +435,20 @@ let step t =
    (see the header comment for why that makes the drain order-exact),
    and the drain is non-empty whenever the head deadline is [time], so
    the clock advances before the first callback; the n = 0 fallback to
-   a single pop only guards that invariant. [in_run] is up for the
-   duration (and cleared on exceptions too) so [~sent] insertions from
-   inside an event are refused. *)
+   a single pop only guards that invariant. *)
 let drain t ~until ~cap =
   let start = t.executed in
-  t.in_run <- true;
-  match
-    let continue = ref true in
-    while !continue do
-      let time = Wheel.head_time t.q in
-      if time < 0 || time > until then continue := false
-      else begin
-        t.clock <- time;
-        if Wheel.drain_run t.q ~time ~rank_bound:(time lsl key_bits) t.fire_cb = 0 then
-          step t;
-        if t.executed - start > cap then raise (Runaway { now = t.clock; pending_events = t.live })
-      end
-    done
-  with
-  | () ->
-    t.in_run <- false;
-    t.executed - start
-  | exception e ->
-    t.in_run <- false;
-    raise e
+  let continue = ref true in
+  while !continue do
+    let time = Wheel.head_time t.q in
+    if time < 0 || time > until then continue := false
+    else begin
+      t.clock <- time;
+      if Wheel.drain_run t.q ~time ~rank_bound:(time lsl key_bits) t.fire_cb = 0 then step t;
+      if t.executed - start > cap then raise (Runaway { now = t.clock; pending_events = t.live })
+    end
+  done;
+  t.executed - start
 
 let run t ~until =
   if until >= horizon then bad_time "run" t until;

@@ -72,26 +72,16 @@ val fresh_uid : t -> int
     insertion order): the clock value at scheduling time first, then the
     optional canonical [~key], then FIFO.
 
-    [~sent] (PDES barrier only) inserts the event as if it had been
-    scheduled when the clock read [sent] (which must be in
-    [0, now]): among same-[time] events it sorts before everything
-    inserted at a later clock — the position a sequential run gives a
-    cross-shard delivery scheduled at its send time. It is legal only
-    between {!run} calls: from inside an executing event it raises
-    [Invalid_argument], since the run loop's same-instant batching
-    relies on no insertion ranking below the current clock.
-
     Raises [Invalid_argument] when [time] is in the past or at or
     beyond {!horizon}.
 
     [~key] is a canonical tie-break below the insertion instant — a
-    globally-known physical identity (ports pass their gid when
-    scheduling packet deliveries) that orders same-(time, instant)
-    insertions made on different shards without reference to the
-    insertion interleaving, which no shard can observe. Defaults to the
-    maximum key, so unkeyed events sort after keyed ones at the same
-    instant. Must be in [0, 2^20 - 1]. *)
-val at : ?sent:Time.t -> ?key:int -> t -> Time.t -> (unit -> unit) -> handle
+    physical identity (ports pass their gid when scheduling packet
+    deliveries) that orders same-(time, instant) insertions without
+    reference to the insertion interleaving. Defaults to the maximum
+    key, so unkeyed events sort after keyed ones at the same instant.
+    Must be in [0, 2^20 - 1]. *)
+val at : ?key:int -> t -> Time.t -> (unit -> unit) -> handle
 
 (** [after t delay f] runs [f] at [now + delay]. [~key] as in {!at}. *)
 val after : ?key:int -> t -> Time.t -> (unit -> unit) -> handle
@@ -122,11 +112,6 @@ val cls_flow_timeout : int
 (** Transport timer — [a0] = host registry index, [a1] = packed
     (flow id, timer kind: RTO / credit pacer / credit stop / rate
     pacer). *)
-
-val cls_pdes_barrier : int
-(** Cross-shard delivery admitted at a conservative-window barrier —
-    [a0] = destination node id and ingress port, packed, [a1] = the
-    packet's index in the destination sim's packet table. *)
 
 val cls_xpass_resume : int
 (** ExpressPass credit-queue resume probe — [a0] = attach registry
@@ -162,11 +147,11 @@ val class_state : t -> cls:int -> user option
 (** [post t time ~cls ~a0 ~a1] schedules a typed fire-and-forget event:
     [exec state a0 a1] runs at absolute [time]. No allocation in steady
     state: the class and args go into the queue record itself, which the
-    queue recycles. [?sent] and [?key]
-    exactly as in {!at}. Raises [Invalid_argument] on a past [time], a
-    [time] at or beyond {!horizon}, or a class outside the typed range ({!register_class} may happen
-    later, but must happen before the event fires). *)
-val post : ?sent:Time.t -> ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> unit
+    queue recycles. [?key] exactly as in {!at}. Raises [Invalid_argument]
+    on a past [time], a [time] at or beyond {!horizon}, or a class
+    outside the typed range ({!register_class} may happen later, but
+    must happen before the event fires). *)
+val post : ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> unit
 
 type token = int
 (** A cancellable typed event, as a plain int: 0 is never a valid token,
@@ -177,7 +162,7 @@ type token = int
     pending typed event's token. *)
 
 (** Like {!post} but returns a {!token} for cancellation. *)
-val post_token : ?sent:Time.t -> ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> token
+val post_token : ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> token
 
 (** [cancel_token t tok] cancels the typed event named by [tok] if it is
     still pending, removing it from the queue; O(1), no-op on 0, stale,
@@ -225,8 +210,7 @@ val run_until_idle : ?cap:int -> t -> int
 
 (** Deadline of the next event to execute, or [-1] when none is
     pending. Cancelled events have already left the queue, so this is
-    always a live event's deadline — the bound a conservative
-    synchronization window needs. *)
+    always a live event's deadline. *)
 val next_time : t -> Time.t
 
 (** Number of scheduled events not yet fired or cancelled. *)

@@ -2,8 +2,7 @@
 
 (* Per-packet / per-event hot-path modules that get the feasibility family:
    the two BFC dataplane programs, the stress/obs hot paths (detectors and
-   counters that run on every packet or pause transition) and the PDES
-   inter-shard ring (crossed by every cut packet). *)
+   counters that run on every packet or pause transition). *)
 let dataplane_files =
   [
     "lib/bfc/dataplane.ml";
@@ -12,7 +11,6 @@ let dataplane_files =
     "lib/obs/registry.ml";
     "lib/obs/trace.ml";
     "lib/obs/sketch.ml";
-    "lib/engine/channel.ml";
   ]
 
 (* Hot scheduling paths that get the perf family (PF rules) on top of the

@@ -2,7 +2,7 @@
 
 (** Repo-relative paths of the per-packet / per-event hot-path modules
     that get the feasibility (DF) family: the two BFC dataplanes, the
-    stress/obs per-packet counters and the PDES inter-shard channel. *)
+    stress/obs per-packet counters. *)
 val dataplane_files : string list
 
 (** Repo-relative paths of the hot scheduling modules that get the perf

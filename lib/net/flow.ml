@@ -15,24 +15,6 @@ let make ~id ~src ~dst ~size ~arrival ?(prio_class = 0) ?(is_incast = false) () 
   if size <= 0 then invalid_arg "Flow.make: size must be positive";
   { id; src; dst; size; arrival; prio_class; is_incast; delivered = 0; finish = -1; first_byte = -1 }
 
-(* A private copy with virgin progress fields. Shards must not share flow
-   records — the receiving host writes [delivered]/[finish]/[first_byte] —
-   so each shard works on replicas and the merge picks, per flow, the
-   replica owned by the shard of [dst] (the only writer). *)
-let replica t =
-  {
-    id = t.id;
-    src = t.src;
-    dst = t.dst;
-    size = t.size;
-    arrival = t.arrival;
-    prio_class = t.prio_class;
-    is_incast = t.is_incast;
-    delivered = 0;
-    finish = -1;
-    first_byte = -1;
-  }
-
 let complete t = t.finish >= 0
 
 let fct t =

@@ -28,12 +28,6 @@ val make :
   unit ->
   t
 
-(** [replica t] — a fresh record with the same identity and schedule but
-    progress fields reset ([delivered = 0], [finish]/[first_byte] = -1).
-    PDES shards each work on their own replicas so no mutable flow state
-    is shared across domains. *)
-val replica : t -> t
-
 val complete : t -> bool
 
 (** Flow completion time; raises if not complete. *)

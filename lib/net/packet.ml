@@ -125,25 +125,6 @@ let data ?sim ~flow ~seq ~payload ?(extra_header = 0) () =
     ~size:(payload + header_bytes + extra_header)
     ~payload ~seq ~prio:flow.prio_class ()
 
-(* Every record field but [flow], uid and table bookkeeping. *)
-let copy_fields ~src:p ~dst:c =
-  c.kind <- p.kind;
-  c.src <- p.src;
-  c.dst <- p.dst;
-  c.size <- p.size;
-  c.payload <- p.payload;
-  c.seq <- p.seq;
-  c.flags <- p.flags;
-  c.prio <- p.prio;
-  c.remaining <- p.remaining;
-  c.upstream_q <- p.upstream_q;
-  c.bp_in_port <- p.bp_in_port;
-  c.bp_upq <- p.bp_upq;
-  c.sent_at <- p.sent_at;
-  c.enq_at <- p.enq_at;
-  c.ctrl_a <- p.ctrl_a;
-  c.ctrl_b <- p.ctrl_b
-
 (* ------------------------------ Exceptions ----------------------------- *)
 
 exception Missing_flow of { uid : int; at : Bfc_engine.Time.t }
@@ -392,36 +373,5 @@ module Pool = struct
     in
     p.payload <- payload;
     p.prio <- f.Flow.prio_class;
-    p
-
-  (* ---------------------------- Cross-shard ---------------------------- *)
-
-  type clone = { c_pkt : packet; c_hops : int_hop array; c_bitmap : int array }
-
-  (* Deep copy for handing a packet to another shard: no table index, no
-     record shared with [t], and [flow] deliberately dropped — flow
-     records are mutated by the receiving host, so a pointer must never
-     cross a domain; the PDES runtime re-binds the destination shard's
-     replica by flow id at delivery. The uid comes from the process-wide
-     fallback (uids are per-sim diagnostics, not protocol state). *)
-  let clone t p =
-    let c = make p.kind ~src:p.src ~dst:p.dst ~size:p.size () in
-    copy_fields ~src:p ~dst:c;
-    let hops = int_hops t p in
-    {
-      c_pkt = c;
-      c_hops =
-        Array.init (int_hop_count t p) (fun k ->
-            let h = fresh_hop () in
-            copy_hop ~src:hops.(k) ~dst:h;
-            h);
-      c_bitmap = Array.copy (bitmap t p);
-    }
-
-  let import t { c_pkt = c; c_hops; c_bitmap } =
-    let p = acquire t c.kind ~flow:None ~src:c.src ~dst:c.dst ~size:c.size ~seq:c.seq in
-    copy_fields ~src:c ~dst:p;
-    set_int_hops t p c_hops (Array.length c_hops);
-    set_bitmap t p c_bitmap;
     p
 end

@@ -224,25 +224,6 @@ module Pool : sig
       stack or a non-empty bitmap. *)
   val side_slots : t -> int
 
-  (** {2 Cross-shard transfer} *)
-
-  (** A packet detached from its table, with copies of its side-table
-      state. *)
-  type clone
-
-  (** [clone pool p] — every behavioral field of [p] (header, scratch, INT
-      stack, bitmap payload), with no flow, a fresh uid and no table
-      index. This is the cross-shard transfer copy: it shares no
-      structure with [p] and holds no flow pointer, so it is safe to hand
-      to another domain, which takes it in with {!import} and re-binds
-      its own flow replica by id; [p] stays in [pool]. *)
-  val clone : t -> packet -> clone
-
-  (** [import pool c] — a packet of [pool] (recycled when one is parked)
-      carrying every behavioral field of [c], with [flow = None]: how a
-      shard takes in a {!clone} made by another. *)
-  val import : t -> clone -> packet
-
   (** Packets currently parked in the free list. *)
   val free_count : t -> int
 

@@ -16,8 +16,8 @@
    index — no per-event closure, and no pointer store, anywhere on the
    wire path.
 
-   A packet's life on this sim ends at a fault drop or a cross-shard
-   hand-off: the port returns it to the table. *)
+   A packet lost on the wire (a fault drop) ends its life there: the
+   port returns it to the table. *)
 
 type t = {
   sim : Bfc_engine.Sim.t;
@@ -38,9 +38,6 @@ type t = {
   mutable fault : Packet.t -> bool; (* fault injection: drop on the wire? *)
   mutable dropped : int;
   mutable wake_t : Bfc_engine.Sim.token; (* lazy idle wakeup, 0 = none *)
-  mutable remote : (Packet.t -> at:Bfc_engine.Time.t -> unit) option;
-      (* cross-shard egress (PDES): when set, deliveries are handed to this
-         capture hook instead of being scheduled on the local sim *)
 }
 
 (* ------------------------ per-sim registry ------------------------- *)
@@ -99,7 +96,6 @@ let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
       fault = (fun _ -> false);
       dropped = 0;
       wake_t = 0;
-      remote = None;
     }
   in
   if r.pn = Array.length r.parr then begin
@@ -145,16 +141,9 @@ let drop t pkt =
   t.dropped <- t.dropped + 1;
   Packet.Pool.release t.pool pkt
 
-(* Post the delivery, or hand the packet to another shard: the capture
-   hook copies it, so the original ends its life here. *)
 let deliver t pkt ~at =
-  match t.remote with
-  | None ->
-    Bfc_engine.Sim.post ?key:t.key t.sim at ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx
-      ~a1:(Packet.Pool.index t.pool pkt)
-  | Some f ->
-    f pkt ~at;
-    Packet.Pool.release t.pool pkt
+  Bfc_engine.Sim.post ?key:t.key t.sim at ~cls:Bfc_engine.Sim.cls_delivery ~a0:t.idx
+    ~a1:(Packet.Pool.index t.pool pkt)
 
 let send t pkt =
   let now = Bfc_engine.Sim.now t.sim in
@@ -180,8 +169,6 @@ let ensure_wakeup t =
 
 let send_ctrl t pkt =
   if t.fault pkt then drop t pkt else deliver t pkt ~at:(Bfc_engine.Sim.now t.sim + t.prop)
-
-let set_remote t f = t.remote <- Some f
 
 let set_fault t f = t.fault <- f
 

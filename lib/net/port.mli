@@ -16,8 +16,8 @@
 
     A packet in flight is named by its index in the sim's packet table
     ({!pool}), which its delivery event carries. Sending hands the packet
-    over: the sender must not touch it afterwards, since a fault drop or a
-    cross-shard hand-off returns it to the table at once. *)
+    over: the sender must not touch it afterwards, since a fault drop
+    returns it to the table at once. *)
 
 type t
 
@@ -81,18 +81,6 @@ val set_on_idle : t -> (unit -> unit) -> unit
     Devices call this instead of polling — once per stretch of busy time,
     not once per packet. *)
 val ensure_wakeup : t -> unit
-
-(** Cross-shard egress (PDES): [set_remote t f] makes the port hand every
-    delivery to [f pkt ~at] — [at] the absolute arrival time at the peer —
-    instead of scheduling it on the local simulator. Serialization timing,
-    the busy check, the telemetry tap and fault injection are unchanged;
-    only the last step (the delivery event) is redirected, so a port with
-    no remote hook behaves byte-identically to before the hook existed.
-    [f] must copy what it keeps: the port releases [pkt] to the table
-    when [f] returns.
-    The PDES runtime installs this on ports whose peer lives in another
-    shard and forwards the capture over a bounded {!Bfc_engine.Channel}. *)
-val set_remote : t -> (Packet.t -> at:Bfc_engine.Time.t -> unit) -> unit
 
 (** Fault injection: packets for which the predicate returns true are
     silently lost on the wire (fiber corruption, §3.3 "Idempotent state";

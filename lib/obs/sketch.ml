@@ -10,9 +10,8 @@
 
    State is integer-only (bucket counts plus exact min/max, which merge by
    exact comparison), so [merge] is exactly associative and commutative:
-   per-shard sketches from a PDES run combine into byte-identical state
-   regardless of merge order — the property the sharded-vs-sequential
-   differential gate checks via [encode].
+   sketches combine into byte-identical state regardless of merge order,
+   as [encode] shows.
 
    The hot path ([add]) is pure integer arithmetic after two float
    comparisons; everything else is control-plane. *)

@@ -8,9 +8,9 @@
     octaves is at most [K * d] counters.
 
     State is integer bucket counts plus exact min/max, so {!merge} is
-    exactly associative and commutative: per-shard sketches from a PDES run
-    (or per-job sketches from a sweep) combine into byte-identical state
-    regardless of merge order — checked via the canonical {!encode}.
+    exactly associative and commutative: sketches combine into
+    byte-identical state regardless of merge order — checked via the
+    canonical {!encode}.
 
     Only positive finite values are bucketed. Zero, negative, NaN and
     infinite observations are counted separately and treated as zeros at

@@ -55,9 +55,9 @@ type incast_mix = { degree : int; agg_frac_of_paper : float }
 let default_incast = { degree = 100; agg_frac_of_paper = 1.0 }
 
 (* ------------------------------------------------------------------ *)
-(* Ambient streaming-observability settings (same pattern as
-   Pdes.set_default_shards): the CLI sets them once at startup, before any
-   experiment runs; standard runs consult them when building params. *)
+(* Ambient streaming-observability settings: the CLI sets them once at
+   startup, before any experiment runs; standard runs consult them when
+   building params. *)
 
 type stream_settings = { ss_alpha : float; ss_flowlog : string option; ss_progress : bool }
 
@@ -127,9 +127,7 @@ let std_params s =
     }
 
 (* Chain sketch observation onto every host's completion callback (after
-   the runner's own completion counter). [env] must be the environment
-   owning those hosts — in a sharded run, each shard feeds its own sketch
-   from its own replica records. *)
+   the runner's own completion counter). *)
 let attach_sketches env ~since =
   let sk = Metrics.sketches_create ~alpha:(stream_alpha ()) ~since () in
   Runner.iter_hosts env (fun h ->
@@ -178,9 +176,7 @@ let std_duration s =
   int_of_float (s.sp_dur_mult *. float_of_int (duration s.sp_profile ~dist:s.sp_dist))
 
 (* The full workload of a standard run. Purely a function of the setup,
-   the topology structure and seeded RNGs — no simulator state — so a
-   sharded run can regenerate the identical flow list independently in
-   every shard (each shard then owns private records: its replicas). *)
+   the topology structure and seeded RNGs — no simulator state. *)
 let gen_flows s ~cl ~dur =
   let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
   let hosts = cl.Topology.cl_hosts in
@@ -237,7 +233,7 @@ let gen_flows s ~cl ~dur =
   let bg = Traffic.generate spec ~ids in
   Traffic.merge [ bg; incast_flows ]
 
-let run_std_seq s =
+let run_std s =
   let sim = Sim.create () in
   let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
   let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
@@ -261,202 +257,6 @@ let run_std_seq s =
   Runner.drain env ~budget:(8 * dur);
   if params.Runner.streaming then maybe_write_flowlog env flows;
   { env; flows; buffers; active; measure_from; sketches }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded (PDES) execution of the same standard run.
-
-   Every shard builds a full replica of the experiment — its own Sim,
-   topology, seeded workload — but instantiates devices only on the
-   nodes it owns (Runner.setup_shard). Replication is what makes the
-   shards independent: structural quantities and the flow list are
-   derived deterministically, so no setup state needs to cross domains;
-   only packets do, over the Pdes channels. *)
-
-(* Per-shard metric watchers tick on per-shard sims; a sequential run's
-   single watcher visits switches in node-id order within each tick.
-   Rebuild that exact insertion order: per tick, walk all shards'
-   per-tick blocks in global switch node-id order. Tick counts agree
-   across shards because every shard runs to the same virtual time. *)
-let merge_tick_samples parts =
-  (* parts : (Sample.t * (node_id * width) array) array *)
-  let arrs =
-    Array.map
-      (fun (smp, _) ->
-        let a = Array.make (Sample.count smp) 0.0 in
-        let i = ref 0 in
-        Sample.iter
-          (fun v ->
-            a.(!i) <- v;
-            incr i)
-          smp;
-        a)
-      parts
-  in
-  let block = Array.map (fun (_, cols) -> Array.fold_left (fun a (_, w) -> a + w) 0 cols) parts in
-  let ticks = ref (-1) in
-  Array.iteri
-    (fun sh (smp, _) ->
-      if block.(sh) > 0 then begin
-        let n = Sample.count smp / block.(sh) in
-        if !ticks >= 0 && !ticks <> n then
-          invalid_arg "Exp_common.merge_tick_samples: shards sampled unequal tick counts";
-        ticks := n
-      end)
-    parts;
-  let cols = ref [] in
-  Array.iteri
-    (fun sh (_, shard_cols) ->
-      let off = ref 0 in
-      Array.iter
-        (fun (nid, w) ->
-          cols := (nid, sh, !off, w) :: !cols;
-          off := !off + w)
-        shard_cols)
-    parts;
-  let cols = List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) (List.rev !cols) in
-  let out = Sample.create () in
-  for t = 0 to max 0 !ticks - 1 do
-    List.iter
-      (fun (_, sh, off, w) ->
-        for c = 0 to w - 1 do
-          Sample.add out arrs.(sh).((t * block.(sh)) + off + c)
-        done)
-      cols
-  done;
-  out
-
-(* Synchronization diagnostics of the most recent sharded run (messages,
-   ring bursts, windows, stalls), recorded before the workers are torn
-   down so the bench can report the batching ratio without keeping the
-   PDES instance alive. *)
-type pdes_stats = { ps_messages : int; ps_bursts : int; ps_windows : int; ps_stalls : int }
-
-let last_pdes_stats : pdes_stats option ref = ref None
-
-let run_std_sharded s ~shards =
-  let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
-  let params = std_params s in
-  let dur = std_duration s in
-  let reps =
-    Array.init shards (fun _ ->
-        let sim = Sim.create () in
-        Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0))
-  in
-  let cl0 = reps.(0) in
-  let part = Bfc_net.Partition.clos_pods cl0 ~shards in
-  (match Bfc_net.Partition.check cl0.Topology.t part with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Exp_common.run_std: bad partition: " ^ e));
-  let lookahead =
-    match Bfc_net.Partition.lookahead cl0.Topology.t part with
-    | Some l -> l
-    | None -> invalid_arg "Exp_common.run_std: partition cuts no link; use shards = 1"
-  in
-  let envs =
-    Array.init shards (fun k ->
-        Runner.setup_shard
-          ~owned:(fun n -> Bfc_net.Partition.owner part n = k)
-          ~topo:reps.(k).Topology.t ~scheme:s.sp_scheme ~params)
-  in
-  let measure_from = dur / 10 in
-  let flows_a = Array.init shards (fun k -> Array.of_list (gen_flows s ~cl:reps.(k) ~dur)) in
-  (* per-shard sketches fed by each shard's own completions; merged after
-     quiescence (Sketch.merge is exact, so the merged table is identical
-     to a sequential streaming run's) *)
-  let sketches_a =
-    if params.Runner.streaming then
-      Some (Array.map (fun env -> attach_sketches env ~since:measure_from) envs)
-    else None
-  in
-  let buffers_a = Array.map (fun env -> Metrics.watch_buffers env ~period:(Time.us 5.0)) envs in
-  let active_a =
-    if s.sp_track_active then
-      Some (Array.map (fun env -> Metrics.watch_active_flows env ~period:(Time.us 10.0)) envs)
-    else None
-  in
-  Array.iter s.sp_obs envs;
-  Array.iteri
-    (fun k env ->
-      (* a flow is injected exactly once: by the shard owning its source *)
-      let mine =
-        List.filter
-          (fun f -> Bfc_net.Partition.owner part f.Bfc_net.Flow.src = k)
-          (Array.to_list flows_a.(k))
-      in
-      Runner.inject env mine)
-    envs;
-  let ctxs =
-    Array.init shards (fun k ->
-        let replicas = Bfc_util.Int_table.create () in
-        Bfc_util.Int_table.reserve replicas (Array.length flows_a.(k));
-        Array.iter (fun f -> Bfc_util.Int_table.set replicas f.Bfc_net.Flow.id f) flows_a.(k);
-        {
-          Pdes.sx_sim = Topology.sim reps.(k).Topology.t;
-          sx_nodes = Topology.nodes reps.(k).Topology.t;
-          sx_replicas = replicas;
-        })
-  in
-  let p = Pdes.create ~shards:ctxs ~lookahead in
-  Fun.protect
-    ~finally:(fun () -> Pdes.shutdown p)
-    (fun () ->
-      Array.iteri
-        (fun k _ -> Pdes.wire p ~partition:part ~shard:k ~topo:reps.(k).Topology.t)
-        envs;
-      Pdes.run p ~until:dur;
-      let injected = Array.fold_left (fun a e -> a + Runner.injected e) 0 envs in
-      Pdes.drain p ~budget:(8 * dur) ~done_:(fun () ->
-          Array.fold_left (fun a e -> a + Runner.completed e) 0 envs >= injected);
-      last_pdes_stats :=
-        Some
-          {
-            ps_messages = Pdes.messages p;
-            ps_bursts = Pdes.bursts p;
-            ps_windows = Pdes.windows p;
-            ps_stalls = Pdes.stalls p;
-          });
-  let env = Runner.merged envs in
-  (* generation order preserved; per flow, the record written by its
-     receiver — the dst shard's replica — is the authoritative one *)
-  let flows =
-    Array.to_list
-      (Array.mapi
-         (fun i f0 -> flows_a.(Bfc_net.Partition.owner part f0.Bfc_net.Flow.dst).(i))
-         flows_a.(0))
-  in
-  let switch_cols width_of env =
-    Array.map
-      (fun sw -> (Bfc_switch.Switch.node_id sw, width_of sw))
-      (Runner.switches env)
-  in
-  let buffers =
-    merge_tick_samples
-      (Array.init shards (fun k -> (buffers_a.(k), switch_cols (fun _ -> 1) envs.(k))))
-  in
-  let active =
-    Option.map
-      (fun arr ->
-        merge_tick_samples
-          (Array.init shards (fun k ->
-               (arr.(k), switch_cols Bfc_switch.Switch.n_ports envs.(k)))))
-      active_a
-  in
-  let sketches =
-    Option.map
-      (fun arr ->
-        let into = arr.(0) in
-        for k = 1 to shards - 1 do
-          Metrics.sketches_merge ~into arr.(k)
-        done;
-        into)
-      sketches_a
-  in
-  if params.Runner.streaming then maybe_write_flowlog env flows;
-  { env; flows; buffers; active; measure_from; sketches }
-
-let run_std s =
-  let shards = Pdes.default_shards () in
-  if shards <= 1 then run_std_seq s else run_std_sharded s ~shards
 
 (* ------------------------------------------------------------------ *)
 (* Sweep points: experiments describe themselves as an explicit list of

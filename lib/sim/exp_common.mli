@@ -33,8 +33,7 @@ val default_incast : incast_mix
 
 (** {2 Ambient streaming-observability settings}
 
-    Set once by the CLI before experiments run (same ambient-default
-    pattern as {!Pdes.set_default_shards}). When enabled, standard runs
+    Set once by the CLI before experiments run. When enabled, standard runs
     build their params with [Runner.streaming = true]: FCT stats flow
     through mergeable quantile sketches ([alpha] relative error), the run
     optionally dumps a binary {!Bfc_obs.Flowlog} of completed flows to
@@ -75,32 +74,13 @@ type std_result = {
   measure_from : Bfc_engine.Time.t; (** warmup cutoff for FCT stats *)
   sketches : Metrics.fct_sketches option;
       (** present iff the run streamed; {!fct_rows} then reports from the
-          sketches. Sharded runs hold the exact merge of the per-shard
-          sketches, identical to a sequential streaming run's. *)
+          sketches. *)
 }
 
-(** Execute the standard run. With {!Pdes.default_shards}[ () > 1] the
-    simulation is partitioned pod-wise across that many domains
-    ({!Bfc_net.Partition.clos_pods} + {!Pdes}); results — FCT rows,
-    injected/completed counters, buffer samples — are byte-identical to
-    the sequential path on the same setup (held by the differential
-    test). [sp_obs] is then invoked once per shard environment, so
-    observers must only touch the environment they are handed. *)
+(** Execute the standard run: build the Clos, set up the scheme, attach
+    the metric watchers and [sp_obs], inject the workload, run it for the
+    trace duration and drain. *)
 val run_std : std_setup -> std_result
-
-(** The always-sequential path (what [run_std] does at one shard). *)
-val run_std_seq : std_setup -> std_result
-
-(** The sharded path, explicit shard count ([shards >= 2]). *)
-val run_std_sharded : std_setup -> shards:int -> std_result
-
-(** Synchronization diagnostics of the most recent {!run_std_sharded}:
-    cross-shard messages, the SPSC ring slots (bursts) they crossed in,
-    barrier windows, and full-channel stalls. [None] until a sharded run
-    completes. *)
-type pdes_stats = { ps_messages : int; ps_bursts : int; ps_windows : int; ps_stalls : int }
-
-val last_pdes_stats : pdes_stats option ref
 
 (** One independent unit of an experiment sweep: a label and a thunk that
     builds its own [Sim.t]/[Runner.env] from scratch (no state shared with

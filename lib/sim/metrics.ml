@@ -64,9 +64,7 @@ let fct_overall env flows =
 (* Sketch-backed FCT statistics (streaming runs): instead of retaining a
    slowdown sample per flow, completions feed mergeable quantile sketches —
    one overall, one per size bucket — so memory is O(buckets) however many
-   flows complete. Per-shard sketches merge exactly (Sketch.merge is
-   associative), so sharded and sequential streaming runs produce
-   byte-identical tables. *)
+   flows complete. *)
 
 module Sketch = Bfc_obs.Sketch
 
@@ -109,12 +107,6 @@ let sketches_observe env sk f =
     if i >= 0 then Sketch.add sk.fs_buckets.(i) v
   end
 
-let sketches_merge ~into src =
-  if Array.length into.fs_buckets <> Array.length src.fs_buckets then
-    invalid_arg "Metrics.sketches_merge: mismatched bucket sets";
-  Sketch.merge ~into:into.fs_overall src.fs_overall;
-  Array.iteri (fun i s -> Sketch.merge ~into:into.fs_buckets.(i) s) src.fs_buckets
-
 let stats_of_sketch ~bucket ~lo sk =
   if Sketch.is_empty sk then { bucket; lo; count = 0; avg = nan; p50 = nan; p95 = nan; p99 = nan }
   else
@@ -146,7 +138,7 @@ let sketches_alpha sk = sk.fs_alpha
 
 (* Concatenated canonical encodings (overall first, then each size bucket):
    equal strings iff the sketch states are identical, whatever merge order
-   produced them — the sharded-vs-sequential differential gate. *)
+   produced them, so a run's sketches can be digested. *)
 let sketches_encode sk =
   String.concat ""
     (Sketch.encode sk.fs_overall :: Array.to_list (Array.map Sketch.encode sk.fs_buckets))

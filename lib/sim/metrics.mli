@@ -34,8 +34,7 @@ val fct_overall :
     Completions feed mergeable quantile sketches — one overall, one per
     size bucket — so FCT stats cost O(buckets) memory however many flows
     complete, at a bounded relative error ([alpha], default 1%) on the
-    percentile columns. Per-shard sketches merge exactly, so sharded and
-    sequential streaming runs produce identical tables. *)
+    percentile columns. *)
 
 type fct_sketches
 
@@ -46,9 +45,6 @@ val sketches_create : ?alpha:float -> ?since:Bfc_engine.Time.t -> unit -> fct_sk
 
 (** Feed one completed flow's slowdown. *)
 val sketches_observe : Runner.env -> fct_sketches -> Bfc_net.Flow.t -> unit
-
-(** Exact merge (associative, commutative) of per-shard sketches. *)
-val sketches_merge : into:fct_sketches -> fct_sketches -> unit
 
 (** Same rows as {!fct_table} / {!fct_overall}, estimated from sketches:
     counts exact, avg/percentiles within the sketches' relative-error
@@ -66,7 +62,7 @@ val sketches_alpha : fct_sketches -> float
 
 (** Concatenated canonical encodings of every sketch: equal strings iff
     the states are identical, whatever add/merge order produced them
-    (the sharded-vs-sequential byte-identity check). *)
+    (what a digest of a streaming run hashes). *)
 val sketches_encode : fct_sketches -> string
 
 (** Short flows (< 3 KB) p99 slowdown; NaN if none. *)

@@ -338,16 +338,7 @@ let starts sim =
     Sim.register_class sim ~cls:Sim.cls_flow_start ~state:(Starts s) ~exec:start_exec;
     s
 
-let setup_gen ~owned ~topo ~scheme ~params:p =
-  (* Hpcc_pfc's perfect-retransmission notice reaches across devices
-     (switch drop -> source host), which in a sharded run would mean a
-     cross-domain call outside the channel protocol. Reject it early
-     rather than silently losing notices at shard boundaries. *)
-  (match (owned, scheme) with
-  | Some _, Scheme.Hpcc_pfc _ ->
-    invalid_arg "Runner.setup: Hpcc_pfc's cross-device drop notice cannot span shards"
-  | _ -> ());
-  let own = match owned with None -> fun _ -> true | Some f -> f in
+let setup ~topo ~scheme ~params:p =
   let sim = Topology.sim topo in
   (* The sim's packet table: every switch and host draws from (and
      recycles into) it, so the steady-state hot path allocates no packets.
@@ -401,8 +392,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
   in
   Array.iter
     (fun nd ->
-      if not (own nd.Node.id) then ()
-      else
       match nd.Node.kind with
       | Node.Switch ->
         let sw =
@@ -487,10 +476,6 @@ let setup_gen ~owned ~topo ~scheme ~params:p =
     hosts;
   env
 
-let setup ~topo ~scheme ~params = setup_gen ~owned:None ~topo ~scheme ~params
-
-let setup_shard ~owned ~topo ~scheme ~params = setup_gen ~owned:(Some owned) ~topo ~scheme ~params
-
 let inject env flows =
   let s = starts env.sim in
   Sim.reserve env.sim (List.length flows);
@@ -538,49 +523,3 @@ let ideal_fct env f =
 let slowdown env f =
   if not (Flow.complete f) then invalid_arg "Runner.slowdown: incomplete flow";
   float_of_int (Flow.fct f) /. float_of_int (ideal_fct env f)
-
-(* Read-only union of per-shard environments, for running the unchanged
-   metrics pipeline over a sharded run once all domains have quiesced:
-   devices are collected in node-id order (the same order a sequential
-   setup produces), injected/completed are summed, and identity fields
-   come from shard 0 (every shard shares topology structure, scheme and
-   params by construction). Counters are copied, not aliased — merge
-   after the run, not during. *)
-let merged envs =
-  if Array.length envs = 0 then invalid_arg "Runner.merged: no shards";
-  let e0 = envs.(0) in
-  let n = Array.length (Topology.nodes e0.topo) in
-  let hosts = Array.make n None in
-  Array.iter
-    (fun e ->
-      Array.iteri
-        (fun i h ->
-          match h with
-          | None -> ()
-          | Some _ -> (
-            match hosts.(i) with
-            | Some _ -> invalid_arg "Runner.merged: host instantiated by two shards"
-            | None -> hosts.(i) <- h))
-        e.hosts)
-    envs;
-  let switches = Array.concat (Array.to_list (Array.map (fun e -> e.switches) envs)) in
-  Array.sort (fun a b -> Int.compare (Switch.node_id a) (Switch.node_id b)) switches;
-  let dataplanes = Array.concat (Array.to_list (Array.map (fun e -> e.dataplanes) envs)) in
-  Array.sort
-    (fun a b -> Int.compare (Switch.node_id (Dataplane.switch a)) (Switch.node_id (Dataplane.switch b)))
-    dataplanes;
-  {
-    sim = e0.sim;
-    topo = e0.topo;
-    scheme = e0.scheme;
-    params = e0.params;
-    pool = e0.pool;
-    hosts;
-    switches;
-    dataplanes;
-    base_rtt = e0.base_rtt;
-    bdp = e0.bdp;
-    extra_header = e0.extra_header;
-    injected = Array.fold_left (fun a e -> a + e.injected) 0 envs;
-    completed = Array.fold_left (fun a e -> a + e.completed) 0 envs;
-  }

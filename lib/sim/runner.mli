@@ -37,23 +37,6 @@ type env
 
 val setup : topo:Bfc_net.Topology.t -> scheme:Scheme.t -> params:params -> env
 
-(** Like {!setup}, but instantiates devices only on nodes for which
-    [owned] holds. Sharded (PDES) runs pass the owning shard's membership
-    predicate so each domain builds devices only for its own nodes — the
-    full topology graph is still walked, so structural quantities (base
-    RTT, BDP, per-node RNG seeds) are identical across shards. Raises
-    [Invalid_argument] for schemes whose hooks reach across devices
-    ([Scheme.Hpcc_pfc]). *)
-val setup_shard :
-  owned:(int -> bool) -> topo:Bfc_net.Topology.t -> scheme:Scheme.t -> params:params -> env
-
-(** [merged envs] — a read-only union of per-shard environments for the
-    metrics pipeline: switches/hosts collected in node-id order (the order
-    a sequential setup yields), [injected]/[completed] summed, identity
-    fields taken from shard 0. Merge only after every shard has quiesced;
-    counters are snapshots, not live views. *)
-val merged : env array -> env
-
 val sim : env -> Bfc_engine.Sim.t
 
 val topo : env -> Bfc_net.Topology.t
@@ -75,8 +58,7 @@ val dataplanes : env -> Bfc_core.Dataplane.t array
 
 val host : env -> int -> Bfc_transport.Host.t
 
-(** Apply [f] to every host this environment instantiated (a shard's own
-    hosts only, in a sharded run). *)
+(** Apply [f] to every host of this environment. *)
 val iter_hosts : env -> (Bfc_transport.Host.t -> unit) -> unit
 
 (** Schedule [Host.start_flow] at each flow's arrival time. *)

@@ -78,23 +78,6 @@ let resize t ncap v =
 
 let grow t v = resize t (2 * (t.mask + 1)) v
 
-(* Pre-size for [n] entries: one allocation (and at most one rehash of
-   whatever is already stored) instead of log(n) doubling rehashes while
-   filling. Capacity lands at the next power of two >= 2n, honouring the
-   1/2 load-factor bound, so [n] subsequent [set]s trigger no [grow].
-   Used when the final population is known up front, e.g. the per-shard
-   flow-replica tables built at PDES setup. Before the first [set] there
-   are no entries and no value to seed an array with. *)
-let reserve t n =
-  let need = next_pow2 (max 8 (2 * n)) 8 in
-  if need > t.mask + 1 then begin
-    if Array.length t.vals > 0 then resize t need t.vals.(0)
-    else begin
-      t.keys <- Array.make need empty_key;
-      t.mask <- need - 1
-    end
-  end
-
 let set t k v =
   if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
   if 2 * (t.count + 1) > t.mask + 1 then grow t v;

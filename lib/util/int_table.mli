@@ -30,12 +30,6 @@ val find_exn : 'a t -> int -> 'a
 val find_opt : 'a t -> int -> 'a option
 (** Convenience wrapper over {!find_exn}; allocates [Some] on a hit. *)
 
-val reserve : 'a t -> int -> unit
-(** [reserve t n] grows the backing arrays (once) so that [n] total
-    entries fit within the 1/2 load-factor bound — [n] subsequent
-    {!set}s perform no incremental rehash. Existing entries are kept.
-    No-op when the table is already large enough. *)
-
 val set : 'a t -> int -> 'a -> unit
 (** Insert or overwrite. *)
 

@@ -133,13 +133,6 @@ module Sample = struct
       f t.data.(i)
     done
 
-  (* Append [src] in its current storage order (insertion order, unless a
-     quantile query has already sorted [src] in place) so a merged sample
-     reproduces a single accumulator that saw the same sequence — order
-     matters for the (order-sensitive) float [sum]. In-tree callers merge
-     before querying, so the order is the insertion order in practice. *)
-  let append ~into src = iter (add into) src
-
   let clear t =
     t.data <- [||];
     t.size <- 0;

@@ -66,13 +66,6 @@ module Sample : sig
       before the first quantile query. *)
   val iter : (float -> unit) -> t -> unit
 
-  (** [append ~into src] adds every value of [src] to [into] in [src]'s
-      current storage order (see {!iter}). When both sides are unqueried —
-      the in-tree pattern: per-shard buffer samples are merged before any
-      stats are read — this reproduces a single accumulator's [sum]
-      bit-for-bit. *)
-  val append : into:t -> t -> unit
-
   val clear : t -> unit
 end
 

@@ -22,10 +22,7 @@
    cursor (legal down to the last popped time: [Sim.run ~until] can park
    the cursor on a far-future event and then admit new near-term work
    between runs); those are placed into the cursor bucket by an explicit
-   sorted insert. [push_late] lifts the monotone-rank requirement — a
-   PDES barrier inserts cross-shard deliveries whose rank (their virtual
-   send time) is below ranks already pushed — by paying a bucket scan to
-   find the (time, rank, seq) position.
+   sorted insert.
 
    Storage is one slab: a single int array of [stride]-word records
    (next, prev, time, rank, cls, a0, a1, gen) with a free list threaded
@@ -214,8 +211,8 @@ let cursor_bucket t = (t.wnow land bmask) * sen_stride
    key. The cursor bucket is kept fully sorted by this same walk, so the
    stop condition lands the entry exactly: a monotone push (maximal
    rank) only moves past strictly-later deadlines — a push at the cursor
-   time lands at the tail without moving at all — while a [push_late]
-   entry also moves past same-time entries of larger rank. *)
+   time lands at the tail without moving at all — while an entry keyed
+   below same-instant entries also moves past those of larger rank. *)
 let insert_sorted t e time rank =
   let s = t.s in
   let sen = cursor_bucket t in
@@ -253,33 +250,6 @@ let push t ~rank ~priority:time ~cls ~a0 ~a1 =
       p := Array.unsafe_get s (!p + f_prev)
     done;
     link_after s !p e
-  end;
-  e
-
-(* Out-of-rank-order insert (the PDES barrier): the entry's rank may be
-   below ranks already resident at the same deadline, so the tail walk
-   of [push] would mis-order it. Above the cursor the target bucket is
-   not time-sorted (digit placement orders deadlines), so the entry goes
-   immediately before the first same-deadline entry of larger rank — an
-   O(bucket) scan, fine for the handful of cross-shard messages a
-   barrier carries. At or below the cursor the sorted insert already
-   handles arbitrary ranks. *)
-let push_late t ~priority:time ~rank ~cls ~a0 ~a1 =
-  if time < 0 then invalid_arg "Wheel.push_late: negative priority";
-  let e = alloc t time rank cls a0 a1 in
-  if time <= t.wnow then insert_sorted t e time rank
-  else begin
-    let s = t.s in
-    let sen = bucket_for t time in
-    let p = ref (Array.unsafe_get s (sen + f_next)) in
-    while
-      !p <> sen
-      && not (Array.unsafe_get s (!p + f_time) = time && Array.unsafe_get s (!p + f_rank) > rank)
-    do
-      p := Array.unsafe_get s (!p + f_next)
-    done;
-    (* before that entry, or at the tail when there is none *)
-    link_after s (Array.unsafe_get s (!p + f_prev)) e
   end;
   e
 

@@ -6,8 +6,7 @@
     simulator replays byte-identical schedules. The rank is a
     caller-supplied secondary key; {!push} requires it
     to be non-decreasing among same-deadline entries (free when the
-    rank is the simulator's monotone clock), while {!push_late} accepts
-    arbitrary ranks at a per-push scan cost.
+    rank is the simulator's monotone clock).
 
     The wheel is hierarchical: 8 levels of 256 power-of-two buckets,
     covering the full non-negative [int] range. Far-future entries park
@@ -30,9 +29,9 @@
     it. Storage is therefore sized by the peak number of resident
     entries, and no store into the wheel takes the GC's write barrier.
 
-    {!push} and {!push_late} return the new entry's id, its record's
-    offset, which {!remove} takes to unlink the entry in O(1): a
-    cancelled entry leaves the wheel at once. An id is valid from its
+    {!push} returns the new entry's id, its record's offset, which
+    {!remove} takes to unlink the entry in O(1): a cancelled entry
+    leaves the wheel at once. An id is valid from its
     push until the entry pops or is removed; the wheel then reuses the
     record for a later entry, after bumping its {!gen}. *)
 
@@ -70,15 +69,7 @@ val push : t -> rank:int -> priority:int -> cls:int -> a0:int -> a1:int -> int
     whose rank low bits carry a canonical key) — the burst is
     insertion-sorted on arrival, zero-cost when ranks arrive monotone.
     A rank below ranks pushed before the current burst silently
-    mis-orders (use {!push_late} for that). Amortized O(1); allocates
-    only when the slab doubles. *)
-
-val push_late : t -> priority:int -> rank:int -> cls:int -> a0:int -> a1:int -> int
-(** Like {!push} but accepts a [rank] below ranks already resident at
-    the same deadline, placing the entry at its (deadline, rank,
-    insertion order) position — how a PDES barrier inserts a
-    cross-shard delivery at the rank of its virtual send time. Costs a
-    scan of the target bucket. Returns the entry's id. *)
+    mis-orders. Amortized O(1); allocates only when the slab doubles. *)
 
 val remove : t -> int -> unit
 (** [remove t e] unlinks resident entry [e]; O(1). The entries around

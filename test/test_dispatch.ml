@@ -3,12 +3,12 @@
    The fig7, incast and credit fixtures under fixtures/dispatch/ were
    generated from the closure-based engine that preceded typed dispatch
    (set BFC_DISPATCH_FIXGEN=1 and
-   BFC_DISPATCH_FIXDIR=<abs path> to regenerate).  Every run of the
-   typed-dispatch engine — sequential and [--shards 2] — must reproduce
-   them byte for byte: FCT rows, per-flow records, injected/completed
-   counters, and buffer p99.  When they were recorded the engine also
-   had a 4-ary heap queue backend, and both backends reproduced them;
-   the fixtures now stand in for that second backend as the oracle.
+   BFC_DISPATCH_FIXDIR=<abs path> to regenerate).  The typed-dispatch
+   engine must reproduce them byte for byte: FCT rows, per-flow records,
+   injected/completed counters, and buffer p99.  When they were recorded
+   the engine also had a 4-ary heap queue backend, and both backends
+   reproduced them; the fixtures now stand in for that second backend
+   as the oracle.
 
    bfc-sampled-incast and bfc-credit pin BFC sampling/incast labelling
    and [Credit_dataplane] end to end; they were recorded while a second,
@@ -33,8 +33,8 @@ let fixture_dir =
 (* ------------------------- canonical rendering --------------------- *)
 
 (* Everything the acceptance criteria name, as one stable text blob.
-   Executed-event counts are deliberately absent: sequential and sharded
-   runs agree on outputs, not on per-shard bookkeeping events. *)
+   Executed-event counts are deliberately absent: the fixtures pin
+   outputs, not engine bookkeeping. *)
 let render (r : Exp_common.std_result) =
   let b = Buffer.create 4096 in
   Printf.bprintf b "injected %d\n" (Runner.injected r.Exp_common.env);
@@ -100,12 +100,6 @@ let workloads =
         } );
   ]
 
-let run_leg shards setup =
-  if shards = 1 then Exp_common.run_std_seq setup
-  else Exp_common.run_std_sharded setup ~shards
-
-let legs = [ ("wheel", 1); ("wheel-shards2", 2) ]
-
 (* --------------------------- fixture plumbing ---------------------- *)
 
 let read_file path =
@@ -125,19 +119,8 @@ let fixgen_dir () =
   | Some d -> d
   | None -> fixture_dir
 
-(* In generation mode the wheel leg is the canonical source, but we
-   still require every leg to agree before writing anything — a
-   fixture the current engine cannot reproduce on every leg would gate
-   the refactor on a pre-existing divergence, not a dispatch bug. *)
 let generate name setup =
-  let expected = render (run_leg 1 (setup ())) in
-  List.iter
-    (fun (leg, shards) ->
-      let got = render (run_leg shards (setup ())) in
-      if got <> expected then
-        failf "%s: leg %s disagrees with the wheel leg at generation time" name
-          leg)
-    (List.tl legs);
+  let expected = render (Exp_common.run_std (setup ())) in
   let path = Filename.concat (fixgen_dir ()) (name ^ ".expected") in
   write_file path expected;
   Printf.printf "wrote %s (%d bytes)\n%!" path (String.length expected)
@@ -154,26 +137,17 @@ let first_diff_line a b =
   in
   go 1 (la, lb)
 
-let check_leg name setup (leg, shards) () =
-  if fixgen then (
-    (* generation runs once per workload, on the first leg *)
-    if leg = "wheel" then generate name setup)
+let check_fixture name setup () =
+  if fixgen then generate name setup
   else
     let path = Filename.concat fixture_dir (name ^ ".expected") in
     let expected = read_file path in
-    let got = render (run_leg shards (setup ())) in
+    let got = render (Exp_common.run_std (setup ())) in
     if not (String.equal got expected) then
-      failf "%s/%s diverged from its recorded fixture (%s)" name leg
-        (first_diff_line expected got)
+      failf "%s diverged from its recorded fixture (%s)" name (first_diff_line expected got)
 
 let suite =
-  List.concat_map
+  List.map
     (fun (name, setup) ->
-      List.map
-        (fun ((leg, _) as l) ->
-          test_case
-            (Printf.sprintf "%s byte-identical (%s)" name leg)
-            `Slow
-            (check_leg name setup l))
-        legs)
+      test_case (Printf.sprintf "%s byte-identical (wheel)" name) `Slow (check_fixture name setup))
     workloads

@@ -18,7 +18,6 @@ let () =
       ("lint", Test_lint.suite);
       ("perf", Test_perf.suite);
       ("obs", Test_obs.suite);
-      ("pdes", Test_pdes.suite);
       ("stream", Test_stream.suite);
       ("dispatch", Test_dispatch.suite);
       ("observers", Test_observers.suite);

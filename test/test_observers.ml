@@ -87,7 +87,7 @@ type observers = {
 let observed_run scheme =
   let obs = ref None in
   let r =
-    Exp_common.run_std_seq
+    Exp_common.run_std
       {
         (setup scheme) with
         Exp_common.sp_obs =
@@ -151,7 +151,7 @@ let render_observed name scheme =
   Buffer.contents b
 
 let render_hpcc_pfc () =
-  let r = Exp_common.run_std_seq (setup Scheme.hpcc_pfc) in
+  let r = Exp_common.run_std (setup Scheme.hpcc_pfc) in
   let env = r.Exp_common.env in
   let b = Buffer.create 1024 in
   Printf.bprintf b "leg hpcc-pfc\n";

@@ -129,10 +129,6 @@ let test_packet_flags () =
   let set_all v = List.iter (fun (_, _, set) -> set p v) flag_accessors in
   set_all true;
   Packet.set_bp_sampled p false;
-  let other = Packet.Pool.create ~sim:(Sim.create ()) in
-  let c = Packet.Pool.import other (Packet.Pool.clone pool p) in
-  check (list bool) "clone and import carry the flags" [ true; true; true; false ]
-    (flag_values c);
   Packet.Pool.release pool p;
   let q = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
   check bool "recycled" true (p == q);
@@ -146,8 +142,8 @@ let hop_links pool p =
 
 (* A packet's INT stack and bitmap live in its table's side tables, by
    index: they must die with the packet's incarnation, and follow it
-   into an ack ([copy_int_hops]) or another table ([clone], [import])
-   as copies that share no record with the original. *)
+   into an ack ([copy_int_hops]) as copies that share no record with
+   the original. *)
 let test_packet_side_tables () =
   let pool = Packet.Pool.create ~sim:(Sim.create ()) in
   let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
@@ -169,17 +165,9 @@ let test_packet_side_tables () =
   check bool "in its own records" true
     ((Packet.Pool.int_hops pool ack).(0) != (Packet.Pool.int_hops pool p).(0));
   check int "the ack has no bitmap" 0 (Array.length (Packet.Pool.bitmap pool ack));
-  let other = Packet.Pool.create ~sim:(Sim.create ()) in
-  let c = Packet.Pool.clone pool p in
-  let moved = Packet.Pool.import other c in
-  check (list int) "import carries the stack" [ 1; 2; 3; 4; 5 ] (hop_links other moved);
-  check (list int) "import carries the bitmap" [ 7; 9 ]
-    (Array.to_list (Packet.Pool.bitmap other moved));
   Packet.Pool.release pool p;
   check (list int) "the ack's copy outlives the data packet" [ 1; 2; 3; 4; 5 ]
     (hop_links pool ack);
-  check (list int) "the import outlives the original" [ 1; 2; 3; 4; 5 ]
-    (hop_links other moved);
   let q = acquire Packet.Data in
   check bool "recycled" true (p == q);
   check int "no INT stack in the next incarnation" 0 (Packet.Pool.int_hop_count pool q);

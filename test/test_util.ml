@@ -330,10 +330,10 @@ let prop_wheel_heap_order =
 
 (* Reference model of the wheel: the resident entries as a list of
    (time, rank, seq) kept sorted, which is the whole ordering contract.
-   Ops (op, a, b), with the Sim's legal rank shapes: a monotone [push]
-   ranks (instant, key b), bursts of keys within an instant included; a
-   [push_late] ranks an earlier instant and then advances the instant,
-   as the PDES barrier does between runs. Values are their seq numbers.
+   Ops (op, a, b), with the Sim's legal rank shapes: a [push] ranks
+   (instant, key b), bursts of keys within an instant included; op 3
+   pushes and then advances the instant, ending the burst. Values are
+   their seq numbers.
    Ops 8 and 9 [remove] a random resident entry, which the model deletes;
    a drain callback may remove one too, as a Sim executor cancelling
    another event does. Every pop, drain callback and head probe must
@@ -368,12 +368,9 @@ let prop_wheel_matches_model =
         v
       in
       let seq = ref 0 and floor = ref 0 and instant = ref 1 and peak = ref 0 in
-      let push ~late time rank =
+      let push time rank =
         let cls = !seq land 15 and a0 = !seq and a1 = lnot !seq in
-        let e =
-          if late then Wheel.push_late w ~priority:time ~rank ~cls ~a0 ~a1
-          else Wheel.push w ~rank ~priority:time ~cls ~a0 ~a1
-        in
+        let e = Wheel.push w ~rank ~priority:time ~cls ~a0 ~a1 in
         Hashtbl.replace entry !seq (e, Wheel.gen w e);
         model := List.sort compare ((time, rank, !seq) :: !model);
         peak := Int.max !peak (List.length !model);
@@ -399,11 +396,11 @@ let prop_wheel_matches_model =
       List.iter
         (fun (op, a, b) ->
           (match op with
-          | 0 -> push ~late:false (!floor + (a land 7)) ((!instant lsl 4) lor b)
-          | 1 -> push ~late:false (!floor + a) ((!instant lsl 4) lor b)
-          | 2 -> push ~late:false (!floor + (a lsl 12)) ((!instant lsl 4) lor b)
+          | 0 -> push (!floor + (a land 7)) ((!instant lsl 4) lor b)
+          | 1 -> push (!floor + a) ((!instant lsl 4) lor b)
+          | 2 -> push (!floor + (a lsl 12)) ((!instant lsl 4) lor b)
           | 3 ->
-            push ~late:true (!floor + a) (((a mod !instant) lsl 4) lor b);
+            push (!floor + a) ((!instant lsl 4) lor b);
             incr instant
           | 4 -> incr instant
           | 5 ->
