@@ -25,14 +25,16 @@ let profile_arg =
       & opt profile_conv Exp_common.Quick
       & info [ "profile" ] ~docv:"PROFILE" ~doc:"Scale: smoke, quick or paper.")
 
-(* Counts that must be at least 1: a smaller value is a usage error. *)
-let positive =
+(* A value that must pass [ok]: anything else is a usage error. *)
+let checked parse pp ~expected ok =
   Arg.conv'
     ( (fun s ->
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> Ok n
-        | _ -> Error (Printf.sprintf "expected an integer >= 1, got %s" s)),
-      Format.pp_print_int )
+        match parse s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (Printf.sprintf "expected %s, got %s" expected s)),
+      pp )
+
+let positive = checked int_of_string_opt Format.pp_print_int ~expected:"an integer >= 1" (( <= ) 1)
 
 let jobs_arg =
   Arg.(value & opt positive (Domain.recommended_domain_count ())
@@ -43,7 +45,9 @@ let csv_dir_arg =
   Arg.(value & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Write each table as CSV into $(docv).")
 
-(* Streaming-observability flags, shared by run and sweep. *)
+(* Streaming-observability flags of sweep and stream. They are not on
+   run: its targets run many sweep points, which would all write the same
+   flowlog path, and their traces are held in full anyway. *)
 let streaming_flag =
   Arg.(value & flag
       & info [ "streaming" ]
@@ -59,7 +63,11 @@ let flowlog_arg =
              constant-memory; replay with `bfc_sim flowlog`). Implies --streaming.")
 
 let alpha_arg =
-  Arg.(value & opt float 0.01
+  let sketch_alpha =
+    checked float_of_string_opt Format.pp_print_float ~expected:"a number in (0, 0.5)" (fun a ->
+        a > 0.0 && a < 0.5)
+  in
+  Arg.(value & opt sketch_alpha 0.01
       & info [ "alpha" ] ~docv:"A"
           ~doc:"Relative-error bound of the streaming quantile sketches (default 1%).")
 
@@ -67,14 +75,6 @@ let progress_flag =
   Arg.(value & flag
       & info [ "progress" ]
           ~doc:"Print a live one-line progress report to stderr every sim-millisecond.")
-
-let set_streaming_cli streaming flowlog alpha progress =
-  if not (alpha > 0.0 && alpha < 0.5) then begin
-    Printf.eprintf "bfc_sim: --alpha must be in (0, 0.5) (got %g)\n" alpha;
-    exit 2
-  end;
-  Bfc_sim.Exp_common.set_streaming ~alpha ?flowlog ~progress
-    (streaming || flowlog <> None || progress)
 
 let list_cmd =
   let run () =
@@ -86,19 +86,17 @@ let list_cmd =
 
 let run_cmd =
   let targets = Arg.(value & pos_all string [] & info [] ~docv:"TARGET") in
-  let run profile jobs csv_dir streaming flowlog alpha progress targets =
+  let run profile jobs csv_dir targets =
     match Experiments.resolve targets with
     | Error m -> Error (`Msg m)
     | Ok chosen ->
-      set_streaming_cli streaming flowlog alpha progress;
       List.iter (fun t -> ignore (Experiments.run ?csv_dir ~jobs profile t)) chosen;
       Ok ()
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiment targets (all if none given)")
     Term.(term_result ~usage:true
-            (const run $ profile_arg $ jobs_arg $ csv_dir_arg $ streaming_flag
-             $ flowlog_arg $ alpha_arg $ progress_flag $ targets))
+            (const run $ profile_arg $ jobs_arg $ csv_dir_arg $ targets))
 
 let scheme_conv =
   let parse = function
@@ -142,7 +140,6 @@ let sweep_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ]) in
   let run profile scheme dist load incast watchdog seed streaming flowlog alpha progress =
-    set_streaming_cli streaming flowlog alpha progress;
     let s =
       {
         (Exp_common.std profile scheme) with
@@ -151,6 +148,10 @@ let sweep_cmd =
         sp_incast =
           Option.map (fun degree -> { Exp_common.default_incast with Exp_common.degree }) incast;
         sp_seed = seed;
+        sp_stream =
+          (if streaming || flowlog <> None || progress then
+             Some { Exp_common.alpha; flowlog; progress }
+           else None);
         sp_params =
           (fun p ->
             {
@@ -429,7 +430,7 @@ let stress_cmd =
 
 let stream_cmd =
   let flows =
-    Arg.(value & opt int 2_000_000
+    Arg.(value & opt positive 2_000_000
         & info [ "flows" ] ~docv:"N" ~doc:"Number of single-MTU flows to push through the fabric.")
   in
   let exact =
@@ -442,41 +443,37 @@ let stream_cmd =
   let scheme = Arg.(value & opt scheme_conv Scheme.bfc & info [ "scheme" ] ~docv:"SCHEME") in
   let seed = Arg.(value & opt int 7 & info [ "seed" ]) in
   let run flows exact scheme seed flowlog alpha progress =
-    if flows < 1 then begin
-      Printf.eprintf "bfc_sim: --flows must be >= 1 (got %d)\n" flows;
-      exit 2
-    end;
-    if not (alpha > 0.0 && alpha < 0.5) then begin
-      Printf.eprintf "bfc_sim: --alpha must be in (0, 0.5) (got %g)\n" alpha;
-      exit 2
-    end;
-    let r =
-      Exp_common.run_stream ~scheme ~seed ~alpha ?flowlog ~progress ~streaming:(not exact) ~flows
-        ()
-    in
-    let peak_bytes = float_of_int r.Exp_common.sr_peak_heap_words *. 8.0 in
-    Printf.printf
-      "mode=%s flows=%d/%d events=%d elapsed=%.2fs peak_heap=%.1fMB flows_per_gb=%.0f\n"
-      (if r.Exp_common.sr_streaming then "streaming" else "exact")
-      r.Exp_common.sr_completed r.Exp_common.sr_injected r.Exp_common.sr_events
-      r.Exp_common.sr_elapsed_s (peak_bytes /. 1e6)
-      (float_of_int r.Exp_common.sr_completed /. (peak_bytes /. 1e9));
-    let row (s : Metrics.fct_stats) =
-      [
-        s.Metrics.bucket;
-        string_of_int s.Metrics.count;
-        Exp_common.cell s.Metrics.avg;
-        Exp_common.cell s.Metrics.p50;
-        Exp_common.cell s.Metrics.p95;
-        Exp_common.cell s.Metrics.p99;
-      ]
-    in
-    Exp_common.print_table
-      {
-        Exp_common.title = "FCT slowdown";
-        header = [ "bucket"; "n"; "avg"; "p50"; "p95"; "p99" ];
-        rows = row r.Exp_common.sr_overall :: List.map row r.Exp_common.sr_table;
-      }
+    if exact && (flowlog <> None || progress) then
+      Error (`Msg "--flowlog and --progress need a streaming run; drop --exact")
+    else
+      let r =
+        Exp_common.run_stream ~scheme ~seed ~alpha ?flowlog ~progress ~streaming:(not exact) ~flows
+          ()
+      in
+      let peak_bytes = float_of_int r.Exp_common.sr_peak_heap_words *. 8.0 in
+      Printf.printf
+        "mode=%s flows=%d/%d events=%d elapsed=%.2fs peak_heap=%.1fMB flows_per_gb=%.0f\n"
+        (if r.Exp_common.sr_streaming then "streaming" else "exact")
+        r.Exp_common.sr_completed r.Exp_common.sr_injected r.Exp_common.sr_events
+        r.Exp_common.sr_elapsed_s (peak_bytes /. 1e6)
+        (float_of_int r.Exp_common.sr_completed /. (peak_bytes /. 1e9));
+      let row (s : Metrics.fct_stats) =
+        [
+          s.Metrics.bucket;
+          string_of_int s.Metrics.count;
+          Exp_common.cell s.Metrics.avg;
+          Exp_common.cell s.Metrics.p50;
+          Exp_common.cell s.Metrics.p95;
+          Exp_common.cell s.Metrics.p99;
+        ]
+      in
+      Exp_common.print_table
+        {
+          Exp_common.title = "FCT slowdown";
+          header = [ "bucket"; "n"; "avg"; "p50"; "p95"; "p99" ];
+          rows = row r.Exp_common.sr_overall :: List.map row r.Exp_common.sr_table;
+        };
+      Ok ()
   in
   Cmd.v
     (Cmd.info "stream"
@@ -485,7 +482,8 @@ let stream_cmd =
           sliding-window arrival generation, sketch-backed FCT stats and per-flow transport \
           state reclaimed after completion — resident memory tracks flows in flight, not flows \
           ever run")
-    Term.(const run $ flows $ exact $ scheme $ seed $ flowlog_arg $ alpha_arg $ progress_flag)
+    Term.(term_result ~usage:true
+            (const run $ flows $ exact $ scheme $ seed $ flowlog_arg $ alpha_arg $ progress_flag))
 
 let flowlog_cmd =
   let module Flowlog = Bfc_obs.Flowlog in

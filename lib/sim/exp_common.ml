@@ -54,30 +54,14 @@ type incast_mix = { degree : int; agg_frac_of_paper : float }
 
 let default_incast = { degree = 100; agg_frac_of_paper = 1.0 }
 
-(* ------------------------------------------------------------------ *)
-(* Ambient streaming-observability settings: the CLI sets them once at
-   startup, before any experiment runs; standard runs consult them when
-   building params. *)
+type stream = { alpha : float; flowlog : string option; progress : bool }
 
-type stream_settings = { ss_alpha : float; ss_flowlog : string option; ss_progress : bool }
-
-let stream_settings = ref None
-
-let set_streaming ?(alpha = 0.01) ?flowlog ?(progress = false) enabled =
-  stream_settings :=
-    if enabled then Some { ss_alpha = alpha; ss_flowlog = flowlog; ss_progress = progress }
-    else None
-
-let streaming_on () = Option.is_some !stream_settings
-
-let stream_alpha () =
-  match !stream_settings with
-  | Some ss -> ss.ss_alpha
-  | None -> 0.01
+type workload = Trace | Stream of int
 
 type std_setup = {
   sp_profile : profile;
   sp_scheme : Scheme.t;
+  sp_workload : workload;
   sp_dist : Dist.t;
   sp_load : float;
   sp_incast : incast_mix option;
@@ -86,6 +70,7 @@ type std_setup = {
   sp_track_active : bool;
   sp_seed : int;
   sp_dur_mult : float;
+  sp_stream : stream option;
   sp_params : Runner.params -> Runner.params;
   sp_obs : Runner.env -> unit;
 }
@@ -94,6 +79,7 @@ let std profile scheme =
   {
     sp_profile = profile;
     sp_scheme = scheme;
+    sp_workload = Trace;
     sp_dist = Dist.fb_hadoop;
     sp_load = 0.6;
     sp_incast = None;
@@ -102,6 +88,7 @@ let std profile scheme =
     sp_track_active = false;
     sp_seed = 1;
     sp_dur_mult = 1.0;
+    sp_stream = None;
     sp_params = (fun p -> p);
     sp_obs = ignore;
   }
@@ -123,16 +110,8 @@ let std_params s =
       classes = s.sp_classes;
       seed = s.sp_seed;
       homa_dist = s.sp_dist;
-      streaming = streaming_on ();
+      streaming = Option.is_some s.sp_stream;
     }
-
-(* Chain sketch observation onto every host's completion callback (after
-   the runner's own completion counter). *)
-let attach_sketches env ~since =
-  let sk = Metrics.sketches_create ~alpha:(stream_alpha ()) ~since () in
-  Runner.iter_hosts env (fun h ->
-      Bfc_transport.Host.add_on_complete h (fun f -> Metrics.sketches_observe env sk f));
-  sk
 
 let ns_to_s t = float_of_int t /. 1e9
 
@@ -148,29 +127,6 @@ let flow_record env f =
     fct = ns_to_s (Bfc_net.Flow.fct f);
     ideal = ns_to_s (Runner.ideal_fct env f);
   }
-
-(* Post-run flowlog dump for standard runs: completed flows in generation
-   order. The writer is chunked, so even a huge flow list streams through
-   a bounded serialisation buffer. *)
-let write_flowlog_file env flows ~path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let w = Bfc_obs.Flowlog.Writer.create oc in
-      List.iter (fun f -> if Bfc_net.Flow.complete f then
-                    Bfc_obs.Flowlog.Writer.append w (flow_record env f)) flows;
-      Bfc_obs.Flowlog.Writer.close w)
-
-let maybe_write_flowlog env flows =
-  match !stream_settings with
-  | Some { ss_flowlog = Some path; _ } -> write_flowlog_file env flows ~path
-  | _ -> ()
-
-let maybe_progress env =
-  match !stream_settings with
-  | Some { ss_progress = true; _ } -> Telemetry.progress_reporter env stderr
-  | _ -> ()
 
 let std_duration s =
   int_of_float (s.sp_dur_mult *. float_of_int (duration s.sp_profile ~dist:s.sp_dist))
@@ -233,29 +189,102 @@ let gen_flows s ~cl ~dur =
   let bg = Traffic.generate spec ~ids in
   Traffic.merge [ bg; incast_flows ]
 
+(* The windowed single-MTU workload: [n] flows between uniformly random
+   host pairs, arriving evenly at [sp_load] of the hosts' aggregate line
+   rate. Arrivals are generated two 50 us windows ahead of the clock, so
+   at most a window's worth of new records exists at a time. Returns the
+   horizon (just past the last arrival) and the thunk that injects the
+   first two windows and then starts the window ticker. *)
+let stream_flows s env ~hosts ~n =
+  if n <= 0 then invalid_arg "Exp_common.run_std: a stream needs a positive flow count";
+  let sim = Runner.sim env in
+  let n_hosts = Array.length hosts in
+  let size = (Runner.params env).Runner.mtu in
+  let bytes_per_ns = float_of_int n_hosts *. 12.5 *. s.sp_load in
+  let delta_ns = float_of_int size /. bytes_per_ns in
+  let arrival_of k = 1 + int_of_float (float_of_int k *. delta_ns) in
+  let rng = Bfc_util.Rng.create s.sp_seed in
+  let next = ref 0 in
+  let gen_until t_end =
+    let batch = ref [] in
+    while !next < n && arrival_of !next < t_end do
+      let src = hosts.(Bfc_util.Rng.int rng n_hosts) in
+      let dst = ref src in
+      while !dst = src do
+        dst := hosts.(Bfc_util.Rng.int rng n_hosts)
+      done;
+      batch :=
+        Bfc_net.Flow.make ~id:!next ~src ~dst:!dst ~size ~arrival:(arrival_of !next) ()
+        :: !batch;
+      incr next
+    done;
+    if !batch <> [] then Runner.inject env (List.rev !batch)
+  in
+  let window = Time.us 50.0 in
+  let start () =
+    gen_until (2 * window);
+    ignore (Sim.every sim ~period:window (fun () -> gen_until (Sim.now sim + (2 * window))))
+  in
+  (arrival_of n + 1, start)
+
 let run_std s =
   let sim = Sim.create () in
   let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
   let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let params = std_params s in
-  let env = Runner.setup ~topo:cl.Topology.t ~scheme:s.sp_scheme ~params in
-  let dur = std_duration s in
-  let measure_from = dur / 10 in
-  let flows = gen_flows s ~cl ~dur in
-  let buffers = Metrics.watch_buffers env ~period:(Time.us 5.0) in
-  let active =
-    if s.sp_track_active then Some (Metrics.watch_active_flows env ~period:(Time.us 10.0))
-    else None
+  let env = Runner.setup ~topo:cl.Topology.t ~scheme:s.sp_scheme ~params:(std_params s) in
+  (* Same-instant events run in post order, so the order below is part of
+     the result: a trace run posts its watchers before its flows; a stream
+     run injects its first windows before its window ticker starts. *)
+  let measure_from, until, budget, buffers, active, flows, start =
+    match s.sp_workload with
+    | Trace ->
+      let dur = std_duration s in
+      let flows = gen_flows s ~cl ~dur in
+      let buffers = Metrics.watch_buffers env ~period:(Time.us 5.0) in
+      let active =
+        if s.sp_track_active then Some (Metrics.watch_active_flows env ~period:(Time.us 10.0))
+        else None
+      in
+      (dur / 10, dur, 8 * dur, buffers, active, flows, fun () -> Runner.inject env flows)
+    | Stream n ->
+      let horizon, start = stream_flows s env ~hosts:cl.Topology.cl_hosts ~n in
+      (0, horizon, 50 * Runner.base_rtt env, Sample.create (), None, [], start)
   in
+  let on_complete f = Runner.iter_hosts env (fun h -> Bfc_transport.Host.add_on_complete h f) in
   let sketches =
-    if params.Runner.streaming then Some (attach_sketches env ~since:measure_from) else None
+    Option.map
+      (fun st -> Metrics.sketches_create ~alpha:st.alpha ~since:measure_from ())
+      s.sp_stream
   in
-  if params.Runner.streaming then maybe_progress env;
+  Option.iter (fun sk -> on_complete (Metrics.sketches_observe env sk)) sketches;
+  let flowlog =
+    match s.sp_stream with
+    | Some { flowlog = Some path; _ } ->
+      let oc = open_out_bin path in
+      let w = Bfc_obs.Flowlog.Writer.create oc in
+      on_complete (fun f -> Bfc_obs.Flowlog.Writer.append w (flow_record env f));
+      Some (oc, w)
+    | _ -> None
+  in
+  (* an exact stream run keeps its completed flows: nothing else holds them *)
+  let kept = ref [] in
+  (match (s.sp_workload, sketches) with
+  | Stream _, None -> on_complete (fun f -> kept := f :: !kept)
+  | _ -> ());
+  (match (s.sp_stream, sketches) with
+  | Some { progress = true; _ }, Some sk ->
+    Telemetry.progress_reporter ~sketch_buckets:(fun () -> Metrics.sketches_buckets sk) env stderr
+  | _ -> ());
   s.sp_obs env;
-  Runner.inject env flows;
-  Runner.run env ~until:dur;
-  Runner.drain env ~budget:(8 * dur);
-  if params.Runner.streaming then maybe_write_flowlog env flows;
+  start ();
+  Runner.run env ~until;
+  Runner.drain env ~budget;
+  Option.iter
+    (fun (oc, w) ->
+      Bfc_obs.Flowlog.Writer.close w;
+      close_out oc)
+    flowlog;
+  let flows = match s.sp_workload with Trace -> flows | Stream _ -> List.rev !kept in
   { env; flows; buffers; active; measure_from; sketches }
 
 (* ------------------------------------------------------------------ *)
@@ -297,14 +326,9 @@ let fct_rows r =
 let buffer_p99 r = if Sample.is_empty r.buffers then 0.0 else Sample.percentile r.buffers 99.0
 
 (* ------------------------------------------------------------------ *)
-(* Memory-scale streaming driver: millions of tiny flows through a Quick
-   Clos, generated in sliding windows (never materialising the full flow
-   list), with completions feeding sketches / the flowlog and per-flow
-   transport state reclaimed after a grace period — so resident memory
-   tracks flows in flight, not flows ever run. The [streaming:false] mode
-   retains everything the standard path would (the flow records and their
-   exact slowdown samples), giving the memory baseline the BENCH block and
-   CI gate compare against. *)
+(* The million-flow churn run as perfbench's [flow_churn] and [bfc_sim
+   stream] call it: a stream workload on the quick Clos at 30% load,
+   with a 20 us peak-heap sampler, reported as a [stream_report]. *)
 
 type stream_report = {
   sr_streaming : bool;
@@ -318,101 +342,30 @@ type stream_report = {
   sr_sketches : Metrics.fct_sketches option;
 }
 
-let run_stream ?(scheme = Scheme.Bfc Scheme.bfc_default) ?(seed = 7) ?(alpha = 0.01) ?flowlog
-    ?(progress = false) ~streaming ~flows:n_flows () =
-  if n_flows <= 0 then invalid_arg "Exp_common.run_stream: flows must be positive";
+let run_stream ?(scheme = Scheme.bfc) ?(seed = 7) ?(alpha = 0.01) ?flowlog ?(progress = false)
+    ~streaming ~flows () =
   let wall0 = Bfc_util.Clock.now_s () in
-  let sim = Sim.create () in
-  let cl = Topology.clos sim ~spines:4 ~tors:4 ~hosts_per_tor:8 ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let params = { Runner.default_params with seed; streaming } in
-  let env = Runner.setup ~topo:cl.Topology.t ~scheme ~params in
-  let hosts = cl.Topology.cl_hosts in
-  let n_hosts = Array.length hosts in
-  let size = params.Runner.mtu in
-  (* single-MTU flows at ~30% aggregate host load: flows per ns *)
-  let load = 0.3 in
-  let bytes_per_ns = float_of_int n_hosts *. 12.5 *. load in
-  let delta_ns = float_of_int size /. bytes_per_ns in
-  let arrival_of k = 1 + int_of_float (float_of_int k *. delta_ns) in
-  let horizon = arrival_of n_flows + 1 in
-  let rng = Bfc_util.Rng.create seed in
-  let next = ref 0 in
-  (* generate and inject every flow arriving before [t_end]; called from a
-     window ticker, so at most a window's worth of new records exists at a
-     time and completed ones are garbage as soon as their grace passes *)
-  let gen_until t_end =
-    let batch = ref [] in
-    while !next < n_flows && arrival_of !next < t_end do
-      let src = hosts.(Bfc_util.Rng.int rng n_hosts) in
-      let dst = ref src in
-      while !dst = src do
-        dst := hosts.(Bfc_util.Rng.int rng n_hosts)
-      done;
-      batch :=
-        Bfc_net.Flow.make ~id:!next ~src ~dst:!dst ~size ~arrival:(arrival_of !next) ()
-        :: !batch;
-      incr next
-    done;
-    if !batch <> [] then Runner.inject env (List.rev !batch)
+  let peak = ref 0 in
+  let sample () = peak := Int.max !peak (Gc.quick_stat ()).Gc.heap_words in
+  let sampler env =
+    sample ();
+    ignore (Sim.every (Runner.sim env) ~period:(Time.us 20.0) sample)
   in
-  let window = Time.us 50.0 in
-  gen_until (2 * window);
-  ignore (Sim.every sim ~period:window (fun () -> gen_until (Sim.now sim + (2 * window))));
-  let sketches = if streaming then Some (Metrics.sketches_create ~alpha ~since:0 ()) else None in
-  let kept = ref [] in
-  let flog =
-    Option.map
-      (fun path ->
-        let oc = open_out_bin path in
-        (oc, Bfc_obs.Flowlog.Writer.create oc))
-      flowlog
+  let stream = if streaming then Some { alpha; flowlog; progress } else None in
+  let r =
+    run_std
+      { (std Quick scheme) with
+        sp_workload = Stream flows; sp_load = 0.3; sp_dist = Dist.google; sp_seed = seed;
+        sp_stream = stream; sp_obs = sampler }
   in
-  let grace = 4 * Runner.base_rtt env in
-  Runner.iter_hosts env (fun h ->
-      Bfc_transport.Host.add_on_complete h (fun f ->
-          (match sketches with
-          | Some sk -> Metrics.sketches_observe env sk f
-          | None -> kept := f :: !kept);
-          (match flog with
-          | Some (_, w) -> Bfc_obs.Flowlog.Writer.append w (flow_record env f)
-          | None -> ());
-          if streaming then
-            Bfc_transport.Host.reclaim_after
-              (Runner.host env f.Bfc_net.Flow.src)
-              ~peer:(Runner.host env f.Bfc_net.Flow.dst) ~flow_id:f.Bfc_net.Flow.id ~delay:grace));
-  let peak = ref (Gc.quick_stat ()).Gc.heap_words in
-  ignore
-    (Sim.every sim ~period:(Time.us 20.0) (fun () ->
-         let hw = (Gc.quick_stat ()).Gc.heap_words in
-         if hw > !peak then peak := hw));
-  if progress then
-    Telemetry.progress_reporter
-      ?sketch_buckets:(Option.map (fun sk () -> Metrics.sketches_buckets sk) sketches)
-      env stderr;
-  Runner.run env ~until:horizon;
-  Runner.drain env ~budget:(50 * Runner.base_rtt env);
-  (match flog with
-  | Some (oc, w) ->
-    Bfc_obs.Flowlog.Writer.close w;
-    close_out_noerr oc
-  | None -> ());
-  let hw = (Gc.quick_stat ()).Gc.heap_words in
-  if hw > !peak then peak := hw;
+  sample ();
+  let env = r.env in
   let overall, table =
-    match sketches with
+    match r.sketches with
     | Some sk -> (Metrics.fct_overall_of_sketches sk, Metrics.fct_table_of_sketches sk)
-    | None ->
-      let flows = List.rev !kept in
-      (Metrics.fct_overall env flows, Metrics.fct_table env flows)
+    | None -> (Metrics.fct_overall env r.flows, Metrics.fct_table env r.flows)
   in
-  {
-    sr_streaming = streaming;
-    sr_injected = Runner.injected env;
-    sr_completed = Runner.completed env;
-    sr_events = Runner.events_executed env;
-    sr_elapsed_s = Bfc_util.Clock.elapsed_s ~since:wall0;
-    sr_peak_heap_words = !peak;
-    sr_overall = overall;
-    sr_table = table;
-    sr_sketches = sketches;
-  }
+  { sr_streaming = streaming; sr_injected = Runner.injected env;
+    sr_completed = Runner.completed env; sr_events = Runner.events_executed env;
+    sr_elapsed_s = Bfc_util.Clock.elapsed_s ~since:wall0; sr_peak_heap_words = !peak;
+    sr_overall = overall; sr_table = table; sr_sketches = r.sketches }

@@ -31,23 +31,28 @@ type incast_mix = {
 
 val default_incast : incast_mix
 
-(** {2 Ambient streaming-observability settings}
-
-    Set once by the CLI before experiments run. When enabled, standard runs
-    build their params with [Runner.streaming = true]: FCT stats flow
-    through mergeable quantile sketches ([alpha] relative error), the run
-    optionally dumps a binary {!Bfc_obs.Flowlog} of completed flows to
-    [flowlog], and [progress] prints a live one-line report per sim-ms to
+(** Settings of a streaming run: FCT stats flow through mergeable
+    quantile sketches ([alpha] relative error), [flowlog] receives every
+    completed flow as a binary {!Bfc_obs.Flowlog} record in completion
+    order, and [progress] prints a live one-line report per sim-ms to
     stderr. *)
+type stream = { alpha : float; flowlog : string option; progress : bool }
 
-val set_streaming : ?alpha:float -> ?flowlog:string -> ?progress:bool -> bool -> unit
-
-val streaming_on : unit -> bool
+(** What a run injects. [Trace] is the profile's CDF trace (§6.2.1),
+    generated whole, watched by a 5 us buffer sampler (and a 10 us
+    active-flow sampler with [sp_track_active]), run for the trace
+    duration and drained. [Stream n] is [n] single-MTU flows between
+    random host pairs at [sp_load] of the hosts' line rate, generated two
+    50 us windows ahead of the clock; it measures from 0, runs to the last
+    arrival, drains for 50 base RTTs and ignores [sp_incast],
+    [sp_locality] and [sp_dur_mult]. *)
+type workload = Trace | Stream of int
 
 (** One standard Clos experiment (the Fig. 9/10/11 machinery). *)
 type std_setup = {
   sp_profile : profile;
   sp_scheme : Scheme.t;
+  sp_workload : workload;
   sp_dist : Bfc_workload.Dist.t;
   sp_load : float;
   sp_incast : incast_mix option;
@@ -58,17 +63,23 @@ type std_setup = {
   sp_dur_mult : float;
       (** scales the trace duration (high-load sweeps need longer traces to
           reach steady state) *)
+  sp_stream : stream option;
+      (** [None] is an exact run: every flow record and slowdown sample is
+          kept. [Some] streams (sets [Runner.streaming]). *)
   sp_params : Runner.params -> Runner.params; (** final tweak *)
   sp_obs : Runner.env -> unit;
       (** observability wiring, run after setup and metric watchers but
           before flows are injected (attach {!Telemetry}/{!Tracer} here) *)
 }
 
+(** An exact [Trace] run: fb_hadoop at 0.6 load, seed 1. *)
 val std : profile -> Scheme.t -> std_setup
 
 type std_result = {
   env : Runner.env;
   flows : Bfc_net.Flow.t list;
+      (** a [Trace] run's whole trace; an exact [Stream] run's completed
+          flows in completion order; [[]] on a streaming [Stream] run *)
   buffers : Bfc_util.Stats.Sample.t;
   active : Bfc_util.Stats.Sample.t option;
   measure_from : Bfc_engine.Time.t; (** warmup cutoff for FCT stats *)
@@ -77,9 +88,10 @@ type std_result = {
           sketches. *)
 }
 
-(** Execute the standard run: build the Clos, set up the scheme, attach
-    the metric watchers and [sp_obs], inject the workload, run it for the
-    trace duration and drain. *)
+(** Execute a run: build the Clos, set up the scheme, attach the
+    workload's watchers, the streaming observers and [sp_obs], inject the
+    workload, run it and drain. Every Clos experiment, [bfc_sim sweep]
+    and [bfc_sim stream] go through here. *)
 val run_std : std_setup -> std_result
 
 (** One independent unit of an experiment sweep: a label and a thunk that
@@ -101,16 +113,14 @@ val fct_rows : std_result -> string list list
 (** p99 (bytes) of the buffer occupancy samples. *)
 val buffer_p99 : std_result -> float
 
-(** {2 Memory-scale streaming driver}
+(** {2 Memory-scale churn run}
 
-    Pushes [flows] single-MTU flows (millions) through a Quick-scale Clos,
-    generating arrivals in sliding windows so the full flow list is never
-    materialised. With [streaming:true], completions feed quantile sketches
-    (and optionally a binary flowlog), and per-flow transport state is
-    reclaimed a few RTTs after completion — resident memory tracks flows in
-    flight, not flows ever run. With [streaming:false], every flow record
-    and exact slowdown sample is retained, as the standard path would:
-    the memory baseline for the BENCH block and CI gate. *)
+    The adapter that perfbench's [flow_churn] workload and [bfc_sim
+    stream] call: {!run_std} on a [Stream flows] workload over the Quick
+    Clos at 0.3 load, with a 20 sim-us peak-heap sampler attached through
+    [sp_obs]. [streaming:false] is the exact run (the memory baseline of
+    CI's streaming gate); [alpha], [flowlog] and [progress] are the
+    streaming settings and an exact run ignores them. *)
 
 type stream_report = {
   sr_streaming : bool;

@@ -467,13 +467,16 @@ let setup ~topo ~scheme ~params:p =
         Dataplane.allow_backpressure dp f)
       env.dataplanes
   end;
-  (* completion counting *)
-  Array.iter
-    (fun h ->
-      match h with
-      | Some h -> Host.on_complete h (fun _ -> env.completed <- env.completed + 1)
-      | None -> ())
-    hosts;
+  (* completion counting; a streaming run also frees both ends' per-flow
+     transport state 4 base RTTs later, once the flow's last control
+     packets have drained *)
+  let complete f =
+    env.completed <- env.completed + 1;
+    if p.streaming then
+      Host.reclaim_after (host env f.Flow.src) ~peer:(host env f.Flow.dst) ~flow_id:f.Flow.id
+        ~delay:(4 * base_rtt)
+  in
+  Array.iter (Option.iter (fun h -> Host.on_complete h complete)) hosts;
   env
 
 let inject env flows =

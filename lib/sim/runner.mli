@@ -24,11 +24,11 @@ type params = {
           [params] field (not a global) so concurrent sweeps on separate
           domains cannot race on it *)
   streaming : bool;
-      (** bounded-memory observability: FCT statistics go through mergeable
-          quantile sketches instead of exact per-flow samples, hosts
-          reclaim per-flow transport state after completion, and flow
-          records can stream to a binary flowlog. Simulation behavior is
-          unchanged — only what is retained about it. *)
+      (** bounded-memory run: [setup] arms a per-flow reclaim event 4 base
+          RTTs after each completion that frees both hosts' transport
+          state for the flow, so resident memory tracks flows in flight.
+          Packets, pauses and completions are unchanged; only the reclaim
+          events are added. *)
 }
 
 val default_params : params

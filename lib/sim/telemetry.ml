@@ -194,12 +194,12 @@ let attach ?(config = default_config) env =
    sanctioned Bfc_util.Clock; events/sec is measured over the interval
    since the previous report. *)
 
-let progress_reporter ?(period = Time.ms 1.0) ?sketch_buckets env oc =
+let progress_reporter ~sketch_buckets env oc =
   let sim = Runner.sim env in
   let last_wall = ref (Bfc_util.Clock.now_s ()) in
   let last_events = ref (Runner.events_executed env) in
   ignore
-    (Sim.every sim ~period (fun () ->
+    (Sim.every sim ~period:(Time.ms 1.0) (fun () ->
          let wall = Bfc_util.Clock.now_s () in
          let events = Runner.events_executed env in
          let dt = wall -. !last_wall in
@@ -209,15 +209,11 @@ let progress_reporter ?(period = Time.ms 1.0) ?sketch_buckets env oc =
          last_wall := wall;
          last_events := events;
          let heap_mw = float_of_int (Gc.quick_stat ()).Gc.heap_words /. 1e6 in
-         let sk =
-           match sketch_buckets with
-           | Some f -> Printf.sprintf " sketch_buckets=%d" (f ())
-           | None -> ""
-         in
          Printf.fprintf oc
-           "progress: t=%.3fms events=%d (%.2fM ev/s) flows=%d/%d%s major_heap=%.1fMw\n%!"
+           "progress: t=%.3fms events=%d (%.2fM ev/s) flows=%d/%d sketch_buckets=%d \
+            major_heap=%.1fMw\n%!"
            (float_of_int (Sim.now sim) /. 1e6)
-           events eps (Runner.completed env) (Runner.injected env) sk heap_mw))
+           events eps (Runner.completed env) (Runner.injected env) (sketch_buckets ()) heap_mw))
 
 (* ------------------------------------------------------------------ *)
 (* Export *)

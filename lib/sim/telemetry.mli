@@ -57,12 +57,11 @@ val write_series : t -> out_channel -> unit
 val counters_json : t -> string
 
 (** Install a simulation ticker that prints a one-line progress report to
-    [oc] every [period] of sim-time (default 1 ms): sim-time, events
-    executed, wall-clock events/sec over the last interval, flows
-    completed/injected, optionally the live sketch bucket count, and the
-    major-heap size in words. Flushes per line so the run can be tailed. *)
-val progress_reporter :
-  ?period:Bfc_engine.Time.t -> ?sketch_buckets:(unit -> int) -> Runner.env -> out_channel -> unit
+    [oc] every sim-millisecond: sim-time, events executed, wall-clock
+    events/sec over the last interval, flows completed/injected, the live
+    sketch bucket count, and the major-heap size in words. Flushes per
+    line so the run can be tailed. *)
+val progress_reporter : sketch_buckets:(unit -> int) -> Runner.env -> out_channel -> unit
 
 (** Event-engine self-profile of the environment's simulator as JSON
     (execution counts per handle class, queue high-water mark, handle reuse

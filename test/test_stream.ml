@@ -233,34 +233,51 @@ let test_flowlog_bad_header () =
 let smoke_setup () =
   { (Exp_common.std Exp_common.Smoke Bfc_sim.Scheme.bfc) with Exp_common.sp_seed = 3 }
 
-let with_streaming f =
-  Exp_common.set_streaming true;
-  Fun.protect ~finally:(fun () -> Exp_common.set_streaming false) f
+let streaming ?flowlog s =
+  { s with Exp_common.sp_stream = Some { Exp_common.alpha = 0.01; flowlog; progress = false } }
 
 let test_streaming_matches_exact () =
-  with_streaming (fun () ->
-      let r = Exp_common.run_std (smoke_setup ()) in
-      let sk = match r.Exp_common.sketches with Some sk -> sk | None -> Alcotest.fail "no sketches" in
-      let exact =
-        Metrics.fct_table r.Exp_common.env ~since:r.Exp_common.measure_from r.Exp_common.flows
-      in
-      let approx = Metrics.fct_table_of_sketches sk in
-      let alpha = Metrics.sketches_alpha sk in
-      List.iter2
-        (fun (e : Metrics.fct_stats) (s : Metrics.fct_stats) ->
-          checki (e.Metrics.bucket ^ " count") e.Metrics.count s.Metrics.count;
-          if e.Metrics.count > 0 then
-            List.iter2
-              (fun (name, ev) sv ->
-                if Float.abs (sv -. ev) > (alpha *. ev) +. 1e-9 then
-                  Alcotest.failf "%s %s: exact %.4f vs sketch %.4f" e.Metrics.bucket name ev sv)
-              [ ("p50", e.Metrics.p50); ("p95", e.Metrics.p95); ("p99", e.Metrics.p99) ]
-              [ s.Metrics.p50; s.Metrics.p95; s.Metrics.p99 ])
-        exact approx;
-      (* fct_rows reports from the sketches on a streaming run; it drops
-         empty buckets *)
-      let nonzero = List.length (List.filter (fun (e : Metrics.fct_stats) -> e.Metrics.count > 0) exact) in
-      checki "fct_rows row count" nonzero (List.length (Exp_common.fct_rows r)))
+  let r = Exp_common.run_std (streaming (smoke_setup ())) in
+  let sk = match r.Exp_common.sketches with Some sk -> sk | None -> Alcotest.fail "no sketches" in
+  let exact =
+    Metrics.fct_table r.Exp_common.env ~since:r.Exp_common.measure_from r.Exp_common.flows
+  in
+  let approx = Metrics.fct_table_of_sketches sk in
+  let alpha = Metrics.sketches_alpha sk in
+  List.iter2
+    (fun (e : Metrics.fct_stats) (s : Metrics.fct_stats) ->
+      checki (e.Metrics.bucket ^ " count") e.Metrics.count s.Metrics.count;
+      if e.Metrics.count > 0 then
+        List.iter2
+          (fun (name, ev) sv ->
+            if Float.abs (sv -. ev) > (alpha *. ev) +. 1e-9 then
+              Alcotest.failf "%s %s: exact %.4f vs sketch %.4f" e.Metrics.bucket name ev sv)
+          [ ("p50", e.Metrics.p50); ("p95", e.Metrics.p95); ("p99", e.Metrics.p99) ]
+          [ s.Metrics.p50; s.Metrics.p95; s.Metrics.p99 ])
+    exact approx;
+  (* fct_rows reports from the sketches on a streaming run; it drops
+     empty buckets *)
+  let nonzero = List.length (List.filter (fun (e : Metrics.fct_stats) -> e.Metrics.count > 0) exact) in
+  checki "fct_rows row count" nonzero (List.length (Exp_common.fct_rows r))
+
+(* The streaming settings travel in the setup, so an exact run and a
+   streaming run can share one domain pool and each still reports what
+   it reports alone. *)
+let test_exact_and_streaming_in_one_pool () =
+  let setups = [ smoke_setup (); streaming (smoke_setup ()) ] in
+  let rows s = Exp_common.fct_rows (Exp_common.run_std s) in
+  let solo = List.map rows setups in
+  let pooled = Bfc_sim.Pool.run ~jobs:2 (List.map (fun s () -> rows s) setups) in
+  check Alcotest.(list (list (list string))) "pooled rows = solo rows" solo pooled;
+  checkb "the two modes report differently" true (List.nth solo 0 <> List.nth solo 1)
+
+let test_flowlog_of_streaming_run () =
+  with_tmp (fun path ->
+      let r = Exp_common.run_std (streaming ~flowlog:path (smoke_setup ())) in
+      let records, truncated = read_all path in
+      checkb "not truncated" false truncated;
+      checki "one record per completion" (Bfc_sim.Runner.completed r.Exp_common.env)
+        (List.length records))
 
 let test_run_stream_smoke () =
   let r = Exp_common.run_stream ~streaming:true ~flows:2000 () in
@@ -290,5 +307,9 @@ let suite =
     Alcotest.test_case "flowlog truncated file" `Quick test_flowlog_truncated;
     Alcotest.test_case "flowlog bad header" `Quick test_flowlog_bad_header;
     Alcotest.test_case "streaming FCT table matches exact" `Quick test_streaming_matches_exact;
+    Alcotest.test_case "exact and streaming runs in one pool" `Quick
+      test_exact_and_streaming_in_one_pool;
+    Alcotest.test_case "streaming run flowlog holds every completion" `Quick
+      test_flowlog_of_streaming_run;
     Alcotest.test_case "run_stream smoke" `Quick test_run_stream_smoke;
   ]
