@@ -458,8 +458,6 @@ let run t ~until =
 
 let run_until_idle ?(cap = safety_cap) t = drain t ~until:max_int ~cap
 
-let next_time t = Wheel.head_time t.q
-
 let pending_events t = t.live
 
 let reserve t n = Wheel.reserve t.q n

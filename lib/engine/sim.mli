@@ -118,8 +118,10 @@ val cls_xpass_resume : int
     index, [a1] = egress. *)
 
 val cls_flow_start : int
-(** Flow arrival — [a0] = the flow's slot in the runner's pending-start
-    table, [a1] unused. *)
+(** Flow arrival — either [a0] = the flow's slot in the runner's
+    pending-start table and [a1] = -1, or [a0] = the flow id and [a1] =
+    packed (source, destination) node ids of a single-MTU flow whose
+    record is built when the event fires. *)
 
 val cls_flow_reclaim : int
 (** Streaming reclaim of a finished flow's transport state — [a0] =
@@ -207,11 +209,6 @@ exception Runaway of { now : Time.t; pending_events : int }
     with a natural end. Returns events executed.
     Raises {!Runaway} after [cap] events (default 2^30). *)
 val run_until_idle : ?cap:int -> t -> int
-
-(** Deadline of the next event to execute, or [-1] when none is
-    pending. Cancelled events have already left the queue, so this is
-    always a live event's deadline. *)
-val next_time : t -> Time.t
 
 (** Number of scheduled events not yet fired or cancelled. *)
 val pending_events : t -> int

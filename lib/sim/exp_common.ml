@@ -191,10 +191,12 @@ let gen_flows s ~cl ~dur =
 
 (* The windowed single-MTU workload: [n] flows between uniformly random
    host pairs, arriving evenly at [sp_load] of the hosts' aggregate line
-   rate. Arrivals are generated two 50 us windows ahead of the clock, so
-   at most a window's worth of new records exists at a time. Returns the
-   horizon (just past the last arrival) and the thunk that injects the
-   first two windows and then starts the window ticker. *)
+   rate. Arrivals are posted two 50 us windows ahead of the clock, one
+   [Sim.reserve] per window, as int-only events ([Runner.inject_mtu]): a
+   flow's record is built at its arrival and dropped by both hosts once
+   they are done with it, so none exists outside the flow's lifetime.
+   Returns the horizon (just past the last arrival) and the thunk that
+   injects the first two windows and then starts the window ticker. *)
 let stream_flows s env ~hosts ~n =
   if n <= 0 then invalid_arg "Exp_common.run_std: a stream needs a positive flow count";
   let sim = Runner.sim env in
@@ -206,19 +208,20 @@ let stream_flows s env ~hosts ~n =
   let rng = Bfc_util.Rng.create s.sp_seed in
   let next = ref 0 in
   let gen_until t_end =
-    let batch = ref [] in
-    while !next < n && arrival_of !next < t_end do
+    let stop = ref !next in
+    while !stop < n && arrival_of !stop < t_end do
+      incr stop
+    done;
+    if !stop > !next then Sim.reserve sim (!stop - !next);
+    while !next < !stop do
       let src = hosts.(Bfc_util.Rng.int rng n_hosts) in
       let dst = ref src in
       while !dst = src do
         dst := hosts.(Bfc_util.Rng.int rng n_hosts)
       done;
-      batch :=
-        Bfc_net.Flow.make ~id:!next ~src ~dst:!dst ~size ~arrival:(arrival_of !next) ()
-        :: !batch;
+      Runner.inject_mtu env ~id:!next ~src ~dst:!dst ~at:(arrival_of !next);
       incr next
-    done;
-    if !batch <> [] then Runner.inject env (List.rev !batch)
+    done
   in
   let window = Time.us 50.0 in
   let start () =

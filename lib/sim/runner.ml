@@ -313,18 +313,38 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
     in
     { base with scheme = Host.Homa prms; nic_policy = Sched.Prio_strict }
 
-(* Flow arrivals are typed [cls_flow_start] events whose [a0] is the
-   flow's slot in a per-sim pending-start table. The hosts are the latest
-   environment's, which own the nodes' handlers. *)
-type starts = { pending : Flow.t Bfc_util.Slot_table.t; mutable live_hosts : Host.t option array }
+(* Flow arrivals are typed [cls_flow_start] events. A trace arrival's
+   [a0] is its caller-owned record's slot in a per-sim pending-start
+   table and its [a1] is -1. A stream arrival carries ints only: [a0] is
+   the flow id and [a1] packs (src, dst); its single-MTU record is built
+   when the event fires, with the event's time as its arrival. The hosts
+   and MTU are the latest environment's, which own the nodes' handlers. *)
+type starts = {
+  ssim : Sim.t;
+  pending : Flow.t Bfc_util.Slot_table.t;
+  mutable live_hosts : Host.t option array;
+  mutable mtu : int;
+}
 
 type Sim.user += Starts of starts
 
-let start_exec st a0 _ =
+let node_bits = 30
+
+let node_mask = (1 lsl node_bits) - 1
+
+let start_exec st a0 a1 =
   match st with
   | Starts s -> (
-    let f = Bfc_util.Slot_table.get s.pending a0 in
-    Bfc_util.Slot_table.release s.pending a0;
+    let f =
+      if a1 < 0 then begin
+        let f = Bfc_util.Slot_table.get s.pending a0 in
+        Bfc_util.Slot_table.release s.pending a0;
+        f
+      end
+      else
+        Flow.make ~id:a0 ~src:(a1 lsr node_bits) ~dst:(a1 land node_mask) ~size:s.mtu
+          ~arrival:(Sim.now s.ssim) ()
+    in
     match s.live_hosts.(f.Flow.src) with
     | Some h -> Host.start_flow h f
     | None -> invalid_arg "Runner.inject: src is not a host")
@@ -334,7 +354,9 @@ let starts sim =
   match Sim.class_state sim ~cls:Sim.cls_flow_start with
   | Some (Starts s) -> s
   | _ ->
-    let s = { pending = Bfc_util.Slot_table.create (); live_hosts = [||] } in
+    let s =
+      { ssim = sim; pending = Bfc_util.Slot_table.create (); live_hosts = [||]; mtu = 0 }
+    in
     Sim.register_class sim ~cls:Sim.cls_flow_start ~state:(Starts s) ~exec:start_exec;
     s
 
@@ -456,7 +478,9 @@ let setup ~topo ~scheme ~params:p =
                  | None -> ()))
         | _ -> ())
   | _ -> ());
-  (starts sim).live_hosts <- hosts;
+  let st = starts sim in
+  st.live_hosts <- hosts;
+  st.mtu <- p.mtu;
   (* deadlock-prevention filter (App. B) *)
   if p.deadlock_filter then begin
     let g = Bfc_core.Deadlock.build topo in
@@ -486,8 +510,14 @@ let inject env flows =
     (fun f ->
       env.injected <- env.injected + 1;
       Sim.post env.sim f.Flow.arrival ~cls:Sim.cls_flow_start
-        ~a0:(Bfc_util.Slot_table.put s.pending f) ~a1:0)
+        ~a0:(Bfc_util.Slot_table.put s.pending f) ~a1:(-1))
     flows
+
+let inject_mtu env ~id ~src ~dst ~at =
+  if src < 0 || src > node_mask || dst < 0 || dst > node_mask then
+    invalid_arg "Runner.inject_mtu: node id out of range";
+  env.injected <- env.injected + 1;
+  Sim.post env.sim at ~cls:Sim.cls_flow_start ~a0:id ~a1:((src lsl node_bits) lor dst)
 
 let run env ~until = ignore (Sim.run env.sim ~until)
 

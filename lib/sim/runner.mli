@@ -64,6 +64,13 @@ val iter_hosts : env -> (Bfc_transport.Host.t -> unit) -> unit
 (** Schedule [Host.start_flow] at each flow's arrival time. *)
 val inject : env -> Bfc_net.Flow.t list -> unit
 
+(** [inject_mtu env ~id ~src ~dst ~at] schedules a single-MTU flow from
+    host node [src] to host node [dst] arriving at [at]. The pending event
+    holds ints only: the flow's record is built when it arrives, so none
+    exists before then. A caller posting a batch calls [Sim.reserve]
+    first. Raises [Invalid_argument] for a node id outside [0, 2^30). *)
+val inject_mtu : env -> id:int -> src:int -> dst:int -> at:Bfc_engine.Time.t -> unit
+
 val injected : env -> int
 
 val completed : env -> int

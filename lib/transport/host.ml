@@ -64,9 +64,14 @@ type cc =
   | Cc_xpass
   | Cc_homa
 
+(* A flow's record is held only while an end still needs it: [fopt] from
+   [start_flow] to [finish_tx], [rfopt] from the first packet to
+   completion. Late ACKs, grants and credits that arrive before the
+   streaming reclaim read [fsize]; timers and credit pacing run only
+   while the record is held. *)
 type tx = {
-  mutable flow : Flow.t;
   mutable fopt : Flow.t option; (* [Some flow], built once for every packet's flow field *)
+  mutable fsize : int;
   mutable snd_nxt : int;
   mutable snd_una : int;
   mutable cc : cc;
@@ -84,8 +89,7 @@ type tx = {
 
 (* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
 type rx = {
-  mutable rflow : Flow.t;
-  mutable rfopt : Flow.t option; (* the sender's [Some rflow], from its first packet *)
+  mutable rfopt : Flow.t option; (* the sender's [Some flow], from its first packet *)
   mutable expected : int; (* contiguous prefix received *)
   mutable ranges : (int * int) list; (* beyond the prefix *)
   mutable last_nack : Bfc_engine.Time.t;
@@ -130,17 +134,20 @@ let add_on_complete t f = t.complete_cbs <- Array.append t.complete_cbs [| f |]
 
 (* Per-flow records live in slot tables. A fresh slot gets a blank
    record; [start_flow] and [get_rx] reinitialise every field. *)
-let no_flow = Flow.make ~id:(-1) ~src:(-1) ~dst:(-1) ~size:1 ~arrival:0 ()
-
 let cap_unlimited = Cap max_int
 
+(* The flow of an unfinished sender or an incomplete receiver. *)
+let live_flow = function
+  | Some f -> f
+  | None -> invalid_arg "Host: the flow is already done"
+
 let blank_tx () =
-  { flow = no_flow; fopt = None; snd_nxt = 0; snd_una = 0; cc = cap_unlimited; nic_q = -1;
+  { fopt = None; fsize = 0; snd_nxt = 0; snd_una = 0; cc = cap_unlimited; nic_q = -1;
     rtx = []; rto_t = 0; finished = true; granted = 0; grant_prio = 0; unsched = 0;
     fin_sent = false; retransmitted = 0; chunk_seq = 0 }
 
 let blank_rx () =
-  { rflow = no_flow; rfopt = None; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
+  { rfopt = None; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
     complete = false; cr_rate = 0.0; cr_w = 0.0; cr_sent = 0; cr_used = 0; cr_pacer = 0;
     cr_feedback = None; cr_stop = false }
 
@@ -212,19 +219,14 @@ let make_data t tx ~seq ~len =
   let pkt =
     Packet.Pool.data t.pool ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
   in
-  if t.cfg.srf then pkt.Packet.remaining <- Int.max 0 (tx.flow.Flow.size - tx.snd_una);
+  if t.cfg.srf then pkt.Packet.remaining <- Int.max 0 (tx.fsize - tx.snd_una);
   t.bytes_sent <- t.bytes_sent + len;
   pkt
-
-let homa_data_prio t tx ~seq =
-  match t.cfg.scheme with
-  | Homa p -> if seq < tx.unsched then Homa.unsched_prio p ~size:tx.flow.Flow.size else tx.grant_prio
-  | _ -> tx.flow.Flow.prio_class
 
 (* The FIN flag is set before the NIC takes the packet: once submitted,
    it may already be on the wire and no longer ours to touch. *)
 let submit_data t tx pkt =
-  if tx.flow.Flow.size - pkt.Packet.seq <= pkt.Packet.payload && not tx.fin_sent then begin
+  if tx.fsize - pkt.Packet.seq <= pkt.Packet.payload && not tx.fin_sent then begin
     pkt.Packet.ctrl_b <- 1;
     (* FIN flag *)
     tx.fin_sent <- true
@@ -239,12 +241,12 @@ let submit_data t tx pkt =
 (* Send limit as an absolute byte offset. *)
 let send_limit tx =
   match tx.cc with
-  | Cc_homa -> Int.min tx.flow.Flow.size (Int.max tx.unsched tx.granted)
+  | Cc_homa -> Int.min tx.fsize (Int.max tx.unsched tx.granted)
   | Cc_xpass -> tx.snd_nxt (* xpass sends only on credit arrival *)
   | Cc_dcqcn _ | Cc_timely _ -> tx.snd_nxt (* paced separately *)
   | _ ->
     let w = window tx in
-    if w = max_int then tx.flow.Flow.size else Int.min tx.flow.Flow.size (tx.snd_una + w)
+    if w = max_int then tx.fsize else Int.min tx.fsize (tx.snd_una + w)
 
 (* Length of the next chunk to send, with its first byte left in
    [tx.chunk_seq]; negative when nothing may be sent now. *)
@@ -271,7 +273,12 @@ let next_chunk t tx =
 let send_chunk t tx ~len =
   let seq = tx.chunk_seq in
   let pkt = make_data t tx ~seq ~len in
-  pkt.Packet.prio <- homa_data_prio t tx ~seq;
+  (* a data packet carries its flow's class; Homa overrides it *)
+  (match t.cfg.scheme with
+  | Homa p ->
+    pkt.Packet.prio <-
+      (if seq < tx.unsched then Homa.unsched_prio p ~size:tx.fsize else tx.grant_prio)
+  | _ -> ());
   submit_data t tx pkt
 
 let rec pump t tx =
@@ -316,7 +323,7 @@ let rate_on_sent tx bytes = match tx.cc with Cc_dcqcn d -> Dcqcn.on_sent d ~byte
 
 (* Pacing loop for rate-based senders (DCQCN, Timely). *)
 let rate_pace t tx =
-  if (not tx.finished) && (tx.snd_nxt < tx.flow.Flow.size || tx.rtx <> []) then begin
+  if (not tx.finished) && (tx.snd_nxt < tx.fsize || tx.rtx <> []) then begin
     if is_rate_based tx then begin
       (* hold off while the NIC is badly backlogged (PFC pause) *)
       if Nic.queue_bytes t.nic ~queue:tx.nic_q < 8 * mtu_wire t.cfg then begin
@@ -330,8 +337,8 @@ let rate_pace t tx =
           submit_data t tx pkt;
           rate_on_sent tx len
         | [] ->
-          if tx.snd_nxt < tx.flow.Flow.size then begin
-            let len = Int.min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
+          if tx.snd_nxt < tx.fsize then begin
+            let len = Int.min t.cfg.mtu (tx.fsize - tx.snd_nxt) in
             let pkt = make_data t tx ~seq:tx.snd_nxt ~len in
             tx.snd_nxt <- tx.snd_nxt + len;
             submit_data t tx pkt;
@@ -344,7 +351,7 @@ let rate_pace t tx =
         else Int.max 1 (int_of_float (float_of_int (mtu_wire t.cfg) /. r))
       in
       Sim.post t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((tx.flow.Flow.id lsl 2) lor rate_pace_kind)
+        ~a1:(((live_flow tx.fopt).Flow.id lsl 2) lor rate_pace_kind)
     end
   end
 
@@ -362,7 +369,7 @@ let arm_rto t tx =
       Sim.post_token t.sim
         (Sim.now t.sim + t.cfg.rto)
         ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((tx.flow.Flow.id lsl 2) lor rto_kind)
+        ~a1:(((live_flow tx.fopt).Flow.id lsl 2) lor rto_kind)
 
 let rto_fire t tx =
   tx.rto_t <- 0;
@@ -392,6 +399,7 @@ let rec remove_owner tx = function
 let finish_tx t tx =
   if not tx.finished then begin
     tx.finished <- true;
+    tx.fopt <- None;
     cancel_rto t tx;
     (* a stopped Dcqcn.t keeps its tickers and their closures reachable
        from [tx] until the slot is reused; nothing reads a finished
@@ -438,7 +446,7 @@ let on_ack t pkt =
         let rtt = Sim.now t.sim - pkt.Packet.sent_at in
         if pkt.Packet.sent_at > 0 then Timely.on_ack tm ~rtt
       | Cap _ | Cc_dcqcn _ | Cc_xpass | Cc_homa -> ());
-      if tx.snd_una >= tx.flow.Flow.size then finish_tx t tx else pump t tx
+      if tx.snd_una >= tx.fsize then finish_tx t tx else pump t tx
     end
 
 let on_nack t pkt =
@@ -466,8 +474,8 @@ let on_credit t pkt =
   match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
-    if (not tx.finished) && tx.snd_nxt < tx.flow.Flow.size then begin
-      let len = Int.min t.cfg.mtu (tx.flow.Flow.size - tx.snd_nxt) in
+    if (not tx.finished) && tx.snd_nxt < tx.fsize then begin
+      let len = Int.min t.cfg.mtu (tx.fsize - tx.snd_nxt) in
       let p = make_data t tx ~seq:tx.snd_nxt ~len in
       (* echo the credit sequence so the receiver can measure credit waste *)
       p.Packet.ctrl_a <- pkt.Packet.ctrl_a;
@@ -528,7 +536,6 @@ let get_rx t pkt flow =
   | rx -> rx
   | exception Not_found ->
     let rx = Slot_table.acquire t.rxs ~id:flow.Flow.id ~blank:blank_rx in
-    rx.rflow <- flow;
     rx.rfopt <- pkt.Packet.flow;
     rx.expected <- 0;
     rx.ranges <- [];
@@ -568,9 +575,9 @@ let xpass_stop_credits t rx =
 
 let xpass_pace t rx =
   if not rx.cr_stop then begin
+    let flow = live_flow rx.rfopt in
     let credit =
-      ctrl_pkt t Packet.Credit ~flow:rx.rfopt ~dst:rx.rflow.Flow.src ~size:Packet.ctrl_bytes
-        ~seq:0
+      ctrl_pkt t Packet.Credit ~flow:rx.rfopt ~dst:flow.Flow.src ~size:Packet.ctrl_bytes ~seq:0
     in
     rx.cr_sent <- rx.cr_sent + 1;
     credit.Packet.ctrl_a <- rx.cr_sent;
@@ -582,7 +589,7 @@ let xpass_pace t rx =
     let gap = Int.max 1 (int_of_float (base *. jitter)) in
     rx.cr_pacer <-
       Sim.post_token t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((rx.rflow.Flow.id lsl 2) lor xpass_pace_kind)
+        ~a1:((flow.Flow.id lsl 2) lor xpass_pace_kind)
   end
 
 let xpass_start_credits t rx ~target_loss ~w_init ~w_max =
@@ -685,6 +692,7 @@ let on_data t pkt =
   end;
   if now_cov >= flow.Flow.size && not rx.complete then begin
     rx.complete <- true;
+    rx.rfopt <- None;
     if flow.Flow.finish < 0 then flow.Flow.finish <- Sim.now t.sim;
     (match t.cfg.scheme with Xpass _ -> xpass_stop_credits t rx | _ -> ());
     for i = 0 to Array.length t.complete_cbs - 1 do
@@ -744,8 +752,8 @@ let start_flow t flow =
   let needs_queue = match t.cfg.scheme with Homa _ -> false | _ -> true in
   let nic_q = if needs_queue then Nic.alloc_queue t.nic else -1 in
   let tx = Slot_table.acquire t.txs ~id:flow.Flow.id ~blank:blank_tx in
-  tx.flow <- flow;
   tx.fopt <- Some flow;
+  tx.fsize <- flow.Flow.size;
   tx.snd_nxt <- 0;
   tx.snd_una <- 0;
   tx.cc <- cc;

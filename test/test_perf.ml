@@ -425,6 +425,33 @@ let test_typed_event_footprint () =
   if per_event > 10.0 then failf "%.2f words per pending typed event, bound 10" per_event;
   check int "all fire" n (Sim.run_until_idle sim)
 
+(* A pending stream arrival is ints in its event record: the flow's
+   record is built when it arrives, so posting arrivals grows the sim by
+   its typed events alone. *)
+let test_stream_arrival_footprint () =
+  let sim = Sim.create () in
+  let cl =
+    Bfc_net.Topology.clos sim ~spines:2 ~tors:2 ~hosts_per_tor:4 ~gbps:100.0 ~prop:(Time.us 1.0)
+  in
+  let env =
+    Bfc_sim.Runner.setup ~topo:cl.Bfc_net.Topology.t ~scheme:Bfc_sim.Scheme.bfc
+      ~params:Bfc_sim.Runner.default_params
+  in
+  let hosts = cl.Bfc_net.Topology.cl_hosts in
+  let nh = Array.length hosts in
+  let words () = Obj.reachable_words (Obj.repr sim) in
+  let w0 = words () and n = 8_192 in
+  Sim.reserve sim n;
+  for i = 0 to n - 1 do
+    Bfc_sim.Runner.inject_mtu env ~id:i ~src:hosts.(i mod nh) ~dst:hosts.((i + 1) mod nh)
+      ~at:(1 + (i * 100))
+  done;
+  let per_arrival = float_of_int (words () - w0) /. float_of_int n in
+  check int "all pending" n (Sim.pending_events sim);
+  if per_arrival > 10.0 then failf "%.2f words per pending stream arrival, bound 10" per_arrival;
+  Bfc_sim.Runner.drain env ~budget:(Time.ms 10.0);
+  check int "all complete" n (Bfc_sim.Runner.completed env)
+
 (* BFC without pause bitmaps stamps no INT and sends no bitmap, so its
    packet table makes no side table. *)
 let test_bfc_clos_no_side_tables () =
@@ -511,6 +538,7 @@ let suite =
     test_case "bfc clos run minor words per event" `Quick test_bfc_clos_minor_words;
     test_case "wheel storage tracks live events" `Quick test_wheel_storage_tracks_live;
     test_case "typed event footprint" `Quick test_typed_event_footprint;
+    test_case "stream arrival footprint" `Quick test_stream_arrival_footprint;
     test_case "bfc clos run makes no side tables" `Quick test_bfc_clos_no_side_tables;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;

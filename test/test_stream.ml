@@ -279,6 +279,35 @@ let test_flowlog_of_streaming_run () =
       checki "one record per completion" (Bfc_sim.Runner.completed r.Exp_common.env)
         (List.length records))
 
+(* A flow's record lives only from its arrival until both hosts are done
+   with it. Once a streaming [Stream] run has drained and its reclaims
+   have fired, no completed flow is reachable, though the environment
+   still is: neither the pending arrival nor either host's recycled
+   per-flow state holds one. *)
+let test_stream_records_freed () =
+  let n = 2_000 in
+  let seen = Weak.create n in
+  let obs env =
+    Bfc_sim.Runner.iter_hosts env (fun h ->
+        Bfc_transport.Host.add_on_complete h (fun f -> Weak.set seen f.Bfc_net.Flow.id (Some f)))
+  in
+  let r =
+    Exp_common.run_std
+      { (streaming (smoke_setup ())) with Exp_common.sp_workload = Exp_common.Stream n; sp_obs = obs }
+  in
+  let env = r.Exp_common.env in
+  let sim = Bfc_sim.Runner.sim env in
+  checki "all completed" n (Bfc_sim.Runner.completed env);
+  Bfc_sim.Runner.run env ~until:(Bfc_engine.Sim.now sim + (100 * Bfc_sim.Runner.base_rtt env));
+  checki "idle but for the window ticker" 1 (Bfc_engine.Sim.pending_events sim);
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check seen i then incr reachable
+  done;
+  checki "completed flows still reachable" 0 !reachable;
+  checki "the environment is live" n (Bfc_sim.Runner.injected env)
+
 let test_run_stream_smoke () =
   let r = Exp_common.run_stream ~streaming:true ~flows:2000 () in
   checkb "streaming" true r.Exp_common.sr_streaming;
@@ -312,4 +341,5 @@ let suite =
     Alcotest.test_case "streaming run flowlog holds every completion" `Quick
       test_flowlog_of_streaming_run;
     Alcotest.test_case "run_stream smoke" `Quick test_run_stream_smoke;
+    Alcotest.test_case "stream records are freed" `Quick test_stream_records_freed;
   ]
