@@ -1,6 +1,10 @@
 (* Standalone entry point for the bfc-lint static-analysis pass.
 
-   bfc_lint [--json] [--suppressed] [--rules] [paths...]   (default path: lib) *)
+   bfc_lint [--json] [--suppressed] [--rules] [paths...]   (default path: lib)
+
+   The per-file rules read the sources under [paths]; DC001 reads the
+   compiled units of the build, so build them first (dune build @check).
+   `dune build @lint` does both. *)
 
 let () =
   let json = ref false in
@@ -16,13 +20,13 @@ let () =
   in
   Arg.parse spec
     (fun p -> paths := p :: !paths)
-    "bfc_lint [options] [paths]\nDataplane-feasibility, determinism and robustness checks.";
+    "bfc_lint [options] [paths]\nDataplane-feasibility, determinism, robustness, perf and dead-export checks.";
   if !list_rules then begin
     print_string (Bfclint.Driver.render_rules ());
     exit 0
   end;
   let paths = match List.rev !paths with [] -> [ "lib" ] | ps -> ps in
-  let report = Bfclint.Driver.lint_paths paths in
+  let report = Bfclint.Driver.lint_paths ~build:(Bfclint.Driver.build_root ()) paths in
   print_string
     (if !json then Bfclint.Driver.render_json report
      else Bfclint.Driver.render_human ~show_suppressed:!show_suppressed report);

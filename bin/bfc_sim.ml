@@ -531,7 +531,7 @@ let lint_cmd =
     if rules then print_string (Bfclint.Driver.render_rules ())
     else begin
       let paths = match paths with [] -> [ "lib" ] | ps -> ps in
-      let report = Bfclint.Driver.lint_paths paths in
+      let report = Bfclint.Driver.lint_paths ~build:(Bfclint.Driver.build_root ()) paths in
       print_string
         (if json then Bfclint.Driver.render_json report
          else Bfclint.Driver.render_human ~show_suppressed report);

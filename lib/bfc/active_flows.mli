@@ -6,9 +6,11 @@
 val mean : rho:float -> float
 
 (** P(N = n) = (1 - rho) rho^n. *)
+(* the §2.3 law the theory tests check mean and quantile against; bfc-lint: allow DC001 *)
 val pmf : rho:float -> int -> float
 
 (** P(N <= n). *)
+(* the §2.3 law the theory tests check mean and quantile against; bfc-lint: allow DC001 *)
 val cdf : rho:float -> int -> float
 
 (** Smallest n with P(N <= n) >= p. *)

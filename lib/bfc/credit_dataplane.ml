@@ -48,17 +48,7 @@ type t = {
   dqa : Dqa.t;
   balances : Balance.b array; (* per egress *)
   uncredited : bool array; (* host-facing egress: downstream always drains *)
-  mutable credits_sent : int;
 }
-
-let switch t = t.sw
-
-let balance t ~egress ~queue = Balance.get t.balances.(egress) ~queue
-
-let credits_sent t = t.credits_sent
-
-let required_buffer t =
-  Switch.n_ports t.sw * t.cfg.max_upstream_q * t.cfg.credit_bytes
 
 let now t = Sim.now (Switch.sim t.sw)
 
@@ -101,12 +91,11 @@ let grant_back t ~in_port ~upstream_q ~bytes =
   if in_port >= 0 && upstream_q >= 0 then begin
     (* hosts also run credit-gated NICs, so grant regardless *)
     let pkt =
-      Packet.Pool.acquire (Switch.pool t.sw) Packet.Hop_credit ~flow:None
-        ~src:(Switch.node_id t.sw) ~dst:(-1) ~size:Packet.ctrl_bytes ~seq:0
+      Packet.Pool.acquire (Switch.pool t.sw) Packet.Hop_credit ~flow:None ~dst:(-1)
+        ~size:Packet.ctrl_bytes ~seq:0
     in
     pkt.Packet.ctrl_a <- upstream_q;
     pkt.Packet.ctrl_b <- bytes;
-    t.credits_sent <- t.credits_sent + 1;
     Switch.send_ctrl t.sw ~egress:in_port pkt
   end
 
@@ -169,7 +158,6 @@ let attach sw cfg =
       uncredited =
         Array.init n_ports (fun e ->
             (Port.peer (Switch.port sw e)).Node.kind = Node.Host);
-      credits_sent = 0;
     }
   in
   let hk = Switch.hooks sw in

@@ -32,18 +32,6 @@ type t
 
 val attach : Bfc_switch.Switch.t -> config -> t
 
-val switch : t -> Bfc_switch.Switch.t
-
-(** Current sending balance of an egress queue (bytes). *)
-val balance : t -> egress:int -> queue:int -> int
-
-(** Buffer bytes this switch must reserve to honour the credits it grants:
-    ingress-ports x max_upstream_q x credit_bytes. *)
-val required_buffer : t -> int
-
-(** Credits granted (messages sent upstream) — diagnostics. *)
-val credits_sent : t -> int
-
 (** The NIC-side balance handler: shared logic for gating a sender queue
     on Hop_credit arrivals. Exposed for {!Bfc_transport.Nic}. *)
 module Balance : sig

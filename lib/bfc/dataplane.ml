@@ -53,9 +53,6 @@ type t = {
          control-plane-populated match-action table on the hardware — the
          per-packet path does integer lookups only *)
   rng : Bfc_util.Rng.t;
-  touched : Bfc_util.Bitset.t;
-      (* with sampling, the flow-table slots a sampled packet has touched
-         since the last reset (see [classify]); empty without sampling *)
   st : stats;
   occupancy : int array array; (* packets per (egress, queue), collision diag *)
 }
@@ -69,8 +66,6 @@ let switch t = t.sw
 let pause_counters t = t.pc
 
 let flow_table t = t.ft
-
-let data_queues t = (t.qpc - 1) * t.classes
 
 let threshold t ~egress =
   Threshold.get t.th ~egress ~n_active:(Switch.n_active t.sw ~egress)
@@ -124,19 +119,10 @@ let classify t _sw ~in_port:_ ~egress pkt =
         then t.st.random_assignments <- t.st.random_assignments + 1;
         Flow_table.set_q ft e ((cls * t.qpc) + local)
       end;
-      if sampled then begin
-        Flow_table.set_size ft e (Flow_table.size ft e + 1);
-        Flow_table.set_last ft e now;
-        if Bfc_util.Bitset.length t.touched > 0 then
-          Bfc_util.Bitset.set t.touched (Flow_table.key ft ~egress ~fid_hash)
-      end
-      else if vacant && Bfc_util.Bitset.mem t.touched (Flow_table.key ft ~egress ~fid_hash) then
-        (* A slot a sampled packet touched is vacant here because its last
-           touch is stale, and an unsampled assignment leaves that touch
-           as it was, so the slot stays vacant. The table may have
-           forgotten it and reads [last = min_int], which never goes
-           stale; put the stale touch back. *)
-        Flow_table.expire ft e ~now;
+      if sampled then Flow_table.set_size ft e (Flow_table.size ft e + 1);
+      (* An assignment is a touch, sampled or not (§3.3.2): it holds for the
+         sticky window and frees once the slot has sat idle past it. *)
+      if sampled || vacant then Flow_table.set_last ft e now;
       if t.occupancy.(egress).(Flow_table.q ft e) > 0 && Flow_table.size ft e <= 1 then
         t.st.queue_collisions <- t.st.queue_collisions + 1;
       Flow_table.q ft e
@@ -148,7 +134,7 @@ let classify t _sw ~in_port:_ ~egress pkt =
     ctrl_queue t ~cls:0
 
 let make_ctrl t kind =
-  Packet.Pool.acquire (Switch.pool t.sw) kind ~flow:None ~src:(Switch.node_id t.sw) ~dst:(-1)
+  Packet.Pool.acquire (Switch.pool t.sw) kind ~flow:None ~dst:(-1)
     ~size:Packet.ctrl_bytes ~seq:0
 
 let send_pause t ~egress ~upstream_q kind =
@@ -264,7 +250,6 @@ let set_switch_queue_paused sw ~port ~queue paused =
 (* bfc-lint: control-plane *)
 let reset t =
   Flow_table.reset t.ft;
-  Bfc_util.Bitset.reset t.touched;
   Pause_counter.reset t.pc;
   Dqa.reset t.dqa;
   Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.occupancy;
@@ -321,8 +306,6 @@ let attach sw cfg =
       allow_bp = ref (fun ~in_port:_ ~egress:_ -> true);
       th = Threshold.source_for_switch sw ~fixed_th:cfg.fixed_th ~factor:cfg.th_factor;
       rng;
-      touched =
-        Bfc_util.Bitset.create (if cfg.sampling < 1.0 then Flow_table.total_slots ft else 0);
       st =
         {
           pauses_sent = 0;

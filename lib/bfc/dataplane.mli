@@ -64,16 +64,13 @@ val config : t -> config
 val switch : t -> Bfc_switch.Switch.t
 
 (** Current pause threshold for an egress (bytes). *)
+(* observation: tests read the live pause threshold; bfc-lint: allow DC001 *)
 val threshold : t -> egress:int -> int
 
 (** Pause counters (for invariant checks in tests). *)
 val pause_counters : t -> Pause_counter.t
 
 val flow_table : t -> Flow_table.t
-
-(** Number of data queues per port (one control queue is reserved per
-    traffic class). *)
-val data_queues : t -> int
 
 (** The reacting side used by host NICs as well: given a control packet
     that arrived on [port], apply it through the queue-pause setter

@@ -18,8 +18,6 @@ let create ~egresses ~queues ~policy ~rng =
   in
   { policy; queues; empty; rot = Array.make (max 1 egresses) 0; rng }
 
-let policy t = t.policy
-
 let assign t ~egress ~fid_hash =
   match t.policy with
   | Single -> 0

@@ -15,8 +15,6 @@ type t
     excluded by the caller). All queues start empty. *)
 val create : egresses:int -> queues:int -> policy:policy -> rng:Bfc_util.Rng.t -> t
 
-val policy : t -> policy
-
 (** [assign t ~egress ~fid_hash] picks a queue for a new flow. *)
 val assign : t -> egress:int -> fid_hash:int -> int
 
@@ -26,6 +24,7 @@ val mark_empty : t -> egress:int -> queue:int -> unit
 (** Queue became occupied. *)
 val mark_occupied : t -> egress:int -> queue:int -> unit
 
+(* observation: tests read the empty-queue bitmap; bfc-lint: allow DC001 *)
 val empty_count : t -> egress:int -> int
 
 val is_empty_queue : t -> egress:int -> queue:int -> bool

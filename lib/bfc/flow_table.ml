@@ -72,8 +72,6 @@ let create ~egresses ~queues_per_port ~mult ~sticky =
 
 let slots_per_port t = t.slots
 
-let total_slots t = t.egresses * t.slots
-
 let capacity t = t.mask + 1
 
 let purges t = t.purges
@@ -139,12 +137,9 @@ let[@inline never] make_room t g ~now =
   t.used <- t.used + 1;
   i
 
-let[@inline] key t ~egress ~fid_hash =
-  if egress < 0 || egress >= t.egresses then invalid_arg "Flow_table.slot: egress out of range";
-  (egress * t.slots) + (fid_hash land t.fmask)
-
 let slot t ~egress ~fid_hash ~now =
-  let g = key t ~egress ~fid_hash in
+  if egress < 0 || egress >= t.egresses then invalid_arg "Flow_table.slot: egress out of range";
+  let g = (egress * t.slots) + (fid_hash land t.fmask) in
   let tbl = t.tbl in
   let i = probe t tbl g in
   if Array.unsafe_get tbl i = g then begin
@@ -159,8 +154,6 @@ let slot t ~egress ~fid_hash ~now =
   end
 
 let vacant t i ~now = vacant_at t.tbl i t.sticky now
-
-let expire t i ~now = t.tbl.(i + 3) <- now - t.sticky - 1
 
 let[@inline] q t i = t.tbl.(i + 1)
 

@@ -23,16 +23,10 @@
     initial state first, so what a caller reads never depends on when the
     table last dropped vacant slots.
 
-    {b The [last = min_int] wrap.} A slot assigned by an unsampled packet
-    keeps [last = min_int]. Then [now - last] wraps negative, so the slot
-    never goes stale: it is never vacant, never forgotten, and keeps its
-    queue until a sampled packet touches it. This is the behaviour the
-    dataplane has always had, kept as it is. It is also the one place where
-    forgetting a vacant slot shows: in a table that keeps every slot, a
-    stale slot that an unsampled packet reassigns keeps its old [last] and
-    stays vacant, but a forgotten slot reads [last = min_int]. The BFC
-    dataplane, which knows which slots a sampled packet has touched, puts
-    such a slot back with {!expire}. *)
+    A fresh slot reads [last = min_int], and [now - min_int] wraps
+    negative, so a slot with a queue must have been stamped: the BFC
+    dataplane sets [last] whenever it gives a vacant slot a queue, whether
+    or not the packet is sampled. *)
 
 type t
 
@@ -45,10 +39,8 @@ type t
 val create :
   egresses:int -> queues_per_port:int -> mult:int -> sticky:Bfc_engine.Time.t -> t
 
+(* observation: tests check the table's sizing; bfc-lint: allow DC001 *)
 val slots_per_port : t -> int
-
-(** Total slots (all egresses). *)
-val total_slots : t -> int
 
 (** [slot t ~egress ~fid_hash ~now] — the index of the slot this flow maps
     to: slot [fid_hash land (slots_per_port t - 1)] of [egress]. Flows
@@ -57,12 +49,6 @@ val total_slots : t -> int
     next [slot] call on [t] (see the index contract above).
     @raise Invalid_argument if [egress] is outside [\[0, egresses)]. *)
 val slot : t -> egress:int -> fid_hash:int -> now:Bfc_engine.Time.t -> int
-
-(** [key t ~egress ~fid_hash] — the slot's number,
-    [egress * slots_per_port t + (fid_hash land (slots_per_port t - 1))],
-    in [\[0, total_slots t)]. Unlike an index it never changes.
-    @raise Invalid_argument if [egress] is outside [\[0, egresses)]. *)
-val key : t -> egress:int -> fid_hash:int -> int
 
 (** [vacant t i ~now] — [size = 0] and either [q < 0] or
     [now - last > sticky]: the slot carries no state classify would use,
@@ -75,7 +61,8 @@ val q : t -> int -> int
 (** Packets from this slot's flows currently in the switch. *)
 val size : t -> int -> int
 
-(** Last enqueue/dequeue touch. *)
+(** Last touch: a sampled enqueue or dequeue, or a queue assignment. *)
+(* observation: tests read a slot's last touch; bfc-lint: allow DC001 *)
 val last : t -> int -> Bfc_engine.Time.t
 
 val set_q : t -> int -> int -> unit
@@ -84,13 +71,10 @@ val set_size : t -> int -> int -> unit
 
 val set_last : t -> int -> Bfc_engine.Time.t -> unit
 
-(** [expire t i ~now] — set [last] to just outside the sticky window at
-    [now], so the slot is vacant from [now] on while its [size] is 0. *)
-val expire : t -> int -> now:Bfc_engine.Time.t -> unit
-
 (** Slots with [size > 0] at an egress (diagnostics). This and
     {!resident} read every stored entry once, so they cost O({!capacity}).
     @raise Invalid_argument if [egress] is out of range. *)
+(* observation: tests count occupied slots; bfc-lint: allow DC001 *)
 val occupied : t -> egress:int -> int
 
 (** Sum of [size] over an egress's slots: the packets the table believes
@@ -98,10 +82,12 @@ val occupied : t -> egress:int -> int
 val resident : t -> egress:int -> int
 
 (** Entries the table has room for (diagnostics). *)
+(* observation: tests check the table's growth; bfc-lint: allow DC001 *)
 val capacity : t -> int
 
 (** Times a lookup dropped the vacant slots to make room since {!create}
     or the last {!reset} (diagnostics). *)
+(* observation: tests check that purges ran; bfc-lint: allow DC001 *)
 val purges : t -> int
 
 (** Wipe every slot back to its initial state (switch reboot); the table

@@ -9,10 +9,12 @@
 
 (** [ef ~x ~th_ratio] = (x - 1) / (th_ratio . x + x^2 - 1).
     Raises [Invalid_argument] unless [x > 1] and [th_ratio >= 0]. *)
+(* App. C eq. (4); the model tests check worst_x and max_ef against it; bfc-lint: allow DC001 *)
 val ef : x:float -> th_ratio:float -> float
 
 (** Phase durations in units of HRTT (for a unit-rate flow):
     (t_p1, t_p2, t_p3) of App. C equations (1)-(3). *)
+(* App. C equations (1)-(3); the model tests check them; bfc-lint: allow DC001 *)
 val phase_durations : x:float -> th_ratio:float -> float * float * float
 
 (** The x that maximises [ef] for a given threshold: sqrt(th_ratio) + 1. *)

@@ -21,6 +21,7 @@ val decr : t -> ingress:int -> upstream_q:int -> edge
 val count : t -> ingress:int -> upstream_q:int -> int
 
 (** Is this upstream queue currently held paused? *)
+(* observation: tests read a queue's pause state; bfc-lint: allow DC001 *)
 val paused : t -> ingress:int -> upstream_q:int -> bool
 
 (** All upstream queues of an ingress with non-zero counters (for the

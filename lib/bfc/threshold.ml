@@ -29,6 +29,8 @@ type source = Fixed of int | Per_egress of table array
 let get src ~egress ~n_active =
   match src with Fixed b -> b | Per_egress tables -> lookup tables.(egress) ~n_active
 
+(* Per-egress max one-hop RTT over the ingresses that can feed it (§3.3.2:
+   the max of HRTT across all the ingresses). *)
 let hrtt_per_egress sw =
   let n_ports = Switch.n_ports sw in
   (* Th uses the max 1-hop RTT across the ingress ports that can feed an

@@ -8,14 +8,17 @@
 
 (** [bytes ~hrtt ~gbps ~n_active ~factor] — threshold in bytes.
     [factor] scales Th (1.0 = the paper's setting). *)
+(* the §3.3.2 formula the tests check the quantized table against; bfc-lint: allow DC001 *)
 val bytes : hrtt:Bfc_engine.Time.t -> gbps:float -> n_active:int -> factor:float -> int
 
 (** A precomputed table over N_active in [1, max_active] (clamping above),
     as the hardware match-action table would hold. *)
 type table
 
+(* the §3.3.2 table; tests check it against the formula; bfc-lint: allow DC001 *)
 val table : hrtt:Bfc_engine.Time.t -> gbps:float -> max_active:int -> factor:float -> table
 
+(* the §3.3.2 table; tests check it against the formula; bfc-lint: allow DC001 *)
 val lookup : table -> n_active:int -> int
 
 (** Where a dataplane reads Th from: a fixed byte override (Fig. 7 sweeps)
@@ -26,10 +29,6 @@ type source = Fixed of int | Per_egress of table array
 
 (** Integer-only; safe on the per-packet path. *)
 val get : source -> egress:int -> n_active:int -> int
-
-(** Per-egress max one-hop RTT over the ingresses that can feed it
-    (§3.3.2: the max of HRTT across all the ingresses). *)
-val hrtt_per_egress : Bfc_switch.Switch.t -> Bfc_engine.Time.t array
 
 (** Control-plane population of a switch's threshold source from its port
     speeds and hop RTTs. *)

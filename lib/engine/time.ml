@@ -1,14 +1,10 @@
 type t = int
 
-let zero = 0
-
 let ns x = x
 
 let us x = int_of_float (Float.round (x *. 1e3))
 
 let ms x = int_of_float (Float.round (x *. 1e6))
-
-let s x = int_of_float (Float.round (x *. 1e9))
 
 let to_us t = float_of_int t /. 1e3
 

@@ -5,21 +5,13 @@
 
 type t = int
 
-val zero : t
-
 val ns : int -> t
 
 val us : float -> t
 
 val ms : float -> t
 
-val s : float -> t
-
 val to_us : t -> float
-
-val to_ms : t -> float
-
-val to_s : t -> float
 
 (** [tx_time ~bits_per_ns ~bytes] is the serialization time of [bytes] on a
     link of the given rate, rounded up to at least 1 ns. *)

@@ -269,7 +269,5 @@ let violation_count t = List.length t.violations
 
 let checks_run t = t.checks
 
-let ok t = t.violations = []
-
 let to_string v =
   Printf.sprintf "%.3fus node %d [%s] %s" (Time.to_us v.v_at) v.v_node v.v_invariant v.v_detail

@@ -68,6 +68,4 @@ val violation_count : t -> int
 val checks_run : t -> int
 (** Number of audit sweeps performed. *)
 
-val ok : t -> bool
-
 val to_string : violation -> string

@@ -29,12 +29,6 @@ val attach : ?registry:Bfc_obs.Registry.t -> Bfc_sim.Runner.env -> t
 
 (** {2 Packet loss} *)
 
-(** Install a loss model on one directed port (by global port id),
-    replacing any previous model on it. *)
-val set_loss : t -> gid:int -> Loss.t -> unit
-
-val clear_loss : t -> gid:int -> unit
-
 (** Share one loss model across every directed port of the topology. *)
 val set_loss_everywhere : t -> Loss.t -> unit
 
@@ -50,6 +44,7 @@ val link_down : t -> gid:int -> unit
 val link_up : t -> gid:int -> unit
 
 (** Is the directed port currently down? *)
+(* observation: tests read a link's state; bfc-lint: allow DC001 *)
 val is_down : t -> gid:int -> bool
 
 (** [flap t ~gid ~start ~down_for ~period ~count] schedules [count]

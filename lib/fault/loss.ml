@@ -3,13 +3,11 @@ module Packet = Bfc_net.Packet
 type mode =
   | Prob of float
   | Nth of { n : int; mutable seen : int } (* drop exactly the nth match *)
-  | Every of { n : int; mutable seen : int } (* drop every nth match *)
 
 type rule = {
   matches : Packet.t -> bool;
   mode : mode;
   corrupt : bool;
-  mutable rule_dropped : int;
 }
 
 type t = {
@@ -34,23 +32,17 @@ let ctrl pkt =
 
 let kind k pkt = pkt.Packet.kind = k
 
-let pauses = kind Packet.Pause
-
 let resumes = kind Packet.Resume
 
 let add t rule = t.rules <- t.rules @ [ rule ]
 
 let add_prob t ?(corrupt = false) ~p matches =
   if not (p >= 0.0 && p <= 1.0) then invalid_arg "Loss.add_prob: probability not in [0, 1]";
-  add t { matches; mode = Prob p; corrupt; rule_dropped = 0 }
+  add t { matches; mode = Prob p; corrupt }
 
 let add_nth t ?(corrupt = false) ~n matches =
   if n <= 0 then invalid_arg "Loss.add_nth: n";
-  add t { matches; mode = Nth { n; seen = 0 }; corrupt; rule_dropped = 0 }
-
-let add_every t ?(corrupt = false) ~n matches =
-  if n <= 0 then invalid_arg "Loss.add_every: n";
-  add t { matches; mode = Every { n; seen = 0 }; corrupt; rule_dropped = 0 }
+  add t { matches; mode = Nth { n; seen = 0 }; corrupt }
 
 (* First matching rule that fires wins; rules that match but do not fire
    still consume their position in the deterministic counters, so an Nth
@@ -66,20 +58,14 @@ let decide t pkt =
           | Nth s ->
             s.seen <- s.seen + 1;
             s.seen = s.n
-          | Every s ->
-            s.seen <- s.seen + 1;
-            s.seen mod s.n = 0
         in
         if fire && not !lost then begin
           lost := true;
-          r.rule_dropped <- r.rule_dropped + 1;
           if r.corrupt then t.corrupted <- t.corrupted + 1 else t.dropped <- t.dropped + 1
         end
       end)
     t.rules;
   !lost
-
-let dropped t = t.dropped
 
 let corrupted t = t.corrupted
 

@@ -26,10 +26,6 @@ val data : Bfc_net.Packet.t -> bool
 (** Pause, Resume, pause-bitmap and PFC frames. *)
 val ctrl : Bfc_net.Packet.t -> bool
 
-val kind : Bfc_net.Packet.kind -> Bfc_net.Packet.t -> bool
-
-val pauses : Bfc_net.Packet.t -> bool
-
 val resumes : Bfc_net.Packet.t -> bool
 
 (** {2 Rules} *)
@@ -41,15 +37,9 @@ val add_prob : t -> ?corrupt:bool -> p:float -> (Bfc_net.Packet.t -> bool) -> un
 (** Lose exactly the [n]-th matching packet (1-based), once. *)
 val add_nth : t -> ?corrupt:bool -> n:int -> (Bfc_net.Packet.t -> bool) -> unit
 
-(** Lose every [n]-th matching packet. *)
-val add_every : t -> ?corrupt:bool -> n:int -> (Bfc_net.Packet.t -> bool) -> unit
-
 (** [decide t pkt] — should this packet be lost? Advances the
     deterministic counters of every matching rule. *)
 val decide : t -> Bfc_net.Packet.t -> bool
-
-(** Packets lost to non-[corrupt] rules. *)
-val dropped : t -> int
 
 (** Packets lost to [corrupt] rules. *)
 val corrupted : t -> int

@@ -117,8 +117,16 @@ let rec walk path acc =
       acc entries
   | false -> if Filename.check_suffix path ".ml" then path :: acc else acc
 
-let lint_paths paths =
+(* dune runs actions from _build/default; from the repo root, look there. *)
+let build_root () = if Sys.file_exists "_build/default" then "_build/default" else "."
+
+let lint_paths ?build paths =
   let files = List.rev (List.fold_left (fun acc p -> walk p acc) [] paths) in
+  let dead =
+    match build with
+    | None -> ([], [])
+    | Some root -> ( match Dead.run root with Ok ds -> (ds, []) | Error e -> ([], [ (root, e) ]))
+  in
   let findings, failures =
     List.fold_left
       (fun (fs, errs) path ->
@@ -128,7 +136,7 @@ let lint_paths paths =
           match lint_source ~path source with
           | Ok ds -> (fs @ ds, errs)
           | Error e -> (fs, (path, e) :: errs)))
-      ([], []) files
+      dead files
   in
   {
     files = List.length files;

@@ -3,27 +3,26 @@
 (** Repo-relative paths of the per-packet / per-event hot-path modules
     that get the feasibility (DF) family: the two BFC dataplanes, the
     stress/obs per-packet counters. *)
+(* the lint tests check that every scan-set entry exists; bfc-lint: allow DC001 *)
 val dataplane_files : string list
 
 (** Repo-relative paths of the hot scheduling modules that get the perf
     (PF) family on top of {!dataplane_files}. *)
+(* the lint tests check that every scan-set entry exists; bfc-lint: allow DC001 *)
 val perf_files : string list
 
 (** The switch program modules and the device modules (RB003 scope). *)
+(* the lint tests check that every scan-set entry exists; bfc-lint: allow DC001 *)
 val program_files : string list
 
+(* the lint tests check that every scan-set entry exists; bfc-lint: allow DC001 *)
 val device_files : string list
-
-(** Path → which rule families apply. Dataplane scope is any file ending in
-    an entry of {!dataplane_files}; perf scope adds {!perf_files}; lib
-    scope is any file under a [lib/] directory segment; program and
-    device scope likewise follow {!program_files} and {!device_files}. *)
-val scope_of_path : string -> Check.scope
 
 (** Lint one source text. [virtual_path] overrides [path] for scope
     classification and reporting (fixture tests lint files as if they lived
     on a dataplane path). Returns findings paired with their suppression
     status, or a parse-failure reason. *)
+(* the lint tests lint fixture text through it; bfc-lint: allow DC001 *)
 val lint_source :
   ?virtual_path:string -> path:string -> string -> ((Diagnostic.t * bool) list, string) result
 
@@ -34,14 +33,18 @@ type report = {
 }
 
 (** Walk the given files/directories (recursively, [.ml] only, skipping
-    [_build] and dot-dirs) and lint each. *)
-val lint_paths : string list -> report
+    [_build] and dot-dirs) and lint each. With [~build], also run DC001
+    ({!Dead.run}) over the compiled units under that build root. *)
+val lint_paths : ?build:string -> string list -> report
+
+(** Where DC001 finds the compiled units: [_build/default] when run from
+    the repository root, else the current directory (dune runs [@lint]
+    from inside the build directory). *)
+val build_root : unit -> string
 
 (** Unsuppressed findings. *)
+(* observation: the lint tests read a report's violations; bfc-lint: allow DC001 *)
 val violations : report -> Diagnostic.t list
-
-(** Findings covered by an allow comment. *)
-val suppressed : report -> Diagnostic.t list
 
 (** 0 clean, 1 violations, 2 parse/IO failures. *)
 val exit_code : report -> int

@@ -1,4 +1,4 @@
-type family = Feasibility | Determinism | Robustness | Perf
+type family = Feasibility | Determinism | Robustness | Perf | Dead_code
 
 type severity = Error | Warning
 
@@ -15,6 +15,7 @@ let family_to_string = function
   | Determinism -> "determinism"
   | Robustness -> "robustness"
   | Perf -> "perf"
+  | Dead_code -> "dead-code"
 
 let severity_to_string = function Error -> "error" | Warning -> "warning"
 
@@ -186,6 +187,18 @@ let pf_poly_compare =
        monomorphic Int.compare/Int.max/Int.min (or Float.*)";
   }
 
+let dc_dead_export =
+  {
+    id = "DC001";
+    name = "dc-dead-export";
+    family = Dead_code;
+    severity = Error;
+    doc =
+      "value exported from a lib/ interface that no unit in lib/, bin/, perfbench/, bench/ or \
+       examples/ references (tests do not count): delete it with its test, or allow it with a \
+       one-line reason";
+  }
+
 let all =
   [
     df_list;
@@ -203,11 +216,8 @@ let all =
     pf_closure_timer;
     pf_stdlib_queue;
     pf_poly_compare;
+    dc_dead_export;
   ]
-
-let find key =
-  let k = String.lowercase_ascii key in
-  List.find_opt (fun r -> String.lowercase_ascii r.id = k || r.name = k) all
 
 (* [matches r key] — does suppression token [key] cover rule [r]?  Accepts the
    rule id (case-insensitive), the kebab name, or "all". *)

@@ -1,6 +1,6 @@
 (** Lint rule registry.
 
-    Four families, mirroring the properties the reproduction depends on:
+    Five families, mirroring the properties the reproduction depends on:
 
     - {b feasibility} (DF rules): the BFC dataplane of paper section 3.3
       only fits Tofino2 because every per-packet operation is constant-time
@@ -11,9 +11,12 @@
     - {b robustness} (RB rules): packet-path failures must raise structured,
       diagnosable errors.
     - {b perf} (PF rules): the engine's steady state is allocation-free;
-      these rules keep closure allocation off the hot scheduling paths. *)
+      these rules keep closure allocation off the hot scheduling paths.
+    - {b dead code} (DC rule): every export of a lib/ interface has a
+      caller outside the tests; a whole-program pass over the compiled
+      units ({!Dead}). *)
 
-type family = Feasibility | Determinism | Robustness | Perf
+type family = Feasibility | Determinism | Robustness | Perf | Dead_code
 
 type severity = Error | Warning
 
@@ -59,11 +62,10 @@ val pf_stdlib_queue : t
 
 val pf_poly_compare : t
 
+val dc_dead_export : t
+
 (** Every rule, in id order. *)
 val all : t list
-
-(** Look a rule up by id (case-insensitive) or name. *)
-val find : string -> t option
 
 (** [matches r key] — does suppression token [key] cover rule [r]? Accepts
     the rule id, the kebab name, or ["all"]. *)

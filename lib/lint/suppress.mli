@@ -15,9 +15,6 @@ type t
 
 val scan : string -> t
 
-(** Rule keys allowed exactly on [line]. *)
-val allows_at : t -> line:int -> string list
-
 (** Rule keys allowed on [line] or the line above it. *)
 val allows_near : t -> line:int -> string list
 

@@ -24,7 +24,6 @@ type t = {
   mutable uid : int;
   mutable kind : kind;
   mutable flow : Flow.t option;
-  mutable src : int;
   mutable dst : int;
   mutable size : int;
   mutable payload : int;
@@ -86,12 +85,11 @@ let[@inline] set_bp_sampled p b = set_flag p flag_bp_sampled b
    race-free across domains. *)
 let fallback_uid = Atomic.make 0
 
-let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
+let build ~uid kind flow ~dst ~size ~payload ~seq ~prio =
   {
     uid;
     kind;
     flow;
-    src;
     dst;
     size;
     payload;
@@ -110,18 +108,18 @@ let build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio =
     next_free = -2;
   }
 
-let make ?sim kind ?flow ~src ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
+let make ?sim kind ?flow ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
   let uid =
     match sim with
     | Some s -> Bfc_engine.Sim.fresh_uid s
     | None -> Atomic.fetch_and_add fallback_uid 1
   in
-  build ~uid kind flow ~src ~dst ~size ~payload ~seq ~prio
+  build ~uid kind flow ~dst ~size ~payload ~seq ~prio
 
-let placeholder = build ~uid:(-1) Data None ~src:(-1) ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
+let placeholder = build ~uid:(-1) Data None ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
 
 let data ?sim ~flow ~seq ~payload ?(extra_header = 0) () =
-  make ?sim Data ~flow ~src:flow.Flow.src ~dst:flow.Flow.dst
+  make ?sim Data ~flow ~dst:flow.Flow.dst
     ~size:(payload + header_bytes + extra_header)
     ~payload ~seq ~prio:flow.prio_class ()
 
@@ -138,11 +136,6 @@ let () =
     | _ -> None)
 
 let flow_exn t ~at = match t.flow with Some f -> f | None -> raise (Missing_flow { uid = t.uid; at })
-
-let is_control t =
-  match t.kind with
-  | Pause | Resume | Pause_bitmap | Hop_credit | Pfc | Cnp -> true
-  | Data | Ack | Nack | Credit | Credit_req | Grant -> false
 
 let flow_id t = match t.flow with Some f -> f.Flow.id | None -> -1
 
@@ -311,7 +304,6 @@ module Pool = struct
      The INT-hop records are kept (they are reused via the cursor). *)
   let reset t (p : packet) =
     p.flow <- None;
-    p.src <- -1;
     p.dst <- -1;
     p.size <- 0;
     p.payload <- 0;
@@ -338,11 +330,11 @@ module Pool = struct
     t.free <- i;
     t.n_free <- t.n_free + 1
 
-  let acquire t kind ~flow ~src ~dst ~size ~seq =
+  let acquire t kind ~flow ~dst ~size ~seq =
     if t.n_free = 0 then begin
       t.allocated <- t.allocated + 1;
       let p =
-        build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~src ~dst ~size ~payload:0 ~seq
+        build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~dst ~size ~payload:0 ~seq
           ~prio:0
       in
       ignore (register t p);
@@ -357,7 +349,6 @@ module Pool = struct
       p.uid <- Bfc_engine.Sim.fresh_uid t.sim;
       p.kind <- kind;
       p.flow <- flow;
-      p.src <- src;
       p.dst <- dst;
       p.size <- size;
       p.seq <- seq;
@@ -367,7 +358,7 @@ module Pool = struct
   let data t ~flow ~seq ~payload ~extra_header =
     let f = match flow with Some f -> f | None -> invalid_arg "Packet.Pool.data: no flow" in
     let p =
-      acquire t Data ~flow ~src:f.Flow.src ~dst:f.Flow.dst
+      acquire t Data ~flow ~dst:f.Flow.dst
         ~size:(payload + header_bytes + extra_header)
         ~seq
     in

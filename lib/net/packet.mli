@@ -37,7 +37,6 @@ type t = {
   mutable uid : int;
   mutable kind : kind;
   mutable flow : Flow.t option;
-  mutable src : int;
   mutable dst : int;
   mutable size : int; (** bytes on the wire *)
   mutable payload : int; (** data bytes carried (<= size) *)
@@ -91,15 +90,15 @@ val ack_bytes : int
 
 val ctrl_bytes : int
 
-(** [make kind ~flow ~src ~dst ~size ...] — fresh packet. With [?sim] the
+(** [make kind ~flow ~dst ~size ...] — fresh packet. With [?sim] the
     uid comes from that simulation's counter ({!Bfc_engine.Sim.fresh_uid}),
     which is deterministic per run and safe under domains; without it a
     process-global atomic fallback is used (tests, standalone tools). *)
+(* tests build standalone packets outside a pool; bfc-lint: allow DC001 *)
 val make :
   ?sim:Bfc_engine.Sim.t ->
   kind ->
   ?flow:Flow.t ->
-  src:int ->
   dst:int ->
   size:int ->
   ?payload:int ->
@@ -110,6 +109,7 @@ val make :
 
 (** [data ~flow ~seq ~payload ~extra_header] — a data packet of the flow;
     wire size = payload + header + extra_header. *)
+(* tests build standalone data packets outside a pool; bfc-lint: allow DC001 *)
 val data :
   ?sim:Bfc_engine.Sim.t -> flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> t
 
@@ -126,8 +126,6 @@ exception Missing_flow of { uid : int; at : Bfc_engine.Time.t }
 
 (** The packet's flow, or raises {!Missing_flow} stamped with [at]. *)
 val flow_exn : t -> at:Bfc_engine.Time.t -> Flow.t
-
-val is_control : t -> bool
 
 (** Flow id or -1. *)
 val flow_id : t -> int
@@ -165,13 +163,13 @@ module Pool : sig
   (** [get pool i] is the packet at index [i]. *)
   val get : t -> int -> packet
 
-  (** [acquire pool kind ~flow ~src ~dst ~size ~seq] — a recycled (or, when
+  (** [acquire pool kind ~flow ~dst ~size ~seq] — a recycled (or, when
       the free list is empty, fresh) packet with [make]'s defaults in every
       other field. It takes no optional argument, since a call site boxes
       every optional argument it passes. [~flow] is stored as given, so a
       sender passes an option it built once per flow. *)
   val acquire :
-    t -> kind -> flow:Flow.t option -> src:int -> dst:int -> size:int -> seq:int -> packet
+    t -> kind -> flow:Flow.t option -> dst:int -> size:int -> seq:int -> packet
 
   (** Mirrors {!val:Packet.data} but draws from the pool; [~flow] must be
       [Some] (raises [Invalid_argument] otherwise). *)
@@ -222,6 +220,7 @@ module Pool : sig
 
   (** Index slots the side tables hold: 0 until some packet gets an INT
       stack or a non-empty bitmap. *)
+  (* observation: tests read the side tables' size; bfc-lint: allow DC001 *)
   val side_slots : t -> int
 
   (** Packets currently parked in the free list. *)

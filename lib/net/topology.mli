@@ -29,6 +29,7 @@ val sim : t -> Bfc_engine.Sim.t
 
 val nodes : t -> Node.t array
 
+(* observation: tests read a node; bfc-lint: allow DC001 *)
 val node : t -> int -> Node.t
 
 (** Node ids of all hosts, in creation order. *)
@@ -60,6 +61,7 @@ val spray_port : t -> node:int -> rng:Bfc_util.Rng.t -> dst:int -> int
 
 (** The deterministic first-candidate path from [src] to [dst], as the list
     of ports traversed. Host-to-host paths are walked once and cached. *)
+(* observation: tests check that routes reach their destination; bfc-lint: allow DC001 *)
 val path : t -> src:int -> dst:int -> Port.t list
 
 (** Best-possible FCT of a [size]-byte flow from [src] to [dst] running

@@ -43,7 +43,6 @@ module Writer = struct
     oc : out_channel;
     cap : int;
     mutable n : int;
-    mutable written : int; (* records flushed to the channel *)
     ids : int array;
     srcs : int array;
     dsts : int array;
@@ -67,7 +66,6 @@ module Writer = struct
       oc;
       cap = chunk;
       n = 0;
-      written = 0;
       ids = Array.make chunk 0;
       srcs = Array.make chunk 0;
       dsts = Array.make chunk 0;
@@ -94,7 +92,6 @@ module Writer = struct
       for i = 0 to t.n - 1 do Buffer.add_int64_le b t.ideal_bits.(i) done;
       output_string t.oc (Buffer.contents b);
       Buffer.clear b;
-      t.written <- t.written + t.n;
       t.n <- 0
     end
 
@@ -110,8 +107,6 @@ module Writer = struct
     t.fct_bits.(i) <- Int64.bits_of_float r.fct;
     t.ideal_bits.(i) <- Int64.bits_of_float r.ideal;
     t.n <- t.n + 1
-
-  let count t = t.written + t.n
 
   (* Flush the partial chunk and the channel buffer; the channel itself
      stays open (the caller owns it). *)
@@ -136,6 +131,8 @@ let read_upto ic b len =
    chunks well below it, and it bounds the reader's allocation. *)
 let max_chunk = 1 lsl 24
 
+(* Streams every complete record through [f] in file order, one chunk at a
+   time; the flag is [true] when the file ends mid-chunk. *)
 let fold_channel ic ~init ~f =
   let hdr = Bytes.create header_bytes in
   if read_upto ic hdr header_bytes <> header_bytes then

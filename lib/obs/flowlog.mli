@@ -24,14 +24,6 @@ type record = {
   ideal : float; (* ideal (unloaded) FCT; slowdown = fct / ideal *)
 }
 
-val version : int
-
-(** Bytes per record on disk (fixed for version 1). *)
-val record_bytes : int
-
-(** Records per chunk when the writer is not told otherwise. *)
-val default_chunk : int
-
 module Writer : sig
   type t
 
@@ -42,22 +34,13 @@ module Writer : sig
 
   val append : t -> record -> unit
 
-  (** Records appended so far (flushed or buffered). *)
-  val count : t -> int
-
   (** Flush the partial chunk and the channel buffer. The channel stays
       open; [append] after [close] starts a new chunk and is valid. *)
   val close : t -> unit
 end
 
-(** [fold_channel ic ~init ~f] streams every complete record through [f]
-    in file order, holding one chunk at a time. Returns the accumulator
-    and a [truncated] flag: [true] when the file ends mid-chunk (the
-    partial chunk is dropped). Raises [Invalid_argument] on a bad header. *)
-val fold_channel : in_channel -> init:'a -> f:('a -> record -> 'a) -> 'a * bool
-
-(** {!fold_channel} over a file path (opened binary, always closed). *)
-val fold_file : string -> init:'a -> f:('a -> record -> 'a) -> 'a * bool
-
-(** Iterate a file; returns the [truncated] flag. *)
+(** [iter_file path ~f] streams every complete record through [f] in file
+    order, holding one chunk at a time, and returns a [truncated] flag:
+    [true] when the file ends mid-chunk (the partial chunk is dropped).
+    Raises [Invalid_argument] on a bad header. *)
 val iter_file : string -> f:(record -> unit) -> bool

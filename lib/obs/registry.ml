@@ -4,8 +4,6 @@
 
 type counter = int
 
-type histogram = int
-
 type t = {
   enabled : bool;
   (* counters *)
@@ -16,11 +14,6 @@ type t = {
   mutable g_names : string array;
   mutable g_fns : (unit -> float) array;
   mutable g_n : int;
-  (* histograms: edges + counts per slot *)
-  mutable h_names : string array;
-  mutable h_edges : float array array;
-  mutable h_counts : int array array;
-  mutable h_n : int;
 }
 
 let create ?(enabled = true) () =
@@ -32,10 +25,6 @@ let create ?(enabled = true) () =
     g_names = [||];
     g_fns = [||];
     g_n = 0;
-    h_names = [||];
-    h_edges = [||];
-    h_counts = [||];
-    h_n = 0;
   }
 
 let enabled t = t.enabled
@@ -92,52 +81,6 @@ let sample_gauges t =
   if not t.enabled then []
   else List.init t.g_n (fun i -> (t.g_names.(i), t.g_fns.(i) ()))
 
-let check_edges edges =
-  try Bfc_util.Buckets.check ~edges
-  with Invalid_argument _ ->
-    invalid_arg "Registry.histogram: edges must be non-empty and strictly ascending"
-
-(* registration time; bfc-lint: control-plane *)
-let histogram t name ~edges =
-  match find t.h_names t.h_n name with
-  | i when i >= 0 ->
-    if t.h_edges.(i) <> edges then
-      invalid_arg (Printf.sprintf "Registry.histogram: %s already registered with other edges" name);
-    i
-  | _ ->
-    check_edges edges;
-    let i = t.h_n in
-    t.h_names <- grow_str t.h_names (i + 1);
-    if i >= Array.length t.h_edges then begin
-      t.h_edges <- Array.append t.h_edges (Array.make (max 8 (i + 1)) [||]);
-      t.h_counts <- Array.append t.h_counts (Array.make (max 8 (i + 1)) [||])
-    end;
-    t.h_names.(i) <- name;
-    t.h_edges.(i) <- Array.copy edges;
-    t.h_counts.(i) <- Array.make (Array.length edges + 1) 0;
-    t.h_n <- i + 1;
-    i
-
-(* First bucket i with v < edges.(i); overflow bucket otherwise. The
-   shared binary search keeps wide histograms O(log buckets) on the hot
-   path (Buckets.upper_index is the overflow-bucket flavour verbatim). *)
-let bucket_of edges v = Bfc_util.Buckets.upper_index ~edges v
-
-let observe t h v =
-  if t.enabled then begin
-    let counts = t.h_counts.(h) in
-    let b = bucket_of t.h_edges.(h) v in
-    counts.(b) <- counts.(b) + 1
-  end
-
-let histogram_counts t h = Array.copy t.h_counts.(h)
-
-let histogram_edges t h = Array.copy t.h_edges.(h)
-
-(* bfc-lint: control-plane *)
-let histograms t =
-  List.init t.h_n (fun i -> (t.h_names.(i), Array.copy t.h_edges.(i), Array.copy t.h_counts.(i)))
-
 (* ------------------------------------------------------------------ *)
 (* JSON export. Probe names are plain identifiers ("engine.heap_hwm"), but
    escape defensively anyway. *)
@@ -177,23 +120,7 @@ let to_json t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "\n    \"%s\": %s" (json_escape name) (json_float v)))
     (sample_gauges t);
-  Buffer.add_string buf "\n  },\n  \"histograms\": {";
-  List.iteri
-    (fun i (name, edges, counts) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\n    \"%s\": { \"edges\": [" (json_escape name));
-      Array.iteri
-        (fun j e ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (json_float e))
-        edges;
-      Buffer.add_string buf "], \"counts\": [";
-      Array.iteri
-        (fun j c ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int c))
-        counts;
-      Buffer.add_string buf "] }")
-    (histograms t);
-  Buffer.add_string buf "\n  }\n}\n";
+  (* Registries hold no histograms any more; the empty object keeps the
+     export byte-identical for the readers of older output. *)
+  Buffer.add_string buf "\n  },\n  \"histograms\": {\n  }\n}\n";
   Buffer.contents buf

@@ -15,6 +15,7 @@ val create : ?sink:out_channel -> Registry.t -> t
     ({!rows} then returns [[]] and {!to_csv} re-emits only the header).
     The caller owns the channel. *)
 
+(* observation: tests read the column names; bfc-lint: allow DC001 *)
 val columns : t -> string list
 (** ["t_ns"] followed by the gauge names, in registration order. *)
 
@@ -26,6 +27,7 @@ val sample : t -> now:int -> unit
 val n_samples : t -> int
 (** Total rows recorded, whether retained or streamed to the sink. *)
 
+(* observation: tests read the retained rows; bfc-lint: allow DC001 *)
 val rows : t -> (int * float array) list
 (** (t_ns, values) in sample order; values align with [columns] minus the
     leading time column. Streamed rows are not retained, so this is [[]]

@@ -167,9 +167,6 @@ let mean t =
 
 let bucket_count t = Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 t.counts
 
-(* Rough resident size in words: the counts window plus the record. *)
-let mem_words t = Array.length t.counts + 12
-
 (* bfc-lint: control-plane *)
 let merge ~into src =
   if into.log2k <> src.log2k then invalid_arg "Sketch.merge: mismatched resolution";
@@ -245,5 +242,3 @@ let decode s =
     min_v = Int64.float_of_bits (Bytes.get_int64_le b (p + 16));
     max_v = Int64.float_of_bits (Bytes.get_int64_le b (p + 24));
   }
-
-

@@ -27,6 +27,7 @@ type t
 val create : ?alpha:float -> unit -> t
 
 (** Actual relative-error guarantee (<= the [alpha] passed to {!create}). *)
+(* observation: tests check the error bound; bfc-lint: allow DC001 *)
 val alpha : t -> float
 
 (** Record one observation. Hot path: two float comparisons and integer
@@ -40,8 +41,10 @@ val is_empty : t -> bool
 
 (** Exact smallest / largest bucketed (positive finite) observation; [nan]
     if none. *)
+(* observation: tests read the exact extremes; bfc-lint: allow DC001 *)
 val min : t -> float
 
+(* observation: tests read the exact extremes; bfc-lint: allow DC001 *)
 val max : t -> float
 
 (** [quantile t q] with [q] in [0,1]: estimate of the exact percentile
@@ -51,6 +54,7 @@ val max : t -> float
     estimated within {!alpha}, and the convex combination preserves the
     bound; the extremes clamp to the exact {!min} / {!max}).
     Raises [Invalid_argument] if empty or [q] out of range. *)
+(* observation: tests check quantiles within alpha; bfc-lint: allow DC001 *)
 val quantile : t -> float -> float
 
 (** [percentile t p] = [quantile t (p /. 100.)]. *)
@@ -65,12 +69,10 @@ val mean : t -> float
 (** Number of nonzero buckets currently held. *)
 val bucket_count : t -> int
 
-(** Approximate resident size in words (the bucket window dominates). *)
-val mem_words : t -> int
-
 (** [merge ~into src] folds [src] into [into] ([src] is unchanged).
     Exactly associative and commutative. Raises [Invalid_argument] when
     the two sketches were created with different resolutions. *)
+(* kept with its own test case for now (ROADMAP item 8); bfc-lint: allow DC001 *)
 val merge : into:t -> t -> unit
 
 (** Canonical binary encoding: independent of growth and merge history, so
@@ -79,4 +81,5 @@ val merge : into:t -> t -> unit
 val encode : t -> string
 
 (** Inverse of {!encode}. Raises [Invalid_argument] on malformed input. *)
+(* tests check that encode, which Metrics uses, loses nothing; bfc-lint: allow DC001 *)
 val decode : string -> t

@@ -64,8 +64,6 @@ let intern t ?(akey = "a") ?(bkey = "b") nm =
     t.n_names <- i + 1;
     i
 
-let name t i = t.names.(i)
-
 let grow t =
   let cap = Array.length t.ts in
   let ncap = cap * 2 in

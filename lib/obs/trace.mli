@@ -29,9 +29,6 @@ val intern : t -> ?akey:string -> ?bkey:string -> string -> int
     arguments. Re-interning the same name returns the same id (arg keys are
     kept from the first registration). *)
 
-val name : t -> int -> string
-(** The string for an interned id. *)
-
 val instant : t -> ts:int -> name:int -> pid:int -> tid:int -> ?a:int -> ?b:int -> unit -> unit
 (** A point event at [ts] ns. *)
 
@@ -64,4 +61,3 @@ val to_chrome :
 val to_jsonl : t -> out_channel -> unit
 (** One JSON object per record per line (stable keys: ts, dur, name, pid,
     tid, then the per-name argument keys). *)
-

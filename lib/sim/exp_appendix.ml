@@ -616,90 +616,40 @@ let idempotent profile =
           Scheme.bitmap_period = (if bitmap then Some (Time.us 20.0) else None);
         }
     in
-    let s =
-      {
-        (std profile scheme) with
-        sp_dist = Dist.google;
-        sp_load = 0.7;
-        sp_incast = Some { default_incast with degree = 20 };
-      }
+    (* Pause and Resume frames are lost on the wire with probability [loss]. *)
+    let wire_loss env =
+      let rng = Bfc_util.Rng.create 424_242 in
+      let topo = Runner.topo env in
+      if loss > 0.0 then
+        for g = 0 to Topology.total_ports topo - 1 do
+          Bfc_net.Port.set_fault (Topology.port_by_gid topo g) (fun pkt ->
+              match pkt.Bfc_net.Packet.kind with
+              | Bfc_net.Packet.Pause | Bfc_net.Packet.Resume -> Bfc_util.Rng.float rng < loss
+              | _ -> false)
+        done
     in
-    (* replicate run_std but with wire faults on control packets *)
-    let sim = Sim.create () in
-    let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
-    let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-    let env =
-      Runner.setup ~topo:cl.Topology.t ~scheme ~params:{ Runner.default_params with seed = 3 }
-    in
-    let rng = Bfc_util.Rng.create 424_242 in
-    if loss > 0.0 then
-      for g = 0 to Topology.total_ports cl.Topology.t - 1 do
-        Bfc_net.Port.set_fault
-          (Topology.port_by_gid cl.Topology.t g)
-          (fun pkt ->
-            match pkt.Bfc_net.Packet.kind with
-            | Bfc_net.Packet.Pause | Bfc_net.Packet.Resume -> Bfc_util.Rng.float rng < loss
-            | _ -> false)
-      done;
-    let dur = duration s.sp_profile ~dist:s.sp_dist in
-    let hosts = cl.Topology.cl_hosts in
-    let core_gbps = float_of_int (spines * tors) *. 100.0 in
-    let ids = ref 0 in
-    let inc =
-      Traffic.generate_incast
+    let r =
+      run_std
         {
-          Traffic.i_hosts = hosts;
-          degree = 20;
-          agg_size = int_of_float (20e6 *. (core_gbps /. 6400.0));
-          period =
-            Traffic.period_for_load
-              ~agg_size:(int_of_float (20e6 *. (core_gbps /. 6400.0)))
-              ~frac:0.05 ~ref_capacity_gbps:core_gbps;
-          i_duration = dur;
-          i_seed = 77;
+          (std profile scheme) with
+          sp_dist = Dist.google;
+          sp_load = 0.7;
+          sp_incast = Some { default_incast with degree = 20 };
+          sp_params = (fun p -> { p with Runner.seed = 3 });
+          sp_obs = wire_loss;
         }
-        ~ids
     in
-    let bg =
-      Traffic.generate
-        {
-          Traffic.hosts;
-          dist = Dist.google;
-          arrivals = Arrivals.lognormal_default;
-          load = 0.65;
-          ref_capacity_gbps = core_gbps;
-          core_fraction =
-            1.0 -. (float_of_int (hosts_per_tor - 1) /. float_of_int (Array.length hosts - 1));
-          matrix = Traffic.Uniform;
-          duration = dur;
-          seed = 3;
-          prio_classes = 1;
-        }
-        ~ids
-    in
-    let flows = Traffic.merge [ bg; inc ] in
-    Runner.inject env flows;
-    Runner.run env ~until:dur;
-    Runner.drain env ~budget:(8 * dur);
-    let lost =
-      let acc = ref 0 in
-      for g = 0 to Topology.total_ports cl.Topology.t - 1 do
-        acc := !acc + Bfc_net.Port.faults_injected (Topology.port_by_gid cl.Topology.t g)
-      done;
-      !acc
-    in
-    let stuck =
-      Array.fold_left
-        (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp))
-        0 (Runner.dataplanes env)
-    in
-    ignore stuck;
+    let topo = Runner.topo r.env in
+    let lost = ref 0 in
+    for g = 0 to Topology.total_ports topo - 1 do
+      lost := !lost + Bfc_net.Port.faults_injected (Topology.port_by_gid topo g)
+    done;
     [
       name;
       cell (loss *. 100.0);
-      string_of_int lost;
-      Printf.sprintf "%d/%d" (Runner.completed env) (Runner.injected env);
-      cell (Metrics.short_p99 env ~since:(dur / 10) flows);
+      string_of_int !lost;
+      Printf.sprintf "%d/%d" (Runner.completed r.env) (Runner.injected r.env);
+      cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
     ]
   in
   let rows =

@@ -6,6 +6,7 @@
     via the switch's departure tap. *)
 
 (** Flow-size buckets used across the figures. *)
+(* observation: tests check the FCT table covers every bucket; bfc-lint: allow DC001 *)
 val size_buckets : (string * int * int) list
 (** (label, lo, hi) with hi exclusive; the last bucket is open-ended. *)
 
@@ -58,6 +59,7 @@ val fct_overall_of_sketches : fct_sketches -> fct_stats
 val sketches_buckets : fct_sketches -> int
 
 (** The relative-error bound the sketches were created with. *)
+(* observation: tests read the sketches' error bound; bfc-lint: allow DC001 *)
 val sketches_alpha : fct_sketches -> float
 
 (** Concatenated canonical encodings of every sketch: equal strings iff

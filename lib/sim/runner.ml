@@ -63,8 +63,6 @@ let sim env = env.sim
 
 let topo env = env.topo
 
-let scheme env = env.scheme
-
 let params env = env.params
 
 let base_rtt env = env.base_rtt

@@ -41,8 +41,6 @@ val sim : env -> Bfc_engine.Sim.t
 
 val topo : env -> Bfc_net.Topology.t
 
-val scheme : env -> Scheme.t
-
 val params : env -> params
 
 (** Maximum base RTT between hosts (used for windows and BDP). *)

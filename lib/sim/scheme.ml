@@ -109,9 +109,3 @@ let name = function
   | Pfc_only -> "PFC-only"
   | Expresspass _ -> "ExpressPass"
   | Homa { spray } -> if spray then "Homa" else "Homa-ECMP"
-
-let uses_ecn = function
-  | Dctcp _ | Dcqcn -> true
-  | Bfc _ | Bfc_credit _ | Ideal_fq | Ideal_srf | Hpcc _ | Hpcc_pfc _ | Swift _ | Timely
-  | Pfc_only | Expresspass _ | Homa _ ->
-    false

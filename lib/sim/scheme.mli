@@ -72,6 +72,3 @@ val pfc_only : t
 val homa : t
 
 val homa_ecmp : t
-
-(** Does this scheme use per-class ECN marking? (for switch config) *)
-val uses_ecn : t -> bool

@@ -26,14 +26,12 @@ type config = {
       (** gauge sampling period; [None] disables the time series *)
 }
 
-(** Enabled, tracing, unbounded, sampling every 10 us. *)
-val default_config : config
-
 type t
 
 (** Call after {!Runner.setup}, before injecting flows. *)
 val attach : ?config:config -> Runner.env -> t
 
+(* observation: tests read the registry; bfc-lint: allow DC001 *)
 val registry : t -> Bfc_obs.Registry.t
 
 (** The lifecycle trace, when configured. *)

@@ -31,11 +31,14 @@ type t
 val attach : Runner.env -> capacity:int -> t
 
 (** Events in chronological order (oldest first). *)
+(* observation: tests read the recorded events; bfc-lint: allow DC001 *)
 val events : t -> event list
 
 (** Total events observed (including any that fell off the ring). *)
+(* observation: tests read the observed count; bfc-lint: allow DC001 *)
 val observed : t -> int
 
+(* observation: tests count events of a kind; bfc-lint: allow DC001 *)
 val count : t -> pred:(event -> bool) -> int
 
 (** Pauses and resumes received per node, as (node, pauses, resumes). *)

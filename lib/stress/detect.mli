@@ -43,6 +43,7 @@ type config = {
           retransmission timeouts alone are not misattributed *)
 }
 
+(* observation: tests read the detector's victim threshold; bfc-lint: allow DC001 *)
 val default_config : config
 
 type storm = {

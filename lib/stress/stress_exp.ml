@@ -82,6 +82,8 @@ let clos_cell profile ~scheme ~scenario ~watchdog ~seed =
 
 type ring_variant = Ring_pfc | Ring_bfc_unprotected | Ring_bfc_filtered
 
+(* [n] switches in a unidirectional ring, one host per switch: the crafted
+   CBD topology. Returns the topology and the host node ids in ring order. *)
 let ring_topology sim n =
   let b = Topology.Builder.create sim in
   let sws =
@@ -156,6 +158,8 @@ let ring_cell profile variant =
 (* ------------------------------------------------------------------ *)
 (* Table assembly *)
 
+(* Recovery time per cell is its latest completion minus the same scheme's
+   clean-run latest completion (shown only when every flow completed). *)
 let matrix_table cells =
   let clean_base scheme =
     List.find_opt

@@ -46,18 +46,8 @@ val clos_cell :
 
 type ring_variant = Ring_pfc | Ring_bfc_unprotected | Ring_bfc_filtered
 
-(** [ring_topology sim n]: [n] switches in a unidirectional ring, one host
-    per switch — the crafted CBD topology. Returns the topology and the
-    host node ids in ring order. *)
-val ring_topology : Bfc_engine.Sim.t -> int -> Bfc_net.Topology.t * int array
-
 (** One crafted-CBD ring cell. No watchdog — the pure deadlock regime. *)
 val ring_cell : Bfc_sim.Exp_common.profile -> ring_variant -> cell
-
-(** Render finished cells as the adversity table. Recovery time per cell
-    is its latest completion minus the same scheme's clean-run latest
-    completion (only shown when every flow completed). *)
-val matrix_table : cell list -> Bfc_sim.Exp_common.table
 
 (** The full matrix as an {!Bfc_sim.Experiments.target} named "stress",
     runnable via [Experiments.run]. *)

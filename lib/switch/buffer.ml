@@ -9,8 +9,6 @@ let create ~total ~alpha ~n_ingress =
   if total <= 0 then invalid_arg "Buffer.create: total";
   { total; alpha; used = 0; ingress_used = Array.make (max 1 n_ingress) 0 }
 
-let total t = t.total
-
 let used t = t.used
 
 let infinite t = t.total = max_int

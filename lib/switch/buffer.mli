@@ -11,12 +11,11 @@ type t
 (** [total = max_int] means infinite buffering (Ideal-FQ). *)
 val create : total:int -> alpha:float -> n_ingress:int -> t
 
-val total : t -> int
-
 val used : t -> int
 
 val free : t -> int
 
+(* observation: tests check an infinite buffer; bfc-lint: allow DC001 *)
 val infinite : t -> bool
 
 (** Would a [size]-byte packet be admitted to a queue currently holding

@@ -36,8 +36,6 @@ let create policy ~queues ~classes ~quantum =
     served = 0;
   }
 
-let policy t = t.policy
-
 let ring_add r qi =
   let cap = Array.length r.slots in
   if r.rn = cap then invalid_arg "Sched: queue not created with this scheduler";
@@ -177,6 +175,3 @@ let flush t f =
 let n_active t = t.nonempty - t.nonempty_paused
 
 let n_backlogged t = t.nonempty
-
-let iter_backlogged t f =
-  Array.iter (fun q -> if not (Fifo.is_empty q) then f q) t.queues

@@ -29,12 +29,6 @@ type t
     must have [Fifo.idx = i] (raises [Invalid_argument] otherwise). *)
 val create : policy -> queues:Fifo.t array -> classes:int -> quantum:int -> t
 
-val policy : t -> policy
-
-(** Tell the scheduler this queue may now be servable (enqueue into empty
-    queue, resume, PFC unpause). Idempotent. *)
-val activate : t -> Fifo.t -> unit
-
 (** Enqueue through the scheduler so its backlog accounting stays exact. *)
 val push : t -> Fifo.t -> Bfc_net.Packet.t -> unit
 
@@ -61,7 +55,5 @@ val flush : t -> (Bfc_net.Packet.t -> unit) -> unit
 val n_active : t -> int
 
 (** Non-empty queue count regardless of pauses. *)
+(* observation: tests read the backlog count; bfc-lint: allow DC001 *)
 val n_backlogged : t -> int
-
-(** Iterate non-empty queues. *)
-val iter_backlogged : t -> (Fifo.t -> unit) -> unit

@@ -119,7 +119,7 @@ let pool t = t.pool
 let recycle t pkt = Packet.Pool.release t.pool pkt
 
 let make_pfc t =
-  Packet.Pool.acquire t.pool Packet.Pfc ~flow:None ~src:t.node.Node.id ~dst:(-1)
+  Packet.Pool.acquire t.pool Packet.Pfc ~flow:None ~dst:(-1)
     ~size:Packet.ctrl_bytes ~seq:0
 
 let n_ports t = Array.length t.egresses
@@ -133,8 +133,6 @@ let queues t ~egress = t.egresses.(egress).equeues
 let n_active t ~egress = Sched.n_active t.egresses.(egress).esched
 
 let egress_bytes t ~egress = t.egresses.(egress).ebytes
-
-let buffer t = t.buffer
 
 let buffer_used t = Buffer.used t.buffer
 

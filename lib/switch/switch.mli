@@ -117,8 +117,6 @@ val max_hop_rtt : t -> Bfc_engine.Time.t
 
 (** {2 Introspection / metrics} *)
 
-val buffer : t -> Buffer.t
-
 val buffer_used : t -> int
 
 val drops : t -> int

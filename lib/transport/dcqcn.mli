@@ -37,4 +37,5 @@ val rate : t -> float
 (** Cancel timers (flow finished). *)
 val stop : t -> unit
 
+(* observation: tests read the sender's alpha; bfc-lint: allow DC001 *)
 val alpha : t -> float

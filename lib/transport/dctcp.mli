@@ -20,4 +20,5 @@ val on_timeout : t -> unit
 val window : t -> int
 
 (** Current alpha (for tests). *)
+(* observation: tests read the sender's alpha; bfc-lint: allow DC001 *)
 val alpha : t -> float

@@ -40,5 +40,6 @@ module Receiver : sig
   val on_data : t -> flow:Bfc_net.Flow.t -> covered:int -> grant list
 
   (** Number of messages currently being scheduled (diagnostics). *)
+  (* observation: tests read the receiver's active messages; bfc-lint: allow DC001 *)
   val active : t -> int
 end

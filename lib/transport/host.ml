@@ -124,8 +124,6 @@ type t = {
 
 let nic t = t.nic
 
-let config t = t.cfg
-
 let on_complete t f = t.complete_cbs <- [| f |]
 
 (* Several observers (run driver, sketches, flowlog writer) can all see
@@ -554,7 +552,7 @@ let get_rx t pkt flow =
 (* [flow] is the packet's flow field as stored: pass a per-flow option
    built once (or a received packet's own field), not a fresh [Some]. *)
 let ctrl_pkt t kind ~flow ~dst ~size ~seq =
-  Packet.Pool.acquire t.pool kind ~flow ~src:t.node.Node.id ~dst ~size ~seq
+  Packet.Pool.acquire t.pool kind ~flow ~dst ~size ~seq
 
 let send_ctrl_pkt t kind ~flow ~dst ~size ~seq =
   Nic.submit_ctrl t.nic (ctrl_pkt t kind ~flow ~dst ~size ~seq)

@@ -60,8 +60,6 @@ val create :
 
 val nic : t -> Nic.t
 
-val config : t -> config
-
 (** Register the completion callback (fires at the receiving host when the
     flow's last byte arrives). Replaces any previous callback. *)
 val on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
@@ -75,6 +73,7 @@ val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
     Safe once the flow is complete and its last control packets have
     drained (packets for unknown flow ids are ignored); lets long streaming
     runs keep per-flow memory proportional to in-flight flows only. *)
+(* tests reclaim one side of a flow; reclaim_after reclaims both; bfc-lint: allow DC001 *)
 val reclaim_flow_state : t -> flow_id:int -> unit
 
 (** [reclaim_after t ~peer ~flow_id ~delay] reclaims [flow_id]'s state on
@@ -85,6 +84,7 @@ val reclaim_after : t -> peer:t -> flow_id:int -> delay:Bfc_engine.Time.t -> uni
 (** Per-flow records built so far, (sender, receiver): reclaimed flows'
     records are reused unless still reachable (an unfinished sender, a
     receiver with a live credit ticker). *)
+(* observation: tests count per-flow records; bfc-lint: allow DC001 *)
 val flow_records : t -> int * int
 
 (** Begin transmitting a flow whose [src] is this host. *)

@@ -25,4 +25,5 @@ val on_ack :
 val window : t -> int
 
 (** Most recent utilization estimate (diagnostics). *)
+(* observation: tests read the measured utilization; bfc-lint: allow DC001 *)
 val last_u : t -> float

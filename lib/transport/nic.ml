@@ -189,8 +189,6 @@ let arm_pfc_watchdog t =
 
 let watchdog_fires t = t.watchdog_fires
 
-let n_queues t = Array.length t.queues
-
 (* First unoccupied data queue from [i] on, wrapping past queue 0, or -1. *)
 let rec scan_free occupants i remaining =
   if remaining = 0 then -1

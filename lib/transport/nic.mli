@@ -38,8 +38,6 @@ val create :
   unit ->
   t
 
-val n_queues : t -> int
-
 (** Allocate a data queue for a flow: an unoccupied queue if one exists
     (dynamic assignment, like the switch), else round-robin sharing. *)
 val alloc_queue : t -> int

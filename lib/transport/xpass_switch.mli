@@ -6,8 +6,6 @@
     exceed the link rate (the paper's "credits are rate-limited at the
     switches to avoid congestion"). *)
 
-val credit_cap : int
-
 (** [attach sw ~mtu_wire] installs the hooks (composes with the default
     FIFO data path). *)
 val attach : Bfc_switch.Switch.t -> mtu_wire:int -> unit

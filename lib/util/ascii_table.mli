@@ -2,6 +2,7 @@
 
 (** [render ~header rows] lays out all cells left-aligned, padding columns to
     the widest cell, with a rule under the header. *)
+(* observation: tests read what print writes; bfc-lint: allow DC001 *)
 val render : header:string list -> string list list -> string
 
 (** [print ~title ~header rows] renders with a title line to stdout. *)

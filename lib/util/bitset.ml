@@ -6,8 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make (((n + word_bits - 1) / word_bits) + 1) 0; n; count = 0 }
 
-let length t = t.n
-
 let check t i = if i < 0 || i >= t.n then invalid_arg "Bitset: index out of range"
 
 let mem t i =
@@ -44,18 +42,7 @@ let first_set t ~from =
     scan t (((from mod n) + n) mod n) n
   end
 
-let to_list t =
-  let acc = ref [] in
-  for i = t.n - 1 downto 0 do
-    if mem t i then acc := i :: !acc
-  done;
-  !acc
-
 let fill t =
   for i = 0 to t.n - 1 do
     set t i
   done
-
-let reset t =
-  Array.fill t.words 0 (Array.length t.words) 0;
-  t.count <- 0

@@ -8,8 +8,6 @@ type t
 (** [create n] makes a bitset over [0, n), all bits clear. *)
 val create : int -> t
 
-val length : t -> int
-
 val set : t -> int -> unit
 
 val clear : t -> int -> unit
@@ -25,9 +23,4 @@ val cardinal : t -> int
     pipelines picking the same empty queue. *)
 val first_set : t -> from:int -> int
 
-(** All set indices, ascending. *)
-val to_list : t -> int list
-
 val fill : t -> unit
-
-val reset : t -> unit

@@ -1,10 +1,9 @@
-(* Open-addressing int-keyed hash table for the per-packet hot paths
-   (Host tx/rx lookup, Switch active-flow counting). Compared to
+(* Open-addressing int-keyed counter for the per-packet hot paths
+   (Switch active-flow counting, Slot_table's id map). Compared to
    [Hashtbl]:
      - no bucket lists, so a hit is a multiply, a mask and (usually) one
        array probe — no pointer chasing, no boxed key comparison;
-     - lookups allocate nothing ([find_exn] + [match ... with exception
-       Not_found] on the caller side, instead of [find_opt]'s [Some]);
+     - lookups allocate nothing;
      - deletions use backward-shift compaction, so there are no
        tombstones and probe chains never degrade.
 
@@ -13,132 +12,18 @@
    by an odd constant is a bijection on the low bits, so masking cannot
    alias more keys than the table has slots. [min_int] is reserved as
    the empty-slot marker — flow and packet ids are small non-negative
-   ints, far from it.
-
-   The value array is seeded lazily by the first stored value (the
-   Wheel idiom for ['a] arrays without a dummy), and slots freed by
-   [remove]/[reset] are not scrubbed: stale values are unreachable
-   (their key slot is [empty]) and are overwritten before any read. *)
+   ints, far from it. Slots freed by [remove]/[reset] are not scrubbed:
+   stale values are unreachable (their key slot is [empty]) and are
+   overwritten before any read. *)
 
 let empty_key = min_int
 
 let hash_mult = 0x2545F4914F6CDD1D
 
-type 'a t = {
-  mutable keys : int array;
-  mutable vals : 'a array; (* length 0 until the first [set] *)
-  mutable mask : int;
-  mutable count : int;
-}
-
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
-let create ?(size = 16) () =
-  let cap = next_pow2 (max 8 size) 8 in
-  { keys = Array.make cap empty_key; vals = [||]; mask = cap - 1; count = 0 }
-
-let length t = t.count
-
-let slot t k = k * hash_mult land t.mask
-
-let find_exn t k =
-  let keys = t.keys in
-  let mask = t.mask in
-  let i = ref (slot t k) in
-  while
-    let kk = Array.unsafe_get keys !i in
-    kk <> k && kk <> empty_key
-  do
-    i := (!i + 1) land mask
-  done;
-  if Array.unsafe_get keys !i = k then Array.unsafe_get t.vals !i else raise Not_found
-
-let find_opt t k = match find_exn t k with exception Not_found -> None | v -> Some v
-
-let mem t k = match find_exn t k with exception Not_found -> false | _ -> true
-
-(* Rehash into [ncap] slots, the new value array seeded with [v]. *)
-let resize t ncap v =
-  let ocap = t.mask + 1 in
-  let okeys = t.keys and ovals = t.vals in
-  t.keys <- Array.make ncap empty_key;
-  t.vals <- Array.make ncap v;
-  t.mask <- ncap - 1;
-  for j = 0 to ocap - 1 do
-    let k = Array.unsafe_get okeys j in
-    if k <> empty_key then begin
-      let i = ref (slot t k) in
-      while Array.unsafe_get t.keys !i <> empty_key do
-        i := (!i + 1) land t.mask
-      done;
-      Array.unsafe_set t.keys !i k;
-      Array.unsafe_set t.vals !i (Array.unsafe_get ovals j)
-    end
-  done
-
-let grow t v = resize t (2 * (t.mask + 1)) v
-
-let set t k v =
-  if Array.length t.vals = 0 then t.vals <- Array.make (t.mask + 1) v;
-  if 2 * (t.count + 1) > t.mask + 1 then grow t v;
-  let keys = t.keys in
-  let mask = t.mask in
-  let i = ref (slot t k) in
-  while
-    let kk = Array.unsafe_get keys !i in
-    kk <> k && kk <> empty_key
-  do
-    i := (!i + 1) land mask
-  done;
-  if Array.unsafe_get keys !i <> k then begin
-    Array.unsafe_set keys !i k;
-    t.count <- t.count + 1
-  end;
-  Array.unsafe_set t.vals !i v
-
-(* Backward-shift deletion: close the hole at [i] by pulling back any
-   later chain member whose home slot is at or before the hole. *)
-let delete_at t i =
-  let keys = t.keys and mask = t.mask in
-  let i = ref i in
-  let j = ref i.contents in
-  let stop = ref false in
-  while not !stop do
-    j := (!j + 1) land mask;
-    let k = Array.unsafe_get keys !j in
-    if k = empty_key then begin
-      Array.unsafe_set keys !i empty_key;
-      stop := true
-    end
-    else begin
-      let h = slot t k in
-      if (!j - h) land mask >= (!j - !i) land mask then begin
-        Array.unsafe_set keys !i k;
-        Array.unsafe_set t.vals !i (Array.unsafe_get t.vals !j);
-        i := !j
-      end
-    end
-  done;
-  t.count <- t.count - 1
-
-let remove t k =
-  let keys = t.keys and mask = t.mask in
-  let i = ref (slot t k) in
-  while
-    let kk = Array.unsafe_get keys !i in
-    kk <> k && kk <> empty_key
-  do
-    i := (!i + 1) land mask
-  done;
-  if Array.unsafe_get keys !i = k then delete_at t !i
-
-let reset t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.count <- 0
-
-(* Monomorphic int->int counter specialization: values live in a plain
-   [int array] (no write barrier, no lazy seeding) and absent keys read
-   as 0, so call sites need no [int ref] cells or option matching. *)
+(* Values live in a plain [int array] (no write barrier) and absent keys
+   read as 0, so call sites need no [int ref] cells or option matching. *)
 module Counter = struct
   type t = {
     mutable keys : int array;

@@ -7,12 +7,11 @@ module Sample = struct
        insertion order, so quantile queries (which sort [data] in place
        and therefore lose the insertion order) cannot change them. *)
     mutable sum : float;
-    mutable min_v : float;
     mutable max_v : float;
   }
 
   let create () =
-    { data = [||]; size = 0; dirty = false; sum = 0.0; min_v = nan; max_v = nan }
+    { data = [||]; size = 0; dirty = false; sum = 0.0; max_v = nan }
 
   let add t x =
     let cap = Array.length t.data in
@@ -27,8 +26,7 @@ module Sample = struct
     t.dirty <- true;
     t.sum <- t.sum +. x;
     (* Float.compare, not (<): totally ordered on NaN (NaN sorts below
-       every number), so min/max agree with the sorted view's ends. *)
-    if t.size = 1 || Float.compare x t.min_v < 0 then t.min_v <- x;
+       every number), so max agrees with the sorted view's end. *)
     if t.size = 1 || Float.compare x t.max_v > 0 then t.max_v <- x
 
   let count t = t.size
@@ -79,11 +77,7 @@ module Sample = struct
     ensure_sorted t;
     Array.sub t.data 0 t.size
 
-  let sum t = t.sum
-
   let mean t = if t.size = 0 then nan else t.sum /. float_of_int t.size
-
-  let min t = t.min_v
 
   let max t = t.max_v
 
@@ -127,47 +121,4 @@ module Sample = struct
           let idx = Stdlib.min (n - 1) (int_of_float (frac *. float_of_int (n - 1))) in
           (t.data.(idx), float_of_int (idx + 1) /. float_of_int n))
     end
-
-  let iter f t =
-    for i = 0 to t.size - 1 do
-      f t.data.(i)
-    done
-
-  let clear t =
-    t.data <- [||];
-    t.size <- 0;
-    t.dirty <- false;
-    t.sum <- 0.0;
-    t.min_v <- nan;
-    t.max_v <- nan
-end
-
-module Running = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable max : float;
-    mutable min : float;
-  }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0; max = neg_infinity; min = infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x > t.max then t.max <- x;
-    if x < t.min then t.min <- x
-
-  let count t = t.n
-
-  let mean t = if t.n = 0 then nan else t.mean
-
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-
-  let max t = t.max
-
-  let min t = t.min
 end

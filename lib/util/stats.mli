@@ -9,12 +9,9 @@
     [Float.compare], a total order in which every NaN compares equal to
     itself and {e below} every real number (and [-0.] below [0.]). So a
     stray NaN observation cannot poison the sort: NaNs collect at the front
-    of {!sorted}, {!min} reports [nan] iff a NaN was added, {!max} still
-    reports the largest real number, and low percentiles degrade to [nan]
+    of {!sorted}, {!max} still reports the largest real number, and low percentiles degrade to [nan]
     in proportion to how many NaNs were added instead of scrambling the
-    whole order (as [(<)]-based sorting would).
-
-    [Running] is a constant-memory mean/variance accumulator. *)
+    whole order (as [(<)]-based sorting would). *)
 
 module Sample : sig
   type t
@@ -31,16 +28,9 @@ module Sample : sig
       float result is unaffected by the in-place sorting of queries. *)
   val mean : t -> float
 
-  (** Smallest value in [Float.compare] order — [nan] iff a NaN was ever
-      added (NaN sorts below every number), [nan] also when empty. *)
-  val min : t -> float
-
   (** Largest value in [Float.compare] order — ignores NaNs unless the
       sample is all-NaN; [nan] when empty. *)
   val max : t -> float
-
-  (** Running sum in insertion order. *)
-  val sum : t -> float
 
   (** Sample standard deviation (n-1). Accumulated in ascending (sorted)
       order — a canonical order, so the float result does not depend on how
@@ -54,35 +44,11 @@ module Sample : sig
 
   (** [cdf t ~points] returns [(value, cumulative_fraction)] pairs at
       [points] evenly spaced ranks, suitable for plotting a CDF. *)
+  (* kept with its own test case for now (ROADMAP item 8); bfc-lint: allow DC001 *)
   val cdf : t -> points:int -> (float * float) list
 
   (** All values, sorted ascending by [Float.compare] (a fresh copy; NaNs
       first — see the NaN ordering guarantee above). *)
+  (* observation: tests read the sorted values; bfc-lint: allow DC001 *)
   val sorted : t -> float array
-
-  (** Visit values in storage order: insertion order until the first
-      quantile query, sorted order after (queries sort in place). Callers
-      needing a deterministic order should query {!sorted} or only [iter]
-      before the first quantile query. *)
-  val iter : (float -> unit) -> t -> unit
-
-  val clear : t -> unit
-end
-
-module Running : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> float -> unit
-
-  val count : t -> int
-
-  val mean : t -> float
-
-  val variance : t -> float
-
-  val max : t -> float
-
-  val min : t -> float
 end

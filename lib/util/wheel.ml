@@ -120,8 +120,6 @@ let create () =
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let capacity t = (Array.length t.s - entries_base) / stride
 
 (* Double the entry records [k] times in one copy; the new records go

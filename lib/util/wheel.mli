@@ -45,8 +45,6 @@ val create : unit -> t
 val length : t -> int
 (** Resident entries: pushed and not yet popped or removed. *)
 
-val is_empty : t -> bool
-
 val capacity : t -> int
 (** Entry records the slab holds (profiling): [64 * 2^k] for the
     smallest [k] that covers the peak {!length} so far, or the largest

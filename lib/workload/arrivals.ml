@@ -6,7 +6,3 @@ let gap t rng ~mean =
   | Lognormal sigma -> Bfc_util.Rng.lognormal_mean rng ~mean ~sigma
 
 let lognormal_default = Lognormal 2.0
-
-let to_string = function
-  | Poisson -> "poisson"
-  | Lognormal s -> Printf.sprintf "lognormal(sigma=%g)" s

@@ -10,5 +10,3 @@ type t =
 val gap : t -> Bfc_util.Rng.t -> mean:float -> float
 
 val lognormal_default : t
-
-val to_string : t -> string

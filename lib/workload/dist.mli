@@ -17,6 +17,7 @@ type t
     strictly increasing in both coordinates, ending at cdf = 1.0. Sizes
     between points are log-interpolated; the first segment starts at
     [min_size]. *)
+(* tests feed it malformed tables to check its validation; bfc-lint: allow DC001 *)
 val of_points : name:string -> min_size:int -> (float * float) list -> t
 
 val name : t -> string
@@ -28,6 +29,7 @@ val sample : t -> Bfc_util.Rng.t -> int
 val mean : t -> float
 
 (** Fraction of flows with size <= s. *)
+(* observation: tests check the distribution is monotone; bfc-lint: allow DC001 *)
 val cdf : t -> float -> float
 
 (** Fraction of *bytes* belonging to flows of size <= s (Fig. 2's y-axis). *)

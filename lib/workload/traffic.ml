@@ -20,6 +20,7 @@ type spec = {
   prio_classes : int;
 }
 
+(* Flow arrival rate (flows per ns) implied by the spec. *)
 let arrival_rate spec =
   if spec.load <= 0.0 then invalid_arg "Traffic.arrival_rate: load";
   let bytes_per_ns = spec.ref_capacity_gbps /. 8.0 in

@@ -30,9 +30,6 @@ type spec = {
   prio_classes : int; (** flows assigned uniformly to [0, prio_classes) *)
 }
 
-(** Flow arrival rate (flows per ns) implied by the spec. *)
-val arrival_rate : spec -> float
-
 (** [generate spec ~ids] draws flows sorted by arrival time; ids are
     allocated from the shared counter so several generators compose. *)
 val generate : spec -> ids:int ref -> Bfc_net.Flow.t list

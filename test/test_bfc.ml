@@ -31,8 +31,7 @@ let ft_create = Flow_table.create ~sticky:ft_sticky
 let test_flow_table_sizing () =
   let ft = ft_create ~egresses:4 ~queues_per_port:32 ~mult:100 in
   (* 32 * 100 = 3200, rounded up to the next power of two for mask lookup *)
-  check Alcotest.int "slots per port" 4096 (Flow_table.slots_per_port ft);
-  check Alcotest.int "total" 16_384 (Flow_table.total_slots ft)
+  check Alcotest.int "slots per port" 4096 (Flow_table.slots_per_port ft)
 
 (* Same slot: a write through one lookup reads back through another. *)
 let test_flow_table_same_slot_same_entry () =
@@ -124,33 +123,6 @@ let test_flow_table_small_egresses () =
     check Alcotest.int "occupied" 4 (Flow_table.occupied ft ~egress:e);
     check Alcotest.int "resident" (4 * (e + 1)) (Flow_table.resident ft ~egress:e)
   done
-
-(* A slot assigned by an unsampled packet keeps [last = min_int]; then
-   [now - last] wraps negative, so the slot never goes stale and a purge
-   never drops it. A sampled touch, or [expire], makes it age like any
-   other. *)
-let test_flow_table_min_int_wrap () =
-  let ft = ft_create ~egresses:1 ~queues_per_port:4 ~mult:64 in
-  Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:0) 3;
-  let late = 1_000_000_000 in
-  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:late in
-  check Alcotest.bool "never stale" false (Flow_table.vacant ft i ~now:late);
-  (* enough vacant inserts to purge the table several times over *)
-  for h = 100 to 299 do
-    ignore (Flow_table.slot ft ~egress:0 ~fid_hash:h ~now:late)
-  done;
-  if Flow_table.purges ft = 0 then Alcotest.fail "no purge ran";
-  check Alcotest.int "kept through purges" 3
-    (Flow_table.q ft (Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:(2 * late)));
-  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:late in
-  Flow_table.set_last ft i late;
-  let i = Flow_table.slot ft ~egress:0 ~fid_hash:7 ~now:(late + ft_sticky + 1) in
-  check Alcotest.int "a touched slot goes stale and reads fresh" (-1) (Flow_table.q ft i);
-  (* [expire] back-dates the touch instead *)
-  Flow_table.set_q ft (Flow_table.slot ft ~egress:0 ~fid_hash:9 ~now:late) 2;
-  let i = Flow_table.slot ft ~egress:0 ~fid_hash:9 ~now:late in
-  Flow_table.expire ft i ~now:late;
-  check Alcotest.bool "expired at once" true (Flow_table.vacant ft i ~now:late)
 
 (* A purge or a growth while packets are resident keeps every non-vacant
    slot: [resident] and each slot's fields are unchanged on every egress. *)
@@ -502,6 +474,44 @@ let test_dataplane_classify_separates_flows () =
   (* one may already be serializing; n_active counts the one still queued *)
   Alcotest.(check bool) "no sharing" true (Switch.n_active sw1 ~egress:!egress <= 2)
 
+(* Paper §3.3.2 under sampling: a queue assignment made by an unsampled
+   packet holds for the sticky window, through any purge of the table, and
+   frees once the slot has sat idle past the window. *)
+let test_dataplane_unsampled_assignment_sticky () =
+  let sim, t, s0, _s1, sw1_id, _sw2_id, r = mk_chain () in
+  let cfg = { Switch.default_config with Switch.queues_per_port = 8 } in
+  let route sw ~in_port:_ pkt =
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+  in
+  let sw =
+    Switch.create ~sim ~node:(Topology.node t sw1_id) ~ports:(Topology.ports t sw1_id) ~config:cfg
+      ~route ()
+  in
+  let dp = Dataplane.attach sw { Dataplane.default_config with Dataplane.sampling = 0.0 } in
+  let sticky = Threshold.sticky_window sw ~mult:Dataplane.default_config.Dataplane.sticky_hrtt_mult in
+  (Topology.node t r).Node.handler <- (fun ~in_port:_ _ -> ());
+  let f = Flow.make ~id:301 ~src:s0 ~dst:r ~size:10_000 ~arrival:0 () in
+  let p = Packet.data ~flow:f ~seq:0 ~payload:1000 () in
+  Node.deliver (Topology.node t sw1_id) ~in_port:0 p;
+  Alcotest.(check bool) "unsampled" false (Packet.bp_sampled p);
+  let egress = ref (-1) in
+  Array.iteri (fun i p -> if (Port.peer p).Node.id <> s0 then egress := i) (Topology.ports t sw1_id);
+  let ft = Dataplane.flow_table dp in
+  let lookup now = Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f) ~now in
+  let i = lookup 0 in
+  let q = Flow_table.q ft i in
+  Alcotest.(check bool) "assigned a queue" true (q >= 0);
+  check Alcotest.int "the assignment is a touch" 0 (Flow_table.last ft i);
+  (* other flows' lookups inside the window purge the vacant slots *)
+  for h = 1 to 400 do
+    ignore (Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f + h) ~now:(sticky / 2))
+  done;
+  Alcotest.(check bool) "purged" true (Flow_table.purges ft > 0);
+  let i = lookup sticky in
+  check Alcotest.int "held through the window and the purges" q (Flow_table.q ft i);
+  let i = lookup (sticky + 1) in
+  check Alcotest.int "idle past the window: freed" (-1) (Flow_table.q ft i)
+
 (* ------------------------------ Deadlock --------------------------- *)
 
 let test_deadlock_clos_acyclic () =
@@ -681,7 +691,6 @@ let suite =
     ("flow table untouched slots read empty", `Quick, test_flow_table_untouched_reads_empty);
     ("flow table reset restores fresh state", `Quick, test_flow_table_reset_restores_fresh);
     ("flow table pages span small egresses", `Quick, test_flow_table_small_egresses);
-    ("flow table min_int last never goes stale", `Quick, test_flow_table_min_int_wrap);
     ("flow table rebuild keeps resident slots", `Quick, test_flow_table_rebuild_keeps_resident);
     ("pause counter edges", `Quick, test_pause_counter_edges);
     ("pause counter underflow", `Quick, test_pause_counter_underflow);
@@ -695,6 +704,7 @@ let suite =
     ("dataplane pause/resume cycle", `Quick, test_dataplane_pause_resume_cycle);
     ("dataplane threshold", `Quick, test_dataplane_threshold_tracks_n_active);
     ("dataplane classify separates", `Quick, test_dataplane_classify_separates_flows);
+    ("dataplane unsampled assignment sticky", `Quick, test_dataplane_unsampled_assignment_sticky);
     ("deadlock clos acyclic", `Quick, test_deadlock_clos_acyclic);
     ("deadlock synthetic cycle", `Quick, test_deadlock_synthetic_cycle);
     ("deadlock dedup", `Quick, test_deadlock_dedup_edges);

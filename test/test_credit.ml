@@ -115,9 +115,9 @@ let test_port_fault_drops () =
   (Topology.node t z).Bfc_net.Node.handler <- (fun ~in_port:_ _ -> incr got);
   let port = (Topology.ports t a).(0) in
   Port.set_fault port (fun pkt -> pkt.Packet.kind = Packet.Pause);
-  let pause = Packet.make Packet.Pause ~src:a ~dst:z ~size:64 () in
+  let pause = Packet.make Packet.Pause ~dst:z ~size:64 () in
   Port.send_ctrl port pause;
-  Port.send_ctrl port (Packet.make Packet.Resume ~src:a ~dst:z ~size:64 ());
+  Port.send_ctrl port (Packet.make Packet.Resume ~dst:z ~size:64 ());
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "only the resume arrived" 1 !got;
   check Alcotest.int "fault counted" 1 (Port.faults_injected port)

@@ -15,10 +15,9 @@
    IR-compiled dataplane still reproduced both byte for byte.
 
    bfc-sampled is Fig. 25's sampled BFC (half the packets sampled, no
-   incast label). There an unsampled packet often lands on a slot that
-   went stale, and whether its queue assignment sticks depends on whether
-   a sampled packet ever touched the slot. It was recorded from a flow
-   table that kept every slot it had touched. *)
+   incast label). There an unsampled packet often gives a vacant slot its
+   queue, and that assignment holds for the sticky window like any other
+   touch (paper §3.3.2). *)
 
 open Alcotest
 module Flow = Bfc_net.Flow

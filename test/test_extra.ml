@@ -42,7 +42,7 @@ let test_xpass_credit_shaping () =
   let f = Flow.make ~id:1 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1000 ~arrival:0 () in
   (* burst 10 credits into the switch at t=0 *)
   for i = 1 to 10 do
-    let c = Packet.make Packet.Credit ~flow:f ~src:f.Flow.src ~dst:f.Flow.dst ~size:64 () in
+    let c = Packet.make Packet.Credit ~flow:f ~dst:f.Flow.dst ~size:64 () in
     c.Packet.ctrl_a <- i;
     Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:0 c
   done;
@@ -77,7 +77,7 @@ let test_xpass_credit_queue_cap () =
   (Topology.node t st.Topology.st_receiver).Node.handler <- (fun ~in_port:_ _ -> ());
   let f = Flow.make ~id:1 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1000 ~arrival:0 () in
   for i = 1 to 40 do
-    let c = Packet.make Packet.Credit ~flow:f ~src:f.Flow.src ~dst:f.Flow.dst ~size:64 () in
+    let c = Packet.make Packet.Credit ~flow:f ~dst:f.Flow.dst ~size:64 () in
     c.Packet.ctrl_a <- i;
     Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:0 c
   done;
@@ -194,7 +194,7 @@ let test_time_pp () =
   check Alcotest.string "ns" "42ns" (s 42);
   check Alcotest.string "us" "1.500us" (s 1500);
   check Alcotest.string "ms" "2.000ms" (s (Time.ms 2.0));
-  check Alcotest.string "s" "1.500s" (s (Time.s 1.5))
+  check Alcotest.string "s" "1.500s" (s (Time.ms 1500.0))
 
 let test_stats_cdf () =
   let sm = Bfc_util.Stats.Sample.create () in

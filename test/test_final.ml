@@ -97,7 +97,7 @@ let test_nic_credit_gates_data () =
   ignore (Sim.run sim ~until:(Time.us 200.0));
   check Alcotest.int "two sent on initial credit" 2 (List.length !received);
   (* return one credit *)
-  let credit = Packet.make Packet.Hop_credit ~src:(-1) ~dst:(-1) ~size:64 () in
+  let credit = Packet.make Packet.Hop_credit ~dst:(-1) ~size:64 () in
   credit.Packet.ctrl_a <- q;
   credit.Packet.ctrl_b <- 1048;
   Nic.on_ctrl nic credit;
@@ -108,7 +108,7 @@ let test_nic_credit_exempts_ctrl_queue () =
   let sim, nic, received = mk_nic_credit () in
   (* queue 0 (acks) is never credit-gated *)
   for _ = 1 to 5 do
-    Nic.submit_ctrl nic (Packet.make Packet.Ack ~src:0 ~dst:1 ~size:64 ())
+    Nic.submit_ctrl nic (Packet.make Packet.Ack ~dst:1 ~size:64 ())
   done;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "all acks flow" 5 (List.length !received)

@@ -5,6 +5,7 @@
 module Driver = Bfclint.Driver
 module Diagnostic = Bfclint.Diagnostic
 module Rule = Bfclint.Rule
+module Dead = Bfclint.Dead
 
 (* dune runtest runs with cwd = the stanza dir; dune exec from the root. *)
 let fixture_dir = if Sys.file_exists "fixtures/lint" then "fixtures/lint" else "test/fixtures/lint"
@@ -252,24 +253,133 @@ let test_json_render () =
     [ "\"violations\""; "\"suppressed\""; "\"rule\""; "\"file\""; "\"line\"" ];
   Alcotest.(check string) "escaping" "a\\\"b\\\\c\\n" (Diagnostic.json_escape "a\"b\\c\n")
 
+(* Suppression tokens name a rule by id (any case), by kebab name or as
+   "all". *)
 let test_rule_lookup () =
-  (match Rule.find "DF001" with
-  | Some r -> Alcotest.(check string) "by id" "df-list" r.Rule.name
-  | None -> Alcotest.fail "DF001 not found");
-  (match Rule.find "det-random" with
-  | Some r -> Alcotest.(check string) "by name" "DT001" r.Rule.id
-  | None -> Alcotest.fail "det-random not found");
-  (match Rule.find "pf-closure-timer" with
-  | Some r -> Alcotest.(check string) "pf by name" "PF001" r.Rule.id
-  | None -> Alcotest.fail "pf-closure-timer not found");
-  (match Rule.find "pf-stdlib-queue" with
-  | Some r -> Alcotest.(check string) "pf002 by name" "PF002" r.Rule.id
-  | None -> Alcotest.fail "pf-stdlib-queue not found");
-  (match Rule.find "pf-poly-compare" with
-  | Some r -> Alcotest.(check string) "pf003 by name" "PF003" r.Rule.id
-  | None -> Alcotest.fail "pf-poly-compare not found");
-  Alcotest.(check bool) "unknown" true (Rule.find "nope" = None);
-  Alcotest.(check int) "fifteen rules" 15 (List.length Rule.all)
+  let names key = List.filter (fun r -> Rule.matches r key) Rule.all in
+  let ids key = List.map (fun r -> r.Rule.id) (names key) in
+  Alcotest.(check (list string)) "by id" [ "DF001" ] (ids "DF001");
+  Alcotest.(check (list string)) "id in lower case" [ "DF001" ] (ids "df001");
+  Alcotest.(check (list string)) "by name" [ "DT001" ] (ids "det-random");
+  Alcotest.(check (list string)) "pf by name" [ "PF001" ] (ids "pf-closure-timer");
+  Alcotest.(check (list string)) "pf002 by name" [ "PF002" ] (ids "pf-stdlib-queue");
+  Alcotest.(check (list string)) "pf003 by name" [ "PF003" ] (ids "pf-poly-compare");
+  Alcotest.(check (list string)) "dc001 by name" [ "DC001" ] (ids "dc-dead-export");
+  Alcotest.(check (list string)) "unknown" [] (ids "nope");
+  Alcotest.(check int) "all" (List.length Rule.all) (List.length (names "all"));
+  Alcotest.(check int) "sixteen rules" 16 (List.length Rule.all)
+
+(* ------------------------------ DC001 ------------------------------ *)
+
+(* The build root DC001 reads: dune runs the suite from _build/default/test. *)
+let build_root = if Sys.file_exists "../lib/dune" then ".." else "_build/default"
+
+let objs lib = Printf.sprintf "%s/lib/%s/.bfc_%s.objs/byte" build_root lib lib
+
+let dead_exports ?callers () =
+  match Dead.run ?callers build_root with
+  | Ok findings -> findings
+  | Error e -> Alcotest.failf "DC001 could not run: %s" e
+
+(* Is [name] (["Unit.value"]) among the findings? *)
+let reported name findings =
+  let prefix = name ^ " " in
+  List.exists
+    (fun (d, _) ->
+      let m = d.Diagnostic.message in
+      String.length m > String.length prefix && String.sub m 0 (String.length prefix) = prefix)
+    findings
+
+let test_dc_repo_clean () =
+  let findings = dead_exports () in
+  Alcotest.(check (list string)) "no unsuppressed dead export" []
+    (List.filter_map (fun (d, sup) -> if sup then None else Some (Diagnostic.to_human d)) findings);
+  (* Each of these is used inside its own unit only, and a unit's own uses
+     do not count. The .ml and .mli number their uids apart, so some of
+     those uses carry the same uid as another export of the .mli. *)
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " reported") true (reported name findings))
+    [
+      "Ascii_table.render"; "Threshold.bytes"; "Threshold.table"; "Stats.Sample.sorted"; "Rng.bits";
+      "Rng.normal";
+    ]
+
+(* Type [src] against the compiled interfaces of lib/util, lib/engine and
+   lib/net, and return the Rng and Packet uids it references. *)
+let referenced src =
+  Clflags.include_dirs := [ objs "util"; objs "engine"; objs "net" ];
+  Compmisc.init_path ();
+  Env.set_unit_name "Dc001_probe";
+  let env = Compmisc.initial_env () in
+  let tstr, _, _, _, _ = Typemod.type_structure env (Parse.implementation (Lexing.from_string src)) in
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (uid : Shape.Uid.t) ->
+         match uid with
+         | Item { comp_unit = ("Bfc_util__Rng" | "Bfc_net__Packet") as u; id } -> Some (u, id)
+         | _ -> None)
+       (Dead.references tstr))
+
+(* The uid an interface gives one of its values, read from the .cmti. *)
+let declared ~lib ~unit path =
+  let cmt = Cmt_format.read_cmt (Printf.sprintf "%s/%s.cmti" (objs lib) unit) in
+  let rec find items = function
+    | [ name ] ->
+      List.find_map
+        (fun (it : Typedtree.signature_item) ->
+          match it.sig_desc with
+          | Tsig_value vd when vd.val_name.txt = name -> Some vd.val_val.Types.val_uid
+          | _ -> None)
+        items
+    | m :: rest ->
+      List.find_map
+        (fun (it : Typedtree.signature_item) ->
+          match it.sig_desc with
+          | Tsig_module { md_name = { txt = Some n; _ }; md_type = { mty_desc = Tmty_signature s; _ }; _ }
+            when n = m ->
+            find s.sig_items rest
+          | _ -> None)
+        items
+    | [] -> None
+  in
+  match cmt.cmt_annots with
+  | Cmt_format.Interface s -> (
+    match find s.sig_items path with
+    | Some (Shape.Uid.Item { comp_unit; id }) -> (comp_unit, id)
+    | _ -> Alcotest.failf "%s has no value %s" unit (String.concat "." path))
+  | _ -> Alcotest.failf "%s.cmti is not an interface" unit
+
+(* Every way of writing a name reaches the export's declaration: the
+   wrapped-library path, dune's mangled unit, an [open], a module alias
+   and a submodule path. *)
+let test_dc_name_resolution () =
+  let rng_int = declared ~lib:"util" ~unit:"bfc_util__Rng" [ "int" ] in
+  List.iter
+    (fun src -> Alcotest.(check (list (pair string int))) src [ rng_int ] (referenced src))
+    [
+      "let f = Bfc_util.Rng.int";
+      "let f = Bfc_util__Rng.int";
+      "open Bfc_util\nlet f = Rng.int";
+      "let f = let open Bfc_util.Rng in int";
+      "module R = Bfc_util.Rng\nlet f = R.int";
+    ];
+  let acquire = declared ~lib:"net" ~unit:"bfc_net__Packet" [ "Pool"; "acquire" ] in
+  List.iter
+    (fun src -> Alcotest.(check (list (pair string int))) src [ acquire ] (referenced src))
+    [
+      "let f = Bfc_net.Packet.Pool.acquire";
+      "let f = Bfc_net__Packet.Pool.acquire";
+      "open Bfc_net\nlet f = Packet.Pool.acquire";
+      "let f = let open Bfc_net.Packet in Pool.acquire";
+      "module P = Bfc_net.Packet.Pool\nlet f = P.acquire";
+    ]
+
+(* perfbench/ is a caller: an export only the benchmark uses is alive, and
+   becomes a finding once perfbench's units are left out. *)
+let test_dc_perfbench_caller () =
+  Alcotest.(check bool) "Port.set_on_tx alive" false (reported "Port.set_on_tx" (dead_exports ()));
+  let without = dead_exports ~callers:[ "lib"; "bin"; "bench"; "examples" ] () in
+  Alcotest.(check bool) "dead without perfbench" true (reported "Port.set_on_tx" without)
 
 let suite =
   [
@@ -289,4 +399,7 @@ let suite =
     ("parse failure reported", `Quick, test_parse_failure);
     ("json rendering", `Quick, test_json_render);
     ("rule lookup", `Quick, test_rule_lookup);
+    ("dc001 repo build has no dead export", `Quick, test_dc_repo_clean);
+    ("dc001 name resolution", `Quick, test_dc_name_resolution);
+    ("dc001 perfbench counts as a caller", `Quick, test_dc_perfbench_caller);
   ]

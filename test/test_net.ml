@@ -43,11 +43,9 @@ let test_packet_data () =
   let f = Flow.make ~id:9 ~src:3 ~dst:7 ~size:5000 ~arrival:0 ~prio_class:2 () in
   let p = Packet.data ~flow:f ~seq:1000 ~payload:1000 () in
   check Alcotest.int "wire size" (1000 + Packet.header_bytes) p.Packet.size;
-  check Alcotest.int "src" 3 p.Packet.src;
   check Alcotest.int "dst" 7 p.Packet.dst;
   check Alcotest.int "prio from class" 2 p.Packet.prio;
-  check Alcotest.int "flow id" 9 (Packet.flow_id p);
-  Alcotest.(check bool) "data not control" false (Packet.is_control p)
+  check Alcotest.int "flow id" 9 (Packet.flow_id p)
 
 let test_packet_uids_unique () =
   let f = Flow.make ~id:1 ~src:0 ~dst:1 ~size:10 ~arrival:0 () in
@@ -56,8 +54,7 @@ let test_packet_uids_unique () =
   Alcotest.(check bool) "uids differ" true (a.Packet.uid <> b.Packet.uid)
 
 let test_packet_control_kinds () =
-  let p = Packet.make Packet.Pause ~src:0 ~dst:1 ~size:64 () in
-  Alcotest.(check bool) "pause is control" true (Packet.is_control p);
+  let p = Packet.make Packet.Pause ~dst:1 ~size:64 () in
   check Alcotest.int "no flow" (-1) (Packet.flow_id p)
 
 (* ----------------------------- Topology ---------------------------- *)
@@ -208,7 +205,7 @@ let test_port_ctrl_bypass () =
   let t = Topology.Builder.finish b in
   let at = ref (-1) in
   (Topology.node t z).Node.handler <- (fun ~in_port:_ _ -> at := Sim.now sim);
-  let pkt = Packet.make Packet.Pause ~src:a ~dst:z ~size:64 () in
+  let pkt = Packet.make Packet.Pause ~dst:z ~size:64 () in
   Port.send_ctrl (Topology.ports t a).(0) pkt;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "ctrl arrives after exactly prop" (Time.us 1.0) !at
@@ -222,7 +219,7 @@ let test_node_unattached () =
   let z = Topology.Builder.add_host b ~name:"z" in
   Topology.Builder.link b a z ~gbps:100.0 ~prop:(Time.us 1.0);
   let t = Topology.Builder.finish b in
-  Port.send_ctrl (Topology.ports t a).(0) (Packet.make Packet.Pause ~src:a ~dst:z ~size:64 ());
+  Port.send_ctrl (Topology.ports t a).(0) (Packet.make Packet.Pause ~dst:z ~size:64 ());
   Alcotest.check_raises "names the node" (Node.Unattached { node = "z" }) (fun () ->
       ignore (Sim.run_until_idle sim))
 
@@ -244,12 +241,12 @@ let test_port_interleaved_deliveries () =
        each control frame sent 30 ns into the same 100 ns slot *)
     ignore
       (Sim.at sim (k * 100) (fun () ->
-           let d = Packet.make Packet.Data ~src:a ~dst:z ~size:1000 () in
+           let d = Packet.make Packet.Data ~dst:z ~size:1000 () in
            Port.send port d;
            posted := (Sim.now sim + 80 + Time.us 1.0, d) :: !posted));
     ignore
       (Sim.at sim ((k * 100) + 30) (fun () ->
-           let c = Packet.make Packet.Pause ~src:a ~dst:z ~size:64 () in
+           let c = Packet.make Packet.Pause ~dst:z ~size:64 () in
            Port.send_ctrl port c;
            posted := (Sim.now sim + Time.us 1.0, c) :: !posted))
   done;

@@ -209,28 +209,10 @@ let test_disabled_noop () =
   Registry.incr r c;
   Registry.add r c 100;
   checki "counter untouched" 0 (Registry.value r c);
-  let h = Registry.histogram r "h" ~edges:[| 1.0; 2.0 |] in
-  Registry.observe r h 0.5;
-  checki "histogram untouched" 0 (Array.fold_left ( + ) 0 (Registry.histogram_counts r h));
   let called = ref false in
   Registry.gauge r "g" (fun () -> called := true; 1.0);
   checkb "no gauge samples" true (Registry.sample_gauges r = []);
   checkb "gauge closure not run" false !called
-
-let test_histogram_edges () =
-  let r = Registry.create () in
-  let h = Registry.histogram r "lat" ~edges:[| 10.0; 20.0; 30.0 |] in
-  List.iter (Registry.observe r h) [ 5.0; 9.999; 10.0; 19.0; 29.999; 30.0; 1000.0 ];
-  check (Alcotest.array Alcotest.int) "bucket boundaries" [| 2; 2; 1; 2 |]
-    (Registry.histogram_counts r h);
-  checki "edges + overflow" 4 (Array.length (Registry.histogram_counts r h));
-  (* same name, same edges: same handle *)
-  let h' = Registry.histogram r "lat" ~edges:[| 10.0; 20.0; 30.0 |] in
-  Registry.observe r h' 0.0;
-  checki "shared histogram" 3 (Registry.histogram_counts r h).(0);
-  Alcotest.check_raises "conflicting edges"
-    (Invalid_argument "Registry.histogram: lat already registered with other edges")
-    (fun () -> ignore (Registry.histogram r "lat" ~edges:[| 1.0 |]))
 
 let test_gauge_order () =
   let r = Registry.create () in
@@ -248,16 +230,9 @@ let test_registry_json () =
   let c = Registry.counter r "drops" in
   Registry.add r c 7;
   Registry.gauge r "depth" (fun () -> 42.5);
-  let h = Registry.histogram r "sz" ~edges:[| 100.0 |] in
-  Registry.observe r h 5.0;
-  Registry.observe r h 500.0;
   let j = parse_json (Registry.to_json r) in
   checki "counter value" 7 (int_of_float (num (field "drops" (field "counters" j))));
-  check (Alcotest.float 1e-9) "gauge value" 42.5 (num (field "depth" (field "gauges" j)));
-  let hj = field "sz" (field "histograms" j) in
-  checki "histogram counts" 2 (List.length (arr (field "counts" hj)) - 1 + 1 - 1 + 1);
-  check (Alcotest.list (Alcotest.float 1e-9)) "histogram data" [ 1.0; 1.0 ]
-    (List.map num (arr (field "counts" hj)))
+  check (Alcotest.float 1e-9) "gauge value" 42.5 (num (field "depth" (field "gauges" j)))
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring + exporters *)
@@ -493,7 +468,6 @@ let suite =
   [
     Alcotest.test_case "registry: counter handle reuse" `Quick test_counter_reuse;
     Alcotest.test_case "registry: disabled mode is a no-op" `Quick test_disabled_noop;
-    Alcotest.test_case "registry: histogram bucket edges" `Quick test_histogram_edges;
     Alcotest.test_case "registry: gauge registration order" `Quick test_gauge_order;
     Alcotest.test_case "registry: JSON export parses" `Quick test_registry_json;
     Alcotest.test_case "trace: ring wrap keeps oldest-first" `Quick test_trace_ring_wrap;

@@ -22,7 +22,7 @@ let test_uid_sequences_identical_across_sims () =
   let uids sim =
     List.init 50 (fun i ->
         let p =
-          Packet.make ~sim Packet.Data ~src:0 ~dst:1 ~size:1000 ~payload:i ()
+          Packet.make ~sim Packet.Data ~dst:1 ~size:1000 ~payload:i ()
         in
         p.Packet.uid)
   in
@@ -51,7 +51,7 @@ let test_ticker_no_event_leak () =
 let test_pool_reset_all_fields () =
   let sim = Sim.create () in
   let pool = Packet.Pool.create ~sim in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:3 ~dst:4 ~size:1500 ~seq:7 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:4 ~size:1500 ~seq:7 in
   p.Packet.payload <- 1400;
   p.Packet.prio <- 2;
   (* dirty every mutable field a switch/host can touch *)
@@ -66,7 +66,7 @@ let test_pool_reset_all_fields () =
   Packet.Pool.add_int_hop pool p ~ts:20 ~tx_bytes:300 ~qlen:400 ~gbps:100.0 ~link:2;
   check int "hops recorded" 2 (Packet.Pool.int_hop_count pool p);
   Packet.Pool.release pool p;
-  let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~src:1 ~dst:0 ~size:64 ~seq:0 in
+  let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~dst:0 ~size:64 ~seq:0 in
   check bool "recycled the same record" true (p == q);
   check bool "ecn reset" false (Packet.ecn q);
   check bool "ecn_echo reset" false (Packet.ecn_echo q);
@@ -81,15 +81,15 @@ let test_pool_reset_all_fields () =
   check int "prio reset" 0 q.Packet.prio;
   check bool "fresh uid on reuse" true (q.Packet.uid <> p.Packet.uid || q.Packet.uid >= 0)
 
-(* Every packet carries only what every scheme needs: 20 fields, so a
-   packet is 21 words with its header. Each word per packet costs about
+(* Every packet carries only what every scheme needs: 19 fields, so a
+   packet is 20 words with its header. Each word per packet costs about
    a quarter of a MB of peak heap on the DCQCN Clos run, whose switch
    buffers hold tens of thousands of packets at the peak. *)
 let test_packet_footprint () =
   let pool = Packet.Pool.create ~sim:(Sim.create ()) in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   let fields = Obj.size (Obj.repr p) in
-  if fields > 20 then failf "a packet has %d fields, bound 20" fields
+  if fields > 19 then failf "a packet has %d fields, bound 19" fields
 
 let flag_accessors =
   [
@@ -106,8 +106,8 @@ let flag_values p = List.map (fun (_, get, _) -> get p) flag_accessors
    a transferred packet keeps them. *)
 let test_packet_flags () =
   let pool = Packet.Pool.create ~sim:(Sim.create ()) in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
-  let fresh = flag_values (Packet.make Packet.Data ~src:0 ~dst:1 ~size:100 ()) in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let fresh = flag_values (Packet.make Packet.Data ~dst:1 ~size:100 ()) in
   check (list bool) "fresh flags" [ false; false; false; true ] fresh;
   check (list bool) "acquired flags" fresh (flag_values p);
   List.iteri
@@ -130,7 +130,7 @@ let test_packet_flags () =
   set_all true;
   Packet.set_bp_sampled p false;
   Packet.Pool.release pool p;
-  let q = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let q = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   check bool "recycled" true (p == q);
   check (list bool) "release resets the flags" fresh (flag_values q)
 
@@ -146,7 +146,7 @@ let hop_links pool p =
    the original. *)
 let test_packet_side_tables () =
   let pool = Packet.Pool.create ~sim:(Sim.create ()) in
-  let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~dst:1 ~size:100 ~seq:0 in
   check int "a fresh table has no side tables" 0 (Packet.Pool.side_slots pool);
   let p = acquire Packet.Data in
   Packet.Pool.set_bitmap pool p [||];
@@ -179,7 +179,7 @@ let test_packet_side_tables () =
 let test_pool_double_release_rejected () =
   let sim = Sim.create () in
   let pool = Packet.Pool.create ~sim in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   Packet.Pool.release pool p;
   check_raises "double release"
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
@@ -192,7 +192,7 @@ let test_packet_index_lifecycle () =
   let pool = Bfc_net.Port.pool sim in
   check bool "one table per sim" true (pool == Bfc_net.Port.pool sim);
   let acquire () =
-    Packet.Pool.acquire pool Packet.Data ~flow:None ~src:0 ~dst:1 ~size:100 ~seq:0
+    Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0
   in
   let live = List.init 8 (fun _ -> acquire ()) in
   let idxs = List.map (fun p -> p.Packet.idx) live in
@@ -208,7 +208,7 @@ let test_packet_index_lifecycle () =
   let q = acquire () in
   check bool "recycled the parked packet" true (q == p);
   check int "same index after reacquire" i q.Packet.idx;
-  let m = Packet.make Packet.Ack ~src:0 ~dst:1 ~size:64 () in
+  let m = Packet.make Packet.Ack ~dst:1 ~size:64 () in
   check int "no index before the table sees it" (-1) m.Packet.idx;
   let j = Packet.Pool.index pool m in
   check bool "a fresh index, no live packet's" false (List.mem j idxs);
@@ -219,7 +219,7 @@ let test_packet_index_lifecycle () =
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
       Packet.Pool.release pool m);
   let foreign =
-    Packet.Pool.acquire (Bfc_net.Port.pool (Sim.create ())) Packet.Data ~flow:None ~src:0
+    Packet.Pool.acquire (Bfc_net.Port.pool (Sim.create ())) Packet.Data ~flow:None 
       ~dst:1 ~size:100 ~seq:0
   in
   check_raises "packet of another sim"

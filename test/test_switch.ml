@@ -615,14 +615,14 @@ let test_switch_pfc_pauses_egress () =
   Array.iteri
     (fun i p -> if (Port.peer p).Node.id = st.Topology.st_receiver then egress := i)
     (Topology.ports t st.Topology.st_switch);
-  let pfc = Packet.make Packet.Pfc ~src:(-1) ~dst:(-1) ~size:64 () in
+  let pfc = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
   pfc.Packet.ctrl_b <- 1;
   Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:!egress pfc;
   send_from t st 0 (Packet.data ~flow:f ~seq:0 ~payload:1000 ());
   ignore (Sim.run sim ~until:(Time.us 100.0));
   Alcotest.(check bool) "held while paused" true (Switch.egress_bytes sw ~egress:!egress > 0);
   Alcotest.(check bool) "pause time accounted" true (Switch.pfc_paused_ns sw ~egress:!egress > 0);
-  let resume = Packet.make Packet.Pfc ~src:(-1) ~dst:(-1) ~size:64 () in
+  let resume = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
   resume.Packet.ctrl_b <- 0;
   Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:!egress resume;
   ignore (Sim.run_until_idle sim);

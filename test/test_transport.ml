@@ -267,14 +267,14 @@ let test_nic_pause_holds_queue () =
   let sim, nic, received = mk_nic () in
   let q = Nic.alloc_queue nic in
   (* pause queue q via a Pause ctrl packet *)
-  let pause = Packet.make Packet.Pause ~src:(-1) ~dst:(-1) ~size:64 () in
+  let pause = Packet.make Packet.Pause ~dst:(-1) ~size:64 () in
   pause.Packet.ctrl_a <- q;
   Nic.on_ctrl nic pause;
   Nic.submit nic ~queue:q (data_pkt 1);
   ignore (Sim.run sim ~until:(Time.us 100.0));
   check Alcotest.int "held" 0 (List.length !received);
   Alcotest.(check bool) "queue marked paused" true (Nic.queue_paused nic ~queue:q);
-  let resume = Packet.make Packet.Resume ~src:(-1) ~dst:(-1) ~size:64 () in
+  let resume = Packet.make Packet.Resume ~dst:(-1) ~size:64 () in
   resume.Packet.ctrl_a <- q;
   Nic.on_ctrl nic resume;
   ignore (Sim.run_until_idle sim);
@@ -283,7 +283,7 @@ let test_nic_pause_holds_queue () =
 let test_nic_ignores_pause_when_configured () =
   let sim, nic, received = mk_nic ~respect_pause:false () in
   let q = Nic.alloc_queue nic in
-  let pause = Packet.make Packet.Pause ~src:(-1) ~dst:(-1) ~size:64 () in
+  let pause = Packet.make Packet.Pause ~dst:(-1) ~size:64 () in
   pause.Packet.ctrl_a <- q;
   Nic.on_ctrl nic pause;
   Nic.submit nic ~queue:q (data_pkt 1);
@@ -293,14 +293,14 @@ let test_nic_ignores_pause_when_configured () =
 let test_nic_pfc_pauses_everything () =
   let sim, nic, received = mk_nic () in
   let q = Nic.alloc_queue nic in
-  let pfc = Packet.make Packet.Pfc ~src:(-1) ~dst:(-1) ~size:64 () in
+  let pfc = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
   pfc.Packet.ctrl_b <- 1;
   Nic.on_ctrl nic pfc;
   Nic.submit nic ~queue:q (data_pkt 1);
-  Nic.submit_ctrl nic (Packet.make Packet.Ack ~src:0 ~dst:1 ~size:64 ());
+  Nic.submit_ctrl nic (Packet.make Packet.Ack ~dst:1 ~size:64 ());
   ignore (Sim.run sim ~until:(Time.us 100.0));
   check Alcotest.int "everything held" 0 (List.length !received);
-  let resume = Packet.make Packet.Pfc ~src:(-1) ~dst:(-1) ~size:64 () in
+  let resume = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
   resume.Packet.ctrl_b <- 0;
   Nic.on_ctrl nic resume;
   ignore (Sim.run_until_idle sim);
@@ -312,7 +312,7 @@ let test_nic_ctrl_queue_priority_under_strict () =
      wins whenever both are waiting *)
   Nic.submit nic ~queue:5 (data_pkt 1);
   Nic.submit nic ~queue:5 (data_pkt 2);
-  Nic.submit_ctrl nic (Packet.make Packet.Ack ~src:0 ~dst:1 ~size:64 ());
+  Nic.submit_ctrl nic (Packet.make Packet.Ack ~dst:1 ~size:64 ());
   ignore (Sim.run_until_idle sim);
   match List.rev !received with
   | [ first; second; third ] ->
@@ -381,7 +381,7 @@ let mk_pair () =
 (* A control packet for [flow] handed straight to [node]'s handler. *)
 let deliver sim t node kind flow ~seq =
   let pkt =
-    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Some flow) ~src:flow.Flow.dst
+    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Some flow) 
       ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq
   in
   (Topology.node t node).Bfc_net.Node.handler ~in_port:0 pkt

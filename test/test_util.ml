@@ -6,7 +6,6 @@ module Int_table = Bfc_util.Int_table
 module Slot_table = Bfc_util.Slot_table
 module Bitset = Bfc_util.Bitset
 module Stats = Bfc_util.Stats
-module Histogram = Bfc_util.Histogram
 
 let check = Alcotest.check
 let checkf msg = Alcotest.(check (float 1e-9)) msg
@@ -170,7 +169,7 @@ let wpop w = Wheel.a0 w (Wheel.pop_min_exn w)
 
 let drain_all w =
   let out = ref [] in
-  while not (Wheel.is_empty w) do
+  while Wheel.length w > 0 do
     out := wpop w :: !out
   done;
   List.rev !out
@@ -245,7 +244,7 @@ let test_wheel_push_below_cursor () =
   check Alcotest.int "staged below cursor" 9_999 (wpop w);
   check Alcotest.int "then first 10k" 10_000 (wpop w);
   check Alcotest.int "then second 10k" 10_000 (wpop w);
-  check Alcotest.bool "empty" true (Wheel.is_empty w)
+  check Alcotest.int "empty" 0 (Wheel.length w)
 
 (* Remove the head, the tail and a middle entry of one bucket, then push
    into the same bucket again: the survivors and the newcomer pop in
@@ -326,7 +325,7 @@ let prop_wheel_heap_order =
       while !model <> [] do
         pop ()
       done;
-      Wheel.is_empty w && !ok)
+      Wheel.length w = 0 && !ok)
 
 (* Reference model of the wheel: the resident entries as a list of
    (time, rank, seq) kept sorted, which is the whole ordering contract.
@@ -441,7 +440,7 @@ let prop_wheel_matches_model =
           if Wheel.capacity w > Int.max 64 (2 * !peak) then
             fail "capacity %d for a peak of %d" (Wheel.capacity w) !peak)
         ops;
-      while not (Wheel.is_empty w) do
+      while Wheel.length w > 0 do
         match Wheel.pop_min_exn w with e -> take e | exception Wheel.Empty -> ()
       done;
       if Hashtbl.length left <> !seq then
@@ -451,40 +450,34 @@ let prop_wheel_matches_model =
 (* ---------------------------- Int_table ---------------------------- *)
 
 let test_int_table_basic () =
-  let t = Int_table.create () in
-  check Alcotest.int "empty" 0 (Int_table.length t);
-  Int_table.set t 7 "seven";
-  Int_table.set t 0 "zero";
-  Int_table.set t (-3) "neg";
-  check Alcotest.int "three" 3 (Int_table.length t);
-  check Alcotest.(option string) "find 7" (Some "seven") (Int_table.find_opt t 7);
-  check Alcotest.(option string) "find -3" (Some "neg") (Int_table.find_opt t (-3));
-  check Alcotest.(option string) "miss" None (Int_table.find_opt t 99);
-  Int_table.set t 7 "SEVEN";
-  check Alcotest.int "overwrite keeps count" 3 (Int_table.length t);
-  check Alcotest.(option string) "overwritten" (Some "SEVEN") (Int_table.find_opt t 7);
-  Int_table.remove t 7;
-  check Alcotest.bool "removed" false (Int_table.mem t 7);
-  Int_table.remove t 99 (* absent: no-op *);
-  check Alcotest.int "two left" 2 (Int_table.length t);
-  Int_table.reset t;
-  check Alcotest.int "reset" 0 (Int_table.length t);
-  check Alcotest.(option string) "reset misses" None (Int_table.find_opt t 0)
-
-let test_int_table_find_exn () =
-  let t = Int_table.create ~size:4 () in
-  Int_table.set t 5 17;
-  check Alcotest.int "hit" 17 (Int_table.find_exn t 5);
-  Alcotest.check_raises "miss raises" Not_found (fun () -> ignore (Int_table.find_exn t 6))
+  let t = Int_table.Counter.create () in
+  check Alcotest.int "empty" 0 (Int_table.Counter.length t);
+  Int_table.Counter.set t 7 70;
+  Int_table.Counter.set t 0 1;
+  Int_table.Counter.set t (-3) 30;
+  check Alcotest.int "three" 3 (Int_table.Counter.length t);
+  check Alcotest.int "find 7" 70 (Int_table.Counter.get t 7);
+  check Alcotest.int "find -3" 30 (Int_table.Counter.get t (-3));
+  check Alcotest.int "miss reads 0" 0 (Int_table.Counter.get t 99);
+  Int_table.Counter.set t 7 71;
+  check Alcotest.int "overwrite keeps count" 3 (Int_table.Counter.length t);
+  check Alcotest.int "overwritten" 71 (Int_table.Counter.get t 7);
+  Int_table.Counter.remove t 7;
+  check Alcotest.int "removed" 0 (Int_table.Counter.get t 7);
+  Int_table.Counter.remove t 99 (* absent: no-op *);
+  check Alcotest.int "two left" 2 (Int_table.Counter.length t);
+  Int_table.Counter.reset t;
+  check Alcotest.int "reset" 0 (Int_table.Counter.length t);
+  check Alcotest.int "reset misses" 0 (Int_table.Counter.get t 0)
 
 let test_int_table_growth () =
-  let t = Int_table.create ~size:4 () in
+  let t = Int_table.Counter.create ~size:4 () in
   for k = 0 to 9_999 do
-    Int_table.set t (k * 31) k
+    Int_table.Counter.set t (k * 31) (k + 1)
   done;
-  check Alcotest.int "count" 10_000 (Int_table.length t);
+  check Alcotest.int "count" 10_000 (Int_table.Counter.length t);
   for k = 0 to 9_999 do
-    assert (Int_table.find_exn t (k * 31) = k)
+    assert (Int_table.Counter.get t (k * 31) = k + 1)
   done
 
 (* model check vs Hashtbl, exercising backward-shift deletion under
@@ -493,21 +486,21 @@ let prop_int_table_model =
   QCheck.Test.make ~name:"int_table matches Hashtbl model" ~count:300
     QCheck.(list (pair (int_range 0 40) bool))
     (fun ops ->
-      let t = Int_table.create ~size:4 () in
+      let t = Int_table.Counter.create ~size:4 () in
       let m = Hashtbl.create 16 in
       List.iter
         (fun (k, add) ->
           if add then begin
-            Int_table.set t k k;
-            Hashtbl.replace m k k
+            Int_table.Counter.set t k (k + 1);
+            Hashtbl.replace m k (k + 1)
           end
           else begin
-            Int_table.remove t k;
+            Int_table.Counter.remove t k;
             Hashtbl.remove m k
           end)
         ops;
-      Int_table.length t = Hashtbl.length m
-      && Hashtbl.fold (fun k v acc -> acc && Int_table.find_opt t k = Some v) m true)
+      Int_table.Counter.length t = Hashtbl.length m
+      && Hashtbl.fold (fun k v acc -> acc && Int_table.Counter.get t k = v) m true)
 
 let test_counter_semantics () =
   let c = Int_table.Counter.create () in
@@ -578,7 +571,8 @@ let test_bitset_first_set_rotation () =
   check Alcotest.int "from 0" 2 (Bitset.first_set b ~from:0);
   check Alcotest.int "from 3" 6 (Bitset.first_set b ~from:3);
   check Alcotest.int "wraps" 2 (Bitset.first_set b ~from:7);
-  Bitset.reset b;
+  Bitset.clear b 2;
+  Bitset.clear b 6;
   check Alcotest.int "empty" (-1) (Bitset.first_set b ~from:0)
 
 let test_bitset_bounds () =
@@ -592,7 +586,7 @@ let test_bitset_fill () =
   let b = Bitset.create 65 in
   Bitset.fill b;
   check Alcotest.int "all set" 65 (Bitset.cardinal b);
-  check Alcotest.(list int) "to_list full" (List.init 65 (fun i -> i)) (Bitset.to_list b)
+  check Alcotest.bool "every index set" true (List.for_all (Bitset.mem b) (List.init 65 Fun.id))
 
 let prop_bitset_model =
   QCheck.Test.make ~name:"bitset matches a reference set" ~count:200
@@ -620,7 +614,6 @@ let test_stats_basic () =
   let s = Stats.Sample.create () in
   List.iter (Stats.Sample.add s) [ 1.0; 2.0; 3.0; 4.0; 5.0 ];
   checkf "mean" 3.0 (Stats.Sample.mean s);
-  checkf "min" 1.0 (Stats.Sample.min s);
   checkf "max" 5.0 (Stats.Sample.max s);
   checkf "p0" 1.0 (Stats.Sample.percentile s 0.0);
   checkf "p100" 5.0 (Stats.Sample.percentile s 100.0);
@@ -639,55 +632,17 @@ let test_stats_stddev () =
   List.iter (Stats.Sample.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
   Alcotest.(check bool) "stddev ~2.138" true (Float.abs (Stats.Sample.stddev s -. 2.138) < 0.01)
 
-let test_running_matches_sample () =
-  let r = Stats.Running.create () and s = Stats.Sample.create () in
-  let rng = Rng.create 31 in
-  for _ = 1 to 1000 do
-    let x = Rng.float rng *. 100.0 in
-    Stats.Running.add r x;
-    Stats.Sample.add s x
-  done;
-  Alcotest.(check bool) "means agree" true
-    (Float.abs (Stats.Running.mean r -. Stats.Sample.mean s) < 1e-6);
-  Alcotest.(check bool) "max agree" true (Stats.Running.max r = Stats.Sample.max s)
-
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentile stays within [min,max] and is monotone" ~count:200
     QCheck.(list_of_size (Gen.int_range 1 100) (float_range (-1e6) 1e6))
     (fun xs ->
       let s = Stats.Sample.create () in
       List.iter (Stats.Sample.add s) xs;
-      let lo = Stats.Sample.min s and hi = Stats.Sample.max s in
+      let lo = List.fold_left Float.min infinity xs and hi = Stats.Sample.max s in
       let ps = [ 0.0; 10.0; 50.0; 90.0; 99.0; 100.0 ] in
       let vals = List.map (Stats.Sample.percentile s) ps in
       List.for_all (fun v -> v >= lo -. 1e-9 && v <= hi +. 1e-9) vals
       && List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 5) vals) (List.tl vals))
-
-(* ---------------------------- Histogram ---------------------------- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:1.0 ~hi:1000.0 ~bins:3 in
-  Histogram.add h 2.0;
-  Histogram.add h 50.0;
-  Histogram.add h 500.0;
-  Histogram.add h 0.5 (* clamps low *);
-  Histogram.add h 5000.0 (* clamps high *);
-  check Alcotest.int "count" 5 (Histogram.count h);
-  check Alcotest.(array int) "counts" [| 2; 1; 2 |] (Histogram.counts h)
-
-let test_histogram_cumulative () =
-  let h = Histogram.create ~lo:1.0 ~hi:100.0 ~bins:2 in
-  Histogram.add h 2.0;
-  Histogram.add h 3.0;
-  Histogram.add h 50.0;
-  Histogram.add h 99.0;
-  let c = Histogram.cumulative h in
-  checkf "first half" 0.5 c.(0);
-  checkf "total" 1.0 c.(1)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bad bounds" (Invalid_argument "Histogram.create") (fun () ->
-      ignore (Histogram.create ~lo:10.0 ~hi:1.0 ~bins:4))
 
 (* --------------------------- Ascii table --------------------------- *)
 
@@ -729,7 +684,6 @@ let suite =
     ("wheel push below cursor", `Quick, test_wheel_push_below_cursor);
     ("wheel remove head, tail and middle", `Quick, test_wheel_remove);
     ("int_table basic", `Quick, test_int_table_basic);
-    ("int_table find_exn", `Quick, test_int_table_find_exn);
     ("int_table growth", `Quick, test_int_table_growth);
     ("int_table counter", `Quick, test_counter_semantics);
     ("slot_table reuse", `Quick, test_slot_table_reuse);
@@ -740,10 +694,6 @@ let suite =
     ("stats basic", `Quick, test_stats_basic);
     ("stats empty", `Quick, test_stats_empty);
     ("stats stddev", `Quick, test_stats_stddev);
-    ("running matches sample", `Quick, test_running_matches_sample);
-    ("histogram binning", `Quick, test_histogram_binning);
-    ("histogram cumulative", `Quick, test_histogram_cumulative);
-    ("histogram invalid", `Quick, test_histogram_invalid);
     ("ascii table", `Quick, test_ascii_table);
     ("float cell", `Quick, test_float_cell);
     QCheck_alcotest.to_alcotest prop_wheel_heap_order;
