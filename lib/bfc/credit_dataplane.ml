@@ -66,7 +66,7 @@ let regate t ~egress ~queue =
   end
 
 let classify t _sw ~in_port:_ ~egress pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Data ->
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let ft = t.ft in
@@ -80,8 +80,8 @@ let classify t _sw ~in_port:_ ~egress pkt =
   | _ -> ctrl_queue t
 
 let on_enqueue t _sw ~in_port:_ ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
-    pkt.Packet.bp_upq <- pkt.Packet.upstream_q;
+  if Packet.kind pkt = Packet.Data then begin
+    Packet.set_bp_upq pkt (Packet.upstream_q pkt);
     if queue < data_queues t then Dqa.mark_occupied t.dqa ~egress ~queue;
     (* the freshly enqueued packet may be the head of a starved queue *)
     regate t ~egress ~queue
@@ -94,22 +94,22 @@ let grant_back t ~in_port ~upstream_q ~bytes =
       Packet.Pool.acquire (Switch.pool t.sw) Packet.Hop_credit ~flow:None ~dst:(-1)
         ~size:Packet.ctrl_bytes ~seq:0
     in
-    pkt.Packet.ctrl_a <- upstream_q;
-    pkt.Packet.ctrl_b <- bytes;
+    Packet.set_ctrl_a pkt upstream_q;
+    Packet.set_ctrl_b pkt bytes;
     Switch.send_ctrl t.sw ~egress:in_port pkt
   end
 
 let on_dequeue t _sw ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
+  if Packet.kind pkt = Packet.Data then begin
     (* granting side: the packet has left our buffer; return its bytes to
        the upstream queue it came from *)
-    grant_back t ~in_port:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq
-      ~bytes:pkt.Packet.size;
+    grant_back t ~in_port:(Packet.bp_in_port pkt) ~upstream_q:(Packet.bp_upq pkt)
+      ~bytes:(Packet.size pkt);
     (* sending side: we just consumed downstream credit *)
     if not t.uncredited.(egress) then begin
       let q = Switch.queue t.sw ~egress ~queue in
       let next = Fifo.head_size q in
-      let blocked = Balance.consume t.balances.(egress) ~queue ~bytes:pkt.Packet.size ~next in
+      let blocked = Balance.consume t.balances.(egress) ~queue ~bytes:(Packet.size pkt) ~next in
       if blocked then Switch.set_queue_paused t.sw ~egress ~queue true
     end;
     (* bookkeeping identical to BFC *)
@@ -122,18 +122,18 @@ let on_dequeue t _sw ~egress ~queue pkt =
       let q = Switch.queue t.sw ~egress ~queue in
       if Fifo.is_empty q then Dqa.mark_empty t.dqa ~egress ~queue
     end;
-    pkt.Packet.upstream_q <- queue
+    Packet.set_upstream_q pkt queue
   end
 
 let on_ctrl t _sw ~in_port pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Hop_credit ->
-    let queue = pkt.Packet.ctrl_a in
+    let queue = Packet.ctrl_a pkt in
     if queue >= 0 && queue < Switch.(config t.sw).queues_per_port then begin
       let q = Switch.queue t.sw ~egress:in_port ~queue in
       let next = Fifo.head_size q in
       let unblock =
-        Balance.replenish t.balances.(in_port) ~queue ~bytes:pkt.Packet.ctrl_b ~next
+        Balance.replenish t.balances.(in_port) ~queue ~bytes:(Packet.ctrl_b pkt) ~next
       in
       if unblock then Switch.set_queue_paused t.sw ~egress:in_port ~queue false
     end;

@@ -76,7 +76,7 @@ let now t = Sim.now (Switch.sim t.sw)
 
 let cls_of_flow t flow = Int.min (t.classes - 1) (Int.max 0 flow.Flow.prio_class)
 
-let cls_of_pkt t pkt = Int.min (t.classes - 1) (Int.max 0 pkt.Packet.prio)
+let cls_of_pkt t pkt = Int.min (t.classes - 1) (Int.max 0 (Packet.prio pkt))
 
 (* Reserved control queue of a class (ACKs and friends). *)
 let ctrl_queue t ~cls = (cls * t.qpc) + t.qpc - 1
@@ -94,7 +94,7 @@ let cls_of_queue t ~queue = queue / t.qpc
 (* Enqueue side                                                     *)
 
 let classify t _sw ~in_port:_ ~egress pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Data -> (
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let cls = cls_of_flow t flow in
@@ -139,7 +139,7 @@ let make_ctrl t kind =
 
 let send_pause t ~egress ~upstream_q kind =
   let pkt = make_ctrl t kind in
-  pkt.Packet.ctrl_a <- upstream_q;
+  Packet.set_ctrl_a pkt upstream_q;
   Switch.send_ctrl t.sw ~egress pkt;
   match kind with
   | Packet.Pause -> t.st.pauses_sent <- t.st.pauses_sent + 1
@@ -147,7 +147,7 @@ let send_pause t ~egress ~upstream_q kind =
   | _ -> ()
 
 let on_enqueue t _sw ~in_port ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
+  if Packet.kind pkt = Packet.Data then begin
     if is_data_queue t ~queue then begin
       Dqa.mark_occupied t.dqa
         ~egress:(domain t ~egress ~cls:(cls_of_queue t ~queue))
@@ -157,17 +157,17 @@ let on_enqueue t _sw ~in_port ~egress ~queue pkt =
     if
       Packet.bp_sampled pkt
       && in_port >= 0
-      && pkt.Packet.upstream_q >= 0
+      && Packet.upstream_q pkt >= 0
       && !(t.allow_bp) ~in_port ~egress
     then begin
       let q = Switch.queue t.sw ~egress ~queue in
       if q.Bfc_switch.Fifo.bytes > threshold t ~egress then begin
         Packet.set_bp_counted pkt true;
-        pkt.Packet.bp_upq <- pkt.Packet.upstream_q;
+        Packet.set_bp_upq pkt (Packet.upstream_q pkt);
         t.st.packets_counted <- t.st.packets_counted + 1;
-        match Pause_counter.incr t.pc ~ingress:in_port ~upstream_q:pkt.Packet.upstream_q with
+        match Pause_counter.incr t.pc ~ingress:in_port ~upstream_q:(Packet.upstream_q pkt) with
         | Pause_counter.Went_up ->
-          send_pause t ~egress:in_port ~upstream_q:pkt.Packet.upstream_q Packet.Pause
+          send_pause t ~egress:in_port ~upstream_q:(Packet.upstream_q pkt) Packet.Pause
         | Pause_counter.Went_down | Pause_counter.No_change -> ()
       end
     end
@@ -177,13 +177,13 @@ let on_enqueue t _sw ~in_port ~egress ~queue pkt =
 (* Dequeue side (the recirculated header's work)                     *)
 
 let on_dequeue t _sw ~egress ~queue pkt =
-  if pkt.Packet.kind = Packet.Data then begin
+  if Packet.kind pkt = Packet.Data then begin
     if Packet.bp_counted pkt then begin
       (match
-         Pause_counter.decr t.pc ~ingress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq
+         Pause_counter.decr t.pc ~ingress:(Packet.bp_in_port pkt) ~upstream_q:(Packet.bp_upq pkt)
        with
       | Pause_counter.Went_down ->
-        send_pause t ~egress:pkt.Packet.bp_in_port ~upstream_q:pkt.Packet.bp_upq Packet.Resume
+        send_pause t ~egress:(Packet.bp_in_port pkt) ~upstream_q:(Packet.bp_upq pkt) Packet.Resume
       | Pause_counter.Went_up | Pause_counter.No_change -> ());
       Packet.set_bp_counted pkt false
     end;
@@ -205,12 +205,12 @@ let on_dequeue t _sw ~egress ~queue pkt =
           ~queue:(local_of_queue t ~queue)
     end;
     (* Tell the next hop which of our queues this packet came from. *)
-    pkt.Packet.upstream_q <- queue
+    Packet.set_upstream_q pkt queue
   end
 
 let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
   (* Undo the enqueue-side flow table increment. *)
-  if pkt.Packet.kind = Packet.Data then begin
+  if Packet.kind pkt = Packet.Data then begin
     let flow = Packet.flow_exn pkt ~at:(now t) in
     let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
     if Packet.bp_sampled pkt && not incast_bypass then begin
@@ -223,13 +223,13 @@ let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
 (* Reacting side                                                     *)
 
 let apply_ctrl ~set_paused st ~pool ~port ~n_queues pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Pause ->
-    if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
-      set_paused st ~port ~queue:pkt.Packet.ctrl_a true
+    if Packet.ctrl_a pkt >= 0 && Packet.ctrl_a pkt < n_queues then
+      set_paused st ~port ~queue:(Packet.ctrl_a pkt) true
   | Packet.Resume ->
-    if pkt.Packet.ctrl_a >= 0 && pkt.Packet.ctrl_a < n_queues then
-      set_paused st ~port ~queue:pkt.Packet.ctrl_a false
+    if Packet.ctrl_a pkt >= 0 && Packet.ctrl_a pkt < n_queues then
+      set_paused st ~port ~queue:(Packet.ctrl_a pkt) false
   | Packet.Pause_bitmap ->
     let ints = Packet.Pool.bitmap pool pkt in
     for q = 0 to n_queues - 1 do
@@ -259,7 +259,7 @@ let reset t =
     done
 
 let on_ctrl t _sw ~in_port pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap ->
     let n_queues = Switch.(config t.sw).queues_per_port in
     apply_ctrl ~set_paused:set_switch_queue_paused t.sw ~pool:(Switch.pool t.sw) ~port:in_port

@@ -82,7 +82,6 @@ type t = {
   q : Wheel.t; (* the events themselves: see the header comment *)
   mutable live : int; (* scheduled, not yet fired, not cancelled *)
   mutable executed : int;
-  mutable next_uid : int;
   (* self-profiling: per-event-class execution counts, queue-depth
      high-water mark and cancellations. Plain int stores, cheap enough
      to keep on unconditionally. *)
@@ -225,7 +224,6 @@ let create () =
       q = Wheel.create ();
       live = 0;
       executed = 0;
-      next_uid = 0;
       exec_by_class = Array.make n_classes 0;
       heap_hwm = 0;
       cancels = 0;
@@ -245,11 +243,6 @@ let create () =
 let now t = t.clock
 
 let tap t = t.tap
-
-let fresh_uid t =
-  let u = t.next_uid in
-  t.next_uid <- u + 1;
-  u
 
 (* Queue-depth high-water mark, maintained at every push point. *)
 let note_depth t =

@@ -62,12 +62,6 @@ val horizon : Time.t
     scheduling call and {!run} raise [Invalid_argument] for a time at
     or beyond it. *)
 
-(** [fresh_uid t] draws from a per-simulation counter (packet uids and the
-    like). Keeping the counter inside [Sim.t] makes uid sequences
-    reproducible across back-to-back runs in one process and race-free when
-    independent sims run on separate domains. *)
-val fresh_uid : t -> int
-
 (** [at t time f] runs [f] at absolute [time] (>= now). Among events at
     the same [time], execution order is (insertion instant, key,
     insertion order): the clock value at scheduling time first, then the

@@ -120,11 +120,11 @@ let check_switch t st =
     let ft = Dataplane.flow_table dp in
     let incast_label = (Dataplane.config dp).Dataplane.incast_label in
     let counted pkt =
-      pkt.Packet.kind = Packet.Data
+      Packet.kind pkt = Packet.Data
       && Packet.bp_sampled pkt
       && not
            (incast_label
-           && match pkt.Packet.flow with Some f -> f.Flow.is_incast | None -> false)
+           && match Packet.flow pkt with Some f -> f.Flow.is_incast | None -> false)
     in
     for e = 0 to Switch.n_ports sw - 1 do
       let sampled = ref 0 in
@@ -254,9 +254,9 @@ let attach ?(config = default_config) env =
     let pool = Runner.pool env in
     Tap.on tap Tap.Ctrl_rx (fun ~node in_port p ->
         let pkt = Packet.Pool.get pool p in
-        match pkt.Packet.kind with
-        | Packet.Pause -> on_pause t ~node ~in_port ~queue:pkt.Packet.ctrl_a
-        | Packet.Resume -> on_resume t ~node ~in_port ~queue:pkt.Packet.ctrl_a
+        match Packet.kind pkt with
+        | Packet.Pause -> on_pause t ~node ~in_port ~queue:(Packet.ctrl_a pkt)
+        | Packet.Resume -> on_resume t ~node ~in_port ~queue:(Packet.ctrl_a pkt)
         | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port (Packet.Pool.bitmap pool pkt)
         | _ -> ())
   end;

@@ -23,14 +23,14 @@ let create ~seed = { rng = Bfc_util.Rng.create seed; rules = []; dropped = 0; co
 
 let any _ = true
 
-let data pkt = pkt.Packet.kind = Packet.Data
+let data pkt = Packet.kind pkt = Packet.Data
 
 let ctrl pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Pfc -> true
   | _ -> false
 
-let kind k pkt = pkt.Packet.kind = k
+let kind k pkt = Packet.kind pkt = k
 
 let resumes = kind Packet.Resume
 

@@ -70,29 +70,70 @@ let finding src suppress (name, (loc : Location.t), _) =
     },
     List.exists (Rule.matches Rule.dc_dead_export) (Suppress.allows_near suppress ~line) )
 
+(* [src] as the workspace holds it: a dune build root is
+   <workspace>/_build/<context>. Files dune generates, such as a library's
+   alias module, exist only in the build root. *)
+let source root src =
+  let up = Filename.parent_dir_name in
+  let ws = List.fold_left Filename.concat root [ up; up; src ] in
+  if Sys.file_exists ws then ws else Filename.concat root src
+
+(* Does [cmt]'s source differ from what was compiled? *)
+let source_changed root (cmt : Cmt_format.cmt_infos) =
+  match (cmt.cmt_sourcefile, cmt.cmt_source_digest) with
+  | Some src, Some d ->
+    let p = source root src in
+    (not (Sys.file_exists p)) || not (Digest.equal (Digest.file p) d)
+  | _ -> false
+
 let run ?(callers = caller_dirs) root =
   let live = Hashtbl.create 4096 and interfaces = ref [] in
+  (* interface digests by unit, and every unit's (name, imported digests) *)
+  let crcs = Hashtbl.create 256 and imports = ref [] in
   let read dir path =
     let cmt = Cmt_format.read_cmt path in
-    match (cmt.cmt_annots, cmt.cmt_sourcefile) with
-    | Implementation s, _ ->
-      (* A unit's .ml and .mli number their uids apart, so a uid of the
-         unit's own is one of its local definitions. *)
-      List.iter
-        (fun (uid : Shape.Uid.t) ->
-          match uid with
-          | Item { comp_unit; _ } when comp_unit = cmt.cmt_modname -> ()
-          | _ -> Hashtbl.replace live uid ())
-        (references s)
-    | Interface s, Some src when dir = "lib" -> interfaces := (src, s) :: !interfaces
-    | _ -> ()
+    Option.iter (Hashtbl.replace crcs cmt.cmt_modname) cmt.cmt_interface_digest;
+    imports := (cmt.cmt_modname, cmt.cmt_imports) :: !imports;
+    if source_changed root cmt then
+      Some (cmt.cmt_modname, Option.get cmt.cmt_sourcefile ^ " changed since it was compiled")
+    else begin
+      (match (cmt.cmt_annots, cmt.cmt_sourcefile) with
+      | Implementation s, _ ->
+        (* A unit's .ml and .mli number their uids apart, so a uid of the
+           unit's own is one of its local definitions. *)
+        List.iter
+          (fun (uid : Shape.Uid.t) ->
+            match uid with
+            | Item { comp_unit; _ } when comp_unit = cmt.cmt_modname -> ()
+            | _ -> Hashtbl.replace live uid ())
+          (references s)
+      | Interface s, Some src when dir = "lib" -> interfaces := (src, s) :: !interfaces
+      | _ -> ());
+      None
+    end
   in
-  List.iter
-    (fun dir -> List.iter (read dir) (units (Filename.concat root dir) []))
-    (List.sort_uniq compare ("lib" :: callers));
-  if !interfaces = [] then
+  let changed =
+    List.concat_map
+      (fun dir -> List.filter_map (read dir) (units (Filename.concat root dir) []))
+      (List.sort_uniq compare ("lib" :: callers))
+  in
+  (* a unit compiled against an interface that has since been rebuilt *)
+  let outdated (unit, imps) =
+    List.find_map
+      (fun (name, d) ->
+        match (d, Hashtbl.find_opt crcs name) with
+        | Some d, Some now when not (Digest.equal d now) ->
+          Some (unit, "compiled against an older " ^ name)
+        | _ -> None)
+      imps
+  in
+  match (changed, List.find_map outdated !imports) with
+  | (unit, why) :: _, _ | [], Some (unit, why) ->
+    Error
+      (Printf.sprintf "compiled unit %s is stale (%s); rebuild with dune build @check" unit why)
+  | [], None when !interfaces = [] ->
     Error (Printf.sprintf "no compiled lib/ interfaces under %s; build first" root)
-  else
+  | [], None ->
     let dead (src, s) =
       let suppress = Suppress.scan (read_file (Filename.concat root src)) in
       List.filter_map

@@ -17,5 +17,10 @@ val references : Typedtree.structure -> Shape.Uid.t list
     references of the units under [root/<dir>] for each of [callers]
     (default the five directories above; [lib] always counts). Each finding
     is paired with whether an allow comment covers it. [Error] when
-    [root/lib] holds no compiled interface. *)
+    [root/lib] holds no compiled interface, or when a unit it reads is
+    stale: its source (in the workspace above a dune build root
+    [<workspace>/_build/<context>], else in [root]) no longer has the
+    digest it was compiled from, or an interface it imports has been
+    rebuilt since. Findings from stale units would name the wrong
+    declarations. *)
 val run : ?callers:string list -> string -> ((Diagnostic.t * bool) list, string) result

@@ -20,26 +20,30 @@ type int_hop = {
   mutable h_link : int;
 }
 
+(* A packet is ten words: three of them pack the small fields, the other
+   seven are plain. With its header that is 11 words, which OCaml 5's
+   shared heap serves from its 12-word size class. Every field is read and
+   written through the accessors below; a setter raises [Invalid_argument]
+   for a value outside its field's bit width.
+
+   [hdr]:  bits 0-3 kind, 4-7 flags, 8-20 prio, 21-34 upstream_q,
+           35-48 bp_in_port, 49-62 bp_upq
+   [dims]: bits 0-15 size, 16-31 payload, 32-62 dst
+   [slot]: bits 0-30 idx, 31-61 next_free
+
+   A field stores its value plus a bias, so that its sentinel ([-1], or
+   [-2] for [next_free]) is the field's zero. *)
 type t = {
-  mutable uid : int;
-  mutable kind : kind;
+  mutable hdr : int;
+  mutable dims : int;
+  mutable slot : int;
   mutable flow : Flow.t option;
-  mutable dst : int;
-  mutable size : int;
-  mutable payload : int;
   mutable seq : int;
-  mutable flags : int;
-  mutable prio : int;
   mutable remaining : int;
-  mutable upstream_q : int;
-  mutable bp_in_port : int;
-  mutable bp_upq : int;
   mutable sent_at : Bfc_engine.Time.t;
   mutable enq_at : Bfc_engine.Time.t;
   mutable ctrl_a : int;
   mutable ctrl_b : int;
-  mutable idx : int;
-  mutable next_free : int;
 }
 
 let header_bytes = 48
@@ -48,94 +52,186 @@ let ack_bytes = 64
 
 let ctrl_bytes = 64
 
+(* --------------------------- Packed fields ----------------------------- *)
+
+let[@inline] get w ~shift ~width ~bias = ((w lsr shift) land ((1 lsl width) - 1)) - bias
+
+let[@inline never] out_of_range name v =
+  invalid_arg (Printf.sprintf "Packet.set_%s: %d is out of range" name v)
+
+(* [w] with the field at [shift] holding [v]. A value below [-bias] makes
+   [u] negative, and so sets bits above [width] too. *)
+let[@inline] put name w ~shift ~width ~bias v =
+  let u = v + bias in
+  if u lsr width <> 0 then out_of_range name v
+  else w land lnot (((1 lsl width) - 1) lsl shift) lor (u lsl shift)
+
+(* [kind_code]'s inverse *)
+let kinds =
+  [|
+    Data; Ack; Nack; Credit; Credit_req; Grant; Pause; Resume; Pause_bitmap; Hop_credit; Pfc; Cnp;
+  |]
+
+let kind_code = function
+  | Data -> 0
+  | Ack -> 1
+  | Nack -> 2
+  | Credit -> 3
+  | Credit_req -> 4
+  | Grant -> 5
+  | Pause -> 6
+  | Resume -> 7
+  | Pause_bitmap -> 8
+  | Hop_credit -> 9
+  | Pfc -> 10
+  | Cnp -> 11
+
+let[@inline] kind p = Array.unsafe_get kinds (p.hdr land 15)
+
+let[@inline] set_kind p k = p.hdr <- p.hdr land lnot 15 lor kind_code k
+
+let[@inline] prio p = get p.hdr ~shift:8 ~width:13 ~bias:1
+
+let[@inline] put_prio w v = put "prio" w ~shift:8 ~width:13 ~bias:1 v
+
+let[@inline] set_prio p v = p.hdr <- put_prio p.hdr v
+
+let[@inline] upstream_q p = get p.hdr ~shift:21 ~width:14 ~bias:1
+
+let[@inline] set_upstream_q p v = p.hdr <- put "upstream_q" p.hdr ~shift:21 ~width:14 ~bias:1 v
+
+let[@inline] bp_in_port p = get p.hdr ~shift:35 ~width:14 ~bias:1
+
+let[@inline] set_bp_in_port p v = p.hdr <- put "bp_in_port" p.hdr ~shift:35 ~width:14 ~bias:1 v
+
+let[@inline] bp_upq p = get p.hdr ~shift:49 ~width:14 ~bias:1
+
+let[@inline] set_bp_upq p v = p.hdr <- put "bp_upq" p.hdr ~shift:49 ~width:14 ~bias:1 v
+
+let[@inline] size p = get p.dims ~shift:0 ~width:16 ~bias:0
+
+let[@inline] put_size w v = put "size" w ~shift:0 ~width:16 ~bias:0 v
+
+let[@inline] set_size p v = p.dims <- put_size p.dims v
+
+let[@inline] payload p = get p.dims ~shift:16 ~width:16 ~bias:0
+
+let[@inline] put_payload w v = put "payload" w ~shift:16 ~width:16 ~bias:0 v
+
+let[@inline] set_payload p v = p.dims <- put_payload p.dims v
+
+let[@inline] dst p = get p.dims ~shift:32 ~width:31 ~bias:1
+
+let[@inline] put_dst w v = put "dst" w ~shift:32 ~width:31 ~bias:1 v
+
+let[@inline] set_dst p v = p.dims <- put_dst p.dims v
+
+let[@inline] pack_dims ~dst ~size ~payload = put_dst (put_payload (put_size 0 size) payload) dst
+
+let[@inline] idx p = get p.slot ~shift:0 ~width:31 ~bias:1
+
+let[@inline] set_idx p v = p.slot <- put "idx" p.slot ~shift:0 ~width:31 ~bias:1 v
+
+let[@inline] next_free p = get p.slot ~shift:31 ~width:31 ~bias:2
+
+let[@inline] set_next_free p v = p.slot <- put "next_free" p.slot ~shift:31 ~width:31 ~bias:2 v
+
+let[@inline] flow p = p.flow
+
+let[@inline] seq p = p.seq
+
+let[@inline] remaining p = p.remaining
+
+let[@inline] set_remaining p v = p.remaining <- v
+
+let[@inline] sent_at p = p.sent_at
+
+let[@inline] set_sent_at p v = p.sent_at <- v
+
+let[@inline] enq_at p = p.enq_at
+
+let[@inline] set_enq_at p v = p.enq_at <- v
+
+let[@inline] ctrl_a p = p.ctrl_a
+
+let[@inline] set_ctrl_a p v = p.ctrl_a <- v
+
+let[@inline] ctrl_b p = p.ctrl_b
+
+let[@inline] set_ctrl_b p v = p.ctrl_b <- v
+
 (* ------------------------------- Flags --------------------------------- *)
 
-let flag_ecn = 1
+let flag_ecn = 1 lsl 4
 
-let flag_ecn_echo = 2
+let flag_ecn_echo = 1 lsl 5
 
-let flag_bp_counted = 4
+let flag_bp_counted = 1 lsl 6
 
-let flag_bp_sampled = 8
+let flag_bp_sampled = 1 lsl 7
 
-(* [make]'s flags: only [bp_sampled] is set. *)
-let default_flags = flag_bp_sampled
+let[@inline] set_flag p m b = p.hdr <- (if b then p.hdr lor m else p.hdr land lnot m)
 
-let[@inline] set_flag p m b = p.flags <- (if b then p.flags lor m else p.flags land lnot m)
-
-let[@inline] ecn p = p.flags land flag_ecn <> 0
+let[@inline] ecn p = p.hdr land flag_ecn <> 0
 
 let[@inline] set_ecn p b = set_flag p flag_ecn b
 
-let[@inline] ecn_echo p = p.flags land flag_ecn_echo <> 0
+let[@inline] ecn_echo p = p.hdr land flag_ecn_echo <> 0
 
 let[@inline] set_ecn_echo p b = set_flag p flag_ecn_echo b
 
-let[@inline] bp_counted p = p.flags land flag_bp_counted <> 0
+let[@inline] bp_counted p = p.hdr land flag_bp_counted <> 0
 
 let[@inline] set_bp_counted p b = set_flag p flag_bp_counted b
 
-let[@inline] bp_sampled p = p.flags land flag_bp_sampled <> 0
+let[@inline] bp_sampled p = p.hdr land flag_bp_sampled <> 0
 
 let[@inline] set_bp_sampled p b = set_flag p flag_bp_sampled b
 
-(* Fallback uid source for packets made outside any simulation (unit tests,
-   standalone tools). Pools and [~sim] callers draw from the per-sim counter
-   instead, which is what keeps uid sequences deterministic per run and
-   race-free across domains. *)
-let fallback_uid = Atomic.make 0
+(* [make]'s [hdr] for a [Data] packet: only [bp_sampled] set, [prio] and
+   [upstream_q] 0, [bp_in_port] and [bp_upq] -1. *)
+let default_hdr = flag_bp_sampled lor (1 lsl 8) lor (1 lsl 21)
 
-let build ~uid kind flow ~dst ~size ~payload ~seq ~prio =
+let default_dims = pack_dims ~dst:(-1) ~size:0 ~payload:0
+
+let build kind flow ~dst ~size ~payload ~seq ~prio =
   {
-    uid;
-    kind;
+    hdr = put_prio (default_hdr lor kind_code kind) prio;
+    dims = pack_dims ~dst ~size ~payload;
+    slot = 0;
     flow;
-    dst;
-    size;
-    payload;
     seq;
-    flags = default_flags;
-    prio;
     remaining = 0;
-    upstream_q = 0;
-    bp_in_port = -1;
-    bp_upq = -1;
     sent_at = 0;
     enq_at = 0;
     ctrl_a = 0;
     ctrl_b = 0;
-    idx = -1;
-    next_free = -2;
   }
 
-let make ?sim kind ?flow ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
-  let uid =
-    match sim with
-    | Some s -> Bfc_engine.Sim.fresh_uid s
-    | None -> Atomic.fetch_and_add fallback_uid 1
-  in
-  build ~uid kind flow ~dst ~size ~payload ~seq ~prio
+let make kind ?flow ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
+  build kind flow ~dst ~size ~payload ~seq ~prio
 
-let placeholder = build ~uid:(-1) Data None ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
+let placeholder = build Data None ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
 
-let data ?sim ~flow ~seq ~payload ?(extra_header = 0) () =
-  make ?sim Data ~flow ~dst:flow.Flow.dst
+let data ~flow ~seq ~payload ?(extra_header = 0) () =
+  make Data ~flow ~dst:flow.Flow.dst
     ~size:(payload + header_bytes + extra_header)
     ~payload ~seq ~prio:flow.prio_class ()
 
 (* ------------------------------ Exceptions ----------------------------- *)
 
-exception Missing_flow of { uid : int; at : Bfc_engine.Time.t }
+exception Missing_flow of { idx : int; at : Bfc_engine.Time.t }
 
 let () =
   Printexc.register_printer (function
-    | Missing_flow { uid; at } ->
+    | Missing_flow { idx; at } ->
       Some
-        (Format.asprintf "Packet.Missing_flow(uid=%d, t=%a): data-path packet without a flow" uid
+        (Format.asprintf "Packet.Missing_flow(idx=%d, t=%a): data-path packet without a flow" idx
            Bfc_engine.Time.pp at)
     | _ -> None)
 
-let flow_exn t ~at = match t.flow with Some f -> f | None -> raise (Missing_flow { uid = t.uid; at })
+let flow_exn t ~at =
+  match t.flow with Some f -> f | None -> raise (Missing_flow { idx = idx t; at })
 
 let flow_id t = match t.flow with Some f -> f.Flow.id | None -> -1
 
@@ -156,7 +252,6 @@ module Pool = struct
      [[||]] until its first use, so a run without INT stamping or bitmaps
      pays nothing for them, and grows to the capacity of [pkts]. *)
   type nonrec t = {
-    sim : Bfc_engine.Sim.t;
     mutable pkts : packet array;
     mutable n : int;
     mutable free : int; (* index of the last parked packet, -1 = none *)
@@ -168,9 +263,8 @@ module Pool = struct
     mutable bitmaps : int array array;
   }
 
-  let create ~sim =
+  let create () =
     {
-      sim;
       pkts = [||];
       n = 0;
       free = -1;
@@ -202,12 +296,12 @@ module Pool = struct
       t.pkts <- np
     end;
     t.pkts.(t.n) <- p;
-    p.idx <- t.n;
+    set_idx p t.n;
     t.n <- t.n + 1;
-    p.idx
+    t.n - 1
 
   let index t p =
-    let i = p.idx in
+    let i = idx p in
     if i >= 0 && i < t.n && Array.unsafe_get t.pkts i == p then i
     else if i >= 0 then invalid_arg "Packet.Pool.index: packet of another simulation"
     else register t p
@@ -303,54 +397,43 @@ module Pool = struct
      INT cursor / bitmap silently corrupts the next flow that reuses it.
      The INT-hop records are kept (they are reused via the cursor). *)
   let reset t (p : packet) =
+    p.hdr <- default_hdr;
+    p.dims <- default_dims;
     p.flow <- None;
-    p.dst <- -1;
-    p.size <- 0;
-    p.payload <- 0;
     p.seq <- 0;
-    p.flags <- default_flags;
-    p.prio <- 0;
     p.remaining <- 0;
-    p.upstream_q <- 0;
-    p.bp_in_port <- -1;
-    p.bp_upq <- -1;
     p.sent_at <- 0;
     p.enq_at <- 0;
     p.ctrl_a <- 0;
     p.ctrl_b <- 0;
-    let i = p.idx in
+    let i = idx p in
     if i < Array.length t.int_cnt then t.int_cnt.(i) <- 0;
     if i < Array.length t.bitmaps then t.bitmaps.(i) <- [||]
 
   let release t (p : packet) =
-    if p.next_free <> in_use then invalid_arg "Packet.Pool.release: double release";
+    if next_free p <> in_use then invalid_arg "Packet.Pool.release: double release";
     let i = index t p in
     reset t p;
-    p.next_free <- t.free;
+    set_next_free p t.free;
     t.free <- i;
     t.n_free <- t.n_free + 1
 
   let acquire t kind ~flow ~dst ~size ~seq =
     if t.n_free = 0 then begin
       t.allocated <- t.allocated + 1;
-      let p =
-        build ~uid:(Bfc_engine.Sim.fresh_uid t.sim) kind flow ~dst ~size ~payload:0 ~seq
-          ~prio:0
-      in
+      let p = build kind flow ~dst ~size ~payload:0 ~seq ~prio:0 in
       ignore (register t p);
       p
     end
     else begin
       t.n_free <- t.n_free - 1;
       let p = t.pkts.(t.free) in
-      t.free <- p.next_free;
-      p.next_free <- in_use;
+      t.free <- next_free p;
+      set_next_free p in_use;
       t.recycled <- t.recycled + 1;
-      p.uid <- Bfc_engine.Sim.fresh_uid t.sim;
-      p.kind <- kind;
+      set_kind p kind;
       p.flow <- flow;
-      p.dst <- dst;
-      p.size <- size;
+      p.dims <- pack_dims ~dst ~size ~payload:0;
       p.seq <- seq;
       p
     end
@@ -362,7 +445,7 @@ module Pool = struct
         ~size:(payload + header_bytes + extra_header)
         ~seq
     in
-    p.payload <- payload;
-    p.prio <- f.Flow.prio_class;
+    set_payload p payload;
+    set_prio p f.Flow.prio_class;
     p
 end

@@ -33,34 +33,102 @@ type int_hop = {
   mutable h_link : int; (** global port id, for per-link delay accounting *)
 }
 
-type t = {
-  mutable uid : int;
-  mutable kind : kind;
-  mutable flow : Flow.t option;
-  mutable dst : int;
-  mutable size : int; (** bytes on the wire *)
-  mutable payload : int; (** data bytes carried (<= size) *)
-  mutable seq : int;
-  mutable flags : int;
-      (** [ecn], [ecn_echo], [bp_counted] and [bp_sampled], one bit each;
-          read and write them with the accessors below *)
-  mutable prio : int; (** scheduling priority class; 0 = highest *)
-  mutable remaining : int; (** sender's remaining bytes (SRF header field) *)
-  mutable upstream_q : int; (** BFC: sender-side queue at the upstream device *)
-  mutable bp_in_port : int;
-  mutable bp_upq : int;
-  mutable sent_at : Bfc_engine.Time.t;
-  mutable enq_at : Bfc_engine.Time.t;
-  mutable ctrl_a : int;
-  mutable ctrl_b : int;
-  mutable idx : int;
-      (** index in its simulation's packet table ({!Pool}), fixed once the
-          table first sees the packet; [-1] before that *)
-  mutable next_free : int;
-      (** {!Pool} bookkeeping: [-2] while the packet is in use; while it
-          is parked, the index of the packet parked before it ([-1] at the
-          end of the free list) *)
-}
+(** A packet. Its small fields share three packed words, so a packet
+    takes OCaml's 12-word heap slot; read and write every field with the
+    accessors below. A setter raises [Invalid_argument] for a value its
+    field cannot hold; each range has headroom over the port, queue and
+    node-id limits that [Switch.create],
+    [Nic.create] and [Runner.inject_mtu] enforce. *)
+type t
+
+val kind : t -> kind
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_kind : t -> kind -> unit
+
+val flow : t -> Flow.t option
+
+(** Destination node: [-1 .. 2^31 - 2]. *)
+val dst : t -> int
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_dst : t -> int -> unit
+
+(** Bytes on the wire: [0 .. 65535]. *)
+val size : t -> int
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_size : t -> int -> unit
+
+(** Data bytes carried ([<= size]): [0 .. 65535]. *)
+val payload : t -> int
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_payload : t -> int -> unit
+
+val seq : t -> int
+
+(** Scheduling priority class; 0 = highest. Range [-1 .. 8190]. *)
+val prio : t -> int
+
+val set_prio : t -> int -> unit
+
+(** Sender's remaining bytes (SRF header field). *)
+val remaining : t -> int
+
+val set_remaining : t -> int -> unit
+
+(** BFC: the sender-side queue at the upstream device. Range
+    [-1 .. 16382], as for [bp_in_port] and [bp_upq]. *)
+val upstream_q : t -> int
+
+val set_upstream_q : t -> int -> unit
+
+(** BFC per-hop scratch: the ingress port the packet's pause count sits
+    under, [-1] when none. *)
+val bp_in_port : t -> int
+
+val set_bp_in_port : t -> int -> unit
+
+(** BFC per-hop scratch: the upstream queue of that pause count, [-1]
+    when none. *)
+val bp_upq : t -> int
+
+val set_bp_upq : t -> int -> unit
+
+val sent_at : t -> Bfc_engine.Time.t
+
+val set_sent_at : t -> Bfc_engine.Time.t -> unit
+
+val enq_at : t -> Bfc_engine.Time.t
+
+val set_enq_at : t -> Bfc_engine.Time.t -> unit
+
+val ctrl_a : t -> int
+
+val set_ctrl_a : t -> int -> unit
+
+val ctrl_b : t -> int
+
+val set_ctrl_b : t -> int -> unit
+
+(** Index in its simulation's packet table ({!Pool}), fixed once the table
+    first sees the packet; [-1] before that. Range [-1 .. 2^31 - 2]. *)
+(* observation: tests read an index without assigning one; bfc-lint: allow DC001 *)
+val idx : t -> int
+
+(** {!Pool} bookkeeping: [-2] while the packet is in use; while it is
+    parked, the index of the packet parked before it ([-1] at the end of
+    the free list). Only the pool writes [idx] and [next_free]; the
+    setters are exported for the packed-layout tests. *)
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val next_free : t -> int
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_idx : t -> int -> unit
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_next_free : t -> int -> unit
 
 (** Congestion experienced: set by a switch's ECN marking. *)
 val ecn : t -> bool
@@ -90,13 +158,10 @@ val ack_bytes : int
 
 val ctrl_bytes : int
 
-(** [make kind ~flow ~dst ~size ...] — fresh packet. With [?sim] the
-    uid comes from that simulation's counter ({!Bfc_engine.Sim.fresh_uid}),
-    which is deterministic per run and safe under domains; without it a
-    process-global atomic fallback is used (tests, standalone tools). *)
+(** [make kind ~flow ~dst ~size ...] — a fresh packet, outside any
+    {!Pool} until one indexes it. *)
 (* tests build standalone packets outside a pool; bfc-lint: allow DC001 *)
 val make :
-  ?sim:Bfc_engine.Sim.t ->
   kind ->
   ?flow:Flow.t ->
   dst:int ->
@@ -111,18 +176,18 @@ val make :
     wire size = payload + header + extra_header. *)
 (* tests build standalone data packets outside a pool; bfc-lint: allow DC001 *)
 val data :
-  ?sim:Bfc_engine.Sim.t -> flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> t
+  flow:Flow.t -> seq:int -> payload:int -> ?extra_header:int -> unit -> t
 
-(** An inert packet (uid [-1]): what a dequeue returns when nothing is
+(** An inert packet (index [-1]): what a dequeue returns when nothing is
     eligible. It is never sent, queued or pooled, and must not be
     mutated. *)
 val placeholder : t
 
 (** Raised by [flow_exn] when a packet that must belong to a flow (a
     data-path packet inside a dataplane hook or a host receive path) carries
-    none — a malformed injection or a corrupted header. Carries the packet
-    uid and the sim time at which the packet was seen. *)
-exception Missing_flow of { uid : int; at : Bfc_engine.Time.t }
+    none — a malformed injection or a corrupted header. Carries the packet's
+    {!idx} and the sim time at which the packet was seen. *)
+exception Missing_flow of { idx : int; at : Bfc_engine.Time.t }
 
 (** The packet's flow, or raises {!Missing_flow} stamped with [at]. *)
 val flow_exn : t -> at:Bfc_engine.Time.t -> Flow.t
@@ -136,10 +201,9 @@ val flow_id : t -> int
     name packets by int — stores that take no GC write barrier. [release]
     resets every mutable field to the [make] defaults, empties the packet's
     INT stack and bitmap (keeping its INT-hop records and its index) and
-    parks the packet; [acquire] hands a parked packet back with a fresh
-    per-sim uid. Double release raises [Invalid_argument]. One table per
-    simulation, reached with {!Port.pool} — packets never migrate between
-    domains.
+    parks the packet; [acquire] hands a parked packet back. Double
+    release raises [Invalid_argument]. One table per simulation, reached
+    with {!Port.pool} — packets never migrate between domains.
 
     The table also keeps, by packet index, the fields only one scheme
     reads: HPCC's INT stack and a BFC pause bitmap's payload. Each side
@@ -153,7 +217,7 @@ module Pool : sig
 
   (** A fresh, empty table. A simulation's devices share the one
       {!Port.pool} returns. *)
-  val create : sim:Bfc_engine.Sim.t -> t
+  val create : unit -> t
 
   (** [index pool p] is [p]'s index in [pool], assigning the next one if
       [p] has none yet (a packet built with {!make}). Raises

@@ -65,7 +65,7 @@ let registry sim =
   match Bfc_engine.Sim.class_state sim ~cls:Bfc_engine.Sim.cls_delivery with
   | Some (Port_reg r) -> r
   | _ ->
-    let r = { parr = [||]; pn = 0; packets = Packet.Pool.create ~sim } in
+    let r = { parr = [||]; pn = 0; packets = Packet.Pool.create () } in
     let state = Port_reg r in
     Bfc_engine.Sim.register_class sim ~cls:Bfc_engine.Sim.cls_delivery ~state
       ~exec:deliver_exec;
@@ -148,9 +148,9 @@ let deliver t pkt ~at =
 let send t pkt =
   let now = Bfc_engine.Sim.now t.sim in
   if now < t.busy_until then raise (Busy { gid = t.gid; now });
-  let ser = Bfc_engine.Time.tx_time ~gbps:t.gbps ~bytes:pkt.Packet.size in
+  let ser = Bfc_engine.Time.tx_time ~gbps:t.gbps ~bytes:(Packet.size pkt) in
   t.busy_until <- now + ser;
-  t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
+  t.tx_bytes <- t.tx_bytes + Packet.size pkt;
   t.tx_packets <- t.tx_packets + 1;
   (match t.on_tx with None -> () | Some f -> f pkt);
   if Bfc_engine.Tap.listened t.tap Bfc_engine.Tap.Port_tx then

@@ -120,7 +120,5 @@ let to_json t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "\n    \"%s\": %s" (json_escape name) (json_float v)))
     (sample_gauges t);
-  (* Registries hold no histograms any more; the empty object keeps the
-     export byte-identical for the readers of older output. *)
-  Buffer.add_string buf "\n  },\n  \"histograms\": {\n  }\n}\n";
+  Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf

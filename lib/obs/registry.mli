@@ -58,5 +58,5 @@ val sample_gauges : t -> (string * float) list
 (** {1 Export} *)
 
 val to_json : t -> string
-(** The whole registry as a JSON object: counters, sampled gauges and an
-    empty ["histograms"] object; key order is registration order. *)
+(** The whole registry as a JSON object: counters and sampled gauges;
+    key order is registration order. *)

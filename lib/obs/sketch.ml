@@ -1,4 +1,4 @@
-(* Mergeable log-bucketed quantile sketch (DDSketch-style).
+(* Log-bucketed quantile sketch (DDSketch-style).
 
    A positive finite double [v] lands in bucket [bits_of_float v >> shift]
    with [shift = 52 - log2k]: the top bits of the IEEE encoding are the
@@ -8,10 +8,8 @@
    most 1/K and the bucket midpoint is within alpha = 1/(2K) relative error
    of any value in it.
 
-   State is integer-only (bucket counts plus exact min/max, which merge by
-   exact comparison), so [merge] is exactly associative and commutative:
-   sketches combine into byte-identical state regardless of merge order,
-   as [encode] shows.
+   State is integer-only (bucket counts plus exact min/max), so [encode]
+   is canonical: equal contents encode byte-identically.
 
    The hot path ([add]) is pure integer arithmetic after two float
    comparisons; everything else is control-plane. *)
@@ -151,7 +149,7 @@ let percentile t p =
   quantile t (p /. 100.0)
 
 (* Mean estimate from bucket midpoints, accumulated in ascending bucket
-   order (canonical: independent of add interleaving and merge order).
+   order (canonical: independent of add interleaving).
    Non-positive observations contribute 0. bfc-lint: control-plane *)
 let mean t =
   let total = t.n_pos + t.n_other in
@@ -168,36 +166,9 @@ let mean t =
 let bucket_count t = Array.fold_left (fun a c -> if c > 0 then a + 1 else a) 0 t.counts
 
 (* bfc-lint: control-plane *)
-let merge ~into src =
-  if into.log2k <> src.log2k then invalid_arg "Sketch.merge: mismatched resolution";
-  let len = Array.length src.counts in
-  let first = ref 0 in
-  while !first < len && src.counts.(!first) = 0 do incr first done;
-  if !first < len then begin
-    let last = ref (len - 1) in
-    while src.counts.(!last) = 0 do decr last done;
-    let ensure idx =
-      let rel = idx - into.offset in
-      if rel < 0 || rel >= Array.length into.counts then grow into idx
-    in
-    ensure (src.offset + !first);
-    ensure (src.offset + !last);
-    for i = !first to !last do
-      let c = src.counts.(i) in
-      if c > 0 then begin
-        let rel = src.offset + i - into.offset in
-        into.counts.(rel) <- into.counts.(rel) + c
-      end
-    done
-  end;
-  into.n_pos <- into.n_pos + src.n_pos;
-  into.n_other <- into.n_other + src.n_other;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
-
 (* Canonical binary encoding: the stored window is trimmed to its nonzero
    span, so two sketches with identical contents but different growth
-   histories (e.g. merged in different orders) encode byte-identically.
+   histories encode byte-identically.
    bfc-lint: control-plane *)
 let encode t =
   let len = Array.length t.counts in

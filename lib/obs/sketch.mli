@@ -1,4 +1,4 @@
-(** Mergeable quantile sketch with a relative-error bound (DDSketch-style).
+(** Quantile sketch with a relative-error bound (DDSketch-style).
 
     Observations land in logarithmically spaced buckets derived from the
     IEEE-754 bit pattern — K sub-buckets per octave — so any quantile
@@ -7,10 +7,8 @@
     of how many observations were added. Memory for a dataset spanning [d]
     octaves is at most [K * d] counters.
 
-    State is integer bucket counts plus exact min/max, so {!merge} is
-    exactly associative and commutative: sketches combine into
-    byte-identical state regardless of merge order — checked via the
-    canonical {!encode}.
+    State is integer bucket counts plus exact min/max, so the encoding
+    ({!encode}) is canonical.
 
     Only positive finite values are bucketed. Zero, negative, NaN and
     infinite observations are counted separately and treated as zeros at
@@ -63,19 +61,13 @@ val percentile : t -> float -> float
 (** Mean estimate from bucket midpoints (within {!alpha} relative error of
     the exact mean of the bucketed values; non-positive observations
     contribute zero). Accumulated in canonical ascending-bucket order, so
-    the float result is independent of add interleaving and merge order. *)
+    the float result is independent of add interleaving. *)
 val mean : t -> float
 
 (** Number of nonzero buckets currently held. *)
 val bucket_count : t -> int
 
-(** [merge ~into src] folds [src] into [into] ([src] is unchanged).
-    Exactly associative and commutative. Raises [Invalid_argument] when
-    the two sketches were created with different resolutions. *)
-(* kept with its own test case for now (ROADMAP item 8); bfc-lint: allow DC001 *)
-val merge : into:t -> t -> unit
-
-(** Canonical binary encoding: independent of growth and merge history, so
+(** Canonical binary encoding: independent of growth history, so
     equal-content sketches encode byte-identically ([encode a = encode b]
     is a valid deep-equality check). *)
 val encode : t -> string

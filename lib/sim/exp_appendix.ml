@@ -9,6 +9,7 @@ module Time = Bfc_engine.Time
 module Sim = Bfc_engine.Sim
 module Topology = Bfc_net.Topology
 module Flow = Bfc_net.Flow
+module Packet = Bfc_net.Packet
 module Dist = Bfc_workload.Dist
 module Traffic = Bfc_workload.Traffic
 module Arrivals = Bfc_workload.Arrivals
@@ -623,7 +624,7 @@ let idempotent profile =
       if loss > 0.0 then
         for g = 0 to Topology.total_ports topo - 1 do
           Bfc_net.Port.set_fault (Topology.port_by_gid topo g) (fun pkt ->
-              match pkt.Bfc_net.Packet.kind with
+              match Packet.kind pkt with
               | Bfc_net.Packet.Pause | Bfc_net.Packet.Resume -> Bfc_util.Rng.float rng < loss
               | _ -> false)
         done

@@ -78,7 +78,7 @@ let table2_point profile scheme () =
   (* one watcher per direction, scheduled packets only *)
   let watch ~from ~towards =
     Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress pkt ->
-        pkt.Packet.prio >= unsched
+        Packet.prio pkt >= unsched
         && from sw
         && towards (Bfc_net.Port.peer (Topology.port cl.Topology.t sw egress)).Bfc_net.Node.id)
   in

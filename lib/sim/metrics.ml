@@ -1,4 +1,5 @@
 module Flow = Bfc_net.Flow
+module Packet = Bfc_net.Packet
 module Sim = Bfc_engine.Sim
 module Switch = Bfc_switch.Switch
 module Sample = Bfc_util.Stats.Sample
@@ -213,9 +214,9 @@ let watch_queue_delay env ~filter =
   Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Dequeue (fun ~node key p ->
       let pkt = Bfc_net.Packet.Pool.get pool p in
       if
-        pkt.Bfc_net.Packet.kind = Bfc_net.Packet.Data
+        Packet.kind pkt = Packet.Data
         && filter ~sw:node ~egress:(Bfc_engine.Tap.egress key) pkt
-      then Sample.add s (float_of_int (Sim.now sim - pkt.Bfc_net.Packet.enq_at) /. 1000.0));
+      then Sample.add s (float_of_int (Sim.now sim - Packet.enq_at pkt) /. 1000.0));
   s
 
 let watchdog_fires env =

@@ -111,14 +111,14 @@ let compute_base_rtt topo =
 
 let ecmp_route topo sw ~in_port:_ pkt =
   let node = Switch.node_id sw in
-  match pkt.Packet.flow with
-  | Some f -> Topology.ecmp_port topo ~node ~flow:f ~dst:pkt.Packet.dst
-  | None -> (Topology.candidates topo ~node ~dst:pkt.Packet.dst).(0)
+  match Packet.flow pkt with
+  | Some f -> Topology.ecmp_port topo ~node ~flow:f ~dst:(Packet.dst pkt)
+  | None -> (Topology.candidates topo ~node ~dst:(Packet.dst pkt)).(0)
 
 let spray_route topo rngs sw ~in_port pkt =
   let node = Switch.node_id sw in
-  match pkt.Packet.kind with
-  | Packet.Data -> Topology.spray_port topo ~node ~rng:rngs.(node) ~dst:pkt.Packet.dst
+  match Packet.kind pkt with
+  | Packet.Data -> Topology.spray_port topo ~node ~rng:rngs.(node) ~dst:(Packet.dst pkt)
   | _ -> ecmp_route topo sw ~in_port pkt
 
 (* Switch + dataplane + host configuration per scheme. *)
@@ -466,9 +466,9 @@ let setup ~topo ~scheme ~params:p =
   | Scheme.Hpcc_pfc _ ->
     Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Drop (fun ~node:_ _ p ->
         let pkt = Packet.Pool.get pool p in
-        match (pkt.Packet.kind, pkt.Packet.flow) with
+        match (Packet.kind pkt, Packet.flow pkt) with
         | Packet.Data, Some f ->
-          let fid = f.Flow.id and seq = pkt.Packet.seq and len = pkt.Packet.payload in
+          let fid = f.Flow.id and seq = Packet.seq pkt and len = Packet.payload pkt in
           ignore
             (Sim.after sim (Time.us 1.0) (fun () ->
                  match hosts.(f.Flow.src) with

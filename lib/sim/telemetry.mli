@@ -51,7 +51,7 @@ val write_jsonl : t -> out_channel -> unit
 (** Gauge time series as CSV. No-op when the series is off. *)
 val write_series : t -> out_channel -> unit
 
-(** Registry snapshot (counters, gauges, histograms) as JSON. *)
+(** Registry snapshot (counters and gauges) as JSON. *)
 val counters_json : t -> string
 
 (** Install a simulation ticker that prints a one-line progress report to

@@ -81,14 +81,14 @@ let attach env ~capacity =
   Tap.on (Sim.tap sim) Tap.Ctrl_rx (fun ~node _ p ->
       let pkt = Packet.Pool.get pool p in
       let record = record t (Sim.now sim) node in
-      match pkt.Packet.kind with
-      | Packet.Pause -> record (Pause_rx { queue = pkt.Packet.ctrl_a })
-      | Packet.Resume -> record (Resume_rx { queue = pkt.Packet.ctrl_a })
+      match Packet.kind pkt with
+      | Packet.Pause -> record (Pause_rx { queue = Packet.ctrl_a pkt })
+      | Packet.Resume -> record (Resume_rx { queue = Packet.ctrl_a pkt })
       | Packet.Pause_bitmap ->
         record (Bitmap_rx { paused = Array.length (Packet.Pool.bitmap pool pkt) })
-      | Packet.Pfc -> record (Pfc_rx { pause = pkt.Packet.ctrl_b = 1 })
+      | Packet.Pfc -> record (Pfc_rx { pause = Packet.ctrl_b pkt = 1 })
       | Packet.Hop_credit ->
-        record (Hop_credit_rx { queue = pkt.Packet.ctrl_a; bytes = pkt.Packet.ctrl_b })
+        record (Hop_credit_rx { queue = Packet.ctrl_a pkt; bytes = Packet.ctrl_b pkt })
       | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req | Packet.Grant
       | Packet.Cnp ->
         ());

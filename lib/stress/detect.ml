@@ -161,7 +161,7 @@ let on_enq t gid ~queue pkt =
   if fid >= 0 then begin
     let now = Sim.now (Runner.sim t.env) in
     let f = footprint t fid gid queue ~now in
-    f.fq_out <- f.fq_out + pkt.Packet.size;
+    f.fq_out <- f.fq_out + Packet.size pkt;
     if f.fq_out > f.fq_peak then f.fq_peak <- f.fq_out
   end
 
@@ -176,7 +176,7 @@ let on_deq t gid ~queue pkt =
       | None -> ()
       | Some f ->
         let now = Sim.now (Runner.sim t.env) in
-        f.fq_out <- Int.max 0 (f.fq_out - pkt.Packet.size);
+        f.fq_out <- Int.max 0 (f.fq_out - Packet.size pkt);
         f.fq_last <- exposure t gid queue ~now)
 
 (* ------------------------------------------------------------------ *)

@@ -1,4 +1,5 @@
-module Pool = Bfc_net.Packet.Pool
+module Packet = Bfc_net.Packet
+module Pool = Packet.Pool
 
 type t = {
   idx : int;
@@ -47,7 +48,7 @@ let push t pkt =
     ((t.head + t.len) land (Array.length t.ring - 1))
     (Pool.index t.pool pkt);
   t.len <- t.len + 1;
-  t.bytes <- t.bytes + pkt.Bfc_net.Packet.size
+  t.bytes <- t.bytes + Packet.size pkt
 
 let head t = Pool.get t.pool (Array.unsafe_get t.ring t.head)
 
@@ -56,12 +57,12 @@ let pop t =
   let pkt = head t in
   t.head <- (t.head + 1) land (Array.length t.ring - 1);
   t.len <- t.len - 1;
-  t.bytes <- t.bytes - pkt.Bfc_net.Packet.size;
+  t.bytes <- t.bytes - Packet.size pkt;
   pkt
 
-let head_size t = if t.len = 0 then 0 else (head t).Bfc_net.Packet.size
+let head_size t = if t.len = 0 then 0 else Packet.size (head t)
 
-let head_remaining t = if t.len = 0 then max_int else (head t).Bfc_net.Packet.remaining
+let head_remaining t = if t.len = 0 then max_int else Packet.remaining (head t)
 
 let iter f t =
   let mask = Array.length t.ring - 1 in

@@ -87,7 +87,7 @@ and hooks = {
 
 let nop_classify _ ~in_port:_ ~egress:_ pkt =
   (* Default: one FIFO per class. *)
-  pkt.Packet.prio
+  Packet.prio pkt
 
 let default_hooks () =
   {
@@ -160,12 +160,12 @@ let send_ctrl t ~egress pkt = Port.send_ctrl t.egresses.(egress).eport pkt
 (* Transmit path                                                       *)
 
 let flow_track_add e pkt =
-  match pkt.Packet.flow with
+  match Packet.flow pkt with
   | None -> ()
   | Some f -> Bfc_util.Int_table.Counter.incr e.eflows f.Bfc_net.Flow.id
 
 let flow_track_remove e pkt =
-  match pkt.Packet.flow with
+  match Packet.flow pkt with
   | None -> ()
   | Some f -> Bfc_util.Int_table.Counter.decr e.eflows f.Bfc_net.Flow.id
 
@@ -179,7 +179,7 @@ let pfc_check_resume t in_port =
       then begin
         t.pfc_sent.(in_port) <- false;
         let pkt = make_pfc t in
-        pkt.Packet.ctrl_b <- 0;
+        Packet.set_ctrl_b pkt 0;
         send_ctrl t ~egress:in_port pkt
       end
     end
@@ -191,15 +191,16 @@ let try_send t e =
       let pkt = Sched.take e.esched in
       if pkt != Packet.placeholder then begin
         let q = Sched.served e.esched in
-        e.ebytes <- e.ebytes - pkt.Packet.size;
-        Buffer.on_dequeue t.buffer ~in_port:pkt.Packet.bp_in_port ~size:pkt.Packet.size;
-        if pkt.Packet.bp_in_port >= 0 then pfc_check_resume t pkt.Packet.bp_in_port;
+        let size = Packet.size pkt and in_port = Packet.bp_in_port pkt in
+        e.ebytes <- e.ebytes - size;
+        Buffer.on_dequeue t.buffer ~in_port ~size;
+        if in_port >= 0 then pfc_check_resume t in_port;
         if t.cfg.track_active_flows then flow_track_remove e pkt;
         t.hk.on_dequeue t ~egress:e.eidx ~queue:q.Fifo.idx pkt;
         emit_pkt t Tap.Dequeue ~egress:e.eidx ~queue:q.Fifo.idx pkt;
-        if t.cfg.int_stamping && pkt.Packet.kind = Packet.Data then
+        if t.cfg.int_stamping && Packet.kind pkt = Packet.Data then
           Packet.Pool.add_int_hop t.pool pkt ~ts:(Sim.now t.sim)
-            ~tx_bytes:(Port.tx_bytes e.eport + pkt.Packet.size)
+            ~tx_bytes:(Port.tx_bytes e.eport + Packet.size pkt)
             ~qlen:e.ebytes ~gbps:(Port.gbps e.eport) ~link:(Port.gid e.eport);
         t.tx_packets <- t.tx_packets + 1;
         Port.send e.eport pkt;
@@ -259,7 +260,7 @@ let ecn_mark t q pkt =
   match t.cfg.ecn with
   | None -> ()
   | Some { kmin; kmax; pmax } ->
-    if pkt.Packet.kind = Packet.Data then begin
+    if Packet.kind pkt = Packet.Data then begin
       let b = q.Fifo.bytes in
       if b > kmax then Packet.set_ecn pkt true
       else if b > kmin then begin
@@ -277,7 +278,7 @@ let pfc_check_pause t in_port =
       if float_of_int (Buffer.ingress_used t.buffer in_port) > threshold then begin
         t.pfc_sent.(in_port) <- true;
         let pkt = make_pfc t in
-        pkt.Packet.ctrl_b <- 1;
+        Packet.set_ctrl_b pkt 1;
         send_ctrl t ~egress:in_port pkt
       end
     end
@@ -335,7 +336,7 @@ let registry sim =
 
 let handle_pfc t ~in_port pkt =
   let e = t.egresses.(in_port) in
-  let pause = pkt.Packet.ctrl_b = 1 in
+  let pause = Packet.ctrl_b pkt = 1 in
   if pause && not e.epfc_paused then begin
     e.epfc_paused <- true;
     e.epfc_since <- Sim.now t.sim;
@@ -351,11 +352,11 @@ let forward t ~in_port pkt =
   let qidx = t.hk.classify t ~in_port ~egress pkt in
   let q = e.equeues.(qidx) in
   if
-    (not (Buffer.admit t.buffer ~queue_bytes:q.Fifo.bytes ~size:pkt.Packet.size))
+    (not (Buffer.admit t.buffer ~queue_bytes:q.Fifo.bytes ~size:(Packet.size pkt)))
     || not (t.hk.admit t ~egress ~queue:qidx pkt)
   then begin
     t.drops <- t.drops + 1;
-    if pkt.Packet.kind = Packet.Data then t.data_drops <- t.data_drops + 1;
+    if Packet.kind pkt = Packet.Data then t.data_drops <- t.data_drops + 1;
     t.hk.on_drop t ~in_port ~egress ~queue:qidx pkt;
     emit_pkt t Tap.Drop ~egress ~queue:qidx pkt;
     (* Drop hooks and consumers only read the packet synchronously; the
@@ -364,10 +365,10 @@ let forward t ~in_port pkt =
   end
   else begin
     ecn_mark t q pkt;
-    pkt.Packet.bp_in_port <- in_port;
-    pkt.Packet.enq_at <- Sim.now t.sim;
-    Buffer.on_enqueue t.buffer ~in_port ~size:pkt.Packet.size;
-    e.ebytes <- e.ebytes + pkt.Packet.size;
+    Packet.set_bp_in_port pkt in_port;
+    Packet.set_enq_at pkt (Sim.now t.sim);
+    Buffer.on_enqueue t.buffer ~in_port ~size:(Packet.size pkt);
+    e.ebytes <- e.ebytes + Packet.size pkt;
     if t.cfg.track_active_flows then flow_track_add e pkt;
     Sched.push e.esched q pkt;
     t.hk.on_enqueue t ~in_port ~egress ~queue:qidx pkt;
@@ -392,7 +393,7 @@ let reboot t =
       Sched.flush e.esched (fun pkt ->
           incr flushed;
           t.drops <- t.drops + 1;
-          if pkt.Packet.kind = Packet.Data then t.data_drops <- t.data_drops + 1;
+          if Packet.kind pkt = Packet.Data then t.data_drops <- t.data_drops + 1;
           recycle t pkt);
       e.ebytes <- 0;
       if e.epfc_paused then begin
@@ -436,13 +437,13 @@ let queue_paused_since t ~egress ~queue =
 
 let receive t ~in_port pkt =
   t.rx_packets <- t.rx_packets + 1;
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Pfc | Packet.Pause | Packet.Resume | Packet.Pause_bitmap | Packet.Hop_credit ->
     if Tap.listened t.tap Tap.Ctrl_rx then
       Tap.emit t.tap Tap.Ctrl_rx ~node:t.node.Node.id in_port (Packet.Pool.index t.pool pkt);
     (* Control handlers consume the packet synchronously (handled or not,
        a control frame terminates here). *)
-    if pkt.Packet.kind = Packet.Pfc then handle_pfc t ~in_port pkt
+    if Packet.kind pkt = Packet.Pfc then handle_pfc t ~in_port pkt
     else ignore (t.hk.on_ctrl t ~in_port pkt);
     recycle t pkt
   | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req | Packet.Grant

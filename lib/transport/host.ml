@@ -217,22 +217,22 @@ let make_data t tx ~seq ~len =
   let pkt =
     Packet.Pool.data t.pool ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
   in
-  if t.cfg.srf then pkt.Packet.remaining <- Int.max 0 (tx.fsize - tx.snd_una);
+  if t.cfg.srf then Packet.set_remaining pkt (Int.max 0 (tx.fsize - tx.snd_una));
   t.bytes_sent <- t.bytes_sent + len;
   pkt
 
 (* The FIN flag is set before the NIC takes the packet: once submitted,
    it may already be on the wire and no longer ours to touch. *)
 let submit_data t tx pkt =
-  if tx.fsize - pkt.Packet.seq <= pkt.Packet.payload && not tx.fin_sent then begin
-    pkt.Packet.ctrl_b <- 1;
+  if tx.fsize - Packet.seq pkt <= Packet.payload pkt && not tx.fin_sent then begin
+    Packet.set_ctrl_b pkt 1;
     (* FIN flag *)
     tx.fin_sent <- true
   end;
   match t.cfg.scheme with
   | Homa _ ->
     (* priority-mapped NIC queue: ctrl is queue 0, data prio p -> queue p+1 *)
-    let q = Int.min (t.cfg.nic_queues - 1) (pkt.Packet.prio + 1) in
+    let q = Int.min (t.cfg.nic_queues - 1) (Packet.prio pkt + 1) in
     Nic.submit t.nic ~queue:q pkt
   | _ -> Nic.submit t.nic ~queue:tx.nic_q pkt
 
@@ -274,7 +274,7 @@ let send_chunk t tx ~len =
   (* a data packet carries its flow's class; Homa overrides it *)
   (match t.cfg.scheme with
   | Homa p ->
-    pkt.Packet.prio <-
+    Packet.set_prio pkt
       (if seq < tx.unsched then Homa.unsched_prio p ~size:tx.fsize else tx.grant_prio)
   | _ -> ());
   submit_data t tx pkt
@@ -422,8 +422,8 @@ let on_ack t pkt =
   | tx ->
     if not tx.finished then begin
       let prev = tx.snd_una in
-      if pkt.Packet.seq > tx.snd_una then begin
-        tx.snd_una <- pkt.Packet.seq;
+      if Packet.seq pkt > tx.snd_una then begin
+        tx.snd_una <- Packet.seq pkt;
         if tx.snd_nxt < tx.snd_una then tx.snd_nxt <- tx.snd_una;
         arm_rto t tx
       end;
@@ -433,16 +433,16 @@ let on_ack t pkt =
         Dctcp.on_ack d ~acked ~marked:(Packet.ecn_echo pkt) ~snd_una:tx.snd_una ~snd_nxt:tx.snd_nxt
       | Cc_hpcc h ->
         Hpcc.on_ack h ~hops:(Packet.Pool.int_hops t.pool pkt)
-          ~nhops:(Packet.Pool.int_hop_count t.pool pkt) ~ack_seq:pkt.Packet.seq ~snd_nxt:tx.snd_nxt
+          ~nhops:(Packet.Pool.int_hop_count t.pool pkt) ~ack_seq:(Packet.seq pkt) ~snd_nxt:tx.snd_nxt
       | Cc_delay d ->
-        let rtt = Sim.now t.sim - pkt.Packet.sent_at in
-        if pkt.Packet.sent_at > 0 then Delay_cc.on_ack d ~rtt
+        let rtt = Sim.now t.sim - Packet.sent_at pkt in
+        if Packet.sent_at pkt > 0 then Delay_cc.on_ack d ~rtt
       | Cc_swift sw ->
-        let rtt = Sim.now t.sim - pkt.Packet.sent_at in
-        if pkt.Packet.sent_at > 0 then Swift.on_ack sw ~rtt ~now:(Sim.now t.sim)
+        let rtt = Sim.now t.sim - Packet.sent_at pkt in
+        if Packet.sent_at pkt > 0 then Swift.on_ack sw ~rtt ~now:(Sim.now t.sim)
       | Cc_timely tm ->
-        let rtt = Sim.now t.sim - pkt.Packet.sent_at in
-        if pkt.Packet.sent_at > 0 then Timely.on_ack tm ~rtt
+        let rtt = Sim.now t.sim - Packet.sent_at pkt in
+        if Packet.sent_at pkt > 0 then Timely.on_ack tm ~rtt
       | Cap _ | Cc_dcqcn _ | Cc_xpass | Cc_homa -> ());
       if tx.snd_una >= tx.fsize then finish_tx t tx else pump t tx
     end
@@ -451,9 +451,9 @@ let on_nack t pkt =
   match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
-    if (not tx.finished) && pkt.Packet.seq >= tx.snd_una && pkt.Packet.seq < tx.snd_nxt then begin
-      t.bytes_retransmitted <- t.bytes_retransmitted + (tx.snd_nxt - pkt.Packet.seq);
-      tx.snd_nxt <- pkt.Packet.seq;
+    if (not tx.finished) && Packet.seq pkt >= tx.snd_una && Packet.seq pkt < tx.snd_nxt then begin
+      t.bytes_retransmitted <- t.bytes_retransmitted + (tx.snd_nxt - Packet.seq pkt);
+      tx.snd_nxt <- Packet.seq pkt;
       tx.rtx <- [];
       pump t tx
     end
@@ -462,9 +462,9 @@ let on_grant t pkt =
   match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
   | exception Not_found -> ()
   | tx ->
-    if pkt.Packet.ctrl_a > tx.granted then begin
-      tx.granted <- pkt.Packet.ctrl_a;
-      tx.grant_prio <- pkt.Packet.ctrl_b;
+    if Packet.ctrl_a pkt > tx.granted then begin
+      tx.granted <- Packet.ctrl_a pkt;
+      tx.grant_prio <- Packet.ctrl_b pkt;
       blast t tx
     end
 
@@ -476,7 +476,7 @@ let on_credit t pkt =
       let len = Int.min t.cfg.mtu (tx.fsize - tx.snd_nxt) in
       let p = make_data t tx ~seq:tx.snd_nxt ~len in
       (* echo the credit sequence so the receiver can measure credit waste *)
-      p.Packet.ctrl_a <- pkt.Packet.ctrl_a;
+      Packet.set_ctrl_a p (Packet.ctrl_a pkt);
       tx.snd_nxt <- tx.snd_nxt + len;
       submit_data t tx p
     end
@@ -534,7 +534,7 @@ let get_rx t pkt flow =
   | rx -> rx
   | exception Not_found ->
     let rx = Slot_table.acquire t.rxs ~id:flow.Flow.id ~blank:blank_rx in
-    rx.rfopt <- pkt.Packet.flow;
+    rx.rfopt <- Packet.flow pkt;
     rx.expected <- 0;
     rx.ranges <- [];
     rx.last_nack <- min_int / 2;
@@ -578,7 +578,7 @@ let xpass_pace t rx =
       ctrl_pkt t Packet.Credit ~flow:rx.rfopt ~dst:flow.Flow.src ~size:Packet.ctrl_bytes ~seq:0
     in
     rx.cr_sent <- rx.cr_sent + 1;
-    credit.Packet.ctrl_a <- rx.cr_sent;
+    Packet.set_ctrl_a credit rx.cr_sent;
     Nic.submit_ctrl t.nic credit;
     (* jitter the credit spacing (xpass does, to avoid synchronized credit
        bursts colliding at the rate limiter) *)
@@ -622,17 +622,17 @@ let on_data t pkt =
   let rx = get_rx t pkt flow in
   let was = covered rx in
   if gbn_mode t then begin
-    if pkt.Packet.seq = rx.expected then rx.expected <- rx.expected + pkt.Packet.payload
-    else if pkt.Packet.seq > rx.expected then begin
+    if Packet.seq pkt = rx.expected then rx.expected <- rx.expected + Packet.payload pkt
+    else if Packet.seq pkt > rx.expected then begin
       (* gap: Go-Back-N NACK, at most one per RTT *)
       if Sim.now t.sim - rx.last_nack > t.cfg.base_rtt then begin
         rx.last_nack <- Sim.now t.sim;
-        send_ctrl_pkt t Packet.Nack ~flow:pkt.Packet.flow ~dst:flow.Flow.src
+        send_ctrl_pkt t Packet.Nack ~flow:(Packet.flow pkt) ~dst:flow.Flow.src
           ~size:Packet.ack_bytes ~seq:rx.expected
       end
     end
   end
-  else insert_range rx ~start:pkt.Packet.seq ~stop:(pkt.Packet.seq + pkt.Packet.payload);
+  else insert_range rx ~start:(Packet.seq pkt) ~stop:(Packet.seq pkt + Packet.payload pkt);
   let now_cov = covered rx in
   if now_cov > was then begin
     if flow.Flow.first_byte < 0 then flow.Flow.first_byte <- Sim.now t.sim;
@@ -643,7 +643,7 @@ let on_data t pkt =
   | Dcqcn p ->
     if Packet.ecn pkt && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
       rx.last_cnp <- Sim.now t.sim;
-      send_ctrl_pkt t Packet.Cnp ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
+      send_ctrl_pkt t Packet.Cnp ~flow:(Packet.flow pkt) ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
         ~seq:0
     end
   | Homa _ -> (
@@ -656,15 +656,15 @@ let on_data t pkt =
             ctrl_pkt t Packet.Grant ~flow:(Some g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
               ~size:Packet.ctrl_bytes ~seq:0
           in
-          gp.Packet.ctrl_a <- g.Homa.g_offset;
-          gp.Packet.ctrl_b <- g.Homa.g_prio;
+          Packet.set_ctrl_a gp g.Homa.g_offset;
+          Packet.set_ctrl_b gp g.Homa.g_prio;
           Nic.submit_ctrl t.nic gp)
         grants
     | None -> ())
   | Xpass _ ->
-    if pkt.Packet.ctrl_a > 0 then rx.cr_used <- rx.cr_used + 1;
+    if Packet.ctrl_a pkt > 0 then rx.cr_used <- rx.cr_used + 1;
     (* FIN: flow has no more data; stop crediting after the in-flight RTT *)
-    if pkt.Packet.ctrl_b = 1 then
+    if Packet.ctrl_b pkt = 1 then
       Sim.post t.sim
         (Sim.now t.sim + t.cfg.base_rtt)
         ~cls:Sim.cls_flow_timeout ~a0:t.idx
@@ -678,14 +678,14 @@ let on_data t pkt =
   in
   if ack_now then begin
     let ack =
-      ctrl_pkt t Packet.Ack ~flow:pkt.Packet.flow ~dst:flow.Flow.src ~size:Packet.ack_bytes
+      ctrl_pkt t Packet.Ack ~flow:(Packet.flow pkt) ~dst:flow.Flow.src ~size:Packet.ack_bytes
         ~seq:now_cov
     in
     Packet.set_ecn_echo ack (Packet.ecn pkt);
     (* Copy (never alias) the INT stack: [pkt] may be recycled the moment
        this handler returns, while the ack is still in flight. *)
     Packet.Pool.copy_int_hops t.pool ~src:pkt ~dst:ack;
-    ack.Packet.sent_at <- pkt.Packet.sent_at;
+    Packet.set_sent_at ack (Packet.sent_at pkt);
     Nic.submit_ctrl t.nic ack
   end;
   if now_cov >= flow.Flow.size && not rx.complete then begin
@@ -789,7 +789,7 @@ let rec refill t = function
 let receive t ~in_port pkt =
   (* Every branch consumes the packet synchronously (handlers copy what
      they keep), so the host is the end of its life: recycle afterwards. *)
-  (match pkt.Packet.kind with
+  (match Packet.kind pkt with
   | Packet.Data -> on_data t pkt
   | Packet.Ack -> on_ack t pkt
   | Packet.Nack -> on_nack t pkt

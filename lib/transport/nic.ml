@@ -40,17 +40,17 @@ let try_send t =
       let pkt = Sched.take t.sched in
       if pkt != Packet.placeholder then begin
         let q = Sched.served t.sched in
-        t.backlog <- t.backlog - pkt.Packet.size;
-        if pkt.Packet.kind = Packet.Data then begin
-          pkt.Packet.upstream_q <- q.Fifo.idx;
+        t.backlog <- t.backlog - Packet.size pkt;
+        if Packet.kind pkt = Packet.Data then begin
+          Packet.set_upstream_q pkt q.Fifo.idx;
           match t.credit with
           | Some b when q.Fifo.idx > 0 ->
             let next = Fifo.head_size q in
-            if Balance.consume b ~queue:q.Fifo.idx ~bytes:pkt.Packet.size ~next then
+            if Balance.consume b ~queue:q.Fifo.idx ~bytes:(Packet.size pkt) ~next then
               Sched.set_paused t.sched q true
           | _ -> ()
         end;
-        pkt.Packet.sent_at <- Bfc_engine.Sim.now t.sim;
+        Packet.set_sent_at pkt (Bfc_engine.Sim.now t.sim);
         Port.send t.port pkt;
         if Sched.n_active t.sched > 0 then Port.ensure_wakeup t.port;
         t.on_dequeue q.Fifo.idx
@@ -212,10 +212,10 @@ let release_queue t q =
 let submit t ~queue pkt =
   let q = t.queues.(queue) in
   Sched.push t.sched q pkt;
-  t.backlog <- t.backlog + pkt.Packet.size;
+  t.backlog <- t.backlog + Packet.size pkt;
   (* credit gating: a starved queue stays paused until replenished *)
   (match t.credit with
-  | Some b when queue > 0 && pkt.Packet.kind = Packet.Data ->
+  | Some b when queue > 0 && Packet.kind pkt = Packet.Data ->
     let next = Fifo.head_size q in
     if next > 0 && Balance.get b ~queue < next then Sched.set_paused t.sched q true
   | _ -> ());
@@ -243,9 +243,9 @@ let set_on_pause t f = t.on_pause <- f
 let on_pause t = t.on_pause
 
 let on_ctrl t pkt =
-  match pkt.Packet.kind with
+  match Packet.kind pkt with
   | Packet.Pfc ->
-    let pause = pkt.Packet.ctrl_b = 1 in
+    let pause = Packet.ctrl_b pkt = 1 in
     if t.pfc_paused && not pause then begin
       t.pfc_epoch <- t.pfc_epoch + 1;
       t.pfc_paused <- false;
@@ -265,11 +265,11 @@ let on_ctrl t pkt =
   | Packet.Hop_credit -> (
     match t.credit with
     | Some b ->
-      let queue = pkt.Packet.ctrl_a in
+      let queue = Packet.ctrl_a pkt in
       if queue > 0 && queue < Array.length t.queues then begin
         let q = t.queues.(queue) in
         let next = Fifo.head_size q in
-        if Balance.replenish b ~queue ~bytes:pkt.Packet.ctrl_b ~next then begin
+        if Balance.replenish b ~queue ~bytes:(Packet.ctrl_b pkt) ~next then begin
           Sched.set_paused t.sched q false;
           try_send t
         end

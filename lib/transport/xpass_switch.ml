@@ -51,12 +51,12 @@ let attach sw ~mtu_wire =
   let hk = Switch.hooks sw in
   hk.Switch.classify <-
     (fun _ ~in_port:_ ~egress:_ pkt ->
-      match pkt.Packet.kind with
+      match Packet.kind pkt with
       | Packet.Credit -> credit_q
-      | _ -> Int.min pkt.Packet.prio (credit_q - 1));
+      | _ -> Int.min (Packet.prio pkt) (credit_q - 1));
   hk.Switch.admit <-
     (fun sw ~egress ~queue pkt ->
-      match pkt.Packet.kind with
+      match Packet.kind pkt with
       | Packet.Credit ->
         let q = Switch.queue sw ~egress ~queue in
         Bfc_switch.Fifo.length q < credit_cap
@@ -68,7 +68,7 @@ let attach sw ~mtu_wire =
     (fun sw ~in_port:_ ~egress ~queue pkt ->
       (* Enforce the shaping gap: if the credit queue must wait, pause it
          until its next transmission slot. *)
-      if pkt.Packet.kind = Packet.Credit && queue = credit_q then begin
+      if Packet.kind pkt = Packet.Credit && queue = credit_q then begin
         let now = Sim.now sim in
         if now < next_ok.(egress) then begin
           Switch.set_queue_paused sw ~egress ~queue:credit_q true;
@@ -77,7 +77,7 @@ let attach sw ~mtu_wire =
       end);
   hk.Switch.on_dequeue <-
     (fun sw ~egress ~queue pkt ->
-      if pkt.Packet.kind = Packet.Credit && queue = credit_q then begin
+      if Packet.kind pkt = Packet.Credit && queue = credit_q then begin
         let port = Switch.port sw egress in
         let interval =
           Bfc_engine.Time.tx_time ~gbps:(Bfc_net.Port.gbps port) ~bytes:mtu_wire

@@ -1,30 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] field
+   would box every value stored into it, so each draw would allocate. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 (Int64.of_int seed);
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
-
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 1)
+
+(* Rejection sampling to avoid modulo bias for large [n]. *)
+let rec reject t n v = if v < 0 then reject t n (bits t) else v mod n
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias for large [n]. *)
-  let mask_bits = bits t in
-  if n land (n - 1) = 0 then mask_bits land (n - 1)
-  else
-    let rec loop v = if v < 0 then loop (bits t) else v mod n in
-    loop mask_bits
+  let v = bits t in
+  if n land (n - 1) = 0 then v land (n - 1) else reject t n v
 
 let float t =
   (* 53 random bits mapped to [0,1). *)
@@ -65,7 +67,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

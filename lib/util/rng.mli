@@ -1,19 +1,14 @@
 (** Deterministic pseudo-random number generation.
 
-    A small, fast, splittable generator (splitmix64) used everywhere in the
-    simulator so that experiments are reproducible from a single seed. *)
+    A small, fast generator (splitmix64) used everywhere in the simulator
+    so that experiments are reproducible from a single seed. A draw
+    allocates nothing. *)
 
 type t
 
 (** [create seed] returns a fresh generator. Equal seeds give equal
     streams. *)
 val create : int -> t
-
-(** [split t] derives an independent generator from [t], advancing [t].
-    Used to give each traffic source / switch its own stream so that adding
-    a component does not perturb the others. *)
-(* kept with its own test cases for now (ROADMAP item 8); bfc-lint: allow DC001 *)
-val split : t -> t
 
 (** [copy t] duplicates the current state (same future stream). *)
 (* observation: tests read a stream without consuming it; bfc-lint: allow DC001 *)
@@ -51,8 +46,3 @@ val normal : t -> float
 
 (** [shuffle t a] shuffles [a] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [pick t a] returns a uniformly random element of [a].
-    Raises [Invalid_argument] on an empty array. *)
-(* kept with its own test case for now (ROADMAP item 8); bfc-lint: allow DC001 *)
-val pick : t -> 'a array -> 'a

@@ -109,16 +109,4 @@ module Sample = struct
       let frac = rank -. float_of_int lo in
       t.data.(lo) +. (frac *. (t.data.(hi) -. t.data.(lo)))
     end
-
-  let cdf t ~points =
-    if t.size = 0 then []
-    else begin
-      ensure_sorted t;
-      let n = t.size in
-      let pts = Stdlib.max 2 points in
-      List.init pts (fun i ->
-          let frac = float_of_int i /. float_of_int (pts - 1) in
-          let idx = Stdlib.min (n - 1) (int_of_float (frac *. float_of_int (n - 1))) in
-          (t.data.(idx), float_of_int (idx + 1) /. float_of_int n))
-    end
 end

@@ -42,11 +42,6 @@ module Sample : sig
       [Invalid_argument] if empty or [p] out of range. *)
   val percentile : t -> float -> float
 
-  (** [cdf t ~points] returns [(value, cumulative_fraction)] pairs at
-      [points] evenly spaced ranks, suitable for plotting a CDF. *)
-  (* kept with its own test case for now (ROADMAP item 8); bfc-lint: allow DC001 *)
-  val cdf : t -> points:int -> (float * float) list
-
   (** All values, sorted ascending by [Float.compare] (a fresh copy; NaNs
       first — see the NaN ordering guarantee above). *)
   (* observation: tests read the sorted values; bfc-lint: allow DC001 *)

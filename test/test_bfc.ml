@@ -394,7 +394,7 @@ let mk_chain () =
 let attach_bfc sim t sw_id =
   let cfg = { Switch.default_config with Switch.queues_per_port = 8 } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Switch.create ~sim ~node:(Topology.node t sw_id) ~ports:(Topology.ports t sw_id) ~config:cfg
@@ -421,7 +421,7 @@ let test_dataplane_pause_resume_cycle () =
       if !k < 200 then begin
         if not (Port.busy port) then begin
           let p = Packet.data ~flow:f ~seq:(!k * 1000) ~payload:1000 () in
-          p.Packet.upstream_q <- 1;
+          Packet.set_upstream_q p 1;
           (* pretend NIC queue 1 *)
           Port.send port p;
           incr k
@@ -457,7 +457,7 @@ let test_dataplane_classify_separates_flows () =
   (Topology.node t r).Node.handler <- (fun ~in_port:_ _ -> ());
   let deliver f =
     let p = Packet.data ~flow:f ~seq:0 ~payload:1000 () in
-    p.Packet.upstream_q <- 0;
+    Packet.set_upstream_q p 0;
     Node.deliver (Topology.node t sw1_id) ~in_port:0 p
   in
   let fa = Flow.make ~id:201 ~src:s0 ~dst:r ~size:10_000 ~arrival:0 () in
@@ -481,7 +481,7 @@ let test_dataplane_unsampled_assignment_sticky () =
   let sim, t, s0, _s1, sw1_id, _sw2_id, r = mk_chain () in
   let cfg = { Switch.default_config with Switch.queues_per_port = 8 } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Switch.create ~sim ~node:(Topology.node t sw1_id) ~ports:(Topology.ports t sw1_id) ~config:cfg

@@ -114,7 +114,7 @@ let test_port_fault_drops () =
   let got = ref 0 in
   (Topology.node t z).Bfc_net.Node.handler <- (fun ~in_port:_ _ -> incr got);
   let port = (Topology.ports t a).(0) in
-  Port.set_fault port (fun pkt -> pkt.Packet.kind = Packet.Pause);
+  Port.set_fault port (fun pkt -> Packet.kind pkt = Packet.Pause);
   let pause = Packet.make Packet.Pause ~dst:z ~size:64 () in
   Port.send_ctrl port pause;
   Port.send_ctrl port (Packet.make Packet.Resume ~dst:z ~size:64 ());
@@ -142,7 +142,7 @@ let test_lost_resume_strands_without_refresh () =
       Port.set_fault
         (Topology.port_by_gid cl.Topology.t g)
         (fun pkt ->
-          if pkt.Packet.kind = Packet.Resume then begin
+          if Packet.kind pkt = Packet.Resume then begin
             flip := not !flip;
             !flip
           end

@@ -26,7 +26,7 @@ let test_xpass_credit_shaping () =
   let t = st.Topology.s in
   let cfg = { Switch.default_config with Switch.queues_per_port = 4; buffer_bytes = max_int } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Switch.create ~sim
@@ -38,12 +38,12 @@ let test_xpass_credit_shaping () =
   let arrivals = ref [] in
   (Topology.node t st.Topology.st_receiver).Node.handler <-
     (fun ~in_port:_ pkt ->
-      if pkt.Packet.kind = Packet.Credit then arrivals := Sim.now sim :: !arrivals);
+      if Packet.kind pkt = Packet.Credit then arrivals := Sim.now sim :: !arrivals);
   let f = Flow.make ~id:1 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1000 ~arrival:0 () in
   (* burst 10 credits into the switch at t=0 *)
   for i = 1 to 10 do
     let c = Packet.make Packet.Credit ~flow:f ~dst:f.Flow.dst ~size:64 () in
-    c.Packet.ctrl_a <- i;
+    Packet.set_ctrl_a c i;
     Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:0 c
   done;
   ignore (Sim.run_until_idle sim);
@@ -65,7 +65,7 @@ let test_xpass_credit_queue_cap () =
   let t = st.Topology.s in
   let cfg = { Switch.default_config with Switch.queues_per_port = 4; buffer_bytes = max_int } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Switch.create ~sim
@@ -78,7 +78,7 @@ let test_xpass_credit_queue_cap () =
   let f = Flow.make ~id:1 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:1000 ~arrival:0 () in
   for i = 1 to 40 do
     let c = Packet.make Packet.Credit ~flow:f ~dst:f.Flow.dst ~size:64 () in
-    c.Packet.ctrl_a <- i;
+    Packet.set_ctrl_a c i;
     Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:0 c
   done;
   (* more than credit_cap (16) at once: the excess is dropped, which is
@@ -195,28 +195,6 @@ let test_time_pp () =
   check Alcotest.string "us" "1.500us" (s 1500);
   check Alcotest.string "ms" "2.000ms" (s (Time.ms 2.0));
   check Alcotest.string "s" "1.500s" (s (Time.ms 1500.0))
-
-let test_stats_cdf () =
-  let sm = Bfc_util.Stats.Sample.create () in
-  for i = 1 to 100 do
-    Bfc_util.Stats.Sample.add sm (float_of_int i)
-  done;
-  let cdf = Bfc_util.Stats.Sample.cdf sm ~points:5 in
-  check Alcotest.int "5 points" 5 (List.length cdf);
-  let _, last_frac = List.nth cdf 4 in
-  Alcotest.(check (float 1e-9)) "ends at 1" 1.0 last_frac
-
-let test_rng_pick () =
-  let rng = Bfc_util.Rng.create 8 in
-  let a = [| "x"; "y"; "z" |] in
-  for _ = 1 to 50 do
-    Alcotest.(check bool) "picks member" true (Array.mem (Bfc_util.Rng.pick rng a) a)
-  done;
-  Alcotest.(check bool) "empty raises" true
-    (try
-       ignore (Bfc_util.Rng.pick rng [||]);
-       false
-     with Invalid_argument _ -> true)
 
 let test_homa_unsched_prio_boundaries () =
   let p =
@@ -357,8 +335,6 @@ let suite =
     ("duration scales", `Quick, test_duration_scales_with_flow_size);
     ("default incast", `Quick, test_default_incast);
     ("time pp", `Quick, test_time_pp);
-    ("stats cdf", `Quick, test_stats_cdf);
-    ("rng pick", `Quick, test_rng_pick);
     ("homa prio boundaries", `Quick, test_homa_unsched_prio_boundaries);
     ("flow table mult vs collisions", `Quick, test_flow_table_mult_controls_collisions);
   ]

@@ -98,8 +98,8 @@ let test_nic_credit_gates_data () =
   check Alcotest.int "two sent on initial credit" 2 (List.length !received);
   (* return one credit *)
   let credit = Packet.make Packet.Hop_credit ~dst:(-1) ~size:64 () in
-  credit.Packet.ctrl_a <- q;
-  credit.Packet.ctrl_b <- 1048;
+  Packet.set_ctrl_a credit q;
+  Packet.set_ctrl_b credit 1048;
   Nic.on_ctrl nic credit;
   ignore (Sim.run sim ~until:(Time.us 400.0));
   check Alcotest.int "third released by the credit" 3 (List.length !received)

@@ -381,6 +381,79 @@ let test_dc_perfbench_caller () =
   let without = dead_exports ~callers:[ "lib"; "bin"; "bench"; "examples" ] () in
   Alcotest.(check bool) "dead without perfbench" true (reported "Port.set_on_tx" without)
 
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
+(* A unit compiled from another source, or against an interface that has
+   been rebuilt since, would report findings from uids that name the wrong
+   declarations, so DC001 refuses it. The check runs on a scratch
+   workspace laid out as dune lays one out: Rng's compiled units under
+   <ws>/_build/default, its sources under <ws>. *)
+let test_dc_stale_unit () =
+  let ws = Filename.temp_dir "dc001" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf ws)
+    (fun () ->
+      let root = Filename.concat ws "_build/default" in
+      let objs_dir = "lib/util/.bfc_util.objs/byte" in
+      mkdir_p (Filename.concat root objs_dir);
+      mkdir_p (Filename.concat ws "lib/util");
+      let copy_unit ext =
+        let rel = Filename.concat objs_dir ("bfc_util__Rng" ^ ext) in
+        write_file (Filename.concat root rel) (read_file (Filename.concat build_root rel))
+      in
+      let source name = read_file (Filename.concat build_root ("lib/util/" ^ name)) in
+      (* the build root holds a copy of each source, as dune's does *)
+      let put_source name s =
+        write_file (Filename.concat ws ("lib/util/" ^ name)) s;
+        write_file (Filename.concat root ("lib/util/" ^ name)) s
+      in
+      copy_unit ".cmt";
+      copy_unit ".cmti";
+      put_source "rng.ml" (source "rng.ml");
+      put_source "rng.mli" (source "rng.mli");
+      let stale () =
+        match Dead.run ~callers:[] root with
+        | Ok _ -> None
+        | Error e -> Some e
+      in
+      Alcotest.(check (option string)) "matching sources" None (stale ());
+      (* the workspace source moves on while the build does not *)
+      write_file (Filename.concat ws "lib/util/rng.mli") (source "rng.mli" ^ "\n(* edited *)\n");
+      Alcotest.(check (option string))
+        "edited source"
+        (Some
+           "compiled unit Bfc_util__Rng is stale (lib/util/rng.mli changed since it was \
+            compiled); rebuild with dune build @check")
+        (stale ());
+      put_source "rng.mli" (source "rng.mli");
+      (* Rng's interface is rebuilt; rng.ml's unit still imports the old one *)
+      let cmti = Filename.concat root (Filename.concat objs_dir "bfc_util__Rng.cmti") in
+      let cmt = Cmt_format.read_cmt cmti in
+      Out_channel.with_open_bin cmti (fun oc ->
+          Out_channel.output_string oc Config.cmt_magic_number;
+          Marshal.to_channel oc
+            { cmt with Cmt_format.cmt_interface_digest = Some (Digest.string "rebuilt") }
+            []);
+      Alcotest.(check (option string))
+        "outdated import"
+        (Some
+           "compiled unit Bfc_util__Rng is stale (compiled against an older Bfc_util__Rng); \
+            rebuild with dune build @check")
+        (stale ()))
+
 let suite =
   [
     ("every rule fires on its fixture", `Quick, test_rule_fires);
@@ -402,4 +475,5 @@ let suite =
     ("dc001 repo build has no dead export", `Quick, test_dc_repo_clean);
     ("dc001 name resolution", `Quick, test_dc_name_resolution);
     ("dc001 perfbench counts as a caller", `Quick, test_dc_perfbench_caller);
+    ("dc001 stale unit fails loudly", `Quick, test_dc_stale_unit);
   ]

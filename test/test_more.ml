@@ -32,7 +32,7 @@ let mk_one_switch ?(queues = 8) ?(dpcfg = Dataplane.default_config) () =
   let t = st.Topology.s in
   let cfg = { Switch.default_config with Switch.queues_per_port = queues } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Switch.create ~sim
@@ -50,7 +50,7 @@ let inject t st pkt = Node.deliver (Topology.node t st.Topology.st_switch) ~in_p
 
 let mk_data flow seq =
   let p = Packet.data ~flow ~seq ~payload:1000 () in
-  p.Packet.upstream_q <- 1;
+  Packet.set_upstream_q p 1;
   p
 
 let test_sticky_assignment_retained () =
@@ -142,7 +142,7 @@ let test_bitmap_refresh_repauses () =
   Topology.Builder.link b down r ~gbps:100.0 ~prop:(Time.us 1.0);
   let t = Topology.Builder.finish b in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let cfg = { Switch.default_config with Switch.queues_per_port = 4 } in
   let mk id dpcfg =

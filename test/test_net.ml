@@ -42,16 +42,23 @@ let test_flow_hash_spread () =
 let test_packet_data () =
   let f = Flow.make ~id:9 ~src:3 ~dst:7 ~size:5000 ~arrival:0 ~prio_class:2 () in
   let p = Packet.data ~flow:f ~seq:1000 ~payload:1000 () in
-  check Alcotest.int "wire size" (1000 + Packet.header_bytes) p.Packet.size;
-  check Alcotest.int "dst" 7 p.Packet.dst;
-  check Alcotest.int "prio from class" 2 p.Packet.prio;
+  check Alcotest.int "wire size" (1000 + Packet.header_bytes) (Packet.size p);
+  check Alcotest.int "dst" 7 (Packet.dst p);
+  check Alcotest.int "prio from class" 2 (Packet.prio p);
   check Alcotest.int "flow id" 9 (Packet.flow_id p)
 
-let test_packet_uids_unique () =
+(* A packet has no index until a table sees it; one table gives two
+   packets two indices, and a packet keeps its index. *)
+let test_packet_indices () =
   let f = Flow.make ~id:1 ~src:0 ~dst:1 ~size:10 ~arrival:0 () in
   let a = Packet.data ~flow:f ~seq:0 ~payload:10 () in
   let b = Packet.data ~flow:f ~seq:0 ~payload:10 () in
-  Alcotest.(check bool) "uids differ" true (a.Packet.uid <> b.Packet.uid)
+  check Alcotest.int "unindexed" (-1) (Packet.idx a);
+  let pool = Packet.Pool.create () in
+  let ia = Packet.Pool.index pool a and ib = Packet.Pool.index pool b in
+  Alcotest.(check bool) "indices differ" true (ia <> ib);
+  check Alcotest.int "index kept" ia (Packet.Pool.index pool a);
+  check Alcotest.int "idx reads it" ib (Packet.idx b)
 
 let test_packet_control_kinds () =
   let p = Packet.make Packet.Pause ~dst:1 ~size:64 () in
@@ -183,7 +190,7 @@ let test_port_transmission () =
   Topology.Builder.link b a z ~gbps:100.0 ~prop:(Time.us 1.0);
   let t = Topology.Builder.finish b in
   let got = ref None in
-  (Topology.node t z).Node.handler <- (fun ~in_port:_ pkt -> got := Some pkt.Packet.uid);
+  (Topology.node t z).Node.handler <- (fun ~in_port:_ pkt -> got := Some (Packet.idx pkt));
   let f = Flow.make ~id:1 ~src:a ~dst:z ~size:1000 ~arrival:0 () in
   let pkt = Packet.data ~flow:f ~seq:0 ~payload:1000 () in
   let port = (Topology.ports t a).(0) in
@@ -192,9 +199,10 @@ let test_port_transmission () =
   ignore (Sim.run sim ~until:(Time.us 0.5));
   Alcotest.(check bool) "not yet delivered (prop)" true (!got = None);
   ignore (Sim.run sim ~until:(Time.us 2.0));
-  check Alcotest.(option int) "delivered" (Some pkt.Packet.uid) !got;
+  Alcotest.(check bool) "sent packets are indexed" true (Packet.idx pkt >= 0);
+  check Alcotest.(option int) "delivered" (Some (Packet.idx pkt)) !got;
   Alcotest.(check bool) "idle after ser" false (Port.busy port);
-  check Alcotest.int "tx bytes counted" pkt.Packet.size (Port.tx_bytes port)
+  check Alcotest.int "tx bytes counted" (Packet.size pkt) (Port.tx_bytes port)
 
 let test_port_ctrl_bypass () =
   let sim = Sim.create () in
@@ -287,7 +295,7 @@ let suite =
     ("flow invalid size", `Quick, test_flow_invalid_size);
     ("flow hash spread", `Quick, test_flow_hash_spread);
     ("packet data", `Quick, test_packet_data);
-    ("packet uids", `Quick, test_packet_uids_unique);
+    ("packet indices", `Quick, test_packet_indices);
     ("packet control kinds", `Quick, test_packet_control_kinds);
     ("clos shape", `Quick, test_clos_shape);
     ("clos routing candidates", `Quick, test_clos_routing_candidates);

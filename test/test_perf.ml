@@ -1,6 +1,6 @@
 (* Regression tests for the performance-engineering layer: per-sim
-   packet uids, the reusable ticker handle, the packet pool's full-field
-   reset, the packet's size, flags and side tables, the packet table's
+   packet indices, the reusable ticker handle, the packet pool's full-field
+   reset, the packet's size, packed fields, flags and side tables, the packet table's
    index lifecycle, determinism of the
    domain-parallel sweep runner, the engine's
    fire order against a recorded trace, the allocation bounds of the
@@ -16,20 +16,24 @@ module Exp_common = Bfc_sim.Exp_common
 module Experiments = Bfc_sim.Experiments
 module Pool = Bfc_sim.Pool
 
-(* --------------------------- per-sim uids -------------------------- *)
+(* ------------------------- per-sim indices ------------------------ *)
 
-let test_uid_sequences_identical_across_sims () =
-  let uids sim =
-    List.init 50 (fun i ->
-        let p =
-          Packet.make ~sim Packet.Data ~dst:1 ~size:1000 ~payload:i ()
-        in
-        p.Packet.uid)
+(* Packets are named by their index in their sim's table. Two fresh sims
+   running the same acquire/release sequence hand out the same indices,
+   starting at 0, and a released index is the next one reused. *)
+let test_index_sequences_identical_across_sims () =
+  let indices () =
+    let pool = Bfc_net.Port.pool (Sim.create ()) in
+    let acquire () = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:1000 ~seq:0 in
+    let live = Array.init 50 (fun _ -> acquire ()) in
+    let first = Array.to_list (Array.map Packet.idx live) in
+    Array.iteri (fun i p -> if i mod 3 = 0 then Packet.Pool.release pool p) live;
+    first @ List.init 20 (fun _ -> Packet.idx (acquire ()))
   in
-  let a = uids (Sim.create ()) in
-  let b = uids (Sim.create ()) in
-  check (list int) "fresh sims give identical uid sequences" a b;
-  check int "uids start at 0" 0 (List.hd a)
+  let a = indices () in
+  check (list int) "fresh sims give identical index sequences" a (indices ());
+  check (list int) "indices start at 0" (List.init 50 Fun.id) (List.filteri (fun i _ -> i < 50) a);
+  check int "the last released index is reused first" 48 (List.nth a 50)
 
 (* ------------------------------ ticker ----------------------------- *)
 
@@ -49,47 +53,71 @@ let test_ticker_no_event_leak () =
 (* ---------------------------- packet pool -------------------------- *)
 
 let test_pool_reset_all_fields () =
-  let sim = Sim.create () in
-  let pool = Packet.Pool.create ~sim in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:4 ~size:1500 ~seq:7 in
-  p.Packet.payload <- 1400;
-  p.Packet.prio <- 2;
+  let pool = Packet.Pool.create () in
+  let f = Bfc_net.Flow.make ~id:3 ~src:0 ~dst:4 ~size:5000 ~arrival:0 () in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:(Some f) ~dst:4 ~size:1500 ~seq:7 in
   (* dirty every mutable field a switch/host can touch *)
+  Packet.set_kind p Packet.Cnp;
+  Packet.set_payload p 1400;
+  Packet.set_prio p 2;
+  Packet.set_remaining p 900;
+  Packet.set_upstream_q p 5;
   Packet.set_ecn p true;
   Packet.set_ecn_echo p true;
-  p.Packet.bp_in_port <- 9;
-  p.Packet.bp_upq <- 11;
+  Packet.set_bp_in_port p 9;
+  Packet.set_bp_upq p 11;
   Packet.set_bp_counted p true;
   Packet.set_bp_sampled p false;
+  Packet.set_sent_at p 123;
+  Packet.set_enq_at p 456;
+  Packet.set_ctrl_a p 77;
+  Packet.set_ctrl_b p 88;
   Packet.Pool.set_bitmap pool p [| 1; 2; 3 |];
   Packet.Pool.add_int_hop pool p ~ts:10 ~tx_bytes:100 ~qlen:200 ~gbps:100.0 ~link:1;
   Packet.Pool.add_int_hop pool p ~ts:20 ~tx_bytes:300 ~qlen:400 ~gbps:100.0 ~link:2;
   check int "hops recorded" 2 (Packet.Pool.int_hop_count pool p);
+  let i = Packet.idx p in
   Packet.Pool.release pool p;
+  check int "parked: next_free ends the free list" (-1) (Packet.next_free p);
+  check int "parked: size reset" 0 (Packet.size p);
+  check int "parked: dst reset" (-1) (Packet.dst p);
+  check bool "parked: flow dropped" true (Packet.flow p = None);
   let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~dst:0 ~size:64 ~seq:0 in
   check bool "recycled the same record" true (p == q);
+  check bool "kind from acquire" true (Packet.kind q = Packet.Ack);
+  check int "dst from acquire" 0 (Packet.dst q);
+  check int "size from acquire" 64 (Packet.size q);
   check bool "ecn reset" false (Packet.ecn q);
   check bool "ecn_echo reset" false (Packet.ecn_echo q);
-  check int "bp_in_port reset" (-1) q.Packet.bp_in_port;
-  check int "bp_upq reset" (-1) q.Packet.bp_upq;
+  check int "bp_in_port reset" (-1) (Packet.bp_in_port q);
+  check int "bp_upq reset" (-1) (Packet.bp_upq q);
   check bool "bp_counted reset" false (Packet.bp_counted q);
   check bool "bp_sampled reset" true (Packet.bp_sampled q);
   check int "bitmap cleared" 0 (Array.length (Packet.Pool.bitmap pool q));
   check int "int_hops cursor reset" 0 (Packet.Pool.int_hop_count pool q);
-  check int "payload reset" 0 q.Packet.payload;
-  check int "seq reset" 0 q.Packet.seq;
-  check int "prio reset" 0 q.Packet.prio;
-  check bool "fresh uid on reuse" true (q.Packet.uid <> p.Packet.uid || q.Packet.uid >= 0)
+  check int "payload reset" 0 (Packet.payload q);
+  check int "seq reset" 0 (Packet.seq q);
+  check int "prio reset" 0 (Packet.prio q);
+  check int "remaining reset" 0 (Packet.remaining q);
+  check int "upstream_q reset" 0 (Packet.upstream_q q);
+  check int "sent_at reset" 0 (Packet.sent_at q);
+  check int "enq_at reset" 0 (Packet.enq_at q);
+  check int "ctrl_a reset" 0 (Packet.ctrl_a q);
+  check int "ctrl_b reset" 0 (Packet.ctrl_b q);
+  check bool "flow reset" true (Packet.flow q = None);
+  check int "index kept" i (Packet.idx q);
+  check int "in use" (-2) (Packet.next_free q)
 
-(* Every packet carries only what every scheme needs: 19 fields, so a
-   packet is 20 words with its header. Each word per packet costs about
-   a quarter of a MB of peak heap on the DCQCN Clos run, whose switch
-   buffers hold tens of thousands of packets at the peak. *)
+(* Every packet carries only what every scheme needs, in 10 fields, three
+   of them packed words: 11 words with its header, which OCaml 5's shared
+   heap serves from its 12-word size class. Each word per packet costs
+   about 0.2 MB of peak heap on the DCQCN Clos run, whose switch buffers
+   hold tens of thousands of packets at the peak. *)
 let test_packet_footprint () =
-  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let pool = Packet.Pool.create () in
   let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   let fields = Obj.size (Obj.repr p) in
-  if fields > 19 then failf "a packet has %d fields, bound 19" fields
+  if fields > 11 then failf "a packet has %d fields, bound 11" fields
 
 let flag_accessors =
   [
@@ -99,13 +127,90 @@ let flag_accessors =
     ("bp_sampled", Packet.bp_sampled, Packet.set_bp_sampled);
   ]
 
+(* The packed fields with their ranges: (name, get, set, min, max). *)
+let packed_fields =
+  [
+    ("prio", Packet.prio, Packet.set_prio, -1, 8190);
+    ("upstream_q", Packet.upstream_q, Packet.set_upstream_q, -1, 16382);
+    ("bp_in_port", Packet.bp_in_port, Packet.set_bp_in_port, -1, 16382);
+    ("bp_upq", Packet.bp_upq, Packet.set_bp_upq, -1, 16382);
+    ("size", Packet.size, Packet.set_size, 0, 65535);
+    ("payload", Packet.payload, Packet.set_payload, 0, 65535);
+    ("dst", Packet.dst, Packet.set_dst, -1, (1 lsl 31) - 2);
+    ("idx", Packet.idx, Packet.set_idx, -1, (1 lsl 31) - 2);
+    ("next_free", Packet.next_free, Packet.set_next_free, -2, (1 lsl 31) - 3);
+  ]
+
+let all_kinds =
+  Packet.
+    [
+      Data; Ack; Nack; Credit; Credit_req; Grant; Pause; Resume; Pause_bitmap; Hop_credit; Pfc; Cnp;
+    ]
+
+let kind_index p =
+  let k = Packet.kind p in
+  let rec find i = function [] -> -1 | x :: r -> if x = k then i else find (i + 1) r in
+  find 0 all_kinds
+
+(* Everything a packed word holds, as ints: the kind's position, the four
+   flags and the numeric fields. *)
+let packed_values p =
+  kind_index p
+  :: List.map (fun (_, get, _) -> Bool.to_int (get p)) flag_accessors
+  @ List.map (fun (_, get, _, _, _) -> get p) packed_fields
+
+(* Put every packed field at its minimum ([hi = false]) or its maximum. *)
+let set_extremes p hi =
+  Packet.set_kind p (if hi then Packet.Cnp else Packet.Data);
+  List.iter (fun (_, _, set) -> set p hi) flag_accessors;
+  List.iter (fun (_, _, set, lo, top) -> set p (if hi then top else lo)) packed_fields
+
+(* Each packed field holds its minimum, its maximum and its sentinel -1
+   while its neighbours sit at both extremes, and a value outside its
+   range raises without touching the packet. The kind takes every
+   constructor. *)
+let test_packet_fields () =
+  let p = Packet.make Packet.Data ~dst:1 ~size:100 () in
+  let nk = 1 + List.length flag_accessors in
+  List.iter
+    (fun hi ->
+      set_extremes p hi;
+      let base = packed_values p in
+      List.iteri
+        (fun k (name, get, set, lo, top) ->
+          List.iter
+            (fun v ->
+              set p v;
+              check int (name ^ " reads back") v (get p);
+              check (list int) (name ^ " leaves the others")
+                (List.mapi (fun j b -> if j = nk + k then v else b) base)
+                (packed_values p))
+            (List.filter (fun v -> v >= lo) [ lo; top; -1 ]);
+          set p (if hi then top else lo);
+          List.iter
+            (fun v ->
+              (match set p v with
+              | () -> failf "%s accepted %d" name v
+              | exception Invalid_argument _ -> ());
+              check (list int) (name ^ " unchanged after a rejected value") base (packed_values p))
+            [ lo - 1; top + 1; min_int; max_int ])
+        packed_fields;
+      List.iteri
+        (fun i k ->
+          Packet.set_kind p k;
+          check (list int) "kind reads back, the others kept"
+            (i :: List.tl base) (packed_values p))
+        all_kinds;
+      set_extremes p hi)
+    [ false; true ]
+
 let flag_values p = List.map (fun (_, get, _) -> get p) flag_accessors
 
 (* The four flags share one int: setting or clearing one leaves the
    others as they were, a recycled packet gets [make]'s flags back, and
    a transferred packet keeps them. *)
 let test_packet_flags () =
-  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let pool = Packet.Pool.create () in
   let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   let fresh = flag_values (Packet.make Packet.Data ~dst:1 ~size:100 ()) in
   check (list bool) "fresh flags" [ false; false; false; true ] fresh;
@@ -145,7 +250,7 @@ let hop_links pool p =
    into an ack ([copy_int_hops]) as copies that share no record with
    the original. *)
 let test_packet_side_tables () =
-  let pool = Packet.Pool.create ~sim:(Sim.create ()) in
+  let pool = Packet.Pool.create () in
   let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~dst:1 ~size:100 ~seq:0 in
   check int "a fresh table has no side tables" 0 (Packet.Pool.side_slots pool);
   let p = acquire Packet.Data in
@@ -177,8 +282,7 @@ let test_packet_side_tables () =
   check (list int) "and leaves the ack's alone" [ 1; 2; 3; 4; 5 ] (hop_links pool ack)
 
 let test_pool_double_release_rejected () =
-  let sim = Sim.create () in
-  let pool = Packet.Pool.create ~sim in
+  let pool = Packet.Pool.create () in
   let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
   Packet.Pool.release pool p;
   check_raises "double release"
@@ -195,26 +299,26 @@ let test_packet_index_lifecycle () =
     Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0
   in
   let live = List.init 8 (fun _ -> acquire ()) in
-  let idxs = List.map (fun p -> p.Packet.idx) live in
+  let idxs = List.map (fun p -> Packet.idx p) live in
   check int "live packets have distinct indices" 8
     (List.length (List.sort_uniq Int.compare idxs));
   List.iter
-    (fun p -> check bool "get finds the packet" true (Packet.Pool.get pool p.Packet.idx == p))
+    (fun p -> check bool "get finds the packet" true (Packet.Pool.get pool (Packet.idx p) == p))
     live;
   let p = List.hd live in
-  let i = p.Packet.idx in
+  let i = Packet.idx p in
   Packet.Pool.release pool p;
-  check int "index kept while parked" i p.Packet.idx;
+  check int "index kept while parked" i (Packet.idx p);
   let q = acquire () in
   check bool "recycled the parked packet" true (q == p);
-  check int "same index after reacquire" i q.Packet.idx;
+  check int "same index after reacquire" i (Packet.idx q);
   let m = Packet.make Packet.Ack ~dst:1 ~size:64 () in
-  check int "no index before the table sees it" (-1) m.Packet.idx;
+  check int "no index before the table sees it" (-1) (Packet.idx m);
   let j = Packet.Pool.index pool m in
   check bool "a fresh index, no live packet's" false (List.mem j idxs);
   check int "indexing is idempotent" j (Packet.Pool.index pool m);
   Packet.Pool.release pool m;
-  check int "released with its index" j m.Packet.idx;
+  check int "released with its index" j (Packet.idx m);
   check_raises "double release"
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
       Packet.Pool.release pool m);
@@ -509,25 +613,26 @@ let test_flow_table_forgets_vacant () =
    reclaim are typed events, and per-flow transport records are reused
    from slot tables. The count covers the whole streaming run, set-up
    and the workload generator included. Under the dev profile (no
-   cross-module inlining) it reads 13.6 words per event, against 23.5
-   with closure events and fresh records per flow; the bound sits about
-   20% above 13.6. *)
+   cross-module inlining) it reads 4.45 words per event, against 5.51
+   while [Rng] boxed its state and 23.5 with closure events and fresh
+   records per flow; the bound sits about 20% above 4.45. *)
 let test_flow_churn_minor_words () =
   let w0 = Gc.minor_words () in
   let r = Exp_common.run_stream ~streaming:true ~flows:20_000 () in
   let words = Gc.minor_words () -. w0 in
   check int "every flow completed" 20_000 r.Exp_common.sr_completed;
   let per_event = words /. float_of_int r.Exp_common.sr_events in
-  if per_event > 16.4 then
-    failf "%.3f minor words per event (%d events), bound 16.4" per_event r.Exp_common.sr_events
+  if per_event > 5.4 then
+    failf "%.3f minor words per event (%d events), bound 5.4" per_event r.Exp_common.sr_events
 
 let suite =
   [
-    test_case "per-sim uid determinism" `Quick test_uid_sequences_identical_across_sims;
+    test_case "per-sim index determinism" `Quick test_index_sequences_identical_across_sims;
     test_case "ticker no event leak" `Quick test_ticker_no_event_leak;
     test_case "packet pool resets all fields" `Quick test_pool_reset_all_fields;
     test_case "packet pool double release" `Quick test_pool_double_release_rejected;
     test_case "packet footprint" `Quick test_packet_footprint;
+    test_case "packet fields" `Quick test_packet_fields;
     test_case "packet flags" `Quick test_packet_flags;
     test_case "packet side tables" `Quick test_packet_side_tables;
     test_case "packet index lifecycle" `Quick test_packet_index_lifecycle;

@@ -1,4 +1,4 @@
-(* Streaming observability: quantile sketch accuracy and merge algebra,
+(* Streaming observability: quantile sketch accuracy and encoding,
    binary flowlog roundtrips (chunk boundaries, truncation), and the
    sketch-backed FCT path against the exact one. *)
 
@@ -49,10 +49,7 @@ let test_sketch_errors () =
     (fun () -> ignore (Sketch.quantile s 0.5));
   Sketch.add s 1.0;
   Alcotest.check_raises "q out of range" (Invalid_argument "Sketch.quantile: q out of range")
-    (fun () -> ignore (Sketch.quantile s 1.5));
-  let m = Sketch.create ~alpha:0.1 () in
-  Alcotest.check_raises "merge resolution mismatch"
-    (Invalid_argument "Sketch.merge: mismatched resolution") (fun () -> Sketch.merge ~into:m s)
+    (fun () -> ignore (Sketch.quantile s 1.5))
 
 let test_sketch_decode_rejects_garbage () =
   Alcotest.check_raises "bad magic" (Invalid_argument "Sketch.decode: bad magic") (fun () ->
@@ -64,7 +61,7 @@ let test_sketch_decode_rejects_garbage () =
       ignore (Sketch.decode (String.sub e 0 (String.length e - 3))))
 
 (* ------------------------------------------------------------------ *)
-(* Sketch properties: accuracy across distribution shapes, merge algebra *)
+(* Sketch properties: accuracy across distribution shapes, encoding *)
 
 (* Positive samples from three shapes the FCT slowdowns exercise:
    constant, bimodal (short-flow mass plus a heavy cluster), heavy tail
@@ -106,33 +103,6 @@ let prop_sketch_accuracy =
               (dist_name dist) n p exact est a;
           ok)
         [ 0.0; 50.0; 90.0; 95.0; 99.0; 100.0 ])
-
-let prop_sketch_merge_order_independent =
-  QCheck.Test.make ~name:"merge is order-independent and matches single-sketch encode" ~count:60
-    QCheck.(triple (int_range 0 2) (int_range 0 999) (int_range 3 2000))
-    (fun (dist, seed, n) ->
-      let values = Array.of_list (gen_values dist seed n) in
-      let whole = Sketch.create () in
-      Array.iter (Sketch.add whole) values;
-      (* three parts, merged in two different orders *)
-      let part lo hi =
-        let s = Sketch.create () in
-        for i = lo to hi - 1 do
-          Sketch.add s values.(i)
-        done;
-        s
-      in
-      let a = part 0 (n / 3) and b = part (n / 3) (2 * n / 3) and c = part (2 * n / 3) n in
-      let m1 = Sketch.create () in
-      Sketch.merge ~into:m1 a;
-      Sketch.merge ~into:m1 b;
-      Sketch.merge ~into:m1 c;
-      let m2 = Sketch.create () in
-      Sketch.merge ~into:m2 c;
-      Sketch.merge ~into:m2 a;
-      Sketch.merge ~into:m2 b;
-      String.equal (Sketch.encode whole) (Sketch.encode m1)
-      && String.equal (Sketch.encode m1) (Sketch.encode m2))
 
 let prop_sketch_encode_roundtrip =
   QCheck.Test.make ~name:"encode/decode roundtrip preserves state" ~count:60
@@ -329,7 +299,6 @@ let suite =
     Alcotest.test_case "sketch argument errors" `Quick test_sketch_errors;
     Alcotest.test_case "sketch decode rejects garbage" `Quick test_sketch_decode_rejects_garbage;
     QCheck_alcotest.to_alcotest prop_sketch_accuracy;
-    QCheck_alcotest.to_alcotest prop_sketch_merge_order_independent;
     QCheck_alcotest.to_alcotest prop_sketch_encode_roundtrip;
     Alcotest.test_case "flowlog chunk boundaries" `Quick test_flowlog_boundaries;
     QCheck_alcotest.to_alcotest prop_flowlog_roundtrip;

@@ -22,7 +22,7 @@ let pool = Port.pool (Sim.create ())
 
 let data ?(payload = 1000) ?(remaining = 0) () =
   let p = Packet.data ~flow ~seq:0 ~payload () in
-  p.Packet.remaining <- remaining;
+  Packet.set_remaining p remaining;
   p
 
 (* ------------------------------- Fifo ------------------------------ *)
@@ -32,10 +32,10 @@ let test_fifo_accounting () =
   Alcotest.(check bool) "empty" true (Fifo.is_empty q);
   let p = data () in
   Fifo.push q p;
-  check Alcotest.int "bytes" p.Packet.size q.Fifo.bytes;
+  check Alcotest.int "bytes" (Packet.size p) q.Fifo.bytes;
   check Alcotest.int "len" 1 (Fifo.length q);
   let got = Fifo.pop q in
-  check Alcotest.int "same packet" p.Packet.uid got.Packet.uid;
+  Alcotest.(check bool) "same packet" true (p == got);
   check Alcotest.int "bytes zero" 0 q.Fifo.bytes
 
 let test_fifo_head_remaining () =
@@ -56,7 +56,7 @@ let test_fifo_ring_wrap_and_growth () =
   in
   let pop_n n =
     for _ = 1 to n do
-      check Alcotest.int "fifo order" !next_out (Fifo.pop q).Packet.remaining;
+      check Alcotest.int "fifo order" !next_out (Packet.remaining (Fifo.pop q));
       incr next_out
     done
   in
@@ -112,7 +112,7 @@ let test_sched_drr_byte_fairness () =
   let served = [| 0; 0 |] in
   for _ = 1 to 200 do
     match next s with
-    | Some (fifo, pkt) -> served.(fifo.Fifo.idx) <- served.(fifo.Fifo.idx) + pkt.Packet.size
+    | Some (fifo, pkt) -> served.(fifo.Fifo.idx) <- served.(fifo.Fifo.idx) + Packet.size pkt
     | None -> ()
   done;
   let ratio = float_of_int served.(0) /. float_of_int served.(1) in
@@ -195,7 +195,7 @@ let test_sched_take_allocates_nothing () =
 (* Differential check against a reference model: the Stdlib.Queue-based
    FIFO and candidate rings the array rings replaced, transcribed
    operation for operation. Random push / take / pause / resume / flush
-   sequences must serve the same (queue, packet uid) sequence and keep
+   sequences must serve the same (queue, packet index) sequence and keep
    the same N_active and backlog counts. *)
 module Model = struct
   type q = {
@@ -275,12 +275,12 @@ module Model = struct
       if not (eligible q) then ignore (evict_front ring)
       else begin
         let pkt = Queue.peek q.pkts in
-        if q.deficit >= pkt.Packet.size then begin
+        if q.deficit >= Packet.size pkt then begin
           ignore (Queue.pop q.pkts);
-          q.deficit <- q.deficit - pkt.Packet.size;
+          q.deficit <- q.deficit - Packet.size pkt;
           note_popped t q;
           if Queue.is_empty q.pkts then ignore (evict_front ring);
-          result := Some (q.idx, pkt.Packet.uid)
+          result := Some (q.idx, Packet.idx pkt)
         end
         else begin
           q.deficit <- q.deficit + t.quantum;
@@ -309,9 +309,9 @@ module Model = struct
     | Some q ->
       let pkt = Queue.pop q.pkts in
       note_popped t q;
-      Some (q.idx, pkt.Packet.uid)
+      Some (q.idx, Packet.idx pkt)
 
-  let remaining q = if Queue.is_empty q.pkts then max_int else (Queue.peek q.pkts).Packet.remaining
+  let remaining q = if Queue.is_empty q.pkts then max_int else Packet.remaining (Queue.peek q.pkts)
 
   let next t =
     let rec by_class c =
@@ -337,7 +337,7 @@ module Model = struct
     Array.iter
       (fun q ->
         while not (Queue.is_empty q.pkts) do
-          out := (Queue.pop q.pkts).Packet.uid :: !out
+          out := Packet.idx (Queue.pop q.pkts) :: !out
         done;
         q.paused <- false;
         q.deficit <- 0;
@@ -405,7 +405,7 @@ let prop_sched_matches_queue_model =
               Model.push m m.Model.queues.(q) p;
               true
             | Take ->
-              let got = Option.map (fun (f, p) -> (f.Fifo.idx, p.Packet.uid)) (next s) in
+              let got = Option.map (fun (f, p) -> (f.Fifo.idx, Packet.idx p)) (next s) in
               got = Model.next m
             | Pause q ->
               Sched.set_paused s qs.(q) true;
@@ -417,7 +417,7 @@ let prop_sched_matches_queue_model =
               true
             | Flush ->
               let out = ref [] in
-              Sched.flush s (fun p -> out := p.Packet.uid :: !out);
+              Sched.flush s (fun p -> out := Packet.idx p :: !out);
               List.rev !out = Model.flush m
           in
           same_step
@@ -458,7 +458,7 @@ let mini_net ?(config = Switch.default_config) () =
   let sim = Sim.create () in
   let st = Topology.star sim ~senders:2 ~gbps:100.0 ~prop:(Time.us 1.0) in
   let t = st.Topology.s in
-  let route _sw ~in_port:_ pkt = (Topology.candidates t ~node:st.Topology.st_switch ~dst:pkt.Packet.dst).(0) in
+  let route _sw ~in_port:_ pkt = (Topology.candidates t ~node:st.Topology.st_switch ~dst:(Packet.dst pkt)).(0) in
   let sw =
     Switch.create ~sim ~node:(Topology.node t st.Topology.st_switch)
       ~ports:(Topology.ports t st.Topology.st_switch) ~config ~route ()
@@ -494,7 +494,7 @@ let test_switch_queues_when_contended () =
   let prev = hk.Switch.on_dequeue in
   hk.Switch.on_dequeue <-
     (fun s ~egress ~queue p ->
-      if Sim.now sim - p.Packet.enq_at > 0 then incr delayed;
+      if Sim.now sim - Packet.enq_at p > 0 then incr delayed;
       prev s ~egress ~queue p);
   (* both senders blast 20 packets at the same time: the 100G egress must
      serialize 40 packets => last arrival ~40 x 84ns after the first *)
@@ -584,9 +584,9 @@ let test_switch_pfc_pause_resume () =
   let paused = ref false in
   (Topology.node t st.Topology.st_senders.(0)).Node.handler <-
     (fun ~in_port:_ pkt ->
-      if pkt.Packet.kind = Packet.Pfc then begin
-        pfc_events := pkt.Packet.ctrl_b :: !pfc_events;
-        paused := pkt.Packet.ctrl_b = 1
+      if Packet.kind pkt = Packet.Pfc then begin
+        pfc_events := Packet.ctrl_b pkt :: !pfc_events;
+        paused := Packet.ctrl_b pkt = 1
       end);
   let f = Flow.make ~id:6 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:100_000 ~arrival:0 () in
   (* inject at 2x line rate, but honour the pause like a real upstream *)
@@ -616,14 +616,14 @@ let test_switch_pfc_pauses_egress () =
     (fun i p -> if (Port.peer p).Node.id = st.Topology.st_receiver then egress := i)
     (Topology.ports t st.Topology.st_switch);
   let pfc = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
-  pfc.Packet.ctrl_b <- 1;
+  Packet.set_ctrl_b pfc 1;
   Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:!egress pfc;
   send_from t st 0 (Packet.data ~flow:f ~seq:0 ~payload:1000 ());
   ignore (Sim.run sim ~until:(Time.us 100.0));
   Alcotest.(check bool) "held while paused" true (Switch.egress_bytes sw ~egress:!egress > 0);
   Alcotest.(check bool) "pause time accounted" true (Switch.pfc_paused_ns sw ~egress:!egress > 0);
   let resume = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
-  resume.Packet.ctrl_b <- 0;
+  Packet.set_ctrl_b resume 0;
   Node.deliver (Topology.node t st.Topology.st_switch) ~in_port:!egress resume;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "drained after resume" 0 (Switch.egress_bytes sw ~egress:!egress)

@@ -252,7 +252,7 @@ let test_nic_transmits () =
   Nic.submit nic ~queue:q (data_pkt 1);
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "delivered" 1 (List.length !received);
-  check Alcotest.int "stamps upstream_q" q (List.hd !received).Packet.upstream_q
+  check Alcotest.int "stamps upstream_q" q (Packet.upstream_q (List.hd !received))
 
 let test_nic_alloc_distinct () =
   let _, nic, _ = mk_nic () in
@@ -268,14 +268,14 @@ let test_nic_pause_holds_queue () =
   let q = Nic.alloc_queue nic in
   (* pause queue q via a Pause ctrl packet *)
   let pause = Packet.make Packet.Pause ~dst:(-1) ~size:64 () in
-  pause.Packet.ctrl_a <- q;
+  Packet.set_ctrl_a pause q;
   Nic.on_ctrl nic pause;
   Nic.submit nic ~queue:q (data_pkt 1);
   ignore (Sim.run sim ~until:(Time.us 100.0));
   check Alcotest.int "held" 0 (List.length !received);
   Alcotest.(check bool) "queue marked paused" true (Nic.queue_paused nic ~queue:q);
   let resume = Packet.make Packet.Resume ~dst:(-1) ~size:64 () in
-  resume.Packet.ctrl_a <- q;
+  Packet.set_ctrl_a resume q;
   Nic.on_ctrl nic resume;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "released" 1 (List.length !received)
@@ -284,7 +284,7 @@ let test_nic_ignores_pause_when_configured () =
   let sim, nic, received = mk_nic ~respect_pause:false () in
   let q = Nic.alloc_queue nic in
   let pause = Packet.make Packet.Pause ~dst:(-1) ~size:64 () in
-  pause.Packet.ctrl_a <- q;
+  Packet.set_ctrl_a pause q;
   Nic.on_ctrl nic pause;
   Nic.submit nic ~queue:q (data_pkt 1);
   ignore (Sim.run_until_idle sim);
@@ -294,14 +294,14 @@ let test_nic_pfc_pauses_everything () =
   let sim, nic, received = mk_nic () in
   let q = Nic.alloc_queue nic in
   let pfc = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
-  pfc.Packet.ctrl_b <- 1;
+  Packet.set_ctrl_b pfc 1;
   Nic.on_ctrl nic pfc;
   Nic.submit nic ~queue:q (data_pkt 1);
   Nic.submit_ctrl nic (Packet.make Packet.Ack ~dst:1 ~size:64 ());
   ignore (Sim.run sim ~until:(Time.us 100.0));
   check Alcotest.int "everything held" 0 (List.length !received);
   let resume = Packet.make Packet.Pfc ~dst:(-1) ~size:64 () in
-  resume.Packet.ctrl_b <- 0;
+  Packet.set_ctrl_b resume 0;
   Nic.on_ctrl nic resume;
   ignore (Sim.run_until_idle sim);
   check Alcotest.int "both flushed" 2 (List.length !received)
@@ -316,9 +316,9 @@ let test_nic_ctrl_queue_priority_under_strict () =
   ignore (Sim.run_until_idle sim);
   match List.rev !received with
   | [ first; second; third ] ->
-    Alcotest.(check bool) "data was serializing first" true (first.Packet.kind = Packet.Data);
-    Alcotest.(check bool) "ack preempts second slot" true (second.Packet.kind = Packet.Ack);
-    Alcotest.(check bool) "then data" true (third.Packet.kind = Packet.Data)
+    Alcotest.(check bool) "data was serializing first" true (Packet.kind first = Packet.Data);
+    Alcotest.(check bool) "ack preempts second slot" true (Packet.kind second = Packet.Ack);
+    Alcotest.(check bool) "then data" true (Packet.kind third = Packet.Data)
   | _ -> Alcotest.fail "expected 3 deliveries"
 
 (* --------------------------- Host end-to-end ----------------------- *)
@@ -331,7 +331,7 @@ let test_host_flow_completes () =
   let t = st.Topology.s in
   let cfg = { Bfc_switch.Switch.default_config with Bfc_switch.Switch.queues_per_port = 8 } in
   let route sw ~in_port:_ pkt =
-    (Topology.candidates t ~node:(Bfc_switch.Switch.node_id sw) ~dst:pkt.Packet.dst).(0)
+    (Topology.candidates t ~node:(Bfc_switch.Switch.node_id sw) ~dst:(Packet.dst pkt)).(0)
   in
   let sw =
     Bfc_switch.Switch.create ~sim
