@@ -5,12 +5,17 @@ Run from anywhere, with perfbench/run.py's arguments:
 
     python3 bench/history.py --workload bfc_quick --seed 1 --seconds 36 --trace 0
 
-Every argument goes to perfbench/run.py unchanged, and its output is
-echoed line by line. When it finishes, one JSON row is appended to
-BENCH_history.jsonl at the repository root:
+Every argument but --session goes to perfbench/run.py unchanged, and its
+output is echoed line by line. When it finishes, one JSON row is appended
+to BENCH_history.jsonl at the repository root:
 
     {"commit", "workload", "seed", "trace", "correct", "lib_lines",
      "metrics": {name: value}}
+
+With `--session NAME` the row also has "session": NAME. Rows that share a
+session were measured in one sitting on one machine, so they can
+be compared with each other: a change's rows with its parent's, run in
+turn from two checkouts under the same name.
 
 "commit" is HEAD, with "-dirty" appended when tracked files other than
 BENCH_history.jsonl differ from it, so rows appended one after another
@@ -42,9 +47,24 @@ def lib_lines():
     return sum(int(line.rsplit(":", 1)[1]) for line in counts.splitlines())
 
 
+def split_session(args):
+    """(session, the other arguments): `--session NAME` or `--session=NAME`
+    taken out of args, session None when absent."""
+    session, rest, i = None, [], 0
+    while i < len(args):
+        if args[i] == "--session" and i + 1 < len(args):
+            session, i = args[i + 1], i + 2
+        elif args[i].startswith("--session="):
+            session, i = args[i].split("=", 1)[1], i + 1
+        else:
+            rest, i = rest + [args[i]], i + 1
+    return session, rest
+
+
 def main():
+    session, args = split_session(sys.argv[1:])
     proc = subprocess.Popen([sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
-                            + sys.argv[1:],
+                            + args,
                             cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = []
     for line in proc.stdout:
@@ -72,6 +92,8 @@ def main():
         "lib_lines": lib_lines(),
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+    if session is not None:
+        row["session"] = session
     with open(HISTORY, "a") as f:
         f.write(json.dumps(row) + "\n")
     print("history: appended a %s row to %s" % (workload, HISTORY), file=sys.stderr)

@@ -68,12 +68,11 @@ let regate t ~egress ~queue =
 let classify t _sw ~in_port:_ ~egress pkt =
   match Packet.kind pkt with
   | Packet.Data ->
-    let flow = Packet.flow_exn pkt ~at:(now t) in
     let ft = t.ft in
     let now = now t in
-    let e = Flow_table.slot ft ~egress ~fid_hash:(Flow.hash flow) ~now in
-    if Flow_table.vacant ft e ~now then
-      Flow_table.set_q ft e (Dqa.assign t.dqa ~egress ~fid_hash:(Flow.hash flow));
+    let fid_hash = Flow.hash (Packet.fid pkt) in
+    let e = Flow_table.slot ft ~egress ~fid_hash ~now in
+    if Flow_table.vacant ft e ~now then Flow_table.set_q ft e (Dqa.assign t.dqa ~egress ~fid_hash);
     Flow_table.set_size ft e (Flow_table.size ft e + 1);
     Flow_table.set_last ft e now;
     Flow_table.q ft e
@@ -91,7 +90,7 @@ let grant_back t ~in_port ~upstream_q ~bytes =
   if in_port >= 0 && upstream_q >= 0 then begin
     (* hosts also run credit-gated NICs, so grant regardless *)
     let pkt =
-      Packet.Pool.acquire (Switch.pool t.sw) Packet.Hop_credit ~flow:None ~dst:(-1)
+      Packet.Pool.acquire (Switch.pool t.sw) Packet.Hop_credit ~flow:Packet.no_flow ~dst:(-1)
         ~size:Packet.ctrl_bytes ~seq:0
     in
     Packet.set_ctrl_a pkt upstream_q;
@@ -113,9 +112,8 @@ let on_dequeue t _sw ~egress ~queue pkt =
       if blocked then Switch.set_queue_paused t.sw ~egress ~queue true
     end;
     (* bookkeeping identical to BFC *)
-    let flow = Packet.flow_exn pkt ~at:(now t) in
     let now = now t in
-    let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now in
+    let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash (Packet.fid pkt)) ~now in
     Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
     Flow_table.set_last t.ft e now;
     if queue < data_queues t then begin

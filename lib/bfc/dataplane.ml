@@ -74,8 +74,6 @@ let allow_backpressure t f = t.allow_bp := f
 
 let now t = Sim.now (Switch.sim t.sw)
 
-let cls_of_flow t flow = Int.min (t.classes - 1) (Int.max 0 flow.Flow.prio_class)
-
 let cls_of_pkt t pkt = Int.min (t.classes - 1) (Int.max 0 (Packet.prio pkt))
 
 (* Reserved control queue of a class (ACKs and friends). *)
@@ -96,9 +94,8 @@ let cls_of_queue t ~queue = queue / t.qpc
 let classify t _sw ~in_port:_ ~egress pkt =
   match Packet.kind pkt with
   | Packet.Data -> (
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let cls = cls_of_flow t flow in
-    if t.cfg.incast_label && flow.Flow.is_incast then begin
+    let cls = cls_of_pkt t pkt in
+    if t.cfg.incast_label && Packet.incast pkt then begin
       Packet.set_bp_sampled pkt true;
       cls * t.qpc (* dedicated incast queue: local 0 of the class *)
     end
@@ -107,7 +104,7 @@ let classify t _sw ~in_port:_ ~egress pkt =
       Packet.set_bp_sampled pkt sampled;
       let ft = t.ft in
       let now = now t in
-      let fid_hash = Flow.hash flow in
+      let fid_hash = Flow.hash (Packet.fid pkt) in
       let e = Flow_table.slot ft ~egress ~fid_hash ~now in
       let vacant = Flow_table.vacant ft e ~now in
       if vacant then begin
@@ -134,7 +131,7 @@ let classify t _sw ~in_port:_ ~egress pkt =
     ctrl_queue t ~cls:0
 
 let make_ctrl t kind =
-  Packet.Pool.acquire (Switch.pool t.sw) kind ~flow:None ~dst:(-1)
+  Packet.Pool.acquire (Switch.pool t.sw) kind ~flow:Packet.no_flow ~dst:(-1)
     ~size:Packet.ctrl_bytes ~seq:0
 
 let send_pause t ~egress ~upstream_q kind =
@@ -187,11 +184,10 @@ let on_dequeue t _sw ~egress ~queue pkt =
       | Pause_counter.Went_up | Pause_counter.No_change -> ());
       Packet.set_bp_counted pkt false
     end;
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
+    let incast_bypass = t.cfg.incast_label && Packet.incast pkt in
     if Packet.bp_sampled pkt && not incast_bypass then begin
       let now = now t in
-      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now in
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash (Packet.fid pkt)) ~now in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1));
       Flow_table.set_last t.ft e now
     end;
@@ -211,10 +207,9 @@ let on_dequeue t _sw ~egress ~queue pkt =
 let on_drop t _sw ~in_port:_ ~egress ~queue:_ pkt =
   (* Undo the enqueue-side flow table increment. *)
   if Packet.kind pkt = Packet.Data then begin
-    let flow = Packet.flow_exn pkt ~at:(now t) in
-    let incast_bypass = t.cfg.incast_label && flow.Flow.is_incast in
+    let incast_bypass = t.cfg.incast_label && Packet.incast pkt in
     if Packet.bp_sampled pkt && not incast_bypass then begin
-      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash flow) ~now:(now t) in
+      let e = Flow_table.slot t.ft ~egress ~fid_hash:(Flow.hash (Packet.fid pkt)) ~now:(now t) in
       Flow_table.set_size t.ft e (Int.max 0 (Flow_table.size t.ft e - 1))
     end
   end

@@ -113,15 +113,15 @@ val cls_xpass_resume : int
     index, [a1] = egress. *)
 
 val cls_flow_start : int
-(** Flow arrival — either [a0] = the flow's slot in the runner's
-    pending-start table and [a1] = -1, or [a0] = the flow id and [a1] =
-    packed (source, destination) node ids of a single-MTU flow whose
-    record is built when the event fires. *)
+(** Flow arrival — either [a0] = the flow's slot in the sim's flow table
+    and [a1] = -1, or [a0] = the flow id and [a1] = packed (source,
+    destination) node ids of a single-MTU flow whose record the flow table
+    hands out when the event fires. *)
 
 val cls_flow_reclaim : int
 (** Streaming reclaim of a finished flow's transport state — [a0] =
-    source host registry index, [a1] = packed (flow id, destination host
-    registry index). *)
+    packed (source, destination) host registry indices, [a1] = the flow
+    word (slot, id) its packets carry. *)
 
 val n_classes : int
 (** Exclusive upper bound on class ids (16). Ids in

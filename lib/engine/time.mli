@@ -16,6 +16,3 @@ val to_us : t -> float
 (** [tx_time ~bits_per_ns ~bytes] is the serialization time of [bytes] on a
     link of the given rate, rounded up to at least 1 ns. *)
 val tx_time : gbps:float -> bytes:int -> t
-
-(** Pretty-printer: "12.345us", "3.2ms"... *)
-val pp : Format.formatter -> t -> unit

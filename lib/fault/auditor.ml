@@ -5,7 +5,6 @@ module Topology = Bfc_net.Topology
 module Node = Bfc_net.Node
 module Port = Bfc_net.Port
 module Packet = Bfc_net.Packet
-module Flow = Bfc_net.Flow
 module Fifo = Bfc_switch.Fifo
 module Switch = Bfc_switch.Switch
 module Dataplane = Bfc_core.Dataplane
@@ -122,9 +121,7 @@ let check_switch t st =
     let counted pkt =
       Packet.kind pkt = Packet.Data
       && Packet.bp_sampled pkt
-      && not
-           (incast_label
-           && match Packet.flow pkt with Some f -> f.Flow.is_incast | None -> false)
+      && not (incast_label && Packet.incast pkt)
     in
     for e = 0 to Switch.n_ports sw - 1 do
       let sampled = ref 0 in

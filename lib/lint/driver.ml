@@ -98,6 +98,7 @@ type report = {
   files : int;
   findings : (Diagnostic.t * bool) list;  (* diagnostic, suppressed *)
   failures : (string * string) list;  (* path, reason *)
+  dc001_error : string option;  (* why DC001 did not run *)
 }
 
 let violations r = List.filter_map (fun (d, sup) -> if sup then None else Some d) r.findings
@@ -122,10 +123,10 @@ let build_root () = if Sys.file_exists "_build/default" then "_build/default" el
 
 let lint_paths ?build paths =
   let files = List.rev (List.fold_left (fun acc p -> walk p acc) [] paths) in
-  let dead =
+  let dead, dc001_error =
     match build with
-    | None -> ([], [])
-    | Some root -> ( match Dead.run root with Ok ds -> (ds, []) | Error e -> ([], [ (root, e) ]))
+    | None -> ([], None)
+    | Some root -> ( match Dead.run root with Ok ds -> (ds, None) | Error e -> ([], Some e))
   in
   let findings, failures =
     List.fold_left
@@ -136,15 +137,19 @@ let lint_paths ?build paths =
           match lint_source ~path source with
           | Ok ds -> (fs @ ds, errs)
           | Error e -> (fs, (path, e) :: errs)))
-      dead files
+      (dead, []) files
   in
   {
     files = List.length files;
     findings = List.sort (fun (a, _) (b, _) -> Diagnostic.compare a b) findings;
     failures = List.rev failures;
+    dc001_error;
   }
 
-let exit_code r = if r.failures <> [] then 2 else if violations r <> [] then 1 else 0
+let exit_code r =
+  if r.failures <> [] || r.dc001_error <> None then 2 else if violations r <> [] then 1 else 0
+
+let dc001_line e = "DC001 did not run: " ^ e
 
 let render_human ?(show_suppressed = false) r =
   let buf = Buffer.create 1024 in
@@ -162,6 +167,7 @@ let render_human ?(show_suppressed = false) r =
   List.iter
     (fun (path, reason) -> Buffer.add_string buf (Printf.sprintf "%s: cannot lint: %s\n" path reason))
     r.failures;
+  Option.iter (fun e -> Buffer.add_string buf (dc001_line e ^ "\n")) r.dc001_error;
   Buffer.add_string buf
     (Printf.sprintf "bfc-lint: %d file%s checked, %d violation%s, %d suppressed%s\n" r.files
        (if r.files = 1 then "" else "s")
@@ -175,7 +181,8 @@ let render_human ?(show_suppressed = false) r =
 let render_json r =
   let arr to_j xs = "[" ^ String.concat "," (List.map to_j xs) ^ "]" in
   Printf.sprintf
-    "{\"files\":%d,\"violations\":%s,\"suppressed\":%s,\"failures\":%s}\n" r.files
+    "{\"files\":%d,\"violations\":%s,\"suppressed\":%s,\"failures\":%s,\"dc001_error\":%s}\n"
+    r.files
     (arr Diagnostic.to_json (violations r))
     (arr Diagnostic.to_json (suppressed r))
     (arr
@@ -183,6 +190,9 @@ let render_json r =
          Printf.sprintf "{\"file\":\"%s\",\"error\":\"%s\"}" (Diagnostic.json_escape p)
            (Diagnostic.json_escape e))
        r.failures)
+    (match r.dc001_error with
+    | None -> "null"
+    | Some e -> "\"" ^ Diagnostic.json_escape (dc001_line e) ^ "\"")
 
 let render_rules () =
   let buf = Buffer.create 1024 in

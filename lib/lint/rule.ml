@@ -125,8 +125,8 @@ let rob_catchall =
     family = Robustness;
     severity = Error;
     doc =
-      "catch-all `try ... with _ ->` swallows structured errors (Sim.Runaway, Port.Busy, \
-       Packet.Missing_flow); match the specific exceptions";
+      "catch-all `try ... with _ ->` swallows structured errors (Sim.Runaway, Port.Busy); match \
+       the specific exceptions";
   }
 
 let rob_assert_false =
@@ -136,8 +136,8 @@ let rob_assert_false =
     family = Robustness;
     severity = Error;
     doc =
-      "bare `assert false` on a packet path: raise a structured exception carrying packet id and \
-       sim time (e.g. Packet.Missing_flow) so failures are diagnosable";
+      "bare `assert false` on a packet path: raise a structured exception carrying the packet or \
+       device and the sim time (e.g. Port.Busy) so failures are diagnosable";
   }
 
 let rob_hook_write =

@@ -20,16 +20,18 @@ type int_hop = {
   mutable h_link : int;
 }
 
-(* A packet is ten words: three of them pack the small fields, the other
-   seven are plain. With its header that is 11 words, which OCaml 5's
-   shared heap serves from its 12-word size class. Every field is read and
-   written through the accessors below; a setter raises [Invalid_argument]
-   for a value outside its field's bit width.
+(* A packet is ten words: four of them pack the small fields, the other
+   six are plain. With its header that is 11 words, which OCaml 5's
+   shared heap serves from its 12-word size class. No field is a pointer,
+   so storing into a packet takes no write barrier. Every field is read
+   and written through the accessors below; a setter raises
+   [Invalid_argument] for a value outside its field's bit width.
 
    [hdr]:  bits 0-3 kind, 4-7 flags, 8-20 prio, 21-34 upstream_q,
            35-48 bp_in_port, 49-62 bp_upq
    [dims]: bits 0-15 size, 16-31 payload, 32-62 dst
    [slot]: bits 0-30 idx, 31-61 next_free
+   [fref]: bits 0-31 flow id, 32-61 flow slot, 62 incast
 
    A field stores its value plus a bias, so that its sentinel ([-1], or
    [-2] for [next_free]) is the field's zero. *)
@@ -37,7 +39,7 @@ type t = {
   mutable hdr : int;
   mutable dims : int;
   mutable slot : int;
-  mutable flow : Flow.t option;
+  mutable fref : int;
   mutable seq : int;
   mutable remaining : int;
   mutable sent_at : Bfc_engine.Time.t;
@@ -136,7 +138,30 @@ let[@inline] next_free p = get p.slot ~shift:31 ~width:31 ~bias:2
 
 let[@inline] set_next_free p v = p.slot <- put "next_free" p.slot ~shift:31 ~width:31 ~bias:2 v
 
-let[@inline] flow p = p.flow
+(* ----------------------------- Flow word ------------------------------ *)
+
+let no_flow = 0
+
+let incast_bit = 1 lsl 62
+
+let ref_of (f : Flow.t) =
+  let w = put "fid" 0 ~shift:0 ~width:32 ~bias:1 f.id in
+  let w = put "flow_slot" w ~shift:32 ~width:30 ~bias:1 f.slot in
+  if f.is_incast then w lor incast_bit else w
+
+let[@inline] ref_id w = get w ~shift:0 ~width:32 ~bias:1
+
+let[@inline] ref_slot w = get w ~shift:32 ~width:30 ~bias:1
+
+let[@inline] flow p = p.fref
+
+let[@inline] set_flow p w = p.fref <- w
+
+let[@inline] fid p = ref_id p.fref
+
+let[@inline] flow_slot p = ref_slot p.fref
+
+let[@inline] incast p = p.fref land incast_bit <> 0
 
 let[@inline] seq p = p.seq
 
@@ -194,12 +219,12 @@ let default_hdr = flag_bp_sampled lor (1 lsl 8) lor (1 lsl 21)
 
 let default_dims = pack_dims ~dst:(-1) ~size:0 ~payload:0
 
-let build kind flow ~dst ~size ~payload ~seq ~prio =
+let build kind fref ~dst ~size ~payload ~seq ~prio =
   {
     hdr = put_prio (default_hdr lor kind_code kind) prio;
     dims = pack_dims ~dst ~size ~payload;
     slot = 0;
-    flow;
+    fref;
     seq;
     remaining = 0;
     sent_at = 0;
@@ -209,31 +234,15 @@ let build kind flow ~dst ~size ~payload ~seq ~prio =
   }
 
 let make kind ?flow ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
-  build kind flow ~dst ~size ~payload ~seq ~prio
+  let fref = match flow with Some f -> ref_of f | None -> no_flow in
+  build kind fref ~dst ~size ~payload ~seq ~prio
 
-let placeholder = build Data None ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
+let placeholder = build Data no_flow ~dst:(-1) ~size:0 ~payload:0 ~seq:0 ~prio:0
 
 let data ~flow ~seq ~payload ?(extra_header = 0) () =
   make Data ~flow ~dst:flow.Flow.dst
     ~size:(payload + header_bytes + extra_header)
     ~payload ~seq ~prio:flow.prio_class ()
-
-(* ------------------------------ Exceptions ----------------------------- *)
-
-exception Missing_flow of { idx : int; at : Bfc_engine.Time.t }
-
-let () =
-  Printexc.register_printer (function
-    | Missing_flow { idx; at } ->
-      Some
-        (Format.asprintf "Packet.Missing_flow(idx=%d, t=%a): data-path packet without a flow" idx
-           Bfc_engine.Time.pp at)
-    | _ -> None)
-
-let flow_exn t ~at =
-  match t.flow with Some f -> f | None -> raise (Missing_flow { idx = idx t; at })
-
-let flow_id t = match t.flow with Some f -> f.Flow.id | None -> -1
 
 (* -------------------------------- Pool --------------------------------- *)
 
@@ -399,7 +408,7 @@ module Pool = struct
   let reset t (p : packet) =
     p.hdr <- default_hdr;
     p.dims <- default_dims;
-    p.flow <- None;
+    p.fref <- no_flow;
     p.seq <- 0;
     p.remaining <- 0;
     p.sent_at <- 0;
@@ -432,20 +441,15 @@ module Pool = struct
       set_next_free p in_use;
       t.recycled <- t.recycled + 1;
       set_kind p kind;
-      p.flow <- flow;
+      p.fref <- flow;
       p.dims <- pack_dims ~dst ~size ~payload:0;
       p.seq <- seq;
       p
     end
 
-  let data t ~flow ~seq ~payload ~extra_header =
-    let f = match flow with Some f -> f | None -> invalid_arg "Packet.Pool.data: no flow" in
-    let p =
-      acquire t Data ~flow ~dst:f.Flow.dst
-        ~size:(payload + header_bytes + extra_header)
-        ~seq
-    in
+  let data t ~flow ~dst ~prio ~seq ~payload ~extra_header =
+    let p = acquire t Data ~flow ~dst ~size:(payload + header_bytes + extra_header) ~seq in
     set_payload p payload;
-    set_prio p f.Flow.prio_class;
+    set_prio p prio;
     p
 end

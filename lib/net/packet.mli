@@ -33,9 +33,9 @@ type int_hop = {
   mutable h_link : int; (** global port id, for per-link delay accounting *)
 }
 
-(** A packet. Its small fields share three packed words, so a packet
-    takes OCaml's 12-word heap slot; read and write every field with the
-    accessors below. A setter raises [Invalid_argument] for a value its
+(** A packet. Its small fields share four packed words, so a packet
+    takes OCaml's 12-word heap slot and holds no pointer; read and write
+    every field with the accessors below. A setter raises [Invalid_argument] for a value its
     field cannot hold; each range has headroom over the port, queue and
     node-id limits that [Switch.create],
     [Nic.create] and [Runner.inject_mtu] enforce. *)
@@ -46,7 +46,44 @@ val kind : t -> kind
 (* observation: tests check the packed layout; bfc-lint: allow DC001 *)
 val set_kind : t -> kind -> unit
 
-val flow : t -> Flow.t option
+(** {2 The packet's flow}
+
+    A packet names its flow the way a switch sees it, by header fields
+    only: the flow's id, its slot in the sim's flow table
+    ({!Flow.Table}) and its incast label, packed into one int, the flow
+    word ({!ref_of}). The word is [no_flow] (id and slot [-1]) for a
+    packet of no flow. An end host reads the record as [Flow.Table.get table slot],
+    after checking with [Flow.Table.holds] that the slot still holds
+    flow [id]. *)
+
+(** The flow word of no flow: {!fid} and {!flow_slot} read [-1]. *)
+val no_flow : int
+
+(** The flow word of a record, from its [slot], [id] and [is_incast]. An
+    [id] outside [-1 .. 2^32 - 2] or a [slot] outside [-1 .. 2^30 - 2]
+    raises [Invalid_argument]. *)
+val ref_of : Flow.t -> int
+
+(** A flow word's id. *)
+val ref_id : int -> int
+
+(** A flow word's slot. *)
+val ref_slot : int -> int
+
+(** The packet's flow word. *)
+val flow : t -> int
+
+(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
+val set_flow : t -> int -> unit
+
+(** The flow's id, [-1] for no flow. *)
+val fid : t -> int
+
+(** The flow's slot in the sim's flow table, [-1] when it has none. *)
+val flow_slot : t -> int
+
+(** The flow's incast label (§6.3). *)
+val incast : t -> bool
 
 (** Destination node: [-1 .. 2^31 - 2]. *)
 val dst : t -> int
@@ -183,18 +220,6 @@ val data :
     mutated. *)
 val placeholder : t
 
-(** Raised by [flow_exn] when a packet that must belong to a flow (a
-    data-path packet inside a dataplane hook or a host receive path) carries
-    none — a malformed injection or a corrupted header. Carries the packet's
-    {!idx} and the sim time at which the packet was seen. *)
-exception Missing_flow of { idx : int; at : Bfc_engine.Time.t }
-
-(** The packet's flow, or raises {!Missing_flow} stamped with [at]. *)
-val flow_exn : t -> at:Bfc_engine.Time.t -> Flow.t
-
-(** Flow id or -1. *)
-val flow_id : t -> int
-
 (** The per-simulation packet table and its free list. Every packet a
     simulation queues or has in flight has an index in its table
     ({!index}), stable for the packet's life, so queues, rings and events
@@ -230,15 +255,21 @@ module Pool : sig
   (** [acquire pool kind ~flow ~dst ~size ~seq] — a recycled (or, when
       the free list is empty, fresh) packet with [make]'s defaults in every
       other field. It takes no optional argument, since a call site boxes
-      every optional argument it passes. [~flow] is stored as given, so a
-      sender passes an option it built once per flow. *)
-  val acquire :
-    t -> kind -> flow:Flow.t option -> dst:int -> size:int -> seq:int -> packet
+      every optional argument it passes. [~flow] is a flow word
+      ({!flow_ref}), stored as given. *)
+  val acquire : t -> kind -> flow:int -> dst:int -> size:int -> seq:int -> packet
 
-  (** Mirrors {!val:Packet.data} but draws from the pool; [~flow] must be
-      [Some] (raises [Invalid_argument] otherwise). *)
+  (** Mirrors {!val:Packet.data} but draws from the pool: a data packet of
+      flow word [~flow], to [~dst] at priority [~prio]. *)
   val data :
-    t -> flow:Flow.t option -> seq:int -> payload:int -> extra_header:int -> packet
+    t ->
+    flow:int ->
+    dst:int ->
+    prio:int ->
+    seq:int ->
+    payload:int ->
+    extra_header:int ->
+    packet
 
   (** [release pool p] parks [p] for reuse; its index stays [p]'s. [p]
       is indexed first if it has no index yet. *)

@@ -12,9 +12,9 @@
    event — data and control deliveries alike, in whatever order their
    times interleave. Every port of a sim registers in one per-sim
    registry ([Sim.user] state), which also holds the sim's packet table
-   ([pool]); the shared executors reach the port and the packet by
-   index — no per-event closure, and no pointer store, anywhere on the
-   wire path.
+   ([pool]) and flow table ([flows]); the shared executors reach the port
+   and the packet by index — no per-event closure, and no pointer store,
+   anywhere on the wire path.
 
    A packet lost on the wire (a fault drop) ends its life there: the
    port returns it to the table. *)
@@ -42,7 +42,12 @@ type t = {
 
 (* ------------------------ per-sim registry ------------------------- *)
 
-type reg = { mutable parr : t array; mutable pn : int; packets : Packet.Pool.t }
+type reg = {
+  mutable parr : t array;
+  mutable pn : int;
+  packets : Packet.Pool.t;
+  flows : Flow.Table.t;
+}
 
 type Bfc_engine.Sim.user += Port_reg of reg
 
@@ -65,7 +70,9 @@ let registry sim =
   match Bfc_engine.Sim.class_state sim ~cls:Bfc_engine.Sim.cls_delivery with
   | Some (Port_reg r) -> r
   | _ ->
-    let r = { parr = [||]; pn = 0; packets = Packet.Pool.create () } in
+    let r =
+      { parr = [||]; pn = 0; packets = Packet.Pool.create (); flows = Flow.Table.create () }
+    in
     let state = Port_reg r in
     Bfc_engine.Sim.register_class sim ~cls:Bfc_engine.Sim.cls_delivery ~state
       ~exec:deliver_exec;
@@ -73,6 +80,8 @@ let registry sim =
     r
 
 let pool sim = (registry sim).packets
+
+let flows sim = (registry sim).flows
 
 let create ~sim ~gid ~gbps ~prop ~peer ~peer_port =
   let r = registry sim in

@@ -25,6 +25,10 @@ type t
     switch and host on it (created on first use). *)
 val pool : Bfc_engine.Sim.t -> Packet.Pool.t
 
+(** The simulation's flow table, beside its packet table: one per sim,
+    created on first use. *)
+val flows : Bfc_engine.Sim.t -> Flow.Table.t
+
 val create :
   sim:Bfc_engine.Sim.t ->
   gid:int ->

@@ -164,12 +164,12 @@ let mix a b =
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.logand z 0x3FFFFFFFL)
 
-let ecmp_port t ~node ~flow ~dst =
+let ecmp_port t ~node ~fid ~dst =
   let cands = candidates t ~node ~dst in
   match Array.length cands with
   | 0 -> invalid_arg "Topology.ecmp_port: no route"
   | 1 -> cands.(0)
-  | n -> cands.(mix flow.Flow.id node mod n)
+  | n -> cands.(mix fid node mod n)
 
 let spray_port t ~node ~rng ~dst =
   let cands = candidates t ~node ~dst in

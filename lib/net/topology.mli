@@ -54,7 +54,7 @@ val port_by_gid : t -> int -> Port.t
 val candidates : t -> node:int -> dst:int -> int array
 
 (** Consistent ECMP choice: hash of (flow id, node). *)
-val ecmp_port : t -> node:int -> flow:Flow.t -> dst:int -> int
+val ecmp_port : t -> node:int -> fid:int -> dst:int -> int
 
 (** Per-packet choice for spraying: uniform [rng] among the candidates. *)
 val spray_port : t -> node:int -> rng:Bfc_util.Rng.t -> dst:int -> int

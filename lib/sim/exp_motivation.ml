@@ -362,7 +362,7 @@ let table1 profile =
            at the bottleneck *)
         let delays =
           Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress:e pkt ->
-              sw = st.Topology.st_switch && e = egress && Bfc_net.Packet.flow_id pkt = lf.Flow.id)
+              sw = st.Topology.st_switch && e = egress && Bfc_net.Packet.fid pkt = lf.Flow.id)
         in
         Runner.inject env (Traffic.merge [ long; cross ]);
         Runner.run env ~until:duration;

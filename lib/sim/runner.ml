@@ -111,9 +111,9 @@ let compute_base_rtt topo =
 
 let ecmp_route topo sw ~in_port:_ pkt =
   let node = Switch.node_id sw in
-  match Packet.flow pkt with
-  | Some f -> Topology.ecmp_port topo ~node ~flow:f ~dst:(Packet.dst pkt)
-  | None -> (Topology.candidates topo ~node ~dst:(Packet.dst pkt)).(0)
+  let fid = Packet.fid pkt in
+  if fid <> -1 then Topology.ecmp_port topo ~node ~fid ~dst:(Packet.dst pkt)
+  else (Topology.candidates topo ~node ~dst:(Packet.dst pkt)).(0)
 
 let spray_route topo rngs sw ~in_port pkt =
   let node = Switch.node_id sw in
@@ -312,14 +312,16 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
     { base with scheme = Host.Homa prms; nic_policy = Sched.Prio_strict }
 
 (* Flow arrivals are typed [cls_flow_start] events. A trace arrival's
-   [a0] is its caller-owned record's slot in a per-sim pending-start
-   table and its [a1] is -1. A stream arrival carries ints only: [a0] is
-   the flow id and [a1] packs (src, dst); its single-MTU record is built
-   when the event fires, with the event's time as its arrival. The hosts
-   and MTU are the latest environment's, which own the nodes' handlers. *)
+   [a0] is its caller-owned record's slot in the sim's flow table, which
+   holds it for the run, and its [a1] is -1. A stream arrival carries
+   ints only: [a0] is the flow id and [a1] packs (src, dst); the flow
+   table hands out its single-MTU record when the event fires, with the
+   event's time as its arrival, and takes it back at the flow's reclaim.
+   The hosts and MTU are the latest environment's, which own the nodes'
+   handlers. *)
 type starts = {
   ssim : Sim.t;
-  pending : Flow.t Bfc_util.Slot_table.t;
+  flows : Flow.Table.t;
   mutable live_hosts : Host.t option array;
   mutable mtu : int;
 }
@@ -334,14 +336,10 @@ let start_exec st a0 a1 =
   match st with
   | Starts s -> (
     let f =
-      if a1 < 0 then begin
-        let f = Bfc_util.Slot_table.get s.pending a0 in
-        Bfc_util.Slot_table.release s.pending a0;
-        f
-      end
+      if a1 < 0 then Flow.Table.get s.flows a0
       else
-        Flow.make ~id:a0 ~src:(a1 lsr node_bits) ~dst:(a1 land node_mask) ~size:s.mtu
-          ~arrival:(Sim.now s.ssim) ()
+        Flow.Table.fresh s.flows ~id:a0 ~src:(a1 lsr node_bits) ~dst:(a1 land node_mask)
+          ~size:s.mtu ~arrival:(Sim.now s.ssim)
     in
     match s.live_hosts.(f.Flow.src) with
     | Some h -> Host.start_flow h f
@@ -352,9 +350,7 @@ let starts sim =
   match Sim.class_state sim ~cls:Sim.cls_flow_start with
   | Some (Starts s) -> s
   | _ ->
-    let s =
-      { ssim = sim; pending = Bfc_util.Slot_table.create (); live_hosts = [||]; mtu = 0 }
-    in
+    let s = { ssim = sim; flows = Port.flows sim; live_hosts = [||]; mtu = 0 } in
     Sim.register_class sim ~cls:Sim.cls_flow_start ~state:(Starts s) ~exec:start_exec;
     s
 
@@ -464,17 +460,19 @@ let setup ~topo ~scheme ~params:p =
      reported to its source 1 us later *)
   (match scheme with
   | Scheme.Hpcc_pfc _ ->
+    let flows = Port.flows sim in
     Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Drop (fun ~node:_ _ p ->
         let pkt = Packet.Pool.get pool p in
-        match (Packet.kind pkt, Packet.flow pkt) with
-        | Packet.Data, Some f ->
-          let fid = f.Flow.id and seq = Packet.seq pkt and len = Packet.payload pkt in
+        let slot = Packet.flow_slot pkt and fid = Packet.fid pkt in
+        if Packet.kind pkt = Packet.Data && Flow.Table.holds flows ~slot ~id:fid then begin
+          let src = (Flow.Table.get flows slot).Flow.src in
+          let seq = Packet.seq pkt and len = Packet.payload pkt in
           ignore
             (Sim.after sim (Time.us 1.0) (fun () ->
-                 match hosts.(f.Flow.src) with
+                 match hosts.(src) with
                  | Some h -> Host.on_drop_notice h ~flow_id:fid ~seq ~len
                  | None -> ()))
-        | _ -> ())
+        end)
   | _ -> ());
   let st = starts sim in
   st.live_hosts <- hosts;
@@ -495,7 +493,7 @@ let setup ~topo ~scheme ~params:p =
   let complete f =
     env.completed <- env.completed + 1;
     if p.streaming then
-      Host.reclaim_after (host env f.Flow.src) ~peer:(host env f.Flow.dst) ~flow_id:f.Flow.id
+      Host.reclaim_after (host env f.Flow.src) ~peer:(host env f.Flow.dst) ~flow:f
         ~delay:(4 * base_rtt)
   in
   Array.iter (Option.iter (fun h -> Host.on_complete h complete)) hosts;
@@ -507,8 +505,8 @@ let inject env flows =
   List.iter
     (fun f ->
       env.injected <- env.injected + 1;
-      Sim.post env.sim f.Flow.arrival ~cls:Sim.cls_flow_start
-        ~a0:(Bfc_util.Slot_table.put s.pending f) ~a1:(-1))
+      Sim.post env.sim f.Flow.arrival ~cls:Sim.cls_flow_start ~a0:(Flow.Table.add s.flows f)
+        ~a1:(-1))
     flows
 
 let inject_mtu env ~id ~src ~dst ~at =
@@ -528,6 +526,11 @@ let drain ?(step = Time.us 100.0) env ~budget =
     end
   in
   loop ()
+
+let stale_packets env =
+  Array.fold_left
+    (fun acc h -> match h with Some h -> acc + Host.stale_packets h | None -> acc)
+    0 env.hosts
 
 let total_drops env =
   Array.fold_left (fun acc sw -> acc + Switch.data_drops sw) 0 env.switches

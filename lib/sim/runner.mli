@@ -59,14 +59,18 @@ val host : env -> int -> Bfc_transport.Host.t
 (** Apply [f] to every host of this environment. *)
 val iter_hosts : env -> (Bfc_transport.Host.t -> unit) -> unit
 
-(** Schedule [Host.start_flow] at each flow's arrival time. *)
+(** Schedule [Host.start_flow] at each flow's arrival time. The sim's
+    flow table holds the records for the run and never reuses them,
+    streaming runs included. *)
 val inject : env -> Bfc_net.Flow.t list -> unit
 
 (** [inject_mtu env ~id ~src ~dst ~at] schedules a single-MTU flow from
     host node [src] to host node [dst] arriving at [at]. The pending event
-    holds ints only: the flow's record is built when it arrives, so none
-    exists before then. A caller posting a batch calls [Sim.reserve]
-    first. Raises [Invalid_argument] for a node id outside [0, 2^30). *)
+    holds ints only: the sim's flow table hands out the flow's record when
+    it arrives, so none is in use before then. A streaming run gives the
+    record back at the flow's reclaim, for the next arrival to reuse. A
+    caller posting a batch calls [Sim.reserve] first. Raises
+    [Invalid_argument] for a node id outside [0, 2^30). *)
 val inject_mtu : env -> id:int -> src:int -> dst:int -> at:Bfc_engine.Time.t -> unit
 
 val injected : env -> int
@@ -86,6 +90,9 @@ val run : env -> until:Bfc_engine.Time.t -> unit
 (** Keep running in [step]-sized slices until every injected flow has
     completed or [budget] extra time elapses. *)
 val drain : ?step:Bfc_engine.Time.t -> env -> budget:Bfc_engine.Time.t -> unit
+
+(** Packets the hosts dropped as stale ({!Bfc_transport.Host.stale_packets}). *)
+val stale_packets : env -> int
 
 (** Total Data-packet drops across switches (credit drops excluded). *)
 val total_drops : env -> int

@@ -99,12 +99,12 @@ let wire_trace t env b =
       let ts = Packet.enq_at pkt in
       Trace.complete b ~ts
         ~dur:(Sim.now sim - ts)
-        ~name:id_queued ~pid:node ~tid:(tid ~node key) ~a:(Packet.flow_id pkt) ~b:(Packet.size pkt)
+        ~name:id_queued ~pid:node ~tid:(tid ~node key) ~a:(Packet.fid pkt) ~b:(Packet.size pkt)
         ());
   Tap.on tap Tap.Drop (fun ~node key p ->
       let pkt = Packet.Pool.get pool p in
       Trace.instant b ~ts:(Sim.now sim) ~name:id_drop ~pid:node ~tid:(tid ~node key)
-        ~a:(Packet.flow_id pkt) ~b:(Packet.size pkt) ());
+        ~a:(Packet.fid pkt) ~b:(Packet.size pkt) ());
   (* open pause spans, keyed by (pid, tid); find_opt/replace/remove only *)
   let pause_start = Hashtbl.create 64 in
   Tap.on tap Tap.Queue_pause (fun ~node key paused ->

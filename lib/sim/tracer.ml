@@ -92,7 +92,7 @@ let attach env ~capacity =
       | Packet.Data | Packet.Ack | Packet.Nack | Packet.Credit | Packet.Credit_req | Packet.Grant
       | Packet.Cnp ->
         ());
-  on Tap.Drop (fun _ p -> Dropped { flow = Packet.flow_id (Packet.Pool.get pool p) });
+  on Tap.Drop (fun _ p -> Dropped { flow = Packet.fid (Packet.Pool.get pool p) });
   on Tap.Watchdog (fun key _ -> Watchdog_fire { egress = Tap.egress key; queue = Tap.queue key });
   on Tap.Reboot (fun flushed _ -> Rebooted { flushed });
   on Tap.Link_down (fun gid _ -> Link_down { gid });

@@ -157,7 +157,7 @@ let footprint t fid gid queue ~now =
     f
 
 let on_enq t gid ~queue pkt =
-  let fid = Packet.flow_id pkt in
+  let fid = Packet.fid pkt in
   if fid >= 0 then begin
     let now = Sim.now (Runner.sim t.env) in
     let f = footprint t fid gid queue ~now in
@@ -166,7 +166,7 @@ let on_enq t gid ~queue pkt =
   end
 
 let on_deq t gid ~queue pkt =
-  let fid = Packet.flow_id pkt in
+  let fid = Packet.fid pkt in
   if fid >= 0 then
     match Hashtbl.find_opt t.frecs fid with
     | None -> ()

@@ -16,6 +16,7 @@ type cell = {
   c_completed : int;
   c_drops : int;
   c_watchdog : int;
+  c_stale : int;
   c_report : Detect.report;
   c_t_done : Time.t;
 }
@@ -73,6 +74,7 @@ let clos_cell profile ~scheme ~scenario ~watchdog ~seed =
     c_completed = Runner.completed env;
     c_drops = Runner.total_drops env;
     c_watchdog = Metrics.watchdog_fires env;
+    c_stale = Runner.stale_packets env;
     c_report = rep;
     c_t_done = latest_completion flows;
   }
@@ -151,6 +153,7 @@ let ring_cell profile variant =
     c_completed = Runner.completed env;
     c_drops = Runner.total_drops env;
     c_watchdog = Metrics.watchdog_fires env;
+    c_stale = Runner.stale_packets env;
     c_report = Detect.report det ~flows;
     c_t_done = latest_completion flows;
   }

@@ -29,6 +29,7 @@ type cell = {
   c_completed : int;
   c_drops : int;
   c_watchdog : int;  (** watchdog force-resumes, switches + NICs *)
+  c_stale : int;  (** packets the hosts dropped as stale ({!Bfc_sim.Runner.stale_packets}) *)
   c_report : Detect.report;
   c_t_done : Bfc_engine.Time.t;  (** latest completion time, 0 if none *)
 }

@@ -119,7 +119,7 @@ let pool t = t.pool
 let recycle t pkt = Packet.Pool.release t.pool pkt
 
 let make_pfc t =
-  Packet.Pool.acquire t.pool Packet.Pfc ~flow:None ~dst:(-1)
+  Packet.Pool.acquire t.pool Packet.Pfc ~flow:Packet.no_flow ~dst:(-1)
     ~size:Packet.ctrl_bytes ~seq:0
 
 let n_ports t = Array.length t.egresses
@@ -160,14 +160,12 @@ let send_ctrl t ~egress pkt = Port.send_ctrl t.egresses.(egress).eport pkt
 (* Transmit path                                                       *)
 
 let flow_track_add e pkt =
-  match Packet.flow pkt with
-  | None -> ()
-  | Some f -> Bfc_util.Int_table.Counter.incr e.eflows f.Bfc_net.Flow.id
+  let fid = Packet.fid pkt in
+  if fid <> -1 then Bfc_util.Int_table.Counter.incr e.eflows fid
 
 let flow_track_remove e pkt =
-  match Packet.flow pkt with
-  | None -> ()
-  | Some f -> Bfc_util.Int_table.Counter.decr e.eflows f.Bfc_net.Flow.id
+  let fid = Packet.fid pkt in
+  if fid <> -1 then Bfc_util.Int_table.Counter.decr e.eflows fid
 
 let pfc_check_resume t in_port =
   match t.cfg.pfc with

@@ -64,13 +64,17 @@ type cc =
   | Cc_xpass
   | Cc_homa
 
-(* A flow's record is held only while an end still needs it: [fopt] from
-   [start_flow] to [finish_tx], [rfopt] from the first packet to
-   completion. Late ACKs, grants and credits that arrive before the
-   streaming reclaim read [fsize]; timers and credit pacing run only
-   while the record is held. *)
+(* A sender knows its flow by ints only: the flow word its packets carry,
+   the destination and the class. It never reads the flow's record, which
+   the sim's flow table hands to another flow once this one is reclaimed,
+   while a sender reclaimed before it finished may still be pumping. Late
+   ACKs, grants and credits that arrive before the streaming reclaim read
+   [fsize]; timers and credit pacing run only while the sender is
+   unfinished. *)
 type tx = {
-  mutable fopt : Flow.t option; (* [Some flow], built once for every packet's flow field *)
+  mutable fref : int; (* the flow word ([Packet.ref_of]) *)
+  mutable fdst : int;
+  mutable fprio : int;
   mutable fsize : int;
   mutable snd_nxt : int;
   mutable snd_una : int;
@@ -89,7 +93,8 @@ type tx = {
 
 (* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
 type rx = {
-  mutable rfopt : Flow.t option; (* the sender's [Some flow], from its first packet *)
+  mutable rref : int; (* the flow word of its first packet *)
+  mutable rsrc : int; (* the sender's node *)
   mutable expected : int; (* contiguous prefix received *)
   mutable ranges : (int * int) list; (* beyond the prefix *)
   mutable last_nack : Bfc_engine.Time.t;
@@ -111,6 +116,7 @@ type t = {
   idx : int; (* index into the per-sim host registry, the [a0] of events *)
   cfg : config;
   pool : Packet.Pool.t; (* the sim's packet table *)
+  flows : Flow.Table.t; (* the sim's flow table *)
   nic : Nic.t;
   txs : tx Slot_table.t; (* flow id -> sender state *)
   rxs : rx Slot_table.t;
@@ -120,6 +126,7 @@ type t = {
   rng : Rng.t;
   mutable bytes_sent : int;
   mutable bytes_retransmitted : int;
+  mutable stale : int; (* packets whose flow's slot holds another flow *)
 }
 
 let nic t = t.nic
@@ -134,18 +141,13 @@ let add_on_complete t f = t.complete_cbs <- Array.append t.complete_cbs [| f |]
    record; [start_flow] and [get_rx] reinitialise every field. *)
 let cap_unlimited = Cap max_int
 
-(* The flow of an unfinished sender or an incomplete receiver. *)
-let live_flow = function
-  | Some f -> f
-  | None -> invalid_arg "Host: the flow is already done"
-
 let blank_tx () =
-  { fopt = None; fsize = 0; snd_nxt = 0; snd_una = 0; cc = cap_unlimited; nic_q = -1;
-    rtx = []; rto_t = 0; finished = true; granted = 0; grant_prio = 0; unsched = 0;
+  { fref = Packet.no_flow; fdst = -1; fprio = 0; fsize = 0; snd_nxt = 0; snd_una = 0;
+    cc = cap_unlimited; nic_q = -1; rtx = []; rto_t = 0; finished = true; granted = 0; grant_prio = 0; unsched = 0;
     fin_sent = false; retransmitted = 0; chunk_seq = 0 }
 
 let blank_rx () =
-  { rfopt = None; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
+  { rref = Packet.no_flow; rsrc = -1; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
     complete = false; cr_rate = 0.0; cr_w = 0.0; cr_sent = 0; cr_used = 0; cr_pacer = 0;
     cr_feedback = None; cr_stop = false }
 
@@ -171,6 +173,8 @@ let flow_records t = (Slot_table.blanks t.txs, Slot_table.blanks t.rxs)
 let bytes_sent t = t.bytes_sent
 
 let bytes_retransmitted t = t.bytes_retransmitted
+
+let stale_packets t = t.stale
 
 let watchdog_fires t = Nic.watchdog_fires t.nic
 
@@ -215,7 +219,8 @@ let rate_of tx =
 
 let make_data t tx ~seq ~len =
   let pkt =
-    Packet.Pool.data t.pool ~flow:tx.fopt ~seq ~payload:len ~extra_header:t.cfg.extra_header
+    Packet.Pool.data t.pool ~flow:tx.fref ~dst:tx.fdst ~prio:tx.fprio ~seq ~payload:len
+      ~extra_header:t.cfg.extra_header
   in
   if t.cfg.srf then Packet.set_remaining pkt (Int.max 0 (tx.fsize - tx.snd_una));
   t.bytes_sent <- t.bytes_sent + len;
@@ -349,7 +354,7 @@ let rate_pace t tx =
         else Int.max 1 (int_of_float (float_of_int (mtu_wire t.cfg) /. r))
       in
       Sim.post t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:(((live_flow tx.fopt).Flow.id lsl 2) lor rate_pace_kind)
+        ~a1:((Packet.ref_id tx.fref lsl 2) lor rate_pace_kind)
     end
   end
 
@@ -367,7 +372,7 @@ let arm_rto t tx =
       Sim.post_token t.sim
         (Sim.now t.sim + t.cfg.rto)
         ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:(((live_flow tx.fopt).Flow.id lsl 2) lor rto_kind)
+        ~a1:((Packet.ref_id tx.fref lsl 2) lor rto_kind)
 
 let rto_fire t tx =
   tx.rto_t <- 0;
@@ -397,7 +402,6 @@ let rec remove_owner tx = function
 let finish_tx t tx =
   if not tx.finished then begin
     tx.finished <- true;
-    tx.fopt <- None;
     cancel_rto t tx;
     (* a stopped Dcqcn.t keeps its tickers and their closures reachable
        from [tx] until the slot is reused; nothing reads a finished
@@ -417,7 +421,7 @@ let finish_tx t tx =
 (* ACK / NACK / grant / credit handling (sender side)                   *)
 
 let on_ack t pkt =
-  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.fid pkt) with
   | exception Not_found -> ()
   | tx ->
     if not tx.finished then begin
@@ -448,7 +452,7 @@ let on_ack t pkt =
     end
 
 let on_nack t pkt =
-  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.fid pkt) with
   | exception Not_found -> ()
   | tx ->
     if (not tx.finished) && Packet.seq pkt >= tx.snd_una && Packet.seq pkt < tx.snd_nxt then begin
@@ -459,7 +463,7 @@ let on_nack t pkt =
     end
 
 let on_grant t pkt =
-  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.fid pkt) with
   | exception Not_found -> ()
   | tx ->
     if Packet.ctrl_a pkt > tx.granted then begin
@@ -469,7 +473,7 @@ let on_grant t pkt =
     end
 
 let on_credit t pkt =
-  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.fid pkt) with
   | exception Not_found -> ()
   | tx ->
     if (not tx.finished) && tx.snd_nxt < tx.fsize then begin
@@ -482,7 +486,7 @@ let on_credit t pkt =
     end
 
 let on_cnp t pkt =
-  match Slot_table.find_exn t.txs (Packet.flow_id pkt) with
+  match Slot_table.find_exn t.txs (Packet.fid pkt) with
   | exception Not_found -> ()
   | tx -> ( match tx.cc with Cc_dcqcn d -> Dcqcn.on_cnp d | _ -> ())
 
@@ -534,7 +538,8 @@ let get_rx t pkt flow =
   | rx -> rx
   | exception Not_found ->
     let rx = Slot_table.acquire t.rxs ~id:flow.Flow.id ~blank:blank_rx in
-    rx.rfopt <- Packet.flow pkt;
+    rx.rref <- Packet.flow pkt;
+    rx.rsrc <- flow.Flow.src;
     rx.expected <- 0;
     rx.ranges <- [];
     rx.last_nack <- min_int / 2;
@@ -549,8 +554,8 @@ let get_rx t pkt flow =
     rx.cr_stop <- false;
     rx
 
-(* [flow] is the packet's flow field as stored: pass a per-flow option
-   built once (or a received packet's own field), not a fresh [Some]. *)
+(* [flow] is the packet's flow word: a sender's or receiver's own, or a
+   received packet's. *)
 let ctrl_pkt t kind ~flow ~dst ~size ~seq =
   Packet.Pool.acquire t.pool kind ~flow ~dst ~size ~seq
 
@@ -573,9 +578,8 @@ let xpass_stop_credits t rx =
 
 let xpass_pace t rx =
   if not rx.cr_stop then begin
-    let flow = live_flow rx.rfopt in
     let credit =
-      ctrl_pkt t Packet.Credit ~flow:rx.rfopt ~dst:flow.Flow.src ~size:Packet.ctrl_bytes ~seq:0
+      ctrl_pkt t Packet.Credit ~flow:rx.rref ~dst:rx.rsrc ~size:Packet.ctrl_bytes ~seq:0
     in
     rx.cr_sent <- rx.cr_sent + 1;
     Packet.set_ctrl_a credit rx.cr_sent;
@@ -587,7 +591,7 @@ let xpass_pace t rx =
     let gap = Int.max 1 (int_of_float (base *. jitter)) in
     rx.cr_pacer <-
       Sim.post_token t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((flow.Flow.id lsl 2) lor xpass_pace_kind)
+        ~a1:((Packet.ref_id rx.rref lsl 2) lor xpass_pace_kind)
   end
 
 let xpass_start_credits t rx ~target_loss ~w_init ~w_max =
@@ -617,8 +621,11 @@ let xpass_start_credits t rx ~target_loss ~w_init ~w_max =
     xpass_pace t rx
   end
 
+(* The record of [pkt]'s flow; [receive] has checked that its slot holds it. *)
+let flow_of t pkt = Flow.Table.get t.flows (Packet.flow_slot pkt)
+
 let on_data t pkt =
-  let flow = Packet.flow_exn pkt ~at:(Sim.now t.sim) in
+  let flow = flow_of t pkt in
   let rx = get_rx t pkt flow in
   let was = covered rx in
   if gbn_mode t then begin
@@ -653,7 +660,7 @@ let on_data t pkt =
       List.iter
         (fun g ->
           let gp =
-            ctrl_pkt t Packet.Grant ~flow:(Some g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
+            ctrl_pkt t Packet.Grant ~flow:(Packet.ref_of g.Homa.g_flow) ~dst:g.Homa.g_flow.Flow.src
               ~size:Packet.ctrl_bytes ~seq:0
           in
           Packet.set_ctrl_a gp g.Homa.g_offset;
@@ -690,7 +697,6 @@ let on_data t pkt =
   end;
   if now_cov >= flow.Flow.size && not rx.complete then begin
     rx.complete <- true;
-    rx.rfopt <- None;
     if flow.Flow.finish < 0 then flow.Flow.finish <- Sim.now t.sim;
     (match t.cfg.scheme with Xpass _ -> xpass_stop_credits t rx | _ -> ());
     for i = 0 to Array.length t.complete_cbs - 1 do
@@ -701,8 +707,7 @@ let on_data t pkt =
 let on_credit_req t pkt =
   match t.cfg.scheme with
   | Xpass { target_loss; w_init; w_max } ->
-    let flow = Packet.flow_exn pkt ~at:(Sim.now t.sim) in
-    let rx = get_rx t pkt flow in
+    let rx = get_rx t pkt (flow_of t pkt) in
     xpass_start_credits t rx ~target_loss ~w_init ~w_max
   | _ -> ()
 
@@ -749,8 +754,11 @@ let start_flow t flow =
   let cc = make_cc t flow in
   let needs_queue = match t.cfg.scheme with Homa _ -> false | _ -> true in
   let nic_q = if needs_queue then Nic.alloc_queue t.nic else -1 in
+  ignore (Flow.Table.add t.flows flow : int);
   let tx = Slot_table.acquire t.txs ~id:flow.Flow.id ~blank:blank_tx in
-  tx.fopt <- Some flow;
+  tx.fref <- Packet.ref_of flow;
+  tx.fdst <- flow.Flow.dst;
+  tx.fprio <- flow.Flow.prio_class;
   tx.fsize <- flow.Flow.size;
   tx.snd_nxt <- 0;
   tx.snd_una <- 0;
@@ -769,7 +777,7 @@ let start_flow t flow =
   arm_rto t tx;
   (match t.cfg.scheme with
   | Xpass _ ->
-    send_ctrl_pkt t Packet.Credit_req ~flow:tx.fopt ~dst:flow.Flow.dst ~size:Packet.ctrl_bytes
+    send_ctrl_pkt t Packet.Credit_req ~flow:tx.fref ~dst:tx.fdst ~size:Packet.ctrl_bytes
       ~seq:0
   | Dcqcn _ | Timely -> rate_pace t tx
   | Homa _ -> blast t tx
@@ -788,8 +796,14 @@ let rec refill t = function
 
 let receive t ~in_port pkt =
   (* Every branch consumes the packet synchronously (handlers copy what
-     they keep), so the host is the end of its life: recycle afterwards. *)
+     they keep), so the host is the end of its life: recycle afterwards.
+     A packet of a flow whose slot holds another flow now outlived its
+     flow's reclaim: it is counted and touches no state. *)
   (match Packet.kind pkt with
+  | Packet.Data | Packet.Ack | Packet.Nack | Packet.Grant | Packet.Credit | Packet.Credit_req
+  | Packet.Cnp
+    when not (Flow.Table.holds t.flows ~slot:(Packet.flow_slot pkt) ~id:(Packet.fid pkt)) ->
+    t.stale <- t.stale + 1
   | Packet.Data -> on_data t pkt
   | Packet.Ack -> on_ack t pkt
   | Packet.Nack -> on_nack t pkt
@@ -806,8 +820,10 @@ let receive t ~in_port pkt =
   recycle t pkt
 
 (* Typed flow-timer and reclaim dispatch: one per-sim registry of hosts,
-   one shared executor per class. A timer's [a1] packs (flow_id, kind); a
-   reclaim's packs (flow_id, peer host index). *)
+   one shared executor per class. A timer's [a1] packs (flow_id, kind). A
+   reclaim's [a0] packs (host index, peer host index) and its [a1] is the
+   flow word: once both ends have dropped the flow's state, the flow table
+   takes its record back. *)
 
 type reg = { mutable harr : t array; mutable hn : int }
 
@@ -843,14 +859,16 @@ let peer_mask = (1 lsl peer_bits) - 1
 let reclaim_exec st a0 a1 =
   match st with
   | Host_reg r ->
-    let flow_id = a1 lsr peer_bits in
-    reclaim_flow_state (Array.unsafe_get r.harr a0) ~flow_id;
-    reclaim_flow_state (Array.unsafe_get r.harr (a1 land peer_mask)) ~flow_id
+    let t = Array.unsafe_get r.harr (a0 lsr peer_bits) in
+    let flow_id = Packet.ref_id a1 in
+    reclaim_flow_state t ~flow_id;
+    reclaim_flow_state (Array.unsafe_get r.harr (a0 land peer_mask)) ~flow_id;
+    Flow.Table.release t.flows ~slot:(Packet.ref_slot a1) ~id:flow_id
   | _ -> invalid_arg "Host.reclaim_exec: foreign class state"
 
-let reclaim_after t ~peer ~flow_id ~delay =
-  Sim.post t.sim (Sim.now t.sim + Int.max 0 delay) ~cls:Sim.cls_flow_reclaim ~a0:t.idx
-    ~a1:((flow_id lsl peer_bits) lor peer.idx)
+let reclaim_after t ~peer ~flow ~delay =
+  Sim.post t.sim (Sim.now t.sim + Int.max 0 delay) ~cls:Sim.cls_flow_reclaim
+    ~a0:((t.idx lsl peer_bits) lor peer.idx) ~a1:(Packet.ref_of flow)
 
 let registry sim =
   match Sim.class_state sim ~cls:Sim.cls_flow_timeout with
@@ -877,6 +895,7 @@ let create ~sim ~node ~port ~config:cfg () =
       idx = r.hn;
       cfg;
       pool = Port.pool sim;
+      flows = Port.flows sim;
       nic;
       txs = Slot_table.create ();
       rxs = Slot_table.create ();
@@ -886,6 +905,7 @@ let create ~sim ~node ~port ~config:cfg () =
       rng = Rng.create (cfg.seed + (node.Node.id * 65_537));
       bytes_sent = 0;
       bytes_retransmitted = 0;
+      stale = 0;
     }
   in
   if r.hn = Array.length r.harr then begin

@@ -76,10 +76,13 @@ val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
 (* tests reclaim one side of a flow; reclaim_after reclaims both; bfc-lint: allow DC001 *)
 val reclaim_flow_state : t -> flow_id:int -> unit
 
-(** [reclaim_after t ~peer ~flow_id ~delay] reclaims [flow_id]'s state on
-    [t] and then on [peer] [delay] from now, as one typed event
-    ({!Bfc_engine.Sim.cls_flow_reclaim}). Both hosts must be on one sim. *)
-val reclaim_after : t -> peer:t -> flow_id:int -> delay:Bfc_engine.Time.t -> unit
+(** [reclaim_after t ~peer ~flow ~delay] reclaims [flow]'s state on [t]
+    and then on [peer] [delay] from now, as one typed event
+    ({!Bfc_engine.Sim.cls_flow_reclaim}), and then hands [flow]'s record
+    back to the sim's flow table, which reuses it if it is one of the
+    table's own ({!Bfc_net.Flow.Table.release}). Both hosts must be on
+    one sim. *)
+val reclaim_after : t -> peer:t -> flow:Bfc_net.Flow.t -> delay:Bfc_engine.Time.t -> unit
 
 (** Per-flow records built so far, (sender, receiver): reclaimed flows'
     records are reused unless still reachable (an unfinished sender, a
@@ -87,7 +90,9 @@ val reclaim_after : t -> peer:t -> flow_id:int -> delay:Bfc_engine.Time.t -> uni
 (* observation: tests count per-flow records; bfc-lint: allow DC001 *)
 val flow_records : t -> int * int
 
-(** Begin transmitting a flow whose [src] is this host. *)
+(** Begin transmitting a flow whose [src] is this host. A record the
+    sim's flow table does not hold yet is added to it as the caller's
+    ({!Bfc_net.Flow.Table.add}). *)
 val start_flow : t -> Bfc_net.Flow.t -> unit
 
 (** Perfect-retransmission notice (HPCC-PFC, §6.2.1): the switch tells the
@@ -99,6 +104,11 @@ val bytes_sent : t -> int
 
 (** Retransmitted payload bytes (diagnostics; reordering/drops). *)
 val bytes_retransmitted : t -> int
+
+(** Packets of a flow that arrived after the flow's slot in the flow
+    table went to another flow. Each is dropped without touching any
+    flow's state. *)
+val stale_packets : t -> int
 
 (** Times this host's NIC pause watchdog fired (see {!Nic.watchdog_fires}). *)
 val watchdog_fires : t -> int

@@ -14,8 +14,6 @@ type 'a t = {
 let create () =
   { vals = [||]; len = 1; free = Array.make 16 0; nfree = 0; ids = Int_table.Counter.create (); blanks = 0 }
 
-let get t s = t.vals.(s)
-
 let find_exn t id =
   let s = Int_table.Counter.get t.ids id in
   if s = 0 then raise Not_found else t.vals.(s)
@@ -47,13 +45,6 @@ let add t v =
   t.vals.(s) <- v;
   t.len <- s + 1;
   s
-
-let put t v =
-  match take t with
-  | 0 -> add t v
-  | s ->
-    t.vals.(s) <- v;
-    s
 
 let blank t make =
   t.blanks <- t.blanks + 1;

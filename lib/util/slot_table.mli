@@ -8,16 +8,8 @@ type 'a t
 
 val create : unit -> 'a t
 
-val get : 'a t -> int -> 'a
-
 val find_exn : 'a t -> int -> 'a
 (** The value bound to an id. @raise Not_found when the id is unbound. *)
-
-val put : 'a t -> 'a -> int
-(** Store a value in a free slot, or a new one, and return the slot. *)
-
-val release : 'a t -> int -> unit
-(** Free a slot no id is bound to. Its value stays until the slot is reused. *)
 
 val acquire : 'a t -> id:int -> blank:(unit -> 'a) -> 'a
 (** Bind [id] to a free slot and return its value, a released one or

@@ -497,14 +497,15 @@ let test_dataplane_unsampled_assignment_sticky () =
   let egress = ref (-1) in
   Array.iteri (fun i p -> if (Port.peer p).Node.id <> s0 then egress := i) (Topology.ports t sw1_id);
   let ft = Dataplane.flow_table dp in
-  let lookup now = Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f) ~now in
+  let lookup now = Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f.Flow.id) ~now in
   let i = lookup 0 in
   let q = Flow_table.q ft i in
   Alcotest.(check bool) "assigned a queue" true (q >= 0);
   check Alcotest.int "the assignment is a touch" 0 (Flow_table.last ft i);
   (* other flows' lookups inside the window purge the vacant slots *)
   for h = 1 to 400 do
-    ignore (Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f + h) ~now:(sticky / 2))
+    ignore
+      (Flow_table.slot ft ~egress:!egress ~fid_hash:(Flow.hash f.Flow.id + h) ~now:(sticky / 2))
   done;
   Alcotest.(check bool) "purged" true (Flow_table.purges ft > 0);
   let i = lookup sticky in

@@ -141,9 +141,11 @@ let check_fixture name setup () =
   else
     let path = Filename.concat fixture_dir (name ^ ".expected") in
     let expected = read_file path in
-    let got = render (Exp_common.run_std (setup ())) in
+    let r = Exp_common.run_std (setup ()) in
+    let got = render r in
     if not (String.equal got expected) then
-      failf "%s diverged from its recorded fixture (%s)" name (first_diff_line expected got)
+      failf "%s diverged from its recorded fixture (%s)" name (first_diff_line expected got);
+    check int "no stale packet" 0 (Runner.stale_packets r.Exp_common.env)
 
 let suite =
   List.map

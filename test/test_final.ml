@@ -62,7 +62,7 @@ let prop_ecmp_in_candidates =
       let hosts = cl.Topology.cl_hosts in
       let f = Flow.make ~id ~src:hosts.(0) ~dst:hosts.(5) ~size:1 ~arrival:0 () in
       let tor = cl.Topology.tors.(0) in
-      let choice = Topology.ecmp_port t ~node:tor ~flow:f ~dst:f.Flow.dst in
+      let choice = Topology.ecmp_port t ~node:tor ~fid:f.Flow.id ~dst:f.Flow.dst in
       Array.mem choice (Topology.candidates t ~node:tor ~dst:f.Flow.dst))
 
 (* -------------------------- Credit-gated NIC ------------------------ *)

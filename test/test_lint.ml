@@ -220,14 +220,42 @@ let test_exit_codes () =
     | [ (d, false) ] -> d
     | _ -> Alcotest.fail "expected exactly one live finding"
   in
-  let clean = { Driver.files = 1; findings = []; failures = [] } in
-  let dirty = { Driver.files = 1; findings = [ (finding, false) ]; failures = [] } in
-  let only_suppressed = { Driver.files = 1; findings = [ (finding, true) ]; failures = [] } in
-  let broken = { Driver.files = 1; findings = []; failures = [ ("x.ml", "boom") ] } in
+  let report findings failures = { Driver.files = 1; findings; failures; dc001_error = None } in
+  let clean = report [] [] in
+  let dirty = report [ (finding, false) ] [] in
+  let only_suppressed = report [ (finding, true) ] [] in
+  let broken = report [] [ ("x.ml", "boom") ] in
   Alcotest.(check int) "clean -> 0" 0 (Driver.exit_code clean);
   Alcotest.(check int) "violations -> 1" 1 (Driver.exit_code dirty);
   Alcotest.(check int) "suppressed only -> 0" 0 (Driver.exit_code only_suppressed);
   Alcotest.(check int) "failures -> 2" 2 (Driver.exit_code broken)
+
+let contains s needle =
+  let n = String.length needle in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = needle || scan (i + 1)) in
+  scan 0
+
+(* DC001 that cannot run (here: a build root with no compiled units) is
+   its own report line, not a parse failure, and still fails the run. *)
+let test_dc001_error_not_parse_failure () =
+  let root = Filename.temp_dir "bfc_lint_empty" "" in
+  let report = Driver.lint_paths ~build:root [] in
+  Sys.rmdir root;
+  Alcotest.(check int) "no parse failures" 0 (List.length report.Driver.failures);
+  let reason =
+    match report.Driver.dc001_error with
+    | Some e -> e
+    | None -> Alcotest.fail "DC001 ran on a root with no compiled units"
+  in
+  Alcotest.(check bool) "the reason names the missing interfaces" true
+    (contains reason "no compiled lib/ interfaces");
+  Alcotest.(check int) "exit 2" 2 (Driver.exit_code report);
+  let human = Driver.render_human report in
+  Alcotest.(check bool) "human: one DC001 line" true
+    (contains human ("DC001 did not run: " ^ reason ^ "\n"));
+  Alcotest.(check bool) "human: no parse failure" false (contains human "failed to parse");
+  Alcotest.(check bool) "json: the DC001 line" true
+    (contains (Driver.render_json report) "\"dc001_error\":\"DC001 did not run: ")
 
 let test_parse_failure () =
   match Driver.lint_source ~path:"lib/broken.ml" "let = (" with
@@ -239,7 +267,7 @@ let test_json_render () =
     lint_fixture ~virtual_path:dataplane_path "df_list_pos.ml"
     @ lint_fixture ~virtual_path:lib_path "det_random_allow.ml"
   in
-  let report = { Driver.files = 2; findings; failures = [] } in
+  let report = { Driver.files = 2; findings; failures = []; dc001_error = None } in
   Alcotest.(check int) "fixture findings violate" 1 (Driver.exit_code report);
   let json = Driver.render_json report in
   List.iter
@@ -469,6 +497,7 @@ let suite =
     ("repo tree is lint-clean", `Quick, test_repo_is_clean);
     ("scan sets name existing files", `Quick, test_scan_sets_exist);
     ("exit codes", `Quick, test_exit_codes);
+    ("dc001 error is not a parse failure", `Quick, test_dc001_error_not_parse_failure);
     ("parse failure reported", `Quick, test_parse_failure);
     ("json rendering", `Quick, test_json_render);
     ("rule lookup", `Quick, test_rule_lookup);

@@ -59,7 +59,7 @@ let test_sticky_assignment_retained () =
   inject t st (mk_data f 0);
   let ft = Dataplane.flow_table dp in
   (* an index names its slot until the next lookup, so take it afresh *)
-  let slot e = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) ~now:(Sim.now sim) in
+  let slot e = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f.Flow.id) ~now:(Sim.now sim) in
   (* the receiver-facing egress: the one whose slot the packet assigned *)
   match List.find_opt (fun e -> Flow_table.q ft (slot e) >= 0) [ 0; 1; 2 ] with
   | None -> Alcotest.fail "no assignment recorded"
@@ -107,7 +107,7 @@ let test_sampling_keeps_tables_sane () =
   (* all packets forwarded; the flow table must have drained to zero *)
   let ft = Dataplane.flow_table dp in
   for e = 0 to 2 do
-    let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f) ~now:(Sim.now sim) in
+    let slot = Flow_table.slot ft ~egress:e ~fid_hash:(Flow.hash f.Flow.id) ~now:(Sim.now sim) in
     check Alcotest.int "ft size drained" 0 (Flow_table.size ft slot)
   done;
   check Alcotest.int "pause counters drained" 0

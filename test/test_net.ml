@@ -32,7 +32,7 @@ let test_flow_hash_spread () =
   let collisions = ref 0 in
   for id = 0 to 9_999 do
     let f = Flow.make ~id ~src:0 ~dst:1 ~size:1 ~arrival:0 () in
-    let h = Flow.hash f in
+    let h = Flow.hash f.Flow.id in
     if Hashtbl.mem seen h then incr collisions else Hashtbl.add seen h ()
   done;
   Alcotest.(check bool) "few collisions" true (!collisions < 3)
@@ -45,7 +45,7 @@ let test_packet_data () =
   check Alcotest.int "wire size" (1000 + Packet.header_bytes) (Packet.size p);
   check Alcotest.int "dst" 7 (Packet.dst p);
   check Alcotest.int "prio from class" 2 (Packet.prio p);
-  check Alcotest.int "flow id" 9 (Packet.flow_id p)
+  check Alcotest.int "flow id" 9 (Packet.fid p)
 
 (* A packet has no index until a table sees it; one table gives two
    packets two indices, and a packet keeps its index. *)
@@ -62,7 +62,7 @@ let test_packet_indices () =
 
 let test_packet_control_kinds () =
   let p = Packet.make Packet.Pause ~dst:1 ~size:64 () in
-  check Alcotest.int "no flow" (-1) (Packet.flow_id p)
+  check Alcotest.int "no flow" (-1) (Packet.fid p)
 
 (* ----------------------------- Topology ---------------------------- *)
 
@@ -107,8 +107,8 @@ let test_ecmp_consistent () =
   let t = cl.Topology.t in
   let f = Flow.make ~id:77 ~src:cl.Topology.cl_hosts.(0) ~dst:cl.Topology.cl_hosts.(11) ~size:1 ~arrival:0 () in
   let tor = cl.Topology.tors.(0) in
-  let a = Topology.ecmp_port t ~node:tor ~flow:f ~dst:f.Flow.dst in
-  let b = Topology.ecmp_port t ~node:tor ~flow:f ~dst:f.Flow.dst in
+  let a = Topology.ecmp_port t ~node:tor ~fid:f.Flow.id ~dst:f.Flow.dst in
+  let b = Topology.ecmp_port t ~node:tor ~fid:f.Flow.id ~dst:f.Flow.dst in
   check Alcotest.int "same flow same port" a b
 
 let test_ecmp_spreads () =
@@ -119,7 +119,7 @@ let test_ecmp_spreads () =
   let counts = Hashtbl.create 4 in
   for id = 0 to 199 do
     let f = Flow.make ~id ~src:cl.Topology.cl_hosts.(0) ~dst ~size:1 ~arrival:0 () in
-    let p = Topology.ecmp_port t ~node:tor ~flow:f ~dst in
+    let p = Topology.ecmp_port t ~node:tor ~fid:f.Flow.id ~dst in
     Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p))
   done;
   check Alcotest.int "uses both spines" 2 (Hashtbl.length counts)

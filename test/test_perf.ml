@@ -24,7 +24,9 @@ module Pool = Bfc_sim.Pool
 let test_index_sequences_identical_across_sims () =
   let indices () =
     let pool = Bfc_net.Port.pool (Sim.create ()) in
-    let acquire () = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:1000 ~seq:0 in
+    let acquire () =
+      Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:1000 ~seq:0
+    in
     let live = Array.init 50 (fun _ -> acquire ()) in
     let first = Array.to_list (Array.map Packet.idx live) in
     Array.iteri (fun i p -> if i mod 3 = 0 then Packet.Pool.release pool p) live;
@@ -52,10 +54,29 @@ let test_ticker_no_event_leak () =
 
 (* ---------------------------- packet pool -------------------------- *)
 
+(* A flow word with the given fields, built the way hosts build theirs:
+   from a record. *)
+let flow_word ~slot ~id ~incast =
+  let f = Bfc_net.Flow.make ~id ~src:0 ~dst:0 ~size:1 ~arrival:0 ~is_incast:incast () in
+  f.Bfc_net.Flow.slot <- slot;
+  Packet.ref_of f
+
+let set_fid p id =
+  Packet.set_flow p (flow_word ~slot:(Packet.flow_slot p) ~id ~incast:(Packet.incast p))
+
+let set_flow_slot p slot =
+  Packet.set_flow p (flow_word ~slot ~id:(Packet.fid p) ~incast:(Packet.incast p))
+
+let set_incast p incast =
+  Packet.set_flow p (flow_word ~slot:(Packet.flow_slot p) ~id:(Packet.fid p) ~incast)
+
 let test_pool_reset_all_fields () =
   let pool = Packet.Pool.create () in
   let f = Bfc_net.Flow.make ~id:3 ~src:0 ~dst:4 ~size:5000 ~arrival:0 () in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:(Some f) ~dst:4 ~size:1500 ~seq:7 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:(Packet.ref_of f) ~dst:4 ~size:1500 ~seq:7 in
+  check int "flow id from acquire" 3 (Packet.fid p);
+  set_flow_slot p 12;
+  set_incast p true;
   (* dirty every mutable field a switch/host can touch *)
   Packet.set_kind p Packet.Cnp;
   Packet.set_payload p 1400;
@@ -81,8 +102,8 @@ let test_pool_reset_all_fields () =
   check int "parked: next_free ends the free list" (-1) (Packet.next_free p);
   check int "parked: size reset" 0 (Packet.size p);
   check int "parked: dst reset" (-1) (Packet.dst p);
-  check bool "parked: flow dropped" true (Packet.flow p = None);
-  let q = Packet.Pool.acquire pool Packet.Ack ~flow:None ~dst:0 ~size:64 ~seq:0 in
+  check bool "parked: flow dropped" true (Packet.flow p = Packet.no_flow);
+  let q = Packet.Pool.acquire pool Packet.Ack ~flow:Packet.no_flow ~dst:0 ~size:64 ~seq:0 in
   check bool "recycled the same record" true (p == q);
   check bool "kind from acquire" true (Packet.kind q = Packet.Ack);
   check int "dst from acquire" 0 (Packet.dst q);
@@ -104,7 +125,10 @@ let test_pool_reset_all_fields () =
   check int "enq_at reset" 0 (Packet.enq_at q);
   check int "ctrl_a reset" 0 (Packet.ctrl_a q);
   check int "ctrl_b reset" 0 (Packet.ctrl_b q);
-  check bool "flow reset" true (Packet.flow q = None);
+  check bool "flow reset" true (Packet.flow q = Packet.no_flow);
+  check int "flow id reset" (-1) (Packet.fid q);
+  check int "flow slot reset" (-1) (Packet.flow_slot q);
+  check bool "incast reset" false (Packet.incast q);
   check int "index kept" i (Packet.idx q);
   check int "in use" (-2) (Packet.next_free q)
 
@@ -115,7 +139,7 @@ let test_pool_reset_all_fields () =
    hold tens of thousands of packets at the peak. *)
 let test_packet_footprint () =
   let pool = Packet.Pool.create () in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   let fields = Obj.size (Obj.repr p) in
   if fields > 11 then failf "a packet has %d fields, bound 11" fields
 
@@ -125,6 +149,7 @@ let flag_accessors =
     ("ecn_echo", Packet.ecn_echo, Packet.set_ecn_echo);
     ("bp_counted", Packet.bp_counted, Packet.set_bp_counted);
     ("bp_sampled", Packet.bp_sampled, Packet.set_bp_sampled);
+    ("incast", Packet.incast, set_incast);
   ]
 
 (* The packed fields with their ranges: (name, get, set, min, max). *)
@@ -139,6 +164,8 @@ let packed_fields =
     ("dst", Packet.dst, Packet.set_dst, -1, (1 lsl 31) - 2);
     ("idx", Packet.idx, Packet.set_idx, -1, (1 lsl 31) - 2);
     ("next_free", Packet.next_free, Packet.set_next_free, -2, (1 lsl 31) - 3);
+    ("fid", Packet.fid, set_fid, -1, (1 lsl 32) - 2);
+    ("flow_slot", Packet.flow_slot, set_flow_slot, -1, (1 lsl 30) - 2);
   ]
 
 let all_kinds =
@@ -152,8 +179,8 @@ let kind_index p =
   let rec find i = function [] -> -1 | x :: r -> if x = k then i else find (i + 1) r in
   find 0 all_kinds
 
-(* Everything a packed word holds, as ints: the kind's position, the four
-   flags and the numeric fields. *)
+(* Everything a packed word holds, as ints: the kind's position, the
+   flags (the incast label included) and the numeric fields. *)
 let packed_values p =
   kind_index p
   :: List.map (fun (_, get, _) -> Bool.to_int (get p)) flag_accessors
@@ -206,14 +233,14 @@ let test_packet_fields () =
 
 let flag_values p = List.map (fun (_, get, _) -> get p) flag_accessors
 
-(* The four flags share one int: setting or clearing one leaves the
-   others as they were, a recycled packet gets [make]'s flags back, and
-   a transferred packet keeps them. *)
+(* The flags share packed words (four the header, the incast label the
+   flow word): setting or clearing one leaves the others as they were,
+   and a recycled packet gets [make]'s flags back. *)
 let test_packet_flags () =
   let pool = Packet.Pool.create () in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   let fresh = flag_values (Packet.make Packet.Data ~dst:1 ~size:100 ()) in
-  check (list bool) "fresh flags" [ false; false; false; true ] fresh;
+  check (list bool) "fresh flags" [ false; false; false; true; false ] fresh;
   check (list bool) "acquired flags" fresh (flag_values p);
   List.iteri
     (fun k (name, get, set) ->
@@ -235,7 +262,7 @@ let test_packet_flags () =
   set_all true;
   Packet.set_bp_sampled p false;
   Packet.Pool.release pool p;
-  let q = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let q = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   check bool "recycled" true (p == q);
   check (list bool) "release resets the flags" fresh (flag_values q)
 
@@ -251,7 +278,7 @@ let hop_links pool p =
    the original. *)
 let test_packet_side_tables () =
   let pool = Packet.Pool.create () in
-  let acquire kind = Packet.Pool.acquire pool kind ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let acquire kind = Packet.Pool.acquire pool kind ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   check int "a fresh table has no side tables" 0 (Packet.Pool.side_slots pool);
   let p = acquire Packet.Data in
   Packet.Pool.set_bitmap pool p [||];
@@ -283,7 +310,7 @@ let test_packet_side_tables () =
 
 let test_pool_double_release_rejected () =
   let pool = Packet.Pool.create () in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   Packet.Pool.release pool p;
   check_raises "double release"
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
@@ -296,7 +323,7 @@ let test_packet_index_lifecycle () =
   let pool = Bfc_net.Port.pool sim in
   check bool "one table per sim" true (pool == Bfc_net.Port.pool sim);
   let acquire () =
-    Packet.Pool.acquire pool Packet.Data ~flow:None ~dst:1 ~size:100 ~seq:0
+    Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0
   in
   let live = List.init 8 (fun _ -> acquire ()) in
   let idxs = List.map (fun p -> Packet.idx p) live in
@@ -323,7 +350,7 @@ let test_packet_index_lifecycle () =
     (Invalid_argument "Packet.Pool.release: double release") (fun () ->
       Packet.Pool.release pool m);
   let foreign =
-    Packet.Pool.acquire (Bfc_net.Port.pool (Sim.create ())) Packet.Data ~flow:None 
+    Packet.Pool.acquire (Bfc_net.Port.pool (Sim.create ())) Packet.Data ~flow:Packet.no_flow 
       ~dst:1 ~size:100 ~seq:0
   in
   check_raises "packet of another sim"
@@ -625,6 +652,57 @@ let test_flow_churn_minor_words () =
   if per_event > 5.4 then
     failf "%.3f minor words per event (%d events), bound 5.4" per_event r.Exp_common.sr_events
 
+(* A streaming smoke run: [n] single-MTU flows on the smoke Clos at 5%
+   load, a flow every 200 ns, so flows come and go for 400 us per 2,000
+   of them while a few hundred are in use at once. [obs] runs with the
+   environment before the first arrival. *)
+let stream_smoke ~n obs =
+  Exp_common.run_std
+    { (Exp_common.std Exp_common.Smoke Bfc_sim.Scheme.bfc) with
+      Exp_common.sp_seed = 3; sp_workload = Exp_common.Stream n; sp_load = 0.05;
+      sp_stream = Some { Exp_common.alpha = 0.01; flowlog = None; progress = false };
+      sp_obs = obs }
+
+(* Once warm, a stream arrival takes a parked flow record from the sim's
+   flow table and its packets carry ints, so per-flow work allocates only
+   what completion and reclaim bookkeeping need. Read over the 400 us
+   from 200 us in (about 2,000 flows), after the packet pool, tables and
+   queues have grown to their high-water marks. It reads 13.87 words per
+   flow under the dev profile and 9.87 under release, against 26.80 and
+   22.80 while every arrival built a record and every sender a [Some]
+   for it; the bound, 15, is the dev reading rounded up, and one 12-word
+   record per flow breaks it under either profile. *)
+let test_stream_arrivals_allocate_no_record () =
+  let mark = Array.make 2 (0.0, 0) in
+  let obs env =
+    let sim = Bfc_sim.Runner.sim env in
+    let read i () = mark.(i) <- (Gc.minor_words (), Bfc_sim.Runner.completed env) in
+    List.iteri (fun i t -> ignore (Sim.after sim t (read i))) [ Time.us 200.0; Time.us 600.0 ]
+  in
+  let r = stream_smoke ~n:4_000 obs in
+  check int "every flow completed" 4_000 (Bfc_sim.Runner.completed r.Exp_common.env);
+  let (w0, c0), (w1, c1) = (mark.(0), mark.(1)) in
+  let per_flow = (w1 -. w0) /. float_of_int (c1 - c0) in
+  Printf.printf "%.2f minor words per flow over %d flows\n" per_flow (c1 - c0);
+  if per_flow > 15.0 then failf "%.2f minor words per flow, bound 15" per_flow
+
+(* The memory a streaming run holds follows the flows in use, not the
+   flows gone by: the environment's reachable words, read every 50 us of
+   simulated time, peak at 85,404 (85,403 under the release profile).
+   The count is exact and repeats run to run, so the bound is the
+   reading plus 5%: 89,700. A run that kept its 4,000 reclaimed records
+   reachable would hold about 48,000 words more. *)
+let test_stream_reachable_words () =
+  let peak = ref 0 in
+  let obs env =
+    let sample () = peak := Int.max !peak (Obj.reachable_words (Obj.repr env)) in
+    ignore (Sim.every (Bfc_sim.Runner.sim env) ~period:(Time.us 50.0) sample)
+  in
+  let r = stream_smoke ~n:4_000 obs in
+  check int "every flow completed" 4_000 (Bfc_sim.Runner.completed r.Exp_common.env);
+  Printf.printf "peak reachable words %d\n" !peak;
+  if !peak > 89_700 then failf "peak reachable words %d, bound 89,700" !peak
+
 let suite =
   [
     test_case "per-sim index determinism" `Quick test_index_sequences_identical_across_sims;
@@ -646,6 +724,9 @@ let suite =
     test_case "stream arrival footprint" `Quick test_stream_arrival_footprint;
     test_case "bfc clos run makes no side tables" `Quick test_bfc_clos_no_side_tables;
     test_case "flow churn minor words per event" `Quick test_flow_churn_minor_words;
+    test_case "stream arrivals allocate no flow record" `Quick
+      test_stream_arrivals_allocate_no_record;
+    test_case "stream reachable words" `Quick test_stream_reachable_words;
     test_case "flow table footprint" `Quick test_flow_table_footprint;
     test_case "flow table fresh size ignores mult" `Quick test_flow_table_fresh_ignores_mult;
     test_case "flow table forgets vacant slots" `Quick test_flow_table_forgets_vacant;

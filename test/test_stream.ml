@@ -249,34 +249,40 @@ let test_flowlog_of_streaming_run () =
       checki "one record per completion" (Bfc_sim.Runner.completed r.Exp_common.env)
         (List.length records))
 
-(* A flow's record lives only from its arrival until both hosts are done
-   with it. Once a streaming [Stream] run has drained and its reclaims
-   have fired, no completed flow is reachable, though the environment
-   still is: neither the pending arrival nor either host's recycled
-   per-flow state holds one. *)
-let test_stream_records_freed () =
+(* A streaming run's flow records come from the sim's flow table, which
+   takes each back at its flow's reclaim and hands it to a later arrival.
+   A 2,000-flow run completes every flow, yet its completion observers
+   see no more distinct records than the table ever had in use at once,
+   and once the last reclaims have fired the table holds no live stream
+   record. No packet outlives its flow's slot. *)
+let test_stream_records_reused () =
   let n = 2_000 in
-  let seen = Weak.create n in
+  let seen = ref [] and distinct = ref 0 in
   let obs env =
     Bfc_sim.Runner.iter_hosts env (fun h ->
-        Bfc_transport.Host.add_on_complete h (fun f -> Weak.set seen f.Bfc_net.Flow.id (Some f)))
+        Bfc_transport.Host.add_on_complete h (fun f ->
+            if not (List.memq f !seen) then begin
+              seen := f :: !seen;
+              incr distinct
+            end))
   in
   let r =
     Exp_common.run_std
-      { (streaming (smoke_setup ())) with Exp_common.sp_workload = Exp_common.Stream n; sp_obs = obs }
+      { (streaming (smoke_setup ())) with
+        Exp_common.sp_workload = Exp_common.Stream n; sp_load = 0.05; sp_obs = obs }
   in
   let env = r.Exp_common.env in
   let sim = Bfc_sim.Runner.sim env in
+  let flows = Bfc_net.Port.flows sim in
   checki "all completed" n (Bfc_sim.Runner.completed env);
+  let hwm = Bfc_net.Flow.Table.high_water flows in
+  Printf.printf "stream of %d flows: %d distinct records, table high-water %d\n" n !distinct hwm;
+  checkb "observers see at most the high-water mark of records" true (!distinct <= hwm);
+  checkb "the high-water mark is far below the flow count" true (hwm * 4 < n);
   Bfc_sim.Runner.run env ~until:(Bfc_engine.Sim.now sim + (100 * Bfc_sim.Runner.base_rtt env));
   checki "idle but for the window ticker" 1 (Bfc_engine.Sim.pending_events sim);
-  Gc.full_major ();
-  let reachable = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check seen i then incr reachable
-  done;
-  checki "completed flows still reachable" 0 !reachable;
-  checki "the environment is live" n (Bfc_sim.Runner.injected env)
+  checki "no live stream record after the reclaims" 0 (Bfc_net.Flow.Table.live flows);
+  checki "no stale packet" 0 (Bfc_sim.Runner.stale_packets env)
 
 let test_run_stream_smoke () =
   let r = Exp_common.run_stream ~streaming:true ~flows:2000 () in
@@ -310,5 +316,5 @@ let suite =
     Alcotest.test_case "streaming run flowlog holds every completion" `Quick
       test_flowlog_of_streaming_run;
     Alcotest.test_case "run_stream smoke" `Quick test_run_stream_smoke;
-    Alcotest.test_case "stream records are freed" `Quick test_stream_records_freed;
+    Alcotest.test_case "stream records are reused" `Quick test_stream_records_reused;
   ]

@@ -14,8 +14,16 @@ let check = Alcotest.check
 
 let wd = Time.us 50.0
 
+(* Every cell's hosts see no stale packet: no packet outlives its flow's
+   slot in the flow table. *)
+let fresh (c : Stress_exp.cell) =
+  check Alcotest.int "no stale packet" 0 c.Stress_exp.c_stale;
+  c
+
 let clos scheme scenario =
-  Stress_exp.clos_cell Exp_common.Smoke ~scheme ~scenario ~watchdog:wd ~seed:1
+  fresh (Stress_exp.clos_cell Exp_common.Smoke ~scheme ~scenario ~watchdog:wd ~seed:1)
+
+let ring scenario = fresh (Stress_exp.ring_cell Exp_common.Smoke scenario)
 
 let silent (c : Stress_exp.cell) =
   let r = c.Stress_exp.c_report in
@@ -27,7 +35,7 @@ let silent (c : Stress_exp.cell) =
 (* Ring leg: the crafted cyclic buffer dependency *)
 
 let test_ring_pfc_deadlocks () =
-  let c = Stress_exp.ring_cell Exp_common.Smoke Stress_exp.Ring_pfc in
+  let c = ring Stress_exp.Ring_pfc in
   let r = c.Stress_exp.c_report in
   check Alcotest.int "fabric wedges: nothing completes" 0 c.Stress_exp.c_completed;
   Alcotest.(check bool) "runtime deadlock flagged" true (List.length r.Detect.r_deadlocks >= 1);
@@ -41,7 +49,7 @@ let test_ring_pfc_deadlocks () =
   Alcotest.(check bool) "port-level storms rage while wedged" true (r.Detect.r_storm_ports >= 1)
 
 let test_ring_bfc_unprotected_deadlocks () =
-  let c = Stress_exp.ring_cell Exp_common.Smoke Stress_exp.Ring_bfc_unprotected in
+  let c = ring Stress_exp.Ring_bfc_unprotected in
   let r = c.Stress_exp.c_report in
   check Alcotest.int "fabric wedges: nothing completes" 0 c.Stress_exp.c_completed;
   Alcotest.(check bool) "runtime deadlock flagged" true (List.length r.Detect.r_deadlocks >= 1);
@@ -49,7 +57,7 @@ let test_ring_bfc_unprotected_deadlocks () =
   check Alcotest.int "still no port-level storm" 0 (List.length r.Detect.r_storms)
 
 let test_ring_bfc_filtered_silent () =
-  let c = Stress_exp.ring_cell Exp_common.Smoke Stress_exp.Ring_bfc_filtered in
+  let c = ring Stress_exp.Ring_bfc_filtered in
   check Alcotest.int "all flows complete" c.Stress_exp.c_injected c.Stress_exp.c_completed;
   Alcotest.(check bool) "every detector silent" true (silent c)
 
@@ -108,8 +116,9 @@ let test_replay_byte_identical () =
   let run () =
     let sc = Scenario.random_storm ~seed:78 ~horizon:(Time.ms 1.0) in
     let c =
-      Stress_exp.clos_cell Exp_common.Smoke ~scheme:Scheme.pfc_only ~scenario:sc ~watchdog:wd
-        ~seed:3
+      fresh
+        (Stress_exp.clos_cell Exp_common.Smoke ~scheme:Scheme.pfc_only ~scenario:sc ~watchdog:wd
+           ~seed:3)
     in
     ( Detect.summary c.Stress_exp.c_report,
       Printf.sprintf "%d/%d drops=%d wdog=%d done=%d" c.Stress_exp.c_completed

@@ -381,7 +381,7 @@ let mk_pair () =
 (* A control packet for [flow] handed straight to [node]'s handler. *)
 let deliver sim t node kind flow ~seq =
   let pkt =
-    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Some flow) 
+    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Packet.ref_of flow) 
       ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq
   in
   (Topology.node t node).Bfc_net.Node.handler ~in_port:0 pkt
@@ -400,7 +400,7 @@ let test_host_slot_reuse () =
   let a = start 1 in
   ignore (Sim.run sim ~until:(Time.us 50.0));
   Alcotest.(check bool) "first flow complete" true (Flow.complete a);
-  Host.reclaim_after hs ~peer:hr ~flow_id:1 ~delay:(Time.us 10.0);
+  Host.reclaim_after hs ~peer:hr ~flow:a ~delay:(Time.us 10.0);
   ignore (Sim.run sim ~until:(Time.us 70.0));
   let b = Flow.make ~id:2 ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
   Host.start_flow hs b;
@@ -418,6 +418,45 @@ let test_host_slot_reuse () =
   check Alcotest.int "one MTU per flow" 2000 (Host.bytes_sent hs);
   check Alcotest.(pair int int) "sender records reused" (1, 0) (Host.flow_records hs);
   check Alcotest.(pair int int) "receiver records reused" (0, 1) (Host.flow_records hr)
+
+(* A stream's flow records are the flow table's own, and one goes to a
+   later flow once its flow is reclaimed. A data packet and an ACK kept
+   past their flow's reclaim and past its slot's reuse name a slot that
+   holds another flow now: each host counts its packet as stale, and the
+   new flow's sender and receiver never see them. *)
+let test_stale_packet_counted () =
+  let sim, t, s, r, hs, hr = mk_pair () in
+  let flows = Bfc_net.Port.flows sim and pool = Bfc_net.Port.pool sim in
+  let fresh id = Flow.Table.fresh flows ~id ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) in
+  let a = fresh 1 in
+  Host.start_flow hs a;
+  let keep kind ~dst ~seq =
+    Packet.Pool.acquire pool kind ~flow:(Packet.ref_of a) ~dst ~size:Packet.ack_bytes ~seq
+  in
+  let data = keep Packet.Data ~dst:r ~seq:0 in
+  Packet.set_payload data 1000;
+  let ack = keep Packet.Ack ~dst:s ~seq:1000 in
+  ignore (Sim.run sim ~until:(Time.us 50.0));
+  Alcotest.(check bool) "first flow complete" true (Flow.complete a);
+  let fct_a = Flow.fct a in
+  Host.reclaim_after hs ~peer:hr ~flow:a ~delay:(Time.us 10.0);
+  ignore (Sim.run sim ~until:(Time.us 70.0));
+  check Alcotest.int "its record is back in the table" 0 (Flow.Table.live flows);
+  let b = fresh 2 in
+  Alcotest.(check bool) "the next flow reuses the record" true (a == b);
+  Host.start_flow hs b;
+  (Topology.node t r).Bfc_net.Node.handler ~in_port:0 data;
+  (Topology.node t s).Bfc_net.Node.handler ~in_port:0 ack;
+  check Alcotest.int "the receiver counts the stale data packet" 1 (Host.stale_packets hr);
+  check Alcotest.int "the sender counts the stale ACK" 1 (Host.stale_packets hs);
+  check Alcotest.int "nothing delivered to the new flow" 0 b.Flow.delivered;
+  Alcotest.(check bool) "and it is not complete" false (Flow.complete b);
+  ignore (Sim.run sim ~until:(Time.us 150.0));
+  Alcotest.(check bool) "second flow complete" true (Flow.complete b);
+  check Alcotest.int "same fct as the first" fct_a (Flow.fct b);
+  check Alcotest.int "no retransmission" 0 (Host.bytes_retransmitted hs);
+  check Alcotest.int "one MTU per flow" 2000 (Host.bytes_sent hs);
+  check Alcotest.int "no other stale packet" 2 (Host.stale_packets hs + Host.stale_packets hr)
 
 (* A sender reclaimed before it finished is still on its NIC queue's
    owner list, so its record must not go to the next flow: it keeps
@@ -492,5 +531,6 @@ let suite =
     ("host flow completes", `Quick, test_host_flow_completes);
     ("host flow slots reused after reclaim", `Quick, test_host_slot_reuse);
     ("host unfinished sender not reused", `Quick, test_host_unfinished_tx_not_reused);
+    ("stale packet is counted", `Quick, test_stale_packet_counted);
     ("nic and switch watchdog packing bounds", `Quick, test_watchdog_packing_bounds);
   ]

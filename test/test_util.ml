@@ -550,16 +550,12 @@ let test_slot_table_reuse () =
   Alcotest.(check bool) "refused value not reused" false (b == c);
   check Alcotest.int "blanks built" 2 (Slot_table.blanks t);
   Slot_table.reclaim t ~id:99 ~reusable:(fun _ -> true) ~blank (* unbound: no-op *);
-  let p = Slot_table.create () in
-  let s = Slot_table.put p "x" in
-  check Alcotest.int "slots start at 1" 1 s;
-  Slot_table.release p s;
-  check Alcotest.int "released slot reused" s (Slot_table.put p "y");
-  check Alcotest.string "put overwrites" "y" (Slot_table.get p s);
   (* growth across several doublings keeps every value in its slot *)
   let g = Slot_table.create () in
-  let slots = Array.init 1000 (fun i -> Slot_table.put g i) in
-  Array.iteri (fun i s -> check Alcotest.int "value after growth" i (Slot_table.get g s)) slots
+  let vals = Array.init 1000 (fun i -> Slot_table.acquire g ~id:i ~blank:(fun () -> ref i)) in
+  Array.iteri
+    (fun i v -> check Alcotest.bool "value after growth" true (Slot_table.find_exn g i == v))
+    vals
 
 (* ------------------------------ Bitset ----------------------------- *)
 
