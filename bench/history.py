@@ -25,6 +25,15 @@ so code size is recorded next to speed. The workload, seed and trace
 mode come from run.py's own header line, "correct" and the metrics from
 its final JSON line. The exit status is run.py's; a run that prints no
 final JSON line appends nothing.
+
+    python3 bench/history.py --check
+
+reads BENCH_history.jsonl and runs nothing. A session row is paired when
+the same session has a row with the same workload, seed and trace at the
+row's parent commit (`git rev-parse COMMIT^`), or at a commit whose parent
+is the row's (a parent's rows are paired by its change's). It lists every
+unpaired session row and exits 1 if there is one; rows without a session
+are skipped. It needs the commits' history, not a shallow clone.
 """
 
 import json
@@ -61,7 +70,39 @@ def split_session(args):
     return session, rest
 
 
+def check():
+    """Exit status 1, after listing them, when some session row is unpaired;
+    0 otherwise."""
+    with open(HISTORY) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    key = lambda r: (r["session"], r["workload"], r["seed"], r["trace"])
+    commits = {}
+    for r in rows:
+        if "session" in r:
+            commits.setdefault(key(r), set()).add(r["commit"])
+    # "" for a commit git cannot name (a "-dirty" row, a commit not fetched)
+    parent = {c: git("rev-parse", "--verify", "--quiet", c + "^")
+              for cs in commits.values() for c in cs}
+    unpaired = 0
+    for n, r in enumerate(rows, 1):
+        if "session" not in r:
+            continue
+        c, same = r["commit"], commits[key(r)]
+        if parent[c] in same or any(parent[o] == c for o in same):
+            continue
+        unpaired += 1
+        print("BENCH_history.jsonl:%d: session %s, %s seed %d trace %d at %s: no row at "
+              "its parent %s" % (n, r["session"], r["workload"], r["seed"], r["trace"], c,
+                                 parent[c] or "(unknown commit)"))
+    sessions = {k[0] for k in commits}
+    print("history: %d session rows in %d sessions, %d unpaired"
+          % (sum(1 for r in rows if "session" in r), len(sessions), unpaired))
+    return 1 if unpaired else 0
+
+
 def main():
+    if sys.argv[1:] == ["--check"]:
+        return check()
     session, args = split_session(sys.argv[1:])
     proc = subprocess.Popen([sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
                             + args,

@@ -318,8 +318,6 @@ let faults_cmd =
           exit 2
         end)
       [ ("--resume-loss", resume_loss); ("--ctrl-loss", ctrl_loss); ("--data-loss", data_loss) ];
-    let sim = Bfc_engine.Sim.create () in
-    let st = Topology.star sim ~senders ~gbps:100.0 ~prop:(Time.us 1.0) in
     let params =
       {
         Runner.default_params with
@@ -327,7 +325,7 @@ let faults_cmd =
         seed;
       }
     in
-    let env = Runner.setup ~topo:st.Topology.s ~scheme ~params in
+    let st, env = Exp_common.prepare (Exp_common.Star { senders; gbps = 100.0 }) scheme params in
     let inj = Injector.attach env in
     let loss = Loss.create ~seed in
     if resume_loss > 0.0 then Loss.add_prob loss ~p:resume_loss Loss.resumes;
@@ -355,7 +353,7 @@ let faults_cmd =
     | None -> ()
     | Some us ->
       ignore
-        (Bfc_engine.Sim.at sim (Time.us us) (fun () ->
+        (Bfc_engine.Sim.at (Runner.sim env) (Time.us us) (fun () ->
              ignore
                (Injector.reboot_switch inj ~node:st.Topology.st_switch ~down_for:(Time.us 20.0) ()))));
     let flows =
@@ -364,9 +362,7 @@ let faults_cmd =
             ~arrival:(Time.us (0.1 *. float_of_int i))
             ~is_incast:true ())
     in
-    Runner.inject env flows;
-    Runner.run env ~until:(Time.ms 1.0);
-    Runner.drain env ~budget:(Time.ms 30.0);
+    Exp_common.execute env ~until:(Time.ms 1.0) ~budget:(Time.ms 30.0) (Exp_common.Flows flows);
     Printf.printf "scheme=%s completed=%d/%d drops=%d faults=%d (%d corrupted) watchdog=%d reboots=%d\n"
       (Scheme.name scheme) (Runner.completed env) (Runner.injected env) (Runner.total_drops env)
       (Injector.faults_injected inj) (Loss.corrupted loss) (Metrics.watchdog_fires env)
@@ -409,15 +405,7 @@ let stress_cmd =
     match summary_out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      List.iter
-        (fun (t : Exp_common.table) ->
-          output_string oc (t.Exp_common.title ^ "\n");
-          List.iter
-            (fun row -> output_string oc (String.concat "|" row ^ "\n"))
-            (t.Exp_common.header :: t.Exp_common.rows))
-        tables;
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc (Stress_exp.summary tables));
       Printf.printf "wrote %s\n" path
   in
   Cmd.v

@@ -152,6 +152,17 @@ let total_ports t = Array.length t.all_ports
 
 let port_by_gid t g = t.all_ports.(g)
 
+let egress_towards t ~node ~peer =
+  let ports = t.ports.(node) in
+  let rec find i =
+    if i < 0 then invalid_arg "Topology.egress_towards: no link to that peer"
+    else if (Port.peer ports.(i)).Node.id = peer then i
+    else find (i - 1)
+  in
+  find (Array.length ports - 1)
+
+let gid_towards t ~node ~peer = Port.gid t.ports.(node).(egress_towards t ~node ~peer)
+
 let candidates t ~node ~dst =
   let hidx = t.host_index.(dst) in
   if hidx < 0 then invalid_arg "Topology.candidates: dst is not a host";
@@ -281,13 +292,8 @@ let dumbbell sim ~senders ~gbps ~prop =
   Builder.link b left right ~gbps ~prop;
   Builder.link b right recv ~gbps ~prop;
   let t = Builder.finish b in
-  (* The bottleneck egress is left's port towards right: it's the port of
-     [left] whose peer is [right]. *)
-  let gid = ref (-1) in
-  Array.iter
-    (fun p -> if (Port.peer p).Node.id = right then gid := Port.gid p)
-    (ports t left);
-  { d = t; senders = snd; receiver = recv; d_left = left; d_right = right; bottleneck_gid = !gid }
+  { d = t; senders = snd; receiver = recv; d_left = left; d_right = right;
+    bottleneck_gid = gid_towards t ~node:left ~peer:right }
 
 type star = {
   s : t;
@@ -305,9 +311,8 @@ let star sim ~senders ~gbps ~prop =
   Array.iter (fun s -> Builder.link b s sw ~gbps ~prop) snd;
   Builder.link b sw recv ~gbps ~prop;
   let t = Builder.finish b in
-  let gid = ref (-1) in
-  Array.iter (fun p -> if (Port.peer p).Node.id = recv then gid := Port.gid p) (ports t sw);
-  { s = t; st_senders = snd; st_receiver = recv; st_switch = sw; st_bottleneck_gid = !gid }
+  { s = t; st_senders = snd; st_receiver = recv; st_switch = sw;
+    st_bottleneck_gid = gid_towards t ~node:sw ~peer:recv }
 
 type testbed = {
   tb : t;
@@ -339,6 +344,24 @@ let testbed sim ~g1 ~g2 ~g3 ~gbps ~prop =
   Builder.link b sw2 recv2 ~gbps ~prop;
   let tb = Builder.finish b in
   { tb; group1; group2; group3; recv1; recv2; sw1; sw2; sw3 }
+
+type ring = { rg : t; rg_hosts : int array }
+
+let ring sim ~switches ~gbps ~prop =
+  let b = Builder.create sim in
+  let sws = Array.init switches (fun i -> Builder.add_switch b ~name:(Printf.sprintf "r%d" i)) in
+  let hosts =
+    Array.map
+      (fun sw ->
+        let h = Builder.add_host b ~name:(Printf.sprintf "rh%d" sw) in
+        Builder.link b h sw ~gbps ~prop;
+        h)
+      sws
+  in
+  for i = 0 to switches - 1 do
+    Builder.link b sws.(i) sws.((i + 1) mod switches) ~gbps ~prop
+  done;
+  { rg = Builder.finish b; rg_hosts = hosts }
 
 type cross_dc = {
   x : t;
@@ -377,6 +400,4 @@ let cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps ~prop ~wan_gbps ~wan_prop =
   Array.iter (fun s -> Builder.link b s gw2 ~gbps ~prop) dc2.xc_spines;
   Builder.link b gw1 gw2 ~gbps:wan_gbps ~prop:wan_prop;
   let x = Builder.finish b in
-  let gid = ref (-1) in
-  Array.iter (fun p -> if (Port.peer p).Node.id = gw2 then gid := Port.gid p) (ports x gw1);
-  { x; dc1; dc2; gw1; gw2; interconnect_gid = !gid }
+  { x; dc1; dc2; gw1; gw2; interconnect_gid = gid_towards x ~node:gw1 ~peer:gw2 }

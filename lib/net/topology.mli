@@ -5,8 +5,8 @@
     candidates). Concrete devices are attached to nodes afterwards.
 
     Helpers build the paper's topologies: the oversubscribed 2-level Clos of
-    §6.2.1, the 3-"switch" testbed of §6.1, a dumbbell, and the two-data-
-    center topology of App. A.9. *)
+    §6.2.1, the 3-"switch" testbed of §6.1, a dumbbell, a star, the App. B
+    ring, and the two-data-center topology of App. A.9. *)
 
 type t
 
@@ -48,6 +48,10 @@ val total_ports : t -> int
 
 (** Port by global id. *)
 val port_by_gid : t -> int -> Port.t
+
+(** The local index of [node]'s port whose link leads to [peer]. Raises
+    [Invalid_argument] when no link joins them. *)
+val egress_towards : t -> node:int -> peer:int -> int
 
 (** ECMP candidate egress ports (local indices) at [node] towards host
     [dst]. Empty only if [node = dst]. *)
@@ -144,6 +148,16 @@ val testbed :
   gbps:float ->
   prop:Bfc_engine.Time.t ->
   testbed
+
+type ring = {
+  rg : t;
+  rg_hosts : int array; (** one host per switch, in ring order *)
+}
+
+(** [ring sim ~switches ~gbps ~prop] — [switches] switches in a cycle, one
+    host on each: the App. B cyclic-buffer-dependency topology, on which
+    shortest-path routing builds a cyclic backpressure graph. *)
+val ring : Bfc_engine.Sim.t -> switches:int -> gbps:float -> prop:Bfc_engine.Time.t -> ring
 
 type cross_dc = {
   x : t;

@@ -6,7 +6,6 @@
    App. B deadlock analysis. *)
 
 module Time = Bfc_engine.Time
-module Sim = Bfc_engine.Sim
 module Topology = Bfc_net.Topology
 module Flow = Bfc_net.Flow
 module Packet = Bfc_net.Packet
@@ -43,10 +42,7 @@ let fig15 profile =
       (List.map
          (fun (scheme, n_eleph) ->
            pt (Printf.sprintf "fig15:%s:%d" (Scheme.name scheme) n_eleph) (fun () ->
-          let sim = Sim.create () in
-          let spines, tors, hosts_per_tor = clos_scale profile in
-          let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-          let env = Runner.setup ~topo:cl.Topology.t ~scheme ~params:Runner.default_params in
+          let cl, env = prepare (Clos profile) scheme Runner.default_params in
           let hosts = cl.Topology.cl_hosts in
           let recv_a = hosts.(0) and recv_b = hosts.(1) in
           let ids = ref 0 in
@@ -65,25 +61,12 @@ let fig15 profile =
             match profile with Smoke -> Time.us 400.0 | Quick -> Time.ms 2.0 | Paper -> Time.ms 10.0
           in
           let mice dst seed =
-            Traffic.generate
-              {
-                Traffic.hosts = senders;
-                dist = Dist.fixed 1_000;
-                arrivals = Arrivals.Poisson;
-                load = 0.03;
-                ref_capacity_gbps = 100.0;
-                core_fraction = 1.0;
-                matrix = Traffic.To_one dst;
-                duration = dur;
-                seed;
-                prio_classes = 1;
-              }
-              ~ids
+            Traffic.to_one ~hosts:senders ~dst ~gbps:100.0 ~dist:(Dist.fixed 1_000)
+              ~arrivals:Arrivals.Poisson ~load:0.03 ~duration:dur ~seed ~ids
           in
           let direct = mice recv_a 21 and indirect = mice recv_b 22 in
-          Runner.inject env (Traffic.merge [ elephants; direct; indirect ]);
-          Runner.run env ~until:dur;
-          Runner.drain env ~budget:(2 * dur);
+          execute env ~until:dur ~budget:(2 * dur)
+            (Flows (Traffic.merge [ elephants; direct; indirect ]));
           [
             Scheme.name scheme;
             string_of_int n_eleph;
@@ -411,17 +394,12 @@ let fig26 profile =
       (List.map
          (fun scheme ->
            pt ("fig26:" ^ Scheme.name scheme) (fun () ->
-        let sim = Sim.create () in
         (* the WAN must be a small fraction of the DC core (the paper: 200G
            vs a 3.2T core) or the cores, not the schemes, are the limit *)
         let spines, tors, hosts_per_tor =
           match profile with Smoke -> (2, 2, 2) | Quick -> (4, 4, 8) | Paper -> (4, 8, 8)
         in
-        let x =
-          Topology.cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0)
-            ~wan_gbps:200.0 ~wan_prop:(Time.us 200.0)
-        in
-        let env = Runner.setup ~topo:x.Topology.x ~scheme ~params:Runner.default_params in
+        let x, env = prepare (Cross_dc { spines; tors; hosts_per_tor }) scheme Runner.default_params in
         let dur =
           match profile with Smoke -> Time.ms 1.5 | Quick -> Time.ms 5.0 | Paper -> Time.ms 25.0
         in
@@ -459,8 +437,7 @@ let fig26 profile =
         in
         let intra1 = intra h1 31 and intra2 = intra h2 32 in
         let probe = Metrics.utilization_probe env ~gid:x.Topology.interconnect_gid in
-        Runner.inject env (Traffic.merge [ inter; intra1; intra2 ]);
-        Runner.run env ~until:dur;
+        execute env ~until:dur (Flows (Traffic.merge [ inter; intra1; intra2 ]));
         let util = Metrics.utilization probe in
         let intra_flows = intra1 @ intra2 in
         [
@@ -675,34 +652,16 @@ let idempotent profile =
 (* ------------------------------------------------------------------ *)
 (* App. B live: actually deadlock a ring, then prevent it.              *)
 
-let ring_topology sim n =
-  let b = Topology.Builder.create sim in
-  let sws = Array.init n (fun i -> Topology.Builder.add_switch b ~name:(Printf.sprintf "r%d" i)) in
-  let hosts =
-    Array.map
-      (fun sw ->
-        let h = Topology.Builder.add_host b ~name:(Printf.sprintf "rh%d" sw) in
-        Topology.Builder.link b h sw ~gbps:100.0 ~prop:(Time.us 1.0);
-        h)
-      sws
-  in
-  for i = 0 to n - 1 do
-    Topology.Builder.link b sws.(i) sws.((i + 1) mod n) ~gbps:100.0 ~prop:(Time.us 1.0)
-  done;
-  (Topology.Builder.finish b, hosts)
-
 let deadlock_sim _profile =
   let run ~filter =
-    let sim = Sim.create () in
-    let n = 5 in
-    let topo, hosts = ring_topology sim n in
     (* 2 queues per port = one shared data queue: the PFC-like regime in
        which cyclic buffer dependencies produce real head-of-line deadlock *)
     let scheme = Scheme.Bfc { Scheme.bfc_default with Scheme.queues = 2 } in
-    let env =
-      Runner.setup ~topo ~scheme
-        ~params:{ Runner.default_params with deadlock_filter = filter }
+    let ring, env =
+      prepare Ring scheme { Runner.default_params with deadlock_filter = filter }
     in
+    let hosts = ring.Topology.rg_hosts in
+    let n = Array.length hosts in
     (* every host sends sustained bursts one and two hops around the ring:
        overload on every ring link, in a cyclic pattern *)
     let ids = ref 0 in
@@ -718,9 +677,7 @@ let deadlock_sim _profile =
             [ 1; 2 ])
         (List.init n (fun i -> i))
     in
-    Runner.inject env flows;
-    Runner.run env ~until:(Time.ms 4.0);
-    Runner.drain env ~budget:(Time.ms 40.0);
+    execute env ~until:(Time.ms 4.0) ~budget:(Time.ms 40.0) (Flows flows);
     let stuck =
       Array.fold_left
         (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp))
@@ -751,45 +708,20 @@ let deadlock_sim _profile =
 (* App. B: deadlock analysis.                                           *)
 
 let deadlock profile =
-  let sim = Sim.create () in
-  let spines, tors, hosts_per_tor = clos_scale profile in
-  let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let g = Bfc_core.Deadlock.build cl.Topology.t in
-  let clos_row =
-    [
-      "clos (up-down routing)";
-      string_of_int (Bfc_core.Deadlock.n_edges g);
-      string_of_bool (Bfc_core.Deadlock.has_cycle g);
-      "0";
-    ]
+  let row name topo =
+    let g = Bfc_core.Deadlock.build topo in
+    ( g,
+      [
+        name;
+        string_of_int (Bfc_core.Deadlock.n_edges g);
+        string_of_bool (Bfc_core.Deadlock.has_cycle g);
+        string_of_int (List.length (Bfc_core.Deadlock.dangerous_edges g));
+      ] )
   in
+  let _, clos_row = row "clos (up-down routing)" (snd (topology (Clos profile))) in
   (* a 5-switch ring: shortest-path routing creates a cyclic buffer
      dependency; the elision table must break it *)
-  let sim2 = Sim.create () in
-  let b = Topology.Builder.create sim2 in
-  let n = 5 in
-  let sws = Array.init n (fun i -> Topology.Builder.add_switch b ~name:(Printf.sprintf "r%d" i)) in
-  let _hosts =
-    Array.init n (fun i ->
-        let h = Topology.Builder.add_host b ~name:(Printf.sprintf "rh%d" i) in
-        Topology.Builder.link b h sws.(i) ~gbps:100.0 ~prop:(Time.us 1.0);
-        h)
-  in
-  for i = 0 to n - 1 do
-    Topology.Builder.link b sws.(i) sws.((i + 1) mod n) ~gbps:100.0 ~prop:(Time.us 1.0)
-  done;
-  let ring = Topology.Builder.finish b in
-  let gr = Bfc_core.Deadlock.build ring in
-  let cyc = Bfc_core.Deadlock.has_cycle gr in
-  let dangerous = Bfc_core.Deadlock.dangerous_edges gr in
-  let ring_row =
-    [
-      "5-switch ring";
-      string_of_int (Bfc_core.Deadlock.n_edges gr);
-      string_of_bool cyc;
-      string_of_int (List.length dangerous);
-    ]
-  in
+  let gr, ring_row = row "5-switch ring" (snd (topology Ring)) in
   let witness =
     match Bfc_core.Deadlock.find_cycle gr with
     | Some c -> Printf.sprintf "cycle through %d ports" (List.length c)

@@ -50,6 +50,56 @@ let duration profile ~dist =
   (* heavier-flow workloads need longer traces for the same flow count *)
   if mean > 50_000.0 then 2 * base else base
 
+(* ------------------------------------------------------------------ *)
+(* One set-up path: [prepare] builds a shape and sets the scheme up on it,
+   [execute] observes, injects, runs and drains. *)
+
+type _ shape =
+  | Clos : profile -> Topology.clos shape
+  | Star : { senders : int; gbps : float } -> Topology.star shape
+  | Testbed : { g1 : int; g2 : int; g3 : int } -> Topology.testbed shape
+  | Ring : Topology.ring shape
+  | Cross_dc : { spines : int; tors : int; hosts_per_tor : int } -> Topology.cross_dc shape
+
+(* the propagation delay of every link but the cross-DC WAN *)
+let prop = Time.us 1.0
+
+let topology : type a. a shape -> a * Topology.t =
+ fun shape ->
+  let sim = Sim.create () in
+  match shape with
+  | Clos profile ->
+    let spines, tors, hosts_per_tor = clos_scale profile in
+    let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop in
+    (cl, cl.Topology.t)
+  | Star { senders; gbps } ->
+    let st = Topology.star sim ~senders ~gbps ~prop in
+    (st, st.Topology.s)
+  | Testbed { g1; g2; g3 } ->
+    let tb = Topology.testbed sim ~g1 ~g2 ~g3 ~gbps:100.0 ~prop in
+    (tb, tb.Topology.tb)
+  | Ring ->
+    let rg = Topology.ring sim ~switches:5 ~gbps:100.0 ~prop in
+    (rg, rg.Topology.rg)
+  | Cross_dc { spines; tors; hosts_per_tor } ->
+    let x =
+      Topology.cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop ~wan_gbps:200.0
+        ~wan_prop:(Time.us 200.0)
+    in
+    (x, x.Topology.x)
+
+let prepare shape scheme params =
+  let built, topo = topology shape in
+  (built, Runner.setup ~topo ~scheme ~params)
+
+type injection = Flows of Bfc_net.Flow.t list | Windows of (unit -> unit)
+
+let execute ?(obs = ignore) ?budget env ~until injection =
+  obs env;
+  (match injection with Flows flows -> Runner.inject env flows | Windows start -> start ());
+  Runner.run env ~until;
+  Option.iter (fun budget -> Runner.drain env ~budget) budget
+
 type incast_mix = { degree : int; agg_frac_of_paper : float }
 
 let default_incast = { degree = 100; agg_frac_of_paper = 1.0 }
@@ -133,7 +183,7 @@ let std_duration s =
 
 (* The full workload of a standard run. Purely a function of the setup,
    the topology structure and seeded RNGs — no simulator state. *)
-let gen_flows s ~cl ~dur =
+let trace_flows s ~cl ~dur =
   let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
   let hosts = cl.Topology.cl_hosts in
   let n_hosts = Array.length hosts in
@@ -231,27 +281,24 @@ let stream_flows s env ~hosts ~n =
   (arrival_of n + 1, start)
 
 let run_std s =
-  let sim = Sim.create () in
-  let spines, tors, hosts_per_tor = clos_scale s.sp_profile in
-  let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let env = Runner.setup ~topo:cl.Topology.t ~scheme:s.sp_scheme ~params:(std_params s) in
+  let cl, env = prepare (Clos s.sp_profile) s.sp_scheme (std_params s) in
   (* Same-instant events run in post order, so the order below is part of
      the result: a trace run posts its watchers before its flows; a stream
      run injects its first windows before its window ticker starts. *)
-  let measure_from, until, budget, buffers, active, flows, start =
+  let measure_from, until, budget, buffers, active, flows, injection =
     match s.sp_workload with
     | Trace ->
       let dur = std_duration s in
-      let flows = gen_flows s ~cl ~dur in
+      let flows = trace_flows s ~cl ~dur in
       let buffers = Metrics.watch_buffers env ~period:(Time.us 5.0) in
       let active =
         if s.sp_track_active then Some (Metrics.watch_active_flows env ~period:(Time.us 10.0))
         else None
       in
-      (dur / 10, dur, 8 * dur, buffers, active, flows, fun () -> Runner.inject env flows)
+      (dur / 10, dur, 8 * dur, buffers, active, flows, Flows flows)
     | Stream n ->
       let horizon, start = stream_flows s env ~hosts:cl.Topology.cl_hosts ~n in
-      (0, horizon, 50 * Runner.base_rtt env, Sample.create (), None, [], start)
+      (0, horizon, 50 * Runner.base_rtt env, Sample.create (), None, [], Windows start)
   in
   let on_complete f = Runner.iter_hosts env (fun h -> Bfc_transport.Host.add_on_complete h f) in
   let sketches =
@@ -278,10 +325,7 @@ let run_std s =
   | Some { progress = true; _ }, Some sk ->
     Telemetry.progress_reporter ~sketch_buckets:(fun () -> Metrics.sketches_buckets sk) env stderr
   | _ -> ());
-  s.sp_obs env;
-  start ();
-  Runner.run env ~until;
-  Runner.drain env ~budget;
+  execute ~obs:s.sp_obs ~budget env ~until injection;
   Option.iter
     (fun (oc, w) ->
       Bfc_obs.Flowlog.Writer.close w;

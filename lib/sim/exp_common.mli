@@ -24,6 +24,49 @@ val clos_scale : profile -> int * int * int
     so every run completes a comparable flow count. *)
 val duration : profile -> dist:Bfc_workload.Dist.t -> Bfc_engine.Time.t
 
+(** {2 One set-up path}
+
+    Every simulated run, whatever its topology, is [prepare] then
+    [execute]: {!run_std} for the Clos traces and streams, and the
+    star, testbed, ring and cross-DC experiments directly. Each caller
+    keeps its own horizon, drain budget, [Runner.params] and seeds, and
+    posts its own watchers between the two calls: same-instant events run
+    in post order, so watchers go in before the flows. *)
+
+(** A topology and the record its builder returns. Links run at 100 Gbps
+    (a star's at [gbps]) with a 1 us propagation delay. [Clos] is the
+    profile's {!clos_scale}; [Ring] is 5 switches (App. B); [Cross_dc]
+    joins its two data centers by a 200 Gbps, 200 us WAN link (App. A.9). *)
+type _ shape =
+  | Clos : profile -> Bfc_net.Topology.clos shape
+  | Star : { senders : int; gbps : float } -> Bfc_net.Topology.star shape
+  | Testbed : { g1 : int; g2 : int; g3 : int } -> Bfc_net.Topology.testbed shape
+  | Ring : Bfc_net.Topology.ring shape
+  | Cross_dc : { spines : int; tors : int; hosts_per_tor : int } -> Bfc_net.Topology.cross_dc shape
+
+(** Build a shape on a fresh [Sim.t], without devices (static analysis). *)
+val topology : 'a shape -> 'a * Bfc_net.Topology.t
+
+(** Build a shape on a fresh [Sim.t] and set the scheme up on it
+    ({!Runner.setup}). *)
+val prepare : 'a shape -> Scheme.t -> Runner.params -> 'a * Runner.env
+
+(** What {!execute} injects: a flow list ({!Runner.inject}), or a thunk
+    that posts a stream's first arrival windows and its window ticker. *)
+type injection = Flows of Bfc_net.Flow.t list | Windows of (unit -> unit)
+
+(** [execute ?obs ?budget env ~until injection] runs [obs] (observability
+    wiring; nothing by default), injects, runs to [until] and then drains
+    for [budget] ({!Runner.drain}); without a [budget] it does not
+    drain. *)
+val execute :
+  ?obs:(Runner.env -> unit) ->
+  ?budget:Bfc_engine.Time.t ->
+  Runner.env ->
+  until:Bfc_engine.Time.t ->
+  injection ->
+  unit
+
 type incast_mix = {
   degree : int;
   agg_frac_of_paper : float; (** aggregate size relative to 20 MB at paper scale *)
@@ -75,6 +118,11 @@ type std_setup = {
 (** An exact [Trace] run: fb_hadoop at 0.6 load, seed 1. *)
 val std : profile -> Scheme.t -> std_setup
 
+(** A [Trace] run's workload on [cl], [dur] long: background flows from
+    [sp_dist] at [sp_load] (less 5% when [sp_incast] adds its incasts),
+    seeded by [sp_seed]. A pure function of its arguments. *)
+val trace_flows : std_setup -> cl:Bfc_net.Topology.clos -> dur:Bfc_engine.Time.t -> Bfc_net.Flow.t list
+
 type std_result = {
   env : Runner.env;
   flows : Bfc_net.Flow.t list;
@@ -88,10 +136,10 @@ type std_result = {
           sketches. *)
 }
 
-(** Execute a run: build the Clos, set up the scheme, attach the
-    workload's watchers, the streaming observers and [sp_obs], inject the
-    workload, run it and drain. Every Clos experiment, [bfc_sim sweep]
-    and [bfc_sim stream] go through here. *)
+(** Execute a run: {!prepare} the profile's Clos, attach the workload's
+    watchers and the streaming observers, then {!execute} with [sp_obs],
+    the workload, its horizon and its drain budget. Every Clos trace
+    experiment, [bfc_sim sweep] and [bfc_sim stream] go through here. *)
 val run_std : std_setup -> std_result
 
 (** One independent unit of an experiment sweep: a label and a thunk that

@@ -1,9 +1,6 @@
 (* Homa comparison (App. A.2): Fig. 17-19 and Table 2. *)
 
-module Time = Bfc_engine.Time
-module Sim = Bfc_engine.Sim
 module Topology = Bfc_net.Topology
-module Switch = Bfc_switch.Switch
 module Packet = Bfc_net.Packet
 module Dist = Bfc_workload.Dist
 module Traffic = Bfc_workload.Traffic
@@ -59,12 +56,8 @@ let fig17 profile =
 (* Table 2: scheduled-traffic queuing delay in the core.                *)
 
 let table2_point profile scheme () =
-  let sim = Sim.create () in
-  let spines, tors, hosts_per_tor = clos_scale profile in
-  let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let env =
-    Runner.setup ~topo:cl.Topology.t ~scheme
-      ~params:{ Runner.default_params with homa_dist = Dist.fb_hadoop }
+  let cl, env =
+    prepare (Clos profile) scheme { Runner.default_params with homa_dist = Dist.fb_hadoop }
   in
   let bdp = Runner.bdp env in
   let prms =
@@ -85,27 +78,9 @@ let table2_point profile scheme () =
   let agg_tor = watch ~from:is_spine ~towards:is_tor in
   let tor_agg = watch ~from:is_tor ~towards:is_spine in
   let dur = duration profile ~dist:Dist.fb_hadoop in
-  let spec =
-    {
-      Traffic.hosts = cl.Topology.cl_hosts;
-      dist = Dist.fb_hadoop;
-      arrivals = Arrivals.lognormal_default;
-      load = 0.6;
-      ref_capacity_gbps = float_of_int (spines * tors) *. 100.0;
-      core_fraction =
-        1.0
-        -. float_of_int (hosts_per_tor - 1)
-           /. float_of_int ((tors * hosts_per_tor) - 1);
-      matrix = Traffic.Uniform;
-      duration = dur;
-      seed = 2;
-      prio_classes = 1;
-    }
-  in
-  let ids = ref 0 in
-  Runner.inject env (Traffic.generate spec ~ids);
-  Runner.run env ~until:dur;
-  Runner.drain env ~budget:(4 * dur);
+  (* the standard run's FB trace, on its own seed *)
+  let flows = trace_flows { (std profile scheme) with sp_seed = 2 } ~cl ~dur in
+  execute env ~until:dur ~budget:(4 * dur) (Flows flows);
   let v s p = if Sample.is_empty s then nan else Sample.percentile s p in
   [
     [ Scheme.name scheme; "Agg-ToR"; cell (v agg_tor 95.0); cell (v agg_tor 99.0) ];
@@ -135,36 +110,17 @@ let table2 profile =
 (* Fig. 18: single receiver, senders in the same rack (SRF accuracy).   *)
 
 let fig18_point profile dist scheme () =
-  let sim = Sim.create () in
-  let spines, tors, hosts_per_tor = clos_scale profile in
-  let cl = Topology.clos sim ~spines ~tors ~hosts_per_tor ~gbps:100.0 ~prop:(Time.us 1.0) in
-  let env =
-    Runner.setup ~topo:cl.Topology.t ~scheme
-      ~params:{ Runner.default_params with homa_dist = dist }
-  in
+  let _, _, hosts_per_tor = clos_scale profile in
+  let cl, env = prepare (Clos profile) scheme { Runner.default_params with homa_dist = dist } in
   (* receiver = host 0; senders = rest of its rack *)
   let recv = cl.Topology.cl_hosts.(0) in
   let rack = Array.sub cl.Topology.cl_hosts 1 (hosts_per_tor - 1) in
   let dur = 2 * duration profile ~dist in
-  let spec =
-    {
-      Traffic.hosts = rack;
-      dist;
-      arrivals = Arrivals.lognormal_default;
-      load = 0.6;
-      ref_capacity_gbps = 100.0;
-      core_fraction = 1.0;
-      matrix = Traffic.To_one recv;
-      duration = dur;
-      seed = 3;
-      prio_classes = 1;
-    }
+  let flows =
+    Traffic.to_one ~hosts:rack ~dst:recv ~gbps:100.0 ~dist ~arrivals:Arrivals.lognormal_default
+      ~load:0.6 ~duration:dur ~seed:3 ~ids:(ref 0)
   in
-  let ids = ref 0 in
-  let flows = Traffic.generate spec ~ids in
-  Runner.inject env flows;
-  Runner.run env ~until:dur;
-  Runner.drain env ~budget:(4 * dur);
+  execute env ~until:dur ~budget:(4 * dur) (Flows flows);
   let stats = Metrics.fct_table env ~since:(dur / 10) flows in
   List.filter_map
     (fun (st : Metrics.fct_stats) ->

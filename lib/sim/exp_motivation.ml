@@ -191,54 +191,32 @@ let fig3 profile =
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: number of active flows at a bottleneck port.                 *)
 
-let bottleneck_egress topo ~switch ~receiver =
-  let ports = Topology.ports topo switch in
-  let found = ref (-1) in
-  Array.iteri
-    (fun i p -> if (Bfc_net.Port.peer p).Bfc_net.Node.id = receiver then found := i)
-    ports;
-  !found
+(* The star's bottleneck: its switch and the switch's egress towards the
+   receiver. *)
+let bottleneck env (st : Topology.star) =
+  ( Runner.switch env st.Topology.st_switch,
+    Topology.egress_towards st.Topology.s ~node:st.Topology.st_switch
+      ~peer:st.Topology.st_receiver )
 
 let active_flow_run ~profile ~scheme ~gbps ~load ~seed =
-  let sim = Sim.create () in
   let senders = match profile with Smoke -> 8 | _ -> 16 in
-  let st = Topology.star sim ~senders ~gbps ~prop:(Time.us 1.0) in
   let params = { Runner.default_params with track_active_flows = true; seed } in
-  let env = Runner.setup ~topo:st.Topology.s ~scheme ~params in
+  let st, env = prepare (Star { senders; gbps }) scheme params in
   let duration =
     let base = match profile with Smoke -> Time.us 500.0 | Quick -> Time.ms 5.0 | Paper -> Time.ms 40.0 in
     (* slower links need longer wall-clock to see the same flow count *)
     int_of_float (float_of_int base *. (100.0 /. gbps))
   in
-  let spec =
-    {
-      Traffic.hosts = st.Topology.st_senders;
-      dist = Dist.google;
-      arrivals = Arrivals.lognormal_default;
-      load;
-      ref_capacity_gbps = gbps;
-      core_fraction = 1.0;
-      matrix = Traffic.To_one st.Topology.st_receiver;
-      duration;
-      seed;
-      prio_classes = 1;
-    }
+  let flows =
+    Traffic.to_one ~hosts:st.Topology.st_senders ~dst:st.Topology.st_receiver ~gbps
+      ~dist:Dist.google ~arrivals:Arrivals.lognormal_default ~load ~duration ~seed ~ids:(ref 0)
   in
-  (* To_one picks among hosts incl receiver: hosts here are only senders, so
-     add the receiver to the matrix target only. *)
-  let ids = ref 0 in
-  let flows = Traffic.generate spec ~ids in
-  let egress = bottleneck_egress st.Topology.s ~switch:st.Topology.st_switch ~receiver:st.Topology.st_receiver in
-  let sw =
-    Array.to_list (Runner.switches env)
-    |> List.find (fun s -> Switch.node_id s = st.Topology.st_switch)
-  in
+  let sw, egress = bottleneck env st in
   let sample = Sample.create () in
   ignore
-    (Sim.every sim ~period:(Time.us 10.0) (fun () ->
+    (Sim.every (Runner.sim env) ~period:(Time.us 10.0) (fun () ->
          Sample.add sample (float_of_int (Switch.active_flows sw ~egress))));
-  Runner.inject env flows;
-  Runner.run env ~until:duration;
+  execute env ~until:duration (Flows flows);
   sample
 
 let fig4 profile =
@@ -324,10 +302,8 @@ let table1 profile =
       (List.map
          (fun scheme ->
            pt ("table1:" ^ Scheme.name scheme) (fun () ->
-        let sim = Sim.create () in
         let senders = 16 in
-        let st = Topology.star sim ~senders ~gbps:100.0 ~prop:(Time.us 1.0) in
-        let env = Runner.setup ~topo:st.Topology.s ~scheme ~params:Runner.default_params in
+        let st, env = prepare (Star { senders; gbps = 100.0 }) scheme Runner.default_params in
         let duration =
           match profile with Smoke -> Time.us 400.0 | Quick -> Time.ms 4.0 | Paper -> Time.ms 20.0
         in
@@ -338,25 +314,12 @@ let table1 profile =
             ~pairs:[| (st.Topology.st_senders.(0), st.Topology.st_receiver) |]
             ~size:(1 lsl 40) ~ids ()
         in
-        let cross_spec =
-          {
-            Traffic.hosts = Array.sub st.Topology.st_senders 1 (senders - 1);
-            dist = Dist.fb_hadoop;
-            arrivals = Arrivals.lognormal_default;
-            load = 0.6;
-            ref_capacity_gbps = 100.0;
-            core_fraction = 1.0;
-            matrix = Traffic.To_one st.Topology.st_receiver;
-            duration;
-            seed = 5;
-            prio_classes = 1;
-          }
+        let cross =
+          Traffic.to_one ~hosts:(Array.sub st.Topology.st_senders 1 (senders - 1))
+            ~dst:st.Topology.st_receiver ~gbps:100.0 ~dist:Dist.fb_hadoop
+            ~arrivals:Arrivals.lognormal_default ~load:0.6 ~duration ~seed:5 ~ids
         in
-        let cross = Traffic.generate cross_spec ~ids in
-        let egress =
-          bottleneck_egress st.Topology.s ~switch:st.Topology.st_switch
-            ~receiver:st.Topology.st_receiver
-        in
+        let _, egress = bottleneck env st in
         let lf = List.hd long in
         (* the paper's metric: per-packet queuing delay of the *long flow*
            at the bottleneck *)
@@ -364,8 +327,7 @@ let table1 profile =
           Metrics.watch_queue_delay env ~filter:(fun ~sw ~egress:e pkt ->
               sw = st.Topology.st_switch && e = egress && Bfc_net.Packet.fid pkt = lf.Flow.id)
         in
-        Runner.inject env (Traffic.merge [ long; cross ]);
-        Runner.run env ~until:duration;
+        execute env ~until:duration (Flows (Traffic.merge [ long; cross ]));
         let tput =
           float_of_int lf.Flow.delivered /. (100.0 /. 8.0 *. float_of_int duration) *. 100.0
         in
@@ -390,43 +352,21 @@ let mg1 profile =
       (List.map
          (fun rho ->
            pt (Printf.sprintf "mg1:%g" rho) (fun () ->
-        let sim = Sim.create () in
-        let st = Topology.star sim ~senders:16 ~gbps:100.0 ~prop:(Time.us 1.0) in
         let params = { Runner.default_params with track_active_flows = true } in
-        let env = Runner.setup ~topo:st.Topology.s ~scheme:Scheme.Ideal_fq ~params in
+        let st, env = prepare (Star { senders = 16; gbps = 100.0 }) Scheme.Ideal_fq params in
         let duration =
           match profile with Smoke -> Time.us 500.0 | Quick -> Time.ms 6.0 | Paper -> Time.ms 40.0
         in
-        let spec =
-          {
-            Traffic.hosts = st.Topology.st_senders;
-            dist = Dist.google;
-            arrivals = Arrivals.Poisson;
-            load = rho;
-            ref_capacity_gbps = 100.0;
-            core_fraction = 1.0;
-            matrix = Traffic.To_one st.Topology.st_receiver;
-            duration;
-            seed = 17;
-            prio_classes = 1;
-          }
+        let flows =
+          Traffic.to_one ~hosts:st.Topology.st_senders ~dst:st.Topology.st_receiver ~gbps:100.0
+            ~dist:Dist.google ~arrivals:Arrivals.Poisson ~load:rho ~duration ~seed:17 ~ids:(ref 0)
         in
-        let ids = ref 0 in
-        let flows = Traffic.generate spec ~ids in
-        let egress =
-          bottleneck_egress st.Topology.s ~switch:st.Topology.st_switch
-            ~receiver:st.Topology.st_receiver
-        in
-        let sw =
-          Array.to_list (Runner.switches env)
-          |> List.find (fun s -> Switch.node_id s = st.Topology.st_switch)
-        in
+        let sw, egress = bottleneck env st in
         let sample = Sample.create () in
         ignore
-          (Sim.every sim ~period:(Time.us 5.0) (fun () ->
+          (Sim.every (Runner.sim env) ~period:(Time.us 5.0) (fun () ->
                Sample.add sample (float_of_int (Switch.active_flows sw ~egress))));
-        Runner.inject env flows;
-        Runner.run env ~until:duration;
+        execute env ~until:duration (Flows flows);
         [
           cell rho;
           cell (Bfc_core.Active_flows.mean ~rho);

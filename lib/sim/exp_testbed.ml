@@ -12,13 +12,6 @@ module Traffic = Bfc_workload.Traffic
 module Sample = Bfc_util.Stats.Sample
 open Exp_common
 
-let egress_towards topo ~switch ~peer =
-  let found = ref (-1) in
-  Array.iteri
-    (fun i p -> if (Bfc_net.Port.peer p).Bfc_net.Node.id = peer then found := i)
-    (Topology.ports topo switch);
-  !found
-
 (* ------------------------------------------------------------------ *)
 (* Fig. 7: two flows at a 100G link; sweep the pause threshold.         *)
 
@@ -33,13 +26,11 @@ let fig7 profile =
       (List.map
          (fun th_us ->
            pt (Printf.sprintf "fig7:%g" th_us) (fun () ->
-        let sim = Sim.create () in
-        let tb = Topology.testbed sim ~g1:1 ~g2:1 ~g3:1 ~gbps:100.0 ~prop:(Time.us 1.0) in
         let fixed_th = int_of_float (th_us *. 12_500.0) in
         let scheme =
           Scheme.Bfc { Scheme.bfc_default with Scheme.queues = 16; fixed_th = Some fixed_th }
         in
-        let env = Runner.setup ~topo:tb.Topology.tb ~scheme ~params:Runner.default_params in
+        let tb, env = prepare (Testbed { g1 = 1; g2 = 1; g3 = 1 }) scheme Runner.default_params in
         let ids = ref 0 in
         let flows =
           Traffic.long_lived
@@ -50,21 +41,19 @@ let fig7 profile =
               |]
             ~ids ()
         in
-        let egress = egress_towards tb.Topology.tb ~switch:tb.Topology.sw2 ~peer:tb.Topology.recv2 in
-        let sw2 =
-          Array.to_list (Runner.switches env)
-          |> List.find (fun s -> Switch.node_id s = tb.Topology.sw2)
+        let egress =
+          Topology.egress_towards tb.Topology.tb ~node:tb.Topology.sw2 ~peer:tb.Topology.recv2
         in
+        let sw2 = Runner.switch env tb.Topology.sw2 in
         let qlen = Sample.create () in
         ignore
-          (Sim.every sim ~period:(Time.ns 500) (fun () ->
+          (Sim.every (Runner.sim env) ~period:(Time.ns 500) (fun () ->
                Sample.add qlen (float_of_int (Switch.egress_bytes sw2 ~egress))));
         let probe =
           Metrics.utilization_probe env
             ~gid:(Bfc_net.Port.gid (Topology.port tb.Topology.tb tb.Topology.sw2 egress))
         in
-        Runner.inject env flows;
-        Runner.run env ~until:duration;
+        execute env ~until:duration (Flows flows);
         let util = Metrics.utilization probe in
         [
           cell th_us;
@@ -99,11 +88,9 @@ let fig8 profile =
   (* every (strategy, g2, run) triple is one independent sweep point
      returning its group-1 FCTs; runs merge back per (strategy, g2) *)
   let one_run assignment g2 run () =
-    let sim = Sim.create () in
-    let tb = Topology.testbed sim ~g1:2 ~g2 ~g3:8 ~gbps:100.0 ~prop:(Time.us 1.0) in
     let scheme = Scheme.Bfc { Scheme.bfc_default with Scheme.queues = 16; assignment } in
     let params = { Runner.default_params with seed = run * 7 } in
-    let env = Runner.setup ~topo:tb.Topology.tb ~scheme ~params in
+    let tb, env = prepare (Testbed { g1 = 2; g2; g3 = 8 }) scheme params in
     let ids = ref (run * 10_000) in
     let size = 1_500_000 in
     let mk src dst =
@@ -114,9 +101,7 @@ let fig8 profile =
     let group1 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv1) tb.Topology.group1) in
     let group2 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv2) tb.Topology.group2) in
     let group3 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv2) tb.Topology.group3) in
-    Runner.inject env (group1 @ group2 @ group3);
-    Runner.run env ~until:(Time.ms 10.0);
-    Runner.drain env ~budget:(Time.ms 40.0);
+    execute env ~until:(Time.ms 10.0) ~budget:(Time.ms 40.0) (Flows (group1 @ group2 @ group3));
     List.filter_map
       (fun f -> if Flow.complete f then Some (Time.to_us (Flow.fct f)) else None)
       group1

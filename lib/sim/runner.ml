@@ -71,6 +71,11 @@ let bdp env = env.bdp
 
 let switches env = env.switches
 
+let switch env node =
+  match Array.find_opt (fun sw -> Switch.node_id sw = node) env.switches with
+  | Some sw -> sw
+  | None -> invalid_arg (Printf.sprintf "Runner.switch: node %d is not a switch" node)
+
 let dataplanes env = env.dataplanes
 
 let host env i =

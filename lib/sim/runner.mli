@@ -51,6 +51,10 @@ val bdp : env -> int
 (** Switches, in node-id order. *)
 val switches : env -> Bfc_switch.Switch.t array
 
+(** The switch on node [node]. Raises [Invalid_argument] for a node that
+    is not a switch. *)
+val switch : env -> int -> Bfc_switch.Switch.t
+
 (** BFC dataplanes (same order as [switches]) when the scheme has one. *)
 val dataplanes : env -> Bfc_core.Dataplane.t array
 

@@ -1,4 +1,3 @@
-module Sim = Bfc_engine.Sim
 module Time = Bfc_engine.Time
 module Topology = Bfc_net.Topology
 module Flow = Bfc_net.Flow
@@ -84,30 +83,7 @@ let clos_cell profile ~scheme ~scenario ~watchdog ~seed =
 
 type ring_variant = Ring_pfc | Ring_bfc_unprotected | Ring_bfc_filtered
 
-(* [n] switches in a unidirectional ring, one host per switch: the crafted
-   CBD topology. Returns the topology and the host node ids in ring order. *)
-let ring_topology sim n =
-  let b = Topology.Builder.create sim in
-  let sws =
-    Array.init n (fun i -> Topology.Builder.add_switch b ~name:(Printf.sprintf "r%d" i))
-  in
-  let hosts =
-    Array.map
-      (fun sw ->
-        let h = Topology.Builder.add_host b ~name:(Printf.sprintf "rh%d" sw) in
-        Topology.Builder.link b h sw ~gbps:100.0 ~prop:(Time.us 1.0);
-        h)
-      sws
-  in
-  for i = 0 to n - 1 do
-    Topology.Builder.link b sws.(i) sws.((i + 1) mod n) ~gbps:100.0 ~prop:(Time.us 1.0)
-  done;
-  (Topology.Builder.finish b, hosts)
-
 let ring_cell profile variant =
-  let sim = Sim.create () in
-  let n = 5 in
-  let topo, hosts = ring_topology sim n in
   let scheme, filter, label =
     match variant with
     | Ring_pfc -> (Scheme.pfc_only, false, "cbd-ring")
@@ -121,7 +97,9 @@ let ring_cell profile variant =
   let params =
     { Runner.default_params with Runner.deadlock_filter = filter; buffer_bytes = 50_000 }
   in
-  let env = Runner.setup ~topo ~scheme ~params in
+  let ring, env = Exp_common.prepare Exp_common.Ring scheme params in
+  let hosts = ring.Topology.rg_hosts in
+  let n = Array.length hosts in
   let det = Detect.attach env in
   let size, until, budget =
     match profile with
@@ -143,9 +121,7 @@ let ring_cell profile variant =
           [ 1; 2 ])
       (List.init n (fun i -> i))
   in
-  Runner.inject env flows;
-  Runner.run env ~until;
-  Runner.drain env ~budget;
+  Exp_common.execute env ~until ~budget (Exp_common.Flows flows);
   {
     c_scheme = Scheme.name scheme;
     c_scenario = label;
@@ -215,6 +191,14 @@ let matrix_table cells =
       ];
     rows;
   }
+
+let summary tables =
+  String.concat ""
+    (List.concat_map
+       (fun (t : Exp_common.table) ->
+         (t.Exp_common.title ^ "\n")
+         :: List.map (fun row -> String.concat "|" row ^ "\n") (t.Exp_common.header :: t.Exp_common.rows))
+       tables)
 
 let target ?(seed = 1) ?(watchdog = Time.us 50.0) () =
   {

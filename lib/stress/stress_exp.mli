@@ -53,3 +53,8 @@ val ring_cell : Bfc_sim.Exp_common.profile -> ring_variant -> cell
 (** The full matrix as an {!Bfc_sim.Experiments.target} named "stress",
     runnable via [Experiments.run]. *)
 val target : ?seed:int -> ?watchdog:Bfc_engine.Time.t -> unit -> Bfc_sim.Experiments.target
+
+(** The tables in canonical pipe-separated form: each title, then its
+    header and rows with cells joined by [|]. [bfc_sim stress
+    --summary-out] writes it; same seed, same bytes. *)
+val summary : Bfc_sim.Exp_common.table list -> string

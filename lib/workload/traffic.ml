@@ -73,6 +73,12 @@ let generate spec ~ids =
   done;
   List.rev !acc
 
+let to_one ~hosts ~dst ~gbps ~dist ~arrivals ~load ~duration ~seed ~ids =
+  generate
+    { hosts; dist; arrivals; load; ref_capacity_gbps = gbps; core_fraction = 1.0;
+      matrix = To_one dst; duration; seed; prio_classes = 1 }
+    ~ids
+
 type incast_spec = {
   i_hosts : int array;
   degree : int;

@@ -34,6 +34,20 @@ type spec = {
     allocated from the shared counter so several generators compose. *)
 val generate : spec -> ids:int ref -> Bfc_net.Flow.t list
 
+(** Single-receiver traffic (the star and rack microbenchmarks): flows
+    from [hosts] to [dst] at [load] of one [gbps] link, one class. *)
+val to_one :
+  hosts:int array ->
+  dst:int ->
+  gbps:float ->
+  dist:Dist.t ->
+  arrivals:Arrivals.t ->
+  load:float ->
+  duration:Bfc_engine.Time.t ->
+  seed:int ->
+  ids:int ref ->
+  Bfc_net.Flow.t list
+
 type incast_spec = {
   i_hosts : int array;
   degree : int;

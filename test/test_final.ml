@@ -161,24 +161,56 @@ let test_active_flows_invalid_rho () =
 
 (* ------------------- Every bench target, end to end ----------------- *)
 
+(* fixtures/sim/experiments_smoke.expected is what [bfc_sim run --profile
+   smoke] prints for the whole registry, minus its timing lines.
+   Regenerate it from the repository root with
+     dune build && ./_build/default/bin/bfc_sim.exe run --profile smoke \
+       | grep -v '^\[.* done in ' > test/fixtures/sim/experiments_smoke.expected *)
+let experiments_fixture =
+  if Sys.file_exists "fixtures/sim" then "fixtures/sim/experiments_smoke.expected"
+  else "test/fixtures/sim/experiments_smoke.expected"
+
+(* The first line where [got] and [want] differ, as a message; [None] when
+   they are equal. *)
+let first_difference ~got ~want =
+  let rec go n = function
+    | g :: gs, w :: ws -> if g = w then go (n + 1) (gs, ws) else Some (n, g, w)
+    | [], [] -> None
+    | g :: _, [] -> Some (n, g, "<end of fixture>")
+    | [], w :: _ -> Some (n, "<end of output>", w)
+  in
+  go 1 (String.split_on_char '\n' got, String.split_on_char '\n' want)
+  |> Option.map (fun (n, g, w) -> Printf.sprintf "line %d:\n  got:  %s\n  want: %s" n g w)
+
 let test_every_experiment_target_runs () =
-  (* the whole registry at smoke scale: the bench harness must never crash
-     and every produced table must be well-formed *)
+  (* the whole registry at smoke scale: the bench harness must never crash,
+     every produced table must be well-formed, and the tables, rendered as
+     [Experiments.run] prints them, must match the fixture byte for byte *)
+  let out = Buffer.create 65_536 in
   List.iter
     (fun t ->
       let tables = t.Bfc_sim.Experiments.t_run Bfc_sim.Exp_common.Smoke in
       Alcotest.(check bool)
         (t.Bfc_sim.Experiments.t_name ^ " produces tables")
         true (tables <> []);
+      Printf.bprintf out "\n################ %s — %s\n" t.Bfc_sim.Experiments.t_name
+        t.Bfc_sim.Experiments.t_what;
       List.iter
         (fun tbl ->
           let w = List.length tbl.Bfc_sim.Exp_common.header in
           Alcotest.(check bool)
             (t.Bfc_sim.Experiments.t_name ^ " rows match header width")
             true
-            (List.for_all (fun r -> List.length r = w) tbl.Bfc_sim.Exp_common.rows))
+            (List.for_all (fun r -> List.length r = w) tbl.Bfc_sim.Exp_common.rows);
+          Printf.bprintf out "\n== %s ==\n%s" tbl.Bfc_sim.Exp_common.title
+            (Bfc_util.Ascii_table.render ~header:tbl.Bfc_sim.Exp_common.header
+               tbl.Bfc_sim.Exp_common.rows))
         tables)
-    Bfc_sim.Experiments.all
+    Bfc_sim.Experiments.all;
+  let want = In_channel.with_open_bin experiments_fixture In_channel.input_all in
+  match first_difference ~got:(Buffer.contents out) ~want with
+  | None -> ()
+  | Some msg -> Alcotest.failf "smoke tables differ from %s at %s" experiments_fixture msg
 
 let suite =
   [

@@ -130,6 +130,20 @@ let test_replay_byte_identical () =
   check Alcotest.string "detector report replays byte-identically" s1 s2;
   check Alcotest.string "run metrics replay byte-identically" m1 m2
 
+(* fixtures/stress/smoke_summary.txt is the Smoke matrix at the default
+   seed and watchdog. Regenerate it from the repository root with
+     dune build && ./_build/default/bin/bfc_sim.exe stress --profile smoke \
+       --summary-out test/fixtures/stress/smoke_summary.txt *)
+let summary_fixture =
+  if Sys.file_exists "fixtures/stress" then "fixtures/stress/smoke_summary.txt"
+  else "test/fixtures/stress/smoke_summary.txt"
+
+let test_smoke_matrix_matches_fixture () =
+  let target = Stress_exp.target () in
+  let got = Stress_exp.summary (target.Bfc_sim.Experiments.t_run Exp_common.Smoke) in
+  let want = In_channel.with_open_bin summary_fixture In_channel.input_all in
+  check Alcotest.string "smoke matrix matches the committed fixture" want got
+
 let suite =
   [
     Alcotest.test_case "ring pfc deadlocks" `Quick test_ring_pfc_deadlocks;
@@ -141,4 +155,5 @@ let suite =
     Alcotest.test_case "pfc clos victims" `Quick test_pfc_clos_victims;
     Alcotest.test_case "scenario seed determinism" `Quick test_scenario_seed_determinism;
     Alcotest.test_case "replay byte identical" `Quick test_replay_byte_identical;
+    Alcotest.test_case "smoke matrix matches fixture" `Quick test_smoke_matrix_matches_fixture;
   ]
