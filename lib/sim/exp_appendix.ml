@@ -660,24 +660,8 @@ let deadlock_sim _profile =
     let ring, env =
       prepare Ring scheme { Runner.default_params with deadlock_filter = filter }
     in
-    let hosts = ring.Topology.rg_hosts in
-    let n = Array.length hosts in
-    (* every host sends sustained bursts one and two hops around the ring:
-       overload on every ring link, in a cyclic pattern *)
-    let ids = ref 0 in
-    let flows =
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun hop ->
-              let id = !ids in
-              incr ids;
-              Flow.make ~id ~src:hosts.(i) ~dst:hosts.((i + hop) mod n) ~size:5_000_000
-                ~arrival:0 ())
-            [ 1; 2 ])
-        (List.init n (fun i -> i))
-    in
-    execute env ~until:(Time.ms 4.0) ~budget:(Time.ms 40.0) (Flows flows);
+    execute env ~until:(Time.ms 4.0) ~budget:(Time.ms 40.0)
+      (Flows (ring_flows ring ~size:5_000_000));
     let stuck =
       Array.fold_left
         (fun a dp -> a + Bfc_core.Pause_counter.total (Bfc_core.Dataplane.pause_counters dp))

@@ -100,6 +100,13 @@ let execute ?(obs = ignore) ?budget env ~until injection =
   Runner.run env ~until;
   Option.iter (fun budget -> Runner.drain env ~budget) budget
 
+let ring_flows (rg : Topology.ring) ~size =
+  let hosts = rg.Topology.rg_hosts in
+  let n = Array.length hosts in
+  (* host i's flows, ids 2i and 2i + 1, go one and two hops on *)
+  let pair k = (hosts.(k / 2), hosts.((k / 2 + 1 + (k mod 2)) mod n)) in
+  Traffic.long_lived ~pairs:(Array.init (2 * n) pair) ~size ~ids:(ref 0) ()
+
 type incast_mix = { degree : int; agg_frac_of_paper : float }
 
 let default_incast = { degree = 100; agg_frac_of_paper = 1.0 }

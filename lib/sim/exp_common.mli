@@ -67,6 +67,11 @@ val execute :
   injection ->
   unit
 
+(** The App. B cyclic workload: every host of the ring starts a [size]-byte
+    flow one hop and one two hops around it at time 0, which overloads
+    every ring link in a cycle. *)
+val ring_flows : Bfc_net.Topology.ring -> size:int -> Bfc_net.Flow.t list
+
 type incast_mix = {
   degree : int;
   agg_frac_of_paper : float; (** aggregate size relative to 20 MB at paper scale *)

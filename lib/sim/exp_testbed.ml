@@ -92,15 +92,12 @@ let fig8 profile =
     let params = { Runner.default_params with seed = run * 7 } in
     let tb, env = prepare (Testbed { g1 = 2; g2; g3 = 8 }) scheme params in
     let ids = ref (run * 10_000) in
-    let size = 1_500_000 in
-    let mk src dst =
-      let id = !ids in
-      incr ids;
-      Flow.make ~id ~src ~dst ~size ~arrival:0 ()
+    let to_recv recv group =
+      Traffic.long_lived ~pairs:(Array.map (fun h -> (h, recv)) group) ~size:1_500_000 ~ids ()
     in
-    let group1 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv1) tb.Topology.group1) in
-    let group2 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv2) tb.Topology.group2) in
-    let group3 = Array.to_list (Array.map (fun h -> mk h tb.Topology.recv2) tb.Topology.group3) in
+    let group1 = to_recv tb.Topology.recv1 tb.Topology.group1 in
+    let group2 = to_recv tb.Topology.recv2 tb.Topology.group2 in
+    let group3 = to_recv tb.Topology.recv2 tb.Topology.group3 in
     execute env ~until:(Time.ms 10.0) ~budget:(Time.ms 40.0) (Flows (group1 @ group2 @ group3));
     List.filter_map
       (fun f -> if Flow.complete f then Some (Time.to_us (Flow.fct f)) else None)

@@ -1,5 +1,4 @@
 module Time = Bfc_engine.Time
-module Topology = Bfc_net.Topology
 module Flow = Bfc_net.Flow
 module Runner = Bfc_sim.Runner
 module Scheme = Bfc_sim.Scheme
@@ -98,8 +97,6 @@ let ring_cell profile variant =
     { Runner.default_params with Runner.deadlock_filter = filter; buffer_bytes = 50_000 }
   in
   let ring, env = Exp_common.prepare Exp_common.Ring scheme params in
-  let hosts = ring.Topology.rg_hosts in
-  let n = Array.length hosts in
   let det = Detect.attach env in
   let size, until, budget =
     match profile with
@@ -107,20 +104,7 @@ let ring_cell profile variant =
     | Exp_common.Quick -> (1_000_000, Time.ms 2.0, Time.ms 8.0)
     | Exp_common.Paper -> (5_000_000, Time.ms 4.0, Time.ms 40.0)
   in
-  (* sustained one- and two-hop flows around the ring: overload on every
-     ring link, in a cyclic pattern *)
-  let ids = ref 0 in
-  let flows =
-    List.concat_map
-      (fun i ->
-        List.map
-          (fun hop ->
-            let id = !ids in
-            incr ids;
-            Flow.make ~id ~src:hosts.(i) ~dst:hosts.((i + hop) mod n) ~size ~arrival:0 ())
-          [ 1; 2 ])
-      (List.init n (fun i -> i))
-  in
+  let flows = Exp_common.ring_flows ring ~size in
   Exp_common.execute env ~until ~budget (Exp_common.Flows flows);
   {
     c_scheme = Scheme.name scheme;
