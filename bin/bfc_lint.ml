@@ -2,8 +2,8 @@
 
    bfc_lint [--json] [--suppressed] [--rules] [paths...]   (default path: lib)
 
-   The per-file rules read the sources under [paths]; DC001 reads the
-   compiled units of the build, so build them first (dune build @check).
+   The per-file rules read the sources under [paths]; DC001 and DC002 read
+   the compiled units of the build, so build them first (dune build @check).
    `dune build @lint` does both. *)
 
 let () =

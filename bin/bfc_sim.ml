@@ -220,14 +220,7 @@ let trace_cmd =
           (fun env ->
             tel :=
               Some
-                (Telemetry.attach
-                   ~config:
-                     {
-                       Telemetry.t_enabled = true;
-                       t_trace = true;
-                       t_trace_capacity = trace_cap;
-                       t_series_period = Some (Time.us series_period);
-                     }
+                (Telemetry.attach ~trace_capacity:trace_cap ~series_period:(Time.us series_period)
                    env));
       }
     in
@@ -244,16 +237,16 @@ let trace_cmd =
       close_out oc
     in
     with_out trace_out (Telemetry.write_trace tel);
-    Printf.printf "wrote %s (%d trace records)\n" trace_out
-      (match Telemetry.trace tel with
-      | Some b -> Bfc_obs.Trace.length b
-      | None -> 0);
+    let trace = Telemetry.trace tel in
+    let kept = Bfc_obs.Trace.length trace in
+    let overwritten = Bfc_obs.Trace.recorded trace - kept in
+    Printf.printf "wrote %s (%d trace records%s)\n" trace_out kept
+      (if overwritten > 0 then Printf.sprintf ", %d older ones overwritten" overwritten else "");
     (match series_out with
     | None -> ()
     | Some path ->
       with_out path (Telemetry.write_series tel);
-      Printf.printf "wrote %s (%d samples)\n" path
-        (match Telemetry.series tel with Some s -> Bfc_obs.Series.n_samples s | None -> 0));
+      Printf.printf "wrote %s (%d samples)\n" path (Bfc_obs.Series.n_samples (Telemetry.series tel)));
     (match jsonl_out with
     | None -> ()
     | Some path -> with_out path (Telemetry.write_jsonl tel));

@@ -11,7 +11,6 @@ type config = {
   table_mult : int;
   sticky_hrtt_mult : float;
   credit_bytes : int;
-  max_upstream_q : int;
   seed : int;
 }
 
@@ -21,7 +20,6 @@ let default_config =
     table_mult = 100;
     sticky_hrtt_mult = 2.0;
     credit_bytes = 25_000;
-    max_upstream_q = 256;
     seed = 1;
   }
 
@@ -43,7 +41,6 @@ end
 
 type t = {
   sw : Switch.t;
-  cfg : config;
   ft : Flow_table.t;
   dqa : Dqa.t;
   balances : Balance.b array; (* per egress *)
@@ -147,7 +144,6 @@ let attach sw cfg =
   let t =
     {
       sw;
-      cfg;
       ft =
         Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
           ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult);

@@ -22,7 +22,6 @@ type config = {
   sticky_hrtt_mult : float;
   credit_bytes : int;
       (** initial balance per queue; one 1-hop BDP sustains line rate *)
-  max_upstream_q : int;
   seed : int;
 }
 

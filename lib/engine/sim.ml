@@ -40,7 +40,7 @@
    record's [a0], and the id goes back to its free list when the entry
    pops or is removed. The handle record a caller holds is never
    reused, so a stale handle cannot reach whichever event later borrows
-   its id: [pending] and [cancel] read the handle, never the id.
+   its id: [cancel] reads the handle, never the id.
 
    Lifecycle: every queue entry is a live event. Firing pops the entry;
    cancelling ([cancel], [cancel_token]) removes it from the wheel in
@@ -355,8 +355,6 @@ let cancel h =
     t.live <- t.live - 1;
     t.cancels <- t.cancels + 1
   end
-
-let pending h = h.alive && not h.fired
 
 (* The ticker owns a single handle for its whole life: after each tick it
    resets [fired] and pushes the same handle back, so a steady-state ticker

@@ -31,9 +31,8 @@ type handle
     O(1): the event leaves the queue at once. The queue holds ints, not
     handles: a handle borrows an id while it is queued, which its queue
     record carries, and gives it back when the record pops or is
-    cancelled. The handle itself is never reused, so {!pending} and
-    {!cancel} on a stale handle never reach the event that later
-    borrows its id. *)
+    cancelled. The handle itself is never reused, so {!cancel} on a
+    stale handle never reaches the event that later borrows its id. *)
 
 (** Per-class executor state. Each subsystem extends this variant with a
     constructor carrying its own registry (ports, switches, flow tables...)
@@ -171,10 +170,6 @@ val token_pending : t -> token -> bool
 
 (* tests drive the closure cancellation that Sim.every's stop uses; bfc-lint: allow DC001 *)
 val cancel : handle -> unit
-
-(** Is the event still pending (not run, not cancelled)? *)
-(* observation: tests read whether an event is pending; bfc-lint: allow DC001 *)
-val pending : handle -> bool
 
 (** [every t ~period f] runs [f] every [period] starting at [now + period],
     until [stop_ticker] is called on the returned controller. The ticker

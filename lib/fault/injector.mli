@@ -37,19 +37,14 @@ val clear_loss_everywhere : t -> unit
 
 (** {2 Link state} *)
 
-(** Take the link carrying directed port [gid] down in both directions.
-    Idempotent. *)
-val link_down : t -> gid:int -> unit
-
-val link_up : t -> gid:int -> unit
-
 (** Is the directed port currently down? *)
 (* observation: tests read a link's state; bfc-lint: allow DC001 *)
 val is_down : t -> gid:int -> bool
 
 (** [flap t ~gid ~start ~down_for ~period ~count] schedules [count]
-    down/up cycles: down at [start + i*period], up [down_for] later.
-    Requires [0 < down_for < period]. *)
+    down/up cycles of the link carrying directed port [gid], both
+    directions: down at [start + i*period] (no-op if it is down already),
+    up [down_for] later. Requires [0 < down_for < period]. *)
 val flap :
   t ->
   gid:int ->

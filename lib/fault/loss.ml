@@ -21,8 +21,6 @@ let create ~seed = { rng = Bfc_util.Rng.create seed; rules = []; dropped = 0; co
 
 (* Matchers *)
 
-let any _ = true
-
 let data pkt = Packet.kind pkt = Packet.Data
 
 let ctrl pkt =

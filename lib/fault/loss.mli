@@ -19,8 +19,6 @@ val create : seed:int -> t
 
 (** {2 Matchers} *)
 
-val any : Bfc_net.Packet.t -> bool
-
 val data : Bfc_net.Packet.t -> bool
 
 (** Pause, Resume, pause-bitmap and PFC frames. *)

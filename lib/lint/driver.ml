@@ -98,7 +98,7 @@ type report = {
   files : int;
   findings : (Diagnostic.t * bool) list;  (* diagnostic, suppressed *)
   failures : (string * string) list;  (* path, reason *)
-  dc001_error : string option;  (* why DC001 did not run *)
+  dc001_error : string option;  (* why the dead-code pass (DC001, DC002) did not run *)
 }
 
 let violations r = List.filter_map (fun (d, sup) -> if sup then None else Some d) r.findings
@@ -149,7 +149,7 @@ let lint_paths ?build paths =
 let exit_code r =
   if r.failures <> [] || r.dc001_error <> None then 2 else if violations r <> [] then 1 else 0
 
-let dc001_line e = "DC001 did not run: " ^ e
+let dc001_line e = "DC001/DC002 did not run: " ^ e
 
 let render_human ?(show_suppressed = false) r =
   let buf = Buffer.create 1024 in

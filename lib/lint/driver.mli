@@ -31,18 +31,19 @@ type report = {
   findings : (Diagnostic.t * bool) list;
   failures : (string * string) list; (** files that could not be read or parsed *)
   dc001_error : string option;
-      (** why DC001 did not run ({!Dead.run}'s [Error]); [None] when it ran
-          or was not asked for *)
+      (** why the dead-code pass (DC001 and DC002) did not run
+          ({!Dead.run}'s [Error]); [None] when it ran or was not asked
+          for *)
 }
 
 (** Walk the given files/directories (recursively, [.ml] only, skipping
     [_build] and dot-dirs) and lint each. With [~build], also run DC001
-    ({!Dead.run}) over the compiled units under that build root; if it
-    cannot run, the report says why in [dc001_error] and lists none of its
-    findings. *)
+    and DC002 ({!Dead.run}) over the compiled units under that build root;
+    if they cannot run, the report says why in [dc001_error] and lists
+    none of their findings. *)
 val lint_paths : ?build:string -> string list -> report
 
-(** Where DC001 finds the compiled units: [_build/default] when run from
+(** Where DC001 and DC002 find the compiled units: [_build/default] when run from
     the repository root, else the current directory (dune runs [@lint]
     from inside the build directory). *)
 val build_root : unit -> string
@@ -51,7 +52,7 @@ val build_root : unit -> string
 (* observation: the lint tests read a report's violations; bfc-lint: allow DC001 *)
 val violations : report -> Diagnostic.t list
 
-(** 0 clean, 1 violations, 2 parse/IO failures or DC001 not run. *)
+(** 0 clean, 1 violations, 2 parse/IO failures or DC001/DC002 not run. *)
 val exit_code : report -> int
 
 val render_human : ?show_suppressed:bool -> report -> string

@@ -194,9 +194,21 @@ let dc_dead_export =
     family = Dead_code;
     severity = Error;
     doc =
-      "value exported from a lib/ interface that no unit in lib/, bin/, perfbench/, bench/ or \
-       examples/ references (tests do not count): delete it with its test, or allow it with a \
-       one-line reason";
+      "value exported from a lib/ interface that no unit in lib/, bin/, perfbench/ or examples/ \
+       references (tests do not count): delete it with its test, or allow it with a one-line \
+       reason";
+  }
+
+let dc_unused_member =
+  {
+    id = "DC002";
+    name = "dc-unused-member";
+    family = Dead_code;
+    severity = Error;
+    doc =
+      "record field of a lib/ type that no unit in lib/, bin/, perfbench/ or examples/ reads, or \
+       constructor that none builds (tests do not count; a write or a match is no use): delete \
+       it with its stores and match arms, or allow it with a one-line reason";
   }
 
 let all =
@@ -217,6 +229,7 @@ let all =
     pf_stdlib_queue;
     pf_poly_compare;
     dc_dead_export;
+    dc_unused_member;
   ]
 
 (* [matches r key] — does suppression token [key] cover rule [r]?  Accepts the

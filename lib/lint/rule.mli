@@ -12,8 +12,9 @@
       diagnosable errors.
     - {b perf} (PF rules): the engine's steady state is allocation-free;
       these rules keep closure allocation off the hot scheduling paths.
-    - {b dead code} (DC rule): every export of a lib/ interface has a
-      caller outside the tests; a whole-program pass over the compiled
+    - {b dead code} (DC rules): every export of a lib/ interface has a
+      caller outside the tests, every field of a lib/ record a reader and
+      every constructor a builder; a whole-program pass over the compiled
       units ({!Dead}). *)
 
 type family = Feasibility | Determinism | Robustness | Perf | Dead_code
@@ -63,6 +64,8 @@ val pf_stdlib_queue : t
 val pf_poly_compare : t
 
 val dc_dead_export : t
+
+val dc_unused_member : t
 
 (** Every rule, in id order. *)
 val all : t list

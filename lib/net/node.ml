@@ -3,7 +3,6 @@ type kind = Host | Switch
 type t = {
   id : int;
   kind : kind;
-  name : string;
   mutable handler : in_port:int -> Packet.t -> unit;
 }
 
@@ -19,6 +18,6 @@ let () =
 
 let unattached node ~in_port:_ _ = raise (Unattached { node })
 
-let make ~id ~kind ~name = { id; kind; name; handler = unattached name }
+let make ~id ~kind ~name = { id; kind; handler = unattached name }
 
 let deliver t ~in_port pkt = t.handler ~in_port pkt

@@ -9,7 +9,6 @@ type kind = Host | Switch
 type t = {
   id : int;
   kind : kind;
-  name : string;
   mutable handler : in_port:int -> Packet.t -> unit;
 }
 

@@ -114,8 +114,6 @@ let[@inline] size p = get p.dims ~shift:0 ~width:16 ~bias:0
 
 let[@inline] put_size w v = put "size" w ~shift:0 ~width:16 ~bias:0 v
 
-let[@inline] set_size p v = p.dims <- put_size p.dims v
-
 let[@inline] payload p = get p.dims ~shift:16 ~width:16 ~bias:0
 
 let[@inline] put_payload w v = put "payload" w ~shift:16 ~width:16 ~bias:0 v
@@ -125,8 +123,6 @@ let[@inline] set_payload p v = p.dims <- put_payload p.dims v
 let[@inline] dst p = get p.dims ~shift:32 ~width:31 ~bias:1
 
 let[@inline] put_dst w v = put "dst" w ~shift:32 ~width:31 ~bias:1 v
-
-let[@inline] set_dst p v = p.dims <- put_dst p.dims v
 
 let[@inline] pack_dims ~dst ~size ~payload = put_dst (put_payload (put_size 0 size) payload) dst
 
@@ -154,8 +150,6 @@ let[@inline] ref_id w = get w ~shift:0 ~width:32 ~bias:1
 let[@inline] ref_slot w = get w ~shift:32 ~width:30 ~bias:1
 
 let[@inline] flow p = p.fref
-
-let[@inline] set_flow p w = p.fref <- w
 
 let[@inline] fid p = ref_id p.fref
 

@@ -43,9 +43,6 @@ type t
 
 val kind : t -> kind
 
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_kind : t -> kind -> unit
-
 (** {2 The packet's flow}
 
     A packet names its flow the way a switch sees it, by header fields
@@ -73,9 +70,6 @@ val ref_slot : int -> int
 (** The packet's flow word. *)
 val flow : t -> int
 
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_flow : t -> int -> unit
-
 (** The flow's id, [-1] for no flow. *)
 val fid : t -> int
 
@@ -88,20 +82,11 @@ val incast : t -> bool
 (** Destination node: [-1 .. 2^31 - 2]. *)
 val dst : t -> int
 
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_dst : t -> int -> unit
-
 (** Bytes on the wire: [0 .. 65535]. *)
 val size : t -> int
 
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_size : t -> int -> unit
-
 (** Data bytes carried ([<= size]): [0 .. 65535]. *)
 val payload : t -> int
-
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_payload : t -> int -> unit
 
 val seq : t -> int
 
@@ -150,22 +135,10 @@ val ctrl_b : t -> int
 val set_ctrl_b : t -> int -> unit
 
 (** Index in its simulation's packet table ({!Pool}), fixed once the table
-    first sees the packet; [-1] before that. Range [-1 .. 2^31 - 2]. *)
+    first sees the packet; [-1] before that. Range [-1 .. 2^31 - 2]. Only
+    the pool writes it. *)
 (* observation: tests read an index without assigning one; bfc-lint: allow DC001 *)
 val idx : t -> int
-
-(** {!Pool} bookkeeping: [-2] while the packet is in use; while it is
-    parked, the index of the packet parked before it ([-1] at the end of
-    the free list). Only the pool writes [idx] and [next_free]; the
-    setters are exported for the packed-layout tests. *)
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val next_free : t -> int
-
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_idx : t -> int -> unit
-
-(* observation: tests check the packed layout; bfc-lint: allow DC001 *)
-val set_next_free : t -> int -> unit
 
 (** Congestion experienced: set by a switch's ECN marking. *)
 val ecn : t -> bool

@@ -277,9 +277,6 @@ type dumbbell = {
   d : t;
   senders : int array;
   receiver : int;
-  d_left : int;
-  d_right : int;
-  bottleneck_gid : int;
 }
 
 let dumbbell sim ~senders ~gbps ~prop =
@@ -292,8 +289,7 @@ let dumbbell sim ~senders ~gbps ~prop =
   Builder.link b left right ~gbps ~prop;
   Builder.link b right recv ~gbps ~prop;
   let t = Builder.finish b in
-  { d = t; senders = snd; receiver = recv; d_left = left; d_right = right;
-    bottleneck_gid = gid_towards t ~node:left ~peer:right }
+  { d = t; senders = snd; receiver = recv }
 
 type star = {
   s : t;
@@ -321,9 +317,7 @@ type testbed = {
   group3 : int array;
   recv1 : int;
   recv2 : int;
-  sw1 : int;
   sw2 : int;
-  sw3 : int;
 }
 
 let testbed sim ~g1 ~g2 ~g3 ~gbps ~prop =
@@ -343,7 +337,7 @@ let testbed sim ~g1 ~g2 ~g3 ~gbps ~prop =
   Builder.link b sw2 recv1 ~gbps ~prop;
   Builder.link b sw2 recv2 ~gbps ~prop;
   let tb = Builder.finish b in
-  { tb; group1; group2; group3; recv1; recv2; sw1; sw2; sw3 }
+  { tb; group1; group2; group3; recv1; recv2; sw2 }
 
 type ring = { rg : t; rg_hosts : int array }
 
@@ -367,12 +361,10 @@ type cross_dc = {
   x : t;
   dc1 : clos_part;
   dc2 : clos_part;
-  gw1 : int;
-  gw2 : int;
   interconnect_gid : int;
 }
 
-and clos_part = { xc_hosts : int array; xc_tors : int array; xc_spines : int array }
+and clos_part = { xc_hosts : int array; xc_spines : int array }
 
 let cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps ~prop ~wan_gbps ~wan_prop =
   let b = Builder.create sim in
@@ -390,7 +382,7 @@ let cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps ~prop ~wan_gbps ~wan_prop =
           Builder.link b hs.((ti * hosts_per_tor) + k) tor ~gbps ~prop
         done)
       tr;
-    { xc_hosts = hs; xc_tors = tr; xc_spines = sp }
+    { xc_hosts = hs; xc_spines = sp }
   in
   let dc1 = mk_dc "d1" in
   let gw1 = Builder.add_switch b ~name:"gw1" in
@@ -400,4 +392,4 @@ let cross_dc sim ~spines ~tors ~hosts_per_tor ~gbps ~prop ~wan_gbps ~wan_prop =
   Array.iter (fun s -> Builder.link b s gw2 ~gbps ~prop) dc2.xc_spines;
   Builder.link b gw1 gw2 ~gbps:wan_gbps ~prop:wan_prop;
   let x = Builder.finish b in
-  { x; dc1; dc2; gw1; gw2; interconnect_gid = gid_towards x ~node:gw1 ~peer:gw2 }
+  { x; dc1; dc2; interconnect_gid = gid_towards x ~node:gw1 ~peer:gw2 }

@@ -104,9 +104,6 @@ type dumbbell = {
   d : t;
   senders : int array;
   receiver : int;
-  d_left : int; (** left switch node id *)
-  d_right : int;
-  bottleneck_gid : int; (** global port id of the bottleneck egress *)
 }
 
 (** [dumbbell sim ~senders ~gbps ~prop] — n senders -> switch -> switch ->
@@ -134,9 +131,7 @@ type testbed = {
   group3 : int array; (** sender hosts: S3 -> Sw3 -> Sw2 -> R2 *)
   recv1 : int;
   recv2 : int;
-  sw1 : int;
   sw2 : int;
-  sw3 : int;
 }
 
 (** The §6.1 Tofino2 loopback testbed: 3 logical switches, 100 Gbps ports. *)
@@ -163,12 +158,10 @@ type cross_dc = {
   x : t;
   dc1 : clos_part;
   dc2 : clos_part;
-  gw1 : int;
-  gw2 : int;
   interconnect_gid : int; (** gw1 -> gw2 egress port gid *)
 }
 
-and clos_part = { xc_hosts : int array; xc_tors : int array; xc_spines : int array }
+and clos_part = { xc_hosts : int array; xc_spines : int array }
 
 (** App. A.9: two Clos data centers joined by a [wan_gbps] link with
     [wan_prop] one-way delay through gateway switches. *)

@@ -5,7 +5,6 @@
 type counter = int
 
 type t = {
-  enabled : bool;
   (* counters *)
   mutable c_names : string array;
   mutable c_cells : int array;
@@ -16,9 +15,8 @@ type t = {
   mutable g_n : int;
 }
 
-let create ?(enabled = true) () =
+let create () =
   {
-    enabled;
     c_names = [||];
     c_cells = [||];
     c_n = 0;
@@ -26,8 +24,6 @@ let create ?(enabled = true) () =
     g_fns = [||];
     g_n = 0;
   }
-
-let enabled t = t.enabled
 
 (* Registration-time linear lookup: registries hold tens of probes and
    registration happens once per run, so no hash table is needed (and
@@ -52,11 +48,9 @@ let counter t name =
     t.c_n <- i + 1;
     i
 
-let incr t c = if t.enabled then t.c_cells.(c) <- t.c_cells.(c) + 1
+let incr t c = t.c_cells.(c) <- t.c_cells.(c) + 1
 
-let add t c d = if t.enabled then t.c_cells.(c) <- t.c_cells.(c) + d
-
-let value t c = t.c_cells.(c)
+let add t c d = t.c_cells.(c) <- t.c_cells.(c) + d
 
 (* enumeration for export, not per packet; bfc-lint: control-plane *)
 let counters t = List.init t.c_n (fun i -> (t.c_names.(i), t.c_cells.(i)))
@@ -77,9 +71,7 @@ let gauge t name fn =
 let gauges t = List.init t.g_n (fun i -> (t.g_names.(i), t.g_fns.(i)))
 
 (* bfc-lint: control-plane *)
-let sample_gauges t =
-  if not t.enabled then []
-  else List.init t.g_n (fun i -> (t.g_names.(i), t.g_fns.(i) ()))
+let sample_gauges t = List.init t.g_n (fun i -> (t.g_names.(i), t.g_fns.(i) ()))
 
 (* ------------------------------------------------------------------ *)
 (* JSON export. Probe names are plain identifiers ("engine.heap_hwm"), but

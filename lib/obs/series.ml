@@ -1,12 +1,9 @@
 type t = {
-  reg : Registry.t;
   names : string array;
   fns : (unit -> float) array;
-  sink : out_channel option;
   mutable times : int array;
   mutable data : float array array;
-  mutable n : int; (* rows retained in memory *)
-  mutable streamed : int; (* rows written straight to the sink *)
+  mutable n : int;
 }
 
 let csv_float v =
@@ -14,68 +11,41 @@ let csv_float v =
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let columns_of names = "t_ns" :: Array.to_list names
-
-let write_header names oc =
-  output_string oc (String.concat "," (columns_of names));
-  output_char oc '\n'
-
-let create ?sink reg =
+let create reg =
   let cols = Registry.gauges reg in
-  let names = Array.of_list (List.map fst cols) in
-  (match sink with
-  | Some oc when Registry.enabled reg -> write_header names oc
-  | _ -> ());
   {
-    reg;
-    names;
+    names = Array.of_list (List.map fst cols);
     fns = Array.of_list (List.map snd cols);
-    sink;
     times = [||];
     data = [||];
     n = 0;
-    streamed = 0;
   }
 
-let columns t = columns_of t.names
-
-let write_row oc ~now row =
-  output_string oc (string_of_int now);
-  Array.iter
-    (fun v ->
-      output_char oc ',';
-      output_string oc (csv_float v))
-    row;
-  output_char oc '\n'
-
 let sample t ~now =
-  if Registry.enabled t.reg then begin
-    let row = Array.map (fun f -> f ()) t.fns in
-    match t.sink with
-    | Some oc ->
-      (* streaming export: the row goes straight out, never resident *)
-      write_row oc ~now row;
-      t.streamed <- t.streamed + 1
-    | None ->
-      if t.n = Array.length t.times then begin
-        let ncap = if t.n = 0 then 64 else t.n * 2 in
-        let nt = Array.make ncap 0 and nd = Array.make ncap [||] in
-        Array.blit t.times 0 nt 0 t.n;
-        Array.blit t.data 0 nd 0 t.n;
-        t.times <- nt;
-        t.data <- nd
-      end;
-      t.times.(t.n) <- now;
-      t.data.(t.n) <- row;
-      t.n <- t.n + 1
-  end
+  let row = Array.map (fun f -> f ()) t.fns in
+  if t.n = Array.length t.times then begin
+    let ncap = if t.n = 0 then 64 else t.n * 2 in
+    let nt = Array.make ncap 0 and nd = Array.make ncap [||] in
+    Array.blit t.times 0 nt 0 t.n;
+    Array.blit t.data 0 nd 0 t.n;
+    t.times <- nt;
+    t.data <- nd
+  end;
+  t.times.(t.n) <- now;
+  t.data.(t.n) <- row;
+  t.n <- t.n + 1
 
-let n_samples t = t.n + t.streamed
-
-let rows t = List.init t.n (fun i -> (t.times.(i), Array.copy t.data.(i)))
+let n_samples t = t.n
 
 let to_csv t oc =
-  write_header t.names oc;
+  output_string oc (String.concat "," ("t_ns" :: Array.to_list t.names));
+  output_char oc '\n';
   for i = 0 to t.n - 1 do
-    write_row oc ~now:t.times.(i) t.data.(i)
+    output_string oc (string_of_int t.times.(i));
+    Array.iter
+      (fun v ->
+        output_char oc ',';
+        output_string oc (csv_float v))
+      t.data.(i);
+    output_char oc '\n'
   done

@@ -24,21 +24,20 @@ let header = [ "config"; "short p99"; "overall p99"; "p99 buffer(MB)"; "complete
 
 let sticky profile =
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun mult ->
-           pt (Printf.sprintf "sticky:%g" mult) (fun () ->
-               let scheme =
-                 Scheme.Bfc { Scheme.bfc_default with Scheme.sticky_hrtt_mult = mult }
-               in
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_dist = Dist.fb_hadoop;
-                   sp_incast = Some default_incast;
-                 }
-               in
-               summarize (Printf.sprintf "sticky = %g HRTT" mult) (run_std s)))
+         (fun mult () ->
+           let scheme =
+             Scheme.Bfc { Scheme.bfc_default with Scheme.sticky_hrtt_mult = mult }
+           in
+           let s =
+             {
+               (std profile scheme) with
+               sp_dist = Dist.fb_hadoop;
+               sp_incast = Some default_incast;
+             }
+           in
+           summarize (Printf.sprintf "sticky = %g HRTT" mult) (run_std s))
          (match profile with Smoke -> [ 2.0 ] | _ -> [ 0.0; 1.0; 2.0; 8.0; 64.0 ]))
   in
   [
@@ -54,23 +53,22 @@ let sticky profile =
 
 let thfactor profile =
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun factor ->
-           pt (Printf.sprintf "thfactor:%g" factor) (fun () ->
-               let scheme =
-                 Scheme.Bfc { Scheme.bfc_default with Scheme.th_factor = factor }
-               in
-               let s = { (std profile scheme) with sp_dist = Dist.fb_hadoop } in
-               let r = run_std s in
-               let pauses =
-                 Array.fold_left
-                   (fun a dp ->
-                     a + (Bfc_core.Dataplane.stats dp).Bfc_core.Dataplane.pauses_sent)
-                   0 (Runner.dataplanes r.env)
-               in
-               summarize (Printf.sprintf "Th = %gx 1-hop BDP" factor) r
-               @ [ string_of_int pauses ]))
+         (fun factor () ->
+           let scheme =
+             Scheme.Bfc { Scheme.bfc_default with Scheme.th_factor = factor }
+           in
+           let s = { (std profile scheme) with sp_dist = Dist.fb_hadoop } in
+           let r = run_std s in
+           let pauses =
+             Array.fold_left
+               (fun a dp ->
+                 a + (Bfc_core.Dataplane.stats dp).Bfc_core.Dataplane.pauses_sent)
+               0 (Runner.dataplanes r.env)
+           in
+           summarize (Printf.sprintf "Th = %gx 1-hop BDP" factor) r
+           @ [ string_of_int pauses ])
          (match profile with Smoke -> [ 1.0 ] | _ -> [ 0.25; 0.5; 1.0; 2.0; 4.0 ]))
   in
   [
@@ -85,7 +83,7 @@ let thfactor profile =
 
 let bitmap_cost profile =
   let rows =
-    sweep
+    Pool.run
       (List.map
          (fun period ->
            let name =
@@ -93,18 +91,18 @@ let bitmap_cost profile =
              | None -> "no refresh"
              | Some p -> Printf.sprintf "refresh every %gus" (Time.to_us p)
            in
-           pt ("bitmap:" ^ name) (fun () ->
-               let scheme =
-                 Scheme.Bfc { Scheme.bfc_default with Scheme.bitmap_period = period }
-               in
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_dist = Dist.fb_hadoop;
-                   sp_incast = Some default_incast;
-                 }
-               in
-               summarize name (run_std s)))
+           (fun () ->
+             let scheme =
+               Scheme.Bfc { Scheme.bfc_default with Scheme.bitmap_period = period }
+             in
+             let s =
+               {
+                 (std profile scheme) with
+                 sp_dist = Dist.fb_hadoop;
+                 sp_incast = Some default_incast;
+               }
+             in
+             summarize name (run_std s)))
          (match profile with
          | Smoke -> [ None ]
          | _ -> [ None; Some (Time.us 100.0); Some (Time.us 20.0); Some (Time.us 5.0) ]))
@@ -126,21 +124,20 @@ let fairness profile =
     | _ -> [ Scheme.bfc; Scheme.Ideal_fq; Scheme.hpcc; Scheme.dcqcn; Scheme.dctcp ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt ("fairness:" ^ Scheme.name scheme) (fun () ->
-               let s =
-                 { (std profile scheme) with sp_dist = Dist.fb_hadoop; sp_load = 0.7 }
-               in
-               let r = run_std s in
-               [
-                 Scheme.name scheme;
-                 cell
-                   (Metrics.jain_fairness r.env ~min_size:300_000 ~max_size:1_000_000 r.flows);
-                 cell
-                   (Metrics.long_avg r.env ~threshold:1_000_000 ~since:r.measure_from r.flows);
-               ]))
+         (fun scheme () ->
+           let s =
+             { (std profile scheme) with sp_dist = Dist.fb_hadoop; sp_load = 0.7 }
+           in
+           let r = run_std s in
+           [
+             Scheme.name scheme;
+             cell
+               (Metrics.jain_fairness r.env ~min_size:300_000 ~max_size:1_000_000 r.flows);
+             cell
+               (Metrics.long_avg r.env ~threshold:1_000_000 ~since:r.measure_from r.flows);
+           ])
          schemes)
   in
   [
@@ -167,26 +164,25 @@ let strawman profile =
       [ Scheme.pfc_only; Scheme.swift; Scheme.timely; Scheme.dctcp; Scheme.dcqcn; Scheme.bfc ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt ("strawman:" ^ Scheme.name scheme) (fun () ->
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_dist = Dist.google;
-                   sp_incast = Some default_incast;
-                 }
-               in
-               let r = run_std s in
-               [
-                 Scheme.name scheme;
-                 cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
-                 cell (Metrics.fct_overall r.env r.flows).Metrics.p99;
-                 cell (Runner.pfc_pause_fraction r.env *. 100.0);
-                 cell (buffer_p99 r /. 1e6);
-                 string_of_int (Runner.total_drops r.env);
-               ]))
+         (fun scheme () ->
+           let s =
+             {
+               (std profile scheme) with
+               sp_dist = Dist.google;
+               sp_incast = Some default_incast;
+             }
+           in
+           let r = run_std s in
+           [
+             Scheme.name scheme;
+             cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
+             cell (Metrics.fct_overall r.env r.flows).Metrics.p99;
+             cell (Runner.pfc_pause_fraction r.env *. 100.0);
+             cell (buffer_p99 r /. 1e6);
+             string_of_int (Runner.total_drops r.env);
+           ])
          schemes)
   in
   [

@@ -38,10 +38,9 @@ let fig15 profile =
     List.concat_map (fun s -> List.map (fun n -> (s, n)) elephant_counts) schemes
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (scheme, n_eleph) ->
-           pt (Printf.sprintf "fig15:%s:%d" (Scheme.name scheme) n_eleph) (fun () ->
+         (fun (scheme, n_eleph) () ->
           let cl, env = prepare (Clos profile) scheme Runner.default_params in
           let hosts = cl.Topology.cl_hosts in
           let recv_a = hosts.(0) and recv_b = hosts.(1) in
@@ -72,7 +71,7 @@ let fig15 profile =
             string_of_int n_eleph;
             cell (Metrics.median_slowdown env direct);
             cell (Metrics.median_slowdown env indirect);
-          ]))
+          ])
          combos)
   in
   [
@@ -94,15 +93,14 @@ let fig16 profile =
       [ (" +incast", Some default_incast); (" no-incast", None) ]
   in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (tag, incast, scheme) ->
-           pt ("fig16:" ^ Scheme.name scheme ^ tag) (fun () ->
-               let s = { (std profile scheme) with sp_incast = incast } in
-               let r = run_std s in
-               let name = Scheme.name scheme ^ tag in
-               ( List.map (fun row -> name :: row) (fct_rows r),
-                 [ name; cell (buffer_p99 r /. 1e6) ] )))
+         (fun (tag, incast, scheme) () ->
+           let s = { (std profile scheme) with sp_incast = incast } in
+           let r = run_std s in
+           let name = Scheme.name scheme ^ tag in
+           ( List.map (fun row -> name :: row) (fct_rows r),
+             [ name; cell (buffer_p99 r /. 1e6) ] ))
          combos)
   in
   [
@@ -130,29 +128,28 @@ let fig20 profile =
   let classes = 4 in
   let rows =
     List.concat
-      (sweep
+      (Pool.run
          (List.map
-            (fun scheme ->
-              pt ("fig20:" ^ Scheme.name scheme) (fun () ->
-                  let scheme =
-                    match scheme with
-                    | Scheme.Bfc o -> Scheme.Bfc { o with Scheme.classes }
-                    | s -> s
-                  in
-                  let s = { (std profile scheme) with sp_classes = classes } in
-                  let r = run_std s in
-                  List.init classes (fun c ->
-                      let sub = List.filter (fun f -> f.Flow.prio_class = c) r.flows in
-                      let short = Metrics.short_p99 r.env ~since:r.measure_from sub in
-                      let all = Metrics.fct_overall r.env sub in
-                      [
-                        Scheme.name scheme;
-                        string_of_int c;
-                        string_of_int all.Metrics.count;
-                        cell short;
-                        cell all.Metrics.avg;
-                        cell all.Metrics.p99;
-                      ])))
+            (fun scheme () ->
+              let scheme =
+                match scheme with
+                | Scheme.Bfc o -> Scheme.Bfc { o with Scheme.classes }
+                | s -> s
+              in
+              let s = { (std profile scheme) with sp_classes = classes } in
+              let r = run_std s in
+              List.init classes (fun c ->
+                  let sub = List.filter (fun f -> f.Flow.prio_class = c) r.flows in
+                  let short = Metrics.short_p99 r.env ~since:r.measure_from sub in
+                  let all = Metrics.fct_overall r.env sub in
+                  [
+                    Scheme.name scheme;
+                    string_of_int c;
+                    string_of_int all.Metrics.count;
+                    cell short;
+                    cell all.Metrics.avg;
+                    cell all.Metrics.p99;
+                  ]))
             schemes))
   in
   [
@@ -178,38 +175,35 @@ let fig21 profile =
   (* one flat point list across the three parameter families *)
   let hpcc_pts =
     List.map
-      (fun eta ->
-        pt (Printf.sprintf "fig21:hpcc:%.2f" eta) (fun () ->
-            let s = std profile (Scheme.Hpcc { eta; max_stage = 5 }) in
-            summarize (Printf.sprintf "HPCC eta=%.2f" eta) (run_std s)))
+      (fun eta () ->
+        let s = std profile (Scheme.Hpcc { eta; max_stage = 5 }) in
+        summarize (Printf.sprintf "HPCC eta=%.2f" eta) (run_std s))
       (match profile with Smoke -> [ 0.95 ] | _ -> [ 0.90; 0.95; 0.98 ])
   in
   let dctcp_pts =
     List.map
-      (fun (kmin, kmax) ->
-        pt (Printf.sprintf "fig21:dctcp:%d" kmin) (fun () ->
-            let s =
-              {
-                (std profile Scheme.dctcp) with
-                sp_params = (fun p -> { p with Runner.ecn_kmin = kmin; ecn_kmax = kmax });
-              }
-            in
-            summarize (Printf.sprintf "DCTCP K=%dK/%dK" (kmin / 1000) (kmax / 1000)) (run_std s)))
+      (fun (kmin, kmax) () ->
+        let s =
+          {
+            (std profile Scheme.dctcp) with
+            sp_params = (fun p -> { p with Runner.ecn_kmin = kmin; ecn_kmax = kmax });
+          }
+        in
+        summarize (Printf.sprintf "DCTCP K=%dK/%dK" (kmin / 1000) (kmax / 1000)) (run_std s))
       (match profile with
       | Smoke -> [ (100_000, 400_000) ]
       | _ -> [ (25_000, 100_000); (100_000, 400_000); (400_000, 1_600_000) ])
   in
   let xpass_pts =
     List.map
-      (fun (target_loss, w_init) ->
-        pt (Printf.sprintf "fig21:xpass:%g:%g" target_loss w_init) (fun () ->
-            let s = std profile (Scheme.Expresspass { target_loss; w_init; w_max = 0.5 }) in
-            summarize (Printf.sprintf "xpass loss=%.2f w0=%.3f" target_loss w_init) (run_std s)))
+      (fun (target_loss, w_init) () ->
+        let s = std profile (Scheme.Expresspass { target_loss; w_init; w_max = 0.5 }) in
+        summarize (Printf.sprintf "xpass loss=%.2f w0=%.3f" target_loss w_init) (run_std s))
       (match profile with
       | Smoke -> [ (0.1, 0.0625) ]
       | _ -> [ (0.02, 0.0625); (0.1, 0.0625); (0.3, 0.0625); (0.1, 0.5) ])
   in
-  let rows = sweep (hpcc_pts @ dctcp_pts @ xpass_pts) in
+  let rows = Pool.run (hpcc_pts @ dctcp_pts @ xpass_pts) in
   [
     {
       title = "Fig 21: parameter sensitivity (FB 60%, no incast)";
@@ -236,15 +230,14 @@ let fig22 profile =
   in
   let rows =
     List.concat
-      (sweep
+      (Pool.run
          (List.map
-            (fun (tag, incast, scheme) ->
-              pt ("fig22:" ^ Scheme.name scheme ^ tag) (fun () ->
-                  let s =
-                    { (std profile scheme) with sp_incast = incast; sp_locality = Some 0.5 }
-                  in
-                  let r = run_std s in
-                  List.map (fun row -> (Scheme.name scheme ^ tag) :: row) (fct_rows r)))
+            (fun (tag, incast, scheme) () ->
+              let s =
+                { (std profile scheme) with sp_incast = incast; sp_locality = Some 0.5 }
+              in
+              let r = run_std s in
+              List.map (fun row -> (Scheme.name scheme ^ tag) :: row) (fct_rows r))
             combos))
   in
   [
@@ -269,15 +262,14 @@ let fig23 profile =
   in
   let rows =
     List.concat
-      (sweep
+      (Pool.run
          (List.map
-            (fun (tag, incast, (name, slow_start)) ->
-              pt ("fig23:" ^ name ^ tag) (fun () ->
-                  let s =
-                    { (std profile (Scheme.Dctcp { slow_start })) with sp_incast = incast }
-                  in
-                  let r = run_std s in
-                  List.map (fun row -> (name ^ tag) :: row) (fct_rows r)))
+            (fun (tag, incast, (name, slow_start)) () ->
+              let s =
+                { (std profile (Scheme.Dctcp { slow_start })) with sp_incast = incast }
+              in
+              let r = run_std s in
+              List.map (fun row -> (name ^ tag) :: row) (fct_rows r))
             combos))
   in
   [
@@ -304,30 +296,29 @@ let fig24 profile =
       ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (name, scheme, degree) ->
-           pt (Printf.sprintf "fig24:%s:%d" name degree) (fun () ->
-               let s =
-                 { (std profile scheme) with sp_incast = Some { default_incast with degree } }
-               in
-               let r = run_std s in
-               let inc_stats =
-                 let sample = Sample.create () in
-                 List.iter
-                   (fun f ->
-                     if Flow.complete f && f.Flow.is_incast then
-                       Sample.add sample (Runner.slowdown r.env f))
-                   r.flows;
-                 if Sample.is_empty sample then nan else Sample.percentile sample 99.0
-               in
-               [
-                 name;
-                 string_of_int degree;
-                 cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
-                 cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
-                 cell inc_stats;
-               ]))
+         (fun (name, scheme, degree) () ->
+           let s =
+             { (std profile scheme) with sp_incast = Some { default_incast with degree } }
+           in
+           let r = run_std s in
+           let inc_stats =
+             let sample = Sample.create () in
+             List.iter
+               (fun f ->
+                 if Flow.complete f && f.Flow.is_incast then
+                   Sample.add sample (Runner.slowdown r.env f))
+               r.flows;
+             if Sample.is_empty sample then nan else Sample.percentile sample 99.0
+           in
+           [
+             name;
+             string_of_int degree;
+             cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
+             cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
+             cell inc_stats;
+           ])
          combos)
   in
   [
@@ -356,15 +347,14 @@ let fig25 profile =
     ]
   in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (name, scheme) ->
-           pt ("fig25:" ^ name) (fun () ->
-               let s = { (std profile scheme) with sp_incast = Some default_incast } in
-               let r = run_std s in
-               ( List.map (fun row -> name :: row) (fct_rows r),
-                 [ name; cell (buffer_p99 r /. 1e6); string_of_int (Runner.total_drops r.env) ]
-               )))
+         (fun (name, scheme) () ->
+           let s = { (std profile scheme) with sp_incast = Some default_incast } in
+           let r = run_std s in
+           ( List.map (fun row -> name :: row) (fct_rows r),
+             [ name; cell (buffer_p99 r /. 1e6); string_of_int (Runner.total_drops r.env) ]
+           ))
          schemes)
   in
   [
@@ -390,10 +380,9 @@ let fig26 profile =
     | _ -> [ Scheme.bfc; Scheme.hpcc; Scheme.dcqcn ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt ("fig26:" ^ Scheme.name scheme) (fun () ->
+         (fun scheme () ->
         (* the WAN must be a small fraction of the DC core (the paper: 200G
            vs a 3.2T core) or the cores, not the schemes, are the limit *)
         let spines, tors, hosts_per_tor =
@@ -445,7 +434,7 @@ let fig26 profile =
           cell (Metrics.short_p99 env ~since:(dur / 5) intra_flows);
           cell (Metrics.fct_overall env intra_flows).Metrics.p99;
           cell (util *. 100.0);
-        ]))
+        ])
          schemes)
   in
   [
@@ -461,28 +450,27 @@ let fig26 profile =
 
 let fig27 profile =
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (name, scheme) ->
-           pt ("fig27:" ^ name) (fun () ->
-               let s = { (std profile scheme) with sp_incast = Some default_incast } in
-               let r = run_std s in
-               let collisions, randoms, assigns =
-                 Array.fold_left
-                   (fun (c, ra, a) dp ->
-                     let st = Dataplane.stats dp in
-                     ( c + st.Dataplane.queue_collisions,
-                       ra + st.Dataplane.random_assignments,
-                       a + st.Dataplane.assignments ))
-                   (0, 0, 0) (Runner.dataplanes r.env)
-               in
-               ( List.map (fun row -> name :: row) (fct_rows r),
-                 [
-                   name;
-                   string_of_int assigns;
-                   string_of_int collisions;
-                   string_of_int randoms;
-                 ] )))
+         (fun (name, scheme) () ->
+           let s = { (std profile scheme) with sp_incast = Some default_incast } in
+           let r = run_std s in
+           let collisions, randoms, assigns =
+             Array.fold_left
+               (fun (c, ra, a) dp ->
+                 let st = Dataplane.stats dp in
+                 ( c + st.Dataplane.queue_collisions,
+                   ra + st.Dataplane.random_assignments,
+                   a + st.Dataplane.assignments ))
+               (0, 0, 0) (Runner.dataplanes r.env)
+           in
+           ( List.map (fun row -> name :: row) (fct_rows r),
+             [
+               name;
+               string_of_int assigns;
+               string_of_int collisions;
+               string_of_int randoms;
+             ] ))
          [
            ("BFC + Dynamic", Scheme.bfc);
            ( "BFC + Stochastic",
@@ -509,19 +497,18 @@ let fig27 profile =
 let fig28 profile =
   let mults = match profile with Smoke -> [ 100 ] | _ -> [ 10; 25; 50; 100; 400 ] in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun table_mult ->
-           pt (Printf.sprintf "fig28:%d" table_mult) (fun () ->
-               let scheme = Scheme.Bfc { Scheme.bfc_default with Scheme.table_mult } in
-               let s = { (std profile scheme) with sp_incast = Some default_incast } in
-               let r = run_std s in
-               [
-                 Printf.sprintf "%dx" table_mult;
-                 cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
-                 cell (Metrics.fct_overall r.env r.flows).Metrics.p99;
-                 cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
-               ]))
+         (fun table_mult () ->
+           let scheme = Scheme.Bfc { Scheme.bfc_default with Scheme.table_mult } in
+           let s = { (std profile scheme) with sp_incast = Some default_incast } in
+           let r = run_std s in
+           [
+             Printf.sprintf "%dx" table_mult;
+             cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
+             cell (Metrics.fct_overall r.env r.flows).Metrics.p99;
+             cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
+           ])
          mults)
   in
   [
@@ -538,10 +525,9 @@ let fig28 profile =
 let lossless profile =
   let degree = match profile with Smoke -> 50 | Quick -> 800 | Paper -> 2000 in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (name, scheme) ->
-           pt ("lossless:" ^ name) (fun () ->
+         (fun (name, scheme) () ->
         let s =
           {
             (std profile scheme) with
@@ -564,7 +550,7 @@ let lossless profile =
           cell (Sample.max r.buffers /. 1e6);
           cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
           Printf.sprintf "%d/%d" (Runner.completed r.env) (Runner.injected r.env);
-        ]))
+        ])
          [
            ("BFC (12MB buffer)", Scheme.bfc);
            ("BFC-credit (lossless)", Scheme.bfc_credit);
@@ -631,13 +617,13 @@ let idempotent profile =
     ]
   in
   let rows =
-    sweep
+    Pool.run
       [
-        pt "idempotent:none" (fun () -> run "no loss" ~loss:0.0 ~bitmap:false);
-        pt "idempotent:loss" (fun () ->
-            run "20% ctrl loss, no refresh" ~loss:0.2 ~bitmap:false);
-        pt "idempotent:loss+bitmap" (fun () ->
-            run "20% ctrl loss + bitmap refresh" ~loss:0.2 ~bitmap:true);
+        (fun () -> run "no loss" ~loss:0.0 ~bitmap:false);
+        (fun () ->
+          run "20% ctrl loss, no refresh" ~loss:0.2 ~bitmap:false);
+        (fun () ->
+          run "20% ctrl loss + bitmap refresh" ~loss:0.2 ~bitmap:true);
       ]
   in
   [
@@ -680,10 +666,10 @@ let deadlock_sim _profile =
         "App B live: cyclic flows on a 5-switch ring (5MB each) — deadlock and its prevention";
       header = [ "config"; "completed"; "stranded pause counts"; "drops" ];
       rows =
-        sweep
+        Pool.run
           [
-            pt "deadlock:none" (fun () -> run ~filter:false);
-            pt "deadlock:filter" (fun () -> run ~filter:true);
+            (fun () -> run ~filter:false);
+            (fun () -> run ~filter:true);
           ];
     };
   ]

@@ -342,16 +342,6 @@ let run_std s =
   { env; flows; buffers; active; measure_from; sketches }
 
 (* ------------------------------------------------------------------ *)
-(* Sweep points: experiments describe themselves as an explicit list of
-   independent (key, thunk) pairs instead of an internal loop, so the
-   domain pool can run them concurrently. Results come back in point
-   order, so tables are byte-identical at any job count. *)
-
-type 'a sweep_point = { pt_key : string; pt_run : unit -> 'a }
-
-let pt pt_key pt_run = { pt_key; pt_run }
-
-let sweep points = Pool.run (List.map (fun p -> p.pt_run) points)
 
 let fct_rows r =
   (* streaming runs report from the sketches (counts exact, percentiles

@@ -147,18 +147,6 @@ type std_result = {
     experiment, [bfc_sim sweep] and [bfc_sim stream] go through here. *)
 val run_std : std_setup -> std_result
 
-(** One independent unit of an experiment sweep: a label and a thunk that
-    builds its own [Sim.t]/[Runner.env] from scratch (no state shared with
-    any other point, so points can run on separate domains). *)
-type 'a sweep_point = { pt_key : string; pt_run : unit -> 'a }
-
-val pt : string -> (unit -> 'a) -> 'a sweep_point
-
-(** Run the points on the domain pool ({!Pool.run}; sequential at
-    [jobs = 1]). Results are returned in point order regardless of the job
-    count, so downstream tables are byte-identical. *)
-val sweep : 'a sweep_point list -> 'a list
-
 (** Rows of per-bucket slowdown stats for one run, prefixed by the scheme
     name: bucket, n, avg, p50, p95, p99. *)
 val fct_rows : std_result -> string list list

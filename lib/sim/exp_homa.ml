@@ -32,14 +32,11 @@ let fig17 profile =
     List.concat_map (fun d -> List.map (fun s -> (d, s)) (srf_schemes profile)) dists
   in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (dist, scheme) ->
-           pt
-             (Printf.sprintf "fig17:%s:%s" (Dist.name dist) (Scheme.name scheme))
-             (fun () ->
-               let r = run_std { (std profile scheme) with sp_dist = dist } in
-               List.map (fun row -> Scheme.name scheme :: row) (fct_rows r)))
+         (fun (dist, scheme) () ->
+           let r = run_std { (std profile scheme) with sp_dist = dist } in
+           List.map (fun row -> Scheme.name scheme :: row) (fct_rows r))
          combos)
   in
   List.map
@@ -62,7 +59,6 @@ let table2_point profile scheme () =
   let bdp = Runner.bdp env in
   let prms =
     Bfc_transport.Homa.params_for ~dist:Dist.fb_hadoop ~total_prios:32 ~rtt_bytes:bdp
-      ~spray:true
   in
   let unsched = prms.Bfc_transport.Homa.unsched_prios in
   let spine_set = Array.to_list cl.Topology.spines in
@@ -90,13 +86,8 @@ let table2_point profile scheme () =
 let table2 profile =
   let rows =
     List.concat
-      (sweep
-         (List.map
-            (fun scheme ->
-              pt
-                (Printf.sprintf "table2:%s" (Scheme.name scheme))
-                (table2_point profile scheme))
-            [ Scheme.homa; Scheme.homa_ecmp ]))
+      (Pool.run
+         (List.map (table2_point profile) [ Scheme.homa; Scheme.homa_ecmp ]))
   in
   [
     {
@@ -144,12 +135,9 @@ let fig18 profile =
   in
   let combos = List.concat_map (fun d -> List.map (fun s -> (d, s)) schemes) dists in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (dist, scheme) ->
-           pt
-             (Printf.sprintf "fig18:%s:%s" (Dist.name dist) (Scheme.name scheme))
-             (fig18_point profile dist scheme))
+         (fun (dist, scheme) -> fig18_point profile dist scheme)
          combos)
   in
   List.map
@@ -173,17 +161,14 @@ let fig19 profile =
   in
   let combos = List.concat_map (fun d -> List.map (fun s -> (d, s)) schemes) dists in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun (dist, scheme) ->
-           pt
-             (Printf.sprintf "fig19:%s:%s" (Dist.name dist) (Scheme.name scheme))
-             (fun () ->
-               let r =
-                 run_std
-                   { (std profile scheme) with sp_dist = dist; sp_incast = Some default_incast }
-               in
-               List.map (fun row -> Scheme.name scheme :: row) (fct_rows r)))
+         (fun (dist, scheme) () ->
+           let r =
+             run_std
+               { (std profile scheme) with sp_dist = dist; sp_incast = Some default_incast }
+           in
+           List.map (fun row -> Scheme.name scheme :: row) (fct_rows r))
          combos)
   in
   List.map

@@ -86,8 +86,8 @@ let panel ~title ~profile ~dist ~load ~incast ~track_active =
     (fct @ incast_rows, summary, active)
   in
   let results =
-    sweep
-      (List.map (fun sch -> pt (Scheme.name sch) (run_one sch)) (quick_schemes profile))
+    Pool.run
+      (List.map run_one (quick_schemes profile))
   in
   let fct_rows_all = List.concat_map (fun (f, _, _) -> f) results in
   let summary = List.map (fun (_, s, _) -> s) results in
@@ -154,23 +154,20 @@ let fig12 profile =
       schemes
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (scheme, load) ->
-           pt
-             (Printf.sprintf "fig12:%s:%.2f" (Scheme.name scheme) load)
-             (fun () ->
-               (* queue exhaustion at high load takes ~1/(1-rho) to develop *)
-               let mult = if load >= 0.9 then 3.0 else 1.0 in
-               let s = { (std profile scheme) with sp_load = load; sp_dur_mult = mult } in
-               let r = run_std s in
-               [
-                 Scheme.name scheme;
-                 cell load;
-                 cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
-                 cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
-                 Printf.sprintf "%d/%d" (Runner.completed r.env) (Runner.injected r.env);
-               ]))
+         (fun (scheme, load) () ->
+           (* queue exhaustion at high load takes ~1/(1-rho) to develop *)
+           let mult = if load >= 0.9 then 3.0 else 1.0 in
+           let s = { (std profile scheme) with sp_load = load; sp_dur_mult = mult } in
+           let r = run_std s in
+           [
+             Scheme.name scheme;
+             cell load;
+             cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
+             cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
+             Printf.sprintf "%d/%d" (Runner.completed r.env) (Runner.injected r.env);
+           ])
          combos)
   in
   [
@@ -200,26 +197,23 @@ let fig13 profile =
     List.concat_map (fun scheme -> List.map (fun d -> (scheme, d)) degrees) schemes
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (scheme, degree) ->
-           pt
-             (Printf.sprintf "fig13:%s:%d" (Scheme.name scheme) degree)
-             (fun () ->
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_incast = Some { default_incast with degree };
-                 }
-               in
-               let r = run_std s in
-               [
-                 Scheme.name scheme;
-                 string_of_int degree;
-                 cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
-                 cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
-                 string_of_int (Runner.total_drops r.env);
-               ]))
+         (fun (scheme, degree) () ->
+           let s =
+             {
+               (std profile scheme) with
+               sp_incast = Some { default_incast with degree };
+             }
+           in
+           let r = run_std s in
+           [
+             Scheme.name scheme;
+             string_of_int degree;
+             cell (Metrics.long_avg r.env ~since:r.measure_from r.flows);
+             cell (Metrics.short_p99 r.env ~since:r.measure_from r.flows);
+             string_of_int (Runner.total_drops r.env);
+           ])
          combos)
   in
   [
@@ -244,24 +238,21 @@ let fig14 profile =
     ]
   in
   let results =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt
-             (Printf.sprintf "fig14:%s" (Scheme.name scheme))
-             (fun () ->
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_dist = Dist.fb_hadoop;
-                   sp_incast = Some default_incast;
-                 }
-               in
-               let r = run_std s in
-               let name = Scheme.name scheme in
-               ( List.map (fun row -> name :: row) (fct_rows r),
-                 [ name; cell (buffer_p99 r /. 1e6); string_of_int (Runner.total_drops r.env) ]
-               )))
+         (fun scheme () ->
+           let s =
+             {
+               (std profile scheme) with
+               sp_dist = Dist.fb_hadoop;
+               sp_incast = Some default_incast;
+             }
+           in
+           let r = run_std s in
+           let name = Scheme.name scheme in
+           ( List.map (fun row -> name :: row) (fct_rows r),
+             [ name; cell (buffer_p99 r /. 1e6); string_of_int (Runner.total_drops r.env) ]
+           ))
          schemes)
   in
   [
@@ -287,35 +278,32 @@ let fig29 profile =
     | _ -> [ Scheme.bfc; Scheme.hpcc; Scheme.hpcc_pfc; Scheme.dctcp; Scheme.Ideal_fq ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt
-             (Printf.sprintf "fig29:%s" (Scheme.name scheme))
-             (fun () ->
-               let s =
-                 {
-                   (std profile scheme) with
-                   sp_dist = Dist.google;
-                   sp_incast = Some default_incast;
-                 }
-               in
-               let r = run_std s in
-               let sample = Sample.create () in
-               List.iter
-                 (fun f ->
-                   if Bfc_net.Flow.complete f && f.Bfc_net.Flow.is_incast then
-                     Sample.add sample (Runner.slowdown r.env f))
-                 r.flows;
-               let v p = if Sample.is_empty sample then nan else Sample.percentile sample p in
-               [
-                 Scheme.name scheme;
-                 string_of_int (Sample.count sample);
-                 cell (Sample.mean sample);
-                 cell (v 50.0);
-                 cell (v 95.0);
-                 cell (v 99.0);
-               ]))
+         (fun scheme () ->
+           let s =
+             {
+               (std profile scheme) with
+               sp_dist = Dist.google;
+               sp_incast = Some default_incast;
+             }
+           in
+           let r = run_std s in
+           let sample = Sample.create () in
+           List.iter
+             (fun f ->
+               if Bfc_net.Flow.complete f && f.Bfc_net.Flow.is_incast then
+                 Sample.add sample (Runner.slowdown r.env f))
+             r.flows;
+           let v p = if Sample.is_empty sample then nan else Sample.percentile sample p in
+           [
+             Scheme.name scheme;
+             string_of_int (Sample.count sample);
+             cell (Sample.mean sample);
+             cell (v 50.0);
+             cell (v 95.0);
+             cell (v 99.0);
+           ])
          schemes)
   in
   [

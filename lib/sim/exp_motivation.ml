@@ -165,19 +165,16 @@ let fig3 profile =
       [ Dist.google; Dist.fb_hadoop; Dist.websearch ]
   in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun (dist, gbps) ->
-           pt
-             (Printf.sprintf "fig3:%s:%g" (Dist.name dist) gbps)
-             (fun () ->
-               let trace = ps_trace ~dist ~gbps ~load:0.6 ~duration ~seed:11 in
-               let cells =
-                 List.map
-                   (fun i -> cell (fair_share_change trace ~duration ~interval:i))
-                   intervals
-               in
-               Dist.name dist :: Printf.sprintf "%gG" gbps :: cells))
+         (fun (dist, gbps) () ->
+           let trace = ps_trace ~dist ~gbps ~load:0.6 ~duration ~seed:11 in
+           let cells =
+             List.map
+               (fun i -> cell (fair_share_change trace ~duration ~interval:i))
+               intervals
+           in
+           Dist.name dist :: Printf.sprintf "%gG" gbps :: cells)
          combos)
   in
   [
@@ -229,21 +226,18 @@ let fig4 profile =
       (match profile with Smoke -> [ 100.0 ] | _ -> [ 10.0; 40.0; 100.0 ])
   in
   let rows_a =
-    sweep
+    Pool.run
       (List.map
-         (fun (gbps, load) ->
-           pt
-             (Printf.sprintf "fig4a:%g:%g" gbps load)
-             (fun () ->
-               let s = active_flow_run ~profile ~scheme:Scheme.Ideal_fq ~gbps ~load ~seed:3 in
-               [
-                 Printf.sprintf "%gG" gbps;
-                 cell load;
-                 cell (Sample.mean s);
-                 cell (pct s 50.0);
-                 cell (pct s 90.0);
-                 cell (pct s 99.0);
-               ]))
+         (fun (gbps, load) () ->
+           let s = active_flow_run ~profile ~scheme:Scheme.Ideal_fq ~gbps ~load ~seed:3 in
+           [
+             Printf.sprintf "%gG" gbps;
+             cell load;
+             cell (Sample.mean s);
+             cell (pct s 50.0);
+             cell (pct s 90.0);
+             cell (pct s 99.0);
+           ])
          combos_a)
   in
   (* (b) scheduling policy at 100G, 60/85% *)
@@ -262,21 +256,18 @@ let fig4 profile =
       [ ("FQ", Scheme.Ideal_fq); ("SRF", Scheme.Ideal_srf); ("FIFO", fifo_scheme) ]
   in
   let rows_b =
-    sweep
+    Pool.run
       (List.map
-         (fun (name, scheme, load) ->
-           pt
-             (Printf.sprintf "fig4b:%s:%g" name load)
-             (fun () ->
-               let s = active_flow_run ~profile ~scheme ~gbps:100.0 ~load ~seed:3 in
-               [
-                 name;
-                 cell load;
-                 cell (Sample.mean s);
-                 cell (pct s 50.0);
-                 cell (pct s 90.0);
-                 cell (pct s 99.0);
-               ]))
+         (fun (name, scheme, load) () ->
+           let s = active_flow_run ~profile ~scheme ~gbps:100.0 ~load ~seed:3 in
+           [
+             name;
+             cell load;
+             cell (Sample.mean s);
+             cell (pct s 50.0);
+             cell (pct s 90.0);
+             cell (pct s 99.0);
+           ])
          combos_b)
   in
   [
@@ -298,10 +289,9 @@ let fig4 profile =
 let table1 profile =
   let schemes = [ Scheme.bfc; Scheme.hpcc; Scheme.dcqcn ] in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun scheme ->
-           pt ("table1:" ^ Scheme.name scheme) (fun () ->
+         (fun scheme () ->
         let senders = 16 in
         let st, env = prepare (Star { senders; gbps = 100.0 }) scheme Runner.default_params in
         let duration =
@@ -332,7 +322,7 @@ let table1 profile =
           float_of_int lf.Flow.delivered /. (100.0 /. 8.0 *. float_of_int duration) *. 100.0
         in
         let p99 = if Sample.is_empty delays then nan else Sample.percentile delays 99.0 in
-        [ Scheme.name scheme; cell tput; cell p99 ]))
+        [ Scheme.name scheme; cell tput; cell p99 ])
          schemes)
   in
   [
@@ -348,10 +338,9 @@ let table1 profile =
 
 let mg1 profile =
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun rho ->
-           pt (Printf.sprintf "mg1:%g" rho) (fun () ->
+         (fun rho () ->
         let params = { Runner.default_params with track_active_flows = true } in
         let st, env = prepare (Star { senders = 16; gbps = 100.0 }) Scheme.Ideal_fq params in
         let duration =
@@ -373,7 +362,7 @@ let mg1 profile =
           cell (Sample.mean sample);
           string_of_int (Bfc_core.Active_flows.quantile ~rho ~p:0.99);
           cell (Sample.percentile sample 99.0);
-        ]))
+        ])
          [ 0.5; 0.7; 0.8; 0.9 ])
   in
   [

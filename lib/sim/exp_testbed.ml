@@ -22,10 +22,9 @@ let fig7 profile =
   (* thresholds in us of drain time at 100G (12.5 KB/us) *)
   let ths_us = [ 0.25; 0.5; 1.0; 2.0; 4.0 ] in
   let rows =
-    sweep
+    Pool.run
       (List.map
-         (fun th_us ->
-           pt (Printf.sprintf "fig7:%g" th_us) (fun () ->
+         (fun th_us () ->
         let fixed_th = int_of_float (th_us *. 12_500.0) in
         let scheme =
           Scheme.Bfc { Scheme.bfc_default with Scheme.queues = 16; fixed_th = Some fixed_th }
@@ -61,7 +60,7 @@ let fig7 profile =
           cell (Sample.mean qlen /. 1000.0);
           cell (Sample.percentile qlen 99.0 /. 1000.0);
           cell ((1.0 -. util) *. 100.0);
-        ]))
+        ])
          ths_us)
   in
   [
@@ -111,12 +110,10 @@ let fig8 profile =
   in
   let points =
     List.concat_map
-      (fun (sname, assignment, g2) ->
-        List.init n_runs (fun i ->
-            pt (Printf.sprintf "fig8:%s:%d:%d" sname g2 (i + 1)) (one_run assignment g2 (i + 1))))
+      (fun (_, assignment, g2) -> List.init n_runs (fun i -> one_run assignment g2 (i + 1)))
       combos
   in
-  let per_run = Array.of_list (sweep points) in
+  let per_run = Array.of_list (Pool.run points) in
   let rows =
     List.mapi
       (fun ci (sname, _, g2) ->

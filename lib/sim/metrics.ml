@@ -18,7 +18,6 @@ let size_buckets =
 
 type fct_stats = {
   bucket : string;
-  lo : int;
   count : int;
   avg : float;
   p50 : float;
@@ -31,13 +30,12 @@ let eligible ?(incast = false) ?(since = 0) flows =
     (fun f -> Flow.complete f && f.Flow.is_incast = incast && f.Flow.arrival >= since)
     flows
 
-let stats_of ~bucket ~lo sample =
+let stats_of ~bucket sample =
   if Sample.is_empty sample then
-    { bucket; lo; count = 0; avg = nan; p50 = nan; p95 = nan; p99 = nan }
+    { bucket; count = 0; avg = nan; p50 = nan; p95 = nan; p99 = nan }
   else
     {
       bucket;
-      lo;
       count = Sample.count sample;
       avg = Sample.mean sample;
       p50 = Sample.percentile sample 50.0;
@@ -53,13 +51,13 @@ let fct_table env ?(incast = false) ?(since = 0) flows =
       List.iter
         (fun f -> if f.Flow.size >= lo && f.Flow.size < hi then Sample.add s (Runner.slowdown env f))
         flows;
-      stats_of ~bucket ~lo s)
+      stats_of ~bucket s)
     size_buckets
 
 let fct_overall env flows =
   let s = Sample.create () in
   List.iter (fun f -> if Flow.complete f then Sample.add s (Runner.slowdown env f)) flows;
-  stats_of ~bucket:"all" ~lo:0 s
+  stats_of ~bucket:"all" s
 
 (* ------------------------------------------------------------------ *)
 (* Sketch-backed FCT statistics (streaming runs): instead of retaining a
@@ -70,7 +68,6 @@ let fct_overall env flows =
 module Sketch = Bfc_obs.Sketch
 
 type fct_sketches = {
-  fs_alpha : float; (* relative-error bound the sketches were created with *)
   fs_since : Bfc_engine.Time.t;
   fs_overall : Sketch.t; (* every completed flow, incast included *)
   fs_buckets : Sketch.t array; (* non-incast, arrival >= since, by size *)
@@ -80,7 +77,6 @@ let n_size_buckets = List.length size_buckets
 
 let sketches_create ?(alpha = 0.01) ?(since = 0) () =
   {
-    fs_alpha = alpha;
     fs_since = since;
     fs_overall = Sketch.create ~alpha ();
     fs_buckets = Array.init n_size_buckets (fun _ -> Sketch.create ~alpha ());
@@ -108,12 +104,11 @@ let sketches_observe env sk f =
     if i >= 0 then Sketch.add sk.fs_buckets.(i) v
   end
 
-let stats_of_sketch ~bucket ~lo sk =
-  if Sketch.is_empty sk then { bucket; lo; count = 0; avg = nan; p50 = nan; p95 = nan; p99 = nan }
+let stats_of_sketch ~bucket sk =
+  if Sketch.is_empty sk then { bucket; count = 0; avg = nan; p50 = nan; p95 = nan; p99 = nan }
   else
     {
       bucket;
-      lo;
       count = Sketch.count sk;
       avg = Sketch.mean sk;
       p50 = Sketch.percentile sk 50.0;
@@ -123,10 +118,10 @@ let stats_of_sketch ~bucket ~lo sk =
 
 let fct_table_of_sketches sk =
   List.mapi
-    (fun i (bucket, lo, _) -> stats_of_sketch ~bucket ~lo sk.fs_buckets.(i))
+    (fun i (bucket, _, _) -> stats_of_sketch ~bucket sk.fs_buckets.(i))
     size_buckets
 
-let fct_overall_of_sketches sk = stats_of_sketch ~bucket:"all" ~lo:0 sk.fs_overall
+let fct_overall_of_sketches sk = stats_of_sketch ~bucket:"all" sk.fs_overall
 
 (* Total nonzero buckets across all sketches (progress reporting). *)
 let sketches_buckets sk =
@@ -134,8 +129,6 @@ let sketches_buckets sk =
     (fun a s -> a + Sketch.bucket_count s)
     (Sketch.bucket_count sk.fs_overall)
     sk.fs_buckets
-
-let sketches_alpha sk = sk.fs_alpha
 
 (* Concatenated canonical encodings (overall first, then each size bucket):
    equal strings iff the sketch states are identical, whatever merge order

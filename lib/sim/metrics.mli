@@ -12,7 +12,6 @@ val size_buckets : (string * int * int) list
 
 type fct_stats = {
   bucket : string;
-  lo : int;
   count : int;
   avg : float;
   p50 : float;
@@ -57,10 +56,6 @@ val fct_overall_of_sketches : fct_sketches -> fct_stats
 (** Total nonzero buckets held across all sketches (progress reporting /
     memory accounting). *)
 val sketches_buckets : fct_sketches -> int
-
-(** The relative-error bound the sketches were created with. *)
-(* observation: tests read the sketches' error bound; bfc-lint: allow DC001 *)
-val sketches_alpha : fct_sketches -> float
 
 (** Concatenated canonical encodings of every sketch: equal strings iff
     the states are identical, whatever add/merge order produced them

@@ -46,7 +46,6 @@ let default_params =
 type env = {
   sim : Sim.t;
   topo : Topology.t;
-  scheme : Scheme.t;
   params : params;
   pool : Packet.Pool.t;
   hosts : Host.t option array;
@@ -309,10 +308,9 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
     { base with scheme = Host.Bfc { window_cap = Some bdp; delay_cc = false } }
   | Scheme.Expresspass { target_loss; w_init; w_max } ->
     { base with scheme = Host.Xpass { target_loss; w_init; w_max } }
-  | Scheme.Homa { spray } ->
+  | Scheme.Homa _ ->
     let prms =
-      Bfc_transport.Homa.params_for ~dist:Bfc_workload.Dist.google ~total_prios:32
-        ~rtt_bytes:bdp ~spray
+      Bfc_transport.Homa.params_for ~dist:Bfc_workload.Dist.google ~total_prios:32 ~rtt_bytes:bdp
     in
     { base with scheme = Host.Homa prms; nic_policy = Sched.Prio_strict }
 
@@ -404,10 +402,8 @@ let setup ~topo ~scheme ~params:p =
   let hostcfg =
     let c = { (host_config scheme p ~base_rtt ~bdp ~line_gbps) with Host.flow_bdp = Some flow_bdp } in
     match (scheme, c.Host.scheme) with
-    | Scheme.Homa { spray }, Host.Homa _ ->
-      let prms =
-        Bfc_transport.Homa.params_for ~dist:p.homa_dist ~total_prios:32 ~rtt_bytes:bdp ~spray
-      in
+    | Scheme.Homa _, Host.Homa _ ->
+      let prms = Bfc_transport.Homa.params_for ~dist:p.homa_dist ~total_prios:32 ~rtt_bytes:bdp in
       { c with Host.scheme = Host.Homa prms }
     | _ -> c
   in
@@ -426,11 +422,7 @@ let setup ~topo ~scheme ~params:p =
         (match scheme with
         | Scheme.Bfc_credit { credit_bytes; _ } ->
           let ccfg =
-            {
-              Bfc_core.Credit_dataplane.default_config with
-              Bfc_core.Credit_dataplane.credit_bytes;
-              max_upstream_q = max (nic_queues + 1) 130;
-            }
+            { Bfc_core.Credit_dataplane.default_config with Bfc_core.Credit_dataplane.credit_bytes }
           in
           ignore (Bfc_core.Credit_dataplane.attach sw ccfg)
         | _ -> ());
@@ -448,7 +440,6 @@ let setup ~topo ~scheme ~params:p =
     {
       sim;
       topo;
-      scheme;
       params = p;
       pool;
       hosts;

@@ -11,20 +11,10 @@ module Registry = Bfc_obs.Registry
 module Trace = Bfc_obs.Trace
 module Series = Bfc_obs.Series
 
-type config = {
-  t_enabled : bool;
-  t_trace : bool;
-  t_trace_capacity : int;
-  t_series_period : Time.t option;
-}
-
-let default_config =
-  { t_enabled = true; t_trace = true; t_trace_capacity = 0; t_series_period = Some (Time.us 10.0) }
-
 type t = {
   reg : Registry.t;
-  tr : Trace.t option;
-  ser : Series.t option;
+  tr : Trace.t;
+  ser : Series.t;
   (* node-id -> queues_per_port, for track naming at export *)
   sw_qpp : (int, int) Hashtbl.t;
   host_ids : (int, unit) Hashtbl.t;
@@ -36,20 +26,18 @@ let sw_tid ~qpp ~egress ~queue = (egress * (qpp + 1)) + queue + 1
 
 let nic_tid ~queue = queue + 1 (* -1 (PFC uplink) -> 0 *)
 
-let registry t = t.reg
-
 let trace t = t.tr
 
 let series t = t.ser
 
 (* ------------------------------------------------------------------ *)
 
-let wire_counters t env =
+let wire_counters reg env =
   let tap = Sim.tap (Runner.sim env) and pool = Runner.pool env in
   let topo = Runner.topo env in
   let counter name =
-    let c = Registry.counter t.reg name in
-    fun () -> Registry.incr t.reg c
+    let c = Registry.counter reg name in
+    fun () -> Registry.incr reg c
   in
   (* registration order is the export order *)
   let enq = counter "sw_enqueues" in
@@ -78,7 +66,7 @@ let wire_counters t env =
   Tap.on tap Tap.Nic_pause (fun ~node:_ _ paused ->
       if paused = 1 then nic_pause () else nic_resume ())
 
-let wire_trace t env b =
+let wire_trace ~sw_qpp ~host_ids env b =
   let sim = Runner.sim env and pool = Runner.pool env in
   let tap = Sim.tap sim in
   let id_queued = Trace.intern b ~akey:"flow" ~bkey:"bytes" "queued" in
@@ -87,12 +75,11 @@ let wire_trace t env b =
   let id_paused = Trace.intern b ~akey:"queue" "paused" in
   let id_nic = Trace.intern b ~akey:"queue" ~bkey:"paused" "nic_pause" in
   Array.iter
-    (fun sw ->
-      Hashtbl.replace t.sw_qpp (Switch.node_id sw) (Switch.config sw).Switch.queues_per_port)
+    (fun sw -> Hashtbl.replace sw_qpp (Switch.node_id sw) (Switch.config sw).Switch.queues_per_port)
     (Runner.switches env);
-  Array.iter (fun hid -> Hashtbl.replace t.host_ids hid ()) (Topology.hosts (Runner.topo env));
+  Array.iter (fun hid -> Hashtbl.replace host_ids hid ()) (Topology.hosts (Runner.topo env));
   let tid ~node key =
-    sw_tid ~qpp:(Hashtbl.find t.sw_qpp node) ~egress:(Tap.egress key) ~queue:(Tap.queue key)
+    sw_tid ~qpp:(Hashtbl.find sw_qpp node) ~egress:(Tap.egress key) ~queue:(Tap.queue key)
   in
   Tap.on tap Tap.Dequeue (fun ~node key p ->
       let pkt = Packet.Pool.get pool p in
@@ -124,8 +111,8 @@ let wire_trace t env b =
       Trace.instant b ~ts:(Sim.now sim) ~name:id_nic ~pid:node ~tid:(nic_tid ~queue) ~a:queue
         ~b:paused ())
 
-let wire_gauges t env =
-  let g name f = Registry.gauge t.reg name f in
+let wire_gauges reg env =
+  let g name f = Registry.gauge reg name f in
   let switches = Runner.switches env in
   let hosts = Topology.hosts (Runner.topo env) in
   let nics = Array.map (fun hid -> Host.nic (Runner.host env hid)) hosts in
@@ -164,29 +151,18 @@ let wire_gauges t env =
   g "gc_major_collections" (fun () -> float_of_int (Gc.quick_stat ()).Gc.major_collections);
   g "gc_major_words" (fun () -> (Gc.quick_stat ()).Gc.major_words)
 
-let attach ?(config = default_config) env =
-  let reg = Registry.create ~enabled:config.t_enabled () in
-  let tr =
-    if config.t_enabled && config.t_trace then Some (Trace.create ~capacity:config.t_trace_capacity ())
-    else None
+let attach ~trace_capacity ~series_period env =
+  let reg = Registry.create () and tr = Trace.create ~capacity:trace_capacity () in
+  let sw_qpp = Hashtbl.create 16 and host_ids = Hashtbl.create 64 in
+  wire_counters reg env;
+  wire_trace ~sw_qpp ~host_ids env tr;
+  wire_gauges reg env;
+  let ser = Series.create reg in
+  let sim = Runner.sim env in
+  let _ticker =
+    Sim.every sim ~period:series_period (fun () -> Series.sample ser ~now:(Sim.now sim))
   in
-  let t = { reg; tr; ser = None; sw_qpp = Hashtbl.create 16; host_ids = Hashtbl.create 64 } in
-  if not config.t_enabled then t
-  else begin
-    wire_counters t env;
-    Option.iter (wire_trace t env) tr;
-    wire_gauges t env;
-    let ser =
-      match config.t_series_period with
-      | None -> None
-      | Some period ->
-        let s = Series.create reg in
-        let sim = Runner.sim env in
-        let _ticker = Sim.every sim ~period (fun () -> Series.sample s ~now:(Sim.now sim)) in
-        Some s
-    in
-    { t with ser }
-  end
+  { reg; tr; ser; sw_qpp; host_ids }
 
 (* ------------------------------------------------------------------ *)
 (* Live progress: one line per sim-time period so long streaming runs are
@@ -235,23 +211,14 @@ let track_name t ~pid ~tid =
     else None
 
 let write_trace t oc =
-  match t.tr with
-  | None -> ()
-  | Some b ->
-    Trace.to_chrome
-      ~process_name:(fun ~pid -> process_name t ~pid)
-      ~track_name:(fun ~pid ~tid -> track_name t ~pid ~tid)
-      b oc
+  Trace.to_chrome
+    ~process_name:(fun ~pid -> process_name t ~pid)
+    ~track_name:(fun ~pid ~tid -> track_name t ~pid ~tid)
+    t.tr oc
 
-let write_jsonl t oc =
-  match t.tr with
-  | None -> ()
-  | Some b -> Trace.to_jsonl b oc
+let write_jsonl t oc = Trace.to_jsonl t.tr oc
 
-let write_series t oc =
-  match t.ser with
-  | None -> ()
-  | Some s -> Series.to_csv s oc
+let write_series t oc = Series.to_csv t.ser oc
 
 let counters_json t = Registry.to_json t.reg
 

@@ -1,8 +1,8 @@
 (** Unified telemetry for a running experiment.
 
-    [attach] wires a {!Bfc_obs.Registry} (counters + gauges), an optional
-    packet-lifecycle {!Bfc_obs.Trace} and an optional gauge time series
-    onto a {!Runner.env}, as consumers of the sim's {!Bfc_engine.Tap}:
+    [attach] wires a {!Bfc_obs.Registry} (counters + gauges), a
+    packet-lifecycle {!Bfc_obs.Trace} and a gauge time series onto a
+    {!Runner.env}, as consumers of the sim's {!Bfc_engine.Tap}:
 
     - switch events feed enqueue/dequeue/drop/ECN-mark counters, a
       ["queued"] span per dequeued packet (residency from enqueue to
@@ -11,44 +11,31 @@
     - host NICs record ctrl-frame pause/resume instants and counters;
     - switch ports feed a transmitted-packet counter;
     - gauges sample buffer occupancy, paused-queue counts, NIC backlog,
-      in-flight/completed flows, packet-pool and event-engine statistics.
-
-    Everything honours the registry's enabled flag: attach with
-    [t_enabled = false] and every probe collapses to a single-branch no-op
-    (the trace and series are not even created), preserving the
-    zero-allocation hot path. *)
-
-type config = {
-  t_enabled : bool;
-  t_trace : bool; (** record the packet-lifecycle trace *)
-  t_trace_capacity : int; (** ring capacity; [<= 0] = unbounded *)
-  t_series_period : Bfc_engine.Time.t option;
-      (** gauge sampling period; [None] disables the time series *)
-}
+      in-flight/completed flows, packet-pool and event-engine statistics. *)
 
 type t
 
-(** Call after {!Runner.setup}, before injecting flows. *)
-val attach : ?config:config -> Runner.env -> t
+(** [attach ~trace_capacity ~series_period env] — the trace ring holds
+    [trace_capacity] records ([<= 0] = unbounded) and the gauges are
+    sampled every [series_period]. Call after {!Runner.setup}, before
+    injecting flows. *)
+val attach : trace_capacity:int -> series_period:Bfc_engine.Time.t -> Runner.env -> t
 
-(* observation: tests read the registry; bfc-lint: allow DC001 *)
-val registry : t -> Bfc_obs.Registry.t
+(** The lifecycle trace. *)
+val trace : t -> Bfc_obs.Trace.t
 
-(** The lifecycle trace, when configured. *)
-val trace : t -> Bfc_obs.Trace.t option
-
-(** The gauge time series, when configured. *)
-val series : t -> Bfc_obs.Series.t option
+(** The gauge time series. *)
+val series : t -> Bfc_obs.Series.t
 
 (** Chrome trace-event JSON with process names ("switch N" / "host N") and
     per-(egress, queue) track names resolved from the environment. Opens in
-    ui.perfetto.dev. No-op when tracing is off. *)
+    ui.perfetto.dev. *)
 val write_trace : t -> out_channel -> unit
 
-(** JSONL sink for the same records. No-op when tracing is off. *)
+(** JSONL sink for the same records. *)
 val write_jsonl : t -> out_channel -> unit
 
-(** Gauge time series as CSV. No-op when the series is off. *)
+(** Gauge time series as CSV. *)
 val write_series : t -> out_channel -> unit
 
 (** Registry snapshot (counters and gauges) as JSON. *)

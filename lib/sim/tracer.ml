@@ -107,10 +107,6 @@ let events t =
       out := { at = ts; node = pid; ev = decode ~name ~a ~b } :: !out);
   List.rev !out
 
-let observed t = Trace.recorded t
-
-let count t ~pred = List.length (List.filter pred (events t))
-
 let pause_balance t =
   let tbl = Hashtbl.create 16 in
   List.iter

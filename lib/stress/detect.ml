@@ -59,7 +59,6 @@ type report = {
   r_max_blast : int;
   r_deadlocks : deadlock_incident list;
   r_victims : victim list;
-  r_ticks : int;
 }
 
 (* A flow's footprint at one (egress port, queue): pause exposure at first
@@ -462,7 +461,6 @@ let report t ~flows =
     r_max_blast = t.max_blast;
     r_deadlocks = List.rev t.deadlocks;
     r_victims = victims;
-    r_ticks = t.ticks;
   }
 
 (* bfc-lint: control-plane *)

@@ -48,8 +48,11 @@ val default_config : config
 
 type storm = {
   st_gid : int;  (** global port id *)
+  (* the observers fixture renders every storm; bfc-lint: allow DC002 *)
   st_onset : Bfc_engine.Time.t;
+  (* the observers fixture renders every storm; bfc-lint: allow DC002 *)
   st_duration : Bfc_engine.Time.t;
+  (* the observers fixture renders every storm; bfc-lint: allow DC002 *)
   st_peak_frac : float;
 }
 
@@ -61,10 +64,14 @@ type deadlock_incident = {
 }
 
 type victim = {
+  (* the observers fixture renders every victim; bfc-lint: allow DC002 *)
   v_flow : int;
   v_slowdown : float;
+  (* the observers fixture renders every victim; bfc-lint: allow DC002 *)
   v_gid : int;  (** the paused port the flow was innocently stuck behind *)
+  (* the observers fixture renders every victim; bfc-lint: allow DC002 *)
   v_queue : int;
+  (* the observers fixture renders every victim; bfc-lint: allow DC002 *)
   v_pause_ns : int;  (** pause overlap with the flow's transit *)
 }
 
@@ -74,7 +81,6 @@ type report = {
   r_max_blast : int;  (** max ports simultaneously in storm *)
   r_deadlocks : deadlock_incident list;
   r_victims : victim list;
-  r_ticks : int;
 }
 
 type t

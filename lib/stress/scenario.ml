@@ -10,16 +10,10 @@ module Runner = Bfc_sim.Runner
 module Injector = Bfc_fault.Injector
 module Loss = Bfc_fault.Loss
 
-type link_sel = Core of int | Uplink of int | Gid of int
-
-type pkt_sel = All | Data | Ctrl | Resumes
-
 type action =
-  | Link_down of { at : Time.t; sel : link_sel }
-  | Link_up of { at : Time.t; sel : link_sel }
-  | Flap of { at : Time.t; sel : link_sel; down_for : Time.t; period : Time.t; count : int }
+  | Flap of { at : Time.t; core : int; down_for : Time.t; period : Time.t; count : int }
   | Reboot of { at : Time.t; switch : int; down_for : Time.t option }
-  | Loss_burst of { at : Time.t; dur : Time.t; p : float; pkts : pkt_sel; lseed : int }
+  | Loss_burst of { at : Time.t; dur : Time.t; p : float; lseed : int }
   | Incast of { at : Time.t; degree : int; agg : int; iseed : int }
 
 type t = { sc_name : string; sc_actions : action list }
@@ -32,7 +26,7 @@ let clean = { sc_name = "clean"; sc_actions = [] }
 let resume_loss ?(at = Time.us 40.0) ?(dur = Time.us 120.0) ?(p = 0.5) () =
   {
     sc_name = "resume-loss";
-    sc_actions = [ Loss_burst { at; dur; p; pkts = Resumes; lseed = 9001 } ];
+    sc_actions = [ Loss_burst { at; dur; p; lseed = 9001 } ];
   }
 
 let flap_storm ?(at = Time.us 30.0) ?(count = 3) () =
@@ -42,8 +36,8 @@ let flap_storm ?(at = Time.us 30.0) ?(count = 3) () =
     sc_name = "flap-storm";
     sc_actions =
       [
-        Flap { at; sel = Core 0; down_for; period; count };
-        Flap { at = at + Time.us 15.0; sel = Core 3; down_for; period; count };
+        Flap { at; core = 0; down_for; period; count };
+        Flap { at = at + Time.us 15.0; core = 3; down_for; period; count };
       ];
   }
 
@@ -65,7 +59,7 @@ let random_storm ~seed ~horizon =
       Flap
         {
           at = t_in (horizon / 10) (horizon / 2);
-          sel = Core (Rng.int rng 8);
+          core = Rng.int rng 8;
           down_for;
           period;
           count = 2 + Rng.int rng 3;
@@ -78,7 +72,6 @@ let random_storm ~seed ~horizon =
         at = t_in (horizon / 8) (horizon / 2);
         dur = horizon / 8;
         p = 0.2 +. (0.1 *. float_of_int (Rng.int rng 5));
-        pkts = Resumes;
         lseed = Rng.int rng 1_000_000;
       }
     :: !actions;
@@ -105,39 +98,22 @@ let random_storm ~seed ~horizon =
 (* ------------------------------------------------------------------ *)
 (* Resolution & execution *)
 
-(* Directed ports owned by a node of [kind] whose peer matches [peer_ok],
-   sorted by gid, for the topology-relative selectors. *)
-let directed_links topo ~src_switch ~dst_switch =
+(* The [i]-th switch-to-switch directed port, sorted by gid, modulo the
+   count. *)
+let core_link topo i =
   let nodes = Topology.nodes topo in
+  let is_switch nd = nd.Node.kind = Node.Switch in
   let out = ref [] in
   Array.iter
     (fun nd ->
-      if (nd.Node.kind = Node.Switch) = src_switch then
+      if is_switch nd then
         Array.iter
-          (fun p ->
-            let peer = (Port.peer p).Node.id in
-            if (nodes.(peer).Node.kind = Node.Switch) = dst_switch then
-              out := Port.gid p :: !out)
+          (fun p -> if is_switch nodes.((Port.peer p).Node.id) then out := Port.gid p :: !out)
           (Topology.ports topo nd.Node.id))
     nodes;
-  List.sort compare !out
-
-let resolve topo sel =
-  let pick links i what =
-    match links with
-    | [] -> invalid_arg (Printf.sprintf "Scenario: topology has no %s links" what)
-    | l -> List.nth l (i mod List.length l)
-  in
-  match sel with
-  | Gid g -> g
-  | Core i -> pick (directed_links topo ~src_switch:true ~dst_switch:true) i "core"
-  | Uplink i -> pick (directed_links topo ~src_switch:false ~dst_switch:true) i "uplink"
-
-let matcher = function
-  | All -> Loss.any
-  | Data -> Loss.data
-  | Ctrl -> Loss.ctrl
-  | Resumes -> Loss.resumes
+  match List.sort compare !out with
+  | [] -> invalid_arg "Scenario: topology has no core links"
+  | l -> List.nth l (i mod List.length l)
 
 let incast_flows topo ~at ~degree ~agg ~iseed ~id_base =
   let rng = Rng.create iseed in
@@ -161,24 +137,18 @@ let apply t ~env ~inj ?(id_base = 1_000_000) () =
   List.iter
     (fun action ->
       match action with
-      | Link_down { at; sel } ->
-        let gid = resolve topo sel in
-        ignore (Sim.at sim at (fun () -> Injector.link_down inj ~gid))
-      | Link_up { at; sel } ->
-        let gid = resolve topo sel in
-        ignore (Sim.at sim at (fun () -> Injector.link_up inj ~gid))
-      | Flap { at; sel; down_for; period; count } ->
-        Injector.flap inj ~gid:(resolve topo sel) ~start:at ~down_for ~period ~count
+      | Flap { at; core; down_for; period; count } ->
+        Injector.flap inj ~gid:(core_link topo core) ~start:at ~down_for ~period ~count
       | Reboot { at; switch; down_for } ->
         let switches = Runner.switches env in
         let node = Switch.node_id switches.(switch mod Array.length switches) in
         ignore
           (Sim.at sim at (fun () -> ignore (Injector.reboot_switch inj ~node ?down_for ())))
-      | Loss_burst { at; dur; p; pkts; lseed } ->
+      | Loss_burst { at; dur; p; lseed } ->
         ignore
           (Sim.at sim at (fun () ->
                let l = Loss.create ~seed:lseed in
-               Loss.add_prob l ~p (matcher pkts);
+               Loss.add_prob l ~p Loss.resumes;
                Injector.set_loss_everywhere inj l));
         (* the burst owns every port's loss slot for its duration *)
         ignore (Sim.at sim (at + dur) (fun () -> Injector.clear_loss_everywhere inj))
@@ -193,29 +163,15 @@ let apply t ~env ~inj ?(id_base = 1_000_000) () =
 (* ------------------------------------------------------------------ *)
 (* Canonical rendering *)
 
-let sel_to_string = function
-  | Core i -> Printf.sprintf "core:%d" i
-  | Uplink i -> Printf.sprintf "uplink:%d" i
-  | Gid g -> Printf.sprintf "gid:%d" g
-
-let pkts_to_string = function
-  | All -> "all"
-  | Data -> "data"
-  | Ctrl -> "ctrl"
-  | Resumes -> "resume"
-
 let action_to_string = function
-  | Link_down { at; sel } -> Printf.sprintf "link_down at=%d sel=%s" at (sel_to_string sel)
-  | Link_up { at; sel } -> Printf.sprintf "link_up at=%d sel=%s" at (sel_to_string sel)
-  | Flap { at; sel; down_for; period; count } ->
-    Printf.sprintf "flap at=%d sel=%s down_for=%d period=%d count=%d" at (sel_to_string sel)
-      down_for period count
+  | Flap { at; core; down_for; period; count } ->
+    Printf.sprintf "flap at=%d sel=core:%d down_for=%d period=%d count=%d" at core down_for period
+      count
   | Reboot { at; switch; down_for } ->
     Printf.sprintf "reboot at=%d switch=%d down_for=%s" at switch
       (match down_for with None -> "-" | Some d -> string_of_int d)
-  | Loss_burst { at; dur; p; pkts; lseed } ->
-    Printf.sprintf "loss_burst at=%d dur=%d p=%.4f pkts=%s seed=%d" at dur p
-      (pkts_to_string pkts) lseed
+  | Loss_burst { at; dur; p; lseed } ->
+    Printf.sprintf "loss_burst at=%d dur=%d p=%.4f pkts=resume seed=%d" at dur p lseed
   | Incast { at; degree; agg; iseed } ->
     Printf.sprintf "incast at=%d degree=%d agg=%d seed=%d" at degree agg iseed
 

@@ -1,29 +1,22 @@
 (** Seeded, replayable fault schedules.
 
     A scenario is a named list of timed actions composed on top of
-    {!Bfc_fault.Injector}: link down/up, flaps, switch reboots, loss
-    bursts, and incast bursts. Scenarios carry no hidden state — any
+    {!Bfc_fault.Injector}: link flaps, switch reboots, loss bursts, and
+    incast bursts. Scenarios carry no hidden state — any
     randomness (the random-storm generator, per-burst loss coins) is
     derived from seeds stored {e inside} the actions, so replaying the
     same scenario on the same environment is byte-identical. {!to_string}
     renders the full schedule canonically; two scenarios with equal
     strings behave identically.
 
-    Links are named by topology-relative selectors, resolved against the
-    environment at {!apply} time: [Core i] is the i-th switch-to-switch
-    directed port (sorted by gid, modulo the count), [Uplink i] the i-th
-    host NIC uplink, [Gid g] an explicit directed port. *)
-
-type link_sel = Core of int | Uplink of int | Gid of int
-
-type pkt_sel = All | Data | Ctrl | Resumes
+    Links are named relative to the topology and resolved against the
+    environment at {!apply} time: [core = i] is the i-th switch-to-switch
+    directed port (sorted by gid, modulo the count). *)
 
 type action =
-  | Link_down of { at : Bfc_engine.Time.t; sel : link_sel }
-  | Link_up of { at : Bfc_engine.Time.t; sel : link_sel }
   | Flap of {
       at : Bfc_engine.Time.t;
-      sel : link_sel;
+      core : int;
       down_for : Bfc_engine.Time.t;
       period : Bfc_engine.Time.t;
       count : int;
@@ -36,8 +29,7 @@ type action =
   | Loss_burst of {
       at : Bfc_engine.Time.t;
       dur : Bfc_engine.Time.t;
-      p : float;
-      pkts : pkt_sel;
+      p : float;  (** loss probability of each Resume and PFC-resume frame *)
       lseed : int;  (** seeds the loss model's coins *)
     }
   | Incast of {

@@ -3,6 +3,7 @@ module Flow = Bfc_net.Flow
 module Runner = Bfc_sim.Runner
 module Scheme = Bfc_sim.Scheme
 module Exp_common = Bfc_sim.Exp_common
+module Pool = Bfc_sim.Pool
 module Experiments = Bfc_sim.Experiments
 module Metrics = Bfc_sim.Metrics
 module Injector = Bfc_fault.Injector
@@ -205,19 +206,14 @@ let target ?(seed = 1) ?(watchdog = Time.us 50.0) () =
           List.concat_map
             (fun scheme ->
               List.map
-                (fun sc ->
-                  Exp_common.pt
-                    (Printf.sprintf "stress:%s:%s" (Scheme.name scheme) sc.Scenario.sc_name)
-                    (fun () -> clos_cell profile ~scheme ~scenario:sc ~watchdog ~seed))
+                (fun sc () -> clos_cell profile ~scheme ~scenario:sc ~watchdog ~seed)
                 scenarios)
             schemes
           @ [
-              Exp_common.pt "stress:ring:pfc" (fun () -> ring_cell profile Ring_pfc);
-              Exp_common.pt "stress:ring:bfc" (fun () ->
-                  ring_cell profile Ring_bfc_unprotected);
-              Exp_common.pt "stress:ring:bfc+filter" (fun () ->
-                  ring_cell profile Ring_bfc_filtered);
+              (fun () -> ring_cell profile Ring_pfc);
+              (fun () -> ring_cell profile Ring_bfc_unprotected);
+              (fun () -> ring_cell profile Ring_bfc_filtered);
             ]
         in
-        [ matrix_table (Exp_common.sweep points) ]);
+        [ matrix_table (Pool.run points) ]);
   }

@@ -1,7 +1,7 @@
 (** The adversity matrix: scheme × fault scenario × workload.
 
     Each cell is one fully independent run (its own [Sim.t]/[Runner.env],
-    per {!Bfc_sim.Exp_common.sweep_point}), with a fault {!Scenario}
+    one {!Bfc_sim.Pool.run} task), with a fault {!Scenario}
     applied through {!Bfc_fault.Injector} and the {!Detect} monitors
     attached. Two legs:
 
@@ -29,6 +29,7 @@ type cell = {
   c_completed : int;
   c_drops : int;
   c_watchdog : int;  (** watchdog force-resumes, switches + NICs *)
+  (* the stress suite checks that no cell has one; bfc-lint: allow DC002 *)
   c_stale : int;  (** packets the hosts dropped as stale ({!Bfc_sim.Runner.stale_packets}) *)
   c_report : Detect.report;
   c_t_done : Bfc_engine.Time.t;  (** latest completion time, 0 if none *)

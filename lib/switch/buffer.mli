@@ -15,9 +15,6 @@ val used : t -> int
 
 val free : t -> int
 
-(* observation: tests check an infinite buffer; bfc-lint: allow DC001 *)
-val infinite : t -> bool
-
 (** Would a [size]-byte packet be admitted to a queue currently holding
     [queue_bytes]? *)
 val admit : t -> queue_bytes:int -> size:int -> bool

@@ -22,7 +22,6 @@ let default_params =
   }
 
 type t = {
-  sim : Sim.t;
   p : params;
   line : float; (* bytes per ns *)
   on_rate_change : unit -> unit;
@@ -68,7 +67,6 @@ let create sim ~params ~line_gbps ~on_rate_change =
   let line = bytes_per_ns line_gbps in
   let t =
     {
-      sim;
       p = params;
       line;
       on_rate_change;

@@ -1,6 +1,5 @@
 type t = {
   mtu : int;
-  bdp : int;
   g : float;
   mutable w : float;
   mutable alpha : float;
@@ -13,7 +12,6 @@ type t = {
 let create ~mtu ~bdp ~slow_start ~g =
   {
     mtu;
-    bdp;
     g;
     w = (if slow_start then float_of_int (10 * mtu) else float_of_int bdp);
     alpha = 0.0;

@@ -6,11 +6,10 @@ type params = {
   unsched_prios : int;
   overcommit : int;
   rtt_bytes : int;
-  spray : bool;
   cutoffs : int array;
 }
 
-let params_for ~dist ~total_prios ~rtt_bytes ~spray =
+let params_for ~dist ~total_prios ~rtt_bytes =
   (* Deterministic sampling of the workload to estimate the unscheduled
      byte fraction and the equal-mass cutoffs. *)
   let rng = Bfc_util.Rng.create 0x40A1 in
@@ -40,7 +39,7 @@ let params_for ~dist ~total_prios ~rtt_bytes ~spray =
         end)
       sizes
   end;
-  { total_prios; unsched_prios; overcommit = total_prios - unsched_prios; rtt_bytes; spray; cutoffs }
+  { total_prios; unsched_prios; overcommit = total_prios - unsched_prios; rtt_bytes; cutoffs }
 
 let unsched_prio p ~size =
   let rec go i = if i >= Array.length p.cutoffs then Array.length p.cutoffs else if size <= p.cutoffs.(i) then i else go (i + 1) in

@@ -13,7 +13,6 @@ type params = {
   unsched_prios : int;
   overcommit : int; (** concurrently granted messages per receiver *)
   rtt_bytes : int;
-  spray : bool;
   cutoffs : int array;
       (** flow-size boundaries between unscheduled priorities (ascending,
           length unsched_prios - 1) *)
@@ -22,7 +21,7 @@ type params = {
 (** Derive parameters from the workload (cutoffs by equal unscheduled-byte
     mass, split of priority levels by unscheduled/scheduled byte ratio). *)
 val params_for :
-  dist:Bfc_workload.Dist.t -> total_prios:int -> rtt_bytes:int -> spray:bool -> params
+  dist:Bfc_workload.Dist.t -> total_prios:int -> rtt_bytes:int -> params
 
 (** Priority level for a message's unscheduled bytes (0 = highest). *)
 val unsched_prio : params -> size:int -> int

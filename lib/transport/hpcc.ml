@@ -2,7 +2,6 @@ type link_view = {
   mutable ts : Bfc_engine.Time.t;
   mutable tx_bytes : int;
   mutable qlen : int;
-  mutable gbps : float;
 }
 
 type t = {
@@ -44,11 +43,10 @@ let remember t hops nhops =
     | Some v ->
       v.ts <- h.h_ts;
       v.tx_bytes <- h.h_tx_bytes;
-      v.qlen <- h.h_qlen;
-      v.gbps <- h.h_gbps
+      v.qlen <- h.h_qlen
     | None ->
       Hashtbl.add t.links h.h_link
-        { ts = h.h_ts; tx_bytes = h.h_tx_bytes; qlen = h.h_qlen; gbps = h.h_gbps }
+        { ts = h.h_ts; tx_bytes = h.h_tx_bytes; qlen = h.h_qlen }
   done
 
 (* MeasureInflight from the HPCC paper: per link,

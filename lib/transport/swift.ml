@@ -4,7 +4,6 @@ type t = {
   beta : float;
   mutable w : float; (* bytes *)
   mutable last_decrease : Bfc_engine.Time.t;
-  mutable last_rtt : Bfc_engine.Time.t;
 }
 
 let create ~mtu ~bdp ~base_rtt ~target_mult ~beta =
@@ -14,7 +13,6 @@ let create ~mtu ~bdp ~base_rtt ~target_mult ~beta =
     beta;
     w = float_of_int bdp;
     last_decrease = min_int / 2;
-    last_rtt = base_rtt;
   }
 
 let on_ack t ~rtt ~now =
@@ -29,8 +27,7 @@ let on_ack t ~rtt ~now =
       t.w <- t.w *. Float.max 0.3 cut;
       t.last_decrease <- now
     end;
-    if t.w < float_of_int t.mtu then t.w <- float_of_int t.mtu;
-    t.last_rtt <- rtt
+    if t.w < float_of_int t.mtu then t.w <- float_of_int t.mtu
   end
 
 let window t = int_of_float t.w

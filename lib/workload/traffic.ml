@@ -5,7 +5,6 @@ type matrix =
   | Uniform
   | Rack_local of { local_frac : float; rack_of : int -> int }
   | To_one of int
-  | Pairs of (int * int) array
 
 type spec = {
   hosts : int array;
@@ -55,7 +54,6 @@ let pick_pair spec rng =
       if s = recv then src () else s
     in
     (src (), recv)
-  | Pairs pairs -> pairs.(Rng.int rng (Array.length pairs))
 
 let generate spec ~ids =
   let rng = Rng.create spec.seed in

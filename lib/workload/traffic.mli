@@ -13,7 +13,6 @@ type matrix =
       rack_of : int -> int;
     }
   | To_one of int  (** all flows to a single receiver *)
-  | Pairs of (int * int) array  (** sample uniformly among fixed pairs *)
 
 type spec = {
   hosts : int array;

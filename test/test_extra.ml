@@ -192,7 +192,6 @@ let test_default_incast () =
 let test_homa_unsched_prio_boundaries () =
   let p =
     Bfc_transport.Homa.params_for ~dist:Dist.google ~total_prios:8 ~rtt_bytes:100_000
-      ~spray:true
   in
   let open Bfc_transport.Homa in
   check Alcotest.int "tiniest = prio 0" 0 (unsched_prio p ~size:1);
@@ -221,6 +220,16 @@ let test_flow_table_mult_controls_collisions () =
 
 (* ------------------------------- Tracer ---------------------------- *)
 
+(* The tracer's timeline, one (time in us, kind) per event, oldest first. *)
+let timeline tracer =
+  List.filter_map
+    (fun line ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | at :: "node" :: _ :: kind :: _ ->
+        Some (float_of_string (String.sub at 0 (String.length at - 2)), kind)
+      | _ -> None)
+    (String.split_on_char '\n' (Bfc_sim.Tracer.render ~limit:max_int tracer))
+
 let test_tracer_records_pauses () =
   let sim = Sim.create () in
   let db = Topology.dumbbell sim ~senders:2 ~gbps:100.0 ~prop:(Time.us 1.0) in
@@ -239,23 +248,22 @@ let test_tracer_records_pauses () =
   Runner.inject env flows;
   Runner.run env ~until:(Time.ms 1.0);
   Runner.drain env ~budget:(Time.ms 5.0);
-  let is_pause e = match e.Bfc_sim.Tracer.ev with Bfc_sim.Tracer.Pause_rx _ -> true | _ -> false in
-  let is_resume e = match e.Bfc_sim.Tracer.ev with Bfc_sim.Tracer.Resume_rx _ -> true | _ -> false in
-  let pauses = Bfc_sim.Tracer.count tracer ~pred:is_pause in
-  let resumes = Bfc_sim.Tracer.count tracer ~pred:is_resume in
+  let balance = Bfc_sim.Tracer.pause_balance tracer in
+  let pauses = List.fold_left (fun a (_, p, _) -> a + p) 0 balance in
+  let resumes = List.fold_left (fun a (_, _, r) -> a + r) 0 balance in
   Alcotest.(check bool) "pauses observed" true (pauses > 0);
   check Alcotest.int "balanced" pauses resumes;
   (* chronological order *)
-  let evs = Bfc_sim.Tracer.events tracer in
+  let evs = timeline tracer in
   let rec sorted = function
-    | a :: (b :: _ as rest) -> a.Bfc_sim.Tracer.at <= b.Bfc_sim.Tracer.at && sorted rest
+    | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "chronological" true (sorted evs);
-  Alcotest.(check bool) "renders" true (String.length (Bfc_sim.Tracer.render tracer) > 0);
-  (* balance list agrees *)
-  let total_p = List.fold_left (fun a (_, p, _) -> a + p) 0 (Bfc_sim.Tracer.pause_balance tracer) in
-  check Alcotest.int "balance sums" pauses total_p
+  (* the timeline agrees with the balance list *)
+  let count kind = List.length (List.filter (fun (_, k) -> k = kind) evs) in
+  check Alcotest.int "balance sums pauses" (count "PAUSE") pauses;
+  check Alcotest.int "balance sums resumes" (count "RESUME") resumes
 
 let test_tracer_ring_wraps () =
   let sim = Sim.create () in
@@ -275,8 +283,8 @@ let test_tracer_ring_wraps () =
   Runner.inject env flows;
   Runner.run env ~until:(Time.ms 1.0);
   Alcotest.(check bool) "observed more than capacity" true
-    (Bfc_sim.Tracer.observed tracer > 4);
-  check Alcotest.int "ring holds capacity" 4 (List.length (Bfc_sim.Tracer.events tracer))
+    (Bfc_obs.Trace.recorded (Bfc_sim.Tracer.trace tracer) > 4);
+  check Alcotest.int "ring holds capacity" 4 (List.length (timeline tracer))
 
 let test_jain_fairness_metric () =
   (* equal-rate synthetic flows: index 1; skewed flows: index < 1 *)

@@ -75,7 +75,7 @@ let test_port_busy () =
 let test_loss_model () =
   Alcotest.check_raises "bad probability rejected"
     (Invalid_argument "Loss.add_prob: probability not in [0, 1]") (fun () ->
-      Loss.add_prob (Loss.create ~seed:1) ~p:2.0 Loss.any);
+      Loss.add_prob (Loss.create ~seed:1) ~p:2.0 Loss.data);
   let l = Loss.create ~seed:1 in
   Loss.add_nth l ~n:3 Loss.resumes;
   let resume () = Packet.make Packet.Resume ~dst:1 ~size:64 () in
@@ -245,24 +245,27 @@ let test_link_flap_traced () =
     ~count:3;
   Runner.inject env flows;
   Runner.run env ~until:(Time.ms 1.0);
+  (* the timeline's link lines: "<at>us  node <n>  LINK-   gid=<gid>" *)
   let links =
     List.filter_map
-      (fun e ->
-        match e.Bfc_sim.Tracer.ev with
-        | Bfc_sim.Tracer.Link_down { gid } -> Some (e.Bfc_sim.Tracer.at, "down", gid)
-        | Bfc_sim.Tracer.Link_up { gid } -> Some (e.Bfc_sim.Tracer.at, "up", gid)
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | [ at; "node"; _; (("LINK-" | "LINK+") as dir); gid ] -> Some (at, dir, gid)
         | _ -> None)
-      (Bfc_sim.Tracer.events tracer)
+      (String.split_on_char '\n' (Bfc_sim.Tracer.render ~limit:max_int tracer))
   in
   let expected =
     List.concat_map
       (fun i ->
         let at = Time.us 30.0 + (i * Time.us 100.0) in
-        [ (at, "down", gid); (at + Time.us 10.0, "up", gid) ])
+        let link at dir =
+          (Printf.sprintf "%.3fus" (Time.to_us at), dir, Printf.sprintf "gid=%d" gid)
+        in
+        [ link at "LINK-"; link (at + Time.us 10.0) "LINK+" ])
       [ 0; 1; 2 ]
   in
   check
-    Alcotest.(list (triple int string int))
+    Alcotest.(list (triple string string string))
     "three flaps, in order, on the bottleneck" expected links
 
 let test_link_flap_pfc () =
@@ -326,36 +329,35 @@ let test_reboot_respects_prior_outage () =
     Array.iter (fun p -> if !found < 0 && Port.gid p <> g_prior then found := Port.gid p) ports;
     !found
   in
-  let links_down () =
-    int_of_float (List.assoc "fault_links_down" (Registry.sample_gauges reg))
-  in
-  Injector.link_down inj ~gid:g_prior;
-  let before = links_down () in
+  let links_down () = int_of_float (List.assoc "fault_links_down" (Registry.gauges reg) ()) in
+  (* the prior outage: down from 1 us to 45 us *)
+  Injector.flap inj ~gid:g_prior ~start:(Time.us 1.0) ~down_for:(Time.us 44.0)
+    ~period:(Time.us 50.0) ~count:1;
+  let before = ref (-1) in
+  ignore (Sim.at sim (Time.us 5.0) (fun () -> before := links_down ()));
   ignore
     (Sim.at sim (Time.us 10.0) (fun () ->
          ignore (Injector.reboot_switch inj ~node:st.Topology.st_switch ~down_for:(Time.us 20.0) ())));
-  (* while the reboot holds g_other down, an independent fault cycles it:
-     up, then down again -- a new outage the stale timer must not undo *)
-  ignore
-    (Sim.at sim (Time.us 20.0) (fun () ->
-         Injector.link_up inj ~gid:g_other;
-         Injector.link_down inj ~gid:g_other));
+  (* while the reboot holds g_other down (10-30 us), an independent flap
+     cycles it: its first down finds the link down already, it comes up
+     at 24 us and goes down again at 25 us -- a new outage, until 39 us,
+     that the reboot's stale timer at 30 us must not undo *)
+  Injector.flap inj ~gid:g_other ~start:(Time.us 10.0 + 1) ~down_for:(Time.us 14.0)
+    ~period:(Time.us 15.0) ~count:2;
   let after_restore = ref (-1) in
   let prior_still_down = ref false in
   let fresh_still_down = ref false in
   ignore
-    (Sim.at sim (Time.us 40.0) (fun () ->
+    (Sim.at sim (Time.us 35.0) (fun () ->
          after_restore := links_down ();
          prior_still_down := Injector.is_down inj ~gid:g_prior;
-         fresh_still_down := Injector.is_down inj ~gid:g_other;
-         Injector.link_up inj ~gid:g_prior;
-         Injector.link_up inj ~gid:g_other));
+         fresh_still_down := Injector.is_down inj ~gid:g_other));
   ignore (Sim.run_until_idle sim);
-  check Alcotest.int "prior outage covers both directions" 2 before;
+  check Alcotest.int "prior outage covers both directions" 2 !before;
   Alcotest.(check bool) "reboot restore leaves the prior outage down" true !prior_still_down;
   Alcotest.(check bool) "stale reboot timer spares the fresh outage" true !fresh_still_down;
   check Alcotest.int "exactly the two live outages remain" 4 !after_restore;
-  check Alcotest.int "explicit link_up clears everything" 0 (links_down ())
+  check Alcotest.int "the flaps' ups clear everything" 0 (links_down ())
 
 let test_flap_rejects_bad_schedule () =
   let _, env, _ = star_incast ~watchdog:None () in

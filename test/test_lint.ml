@@ -235,8 +235,9 @@ let contains s needle =
   let rec scan i = i + n <= String.length s && (String.sub s i n = needle || scan (i + 1)) in
   scan 0
 
-(* DC001 that cannot run (here: a build root with no compiled units) is
-   its own report line, not a parse failure, and still fails the run. *)
+(* A dead-code pass that cannot run (here: a build root with no compiled
+   units) is one report line for DC001 and DC002, not a parse failure, and
+   still fails the run. *)
 let test_dc001_error_not_parse_failure () =
   let root = Filename.temp_dir "bfc_lint_empty" "" in
   let report = Driver.lint_paths ~build:root [] in
@@ -251,11 +252,11 @@ let test_dc001_error_not_parse_failure () =
     (contains reason "no compiled lib/ interfaces");
   Alcotest.(check int) "exit 2" 2 (Driver.exit_code report);
   let human = Driver.render_human report in
-  Alcotest.(check bool) "human: one DC001 line" true
-    (contains human ("DC001 did not run: " ^ reason ^ "\n"));
+  Alcotest.(check bool) "human: one DC001/DC002 line" true
+    (contains human ("DC001/DC002 did not run: " ^ reason ^ "\n"));
   Alcotest.(check bool) "human: no parse failure" false (contains human "failed to parse");
-  Alcotest.(check bool) "json: the DC001 line" true
-    (contains (Driver.render_json report) "\"dc001_error\":\"DC001 did not run: ")
+  Alcotest.(check bool) "json: the DC001/DC002 line" true
+    (contains (Driver.render_json report) "\"dc001_error\":\"DC001/DC002 did not run: ")
 
 let test_parse_failure () =
   match Driver.lint_source ~path:"lib/broken.ml" "let = (" with
@@ -293,9 +294,10 @@ let test_rule_lookup () =
   Alcotest.(check (list string)) "pf002 by name" [ "PF002" ] (ids "pf-stdlib-queue");
   Alcotest.(check (list string)) "pf003 by name" [ "PF003" ] (ids "pf-poly-compare");
   Alcotest.(check (list string)) "dc001 by name" [ "DC001" ] (ids "dc-dead-export");
+  Alcotest.(check (list string)) "dc002 by name" [ "DC002" ] (ids "dc-unused-member");
   Alcotest.(check (list string)) "unknown" [] (ids "nope");
   Alcotest.(check int) "all" (List.length Rule.all) (List.length (names "all"));
-  Alcotest.(check int) "sixteen rules" 16 (List.length Rule.all)
+  Alcotest.(check int) "seventeen rules" 17 (List.length Rule.all)
 
 (* ------------------------------ DC001 ------------------------------ *)
 
@@ -402,12 +404,17 @@ let test_dc_name_resolution () =
       "module P = Bfc_net.Packet.Pool\nlet f = P.acquire";
     ]
 
-(* perfbench/ is a caller: an export only the benchmark uses is alive, and
-   becomes a finding once perfbench's units are left out. *)
+(* perfbench/ is a caller: an export or a field only the benchmark uses is
+   alive, and becomes a finding once perfbench's units are left out. *)
 let test_dc_perfbench_caller () =
-  Alcotest.(check bool) "Port.set_on_tx alive" false (reported "Port.set_on_tx" (dead_exports ()));
-  let without = dead_exports ~callers:[ "lib"; "bin"; "bench"; "examples" ] () in
-  Alcotest.(check bool) "dead without perfbench" true (reported "Port.set_on_tx" without)
+  let only_perfbench = [ "Port.set_on_tx"; "Exp_common.stream_report.sr_sketches" ] in
+  let all = dead_exports () in
+  let without = dead_exports ~callers:[ "lib"; "bin"; "examples" ] () in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " alive") false (reported name all);
+      Alcotest.(check bool) (name ^ " dead without perfbench") true (reported name without))
+    only_perfbench
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
@@ -482,6 +489,169 @@ let test_dc_stale_unit () =
             rebuild with dune build @check")
         (stale ()))
 
+(* ------------------------------ DC002 ------------------------------ *)
+
+(* Compile [units] ((path, source) pairs, each .mli before its .ml, a unit
+   before its callers) the way dune does with -bin-annot, into a scratch
+   workspace laid out as dune lays one out: the sources under <ws>, the
+   compiled units and a copy of each source under the build root
+   <ws>/_build/default. Every unit sees the interfaces compiled under
+   lib/. Returns [f ws root]. The pass needs a compiled lib/ interface,
+   so each scratch build has one. *)
+let with_units units f =
+  let ws = Filename.temp_dir "dc002" "" in
+  let root = Filename.concat ws "_build/default" in
+  let cwd = Sys.getcwd () and includes = !Clflags.include_dirs in
+  let bin_annot = !Clflags.binary_annotations and warnings = Warnings.backup () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Clflags.include_dirs := includes;
+      Clflags.binary_annotations := bin_annot;
+      Warnings.restore warnings;
+      rm_rf ws)
+    (fun () ->
+      List.iter
+        (fun (path, src) ->
+          mkdir_p (Filename.dirname (Filename.concat root path));
+          mkdir_p (Filename.dirname (Filename.concat ws path));
+          write_file (Filename.concat ws path) src;
+          write_file (Filename.concat root path) src)
+        units;
+      Sys.chdir root;
+      Clflags.include_dirs := [ "lib" ];
+      Clflags.binary_annotations := true;
+      ignore (Warnings.parse_options false "-a");
+      List.iter
+        (fun (path, _) ->
+          Env.reset_cache ();
+          Compile_common.with_info ~native:false ~tool_name:"ocamlc" ~source_file:path
+            ~output_prefix:(Filename.remove_extension path) ~dump_ext:"cmo" (fun info ->
+              if Filename.check_suffix path ".mli" then Compile_common.interface info
+              else Compile_common.implementation info ~backend:(fun _ _ -> ())))
+        units;
+      Sys.chdir cwd;
+      f ws root)
+
+let dead_members ?callers units =
+  with_units units (fun _ root ->
+      match Dead.run ?callers root with
+      | Ok findings ->
+        List.filter_map
+          (fun (d, sup) ->
+            if rule_id d = "DC002" then
+              Some (List.hd (String.split_on_char ' ' d.Diagnostic.message), sup)
+            else None)
+          findings
+      | Error e -> Alcotest.failf "the dead-code pass could not run: %s" e)
+
+let members = Alcotest.(list (pair string bool))
+
+(* a field that is only ever written: set by a record expression and by
+   [<-], read by nothing *)
+let test_dc2_write_only () =
+  Alcotest.check members "the written field only" [ ("Cell.t.w", false) ]
+    (dead_members
+       [
+         ("lib/cell.mli", "type t = { mutable w : int; r : int }\nval make : unit -> t\nval poke : t -> unit\n");
+         ( "lib/cell.ml",
+           "type t = { mutable w : int; r : int }\nlet make () = { w = 0; r = 1 }\nlet poke t = t.w <- t.r\n" );
+         ("bin/main.ml", "let () = Cell.poke (Cell.make ())\n");
+       ])
+
+(* A record pattern reads the fields it names; [{ r with ... }] reads the
+   fields it copies and writes the ones it sets. *)
+let test_dc2_pattern_and_with () =
+  Alcotest.check members "only the fields never read" [ ("Rd.p.b", false); ("Rd.q.x", false) ]
+    (dead_members
+       [
+         ("lib/rd.mli", "type p = { a : int; b : int }\ntype q = { x : int; y : int }\nval f : p -> int\nval g : q -> q\n");
+         ( "lib/rd.ml",
+           "type p = { a : int; b : int }\ntype q = { x : int; y : int }\nlet f { a; _ } = a\nlet g r = { r with x = 1 }\n" );
+         ("bin/main.ml", "let () = ignore (Rd.f { Rd.a = 1; b = 2 }, Rd.g { Rd.x = 1; y = 2 })\n");
+       ])
+
+(* Matching a constructor does not build it; building it in another unit
+   does. *)
+let test_dc2_constructors () =
+  Alcotest.check members "the matched-only constructor" [ ("K.t.Matched", false) ]
+    (dead_members
+       [
+         ("lib/k.mli", "type t = Built | Matched | Elsewhere\nval name : t -> string\nval built : t\n");
+         ( "lib/k.ml",
+           "type t = Built | Matched | Elsewhere\n\
+            let name = function Built -> \"b\" | Matched -> \"m\" | Elsewhere -> \"e\"\n\
+            let built = Built\n" );
+         ("bin/main.ml", "let () = print_string (K.name K.built ^ K.name K.Elsewhere)\n");
+       ])
+
+(* A member the .mli declares is reported there, and an allow there
+   covers it. *)
+let test_dc2_allow () =
+  let t = "type t = {\n  (* kept for a dump format; bfc-lint: allow DC002 *)\n  mutable w : int;\n  r : int;\n}\n" in
+  Alcotest.check members "suppressed"
+    [ ("Cell.t.w", true) ]
+    (dead_members
+       [
+         ("lib/cell.mli", t ^ "val make : unit -> t\nval poke : t -> unit\n");
+         ("lib/cell.ml", t ^ "let make () = { w = 0; r = 1 }\nlet poke t = t.w <- t.r\n");
+         ("bin/main.ml", "let () = Cell.poke (Cell.make ())\n");
+       ])
+
+(* perfbench/ is a caller: a field only the benchmark reads is alive, and
+   becomes a finding once perfbench's units are left out. *)
+let test_dc2_perfbench_caller () =
+  let units =
+    [
+      ("lib/prof.mli", "type t = { hits : int }\nval get : unit -> t\n");
+      ("lib/prof.ml", "type t = { hits : int }\nlet get () = { hits = 3 }\n");
+      ("perfbench/bench.ml", "let () = print_int (Prof.get ()).Prof.hits\n");
+    ]
+  in
+  Alcotest.check members "alive" [] (dead_members units);
+  Alcotest.check members "dead without perfbench" [ ("Prof.t.hits", false) ]
+    (dead_members ~callers:[ "lib"; "bin"; "examples" ] units)
+
+(* DC002 reads the same compiled units as DC001 and refuses a stale one. *)
+let test_dc2_stale_unit () =
+  with_units
+    [ ("lib/cell.mli", "type t = { w : int }\n"); ("lib/cell.ml", "type t = { w : int }\n") ]
+    (fun ws root ->
+      write_file (Filename.concat ws "lib/cell.ml") "type t = { w : int; v : int }\n";
+      Alcotest.(check (result reject string))
+        "stale"
+        (Error
+           "compiled unit Cell is stale (lib/cell.ml changed since it was compiled); rebuild \
+            with dune build @check")
+        (Result.map (fun _ -> ()) (Dead.run ~callers:[] root)))
+
+(* A clean scratch build passes; add a field that is only written and the
+   pass fails on it. *)
+let test_dc2_new_write_only_field_fails () =
+  let build fields init =
+    [
+      ("lib/cell.mli", Printf.sprintf "type t = { %s }\nval make : unit -> t\nval size : t -> int\n" fields);
+      ( "lib/cell.ml",
+        Printf.sprintf "type t = { %s }\nlet make () = { %s }\nlet size t = t.n\n" fields init );
+      ("bin/main.ml", "let () = print_int (Cell.size (Cell.make ()))\n");
+    ]
+  in
+  let lint units =
+    with_units units (fun _ root ->
+        let r = Driver.lint_paths ~build:root [] in
+        (Driver.exit_code r, List.map Diagnostic.to_human (Driver.violations r)))
+  in
+  Alcotest.check Alcotest.(pair int (list string)) "clean" (0, []) (lint (build "n : int" "n = 1"));
+  Alcotest.check
+    Alcotest.(pair int (list string))
+    "the new field fails the pass"
+    ( 1,
+      [
+        "lib/cell.mli:1:20: error [DC002 dc-unused-member] Cell.t.spare is a field that nothing \
+         outside the tests reads";
+      ] )
+    (lint (build "n : int; spare : int" "n = 1; spare = 0"))
+
 let suite =
   [
     ("every rule fires on its fixture", `Quick, test_rule_fires);
@@ -505,4 +675,11 @@ let suite =
     ("dc001 name resolution", `Quick, test_dc_name_resolution);
     ("dc001 perfbench counts as a caller", `Quick, test_dc_perfbench_caller);
     ("dc001 stale unit fails loudly", `Quick, test_dc_stale_unit);
+    ("dc002 write-only field is reported", `Quick, test_dc2_write_only);
+    ("dc002 record pattern and with read", `Quick, test_dc2_pattern_and_with);
+    ("dc002 matched-only constructor is reported", `Quick, test_dc2_constructors);
+    ("dc002 allow suppresses", `Quick, test_dc2_allow);
+    ("dc002 perfbench counts as a caller", `Quick, test_dc2_perfbench_caller);
+    ("dc002 stale unit fails loudly", `Quick, test_dc2_stale_unit);
+    ("dc002 new write-only field fails the pass", `Quick, test_dc2_new_write_only_field_fails);
   ]

@@ -154,11 +154,16 @@ let test_base_rtt () =
     true
     (rtt > 8_000 && rtt < 8_500)
 
-let test_dumbbell_bottleneck_gid () =
+let test_dumbbell_bottleneck () =
   let sim = Sim.create () in
   let db = Topology.dumbbell sim ~senders:3 ~gbps:40.0 ~prop:(Time.us 2.0) in
-  let p = Topology.port_by_gid db.Topology.d db.Topology.bottleneck_gid in
-  check Alcotest.int "bottleneck points at right switch" db.Topology.d_right (Port.peer p).Node.id
+  (* sender -> left switch -> right switch -> receiver *)
+  match Topology.path db.Topology.d ~src:db.Topology.senders.(0) ~dst:db.Topology.receiver with
+  | [ _; bottleneck; last ] ->
+    check Alcotest.bool "bottleneck joins the two switches" true
+      ((Port.peer bottleneck).Node.kind = Node.Switch && (Port.peer last).Node.kind = Node.Host);
+    check (Alcotest.float 0.01) "bottleneck speed" 40.0 (Port.gbps bottleneck)
+  | path -> Alcotest.failf "expected 3 hops, got %d" (List.length path)
 
 let test_testbed_shape () =
   let sim = Sim.create () in
@@ -305,7 +310,7 @@ let suite =
     ("ideal fct single packet", `Quick, test_ideal_fct_single_packet);
     ("ideal fct monotone", `Quick, test_ideal_fct_monotone_in_size);
     ("base rtt", `Quick, test_base_rtt);
-    ("dumbbell bottleneck", `Quick, test_dumbbell_bottleneck_gid);
+    ("dumbbell bottleneck", `Quick, test_dumbbell_bottleneck);
     ("testbed shape", `Quick, test_testbed_shape);
     ("cross-dc shape", `Quick, test_cross_dc_shape);
     ("port transmission", `Quick, test_port_transmission);

@@ -191,28 +191,22 @@ let validate_chrome s =
 (* ------------------------------------------------------------------ *)
 (* Registry *)
 
+(* The exported counters, as (name, value) in export order. *)
+let counters json =
+  match field "counters" (parse_json json) with
+  | Obj kvs -> List.map (fun (k, v) -> (k, int_of_float (num v))) kvs
+  | _ -> Alcotest.fail "counters is not an object"
+
 let test_counter_reuse () =
   let r = Registry.create () in
   let a = Registry.counter r "pkts" in
   let b = Registry.counter r "pkts" in
   Registry.incr r a;
   Registry.add r b 4;
-  checki "shared slot" 5 (Registry.value r a);
-  checki "one entry" 1 (List.length (Registry.counters r));
-  check (Alcotest.pair Alcotest.string Alcotest.int) "entry" ("pkts", 5)
-    (List.hd (Registry.counters r))
-
-let test_disabled_noop () =
-  let r = Registry.create ~enabled:false () in
-  checkb "disabled" false (Registry.enabled r);
-  let c = Registry.counter r "c" in
-  Registry.incr r c;
-  Registry.add r c 100;
-  checki "counter untouched" 0 (Registry.value r c);
-  let called = ref false in
-  Registry.gauge r "g" (fun () -> called := true; 1.0);
-  checkb "no gauge samples" true (Registry.sample_gauges r = []);
-  checkb "gauge closure not run" false !called
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "one shared entry" [ ("pkts", 5) ]
+    (counters (Registry.to_json r))
 
 let test_gauge_order () =
   let r = Registry.create () in
@@ -223,7 +217,7 @@ let test_gauge_order () =
     (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
     "registration order, not name order"
     [ ("b_second", 2.0); ("a_first", 1.0); ("c_third", 3.0) ]
-    (Registry.sample_gauges r)
+    (List.map (fun (name, f) -> (name, f ())) (Registry.gauges r))
 
 let test_registry_json () =
   let r = Registry.create () in
@@ -297,31 +291,17 @@ let test_series_columns () =
   let s = Series.create r in
   (* a gauge registered after create is not a column *)
   Registry.gauge r "late" (fun () -> 99.0);
-  check (Alcotest.list Alcotest.string) "stable column order" [ "t_ns"; "z_depth"; "a_flows" ]
-    (Series.columns s);
   depth := 3.0;
   Series.sample s ~now:1000;
-  depth := 5.0;
+  depth := 5.5;
   Series.sample s ~now:2000;
   checki "two samples" 2 (Series.n_samples s);
-  (match Series.rows s with
-  | [ (1000, r1); (2000, r2) ] ->
-    check (Alcotest.float 1e-9) "row1" 3.0 r1.(0);
-    check (Alcotest.float 1e-9) "row2 second col" 10.0 r2.(1)
-  | _ -> Alcotest.fail "rows");
   let csv = with_temp_file (fun oc -> Series.to_csv s oc) in
-  (match String.split_on_char '\n' (String.trim csv) with
-  | header :: rows ->
-    check Alcotest.string "csv header" "t_ns,z_depth,a_flows" header;
-    checki "csv rows" 2 (List.length rows)
-  | [] -> Alcotest.fail "empty csv")
-
-let test_series_disabled () =
-  let r = Registry.create ~enabled:false () in
-  Registry.gauge r "g" (fun () -> Alcotest.fail "gauge sampled on disabled registry");
-  let s = Series.create r in
-  Series.sample s ~now:5;
-  checki "no rows" 0 (Series.n_samples s)
+  check
+    (Alcotest.list Alcotest.string)
+    "stable column order, one row per sample"
+    [ "t_ns,z_depth,a_flows"; "1000,3,6"; "2000,5.5,11" ]
+    (String.split_on_char '\n' (String.trim csv))
 
 (* ------------------------------------------------------------------ *)
 (* Tracer ring wrap (regression: events stay oldest-first, observed keeps
@@ -343,15 +323,22 @@ let test_tracer_wrap () =
            Bfc_engine.Tap.emit (Sim.tap sim) Bfc_engine.Tap.Link_down ~node:0 i 0))
   done;
   ignore (Sim.run sim ~until:(Time.us 10.0));
-  checki "observed counts beyond the ring" (cap + extra) (Tracer.observed tr);
-  let evs = Tracer.events tr in
+  checki "observed counts beyond the ring" (cap + extra) (Trace.recorded (Tracer.trace tr));
+  (* the timeline's lines: "<at>us  node 0    LINK-   gid=<i>" *)
+  let evs =
+    List.filter_map
+      (fun line ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+        | [ at; "node"; "0"; "LINK-"; gid ] ->
+          Some (Scanf.sscanf at "%fus" Fun.id, Scanf.sscanf gid "gid=%d" Fun.id)
+        | _ -> None)
+      (String.split_on_char '\n' (Tracer.render ~limit:max_int tr))
+  in
   checki "ring keeps capacity" cap (List.length evs);
-  let ats = List.map (fun e -> e.Tracer.at) evs in
+  let ats = List.map fst evs in
   checkb "chronological" true (List.sort compare ats = ats);
   (* the survivors are exactly the newest [cap] events *)
-  let gids =
-    List.map (function { Tracer.ev = Tracer.Link_down { gid }; _ } -> gid | _ -> -1) evs
-  in
+  let gids = List.map snd evs in
   check (Alcotest.list Alcotest.int) "oldest fell off" (List.init cap (fun i -> extra + i)) gids
 
 (* ------------------------------------------------------------------ *)
@@ -385,17 +372,7 @@ let test_telemetry_end_to_end () =
   let sim = Sim.create () in
   let st = Topology.star sim ~senders:4 ~gbps:100.0 ~prop:(Time.us 1.0) in
   let env = Runner.setup ~topo:st.Topology.s ~scheme:Scheme.bfc ~params:Runner.default_params in
-  let tel =
-    Telemetry.attach
-      ~config:
-        {
-          Telemetry.t_enabled = true;
-          t_trace = true;
-          t_trace_capacity = 0;
-          t_series_period = Some (Time.us 5.0);
-        }
-      env
-  in
+  let tel = Telemetry.attach ~trace_capacity:0 ~series_period:(Time.us 5.0) env in
   let flows =
     List.init 4 (fun i ->
         Flow.make ~id:i ~src:st.Topology.st_senders.(i) ~dst:st.Topology.st_receiver ~size:64_000
@@ -406,7 +383,7 @@ let test_telemetry_end_to_end () =
   Runner.run env ~until:(Time.us 300.0);
   Runner.drain env ~budget:(Time.ms 5.0);
   checki "all flows done" 4 (Runner.completed env);
-  let counters = Registry.counters (Telemetry.registry tel) in
+  let counters = counters (Telemetry.counters_json tel) in
   let v name = match List.assoc_opt name counters with Some x -> x | None -> -1 in
   checkb "enqueues counted" true (v "sw_enqueues" > 0);
   checki "dequeues + drops = enqueues" (v "sw_enqueues") (v "sw_dequeues" + v "sw_drops");
@@ -418,35 +395,14 @@ let test_telemetry_end_to_end () =
   checkb "queued spans present" true
     (List.exists (fun e -> str (field "name" e) = "queued") data);
   (* the series sampled and leads with the time column *)
-  (match Telemetry.series tel with
-  | None -> Alcotest.fail "series not created"
-  | Some ser ->
-    checkb "series sampled" true (Series.n_samples ser > 0);
-    check Alcotest.string "time column first" "t_ns" (List.hd (Series.columns ser)));
-  (* registry and engine-profile JSON both parse *)
-  ignore (parse_json (Telemetry.counters_json tel));
+  checkb "series sampled" true (Series.n_samples (Telemetry.series tel) > 0);
+  let csv = with_temp_file (fun oc -> Telemetry.write_series tel oc) in
+  checkb "time column first" true (String.starts_with ~prefix:"t_ns," csv);
+  (* the engine-profile JSON parses *)
   let prof = parse_json (Telemetry.engine_profile_json env) in
   checkb "engine executed events" true (num (field "executed" prof) > 0.0);
   (* traffic ran, so typed events (deliveries, tx wakeups) must appear *)
   checkb "typed events counted" true (num (field "typed" prof) > 0.0)
-
-let test_telemetry_disabled () =
-  let _sim, st, env = small_env () in
-  let tel =
-    Telemetry.attach
-      ~config:
-        {
-          Telemetry.t_enabled = false;
-          t_trace = true;
-          t_trace_capacity = 0;
-          t_series_period = Some (Time.us 5.0);
-        }
-      env
-  in
-  ignore st;
-  checkb "no trace" true (Telemetry.trace tel = None);
-  checkb "no series" true (Telemetry.series tel = None);
-  checkb "registry disabled" false (Registry.enabled (Telemetry.registry tel))
 
 (* ------------------------------------------------------------------ *)
 (* Stats: NaN-proof sort in Sample.sorted *)
@@ -467,17 +423,14 @@ let test_sample_nan_sort () =
 let suite =
   [
     Alcotest.test_case "registry: counter handle reuse" `Quick test_counter_reuse;
-    Alcotest.test_case "registry: disabled mode is a no-op" `Quick test_disabled_noop;
     Alcotest.test_case "registry: gauge registration order" `Quick test_gauge_order;
     Alcotest.test_case "registry: JSON export parses" `Quick test_registry_json;
     Alcotest.test_case "trace: ring wrap keeps oldest-first" `Quick test_trace_ring_wrap;
     Alcotest.test_case "trace: chrome export valid + monotone" `Quick test_chrome_export;
     Alcotest.test_case "trace: jsonl export" `Quick test_jsonl_export;
     Alcotest.test_case "series: stable columns + csv" `Quick test_series_columns;
-    Alcotest.test_case "series: disabled registry records nothing" `Quick test_series_disabled;
     Alcotest.test_case "tracer: ring wrap regression" `Quick test_tracer_wrap;
     Alcotest.test_case "engine: self-profile counters" `Quick test_engine_profile;
     Alcotest.test_case "telemetry: end-to-end star run" `Quick test_telemetry_end_to_end;
-    Alcotest.test_case "telemetry: disabled attach" `Quick test_telemetry_disabled;
     Alcotest.test_case "stats: NaN-proof Sample.sorted" `Quick test_sample_nan_sort;
   ]

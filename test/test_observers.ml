@@ -93,14 +93,7 @@ let observed_run scheme =
         Exp_common.sp_obs =
           (fun env ->
             let tel =
-              Telemetry.attach
-                ~config:
-                  {
-                    Telemetry.t_enabled = true;
-                    t_trace = true;
-                    t_trace_capacity = 0;
-                    t_series_period = Some (Time.us 20.0);
-                  }
+              Telemetry.attach ~trace_capacity:0 ~series_period:(Time.us 20.0)
                 env
             in
             let tracer = Tracer.attach env ~capacity:1_000_000 in
@@ -127,7 +120,7 @@ let render_observed name scheme =
   line "telemetry.counters %s" (digest (drop_gc_lines (Telemetry.counters_json o.tel)));
   let csv = drop_gc_columns (capture (Telemetry.write_series o.tel)) in
   line "telemetry.series %s %d" (digest csv) (String.length csv);
-  line "tracer.observed %d" (Tracer.observed o.tracer);
+  line "tracer.observed %d" (Bfc_obs.Trace.recorded (Tracer.trace o.tracer));
   line "tracer.render %s" (digest (Tracer.render ~limit:max_int o.tracer));
   line "tracer.pause_balance %s"
     (String.concat " "

@@ -54,33 +54,19 @@ let test_ticker_no_event_leak () =
 
 (* ---------------------------- packet pool -------------------------- *)
 
-(* A flow word with the given fields, built the way hosts build theirs:
-   from a record. *)
-let flow_word ~slot ~id ~incast =
+(* A flow record with the given header fields, as hosts hold theirs. *)
+let flow_record ~slot ~id ~incast =
   let f = Bfc_net.Flow.make ~id ~src:0 ~dst:0 ~size:1 ~arrival:0 ~is_incast:incast () in
   f.Bfc_net.Flow.slot <- slot;
-  Packet.ref_of f
-
-let set_fid p id =
-  Packet.set_flow p (flow_word ~slot:(Packet.flow_slot p) ~id ~incast:(Packet.incast p))
-
-let set_flow_slot p slot =
-  Packet.set_flow p (flow_word ~slot ~id:(Packet.fid p) ~incast:(Packet.incast p))
-
-let set_incast p incast =
-  Packet.set_flow p (flow_word ~slot:(Packet.flow_slot p) ~id:(Packet.fid p) ~incast)
+  f
 
 let test_pool_reset_all_fields () =
   let pool = Packet.Pool.create () in
-  let f = Bfc_net.Flow.make ~id:3 ~src:0 ~dst:4 ~size:5000 ~arrival:0 () in
-  let p = Packet.Pool.acquire pool Packet.Data ~flow:(Packet.ref_of f) ~dst:4 ~size:1500 ~seq:7 in
-  check int "flow id from acquire" 3 (Packet.fid p);
-  set_flow_slot p 12;
-  set_incast p true;
+  let flow = Packet.ref_of (flow_record ~slot:12 ~id:3 ~incast:true) in
+  let p = Packet.Pool.data pool ~flow ~dst:4 ~prio:2 ~seq:7 ~payload:1400 ~extra_header:0 in
+  check int "flow id from data" 3 (Packet.fid p);
+  check int "payload from data" 1400 (Packet.payload p);
   (* dirty every mutable field a switch/host can touch *)
-  Packet.set_kind p Packet.Cnp;
-  Packet.set_payload p 1400;
-  Packet.set_prio p 2;
   Packet.set_remaining p 900;
   Packet.set_upstream_q p 5;
   Packet.set_ecn p true;
@@ -99,7 +85,6 @@ let test_pool_reset_all_fields () =
   check int "hops recorded" 2 (Packet.Pool.int_hop_count pool p);
   let i = Packet.idx p in
   Packet.Pool.release pool p;
-  check int "parked: next_free ends the free list" (-1) (Packet.next_free p);
   check int "parked: size reset" 0 (Packet.size p);
   check int "parked: dst reset" (-1) (Packet.dst p);
   check bool "parked: flow dropped" true (Packet.flow p = Packet.no_flow);
@@ -129,8 +114,7 @@ let test_pool_reset_all_fields () =
   check int "flow id reset" (-1) (Packet.fid q);
   check int "flow slot reset" (-1) (Packet.flow_slot q);
   check bool "incast reset" false (Packet.incast q);
-  check int "index kept" i (Packet.idx q);
-  check int "in use" (-2) (Packet.next_free q)
+  check int "index kept" i (Packet.idx q)
 
 (* Every packet carries only what every scheme needs, in 10 fields, three
    of them packed words: 11 words with its header, which OCaml 5's shared
@@ -143,29 +127,33 @@ let test_packet_footprint () =
   let fields = Obj.size (Obj.repr p) in
   if fields > 11 then failf "a packet has %d fields, bound 11" fields
 
+(* The flags a switch or host sets. *)
 let flag_accessors =
   [
     ("ecn", Packet.ecn, Packet.set_ecn);
     ("ecn_echo", Packet.ecn_echo, Packet.set_ecn_echo);
     ("bp_counted", Packet.bp_counted, Packet.set_bp_counted);
     ("bp_sampled", Packet.bp_sampled, Packet.set_bp_sampled);
-    ("incast", Packet.incast, set_incast);
   ]
 
-(* The packed fields with their ranges: (name, get, set, min, max). *)
+(* The packed fields a packet is built with, with their ranges:
+   (name, get, min, max), in [build]'s order. *)
+let built_fields =
+  [
+    ("size", Packet.size, 0, 65535);
+    ("payload", Packet.payload, 0, 65535);
+    ("dst", Packet.dst, -1, (1 lsl 31) - 2);
+    ("fid", Packet.fid, -1, (1 lsl 32) - 2);
+    ("flow_slot", Packet.flow_slot, -1, (1 lsl 30) - 2);
+  ]
+
+(* The packed fields with a setter: (name, get, set, min, max). *)
 let packed_fields =
   [
     ("prio", Packet.prio, Packet.set_prio, -1, 8190);
     ("upstream_q", Packet.upstream_q, Packet.set_upstream_q, -1, 16382);
     ("bp_in_port", Packet.bp_in_port, Packet.set_bp_in_port, -1, 16382);
     ("bp_upq", Packet.bp_upq, Packet.set_bp_upq, -1, 16382);
-    ("size", Packet.size, Packet.set_size, 0, 65535);
-    ("payload", Packet.payload, Packet.set_payload, 0, 65535);
-    ("dst", Packet.dst, Packet.set_dst, -1, (1 lsl 31) - 2);
-    ("idx", Packet.idx, Packet.set_idx, -1, (1 lsl 31) - 2);
-    ("next_free", Packet.next_free, Packet.set_next_free, -2, (1 lsl 31) - 3);
-    ("fid", Packet.fid, set_fid, -1, (1 lsl 32) - 2);
-    ("flow_slot", Packet.flow_slot, set_flow_slot, -1, (1 lsl 30) - 2);
   ]
 
 let all_kinds =
@@ -180,29 +168,59 @@ let kind_index p =
   find 0 all_kinds
 
 (* Everything a packed word holds, as ints: the kind's position, the
-   flags (the incast label included) and the numeric fields. *)
+   incast label, the flags and the numeric fields. *)
 let packed_values p =
   kind_index p
+  :: Bool.to_int (Packet.incast p)
   :: List.map (fun (_, get, _) -> Bool.to_int (get p)) flag_accessors
+  @ List.map (fun (_, get, _, _) -> get p) built_fields
   @ List.map (fun (_, get, _, _, _) -> get p) packed_fields
 
-(* Put every packed field at its minimum ([hi = false]) or its maximum. *)
-let set_extremes p hi =
-  Packet.set_kind p (if hi then Packet.Cnp else Packet.Data);
-  List.iter (fun (_, _, set) -> set p hi) flag_accessors;
-  List.iter (fun (_, _, set, lo, top) -> set p (if hi then top else lo)) packed_fields
+(* A packet built with [kind], the incast label [hi] and [built] (values
+   of [built_fields]), every flag at [hi] and every field with a setter at
+   its minimum ([hi = false]) or its maximum. *)
+let build kind ~hi built =
+  match built with
+  | [ size; payload; dst; id; slot ] ->
+    let p =
+      Packet.make kind ~flow:(flow_record ~slot ~id ~incast:hi) ~dst ~size ~payload ()
+    in
+    List.iter (fun (_, _, set) -> set p hi) flag_accessors;
+    List.iter (fun (_, _, set, lo, top) -> set p (if hi then top else lo)) packed_fields;
+    p
+  | _ -> invalid_arg "build"
 
 (* Each packed field holds its minimum, its maximum and its sentinel -1
    while its neighbours sit at both extremes, and a value outside its
-   range raises without touching the packet. The kind takes every
-   constructor. *)
+   range raises (a setter's without touching the packet). The kind takes
+   every constructor. *)
 let test_packet_fields () =
-  let p = Packet.make Packet.Data ~dst:1 ~size:100 () in
-  let nk = 1 + List.length flag_accessors in
+  let nb = 2 + List.length flag_accessors in
+  let ns = nb + List.length built_fields in
   List.iter
     (fun hi ->
-      set_extremes p hi;
-      let base = packed_values p in
+      let kind = if hi then Packet.Cnp else Packet.Data in
+      let extremes = List.map (fun (_, _, lo, top) -> if hi then top else lo) built_fields in
+      let base = packed_values (build kind ~hi extremes) in
+      List.iteri
+        (fun k (name, get, lo, top) ->
+          let with_value v = List.mapi (fun j e -> if j = k then v else e) extremes in
+          List.iter
+            (fun v ->
+              let p = build kind ~hi (with_value v) in
+              check int (name ^ " reads back") v (get p);
+              check (list int) (name ^ " leaves the others")
+                (List.mapi (fun j b -> if j = nb + k then v else b) base)
+                (packed_values p))
+            (List.filter (fun v -> v >= lo) [ lo; top; -1 ]);
+          List.iter
+            (fun v ->
+              match build kind ~hi (with_value v) with
+              | _ -> failf "%s accepted %d" name v
+              | exception Invalid_argument _ -> ())
+            [ lo - 1; top + 1; min_int; max_int ])
+        built_fields;
+      let p = build kind ~hi extremes in
       List.iteri
         (fun k (name, get, set, lo, top) ->
           List.iter
@@ -210,7 +228,7 @@ let test_packet_fields () =
               set p v;
               check int (name ^ " reads back") v (get p);
               check (list int) (name ^ " leaves the others")
-                (List.mapi (fun j b -> if j = nk + k then v else b) base)
+                (List.mapi (fun j b -> if j = ns + k then v else b) base)
                 (packed_values p))
             (List.filter (fun v -> v >= lo) [ lo; top; -1 ]);
           set p (if hi then top else lo);
@@ -224,23 +242,20 @@ let test_packet_fields () =
         packed_fields;
       List.iteri
         (fun i k ->
-          Packet.set_kind p k;
-          check (list int) "kind reads back, the others kept"
-            (i :: List.tl base) (packed_values p))
-        all_kinds;
-      set_extremes p hi)
+          check (list int) "kind reads back, the others kept" (i :: List.tl base)
+            (packed_values (build k ~hi extremes)))
+        all_kinds)
     [ false; true ]
 
 let flag_values p = List.map (fun (_, get, _) -> get p) flag_accessors
 
-(* The flags share packed words (four the header, the incast label the
-   flow word): setting or clearing one leaves the others as they were,
-   and a recycled packet gets [make]'s flags back. *)
+(* The flags share the header word: setting or clearing one leaves the
+   others as they were, and a recycled packet gets [make]'s flags back. *)
 let test_packet_flags () =
   let pool = Packet.Pool.create () in
   let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   let fresh = flag_values (Packet.make Packet.Data ~dst:1 ~size:100 ()) in
-  check (list bool) "fresh flags" [ false; false; false; true; false ] fresh;
+  check (list bool) "fresh flags" [ false; false; false; true ] fresh;
   check (list bool) "acquired flags" fresh (flag_values p);
   List.iteri
     (fun k (name, get, set) ->

@@ -203,8 +203,14 @@ let test_flowlog_bad_header () =
 let smoke_setup () =
   { (Exp_common.std Exp_common.Smoke Bfc_sim.Scheme.bfc) with Exp_common.sp_seed = 3 }
 
+(* the sketches' relative-error bound *)
+let stream_alpha = 0.01
+
 let streaming ?flowlog s =
-  { s with Exp_common.sp_stream = Some { Exp_common.alpha = 0.01; flowlog; progress = false } }
+  {
+    s with
+    Exp_common.sp_stream = Some { Exp_common.alpha = stream_alpha; flowlog; progress = false };
+  }
 
 let test_streaming_matches_exact () =
   let r = Exp_common.run_std (streaming (smoke_setup ())) in
@@ -213,7 +219,7 @@ let test_streaming_matches_exact () =
     Metrics.fct_table r.Exp_common.env ~since:r.Exp_common.measure_from r.Exp_common.flows
   in
   let approx = Metrics.fct_table_of_sketches sk in
-  let alpha = Metrics.sketches_alpha sk in
+  let alpha = stream_alpha in
   List.iter2
     (fun (e : Metrics.fct_stats) (s : Metrics.fct_stats) ->
       checki (e.Metrics.bucket ^ " count") e.Metrics.count s.Metrics.count;

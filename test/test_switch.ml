@@ -448,7 +448,6 @@ let test_buffer_dynamic_threshold () =
 
 let test_buffer_infinite () =
   let b = Buffer.create ~total:max_int ~alpha:1.0 ~n_ingress:1 in
-  Alcotest.(check bool) "infinite" true (Buffer.infinite b);
   Alcotest.(check bool) "always admits" true (Buffer.admit b ~queue_bytes:max_int ~size:1_000_000)
 
 (* --------------------------- Switch glue --------------------------- *)

@@ -174,7 +174,7 @@ let test_timely_gradient_region () =
 (* ------------------------------- Homa ------------------------------ *)
 
 let test_homa_params () =
-  let p = Homa.params_for ~dist:Dist.google ~total_prios:32 ~rtt_bytes:100_000 ~spray:true in
+  let p = Homa.params_for ~dist:Dist.google ~total_prios:32 ~rtt_bytes:100_000 in
   Alcotest.(check bool) "unsched prios in range" true
     (p.Homa.unsched_prios >= 1 && p.Homa.unsched_prios < 32);
   check Alcotest.int "overcommit = rest" (32 - p.Homa.unsched_prios) p.Homa.overcommit;
@@ -189,7 +189,7 @@ let test_homa_params () =
     (Homa.unsched_prio p ~size:100 <= Homa.unsched_prio p ~size:3_000_000)
 
 let test_homa_receiver_grants_srpt () =
-  let p = Homa.params_for ~dist:Dist.google ~total_prios:8 ~rtt_bytes:10_000 ~spray:true in
+  let p = Homa.params_for ~dist:Dist.google ~total_prios:8 ~rtt_bytes:10_000 in
   let r = Homa.Receiver.create p in
   let big = Flow.make ~id:1 ~src:0 ~dst:9 ~size:1_000_000 ~arrival:0 () in
   let small = Flow.make ~id:2 ~src:1 ~dst:9 ~size:50_000 ~arrival:0 () in
@@ -208,14 +208,14 @@ let test_homa_receiver_grants_srpt () =
   check Alcotest.int "two active messages" 2 (Homa.Receiver.active r)
 
 let test_homa_receiver_completion_removes () =
-  let p = Homa.params_for ~dist:Dist.google ~total_prios:8 ~rtt_bytes:10_000 ~spray:true in
+  let p = Homa.params_for ~dist:Dist.google ~total_prios:8 ~rtt_bytes:10_000 in
   let r = Homa.Receiver.create p in
   let f = Flow.make ~id:3 ~src:0 ~dst:9 ~size:5_000 ~arrival:0 () in
   ignore (Homa.Receiver.on_data r ~flow:f ~covered:5_000);
   check Alcotest.int "completed message dropped" 0 (Homa.Receiver.active r)
 
 let test_homa_overcommit_limit () =
-  let p = Homa.params_for ~dist:Dist.google ~total_prios:4 ~rtt_bytes:10_000 ~spray:true in
+  let p = Homa.params_for ~dist:Dist.google ~total_prios:4 ~rtt_bytes:10_000 in
   let r = Homa.Receiver.create p in
   (* create more messages than the overcommit level; the grant list per
      round never exceeds overcommit *)
@@ -433,8 +433,10 @@ let test_stale_packet_counted () =
   let keep kind ~dst ~seq =
     Packet.Pool.acquire pool kind ~flow:(Packet.ref_of a) ~dst ~size:Packet.ack_bytes ~seq
   in
-  let data = keep Packet.Data ~dst:r ~seq:0 in
-  Packet.set_payload data 1000;
+  let data =
+    Packet.Pool.data pool ~flow:(Packet.ref_of a) ~dst:r ~prio:0 ~seq:0 ~payload:1000
+      ~extra_header:0
+  in
   let ack = keep Packet.Ack ~dst:s ~seq:1000 in
   ignore (Sim.run sim ~until:(Time.us 50.0));
   Alcotest.(check bool) "first flow complete" true (Flow.complete a);
