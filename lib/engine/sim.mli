@@ -103,9 +103,9 @@ val cls_nic_ctrl : int
     [a1] = packed (epoch, queue). *)
 
 val cls_flow_timeout : int
-(** Transport timer — [a0] = host registry index, [a1] = packed
-    (flow id, timer kind: RTO / credit pacer / credit stop / rate
-    pacer). *)
+(** Transport timer — [a0] = packed (host registry index, timer kind:
+    RTO / credit pacer / credit stop / rate pacer), [a1] = the flow word
+    (slot, id) its packets carry. *)
 
 val cls_xpass_resume : int
 (** ExpressPass credit-queue resume probe — [a0] = attach registry
@@ -118,9 +118,9 @@ val cls_flow_start : int
     hands out when the event fires. *)
 
 val cls_flow_reclaim : int
-(** Streaming reclaim of a finished flow's transport state — [a0] =
-    packed (source, destination) host registry indices, [a1] = the flow
-    word (slot, id) its packets carry. *)
+(** Streaming reclaim of a finished flow's transport state — [a0] = the
+    source's host registry index, [a1] = the flow word (slot, id) its
+    packets carry. *)
 
 val n_classes : int
 (** Exclusive upper bound on class ids (16). Ids in

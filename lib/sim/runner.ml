@@ -309,9 +309,8 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
   | Scheme.Expresspass { target_loss; w_init; w_max } ->
     { base with scheme = Host.Xpass { target_loss; w_init; w_max } }
   | Scheme.Homa _ ->
-    let prms =
-      Bfc_transport.Homa.params_for ~dist:Bfc_workload.Dist.google ~total_prios:32 ~rtt_bytes:bdp
-    in
+    (* Homa's priority cutoffs depend on the workload distribution *)
+    let prms = Bfc_transport.Homa.params_for ~dist:p.homa_dist ~total_prios:32 ~rtt_bytes:bdp in
     { base with scheme = Host.Homa prms; nic_policy = Sched.Prio_strict }
 
 (* Flow arrivals are typed [cls_flow_start] events. A trace arrival's
@@ -398,14 +397,8 @@ let setup ~topo ~scheme ~params:p =
     end;
     row.(hd)
   in
-  (* Homa parameters depend on the workload distribution *)
   let hostcfg =
-    let c = { (host_config scheme p ~base_rtt ~bdp ~line_gbps) with Host.flow_bdp = Some flow_bdp } in
-    match (scheme, c.Host.scheme) with
-    | Scheme.Homa _, Host.Homa _ ->
-      let prms = Bfc_transport.Homa.params_for ~dist:p.homa_dist ~total_prios:32 ~rtt_bytes:bdp in
-      { c with Host.scheme = Host.Homa prms }
-    | _ -> c
+    { (host_config scheme p ~base_rtt ~bdp ~line_gbps) with Host.flow_bdp = Some flow_bdp }
   in
   Array.iter
     (fun nd ->
@@ -459,14 +452,15 @@ let setup ~topo ~scheme ~params:p =
     let flows = Port.flows sim in
     Bfc_engine.Tap.on (Sim.tap sim) Bfc_engine.Tap.Drop (fun ~node:_ _ p ->
         let pkt = Packet.Pool.get pool p in
-        let slot = Packet.flow_slot pkt and fid = Packet.fid pkt in
-        if Packet.kind pkt = Packet.Data && Flow.Table.holds flows ~slot ~id:fid then begin
+        let slot = Packet.flow_slot pkt in
+        if Packet.kind pkt = Packet.Data && Flow.Table.holds flows ~slot ~id:(Packet.fid pkt)
+        then begin
           let src = (Flow.Table.get flows slot).Flow.src in
-          let seq = Packet.seq pkt and len = Packet.payload pkt in
+          let flow = Packet.flow pkt and seq = Packet.seq pkt and len = Packet.payload pkt in
           ignore
             (Sim.after sim (Time.us 1.0) (fun () ->
                  match hosts.(src) with
-                 | Some h -> Host.on_drop_notice h ~flow_id:fid ~seq ~len
+                 | Some h -> Host.on_drop_notice h ~flow ~seq ~len
                  | None -> ()))
         end)
   | _ -> ());
@@ -489,8 +483,7 @@ let setup ~topo ~scheme ~params:p =
   let complete f =
     env.completed <- env.completed + 1;
     if p.streaming then
-      Host.reclaim_after (host env f.Flow.src) ~peer:(host env f.Flow.dst) ~flow:f
-        ~delay:(4 * base_rtt)
+      Host.reclaim_after (host env f.Flow.src) ~flow:f ~delay:(4 * base_rtt)
   in
   Array.iter (Option.iter (fun h -> Host.on_complete h complete)) hosts;
   env

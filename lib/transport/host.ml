@@ -4,7 +4,6 @@ module Node = Bfc_net.Node
 module Port = Bfc_net.Port
 module Sim = Bfc_engine.Sim
 module Rng = Bfc_util.Rng
-module Slot_table = Bfc_util.Slot_table
 
 type scheme =
   | Bfc of { window_cap : int option; delay_cc : bool }
@@ -72,7 +71,7 @@ type cc =
    [fsize]; timers and credit pacing run only while the sender is
    unfinished. *)
 type tx = {
-  mutable fref : int; (* the flow word ([Packet.ref_of]) *)
+  mutable fref : int; (* the flow word ([Packet.ref_of]); [Packet.no_flow] when unbound *)
   mutable fdst : int;
   mutable fprio : int;
   mutable fsize : int;
@@ -87,20 +86,11 @@ type tx = {
   mutable grant_prio : int;
   mutable unsched : int; (* homa unscheduled limit *)
   mutable fin_sent : bool;
-  mutable retransmitted : int;
   mutable chunk_seq : int; (* first byte of the chunk [next_chunk] last sized *)
 }
 
-(* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
-type rx = {
-  mutable rref : int; (* the flow word of its first packet *)
-  mutable rsrc : int; (* the sender's node *)
-  mutable expected : int; (* contiguous prefix received *)
-  mutable ranges : (int * int) list; (* beyond the prefix *)
-  mutable last_nack : Bfc_engine.Time.t;
-  mutable last_cnp : Bfc_engine.Time.t;
-  mutable complete : bool;
-  (* ExpressPass credit source state (receiver paces credits): *)
+(* ExpressPass credit source state: the receiver paces credits. *)
+type credits = {
   mutable cr_rate : float; (* data bytes per ns the credits ask for *)
   mutable cr_w : float;
   mutable cr_sent : int;
@@ -110,23 +100,48 @@ type rx = {
   mutable cr_stop : bool;
 }
 
+(* Receiver-side reassembly: sorted disjoint [start, stop) ranges. *)
+type rx = {
+  mutable rref : int; (* the flow word of its first packet; [Packet.no_flow] when unbound *)
+  mutable rsrc : int; (* the sender's node *)
+  mutable expected : int; (* contiguous prefix received *)
+  mutable ranges : (int * int) list; (* beyond the prefix *)
+  mutable last_nack : Bfc_engine.Time.t;
+  mutable last_cnp : Bfc_engine.Time.t;
+  mutable complete : bool;
+  credits : credits option; (* an ExpressPass receiver's only *)
+}
+
 type t = {
   sim : Sim.t;
   node : Node.t;
-  idx : int; (* index into the per-sim host registry, the [a0] of events *)
+  idx : int; (* index into the per-sim host registry *)
   cfg : config;
   pool : Packet.Pool.t; (* the sim's packet table *)
   flows : Flow.Table.t; (* the sim's flow table *)
   nic : Nic.t;
-  txs : tx Slot_table.t; (* flow id -> sender state *)
-  rxs : rx Slot_table.t;
+  reg : reg;
   homa_recv : Homa.Receiver.t option;
   mutable complete_cbs : (Flow.t -> unit) array; (* in registration order *)
-  owners : tx list ref array; (* per NIC queue: window-based flows to pump *)
+  owners : tx list array; (* per NIC queue: window-based flows to pump *)
   rng : Rng.t;
   mutable bytes_sent : int;
   mutable bytes_retransmitted : int;
   mutable stale : int; (* packets whose flow's slot holds another flow *)
+}
+
+(* One per sim: its hosts, and its flows' sender and receiver records,
+   indexed by the flow's slot in the sim's flow table. Only a flow's
+   source reaches its sender record and only its destination its
+   receiver record: packets are routed to them, and each host's timers
+   name it. *)
+and reg = {
+  mutable harr : t array;
+  mutable hn : int;
+  mutable txa : tx array;
+  mutable rxa : rx array;
+  mutable tx_built : int;
+  mutable rx_built : int;
 }
 
 let nic t = t.nic
@@ -137,38 +152,114 @@ let on_complete t f = t.complete_cbs <- [| f |]
    completions. bfc-lint: control-plane *)
 let add_on_complete t f = t.complete_cbs <- Array.append t.complete_cbs [| f |]
 
-(* Per-flow records live in slot tables. A fresh slot gets a blank
-   record; [start_flow] and [get_rx] reinitialise every field. *)
 let cap_unlimited = Cap max_int
 
 let blank_tx () =
   { fref = Packet.no_flow; fdst = -1; fprio = 0; fsize = 0; snd_nxt = 0; snd_una = 0;
     cc = cap_unlimited; nic_q = -1; rtx = []; rto_t = 0; finished = true; granted = 0; grant_prio = 0; unsched = 0;
-    fin_sent = false; retransmitted = 0; chunk_seq = 0 }
+    fin_sent = false; chunk_seq = 0 }
 
-let blank_rx () =
+let blank_rx credits =
   { rref = Packet.no_flow; rsrc = -1; expected = 0; ranges = []; last_nack = 0; last_cnp = 0;
-    complete = false; cr_rate = 0.0; cr_w = 0.0; cr_sent = 0; cr_used = 0; cr_pacer = 0;
-    cr_feedback = None; cr_stop = false }
+    complete = false; credits }
 
-(* A slot's record may be reused only when nothing outside the table can
-   still reach it: an unfinished sender is still on its NIC queue's owner
-   list, and a credit ticker's closure holds its receiver. Typed timers
-   find their flow by id, so they cannot reach a reused record. *)
+(* What a slot holds until a flow binds a record there, and after its
+   record was detached. No flow word's id matches theirs, so they are
+   never found, bound or written. *)
+let no_tx = blank_tx ()
+
+let no_rx = blank_rx None
+
+(* The record bound to flow word [w] at its slot, else the sentinel: a
+   record at the slot bound to another flow, or to none, is not [w]'s. *)
+let find_tx r w =
+  let s = Packet.ref_slot w in
+  if s >= 0 && s < Array.length r.txa then begin
+    let tx = Array.unsafe_get r.txa s in
+    if Packet.ref_id tx.fref = Packet.ref_id w then tx else no_tx
+  end
+  else no_tx
+
+let find_rx r w =
+  let s = Packet.ref_slot w in
+  if s >= 0 && s < Array.length r.rxa then begin
+    let rx = Array.unsafe_get r.rxa s in
+    if Packet.ref_id rx.rref = Packet.ref_id w then rx else no_rx
+  end
+  else no_rx
+
+(* Make [slot] an index of both record arrays, which grow with the flow
+   table. *)
+let reserve r slot =
+  let n = Array.length r.txa in
+  if slot >= n then begin
+    let cap = Int.max (slot + 1) (Int.max 64 (2 * n)) in
+    let txa = Array.make cap no_tx and rxa = Array.make cap no_rx in
+    Array.blit r.txa 0 txa 0 n;
+    Array.blit r.rxa 0 rxa 0 n;
+    r.txa <- txa;
+    r.rxa <- rxa
+  end
+
+(* A record may go to its slot's next flow only when nothing outside the
+   arrays can still reach it: an unfinished sender is still on its NIC
+   queue's owner list, and a credit ticker's closure holds its receiver.
+   Typed timers find their flow by its word, so they cannot reach a
+   record bound to another flow. *)
 let tx_reusable tx = tx.finished
 
-let rx_reusable rx = match rx.cr_feedback with None -> rx.complete | Some _ -> false
+let rx_reusable rx =
+  rx.complete && match rx.credits with Some { cr_feedback = Some _; _ } -> false | _ -> true
+
+(* The record for a flow starting at [slot], for the caller to
+   reinitialise: the slot's reusable one, else a fresh one. *)
+let bind_tx r slot =
+  reserve r slot;
+  let tx = r.txa.(slot) in
+  if tx != no_tx && tx_reusable tx then tx
+  else begin
+    let tx = blank_tx () in
+    r.txa.(slot) <- tx;
+    r.tx_built <- r.tx_built + 1;
+    tx
+  end
+
+let bind_rx t slot =
+  let r = t.reg in
+  reserve r slot;
+  let rx = r.rxa.(slot) in
+  if rx != no_rx && rx_reusable rx then rx
+  else begin
+    let credits =
+      match t.cfg.scheme with
+      | Xpass _ ->
+        Some
+          { cr_rate = 0.0; cr_w = 0.0; cr_sent = 0; cr_used = 0; cr_pacer = 0; cr_feedback = None;
+            cr_stop = false }
+      | _ -> None
+    in
+    let rx = blank_rx credits in
+    r.rxa.(slot) <- rx;
+    r.rx_built <- r.rx_built + 1;
+    rx
+  end
 
 (* Drop per-flow sender/receiver state once a flow is fully done with it
    (streaming runs reclaim after a grace period, so per-flow memory stays
    bounded by the number of in-flight flows instead of growing with every
-   flow ever started). Packets for an unknown flow id are already ignored
-   on every lookup path, so late stragglers are harmless. *)
-let reclaim_flow_state t ~flow_id =
-  Slot_table.reclaim t.txs ~id:flow_id ~reusable:tx_reusable ~blank:blank_tx;
-  Slot_table.reclaim t.rxs ~id:flow_id ~reusable:rx_reusable ~blank:blank_rx
+   flow ever started). A reusable record stays in its slot, unbound, for
+   the slot's next flow; any other is detached, and the slot gets a fresh
+   record at its next bind. Either way, late packets and timers for the
+   flow find nothing. *)
+let unbind r w =
+  let s = Packet.ref_slot w in
+  let tx = find_tx r w in
+  if tx != no_tx then
+    if tx_reusable tx then tx.fref <- Packet.no_flow else r.txa.(s) <- no_tx;
+  let rx = find_rx r w in
+  if rx != no_rx then if rx_reusable rx then rx.rref <- Packet.no_flow else r.rxa.(s) <- no_rx
 
-let flow_records t = (Slot_table.blanks t.txs, Slot_table.blanks t.rxs)
+let flow_records t = (t.reg.tx_built, t.reg.rx_built)
 
 let bytes_sent t = t.bytes_sent
 
@@ -260,7 +351,6 @@ let next_chunk t tx =
     let len = Int.min t.cfg.mtu (e - s) in
     let rest = if s + len >= e then rest else (s + len, e) :: rest in
     tx.rtx <- rest;
-    tx.retransmitted <- tx.retransmitted + len;
     tx.chunk_seq <- s;
     len
   | [] ->
@@ -308,12 +398,13 @@ let rec blast t tx =
     blast t tx
   end
 
-(* Flow timers are typed [cls_flow_timeout] events: [a1] packs
-   (flow_id << 2) | kind, kind 0 = RTO, 1 = xpass credit pacer,
-   2 = delayed xpass credit stop, 3 = rate-pacer tick. The executor
-   re-finds the flow's tx/rx state by id — a reclaimed flow makes the
-   event a benign no-op, exactly like the old closures' [finished]
-   check. *)
+(* Flow timers are typed [cls_flow_timeout] events: [a0] packs
+   (host index << 2) | kind, kind 0 = RTO, 1 = xpass credit pacer,
+   2 = delayed xpass credit stop, 3 = rate-pacer tick, and [a1] is the
+   flow word. The executor re-finds the flow's tx/rx record by the word,
+   so a timer of a reclaimed flow finds nothing and does nothing. *)
+let timer t kind = (t.idx lsl 2) lor kind
+
 let rto_kind = 0
 
 let xpass_pace_kind = 1
@@ -334,7 +425,6 @@ let rate_pace t tx =
         | (s, e) :: rest ->
           let len = Int.min t.cfg.mtu (e - s) in
           tx.rtx <- (if s + len >= e then rest else (s + len, e) :: rest);
-          tx.retransmitted <- tx.retransmitted + len;
           t.bytes_retransmitted <- t.bytes_retransmitted + len;
           let pkt = make_data t tx ~seq:s ~len in
           submit_data t tx pkt;
@@ -353,8 +443,8 @@ let rate_pace t tx =
         if r <= 0.0 then Bfc_engine.Time.us 10.0
         else Int.max 1 (int_of_float (float_of_int (mtu_wire t.cfg) /. r))
       in
-      Sim.post t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((Packet.ref_id tx.fref lsl 2) lor rate_pace_kind)
+      Sim.post t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:(timer t rate_pace_kind)
+        ~a1:tx.fref
     end
   end
 
@@ -371,8 +461,7 @@ let arm_rto t tx =
     tx.rto_t <-
       Sim.post_token t.sim
         (Sim.now t.sim + t.cfg.rto)
-        ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((Packet.ref_id tx.fref lsl 2) lor rto_kind)
+        ~cls:Sim.cls_flow_timeout ~a0:(timer t rto_kind) ~a1:tx.fref
 
 let rto_fire t tx =
   tx.rto_t <- 0;
@@ -413,7 +502,7 @@ let finish_tx t tx =
     | _ -> ());
     if tx.nic_q >= 1 then begin
       Nic.release_queue t.nic tx.nic_q;
-      t.owners.(tx.nic_q) := remove_owner tx !(t.owners.(tx.nic_q))
+      t.owners.(tx.nic_q) <- remove_owner tx t.owners.(tx.nic_q)
     end
   end
 
@@ -421,9 +510,8 @@ let finish_tx t tx =
 (* ACK / NACK / grant / credit handling (sender side)                   *)
 
 let on_ack t pkt =
-  match Slot_table.find_exn t.txs (Packet.fid pkt) with
-  | exception Not_found -> ()
-  | tx ->
+  let tx = find_tx t.reg (Packet.flow pkt) in
+  if tx != no_tx then
     if not tx.finished then begin
       let prev = tx.snd_una in
       if Packet.seq pkt > tx.snd_una then begin
@@ -452,9 +540,8 @@ let on_ack t pkt =
     end
 
 let on_nack t pkt =
-  match Slot_table.find_exn t.txs (Packet.fid pkt) with
-  | exception Not_found -> ()
-  | tx ->
+  let tx = find_tx t.reg (Packet.flow pkt) in
+  if tx != no_tx then
     if (not tx.finished) && Packet.seq pkt >= tx.snd_una && Packet.seq pkt < tx.snd_nxt then begin
       t.bytes_retransmitted <- t.bytes_retransmitted + (tx.snd_nxt - Packet.seq pkt);
       tx.snd_nxt <- Packet.seq pkt;
@@ -463,9 +550,8 @@ let on_nack t pkt =
     end
 
 let on_grant t pkt =
-  match Slot_table.find_exn t.txs (Packet.fid pkt) with
-  | exception Not_found -> ()
-  | tx ->
+  let tx = find_tx t.reg (Packet.flow pkt) in
+  if tx != no_tx then
     if Packet.ctrl_a pkt > tx.granted then begin
       tx.granted <- Packet.ctrl_a pkt;
       tx.grant_prio <- Packet.ctrl_b pkt;
@@ -473,9 +559,8 @@ let on_grant t pkt =
     end
 
 let on_credit t pkt =
-  match Slot_table.find_exn t.txs (Packet.fid pkt) with
-  | exception Not_found -> ()
-  | tx ->
+  let tx = find_tx t.reg (Packet.flow pkt) in
+  if tx != no_tx then
     if (not tx.finished) && tx.snd_nxt < tx.fsize then begin
       let len = Int.min t.cfg.mtu (tx.fsize - tx.snd_nxt) in
       let p = make_data t tx ~seq:tx.snd_nxt ~len in
@@ -486,9 +571,8 @@ let on_credit t pkt =
     end
 
 let on_cnp t pkt =
-  match Slot_table.find_exn t.txs (Packet.fid pkt) with
-  | exception Not_found -> ()
-  | tx -> ( match tx.cc with Cc_dcqcn d -> Dcqcn.on_cnp d | _ -> ())
+  let tx = find_tx t.reg (Packet.flow pkt) in
+  if tx != no_tx then ( match tx.cc with Cc_dcqcn d -> Dcqcn.on_cnp d | _ -> ())
 
 (* Byte ranges [(start, stop)] in lexicographic order, without the
    polymorphic compare. *)
@@ -496,10 +580,9 @@ let compare_range (a, b) (c, d) =
   let o = Int.compare a c in
   if o <> 0 then o else Int.compare b d
 
-let on_drop_notice t ~flow_id ~seq ~len =
-  match Slot_table.find_exn t.txs flow_id with
-  | exception Not_found -> ()
-  | tx ->
+let on_drop_notice t ~flow ~seq ~len =
+  let tx = find_tx t.reg flow in
+  if tx != no_tx then
     if not tx.finished then begin
       tx.rtx <- List.merge compare_range [ (seq, seq + len) ] tx.rtx;
       t.bytes_retransmitted <- t.bytes_retransmitted + len;
@@ -532,27 +615,32 @@ let insert_range rx ~start ~stop =
 
 let covered rx = rx.expected
 
-(* The receiver record for [pkt]'s flow, set up on its first packet. *)
+(* The receiver record of [pkt]'s flow, bound on its first packet. *)
 let get_rx t pkt flow =
-  match Slot_table.find_exn t.rxs flow.Flow.id with
-  | rx -> rx
-  | exception Not_found ->
-    let rx = Slot_table.acquire t.rxs ~id:flow.Flow.id ~blank:blank_rx in
-    rx.rref <- Packet.flow pkt;
+  let w = Packet.flow pkt in
+  let rx = find_rx t.reg w in
+  if rx != no_rx then rx
+  else begin
+    let rx = bind_rx t (Packet.ref_slot w) in
+    rx.rref <- w;
     rx.rsrc <- flow.Flow.src;
     rx.expected <- 0;
     rx.ranges <- [];
     rx.last_nack <- min_int / 2;
     rx.last_cnp <- min_int / 2;
     rx.complete <- false;
-    rx.cr_rate <- 0.0;
-    rx.cr_w <- 0.0;
-    rx.cr_sent <- 0;
-    rx.cr_used <- 0;
-    rx.cr_pacer <- 0;
-    rx.cr_feedback <- None;
-    rx.cr_stop <- false;
+    (match rx.credits with
+    | Some c ->
+      c.cr_rate <- 0.0;
+      c.cr_w <- 0.0;
+      c.cr_sent <- 0;
+      c.cr_used <- 0;
+      c.cr_pacer <- 0;
+      c.cr_feedback <- None;
+      c.cr_stop <- false
+    | None -> ());
     rx
+  end
 
 (* [flow] is the packet's flow word: a sender's or receiver's own, or a
    received packet's. *)
@@ -568,57 +656,61 @@ let gbn_mode t =
   | Hpcc { perfect_rtx; _ } -> not perfect_rtx
   | _ -> true
 
-(* ExpressPass receiver: credit pacing with loss-based feedback. *)
+(* ExpressPass receiver: credit pacing with loss-based feedback. A
+   receiver without credit state (any other scheme's) does nothing. *)
 let xpass_stop_credits t rx =
-  rx.cr_stop <- true;
-  Sim.cancel_token t.sim rx.cr_pacer;
-  (match rx.cr_feedback with Some tk -> Sim.stop_ticker tk | None -> ());
-  rx.cr_pacer <- 0;
-  rx.cr_feedback <- None
+  match rx.credits with
+  | Some c ->
+    c.cr_stop <- true;
+    Sim.cancel_token t.sim c.cr_pacer;
+    (match c.cr_feedback with Some tk -> Sim.stop_ticker tk | None -> ());
+    c.cr_pacer <- 0;
+    c.cr_feedback <- None
+  | None -> ()
 
-let xpass_pace t rx =
-  if not rx.cr_stop then begin
+let xpass_pace t rx c =
+  if not c.cr_stop then begin
     let credit =
       ctrl_pkt t Packet.Credit ~flow:rx.rref ~dst:rx.rsrc ~size:Packet.ctrl_bytes ~seq:0
     in
-    rx.cr_sent <- rx.cr_sent + 1;
-    Packet.set_ctrl_a credit rx.cr_sent;
+    c.cr_sent <- c.cr_sent + 1;
+    Packet.set_ctrl_a credit c.cr_sent;
     Nic.submit_ctrl t.nic credit;
     (* jitter the credit spacing (xpass does, to avoid synchronized credit
        bursts colliding at the rate limiter) *)
-    let base = float_of_int (mtu_wire t.cfg) /. rx.cr_rate in
+    let base = float_of_int (mtu_wire t.cfg) /. c.cr_rate in
     let jitter = 0.8 +. (0.4 *. Bfc_util.Rng.float t.rng) in
     let gap = Int.max 1 (int_of_float (base *. jitter)) in
-    rx.cr_pacer <-
-      Sim.post_token t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((Packet.ref_id rx.rref lsl 2) lor xpass_pace_kind)
+    c.cr_pacer <-
+      Sim.post_token t.sim (Sim.now t.sim + gap) ~cls:Sim.cls_flow_timeout
+        ~a0:(timer t xpass_pace_kind) ~a1:rx.rref
   end
 
-let xpass_start_credits t rx ~target_loss ~w_init ~w_max =
-  if (not (Sim.token_pending t.sim rx.cr_pacer)) && not rx.cr_stop then begin
+let xpass_start_credits t rx c ~target_loss ~w_init ~w_max =
+  if (not (Sim.token_pending t.sim c.cr_pacer)) && not c.cr_stop then begin
     let line = t.cfg.line_gbps /. 8.0 in
-    rx.cr_rate <- line /. 2.0;
-    rx.cr_w <- w_init;
+    c.cr_rate <- line /. 2.0;
+    c.cr_w <- w_init;
     let last_sent = ref 0 and last_used = ref 0 in
-    rx.cr_feedback <-
+    c.cr_feedback <-
       Some
         (Sim.every t.sim ~period:(2 * t.cfg.base_rtt) (fun () ->
-             let sent = rx.cr_sent - !last_sent and used = rx.cr_used - !last_used in
-             last_sent := rx.cr_sent;
-             last_used := rx.cr_used;
+             let sent = c.cr_sent - !last_sent and used = c.cr_used - !last_used in
+             last_sent := c.cr_sent;
+             last_used := c.cr_used;
              if sent > 0 then begin
                let loss = 1.0 -. (float_of_int used /. float_of_int sent) in
                if loss <= target_loss then begin
-                 rx.cr_w <- Float.min w_max ((rx.cr_w +. w_max) /. 2.0);
-                 rx.cr_rate <- ((1.0 -. rx.cr_w) *. rx.cr_rate) +. (rx.cr_w *. line)
+                 c.cr_w <- Float.min w_max ((c.cr_w +. w_max) /. 2.0);
+                 c.cr_rate <- ((1.0 -. c.cr_w) *. c.cr_rate) +. (c.cr_w *. line)
                end
                else begin
-                 rx.cr_rate <- rx.cr_rate *. (1.0 -. loss) *. (1.0 +. target_loss);
-                 rx.cr_w <- Float.max (rx.cr_w /. 2.0) 0.01
+                 c.cr_rate <- c.cr_rate *. (1.0 -. loss) *. (1.0 +. target_loss);
+                 c.cr_w <- Float.max (c.cr_w /. 2.0) 0.01
                end;
-               if rx.cr_rate < line /. 1000.0 then rx.cr_rate <- line /. 1000.0
+               if c.cr_rate < line /. 1000.0 then c.cr_rate <- line /. 1000.0
              end));
-    xpass_pace t rx
+    xpass_pace t rx c
   end
 
 (* The record of [pkt]'s flow; [receive] has checked that its slot holds it. *)
@@ -669,13 +761,14 @@ let on_data t pkt =
         grants
     | None -> ())
   | Xpass _ ->
-    if Packet.ctrl_a pkt > 0 then rx.cr_used <- rx.cr_used + 1;
+    (match rx.credits with
+    | Some c -> if Packet.ctrl_a pkt > 0 then c.cr_used <- c.cr_used + 1
+    | None -> ());
     (* FIN: flow has no more data; stop crediting after the in-flight RTT *)
     if Packet.ctrl_b pkt = 1 then
       Sim.post t.sim
         (Sim.now t.sim + t.cfg.base_rtt)
-        ~cls:Sim.cls_flow_timeout ~a0:t.idx
-        ~a1:((flow.Flow.id lsl 2) lor xpass_stop_kind)
+        ~cls:Sim.cls_flow_timeout ~a0:(timer t xpass_stop_kind) ~a1:(Packet.flow pkt)
   | Bfc _ | Dctcp _ | Hpcc _ | Swift _ | Timely -> ());
   (* acknowledgements *)
   let ack_now =
@@ -698,7 +791,7 @@ let on_data t pkt =
   if now_cov >= flow.Flow.size && not rx.complete then begin
     rx.complete <- true;
     if flow.Flow.finish < 0 then flow.Flow.finish <- Sim.now t.sim;
-    (match t.cfg.scheme with Xpass _ -> xpass_stop_credits t rx | _ -> ());
+    xpass_stop_credits t rx;
     for i = 0 to Array.length t.complete_cbs - 1 do
       t.complete_cbs.(i) flow
     done
@@ -708,7 +801,9 @@ let on_credit_req t pkt =
   match t.cfg.scheme with
   | Xpass { target_loss; w_init; w_max } ->
     let rx = get_rx t pkt (flow_of t pkt) in
-    xpass_start_credits t rx ~target_loss ~w_init ~w_max
+    (match rx.credits with
+    | Some c -> xpass_start_credits t rx c ~target_loss ~w_init ~w_max
+    | None -> ())
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -754,8 +849,7 @@ let start_flow t flow =
   let cc = make_cc t flow in
   let needs_queue = match t.cfg.scheme with Homa _ -> false | _ -> true in
   let nic_q = if needs_queue then Nic.alloc_queue t.nic else -1 in
-  ignore (Flow.Table.add t.flows flow : int);
-  let tx = Slot_table.acquire t.txs ~id:flow.Flow.id ~blank:blank_tx in
+  let tx = bind_tx t.reg (Flow.Table.add t.flows flow) in
   tx.fref <- Packet.ref_of flow;
   tx.fdst <- flow.Flow.dst;
   tx.fprio <- flow.Flow.prio_class;
@@ -771,9 +865,8 @@ let start_flow t flow =
   tx.grant_prio <- 0;
   tx.unsched <- (match t.cfg.scheme with Homa p -> Int.min flow.Flow.size p.Homa.rtt_bytes | _ -> 0);
   tx.fin_sent <- false;
-  tx.retransmitted <- 0;
   tx.chunk_seq <- 0;
-  if nic_q >= 1 && is_window_based tx then t.owners.(nic_q) := tx :: !(t.owners.(nic_q));
+  if nic_q >= 1 && is_window_based tx then t.owners.(nic_q) <- tx :: t.owners.(nic_q);
   arm_rto t tx;
   (match t.cfg.scheme with
   | Xpass _ ->
@@ -819,69 +912,54 @@ let receive t ~in_port pkt =
     Nic.on_ctrl t.nic pkt);
   recycle t pkt
 
-(* Typed flow-timer and reclaim dispatch: one per-sim registry of hosts,
-   one shared executor per class. A timer's [a1] packs (flow_id, kind). A
-   reclaim's [a0] packs (host index, peer host index) and its [a1] is the
-   flow word: once both ends have dropped the flow's state, the flow table
-   takes its record back. *)
-
-type reg = { mutable harr : t array; mutable hn : int }
+(* Typed flow-timer and reclaim dispatch: one shared executor per class,
+   on the sim's registry. A reclaim's [a0] is the source host's index and
+   its [a1] the flow word: it unbinds both ends' records, and then the
+   flow table takes the flow's record back. *)
 
 type Bfc_engine.Sim.user += Host_reg of reg
 
 let timeout_exec st a0 a1 =
   match st with
   | Host_reg r ->
-    let t = Array.unsafe_get r.harr a0 in
-    let fid = a1 lsr 2 in
-    let kind = a1 land 3 in
-    if kind = rto_kind then begin
-      match Slot_table.find_exn t.txs fid with
-      | exception Not_found -> ()
-      | tx -> rto_fire t tx
-    end
-    else if kind = rate_pace_kind then begin
-      match Slot_table.find_exn t.txs fid with
-      | exception Not_found -> ()
-      | tx -> rate_pace t tx
+    let t = Array.unsafe_get r.harr (a0 lsr 2) in
+    let kind = a0 land 3 in
+    if kind = rto_kind || kind = rate_pace_kind then begin
+      let tx = find_tx r a1 in
+      if tx != no_tx then if kind = rto_kind then rto_fire t tx else rate_pace t tx
     end
     else begin
-      match Slot_table.find_exn t.rxs fid with
-      | exception Not_found -> ()
-      | rx -> if kind = xpass_pace_kind then xpass_pace t rx else xpass_stop_credits t rx
+      (* [no_rx] has no credit state *)
+      let rx = find_rx r a1 in
+      match rx.credits with
+      | Some c -> if kind = xpass_pace_kind then xpass_pace t rx c else xpass_stop_credits t rx
+      | None -> ()
     end
   | _ -> invalid_arg "Host.timeout_exec: foreign class state"
-
-let peer_bits = 20
-
-let peer_mask = (1 lsl peer_bits) - 1
 
 let reclaim_exec st a0 a1 =
   match st with
   | Host_reg r ->
-    let t = Array.unsafe_get r.harr (a0 lsr peer_bits) in
-    let flow_id = Packet.ref_id a1 in
-    reclaim_flow_state t ~flow_id;
-    reclaim_flow_state (Array.unsafe_get r.harr (a0 land peer_mask)) ~flow_id;
-    Flow.Table.release t.flows ~slot:(Packet.ref_slot a1) ~id:flow_id
+    unbind r a1;
+    Flow.Table.release (Array.unsafe_get r.harr a0).flows ~slot:(Packet.ref_slot a1)
+      ~id:(Packet.ref_id a1)
   | _ -> invalid_arg "Host.reclaim_exec: foreign class state"
 
-let reclaim_after t ~peer ~flow ~delay =
-  Sim.post t.sim (Sim.now t.sim + Int.max 0 delay) ~cls:Sim.cls_flow_reclaim
-    ~a0:((t.idx lsl peer_bits) lor peer.idx) ~a1:(Packet.ref_of flow)
+let reclaim_after t ~flow ~delay =
+  Sim.post t.sim (Sim.now t.sim + Int.max 0 delay) ~cls:Sim.cls_flow_reclaim ~a0:t.idx
+    ~a1:(Packet.ref_of flow)
 
 let registry sim =
   match Sim.class_state sim ~cls:Sim.cls_flow_timeout with
   | Some (Host_reg r) -> r
   | _ ->
-    let r = { harr = [||]; hn = 0 } in
+    let r = { harr = [||]; hn = 0; txa = [||]; rxa = [||]; tx_built = 0; rx_built = 0 } in
     Sim.register_class sim ~cls:Sim.cls_flow_timeout ~state:(Host_reg r) ~exec:timeout_exec;
     Sim.register_class sim ~cls:Sim.cls_flow_reclaim ~state:(Host_reg r) ~exec:reclaim_exec;
     r
 
 let create ~sim ~node ~port ~config:cfg () =
   let r = registry sim in
-  if r.hn > peer_mask then invalid_arg "Host.create: too many hosts on one sim";
   let nic =
     Nic.create ~sim ~node:node.Node.id ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
       ~respect_pause:cfg.respect_pause ?pause_watchdog:cfg.pause_watchdog ?credit:cfg.nic_credit
@@ -897,11 +975,10 @@ let create ~sim ~node ~port ~config:cfg () =
       pool = Port.pool sim;
       flows = Port.flows sim;
       nic;
-      txs = Slot_table.create ();
-      rxs = Slot_table.create ();
+      reg = r;
       homa_recv;
       complete_cbs = [||];
-      owners = Array.init cfg.nic_queues (fun _ -> ref []);
+      owners = Array.make cfg.nic_queues [];
       rng = Rng.create (cfg.seed + (node.Node.id * 65_537));
       bytes_sent = 0;
       bytes_retransmitted = 0;
@@ -917,6 +994,6 @@ let create ~sim ~node ~port ~config:cfg () =
   r.harr.(r.hn) <- t;
   r.hn <- r.hn + 1;
   Nic.set_on_dequeue nic (fun q ->
-      if q >= 0 && q < Array.length t.owners then refill t !(t.owners.(q)));
+      if q >= 0 && q < Array.length t.owners then refill t t.owners.(q));
   node.Node.handler <- (fun ~in_port pkt -> receive t ~in_port pkt);
   t

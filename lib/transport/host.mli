@@ -69,24 +69,19 @@ val on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
     flow-trace writes after the driver's completion counter this way. *)
 val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
 
-(** Forget all per-flow sender/receiver state for [flow_id] on this host.
-    Safe once the flow is complete and its last control packets have
-    drained (packets for unknown flow ids are ignored); lets long streaming
-    runs keep per-flow memory proportional to in-flight flows only. *)
-(* tests reclaim one side of a flow; reclaim_after reclaims both; bfc-lint: allow DC001 *)
-val reclaim_flow_state : t -> flow_id:int -> unit
-
-(** [reclaim_after t ~peer ~flow ~delay] reclaims [flow]'s state on [t]
-    and then on [peer] [delay] from now, as one typed event
+(** [reclaim_after t ~flow ~delay] reclaims [flow]'s transport state on
+    both of its hosts [delay] from now, as one typed event
     ({!Bfc_engine.Sim.cls_flow_reclaim}), and then hands [flow]'s record
     back to the sim's flow table, which reuses it if it is one of the
-    table's own ({!Bfc_net.Flow.Table.release}). Both hosts must be on
-    one sim. *)
-val reclaim_after : t -> peer:t -> flow:Bfc_net.Flow.t -> delay:Bfc_engine.Time.t -> unit
+    table's own ({!Bfc_net.Flow.Table.release}). [t] is [flow]'s source.
+    Late packets and timers of the flow then find no state. *)
+val reclaim_after : t -> flow:Bfc_net.Flow.t -> delay:Bfc_engine.Time.t -> unit
 
-(** Per-flow records built so far, (sender, receiver): reclaimed flows'
-    records are reused unless still reachable (an unfinished sender, a
-    receiver with a live credit ticker). *)
+(** Sender and receiver records built so far on [t]'s sim. A flow's
+    records sit at its slot in the sim's flow table; a reclaimed flow's
+    record stays there for the slot's next flow unless it is still
+    reachable (an unfinished sender, a receiver with a live credit
+    ticker), in which case the next flow gets a fresh one. *)
 (* observation: tests count per-flow records; bfc-lint: allow DC001 *)
 val flow_records : t -> int * int
 
@@ -96,8 +91,10 @@ val flow_records : t -> int * int
 val start_flow : t -> Bfc_net.Flow.t -> unit
 
 (** Perfect-retransmission notice (HPCC-PFC, §6.2.1): the switch tells the
-    sender exactly which bytes were dropped. *)
-val on_drop_notice : t -> flow_id:int -> seq:int -> len:int -> unit
+    sender exactly which bytes were dropped. [flow] is the dropped
+    packet's flow word ({!Bfc_net.Packet.flow}); a notice for a flow
+    reclaimed since does nothing. *)
+val on_drop_notice : t -> flow:int -> seq:int -> len:int -> unit
 
 (** Bytes of payload this host has injected (diagnostics). *)
 val bytes_sent : t -> int

@@ -1,5 +1,5 @@
-(* Open-addressing int-keyed counter for the per-packet hot paths
-   (Switch active-flow counting, Slot_table's id map). Compared to
+(* Open-addressing int-keyed counter for the per-packet hot path of
+   Switch's active-flow counting. Compared to
    [Hashtbl]:
      - no bucket lists, so a hit is a multiply, a mask and (usually) one
        array probe — no pointer chasing, no boxed key comparison;

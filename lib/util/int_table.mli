@@ -7,10 +7,10 @@
     probe chains never accumulate tombstones. Load factor is kept at or
     below 1/2. *)
 
-(** Monomorphic [int -> int] table (values in a flat [int array]: no
-    write barrier), a multiset counter and an id -> slot map. Absent keys
-    read as 0; {!Counter.decr} removes a key when its count reaches 0
-    and ignores absent keys. *)
+(** A multiset counter: a monomorphic [int -> int] table (counts in a
+    flat [int array]: no write barrier). Absent keys read as 0;
+    {!Counter.decr} removes a key when its count reaches 0 and ignores
+    absent keys. *)
 module Counter : sig
   type t
 
@@ -19,16 +19,12 @@ module Counter : sig
   val length : t -> int
   (** Number of keys with a positive count. *)
 
+  (* observation: tests read counts; bfc-lint: allow DC001 *)
   val get : t -> int -> int
 
   val incr : t -> int -> unit
 
   val decr : t -> int -> unit
-
-  val set : t -> int -> int -> unit
-
-  val remove : t -> int -> unit
-  (** No-op when the key is absent. *)
 
   val reset : t -> unit
 end

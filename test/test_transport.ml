@@ -378,46 +378,57 @@ let mk_pair () =
   let hs = mk s in
   (sim, t, s, r, hs, mk r)
 
-(* A control packet for [flow] handed straight to [node]'s handler. *)
-let deliver sim t node kind flow ~seq =
-  let pkt =
-    Packet.Pool.acquire (Bfc_net.Port.pool sim) kind ~flow:(Packet.ref_of flow) 
-      ~dst:flow.Flow.src ~size:Packet.ack_bytes ~seq
-  in
-  (Topology.node t node).Bfc_net.Node.handler ~in_port:0 pkt
-
-(* The second of two single-MTU flows takes the first one's reclaimed
-   slots and records. A late NACK, an ACK and every flow timer kind for
-   the reclaimed id arrive as it starts; none may reach its records. *)
-let test_host_slot_reuse () =
-  let sim, t, s, r, hs, hr = mk_pair () in
-  let start id =
-    let f = Flow.make ~id ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
-    Host.start_flow hs f;
-    ignore (Sim.run sim ~until:(Sim.now sim + Time.us 1.0));
-    f
-  in
-  let a = start 1 in
-  ignore (Sim.run sim ~until:(Time.us 50.0));
-  Alcotest.(check bool) "first flow complete" true (Flow.complete a);
-  Host.reclaim_after hs ~peer:hr ~flow:a ~delay:(Time.us 10.0);
-  ignore (Sim.run sim ~until:(Time.us 70.0));
-  let b = Flow.make ~id:2 ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
-  Host.start_flow hs b;
-  deliver sim t s Packet.Nack a ~seq:0;
-  deliver sim t s Packet.Ack a ~seq:1000;
+(* Every flow timer kind, on both hosts, for flow word [w]. *)
+let post_timers sim w =
   for host = 0 to 1 do
     for kind = 0 to 3 do
-      Sim.post sim (Sim.now sim) ~cls:Sim.cls_flow_timeout ~a0:host ~a1:((1 lsl 2) lor kind)
+      Sim.post sim (Sim.now sim) ~cls:Sim.cls_flow_timeout ~a0:((host lsl 2) lor kind) ~a1:w
     done
-  done;
+  done
+
+(* Two single-MTU stream flows: the second takes the first one's slot in
+   the flow table, and with it the first one's reclaimed sender and
+   receiver records. Late packets of every kind, every flow timer kind
+   and a drop notice for the reclaimed flow arrive as the second starts;
+   none may reach its records. *)
+let test_host_slot_reuse () =
+  let sim, t, s, r, hs, hr = mk_pair () in
+  let flows = Bfc_net.Port.flows sim and pool = Bfc_net.Port.pool sim in
+  let fresh id = Flow.Table.fresh flows ~id ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) in
+  let a = fresh 1 in
+  Host.start_flow hs a;
+  let wa = Packet.ref_of a in
+  let late kind =
+    let dst = match kind with Packet.Data | Packet.Credit_req -> r | _ -> s in
+    if kind = Packet.Data then
+      Packet.Pool.data pool ~flow:wa ~dst ~prio:0 ~seq:0 ~payload:1000 ~extra_header:0
+    else Packet.Pool.acquire pool kind ~flow:wa ~dst ~size:Packet.ack_bytes ~seq:0
+  in
+  let kinds =
+    [ Packet.Data; Packet.Ack; Packet.Nack; Packet.Grant; Packet.Credit; Packet.Credit_req; Packet.Cnp ]
+  in
+  let pkts = List.map late kinds in
+  ignore (Sim.run sim ~until:(Time.us 50.0));
+  Alcotest.(check bool) "first flow complete" true (Flow.complete a);
+  let fct_a = Flow.fct a in
+  Host.reclaim_after hs ~flow:a ~delay:(Time.us 10.0);
+  ignore (Sim.run sim ~until:(Time.us 70.0));
+  let b = fresh 2 in
+  Alcotest.(check bool) "the next flow takes the slot" true (b.Flow.slot = Packet.ref_slot wa);
+  Host.start_flow hs b;
+  List.iter
+    (fun pkt -> (Topology.node t (Packet.dst pkt)).Bfc_net.Node.handler ~in_port:0 pkt)
+    pkts;
+  post_timers sim wa;
+  Host.on_drop_notice hs ~flow:wa ~seq:0 ~len:1000;
   ignore (Sim.run sim ~until:(Time.us 150.0));
   Alcotest.(check bool) "second flow complete" true (Flow.complete b);
-  check Alcotest.int "same fct as the first" (Flow.fct a) (Flow.fct b);
+  check Alcotest.int "same fct as the first" fct_a (Flow.fct b);
   check Alcotest.int "no retransmission" 0 (Host.bytes_retransmitted hs);
   check Alcotest.int "one MTU per flow" 2000 (Host.bytes_sent hs);
-  check Alcotest.(pair int int) "sender records reused" (1, 0) (Host.flow_records hs);
-  check Alcotest.(pair int int) "receiver records reused" (0, 1) (Host.flow_records hr)
+  check Alcotest.int "every late packet is stale" (List.length kinds)
+    (Host.stale_packets hs + Host.stale_packets hr);
+  check Alcotest.(pair int int) "one record per end, reused" (1, 1) (Host.flow_records hs)
 
 (* A stream's flow records are the flow table's own, and one goes to a
    later flow once its flow is reclaimed. A data packet and an ACK kept
@@ -441,7 +452,7 @@ let test_stale_packet_counted () =
   ignore (Sim.run sim ~until:(Time.us 50.0));
   Alcotest.(check bool) "first flow complete" true (Flow.complete a);
   let fct_a = Flow.fct a in
-  Host.reclaim_after hs ~peer:hr ~flow:a ~delay:(Time.us 10.0);
+  Host.reclaim_after hs ~flow:a ~delay:(Time.us 10.0);
   ignore (Sim.run sim ~until:(Time.us 70.0));
   check Alcotest.int "its record is back in the table" 0 (Flow.Table.live flows);
   let b = fresh 2 in
@@ -461,21 +472,30 @@ let test_stale_packet_counted () =
   check Alcotest.int "no other stale packet" 2 (Host.stale_packets hs + Host.stale_packets hr)
 
 (* A sender reclaimed before it finished is still on its NIC queue's
-   owner list, so its record must not go to the next flow: it keeps
-   sending, and the next flow gets a fresh record. *)
+   owner list, so its record must not go to its slot's next flow: it keeps
+   sending, and the next flow gets a fresh record. Its ACK-less timers
+   and its data, which the receiver counts as stale, miss the next flow's
+   records. The receiver's incomplete record is detached too. *)
 let test_host_unfinished_tx_not_reused () =
-  let sim, _, s, r, hs, _ = mk_pair () in
-  let c = Flow.make ~id:1 ~src:s ~dst:r ~size:1_000_000 ~arrival:0 () in
+  let sim, _, s, r, hs, hr = mk_pair () in
+  let flows = Bfc_net.Port.flows sim in
+  let fresh id ~size = Flow.Table.fresh flows ~id ~src:s ~dst:r ~size ~arrival:(Sim.now sim) in
+  let c = fresh 1 ~size:1_000_000 in
   Host.start_flow hs c;
+  let wc = Packet.ref_of c in
   ignore (Sim.run sim ~until:(Time.us 5.0));
-  Host.reclaim_flow_state hs ~flow_id:1;
-  let d = Flow.make ~id:2 ~src:s ~dst:r ~size:1000 ~arrival:(Sim.now sim) () in
+  Host.reclaim_after hs ~flow:c ~delay:0;
+  ignore (Sim.run sim ~until:(Sim.now sim + 1));
+  let d = fresh 2 ~size:1000 in
+  Alcotest.(check bool) "the next flow takes the slot" true (d.Flow.slot = Packet.ref_slot wc);
   Host.start_flow hs d;
-  ignore (Sim.run sim ~until:(Time.ms 1.0));
-  check Alcotest.(pair int int) "a fresh record for the next flow" (2, 0) (Host.flow_records hs);
+  post_timers sim wc;
+  ignore (Sim.run sim ~until:(Time.ms 2.0));
+  check Alcotest.(pair int int) "fresh records for the next flow" (2, 2) (Host.flow_records hs);
   Alcotest.(check bool) "next flow complete" true (Flow.complete d);
-  check Alcotest.int "the reclaimed sender sent every byte" 1_001_000 (Host.bytes_sent hs);
-  Alcotest.(check bool) "and its flow completed" true (Flow.complete c)
+  check Alcotest.int "the reclaimed sender sent every byte once" 1_001_000 (Host.bytes_sent hs);
+  check Alcotest.int "no retransmission" 0 (Host.bytes_retransmitted hs);
+  Alcotest.(check bool) "its data reached no record" true (Host.stale_packets hr > 0)
 
 (* The NIC and switch watchdog events pack a queue (and an egress) into
    12 bits, so larger devices are refused. *)

@@ -3,7 +3,6 @@
 module Rng = Bfc_util.Rng
 module Wheel = Bfc_util.Wheel
 module Int_table = Bfc_util.Int_table
-module Slot_table = Bfc_util.Slot_table
 module Bitset = Bfc_util.Bitset
 module Stats = Bfc_util.Stats
 
@@ -463,19 +462,16 @@ let prop_wheel_matches_model =
 let test_int_table_basic () =
   let t = Int_table.Counter.create () in
   check Alcotest.int "empty" 0 (Int_table.Counter.length t);
-  Int_table.Counter.set t 7 70;
-  Int_table.Counter.set t 0 1;
-  Int_table.Counter.set t (-3) 30;
+  List.iter (Int_table.Counter.incr t) [ 7; 0; -3; 7 ];
   check Alcotest.int "three" 3 (Int_table.Counter.length t);
-  check Alcotest.int "find 7" 70 (Int_table.Counter.get t 7);
-  check Alcotest.int "find -3" 30 (Int_table.Counter.get t (-3));
+  check Alcotest.int "find 7" 2 (Int_table.Counter.get t 7);
+  check Alcotest.int "find -3" 1 (Int_table.Counter.get t (-3));
   check Alcotest.int "miss reads 0" 0 (Int_table.Counter.get t 99);
-  Int_table.Counter.set t 7 71;
-  check Alcotest.int "overwrite keeps count" 3 (Int_table.Counter.length t);
-  check Alcotest.int "overwritten" 71 (Int_table.Counter.get t 7);
-  Int_table.Counter.remove t 7;
+  Int_table.Counter.decr t 7;
+  check Alcotest.int "decrement keeps count" 3 (Int_table.Counter.length t);
+  Int_table.Counter.decr t 7;
   check Alcotest.int "removed" 0 (Int_table.Counter.get t 7);
-  Int_table.Counter.remove t 99 (* absent: no-op *);
+  Int_table.Counter.decr t 99 (* absent: no-op *);
   check Alcotest.int "two left" 2 (Int_table.Counter.length t);
   Int_table.Counter.reset t;
   check Alcotest.int "reset" 0 (Int_table.Counter.length t);
@@ -484,11 +480,13 @@ let test_int_table_basic () =
 let test_int_table_growth () =
   let t = Int_table.Counter.create ~size:4 () in
   for k = 0 to 9_999 do
-    Int_table.Counter.set t (k * 31) (k + 1)
+    for _ = 0 to k mod 3 do
+      Int_table.Counter.incr t (k * 31)
+    done
   done;
   check Alcotest.int "count" 10_000 (Int_table.Counter.length t);
   for k = 0 to 9_999 do
-    assert (Int_table.Counter.get t (k * 31) = k + 1)
+    assert (Int_table.Counter.get t (k * 31) = (k mod 3) + 1)
   done
 
 (* model check vs Hashtbl, exercising backward-shift deletion under
@@ -500,14 +498,15 @@ let prop_int_table_model =
       let t = Int_table.Counter.create ~size:4 () in
       let m = Hashtbl.create 16 in
       List.iter
-        (fun (k, add) ->
-          if add then begin
-            Int_table.Counter.set t k (k + 1);
-            Hashtbl.replace m k (k + 1)
+        (fun (k, up) ->
+          let n = Option.value (Hashtbl.find_opt m k) ~default:0 in
+          if up then begin
+            Int_table.Counter.incr t k;
+            Hashtbl.replace m k (n + 1)
           end
           else begin
-            Int_table.Counter.remove t k;
-            Hashtbl.remove m k
+            Int_table.Counter.decr t k;
+            if n > 1 then Hashtbl.replace m k (n - 1) else Hashtbl.remove m k
           end)
         ops;
       Int_table.Counter.length t = Hashtbl.length m
@@ -530,32 +529,6 @@ let test_counter_semantics () =
   check Alcotest.int "still one key" 1 (Int_table.Counter.length c);
   Int_table.Counter.reset c;
   check Alcotest.int "reset" 0 (Int_table.Counter.length c)
-
-(* --------------------------- Slot_table ---------------------------- *)
-
-(* A released or reclaimed slot is handed out again with its value, and
-   a value [reusable] refuses is swapped for a blank instead. *)
-let test_slot_table_reuse () =
-  let t = Slot_table.create () in
-  let blank () = ref 0 in
-  let a = Slot_table.acquire t ~id:7 ~blank in
-  a := 70;
-  check Alcotest.int "bound" 70 !(Slot_table.find_exn t 7);
-  Slot_table.reclaim t ~id:7 ~reusable:(fun _ -> true) ~blank;
-  Alcotest.check_raises "unbound" Not_found (fun () -> ignore (Slot_table.find_exn t 7));
-  let b = Slot_table.acquire t ~id:8 ~blank in
-  Alcotest.(check bool) "reused value" true (a == b);
-  Slot_table.reclaim t ~id:8 ~reusable:(fun _ -> false) ~blank;
-  let c = Slot_table.acquire t ~id:9 ~blank in
-  Alcotest.(check bool) "refused value not reused" false (b == c);
-  check Alcotest.int "blanks built" 2 (Slot_table.blanks t);
-  Slot_table.reclaim t ~id:99 ~reusable:(fun _ -> true) ~blank (* unbound: no-op *);
-  (* growth across several doublings keeps every value in its slot *)
-  let g = Slot_table.create () in
-  let vals = Array.init 1000 (fun i -> Slot_table.acquire g ~id:i ~blank:(fun () -> ref i)) in
-  Array.iteri
-    (fun i v -> check Alcotest.bool "value after growth" true (Slot_table.find_exn g i == v))
-    vals
 
 (* ------------------------------ Bitset ----------------------------- *)
 
@@ -692,7 +665,6 @@ let suite =
     ("int_table basic", `Quick, test_int_table_basic);
     ("int_table growth", `Quick, test_int_table_growth);
     ("int_table counter", `Quick, test_counter_semantics);
-    ("slot_table reuse", `Quick, test_slot_table_reuse);
     ("bitset basic", `Quick, test_bitset_basic);
     ("bitset rotation", `Quick, test_bitset_first_set_rotation);
     ("bitset bounds", `Quick, test_bitset_bounds);
