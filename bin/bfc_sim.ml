@@ -330,14 +330,7 @@ let faults_cmd =
       if no_audit then None
       else
         Some
-          (Auditor.attach
-             ~config:
-               {
-                 Auditor.default_config with
-                 Auditor.check_pairing = not lossy;
-                 fail_fast = false;
-               }
-             env)
+          (Auditor.attach ~config:{ Auditor.check_pairing = not lossy; fail_fast = false } env)
     in
     if flaps > 0 then
       Injector.flap inj ~gid:st.Topology.st_bottleneck_gid ~start:(Time.us 30.0)

@@ -80,7 +80,7 @@ let resume_loss_run ~watchdog =
   (* lost Resumes legitimately break strict Pause/Resume pairing *)
   let aud =
     Auditor.attach
-      ~config:{ Auditor.default_config with Auditor.check_pairing = false; fail_fast = false }
+      ~config:{ Auditor.check_pairing = false; fail_fast = false }
       env
   in
   Runner.inject env (incast_flows st ~count:32 ~size:64_000);
@@ -100,7 +100,7 @@ let flap_run scheme =
   let inj = Injector.attach env in
   let aud =
     Auditor.attach
-      ~config:{ Auditor.default_config with Auditor.check_pairing = false; fail_fast = false }
+      ~config:{ Auditor.check_pairing = false; fail_fast = false }
       env
   in
   Injector.flap inj ~gid:st.Topology.st_bottleneck_gid ~start:(Time.us 30.0)
@@ -124,7 +124,7 @@ let reboot_run () =
   let inj = Injector.attach env in
   let aud =
     Auditor.attach
-      ~config:{ Auditor.default_config with Auditor.check_pairing = false; fail_fast = false }
+      ~config:{ Auditor.check_pairing = false; fail_fast = false }
       env
   in
   let hosts = cl.Topology.cl_hosts in

@@ -6,22 +6,16 @@ module Switch = Bfc_switch.Switch
 module Fifo = Bfc_switch.Fifo
 module Sim = Bfc_engine.Sim
 
-type config = {
-  assignment : Dqa.policy;
-  table_mult : int;
-  sticky_hrtt_mult : float;
-  credit_bytes : int;
-  seed : int;
-}
+(* BFC's queue assignment settings (flow-table slots per queue, the
+   sticky window in HRTTs), the initial credit per queue, and the seed of
+   the switch's assignment RNG. *)
+let table_mult = 100
 
-let default_config =
-  {
-    assignment = Dqa.Dynamic;
-    table_mult = 100;
-    sticky_hrtt_mult = 2.0;
-    credit_bytes = 25_000;
-    seed = 1;
-  }
+let sticky_hrtt_mult = 2.0
+
+let credit_bytes = 25_000
+
+let seed = 1
 
 module Balance = struct
   type b = { bal : int array }
@@ -137,18 +131,18 @@ let on_ctrl t _sw ~in_port pkt =
 
 (* Setup-time code: runs once per switch, not per packet. *)
 (* bfc-lint: control-plane *)
-let attach sw cfg =
+let attach sw =
   let n_ports = Switch.n_ports sw in
   let nq = Switch.(config sw).queues_per_port in
-  let rng = Bfc_util.Rng.create (cfg.seed + (Switch.node_id sw * 104_729)) in
+  let rng = Bfc_util.Rng.create (seed + (Switch.node_id sw * 104_729)) in
   let t =
     {
       sw;
       ft =
-        Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:cfg.table_mult
-          ~sticky:(Threshold.sticky_window sw ~mult:cfg.sticky_hrtt_mult);
-      dqa = Dqa.create ~egresses:n_ports ~queues:(nq - 1) ~policy:cfg.assignment ~rng;
-      balances = Array.init n_ports (fun _ -> Balance.create ~queues:nq ~initial:cfg.credit_bytes);
+        Flow_table.create ~egresses:n_ports ~queues_per_port:nq ~mult:table_mult
+          ~sticky:(Threshold.sticky_window sw ~mult:sticky_hrtt_mult);
+      dqa = Dqa.create ~egresses:n_ports ~queues:(nq - 1) ~policy:Dqa.Dynamic ~rng;
+      balances = Array.init n_ports (fun _ -> Balance.create ~queues:nq ~initial:credit_bytes);
       uncredited =
         Array.init n_ports (fun e ->
             (Port.peer (Switch.port sw e)).Node.kind = Node.Host);

@@ -14,22 +14,18 @@
     paper's main design avoids credits; see §2.3 "ATM schemes require
     per-connection state and large buffers").
 
-    Host-facing egresses are uncredited (receiver NICs always drain). *)
+    Host-facing egresses are uncredited (receiver NICs always drain).
 
-type config = {
-  assignment : Dqa.policy;
-  table_mult : int;
-  sticky_hrtt_mult : float;
-  credit_bytes : int;
-      (** initial balance per queue; one 1-hop BDP sustains line rate *)
-  seed : int;
-}
+    Queue assignment uses BFC's defaults: dynamic assignment, 100 table
+    slots per queue and a 2-HRTT sticky window. *)
 
-val default_config : config
+(** Initial credit balance per queue, in bytes (25,000): one 1-hop BDP
+    sustains line rate. *)
+val credit_bytes : int
 
 type t
 
-val attach : Bfc_switch.Switch.t -> config -> t
+val attach : Bfc_switch.Switch.t -> t
 
 (** The NIC-side balance handler: shared logic for gating a sender queue
     on Hop_credit arrivals. Exposed for {!Bfc_transport.Nic}. *)

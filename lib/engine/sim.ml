@@ -7,7 +7,7 @@
    (high bits) and a caller-supplied canonical key (low [key_bits] bits,
    default [key_mask]). The clock is monotone, so for events inserted at
    different instants the order is exactly the classic (time, insertion
-   order). [~key] (ports pass their gid when scheduling deliveries)
+   order). [post]'s [~key] (ports pass their gid when scheduling deliveries)
    breaks ties between insertions at the same (time, clock) by a
    physical identity instead of the insertion interleaving: port
    deliveries sort by source gid, ahead of same-instant unkeyed events.
@@ -278,17 +278,17 @@ let bad_time who t time =
     invalid_arg
       (Printf.sprintf "Sim.%s: time %d at or beyond the rank-clock horizon %d" who time horizon)
 
-let at ?(key = key_mask) t time fn =
+let at t time fn =
   if unschedulable t time then bad_time "at" t time;
   let h = { owner = t; alive = true; fired = false; fn; entry = -1 } in
   h.entry <-
-    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key) ~cls:cls_one_shot
+    Wheel.push t.q ~priority:time ~rank:(rank_of ~clock:t.clock ~key:key_mask) ~cls:cls_one_shot
       ~a0:(borrow_id t h) ~a1:0;
   note_depth t;
   t.live <- t.live + 1;
   h
 
-let after ?key t delay fn = at ?key t (t.clock + Int.max 0 delay) fn
+let after t delay fn = at t (t.clock + Int.max 0 delay) fn
 
 (* ------------------------- typed event posts ------------------------ *)
 
@@ -313,7 +313,7 @@ let gen_bits = 31
 
 let gen_mask = (1 lsl gen_bits) - 1
 
-let post_token ?(key = key_mask) t time ~cls ~a0 ~a1 =
+let push_typed t time ~key ~cls ~a0 ~a1 =
   if unschedulable t time then bad_time "post" t time;
   if cls <= cls_ticker || cls >= n_classes then
     invalid_arg (Printf.sprintf "Sim.post: class %d out of range" cls);
@@ -322,7 +322,10 @@ let post_token ?(key = key_mask) t time ~cls ~a0 ~a1 =
   t.live <- t.live + 1;
   (e lsl gen_bits) lor (Wheel.gen t.q e land gen_mask)
 
-let post ?key t time ~cls ~a0 ~a1 = ignore (post_token ?key t time ~cls ~a0 ~a1 : token)
+let post ?(key = key_mask) t time ~cls ~a0 ~a1 =
+  ignore (push_typed t time ~key ~cls ~a0 ~a1 : token)
+
+let post_token t time ~cls ~a0 ~a1 = push_typed t time ~key:key_mask ~cls ~a0 ~a1
 
 (* The wheel vets the token's offset before reading anything (range,
    sentinel region, alignment, residency), so a garbage token reads

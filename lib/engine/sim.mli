@@ -64,21 +64,15 @@ val horizon : Time.t
 (** [at t time f] runs [f] at absolute [time] (>= now). Among events at
     the same [time], execution order is (insertion instant, key,
     insertion order): the clock value at scheduling time first, then the
-    optional canonical [~key], then FIFO.
+    canonical key ({!post}'s [~key]; every other event has the maximum
+    key, so it sorts after keyed ones at the same instant), then FIFO.
 
     Raises [Invalid_argument] when [time] is in the past or at or
-    beyond {!horizon}.
+    beyond {!horizon}. *)
+val at : t -> Time.t -> (unit -> unit) -> handle
 
-    [~key] is a canonical tie-break below the insertion instant — a
-    physical identity (ports pass their gid when scheduling packet
-    deliveries) that orders same-(time, instant) insertions without
-    reference to the insertion interleaving. Defaults to the maximum
-    key, so unkeyed events sort after keyed ones at the same instant.
-    Must be in [0, 2^20 - 1]. *)
-val at : ?key:int -> t -> Time.t -> (unit -> unit) -> handle
-
-(** [after t delay f] runs [f] at [now + delay]. [~key] as in {!at}. *)
-val after : ?key:int -> t -> Time.t -> (unit -> unit) -> handle
+(** [after t delay f] runs [f] at [now + delay]. *)
+val after : t -> Time.t -> (unit -> unit) -> handle
 
 (** {2 Typed event classes}
 
@@ -143,10 +137,14 @@ val class_state : t -> cls:int -> user option
 (** [post t time ~cls ~a0 ~a1] schedules a typed fire-and-forget event:
     [exec state a0 a1] runs at absolute [time]. No allocation in steady
     state: the class and args go into the queue record itself, which the
-    queue recycles. [?key] exactly as in {!at}. Raises [Invalid_argument]
-    on a past [time], a [time] at or beyond {!horizon}, or a class
-    outside the typed range ({!register_class} may happen later, but
-    must happen before the event fires). *)
+    queue recycles. [~key] is a canonical tie-break below the insertion
+    instant (see {!at}): a physical identity (ports pass their gid when
+    scheduling packet deliveries) that orders same-(time, instant)
+    insertions without reference to the insertion interleaving. It
+    defaults to the maximum key and must be in [0, 2^20 - 1]. Raises
+    [Invalid_argument] on a past [time], a [time] at or beyond
+    {!horizon}, or a class outside the typed range ({!register_class}
+    may happen later, but must happen before the event fires). *)
 val post : ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> unit
 
 type token = int
@@ -157,8 +155,9 @@ type token = int
     event's token are no-ops, and so are they on any int that is not a
     pending typed event's token. *)
 
-(** Like {!post} but returns a {!token} for cancellation. *)
-val post_token : ?key:int -> t -> Time.t -> cls:int -> a0:int -> a1:int -> token
+(** Like {!post} (with the default key) but returns a {!token} for
+    cancellation. *)
+val post_token : t -> Time.t -> cls:int -> a0:int -> a1:int -> token
 
 (** [cancel_token t tok] cancels the typed event named by [tok] if it is
     still pending, removing it from the queue; O(1), no-op on 0, stale,

@@ -29,15 +29,14 @@ let () =
            v.v_detail)
     | _ -> None)
 
-type config = {
-  period : Time.t;
-  max_paused : Time.t;
-  check_pairing : bool;
-  fail_fast : bool;
-}
+type config = { check_pairing : bool; fail_fast : bool }
 
-let default_config =
-  { period = Time.us 5.0; max_paused = Time.ms 2.0; check_pairing = true; fail_fast = true }
+let default_config = { check_pairing = true; fail_fast = true }
+
+(* Interval between audit sweeps, and the orphaned-pause threshold. *)
+let period = Time.us 5.0
+
+let max_paused = Time.ms 2.0
 
 (* Per-switch counts fed by the tap. The conservation identity is
    enq = deq + flushed + resident, where flushed (reboot losses) is exactly
@@ -154,7 +153,7 @@ let check_switch t st =
             (fun q ->
               match Switch.queue_paused_since sw ~egress:e ~queue:q.Fifo.idx with
               | Some since
-                when now - since > t.cfg.max_paused
+                when now - since > max_paused
                      && Pause_counter.count pc ~ingress:(Port.peer_port port)
                           ~upstream_q:q.Fifo.idx
                         = 0 ->
@@ -257,7 +256,7 @@ let attach ?(config = default_config) env =
         | Packet.Pause_bitmap -> on_bitmap t ~node ~in_port (Packet.Pool.bitmap pool pkt)
         | _ -> ())
   end;
-  ignore (Sim.every (Runner.sim env) ~period:config.period (fun () -> check t));
+  ignore (Sim.every (Runner.sim env) ~period (fun () -> check t));
   t
 
 let violations t = List.rev t.violations

@@ -1,8 +1,8 @@
 (** Runtime invariant auditor for the BFC dataplane.
 
     Attaches to a {!Bfc_sim.Runner.env} as a consumer of the sim's
-    {!Bfc_engine.Tap} and re-checks conservation invariants every
-    [period] of simulated time:
+    {!Bfc_engine.Tap} and re-checks conservation invariants every 5 us of
+    simulated time:
 
     - {b buffer-bytes} / {b egress-bytes}: the shared-buffer byte account
       and each per-egress byte count equal the sum of actual queue
@@ -17,8 +17,7 @@
     - {b flow-ledger}: per egress, the flow table's sizes sum to the
       number of resident data packets its enqueue side counted (sampled
       and not bypassed to the incast queue);
-    - {b orphaned-pause}: no queue stays paused longer than [max_paused]
-      while its downstream pause counter is zero (a lost Resume — what the
+    - {b orphaned-pause}: no queue stays paused longer than 2 ms while its downstream pause counter is zero (a lost Resume — what the
       pause watchdog repairs);
     - {b pause-pairing} (optional): every Resume arriving at a node pairs
       with a prior Pause for the same (port, queue), and no Pause repeats
@@ -42,20 +41,16 @@ type violation = {
 exception Audit_violation of violation
 
 type config = {
-  period : Bfc_engine.Time.t;  (** interval between audit sweeps *)
-  max_paused : Bfc_engine.Time.t;  (** orphaned-pause threshold *)
   check_pairing : bool;
   fail_fast : bool;  (** raise on first violation *)
 }
-
-val default_config : config
-(** 5 us period, 2 ms max pause, pairing on, fail-fast on. *)
 
 type t
 
 val attach : ?config:config -> Bfc_sim.Runner.env -> t
 (** Register on the tap and schedule the periodic sweep. Attach after
-    {!Bfc_sim.Runner.setup}. *)
+    {!Bfc_sim.Runner.setup}. [config] defaults to pairing on, fail-fast
+    on. *)
 
 val check : t -> unit
 (** Run one audit sweep immediately (also called by the periodic timer). *)

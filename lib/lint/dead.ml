@@ -98,19 +98,32 @@ let rec str_members prefix acc (s : structure) =
 (* Declaration uids a structure uses: the values it names, the record
    fields it reads (a field access, a record pattern, a field that
    [{ r with ... }] copies) and the constructors it builds. Writing a field
-   (a record expression, [<-]) or matching a constructor is no use. *)
+   (a record expression, [<-]) or matching a constructor is no use, and
+   neither is reading a field on the right-hand side of an assignment to
+   that same field ([x.f <- x.f + 1]): the value only flows back into
+   [f]. *)
 let references (s : structure) =
   let refs = ref [] in
   let add uid = refs := uid :: !refs in
+  let assigning = ref None in
   let expr self e =
-    (match e.exp_desc with
-    | Texp_ident (_, _, vd) -> add vd.Types.val_uid
-    | Texp_field (_, _, l) -> add l.lbl_uid
-    | Texp_record { fields; _ } ->
-      Array.iter (function l, Kept _ -> add l.Types.lbl_uid | _, Overridden _ -> ()) fields
-    | Texp_construct (_, c, _) -> add c.cstr_uid
-    | _ -> ());
-    Tast_iterator.default_iterator.expr self e
+    match e.exp_desc with
+    | Texp_setfield (target, _, l, rhs) ->
+      self.Tast_iterator.expr self target;
+      let outer = !assigning in
+      assigning := Some l.lbl_uid;
+      self.expr self rhs;
+      assigning := outer
+    | desc ->
+      (match desc with
+      | Texp_ident (_, _, vd) -> add vd.Types.val_uid
+      | Texp_field (_, _, l) ->
+        if not (Option.equal Shape.Uid.equal !assigning (Some l.lbl_uid)) then add l.lbl_uid
+      | Texp_record { fields; _ } ->
+        Array.iter (function l, Kept _ -> add l.Types.lbl_uid | _, Overridden _ -> ()) fields
+      | Texp_construct (_, c, _) -> add c.cstr_uid
+      | _ -> ());
+      Tast_iterator.default_iterator.expr self e
   in
   let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
    fun self p ->

@@ -176,7 +176,7 @@ let fig21 profile =
   let hpcc_pts =
     List.map
       (fun eta () ->
-        let s = std profile (Scheme.Hpcc { eta; max_stage = 5 }) in
+        let s = std profile (Scheme.Hpcc { eta }) in
         summarize (Printf.sprintf "HPCC eta=%.2f" eta) (run_std s))
       (match profile with Smoke -> [ 0.95 ] | _ -> [ 0.90; 0.95; 0.98 ])
   in
@@ -197,7 +197,7 @@ let fig21 profile =
   let xpass_pts =
     List.map
       (fun (target_loss, w_init) () ->
-        let s = std profile (Scheme.Expresspass { target_loss; w_init; w_max = 0.5 }) in
+        let s = std profile (Scheme.Expresspass { target_loss; w_init }) in
         summarize (Printf.sprintf "xpass loss=%.2f w0=%.3f" target_loss w_init) (run_std s))
       (match profile with
       | Smoke -> [ (0.1, 0.0625) ]

@@ -16,7 +16,6 @@ type params = {
   ecn_kmin : int;
   ecn_kmax : int;
   pfc_frac : float;
-  ideal_queues : int;
   track_active_flows : bool;
   deadlock_filter : bool;
   classes : int;
@@ -33,7 +32,6 @@ let default_params =
     ecn_kmin = 100_000;
     ecn_kmax = 400_000;
     pfc_frac = 0.11;
-    ideal_queues = 256;
     track_active_flows = false;
     deadlock_filter = false;
     classes = 1;
@@ -133,6 +131,12 @@ let extra_header_of = function
   | Scheme.Hpcc _ | Scheme.Hpcc_pfc _ -> hpcc_int_header
   | _ -> 0
 
+(* Queues per port of the credit variant, and the queue count standing
+   in for "unbounded" in the ideal schemes. *)
+let credit_queues = 32
+
+let ideal_queues = 256
+
 let switch_config (s : Scheme.t) (p : params) : Switch.config =
   let base =
     {
@@ -142,8 +146,8 @@ let switch_config (s : Scheme.t) (p : params) : Switch.config =
       pause_watchdog = p.pause_watchdog;
     }
   in
-  let ecn = Some { Switch.kmin = p.ecn_kmin; kmax = p.ecn_kmax; pmax = 1.0 } in
-  let pfc = Some { Switch.threshold_frac = p.pfc_frac; resume_frac = 0.8 } in
+  let ecn = Some { Switch.kmin = p.ecn_kmin; kmax = p.ecn_kmax } in
+  let pfc = Some p.pfc_frac in
   match s with
   | Scheme.Bfc o ->
     {
@@ -153,19 +157,19 @@ let switch_config (s : Scheme.t) (p : params) : Switch.config =
       policy = (if o.Scheme.srf then Sched.Srf else Sched.Drr);
       track_active_flows = p.track_active_flows;
     }
-  | Scheme.Bfc_credit { queues; _ } ->
+  | Scheme.Bfc_credit ->
     (* lossless by construction: the buffer must cover all granted credit;
        we run unbounded and report the (bounded) peak occupancy instead *)
     {
       base with
-      queues_per_port = queues;
+      queues_per_port = credit_queues;
       buffer_bytes = max_int;
       track_active_flows = p.track_active_flows;
     }
   | Scheme.Ideal_fq ->
     {
       base with
-      queues_per_port = p.ideal_queues;
+      queues_per_port = ideal_queues;
       policy = Sched.Drr;
       buffer_bytes = max_int;
       track_active_flows = p.track_active_flows;
@@ -173,7 +177,7 @@ let switch_config (s : Scheme.t) (p : params) : Switch.config =
   | Scheme.Ideal_srf ->
     {
       base with
-      queues_per_port = p.ideal_queues;
+      queues_per_port = ideal_queues;
       policy = Sched.Srf;
       buffer_bytes = max_int;
       track_active_flows = p.track_active_flows;
@@ -198,7 +202,7 @@ let switch_config (s : Scheme.t) (p : params) : Switch.config =
   | Scheme.Hpcc_pfc { sfq; dqa } ->
     let queues = if sfq || dqa then 32 else 1 in
     { base with queues_per_port = queues; int_stamping = true }
-  | Scheme.Swift _ | Scheme.Timely ->
+  | Scheme.Swift | Scheme.Timely ->
     { base with queues_per_port = max 1 p.classes; classes = max 1 p.classes; pfc }
   | Scheme.Pfc_only -> { base with queues_per_port = 1; pfc }
   | Scheme.Expresspass _ ->
@@ -207,7 +211,7 @@ let switch_config (s : Scheme.t) (p : params) : Switch.config =
     { base with queues_per_port = 32; policy = Sched.Prio_strict; buffer_bytes = max_int }
 
 let dataplane_config (s : Scheme.t) (p : params) ~nic_queues : Dataplane.config option =
-  let max_upstream_q = max (p.ideal_queues + 1) (nic_queues + 1) in
+  let max_upstream_q = max (ideal_queues + 1) (nic_queues + 1) in
   match s with
   | Scheme.Bfc o ->
     Some
@@ -245,7 +249,7 @@ let dataplane_config (s : Scheme.t) (p : params) ~nic_queues : Dataplane.config 
   | _ -> None
 
 let nic_queues_of = function
-  | Scheme.Bfc _ | Scheme.Bfc_credit _ -> 129
+  | Scheme.Bfc _ | Scheme.Bfc_credit -> 129
   | Scheme.Ideal_fq | Scheme.Ideal_srf -> 257
   | Scheme.Homa _ -> 33
   | _ -> 65
@@ -280,12 +284,8 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
       respect_pause = o.Scheme.nic_respect_pause;
       srf = o.Scheme.srf;
     }
-  | Scheme.Bfc_credit { credit_bytes; _ } ->
-    {
-      base with
-      scheme = Host.Bfc { window_cap = None; delay_cc = false };
-      nic_credit = Some credit_bytes;
-    }
+  | Scheme.Bfc_credit ->
+    { base with scheme = Host.Bfc { window_cap = None; delay_cc = false }; nic_credit = true }
   | Scheme.Ideal_fq ->
     { base with scheme = Host.Bfc { window_cap = Some bdp; delay_cc = false } }
   | Scheme.Ideal_srf ->
@@ -296,18 +296,15 @@ let host_config (s : Scheme.t) (p : params) ~base_rtt ~bdp ~line_gbps : Host.con
       srf = true;
     }
   | Scheme.Dctcp { slow_start } -> { base with scheme = Host.Dctcp { slow_start } }
-  | Scheme.Dcqcn -> { base with scheme = Host.Dcqcn Bfc_transport.Dcqcn.default_params }
-  | Scheme.Hpcc { eta; max_stage } ->
-    { base with scheme = Host.Hpcc { eta; max_stage; perfect_rtx = false } }
-  | Scheme.Hpcc_pfc _ ->
-    { base with scheme = Host.Hpcc { eta = 0.95; max_stage = 5; perfect_rtx = true } }
-  | Scheme.Swift { target_mult; beta } ->
-    { base with scheme = Host.Swift { target_mult; beta } }
+  | Scheme.Dcqcn -> { base with scheme = Host.Dcqcn }
+  | Scheme.Hpcc { eta } -> { base with scheme = Host.Hpcc { eta; perfect_rtx = false } }
+  | Scheme.Hpcc_pfc _ -> { base with scheme = Host.Hpcc { eta = 0.95; perfect_rtx = true } }
+  | Scheme.Swift -> { base with scheme = Host.Swift }
   | Scheme.Timely -> { base with scheme = Host.Timely }
   | Scheme.Pfc_only ->
     { base with scheme = Host.Bfc { window_cap = Some bdp; delay_cc = false } }
-  | Scheme.Expresspass { target_loss; w_init; w_max } ->
-    { base with scheme = Host.Xpass { target_loss; w_init; w_max } }
+  | Scheme.Expresspass { target_loss; w_init } ->
+    { base with scheme = Host.Xpass { target_loss; w_init } }
   | Scheme.Homa _ ->
     (* Homa's priority cutoffs depend on the workload distribution *)
     let prms = Bfc_transport.Homa.params_for ~dist:p.homa_dist ~total_prios:32 ~rtt_bytes:bdp in
@@ -413,11 +410,7 @@ let setup ~topo ~scheme ~params:p =
         | Some c -> dataplanes := Dataplane.attach sw c :: !dataplanes
         | None -> ());
         (match scheme with
-        | Scheme.Bfc_credit { credit_bytes; _ } ->
-          let ccfg =
-            { Bfc_core.Credit_dataplane.default_config with Bfc_core.Credit_dataplane.credit_bytes }
-          in
-          ignore (Bfc_core.Credit_dataplane.attach sw ccfg)
+        | Scheme.Bfc_credit -> ignore (Bfc_core.Credit_dataplane.attach sw)
         | _ -> ());
         (match scheme with
         | Scheme.Expresspass _ ->
@@ -485,7 +478,7 @@ let setup ~topo ~scheme ~params:p =
     if p.streaming then
       Host.reclaim_after (host env f.Flow.src) ~flow:f ~delay:(4 * base_rtt)
   in
-  Array.iter (Option.iter (fun h -> Host.on_complete h complete)) hosts;
+  Array.iter (Option.iter (fun h -> Host.add_on_complete h complete)) hosts;
   env
 
 let inject env flows =
@@ -506,11 +499,14 @@ let inject_mtu env ~id ~src ~dst ~at =
 
 let run env ~until = ignore (Sim.run env.sim ~until)
 
-let drain ?(step = Time.us 100.0) env ~budget =
+(* [drain] checks for completion once per slice of this length. *)
+let drain_step = Time.us 100.0
+
+let drain env ~budget =
   let deadline = Sim.now env.sim + budget in
   let rec loop () =
     if env.completed < env.injected && Sim.now env.sim < deadline then begin
-      ignore (Sim.run env.sim ~until:(min deadline (Sim.now env.sim + step)));
+      ignore (Sim.run env.sim ~until:(min deadline (Sim.now env.sim + drain_step)));
       loop ()
     end
   in

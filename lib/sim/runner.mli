@@ -10,7 +10,6 @@ type params = {
   ecn_kmin : int; (** 100 KB *)
   ecn_kmax : int; (** 400 KB *)
   pfc_frac : float; (** 0.11 of free buffer *)
-  ideal_queues : int; (** queue count standing in for "unbounded" *)
   track_active_flows : bool;
   deadlock_filter : bool; (** install the App. B elision table *)
   classes : int; (** traffic classes (Fig. 20) *)
@@ -91,9 +90,9 @@ val events_executed : env -> int
 (** Run to an absolute simulation time. *)
 val run : env -> until:Bfc_engine.Time.t -> unit
 
-(** Keep running in [step]-sized slices until every injected flow has
+(** Keep running in 100 us slices until every injected flow has
     completed or [budget] extra time elapses. *)
-val drain : ?step:Bfc_engine.Time.t -> env -> budget:Bfc_engine.Time.t -> unit
+val drain : env -> budget:Bfc_engine.Time.t -> unit
 
 (** Packets the hosts dropped as stale ({!Bfc_transport.Host.stale_packets}). *)
 val stale_packets : env -> int

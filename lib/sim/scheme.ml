@@ -35,17 +35,17 @@ let bfc_default =
 
 type t =
   | Bfc of bfc_opts
-  | Bfc_credit of { queues : int; credit_bytes : int }
+  | Bfc_credit
   | Ideal_fq
   | Ideal_srf
   | Dctcp of { slow_start : bool }
   | Dcqcn
-  | Hpcc of { eta : float; max_stage : int }
+  | Hpcc of { eta : float }
   | Hpcc_pfc of { sfq : bool; dqa : bool }
-  | Swift of { target_mult : float; beta : float }
+  | Swift
   | Timely
   | Pfc_only
-  | Expresspass of { target_loss : float; w_init : float; w_max : float }
+  | Expresspass of { target_loss : float; w_init : float }
   | Homa of { spray : bool }
 
 let bfc = Bfc bfc_default
@@ -54,19 +54,19 @@ let bfc_q n = Bfc { bfc_default with queues = n }
 
 let bfc_srf = Bfc { bfc_default with srf = true }
 
-let bfc_credit = Bfc_credit { queues = 32; credit_bytes = 25_000 }
+let bfc_credit = Bfc_credit
 
 let dctcp = Dctcp { slow_start = false }
 
 let dcqcn = Dcqcn
 
-let hpcc = Hpcc { eta = 0.95; max_stage = 5 }
+let hpcc = Hpcc { eta = 0.95 }
 
 let hpcc_pfc = Hpcc_pfc { sfq = false; dqa = false }
 
-let expresspass = Expresspass { target_loss = 0.1; w_init = 0.0625; w_max = 0.5 }
+let expresspass = Expresspass { target_loss = 0.1; w_init = 0.0625 }
 
-let swift = Swift { target_mult = 1.5; beta = 0.8 }
+let swift = Swift
 
 let timely = Timely
 
@@ -96,7 +96,7 @@ let name = function
         ]
     in
     if tags = [] then base else base ^ " (" ^ String.concat "," tags ^ ")"
-  | Bfc_credit _ -> "BFC-credit"
+  | Bfc_credit -> "BFC-credit"
   | Ideal_fq -> "Ideal-FQ"
   | Ideal_srf -> "Ideal-SRF"
   | Dctcp { slow_start } -> if slow_start then "DCTCP+SS" else "DCTCP"
@@ -104,7 +104,7 @@ let name = function
   | Hpcc _ -> "HPCC"
   | Hpcc_pfc { sfq; dqa } ->
     if sfq then "HPCC-PFC+SFQ" else if dqa then "HPCC-PFC+DQA" else "HPCC-PFC"
-  | Swift _ -> "Swift"
+  | Swift -> "Swift"
   | Timely -> "Timely"
   | Pfc_only -> "PFC-only"
   | Expresspass _ -> "ExpressPass"

@@ -25,22 +25,24 @@ val bfc_default : bfc_opts
 
 type t =
   | Bfc of bfc_opts
-  | Bfc_credit of { queues : int; credit_bytes : int }
-      (** the lossless hop-by-hop credit variant of §5 (future work) *)
+  | Bfc_credit
+      (** the lossless hop-by-hop credit variant of §5 (future work): 32
+          queues per port, {!Bfc_core.Credit_dataplane.credit_bytes} of
+          credit per queue *)
   | Ideal_fq  (** unbounded queues & buffers, FQ, 1-BDP window cap *)
   | Ideal_srf  (** same with SRF scheduling *)
   | Dctcp of { slow_start : bool }
   | Dcqcn
-  | Hpcc of { eta : float; max_stage : int }
+  | Hpcc of { eta : float }
   | Hpcc_pfc of { sfq : bool; dqa : bool }
       (** HPCC with perfect retransmission instead of PFC; optional
           stochastic / dynamic queue assignment (Fig. 14) *)
-  | Swift of { target_mult : float; beta : float }
+  | Swift
   | Timely
   | Pfc_only
       (** the §2.2 strawman: hop-by-hop PFC with FIFO queues and no
           end-to-end control beyond a 1-BDP inflight cap *)
-  | Expresspass of { target_loss : float; w_init : float; w_max : float }
+  | Expresspass of { target_loss : float; w_init : float }
   | Homa of { spray : bool }
 
 val name : t -> string

@@ -9,28 +9,31 @@ module Deadlock = Bfc_core.Deadlock
 module Runner = Bfc_sim.Runner
 module Tap = Bfc_engine.Tap
 
-type config = {
-  d_period : Time.t;
-  d_window : int;
-  d_storm_frac : float;
-  d_deadlock_hold : int;
-  d_victim_slowdown : float;
-  d_victim_own_bytes : int;
-  d_victim_min_pause : Time.t;
-  d_victim_frac : float;
-}
+(* sample tick *)
+let period = Time.us 5.0
 
-let default_config =
-  {
-    d_period = Time.us 5.0;
-    d_window = 10;
-    d_storm_frac = 0.5;
-    d_deadlock_hold = 3;
-    d_victim_slowdown = 4.0;
-    d_victim_own_bytes = 32 * 1024;
-    d_victim_min_pause = Time.us 5.0;
-    d_victim_frac = 0.3;
-  }
+(* sliding window, in ticks *)
+let window = 10
+
+(* pause fraction that qualifies as a storm *)
+let storm_frac = 0.5
+
+(* ticks a frozen cycle must persist *)
+let deadlock_hold = 3
+
+(* min FCT slowdown to consider *)
+let victim_slowdown = 4.0
+
+(* max own queue footprint to stay innocent *)
+let victim_own_bytes = 32 * 1024
+
+(* min pause overlap *)
+let victim_min_pause = Time.us 5.0
+
+(* the pause overlap must also cover this fraction of the flow's FCT: the
+   pause has to explain the slowdown, so flows slowed by retransmission
+   timeouts alone are not misattributed *)
+let victim_frac = 0.3
 
 type storm = {
   st_gid : int;
@@ -74,7 +77,6 @@ type fq = {
 
 type t = {
   env : Runner.env;
-  cfg : config;
   n : int;
   (* port-level pause spans (PFC egress pause / NIC uplink pause) *)
   pl_cum : int array;
@@ -183,8 +185,8 @@ let on_deq t gid ~queue pkt =
 
 (* runs per detector period, not per packet; bfc-lint: control-plane *)
 let storm_tick t ~now =
-  let w = t.cfg.d_window in
-  let horizon = w * t.cfg.d_period in
+  let w = window in
+  let horizon = w * period in
   let blast = ref 0 in
   for gid = 0 to t.n - 1 do
     let cur = port_pause_eff t gid ~now in
@@ -195,7 +197,7 @@ let storm_tick t ~now =
     let frac = float_of_int t.win_sum.(gid) /. float_of_int horizon in
     if t.in_storm.(gid) then begin
       if frac > t.storm_peak.(gid) then t.storm_peak.(gid) <- frac;
-      if frac < t.cfg.d_storm_frac then begin
+      if frac < storm_frac then begin
         t.storms <-
           {
             st_gid = gid;
@@ -207,7 +209,7 @@ let storm_tick t ~now =
         t.in_storm.(gid) <- false
       end
     end
-    else if t.ticks >= w && frac >= t.cfg.d_storm_frac then begin
+    else if t.ticks >= w && frac >= storm_frac then begin
       t.in_storm.(gid) <- true;
       t.storm_onset.(gid) <- now;
       t.storm_peak.(gid) <- frac
@@ -279,7 +281,7 @@ let deadlock_tick t ~now =
       t.dl_tx <- tx;
       t.dl_streak <- 1
     end;
-    if t.dl_streak >= t.cfg.d_deadlock_hold && not (Hashtbl.mem t.dl_reported fp) then begin
+    if t.dl_streak >= deadlock_hold && not (Hashtbl.mem t.dl_reported fp) then begin
       Hashtbl.add t.dl_reported fp ();
       let dangerous =
         List.for_all (fun e -> Hashtbl.mem t.dangerous e) (cycle_edges cyc)
@@ -299,7 +301,7 @@ let tick t () =
 (* ------------------------------------------------------------------ *)
 
 (* one-time tap registration; bfc-lint: control-plane *)
-let attach ?(config = default_config) env =
+let attach env =
   let topo = Runner.topo env in
   let n = Topology.total_ports topo in
   let static = Deadlock.build topo in
@@ -310,13 +312,12 @@ let attach ?(config = default_config) env =
   let t =
     {
       env;
-      cfg = config;
       n;
       pl_cum = Array.make n 0;
       pl_open = Array.make n (-1);
       q_cum = Array.make n [||];
       q_open = Array.make n [||];
-      win = Array.init n (fun _ -> Array.make config.d_window 0);
+      win = Array.init n (fun _ -> Array.make window 0);
       win_sum = Array.make n 0;
       win_pos = 0;
       prev_cum = Array.make n 0;
@@ -384,7 +385,7 @@ let attach ?(config = default_config) env =
       if queue < 0 then
         port_transition t (Port.gid (Topology.port topo node 0)) ~now:(Sim.now sim)
           ~paused:(paused = 1));
-  ignore (Sim.every sim ~period:config.d_period (tick t));
+  ignore (Sim.every sim ~period (tick t));
   t
 
 (* ------------------------------------------------------------------ *)
@@ -420,7 +421,7 @@ let report t ~flows =
         if f.Flow.is_incast || not (Flow.complete f) then None
         else begin
           let slow = Runner.slowdown t.env f in
-          if slow < t.cfg.d_victim_slowdown then None
+          if slow < victim_slowdown then None
           else
             match Hashtbl.find_opt t.frecs f.Flow.id with
             | None -> None
@@ -429,15 +430,15 @@ let report t ~flows =
                  fraction of the FCT, not just incidental (a flow slowed by
                  retransmission timeouts is not a pause victim) *)
               let floor_ns =
-                max t.cfg.d_victim_min_pause
-                  (int_of_float (t.cfg.d_victim_frac *. float_of_int (Flow.fct f)))
+                max victim_min_pause
+                  (int_of_float (victim_frac *. float_of_int (Flow.fct f)))
               in
               let best = ref None in
               List.iter
                 (fun fq ->
                   let overlap = fq.fq_last - fq.fq_p0 in
                   if
-                    fq.fq_peak <= t.cfg.d_victim_own_bytes
+                    fq.fq_peak <= victim_own_bytes
                     && overlap >= floor_ns
                     && (match !best with None -> true | Some (_, o) -> overlap > o)
                   then best := Some (fq, overlap))

@@ -4,23 +4,30 @@ module Node = Bfc_net.Node
 module Sim = Bfc_engine.Sim
 module Tap = Bfc_engine.Tap
 
-type ecn_config = { kmin : int; kmax : int; pmax : float }
-
-type pfc_config = { threshold_frac : float; resume_frac : float }
+type ecn_config = { kmin : int; kmax : int }
 
 type config = {
   queues_per_port : int;
   classes : int;
   policy : Sched.policy;
   buffer_bytes : int;
-  dt_alpha : float;
   ecn : ecn_config option;
-  pfc : pfc_config option;
+  pfc : float option;
   int_stamping : bool;
   track_active_flows : bool;
   mtu : int;
   pause_watchdog : Bfc_engine.Time.t option;
 }
+
+(* Dynamic-threshold alpha of the shared buffer's admission rule. *)
+let dt_alpha = 1.0
+
+(* RED-style marking probability at [kmax] (DCQCN's setting). *)
+let ecn_pmax = 1.0
+
+(* A PFC-paused ingress resumes below this fraction of the pause
+   threshold. *)
+let pfc_resume_frac = 0.8
 
 let default_config =
   {
@@ -28,7 +35,6 @@ let default_config =
     classes = 1;
     policy = Sched.Drr;
     buffer_bytes = 12_000_000;
-    dt_alpha = 1.0;
     ecn = None;
     pfc = None;
     int_stamping = false;
@@ -170,10 +176,10 @@ let flow_track_remove e pkt =
 let pfc_check_resume t in_port =
   match t.cfg.pfc with
   | None -> ()
-  | Some pfc ->
+  | Some threshold_frac ->
     if t.pfc_sent.(in_port) then begin
-      let threshold = pfc.threshold_frac *. float_of_int (Buffer.free t.buffer) in
-      if float_of_int (Buffer.ingress_used t.buffer in_port) < pfc.resume_frac *. threshold
+      let threshold = threshold_frac *. float_of_int (Buffer.free t.buffer) in
+      if float_of_int (Buffer.ingress_used t.buffer in_port) < pfc_resume_frac *. threshold
       then begin
         t.pfc_sent.(in_port) <- false;
         let pkt = make_pfc t in
@@ -257,12 +263,12 @@ and wd_fire t e ~queue epoch =
 let ecn_mark t q pkt =
   match t.cfg.ecn with
   | None -> ()
-  | Some { kmin; kmax; pmax } ->
+  | Some { kmin; kmax } ->
     if Packet.kind pkt = Packet.Data then begin
       let b = q.Fifo.bytes in
       if b > kmax then Packet.set_ecn pkt true
       else if b > kmin then begin
-        let p = pmax *. float_of_int (b - kmin) /. float_of_int (kmax - kmin) in
+        let p = ecn_pmax *. float_of_int (b - kmin) /. float_of_int (kmax - kmin) in
         if Bfc_util.Rng.bernoulli t.rng p then Packet.set_ecn pkt true
       end
     end
@@ -270,9 +276,9 @@ let ecn_mark t q pkt =
 let pfc_check_pause t in_port =
   match t.cfg.pfc with
   | None -> ()
-  | Some pfc ->
+  | Some threshold_frac ->
     if not t.pfc_sent.(in_port) then begin
-      let threshold = pfc.threshold_frac *. float_of_int (Buffer.free t.buffer) in
+      let threshold = threshold_frac *. float_of_int (Buffer.free t.buffer) in
       if float_of_int (Buffer.ingress_used t.buffer in_port) > threshold then begin
         t.pfc_sent.(in_port) <- true;
         let pkt = make_pfc t in
@@ -489,7 +495,7 @@ let create ~sim ~node ~ports ~config:cfg ~route () =
       tap = Sim.tap sim;
       route;
       egresses;
-      buffer = Buffer.create ~total:cfg.buffer_bytes ~alpha:cfg.dt_alpha ~n_ingress;
+      buffer = Buffer.create ~total:cfg.buffer_bytes ~alpha:dt_alpha ~n_ingress;
       hk = default_hooks ();
       pfc_sent = Array.make n_ingress false;
       drops = 0;

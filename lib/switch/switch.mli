@@ -9,23 +9,22 @@
     pause transitions, watchdog fires, reboots and control-frame arrivals
     on the sim's {!Bfc_engine.Tap}. *)
 
-type ecn_config = { kmin : int; kmax : int; pmax : float }
-
-type pfc_config = {
-  threshold_frac : float;
-      (** pause an ingress when its buffered bytes exceed this fraction of
-          the free buffer (HPCC setting: 0.11) *)
-  resume_frac : float; (** resume below [resume_frac x threshold] *)
-}
+(** RED-style marking between [kmin] and [kmax] queue bytes, with
+    probability 1 at [kmax]. *)
+type ecn_config = { kmin : int; kmax : int }
 
 type config = {
   queues_per_port : int;
   classes : int; (** traffic classes; queues are evenly partitioned *)
   policy : Sched.policy;
-  buffer_bytes : int; (** [max_int] = infinite (Ideal-FQ) *)
-  dt_alpha : float; (** dynamic-threshold alpha for admission *)
+  buffer_bytes : int;
+      (** [max_int] = infinite (Ideal-FQ); admission is the
+          dynamic-threshold rule with alpha 1 ({!Buffer}) *)
   ecn : ecn_config option;
-  pfc : pfc_config option;
+  pfc : float option;
+      (** PFC: pause an ingress when its buffered bytes exceed this
+          fraction of the free buffer (HPCC setting: 0.11), and resume it
+          below 0.8 of that threshold *)
   int_stamping : bool; (** append HPCC INT telemetry on dequeue *)
   track_active_flows : bool; (** maintain per-egress distinct-flow counts *)
   mtu : int; (** DRR quantum = mtu + header *)

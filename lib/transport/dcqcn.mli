@@ -4,26 +4,19 @@
     ECN-marked arrivals; the sender cuts Rc multiplicatively by alpha/2 and
     recovers through fast-recovery / additive / hyper increase stages driven
     by a timer and a byte counter. Timers run on the simulation clock; call
-    [stop] when the flow completes. *)
+    [stop] when the flow completes.
 
-type params = {
-  rai_gbps : float; (** additive increase step (paper: 40 Mb/s) *)
-  g : float; (** alpha EWMA gain (1/256) *)
-  alpha_timer : Bfc_engine.Time.t; (** 55 us *)
-  increase_timer : Bfc_engine.Time.t; (** 55 us *)
-  byte_counter : int; (** 10 MB *)
-  fast_recovery_stages : int; (** F = 5 *)
-  cnp_interval : Bfc_engine.Time.t; (** 50 us, receiver side *)
-}
+    The settings are the DCQCN paper's: a 40 Mb/s additive step, alpha
+    gain 1/256, 55 us alpha and increase timers, a 10 MB byte counter and
+    5 fast-recovery stages. *)
 
-val default_params : params
+(** Minimum spacing of a receiver's CNPs (50 us). *)
+val cnp_interval : Bfc_engine.Time.t
 
 type t
 
-(** [create sim ~params ~line_gbps ~on_rate_change] — starts at line rate.
-    [on_rate_change] lets the pacer resynchronize. *)
-val create :
-  Bfc_engine.Sim.t -> params:params -> line_gbps:float -> on_rate_change:(unit -> unit) -> t
+(** [create sim ~line_gbps] — starts at line rate. *)
+val create : Bfc_engine.Sim.t -> line_gbps:float -> t
 
 (** Receiver congestion notification arrived. *)
 val on_cnp : t -> unit

@@ -4,7 +4,10 @@ type t = {
   mutable w : float; (* bytes *)
 }
 
-let create ~mtu ~bdp ~base_rtt ~target_mult =
+(* The target delay as a multiple of the base RTT. *)
+let target_mult = 2.5
+
+let create ~mtu ~bdp ~base_rtt =
   { mtu; target = target_mult *. float_of_int base_rtt; w = float_of_int bdp }
 
 let on_ack t ~rtt =

@@ -7,7 +7,7 @@
 
 type t
 
-val create : mtu:int -> bdp:int -> base_rtt:Bfc_engine.Time.t -> target_mult:float -> t
+val create : mtu:int -> bdp:int -> base_rtt:Bfc_engine.Time.t -> t
 
 (** [on_ack t ~rtt] — one acknowledgement carrying an RTT sample. *)
 val on_ack : t -> rtt:Bfc_engine.Time.t -> unit

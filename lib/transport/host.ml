@@ -8,11 +8,11 @@ module Rng = Bfc_util.Rng
 type scheme =
   | Bfc of { window_cap : int option; delay_cc : bool }
   | Dctcp of { slow_start : bool }
-  | Dcqcn of Dcqcn.params
-  | Hpcc of { eta : float; max_stage : int; perfect_rtx : bool }
-  | Swift of { target_mult : float; beta : float }
+  | Dcqcn
+  | Hpcc of { eta : float; perfect_rtx : bool }
+  | Swift
   | Timely
-  | Xpass of { target_loss : float; w_init : float; w_max : float }
+  | Xpass of { target_loss : float; w_init : float }
   | Homa of Homa.params
 
 type config = {
@@ -28,7 +28,7 @@ type config = {
   bdp : int;
   line_gbps : float;
   flow_bdp : (Bfc_net.Flow.t -> int) option;
-  nic_credit : int option;
+  nic_credit : bool;
   pause_watchdog : Bfc_engine.Time.t option;
   seed : int;
 }
@@ -47,7 +47,7 @@ let default_config =
     bdp = 100_000;
     line_gbps = 100.0;
     flow_bdp = None;
-    nic_credit = None;
+    nic_credit = false;
     pause_watchdog = None;
     seed = 7;
   }
@@ -146,8 +146,6 @@ and reg = {
 
 let nic t = t.nic
 
-let on_complete t f = t.complete_cbs <- [| f |]
-
 (* Several observers (run driver, sketches, flowlog writer) can all see
    completions. bfc-lint: control-plane *)
 let add_on_complete t f = t.complete_cbs <- Array.append t.complete_cbs [| f |]
@@ -171,7 +169,9 @@ let no_tx = blank_tx ()
 let no_rx = blank_rx None
 
 (* The record bound to flow word [w] at its slot, else the sentinel: a
-   record at the slot bound to another flow, or to none, is not [w]'s. *)
+   record at the slot bound to another flow, or to none, is not [w]'s.
+   Once [unbind] has run for [w], [w] finds the sentinel, whether or not
+   its slot has gone to another flow since. *)
 let find_tx r w =
   let s = Packet.ref_slot w in
   if s >= 0 && s < Array.length r.txa then begin
@@ -249,8 +249,12 @@ let bind_rx t slot =
    bounded by the number of in-flight flows instead of growing with every
    flow ever started). A reusable record stays in its slot, unbound, for
    the slot's next flow; any other is detached, and the slot gets a fresh
-   record at its next bind. Either way, late packets and timers for the
-   flow find nothing. *)
+   record at its next bind. Either way, late timers and drop notices for
+   the flow find nothing. A late packet of a table-owned flow is stale
+   before any handler runs ([receive]'s [Flow.Table.holds] check), but a
+   caller's flow keeps its slot for the run, so its late packets reach the
+   handlers and find nothing too: a late Data packet then binds the
+   receiver afresh. *)
 let unbind r w =
   let s = Packet.ref_slot w in
   let tx = find_tx r w in
@@ -686,7 +690,10 @@ let xpass_pace t rx c =
         ~a0:(timer t xpass_pace_kind) ~a1:rx.rref
   end
 
-let xpass_start_credits t rx c ~target_loss ~w_init ~w_max =
+(* Upper bound of ExpressPass's credit-rate increase weight. *)
+let xpass_w_max = 0.5
+
+let xpass_start_credits t rx c ~target_loss ~w_init =
   if (not (Sim.token_pending t.sim c.cr_pacer)) && not c.cr_stop then begin
     let line = t.cfg.line_gbps /. 8.0 in
     c.cr_rate <- line /. 2.0;
@@ -701,7 +708,7 @@ let xpass_start_credits t rx c ~target_loss ~w_init ~w_max =
              if sent > 0 then begin
                let loss = 1.0 -. (float_of_int used /. float_of_int sent) in
                if loss <= target_loss then begin
-                 c.cr_w <- Float.min w_max ((c.cr_w +. w_max) /. 2.0);
+                 c.cr_w <- Float.min xpass_w_max ((c.cr_w +. xpass_w_max) /. 2.0);
                  c.cr_rate <- ((1.0 -. c.cr_w) *. c.cr_rate) +. (c.cr_w *. line)
                end
                else begin
@@ -739,8 +746,8 @@ let on_data t pkt =
   end;
   (* per-scheme receiver reactions *)
   (match t.cfg.scheme with
-  | Dcqcn p ->
-    if Packet.ecn pkt && Sim.now t.sim - rx.last_cnp > p.Dcqcn.cnp_interval then begin
+  | Dcqcn ->
+    if Packet.ecn pkt && Sim.now t.sim - rx.last_cnp > Dcqcn.cnp_interval then begin
       rx.last_cnp <- Sim.now t.sim;
       send_ctrl_pkt t Packet.Cnp ~flow:(Packet.flow pkt) ~dst:flow.Flow.src ~size:Packet.ctrl_bytes
         ~seq:0
@@ -769,7 +776,7 @@ let on_data t pkt =
       Sim.post t.sim
         (Sim.now t.sim + t.cfg.base_rtt)
         ~cls:Sim.cls_flow_timeout ~a0:(timer t xpass_stop_kind) ~a1:(Packet.flow pkt)
-  | Bfc _ | Dctcp _ | Hpcc _ | Swift _ | Timely -> ());
+  | Bfc _ | Dctcp _ | Hpcc _ | Swift | Timely -> ());
   (* acknowledgements *)
   let ack_now =
     match t.cfg.scheme with
@@ -799,10 +806,10 @@ let on_data t pkt =
 
 let on_credit_req t pkt =
   match t.cfg.scheme with
-  | Xpass { target_loss; w_init; w_max } ->
+  | Xpass { target_loss; w_init } ->
     let rx = get_rx t pkt (flow_of t pkt) in
     (match rx.credits with
-    | Some c -> xpass_start_credits t rx c ~target_loss ~w_init ~w_max
+    | Some c -> xpass_start_credits t rx c ~target_loss ~w_init
     | None -> ())
   | _ -> ()
 
@@ -817,7 +824,7 @@ let make_cc t flow =
   match t.cfg.scheme with
   | Bfc { window_cap; delay_cc } ->
     if delay_cc then
-      Cc_delay (Delay_cc.create ~mtu:t.cfg.mtu ~bdp ~base_rtt:t.cfg.base_rtt ~target_mult:2.5)
+      Cc_delay (Delay_cc.create ~mtu:t.cfg.mtu ~bdp ~base_rtt:t.cfg.base_rtt)
     else begin
       (* a per-BDP cap scales with the flow's own path *)
       match window_cap with
@@ -830,12 +837,9 @@ let make_cc t flow =
         Cap (Int.max t.cfg.mtu scaled)
     end
   | Dctcp { slow_start } -> Cc_dctcp (Dctcp.create ~mtu:t.cfg.mtu ~bdp ~slow_start ~g:(1.0 /. 16.0))
-  | Dcqcn params ->
-    Cc_dcqcn (Dcqcn.create t.sim ~params ~line_gbps:t.cfg.line_gbps ~on_rate_change:ignore)
-  | Hpcc { eta; max_stage; _ } ->
-    Cc_hpcc (Hpcc.create ~eta ~max_stage ~w_ai:80.0 ~bdp ~base_rtt:t.cfg.base_rtt)
-  | Swift { target_mult; beta } ->
-    Cc_swift (Swift.create ~mtu:t.cfg.mtu ~bdp ~base_rtt:t.cfg.base_rtt ~target_mult ~beta)
+  | Dcqcn -> Cc_dcqcn (Dcqcn.create t.sim ~line_gbps:t.cfg.line_gbps)
+  | Hpcc { eta; _ } -> Cc_hpcc (Hpcc.create ~eta ~bdp ~base_rtt:t.cfg.base_rtt)
+  | Swift -> Cc_swift (Swift.create ~mtu:t.cfg.mtu ~bdp ~base_rtt:t.cfg.base_rtt)
   | Timely ->
     Cc_timely
       (Timely.create ~line_gbps:t.cfg.line_gbps ~base_rtt:t.cfg.base_rtt
@@ -872,9 +876,9 @@ let start_flow t flow =
   | Xpass _ ->
     send_ctrl_pkt t Packet.Credit_req ~flow:tx.fref ~dst:tx.fdst ~size:Packet.ctrl_bytes
       ~seq:0
-  | Dcqcn _ | Timely -> rate_pace t tx
+  | Dcqcn | Timely -> rate_pace t tx
   | Homa _ -> blast t tx
-  | Bfc _ | Dctcp _ | Hpcc _ | Swift _ -> pump t tx)
+  | Bfc _ | Dctcp _ | Hpcc _ | Swift -> pump t tx)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                             *)
@@ -962,7 +966,8 @@ let create ~sim ~node ~port ~config:cfg () =
   let r = registry sim in
   let nic =
     Nic.create ~sim ~node:node.Node.id ~port ~n_queues:cfg.nic_queues ~policy:cfg.nic_policy
-      ~respect_pause:cfg.respect_pause ?pause_watchdog:cfg.pause_watchdog ?credit:cfg.nic_credit
+      ~respect_pause:cfg.respect_pause ?pause_watchdog:cfg.pause_watchdog
+      ?credit:(if cfg.nic_credit then Some Bfc_core.Credit_dataplane.credit_bytes else None)
       ()
   in
   let homa_recv = match cfg.scheme with Homa p -> Some (Homa.Receiver.create p) | _ -> None in

@@ -12,12 +12,12 @@ type scheme =
           [window_cap] = Some bdp is the incremental-deployment cap
           (App. A.8); [delay_cc] enables App. A.1's Algorithm 1 *)
   | Dctcp of { slow_start : bool }
-  | Dcqcn of Dcqcn.params
-  | Hpcc of { eta : float; max_stage : int; perfect_rtx : bool }
-  | Swift of { target_mult : float; beta : float }
-      (** delay-target window control (Kumar et al., SIGCOMM 2020) *)
+  | Dcqcn
+  | Hpcc of { eta : float; perfect_rtx : bool }
+  | Swift  (** delay-target window control (Kumar et al., SIGCOMM 2020) *)
   | Timely  (** RTT-gradient rate control (Mittal et al., SIGCOMM 2015) *)
-  | Xpass of { target_loss : float; w_init : float; w_max : float }
+  | Xpass of { target_loss : float; w_init : float }
+      (** ExpressPass credit feedback; the increase weight is capped at 0.5 *)
   | Homa of Homa.params
 
 type config = {
@@ -35,7 +35,9 @@ type config = {
   flow_bdp : (Bfc_net.Flow.t -> int) option;
       (** per-flow BDP for window initialisation (cross-DC paths have a much
           larger BDP than intra-DC ones, App. A.9) *)
-  nic_credit : int option; (** lossless-BFC: initial per-queue credit *)
+  nic_credit : bool;
+      (** lossless-BFC: gate the NIC's data queues by hop credits, each
+          starting from {!Bfc_core.Credit_dataplane.credit_bytes} *)
   pause_watchdog : Bfc_engine.Time.t option;
       (** force-resume a ctrl-paused NIC queue after this long (see
           {!Nic.create}) *)
@@ -60,13 +62,10 @@ val create :
 
 val nic : t -> Nic.t
 
-(** Register the completion callback (fires at the receiving host when the
-    flow's last byte arrives). Replaces any previous callback. *)
-val on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
-
-(** Add a completion observer without displacing the existing ones (the
-    new observer runs after them). Streaming runs add sketch updates and
-    flow-trace writes after the driver's completion counter this way. *)
+(** Add a completion observer (fires at the receiving host when the
+    flow's last byte arrives), after the ones already registered.
+    The run driver ([Runner.setup]) registers its completion counter first;
+    streaming runs add sketch updates and flow-trace writes after it. *)
 val add_on_complete : t -> (Bfc_net.Flow.t -> unit) -> unit
 
 (** [reclaim_after t ~flow ~delay] reclaims [flow]'s transport state on

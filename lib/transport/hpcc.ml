@@ -4,10 +4,14 @@ type link_view = {
   mutable qlen : int;
 }
 
+(* Additive steps between multiplicative updates, and the additive
+   increase W_AI in bytes (the HPCC paper's settings). *)
+let max_stage = 5
+
+let w_ai = 80.0
+
 type t = {
   eta : float;
-  max_stage : int;
-  w_ai : float;
   bdp : int;
   base_rtt : Bfc_engine.Time.t;
   mutable w : float;
@@ -19,11 +23,9 @@ type t = {
   mutable u : float;
 }
 
-let create ~eta ~max_stage ~w_ai ~bdp ~base_rtt =
+let create ~eta ~bdp ~base_rtt =
   {
     eta;
-    max_stage;
-    w_ai;
     bdp;
     base_rtt;
     w = float_of_int bdp;
@@ -72,8 +74,8 @@ let measure t hops nhops =
   !u
 
 let compute_wind t ~u ~update_wc =
-  if u >= t.eta || t.inc_stage >= t.max_stage then begin
-    let w = (t.w_c /. (u /. t.eta)) +. t.w_ai in
+  if u >= t.eta || t.inc_stage >= max_stage then begin
+    let w = (t.w_c /. (u /. t.eta)) +. w_ai in
     if update_wc then begin
       t.inc_stage <- 0;
       t.w_c <- w
@@ -81,7 +83,7 @@ let compute_wind t ~u ~update_wc =
     t.w <- w
   end
   else begin
-    let w = t.w_c +. t.w_ai in
+    let w = t.w_c +. w_ai in
     if update_wc then begin
       t.inc_stage <- t.inc_stage + 1;
       t.w_c <- w

@@ -3,18 +3,12 @@
     Window-based control driven by per-hop INT telemetry echoed in ACKs:
     the sender estimates the most-utilized link's inflight ratio U and sets
     W = W_c / (U / eta) + W_AI multiplicatively (at most once per RTT via
-    the reference window W_c), with up to [max_stage] additive steps in
-    between. *)
+    the reference window W_c), with up to 5 additive steps in between.
+    W_AI is 80 bytes. *)
 
 type t
 
-val create :
-  eta:float ->
-  max_stage:int ->
-  w_ai:float ->
-  bdp:int ->
-  base_rtt:Bfc_engine.Time.t ->
-  t
+val create : eta:float -> bdp:int -> base_rtt:Bfc_engine.Time.t -> t
 
 (** [on_ack t ~hops ~nhops ~ack_seq ~snd_nxt] — [hops] is the INT stack
     echoed in the ACK; only the first [nhops] records are valid (the

@@ -115,7 +115,7 @@ let star_incast ?(senders = 16) ?(size = 32_000)
 
 let lossy_auditor env =
   Auditor.attach
-    ~config:{ Auditor.default_config with Auditor.check_pairing = false; fail_fast = false }
+    ~config:{ Auditor.check_pairing = false; fail_fast = false }
     env
 
 let resume_loss inj =

@@ -20,7 +20,7 @@ let prop_swift_window_floor =
   QCheck.Test.make ~name:"swift window never below one MTU" ~count:100
     QCheck.(list (int_range 1_000 1_000_000))
     (fun rtts ->
-      let sw = Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 ~target_mult:1.5 ~beta:0.8 in
+      let sw = Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 in
       let now = ref 0 in
       List.iter
         (fun rtt ->

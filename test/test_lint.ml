@@ -559,6 +559,23 @@ let test_dc2_write_only () =
          ("bin/main.ml", "let () = Cell.poke (Cell.make ())\n");
        ])
 
+(* A field read only on the right-hand side of an assignment to itself
+   ([t.n <- t.n + 1]) is not read; a field read there for another field,
+   or read elsewhere, is. *)
+let test_dc2_self_increment () =
+  let t = "type t = { mutable n : int; mutable m : int; k : int }\n" in
+  Alcotest.check members "the self-incremented field only" [ ("Cnt.t.n", false) ]
+    (dead_members
+       [
+         ("lib/cnt.mli", t ^ "val make : unit -> t\nval bump : t -> unit\nval m : t -> int\n");
+         ( "lib/cnt.ml",
+           t
+           ^ "let make () = { n = 0; m = 0; k = 1 }\n\
+              let bump t = t.n <- t.n + t.k; t.m <- t.m + 1\n\
+              let m t = t.m\n" );
+         ("bin/main.ml", "let () = let c = Cnt.make () in Cnt.bump c; print_int (Cnt.m c)\n");
+       ])
+
 (* A record pattern reads the fields it names; [{ r with ... }] reads the
    fields it copies and writes the ones it sets. *)
 let test_dc2_pattern_and_with () =
@@ -677,6 +694,7 @@ let suite =
     ("dc001 stale unit fails loudly", `Quick, test_dc_stale_unit);
     ("dc002 write-only field is reported", `Quick, test_dc2_write_only);
     ("dc002 record pattern and with read", `Quick, test_dc2_pattern_and_with);
+    ("dc002 self-increment is not a read", `Quick, test_dc2_self_increment);
     ("dc002 matched-only constructor is reported", `Quick, test_dc2_constructors);
     ("dc002 allow suppresses", `Quick, test_dc2_allow);
     ("dc002 perfbench counts as a caller", `Quick, test_dc2_perfbench_caller);

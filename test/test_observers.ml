@@ -98,7 +98,7 @@ let observed_run scheme =
             in
             let tracer = Tracer.attach env ~capacity:1_000_000 in
             let aud =
-              Auditor.attach ~config:{ Auditor.default_config with Auditor.fail_fast = false } env
+              Auditor.attach ~config:{ Auditor.check_pairing = true; fail_fast = false } env
             in
             let det = Detect.attach env in
             obs := Some { tel; tracer; aud; det });

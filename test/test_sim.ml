@@ -26,30 +26,50 @@ let smoke scheme ?(seed = 1) ?(incast = None) ?(load = 0.6) () =
       sp_dist = Dist.google;
     }
 
+(* fixtures/sim/schemes.expected pins every preset's output byte for byte:
+   one line per scheme, its name and the MD5 of [Test_dispatch.render] of
+   its smoke run (counters, per-flow records, FCT rows, buffer p99). *)
+let schemes_fixture =
+  if Sys.file_exists "fixtures/sim" then "fixtures/sim/schemes.expected"
+  else "test/fixtures/sim/schemes.expected"
+
 let test_all_schemes_complete () =
-  List.iter
-    (fun scheme ->
-      let r = smoke scheme () in
-      let name = Scheme.name scheme in
-      check Alcotest.int
-        (name ^ " completes everything")
-        (Runner.injected r.Exp_common.env)
-        (Runner.completed r.Exp_common.env))
-    [
-      Scheme.bfc;
-      Scheme.bfc_srf;
-      Scheme.Ideal_fq;
-      Scheme.dctcp;
-      Scheme.dcqcn;
-      Scheme.hpcc;
-      Scheme.hpcc_pfc;
-      Scheme.expresspass;
-      Scheme.homa;
-      Scheme.swift;
-      Scheme.timely;
-      Scheme.pfc_only;
-      Scheme.bfc_credit;
-    ]
+  let digests =
+    List.map
+      (fun scheme ->
+        let r = smoke scheme () in
+        let name = Scheme.name scheme in
+        check Alcotest.int
+          (name ^ " completes everything")
+          (Runner.injected r.Exp_common.env)
+          (Runner.completed r.Exp_common.env);
+        Printf.sprintf "%s %s\n" name
+          (Digest.to_hex (Digest.string (Test_dispatch.render r))))
+      [
+        Scheme.bfc;
+        Scheme.bfc_srf;
+        Scheme.Ideal_fq;
+        Scheme.Ideal_srf;
+        Scheme.dctcp;
+        Scheme.dcqcn;
+        Scheme.hpcc;
+        Scheme.hpcc_pfc;
+        Scheme.expresspass;
+        Scheme.homa;
+        Scheme.homa_ecmp;
+        Scheme.swift;
+        Scheme.timely;
+        Scheme.pfc_only;
+        Scheme.bfc_credit;
+      ]
+  in
+  let ic = open_in_bin schemes_fixture in
+  let expected =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  check Alcotest.string "every scheme's output matches its recorded digest" expected
+    (String.concat "" digests)
 
 let test_bfc_no_drops () =
   let r = smoke Scheme.bfc () in

@@ -95,7 +95,7 @@ let test_pfc_clos_victims () =
   List.iter
     (fun v ->
       Alcotest.(check bool) "victim slowdown above threshold" true
-        (v.Detect.v_slowdown >= Detect.default_config.Detect.d_victim_slowdown);
+        (v.Detect.v_slowdown >= 4.0);
       Alcotest.(check bool) "victim pause overlap positive" true (v.Detect.v_pause_ns > 0))
     r.Detect.r_victims
 

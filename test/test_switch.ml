@@ -535,7 +535,7 @@ let test_switch_ecn_marks () =
   let config =
     {
       Switch.default_config with
-      Switch.ecn = Some { Switch.kmin = 2_000; kmax = 4_000; pmax = 1.0 };
+      Switch.ecn = Some { Switch.kmin = 2_000; kmax = 4_000 };
     }
   in
   let sim, st, t, _sw = mini_net ~config () in
@@ -573,7 +573,7 @@ let test_switch_pfc_pause_resume () =
     {
       Switch.default_config with
       Switch.buffer_bytes = 40_000;
-      pfc = Some { Switch.threshold_frac = 0.11; resume_frac = 0.8 };
+      pfc = Some 0.11;
     }
   in
   let sim, st, t, sw = mini_net ~config () in

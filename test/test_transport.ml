@@ -57,7 +57,7 @@ let hop ~ts ~tx ~qlen =
   { Packet.h_ts = ts; h_tx_bytes = tx; h_qlen = qlen; h_gbps = 100.0; h_link = 1 }
 
 let test_hpcc_reduces_when_overloaded () =
-  let h = Hpcc.create ~eta:0.95 ~max_stage:5 ~w_ai:80.0 ~bdp:100_000 ~base_rtt:8_000 in
+  let h = Hpcc.create ~eta:0.95 ~bdp:100_000 ~base_rtt:8_000 in
   let w0 = Hpcc.window h in
   (* first ack primes the baseline *)
   Hpcc.on_ack h ~hops:[| hop ~ts:1_000 ~tx:0 ~qlen:200_000 |] ~nhops:1 ~ack_seq:1_000 ~snd_nxt:10_000;
@@ -72,7 +72,7 @@ let test_hpcc_reduces_when_overloaded () =
   Alcotest.(check bool) "u measured > 1" true (Hpcc.last_u h > 1.0)
 
 let test_hpcc_grows_when_idle () =
-  let h = Hpcc.create ~eta:0.95 ~max_stage:5 ~w_ai:80.0 ~bdp:100_000 ~base_rtt:8_000 in
+  let h = Hpcc.create ~eta:0.95 ~bdp:100_000 ~base_rtt:8_000 in
   Hpcc.on_ack h ~hops:[| hop ~ts:1_000 ~tx:0 ~qlen:0 |] ~nhops:1 ~ack_seq:1_000 ~snd_nxt:10_000;
   let w1 = Hpcc.window h in
   (* almost idle link: tiny tx delta, empty queue *)
@@ -83,7 +83,7 @@ let test_hpcc_grows_when_idle () =
 
 let test_dcqcn_cnp_cuts_rate () =
   let sim = Sim.create () in
-  let d = Dcqcn.create sim ~params:Dcqcn.default_params ~line_gbps:100.0 ~on_rate_change:ignore in
+  let d = Dcqcn.create sim ~line_gbps:100.0 in
   let r0 = Dcqcn.rate d in
   Alcotest.(check (float 1e-9)) "starts at line rate" 12.5 r0;
   Dcqcn.on_cnp d;
@@ -92,7 +92,7 @@ let test_dcqcn_cnp_cuts_rate () =
 
 let test_dcqcn_recovers () =
   let sim = Sim.create () in
-  let d = Dcqcn.create sim ~params:Dcqcn.default_params ~line_gbps:100.0 ~on_rate_change:ignore in
+  let d = Dcqcn.create sim ~line_gbps:100.0 in
   Dcqcn.on_cnp d;
   Dcqcn.on_cnp d;
   let cut = Dcqcn.rate d in
@@ -106,7 +106,7 @@ let test_dcqcn_recovers () =
 
 let test_dcqcn_alpha_decays () =
   let sim = Sim.create () in
-  let d = Dcqcn.create sim ~params:Dcqcn.default_params ~line_gbps:100.0 ~on_rate_change:ignore in
+  let d = Dcqcn.create sim ~line_gbps:100.0 in
   Dcqcn.on_cnp d;
   let a0 = Dcqcn.alpha d in
   ignore (Sim.run sim ~until:(Time.ms 1.0));
@@ -116,7 +116,7 @@ let test_dcqcn_alpha_decays () =
 (* ------------------------------ Delay CC --------------------------- *)
 
 let test_delay_cc () =
-  let d = Delay_cc.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 ~target_mult:2.5 in
+  let d = Delay_cc.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 in
   check Alcotest.int "starts at bdp" 100_000 (Delay_cc.window d);
   Delay_cc.on_ack d ~rtt:80_000 (* 10x base: way above the 20us target *);
   Alcotest.(check bool) "shrinks above target" true (Delay_cc.window d < 100_000);
@@ -127,7 +127,7 @@ let test_delay_cc () =
 (* ------------------------------- Swift ----------------------------- *)
 
 let test_swift_additive_increase () =
-  let sw = Bfc_transport.Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 ~target_mult:1.5 ~beta:0.8 in
+  let sw = Bfc_transport.Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 in
   let w0 = Bfc_transport.Swift.window sw in
   (* below-target RTTs grow the window *)
   for i = 1 to 100 do
@@ -136,7 +136,7 @@ let test_swift_additive_increase () =
   Alcotest.(check bool) "grew" true (Bfc_transport.Swift.window sw > w0)
 
 let test_swift_decrease_once_per_rtt () =
-  let sw = Bfc_transport.Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 ~target_mult:1.5 ~beta:0.8 in
+  let sw = Bfc_transport.Swift.create ~mtu:1000 ~bdp:100_000 ~base_rtt:8_000 in
   (* two above-target samples in the same RTT: only one cut *)
   Bfc_transport.Swift.on_ack sw ~rtt:40_000 ~now:10_000;
   let w1 = Bfc_transport.Swift.window sw in
@@ -348,7 +348,7 @@ let test_host_flow_completes () =
   let _h1 = mk st.Topology.st_senders.(1) in
   let hr = mk st.Topology.st_receiver in
   let completed = ref None in
-  Host.on_complete hr (fun f -> completed := Some f.Flow.id);
+  Host.add_on_complete hr (fun f -> completed := Some f.Flow.id);
   let f =
     Flow.make ~id:500 ~src:st.Topology.st_senders.(0) ~dst:st.Topology.st_receiver ~size:50_000
       ~arrival:0 ()
@@ -429,6 +429,51 @@ let test_host_slot_reuse () =
   check Alcotest.int "every late packet is stale" (List.length kinds)
     (Host.stale_packets hs + Host.stale_packets hr);
   check Alcotest.(pair int int) "one record per end, reused" (1, 1) (Host.flow_records hs)
+
+(* A caller's flow keeps its slot for the run, so its late packets pass
+   [receive]'s stale check even after its reclaim and reach the handlers
+   (a streaming run with caller-owned flows, such as [bfc_sim sweep
+   --streaming], reclaims them). The reclaim unbound both records, so the
+   sender finds nothing for the late ACK, NACK, grant, credit and CNP, and
+   the timers and the drop notice find nothing either: nothing is resent.
+   The late Data packet binds the receiver afresh, which takes it as the
+   flow's only packet and completes the flow a second time. This pins the
+   reclaim's unbinding: a receiver left bound would absorb the packet as
+   a duplicate and complete nothing. *)
+let test_host_reclaimed_caller_flow () =
+  let sim, t, s, r, hs, hr = mk_pair () in
+  let pool = Bfc_net.Port.pool sim in
+  let a = Flow.make ~id:1 ~src:s ~dst:r ~size:1000 ~arrival:0 () in
+  let completions = ref 0 in
+  Host.add_on_complete hr (fun _ -> incr completions);
+  Host.start_flow hs a;
+  let wa = Packet.ref_of a in
+  ignore (Sim.run sim ~until:(Time.us 50.0));
+  Alcotest.(check bool) "flow complete" true (Flow.complete a);
+  let finish = a.Flow.finish in
+  Host.reclaim_after hs ~flow:a ~delay:(Time.us 10.0);
+  ignore (Sim.run sim ~until:(Time.us 70.0));
+  let late kind =
+    let dst = match kind with Packet.Data | Packet.Credit_req -> r | _ -> s in
+    if kind = Packet.Data then
+      Packet.Pool.data pool ~flow:wa ~dst ~prio:0 ~seq:0 ~payload:1000 ~extra_header:0
+    else Packet.Pool.acquire pool kind ~flow:wa ~dst ~size:Packet.ack_bytes ~seq:0
+  in
+  List.iter
+    (fun kind ->
+      let pkt = late kind in
+      (Topology.node t (Packet.dst pkt)).Bfc_net.Node.handler ~in_port:0 pkt)
+    [ Packet.Data; Packet.Ack; Packet.Nack; Packet.Grant; Packet.Credit; Packet.Credit_req; Packet.Cnp ];
+  post_timers sim wa;
+  Host.on_drop_notice hs ~flow:wa ~seq:0 ~len:1000;
+  ignore (Sim.run sim ~until:(Time.us 150.0));
+  check Alcotest.int "a second completion" 2 !completions;
+  check Alcotest.int "finish unchanged" finish a.Flow.finish;
+  check Alcotest.int "delivered unchanged" 1000 a.Flow.delivered;
+  check Alcotest.int "nothing resent" 1000 (Host.bytes_sent hs);
+  check Alcotest.int "no retransmission" 0 (Host.bytes_retransmitted hs);
+  check Alcotest.int "no packet is stale" 0 (Host.stale_packets hs + Host.stale_packets hr);
+  check Alcotest.(pair int int) "one record per end, rebound" (1, 1) (Host.flow_records hs)
 
 (* A stream's flow records are the flow table's own, and one goes to a
    later flow once its flow is reclaimed. A data packet and an ACK kept
@@ -553,6 +598,7 @@ let suite =
     ("host flow completes", `Quick, test_host_flow_completes);
     ("host flow slots reused after reclaim", `Quick, test_host_slot_reuse);
     ("host unfinished sender not reused", `Quick, test_host_unfinished_tx_not_reused);
+    ("host reclaimed caller flow reaches the handlers", `Quick, test_host_reclaimed_caller_flow);
     ("stale packet is counted", `Quick, test_stale_packet_counted);
     ("nic and switch watchdog packing bounds", `Quick, test_watchdog_packing_bounds);
   ]
