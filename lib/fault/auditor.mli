@@ -17,7 +17,8 @@
     - {b flow-ledger}: per egress, the flow table's sizes sum to the
       number of resident data packets its enqueue side counted (sampled
       and not bypassed to the incast queue);
-    - {b orphaned-pause}: no queue stays paused longer than 2 ms while its downstream pause counter is zero (a lost Resume — what the
+    - {b orphaned-pause}: no queue stays paused longer than 2 ms while
+      its downstream pause counter is zero (a lost Resume — what the
       pause watchdog repairs);
     - {b pause-pairing} (optional): every Resume arriving at a node pairs
       with a prior Pause for the same (port, queue), and no Pause repeats

@@ -185,8 +185,7 @@ let on_deq t gid ~queue pkt =
 
 (* runs per detector period, not per packet; bfc-lint: control-plane *)
 let storm_tick t ~now =
-  let w = window in
-  let horizon = w * period in
+  let horizon = window * period in
   let blast = ref 0 in
   for gid = 0 to t.n - 1 do
     let cur = port_pause_eff t gid ~now in
@@ -209,7 +208,7 @@ let storm_tick t ~now =
         t.in_storm.(gid) <- false
       end
     end
-    else if t.ticks >= w && frac >= storm_frac then begin
+    else if t.ticks >= window && frac >= storm_frac then begin
       t.in_storm.(gid) <- true;
       t.storm_onset.(gid) <- now;
       t.storm_peak.(gid) <- frac
@@ -217,7 +216,7 @@ let storm_tick t ~now =
     if t.in_storm.(gid) then incr blast
   done;
   if !blast > t.max_blast then t.max_blast <- !blast;
-  t.win_pos <- (t.win_pos + 1) mod w
+  t.win_pos <- (t.win_pos + 1) mod window
 
 (* deadlock-scan helper, per tick; bfc-lint: control-plane *)
 let cycle_edges cyc =
