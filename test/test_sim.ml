@@ -26,50 +26,80 @@ let smoke scheme ?(seed = 1) ?(incast = None) ?(load = 0.6) () =
       sp_dist = Dist.google;
     }
 
-(* fixtures/sim/schemes.expected pins every preset's output byte for byte:
-   one line per scheme, its name and the MD5 of [Test_dispatch.render] of
-   its smoke run (counters, per-flow records, FCT rows, buffer p99). *)
-let schemes_fixture =
-  if Sys.file_exists "fixtures/sim" then "fixtures/sim/schemes.expected"
-  else "test/fixtures/sim/schemes.expected"
+let fixture name =
+  if Sys.file_exists "fixtures/sim" then "fixtures/sim/" ^ name else "test/fixtures/sim/" ^ name
 
+let read_fixture path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+(* One line per run: the scheme's name and the MD5 of [Test_dispatch.render]
+   of its run (counters, per-flow records, FCT rows, buffer p99). *)
+let digest_line scheme r =
+  Printf.sprintf "%s %s\n" (Scheme.name scheme) (Digest.to_hex (Digest.string (Test_dispatch.render r)))
+
+let presets =
+  [
+    Scheme.bfc;
+    Scheme.bfc_srf;
+    Scheme.Ideal_fq;
+    Scheme.Ideal_srf;
+    Scheme.dctcp;
+    Scheme.dcqcn;
+    Scheme.hpcc;
+    Scheme.hpcc_pfc;
+    Scheme.expresspass;
+    Scheme.homa;
+    Scheme.homa_ecmp;
+    Scheme.swift;
+    Scheme.timely;
+    Scheme.pfc_only;
+    Scheme.bfc_credit;
+  ]
+
+(* fixtures/sim/schemes.expected pins every preset's smoke run byte for
+   byte. *)
 let test_all_schemes_complete () =
   let digests =
     List.map
       (fun scheme ->
         let r = smoke scheme () in
-        let name = Scheme.name scheme in
         check Alcotest.int
-          (name ^ " completes everything")
+          (Scheme.name scheme ^ " completes everything")
           (Runner.injected r.Exp_common.env)
           (Runner.completed r.Exp_common.env);
-        Printf.sprintf "%s %s\n" name
-          (Digest.to_hex (Digest.string (Test_dispatch.render r))))
-      [
-        Scheme.bfc;
-        Scheme.bfc_srf;
-        Scheme.Ideal_fq;
-        Scheme.Ideal_srf;
-        Scheme.dctcp;
-        Scheme.dcqcn;
-        Scheme.hpcc;
-        Scheme.hpcc_pfc;
-        Scheme.expresspass;
-        Scheme.homa;
-        Scheme.homa_ecmp;
-        Scheme.swift;
-        Scheme.timely;
-        Scheme.pfc_only;
-        Scheme.bfc_credit;
-      ]
+        digest_line scheme r)
+      presets
   in
-  let ic = open_in_bin schemes_fixture in
-  let expected =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
-  check Alcotest.string "every scheme's output matches its recorded digest" expected
+  check Alcotest.string "every scheme's output matches its recorded digest"
+    (read_fixture (fixture "schemes.expected"))
     (String.concat "" digests)
+
+(* fixtures/sim/control_laws.expected pins each preset, and BFC+CC, on a
+   run that drives its rate control: fb_hadoop at 0.9 load with degree-6
+   incasts, over switches with a 1 MB buffer. A smoke run leaves the
+   baselines' control laws idle (DCQCN and Timely, HPCC and HPCC-PFC have
+   equal digests in schemes.expected); here DCQCN's cuts and additive
+   increase, Timely's and Swift's delay responses, HPCC's PFC pauses,
+   Delay_cc's target and the credit and grant paths all act, so a change
+   to any of their constants moves a digest. Completion is not asserted:
+   some receiver-driven flows are still open at the drain budget. *)
+let test_control_laws_pinned () =
+  let run scheme =
+    Exp_common.run_std
+      {
+        (Exp_common.std Exp_common.Smoke scheme) with
+        Exp_common.sp_load = 0.9;
+        sp_incast = Some { Exp_common.degree = 6; agg_frac_of_paper = 2.0 };
+        sp_dur_mult = 1.5;
+        sp_params = (fun p -> { p with Runner.buffer_bytes = 1_000_000 });
+      }
+  in
+  let schemes = presets @ [ Scheme.Bfc { Scheme.bfc_default with Scheme.delay_cc = true } ] in
+  check Alcotest.string "every control law's output matches its recorded digest"
+    (read_fixture (fixture "control_laws.expected"))
+    (String.concat "" (List.map (fun s -> digest_line s (run s)) schemes))
 
 let test_bfc_no_drops () =
   let r = smoke Scheme.bfc () in
@@ -309,6 +339,7 @@ let test_cross_dc_setup () =
 let suite =
   [
     ("all schemes complete", `Slow, test_all_schemes_complete);
+    ("control laws pinned", `Slow, test_control_laws_pinned);
     ("bfc no drops", `Quick, test_bfc_no_drops);
     ("bfc no drops under incast", `Quick, test_bfc_no_drops_under_incast);
     ("delivered bytes match", `Quick, test_delivered_bytes_match_sizes);
