@@ -74,7 +74,23 @@ let violate t ~node ~invariant ~detail =
 (* ------------------------------------------------------------------ *)
 (* Invariant checks                                                    *)
 
-let check_switch t st =
+(* Every queue's chain of packets is well formed ([Fifo.chain_fault]).
+   The checks below walk the chains, so they run only when this holds. *)
+let chains_hold t sw =
+  let ok = ref true in
+  for e = 0 to Switch.n_ports sw - 1 do
+    Array.iter
+      (fun q ->
+        Fifo.chain_fault q
+        |> Option.iter (fun fault ->
+               ok := false;
+               violate t ~node:(Switch.node_id sw) ~invariant:"queue-chain"
+                 ~detail:(Printf.sprintf "egress %d queue %d: %s" e q.Fifo.idx fault)))
+      (Switch.queues sw ~egress:e)
+  done;
+  !ok
+
+let check_accounts t st =
   let sw = st.asw in
   let node = Switch.node_id sw in
   let now = Sim.now (Runner.sim t.env) in
@@ -169,7 +185,7 @@ let check_switch t st =
 
 let check t =
   t.checks <- t.checks + 1;
-  Array.iter (fun st -> check_switch t st) t.sws;
+  Array.iter (fun st -> if chains_hold t st.asw then check_accounts t st) t.sws;
   if Runner.completed t.env > Runner.injected t.env then
     violate t ~node:(-1) ~invariant:"flow-conservation"
       ~detail:

@@ -4,6 +4,10 @@
     {!Bfc_engine.Tap} and re-checks conservation invariants every 5 us of
     simulated time:
 
+    - {b queue-chain}: every switch queue's linked chain of packets is
+      well formed ({!Bfc_switch.Fifo.chain_fault}); a switch with a broken
+      chain gets none of the checks below in that sweep, since they walk
+      its queues;
     - {b buffer-bytes} / {b egress-bytes}: the shared-buffer byte account
       and each per-egress byte count equal the sum of actual queue
       occupancies;

@@ -20,32 +20,33 @@ type int_hop = {
   mutable h_link : int;
 }
 
-(* A packet is ten words: four of them pack the small fields, the other
-   six are plain. With its header that is 11 words, which OCaml 5's
-   shared heap serves from its 12-word size class. No field is a pointer,
-   so storing into a packet takes no write barrier. Every field is read
-   and written through the accessors below; a setter raises
+(* A packet is eight words: five of them pack the small fields, the other
+   three ([seq], [sent_at], [enq_at]) are plain. With its header that is a
+   9-word block, one of OCaml 5's size classes, and it is all a queued
+   packet costs: a queue links through its packets ([link]). No field is a
+   pointer, so storing into a packet takes no write barrier. Every field
+   is read and written through the accessors below; a setter raises
    [Invalid_argument] for a value outside its field's bit width.
 
    [hdr]:  bits 0-3 kind, 4-7 flags, 8-20 prio, 21-34 upstream_q,
            35-48 bp_in_port, 49-62 bp_upq
    [dims]: bits 0-15 size, 16-31 payload, 32-62 dst
-   [slot]: bits 0-30 idx, 31-61 next_free
+   [slot]: bits 0-30 idx, 31-61 link, 62 parked
    [fref]: bits 0-31 flow id, 32-61 flow slot, 62 incast
+   [ctrl]: bits 0-40 ctrl_a, 41-62 ctrl_b
 
-   A field stores its value plus a bias, so that its sentinel ([-1], or
-   [-2] for [next_free]) is the field's zero. *)
+   A field stores its value plus a bias, so that its sentinel [-1] is the
+   field's zero ([ctrl_b] has no sentinel). [seq] keeps a whole word: a
+   long-lived flow is 2^40 bytes. *)
 type t = {
   mutable hdr : int;
   mutable dims : int;
   mutable slot : int;
   mutable fref : int;
   mutable seq : int;
-  mutable remaining : int;
   mutable sent_at : Bfc_engine.Time.t;
   mutable enq_at : Bfc_engine.Time.t;
-  mutable ctrl_a : int;
-  mutable ctrl_b : int;
+  mutable ctrl : int;
 }
 
 let header_bytes = 48
@@ -130,9 +131,15 @@ let[@inline] idx p = get p.slot ~shift:0 ~width:31 ~bias:1
 
 let[@inline] set_idx p v = p.slot <- put "idx" p.slot ~shift:0 ~width:31 ~bias:1 v
 
-let[@inline] next_free p = get p.slot ~shift:31 ~width:31 ~bias:2
+let[@inline] link p = get p.slot ~shift:31 ~width:31 ~bias:1
 
-let[@inline] set_next_free p v = p.slot <- put "next_free" p.slot ~shift:31 ~width:31 ~bias:2 v
+let[@inline] set_link p v = p.slot <- put "link" p.slot ~shift:31 ~width:31 ~bias:1 v
+
+let parked_bit = 1 lsl 62
+
+let idx_mask = (1 lsl 31) - 1
+
+let[@inline] parked p = p.slot land parked_bit <> 0
 
 (* ----------------------------- Flow word ------------------------------ *)
 
@@ -159,10 +166,6 @@ let[@inline] incast p = p.fref land incast_bit <> 0
 
 let[@inline] seq p = p.seq
 
-let[@inline] remaining p = p.remaining
-
-let[@inline] set_remaining p v = p.remaining <- v
-
 let[@inline] sent_at p = p.sent_at
 
 let[@inline] set_sent_at p v = p.sent_at <- v
@@ -171,13 +174,15 @@ let[@inline] enq_at p = p.enq_at
 
 let[@inline] set_enq_at p v = p.enq_at <- v
 
-let[@inline] ctrl_a p = p.ctrl_a
+let[@inline] ctrl_a p = get p.ctrl ~shift:0 ~width:41 ~bias:1
 
-let[@inline] set_ctrl_a p v = p.ctrl_a <- v
+let[@inline] put_ctrl_a w v = put "ctrl_a" w ~shift:0 ~width:41 ~bias:1 v
 
-let[@inline] ctrl_b p = p.ctrl_b
+let[@inline] set_ctrl_a p v = p.ctrl <- put_ctrl_a p.ctrl v
 
-let[@inline] set_ctrl_b p v = p.ctrl_b <- v
+let[@inline] ctrl_b p = get p.ctrl ~shift:41 ~width:22 ~bias:0
+
+let[@inline] set_ctrl_b p v = p.ctrl <- put "ctrl_b" p.ctrl ~shift:41 ~width:22 ~bias:0 v
 
 (* ------------------------------- Flags --------------------------------- *)
 
@@ -213,6 +218,8 @@ let default_hdr = flag_bp_sampled lor (1 lsl 8) lor (1 lsl 21)
 
 let default_dims = pack_dims ~dst:(-1) ~size:0 ~payload:0
 
+let default_ctrl = put_ctrl_a 0 0
+
 let build kind fref ~dst ~size ~payload ~seq ~prio =
   {
     hdr = put_prio (default_hdr lor kind_code kind) prio;
@@ -220,11 +227,9 @@ let build kind fref ~dst ~size ~payload ~seq ~prio =
     slot = 0;
     fref;
     seq;
-    remaining = 0;
     sent_at = 0;
     enq_at = 0;
-    ctrl_a = 0;
-    ctrl_b = 0;
+    ctrl = default_ctrl;
   }
 
 let make kind ?flow ~dst ~size ?(payload = 0) ?(seq = 0) ?(prio = 0) () =
@@ -245,15 +250,18 @@ module Pool = struct
 
   (* The per-sim packet table: [pkts] maps an index to its packet, for
      every packet this table has seen (live or parked). Parked packets
-     form a LIFO list threaded through [next_free], headed by [free]; a
-     live packet's [next_free] is [in_use]. A packet keeps its index for
+     carry the parked bit and form a LIFO list threaded through [link],
+     headed by [free]. A live packet's [link] belongs to the queue that
+     holds it ({!Bfc_switch.Fifo}): a packet is never queued and parked at
+     once, so the two lists share the bits. A packet keeps its index for
      life, so queues and events can name it by an int.
 
      The side tables hold what only one scheme reads, by packet index:
      HPCC's INT stack ([int_hops], of which the first [int_cnt] records
-     are valid) and a BFC pause bitmap's payload ([bitmaps]). Each stays
-     [[||]] until its first use, so a run without INT stamping or bitmaps
-     pays nothing for them, and grows to the capacity of [pkts]. *)
+     are valid), a BFC pause bitmap's payload ([bitmaps]) and the SRF
+     header field ([remaining]). Each stays [[||]] until its first use, so
+     a run without INT stamping, bitmaps or SRF pays nothing for them, and
+     grows to the capacity of [pkts]. *)
   type nonrec t = {
     mutable pkts : packet array;
     mutable n : int;
@@ -264,6 +272,7 @@ module Pool = struct
     mutable int_hops : int_hop array array;
     mutable int_cnt : int array;
     mutable bitmaps : int array array;
+    mutable remaining : int array;
   }
 
   let create () =
@@ -277,6 +286,7 @@ module Pool = struct
       int_hops = [||];
       int_cnt = [||];
       bitmaps = [||];
+      remaining = [||];
     }
 
   let free_count t = t.n_free
@@ -285,11 +295,11 @@ module Pool = struct
 
   let recycled t = t.recycled
 
-  let side_slots t = Array.length t.int_cnt + Array.length t.bitmaps
+  let side_slots t = Array.length t.int_cnt + Array.length t.bitmaps + Array.length t.remaining
 
   let get t i = t.pkts.(i)
 
-  let in_use = -2
+  let holds t i = i >= 0 && i < t.n
 
   (* Give [p] the next index (one pointer store per packet, ever). *)
   let register t p =
@@ -393,6 +403,20 @@ module Pool = struct
       t.bitmaps.(i) <- ints
     end
 
+  (* ----------------------------- Remaining ----------------------------- *)
+
+  let remaining t p =
+    let i = index t p in
+    if i < Array.length t.remaining then t.remaining.(i) else 0
+
+  let set_remaining t p v =
+    let i = index t p in
+    if i < Array.length t.remaining then t.remaining.(i) <- v
+    else if v <> 0 then begin
+      t.remaining <- widen t t.remaining 0;
+      t.remaining.(i) <- v
+    end
+
   (* ------------------------------ Life cycle --------------------------- *)
 
   (* Full reset to [make]'s defaults: an acquired packet must be
@@ -404,20 +428,20 @@ module Pool = struct
     p.dims <- default_dims;
     p.fref <- no_flow;
     p.seq <- 0;
-    p.remaining <- 0;
     p.sent_at <- 0;
     p.enq_at <- 0;
-    p.ctrl_a <- 0;
-    p.ctrl_b <- 0;
+    p.ctrl <- default_ctrl;
     let i = idx p in
     if i < Array.length t.int_cnt then t.int_cnt.(i) <- 0;
-    if i < Array.length t.bitmaps then t.bitmaps.(i) <- [||]
+    if i < Array.length t.bitmaps then t.bitmaps.(i) <- [||];
+    if i < Array.length t.remaining then t.remaining.(i) <- 0
 
   let release t (p : packet) =
-    if next_free p <> in_use then invalid_arg "Packet.Pool.release: double release";
+    if parked p then invalid_arg "Packet.Pool.release: double release";
     let i = index t p in
     reset t p;
-    set_next_free p t.free;
+    set_link p t.free;
+    p.slot <- p.slot lor parked_bit;
     t.free <- i;
     t.n_free <- t.n_free + 1
 
@@ -431,8 +455,9 @@ module Pool = struct
     else begin
       t.n_free <- t.n_free - 1;
       let p = t.pkts.(t.free) in
-      t.free <- next_free p;
-      set_next_free p in_use;
+      t.free <- link p;
+      (* keep the index; [link] reads -1 and the parked bit clears *)
+      p.slot <- p.slot land idx_mask;
       t.recycled <- t.recycled + 1;
       set_kind p kind;
       p.fref <- flow;

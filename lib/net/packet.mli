@@ -6,8 +6,9 @@
     overwritten at every switch, exactly like metadata in a switch
     pipeline. All fields are mutable so packets can be recycled through
     {!Pool} without allocation on the hot path. The record carries only
-    what every scheme needs: HPCC's INT stack and a pause bitmap's payload
-    live in side tables of the packet's {!Pool}. *)
+    what every scheme needs: HPCC's INT stack, a pause bitmap's payload
+    and the SRF header field live in side tables of the packet's
+    {!Pool}. *)
 
 type kind =
   | Data
@@ -33,12 +34,12 @@ type int_hop = {
   mutable h_link : int; (** global port id, for per-link delay accounting *)
 }
 
-(** A packet. Its small fields share four packed words, so a packet
-    takes OCaml's 12-word heap slot and holds no pointer; read and write
-    every field with the accessors below. A setter raises [Invalid_argument] for a value its
-    field cannot hold; each range has headroom over the port, queue and
-    node-id limits that [Switch.create],
-    [Nic.create] and [Runner.inject_mtu] enforce. *)
+(** A packet. Its small fields share five packed words, so a packet is
+    8 fields (a 9-word heap block) and holds no pointer; read and write
+    every field with the accessors below. A setter raises
+    [Invalid_argument] for a value its field cannot hold; each range has
+    headroom over the port, queue and node-id limits that
+    [Switch.create], [Nic.create] and [Runner.inject_mtu] enforce. *)
 type t
 
 val kind : t -> kind
@@ -95,11 +96,6 @@ val prio : t -> int
 
 val set_prio : t -> int -> unit
 
-(** Sender's remaining bytes (SRF header field). *)
-val remaining : t -> int
-
-val set_remaining : t -> int -> unit
-
 (** BFC: the sender-side queue at the upstream device. Range
     [-1 .. 16382], as for [bp_in_port] and [bp_upq]. *)
 val upstream_q : t -> int
@@ -126,10 +122,16 @@ val enq_at : t -> Bfc_engine.Time.t
 
 val set_enq_at : t -> Bfc_engine.Time.t -> unit
 
+(** A control packet's first argument (see {!kind}): a queue id, a Homa
+    grant offset or an ExpressPass credit count. Range
+    [-1 .. 2^41 - 2], room for a grant offset into a 2^40-byte flow. *)
 val ctrl_a : t -> int
 
 val set_ctrl_a : t -> int -> unit
 
+(** A packet's second argument: the FIN and PFC pause bits, a Homa grant
+    priority or the bytes a [Hop_credit] returns. Range
+    [0 .. 2^22 - 1]. *)
 val ctrl_b : t -> int
 
 val set_ctrl_b : t -> int -> unit
@@ -139,6 +141,18 @@ val set_ctrl_b : t -> int -> unit
     the pool writes it. *)
 (* observation: tests read an index without assigning one; bfc-lint: allow DC001 *)
 val idx : t -> int
+
+(** The next packet's index in the list that holds this one, [-1] at its
+    end: the queue that holds a live packet ({!Bfc_switch.Fifo}), or the
+    free list of a parked one. Range [-1 .. 2^31 - 2]. Only the pool and
+    a queue write it. *)
+val link : t -> int
+
+val set_link : t -> int -> unit
+
+(** Is the packet parked in its table's free list ({!Pool.release})? A
+    parked packet is in no queue. *)
+val parked : t -> bool
 
 (** Congestion experienced: set by a switch's ECN marking. *)
 val ecn : t -> bool
@@ -195,19 +209,20 @@ val placeholder : t
 
 (** The per-simulation packet table and its free list. Every packet a
     simulation queues or has in flight has an index in its table
-    ({!index}), stable for the packet's life, so queues, rings and events
-    name packets by int — stores that take no GC write barrier. [release]
+    ({!index}), stable for the packet's life, so queues and events name
+    packets by int — stores that take no GC write barrier. [release]
     resets every mutable field to the [make] defaults, empties the packet's
-    INT stack and bitmap (keeping its INT-hop records and its index) and
-    parks the packet; [acquire] hands a parked packet back. Double
-    release raises [Invalid_argument]. One table per simulation, reached
-    with {!Port.pool} — packets never migrate between domains.
+    INT stack, bitmap and [remaining] (keeping its INT-hop records and its
+    index) and parks the packet; [acquire] hands a parked packet back.
+    Double release raises [Invalid_argument]. One table per simulation,
+    reached with {!Port.pool} — packets never migrate between domains.
 
     The table also keeps, by packet index, the fields only one scheme
-    reads: HPCC's INT stack and a BFC pause bitmap's payload. Each side
-    table is created on its first use, so a run without INT stamping or
-    pause bitmaps allocates nothing for them. The functions that read or
-    write them index an unindexed packet first, like {!index}. *)
+    reads: HPCC's INT stack, a BFC pause bitmap's payload and SRF's
+    [remaining]. Each side table is created on its first use, so a run
+    without INT stamping, pause bitmaps or SRF allocates nothing for them.
+    The functions that read or write them index an unindexed packet
+    first, like {!index}. *)
 module Pool : sig
   type packet = t
 
@@ -224,6 +239,9 @@ module Pool : sig
 
   (** [get pool i] is the packet at index [i]. *)
   val get : t -> int -> packet
+
+  (** [holds pool i]: has [pool] given out index [i]? *)
+  val holds : t -> int -> bool
 
   (** [acquire pool kind ~flow ~dst ~size ~seq] — a recycled (or, when
       the free list is empty, fresh) packet with [make]'s defaults in every
@@ -286,8 +304,16 @@ module Pool : sig
       is kept, not copied. *)
   val set_bitmap : t -> packet -> int array -> unit
 
+  (** {2 Remaining bytes (SRF)} *)
+
+  (** The sender's remaining bytes that [p] carries (the SRF header
+      field); 0 until set. *)
+  val remaining : t -> packet -> int
+
+  val set_remaining : t -> packet -> int -> unit
+
   (** Index slots the side tables hold: 0 until some packet gets an INT
-      stack or a non-empty bitmap. *)
+      stack, a non-empty bitmap or a non-zero [remaining]. *)
   (* observation: tests read the side tables' size; bfc-lint: allow DC001 *)
   val side_slots : t -> int
 

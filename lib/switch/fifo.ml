@@ -5,8 +5,8 @@ type t = {
   idx : int;
   cls : int;
   pool : Pool.t;
-  mutable ring : int array;
   mutable head : int;
+  mutable tail : int;
   mutable len : int;
   mutable bytes : int;
   mutable paused : bool;
@@ -19,8 +19,8 @@ let create ~pool ~idx ~cls =
     idx;
     cls;
     pool;
-    ring = [||];
-    head = 0;
+    head = -1;
+    tail = -1;
     len = 0;
     bytes = 0;
     paused = false;
@@ -32,40 +32,50 @@ let is_empty t = t.len = 0
 
 let length t = t.len
 
-(* Double the ring, unrolling it to start at slot 0. *)
-let grow t =
-  let cap = Array.length t.ring in
-  let nr = Array.make (if cap = 0 then 8 else 2 * cap) 0 in
-  for i = 0 to t.len - 1 do
-    Array.unsafe_set nr i (Array.unsafe_get t.ring ((t.head + i) land (cap - 1)))
-  done;
-  t.ring <- nr;
-  t.head <- 0
-
 let push t pkt =
-  if t.len = Array.length t.ring then grow t;
-  Array.unsafe_set t.ring
-    ((t.head + t.len) land (Array.length t.ring - 1))
-    (Pool.index t.pool pkt);
+  if Packet.parked pkt then invalid_arg "Fifo.push: released packet";
+  let i = Pool.index t.pool pkt in
+  Packet.set_link pkt (-1);
+  if t.len = 0 then t.head <- i else Packet.set_link (Pool.get t.pool t.tail) i;
+  t.tail <- i;
   t.len <- t.len + 1;
   t.bytes <- t.bytes + Packet.size pkt
 
-let head t = Pool.get t.pool (Array.unsafe_get t.ring t.head)
+let head t = Pool.get t.pool t.head
 
 let pop t =
   if t.len = 0 then invalid_arg "Fifo.pop: empty queue";
   let pkt = head t in
-  t.head <- (t.head + 1) land (Array.length t.ring - 1);
+  t.head <- Packet.link pkt;
   t.len <- t.len - 1;
   t.bytes <- t.bytes - Packet.size pkt;
   pkt
 
 let head_size t = if t.len = 0 then 0 else Packet.size (head t)
 
-let head_remaining t = if t.len = 0 then max_int else Packet.remaining (head t)
+let head_remaining t = if t.len = 0 then max_int else Pool.remaining t.pool (head t)
 
 let iter f t =
-  let mask = Array.length t.ring - 1 in
-  for i = 0 to t.len - 1 do
-    f (Pool.get t.pool (Array.unsafe_get t.ring ((t.head + i) land mask)))
+  let i = ref t.head in
+  for _ = 1 to t.len do
+    let pkt = Pool.get t.pool !i in
+    i := Packet.link pkt;
+    f pkt
   done
+
+let chain_fault t =
+  let fault fmt = Printf.ksprintf Option.some fmt in
+  let rec walk k i bytes =
+    if k = t.len then
+      if i <> -1 then fault "the chain runs on past %d packets to index %d" t.len i
+      else if bytes <> t.bytes then fault "packets of %d B in a queue of %d B" bytes t.bytes
+      else None
+    else if not (Pool.holds t.pool i) then fault "packet %d of %d: no index %d" (k + 1) t.len i
+    else begin
+      let pkt = Pool.get t.pool i in
+      if Packet.parked pkt then fault "packet %d of %d (index %d) is released" (k + 1) t.len i
+      else if k = t.len - 1 && i <> t.tail then fault "the chain ends at %d, not %d" i t.tail
+      else walk (k + 1) (Packet.link pkt) (bytes + Packet.size pkt)
+    end
+  in
+  walk 0 t.head 0

@@ -317,7 +317,7 @@ let make_data t tx ~seq ~len =
     Packet.Pool.data t.pool ~flow:tx.fref ~dst:tx.fdst ~prio:tx.fprio ~seq ~payload:len
       ~extra_header:t.cfg.extra_header
   in
-  if t.cfg.srf then Packet.set_remaining pkt (Int.max 0 (tx.fsize - tx.snd_una));
+  if t.cfg.srf then Packet.Pool.set_remaining t.pool pkt (Int.max 0 (tx.fsize - tx.snd_una));
   t.bytes_sent <- t.bytes_sent + len;
   pkt
 

@@ -187,6 +187,36 @@ let test_auditor_trips_on_corruption () =
          [ "egress-bytes"; "buffer-bytes"; "packet-conservation" ]));
   Alcotest.(check bool) "violation recorded" true (Auditor.violation_count aud >= 1)
 
+(* A queue links through its packets: a link cut behind the queue's back
+   is a [queue-chain] violation, and the checks that walk the queues skip
+   that switch rather than follow the broken chain. *)
+let test_auditor_trips_on_broken_chain () =
+  let _, env, flows = star_incast ~watchdog:None () in
+  let aud = Auditor.attach ~config:{ Auditor.check_pairing = true; fail_fast = false } env in
+  Runner.inject env flows;
+  Runner.run env ~until:(Time.us 10.0);
+  Auditor.check aud;
+  check Alcotest.int "a clean sweep" 0 (Auditor.violation_count aud);
+  let sw = (Runner.switches env).(0) in
+  let deep = ref None in
+  for e = 0 to Switch.n_ports sw - 1 do
+    Array.iter (fun q -> if Fifo.length q >= 2 then deep := Some q) (Switch.queues sw ~egress:e)
+  done;
+  let q = match !deep with Some q -> q | None -> Alcotest.fail "no queue holds two packets" in
+  let first = ref true in
+  Fifo.iter
+    (fun p ->
+      if !first then begin
+        first := false;
+        Packet.set_link p (-1)
+      end)
+    q;
+  Auditor.check aud;
+  check
+    Alcotest.(list string)
+    "the cut chain is the one violation" [ "queue-chain" ]
+    (List.map (fun v -> v.Auditor.v_invariant) (Auditor.violations aud))
+
 (* The flow-table ledger: every dropped data packet must give its flow
    table count back, so an incast into a buffer too small for it (sampled
    data packets dropped at admission) keeps the ledger balanced under the
@@ -376,6 +406,8 @@ let suite =
     Alcotest.test_case "no watchdog stalls" `Quick test_no_watchdog_stalls;
     Alcotest.test_case "auditor clean run" `Quick test_auditor_clean_run;
     Alcotest.test_case "auditor trips on corruption" `Quick test_auditor_trips_on_corruption;
+    Alcotest.test_case "auditor trips on a broken queue chain" `Quick
+      test_auditor_trips_on_broken_chain;
     Alcotest.test_case "auditor flow ledger under drops" `Quick
       test_auditor_flow_ledger_under_drops;
     Alcotest.test_case "auditor trips on flow-table leak" `Quick test_auditor_trips_on_flow_leak;

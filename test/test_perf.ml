@@ -67,7 +67,7 @@ let test_pool_reset_all_fields () =
   check int "flow id from data" 3 (Packet.fid p);
   check int "payload from data" 1400 (Packet.payload p);
   (* dirty every mutable field a switch/host can touch *)
-  Packet.set_remaining p 900;
+  Packet.Pool.set_remaining pool p 900;
   Packet.set_upstream_q p 5;
   Packet.set_ecn p true;
   Packet.set_ecn_echo p true;
@@ -104,7 +104,7 @@ let test_pool_reset_all_fields () =
   check int "payload reset" 0 (Packet.payload q);
   check int "seq reset" 0 (Packet.seq q);
   check int "prio reset" 0 (Packet.prio q);
-  check int "remaining reset" 0 (Packet.remaining q);
+  check int "remaining reset" 0 (Packet.Pool.remaining pool q);
   check int "upstream_q reset" 0 (Packet.upstream_q q);
   check int "sent_at reset" 0 (Packet.sent_at q);
   check int "enq_at reset" 0 (Packet.enq_at q);
@@ -116,16 +116,17 @@ let test_pool_reset_all_fields () =
   check bool "incast reset" false (Packet.incast q);
   check int "index kept" i (Packet.idx q)
 
-(* Every packet carries only what every scheme needs, in 10 fields, three
-   of them packed words: 11 words with its header, which OCaml 5's shared
-   heap serves from its 12-word size class. Each word per packet costs
-   about 0.2 MB of peak heap on the DCQCN Clos run, whose switch buffers
-   hold tens of thousands of packets at the peak. *)
+(* Every packet carries only what every scheme needs, in 8 fields, five
+   of them packed words: a 9-word block with its header, one of OCaml 5's
+   size classes. A queued packet costs nothing more, since its queue
+   links through it. Each word per packet costs about 0.25 MB of peak heap
+   on the DCQCN Clos run, whose switch buffers hold tens of thousands of
+   packets at the peak. *)
 let test_packet_footprint () =
   let pool = Packet.Pool.create () in
   let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
   let fields = Obj.size (Obj.repr p) in
-  if fields > 11 then failf "a packet has %d fields, bound 11" fields
+  if fields > 8 then failf "a packet has %d fields, bound 8" fields
 
 (* The flags a switch or host sets. *)
 let flag_accessors =
@@ -154,6 +155,8 @@ let packed_fields =
     ("upstream_q", Packet.upstream_q, Packet.set_upstream_q, -1, 16382);
     ("bp_in_port", Packet.bp_in_port, Packet.set_bp_in_port, -1, 16382);
     ("bp_upq", Packet.bp_upq, Packet.set_bp_upq, -1, 16382);
+    ("ctrl_a", Packet.ctrl_a, Packet.set_ctrl_a, -1, (1 lsl 41) - 2);
+    ("ctrl_b", Packet.ctrl_b, Packet.set_ctrl_b, 0, (1 lsl 22) - 1);
   ]
 
 let all_kinds =
@@ -301,6 +304,12 @@ let test_packet_side_tables () =
   let ack = acquire Packet.Ack in
   Packet.Pool.copy_int_hops pool ~src:p ~dst:ack;
   check int "copying no INT stack makes no side table" 0 (Packet.Pool.side_slots pool);
+  Packet.Pool.set_remaining pool p 0;
+  check int "a zero remaining makes no side table" 0 (Packet.Pool.side_slots pool);
+  check int "remaining reads 0 before any set" 0 (Packet.Pool.remaining pool p);
+  Packet.Pool.set_remaining pool p 4_000;
+  check int "remaining reads back" 4_000 (Packet.Pool.remaining pool p);
+  check int "the ack's remaining is its own" 0 (Packet.Pool.remaining pool ack);
   let stamp q link =
     Packet.Pool.add_int_hop pool q ~ts:link ~tx_bytes:(10 * link) ~qlen:0 ~gbps:100.0 ~link
   in
@@ -319,6 +328,7 @@ let test_packet_side_tables () =
   check bool "recycled" true (p == q);
   check int "no INT stack in the next incarnation" 0 (Packet.Pool.int_hop_count pool q);
   check int "no bitmap in the next incarnation" 0 (Array.length (Packet.Pool.bitmap pool q));
+  check int "no remaining in the next incarnation" 0 (Packet.Pool.remaining pool q);
   stamp q 8;
   check (list int) "a new stack starts empty" [ 8 ] (hop_links pool q);
   check (list int) "and leaves the ack's alone" [ 1; 2; 3; 4; 5 ] (hop_links pool ack)
@@ -535,9 +545,9 @@ let bfc_clos_run = lazy (run_bfc_clos ())
 (* The packet hop (NIC -> port -> switch -> host) allocates nothing once
    warm, so the Clos run allocates well under one minor word per executed
    event. Only the run phase is measured: set-up allocates the topology
-   and flow records, and the warm-up grows the packet pool, queue rings
-   and the wheel's slab to their high-water marks. Counts are
-   deterministic, so the bound is exact, not a timing gate. *)
+   and flow records, and the warm-up grows the packet pool and the
+   wheel's slab to their high-water marks. Counts are deterministic, so
+   the bound is exact, not a timing gate. *)
 let test_bfc_clos_minor_words () =
   let words, events, _, _ = Lazy.force bfc_clos_run in
   let per_event = words /. float_of_int events in
@@ -598,8 +608,8 @@ let test_stream_arrival_footprint () =
   Bfc_sim.Runner.drain env ~budget:(Time.ms 10.0);
   check int "all complete" n (Bfc_sim.Runner.completed env)
 
-(* BFC without pause bitmaps stamps no INT and sends no bitmap, so its
-   packet table makes no side table. *)
+(* BFC without pause bitmaps or SRF stamps no INT, sends no bitmap and
+   sets no [remaining], so its packet table makes no side table. *)
 let test_bfc_clos_no_side_tables () =
   let _, _, _, side = Lazy.force bfc_clos_run in
   check int "side-table slots" 0 side

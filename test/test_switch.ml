@@ -22,7 +22,7 @@ let pool = Port.pool (Sim.create ())
 
 let data ?(payload = 1000) ?(remaining = 0) () =
   let p = Packet.data ~flow ~seq:0 ~payload () in
-  Packet.set_remaining p remaining;
+  Packet.Pool.set_remaining pool p remaining;
   p
 
 (* ------------------------------- Fifo ------------------------------ *)
@@ -45,33 +45,102 @@ let test_fifo_head_remaining () =
   Fifo.push q (data ~remaining:99 ());
   check Alcotest.int "head's remaining" 500 (Fifo.head_remaining q)
 
-let test_fifo_ring_wrap_and_growth () =
+(* Queues link through their packets, so two queues filled in turn must
+   each keep their own order, across pops that empty one and refill it. *)
+let test_fifo_interleaved_orders () =
+  let qa = Fifo.create ~pool ~idx:0 ~cls:0 and qb = Fifo.create ~pool ~idx:1 ~cls:0 in
+  let next_in = [| 0; 1000 |] and next_out = [| 0; 1000 |] in
+  let push k q n =
+    for _ = 1 to n do
+      Fifo.push q (data ~remaining:next_in.(k) ());
+      next_in.(k) <- next_in.(k) + 1
+    done
+  in
+  let pop k q n =
+    for _ = 1 to n do
+      check Alcotest.int "fifo order" next_out.(k) (Packet.Pool.remaining pool (Fifo.pop q));
+      next_out.(k) <- next_out.(k) + 1
+    done
+  in
+  for round = 1 to 5 do
+    for _ = 1 to round do
+      push 0 qa 1;
+      push 1 qb 2
+    done;
+    pop 0 qa (Fifo.length qa - 1);
+    pop 1 qb (Fifo.length qb)
+  done;
+  check Alcotest.int "a's len" 1 (Fifo.length qa);
+  check Alcotest.int "b emptied" 0 (Fifo.length qb);
+  push 1 qb 3;
+  check Alcotest.int "b's head after refill" next_out.(1) (Fifo.head_remaining qb);
+  pop 0 qa 1;
+  pop 1 qb 3;
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) "empty" true (Fifo.is_empty q);
+      check Alcotest.int "bytes zero" 0 q.Fifo.bytes;
+      check Alcotest.int "empty head size" 0 (Fifo.head_size q);
+      check Alcotest.(option string) "chain well formed" None (Fifo.chain_fault q))
+    [ qa; qb ]
+
+(* A queue stores only ints in its packets: once its packets are indexed,
+   push and pop allocate nothing, however deep the queue gets. *)
+let test_fifo_allocates_nothing () =
   let q = Fifo.create ~pool ~idx:0 ~cls:0 in
-  let next_in = ref 0 and next_out = ref 0 in
-  let push_n n =
-    for _ = 1 to n do
-      Fifo.push q (data ~remaining:!next_in ());
-      incr next_in
+  let pkts = Array.init 64 (fun _ -> data ()) in
+  Array.iter (fun p -> ignore (Packet.Pool.index pool p)) pkts;
+  let cycle depth =
+    for i = 0 to depth - 1 do
+      Fifo.push q pkts.(i)
+    done;
+    for _ = 1 to depth do
+      ignore (Fifo.pop q)
     done
   in
-  let pop_n n =
-    for _ = 1 to n do
-      check Alcotest.int "fifo order" !next_out (Packet.remaining (Fifo.pop q));
-      incr next_out
-    done
+  cycle 64;
+  let w0 = Gc.minor_words () in
+  for depth = 1 to 64 do
+    cycle depth
+  done;
+  check (Alcotest.float 0.0) "minor words" 0.0 (Gc.minor_words () -. w0)
+
+let test_fifo_rejects_released () =
+  let q = Fifo.create ~pool ~idx:0 ~cls:0 in
+  let p = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:100 ~seq:0 in
+  Packet.Pool.release pool p;
+  Alcotest.check_raises "push of a released packet"
+    (Invalid_argument "Fifo.push: released packet") (fun () -> Fifo.push q p);
+  check Alcotest.int "queue untouched" 0 (Fifo.length q)
+
+(* [chain_fault] finds each way a chain can break. *)
+let test_fifo_chain_fault () =
+  let fresh () =
+    let q = Fifo.create ~pool ~idx:0 ~cls:0 in
+    let ps = Array.init 3 (fun _ -> data ()) in
+    Array.iter (Fifo.push q) ps;
+    check Alcotest.(option string) "well formed" None (Fifo.chain_fault q);
+    (q, ps)
   in
-  (* wrap the head around the initial 8 slots, then grow while wrapped *)
-  push_n 6;
-  pop_n 5;
-  push_n 6;
-  check Alcotest.int "wrapped, no growth" 8 (Array.length q.Fifo.ring);
-  push_n 30;
-  check Alcotest.int "len" 37 (Fifo.length q);
-  check Alcotest.int "head after growth" !next_out (Fifo.head_remaining q);
-  pop_n 37;
-  Alcotest.(check bool) "empty" true (Fifo.is_empty q);
-  check Alcotest.int "bytes zero" 0 q.Fifo.bytes;
-  check Alcotest.int "empty head size" 0 (Fifo.head_size q)
+  let broken what q = Alcotest.(check bool) what true (Option.is_some (Fifo.chain_fault q)) in
+  let q, ps = fresh () in
+  Packet.set_link ps.(0) (Packet.link ps.(1));
+  broken "a packet skipped" q;
+  let q, ps = fresh () in
+  Packet.set_link ps.(2) (Packet.idx ps.(0));
+  broken "the tail links back" q;
+  let q, ps = fresh () in
+  Packet.set_link ps.(1) (-1);
+  broken "the chain ends early" q;
+  let q, ps = fresh () in
+  let parked = Packet.Pool.acquire pool Packet.Data ~flow:Packet.no_flow ~dst:1 ~size:1048 ~seq:0 in
+  Packet.set_link parked (Packet.idx ps.(2));
+  Packet.Pool.release pool parked;
+  Packet.set_link ps.(0) (Packet.idx parked);
+  broken "a released packet in the chain" q;
+  let q, _ = fresh () in
+  q.Fifo.bytes <- q.Fifo.bytes + 1;
+  broken "bytes disagree" q
 
 (* ------------------------------ Sched ------------------------------ *)
 
@@ -311,7 +380,7 @@ module Model = struct
       note_popped t q;
       Some (q.idx, Packet.idx pkt)
 
-  let remaining q = if Queue.is_empty q.pkts then max_int else Packet.remaining (Queue.peek q.pkts)
+  let remaining q = if Queue.is_empty q.pkts then max_int else Packet.Pool.remaining pool (Queue.peek q.pkts)
 
   let next t =
     let rec by_class c =
@@ -670,7 +739,10 @@ let suite =
   [
     ("fifo accounting", `Quick, test_fifo_accounting);
     ("fifo head remaining", `Quick, test_fifo_head_remaining);
-    ("fifo ring wrap and growth", `Quick, test_fifo_ring_wrap_and_growth);
+    ("fifo interleaved queues keep order", `Quick, test_fifo_interleaved_orders);
+    ("fifo push and pop allocate nothing", `Quick, test_fifo_allocates_nothing);
+    ("fifo rejects a released packet", `Quick, test_fifo_rejects_released);
+    ("fifo chain fault", `Quick, test_fifo_chain_fault);
     ("sched drr round robin", `Quick, test_sched_drr_round_robin);
     ("sched drr byte fairness", `Quick, test_sched_drr_byte_fairness);
     ("sched pause eligibility", `Quick, test_sched_pause_eligibility);
